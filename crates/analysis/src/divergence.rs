@@ -55,9 +55,8 @@ pub struct DivergenceAnalysis {
     /// without recomputing dominance frontiers. Invariant: for every
     /// divergent branch the stored set equals `branch_joins` under the
     /// CFG shape the result was last validated against; non-divergent
-    /// branches store an empty set. `None` on results from the frozen
-    /// PR 2 baseline, which never refreshes.
-    joins: Option<Vec<Vec<BlockId>>>,
+    /// branches store an empty set.
+    joins: Vec<Vec<BlockId>>,
 }
 
 impl DivergenceAnalysis {
@@ -94,93 +93,6 @@ impl DivergenceAnalysis {
     pub fn run(func: &Function, cfg: &Cfg, dt: &DomTree) -> DivergenceAnalysis {
         let pdt = PostDomTree::new(func, cfg);
         DivergenceAnalysis::run_with_pdt(func, cfg, dt, &pdt)
-    }
-
-    /// The pass-manager-refactor-era implementation, kept verbatim as the
-    /// differential baseline for compile-time benchmarks: recomputes the
-    /// post-dominator tree privately and builds the use map as
-    /// per-definition `Vec`s instead of compressed sparse rows. Produces a
-    /// result identical to [`DivergenceAnalysis::run_with_pdt`].
-    pub fn run_pr2_baseline(func: &Function, cfg: &Cfg, dt: &DomTree) -> DivergenceAnalysis {
-        let pdt = PostDomTree::new(func, cfg);
-        let mut div_inst = vec![false; func.inst_capacity()];
-        let mut div_branch_block = vec![false; func.block_capacity()];
-
-        // Use map: inst -> instructions using its result.
-        let mut users: Vec<Vec<InstId>> = vec![Vec::new(); func.inst_capacity()];
-        for b in func.block_ids() {
-            for &id in func.insts_of(b) {
-                for &op in &func.inst(id).operands {
-                    if let Value::Inst(dep) = op {
-                        users[dep.index()].push(id);
-                    }
-                }
-            }
-        }
-
-        let mut work: Vec<InstId> = Vec::new();
-        for b in func.block_ids() {
-            for &id in func.insts_of(b) {
-                if matches!(func.inst(id).opcode, Opcode::ThreadIdx(_)) {
-                    div_inst[id.index()] = true;
-                    work.push(id);
-                }
-            }
-        }
-
-        // Per-branch join sets are computed lazily and cached.
-        let mut joins_cache: std::collections::HashMap<usize, Vec<BlockId>> =
-            std::collections::HashMap::new();
-
-        while let Some(id) = work.pop() {
-            // Propagate data dependence to users.
-            for &u in &users[id.index()] {
-                if !div_inst[u.index()]
-                    && !matches!(func.inst(u).opcode, Opcode::Br | Opcode::Jump | Opcode::Ret)
-                {
-                    div_inst[u.index()] = true;
-                    work.push(u);
-                }
-            }
-            // Sync dependence: a conditional branch using this value diverges.
-            for &u in &users[id.index()] {
-                let inst = func.inst(u);
-                if inst.opcode != Opcode::Br {
-                    continue;
-                }
-                let bb = inst.block;
-                if div_branch_block[bb.index()] {
-                    continue;
-                }
-                div_branch_block[bb.index()] = true;
-                let joins = joins_cache.entry(bb.index()).or_insert_with(|| {
-                    // Frontiers recomputed per branch, as the era did.
-                    let succs: Vec<BlockId> = inst.succs.clone();
-                    let idf = dt.iterated_dominance_frontier(cfg, &succs);
-                    match pdt.ipdom(bb) {
-                        Some(x) => idf
-                            .into_iter()
-                            .filter(|&j| j == x || pdt.post_dominates(x, j))
-                            .collect(),
-                        None => idf,
-                    }
-                });
-                for &j in joins.iter() {
-                    for phi in func.phis_of(j) {
-                        if !div_inst[phi.index()] {
-                            div_inst[phi.index()] = true;
-                            work.push(phi);
-                        }
-                    }
-                }
-            }
-        }
-
-        DivergenceAnalysis {
-            div_inst,
-            div_branch_block,
-            joins: None,
-        }
     }
 
     /// Runs the analysis with every control-flow analysis caller-provided
@@ -266,15 +178,15 @@ impl DivergenceAnalysis {
         DivergenceAnalysis {
             div_inst,
             div_branch_block,
-            joins: Some(joins_by_block),
+            joins: joins_by_block,
         }
     }
 
     /// Incrementally refreshes this result for one journal window,
     /// returning a result bit-identical to a full recompute over the
     /// current function — or `None` when the window is better served by
-    /// recomputing (no stored joins, or the dirty frontier covers more
-    /// than half the live instructions).
+    /// recomputing (the dirty frontier covers more than half the live
+    /// instructions).
     ///
     /// `touched` is the deduplicated list of instruction ids the journal
     /// recorded in the window (live and removed — the dead ones drive bit
@@ -305,7 +217,7 @@ impl DivergenceAnalysis {
         touched: &[InstId],
         shape_window: bool,
     ) -> Option<DivergenceAnalysis> {
-        let joins_old = self.joins.as_ref()?;
+        let joins_old = &self.joins;
         let icap = func.inst_capacity();
         let bcap = func.block_capacity();
         // Seeds are the *touched* live instructions only — not every
@@ -636,7 +548,7 @@ impl DivergenceAnalysis {
         Some(DivergenceAnalysis {
             div_inst,
             div_branch_block,
-            joins: Some(joins),
+            joins,
         })
     }
 

@@ -1,5 +1,6 @@
-//! Cached analysis management with invalidation — the analogue of LLVM's
-//! `FunctionAnalysisManager` for the pass pipeline in `darm-pipeline`.
+//! Cached analysis management with journal reconciliation — the analogue
+//! of LLVM's `FunctionAnalysisManager` for the pass pipeline in
+//! `darm-pipeline`.
 //!
 //! Every analysis in this crate is a pure function of the IR: recomputing it
 //! on an unchanged [`Function`] yields an equal value. The
@@ -52,30 +53,23 @@
 //! surgery followed by cleanup rounds) coalesces into *one* window per
 //! entry, reconciled at its next query, instead of an eager pass over the
 //! cache per edit batch. Per-slot cursors are what make it sound: a
-//! transform that mutates, internally invalidates, and recomputes an
-//! analysis mid-run produces an entry stamped with its own (newer)
-//! cursor, so the journal never replays edits onto a tree that already
-//! reflects them.
+//! transform that mutates and re-queries an analysis mid-run produces an
+//! entry stamped with its own (newer) cursor, so the journal never replays
+//! edits onto a tree that already reflects them.
 //!
-//! # Invalidation tiers
+//! # One invalidation discipline
 //!
-//! | tier | trigger | effect |
-//! |---|---|---|
-//! | **all** | block/edge surgery, provenance unknown | [`AnalysisManager::invalidate_all`] drops every entry |
-//! | **values** | instruction-only changes (φ insertion, peepholes, DCE) | [`AnalysisManager::invalidate_values`] drops only the instruction-sensitive analyses |
-//! | **dirty-set** | any journaled mutation | reconcile-on-read as above; [`AnalysisManager::update_after`] runs the same reconciliation eagerly over every slot |
-//!
-//! The first two tiers are driven by what a pass *reports* (a
-//! [`PreservedAnalyses`] summary applied via [`AnalysisManager::retain`],
-//! or direct invalidation during a run) and remain for drivers that
-//! manage invalidation by hand. The dirty-set tier inverts the burden of
-//! proof: the journal, not the pass's summary, decides what survives.
-//! Journal-arbitrated pipelines (`PipelineOptions::journal_sync` in
-//! `darm-pipeline`) run [`AnalysisManager::update_after_with_report`]
-//! after every pass — the pass's report can then only *extend* validity
+//! The journal, not a pass's summary, decides what survives: nothing is
+//! ever dropped by hand. A pipeline runs
+//! [`AnalysisManager::update_after_with_report`] after every pass — the
+//! pass's [`PreservedAnalyses`] report can only *extend* validity
 //! (vouching for entries across the pass's own window, e.g. DCE proving
 //! divergence intact), never resurrect an entry the journal would
-//! otherwise have condemned.
+//! otherwise have condemned — and every entry the report does not vouch
+//! for is reconciled on read as above. [`AnalysisManager::update_after`]
+//! runs the same reconciliation eagerly over every slot;
+//! [`AnalysisManager::hard_reset`] is the one wholesale drop, for
+//! functions rolled back under a fresh journal identity.
 //!
 //! [`AnalysisManager::counters`] exposes how many computations, cache hits
 //! and in-place updates occurred — `darm meld --time-passes` prints the
@@ -111,7 +105,7 @@ pub trait Analysis: Sized + Send + Sync + 'static {
 
     /// Whether the result depends only on the block graph (blocks + edges),
     /// not on non-terminator instructions. Shape-only analyses survive
-    /// instruction-level invalidation.
+    /// instruction-only journal windows.
     const SHAPE_ONLY: bool;
 
     /// Unique dense cache-slot index of this analysis type.
@@ -549,11 +543,6 @@ impl PreservedAnalyses {
         self
     }
 
-    /// Whether everything is preserved.
-    pub fn preserves_all(&self) -> bool {
-        self.all
-    }
-
     /// Whether the entry in `slot` (with the given shape-only flag)
     /// survives this report.
     fn keeps(&self, slot: usize, shape_only: bool) -> bool {
@@ -562,11 +551,10 @@ impl PreservedAnalyses {
 }
 
 /// One cache slot: the result plus its shape-only flag and name (captured
-/// at insertion so [`AnalysisManager::retain`] can filter without knowing
-/// the concrete types), and the journal cursor of the function state the
-/// entry is valid for — [`AnalysisManager::update_after`] reconciles every
-/// entry against *its own* window, so entries computed mid-pass (after a
-/// transform's internal invalidation) are never replayed against edits
+/// at insertion so [`AnalysisManager::update_after_with_report`] can
+/// filter without knowing the concrete types), and the journal cursor of the function state the
+/// entry is valid for — every entry is reconciled against *its own*
+/// window, so entries computed mid-pass are never replayed against edits
 /// they already reflect.
 #[derive(Clone)]
 struct Slot {
@@ -619,7 +607,7 @@ impl AnalysisCounters {
 }
 
 /// Memoizing analysis cache keyed by analysis type (via the dense
-/// [`Analysis::SLOT`] index). See the module docs for the invalidation
+/// [`Analysis::SLOT`] index). See the module docs for the reconciliation
 /// contract.
 #[derive(Default)]
 pub struct AnalysisManager {
@@ -771,19 +759,6 @@ impl AnalysisManager {
         }
     }
 
-    /// Drops the cached `A`, if present.
-    pub fn invalidate<A: Analysis>(&mut self) {
-        self.slots[A::SLOT] = None;
-    }
-
-    /// Drops everything — required after any block/edge mutation whose
-    /// provenance is unknown (tier 1; prefer
-    /// [`AnalysisManager::update_after`] when the mutation journal covers
-    /// the window).
-    pub fn invalidate_all(&mut self) {
-        self.slots = Default::default();
-    }
-
     /// Forgets *everything tied to a function's journal identity* — cached
     /// entries, the observation cursor, the dominator checkpoint and the
     /// window memo — keeping only the historical computation counters.
@@ -805,27 +780,13 @@ impl AnalysisManager {
         self.touched_scratch.clear();
     }
 
-    /// Drops the instruction-sensitive analyses, keeping shape-only ones —
-    /// correct after instruction-level mutation that leaves the block graph
-    /// intact (φ insertion, operand rewrites, instruction removal; tier 2).
-    pub fn invalidate_values(&mut self) {
-        for slot in &mut self.slots {
-            if slot.as_ref().is_some_and(|s| !s.shape_only) {
-                *slot = None;
-            }
-        }
-    }
-
     /// Anchors the manager's journal cursor at the function's current
-    /// state, asserting that every cached entry is valid for it (the
-    /// standing cache contract). Call once before a dirty-tracked driver
-    /// starts interleaving mutations with [`AnalysisManager::update_after`].
+    /// state. Call once before a driver starts interleaving mutations with
+    /// eager [`AnalysisManager::update_after`] sweeps. Cached entries keep
+    /// their own cursors — one still carrying an unreconciled window must
+    /// not be stamped valid here.
     pub fn observe(&mut self, func: &Function) {
-        let head = func.journal_head();
-        self.cursor = Some(head);
-        for slot in self.slots.iter_mut().flatten() {
-            slot.cursor = head;
-        }
+        self.cursor = Some(func.journal_head());
     }
 
     /// Publishes a *repair checkpoint*: the dominator tree of the
@@ -844,7 +805,7 @@ impl AnalysisManager {
         self.dom_checkpoint.take()
     }
 
-    /// Tier-3 invalidation: classifies the mutation window since the last
+    /// Eager reconciliation: classifies the mutation window since the last
     /// [`observe`](AnalysisManager::observe)/`update_after` (an O(1) probe
     /// on the journal) and reconciles every cached entry with what
     /// actually changed — keeping entries untouched windows cannot have
@@ -854,11 +815,10 @@ impl AnalysisManager {
     ///
     /// Each entry is reconciled against *its own* window: slots remember
     /// the journal cursor of the state they were computed (or last
-    /// validated) for, so an entry a transform recomputed mid-pass — after
-    /// its internal invalidation — is never replayed against edits it
-    /// already reflects. Wide windows and a saturated journal degrade to
-    /// dropping; a missing manager cursor degrades to
-    /// [`invalidate_all`](AnalysisManager::invalidate_all).
+    /// validated) for, so an entry a transform re-queried mid-pass is
+    /// never replayed against edits it already reflects. Wide windows and a
+    /// saturated journal degrade to dropping; a missing manager cursor
+    /// degrades to dropping everything.
     ///
     /// Returns the classification of the *manager-level* window (since the
     /// last `observe`/`update_after`).
@@ -874,7 +834,7 @@ impl AnalysisManager {
             // a clean manager window keeps everything.
             WindowProbe::Clean => return probe,
             WindowProbe::Saturated => {
-                self.invalidate_all();
+                self.slots = Default::default();
                 return probe;
             }
             _ => {}
@@ -891,10 +851,9 @@ impl AnalysisManager {
         probe
     }
 
-    /// The journal-arbitrated analogue of
-    /// [`retain`](AnalysisManager::retain), run by `journal_sync`
-    /// pipelines (`darm-pipeline`) after every pass: entries the pass's
-    /// [`PreservedAnalyses`] report vouches for are stamped valid for the
+    /// Applies a pass's [`PreservedAnalyses`] report under journal
+    /// arbitration — run by every `darm-pipeline` pipeline after every
+    /// pass: entries the report vouches for are stamped valid for the
     /// current state (the pass proved it preserved them across its
     /// mutations); everything else keeps its old validity cursor and is
     /// reconciled *lazily* at its next query — where the journal keeps,
@@ -912,11 +871,7 @@ impl AnalysisManager {
         func: &Function,
         preserved: &PreservedAnalyses,
         pass_start: JournalCursor,
-    ) -> WindowProbe {
-        let probe = match self.cursor {
-            Some(cursor) => func.probe_since(cursor),
-            None => WindowProbe::Saturated,
-        };
+    ) {
         let head = func.journal_head();
         self.cursor = Some(head);
         for (i, slot) in self.slots.iter_mut().enumerate() {
@@ -924,23 +879,6 @@ impl AnalysisManager {
                 if slot.cursor == pass_start && preserved.keeps(i, slot.shape_only) {
                     slot.cursor = head;
                 }
-            }
-        }
-        probe
-    }
-
-    /// Applies a pass's [`PreservedAnalyses`] report: every cached entry
-    /// not covered by the report is dropped.
-    pub fn retain(&mut self, preserved: &PreservedAnalyses) {
-        if preserved.preserves_all() {
-            return;
-        }
-        for (i, slot) in self.slots.iter_mut().enumerate() {
-            if slot
-                .as_ref()
-                .is_some_and(|s| !preserved.keeps(i, s.shape_only))
-            {
-                *slot = None;
             }
         }
     }
@@ -1024,21 +962,6 @@ mod tests {
     }
 
     #[test]
-    fn value_invalidation_keeps_shape_analyses() {
-        let f = diamond();
-        let mut am = AnalysisManager::new();
-        am.get::<DivergenceAnalysis>(&f);
-        am.get::<PostDomTree>(&f);
-        am.invalidate_values();
-        assert!(am.cached::<Cfg>().is_some());
-        assert!(am.cached::<DomTree>().is_some());
-        assert!(am.cached::<PostDomTree>().is_some());
-        assert!(am.cached::<DivergenceAnalysis>().is_none());
-        am.invalidate_all();
-        assert!(am.cached::<Cfg>().is_none());
-    }
-
-    #[test]
     fn hard_reset_forgets_anchors_but_keeps_counters() {
         let f = diamond();
         let mut am = AnalysisManager::new();
@@ -1059,18 +982,35 @@ mod tests {
     }
 
     #[test]
-    fn retain_applies_preservation_report() {
-        let f = diamond();
+    fn report_only_vouches_for_entries_valid_at_pass_start() {
+        let mut f = diamond();
         let mut am = AnalysisManager::new();
+        let dt = am.get::<DomTree>(&f);
         am.get::<DivergenceAnalysis>(&f);
-        am.retain(&PreservedAnalyses::all());
-        assert!(am.cached::<DivergenceAnalysis>().is_some());
-        am.retain(&PreservedAnalyses::cfg_shape());
-        assert!(am.cached::<Cfg>().is_some());
-        assert!(am.cached::<DivergenceAnalysis>().is_none());
-        am.retain(&PreservedAnalyses::none().preserve::<Cfg>());
-        assert!(am.cached::<Cfg>().is_some());
-        assert!(am.cached::<DomTree>().is_none());
+        // An instruction-only "pass": the report vouches for the shape
+        // analyses across its window, the journal decides the rest.
+        let start = f.journal_head();
+        let t = f.block_ids()[1];
+        f.insert_inst_at(
+            t,
+            0,
+            InstData::new(Opcode::Add, Type::I32, vec![Value::I32(1), Value::I32(2)]),
+        );
+        am.update_after_with_report(&f, &PreservedAnalyses::cfg_shape(), start);
+        let hits = am.counters().hits;
+        assert!(Arc::ptr_eq(&dt, &am.get::<DomTree>(&f)));
+        assert_eq!(am.counters().hits, hits + 1, "vouched entry is a plain hit");
+        // A second pass whose report vouches for everything must not
+        // resurrect divergence: its cursor predates that pass's start.
+        let start = f.journal_head();
+        am.update_after_with_report(&f, &PreservedAnalyses::all(), start);
+        let before = am.total_computations();
+        am.get::<DivergenceAnalysis>(&f);
+        assert_eq!(
+            am.total_computations(),
+            before + 1,
+            "tiny function: the pending window drops and recomputes divergence"
+        );
     }
 
     #[test]

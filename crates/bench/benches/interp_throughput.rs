@@ -1,43 +1,32 @@
-//! Interpreter-throughput microbenchmark across all three execution
-//! backends — flat register bytecode vs the pre-decoded warp-vectorized
-//! engine vs the original per-lane reference interpreter — on the fig. 9
-//! real-world kernel set.
+//! Interpreter-throughput microbenchmark of the bytecode engine against
+//! the per-lane reference interpreter, on the fig. 9 real-world kernel
+//! set.
 //!
-//! Reports per-case criterion timings for every engine plus a summary
-//! table of simulated thread-instructions per second and the geomean
-//! speedups. Acceptance targets, asserted on full runs: the decoded
-//! engine at **≥2×** the reference, and the bytecode engine at **≥1.3×**
-//! the decoded engine.
+//! Reports per-case criterion timings for both plus a summary table of
+//! simulated thread-instructions per second and the geomean speedup.
+//! Acceptance target, asserted on full runs: the bytecode engine at
+//! **≥2.6×** the reference.
 //!
 //! `cargo bench --bench interp_throughput` — measure.
-//! `cargo bench --bench interp_throughput -- --test` — smoke mode: each
-//! engine runs every case once and the stats are cross-checked, then
-//! quick min-estimator ratios are recorded through
-//! [`darm_bench::perfjson`] (keys `interp_throughput/bytecode_vs_reference`
-//! and `interp_throughput/bytecode_vs_prepared`) for the perf gate.
+//! `cargo bench --bench interp_throughput -- --test` — smoke mode: both
+//! run every case once and the stats are cross-checked, then a quick
+//! min-estimator ratio is recorded through [`darm_bench::perfjson`] (key
+//! `interp_throughput/bytecode_vs_reference`) for the perf gate.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use darm_bench::{fig9_cases, geomean, perfjson};
 use darm_kernels::BenchCase;
-use darm_simt::{BytecodeKernel, Gpu, GpuConfig, KernelStats, PreparedKernel};
+use darm_simt::{BytecodeKernel, Gpu, GpuConfig, KernelStats};
 use std::time::Instant;
 
 /// Runs `case` on the reference (per-lane, arena-walking) interpreter.
-/// Like the two helpers below: fresh buffers, no readback, so timings
-/// compare launch cost alone, symmetrically across engines.
+/// Like the helper below: fresh buffers, no readback, so timings compare
+/// launch cost alone, symmetrically across engines.
 fn run_reference(case: &BenchCase) -> KernelStats {
     let mut gpu = Gpu::new(GpuConfig::default());
     let (kargs, _bufs) = case.alloc_args(&mut gpu);
     gpu.launch_reference(&case.func, &case.launch, &kargs)
         .unwrap_or_else(|e| panic!("{}: reference run failed: {e}", case.name))
-}
-
-/// Runs `case` on the decoded engine.
-fn run_prepared(case: &BenchCase, pk: &PreparedKernel) -> KernelStats {
-    let mut gpu = Gpu::new(GpuConfig::default());
-    let (kargs, _bufs) = case.alloc_args(&mut gpu);
-    gpu.launch_prepared(pk, &case.launch, &kargs)
-        .unwrap_or_else(|e| panic!("{}: decoded run failed: {e}", case.name))
 }
 
 /// Runs `case` on the bytecode engine.
@@ -76,13 +65,9 @@ fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("interp_throughput");
     group.sample_size(10);
     for case in &cases {
-        let pk = PreparedKernel::new(&case.func);
-        let bk = BytecodeKernel::from_prepared(&pk);
+        let bk = BytecodeKernel::new(&case.func);
         group.bench_with_input(BenchmarkId::new("bytecode", &case.name), case, |b, case| {
             b.iter(|| run_bytecode(case, &bk))
-        });
-        group.bench_with_input(BenchmarkId::new("decoded", &case.name), case, |b, case| {
-            b.iter(|| run_prepared(case, &pk))
         });
         group.bench_with_input(
             BenchmarkId::new("reference", &case.name),
@@ -93,112 +78,75 @@ fn bench(c: &mut Criterion) {
     group.finish();
 
     if test_mode {
-        // Smoke mode: one untimed cross-check per engine, then quick
-        // min-estimator ratios for the perf gate.
-        let (mut bc_vs_ref, mut bc_vs_dec) = (Vec::new(), Vec::new());
+        // Smoke mode: one untimed cross-check, then a quick min-estimator
+        // ratio for the perf gate.
+        let mut bc_vs_ref = Vec::new();
         for case in &cases {
-            let pk = PreparedKernel::new(&case.func);
-            let bk = BytecodeKernel::from_prepared(&pk);
-            let stats = run_prepared(case, &pk);
+            let bk = BytecodeKernel::new(&case.func);
             assert_eq!(
-                stats,
-                run_reference(case),
-                "{}: decoded vs reference disagree",
-                case.name
-            );
-            assert_eq!(
-                stats,
                 run_bytecode(case, &bk),
-                "{}: bytecode vs decoded disagree",
+                run_reference(case),
+                "{}: bytecode vs reference disagree",
                 case.name
             );
             let t_bc = time_per_call_budget(0.03, || {
                 run_bytecode(case, &bk);
             });
-            let t_dec = time_per_call_budget(0.03, || {
-                run_prepared(case, &pk);
-            });
             let t_ref = time_per_call_budget(0.03, || {
                 run_reference(case);
             });
             println!(
-                "interp_throughput smoke: {:<10} bytecode {:.2}x reference, {:.2}x decoded",
+                "interp_throughput smoke: {:<10} bytecode {:.2}x reference",
                 case.name,
-                t_ref / t_bc,
-                t_dec / t_bc
+                t_ref / t_bc
             );
             bc_vs_ref.push(t_ref / t_bc);
-            bc_vs_dec.push(t_dec / t_bc);
         }
         let gm_ref = geomean(bc_vs_ref.iter().copied());
-        let gm_dec = geomean(bc_vs_dec.iter().copied());
-        println!("interp_throughput: smoke mode — all three engines agree on all fig9 cases");
-        println!(
-            "interp_throughput smoke: bytecode at {gm_ref:.2}x reference, {gm_dec:.2}x decoded"
-        );
+        println!("interp_throughput: smoke mode — both engines agree on all fig9 cases");
+        println!("interp_throughput smoke: bytecode at {gm_ref:.2}x reference");
         perfjson::record("interp_throughput/bytecode_vs_reference", gm_ref);
-        perfjson::record("interp_throughput/bytecode_vs_prepared", gm_dec);
         return;
     }
 
-    // Summary: simulated thread-instructions per second for all three
-    // engines, and the geomean speedups the tentpoles are accountable for.
-    let (mut dec_vs_ref, mut bc_vs_dec, mut bc_vs_ref) = (Vec::new(), Vec::new(), Vec::new());
+    // Summary: simulated thread-instructions per second for both engines,
+    // and the geomean speedup.
+    let mut bc_vs_ref = Vec::new();
     println!();
-    println!(
-        "| case | static insts | regs | bytecode Minstr/s | decoded Minstr/s | reference Minstr/s | bc/dec | dec/ref |"
-    );
-    println!("|---|---|---|---|---|---|---|---|");
+    println!("| case | ops | regs | bytecode Minstr/s | reference Minstr/s | bc/ref |");
+    println!("|---|---|---|---|---|---|");
     for case in &cases {
-        let pk = PreparedKernel::new(&case.func);
-        let bk = BytecodeKernel::from_prepared(&pk);
-        let stats = run_prepared(case, &pk);
-        let insts = stats.thread_instructions as f64;
+        let bk = BytecodeKernel::new(&case.func);
+        let insts = run_bytecode(case, &bk).thread_instructions as f64;
         let bc = insts
             / time_per_call(|| {
                 run_bytecode(case, &bk);
-            });
-        let dec = insts
-            / time_per_call(|| {
-                run_prepared(case, &pk);
             });
         let refc = insts
             / time_per_call(|| {
                 run_reference(case);
             });
         println!(
-            "| {} | {} | {} | {:.1} | {:.1} | {:.1} | {:.2}x | {:.2}x |",
+            "| {} | {} | {} | {:.1} | {:.1} | {:.2}x |",
             case.name,
-            pk.decoded_inst_count(),
-            pk.register_slots(),
+            bk.op_count(),
+            bk.register_slots(),
             bc / 1e6,
-            dec / 1e6,
             refc / 1e6,
-            bc / dec,
-            dec / refc
+            bc / refc
         );
-        dec_vs_ref.push(dec / refc);
-        bc_vs_dec.push(bc / dec);
         bc_vs_ref.push(bc / refc);
     }
-    let gm_dec_ref = geomean(dec_vs_ref.iter().copied());
-    let gm_bc_dec = geomean(bc_vs_dec.iter().copied());
     let gm_bc_ref = geomean(bc_vs_ref.iter().copied());
-    println!("| **GM** | | | | | | **{gm_bc_dec:.2}x** | **{gm_dec_ref:.2}x** |");
-    println!("bytecode vs reference geomean: {gm_bc_ref:.2}x");
+    println!("| **GM** | | | | | **{gm_bc_ref:.2}x** |");
     perfjson::record(
         "measured/interp_throughput/bytecode_vs_reference",
         gm_bc_ref,
     );
-    perfjson::record("measured/interp_throughput/bytecode_vs_prepared", gm_bc_dec);
     assert!(
-        gm_dec_ref >= 2.0,
-        "decoded engine geomean speedup {gm_dec_ref:.2}x is below the 2x acceptance target"
-    );
-    assert!(
-        gm_bc_dec >= 1.3,
-        "bytecode engine geomean speedup {gm_bc_dec:.2}x over the decoded engine is below the \
-         1.3x acceptance target"
+        gm_bc_ref >= 2.6,
+        "bytecode engine geomean speedup {gm_bc_ref:.2}x over the reference interpreter is \
+         below the 2.6x acceptance target"
     );
 }
 

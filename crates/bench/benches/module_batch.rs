@@ -3,7 +3,7 @@
 //! serial (`jobs = 1`) vs parallel (all cores), with a determinism guard —
 //! the parallel module must print bit-identical to the serial one.
 //!
-//! Methodology mirrors `meld_pipeline`: interleaved rounds with the
+//! Methodology: interleaved rounds with the
 //! *minimum* wall-clock as the estimator (noise only ever adds time), the
 //! `Module::clone` cost measured separately and excluded from the ratio.
 //!
@@ -12,7 +12,9 @@
 //! gate): one serial and one `--jobs 2` run over the whole suite, asserted
 //! bit-identical, plus a check that the worker pool's schedule really is
 //! largest-kernel-first. With `DARM_BENCH_JSON=path` both modes record
-//! the serial-vs-parallel wall ratio for the perf-gate trajectory.
+//! the serial-vs-parallel wall ratio under the informational `measured/`
+//! prefix (it is machine-dependent, so the perf gate does not hold it to
+//! a floor).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use darm_bench::{fig8_cases, fig9_cases, perfjson, suite_module};
@@ -100,14 +102,14 @@ fn bench(c: &mut Criterion) {
             module.len()
         );
         // Interleaved min over a few rounds: single-shot wall ratios are
-        // too noisy to gate on.
+        // too noisy to read.
         let (mut t1, mut t2) = (f64::MAX, f64::MAX);
         for _ in 0..3 {
             t1 = t1.min(meld_with_jobs(&registry, &module, 1).1);
             t2 = t2.min(meld_with_jobs(&registry, &module, 2).1);
         }
         println!("module_batch smoke: --jobs 2 at {:.2}x of serial", t1 / t2);
-        perfjson::record("module_batch/jobs2_vs_serial", t1 / t2);
+        perfjson::record("measured/module_batch/jobs2_vs_serial", t1 / t2);
         return;
     }
 

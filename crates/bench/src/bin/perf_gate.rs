@@ -9,8 +9,8 @@
 //! mode with `DARM_BENCH_JSON` pointing at it:
 //!
 //! ```text
-//! DARM_BENCH_JSON=bench-new.json cargo bench -p darm-bench --bench meld_pipeline -- --test
-//! DARM_BENCH_JSON=bench-new.json cargo bench -p darm-bench --bench module_batch -- --test
+//! DARM_BENCH_JSON=bench-new.json cargo bench -p darm-bench --bench serve_replay -- --test
+//! DARM_BENCH_JSON=bench-new.json cargo bench -p darm-bench --bench interp_throughput -- --test
 //! ```
 //!
 //! Every metric is a "higher is better" speedup ratio; a candidate more
@@ -62,27 +62,6 @@ fn main() -> ExitCode {
     // gating on them would fail every run after a local measured-mode
     // regeneration of the baseline.
     baseline.retain(|(k, _)| !k.starts_with("measured/"));
-    // The parallel-speedup metric measures two workers against one; on a
-    // single-core runner the workers time-slice one CPU and the ratio is
-    // noise, not a regression signal. Report it informationally instead of
-    // gating on it.
-    let single_core = std::thread::available_parallelism()
-        .map(|n| n.get() < 2)
-        .unwrap_or(true);
-    if single_core {
-        let parallel: Vec<String> = baseline
-            .iter()
-            .map(|(k, _)| k.clone())
-            .filter(|k| k.ends_with("jobs2_vs_serial"))
-            .collect();
-        if !parallel.is_empty() {
-            baseline.retain(|(k, _)| !k.ends_with("jobs2_vs_serial"));
-            println!(
-                "note: < 2 CPUs available; parallel-speedup metric(s) not gated: {}",
-                parallel.join(", ")
-            );
-        }
-    }
     let verdicts = perfjson::compare(&baseline, &candidate, tolerance);
     let mut failed = false;
     println!("| metric | baseline | candidate | verdict |");

@@ -17,7 +17,7 @@ use darm_kernels::synthetic::SyntheticKind;
 use darm_kernels::{bitonic, dct, lud, mergesort, nqueens, pcm, srad, BenchCase};
 use darm_melding::{meld_function, MeldConfig, MeldStats};
 use darm_pipeline::{ModuleOptions, ModulePassManager, PipelineError, PipelineOptions};
-use darm_simt::{GpuConfig, KernelStats, PreparedKernel, TimingConfig};
+use darm_simt::{BytecodeKernel, GpuConfig, KernelStats, TimingConfig};
 
 /// Counters for the three variants of one benchmark case.
 #[derive(Debug, Clone)]
@@ -76,32 +76,25 @@ pub fn timed_gpu_config() -> GpuConfig {
     }
 }
 
-/// The three kernel variants of a case, decoded once each so repeated
-/// launches (criterion samples, threshold sweeps, counter reruns) skip the
-/// per-launch decode and analysis cost.
+/// The three kernel variants of a case, lowered to bytecode once each so
+/// repeated launches (criterion samples, threshold sweeps, counter reruns)
+/// skip the per-launch lowering and analysis cost.
 #[derive(Debug, Clone)]
-pub struct PreparedVariants {
-    /// Hand-written baseline, pre-decoded.
-    pub baseline: PreparedKernel,
-    /// DARM-melded variant, pre-decoded.
-    pub darm: PreparedKernel,
-    /// Branch-fusion variant, pre-decoded.
-    pub bf: PreparedKernel,
+pub struct KernelVariants {
+    /// Hand-written baseline.
+    pub baseline: BytecodeKernel,
+    /// DARM-melded variant.
+    pub darm: BytecodeKernel,
+    /// Branch-fusion variant.
+    pub bf: BytecodeKernel,
     /// DARM melding statistics for the `darm` variant.
     pub meld: darm_melding::MeldStats,
 }
 
-/// Melds and decodes the three variants of `case` once, for reuse across
-/// launches. Variant construction runs through the module driver
-/// ([`prepare_suite`] with a one-kernel suite); use
-/// [`prepare_variants_checked`] for pipeline options (e.g. SSA
-/// verification between passes).
-pub fn prepare_variants(case: &BenchCase, config: &MeldConfig) -> PreparedVariants {
-    prepare_variants_checked(case, config, PipelineOptions::default())
-        .unwrap_or_else(|e| panic!("{}: meld pipeline failed: {e}", case.name))
-}
-
-/// [`prepare_variants`] with explicit pipeline options.
+/// Melds and lowers the three variants of `case` once, for reuse across
+/// launches, with explicit pipeline options (e.g. SSA verification
+/// between passes). Variant construction runs through the module driver
+/// ([`prepare_suite`] with a one-kernel suite).
 ///
 /// # Errors
 ///
@@ -111,7 +104,7 @@ pub fn prepare_variants_checked(
     case: &BenchCase,
     config: &MeldConfig,
     options: PipelineOptions,
-) -> Result<PreparedVariants, PipelineError> {
+) -> Result<KernelVariants, PipelineError> {
     let mut variants = prepare_suite(std::slice::from_ref(case), config, options, 1)?;
     Ok(variants.pop().expect("one case in, one variant set out"))
 }
@@ -132,9 +125,9 @@ pub fn suite_module(name: &str, cases: &[BenchCase]) -> Module {
 }
 
 /// Melds a whole suite in two module batches — all DARM variants, then all
-/// BF variants — through one [`ModulePassManager`] each, and decodes every
-/// variant. `jobs` is the worker count per batch (`0` = all cores, `1` =
-/// serial); the result is bit-identical regardless.
+/// BF variants — through one [`ModulePassManager`] each, and lowers every
+/// variant to bytecode. `jobs` is the worker count per batch (`0` = all
+/// cores, `1` = serial); the result is bit-identical regardless.
 ///
 /// # Errors
 ///
@@ -144,7 +137,7 @@ pub fn prepare_suite(
     config: &MeldConfig,
     options: PipelineOptions,
     jobs: usize,
-) -> Result<Vec<PreparedVariants>, PipelineError> {
+) -> Result<Vec<KernelVariants>, PipelineError> {
     let module_options = ModuleOptions {
         pipeline: options,
         jobs,
@@ -169,10 +162,10 @@ pub fn prepare_suite(
             // Per-function melding statistics come back through the meld
             // pass's named stat entries in the module report.
             let meld = MeldStats::from_report(&darm_report.functions[i].report);
-            PreparedVariants {
-                baseline: PreparedKernel::new(&case.func),
-                darm: PreparedKernel::new(&darm_fns[i]),
-                bf: PreparedKernel::new(&bf_fns[i]),
+            KernelVariants {
+                baseline: BytecodeKernel::new(&case.func),
+                darm: BytecodeKernel::new(&darm_fns[i]),
+                bf: BytecodeKernel::new(&bf_fns[i]),
                 meld,
             }
         })
@@ -207,11 +200,9 @@ pub fn run_cases_with(cases: &[BenchCase], config: &MeldConfig, jobs: usize) -> 
         .iter()
         .zip(prepared)
         .map(|(case, p)| {
-            let baseline = case
-                .run_checked_compiled_with(&p.baseline, gpu_config)
-                .stats;
-            let darm = case.run_checked_compiled_with(&p.darm, gpu_config).stats;
-            let bf = case.run_checked_compiled_with(&p.bf, gpu_config).stats;
+            let baseline = case.run_checked_bytecode(&p.baseline, gpu_config).stats;
+            let darm = case.run_checked_bytecode(&p.darm, gpu_config).stats;
+            let bf = case.run_checked_bytecode(&p.bf, gpu_config).stats;
             VariantStats {
                 name: case.name.clone(),
                 baseline,

@@ -4,10 +4,10 @@
 //!
 //! The benches call [`record`] for every ratio they measure; with the
 //! `DARM_BENCH_JSON` environment variable set to a path the value is
-//! upserted there (read-modify-write, so `meld_pipeline` and
-//! `module_batch` accumulate into one file), and without it recording is
-//! a no-op — plain bench runs stay file-free. The `perf-gate` binary then
-//! [`compare`]s a freshly generated file against the committed baseline
+//! upserted there (read-modify-write, so `serve_replay` and
+//! `interp_throughput` accumulate into one file), and without it recording
+//! is a no-op — plain bench runs stay file-free. The `perf-gate` binary
+//! then [`compare`]s a freshly generated file against the committed baseline
 //! and fails on regressions beyond the tolerance.
 //!
 //! The format is a single flat JSON object with float values, written
@@ -15,8 +15,8 @@
 //!
 //! ```json
 //! {
-//!   "meld_pipeline/smoke_vs_pr2": 1.15,
-//!   "module_batch/jobs2_vs_serial": 0.8
+//!   "interp_throughput/bytecode_vs_reference": 8.0,
+//!   "serve/warm_vs_cold": 3.0
 //! }
 //! ```
 //!
@@ -26,19 +26,17 @@
 //!   ratios are min-estimators but still wall-clock on shared runners;
 //!   the committed value should sit at (or a little under) the worst
 //!   reading observed on a quiet machine, so the ±5% gate trips on real
-//!   regressions — the kind that drop a 1.25× driver to 1.05× — rather
+//!   regressions — the kind that drop an 8× engine to 6× — rather
 //!   than on scheduler noise. Ratcheting the floor *up* after a durable
-//!   win is exactly the trajectory the file exists to record. Wall-clock
-//!   ratios against a *parallelism* baseline (`jobs2_vs_serial`) are
-//!   additionally machine-dependent — a single-core container measures
-//!   thread overhead (<1.0) where CI measures real speedup — so their
-//!   committed floor asserts "not catastrophically broken anywhere", not
-//!   a specific machine's speedup.
+//!   win is exactly the trajectory the file exists to record.
 //! * **Keys under `measured/` are informational.** Full (non-`--test`)
-//!   bench runs record their ratios under that prefix; the `perf-gate`
-//!   binary excludes them from gating, so regenerating the committed
-//!   file after a measured run cannot poison CI (whose smoke-mode
-//!   candidate would otherwise be missing those keys and fail).
+//!   bench runs record their ratios under that prefix, as does the
+//!   machine-dependent parallel-vs-serial wall ratio of `module_batch`
+//!   (a single-core container measures thread overhead where CI measures
+//!   real speedup); the `perf-gate` binary excludes them from gating, so
+//!   regenerating the committed file after a measured run cannot poison
+//!   CI (whose smoke-mode candidate would otherwise be missing those keys
+//!   and fail).
 //!
 //! Hand-rolled (de)serialization — the build is offline and this grammar
 //! is three tokens deep; anything the parser does not recognize is a hard

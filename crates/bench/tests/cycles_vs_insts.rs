@@ -1,24 +1,71 @@
 //! Differential smoke for the cycle-level timing observer over the real
 //! benchmark grids: enabling timing must change *nothing* architectural —
 //! buffers, instruction counters, errors — across every figure kernel ×
-//! {baseline, DARM, BF} × {decoded, bytecode}, must be deterministic, and
-//! DARM must show a simulated-cycle win on the fig9 suite.
+//! {baseline, DARM, BF}, must be deterministic, must reproduce the
+//! timeline recorded from the (since deleted) unfused decoded engine entry
+//! for entry, and DARM must show a simulated-cycle win on the fig9 suite.
 
 use darm_bench::{fig8_cases, fig9_cases, geomean, prepare_suite, timed_gpu_config, VariantStats};
 use darm_kernels::BenchCase;
 use darm_melding::MeldConfig;
 use darm_pipeline::PipelineOptions;
-use darm_simt::{BytecodeKernel, CompiledKernel, GpuConfig, PreparedKernel};
+use darm_simt::{BytecodeKernel, GpuConfig, KernelStats};
+use std::collections::HashMap;
+
+/// Timing-on `KernelStats` of every fig8+fig9 kernel × variant as the
+/// decoded engine reported them — the only independent check that the
+/// fused `CmpBr`/`GepLoad`/`GepStore` ops charge the same timeline as the
+/// unfused sequence (the reference interpreter reports `sim_* = 0`).
+const GOLDEN: &str = include_str!("golden/decoded_timing_stats.txt");
+
+/// One table row. The exhaustive destructuring makes a new `KernelStats`
+/// field a compile error here, so the table cannot silently go partial.
+fn render_row(label: &str, s: &KernelStats) -> String {
+    let KernelStats {
+        cycles,
+        warp_instructions,
+        thread_instructions,
+        alu_issues,
+        alu_active_lanes,
+        global_mem_insts,
+        shared_mem_insts,
+        global_transactions,
+        shared_bank_conflicts,
+        barriers,
+        sim_cycles,
+        sim_stall_cycles,
+        sim_issue_slots,
+        sim_divergent_branches,
+        sim_reconvergences,
+        warp_size,
+    } = *s;
+    format!(
+        "{label} {cycles} {warp_instructions} {thread_instructions} {alu_issues} \
+         {alu_active_lanes} {global_mem_insts} {shared_mem_insts} {global_transactions} \
+         {shared_bank_conflicts} {barriers} {sim_cycles} {sim_stall_cycles} {sim_issue_slots} \
+         {sim_divergent_branches} {sim_reconvergences} {warp_size}"
+    )
+}
+
+/// The committed table's data rows, keyed by their `case/variant` label.
+fn golden_rows() -> HashMap<&'static str, &'static str> {
+    GOLDEN
+        .lines()
+        .filter(|l| !l.starts_with('#') && !l.is_empty())
+        .map(|l| (l.split(' ').next().expect("row has a label"), l))
+        .collect()
+}
 
 /// Runs `kernel` on `case` with and without timing and asserts the pure
 /// observer contract: identical buffers, identical stats apart from the
-/// sim_* fields, cycles present and repeatable when on.
-fn assert_pure_observer(case: &BenchCase, kernel: &dyn CompiledKernel, label: &str) {
+/// sim_* fields, cycles present and repeatable when on. Returns the
+/// timing-on stats.
+fn assert_pure_observer(case: &BenchCase, kernel: &BytecodeKernel, label: &str) -> KernelStats {
     let off = case
-        .execute_compiled_with(kernel, GpuConfig::default())
+        .execute_bytecode(kernel, GpuConfig::default())
         .unwrap_or_else(|e| panic!("{label}: timing-off run failed: {e}"));
     let on = case
-        .execute_compiled_with(kernel, timed_gpu_config())
+        .execute_bytecode(kernel, timed_gpu_config())
         .unwrap_or_else(|e| panic!("{label}: timing-on run failed: {e}"));
     assert_eq!(on.buffers, off.buffers, "{label}: buffers changed");
     assert_eq!(
@@ -29,37 +76,87 @@ fn assert_pure_observer(case: &BenchCase, kernel: &dyn CompiledKernel, label: &s
     assert_eq!(off.stats.sim_cycles, 0, "{label}: cycles leak when off");
     assert!(on.stats.sim_cycles > 0, "{label}: no cycles when on");
     let again = case
-        .execute_compiled_with(kernel, timed_gpu_config())
+        .execute_bytecode(kernel, timed_gpu_config())
         .unwrap_or_else(|e| panic!("{label}: rerun failed: {e}"));
     assert_eq!(on.stats, again.stats, "{label}: timing nondeterministic");
+    on.stats
 }
 
-fn sweep(cases: &[BenchCase]) {
+/// The pure-observer sweep over `cases` × {baseline, darm, bf}; returns
+/// one rendered table row per kernel variant, in suite order.
+fn sweep(cases: &[BenchCase]) -> Vec<String> {
     let prepared = prepare_suite(cases, &MeldConfig::default(), PipelineOptions::default(), 0)
         .expect("suite melds");
+    let mut rows = Vec::new();
     for (case, p) in cases.iter().zip(&prepared) {
-        for (variant, pk) in [("baseline", &p.baseline), ("darm", &p.darm), ("bf", &p.bf)] {
+        for (variant, bk) in [("baseline", &p.baseline), ("darm", &p.darm), ("bf", &p.bf)] {
             let label = format!("{}/{variant}", case.name);
-            assert_pure_observer(case, pk, &format!("{label}/decoded"));
-            let bk = BytecodeKernel::from_prepared(pk);
-            assert_pure_observer(case, &bk, &format!("{label}/bytecode"));
-
-            // The two engines must also agree on the simulated timeline.
-            let dec = case.execute_compiled_with(pk, timed_gpu_config()).unwrap();
-            let byc = case.execute_compiled_with(&bk, timed_gpu_config()).unwrap();
-            assert_eq!(dec.stats, byc.stats, "{label}: tiers disagree on cycles");
+            let stats = assert_pure_observer(case, bk, &label);
+            rows.push(render_row(&label, &stats));
         }
+    }
+    rows
+}
+
+/// The bytecode engine must equal the recorded decoded-engine table on
+/// every row it produced.
+fn assert_matches_golden(rows: &[String]) {
+    let golden = golden_rows();
+    for row in rows {
+        let label = row.split(' ').next().expect("row has a label");
+        assert_eq!(
+            golden.get(label).copied(),
+            Some(row.as_str()),
+            "{label}: bytecode engine left the recorded decoded-engine timeline"
+        );
     }
 }
 
 #[test]
 fn fig8_timing_is_a_pure_observer() {
-    sweep(&fig8_cases());
+    assert_matches_golden(&sweep(&fig8_cases()));
 }
 
 #[test]
 fn fig9_timing_is_a_pure_observer() {
-    sweep(&fig9_cases());
+    assert_matches_golden(&sweep(&fig9_cases()));
+}
+
+/// The table holds exactly the fig8+fig9 grid × three variants — no stale
+/// rows, none missing.
+#[test]
+fn golden_table_covers_exactly_the_figure_grid() {
+    let golden = golden_rows();
+    let mut cases = fig8_cases();
+    cases.extend(fig9_cases());
+    assert_eq!(golden.len(), cases.len() * 3);
+    for case in &cases {
+        for variant in ["baseline", "darm", "bf"] {
+            let label = format!("{}/{variant}", case.name);
+            assert!(golden.contains_key(label.as_str()), "{label}: no row");
+        }
+    }
+}
+
+/// Rewrites the committed table from the bytecode engine's current
+/// output, keeping the header comment — for an *intended* timing-model
+/// change only: `cargo test -p darm-bench --test cycles_vs_insts --
+/// --ignored regenerate`.
+#[test]
+#[ignore = "rewrites tests/golden/decoded_timing_stats.txt"]
+fn regenerate_golden_table() {
+    let mut out: Vec<String> = GOLDEN
+        .lines()
+        .filter(|l| l.starts_with('#'))
+        .map(str::to_string)
+        .collect();
+    out.extend(sweep(&fig8_cases()));
+    out.extend(sweep(&fig9_cases()));
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/golden/decoded_timing_stats.txt"
+    );
+    std::fs::write(path, out.join("\n") + "\n").expect("golden table is writable");
 }
 
 /// DARM melding must pay off in simulated cycles on the real-world grid,
@@ -81,15 +178,16 @@ fn fig9_darm_wins_in_simulated_cycles() {
     }
 }
 
-/// The prepared kernel decodes once; the PreparedKernel path must agree
-/// with the from-source path under timing (launch-level determinism).
+/// Lowering is deterministic: two separately lowered kernels must agree
+/// under timing (launch-level determinism).
 #[test]
-fn timing_is_stable_across_prepare_paths() {
+fn timing_is_stable_across_lowerings() {
     let case = &fig8_cases()[0];
-    let pk = PreparedKernel::new(&case.func);
-    let via_prepared = case.execute_compiled_with(&pk, timed_gpu_config()).unwrap();
-    let via_fn = case
-        .execute_compiled_with(&PreparedKernel::new(&case.func), timed_gpu_config())
+    let once = case
+        .execute_bytecode(&BytecodeKernel::new(&case.func), timed_gpu_config())
         .unwrap();
-    assert_eq!(via_prepared.stats, via_fn.stats);
+    let again = case
+        .execute_bytecode(&BytecodeKernel::new(&case.func), timed_gpu_config())
+        .unwrap();
+    assert_eq!(once.stats, again.stats);
 }

@@ -2,6 +2,7 @@
 //! in-place `DivergenceAnalysis` refresh on a fig8 kernel.
 
 use darm_analysis::{AnalysisManager, Cfg, DivergenceAnalysis, DomTree, PostDomTree};
+use darm_bench::{fig8_cases, fig9_cases};
 use darm_ir::{InstData, Opcode};
 use darm_kernels::synthetic::{build_case, SyntheticKind};
 use darm_melding::{run_meld_pipeline, MeldConfig};
@@ -13,20 +14,41 @@ use darm_pipeline::PipelineOptions;
 #[test]
 fn time_passes_renders_in_place_update_columns() {
     let config = MeldConfig::default();
-    let mut f = build_case(SyntheticKind::Sb1, 32).func;
-    let out = run_meld_pipeline(
-        &mut f,
-        &config,
-        PipelineOptions {
-            time_passes: true,
-            ..PipelineOptions::default()
-        },
-    )
-    .expect("pipeline");
-    let rendered = out.report.render();
+    // The sweep includes the fig. 9 real kernels: the fig. 8 synthetics
+    // meld at the function entry, where the RPO splice correctly declines
+    // (anchor covers everything), so the Cfg counter only fires on
+    // kernels whose melds sit below the entry.
+    let (mut deletion_updates, mut cfg_updates, mut divergence_updates) = (0, 0, 0);
+    for case in fig8_cases().iter().chain(&fig9_cases()) {
+        let mut f = case.func.clone();
+        let out = run_meld_pipeline(
+            &mut f,
+            &config,
+            PipelineOptions {
+                time_passes: true,
+                ..PipelineOptions::default()
+            },
+        )
+        .expect("pipeline");
+        let rendered = out.report.render();
+        assert!(
+            rendered.contains("cfg-upd") && rendered.contains("div-upd"),
+            "time-passes table must carry the in-place update columns:\n{rendered}"
+        );
+        for p in &out.report.passes {
+            deletion_updates += p.analysis.in_place_deletion_updates;
+            cfg_updates += p.analysis.in_place_cfg_updates;
+            divergence_updates += p.analysis.in_place_divergence_updates;
+        }
+    }
     assert!(
-        rendered.contains("cfg-upd") && rendered.contains("div-upd"),
-        "time-passes table must carry the in-place update columns:\n{rendered}"
+        deletion_updates > 0,
+        "no deletion-containing window updated a dominator tree in place"
+    );
+    assert!(cfg_updates > 0, "no shape window spliced the Cfg in place");
+    assert!(
+        divergence_updates > 0,
+        "no window reconciled DivergenceAnalysis in place"
     );
 }
 

@@ -33,7 +33,7 @@ pub mod srad;
 pub mod synthetic;
 
 use darm_ir::Function;
-use darm_simt::{Gpu, GpuConfig, KernelArg, KernelStats, LaunchConfig, PreparedKernel, SimError};
+use darm_simt::{BytecodeKernel, Gpu, GpuConfig, KernelArg, KernelStats, LaunchConfig, SimError};
 
 /// One kernel launch argument with its backing data.
 #[derive(Debug, Clone)]
@@ -98,51 +98,28 @@ impl BenchCase {
     ///
     /// Propagates any simulator error.
     pub fn execute_fn(&self, func: &Function) -> Result<RunResult, SimError> {
-        self.execute_prepared(&PreparedKernel::new(func))
+        self.execute_bytecode(&BytecodeKernel::new(func), GpuConfig::default())
     }
 
-    /// Executes an already-decoded kernel on this case's inputs. Preparing
-    /// once (see [`darm_simt::PreparedKernel::new`]) and re-running via this
-    /// amortizes the decode across repeated launches — the pattern the
-    /// benchmark harness uses for its baseline/DARM/BF variants.
+    /// Executes an already-lowered kernel on this case's inputs, on a
+    /// caller-supplied [`GpuConfig`]. Lowering once (see
+    /// [`BytecodeKernel::new`]) and re-running via this amortizes the
+    /// compile across repeated launches — the pattern the benchmark harness
+    /// uses for its baseline/DARM/BF variants — and the config is how the
+    /// harness switches on the cycle-level timing observer
+    /// (`config.timing.enabled`).
     ///
     /// # Errors
     ///
     /// Propagates any simulator error.
-    pub fn execute_prepared(&self, kernel: &PreparedKernel) -> Result<RunResult, SimError> {
-        self.execute_compiled(kernel)
-    }
-
-    /// Executes a kernel compiled for any [`darm_simt::Backend`] tier on
-    /// this case's inputs — the [`darm_simt::CompiledKernel`] analogue of
-    /// [`BenchCase::execute_prepared`]; all tiers produce bit-identical
-    /// results.
-    ///
-    /// # Errors
-    ///
-    /// Propagates any simulator error.
-    pub fn execute_compiled(
+    pub fn execute_bytecode(
         &self,
-        kernel: &dyn darm_simt::CompiledKernel,
-    ) -> Result<RunResult, SimError> {
-        self.execute_compiled_with(kernel, GpuConfig::default())
-    }
-
-    /// [`BenchCase::execute_compiled`] on a caller-supplied [`GpuConfig`] —
-    /// how the harness switches on the cycle-level timing observer
-    /// (`config.timing.enabled`) without touching the default fast path.
-    ///
-    /// # Errors
-    ///
-    /// Propagates any simulator error.
-    pub fn execute_compiled_with(
-        &self,
-        kernel: &dyn darm_simt::CompiledKernel,
+        kernel: &BytecodeKernel,
         config: GpuConfig,
     ) -> Result<RunResult, SimError> {
         let mut gpu = Gpu::new(config);
         let (kargs, bufs) = self.alloc_args(&mut gpu);
-        let stats = kernel.execute(&mut gpu, &self.launch, &kargs)?;
+        let stats = gpu.launch_bytecode(kernel, &self.launch, &kargs)?;
         let buffers = bufs
             .into_iter()
             .map(|b| {
@@ -233,28 +210,15 @@ impl BenchCase {
     /// Executes and checks in one call, panicking with context on failure.
     /// Intended for tests and the experiment harness.
     pub fn run_checked(&self, func: &Function) -> RunResult {
-        let result = self
-            .execute_fn(func)
-            .unwrap_or_else(|e| panic!("{}: simulation failed: {e}", self.name));
-        self.check(&result).unwrap_or_else(|e| panic!("{e}"));
-        result
+        self.run_checked_bytecode(&BytecodeKernel::new(func), GpuConfig::default())
     }
 
-    /// [`BenchCase::run_checked`] for an already-decoded kernel.
-    pub fn run_checked_prepared(&self, kernel: &PreparedKernel) -> RunResult {
-        self.run_checked_compiled_with(kernel, GpuConfig::default())
-    }
-
-    /// [`BenchCase::run_checked_prepared`] for any compiled tier on a
+    /// [`BenchCase::run_checked`] for an already-lowered kernel on a
     /// caller-supplied [`GpuConfig`] — the harness path that collects
     /// simulated cycles by enabling `config.timing`.
-    pub fn run_checked_compiled_with(
-        &self,
-        kernel: &dyn darm_simt::CompiledKernel,
-        config: GpuConfig,
-    ) -> RunResult {
+    pub fn run_checked_bytecode(&self, kernel: &BytecodeKernel, config: GpuConfig) -> RunResult {
         let result = self
-            .execute_compiled_with(kernel, config)
+            .execute_bytecode(kernel, config)
             .unwrap_or_else(|e| panic!("{}: simulation failed: {e}", self.name));
         self.check(&result).unwrap_or_else(|e| panic!("{e}"));
         result

@@ -19,7 +19,7 @@
 //!   run is bit-identical to the serial one.
 //!
 //! The CLI (`darm meld --passes … --jobs …`), the benchmark harness
-//! (`prepare_variants` and the batch suites) and `meld_function` itself
+//! (`prepare_suite` and the batch suites) and `meld_function` itself
 //! all drive their transformations through this one crate.
 //!
 //! ## Architecture
@@ -33,7 +33,7 @@
 //!            ▼                          └────────────────────────────────┘
 //!   PassManager ── run ──► Pass 1 ─► Pass 2 ─► … ─► PipelineReport
 //!        │                   │  ▲
-//!        │ retain(preserved) │  │ get::<A>() (cache hit or compute)
+//!        │ report(preserved) │  │ get::<A>() (hit, in-place update or compute)
 //!        ▼                   ▼  │
 //!   AnalysisManager { Cfg, DomTree, PostDomTree, Divergence, Liveness, LoopInfo }
 //! ```
@@ -59,41 +59,30 @@
 //!
 //! ### The pass contract
 //!
-//! A [`Pass`] receives the function and the shared analysis cache. It must
-//! uphold two obligations:
+//! A [`Pass`] receives the function and the shared analysis cache. It may
+//! mutate the IR and query analyses in any order: every mutation goes
+//! through the `darm-ir` mutation journal, and the manager reconciles each
+//! cached entry against its own journal window at the next query (see
+//! `darm_analysis::manager` for the authoritative contract) — there is
+//! nothing to invalidate by hand. The pass's one obligation is an honest
+//! **preservation report**: the returned [`PassOutcome`] declares, via
+//! [`PreservedAnalyses`], which analyses the pass can *vouch for* across
+//! its own mutations:
 //!
-//! 1. **Cache consistency during the run.** If the pass mutates the IR and
-//!    then queries an analysis, it must first invalidate what the mutation
-//!    broke (the `*_with` transforms in `darm-transforms` do this
-//!    internally). A pass may freely *read* cached analyses computed for
-//!    the unmodified function.
-//! 2. **Preservation report.** The returned [`PassOutcome`] declares what
-//!    survived the whole run via
-//!    [`PreservedAnalyses`]. The manager
-//!    applies it with `AnalysisManager::retain`, which can only *drop*
-//!    entries — so an over-conservative report costs recomputation, never
-//!    correctness, and a pass that forgot an internal invalidation is still
-//!    caught by its (coarser) report.
+//! | mutation | report |
+//! |---|---|
+//! | none | `PreservedAnalyses::all()` |
+//! | instructions only (φs, rauw, peepholes, DCE) | `PreservedAnalyses::cfg_shape()` — vouches for CFG/dom/post-dom/loops; DCE additionally `.preserve::<DivergenceAnalysis>()` |
+//! | blocks or edges | `PreservedAnalyses::none()` |
 //!
-//! ### Invalidation tiers
-//!
-//! Analyses invalidate at three granularities (see
-//! `darm_analysis::manager` for the authoritative contract):
-//!
-//! | tier | mutation | report / mechanism |
-//! |---|---|---|
-//! | — | none | `PreservedAnalyses::all()` |
-//! | **CFG shape** | instructions only (φs, rauw, peepholes, DCE) | `PreservedAnalyses::cfg_shape()` — keeps CFG/dom/post-dom/loops; DCE additionally `.preserve::<DivergenceAnalysis>()` |
-//! | **none** | blocks or edges, provenance unknown | `PreservedAnalyses::none()` |
-//! | **dirty-set** | anything *tracked by the `darm-ir` mutation journal* | `AnalysisManager::update_after` replays the window: keeps what the window cannot have broken, updates dominator/post-dominator trees in place for supported local edit patterns, re-seeds liveness from dirty blocks, drops the rest |
-//!
-//! A pass should report the finest tier it can *prove*: `all()` when it
-//! changed nothing, `cfg_shape()` (plus any analysis it can argue
-//! preserved) for instruction-only rewrites, `none()` for untracked
-//! block-graph surgery. A driver that interleaves mutation with queries —
-//! the melding fixpoint — should anchor the manager with
-//! `AnalysisManager::observe` and call `update_after` instead of
-//! `invalidate_all`, so the dirty-set tier decides.
+//! After every pass the manager applies the report under journal
+//! arbitration (`AnalysisManager::update_after_with_report`): a vouched
+//! entry that was valid when the pass started is stamped valid for the
+//! new state; everything else keeps its cursor and is kept, updated in
+//! place or recomputed at its next query, as the journal window dictates.
+//! The report can therefore only *extend* validity — an over-conservative
+//! one costs a reconciliation, never correctness — but a report that
+//! vouches for something the pass broke is a bug.
 //!
 //! The cleanup passes themselves are dirty-scoped (see [`passes`]): each
 //! restricts its rescan to the journal window since its own previous run,
@@ -151,8 +140,7 @@ pub use module::{
     FunctionOutcome, FunctionReport, ModuleOptions, ModulePassManager, ModuleReport, OnError,
 };
 pub use passes::{
-    DcePass, FixpointPass, FnPass, InstCombinePass, ScopedPass, SimplifyCfgPass, SsaRepairPass,
-    VerifyPass,
+    DcePass, FixpointPass, FnPass, InstCombinePass, SimplifyCfgPass, SsaRepairPass, VerifyPass,
 };
 pub use registry::{PassParams, PassRegistry};
 pub use spec::{PassSpec, SpecElem, SpecError};
@@ -167,7 +155,8 @@ use std::time::Instant;
 /// What one [`Pass::run`] did, reported back to the [`PassManager`].
 #[derive(Debug, Clone)]
 pub struct PassOutcome {
-    /// Which analyses survived the run (see crate docs for the rules).
+    /// Which analyses the pass vouches for across its own mutations (see
+    /// crate docs for the rules).
     pub preserved: PreservedAnalyses,
     /// Whether the pass changed the function at all.
     pub changed: bool,
@@ -482,15 +471,6 @@ pub struct PipelineOptions {
     /// render the table. Off (the default), pass runs skip the clock reads
     /// entirely — run/change/unit counts are still recorded.
     pub time_passes: bool,
-    /// Reconcile the analysis cache with the mutation journal after every
-    /// pass (`AnalysisManager::update_after_with_report`) instead of
-    /// applying the pass's coarse [`PreservedAnalyses`] report alone: the
-    /// journal keeps or updates in place what the window provably cannot
-    /// have broken (dominator/post-dominator trees survive meld surgery),
-    /// and the report still rescues entries the pass vouches for. Off (the
-    /// default), passes invalidate by report, as the pre-incremental
-    /// drivers did.
-    pub journal_sync: bool,
     /// Shared wall-clock/fuel budget. The pass loop installs it for the
     /// current thread and polls it before every pass; the expensive inner
     /// loops (fixpoint rounds, meld planning/scoring, scoped-simplify
@@ -771,19 +751,16 @@ impl PassManager {
             darm_ir::budget::poll("pipeline::pass");
             let t = timing.then(Instant::now);
             let counters_before = timing.then(|| am.counters());
-            let pass_start = self.options.journal_sync.then(|| func.journal_head());
+            let pass_start = func.journal_head();
             let outcome = pass
                 .run(func, am)
                 .map_err(|message| PipelineError::PassFailed {
                     pass: pass.name().to_string(),
                     message,
                 })?;
-            match pass_start {
-                Some(start) => {
-                    am.update_after_with_report(func, &outcome.preserved, start);
-                }
-                None => am.retain(&outcome.preserved),
-            }
+            // The journal decides what survives; the report only vouches
+            // for entries across this pass's own window.
+            am.update_after_with_report(func, &outcome.preserved, pass_start);
             if let Some(before) = counters_before {
                 let delta = am.counters().since(&before);
                 record.analysis.computes += delta.computes;

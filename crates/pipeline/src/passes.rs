@@ -2,13 +2,14 @@
 //! a standalone SSA-verification pass and a generic closure adapter.
 //!
 //! Each adapter translates the transform's own change report into the
-//! [`PreservedAnalyses`](darm_analysis::PreservedAnalyses) tier it
-//! warrants: block/edge surgery preserves nothing, instruction-only
-//! rewrites preserve the CFG-shape analyses, a no-op preserves everything
-//! (see the crate docs for the invalidation rules). Dead-code elimination
-//! additionally preserves [`DivergenceAnalysis`] — removing an unused,
-//! side-effect-free instruction cannot change the divergence of any value
-//! that remains (divergence propagates from definitions to users).
+//! [`PreservedAnalyses`](darm_analysis::PreservedAnalyses) it can vouch
+//! for across its own mutations: block/edge surgery vouches for nothing,
+//! instruction-only rewrites vouch for the CFG-shape analyses, a no-op
+//! vouches for everything (the mutation journal decides the rest — see
+//! the crate docs). Dead-code elimination additionally vouches for
+//! [`DivergenceAnalysis`] — removing an unused, side-effect-free
+//! instruction cannot change the divergence of any value that remains
+//! (divergence propagates from definitions to users).
 //!
 //! The cleanup adapters are *dirty-scoped*: each remembers the `darm-ir`
 //! journal cursor of its previous run and restricts the next run to the
@@ -17,9 +18,6 @@
 //! establishes the "no redexes outside the window" invariant the scoped
 //! runs rely on). A fixpoint driver that re-runs its cleanup pipeline per
 //! melded region therefore pays per-region cost, not per-function cost.
-//! Construct with [`ScopedPass::with_scoping`]`(false)` to pin a pass to
-//! whole-function behavior (the pre-incremental driver used for
-//! differential benchmarks).
 
 use crate::{Pass, PassOutcome};
 use darm_analysis::{AnalysisManager, Cfg, DivergenceAnalysis, DomTree};
@@ -30,37 +28,20 @@ use darm_transforms::{
 };
 use std::sync::Arc;
 
-/// Common trait of the scoped cleanup adapters: lets drivers pin a pass to
-/// whole-function behavior.
-pub trait ScopedPass: Sized {
-    /// Enables (default) or disables dirty-window scoping.
-    fn with_scoping(self, scoped: bool) -> Self;
-}
-
 /// Below this many live instructions a dirty window sends the scoped
 /// adapters down their whole-function path: the full scan is cheaper than
 /// the journal replay plus scoped bookkeeping it would avoid.
 const SCOPED_MIN_LIVE_INSTS: usize = 128;
 
 /// Journal bookkeeping shared by the scoped adapters.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct ScopeTracker {
-    scoping: bool,
     cursor: Option<JournalCursor>,
-}
-
-impl Default for ScopeTracker {
-    fn default() -> ScopeTracker {
-        ScopeTracker {
-            scoping: true,
-            cursor: None,
-        }
-    }
 }
 
 impl ScopeTracker {
     /// The mutation window since the pass's previous run, or `None` for
-    /// whole-function (first run, scoping disabled, saturation, or a
+    /// whole-function (first run, saturation, or a
     /// window so large that replaying it costs more than the
     /// whole-function work it would save). `Some(clean)` means nothing
     /// changed — the scoped transforms return immediately.
@@ -72,9 +53,6 @@ impl ScopeTracker {
     /// whole-function scan walks dominator chains per operand — benefits
     /// from scoping even when the window rivals the function in size.
     fn window(&self, func: &Function, work_factor: usize) -> Option<DirtyDelta> {
-        if !self.scoping {
-            return None;
-        }
         let cursor = self.cursor?;
         let events = match func.probe_since(cursor) {
             darm_ir::WindowProbe::Clean => return Some(DirtyDelta::default()),
@@ -85,8 +63,8 @@ impl ScopeTracker {
         // A clean window costs nothing either way, but once there is
         // anything to replay, a function this small is finished faster by
         // the plain whole-function scan than by materializing the delta
-        // and running the scoped walk's bookkeeping (measured against the
-        // frozen whole-function baseline on the paper kernels).
+        // and running the scoped walk's bookkeeping (measured on the paper
+        // kernels).
         if func.live_inst_count() < SCOPED_MIN_LIVE_INSTS {
             return None;
         }
@@ -99,29 +77,22 @@ impl ScopeTracker {
 
     /// Marks everything up to the function's current state as processed.
     fn advance(&mut self, func: &Function) {
-        self.cursor = self.scoping.then(|| func.journal_head());
+        self.cursor = Some(func.journal_head());
     }
 
-    /// Forgets the previous function's cursor (keeps the scoping flag —
-    /// it's configuration, not per-function state).
+    /// Forgets the previous function's cursor.
     fn reset(&mut self) {
         self.cursor = None;
     }
 }
 
 /// `simplifycfg` as a pass. Reports precisely: runs that only removed φs
-/// keep the shape analyses; runs that touched blocks or edges drop all.
+/// vouch for the shape analyses; runs that touched blocks or edges vouch
+/// for nothing.
 #[derive(Debug, Default)]
 pub struct SimplifyCfgPass {
     total: SimplifyStats,
     tracker: ScopeTracker,
-}
-
-impl ScopedPass for SimplifyCfgPass {
-    fn with_scoping(mut self, scoped: bool) -> SimplifyCfgPass {
-        self.tracker.scoping = scoped;
-        self
-    }
 }
 
 impl SimplifyCfgPass {
@@ -203,13 +174,6 @@ pub struct DcePass {
     tracker: ScopeTracker,
 }
 
-impl ScopedPass for DcePass {
-    fn with_scoping(mut self, scoped: bool) -> DcePass {
-        self.tracker.scoping = scoped;
-        self
-    }
-}
-
 impl Pass for DcePass {
     fn name(&self) -> &str {
         "dce"
@@ -218,14 +182,13 @@ impl Pass for DcePass {
     fn run(
         &mut self,
         func: &mut Function,
-        am: &mut AnalysisManager,
+        _am: &mut AnalysisManager,
     ) -> Result<PassOutcome, String> {
         let window = self.tracker.window(func, 4);
         let n = run_dce_scoped(func, window.as_ref()) as u64;
         self.tracker.advance(func);
         self.removed += n;
         Ok(if n > 0 {
-            am.invalidate::<darm_analysis::Liveness>();
             PassOutcome {
                 preserved: darm_analysis::PreservedAnalyses::cfg_shape()
                     .preserve::<DivergenceAnalysis>(),
@@ -248,18 +211,12 @@ impl Pass for DcePass {
 }
 
 /// Peephole `instcombine` as a pass (instruction-only, keeps CFG shape;
-/// divergence may shrink under constant substitution, so it is dropped).
+/// divergence may shrink under constant substitution, so it is not
+/// vouched for).
 #[derive(Debug, Default)]
 pub struct InstCombinePass {
     combined: u64,
     tracker: ScopeTracker,
-}
-
-impl ScopedPass for InstCombinePass {
-    fn with_scoping(mut self, scoped: bool) -> InstCombinePass {
-        self.tracker.scoping = scoped;
-        self
-    }
 }
 
 impl Pass for InstCombinePass {
@@ -270,14 +227,13 @@ impl Pass for InstCombinePass {
     fn run(
         &mut self,
         func: &mut Function,
-        am: &mut AnalysisManager,
+        _am: &mut AnalysisManager,
     ) -> Result<PassOutcome, String> {
         let window = self.tracker.window(func, 4);
         let n = run_instcombine_scoped(func, window.as_ref()) as u64;
         self.tracker.advance(func);
         self.combined += n;
         Ok(if n > 0 {
-            am.invalidate_values();
             PassOutcome::insts_changed(n)
         } else {
             PassOutcome::unchanged()
@@ -308,13 +264,6 @@ pub struct SsaRepairPass {
     baseline: Option<Arc<DomTree>>,
 }
 
-impl ScopedPass for SsaRepairPass {
-    fn with_scoping(mut self, scoped: bool) -> SsaRepairPass {
-        self.tracker.scoping = scoped;
-        self
-    }
-}
-
 impl Pass for SsaRepairPass {
     fn name(&self) -> &str {
         "ssa-repair"
@@ -334,7 +283,6 @@ impl Pass for SsaRepairPass {
             _ => None,
         };
         if scoped.is_none()
-            && self.tracker.scoping
             && self.baseline.is_none()
             && func.live_inst_count() >= SCOPED_MIN_LIVE_INSTS
         {
@@ -374,9 +322,7 @@ impl Pass for SsaRepairPass {
         // Repair preserves the block graph, so the tree queried during the
         // run is the tree of the repaired function: it becomes the next
         // baseline.
-        if self.tracker.scoping {
-            self.baseline = Some(am.get::<DomTree>(func));
-        }
+        self.baseline = Some(am.get::<DomTree>(func));
         self.tracker.advance(func);
         self.repaired += n;
         Ok(if n > 0 {
@@ -423,11 +369,10 @@ impl Pass for VerifyPass {
 ///
 /// The inner passes apply their own
 /// [`PreservedAnalyses`](darm_analysis::PreservedAnalyses) reports against
-/// the shared [`AnalysisManager`] after every run, so by the time the
-/// group returns the cache holds only entries its rounds did not break —
-/// the group itself therefore reports `all()` (keeping that state) plus a
-/// truthful `changed` flag — the same contract the melding pass's inner
-/// cleanup pipeline relies on.
+/// the shared [`AnalysisManager`] after every run; the group itself
+/// vouches for the whole cache only when no round changed anything, and
+/// otherwise leaves every entry to the journal — the same contract as the
+/// melding pass around its inner cleanup pipeline.
 pub struct FixpointPass {
     label: String,
     inner: crate::PassManager,
@@ -472,10 +417,10 @@ impl Pass for FixpointPass {
                 break;
             }
         }
-        Ok(PassOutcome {
-            preserved: darm_analysis::PreservedAnalyses::all(),
-            changed: changed_any,
-            units: self.inner.total_units() - units_before,
+        Ok(if changed_any {
+            PassOutcome::cfg_changed(self.inner.total_units() - units_before)
+        } else {
+            PassOutcome::unchanged()
         })
     }
 

@@ -9,7 +9,7 @@
 //! `Send + Sync`: one registry is shared by every worker of a
 //! [`ModulePassManager`](crate::ModulePassManager).
 
-use crate::passes::{FixpointPass, ScopedPass};
+use crate::passes::FixpointPass;
 use crate::spec::{PassSpec, SpecElem};
 use crate::{Pass, PassManager, PipelineError, PipelineOptions};
 use std::collections::BTreeMap;
@@ -87,31 +87,16 @@ impl PassRegistry {
     }
 
     /// A registry holding the generic cleanup passes: `simplify`, `dce`,
-    /// `instcombine`, `ssa-repair` (each accepting `scoped=true|false`,
-    /// default `true`) and `verify`.
+    /// `instcombine`, `ssa-repair` and `verify` (none takes parameters).
     pub fn with_transforms() -> PassRegistry {
-        fn scoped(params: &mut PassParams) -> Result<bool, String> {
-            Ok(params.take_parsed::<bool>("scoped")?.unwrap_or(true))
-        }
         let mut r = PassRegistry::empty();
-        r.register_configurable("simplify", |p, _| {
-            Ok(Box::new(
-                crate::SimplifyCfgPass::default().with_scoping(scoped(p)?),
-            ))
-        });
-        r.register_configurable("dce", |p, _| {
-            Ok(Box::new(crate::DcePass::default().with_scoping(scoped(p)?)))
-        });
-        r.register_configurable("instcombine", |p, _| {
-            Ok(Box::new(
-                crate::InstCombinePass::default().with_scoping(scoped(p)?),
-            ))
-        });
-        r.register_configurable("ssa-repair", |p, _| {
-            Ok(Box::new(
-                crate::SsaRepairPass::default().with_scoping(scoped(p)?),
-            ))
-        });
+        r.register("simplify", || Box::new(crate::SimplifyCfgPass::default()));
+        r.register("dce", || Box::new(crate::DcePass::default()));
+        r.register(
+            "instcombine",
+            || Box::new(crate::InstCombinePass::default()),
+        );
+        r.register("ssa-repair", || Box::new(crate::SsaRepairPass::default()));
         r.register("verify", || Box::new(crate::VerifyPass));
         r
     }
@@ -294,18 +279,28 @@ mod tests {
         assert_eq!(pm.pass_names(), vec!["simplify", "dce", "instcombine"]);
     }
 
+    /// The cleanup registry plus `probe`, a pass taking one typed
+    /// parameter (`flag=BOOL`) — the cleanup passes themselves take none.
+    fn with_probe() -> PassRegistry {
+        let mut r = PassRegistry::with_transforms();
+        r.register_configurable("probe", |p, _| {
+            p.take_parsed::<bool>("flag")?;
+            Ok(Box::new(crate::VerifyPass))
+        });
+        r
+    }
+
     #[test]
     fn builds_parameterized_and_fixpoint_specs() {
-        let r = PassRegistry::with_transforms();
-        let pm = r
+        let pm = with_probe()
             .build(
-                "simplify(scoped=false),fixpoint(instcombine,dce,max=4)",
+                "probe(flag=false),fixpoint(instcombine,dce,max=4)",
                 PipelineOptions::default(),
             )
             .unwrap();
         assert_eq!(
             pm.pass_names(),
-            vec!["simplify", "fixpoint(instcombine,dce,max=4)"]
+            vec!["verify", "fixpoint(instcombine,dce,max=4)"]
         );
     }
 
@@ -339,13 +334,13 @@ mod tests {
 
     #[test]
     fn rejects_bad_parameters_with_the_pass_name() {
-        let r = PassRegistry::with_transforms();
+        let r = with_probe();
         let e = r
-            .build("dce(scoped=maybe)", PipelineOptions::default())
+            .build("probe(flag=maybe)", PipelineOptions::default())
             .unwrap_err();
         let msg = e.to_string();
         assert!(
-            msg.contains("pass 'dce'") && msg.contains("`scoped`") && msg.contains("maybe"),
+            msg.contains("pass 'probe'") && msg.contains("`flag`") && msg.contains("maybe"),
             "{msg}"
         );
         let e = r
@@ -361,10 +356,9 @@ mod tests {
     fn duplicate_parameters_are_reported_as_duplicates() {
         // Without the up-front check the leftover second occurrence would
         // be misreported as an *unknown* key.
-        let r = PassRegistry::with_transforms();
-        let e = r
-            .build("dce(scoped=true,scoped=false)", PipelineOptions::default())
+        let e = with_probe()
+            .build("probe(flag=true,flag=false)", PipelineOptions::default())
             .unwrap_err();
-        assert_eq!(e.to_string(), "pass 'dce': duplicate parameter `scoped`");
+        assert_eq!(e.to_string(), "pass 'probe': duplicate parameter `flag`");
     }
 }

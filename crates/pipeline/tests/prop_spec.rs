@@ -134,16 +134,21 @@ fn unbalanced_parens_are_positioned_errors() {
 
 #[test]
 fn bad_parameter_keys_name_the_rejecting_pass() {
-    let r = PassRegistry::with_transforms();
+    // The cleanup passes take no parameters; `probe` takes `flag=BOOL`.
+    let mut r = PassRegistry::with_transforms();
+    r.register_configurable("probe", |p, _| {
+        p.take_parsed::<bool>("flag")?;
+        Ok(Box::new(darm_pipeline::VerifyPass))
+    });
     // Unknown key on a pass that takes parameters.
     let e = r
-        .build("dce(scopde=false)", PipelineOptions::default())
+        .build("probe(flga=false)", PipelineOptions::default())
         .unwrap_err();
     assert_eq!(
         e.to_string(),
-        "pass 'dce': unknown parameter `scopde` (=`false`)"
+        "pass 'probe': unknown parameter `flga` (=`false`)"
     );
-    assert!(matches!(e, PipelineError::BadParameter { pass, .. } if pass == "dce"));
+    assert!(matches!(e, PipelineError::BadParameter { pass, .. } if pass == "probe"));
 
     // Any key on a pass that takes none.
     let e = r
@@ -156,10 +161,10 @@ fn bad_parameter_keys_name_the_rejecting_pass() {
 
     // A key whose value fails to parse is also a parameter error.
     let e = r
-        .build("dce(scoped=0.5)", PipelineOptions::default())
+        .build("probe(flag=0.5)", PipelineOptions::default())
         .unwrap_err();
     assert_eq!(
         e.to_string(),
-        "pass 'dce': parameter `scoped`: cannot parse `0.5` as bool"
+        "pass 'probe': parameter `flag`: cannot parse `0.5` as bool"
     );
 }

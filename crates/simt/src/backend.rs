@@ -1,72 +1,36 @@
-//! Execution backends: one compile-and-launch contract over every tier.
+//! The choice between the two execution paths, as a value.
 //!
-//! The simulator has three ways to run a kernel — the seed per-lane
-//! [`reference`](crate::reference) interpreter, the decoded
-//! [`PreparedKernel`] loop, and the flat register
-//! [`BytecodeKernel`] — all bit-identical in
-//! buffers, [`KernelStats`], and errors, differing only in throughput.
-//! This module makes the choice a value ([`BackendKind`]) and the common
-//! shape a pair of traits, so callers (the `darm` CLI's `--backend` flag,
-//! the benches' three-way comparisons, the differential tests) select a
-//! tier uniformly, and so a future JIT tier can slot in without touching
-//! any caller.
-//!
-//! ## The contract a backend implements
-//!
-//! * **Compile**: [`Backend::compile`] turns a [`Function`] into an
-//!   immutable, `Send + Sync` [`CompiledKernel`] that borrows nothing —
-//!   compile once, launch any number of times, from any geometry.
-//! * **Execute**: [`CompiledKernel::execute`] runs one launch against a
-//!   [`Gpu`]'s buffers and returns the [`KernelStats`] sink, with the
-//!   exact semantics the differential suites pin down: identical buffer
-//!   bytes (including partial writes on the error path), identical stats,
-//!   identical [`SimError`] values, for any input.
-//! * **State layout**: execution state is a *lane-major register file* —
-//!   one flat `RawVal` slab indexed `thread * n_slots + slot` per thread
-//!   block — plus the per-warp IPDOM reconvergence stack and one
-//!   launch-wide instruction budget. A JIT tier is expected to keep this
-//!   layout (registers in the slab, stats charged through
-//!   [`KernelStats`]) so compiled and interpreted frames stay
-//!   interchangeable mid-suite.
-//!
-//! [`Gpu::launch_with`] is the one-shot convenience over this module.
+//! The simulator runs a kernel either on the per-lane
+//! [`reference`](crate::reference) interpreter — the oracle — or on the
+//! flat register [`BytecodeKernel`](crate::BytecodeKernel) engine. Both
+//! are bit-identical in buffers, [`KernelStats`](crate::KernelStats) and
+//! errors; [`BackendKind`] names the choice for
+//! [`Gpu::launch_with`](crate::Gpu::launch_with) and the `darm` CLI's
+//! `--backend` flag.
 
-use crate::bytecode::BytecodeKernel;
-use crate::decoded::PreparedKernel;
-use crate::exec::{Gpu, KernelArg, SimError};
-use crate::stats::KernelStats;
-use crate::LaunchConfig;
-use darm_ir::{Function, Type};
 use std::fmt;
 
-/// The execution tiers a kernel can run on. All are semantically
-/// bit-identical; pick by throughput need (reference ≪ prepared <
-/// bytecode) or for differential oracles.
+/// The execution paths a kernel can run on. Both are semantically
+/// bit-identical; the bytecode engine is the fast one, the reference
+/// interpreter the differential oracle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BackendKind {
     /// The seed per-lane, arena-walking interpreter — slowest, simplest;
     /// the semantic baseline.
     Reference,
-    /// The decoded-record engine over a [`PreparedKernel`].
-    Prepared,
-    /// The flat register bytecode engine over a [`BytecodeKernel`] — the
-    /// fastest tier.
+    /// The flat register bytecode engine over a
+    /// [`BytecodeKernel`](crate::BytecodeKernel).
     Bytecode,
 }
 
 impl BackendKind {
-    /// Every backend, in oracle-to-fastest order.
-    pub const ALL: [BackendKind; 3] = [
-        BackendKind::Reference,
-        BackendKind::Prepared,
-        BackendKind::Bytecode,
-    ];
+    /// Every backend, oracle first.
+    pub const ALL: [BackendKind; 2] = [BackendKind::Reference, BackendKind::Bytecode];
 
-    /// The CLI/display name (`reference`, `prepared`, `bytecode`).
+    /// The CLI/display name (`reference`, `bytecode`).
     pub fn name(self) -> &'static str {
         match self {
             BackendKind::Reference => "reference",
-            BackendKind::Prepared => "prepared",
             BackendKind::Bytecode => "bytecode",
         }
     }
@@ -75,151 +39,11 @@ impl BackendKind {
     pub fn parse(s: &str) -> Option<BackendKind> {
         BackendKind::ALL.into_iter().find(|k| k.name() == s)
     }
-
-    /// The backend implementation for this kind.
-    pub fn backend(self) -> &'static dyn Backend {
-        match self {
-            BackendKind::Reference => &ReferenceBackend,
-            BackendKind::Prepared => &PreparedBackend,
-            BackendKind::Bytecode => &BytecodeBackend,
-        }
-    }
 }
 
 impl fmt::Display for BackendKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.name())
-    }
-}
-
-/// A compiler from [`Function`] to a launchable kernel. See the
-/// [module docs](self) for the contract.
-pub trait Backend: Sync {
-    /// Which tier this is.
-    fn kind(&self) -> BackendKind;
-
-    /// Compiles `func` for this tier. The result borrows nothing; compile
-    /// once and launch repeatedly.
-    fn compile(&self, func: &Function) -> Box<dyn CompiledKernel>;
-}
-
-/// A kernel compiled for some backend, ready to launch any number of
-/// times against any [`Gpu`] and geometry.
-pub trait CompiledKernel: Send + Sync {
-    /// The kernel's name.
-    fn name(&self) -> &str;
-
-    /// Parameter types of the kernel signature.
-    fn params(&self) -> &[Type];
-
-    /// Runs one launch. Buffer mutations, returned [`KernelStats`], and
-    /// [`SimError`]s are bit-identical across backends.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Gpu::launch`].
-    fn execute(
-        &self,
-        gpu: &mut Gpu,
-        cfg: &LaunchConfig,
-        args: &[KernelArg],
-    ) -> Result<KernelStats, SimError>;
-}
-
-struct ReferenceBackend;
-
-/// The reference tier "compiles" by cloning the function: the seed
-/// interpreter walks the IR arena directly.
-struct ReferenceKernel(Function);
-
-impl Backend for ReferenceBackend {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Reference
-    }
-
-    fn compile(&self, func: &Function) -> Box<dyn CompiledKernel> {
-        Box::new(ReferenceKernel(func.clone()))
-    }
-}
-
-impl CompiledKernel for ReferenceKernel {
-    fn name(&self) -> &str {
-        self.0.name()
-    }
-
-    fn params(&self) -> &[Type] {
-        self.0.params()
-    }
-
-    fn execute(
-        &self,
-        gpu: &mut Gpu,
-        cfg: &LaunchConfig,
-        args: &[KernelArg],
-    ) -> Result<KernelStats, SimError> {
-        gpu.launch_reference(&self.0, cfg, args)
-    }
-}
-
-struct PreparedBackend;
-
-impl Backend for PreparedBackend {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Prepared
-    }
-
-    fn compile(&self, func: &Function) -> Box<dyn CompiledKernel> {
-        Box::new(PreparedKernel::new(func))
-    }
-}
-
-impl CompiledKernel for PreparedKernel {
-    fn name(&self) -> &str {
-        PreparedKernel::name(self)
-    }
-
-    fn params(&self) -> &[Type] {
-        PreparedKernel::params(self)
-    }
-
-    fn execute(
-        &self,
-        gpu: &mut Gpu,
-        cfg: &LaunchConfig,
-        args: &[KernelArg],
-    ) -> Result<KernelStats, SimError> {
-        gpu.launch_prepared(self, cfg, args)
-    }
-}
-
-struct BytecodeBackend;
-
-impl Backend for BytecodeBackend {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Bytecode
-    }
-
-    fn compile(&self, func: &Function) -> Box<dyn CompiledKernel> {
-        Box::new(BytecodeKernel::new(func))
-    }
-}
-
-impl CompiledKernel for BytecodeKernel {
-    fn name(&self) -> &str {
-        BytecodeKernel::name(self)
-    }
-
-    fn params(&self) -> &[Type] {
-        BytecodeKernel::params(self)
-    }
-
-    fn execute(
-        &self,
-        gpu: &mut Gpu,
-        cfg: &LaunchConfig,
-        args: &[KernelArg],
-    ) -> Result<KernelStats, SimError> {
-        gpu.launch_bytecode(self, cfg, args)
     }
 }
 
@@ -231,9 +55,8 @@ mod tests {
     fn names_round_trip() {
         for k in BackendKind::ALL {
             assert_eq!(BackendKind::parse(k.name()), Some(k));
-            assert_eq!(k.backend().kind(), k);
             assert_eq!(format!("{k}"), k.name());
         }
-        assert_eq!(BackendKind::parse("jit"), None);
+        assert_eq!(BackendKind::parse("prepared"), None);
     }
 }

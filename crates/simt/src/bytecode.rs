@@ -1,13 +1,12 @@
 //! Flat register bytecode: [`BytecodeKernel`].
 //!
-//! The decoded tier ([`PreparedKernel`]) already resolves operands to
-//! register slots, but its execute loop still pays per instruction for
-//! work that can be finished at compile time: an ~80-byte `DInst` copy, a
-//! three-way `DOperand` match per operand per lane, a second opcode
+//! The decoded records (`crate::decoded`) resolve operands to register
+//! slots, but executing them directly would still pay per instruction for
+//! work that can be finished at compile time: an ~80-byte record copy, a
+//! three-way operand-kind match per operand per lane, a second opcode
 //! match in the charge model, and a reconvergence-stack writeback. This
-//! module lowers a `PreparedKernel` once more, into a shape where the
-//! execute loop (`exec_bc`) does nothing per op but index flat
-//! arrays:
+//! module lowers them once more, into a shape where the execute loop
+//! (`exec_bc`) does nothing per op but index flat arrays:
 //!
 //! * **fixed-width ops** (`Op`) carrying pre-resolved register slots
 //!   only — dispatch is a single `match` on a dense discriminant;
@@ -26,7 +25,7 @@
 //!   per-lane register round-trip, again with unfused-identical charging;
 //! * **fused φ-resolution**: per-(block, predecessor) edge tables of
 //!   register-to-register moves (`PhiEdge`), applied per predecessor
-//!   *bucket* of lanes at block entry — replacing the per-φ, per-lane
+//!   *bucket* of lanes at block entry — replacing a per-φ, per-lane
 //!   linear search over incoming lists;
 //! * **block-fallthrough elimination**: every `jump`/`br` target carries
 //!   the pre-computed op index to resume at (`BcBlock::entry_pc`), so
@@ -34,11 +33,12 @@
 //!   no stack traffic (the `jump` itself is still charged — the cycle
 //!   model is untouched).
 //!
-//! The lowering preserves the decoded tier's semantics bit-for-bit:
-//! identical buffer contents, identical [`crate::KernelStats`], identical
-//! [`crate::SimError`] values (including error ordering relative to
-//! instruction-budget exhaustion and partial buffer writes). The
-//! differential suites in `tests/` hold all three tiers to that contract.
+//! The lowering preserves the reference interpreter's semantics
+//! bit-for-bit: identical buffer contents, identical
+//! [`crate::KernelStats`], identical [`crate::SimError`] values (including
+//! error ordering relative to instruction-budget exhaustion and partial
+//! buffer writes). The differential suites in `tests/` hold the engine to
+//! that contract against [`crate::reference`].
 
 use crate::decoded::{DOperand, PreparedKernel, BLOCK_ENTRY, NO_BLOCK, NO_DST};
 use crate::mem::RawVal;
@@ -289,23 +289,21 @@ pub(crate) struct PhiEdge {
     pub m_end: u32,
     /// False if some φ of the block has no incoming for `pred` (invalid
     /// SSA input — executing the edge is the same runtime error the
-    /// decoded tier raises).
+    /// reference interpreter raises).
     pub complete: bool,
 }
 
-/// A kernel lowered to the flat register bytecode — the fastest execution
-/// tier, run by [`crate::Gpu::launch_bytecode`].
+/// A kernel lowered to the flat register bytecode, run by
+/// [`crate::Gpu::launch_bytecode`].
 ///
-/// Compiles from a [`Function`] (via [`BytecodeKernel::new`]) or from an
-/// existing [`PreparedKernel`] (via [`BytecodeKernel::from_prepared`]);
-/// borrows nothing, so compile once and launch any number of times. See
-/// the [module docs](self) for what the lowering does and the
-/// [`crate::backend`] module for the backend contract it satisfies.
+/// Compiles from a [`Function`] via [`BytecodeKernel::new`]; borrows
+/// nothing, so compile once and launch any number of times, from any
+/// geometry. See the [module docs](self) for what the lowering does.
 #[derive(Debug, Clone)]
 pub struct BytecodeKernel {
     pub(crate) name: String,
     pub(crate) params: Vec<Type>,
-    /// Register-file slots per thread: the decoded tier's dense result
+    /// Register-file slots per thread: the decoder's dense result
     /// slots first, then the materialized constant/parameter slots.
     pub(crate) n_slots: u32,
     /// Count of the program-writable slot prefix (`[0, program_slots)`).
@@ -329,7 +327,8 @@ pub struct BytecodeKernel {
     pub(crate) phi_moves: Vec<(u32, u32)>,
     /// `(block, φ ordinal, pred)` triples for φs that lack an incoming for
     /// a CFG predecessor. Almost always empty; consulted only on the error
-    /// path to reproduce the decoded engine's exact φ-major error order.
+    /// path to reproduce the reference interpreter's exact φ-major error
+    /// order.
     pub(crate) phi_missing: Vec<(u32, u32, u32)>,
     /// Block labels, for diagnostics only.
     pub(crate) block_names: Vec<String>,
@@ -356,8 +355,8 @@ fn imm_bits(v: RawVal) -> (u8, u64) {
     }
 }
 
-/// Allocates constant/parameter register slots above the decoded tier's
-/// dense result slots.
+/// Allocates constant/parameter register slots above the decoder's dense
+/// result slots.
 struct SlotAlloc {
     n_slots: u32,
     consts: Vec<(u32, RawVal)>,
@@ -392,13 +391,13 @@ impl SlotAlloc {
 }
 
 impl BytecodeKernel {
-    /// Compiles `func` down both tiers: decode, then bytecode lowering.
+    /// Compiles `func`: decode, then bytecode lowering.
     pub fn new(func: &Function) -> BytecodeKernel {
         BytecodeKernel::from_prepared(&PreparedKernel::new(func))
     }
 
-    /// Lowers an already-decoded kernel to bytecode.
-    pub fn from_prepared(pk: &PreparedKernel) -> BytecodeKernel {
+    /// Lowers a decoded kernel to bytecode.
+    fn from_prepared(pk: &PreparedKernel) -> BytecodeKernel {
         let mut alloc = SlotAlloc {
             n_slots: pk.n_slots,
             consts: Vec::new(),
@@ -865,7 +864,7 @@ mod tests {
         let pk = PreparedKernel::new(&f);
         let bk = BytecodeKernel::from_prepared(&pk);
         // 6 result slots + consts {4, 2, 5} + param 0.
-        assert_eq!(bk.register_slots(), pk.register_slots() + 4);
+        assert_eq!(bk.register_slots(), pk.n_slots as usize + 4);
         assert_eq!(bk.consts.len(), 3);
         assert_eq!(bk.param_slots.len(), 1);
     }

@@ -1,19 +1,14 @@
-//! Pre-decoded kernel representation: [`PreparedKernel`].
+//! Pre-decoded kernel representation: [`PreparedKernel`], the lowering
+//! input of [`crate::BytecodeKernel`].
 //!
-//! [`crate::Gpu::launch`] re-derived everything it needed from the
-//! [`Function`] arena on every launch — and the hot loop paid for it on
-//! every *instruction*: an `insts_of(..).to_vec()` per block execution, an
-//! `InstData::clone()` (three heap allocations) per executed instruction,
-//! an operand `Vec` collect per lane, and a linear `phi_value_for` scan per
-//! φ per lane. `PreparedKernel` performs all of that work once, ahead of
-//! time, and lowers the function into flat arrays the interpreter can walk
-//! with nothing but integer indexing:
+//! Decoding resolves everything the [`Function`] arena leaves symbolic, once
+//! per kernel, into flat arrays the bytecode lowering walks with nothing
+//! but integer indexing:
 //!
 //! * one dense `DInst` record per live instruction, grouped by block,
 //!   with operands pre-resolved to register slots / immediates / parameter
-//!   indices (no `Value` matching at runtime);
-//! * per-block instruction ranges plus a φ table keyed by predecessor, so
-//!   block entry is a table walk instead of a `take_while` + linear scan;
+//!   indices (no `Value` matching later);
+//! * per-block instruction ranges plus a φ table keyed by predecessor;
 //! * result slots renumbered densely, so the per-thread register file is
 //!   exactly as large as the number of live results (tombstoned arena
 //!   entries cost nothing);
@@ -21,10 +16,6 @@
 //!   [`PostDomTree`] and the IPDOM of every block — collapsed into one
 //!   `Option<u32>` per block;
 //! * the shared-memory arena layout.
-//!
-//! A `PreparedKernel` borrows nothing: prepare once, launch any number of
-//! times (also across different launch geometries) via
-//! [`crate::Gpu::launch_prepared`].
 
 use crate::mem::RawVal;
 use darm_analysis::{Cfg, PostDomTree};
@@ -51,7 +42,7 @@ pub(crate) enum DOperand {
 /// One decoded instruction.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct DInst {
-    /// Opcode (dispatched on once per *warp* instruction, not per lane).
+    /// Opcode.
     pub opcode: Opcode,
     /// Result type.
     pub ty: Type,
@@ -66,10 +57,9 @@ pub(crate) struct DInst {
     /// Opcode-specific immediate: GEP element size in bytes, or the shared
     /// arena byte offset for `SharedBase`.
     pub aux: u64,
-    /// For `Br` whose condition is a register: the condition's slot,
-    /// pre-resolved at decode time so the execute loops read it directly
-    /// instead of re-matching `ops[0]` per lane. [`NO_DST`] for every other
-    /// opcode and for lane-invariant (constant/parameter) conditions.
+    /// For `Br` whose condition is a register: the condition's slot.
+    /// [`NO_DST`] for every other opcode and for lane-invariant
+    /// (constant/parameter) conditions.
     pub cond_slot: u32,
 }
 
@@ -96,15 +86,10 @@ pub(crate) struct DBlock {
     pub ipdom: u32,
 }
 
-/// A kernel lowered once into the interpreter's flat execution format.
-///
-/// Build with [`PreparedKernel::new`] and run
-/// with [`crate::Gpu::launch_prepared`]; the decode cost and the control
-/// flow analyses (CFG + post-dominator tree) are paid once and reused
-/// across launches. [`crate::Gpu::launch`] is a convenience wrapper that
-/// prepares on every call.
+/// A kernel decoded into flat records, with the control-flow analyses
+/// (CFG + post-dominator tree) already folded into per-block IPDOMs.
 #[derive(Debug, Clone)]
-pub struct PreparedKernel {
+pub(crate) struct PreparedKernel {
     pub(crate) name: String,
     pub(crate) params: Vec<Type>,
     /// Dense register file size per thread.
@@ -127,7 +112,7 @@ impl PreparedKernel {
     /// The function must be structurally valid (see
     /// [`Function::verify_structure`]); decoding panics on dangling
     /// references, like the arena accessors themselves do.
-    pub fn new(func: &Function) -> PreparedKernel {
+    pub(crate) fn new(func: &Function) -> PreparedKernel {
         let cfg = Cfg::new(func);
         let pdt = PostDomTree::new(func, &cfg);
 
@@ -255,35 +240,6 @@ impl PreparedKernel {
         }
         pk
     }
-
-    /// The kernel's name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Parameter types of the kernel signature.
-    pub fn params(&self) -> &[Type] {
-        &self.params
-    }
-
-    /// Number of decoded (live, non-φ) instructions plus φ definitions —
-    /// a code-size metric for reporting.
-    pub fn decoded_inst_count(&self) -> usize {
-        self.insts.len() + self.phis.len()
-    }
-
-    /// Per-thread register file size in slots.
-    pub fn register_slots(&self) -> usize {
-        self.n_slots as usize
-    }
-
-    pub(crate) fn block_name(&self, dense: u32) -> &str {
-        if dense == NO_BLOCK {
-            "<none>"
-        } else {
-            &self.block_names[dense as usize]
-        }
-    }
 }
 
 #[cfg(test)]
@@ -321,7 +277,7 @@ mod tests {
         let f = diamond();
         let pk = PreparedKernel::new(&f);
         assert_eq!(pk.blocks.len(), 4);
-        assert_eq!(pk.name(), "d");
+        assert_eq!(pk.name, "d");
         // entry: tid, icmp, br → 3 records, 2 slots
         let entry = pk.blocks[pk.entry as usize];
         assert_eq!(entry.end - entry.first, 3);
@@ -343,8 +299,8 @@ mod tests {
         let f = diamond();
         let pk = PreparedKernel::new(&f);
         // tid, icmp, mul, add, φ, gep → 6 value-producing instructions.
-        assert_eq!(pk.register_slots(), 6);
-        assert!(pk.register_slots() < f.inst_capacity() + 1);
+        assert_eq!(pk.n_slots, 6);
+        assert!((pk.n_slots as usize) < f.inst_capacity() + 1);
     }
 
     #[test]

@@ -1,28 +1,17 @@
-//! The SIMT interpreter: lockstep warp execution with IPDOM reconvergence.
+//! The simulated GPU: launch arguments, errors, global-memory buffers, and
+//! the launch entry points.
 //!
-//! Execution is split into two phases:
-//!
-//! 1. **decode** — [`PreparedKernel::new`] lowers a [`Function`] into flat
-//!    instruction records with pre-resolved operand slots, per-block
-//!    instruction ranges, φ tables keyed by predecessor, and a cached IPDOM
-//!    map (see [`crate::decoded`]);
-//! 2. **execute** — the engine below walks the decoded arrays with a
-//!    per-warp reconvergence stack. Opcode dispatch happens once per *warp*
-//!    instruction; every handler then iterates the active-mask bits, so the
-//!    per-lane work is just operand loads from a flat, lane-major register
-//!    file and the arithmetic itself.
-//!
-//! [`Gpu::launch`] prepares and executes in one call; [`PreparedKernel::new`] +
-//! [`Gpu::launch_prepared`] let callers amortize the decode across many
-//! launches. [`Gpu::launch_reference`] runs the original arena-walking
-//! interpreter ([`crate::reference`]) for differential testing.
+//! [`Gpu`] owns the buffers and hands each launch to one of the two
+//! execution paths — the bytecode engine (`exec_bc`, behind
+//! [`Gpu::launch`] / [`Gpu::launch_bytecode`]) or the per-lane oracle
+//! ([`crate::reference`], behind [`Gpu::launch_reference`]). The per-opcode
+//! value semantics (`*_eval`), the typed memory accessors and the
+//! reconvergence-stack records the bytecode engine runs on live here too.
 
-use crate::decoded::{DInst, DOperand, PreparedKernel, BLOCK_ENTRY, NO_BLOCK, NO_DST};
-use crate::mem::{decode, encode_global, encode_shared, BufferId, ByteStore, RawVal};
+use crate::mem::{decode, encode_global, BufferId, ByteStore, RawVal};
 use crate::stats::KernelStats;
-use crate::timing::{dinst_deps, TimingState};
-use crate::{reference, GpuConfig, LaunchConfig};
-use darm_ir::{Dim, Function, Opcode, Type};
+use crate::{reference, BackendKind, BytecodeKernel, GpuConfig, LaunchConfig};
+use darm_ir::{Function, Opcode, Type};
 use std::error::Error;
 use std::fmt;
 
@@ -80,7 +69,7 @@ impl fmt::Display for SimError {
 impl Error for SimError {}
 
 /// Validates launch arguments against a kernel signature and converts them
-/// to runtime values. Shared by the decoded and reference engines.
+/// to runtime values. Shared by the bytecode and reference engines.
 pub(crate) fn validate_args(
     kernel_name: &str,
     params: &[Type],
@@ -191,11 +180,11 @@ impl Gpu {
         }
     }
 
-    /// Launches `func` over the given geometry.
+    /// Launches `func` over the given geometry on the bytecode engine.
     ///
-    /// Convenience wrapper that decodes on every call; build a
-    /// [`PreparedKernel`] once and use [`Gpu::launch_prepared`] to amortize
-    /// the decode.
+    /// Convenience wrapper that lowers on every call; build a
+    /// [`BytecodeKernel`] once and use [`Gpu::launch_bytecode`] to amortize
+    /// the lowering.
     ///
     /// # Errors
     ///
@@ -207,71 +196,11 @@ impl Gpu {
         cfg: &LaunchConfig,
         args: &[KernelArg],
     ) -> Result<KernelStats, SimError> {
-        let pk = PreparedKernel::new(func);
-        self.launch_prepared(&pk, cfg, args)
-    }
-
-    /// Launches an already-decoded kernel.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Gpu::launch`].
-    pub fn launch_prepared(
-        &mut self,
-        pk: &PreparedKernel,
-        cfg: &LaunchConfig,
-        args: &[KernelArg],
-    ) -> Result<KernelStats, SimError> {
-        let arg_vals = validate_args(&pk.name, &pk.params, args, self.buffers.len())?;
-        let mut stats = KernelStats {
-            warp_size: self.config.warp_size,
-            ..Default::default()
-        };
-        let mut budget = self.config.max_warp_instructions;
-        let threads = cfg.threads_per_block() as usize;
-        // Timing observer, allocated only when enabled — the engines see
-        // `None` otherwise and pay one predictable branch per charge.
-        let mut timing = self.config.timing.enabled.then(|| {
-            let n_warps = cfg.threads_per_block().div_ceil(self.config.warp_size) as usize;
-            TimingState::new(self.config.timing, n_warps, pk.n_slots as usize)
-        });
-        // One flat lane-major register file, reused (re-cleared) per block.
-        let mut regs = vec![RawVal::Undef; threads * pk.n_slots as usize];
-        for by in 0..cfg.grid.1 {
-            for bx in 0..cfg.grid.0 {
-                regs.fill(RawVal::Undef);
-                let mut engine = Engine {
-                    buffers: &mut self.buffers,
-                    warp_size: self.config.warp_size,
-                    pk,
-                    launch: cfg,
-                    args: &arg_vals,
-                    block_idx: (bx, by),
-                    shared: ByteStore::with_len(pk.shared_size as usize),
-                    stats: KernelStats {
-                        warp_size: self.config.warp_size,
-                        ..Default::default()
-                    },
-                    budget: &mut budget,
-                    n_slots: pk.n_slots as usize,
-                    phi_stage: Vec::new(),
-                    lane_addrs: Vec::new(),
-                    scratch: Vec::new(),
-                    timing: timing.as_mut(),
-                };
-                engine.run(&mut regs)?;
-                let mut s = engine.stats;
-                if let Some(t) = timing.as_mut() {
-                    t.flush_block(&mut s);
-                }
-                stats.merge(&s);
-            }
-        }
-        Ok(stats)
+        self.launch_bytecode(&BytecodeKernel::new(func), cfg, args)
     }
 
     /// Launches `func` with the original per-lane reference interpreter
-    /// ([`crate::reference`]) — the semantic baseline the decoded engine is
+    /// ([`crate::reference`]) — the oracle the bytecode engine is
     /// differentially tested against.
     ///
     /// # Errors
@@ -286,63 +215,51 @@ impl Gpu {
         reference::launch(&mut self.buffers, &self.config, func, cfg, args)
     }
 
-    /// Launches a kernel lowered to the flat register bytecode
-    /// ([`crate::BytecodeKernel`]) — the fastest execution tier, bit-identical
-    /// to the other two.
+    /// Launches a kernel already lowered to the flat register bytecode
+    /// ([`BytecodeKernel`]) — bit-identical to the reference interpreter.
     ///
     /// # Errors
     ///
     /// Same conditions as [`Gpu::launch`].
     pub fn launch_bytecode(
         &mut self,
-        bk: &crate::BytecodeKernel,
+        bk: &BytecodeKernel,
         cfg: &LaunchConfig,
         args: &[KernelArg],
     ) -> Result<KernelStats, SimError> {
         crate::exec_bc::launch(&mut self.buffers, &self.config, bk, cfg, args)
     }
 
-    /// Compiles and launches `func` on the chosen execution backend.
-    ///
-    /// All three backends are bit-identical in buffers, stats, and errors;
-    /// they differ only in throughput. Compilation is *not* amortized —
-    /// callers launching repeatedly should compile once via
-    /// [`crate::BackendKind::backend`] / [`crate::Backend::compile`] (or the
-    /// concrete [`PreparedKernel::new`] / [`crate::BytecodeKernel::new`])
-    /// and reuse the compiled kernel.
+    /// Launches `func` on the chosen execution path. Both are bit-identical
+    /// in buffers, stats, and errors; they differ only in throughput (and
+    /// the reference interpreter reports no `sim_*` timing fields).
     ///
     /// # Errors
     ///
     /// Same conditions as [`Gpu::launch`].
     pub fn launch_with(
         &mut self,
-        kind: crate::BackendKind,
+        kind: BackendKind,
         func: &Function,
         cfg: &LaunchConfig,
         args: &[KernelArg],
     ) -> Result<KernelStats, SimError> {
         match kind {
-            crate::BackendKind::Reference => self.launch_reference(func, cfg, args),
-            crate::BackendKind::Prepared => self.launch(func, cfg, args),
-            crate::BackendKind::Bytecode => {
-                let bk = crate::BytecodeKernel::new(func);
-                self.launch_bytecode(&bk, cfg, args)
-            }
+            BackendKind::Reference => self.launch_reference(func, cfg, args),
+            BackendKind::Bytecode => self.launch(func, cfg, args),
         }
     }
 }
 
-/// One IPDOM reconvergence-stack entry. Shared by the decoded and bytecode
-/// engines (`inst_idx` indexes [`PreparedKernel::insts`] for the former and
-/// the flat bytecode stream for the latter).
+/// One IPDOM reconvergence-stack entry of the bytecode engine.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct StackEntry {
     /// Dense block index.
     pub block: u32,
-    /// Absolute instruction/op index, or [`BLOCK_ENTRY`] when the block's φ
-    /// batch has not run yet.
+    /// Absolute op index, or [`crate::decoded::BLOCK_ENTRY`] when the
+    /// block's φ batch has not run yet.
     pub inst_idx: u32,
-    /// Reconvergence block (dense), or [`NO_BLOCK`].
+    /// Reconvergence block (dense), or [`crate::decoded::NO_BLOCK`].
     pub rpc: u32,
     pub mask: u64,
 }
@@ -360,40 +277,6 @@ pub(crate) struct WarpState {
     pub prev: Vec<u32>,
     pub status: WarpStatus,
     pub base_thread: u32,
-}
-
-/// Per-thread-block execution state for the decoded engine.
-struct Engine<'a> {
-    buffers: &'a mut Vec<ByteStore>,
-    warp_size: u32,
-    pk: &'a PreparedKernel,
-    launch: &'a LaunchConfig,
-    args: &'a [RawVal],
-    block_idx: (u32, u32),
-    shared: ByteStore,
-    stats: KernelStats,
-    budget: &'a mut u64,
-    n_slots: usize,
-    /// Scratch for the atomic φ batch: `(thread, slot, value)`.
-    phi_stage: Vec<(u32, u32, RawVal)>,
-    /// Scratch for per-lane memory addresses of the current instruction.
-    lane_addrs: Vec<u64>,
-    /// Scratch for the coalescing / bank-conflict model.
-    scratch: Vec<u64>,
-    /// Cycle-level timing observer ([`crate::timing`]); `None` unless
-    /// [`crate::TimingConfig::enabled`] — pure observation either way.
-    timing: Option<&'a mut TimingState>,
-}
-
-/// Resolves a pre-decoded operand for one lane. `lane_base` is the lane's
-/// offset into the flat register file.
-#[inline(always)]
-fn resolve(op: DOperand, regs: &[RawVal], lane_base: usize, args: &[RawVal]) -> RawVal {
-    match op {
-        DOperand::Reg(s) => regs[lane_base + s as usize],
-        DOperand::Param(i) => args[i as usize],
-        DOperand::Imm(v) => v,
-    }
 }
 
 /// The seed interpreter's integer-binop semantics: well-typed pairs compute,
@@ -424,9 +307,7 @@ pub(crate) fn un_f(a: RawVal, f: impl Fn(f32) -> f32) -> RawVal {
     }
 }
 
-// The per-opcode value semantics below are shared verbatim by the decoded
-// engine (`exec_plain`) and the bytecode engine (`crate::exec_bc`), so the
-// two tiers cannot drift apart.
+// The per-opcode value semantics of the bytecode engine (`crate::exec_bc`).
 
 #[inline(always)]
 pub(crate) fn icmp_eval(pred: darm_ir::IcmpPred, a: RawVal, b: RawVal) -> RawVal {
@@ -607,8 +488,8 @@ pub(crate) fn gep_eval(elem_size: u64, base: RawVal, idx: RawVal) -> RawVal {
     }
 }
 
-/// Typed read from a global buffer or the block's shared arena. Shared by
-/// both engines (the reference interpreter keeps its own copy).
+/// Typed read from a global buffer or the block's shared arena (the
+/// reference interpreter keeps its own copy).
 #[inline(always)]
 pub(crate) fn mem_read_at(
     buffers: &[ByteStore],
@@ -650,569 +531,3 @@ pub(crate) fn mem_write_at(
         SimError::OutOfBounds(format!("write at offset {off} (len {})", store.len()))
     })
 }
-
-impl<'a> Engine<'a> {
-    #[allow(clippy::needless_range_loop)] // indexing sidesteps a double &mut borrow
-    fn run(&mut self, regs: &mut [RawVal]) -> Result<(), SimError> {
-        let threads = self.launch.threads_per_block();
-        let ws = self.warp_size;
-        let n_warps = threads.div_ceil(ws);
-
-        let mut warps: Vec<WarpState> = (0..n_warps)
-            .map(|w| {
-                let base = w * ws;
-                let lanes = ws.min(threads - base);
-                let mask = if lanes == 64 {
-                    u64::MAX
-                } else {
-                    (1u64 << lanes) - 1
-                };
-                WarpState {
-                    stack: vec![StackEntry {
-                        block: self.pk.entry,
-                        inst_idx: BLOCK_ENTRY,
-                        rpc: NO_BLOCK,
-                        mask,
-                    }],
-                    prev: vec![NO_BLOCK; ws as usize],
-                    status: WarpStatus::Running,
-                    base_thread: base,
-                }
-            })
-            .collect();
-
-        loop {
-            let mut any_running = false;
-            for w in 0..warps.len() {
-                if warps[w].status == WarpStatus::Running {
-                    any_running = true;
-                    self.run_warp(&mut warps[w], regs)?;
-                }
-            }
-            let done = warps
-                .iter()
-                .filter(|w| w.status == WarpStatus::Done)
-                .count();
-            let waiting = warps
-                .iter()
-                .filter(|w| w.status == WarpStatus::AtBarrier)
-                .count();
-            if done == warps.len() {
-                return Ok(());
-            }
-            if waiting > 0 && done + waiting == warps.len() {
-                if done > 0 {
-                    return Err(SimError::BarrierDeadlock(format!(
-                        "{done} warps finished while {waiting} wait at a barrier"
-                    )));
-                }
-                for w in &mut warps {
-                    w.status = WarpStatus::Running;
-                }
-                if let Some(t) = self.timing.as_deref_mut() {
-                    t.barrier_release();
-                }
-            } else if !any_running {
-                return Err(SimError::BarrierDeadlock("no runnable warps".to_string()));
-            }
-        }
-    }
-
-    /// Runs one warp until it finishes, reaches a barrier, or diverges into
-    /// a state handled on the next scheduler pass.
-    fn run_warp(&mut self, warp: &mut WarpState, regs: &mut [RawVal]) -> Result<(), SimError> {
-        let pk = self.pk;
-        let args = self.args;
-        let n = self.n_slots;
-        let w = (warp.base_thread / self.warp_size) as usize;
-        'outer: loop {
-            // Pop entries that already sit at their reconvergence point.
-            while let Some(top) = warp.stack.last() {
-                if top.block == top.rpc {
-                    warp.stack.pop();
-                    if let Some(t) = self.timing.as_deref_mut() {
-                        t.frame_pop(w);
-                    }
-                } else {
-                    break;
-                }
-            }
-            let Some(&top) = warp.stack.last() else {
-                warp.status = WarpStatus::Done;
-                return Ok(());
-            };
-            let blk = pk.blocks[top.block as usize];
-            let mut idx = top.inst_idx;
-
-            // Atomically evaluate the φ batch on block entry.
-            if idx == BLOCK_ENTRY {
-                if blk.phi_end > blk.phi_start {
-                    self.phi_stage.clear();
-                    for phi in &pk.phis[blk.phi_start as usize..blk.phi_end as usize] {
-                        let mut m = top.mask;
-                        while m != 0 {
-                            let lane = m.trailing_zeros();
-                            m &= m - 1;
-                            let thread = (warp.base_thread + lane) as usize;
-                            let pred = warp.prev[lane as usize];
-                            if pred == NO_BLOCK {
-                                return Err(SimError::UndefValue(format!(
-                                    "phi in block {} executed with no predecessor",
-                                    pk.block_name(top.block)
-                                )));
-                            }
-                            let incs =
-                                &pk.phi_incomings[phi.inc_start as usize..phi.inc_end as usize];
-                            let Some(&(_, op)) = incs.iter().find(|&&(p, _)| p == pred) else {
-                                return Err(SimError::UndefValue(format!(
-                                    "phi in {} has no incoming for predecessor {}",
-                                    pk.block_name(top.block),
-                                    pk.block_name(pred)
-                                )));
-                            };
-                            let raw = resolve(op, regs, thread * n, args);
-                            self.phi_stage.push((thread as u32, phi.dst, raw));
-                        }
-                    }
-                    for &(thread, slot, raw) in &self.phi_stage {
-                        regs[thread as usize * n + slot as usize] = raw;
-                    }
-                    // Timing: a φ becomes ready at the max readiness of the
-                    // sources that actually flowed in (loop-carried deps),
-                    // but costs nothing. Separate pass so the hot path above
-                    // stays untouched when timing is off; the incoming
-                    // lookups were validated there, so `find` cannot fail.
-                    if let Some(t) = self.timing.as_deref_mut() {
-                        t.phi_begin();
-                        for phi in &pk.phis[blk.phi_start as usize..blk.phi_end as usize] {
-                            let mut ready = 0u64;
-                            let mut m = top.mask;
-                            while m != 0 {
-                                let lane = m.trailing_zeros();
-                                m &= m - 1;
-                                let pred = warp.prev[lane as usize];
-                                let incs =
-                                    &pk.phi_incomings[phi.inc_start as usize..phi.inc_end as usize];
-                                if let Some(&(_, DOperand::Reg(s))) =
-                                    incs.iter().find(|&&(p, _)| p == pred)
-                                {
-                                    ready = ready.max(t.reg_ready(w, s));
-                                }
-                            }
-                            t.phi_stage(phi.dst, ready);
-                        }
-                        t.phi_commit(w);
-                    }
-                }
-                idx = blk.first;
-            }
-
-            while idx < blk.end {
-                let inst = pk.insts[idx as usize];
-                match inst.opcode {
-                    Opcode::Ret | Opcode::Jump | Opcode::Br => {
-                        self.charge(&inst, top.mask, w);
-                        // Record per-lane provenance before leaving the block.
-                        let mut m = top.mask;
-                        while m != 0 {
-                            let lane = m.trailing_zeros();
-                            m &= m - 1;
-                            warp.prev[lane as usize] = top.block;
-                        }
-                        match inst.opcode {
-                            Opcode::Ret => {
-                                warp.stack.pop();
-                                if let Some(t) = self.timing.as_deref_mut() {
-                                    t.frame_pop(w);
-                                }
-                                continue 'outer;
-                            }
-                            Opcode::Jump => {
-                                if transition(warp, inst.succs[0]) {
-                                    if let Some(t) = self.timing.as_deref_mut() {
-                                        t.frame_pop(w);
-                                    }
-                                }
-                                continue 'outer;
-                            }
-                            _ => {
-                                let mut m_true = 0u64;
-                                let mut m_false = 0u64;
-                                if inst.cond_slot != NO_DST {
-                                    // Condition slot pre-resolved at decode
-                                    // time: read the register file directly
-                                    // instead of re-matching the operand
-                                    // kind per lane.
-                                    let s = inst.cond_slot as usize;
-                                    let mut m = top.mask;
-                                    while m != 0 {
-                                        let lane = m.trailing_zeros();
-                                        m &= m - 1;
-                                        let thread = (warp.base_thread + lane) as usize;
-                                        match regs[thread * n + s] {
-                                            RawVal::I1(true) => m_true |= 1 << lane,
-                                            RawVal::I1(false) => m_false |= 1 << lane,
-                                            _ => {
-                                                return Err(SimError::UndefValue(format!(
-                                                    "branch condition in block {}",
-                                                    pk.block_name(top.block)
-                                                )))
-                                            }
-                                        }
-                                    }
-                                } else {
-                                    // Constant or parameter condition:
-                                    // lane-invariant, resolve once.
-                                    match resolve(inst.ops[0], regs, 0, args) {
-                                        RawVal::I1(true) => m_true = top.mask,
-                                        RawVal::I1(false) => m_false = top.mask,
-                                        _ => {
-                                            return Err(SimError::UndefValue(format!(
-                                                "branch condition in block {}",
-                                                pk.block_name(top.block)
-                                            )))
-                                        }
-                                    }
-                                }
-                                let (then_bb, else_bb) = (inst.succs[0], inst.succs[1]);
-                                if m_false == 0 || m_true == 0 {
-                                    let target = if m_false == 0 { then_bb } else { else_bb };
-                                    if transition(warp, target) {
-                                        if let Some(t) = self.timing.as_deref_mut() {
-                                            t.frame_pop(w);
-                                        }
-                                    }
-                                } else {
-                                    let rpc = blk.ipdom;
-                                    if rpc == NO_BLOCK {
-                                        return Err(SimError::MissingIpdom(
-                                            pk.block_name(top.block).to_string(),
-                                        ));
-                                    }
-                                    let cur = warp.stack.last_mut().expect("entry exists");
-                                    cur.block = rpc;
-                                    cur.inst_idx = BLOCK_ENTRY;
-                                    warp.stack.push(StackEntry {
-                                        block: else_bb,
-                                        inst_idx: BLOCK_ENTRY,
-                                        rpc,
-                                        mask: m_false,
-                                    });
-                                    warp.stack.push(StackEntry {
-                                        block: then_bb,
-                                        inst_idx: BLOCK_ENTRY,
-                                        rpc,
-                                        mask: m_true,
-                                    });
-                                    if let Some(t) = self.timing.as_deref_mut() {
-                                        t.diverge(w, rpc);
-                                    }
-                                }
-                                continue 'outer;
-                            }
-                        }
-                    }
-                    Opcode::Syncthreads => {
-                        self.stats.barriers += 1;
-                        self.stats.cycles += 1;
-                        if let Some(t) = self.timing.as_deref_mut() {
-                            t.barrier_issue(w);
-                        }
-                        let cur = warp.stack.last_mut().unwrap();
-                        cur.inst_idx = idx + 1;
-                        warp.status = WarpStatus::AtBarrier;
-                        return Ok(());
-                    }
-                    _ => {
-                        self.lane_addrs.clear();
-                        self.exec_plain(&inst, top.mask, warp.base_thread, regs)?;
-                        self.charge(&inst, top.mask, w);
-                        if *self.budget == 0 {
-                            return Err(SimError::StepLimit);
-                        }
-                        *self.budget -= 1;
-                        idx += 1;
-                        warp.stack.last_mut().unwrap().inst_idx = idx;
-                    }
-                }
-            }
-            // A block must end in a terminator; verify_structure guarantees it.
-            unreachable!("fell off the end of block {}", pk.block_name(top.block));
-        }
-    }
-
-    /// Executes one plain (non-control, non-warp-wide) instruction for all
-    /// active lanes: opcode dispatched once, lanes iterated inside.
-    fn exec_plain(
-        &mut self,
-        inst: &DInst,
-        mask: u64,
-        base_thread: u32,
-        regs: &mut [RawVal],
-    ) -> Result<(), SimError> {
-        use Opcode::*;
-        let n = self.n_slots;
-        let args = self.args;
-        let dst = inst.dst as usize;
-        let [op0, op1, op2] = inst.ops;
-
-        // Iterates the active lanes, binding the lane's register-file base.
-        macro_rules! lanes {
-            (|$lb:ident| $body:expr) => {{
-                let mut m = mask;
-                while m != 0 {
-                    let lane = m.trailing_zeros();
-                    m &= m - 1;
-                    let $lb = (base_thread + lane) as usize * n;
-                    $body
-                }
-            }};
-            (|$lb:ident, $thread:ident| $body:expr) => {{
-                let mut m = mask;
-                while m != 0 {
-                    let lane = m.trailing_zeros();
-                    m &= m - 1;
-                    let $thread = (base_thread + lane) as usize;
-                    let $lb = $thread * n;
-                    $body
-                }
-            }};
-        }
-        macro_rules! map2 {
-            ($f:expr) => {
-                lanes!(|lb| {
-                    let a = resolve(op0, regs, lb, args);
-                    let b = resolve(op1, regs, lb, args);
-                    regs[lb + dst] = ($f)(a, b);
-                })
-            };
-        }
-        macro_rules! map1 {
-            ($f:expr) => {
-                lanes!(|lb| {
-                    let a = resolve(op0, regs, lb, args);
-                    regs[lb + dst] = ($f)(a);
-                })
-            };
-        }
-
-        match inst.opcode {
-            Add => map2!(|a, b| bin_i(a, b, |a, b| a.wrapping_add(b))),
-            Sub => map2!(|a, b| bin_i(a, b, |a, b| a.wrapping_sub(b))),
-            Mul => map2!(|a, b| bin_i(a, b, |a, b| a.wrapping_mul(b))),
-            And => map2!(|a, b| bin_i(a, b, |a, b| a & b)),
-            Or => map2!(|a, b| bin_i(a, b, |a, b| a | b)),
-            Xor => map2!(|a, b| bin_i(a, b, |a, b| a ^ b)),
-            SDiv | SRem | UDiv | URem => {
-                let opcode = inst.opcode;
-                let ty = inst.ty;
-                lanes!(|lb| {
-                    let x = resolve(op0, regs, lb, args);
-                    let y = resolve(op1, regs, lb, args);
-                    regs[lb + dst] = div_eval(opcode, ty, x, y)?;
-                });
-            }
-            Shl => map2!(shl_eval),
-            LShr => map2!(lshr_eval),
-            AShr => map2!(ashr_eval),
-            FAdd => map2!(|a, b| bin_f(a, b, |a, b| a + b)),
-            FSub => map2!(|a, b| bin_f(a, b, |a, b| a - b)),
-            FMul => map2!(|a, b| bin_f(a, b, |a, b| a * b)),
-            FDiv => map2!(|a, b| bin_f(a, b, |a, b| a / b)),
-            FSqrt => map1!(|a| un_f(a, f32::sqrt)),
-            FAbs => map1!(|a| un_f(a, f32::abs)),
-            FNeg => map1!(|a| un_f(a, |x| -x)),
-            FExp => map1!(|a| un_f(a, f32::exp)),
-            Icmp(pred) => map2!(|a, b| icmp_eval(pred, a, b)),
-            Fcmp(pred) => map2!(|a, b| fcmp_eval(pred, a, b)),
-            Select => {
-                lanes!(|lb| {
-                    let c = resolve(op0, regs, lb, args);
-                    let t = resolve(op1, regs, lb, args);
-                    let e = resolve(op2, regs, lb, args);
-                    regs[lb + dst] = select_eval(c, t, e);
-                });
-            }
-            Zext | Sext => {
-                let zext = inst.opcode == Zext;
-                let ty = inst.ty;
-                map1!(|a| zext_sext_eval(zext, ty, a));
-            }
-            Trunc => {
-                let ty = inst.ty;
-                map1!(|a| trunc_eval(ty, a));
-            }
-            SiToFp => map1!(sitofp_eval),
-            FpToSi => {
-                let ty = inst.ty;
-                map1!(|a| fptosi_eval(ty, a));
-            }
-            Gep { .. } => {
-                let elem_size = inst.aux;
-                map2!(|a, b| gep_eval(elem_size, a, b));
-            }
-            Load => {
-                let ty = inst.ty;
-                lanes!(|lb| {
-                    let RawVal::Ptr(addr) = resolve(op0, regs, lb, args) else {
-                        return Err(SimError::UndefValue("load address".into()));
-                    };
-                    self.lane_addrs.push(addr);
-                    regs[lb + dst] = self.mem_read(ty, addr)?;
-                });
-            }
-            Store => {
-                lanes!(|lb| {
-                    let v = resolve(op0, regs, lb, args);
-                    let RawVal::Ptr(addr) = resolve(op1, regs, lb, args) else {
-                        return Err(SimError::UndefValue("store address".into()));
-                    };
-                    if matches!(v, RawVal::Undef) {
-                        return Err(SimError::UndefValue("stored value".into()));
-                    }
-                    self.lane_addrs.push(addr);
-                    self.mem_write(addr, v)?;
-                });
-            }
-            ThreadIdx(d) => {
-                let bx = self.launch.block.0;
-                lanes!(|lb, thread| {
-                    let t = thread as u32;
-                    let (tx, ty) = (t % bx, t / bx);
-                    regs[lb + dst] = RawVal::I32(if d == Dim::X { tx } else { ty } as i32);
-                });
-            }
-            BlockIdx(d) => {
-                let v = RawVal::I32(if d == Dim::X {
-                    self.block_idx.0
-                } else {
-                    self.block_idx.1
-                } as i32);
-                lanes!(|lb| regs[lb + dst] = v);
-            }
-            BlockDim(d) => {
-                let v = RawVal::I32(if d == Dim::X {
-                    self.launch.block.0
-                } else {
-                    self.launch.block.1
-                } as i32);
-                lanes!(|lb| regs[lb + dst] = v);
-            }
-            GridDim(d) => {
-                let v = RawVal::I32(if d == Dim::X {
-                    self.launch.grid.0
-                } else {
-                    self.launch.grid.1
-                } as i32);
-                lanes!(|lb| regs[lb + dst] = v);
-            }
-            SharedBase(_) => {
-                let v = RawVal::Ptr(encode_shared(inst.aux));
-                lanes!(|lb| regs[lb + dst] = v);
-            }
-            Ballot => {
-                // The one warp-wide operation: all active lanes receive the
-                // mask of lanes whose predicate holds.
-                let mut ballot = 0u64;
-                {
-                    let mut m = mask;
-                    while m != 0 {
-                        let lane = m.trailing_zeros();
-                        m &= m - 1;
-                        let lb = (base_thread + lane) as usize * n;
-                        if let RawVal::I1(true) = resolve(op0, regs, lb, args) {
-                            ballot |= 1 << lane;
-                        }
-                    }
-                }
-                lanes!(|lb| regs[lb + dst] = RawVal::I64(ballot as i64));
-            }
-            Phi | Br | Jump | Ret | Syncthreads => {
-                unreachable!("handled by the warp loop")
-            }
-        }
-        Ok(())
-    }
-
-    fn mem_read(&self, ty: Type, addr: u64) -> Result<RawVal, SimError> {
-        mem_read_at(self.buffers, &self.shared, ty, addr)
-    }
-
-    fn mem_write(&mut self, addr: u64, v: RawVal) -> Result<(), SimError> {
-        mem_write_at(self.buffers, &mut self.shared, addr, v)
-    }
-
-    /// Charges cycles and updates counters for one warp-instruction issue,
-    /// reading per-lane memory addresses from `self.lane_addrs`. `w` is the
-    /// warp index within the block, for the timing observer.
-    fn charge(&mut self, inst: &DInst, mask: u64, w: usize) {
-        let active = mask.count_ones() as u64;
-        if active == 0 {
-            return;
-        }
-        self.stats.warp_instructions += 1;
-        self.stats.thread_instructions += active;
-        use Opcode::*;
-        match inst.opcode {
-            Load | Store => {
-                self.stats
-                    .charge_mem_access(&self.lane_addrs, &mut self.scratch);
-                if let Some(t) = self.timing.as_deref_mut() {
-                    let (dst, srcs) = dinst_deps(inst);
-                    t.mem_issue(
-                        w,
-                        active as u32,
-                        dst,
-                        srcs,
-                        0,
-                        &self.lane_addrs,
-                        &mut self.scratch,
-                    );
-                }
-            }
-            Phi | Syncthreads => {}
-            Br | Jump | Ret => {
-                self.stats.cycles += inst.latency;
-                if let Some(t) = self.timing.as_deref_mut() {
-                    // `Ret` takes no scoreboard inputs in the bytecode tier
-                    // (kernels are void); mirror that here for bit-equal
-                    // `sim_*` fields across tiers.
-                    let (dst, srcs) = if inst.opcode == Ret {
-                        (NO_DST, [NO_DST; 3])
-                    } else {
-                        dinst_deps(inst)
-                    };
-                    t.issue(w, active as u32, inst.latency, dst, srcs);
-                }
-            }
-            _ => {
-                self.stats.cycles += inst.latency;
-                self.stats.alu_issues += 1;
-                self.stats.alu_active_lanes += active;
-                if let Some(t) = self.timing.as_deref_mut() {
-                    let (dst, srcs) = dinst_deps(inst);
-                    t.issue(w, active as u32, inst.latency, dst, srcs);
-                }
-            }
-        }
-    }
-}
-
-/// Applies a control transfer for the warp's top-of-stack entry, popping it
-/// if the target is its reconvergence point. Returns whether it popped (the
-/// timing observer mirrors engine pops).
-pub(crate) fn transition(warp: &mut WarpState, target: u32) -> bool {
-    let top = warp.stack.last_mut().expect("entry exists");
-    if target == top.rpc {
-        warp.stack.pop();
-        true
-    } else {
-        top.block = target;
-        top.inst_idx = BLOCK_ENTRY;
-        false
-    }
-}
-
-// NO_DST is only ever consumed via `inst.dst as usize` on value-producing
-// opcodes, which the decoder guarantees have a real slot.
-const _: () = assert!(NO_DST == u32::MAX);

@@ -1,17 +1,16 @@
 //! Execute loop for the flat register bytecode ([`crate::BytecodeKernel`]).
 //!
-//! Same machine as [`crate::exec`] — lockstep warps, per-warp IPDOM
-//! reconvergence stack, one shared instruction budget — but the inner loop
-//! is a single `match` on a dense [`Op`](crate::bytecode::Op) discriminant
-//! per *warp* instruction:
+//! Same machine as the [`crate::reference`] interpreter — lockstep warps,
+//! per-warp IPDOM reconvergence stack, one shared instruction budget — but
+//! the inner loop is a single `match` on a dense
+//! [`Op`](crate::bytecode::Op) discriminant per *warp* instruction:
 //!
 //! * operands are plain register-file indices (constants and parameters
 //!   were materialized into dedicated slots at launch, so there is no
 //!   operand-kind dispatch and no argument-array indirection);
-//! * the register file is **slot-major** (`regs[slot * threads + thread]`),
-//!   unlike the decoded engine's lane-major file: one warp op then streams
-//!   through contiguous lanes of each operand, so the hot loop is
-//!   sequential loads/stores instead of `n_slots`-strided ones;
+//! * the register file is **slot-major** (`regs[slot * threads + thread]`):
+//!   one warp op streams through contiguous lanes of each operand, so the
+//!   hot loop is sequential loads/stores instead of `n_slots`-strided ones;
 //! * control transfers use the pre-patched resume pc on each op, so a
 //!   taken `jump`/`br` continues straight in the dispatch loop; the stack
 //!   is written only on divergence, reconvergence pops, and barriers —
@@ -27,9 +26,9 @@
 //!   phases, so a budget exhaustion still lands between the address
 //!   computation and the access.
 //!
-//! Value semantics are the `*_eval` helpers shared with the decoded engine
-//! (see [`crate::exec`]), so the tiers cannot drift apart; the
-//! differential tests hold buffers, stats, and errors bit-identical.
+//! Value semantics are the `*_eval` helpers in [`crate::exec`]; the
+//! differential tests hold buffers, stats, and errors bit-identical to the
+//! reference interpreter.
 
 use crate::bytecode::{BytecodeKernel, Op};
 use crate::decoded::{BLOCK_ENTRY, NO_BLOCK, NO_DST};
@@ -61,8 +60,8 @@ pub(crate) fn launch(
     };
     let mut budget = config.max_warp_instructions;
     let threads = cfg.threads_per_block() as usize;
-    // Timing observer, allocated only when enabled — mirrors the decoded
-    // engine so the `sim_*` fields stay bit-identical across tiers.
+    // Timing observer, allocated only when enabled — the engine sees `None`
+    // otherwise and pays one predictable branch per charge.
     let mut timing = config.timing.enabled.then(|| {
         let n_warps = cfg.threads_per_block().div_ceil(config.warp_size) as usize;
         TimingState::new(config.timing, n_warps, bk.n_slots as usize)
@@ -327,8 +326,7 @@ impl<'a> BcEngine<'a> {
                     lanes!(|i| regs[db + i] = ($f)(regs[ab + i]));
                 }};
             }
-            // Charge + budget + advance for a plain ALU-class op (mirrors
-            // the decoded engine's charge() default arm + budget sequence).
+            // Charge + budget + advance for a plain ALU-class op.
             // `$op` feeds the timing observer's scoreboard deps.
             macro_rules! charge_alu {
                 ($op:expr) => {{
@@ -378,8 +376,7 @@ impl<'a> BcEngine<'a> {
                     pc += 1;
                 }};
             }
-            // One control-flow warp instruction (`br`/`jump`/`ret`) — the
-            // decoded engine's charge() control arm.
+            // One control-flow warp instruction (`br`/`jump`/`ret`).
             macro_rules! charge_ctl {
                 ($op:expr) => {{
                     l_warp_insts += 1;
@@ -517,8 +514,8 @@ impl<'a> BcEngine<'a> {
                         // issue + one budget unit for the compare, one
                         // control issue for the branch, with the budget
                         // check between the two (StepLimit outranks the
-                        // undefined-condition error, as in the decoded
-                        // engine).
+                        // undefined-condition error, as in the reference
+                        // interpreter).
                         l_warp_insts += 2;
                         l_thread_insts += 2 * active;
                         l_cycles += bk.lats[pc as usize];
@@ -917,7 +914,7 @@ impl<'a> BcEngine<'a> {
 
     /// Pushes the divergent-branch stack frame: the current entry becomes
     /// the reconvergence continuation, then the else and then arms (then
-    /// on top, so it executes first) — identical to the decoded engine.
+    /// on top, so it executes first).
     fn diverge(
         &mut self,
         warp: &mut WarpState,
@@ -957,7 +954,7 @@ impl<'a> BcEngine<'a> {
     /// Resolves a block's φ batch for the active lanes: bucket lanes by
     /// predecessor, then apply each bucket's flat move list. Falls back to
     /// [`BcEngine::phi_error`] on any defect so the raised error matches
-    /// the decoded engine exactly.
+    /// the reference interpreter exactly.
     fn run_phis(
         &mut self,
         warp: &mut WarpState,
@@ -1070,7 +1067,7 @@ impl<'a> BcEngine<'a> {
         Ok(())
     }
 
-    /// Reconstructs the exact error the decoded engine raises for a
+    /// Reconstructs the exact error the reference interpreter raises for a
     /// defective φ batch, replicating its φ-major, lane-minor scan order
     /// (error path only — never taken by valid kernels).
     fn phi_error(&self, warp: &WarpState, block: u32, mask: u64) -> SimError {
@@ -1116,7 +1113,7 @@ impl<'a> BcEngine<'a> {
 
 #[cfg(test)]
 mod tests {
-    use crate::{BytecodeKernel, Gpu, GpuConfig, KernelArg, LaunchConfig, PreparedKernel};
+    use crate::{BytecodeKernel, Gpu, GpuConfig, KernelArg, LaunchConfig};
     use darm_ir::builder::FunctionBuilder;
     use darm_ir::{AddrSpace, Dim, Function, IcmpPred, Type};
 
@@ -1145,16 +1142,15 @@ mod tests {
     }
 
     #[test]
-    fn bytecode_matches_decoded_on_divergent_diamond() {
+    fn bytecode_matches_reference_on_divergent_diamond() {
         let f = diamond();
         let mut gpu_a = Gpu::new(GpuConfig::default());
         let mut gpu_b = Gpu::new(GpuConfig::default());
         let out_a = gpu_a.alloc_i32(&[0; 8]);
         let out_b = gpu_b.alloc_i32(&[0; 8]);
         let cfg = LaunchConfig::linear(1, 8);
-        let pk = PreparedKernel::new(&f);
-        let bk = BytecodeKernel::from_prepared(&pk);
-        let sa = gpu_a.launch_prepared(&pk, &cfg, &[KernelArg::Buffer(out_a)]);
+        let bk = BytecodeKernel::new(&f);
+        let sa = gpu_a.launch_reference(&f, &cfg, &[KernelArg::Buffer(out_a)]);
         let sb = gpu_b.launch_bytecode(&bk, &cfg, &[KernelArg::Buffer(out_b)]);
         assert_eq!(sa, sb);
         assert_eq!(gpu_a.read_i32(out_a), gpu_b.read_i32(out_b));

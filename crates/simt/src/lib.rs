@@ -21,63 +21,45 @@
 //! * rocprof-style counters are collected: total cycles, ALU utilization,
 //!   and vector/shared memory instruction counts (Figures 9–11).
 //!
-//! ## Four layers: reference → decoded → bytecode → timing observer
+//! ## Oracle, engine, timing observer
 //!
-//! The crate is organized as three bit-identical *execution* tiers plus
-//! one optional *observation* layer. Kernels lower through up to two
-//! compile tiers before execution:
+//! * **Oracle** — the seed per-lane, arena-walking interpreter
+//!   ([`reference`](mod@reference), behind [`Gpu::launch_reference`]).
+//!   Slow, simple, and what every differential suite compares against.
+//! * **Engine** — [`BytecodeKernel`] lowers a [`darm_ir::Function`] once
+//!   into a flat, fixed-width register bytecode: operands pre-resolved to
+//!   register slots (constants and parameters folded into dedicated slots,
+//!   so every operand read is a plain indexed load), an `icmp` feeding its
+//!   block's `br` fused into one compare-and-branch op, φ batches as
+//!   per-predecessor move tables, the IPDOM of every block cached, and
+//!   every branch target carrying its pre-computed resume pc. Its execute
+//!   loop ([`Gpu::launch_bytecode`]; [`Gpu::launch`] lowers and runs in
+//!   one call) is a single dense `match` per *warp* instruction. It is
+//!   **bit-identical** to the oracle in output buffers, [`KernelStats`]
+//!   and [`SimError`]s — the `bytecode_vs_reference` differential test
+//!   holds that on the full benchmark kernel suite, `prop_backends` over
+//!   random divergent CFGs — and ~8× faster (`interp_throughput`).
+//! * **Timing observer** — not an engine at all: [`timing`], enabled with
+//!   [`TimingConfig`] via [`GpuConfig::timing`], rides along inside the
+//!   bytecode engine and reconstructs a cycle-accurate per-warp timeline —
+//!   IPDOM reconvergence-stack pushes and pops,
+//!   `ceil(active/issue_width)` issue slots, function-unit latencies with
+//!   a register scoreboard, and an optional coalescing/bank-conflict
+//!   memory occupancy model — into the `sim_*` fields of [`KernelStats`].
+//!   It is a pure observer: switching it on changes no buffers, no base
+//!   counters, and no errors. (The oracle has no hook points and always
+//!   reports `sim_* = 0`.)
 //!
-//! 1. **decode** — [`PreparedKernel`] lowers a [`darm_ir::Function`] once
-//!    into flat arrays: dense instruction records with operands
-//!    pre-resolved to register slots / immediates / parameter indices,
-//!    per-block instruction ranges, φ tables keyed by predecessor block,
-//!    and the cached CFG/post-dominator facts (the IPDOM of every block)
-//!    that reconvergence needs. Its execute loop
-//!    ([`Gpu::launch_prepared`]) dispatches each opcode **once per warp
-//!    instruction**, iterating the active-mask lanes inside the handler —
-//!    instead of re-matching the opcode per lane against the IR arena the
-//!    way the seed interpreter did.
-//! 2. **bytecode** — [`BytecodeKernel`] lowers the decoded records once
-//!    more into a flat, fixed-width register bytecode: constants and
-//!    parameters are folded into dedicated register slots (so every
-//!    operand read is a plain indexed load), an `icmp` feeding its
-//!    block's `br` fuses into one compare-and-branch op, φ batches become
-//!    per-predecessor move tables, and every branch target carries its
-//!    pre-computed resume pc so taken control flow never touches the
-//!    reconvergence stack. Its execute loop ([`Gpu::launch_bytecode`]) is
-//!    a single dense `match` per warp instruction — the fastest tier.
+//! [`BackendKind`] names the oracle/engine choice as a value;
+//! [`Gpu::launch_with`] selects per launch and the `darm` CLI exposes the
+//! same choice as `--backend`.
 //!
-//! All tiers — the two above plus the retained seed interpreter
-//! ([`Gpu::launch_reference`]) — are **bit-identical** in output buffers,
-//! [`KernelStats`], and [`SimError`]s; they differ only in throughput.
-//!
-//! The fourth layer is not an engine at all: the **timing observer**
-//! ([`timing`], enabled with [`TimingConfig`] via [`GpuConfig::timing`])
-//! rides along inside the decoded and bytecode engines and reconstructs a
-//! cycle-accurate per-warp timeline — IPDOM reconvergence-stack pushes
-//! and pops, `ceil(active/issue_width)` issue slots, function-unit
-//! latencies with a register scoreboard, and an optional
-//! coalescing/bank-conflict memory occupancy model — into the `sim_*`
-//! fields of [`KernelStats`]. It is a pure observer: switching it on
-//! changes no buffers, no base counters, and no errors, and both engines
-//! fire the same hook sequence so the simulated cycles are themselves
-//! bit-identical across tiers. (The reference interpreter predates the
-//! hook points and always reports `sim_* = 0`; use either faster tier
-//! for timing runs.)
-//!
-//! The [`backend`] module packages the choice as [`BackendKind`] and the
-//! compile-then-execute shape as the [`Backend`] / [`CompiledKernel`]
-//! traits (lane-major register file `thread * n_slots + slot`,
-//! [`KernelStats`] as the shared stats sink) — the seam a future JIT tier
-//! plugs into; [`Gpu::launch_with`] selects a tier per launch and the
-//! `darm` CLI exposes the same choice as `--backend`.
-//!
-//! A `PreparedKernel` (and a `BytecodeKernel` — same API shape) borrows
-//! nothing, so the compile work — including the dominator analysis — is
-//! paid once per kernel and reused across launches and launch geometries:
+//! A [`BytecodeKernel`] borrows nothing, so the compile work — including
+//! the dominator analysis — is paid once per kernel and reused across
+//! launches and launch geometries:
 //!
 //! ```
-//! # use darm_simt::{Gpu, GpuConfig, LaunchConfig, KernelArg};
+//! # use darm_simt::{BytecodeKernel, Gpu, GpuConfig, LaunchConfig, KernelArg};
 //! # use darm_ir::{builder::FunctionBuilder, Function, Type, AddrSpace, Dim};
 //! # let mut f = Function::new("id", vec![Type::Ptr(AddrSpace::Global)], Type::Void);
 //! # let e = f.entry();
@@ -87,21 +69,13 @@
 //! # b.store(tid, p);
 //! # b.ret(None);
 //! let mut gpu = Gpu::new(GpuConfig::default());
-//! let kernel = darm_simt::PreparedKernel::new(&f); // decode once ...
+//! let kernel = BytecodeKernel::new(&f); // lower once ...
 //! let buf = gpu.alloc_i32(&[0; 64]);
 //! for _ in 0..3 {
 //!     // ... launch many times
-//!     gpu.launch_prepared(&kernel, &LaunchConfig::linear(1, 64), &[KernelArg::Buffer(buf)]).unwrap();
+//!     gpu.launch_bytecode(&kernel, &LaunchConfig::linear(1, 64), &[KernelArg::Buffer(buf)]).unwrap();
 //! }
 //! ```
-//!
-//! The original arena-walking, per-lane interpreter is retained in
-//! [`reference`](mod@reference) behind [`Gpu::launch_reference`]: the
-//! `decoded_vs_reference` differential test proves all three engines
-//! produce bit-identical buffer contents and [`KernelStats`] on the full
-//! benchmark kernel suite (a property-based test does the same over
-//! random divergent CFGs), and the `interp_throughput` bench measures the
-//! faster tiers' speedups over it.
 //!
 //! ```
 //! use darm_simt::{Gpu, GpuConfig, LaunchConfig, KernelArg};
@@ -127,7 +101,7 @@
 
 pub mod backend;
 pub mod bytecode;
-pub mod decoded;
+pub(crate) mod decoded;
 pub mod exec;
 pub(crate) mod exec_bc;
 pub mod mem;
@@ -135,9 +109,8 @@ pub mod reference;
 pub mod stats;
 pub mod timing;
 
-pub use backend::{Backend, BackendKind, CompiledKernel};
+pub use backend::BackendKind;
 pub use bytecode::BytecodeKernel;
-pub use decoded::PreparedKernel;
 pub use exec::{Gpu, KernelArg, SimError};
 pub use mem::BufferId;
 pub use stats::KernelStats;

@@ -1,17 +1,14 @@
-//! The original per-lane interpreter, kept as a semantic reference.
+//! The original per-lane interpreter, kept as the semantic oracle.
 //!
-//! This is the interpreter the simulator shipped with before the
-//! pre-decoded engine ([`crate::decoded::PreparedKernel`] + the warp-wide
-//! execute loop in [`crate::exec`]) replaced it on the hot path. It walks
-//! the [`Function`] arena directly — cloning instruction data and
+//! It walks the [`Function`] arena directly — cloning instruction data and
 //! re-matching the opcode per lane — which makes it slow but keeps it an
 //! independent, easily-auditable implementation of the SIMT semantics.
 //!
 //! [`crate::Gpu::launch_reference`] runs it; the differential test
-//! `decoded_vs_reference` asserts the two engines produce bit-identical
-//! buffer contents and [`KernelStats`] on every benchmark kernel, and the
-//! `interp_throughput` bench measures the decoded engine's speedup against
-//! it.
+//! `bytecode_vs_reference` asserts the bytecode engine produces
+//! bit-identical buffer contents and [`KernelStats`] on every benchmark
+//! kernel (`prop_backends` does the same over random divergent CFGs), and
+//! the `interp_throughput` bench measures the engine's speedup against it.
 
 use crate::exec::{validate_args, KernelArg, SimError};
 use crate::mem::{decode, encode_shared, ByteStore, RawVal};

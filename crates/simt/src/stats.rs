@@ -1,13 +1,12 @@
 //! Performance counters — the simulator's answer to `rocprof` (§VI-B..D).
 //!
-//! [`KernelStats`] is also the **stats sink** of the backend contract
-//! (see [`crate::backend`]): every execution tier charges into the same
-//! counters through the same methods, which is what keeps the tiers
-//! bit-comparable and lets differential tests assert `==` on the struct.
+//! The reference interpreter and the bytecode engine charge into the same
+//! [`KernelStats`], which is what lets the differential tests assert `==`
+//! on the struct.
 //!
 //! Two families of counters live here. The base counters (`cycles`,
-//! `warp_instructions`, …) are charged unconditionally by every tier and
-//! form the bit-identity contract. The `sim_*` fields are filled in only
+//! `warp_instructions`, …) are charged unconditionally by both and form
+//! the bit-identity contract. The `sim_*` fields are filled in only
 //! when the cycle-level timing model ([`crate::timing`]) is enabled; with
 //! timing off they stay zero, so a timing-off run's stats compare equal to
 //! any pre-timing build.
@@ -103,8 +102,8 @@ impl KernelStats {
     /// addresses carry a buffer id in the high bits. `scratch` is reusable
     /// sort space so the hot loops stay allocation-free.
     ///
-    /// Shared by the decoded and bytecode engines (the reference
-    /// interpreter keeps its own copy); callers account
+    /// Used by the bytecode engine (the reference interpreter keeps its
+    /// own copy); callers account
     /// `warp_instructions`/`thread_instructions` themselves. The timing
     /// model reuses the same [`is_global_access`] / [`global_segments`] /
     /// [`shared_conflict_degree`] analysis for its LSU-occupancy charges.

@@ -1,4 +1,4 @@
-//! Cycle-level SIMT timing model: a pure observer over the execution tiers.
+//! Cycle-level SIMT timing model: a pure observer over the bytecode engine.
 //!
 //! The interpreter's base counters ([`crate::KernelStats::cycles`] and
 //! friends) are an *instruction-charge* model: every warp instruction adds
@@ -31,8 +31,8 @@
 //!   single-issue per warp), so the stall is charged to the warp timeline
 //!   as [`crate::KernelStats::sim_stall_cycles`]. Latency is otherwise
 //!   hidden — a store never waits for DRAM, only a dependent read does.
-//! * **IPDOM reconvergence stack** — when a branch diverges, the engines
-//!   push *(else, then)* continuation entries whose reconvergence point is
+//! * **IPDOM reconvergence stack** — when a branch diverges, the engine
+//!   pushes *(else, then)* continuation entries whose reconvergence point is
 //!   the branch block's immediate post-dominator (cached at decode time in
 //!   `DBlock::ipdom`). The timer mirrors those pushes (`TimingState::diverge`)
 //!   and charges one cycle per pop (`TimingState::frame_pop`) for the
@@ -87,16 +87,17 @@
 //!
 //! # Wiring
 //!
-//! Both the decoded (`exec.rs`) and bytecode (`exec_bc.rs`) engines thread
-//! an `Option<&mut TimingState>` through their hot loops and fire the same
-//! hook sequence for the same kernel, so the `sim_*` fields are
-//! bit-identical across tiers (the differential suites assert full
-//! [`crate::KernelStats`] equality). With timing off the option is `None`
-//! and the only overhead is one predictable branch per charge — the
-//! `interp_throughput` perf floors guard that this stays unmeasurable.
+//! The bytecode engine (`exec_bc.rs`) threads an
+//! `Option<&mut TimingState>` through its hot loop; the fused ops fire the
+//! hook sequence of the instructions they replace, which the
+//! `cycles_vs_insts` suite holds to a table of full
+//! [`crate::KernelStats`] recorded from the unfused decoded engine this
+//! crate used to carry. With timing off the option is `None` and the only
+//! overhead is one predictable branch per charge. (The reference
+//! interpreter has no hook points and always reports `sim_* = 0`.)
 
 use crate::bytecode::Op;
-use crate::decoded::{DInst, DOperand, NO_DST};
+use crate::decoded::NO_DST;
 use crate::stats::{self, KernelStats};
 use darm_ir::cost;
 
@@ -113,7 +114,7 @@ use darm_ir::cost;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TimingConfig {
     /// Master switch. When `false` (the default) no timing state is even
-    /// allocated and the engines' behavior is bit-identical to a build
+    /// allocated and the engine's behavior is bit-identical to a build
     /// without the model.
     pub enabled: bool,
     /// Lanes issued per cycle: a warp instruction with `a` active lanes
@@ -317,7 +318,7 @@ impl TimingState {
     /// the max readiness of the incoming sources that actually flowed in,
     /// but is otherwise free — φs cost no issue slot and no cycle,
     /// matching their zero latency in the charge model. A block's φs
-    /// evaluate atomically in the engines; staging their readiness the
+    /// evaluate atomically in the engine; staging their readiness the
     /// same way keeps a φ that sources another φ of the same block reading
     /// the *pre-batch* scoreboard.
     pub(crate) fn phi_begin(&mut self) {
@@ -398,26 +399,13 @@ impl TimingState {
     }
 }
 
-/// Scoreboard dependencies of a decoded instruction: `(dst, srcs)` as
-/// register slots, [`NO_DST`] where absent. Operand padding is
-/// `Imm(Undef)`, so reading all three is safe for every opcode.
-pub(crate) fn dinst_deps(inst: &DInst) -> (u32, [u32; 3]) {
-    let mut srcs = [NO_DST; 3];
-    for (i, op) in inst.ops.iter().enumerate() {
-        if let DOperand::Reg(s) = op {
-            srcs[i] = *s;
-        }
-    }
-    (inst.dst, srcs)
-}
-
-/// Scoreboard dependencies of a bytecode op, mirroring [`dinst_deps`] on
-/// the decoded form of the same instruction (slot spaces are shared, and
-/// constant/parameter slots are never written so their ready cycle is a
-/// constant 0 — equivalent to the decoded tier's "no operand").
+/// Scoreboard dependencies of a bytecode op: `(dst, srcs)` as register
+/// slots, [`NO_DST`] where absent (constant/parameter slots are never
+/// written, so their ready cycle is a constant 0 — equivalent to "no
+/// operand").
 ///
 /// The fused ops ([`Op::CmpBr`], [`Op::GepLoad`], [`Op::GepStore`]) report
-/// the deps of their *first* half; the engines time their second half
+/// the deps of their *first* half; the engine times their second half
 /// explicitly via [`TimingState::issue_dep`] / the ready hint.
 pub(crate) fn bc_deps(op: &Op) -> (u32, [u32; 3]) {
     match *op {

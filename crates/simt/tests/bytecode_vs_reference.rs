@@ -1,15 +1,14 @@
-//! Differential test: the pre-decoded warp-vectorized engine **and** the
-//! flat register bytecode engine must produce **bit-identical** buffer
-//! contents and identical [`KernelStats`] to the original per-lane
-//! reference interpreter, for every kernel in `darm-kernels` — all fig. 8
-//! synthetic shapes and all fig. 9 real-world cases, in the baseline,
-//! DARM-melded and branch-fusion variants.
+//! Differential test: the flat register bytecode engine must produce
+//! **bit-identical** buffer contents and identical [`KernelStats`] to the
+//! original per-lane reference interpreter, for every kernel in
+//! `darm-kernels` — all fig. 8 synthetic shapes and all fig. 9 real-world
+//! cases, in the baseline, DARM-melded and branch-fusion variants.
 
 use darm_ir::Function;
 use darm_kernels::synthetic::SyntheticKind;
 use darm_kernels::{bitonic, dct, lud, mergesort, nqueens, pcm, srad, BenchCase};
 use darm_melding::{meld_function, MeldConfig};
-use darm_simt::{BytecodeKernel, Gpu, GpuConfig, KernelArg, KernelStats, PreparedKernel, SimError};
+use darm_simt::{BytecodeKernel, Gpu, GpuConfig, KernelArg, KernelStats, SimError};
 
 /// The fig. 8 synthetic grid plus the fig. 9 real-world grid (same block
 /// sizes as `darm_bench::{fig8_cases, fig9_cases}`).
@@ -49,42 +48,27 @@ fn setup(case: &BenchCase) -> (Gpu, Vec<KernelArg>, Vec<Option<darm_simt::Buffer
     (gpu, kargs, bufs)
 }
 
-/// Runs `func` on the case's inputs with all three engines and asserts
-/// equal stats/outcomes and bit-identical buffer contents.
+/// Runs `func` on the case's inputs with both engines and asserts equal
+/// stats/outcomes and bit-identical buffer contents.
 fn assert_engines_agree(case: &BenchCase, func: &Function, variant: &str) {
-    let (mut dec_gpu, dec_args, dec_bufs) = setup(case);
     let (mut ref_gpu, ref_args, ref_bufs) = setup(case);
     let (mut bc_gpu, bc_args, bc_bufs) = setup(case);
 
-    let pk = PreparedKernel::new(func);
-    let bk = BytecodeKernel::from_prepared(&pk);
-    let decoded: Result<KernelStats, SimError> =
-        dec_gpu.launch_prepared(&pk, &case.launch, &dec_args);
+    let bk = BytecodeKernel::new(func);
     let reference: Result<KernelStats, SimError> =
         ref_gpu.launch_reference(func, &case.launch, &ref_args);
     let bytecode: Result<KernelStats, SimError> =
         bc_gpu.launch_bytecode(&bk, &case.launch, &bc_args);
 
     assert_eq!(
-        decoded, reference,
-        "{} [{variant}]: decoded vs reference disagree on stats / outcome",
-        case.name
-    );
-    assert_eq!(
         bytecode, reference,
         "{} [{variant}]: bytecode vs reference disagree on stats / outcome",
         case.name
     );
-    for ((db, rb), bb) in dec_bufs.iter().zip(&ref_bufs).zip(&bc_bufs) {
-        let (Some(db), Some(rb), Some(bb)) = (db, rb, bb) else {
+    for (rb, bb) in ref_bufs.iter().zip(&bc_bufs) {
+        let (Some(rb), Some(bb)) = (rb, bb) else {
             continue;
         };
-        assert_eq!(
-            dec_gpu.read_bytes(*db),
-            ref_gpu.read_bytes(*rb),
-            "{} [{variant}]: buffer {db:?} differs (decoded vs reference)",
-            case.name
-        );
         assert_eq!(
             bc_gpu.read_bytes(*bb),
             ref_gpu.read_bytes(*rb),
@@ -95,7 +79,7 @@ fn assert_engines_agree(case: &BenchCase, func: &Function, variant: &str) {
 }
 
 #[test]
-fn decoded_engine_matches_reference_on_all_kernels() {
+fn bytecode_engine_matches_reference_on_all_kernels() {
     for case in all_cases() {
         assert_engines_agree(&case, &case.func, "baseline");
 
@@ -110,14 +94,13 @@ fn decoded_engine_matches_reference_on_all_kernels() {
 }
 
 #[test]
-fn decoded_engine_matches_reference_on_expected_outputs() {
-    // Beyond engine agreement: the decoded engine must still match the CPU
+fn bytecode_engine_matches_expected_outputs() {
+    // Beyond engine agreement: the bytecode engine must still match the CPU
     // reference implementation baked into each case.
     for case in all_cases() {
         let (mut gpu, args, bufs) = setup(&case);
-        let pk = PreparedKernel::new(&case.func);
-        gpu.launch_prepared(&pk, &case.launch, &args)
-            .unwrap_or_else(|e| panic!("{}: decoded launch failed: {e}", case.name));
+        gpu.launch(&case.func, &case.launch, &args)
+            .unwrap_or_else(|e| panic!("{}: bytecode launch failed: {e}", case.name));
         for (idx, want) in &case.expected {
             let got_buf = bufs[*idx].expect("expected output must be a buffer argument");
             match want {

@@ -1,7 +1,7 @@
 //! Property-based differential test: random divergent kernels must run
 //! **bit-identically** — same `Result<KernelStats, SimError>`, same output
-//! buffer bytes — on all three execution backends (reference interpreter,
-//! decoded engine, flat register bytecode).
+//! buffer bytes — on both execution backends (reference interpreter, flat
+//! register bytecode).
 //!
 //! The generator builds random CFGs in the style of the dominator
 //! property tests (loops and unreachable subgraphs allowed), with
@@ -14,9 +14,7 @@
 
 use darm_ir::builder::FunctionBuilder;
 use darm_ir::{AddrSpace, BlockId, Dim, Function, IcmpPred, Type, Value};
-use darm_simt::{
-    BytecodeKernel, Gpu, GpuConfig, KernelArg, KernelStats, LaunchConfig, PreparedKernel, SimError,
-};
+use darm_simt::{BytecodeKernel, Gpu, GpuConfig, KernelArg, KernelStats, LaunchConfig, SimError};
 use proptest::prelude::*;
 
 const N_BLOCKS: usize = 6;
@@ -152,26 +150,16 @@ proptest! {
         };
 
         let (mut ref_gpu, ref_out) = gpu();
-        let (mut dec_gpu, dec_out) = gpu();
         let (mut bc_gpu, bc_out) = gpu();
 
-        let pk = PreparedKernel::new(&f);
-        let bk = BytecodeKernel::from_prepared(&pk);
+        let bk = BytecodeKernel::new(&f);
 
         let reference: Result<KernelStats, SimError> =
             ref_gpu.launch_reference(&f, &cfg, &[KernelArg::Buffer(ref_out), KernelArg::I32(7)]);
-        let decoded: Result<KernelStats, SimError> =
-            dec_gpu.launch_prepared(&pk, &cfg, &[KernelArg::Buffer(dec_out), KernelArg::I32(7)]);
         let bytecode: Result<KernelStats, SimError> =
             bc_gpu.launch_bytecode(&bk, &cfg, &[KernelArg::Buffer(bc_out), KernelArg::I32(7)]);
 
-        prop_assert_eq!(&decoded, &reference, "decoded vs reference outcome");
         prop_assert_eq!(&bytecode, &reference, "bytecode vs reference outcome");
-        prop_assert_eq!(
-            dec_gpu.read_bytes(dec_out),
-            ref_gpu.read_bytes(ref_out),
-            "decoded vs reference buffer"
-        );
         prop_assert_eq!(
             bc_gpu.read_bytes(bc_out),
             ref_gpu.read_bytes(ref_out),

@@ -11,8 +11,7 @@
 use darm_ir::builder::FunctionBuilder;
 use darm_ir::{AddrSpace, Dim, Function, IcmpPred, Type};
 use darm_simt::{
-    BytecodeKernel, Gpu, GpuConfig, KernelArg, KernelStats, LaunchConfig, PreparedKernel,
-    TimingConfig,
+    BytecodeKernel, Gpu, GpuConfig, KernelArg, KernelStats, LaunchConfig, TimingConfig,
 };
 
 const N_THREADS: u32 = 8;
@@ -73,18 +72,8 @@ fn timing8() -> TimingConfig {
     }
 }
 
-fn run_prepared(f: &Function, timing: TimingConfig) -> (KernelStats, Vec<u8>) {
-    let pk = PreparedKernel::new(f);
-    let (mut gpu, out) = gpu(timing);
-    let stats = gpu
-        .launch_prepared(&pk, &cfg(), &[KernelArg::Buffer(out)])
-        .expect("diamond runs clean");
-    (stats, gpu.read_bytes(out).to_vec())
-}
-
 fn run_bytecode(f: &Function, timing: TimingConfig) -> (KernelStats, Vec<u8>) {
-    let pk = PreparedKernel::new(f);
-    let bk = BytecodeKernel::from_prepared(&pk);
+    let bk = BytecodeKernel::new(f);
     let (mut gpu, out) = gpu(timing);
     let stats = gpu
         .launch_bytecode(&bk, &cfg(), &[KernelArg::Buffer(out)])
@@ -102,13 +91,12 @@ fn run_bytecode(f: &Function, timing: TimingConfig) -> (KernelStats, Vec<u8>) {
 #[test]
 fn diamond_costs_sum_of_both_arms() {
     let f = diamond();
-    for (stats, _) in [run_prepared(&f, timing8()), run_bytecode(&f, timing8())] {
-        assert_eq!(stats.sim_issue_slots, 10);
-        assert_eq!(stats.sim_divergent_branches, 1);
-        assert_eq!(stats.sim_reconvergences, 2);
-        assert!(stats.sim_cycles >= 10, "latency adds cycles beyond slots");
-        assert!(stats.sim_stall_cycles > 0, "dependent ops must stall");
-    }
+    let (stats, _) = run_bytecode(&f, timing8());
+    assert_eq!(stats.sim_issue_slots, 10);
+    assert_eq!(stats.sim_divergent_branches, 1);
+    assert_eq!(stats.sim_reconvergences, 2);
+    assert!(stats.sim_cycles >= 10, "latency adds cycles beyond slots");
+    assert!(stats.sim_stall_cycles > 0, "dependent ops must stall");
 }
 
 /// Halving the issue width doubles the slot cost of every full-width
@@ -120,21 +108,39 @@ fn issue_width_scales_slot_cost() {
         issue_width: 4,
         ..TimingConfig::on()
     };
-    let (stats, _) = run_prepared(&f, narrow);
+    let (stats, _) = run_bytecode(&f, narrow);
     // entry 3×2 + arms 4×1 + join 3×2 = 16.
     assert_eq!(stats.sim_issue_slots, 16);
     assert_eq!(stats.sim_divergent_branches, 1);
 }
 
-/// Both engines walk the same instruction stream with the same masks, so
-/// the simulated timeline must agree exactly — not approximately.
+/// The fused `CmpBr` / `GepStore` ops must charge the timeline of the
+/// instructions they replace: the full stats below were recorded from the
+/// unfused decoded engine (since deleted) on this kernel, and must match
+/// exactly — not approximately.
 #[test]
-fn decoded_and_bytecode_agree_on_cycles() {
+fn bytecode_matches_the_recorded_unfused_timeline() {
     let f = diamond();
-    let (dec, dec_buf) = run_prepared(&f, timing8());
-    let (bc, bc_buf) = run_bytecode(&f, timing8());
-    assert_eq!(dec, bc, "full stats including sim_* must match");
-    assert_eq!(dec_buf, bc_buf);
+    let (bc, _) = run_bytecode(&f, timing8());
+    let unfused = KernelStats {
+        cycles: 326,
+        warp_instructions: 10,
+        thread_instructions: 64,
+        alu_issues: 5,
+        alu_active_lanes: 32,
+        global_mem_insts: 1,
+        shared_mem_insts: 0,
+        global_transactions: 1,
+        shared_bank_conflicts: 0,
+        barriers: 0,
+        sim_cycles: 21,
+        sim_stall_cycles: 9,
+        sim_issue_slots: 10,
+        sim_divergent_branches: 1,
+        sim_reconvergences: 2,
+        warp_size: 8,
+    };
+    assert_eq!(bc, unfused, "full stats including sim_* must match");
 }
 
 /// The model is all-integer with a fixed warp iteration order: two runs
@@ -142,12 +148,9 @@ fn decoded_and_bytecode_agree_on_cycles() {
 #[test]
 fn timing_is_deterministic() {
     let f = diamond();
-    let (a, _) = run_prepared(&f, timing8());
-    let (b, _) = run_prepared(&f, timing8());
+    let (a, _) = run_bytecode(&f, timing8());
+    let (b, _) = run_bytecode(&f, timing8());
     assert_eq!(a, b);
-    let (c, _) = run_bytecode(&f, timing8());
-    let (d, _) = run_bytecode(&f, timing8());
-    assert_eq!(c, d);
 }
 
 /// Timing is a pure observer: enabling it changes no buffers and no
@@ -155,16 +158,11 @@ fn timing_is_deterministic() {
 #[test]
 fn timing_is_a_pure_observer() {
     let f = diamond();
-    let (off, off_buf) = run_prepared(&f, TimingConfig::default());
-    let (on, on_buf) = run_prepared(&f, timing8());
+    let (off, off_buf) = run_bytecode(&f, TimingConfig::default());
+    let (on, on_buf) = run_bytecode(&f, timing8());
     assert_eq!(on_buf, off_buf);
     assert_eq!(on.sans_timing(), off);
     assert_eq!(off.sim_cycles, 0, "disabled timing reports zero cycles");
-
-    let (off_bc, off_bc_buf) = run_bytecode(&f, TimingConfig::default());
-    let (on_bc, on_bc_buf) = run_bytecode(&f, timing8());
-    assert_eq!(on_bc_buf, off_bc_buf);
-    assert_eq!(on_bc.sans_timing(), off_bc);
 }
 
 /// The reference interpreter is the semantic oracle only — it never
@@ -189,8 +187,8 @@ fn memory_model_only_affects_cycles() {
         memory_model: false,
         ..timing8()
     };
-    let (with_mem, _) = run_prepared(&f, timing8());
-    let (without, _) = run_prepared(&f, no_mem);
+    let (with_mem, _) = run_bytecode(&f, timing8());
+    let (without, _) = run_bytecode(&f, no_mem);
     assert_eq!(with_mem.sim_issue_slots, without.sim_issue_slots);
     assert_eq!(
         with_mem.sim_divergent_branches,

@@ -21,16 +21,11 @@
 pub mod dce;
 pub mod edges;
 pub mod instcombine;
-pub mod pr2;
 pub mod simplify;
 pub mod ssa_repair;
 
 pub use dce::{run_dce, run_dce_scoped};
 pub use edges::split_edge;
 pub use instcombine::{run_instcombine, run_instcombine_scoped};
-pub use pr2::{
-    repair_ssa_pr2, repair_ssa_with_pr2, run_dce_pr2, run_instcombine_pr2, simplify_cfg_pr2,
-    simplify_cfg_with_pr2,
-};
 pub use simplify::{simplify_cfg, simplify_cfg_scoped, simplify_cfg_with};
 pub use ssa_repair::{repair_ssa, repair_ssa_scoped, repair_ssa_with};

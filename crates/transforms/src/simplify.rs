@@ -57,11 +57,11 @@ pub fn simplify_cfg(func: &mut Function) -> SimplifyStats {
 }
 
 /// [`simplify_cfg`] against a shared [`AnalysisManager`]: CFG snapshots are
-/// pulled from the cache instead of recomputed per sub-transform, and every
-/// mutation invalidates exactly the analyses it breaks (block/edge edits
-/// drop everything; φ-only rewrites keep the shape analyses). The rewrite
-/// sequence — and therefore the resulting IR — is identical to the uncached
-/// version.
+/// pulled from the cache instead of recomputed per sub-transform, and the
+/// manager reconciles them with the journaled mutations at each query
+/// (block/edge edits patch or rebuild; φ-only rewrites keep the shape
+/// analyses). The rewrite sequence — and therefore the resulting IR — is
+/// identical to the uncached version.
 pub fn simplify_cfg_with(func: &mut Function, am: &mut AnalysisManager) -> SimplifyStats {
     simplify_cfg_scoped(func, am, None)
 }
@@ -351,9 +351,6 @@ fn remove_trivial_phis(
             break;
         }
     }
-    if changed {
-        am.invalidate_values();
-    }
     changed
 }
 
@@ -388,9 +385,6 @@ fn dedup_phis(
                 }
             }
         }
-    }
-    if changed {
-        am.invalidate_values();
     }
     changed
 }

@@ -22,7 +22,7 @@ pub fn repair_ssa(func: &mut Function) -> usize {
 /// inserts φs and rewrites operands — the block graph is untouched — so one
 /// CFG + dominator-tree computation serves every repaired definition (the
 /// uncached version recomputes both per definition), and both stay valid in
-/// the cache for the caller. Instruction-sensitive analyses are dropped.
+/// the cache for the caller.
 pub fn repair_ssa_with(func: &mut Function, am: &mut AnalysisManager) -> usize {
     repair_ssa_scoped(func, am, None)
 }
@@ -75,7 +75,6 @@ pub fn repair_ssa_scoped(
         };
         let df = frontiers.get_or_insert_with(|| dt.dominance_frontiers(&cfg));
         reconstruct(func, &cfg, &dt, df, def);
-        am.invalidate_values();
         repaired += 1;
     }
     repaired

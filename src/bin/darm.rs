@@ -6,7 +6,7 @@
 //!           [--passes SPEC] [--time-passes] [--verify-each]
 //!           [--on-error degrade|fail] [--timeout-ms N] [--fuel N]
 //! darm run  <input.ir> --block N [--grid N] [--buf LEN]... [--i32 X]...
-//!           [--backend reference|prepared|bytecode]
+//!           [--backend reference|bytecode]
 //!           [--timing] [--issue-width N] [--no-mem-model]
 //! darm analyze <input.ir>
 //! darm serve [--socket PATH] [--jobs N] [--queue-depth N]
@@ -33,12 +33,12 @@
 //! exit code stays 0. `--on-error fail` turns the earliest fault into an
 //! `error:` and exit code 1. `run` executes a kernel (the first function of the
 //! module) on the SIMT simulator with zero-initialized `i32` buffers and
-//! prints the counters; `--backend` picks the execution tier (the per-lane
-//! `reference` interpreter, the pre-decoded `prepared` engine — the
-//! default — or the flat register `bytecode` engine; all three are
-//! bit-identical in buffers, stats, and errors). `--timing` additionally
-//! threads the cycle-level timing observer through the run (prepared and
-//! bytecode tiers) and prints simulated cycles, stalls and issue slots
+//! prints the counters; `--backend` picks the execution path (the flat
+//! register `bytecode` engine — the default — or the per-lane `reference`
+//! interpreter it is tested against; both are bit-identical in buffers,
+//! stats, and errors). `--timing` additionally threads the cycle-level
+//! timing observer through the run (bytecode engine only) and prints
+//! simulated cycles, stalls and issue slots
 //! next to the architectural counters; `--issue-width N` sets the lanes
 //! issued per cycle and `--no-mem-model` drops the coalescing/bank-
 //! conflict occupancy terms. `analyze` reports divergence analysis and
@@ -63,7 +63,7 @@ use std::process::ExitCode;
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  darm meld <input.ir> [-o out.ir] [--mode darm|bf] [--threshold T] [--no-unpredicate] [--dot out.dot] [--stats] [--jobs N] [--passes SPEC] [--time-passes] [--verify-each] [--on-error degrade|fail] [--timeout-ms N] [--fuel N]\n  darm run <input.ir> --block N [--grid N] [--buf LEN]... [--i32 X]... [--backend reference|prepared|bytecode] [--timing] [--issue-width N] [--no-mem-model]\n  darm analyze <input.ir>\n  darm serve [--socket PATH] [--jobs N] [--queue-depth N] [--cache-entries N] [--cache-bytes N] [--spec SPEC] [--timeout-ms N] [--fuel N] [--max-frame N]"
+        "usage:\n  darm meld <input.ir> [-o out.ir] [--mode darm|bf] [--threshold T] [--no-unpredicate] [--dot out.dot] [--stats] [--jobs N] [--passes SPEC] [--time-passes] [--verify-each] [--on-error degrade|fail] [--timeout-ms N] [--fuel N]\n  darm run <input.ir> --block N [--grid N] [--buf LEN]... [--i32 X]... [--backend reference|bytecode] [--timing] [--issue-width N] [--no-mem-model]\n  darm analyze <input.ir>\n  darm serve [--socket PATH] [--jobs N] [--queue-depth N] [--cache-entries N] [--cache-bytes N] [--spec SPEC] [--timeout-ms N] [--fuel N] [--max-frame N]"
     );
     std::process::exit(2);
 }
@@ -275,7 +275,7 @@ fn cmd_run(args: &[String]) -> ExitCode {
     let mut block = 32u32;
     let mut grid = 1u32;
     let mut arg_specs: Vec<(bool, i64)> = Vec::new(); // (is_buffer, len-or-value)
-    let mut backend = BackendKind::Prepared;
+    let mut backend = BackendKind::Bytecode;
     let mut timing = TimingConfig::default();
     let mut it = args.iter();
     while let Some(a) = it.next() {

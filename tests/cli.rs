@@ -115,8 +115,9 @@ fn run_subcommand_executes_baseline() {
 
 #[test]
 fn run_subcommand_backends_agree() {
-    // The --backend flag selects the execution tier; all three must print
-    // identical counters and buffer contents on the same kernel.
+    // The --backend flag selects the execution path; both must print
+    // identical counters and buffer contents on the same kernel, and the
+    // default is the bytecode engine.
     let input = write_kernel("darm_cli_backend.ir");
     let run = |backend: &str| {
         let out = bin()
@@ -135,16 +136,32 @@ fn run_subcommand_backends_agree() {
         assert!(out.status.success(), "--backend {backend} failed");
         String::from_utf8(out.stdout).unwrap()
     };
-    let prepared = run("prepared");
-    assert!(prepared.contains("[10, 82,"), "{prepared}");
-    assert_eq!(prepared, run("reference"));
-    assert_eq!(prepared, run("bytecode"));
-    // An unknown backend is a usage error.
-    let out = bin()
-        .args(["run", input.to_str().unwrap(), "--backend", "jit"])
+    let bytecode = run("bytecode");
+    assert!(bytecode.contains("[10, 82,"), "{bytecode}");
+    assert_eq!(bytecode, run("reference"));
+    let default = bin()
+        .args([
+            "run",
+            input.to_str().unwrap(),
+            "--block",
+            "32",
+            "--buf",
+            "32",
+        ])
         .output()
         .unwrap();
-    assert!(!out.status.success());
+    assert_eq!(bytecode, String::from_utf8(default.stdout).unwrap());
+    // An unknown backend — the deleted `prepared` engine included — is a
+    // usage error (exit 2) naming the two that exist.
+    for unknown in ["jit", "prepared"] {
+        let out = bin()
+            .args(["run", input.to_str().unwrap(), "--backend", unknown])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(2), "--backend {unknown}");
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert!(stderr.contains("--backend reference|bytecode"), "{stderr}");
+    }
 }
 
 #[test]
@@ -363,6 +380,22 @@ fn bad_specs_fail_with_positioned_diagnostics() {
     assert!(!out.status.success());
     let stderr = String::from_utf8(out.stderr).unwrap();
     assert!(stderr.contains("unknown parameter `thresold`"), "{stderr}");
+    // The by-hand invalidation switch is gone: its key is unknown now.
+    let out = bin()
+        .args([
+            "meld",
+            input.to_str().unwrap(),
+            "--passes",
+            "meld(incremental=false)",
+        ])
+        .output()
+        .unwrap();
+    assert!(!out.status.success());
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert!(
+        stderr.contains("unknown parameter `incremental`"),
+        "{stderr}"
+    );
 }
 
 #[test]
