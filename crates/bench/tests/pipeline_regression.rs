@@ -1,11 +1,21 @@
-//! Regression net for the pass-manager refactor: the cached-analysis
-//! pipeline must be *observationally identical* to the pre-refactor
-//! driver, and every kernel variant must stay valid SSA between passes.
+//! Regression net for the melding driver: the melded IR and statistics of
+//! every paper kernel must equal the committed golden table, every kernel
+//! variant must stay valid SSA between passes, and the fixpoint must keep
+//! sharing cached analyses.
 
 use darm_bench::{fig8_cases, fig9_cases, prepare_variants_checked};
+use darm_ir::parser::parse_function;
 use darm_kernels::BenchCase;
-use darm_melding::{meld_function, meld_function_reference, MeldConfig};
+use darm_melding::{meld_function, MeldConfig};
 use darm_pipeline::PipelineOptions;
+
+/// Canonical melded IR + `MeldStats` of every fig8+fig9 kernel × {DARM,
+/// BF}, recorded from the driver as it stood before block merging moved
+/// instruction ids instead of copying them.
+const GOLDEN: &str = include_str!("golden/melded_ir.txt");
+
+/// Section separator: `== <case> <mode> <MeldStats debug>`.
+const SECTION: &str = "== ";
 
 fn all_cases() -> Vec<BenchCase> {
     let mut cases = fig8_cases();
@@ -13,33 +23,85 @@ fn all_cases() -> Vec<BenchCase> {
     cases
 }
 
-/// The cached-analysis pipeline produces bit-identical IR (print
-/// round-trip) and identical statistics to the pre-refactor driver, on
-/// every fig. 8 and fig. 9 kernel, under both DARM and branch fusion.
-#[test]
-fn pipeline_bit_identical_to_reference() {
+/// `print(parse(print(f)))`: the parser numbers values in textual order, so
+/// this form is independent of which arena slots the driver happened to
+/// allocate — only block order, instruction order and operands remain.
+fn canonical(text: &str) -> String {
+    parse_function(text)
+        .unwrap_or_else(|e| panic!("melded IR does not reparse: {e}\n{text}"))
+        .to_string()
+}
+
+/// One golden section per kernel × mode, in suite order: the header line
+/// (label + statistics) followed by the canonical IR.
+fn sweep() -> Vec<String> {
+    let mut sections = Vec::new();
     for case in all_cases() {
-        for config in [MeldConfig::default(), MeldConfig::branch_fusion()] {
-            let mut via_pipeline = case.func.clone();
-            let pipeline_stats = meld_function(&mut via_pipeline, &config);
-            let mut via_reference = case.func.clone();
-            let reference_stats = meld_function_reference(&mut via_reference, &config);
-            assert_eq!(
-                via_pipeline.to_string(),
-                via_reference.to_string(),
-                "{} ({:?}): pipeline and reference IR diverge",
+        for (mode, config) in [
+            ("darm", MeldConfig::default()),
+            ("bf", MeldConfig::branch_fusion()),
+        ] {
+            let mut func = case.func.clone();
+            let stats = meld_function(&mut func, &config);
+            sections.push(format!(
+                "{SECTION}{} {mode} {stats:?}\n{}",
                 case.name,
-                config.mode
-            );
-            assert_eq!(
-                format!("{pipeline_stats:?}"),
-                format!("{reference_stats:?}"),
-                "{} ({:?}): meld statistics diverge",
-                case.name,
-                config.mode
-            );
+                canonical(&func.to_string())
+            ));
         }
     }
+    sections
+}
+
+/// The committed sections, in file order.
+fn golden_sections() -> Vec<String> {
+    let mut sections: Vec<String> = Vec::new();
+    for line in GOLDEN.lines().filter(|l| !l.starts_with('#')) {
+        if line.starts_with(SECTION) {
+            sections.push(String::new());
+        }
+        let section = sections.last_mut().expect("table starts with a header");
+        section.push_str(line);
+        section.push('\n');
+    }
+    sections
+}
+
+/// The driver produces the recorded canonical IR and identical statistics
+/// on every fig. 8 and fig. 9 kernel, under both DARM and branch fusion —
+/// and the table holds exactly that grid, in suite order.
+#[test]
+fn melded_ir_matches_golden() {
+    let golden = golden_sections();
+    let sections = sweep();
+    assert_eq!(golden.len(), sections.len(), "golden table is stale");
+    for (section, expected) in sections.iter().zip(&golden) {
+        assert_eq!(
+            section,
+            expected,
+            "{}: melded IR or statistics left the golden table",
+            section.lines().next().expect("section has a header")
+        );
+    }
+}
+
+/// Rewrites the committed table from the driver's current output, keeping
+/// the header comment — for an *intended* change of melding decisions
+/// only: `cargo test -p darm-bench --test pipeline_regression --
+/// --ignored regenerate`.
+#[test]
+#[ignore = "rewrites tests/golden/melded_ir.txt"]
+fn regenerate_golden_table() {
+    let mut out: String = GOLDEN
+        .lines()
+        .filter(|l| l.starts_with('#'))
+        .map(|l| format!("{l}\n"))
+        .collect();
+    for section in sweep() {
+        out.push_str(&section);
+    }
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/melded_ir.txt");
+    std::fs::write(path, out).expect("golden table is writable");
 }
 
 /// With `verify_each`, every kernel × {baseline cleanup, DARM, BF} passes
@@ -65,12 +127,11 @@ fn verify_each_holds_on_every_variant() {
     }
 }
 
-/// The analysis cache shares snapshots the pre-refactor driver recomputed:
+/// The analysis cache shares snapshots across the fixpoint:
 /// post-dominators and divergence are computed exactly once per fixpoint
 /// iteration (never inside cleanups), and the dominator tree computed for
 /// the scan is the one SSA repair reuses (at most one extra per meld for
-/// the post-surgery state). Wall-clock impact is measured by the
-/// `meld_pipeline` bench; this pins the sharing structurally.
+/// the post-surgery state).
 #[test]
 fn cache_shares_analyses_across_the_fixpoint() {
     for case in fig9_cases() {

@@ -51,7 +51,6 @@
 pub mod codegen;
 pub mod isomorphism;
 pub mod pass;
-pub mod reference;
 pub mod region;
 pub mod replicate;
 pub mod tail_merge;
@@ -59,7 +58,6 @@ pub mod unpredicate;
 
 pub use codegen::{PlanElement, RegionMeldStats};
 pub use pass::{MeldPass, MeldStatsSink, TailMergePass};
-pub use reference::meld_function_reference;
 pub use region::{Analyses, MeldableRegion, Subgraph};
 pub use tail_merge::tail_merge;
 
@@ -317,8 +315,6 @@ pub fn meld_function(func: &mut Function, config: &MeldConfig) -> MeldStats {
 /// with `MP_S` scoring (Definition 7) and keeps matches at or above the
 /// profitability threshold. Returns `None` when nothing profitable exists.
 /// The second component counts region replications the plan will perform.
-/// Shared by the pipeline driver ([`MeldPass`]) and the pre-refactor
-/// oracle ([`meld_function_reference`]).
 pub(crate) fn plan_region(
     func: &mut Function,
     r: &MeldableRegion,

@@ -12,10 +12,8 @@
 //! updating the dominator and post-dominator trees in place where the
 //! batch is small enough to win, and recomputing the rest on demand.
 //!
-//! The rewrite *sequence* is identical to the pre-pipeline driver (kept as
-//! [`meld_function_reference`](crate::reference::meld_function_reference));
-//! the `pipeline_bit_identical` regression test in `darm-bench` holds the
-//! two to byte-equal printed IR on every paper kernel.
+//! The melded IR of every paper kernel is pinned by a committed golden
+//! table (`melded_ir_matches_golden` in `darm-bench`).
 
 use crate::region::{self, MeldableRegion};
 use crate::{plan_region, Analyses, MeldConfig, MeldMode, MeldStats};
@@ -51,8 +49,8 @@ impl MeldPass {
     /// `run_meld_pipeline` uses to recover [`MeldStats`] after the pass
     /// manager has consumed the pass.
     pub fn with_sink(config: MeldConfig, stats: MeldStatsSink) -> MeldPass {
-        // Algorithm 1's RunPostOptimizations, as an inner pipeline in the
-        // pre-pipeline driver's exact order. Each cleanup pass restricts
+        // Algorithm 1's RunPostOptimizations, as an inner pipeline. Each
+        // cleanup pass restricts
         // its rescan to the journal window since its own previous run
         // (per-meld cost), and the analysis cache reconciles through the
         // journal — so the dominator/post-dominator trees the meld surgery
@@ -151,8 +149,7 @@ impl Pass for MeldPass {
                 // CFG; restart with fresh analyses when it does. A
                 // successfully detected region is already simple — every
                 // chain position has its dedicated single exit edge — so
-                // the walk is provably a no-op then and is skipped (the
-                // pre-pipeline driver paid for it unconditionally).
+                // the walk is provably a no-op then and is skipped.
                 if r.is_none() && region::simplify_region_entry(func, &a, b) {
                     mutated = true;
                     continue 'outer;
