@@ -606,6 +606,17 @@ impl AnalysisCounters {
     }
 }
 
+impl std::ops::AddAssign for AnalysisCounters {
+    fn add_assign(&mut self, rhs: AnalysisCounters) {
+        self.computes += rhs.computes;
+        self.hits += rhs.hits;
+        self.updates += rhs.updates;
+        self.in_place_deletion_updates += rhs.in_place_deletion_updates;
+        self.in_place_cfg_updates += rhs.in_place_cfg_updates;
+        self.in_place_divergence_updates += rhs.in_place_divergence_updates;
+    }
+}
+
 /// Memoizing analysis cache keyed by analysis type (via the dense
 /// [`Analysis::SLOT`] index). See the module docs for the reconciliation
 /// contract.

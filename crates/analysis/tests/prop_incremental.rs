@@ -1,7 +1,8 @@
 //! Property-based equivalence of incremental analysis maintenance against
 //! fresh recomputation: random CFGs undergo random sequences of the
 //! meld-shaped edits (split edge, redirect branch, widen a jump into a
-//! branch, collapse a branch into a jump), and after every batch the
+//! branch, collapse a branch into a jump, merge a block into its only
+//! predecessor), and after every batch the
 //! incrementally maintained dominator/post-dominator trees, the journal-
 //! driven `AnalysisManager::update_after` cache state, and the divergence
 //! and liveness results must equal from-scratch computations.
@@ -56,6 +57,29 @@ fn apply_edit(f: &mut Function, op: u8, x: u8, y: u8) {
     let n = blocks.len();
     let u = blocks[x as usize % n];
     let v = blocks[y as usize % n];
+    if op % 7 == 6 {
+        // Merge a block into its unique, jumping predecessor with
+        // `merge_block_into` (post-meld cleanup's straight-line merge): the
+        // moved terminator's edges change source and the block is
+        // tombstoned, all in one window. The generator builds no φs.
+        let preds = f.compute_preds();
+        let start = x as usize % n;
+        let Some((b, p)) = (0..n).map(|k| blocks[(start + k) % n]).find_map(|b| {
+            let &[p] = preds[b.index()].as_slice() else {
+                return None;
+            };
+            let jumps = f
+                .terminator(p)
+                .is_some_and(|t| f.inst(t).opcode == Opcode::Jump);
+            (b != f.entry() && p != b && jumps).then_some((b, p))
+        }) else {
+            return;
+        };
+        let jump = f.terminator(p).expect("checked above");
+        f.remove_inst(jump);
+        f.merge_block_into(b, p);
+        return;
+    }
     if op % 5 == 4 {
         // Tombstone an unreachable block outright (meld cleanup's
         // remove-unreachable — a deletion-heavy batch component), clearing
@@ -671,6 +695,59 @@ proptest! {
         for b in f.block_ids() {
             prop_assert_eq!(live.live_in(b), fresh.live_in(b));
             prop_assert_eq!(live.live_out(b), fresh.live_out(b));
+        }
+    }
+    /// `split_block_at` and `merge_block_into` are inverses: splitting any
+    /// block anywhere and merging the halves back restores the printed IR
+    /// and every instruction id, allocating nothing — and at both steps the
+    /// journal-reconciled `Cfg`, dominator trees and divergence answer
+    /// exactly as fresh computations do.
+    #[test]
+    fn split_then_merge_round_trips_ir_and_analyses(
+        script in proptest::collection::vec(any::<u8>(), 6..36),
+        picks in proptest::collection::vec((any::<u8>(), any::<u8>()), 1..5),
+    ) {
+        let mut f = build_cfg(&script);
+        let mut am = AnalysisManager::new();
+        am.observe(&f);
+        am.get::<DivergenceAnalysis>(&f);
+        let assert_manager_matches_fresh = |am: &mut AnalysisManager, f: &Function, what: &str| {
+            let fresh_cfg = Cfg::new(f);
+            assert_cfg_eq(&fresh_cfg, &am.get::<Cfg>(f), f, what);
+            assert_dom_eq(&DomTree::new(f, &fresh_cfg), &am.get::<DomTree>(f), f, what);
+            assert_pdt_eq(&PostDomTree::new(f, &fresh_cfg), &am.get::<PostDomTree>(f), f, what);
+            let (da, fresh_da) = (am.get::<DivergenceAnalysis>(f), DivergenceAnalysis::new(f));
+            for b in f.block_ids() {
+                assert_eq!(da.is_divergent_branch(b), fresh_da.is_divergent_branch(b), "{what}");
+                for &id in f.insts_of(b) {
+                    assert_eq!(da.is_inst_divergent(id), fresh_da.is_inst_divergent(id), "{what}");
+                }
+            }
+        };
+        for &(x, y) in &picks {
+            let blocks = f.block_ids();
+            let b = blocks[x as usize % blocks.len()];
+            let at = y as usize % f.insts_of(b).len();
+            let (text, capacity) = (f.to_string(), f.inst_capacity());
+            let lists: Vec<Vec<darm_ir::InstId>> =
+                blocks.iter().map(|&b| f.insts_of(b).to_vec()).collect();
+
+            let tail = f.split_block_at(b, at, "tail");
+            let jump = f.add_inst(b, InstData::terminator(Opcode::Jump, vec![], vec![tail]));
+            am.update_after(&f);
+            assert_manager_matches_fresh(&mut am, &f, "after split");
+
+            f.remove_inst(jump);
+            f.merge_block_into(tail, b);
+            am.update_after(&f);
+            assert_manager_matches_fresh(&mut am, &f, "after merge");
+
+            prop_assert_eq!(f.to_string(), text, "printed IR changed");
+            prop_assert_eq!(f.inst_capacity(), capacity + 1, "only the jump was allocated");
+            prop_assert_eq!(f.block_ids(), blocks.clone());
+            for (&b, list) in blocks.iter().zip(&lists) {
+                prop_assert_eq!(f.insts_of(b), list.as_slice(), "instruction ids moved");
+            }
         }
     }
 }

@@ -1,12 +1,13 @@
-//! Pins the `--time-passes` in-place-update counter columns and the
-//! in-place `DivergenceAnalysis` refresh on a fig8 kernel.
+//! Pins the `--time-passes` in-place-update counter columns, the meld
+//! pass's phase-clock child rows, and the in-place `DivergenceAnalysis`
+//! refresh on a fig8 kernel.
 
 use darm_analysis::{AnalysisManager, Cfg, DivergenceAnalysis, DomTree, PostDomTree};
-use darm_bench::{fig8_cases, fig9_cases};
+use darm_bench::{fig8_cases, fig9_cases, suite_module};
 use darm_ir::{InstData, Opcode};
 use darm_kernels::synthetic::{build_case, SyntheticKind};
-use darm_melding::{run_meld_pipeline, MeldConfig};
-use darm_pipeline::PipelineOptions;
+use darm_melding::{run_meld_pipeline, MeldConfig, MeldStats};
+use darm_pipeline::{ModuleOptions, ModulePassManager, PipelineOptions};
 
 /// `--time-passes` renders the dedicated CFG/divergence in-place-update
 /// columns, and the fig8+fig9 kernel sweep drives every in-place counter
@@ -50,6 +51,98 @@ fn time_passes_renders_in_place_update_columns() {
         divergence_updates > 0,
         "no window reconciled DivergenceAnalysis in place"
     );
+}
+
+/// Under `time_passes` the meld pass breaks its own row down: four phase
+/// rows from its clock, then the inner cleanup pipeline's four slots —
+/// in the table and in the report. Off, there are no child rows (and no
+/// clock is read).
+#[test]
+fn time_passes_breaks_the_meld_row_into_phases_and_cleanup() {
+    let case = &fig9_cases()[0];
+    let run = |time_passes: bool| {
+        let mut f = case.func.clone();
+        run_meld_pipeline(
+            &mut f,
+            &MeldConfig::default(),
+            PipelineOptions {
+                time_passes,
+                ..PipelineOptions::default()
+            },
+        )
+        .expect("pipeline")
+    };
+
+    let out = run(true);
+    let meld = &out.report.passes[0];
+    let names: Vec<&str> = meld.children.iter().map(|c| c.name.as_str()).collect();
+    assert_eq!(
+        names,
+        [
+            "analyses",
+            "detect",
+            "plan+align",
+            "codegen",
+            "ssa-repair",
+            "instcombine",
+            "simplify",
+            "dce"
+        ]
+    );
+    let (phases, cleanup) = meld.children.split_at(4);
+    assert!(out.stats.melded_regions > 0, "{} must meld", case.name);
+    assert_eq!(
+        phases[0].runs, out.stats.iterations,
+        "one snapshot per round"
+    );
+    assert_eq!(
+        phases[3].runs, out.stats.melded_regions,
+        "one codegen per meld"
+    );
+    for slot in cleanup {
+        assert_eq!(slot.runs, out.stats.melded_regions, "one cleanup per meld");
+    }
+    // The children are a breakdown of the parent's time, not an addition.
+    let inside: f64 = meld.children.iter().map(|c| c.seconds).sum();
+    assert!(
+        inside > 0.0 && inside <= meld.seconds,
+        "{inside} vs {}",
+        meld.seconds
+    );
+    let total = out.report.total_seconds;
+    assert!(total >= meld.seconds && total < meld.seconds + inside);
+    let cleanup_analyses: usize = cleanup.iter().map(|c| c.analysis.computes).sum();
+    assert!(cleanup_analyses <= meld.analysis.computes);
+    let rendered = out.report.render();
+    for name in names {
+        assert!(rendered.contains(&format!("↳ {name} |")), "{rendered}");
+    }
+
+    assert!(run(false).report.passes[0].children.is_empty());
+
+    // The module rollup `darm meld --time-passes` prints sums child rows
+    // across functions, slot by slot.
+    let cases = fig9_cases();
+    let mut module = suite_module("two", &cases[..2]);
+    let report = ModulePassManager::compile(
+        &darm_melding::registry(&MeldConfig::default()),
+        "meld",
+        ModuleOptions::serial(PipelineOptions {
+            time_passes: true,
+            ..PipelineOptions::default()
+        }),
+        &mut module,
+    )
+    .expect("module compiles");
+    let melds: usize = report
+        .functions
+        .iter()
+        .map(|fr| MeldStats::from_report(&fr.report).melded_regions)
+        .sum();
+    let rollup = report.rollup();
+    let codegen = &rollup.passes[0].children[3];
+    assert_eq!((codegen.name.as_str(), codegen.runs), ("codegen", melds));
+    assert!(report.render().contains("↳ simplify |"));
 }
 
 /// A meld-shaped window on a fig8 kernel reconciles `DivergenceAnalysis`

@@ -1,9 +1,12 @@
 //! Functions, basic blocks and instructions.
 
-use crate::dirty::{CfgEdit, DirtyDelta, DirtyEvent, JournalCursor, MutationJournal, WindowProbe};
+use crate::dirty::{
+    CfgEdit, DirtyDelta, DirtyEvent, DirtyInstSet, JournalCursor, MutationJournal, WindowProbe,
+};
 use crate::opcode::Opcode;
 use crate::types::Type;
 use crate::value::Value;
+use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 
@@ -676,34 +679,80 @@ impl Function {
 
     // ---- use rewriting ----
 
-    /// Replaces every operand use of `from` with `to` across the function.
-    ///
-    /// Every rewritten user (and its block) is journaled as touched, along
-    /// with `from`'s definition if it is an instruction (its use count
-    /// dropped to zero).
+    /// Replaces every operand use of `from` with `to` across the function:
+    /// [`Function::rauw_many`] with a batch of one.
     pub fn rauw(&mut self, from: Value, to: Value) {
-        let mut reached = false;
+        self.rauw_many(&[(from, to)]);
+    }
+
+    /// Applies a batch of use replacements in one pass over the
+    /// instruction arena (tombstones skipped). The result is exactly that
+    /// of calling [`Function::rauw`] once per pair, in order — a later
+    /// pair sees the uses an earlier one produced, so `(a, b), (b, c)`
+    /// sends `a`'s users to `c` — at the cost of one scan instead of one
+    /// per pair.
+    ///
+    /// Journal contract: every rewritten user is recorded as touched
+    /// ([`DirtyEvent::Inst`] + [`DirtyEvent::Block`] of its block, once
+    /// per user, in arena order), followed by the definition of every
+    /// `from` instruction that lost a use (its use count dropped — what
+    /// dead-code elimination reads). Nothing is recorded for a pair no
+    /// operand matched. No block-graph event is ever recorded: use
+    /// rewriting leaves the CFG alone.
+    pub fn rauw_many(&mut self, pairs: &[(Value, Value)]) {
+        // Fold the ordered batch into one substitution: walking it
+        // backwards, `from` maps to wherever the *later* pairs send `to`.
+        let mut subst: HashMap<Value, (Value, bool)> = HashMap::with_capacity(pairs.len());
+        for &(from, to) in pairs.iter().rev() {
+            let end = subst.get(&to).map_or(to, |&(end, _)| end);
+            subst.insert(from, (end, false));
+        }
+        subst.retain(|from, (end, _)| from != end);
+        if subst.is_empty() {
+            return;
+        }
+        // Exact pre-filter, so the scan hashes only operands that will
+        // match: a bitset over the instruction `from`s (parameters and
+        // constants are rare as `from` and take the lookup unfiltered).
+        let mut inst_froms = DirtyInstSet::default();
+        let mut other_froms = false;
+        for from in subst.keys() {
+            match *from {
+                Value::Inst(def) => inst_froms.insert(def),
+                _ => other_froms = true,
+            }
+        }
         for idx in 0..self.insts.len() {
             if self.dead_insts[idx] {
                 continue;
             }
             let mut hit = false;
             for op in &mut self.insts[idx].operands {
-                if *op == from {
-                    *op = to;
+                let candidate = match *op {
+                    Value::Inst(def) => inst_froms.contains(def),
+                    _ => other_froms,
+                };
+                if !candidate {
+                    continue;
+                }
+                if let Some((end, reached)) = subst.get_mut(op) {
+                    *op = *end;
+                    *reached = true;
                     hit = true;
                 }
             }
             if hit {
-                reached = true;
                 let block = self.insts[idx].block;
                 self.record(DirtyEvent::Inst(InstId::new(idx)));
                 self.record(DirtyEvent::Block(block));
             }
         }
-        if reached {
-            if let Value::Inst(def) = from {
-                self.record(DirtyEvent::Inst(def));
+        // Batch order, so the journal does not depend on hash order.
+        for &(from, _) in pairs {
+            if let (Value::Inst(def), Some((_, reached))) = (from, subst.get_mut(&from)) {
+                if std::mem::take(reached) {
+                    self.record(DirtyEvent::Inst(def));
+                }
             }
         }
     }
@@ -798,6 +847,57 @@ impl Function {
             self.phi_retarget_pred(succ, block, new_block);
         }
         new_block
+    }
+
+    /// Moves every instruction of `from` onto the end of `to` and
+    /// tombstones `from` — the inverse of [`Function::split_block_at`].
+    /// Instructions keep their [`InstId`]s (so every use of a moved value
+    /// stays valid and nothing is copied); φ-nodes in the moved
+    /// terminator's successors are retargeted from `from` to `to`.
+    ///
+    /// The caller must first have removed `to`'s terminator, every other
+    /// edge into `from`, and `from`'s φ-nodes (with a single predecessor
+    /// they fold to their one incoming value).
+    ///
+    /// Journal contract, mirroring `split_block_at`: [`DirtyEvent::Inst`]
+    /// for each moved instruction (its parent changed), [`DirtyEvent::Block`]
+    /// for both blocks, `EdgeDeleted(from, s)` + `EdgeInserted(to, s)` for
+    /// each successor `s` of the moved terminator, then
+    /// `BlockRemoved(from)` — cost and window both proportional to the
+    /// absorbed block, independent of function size.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `to` still has a terminator or `from` starts with a φ.
+    pub fn merge_block_into(&mut self, from: BlockId, to: BlockId) {
+        assert!(
+            self.terminator(to).is_none(),
+            "merge target {} still has a terminator",
+            self.block_name(to)
+        );
+        let moved = std::mem::take(&mut self.blocks[from.index()].insts);
+        assert!(
+            moved
+                .first()
+                .is_none_or(|&id| !self.insts[id.index()].opcode.is_phi()),
+            "merged block {} still has phis",
+            self.block_name(from)
+        );
+        for &id in &moved {
+            self.insts[id.index()].block = to;
+            self.record(DirtyEvent::Inst(id));
+        }
+        self.blocks[to.index()].insts.extend(moved);
+        self.record(DirtyEvent::Block(from));
+        self.record(DirtyEvent::Block(to));
+        for succ in self.succs(to) {
+            // The moved terminator's out-edges change source block.
+            self.record(DirtyEvent::EdgeDeleted(from, succ));
+            self.record(DirtyEvent::EdgeInserted(to, succ));
+            self.phi_retarget_pred(succ, from, to);
+        }
+        // Emptied above: this journals nothing but `BlockRemoved(from)`.
+        self.remove_block(from);
     }
 
     // ---- verification ----
@@ -1192,6 +1292,86 @@ mod tests {
         f.verify_structure().unwrap();
         assert_eq!(f.succs(then), vec![cont]);
         assert_eq!(f.succs(cont), vec![exit]);
+    }
+
+    #[test]
+    fn merge_block_into_undoes_a_split_and_journals_the_moved_edges() {
+        let (mut f, _entry, then, els, exit) = diamond();
+        let phi = InstData::phi(Type::I32, &[(then, Value::I32(1)), (els, Value::I32(2))]);
+        f.insert_inst_at(exit, 0, phi);
+        let add = InstData::new(Opcode::Add, Type::I32, vec![Value::Param(0), Value::I32(1)]);
+        let add = f.insert_inst_at(then, 0, add);
+        let before = f.to_string();
+        let tail = f.split_block_at(then, 1, "then.tail");
+        let jump = f.add_inst(then, InstData::terminator(Opcode::Jump, vec![], vec![tail]));
+
+        f.remove_inst(jump);
+        let moved = f.insts_of(tail).to_vec();
+        let cursor = f.journal_head();
+        f.merge_block_into(tail, then);
+        f.verify_structure().unwrap();
+        assert_eq!(
+            f.to_string(),
+            before,
+            "ids and order survive the round trip"
+        );
+        assert_eq!(f.insts_of(then)[0], add);
+        assert!(!f.is_block_alive(tail));
+
+        let delta = f.dirty_since(cursor);
+        assert_eq!(
+            delta.edits,
+            vec![
+                CfgEdit::EdgeDeleted(tail, exit),
+                CfgEdit::EdgeInserted(then, exit),
+                CfgEdit::BlockRemoved(tail),
+            ]
+        );
+        assert!(moved.iter().all(|&id| delta.insts.contains(id)));
+        assert!(delta.blocks.contains(tail) && delta.blocks.contains(then));
+    }
+
+    #[test]
+    fn rauw_many_equals_the_rauws_in_order() {
+        // b0: a = p0+1; b = a+a; c = b+a; ret — rewrite a→p0 then b→a.
+        let build = || {
+            let mut f = Function::new("r", vec![Type::I32], Type::I32);
+            let e = f.entry();
+            let add = |f: &mut Function, x: Value, y: Value| {
+                Value::Inst(f.add_inst(e, InstData::new(Opcode::Add, Type::I32, vec![x, y])))
+            };
+            let a = add(&mut f, Value::Param(0), Value::I32(1));
+            let b = add(&mut f, a, a);
+            let c = add(&mut f, b, a);
+            f.add_inst(e, InstData::terminator(Opcode::Ret, vec![c], vec![]));
+            (f, a, b, c)
+        };
+        let (mut one_by_one, a, b, _) = build();
+        one_by_one.rauw(a, Value::Param(0));
+        one_by_one.rauw(b, a);
+        let (mut batched, a, b, c) = build();
+        let cursor = batched.journal_head();
+        batched.rauw_many(&[(a, Value::Param(0)), (b, a)]);
+        assert_eq!(batched.to_string(), one_by_one.to_string());
+        assert_eq!(
+            batched.inst(c.as_inst().unwrap()).operands,
+            vec![a, Value::Param(0)],
+            "a later pair does not feed an earlier one"
+        );
+
+        // Rewritten users, then the definitions that lost uses; no shape.
+        let delta = batched.dirty_since(cursor);
+        assert!(!delta.shape_changed());
+        for v in [a, b, c] {
+            assert!(delta.insts.contains(v.as_inst().unwrap()));
+        }
+        // A chain in batch order follows through: uses of b end at p0.
+        let (mut chained, a, b, c) = build();
+        chained.rauw_many(&[(b, a), (a, Value::Param(0))]);
+        assert_eq!(
+            chained.inst(c.as_inst().unwrap()).operands,
+            vec![Value::Param(0), Value::Param(0)]
+        );
     }
 
     #[test]

@@ -367,11 +367,14 @@ pub fn meld_region(
     let _ = (new_t_exit, new_f_exit);
 
     // ---- Phase F: global use rewrite and cleanup ----
-    let keys: Vec<InstId> = operand_map.keys().copied().collect();
-    for orig in keys {
-        let to = operand_map[&orig];
-        func.rauw(Value::Inst(orig), to);
-    }
+    // One arena pass for the whole region; sorted so the journal does not
+    // depend on hash order.
+    let mut rewrites: Vec<(Value, Value)> = operand_map
+        .iter()
+        .map(|(&orig, &to)| (Value::Inst(orig), to))
+        .collect();
+    rewrites.sort_unstable_by_key(|&(orig, _)| orig.as_inst());
+    func.rauw_many(&rewrites);
     for el in plan {
         if let PlanElement::Meld { st, sf, .. } = el {
             stats.melded_subgraphs += 1;

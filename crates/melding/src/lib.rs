@@ -212,11 +212,9 @@ pub fn run_meld_pipeline(
     options: PipelineOptions,
 ) -> Result<MeldOutcome, PipelineError> {
     let sink = MeldStatsSink::default();
-    let verify_each = options.verify_each;
+    let pass = MeldPass::with_sink(*config, sink.clone()).observing(&options);
     let mut pm = PassManager::new(options);
-    pm.add(Box::new(
-        MeldPass::with_sink(*config, sink.clone()).with_verify_each(verify_each),
-    ));
+    pm.add(Box::new(pass));
     let report = pm.run(func)?;
     Ok(MeldOutcome {
         stats: sink.take(),
@@ -265,9 +263,9 @@ fn apply_meld_params(
 /// configuration — `meld(threshold=0.3)`, `meld(unpredicate=false)`,
 /// `meld(mode=bf)`, `meld(max-iters=4)` — so the paper's ablations
 /// (threshold sweep, unpredication off) are expressible as specs with no
-/// code changes. Both propagate the
-/// pipeline's `verify_each` into their inner cleanup pipeline, exactly as
-/// [`run_meld_pipeline`] does.
+/// code changes. Both carry the pipeline's `verify_each` and
+/// `time_passes` into their inner cleanup pipeline
+/// ([`MeldPass::observing`]), exactly as [`run_meld_pipeline`] does.
 pub fn registry(config: &MeldConfig) -> PassRegistry {
     let mut r = PassRegistry::with_transforms();
     let configured = *config;
@@ -277,18 +275,14 @@ pub fn registry(config: &MeldConfig) -> PassRegistry {
     };
     r.register_configurable("meld", move |params, options| {
         let c = apply_meld_params(configured, params)?;
-        Ok(Box::new(
-            MeldPass::new(c).with_verify_each(options.verify_each),
-        ))
+        Ok(Box::new(MeldPass::new(c).observing(&options)))
     });
     r.register_configurable("meld-bf", move |params, options| {
         let c = apply_meld_params(bf, params)?;
         if c.mode != MeldMode::BranchFusion {
             return Err("parameter `mode`: meld-bf is fixed to branch fusion".into());
         }
-        Ok(Box::new(
-            MeldPass::new(c).with_verify_each(options.verify_each),
-        ))
+        Ok(Box::new(MeldPass::new(c).observing(&options)))
     });
     r.register("tail-merge", || Box::new(TailMergePass::default()));
     r

@@ -20,15 +20,52 @@ use crate::{plan_region, Analyses, MeldConfig, MeldMode, MeldStats};
 use darm_analysis::AnalysisManager;
 use darm_ir::{BlockId, Function};
 use darm_pipeline::{
-    DcePass, InstCombinePass, Pass, PassManager, PassOutcome, PipelineOptions, SimplifyCfgPass,
-    SsaRepairPass,
+    DcePass, InstCombinePass, Pass, PassManager, PassOutcome, PassRecord, PipelineOptions,
+    SimplifyCfgPass, SsaRepairPass,
 };
 use std::cell::RefCell;
 use std::rc::Rc;
+use std::time::Instant;
 
 /// Shared handle through which a [`MeldPass`] publishes its statistics
 /// (the pass itself is consumed by the [`PassManager`] that runs it).
 pub type MeldStatsSink = Rc<RefCell<MeldStats>>;
+
+/// The fixpoint's own phases, in the order a round runs them; the inner
+/// cleanup pipeline's slots follow them as child rows.
+#[derive(Clone, Copy)]
+enum Phase {
+    Analyses,
+    Detect,
+    PlanAlign,
+    Codegen,
+}
+
+/// Row names, indexed by [`Phase`].
+const PHASES: [&str; 4] = ["analyses", "detect", "plan+align", "codegen"];
+
+/// Wall clock of the [`PHASES`], read only when the pass runs under
+/// `--time-passes` — otherwise [`PhaseClock::time`] is a plain call.
+#[derive(Default)]
+struct PhaseClock {
+    on: bool,
+    /// `(runs, seconds)` per phase.
+    phases: [(usize, f64); PHASES.len()],
+}
+
+impl PhaseClock {
+    fn time<T>(&mut self, phase: Phase, f: impl FnOnce() -> T) -> T {
+        if !self.on {
+            return f();
+        }
+        let t = Instant::now();
+        let out = f();
+        let (runs, seconds) = &mut self.phases[phase as usize];
+        *runs += 1;
+        *seconds += t.elapsed().as_secs_f64();
+        out
+    }
+}
 
 /// The DARM control-flow melding pass (or its branch-fusion restriction,
 /// per [`MeldConfig::mode`]).
@@ -36,6 +73,7 @@ pub struct MeldPass {
     config: MeldConfig,
     stats: MeldStatsSink,
     cleanup: PassManager,
+    clock: PhaseClock,
 }
 
 impl MeldPass {
@@ -50,11 +88,11 @@ impl MeldPass {
     /// manager has consumed the pass.
     pub fn with_sink(config: MeldConfig, stats: MeldStatsSink) -> MeldPass {
         // Algorithm 1's RunPostOptimizations, as an inner pipeline. Each
-        // cleanup pass restricts
-        // its rescan to the journal window since its own previous run
-        // (per-meld cost), and the analysis cache reconciles through the
-        // journal — so the dominator/post-dominator trees the meld surgery
-        // updated in place survive the cleanup rounds.
+        // cleanup pass restricts its rescan to the journal window since its
+        // own previous run (per-meld cost), and the analysis cache
+        // reconciles through the journal — so the dominator/post-dominator
+        // trees the meld surgery updated in place survive the cleanup
+        // rounds.
         let mut cleanup = PassManager::new(PipelineOptions::default());
         cleanup
             .add(Box::new(SsaRepairPass::default()))
@@ -65,6 +103,7 @@ impl MeldPass {
             config,
             stats,
             cleanup,
+            clock: PhaseClock::default(),
         }
     }
 
@@ -73,50 +112,52 @@ impl MeldPass {
         self.stats.clone()
     }
 
-    /// Enables SSA verification after each *inner* cleanup pass as well
-    /// (the outer pass manager's `verify_each` only checks after the whole
-    /// melding pass). Verification starts after `ssa-repair` — the IR is
-    /// intentionally broken between `meld_region` and the repair.
-    pub fn with_verify_each(mut self, on: bool) -> MeldPass {
-        self.cleanup.options.verify_each = on;
+    /// Carries the surrounding pipeline's observation options inside the
+    /// pass. `verify_each` enables SSA verification after each *inner*
+    /// cleanup pass as well (the outer pass manager only checks after the
+    /// whole melding pass; inner verification starts after `ssa-repair` —
+    /// the IR is intentionally broken between `meld_region` and the
+    /// repair). `time_passes` turns on the phase clock and the inner
+    /// pipeline's per-pass timing, reported as [`Pass::child_records`];
+    /// without it no clock is read.
+    pub fn observing(mut self, options: &PipelineOptions) -> MeldPass {
+        self.cleanup.options.verify_each = options.verify_each;
+        self.cleanup.options.time_passes = options.time_passes;
+        self.clock.on = options.time_passes;
         self
     }
+}
 
-    /// One fixpoint scan candidate: entry block, chain size and the
-    /// memoized detection result, so the processing loop does not re-detect
-    /// what the sizing pass already computed on the unchanged function.
-    fn candidates(
-        &self,
-        func: &Function,
-        a: &Analyses,
-    ) -> Vec<(usize, BlockId, Option<MeldableRegion>)> {
-        let mut candidates: Vec<(usize, BlockId, Option<MeldableRegion>)> = a
-            .cfg
-            .rpo()
-            .iter()
-            .copied()
-            .filter(|&b| a.da.is_divergent_branch(b))
-            .map(|b| {
-                let r = region::detect_region(func, a, b);
-                let size = r
-                    .as_ref()
-                    .map(|r| {
-                        r.true_chain
-                            .iter()
-                            .chain(&r.false_chain)
-                            .map(|s| s.blocks.len())
-                            .sum()
-                    })
-                    .unwrap_or(usize::MAX / 2);
-                (size, b, r)
-            })
-            .collect();
-        // Innermost (smallest) first: melding an inner diamond before its
-        // enclosing region avoids unnecessary region replication (the SB4
-        // situation, §VI-B).
-        candidates.sort_by_key(|&(size, b, _)| (size, std::cmp::Reverse(a.cfg.rpo_index(b))));
-        candidates
-    }
+/// The fixpoint scan's candidates: entry block, chain size and the
+/// memoized detection result, so the processing loop does not re-detect
+/// what the sizing pass already computed on the unchanged function.
+fn candidates(func: &Function, a: &Analyses) -> Vec<(usize, BlockId, Option<MeldableRegion>)> {
+    let mut candidates: Vec<(usize, BlockId, Option<MeldableRegion>)> = a
+        .cfg
+        .rpo()
+        .iter()
+        .copied()
+        .filter(|&b| a.da.is_divergent_branch(b))
+        .map(|b| {
+            let r = region::detect_region(func, a, b);
+            let size = r
+                .as_ref()
+                .map(|r| {
+                    r.true_chain
+                        .iter()
+                        .chain(&r.false_chain)
+                        .map(|s| s.blocks.len())
+                        .sum()
+                })
+                .unwrap_or(usize::MAX / 2);
+            (size, b, r)
+        })
+        .collect();
+    // Innermost (smallest) first: melding an inner diamond before its
+    // enclosing region avoids unnecessary region replication (the SB4
+    // situation, §VI-B).
+    candidates.sort_by_key(|&(size, b, _)| (size, std::cmp::Reverse(a.cfg.rpo_index(b))));
+    candidates
 }
 
 impl Pass for MeldPass {
@@ -138,25 +179,37 @@ impl Pass for MeldPass {
         'outer: for _ in 0..config.max_iterations {
             darm_ir::budget::poll("meld::fixpoint");
             stats.iterations += 1;
-            let a = Analyses::from_manager(func, am);
-            // The function is in valid, fully repaired SSA form at every
-            // scan top (pipeline contract on entry; the cleanup fixpoint
-            // afterwards): publishing the checkpoint lets the post-meld SSA
-            // repair scope even its first scan to the meld window.
-            am.set_dom_checkpoint(func, a.dt.clone());
-            for (_, b, r) in self.candidates(func, &a) {
+            let a = self.clock.time(Phase::Analyses, || {
+                let a = Analyses::from_manager(func, am);
+                // The function is in valid, fully repaired SSA form at
+                // every scan top (pipeline contract on entry; the cleanup
+                // fixpoint afterwards): publishing the checkpoint lets the
+                // post-meld SSA repair scope even its first scan to the
+                // meld window.
+                am.set_dom_checkpoint(func, a.dt.clone());
+                a
+            });
+            let candidates = self.clock.time(Phase::Detect, || candidates(func, &a));
+            for (_, b, r) in candidates {
                 // Region simplification (Definition 3/4) may change the
                 // CFG; restart with fresh analyses when it does. A
                 // successfully detected region is already simple — every
                 // chain position has its dedicated single exit edge — so
                 // the walk is provably a no-op then and is skipped.
-                if r.is_none() && region::simplify_region_entry(func, &a, b) {
+                if r.is_none()
+                    && self
+                        .clock
+                        .time(Phase::Detect, || region::simplify_region_entry(func, &a, b))
+                {
                     mutated = true;
                     continue 'outer;
                 }
                 let Some(r) = r else { continue };
                 let arenas_before = (func.block_capacity(), func.inst_capacity());
-                let Some((plan, n_repl)) = plan_region(func, &r, &config) else {
+                let plan = self
+                    .clock
+                    .time(Phase::PlanAlign, || plan_region(func, &r, &config));
+                let Some((plan, n_repl)) = plan else {
                     // plan_region can mutate and still conclude nothing is
                     // meldable (a region replication that fails partway
                     // leaves orphan blocks behind). The arenas only grow,
@@ -167,7 +220,9 @@ impl Pass for MeldPass {
                     continue;
                 };
                 darm_ir::fault::point("meld::codegen");
-                let rstats = crate::codegen::meld_region(func, &r, &plan, config.unpredicate);
+                let rstats = self.clock.time(Phase::Codegen, || {
+                    crate::codegen::meld_region(func, &r, &plan, config.unpredicate)
+                });
                 mutated = true;
                 stats.melded_regions += 1;
                 stats.melded_subgraphs += rstats.melded_subgraphs;
@@ -223,12 +278,30 @@ impl Pass for MeldPass {
         ]
     }
 
+    fn child_records(&self) -> Vec<PassRecord> {
+        if !self.clock.on {
+            return Vec::new();
+        }
+        let mut rows: Vec<PassRecord> = PHASES
+            .iter()
+            .zip(&self.clock.phases)
+            .map(|(name, &(runs, seconds))| PassRecord {
+                runs,
+                seconds,
+                ..PassRecord::named(name)
+            })
+            .collect();
+        rows.extend(self.cleanup.records());
+        rows
+    }
+
     fn reset(&mut self) {
         // The sink is shared (callers may hold clones of the Rc), so reset
         // its contents in place; the inner cleanup pipeline carries the
         // per-function journal cursors and dominator baselines.
         *self.stats.borrow_mut() = MeldStats::default();
         self.cleanup.reset_for_reuse();
+        self.clock.phases = Default::default();
     }
 }
 

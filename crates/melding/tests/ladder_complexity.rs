@@ -1,0 +1,119 @@
+//! Complexity guards that count instead of timing: on an N-rung ladder of
+//! meldable diamonds, the fixpoint melds one rung per round and cleans up
+//! after each. That per-round work must follow the melded region, not the
+//! function — so the instruction arena grows by a constant per rung (block
+//! merging moves ids instead of copying the ever-longer ladder tail), and
+//! the journal window of a round holds nothing function-sized except the
+//! moved tail's change of parent.
+
+use darm_analysis::verify_ssa;
+use darm_ir::builder::FunctionBuilder;
+use darm_ir::{AddrSpace, Dim, Function, IcmpPred, Type, Value};
+use darm_melding::{meld_function, MeldConfig, MeldStats};
+
+/// `out[tid] = f_{N-1}(… f_0(in[tid]))`, each `f_r` a diamond on one bit of
+/// the thread id whose arms run the same three opcodes on different
+/// constants — every rung melds, with selects for the constants.
+fn ladder(rungs: usize) -> Function {
+    let ptr = Type::Ptr(AddrSpace::Global);
+    let mut f = Function::new("ladder", vec![ptr, ptr], Type::Void);
+    let entry = f.entry();
+    let mut b = FunctionBuilder::new(&mut f, entry);
+    let tid = b.thread_idx(Dim::X);
+    let src = b.gep(Type::I32, b.param(1), tid);
+    let x = b.load(Type::I32, src);
+    let mut acc = x;
+    for r in 0..rungs {
+        let k = r as i32;
+        let bit = b.lshr(tid, Value::I32(k % 5));
+        let bit = b.and(bit, Value::I32(1));
+        let cond = b.icmp(IcmpPred::Ne, bit, Value::I32(0));
+        let t = b.add_block(&format!("r{r}.t"));
+        let e = b.add_block(&format!("r{r}.e"));
+        let j = b.add_block(&format!("r{r}.j"));
+        b.br(cond, t, e);
+        let mut arms = Vec::new();
+        for (arm, side) in [(t, 0), (e, 1)] {
+            b.switch_to(arm);
+            let v = b.mul(acc, Value::I32(3 + 2 * side));
+            let v = b.add(v, Value::I32(7 * k + side + 1));
+            let v = b.xor(v, Value::I32(11 + k + 13 * side));
+            b.jump(j);
+            arms.push((arm, v));
+        }
+        b.switch_to(j);
+        let joined = b.phi(Type::I32, &arms);
+        acc = b.add(joined, x);
+    }
+    let dst = b.gep(Type::I32, b.param(0), tid);
+    b.store(acc, dst);
+    b.ret(None);
+    f
+}
+
+struct Melded {
+    initial_capacity: usize,
+    final_capacity: usize,
+    final_live: usize,
+    journal_events: usize,
+    stats: MeldStats,
+}
+
+fn meld_ladder(rungs: usize) -> Melded {
+    let mut f = ladder(rungs);
+    verify_ssa(&f).expect("ladder verifies");
+    let initial_capacity = f.inst_capacity();
+    let events_before = f.journal_len();
+    let stats = meld_function(&mut f, &MeldConfig::default());
+    verify_ssa(&f).expect("melded ladder verifies");
+    assert_eq!(stats.melded_regions, rungs, "every rung melds");
+    assert_eq!(f.cond_branch_count(), 0, "no divergent branch survives");
+    Melded {
+        initial_capacity,
+        final_capacity: f.inst_capacity(),
+        final_live: f.live_inst_count(),
+        journal_events: f.journal_len() - events_before,
+        stats,
+    }
+}
+
+/// Arena slots a single rung's meld may allocate: the melded block's
+/// clones of one arm, a select per differing constant, the re-linked
+/// terminators and the exit select.
+const SLOTS_PER_RUNG: usize = 16;
+
+#[test]
+fn arena_grows_by_a_constant_per_rung() {
+    for rungs in [8, 16, 32] {
+        let m = meld_ladder(rungs);
+        assert!(
+            m.final_capacity <= m.initial_capacity + SLOTS_PER_RUNG * rungs,
+            "{rungs} rungs: arena {} -> {} slots, more than {SLOTS_PER_RUNG} per rung",
+            m.initial_capacity,
+            m.final_capacity
+        );
+    }
+}
+
+/// What a round journals beyond a constant is the ladder tail changing
+/// parent — once into the melded block, once with it into the rung's
+/// header, one event per moved instruction, and the tail averages half
+/// the function. So events per round may rise by about one per instruction
+/// the ladder gains; a whole-function rewrite or a copy per absorbed
+/// instruction (9.2 here when merging copied) shows up as a steeper slope.
+#[test]
+fn journal_window_per_round_follows_the_moved_tail_only() {
+    let (short, long) = (meld_ladder(8), meld_ladder(32));
+    let per_round = |m: &Melded| m.journal_events as f64 / m.stats.iterations as f64;
+    let slope =
+        (per_round(&long) - per_round(&short)) / (long.final_live as f64 - short.final_live as f64);
+    assert!(
+        slope <= 1.5,
+        "journal events per fixpoint round rise by {slope:.2} per instruction of ladder: \
+         {:.0} at 8 rungs ({} insts), {:.0} at 32 ({} insts)",
+        per_round(&short),
+        short.final_live,
+        per_round(&long),
+        long.final_live
+    );
+}

@@ -213,6 +213,14 @@ pub trait Pass {
         Vec::new()
     }
 
+    /// Records of the pass's own inner structure — phases, an inner
+    /// pipeline's slots — reported as child rows of this pass's
+    /// [`PassRecord`]. Their time is part of the parent's, never added to
+    /// the total. The default is none.
+    fn child_records(&self) -> Vec<PassRecord> {
+        Vec::new()
+    }
+
     /// Clears all per-function state — journal cursors, dominator
     /// baselines, stat counters — so the instance behaves exactly like a
     /// freshly constructed one on its next function. Lets a module worker
@@ -500,6 +508,60 @@ pub struct PassRecord {
     /// Analysis work attributed to this pass's runs: full computations vs
     /// cache hits vs incremental in-place updates.
     pub analysis: AnalysisCounters,
+    /// What the pass reports about its own inside
+    /// ([`Pass::child_records`]); empty for most passes.
+    pub children: Vec<PassRecord>,
+}
+
+impl PassRecord {
+    /// A record carrying only a name.
+    pub fn named(name: &str) -> PassRecord {
+        PassRecord {
+            name: name.to_string(),
+            ..PassRecord::default()
+        }
+    }
+
+    /// Sums `other` — the same slot of another function's run — into
+    /// `self`: counts, time, analysis counters, named stats by key and
+    /// child rows by position.
+    pub fn absorb(&mut self, other: &PassRecord) {
+        self.runs += other.runs;
+        self.changed_runs += other.changed_runs;
+        self.units += other.units;
+        self.seconds += other.seconds;
+        self.analysis += other.analysis;
+        for &(k, v) in &other.stats {
+            match self.stats.iter_mut().find(|(sk, _)| *sk == k) {
+                Some((_, sv)) => *sv += v,
+                None => self.stats.push((k, v)),
+            }
+        }
+        for (slot, child) in other.children.iter().enumerate() {
+            if self.children.len() <= slot {
+                self.children.push(PassRecord::named(&child.name));
+            }
+            self.children[slot].absorb(child);
+        }
+    }
+
+    /// One `--time-passes` table row; `label` is the first cell.
+    fn render_row(&self, label: &str) -> String {
+        let a = &self.analysis;
+        format!(
+            "| {label} | {} | {} | {} | {:.3} | {}/{}/{}/{}/{}/{} |\n",
+            self.runs,
+            self.changed_runs,
+            self.units,
+            self.seconds * 1e3,
+            a.computes,
+            a.hits,
+            a.updates,
+            a.in_place_deletion_updates,
+            a.in_place_cfg_updates,
+            a.in_place_divergence_updates,
+        )
+    }
 }
 
 /// Everything a pipeline run measured.
@@ -524,28 +586,15 @@ impl PipelineReport {
         out.push_str("|---|---|---|---|---|---|\n");
         let mut totals = AnalysisCounters::default();
         for r in &self.passes {
-            out.push_str(&format!(
-                "| {} | {} | {} | {} | {:.3} | {}/{}/{}/{}/{}/{} |\n",
-                r.name,
-                r.runs,
-                r.changed_runs,
-                r.units,
-                r.seconds * 1e3,
-                r.analysis.computes,
-                r.analysis.hits,
-                r.analysis.updates,
-                r.analysis.in_place_deletion_updates,
-                r.analysis.in_place_cfg_updates,
-                r.analysis.in_place_divergence_updates,
-            ));
-            totals.computes += r.analysis.computes;
-            totals.hits += r.analysis.hits;
-            totals.updates += r.analysis.updates;
-            totals.in_place_deletion_updates += r.analysis.in_place_deletion_updates;
-            totals.in_place_cfg_updates += r.analysis.in_place_cfg_updates;
-            totals.in_place_divergence_updates += r.analysis.in_place_divergence_updates;
+            out.push_str(&r.render_row(&r.name));
+            totals += r.analysis;
             for (k, v) in &r.stats {
                 out.push_str(&format!("|   · {k} | | | {v} | | |\n"));
+            }
+            // Child rows break the pass's own line down; they are not
+            // summed into the total.
+            for child in &r.children {
+                out.push_str(&child.render_row(&format!("  ↳ {}", child.name)));
             }
         }
         out.push_str(&format!(
@@ -762,13 +811,7 @@ impl PassManager {
             // for entries across this pass's own window.
             am.update_after_with_report(func, &outcome.preserved, pass_start);
             if let Some(before) = counters_before {
-                let delta = am.counters().since(&before);
-                record.analysis.computes += delta.computes;
-                record.analysis.hits += delta.hits;
-                record.analysis.updates += delta.updates;
-                record.analysis.in_place_deletion_updates += delta.in_place_deletion_updates;
-                record.analysis.in_place_cfg_updates += delta.in_place_cfg_updates;
-                record.analysis.in_place_divergence_updates += delta.in_place_divergence_updates;
+                record.analysis += am.counters().since(&before);
             }
             record.runs += 1;
             record.changed_runs += usize::from(outcome.changed);
@@ -795,22 +838,29 @@ impl PassManager {
         self.passes.iter().map(|(_, r)| r.units).sum()
     }
 
+    /// The cumulative per-pass records, named and with each pass's stat
+    /// entries and child rows filled in — what a pass that owns an inner
+    /// pipeline hands out as its [`Pass::child_records`].
+    pub fn records(&self) -> Vec<PassRecord> {
+        self.passes
+            .iter()
+            .map(|(pass, record)| {
+                let mut r = record.clone();
+                r.name = pass.name().to_string();
+                r.stats = pass.stat_entries();
+                r.children = pass.child_records();
+                r
+            })
+            .collect()
+    }
+
     /// Builds the cumulative report. Records — including the total time —
     /// survive across multiple `run*` calls, so a driver that re-runs the
     /// pipeline gets totals whose per-pass rows are consistent with the
     /// total row.
     fn report(&self, am: &AnalysisManager) -> PipelineReport {
         PipelineReport {
-            passes: self
-                .passes
-                .iter()
-                .map(|(pass, record)| {
-                    let mut r = record.clone();
-                    r.name = pass.name().to_string();
-                    r.stats = pass.stat_entries();
-                    r
-                })
-                .collect(),
+            passes: self.records(),
             analysis_computations: am.computations().to_vec(),
             total_seconds: self.total_seconds,
         }

@@ -38,7 +38,7 @@ use crate::{
     clear_current_pass, install_quiet_panic_hook, Diagnostic, FaultCause, PassManager, PassRecord,
     PipelineError, PipelineOptions, PipelineReport,
 };
-use darm_analysis::{AnalysisCounters, AnalysisManager};
+use darm_analysis::AnalysisManager;
 use darm_ir::{Function, Module};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -166,33 +166,9 @@ impl ModuleReport {
             total += fr.report.total_seconds;
             for (slot, r) in fr.report.passes.iter().enumerate() {
                 if passes.len() <= slot {
-                    passes.push(PassRecord {
-                        name: r.name.clone(),
-                        ..PassRecord::default()
-                    });
+                    passes.push(PassRecord::named(&r.name));
                 }
-                let acc = &mut passes[slot];
-                acc.runs += r.runs;
-                acc.changed_runs += r.changed_runs;
-                acc.units += r.units;
-                acc.seconds += r.seconds;
-                acc.analysis = AnalysisCounters {
-                    computes: acc.analysis.computes + r.analysis.computes,
-                    hits: acc.analysis.hits + r.analysis.hits,
-                    updates: acc.analysis.updates + r.analysis.updates,
-                    in_place_deletion_updates: acc.analysis.in_place_deletion_updates
-                        + r.analysis.in_place_deletion_updates,
-                    in_place_cfg_updates: acc.analysis.in_place_cfg_updates
-                        + r.analysis.in_place_cfg_updates,
-                    in_place_divergence_updates: acc.analysis.in_place_divergence_updates
-                        + r.analysis.in_place_divergence_updates,
-                };
-                for &(k, v) in &r.stats {
-                    match acc.stats.iter_mut().find(|(ak, _)| *ak == k) {
-                        Some((_, av)) => *av += v,
-                        None => acc.stats.push((k, v)),
-                    }
-                }
+                passes[slot].absorb(r);
             }
             for &(name, count) in &fr.report.analysis_computations {
                 match computations.iter_mut().find(|(n, _)| *n == name) {

@@ -6,15 +6,17 @@
 //! algebraic identities. The driver runs this as part of Algorithm 2's
 //! `RunPostOptimizations`.
 //!
-//! The engine is a worklist: whether an instruction reduces depends only on
-//! its own opcode and operands, and operands change only through RAUW — so
-//! after each rewrite the `darm-ir` journal names exactly the users whose
-//! operands moved, and only those re-enter the queue. The rewrite system is
-//! confluent (rewrites only remove instructions and substitute values), so
-//! the fixpoint reached equals the seed implementation's repeated
-//! whole-function sweeps. [`run_instcombine_scoped`] seeds the queue from a
+//! The engine is a worklist run in rounds: whether an instruction reduces
+//! depends only on its own opcode and operands, and operands change only
+//! through RAUW — so a round simplifies everything queued, applies its
+//! substitutions in one batched pass, and the `darm-ir` journal then names
+//! exactly the users whose operands moved; only those enter the next
+//! round. The rewrite system is confluent (rewrites only remove
+//! instructions and substitute values), so the fixpoint reached equals the
+//! seed implementation's repeated whole-function sweeps. [`run_instcombine_scoped`] seeds the queue from a
 //! mutation window's dirty region instead of every instruction.
 
+use crate::resolve_pending;
 use darm_ir::{DirtyDelta, Function, InstId, Opcode, Value};
 
 /// Applies local rewrites to a fixpoint. Returns the number of
@@ -67,25 +69,36 @@ pub fn run_instcombine_scoped(func: &mut Function, scope: Option<&DirtyDelta>) -
         }
     }
     let mut total = 0;
-    while let Some(id) = work.pop() {
-        if !func.is_inst_alive(id) {
-            continue;
+    let mut batch: Vec<(Value, Value)> = Vec::new();
+    while !work.is_empty() {
+        // One round: every queued instruction is simplified against the IR
+        // as it stands, then the round's substitutions land in a single
+        // arena pass. An instruction reading a value replaced in the same
+        // round sees the stale operand, at worst misses a fold, and comes
+        // back next round as a rewritten user.
+        work.sort_unstable();
+        work.dedup();
+        batch.clear();
+        for &id in &work {
+            if !func.is_inst_alive(id) {
+                continue;
+            }
+            if let Some(v) = simplify_inst(func, id) {
+                let v = resolve_pending(&batch, v);
+                batch.push((Value::Inst(id), v));
+            }
         }
-        let Some(v) = simplify_inst(func, id) else {
-            continue;
-        };
+        work.clear();
         // The journal window of the substitution names every rewritten
         // user — exactly the instructions whose foldability may have
         // changed.
         let cursor = func.journal_head();
-        func.rauw(Value::Inst(id), v);
-        func.remove_inst(id);
-        total += 1;
-        func.insts_touched_since(cursor, |t| {
-            if t != id {
-                work.push(t);
-            }
-        });
+        func.rauw_many(&batch);
+        for &(from, _) in &batch {
+            func.remove_inst(from.as_inst().expect("batch holds instructions"));
+        }
+        total += batch.len();
+        func.insts_touched_since(cursor, |t| work.push(t));
     }
     total
 }

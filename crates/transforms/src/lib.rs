@@ -29,3 +29,13 @@ pub use edges::split_edge;
 pub use instcombine::{run_instcombine, run_instcombine_scoped};
 pub use simplify::{simplify_cfg, simplify_cfg_scoped, simplify_cfg_with};
 pub use ssa_repair::{repair_ssa, repair_ssa_scoped, repair_ssa_with};
+
+use darm_ir::Value;
+
+/// `v` as it would read had the replacements queued in `batch` (for
+/// [`darm_ir::Function::rauw_many`]) already been applied, in order.
+pub(crate) fn resolve_pending(batch: &[(Value, Value)], v: Value) -> Value {
+    batch
+        .iter()
+        .fold(v, |v, &(from, to)| if v == from { to } else { v })
+}

@@ -12,6 +12,7 @@
 //! block/instruction id and the printed IR, is identical to the
 //! whole-function run.
 
+use crate::resolve_pending;
 use darm_analysis::{AnalysisManager, Cfg};
 use darm_ir::{BlockId, DirtyDelta, Function, InstData, JournalCursor, Opcode, Value};
 
@@ -313,7 +314,10 @@ fn remove_trivial_phis(
     let mut changed = false;
     loop {
         scope.refresh(func, am);
-        let mut local = false;
+        // One sweep's replacements, applied in a single arena pass at its
+        // end. Operands are read through the queue, so a φ made trivial by
+        // an earlier replacement of the same sweep is still caught here.
+        let mut batch: Vec<(Value, Value)> = Vec::new();
         for b in func.block_ids() {
             if !scope.allows(b) {
                 continue;
@@ -325,6 +329,7 @@ fn remove_trivial_phis(
                 let mut unique: Option<Value> = None;
                 let mut trivial = true;
                 for &v in &inst.operands {
+                    let v = resolve_pending(&batch, v);
                     if v == Value::Inst(phi) {
                         continue;
                     }
@@ -339,17 +344,17 @@ fn remove_trivial_phis(
                 }
                 if trivial {
                     let replacement = unique.unwrap_or(Value::Undef(inst.ty));
-                    func.rauw(Value::Inst(phi), replacement);
+                    batch.push((Value::Inst(phi), replacement));
                     func.remove_inst(phi);
                     stats.removed_trivial_phis += 1;
-                    local = true;
-                    changed = true;
                 }
             }
         }
-        if !local {
+        if batch.is_empty() {
             break;
         }
+        func.rauw_many(&batch);
+        changed = true;
     }
     changed
 }
@@ -361,7 +366,9 @@ fn dedup_phis(
     scope: &mut ScopeState,
 ) -> bool {
     scope.refresh(func, am);
-    let mut changed = false;
+    // Applied in one arena pass at the end; φs are compared through the
+    // queue, as if each replacement had landed when it was found.
+    let mut batch: Vec<(Value, Value)> = Vec::new();
     for b in func.block_ids() {
         if !scope.allows(b) {
             continue;
@@ -377,16 +384,23 @@ fn dedup_phis(
                 }
                 let a = func.inst(phis[i]);
                 let c = func.inst(phis[j]);
-                if a.ty == c.ty && a.operands == c.operands && a.phi_blocks == c.phi_blocks {
-                    func.rauw(Value::Inst(phis[j]), Value::Inst(phis[i]));
+                let pending = |v: &Value| resolve_pending(&batch, *v);
+                if a.ty == c.ty
+                    && a.phi_blocks == c.phi_blocks
+                    && a.operands
+                        .iter()
+                        .map(pending)
+                        .eq(c.operands.iter().map(pending))
+                {
+                    batch.push((Value::Inst(phis[j]), Value::Inst(phis[i])));
                     func.remove_inst(phis[j]);
                     stats.removed_duplicate_phis += 1;
-                    changed = true;
                 }
             }
         }
     }
-    changed
+    func.rauw_many(&batch);
+    !batch.is_empty()
 }
 
 /// Merges `B` into its unique predecessor `P` when `P` unconditionally jumps
@@ -445,29 +459,23 @@ fn merge_straightline(
                     .collect()
             });
             // Single-incoming φs in `b` fold to their value.
+            let mut folded: Vec<(Value, Value)> = Vec::new();
             for phi in func.phis_of(b) {
-                let v = func.inst(phi).operands[0];
-                func.rauw(Value::Inst(phi), v);
+                let v = resolve_pending(&folded, func.inst(phi).operands[0]);
+                folded.push((Value::Inst(phi), v));
                 func.remove_inst(phi);
             }
-            // Move b's instructions into p.
+            func.rauw_many(&folded);
+            // Move b's instructions into p; they keep their ids.
             func.remove_inst(pt);
-            let insts = func.insts_of(b).to_vec();
-            for id in insts {
-                let data = func.inst(id).clone();
-                func.remove_inst(id);
-                let new_id = func.add_inst(p, data);
-                func.rauw(Value::Inst(id), Value::Inst(new_id));
-            }
+            func.merge_block_into(b, p);
             for s in func.succs(p) {
-                func.phi_retarget_pred(s, b, p);
                 for e in &mut preds[s.index()] {
                     if *e == b {
                         *e = p;
                     }
                 }
             }
-            func.remove_block(b);
             preds[b.index()].clear();
             stats.merged_blocks += 1;
             merged = true;
@@ -667,10 +675,16 @@ mod tests {
         b.jump(x);
         b.switch_to(x);
         b.ret(Some(c));
+        let slots = f.inst_capacity();
         let stats = simplify_cfg(&mut f);
         assert!(stats.merged_blocks >= 2);
         assert_eq!(f.block_ids().len(), 1);
         verify_ssa(&f).unwrap();
+        // Merging moves instructions: no arena slot is allocated and the
+        // values keep their ids.
+        assert_eq!(f.inst_capacity(), slots);
+        let ret = f.terminator(f.entry()).unwrap();
+        assert_eq!(f.inst(ret).operands[0], c);
     }
 
     #[test]

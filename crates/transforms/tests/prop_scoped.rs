@@ -179,6 +179,32 @@ proptest! {
         prop_assert_eq!(f.to_string(), twin.to_string(), "simplify IR differs");
     }
 
+    /// Splitting a block and letting scoped simplification merge the halves
+    /// back is the identity: the merge moves instruction ids instead of
+    /// copying, so the printed IR — raw value numbers included — and the
+    /// arena size come back exactly.
+    #[test]
+    fn split_then_simplify_restores_ir_and_ids(
+        script in proptest::collection::vec(any::<u8>(), 6..30),
+        x in any::<u8>(),
+        y in any::<u8>(),
+    ) {
+        let mut f = build_cfg(&script);
+        simplify_cfg(&mut f);
+        let (text, capacity) = (f.to_string(), f.inst_capacity());
+        let cursor = f.journal_head();
+        let blocks = f.block_ids();
+        let b = blocks[x as usize % blocks.len()];
+        let at = y as usize % f.insts_of(b).len();
+        let tail = f.split_block_at(b, at, "tail");
+        f.add_inst(b, InstData::terminator(Opcode::Jump, vec![], vec![tail]));
+        let delta = f.dirty_since(cursor);
+        let stats = simplify_cfg_scoped(&mut f, &mut AnalysisManager::new(), Some(&delta));
+        prop_assert_eq!((stats.merged_blocks, stats.total()), (1, 1));
+        prop_assert_eq!(f.to_string(), text, "merge did not restore the IR");
+        prop_assert_eq!(f.inst_capacity(), capacity + 1, "merge allocated arena slots");
+    }
+
     /// Scoped SSA repair (window + dominance diff from a baseline at which
     /// the function was fully repaired) equals the whole-function repair on
     /// a twin after dominance-breaking surgery.
