@@ -16,7 +16,7 @@ pub struct BlockId(u32);
 
 impl BlockId {
     /// Creates a handle from a raw arena index.
-    pub fn new(index: usize) -> BlockId {
+    pub const fn new(index: usize) -> BlockId {
         BlockId(index as u32)
     }
 
@@ -32,7 +32,7 @@ pub struct InstId(u32);
 
 impl InstId {
     /// Creates a handle from a raw arena index.
-    pub fn new(index: usize) -> InstId {
+    pub const fn new(index: usize) -> InstId {
         InstId(index as u32)
     }
 
@@ -132,6 +132,20 @@ impl InstData {
         self.phi_incoming()
             .find(|&(b, _)| b == pred)
             .map(|(_, v)| v)
+    }
+}
+
+/// The type of `v` among the given parameters and instruction arena —
+/// [`Function::value_ty`] for a function still being assembled.
+pub(crate) fn value_ty_in(params: &[Type], insts: &[InstData], v: Value) -> Type {
+    match v {
+        Value::Inst(id) => insts[id.index()].ty,
+        Value::Param(i) => params[i as usize],
+        Value::I1(_) => Type::I1,
+        Value::I32(_) => Type::I32,
+        Value::I64(_) => Type::I64,
+        Value::F32Bits(_) => Type::F32,
+        Value::Undef(ty) => ty,
     }
 }
 
@@ -272,6 +286,45 @@ impl Function {
         let entry = f.add_block("entry");
         f.entry = entry;
         f
+    }
+
+    /// Assembles a function from whole arenas — the parser's constructor.
+    /// The reader builds blocks and instructions in its own vectors and
+    /// hands them over, so nothing is copied, block names are not
+    /// re-uniquified and the journal starts empty, as on a clone.
+    /// `blocks[0]` is the entry.
+    ///
+    /// The caller guarantees at least one block, unique block names, and
+    /// that every instruction sits in the list of the block its `block`
+    /// field names.
+    pub(crate) fn from_parts(
+        name: &str,
+        params: Vec<Type>,
+        ret: Type,
+        shared: Vec<SharedArray>,
+        blocks: Vec<BlockData>,
+        insts: Vec<InstData>,
+    ) -> Function {
+        debug_assert!(!blocks.is_empty());
+        Function {
+            name: name.to_string(),
+            params,
+            ret,
+            live_blocks: blocks.len(),
+            blocks: blocks
+                .into_iter()
+                .map(|BlockData { name, insts }| BlockData2 {
+                    name,
+                    insts,
+                    alive: true,
+                })
+                .collect(),
+            dead_insts: vec![false; insts.len()],
+            insts,
+            entry: BlockId::new(0),
+            shared,
+            journal: MutationJournal::new(),
+        }
     }
 
     // ---- mutation journal ----
@@ -668,12 +721,7 @@ impl Function {
     pub fn value_ty(&self, v: Value) -> Type {
         match v {
             Value::Inst(id) => self.inst(id).ty,
-            Value::Param(i) => self.params[i as usize],
-            Value::I1(_) => Type::I1,
-            Value::I32(_) => Type::I32,
-            Value::I64(_) => Type::I64,
-            Value::F32Bits(_) => Type::F32,
-            Value::Undef(ty) => ty,
+            v => value_ty_in(&self.params, &self.insts, v),
         }
     }
 
@@ -1259,6 +1307,20 @@ mod tests {
         );
         f.add_inst(e, InstData::terminator(Opcode::Ret, vec![], vec![]));
         assert!(matches!(f.verify_structure(), Err(IrError::BadOperands(_))));
+    }
+
+    #[test]
+    fn out_of_range_parameter_is_rejected_not_indexed() {
+        let mut f = Function::new("bad", vec![Type::I32], Type::Void);
+        let e = f.entry();
+        f.add_inst(
+            e,
+            InstData::new(Opcode::Add, Type::I32, vec![Value::Param(1), Value::I32(1)]),
+        );
+        f.add_inst(e, InstData::terminator(Opcode::Ret, vec![], vec![]));
+        assert!(
+            matches!(f.verify_structure(), Err(IrError::BadOperands(m)) if m.contains("parameter index 1"))
+        );
     }
 
     #[test]

@@ -127,9 +127,9 @@ impl fmt::Display for Module {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         for (i, func) in self.functions.iter().enumerate() {
             if i > 0 {
-                writeln!(f)?;
+                f.write_str("\n")?;
             }
-            write!(f, "{func}")?;
+            func.write_to(f)?;
         }
         Ok(())
     }

@@ -12,12 +12,19 @@ pub enum Dim {
     Y,
 }
 
+impl Dim {
+    /// Textual suffix of the dimension (`x`, `y`).
+    pub fn as_str(self) -> &'static str {
+        match self {
+            Dim::X => "x",
+            Dim::Y => "y",
+        }
+    }
+}
+
 impl fmt::Display for Dim {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Dim::X => write!(f, "x"),
-            Dim::Y => write!(f, "y"),
-        }
+        f.write_str(self.as_str())
     }
 }
 
@@ -265,53 +272,68 @@ impl Opcode {
         )
     }
 
-    /// Textual mnemonic used by the printer.
+    /// Textual mnemonic used by the printer, including the parameter of
+    /// the opcodes that carry one (`icmp slt`, `gep i32`, `tid.x`,
+    /// `shared.base 0`).
     pub fn mnemonic(self) -> String {
-        match self {
-            Opcode::Add => "add".into(),
-            Opcode::Sub => "sub".into(),
-            Opcode::Mul => "mul".into(),
-            Opcode::SDiv => "sdiv".into(),
-            Opcode::SRem => "srem".into(),
-            Opcode::UDiv => "udiv".into(),
-            Opcode::URem => "urem".into(),
-            Opcode::And => "and".into(),
-            Opcode::Or => "or".into(),
-            Opcode::Xor => "xor".into(),
-            Opcode::Shl => "shl".into(),
-            Opcode::LShr => "lshr".into(),
-            Opcode::AShr => "ashr".into(),
-            Opcode::FAdd => "fadd".into(),
-            Opcode::FSub => "fsub".into(),
-            Opcode::FMul => "fmul".into(),
-            Opcode::FDiv => "fdiv".into(),
-            Opcode::FSqrt => "fsqrt".into(),
-            Opcode::FAbs => "fabs".into(),
-            Opcode::FNeg => "fneg".into(),
-            Opcode::FExp => "fexp".into(),
-            Opcode::Icmp(p) => format!("icmp {}", p.mnemonic()),
-            Opcode::Fcmp(p) => format!("fcmp {}", p.mnemonic()),
-            Opcode::Select => "select".into(),
-            Opcode::Zext => "zext".into(),
-            Opcode::Sext => "sext".into(),
-            Opcode::Trunc => "trunc".into(),
-            Opcode::SiToFp => "sitofp".into(),
-            Opcode::FpToSi => "fptosi".into(),
-            Opcode::Load => "load".into(),
-            Opcode::Store => "store".into(),
-            Opcode::Gep { elem } => format!("gep {elem}"),
-            Opcode::ThreadIdx(d) => format!("tid.{d}"),
-            Opcode::BlockIdx(d) => format!("ctaid.{d}"),
-            Opcode::BlockDim(d) => format!("ntid.{d}"),
-            Opcode::GridDim(d) => format!("nctaid.{d}"),
-            Opcode::SharedBase(i) => format!("shared.base {i}"),
-            Opcode::Syncthreads => "bar.sync".into(),
-            Opcode::Ballot => "ballot".into(),
-            Opcode::Phi => "phi".into(),
-            Opcode::Br => "br".into(),
-            Opcode::Jump => "jump".into(),
-            Opcode::Ret => "ret".into(),
-        }
+        let mut s = String::new();
+        self.write_mnemonic(&mut s)
+            .expect("String sink never fails");
+        s
+    }
+
+    /// Streams [`Opcode::mnemonic`] into `w` without allocating.
+    pub fn write_mnemonic(self, w: &mut impl fmt::Write) -> fmt::Result {
+        let (head, param) = match self {
+            Opcode::Add => ("add", ""),
+            Opcode::Sub => ("sub", ""),
+            Opcode::Mul => ("mul", ""),
+            Opcode::SDiv => ("sdiv", ""),
+            Opcode::SRem => ("srem", ""),
+            Opcode::UDiv => ("udiv", ""),
+            Opcode::URem => ("urem", ""),
+            Opcode::And => ("and", ""),
+            Opcode::Or => ("or", ""),
+            Opcode::Xor => ("xor", ""),
+            Opcode::Shl => ("shl", ""),
+            Opcode::LShr => ("lshr", ""),
+            Opcode::AShr => ("ashr", ""),
+            Opcode::FAdd => ("fadd", ""),
+            Opcode::FSub => ("fsub", ""),
+            Opcode::FMul => ("fmul", ""),
+            Opcode::FDiv => ("fdiv", ""),
+            Opcode::FSqrt => ("fsqrt", ""),
+            Opcode::FAbs => ("fabs", ""),
+            Opcode::FNeg => ("fneg", ""),
+            Opcode::FExp => ("fexp", ""),
+            Opcode::Icmp(p) => ("icmp ", p.mnemonic()),
+            Opcode::Fcmp(p) => ("fcmp ", p.mnemonic()),
+            Opcode::Select => ("select", ""),
+            Opcode::Zext => ("zext", ""),
+            Opcode::Sext => ("sext", ""),
+            Opcode::Trunc => ("trunc", ""),
+            Opcode::SiToFp => ("sitofp", ""),
+            Opcode::FpToSi => ("fptosi", ""),
+            Opcode::Load => ("load", ""),
+            Opcode::Store => ("store", ""),
+            Opcode::Gep { elem } => ("gep ", elem.as_str()),
+            Opcode::ThreadIdx(d) => ("tid.", d.as_str()),
+            Opcode::BlockIdx(d) => ("ctaid.", d.as_str()),
+            Opcode::BlockDim(d) => ("ntid.", d.as_str()),
+            Opcode::GridDim(d) => ("nctaid.", d.as_str()),
+            Opcode::SharedBase(i) => {
+                w.write_str("shared.base ")?;
+                return crate::printer::write_uint(w, u64::from(i));
+            }
+            Opcode::Syncthreads => ("bar.sync", ""),
+            Opcode::Ballot => ("ballot", ""),
+            Opcode::Phi => ("phi", ""),
+            Opcode::Br => ("br", ""),
+            Opcode::Jump => ("jump", ""),
+            Opcode::Ret => ("ret", ""),
+        };
+        w.write_str(head)?;
+        w.write_str(param)
     }
 }
 
@@ -357,5 +379,6 @@ mod tests {
         assert_eq!(Opcode::Icmp(IcmpPred::Slt).mnemonic(), "icmp slt");
         assert_eq!(Opcode::Gep { elem: Type::I32 }.mnemonic(), "gep i32");
         assert_eq!(Opcode::ThreadIdx(Dim::X).mnemonic(), "tid.x");
+        assert_eq!(Opcode::SharedBase(12).mnemonic(), "shared.base 12");
     }
 }

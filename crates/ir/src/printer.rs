@@ -1,32 +1,80 @@
-//! LLVM-like textual rendering of functions, for debugging and golden tests.
+//! LLVM-like textual rendering of functions, for debugging, golden tests
+//! and content hashing. The grammar is in [`crate::parser`].
+//!
+//! Everything goes through [`Function::write_to`], which emits `&str`
+//! pieces and stack-formatted integers straight into the sink — no
+//! `format_args!` per token and no allocation, so the same code renders to
+//! a `String` and streams into a hasher.
 
-use crate::function::Function;
+use crate::function::{BlockId, Function};
 use crate::opcode::Opcode;
 use crate::types::Type;
 use std::fmt;
 
-impl fmt::Display for Function {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "fn @{}(", self.name())?;
+/// Writes `n` in decimal.
+pub(crate) fn write_uint(w: &mut impl fmt::Write, mut n: u64) -> fmt::Result {
+    let mut buf = [0u8; 20]; // u64::MAX has 20 digits
+    let mut at = buf.len();
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    w.write_str(std::str::from_utf8(&buf[at..]).expect("ASCII digits"))
+}
+
+/// Writes `n` in decimal, with a leading `-` when negative.
+pub(crate) fn write_int(w: &mut impl fmt::Write, n: i64) -> fmt::Result {
+    if n < 0 {
+        w.write_str("-")?;
+    }
+    write_uint(w, n.unsigned_abs())
+}
+
+impl Function {
+    /// Streams the textual form into `w`. [`Display`](fmt::Display) and
+    /// [`Function::content_hash`] are this function over a formatter and
+    /// over a hasher.
+    pub fn write_to(&self, w: &mut impl fmt::Write) -> fmt::Result {
+        w.write_str("fn @")?;
+        w.write_str(self.name())?;
+        w.write_str("(")?;
         for (i, ty) in self.params().iter().enumerate() {
             if i > 0 {
-                write!(f, ", ")?;
+                w.write_str(", ")?;
             }
-            write!(f, "{ty} %arg{i}")?;
+            w.write_str(ty.as_str())?;
+            w.write_str(" %arg")?;
+            write_uint(w, i as u64)?;
         }
-        writeln!(f, ") -> {} {{", self.ret_ty())?;
+        w.write_str(") -> ")?;
+        w.write_str(self.ret_ty().as_str())?;
+        w.write_str(" {\n")?;
         for arr in self.shared_arrays() {
-            writeln!(f, "  shared {} : [{} x {}]", arr.name, arr.len, arr.elem)?;
+            w.write_str("  shared ")?;
+            w.write_str(&arr.name)?;
+            w.write_str(" : [")?;
+            write_uint(w, arr.len)?;
+            w.write_str(" x ")?;
+            w.write_str(arr.elem.as_str())?;
+            w.write_str("]\n")?;
         }
-        for b in self.block_ids() {
-            writeln!(f, "{}:", self.block_name(b))?;
+        let blocks = (0..self.block_capacity()).map(BlockId::new);
+        for b in blocks.filter(|&b| self.is_block_alive(b)) {
+            w.write_str(self.block_name(b))?;
+            w.write_str(":\n")?;
             for &id in self.insts_of(b) {
                 let inst = self.inst(id);
-                write!(f, "  ")?;
+                w.write_str("  ")?;
                 if inst.ty != Type::Void {
-                    write!(f, "%{} = ", id.index())?;
+                    w.write_str("%")?;
+                    write_uint(w, id.index() as u64)?;
+                    w.write_str(" = ")?;
                 }
-                write!(f, "{}", inst.opcode.mnemonic())?;
+                inst.opcode.write_mnemonic(w)?;
                 // Opcodes whose result type is not derivable from operands
                 // carry an explicit type annotation (keeps text parseable).
                 if matches!(
@@ -38,31 +86,42 @@ impl fmt::Display for Function {
                         | Opcode::FpToSi
                         | Opcode::Phi
                 ) {
-                    write!(f, " {}", inst.ty)?;
+                    w.write_str(" ")?;
+                    w.write_str(inst.ty.as_str())?;
                 }
+                let mut sep = " ";
                 if inst.opcode == Opcode::Phi {
-                    for (k, (blk, val)) in inst.phi_incoming().enumerate() {
-                        let sep = if k == 0 { " " } else { ", " };
-                        write!(f, "{sep}[{val}, {}]", self.block_name(blk))?;
+                    for (blk, val) in inst.phi_incoming() {
+                        w.write_str(sep)?;
+                        w.write_str("[")?;
+                        val.write_to(w)?;
+                        w.write_str(", ")?;
+                        w.write_str(self.block_name(blk))?;
+                        w.write_str("]")?;
+                        sep = ", ";
                     }
                 } else {
-                    for (k, op) in inst.operands.iter().enumerate() {
-                        let sep = if k == 0 { " " } else { ", " };
-                        write!(f, "{sep}{op}")?;
+                    for op in &inst.operands {
+                        w.write_str(sep)?;
+                        op.write_to(w)?;
+                        sep = ", ";
                     }
-                    for (k, s) in inst.succs.iter().enumerate() {
-                        let sep = if k == 0 && inst.operands.is_empty() {
-                            " "
-                        } else {
-                            ", "
-                        };
-                        write!(f, "{sep}{}", self.block_name(*s))?;
+                    for &s in &inst.succs {
+                        w.write_str(sep)?;
+                        w.write_str(self.block_name(s))?;
+                        sep = ", ";
                     }
                 }
-                writeln!(f)?;
+                w.write_str("\n")?;
             }
         }
-        writeln!(f, "}}")
+        w.write_str("}\n")
+    }
+}
+
+impl fmt::Display for Function {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.write_to(f)
     }
 }
 

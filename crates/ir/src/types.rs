@@ -60,6 +60,19 @@ impl Type {
         }
     }
 
+    /// The textual form, as the printer writes and the parser reads it.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            Type::Void => "void",
+            Type::I1 => "i1",
+            Type::I32 => "i32",
+            Type::I64 => "i64",
+            Type::F32 => "f32",
+            Type::Ptr(AddrSpace::Global) => "ptr(global)",
+            Type::Ptr(AddrSpace::Shared) => "ptr(shared)",
+        }
+    }
+
     /// Whether this is any integer type (including `i1`).
     pub fn is_int(self) -> bool {
         matches!(self, Type::I1 | Type::I32 | Type::I64)
@@ -78,14 +91,7 @@ impl Type {
 
 impl fmt::Display for Type {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Type::Void => write!(f, "void"),
-            Type::I1 => write!(f, "i1"),
-            Type::I32 => write!(f, "i32"),
-            Type::I64 => write!(f, "i64"),
-            Type::F32 => write!(f, "f32"),
-            Type::Ptr(space) => write!(f, "ptr({space})"),
-        }
+        f.write_str(self.as_str())
     }
 }
 

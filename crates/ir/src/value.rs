@@ -1,6 +1,7 @@
 //! SSA values.
 
 use crate::function::InstId;
+use crate::printer::{write_int, write_uint};
 use crate::types::Type;
 use std::fmt;
 
@@ -67,17 +68,43 @@ impl From<InstId> for Value {
     }
 }
 
+impl Value {
+    /// Streams the textual form into `w`: `%N`, `%argN`, `true`/`false`,
+    /// a decimal `i32`, a decimal with an `i64` suffix, a float with an
+    /// `f` suffix (shortest form that reads back to the same bits; NaNs,
+    /// whose payload no decimal form carries, as `f32:0xHHHHHHHH`), or
+    /// `undef:TYPE`.
+    pub fn write_to(self, w: &mut impl fmt::Write) -> fmt::Result {
+        match self {
+            Value::Inst(id) => {
+                w.write_str("%")?;
+                write_uint(w, id.index() as u64)
+            }
+            Value::Param(i) => {
+                w.write_str("%arg")?;
+                write_uint(w, u64::from(i))
+            }
+            Value::I1(b) => w.write_str(if b { "true" } else { "false" }),
+            Value::I32(x) => write_int(w, i64::from(x)),
+            Value::I64(x) => {
+                write_int(w, x)?;
+                w.write_str("i64")
+            }
+            Value::F32Bits(bits) => match f32::from_bits(bits) {
+                x if x.is_nan() => write!(w, "f32:{bits:#010x}"),
+                x => write!(w, "{x:?}f"),
+            },
+            Value::Undef(ty) => {
+                w.write_str("undef:")?;
+                w.write_str(ty.as_str())
+            }
+        }
+    }
+}
+
 impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Value::Inst(id) => write!(f, "%{}", id.index()),
-            Value::Param(i) => write!(f, "%arg{i}"),
-            Value::I1(b) => write!(f, "{b}"),
-            Value::I32(x) => write!(f, "{x}"),
-            Value::I64(x) => write!(f, "{x}i64"),
-            Value::F32Bits(bits) => write!(f, "{:?}f", f32::from_bits(*bits)),
-            Value::Undef(ty) => write!(f, "undef:{ty}"),
-        }
+        self.write_to(f)
     }
 }
 
@@ -107,5 +134,11 @@ mod tests {
         assert_eq!(Value::I32(42).to_string(), "42");
         assert_eq!(Value::Param(1).to_string(), "%arg1");
         assert_eq!(Value::Undef(Type::I1).to_string(), "undef:i1");
+        assert_eq!(Value::I32(i32::MIN).to_string(), "-2147483648");
+        assert_eq!(Value::I64(i64::MIN).to_string(), "-9223372036854775808i64");
+        assert_eq!(Value::I1(true).to_string(), "true");
+        assert_eq!(Value::const_f32(-0.0).to_string(), "-0.0f");
+        assert_eq!(Value::const_f32(f32::NEG_INFINITY).to_string(), "-inff");
+        assert_eq!(Value::F32Bits(0x7fc0_0001).to_string(), "f32:0x7fc00001");
     }
 }

@@ -207,10 +207,17 @@ fn lex(src: &str) -> Result<Vec<SpannedTok>, SpecError> {
 
 // ---- parser ----
 
+/// Deepest `fixpoint(...)` nesting the parser accepts. The descent recurses
+/// once per level, so without a cap a spec that is nothing but `fixpoint(`
+/// overflows the stack — and every `darm serve` request may carry a spec.
+const MAX_NESTING: usize = 32;
+
 struct Parser {
     toks: Vec<SpannedTok>,
     pos: usize,
     eof: usize,
+    /// `fixpoint(` groups open around the current token.
+    depth: usize,
 }
 
 impl Parser {
@@ -271,6 +278,10 @@ impl Parser {
     fn elem(&mut self) -> Result<SpecElem, SpecError> {
         let name = self.word("a pass name")?;
         if name == "fixpoint" {
+            if self.depth == MAX_NESTING {
+                return self.error(format!("fixpoint groups nested at most {MAX_NESTING} deep"));
+            }
+            self.depth += 1;
             self.eat(&Tok::LParen, "`(` opening the fixpoint group")?;
             let mut elems = Vec::new();
             let mut max = None;
@@ -314,6 +325,7 @@ impl Parser {
             if elems.is_empty() {
                 return self.error("at least one pass inside fixpoint(...)");
             }
+            self.depth -= 1;
             return Ok(SpecElem::Fixpoint { elems, max });
         }
         let mut params = Vec::new();
@@ -354,6 +366,7 @@ impl PassSpec {
             toks,
             pos: 0,
             eof: src.len(),
+            depth: 0,
         };
         let mut elems = Vec::new();
         // Tolerate leading/trailing/duplicate commas, as the flat-list
@@ -442,6 +455,17 @@ mod tests {
         };
         assert_eq!(*max, None);
         assert!(matches!(&elems[1], SpecElem::Fixpoint { elems: inner, .. } if inner.len() == 2));
+    }
+
+    #[test]
+    fn nesting_is_capped_instead_of_overflowing_the_stack() {
+        let nest = |depth: usize| format!("{}dce{}", "fixpoint(".repeat(depth), ")".repeat(depth));
+        assert!(PassSpec::parse(&nest(MAX_NESTING)).is_ok());
+        let e = PassSpec::parse(&nest(MAX_NESTING + 1)).unwrap_err();
+        assert!(e.expected.contains("nested at most"), "{e}");
+        // What a frame-sized spec of nothing but openers used to do.
+        let e = PassSpec::parse(&"fixpoint(".repeat(1 << 20)).unwrap_err();
+        assert!(e.expected.contains("nested at most"), "{e}");
     }
 
     #[test]

@@ -24,7 +24,6 @@
 //! Bounded by entry count and total payload bytes with LRU eviction.
 
 use std::collections::HashMap;
-use std::fmt::Write as _;
 
 use darm_ir::hash::Fnv64;
 use darm_ir::Function;
@@ -82,7 +81,7 @@ pub fn content_key(canonical_spec: &str, func: &Function) -> ContentKey {
     hasher.write(canonical_spec.as_bytes());
     hasher.write(&[0]);
     // Streams the printed IR through both hashers via `fmt::Write`.
-    let _ = write!(hasher, "{func}");
+    let _ = func.write_to(&mut hasher);
     hasher.finish()
 }
 

@@ -33,7 +33,7 @@ use std::time::Duration;
 use darm_analysis::verify_ssa;
 use darm_ir::budget::{Budget, Cancelled};
 use darm_ir::fault::{self, InjectedFault};
-use darm_ir::parser::{fixup_types, parse_module};
+use darm_ir::parser::parse_module;
 use darm_ir::Module;
 use darm_melding::MeldConfig;
 use darm_pipeline::{
@@ -403,13 +403,10 @@ impl Engine {
         // cache misses: a hit's content hash equals that of an input
         // that verified and compiled before, so re-verifying it would
         // only tax the warm path.
-        let mut module = match parse_module(&request.ir) {
+        let module = match parse_module(&request.ir) {
             Ok(module) => module,
             Err(e) => return error(ErrorKind::Parse, e.to_string()),
         };
-        for func in module.functions_mut() {
-            fixup_types(func);
-        }
 
         // Per-function cache probe, one lock hold for the whole module.
         struct Slot {

@@ -52,7 +52,7 @@
 //! `darm_serve` for the protocol grammar and policies.
 
 use darm::analysis::{to_dot, verify_ssa, DivergenceAnalysis};
-use darm::ir::parser::{fixup_types, parse_module};
+use darm::ir::parser::parse_module;
 use darm::ir::Module;
 use darm::melding::{region, Analyses, MeldConfig, MeldMode};
 use darm::pipeline::{Budget, ModuleOptions, ModulePassManager, OnError, PipelineOptions};
@@ -73,12 +73,11 @@ fn load(path: &str) -> Module {
         eprintln!("error: cannot read {path}: {e}");
         std::process::exit(1);
     });
-    let mut module = parse_module(&text).unwrap_or_else(|e| {
+    let module = parse_module(&text).unwrap_or_else(|e| {
         eprintln!("error: {path}: {e}");
         std::process::exit(1);
     });
-    for func in module.functions_mut() {
-        fixup_types(func);
+    for func in module.functions() {
         if let Err(e) = verify_ssa(func) {
             eprintln!("error: {path}: @{}: {e}", func.name());
             std::process::exit(1);

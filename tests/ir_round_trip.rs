@@ -2,7 +2,7 @@
 //! and after melding — a strong structural golden test for the printer,
 //! parser and the IR itself.
 
-use darm::ir::parser::{fixup_types, parse_function};
+use darm::ir::parser::parse_function;
 use darm::kernels::synthetic::SyntheticKind;
 use darm::kernels::{bitonic, dct, lud, mergesort, nqueens, pcm, srad};
 use darm::melding::{meld_function, MeldConfig};
@@ -13,9 +13,8 @@ use darm::prelude::*;
 /// further passes must be exact fixpoints.
 fn assert_round_trip(func: &Function) {
     let parse = |text: &str| -> Function {
-        let mut f = parse_function(text)
+        let f = parse_function(text)
             .unwrap_or_else(|e| panic!("{}: reparse failed: {e}\n{text}", func.name()));
-        fixup_types(&mut f);
         f.verify_structure()
             .unwrap_or_else(|e| panic!("{}: reparsed does not verify: {e}", func.name()));
         f
