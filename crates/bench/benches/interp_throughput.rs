@@ -1,22 +1,33 @@
-//! Interpreter-throughput microbenchmark of the bytecode engine against
-//! the per-lane reference interpreter, on the fig. 9 real-world kernel
-//! set.
+//! Interpreter throughput, in absolute units: simulated warp instructions
+//! per second (Mwi/s) for the bytecode engine and the per-lane reference
+//! interpreter.
 //!
-//! Reports per-case criterion timings for both plus a summary table of
-//! simulated thread-instructions per second and the geomean speedup.
-//! Acceptance target, asserted on full runs: the bytecode engine at
-//! **≥2.6×** the reference.
+//! Two parts:
+//!
+//! * criterion timings of every fig. 9 real-world case on both engines;
+//! * three **attribution kernels**, each built to isolate one cost the way
+//!   Białas & Strzelecki isolate one per microbenchmark, so a change in
+//!   engine throughput can be read off the kernel it shows up in:
+//!   [`alu_uniform`] (full warps, straight ALU chains: the whole-warp value
+//!   loops), [`divergent_ladder`] (every rung's arm runs with one lane
+//!   active: dispatch, mask and reconvergence-stack cost per warp
+//!   instruction), [`memory_bound`] (fused gep+load/gep+store with almost no
+//!   ALU work: the per-lane memory path and the coalescing model).
 //!
 //! `cargo bench --bench interp_throughput` — measure.
-//! `cargo bench --bench interp_throughput -- --test` — smoke mode: both
-//! run every case once and the stats are cross-checked, then a quick
-//! min-estimator ratio is recorded through [`darm_bench::perfjson`] (key
-//! `interp_throughput/bytecode_vs_reference`) for the perf gate.
+//! `cargo bench --bench interp_throughput -- --test` — smoke mode: every
+//! case and kernel runs once on both engines, stats and buffers are
+//! cross-checked, and the attribution table is printed from short runs.
+//!
+//! No ratio is recorded or asserted: throughput claims are made on the
+//! ledger's `sim_mwi_per_s` under `scripts/bench_pair.sh`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use darm_bench::{fig9_cases, geomean, perfjson};
+use darm_bench::fig9_cases;
+use darm_ir::builder::FunctionBuilder;
+use darm_ir::{AddrSpace, Dim, Function, IcmpPred, InstData, Type, Value};
 use darm_kernels::BenchCase;
-use darm_simt::{BytecodeKernel, Gpu, GpuConfig, KernelStats};
+use darm_simt::{BytecodeKernel, Gpu, GpuConfig, KernelArg, KernelStats, LaunchConfig};
 use std::time::Instant;
 
 /// Runs `case` on the reference (per-lane, arena-walking) interpreter.
@@ -39,7 +50,7 @@ fn run_bytecode(case: &BenchCase, bk: &BytecodeKernel) -> KernelStats {
 
 /// Times `f` over enough repetitions to fill roughly `budget` seconds,
 /// returning seconds per call.
-fn time_per_call_budget(budget: f64, mut f: impl FnMut()) -> f64 {
+fn time_per_call(budget: f64, mut f: impl FnMut()) -> f64 {
     // Warm up and size the batch.
     let t0 = Instant::now();
     f();
@@ -52,9 +63,130 @@ fn time_per_call_budget(budget: f64, mut f: impl FnMut()) -> f64 {
     t1.elapsed().as_secs_f64() / reps as f64
 }
 
-/// Full-run timing: ~100 ms per measurement.
-fn time_per_call(f: impl FnMut()) -> f64 {
-    time_per_call_budget(0.1, f)
+const PTR: Type = Type::Ptr(AddrSpace::Global);
+/// Loop trips of every attribution kernel.
+const TRIPS: i32 = 64;
+/// Launch geometry of every attribution kernel: full 32-lane warps.
+const GRID: u32 = 4;
+const BLOCK: u32 = 128;
+
+/// `f(data)`: `acc = data[gtid]; repeat TRIPS { acc = body(acc, i) };
+/// data[gtid] = acc` — the scaffold the three kernels share. `body` is
+/// called with the cursor in the loop body, `(tid, gtid, acc, i)`, and
+/// returns the next `acc`, leaving the cursor in the block that jumps back.
+fn looped(
+    name: &str,
+    body: impl FnOnce(&mut FunctionBuilder<'_>, [Value; 4]) -> Value,
+) -> Function {
+    let mut f = Function::new(name, vec![PTR], Type::Void);
+    let entry = f.entry();
+    let [hdr, work, exit] = ["hdr", "work", "exit"].map(|n| f.add_block(n));
+    let mut b = FunctionBuilder::new(&mut f, entry);
+    let tid = b.thread_idx(Dim::X);
+    let block = b.block_idx(Dim::X);
+    let base = b.mul(block, b.const_i32(BLOCK as i32));
+    let gtid = b.add(base, tid);
+    let slot = b.gep(Type::I32, b.param(0), gtid);
+    let init = b.load(Type::I32, slot);
+    b.jump(hdr);
+
+    b.switch_to(hdr);
+    let i = b.emit(InstData::phi(Type::I32, &[(entry, Value::I32(0))]));
+    let acc = b.emit(InstData::phi(Type::I32, &[(entry, init)]));
+    let more = b.icmp(IcmpPred::Slt, Value::Inst(i), b.const_i32(TRIPS));
+    b.br(more, work, exit);
+
+    b.switch_to(work);
+    let next = body(&mut b, [tid, gtid, Value::Inst(acc), Value::Inst(i)]);
+    let i1 = b.add(Value::Inst(i), b.const_i32(1));
+    let latch = b.current_block();
+    b.jump(hdr);
+    for (phi, v) in [(i, i1), (acc, next)] {
+        let data = b.func().inst_mut(phi);
+        data.phi_blocks.push(latch);
+        data.operands.push(v);
+    }
+
+    b.switch_to(exit);
+    b.store(Value::Inst(acc), slot);
+    b.ret(None);
+    f.verify_structure()
+        .expect("attribution kernel is well-formed");
+    f
+}
+
+/// ALU-bound, uniform: 24 dependent integer ops per trip under the full
+/// mask, no memory traffic and no divergence inside the loop.
+fn alu_uniform() -> Function {
+    looped("alu_uniform", |b, [_, _, acc, i]| {
+        let mut v = acc;
+        for k in 0..6 {
+            let m = b.mul(v, b.const_i32(31 + 2 * k));
+            let a = b.add(m, i);
+            let s = b.lshr(a, b.const_i32(3 + k));
+            v = b.xor(a, s);
+        }
+        v
+    })
+}
+
+/// Fully divergent: a ladder of 32 rungs `if lane == k`, so each arm's four
+/// ALU ops issue with exactly one active lane and every rung pushes and
+/// pops the reconvergence stack.
+fn divergent_ladder() -> Function {
+    looped("divergent_ladder", |b, [tid, _, acc, _]| {
+        let lane = b.and(tid, b.const_i32(31));
+        let mut v = acc;
+        for k in 0..32 {
+            let arm = b.add_block(&format!("rung{k}"));
+            let join = b.add_block(&format!("join{k}"));
+            let from = b.current_block();
+            let mine = b.icmp(IcmpPred::Eq, lane, b.const_i32(k));
+            b.br(mine, arm, join);
+            b.switch_to(arm);
+            let m = b.mul(v, b.const_i32(3));
+            let a = b.add(m, b.const_i32(k));
+            let s = b.lshr(a, b.const_i32(7));
+            let x = b.xor(a, s);
+            b.jump(join);
+            b.switch_to(join);
+            v = b.phi(Type::I32, &[(arm, x), (from, v)]);
+        }
+        v
+    })
+}
+
+/// Memory-bound: per trip one coalesced load and one coalesced store
+/// through freshly computed addresses (both fuse with their gep), with two
+/// ALU ops between them.
+fn memory_bound() -> Function {
+    looped("memory_bound", |b, [_, gtid, acc, i]| {
+        let total = b.const_i32((GRID * BLOCK) as i32);
+        let row = b.mul(i, total);
+        let at = b.add(row, gtid);
+        let src = b.gep(Type::I32, b.param(0), at);
+        let x = b.load(Type::I32, src);
+        let sum = b.add(acc, x);
+        let dst = b.gep(Type::I32, b.param(0), at);
+        b.store(sum, dst);
+        sum
+    })
+}
+
+/// One attribution kernel on one engine: fresh buffer, launch, the stats
+/// and the buffer's final bytes.
+fn run_attribution(f: &Function, bk: Option<&BytecodeKernel>) -> (KernelStats, Vec<u8>) {
+    let mut gpu = Gpu::new(GpuConfig::default());
+    let n = (GRID * BLOCK) as usize * (TRIPS as usize + 1);
+    let data: Vec<i32> = (0..n as i32).map(|x| x.wrapping_mul(2_654_435)).collect();
+    let buf = gpu.alloc_i32(&data);
+    let (launch, args) = (LaunchConfig::linear(GRID, BLOCK), [KernelArg::Buffer(buf)]);
+    let stats = match bk {
+        Some(bk) => gpu.launch_bytecode(bk, &launch, &args),
+        None => gpu.launch_reference(f, &launch, &args),
+    };
+    let stats = stats.unwrap_or_else(|e| panic!("{}: {e}", f.name()));
+    (stats, gpu.read_bytes(buf).to_vec())
 }
 
 fn bench(c: &mut Criterion) {
@@ -77,77 +209,55 @@ fn bench(c: &mut Criterion) {
     }
     group.finish();
 
-    if test_mode {
-        // Smoke mode: one untimed cross-check, then a quick min-estimator
-        // ratio for the perf gate.
-        let mut bc_vs_ref = Vec::new();
-        for case in &cases {
-            let bk = BytecodeKernel::new(&case.func);
-            assert_eq!(
-                run_bytecode(case, &bk),
-                run_reference(case),
-                "{}: bytecode vs reference disagree",
-                case.name
-            );
-            let t_bc = time_per_call_budget(0.03, || {
-                run_bytecode(case, &bk);
-            });
-            let t_ref = time_per_call_budget(0.03, || {
-                run_reference(case);
-            });
-            println!(
-                "interp_throughput smoke: {:<10} bytecode {:.2}x reference",
-                case.name,
-                t_ref / t_bc
-            );
-            bc_vs_ref.push(t_ref / t_bc);
-        }
-        let gm_ref = geomean(bc_vs_ref.iter().copied());
-        println!("interp_throughput: smoke mode — both engines agree on all fig9 cases");
-        println!("interp_throughput smoke: bytecode at {gm_ref:.2}x reference");
-        perfjson::record("interp_throughput/bytecode_vs_reference", gm_ref);
-        return;
-    }
-
-    // Summary: simulated thread-instructions per second for both engines,
-    // and the geomean speedup.
-    let mut bc_vs_ref = Vec::new();
-    println!();
-    println!("| case | ops | regs | bytecode Minstr/s | reference Minstr/s | bc/ref |");
-    println!("|---|---|---|---|---|---|");
+    // Both engines agree on every fig. 9 case and attribution kernel.
     for case in &cases {
         let bk = BytecodeKernel::new(&case.func);
-        let insts = run_bytecode(case, &bk).thread_instructions as f64;
-        let bc = insts
-            / time_per_call(|| {
-                run_bytecode(case, &bk);
+        assert_eq!(
+            run_bytecode(case, &bk),
+            run_reference(case),
+            "{}: bytecode vs reference disagree",
+            case.name
+        );
+    }
+    let kernels = [alu_uniform(), divergent_ladder(), memory_bound()];
+    for f in &kernels {
+        let bk = BytecodeKernel::new(f);
+        assert_eq!(
+            run_attribution(f, Some(&bk)),
+            run_attribution(f, None),
+            "{}: bytecode vs reference disagree",
+            f.name()
+        );
+    }
+    println!("interp_throughput: both engines agree on all fig9 cases and attribution kernels");
+
+    // The attribution table, in absolute units.
+    let budget = if test_mode { 0.03 } else { 0.5 };
+    println!();
+    println!("| kernel | ops | warp insts | SIMD eff. | bytecode Mwi/s | reference Mwi/s |");
+    println!("|---|---|---|---|---|---|");
+    for f in &kernels {
+        let bk = BytecodeKernel::new(f);
+        let (stats, _) = run_attribution(f, Some(&bk));
+        let mwi = stats.warp_instructions as f64 / 1e6;
+        let bytecode = mwi
+            / time_per_call(budget, || {
+                run_attribution(f, Some(&bk));
             });
-        let refc = insts
-            / time_per_call(|| {
-                run_reference(case);
+        let reference = mwi
+            / time_per_call(budget, || {
+                run_attribution(f, None);
             });
         println!(
-            "| {} | {} | {} | {:.1} | {:.1} | {:.2}x |",
-            case.name,
+            "| {} | {} | {} | {:.3} | {:.1} | {:.2} |",
+            f.name(),
             bk.op_count(),
-            bk.register_slots(),
-            bc / 1e6,
-            refc / 1e6,
-            bc / refc
+            stats.warp_instructions,
+            stats.simd_efficiency(),
+            bytecode,
+            reference
         );
-        bc_vs_ref.push(bc / refc);
     }
-    let gm_bc_ref = geomean(bc_vs_ref.iter().copied());
-    println!("| **GM** | | | | | **{gm_bc_ref:.2}x** |");
-    perfjson::record(
-        "measured/interp_throughput/bytecode_vs_reference",
-        gm_bc_ref,
-    );
-    assert!(
-        gm_bc_ref >= 2.6,
-        "bytecode engine geomean speedup {gm_bc_ref:.2}x over the reference interpreter is \
-         below the 2.6x acceptance target"
-    );
 }
 
 criterion_group!(benches, bench);

@@ -10,7 +10,7 @@
 //!
 //! ```text
 //! DARM_BENCH_JSON=bench-new.json cargo bench -p darm-bench --bench serve_replay -- --test
-//! DARM_BENCH_JSON=bench-new.json cargo bench -p darm-bench --bench interp_throughput -- --test
+//! DARM_BENCH_JSON=bench-new.json cargo run --release -p darm-bench --bin fig9
 //! ```
 //!
 //! Every metric is a "higher is better" speedup ratio; a candidate more

@@ -4,8 +4,8 @@
 //!
 //! The benches call [`record`] for every ratio they measure; with the
 //! `DARM_BENCH_JSON` environment variable set to a path the value is
-//! upserted there (read-modify-write, so `serve_replay` and
-//! `interp_throughput` accumulate into one file), and without it recording
+//! upserted there (read-modify-write, so `serve_replay` and the figure
+//! binaries accumulate into one file), and without it recording
 //! is a no-op — plain bench runs stay file-free. The `perf-gate` binary
 //! then [`compare`]s a freshly generated file against the committed baseline
 //! and fails on regressions beyond the tolerance.
@@ -15,7 +15,7 @@
 //!
 //! ```json
 //! {
-//!   "interp_throughput/bytecode_vs_reference": 8.0,
+//!   "fig9/darm_geomean": 1.089,
 //!   "serve/warm_vs_cold": 3.0
 //! }
 //! ```
@@ -26,7 +26,7 @@
 //!   ratios are min-estimators but still wall-clock on shared runners;
 //!   the committed value should sit at (or a little under) the worst
 //!   reading observed on a quiet machine, so the ±5% gate trips on real
-//!   regressions — the kind that drop an 8× engine to 6× — rather
+//!   regressions — the kind that drop a 5× warm path to 3× — rather
 //!   than on scheduler noise. Ratcheting the floor *up* after a durable
 //!   win is exactly the trajectory the file exists to record.
 //! * **Keys under `measured/` are informational.** Full (non-`--test`)

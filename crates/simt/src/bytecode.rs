@@ -1,64 +1,140 @@
-//! Flat register bytecode: [`BytecodeKernel`].
+//! Typed register bytecode: [`BytecodeKernel`], lowered from a
+//! [`Function`] in one pass.
 //!
-//! The decoded records (`crate::decoded`) resolve operands to register
-//! slots, but executing them directly would still pay per instruction for
-//! work that can be finished at compile time: an ~80-byte record copy, a
-//! three-way operand-kind match per operand per lane, a second opcode
-//! match in the charge model, and a reconvergence-stack writeback. This
-//! module lowers them once more, into a shape where the execute loop
-//! (`exec_bc`) does nothing per op but index flat arrays:
+//! # The register file the ops address
 //!
-//! * **fixed-width ops** (`Op`) carrying pre-resolved register slots
-//!   only — dispatch is a single `match` on a dense discriminant;
-//! * **immediate folding via constant slots**: every distinct constant
-//!   and every referenced parameter gets a register slot of its own,
-//!   materialized once per thread block, so *all* operand reads are plain
-//!   register-file loads and the operand-kind match disappears;
-//! * **fused compare-and-branch** (`Op::CmpBr`): an `icmp` whose result
-//!   feeds the block's terminating `br` collapses into one op (the
-//!   compare result is still written to its register when other
-//!   instructions read it), charging stats for both halves exactly as the
-//!   unfused pair would;
-//! * **fused address-and-access** (`Op::GepLoad`/`Op::GepStore`): a
-//!   `gep` feeding the immediately following load/store collapses into one
-//!   op, skipping a dispatch and — when nothing else reads the address — a
-//!   per-lane register round-trip, again with unfused-identical charging;
-//! * **fused φ-resolution**: per-(block, predecessor) edge tables of
-//!   register-to-register moves (`PhiEdge`), applied per predecessor
-//!   *bucket* of lanes at block entry — replacing a per-φ, per-lane
-//!   linear search over incoming lists;
-//! * **block-fallthrough elimination**: every `jump`/`br` target carries
-//!   the pre-computed op index to resume at (`BcBlock::entry_pc`), so
-//!   straight-line control transfers stay inside the dispatch loop with
-//!   no stack traffic (the `jump` itself is still charged — the cycle
-//!   model is untouched).
+//! The engine (`exec_bc`) keeps one untagged 64-bit **cell** per (slot,
+//! thread) — slot-major, `regs[slot * threads + thread]` — and one
+//! **definedness word** per (slot, warp), bit `l` saying whether lane `l`
+//! of that warp holds a value or `undef`. A cell carries no type tag: the
+//! type of every value is static ([`Function::value_ty`]), so lowering
+//! resolves each instruction to the op that is right for its operand
+//! types, once, and the execute loop never looks at a type again. The
+//! encoding of a *defined* cell (shared with `mem::ByteStore::read_cell`):
 //!
-//! The lowering preserves the reference interpreter's semantics
-//! bit-for-bit: identical buffer contents, identical
-//! [`crate::KernelStats`], identical [`crate::SimError`] values (including
-//! error ordering relative to instruction-budget exhaustion and partial
-//! buffer writes). The differential suites in `tests/` hold the engine to
-//! that contract against [`crate::reference`].
+//! | type | cell |
+//! |---|---|
+//! | `i1` | 0 or 1 |
+//! | `i32` | the value sign-extended to 64 bits |
+//! | `i64`, `ptr` | the value |
+//! | `f32` | the IEEE-754 bits, zero-extended |
+//!
+//! Sign-extended `i32` cells are closed under `and`/`or`/`xor`, order the
+//! same way signed and unsigned as the 32-bit values do, and convert to
+//! `i64`/index/`f32` without a width case — so compares, `gep`, `sitofp`
+//! and the bitwise ops are width-free, and only the ops whose 32-bit result
+//! differs from the 64-bit one (`add`/`sub`/`mul`, shifts, `div`) carry a
+//! `W`.
+//!
+//! # The static-`undef` rule
+//!
+//! The reference interpreter yields `undef` whenever an operand *tag* does
+//! not fit the opcode (`shl` on `i1`, `trunc i32 → i32`, `sitofp` of an
+//! `i1`, a `gep` indexed by an `i1`, …). With static types that is known at
+//! lowering time: such an instruction becomes `Op::Undef`, which only
+//! clears its destination's definedness (and is charged and scheduled like
+//! the instruction it replaces). An operand whose type makes the reference
+//! raise an error instead — a non-pointer address, a non-`i1` branch
+//! condition — is redirected to one always-undefined constant slot, so the
+//! same error surfaces at run time. `Value::Undef` constants share that
+//! slot.
+//!
+//! Bit-identity with [`crate::reference`] is promised for input that passes
+//! [`Function::verify_structure`] — everything `parse_and_verify*` lets in
+//! — where static and run-time types coincide. An ill-typed function still
+//! lowers and launches without panicking, but a φ or `select` that mixes
+//! types there moves raw cells where the reference would move tags.
+//! Dangling references (removed blocks or instructions, out-of-range
+//! parameters or shared arrays, a block without a terminator) panic, as the
+//! arena accessors do.
+//!
+//! # What lowering does besides typing
+//!
+//! * **constant slots**: every distinct constant cell and every referenced
+//!   parameter gets a register slot above the program's own (one per live
+//!   value-producing instruction, in block order), written once per launch
+//!   — all operand reads are plain column loads;
+//! * **fused compare-and-branch** (`Op::CmpBr`), **fused
+//!   address-and-access** (`Op::GepLoad`/`Op::GepStore`): an `icmp`
+//!   feeding its block's `br`, or a `gep` feeding the next load/store,
+//!   collapses into one op that charges both halves exactly as the unfused
+//!   pair would and skips the intermediate register when nothing else
+//!   reads it;
+//! * **φ edge tables** (`PhiEdge`): per-(block, predecessor) lists of
+//!   slot-to-slot moves, applied per predecessor *bucket* of lanes;
+//! * **resume pcs**: every `jump`/`br` target carries the op index to
+//!   continue at (`BcBlock::entry_pc`), and every block its IPDOM, so
+//!   uniform control transfers never touch the reconvergence stack.
 
-use crate::decoded::{DOperand, PreparedKernel, BLOCK_ENTRY, NO_BLOCK, NO_DST};
-use crate::mem::RawVal;
-use darm_ir::{FcmpPred, Function, IcmpPred, Opcode, Type};
+use darm_analysis::{Cfg, PostDomTree};
+use darm_ir::{cost, FcmpPred, Function, IcmpPred, InstData, Opcode, Type, Value};
+use std::collections::HashMap;
+
+/// Sentinel for "no destination register" (void results, elided writes).
+pub(crate) const NO_DST: u32 = u32::MAX;
+/// Sentinel for "no block" (reconvergence targets and φ provenance).
+pub(crate) const NO_BLOCK: u32 = u32::MAX;
+/// Sentinel op index marking "at block entry, φs not yet run".
+pub(crate) const BLOCK_ENTRY: u32 = u32::MAX;
+
+/// Static integer width of an op whose result depends on it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum W {
+    I1,
+    I32,
+    I64,
+}
+
+/// Integer and int/float conversions, resolved from (source, result) type.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Cvt {
+    /// The cell is already right: `zext` from `i1`, `zext`/`sext`
+    /// `i32 → i32`, `sext i32 → i64`.
+    Copy,
+    /// `sext` from `i1`: 1 becomes −1.
+    SextI1,
+    /// `zext i32 → i64`: drop the sign extension.
+    ZextI32,
+    /// `trunc i64 → i32`: sign-extend the low half again.
+    TruncI32,
+    /// `trunc` to `i1`: the low bit.
+    TruncI1,
+    /// `sitofp` from `i32` or `i64`.
+    SiToFp,
+    /// `fptosi` to `i32` (saturating).
+    FpToI32,
+    /// `fptosi` to `i64` (saturating).
+    FpToI64,
+}
+
+/// A value that is the same in every lane of a thread block.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Uniform {
+    BlockIdx(darm_ir::Dim),
+    BlockDim(darm_ir::Dim),
+    GridDim(darm_ir::Dim),
+    /// A shared array's base, as its byte offset in the block's arena.
+    SharedBase(u64),
+}
 
 /// One fixed-width bytecode op. All `u32` fields are register slots unless
 /// named `*_block` (dense block index) or `*_pc` (absolute op index).
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Op {
     Add {
+        w: W,
         d: u32,
         a: u32,
         b: u32,
     },
     Sub {
+        w: W,
         d: u32,
         a: u32,
         b: u32,
     },
     Mul {
+        w: W,
         d: u32,
         a: u32,
         b: u32,
@@ -78,25 +154,30 @@ pub(crate) enum Op {
         a: u32,
         b: u32,
     },
+    /// Shifts exist for `i32` and `i64` only; `wide` picks the latter.
     Shl {
+        wide: bool,
         d: u32,
         a: u32,
         b: u32,
     },
     LShr {
+        wide: bool,
         d: u32,
         a: u32,
         b: u32,
     },
     AShr {
+        wide: bool,
         d: u32,
         a: u32,
         b: u32,
     },
-    /// `SDiv`/`SRem`/`UDiv`/`URem`; `ty` picks the result width.
+    /// `SDiv`/`SRem`/`UDiv`/`URem` on 64-bit cells; `wide` false truncates
+    /// the result to `i32`.
     Div {
         op: Opcode,
-        ty: Type,
+        wide: bool,
         d: u32,
         a: u32,
         b: u32,
@@ -155,23 +236,8 @@ pub(crate) enum Op {
         a: u32,
         b: u32,
     },
-    ZextSext {
-        zext: bool,
-        ty: Type,
-        d: u32,
-        a: u32,
-    },
-    Trunc {
-        ty: Type,
-        d: u32,
-        a: u32,
-    },
-    SiToFp {
-        d: u32,
-        a: u32,
-    },
-    FpToSi {
-        ty: Type,
+    Cvt {
+        k: Cvt,
         d: u32,
         a: u32,
     },
@@ -181,12 +247,21 @@ pub(crate) enum Op {
         a: u32,
         b: u32,
     },
+    /// An instruction whose result is `undef` whatever its operands hold
+    /// (see the module docs). `srcs` are the operand slots it still waits
+    /// on in the timing model, [`NO_DST`]-padded.
+    Undef {
+        d: u32,
+        srcs: [u32; 3],
+    },
     Load {
         ty: Type,
         d: u32,
         a: u32,
     },
+    /// `ty` is the static type of the stored value `v`.
     Store {
+        ty: Type,
         v: u32,
         a: u32,
     },
@@ -207,26 +282,15 @@ pub(crate) enum Op {
         gd: u32,
         ga: u32,
         gb: u32,
+        ty: Type,
         v: u32,
     },
     ThreadIdx {
         dim: darm_ir::Dim,
         d: u32,
     },
-    BlockIdx {
-        dim: darm_ir::Dim,
-        d: u32,
-    },
-    BlockDim {
-        dim: darm_ir::Dim,
-        d: u32,
-    },
-    GridDim {
-        dim: darm_ir::Dim,
-        d: u32,
-    },
-    SharedBase {
-        off: u64,
+    Uniform {
+        v: Uniform,
         d: u32,
     },
     Ballot {
@@ -276,6 +340,8 @@ pub(crate) struct BcBlock {
     /// Whether any φ move source is also a φ destination of this block —
     /// forces the staged (parallel-move) application path.
     pub phi_overlap: bool,
+    /// The block's label, as a byte range of [`BytecodeKernel::names`].
+    name: (u32, u32),
 }
 
 /// φ moves for one (block, predecessor) CFG edge: applying
@@ -293,7 +359,7 @@ pub(crate) struct PhiEdge {
     pub complete: bool,
 }
 
-/// A kernel lowered to the flat register bytecode, run by
+/// A kernel lowered to the typed register bytecode, run by
 /// [`crate::Gpu::launch_bytecode`].
 ///
 /// Compiles from a [`Function`] via [`BytecodeKernel::new`]; borrows
@@ -303,13 +369,13 @@ pub(crate) struct PhiEdge {
 pub struct BytecodeKernel {
     pub(crate) name: String,
     pub(crate) params: Vec<Type>,
-    /// Register-file slots per thread: the decoder's dense result
-    /// slots first, then the materialized constant/parameter slots.
+    /// Register-file slots per thread: the program's dense result slots
+    /// first, then the constant/parameter slots.
     pub(crate) n_slots: u32,
     /// Count of the program-writable slot prefix (`[0, program_slots)`).
-    /// Slots above it hold constants/parameters, which no op ever writes —
-    /// so they are materialized once per launch and survive the per-block
-    /// register reset.
+    /// Slots above it hold constants/parameters, which no op of a valid
+    /// kernel ever writes — so they are materialized once per launch and
+    /// survive the per-block definedness reset.
     pub(crate) program_slots: u32,
     pub(crate) code: Vec<Op>,
     /// Per-op issue latency, parallel to `code`. A fused [`Op::CmpBr`]
@@ -318,8 +384,9 @@ pub struct BytecodeKernel {
     /// *is* observable — is charged separately).
     pub(crate) lats: Vec<u64>,
     pub(crate) blocks: Vec<BcBlock>,
-    /// `(slot, value)` constants to materialize per thread per block launch.
-    pub(crate) consts: Vec<(u32, RawVal)>,
+    /// `(slot, cell)` constants to materialize per launch. The
+    /// always-undefined slot is not listed: it is never defined.
+    pub(crate) consts: Vec<(u32, u64)>,
     /// `(slot, param index)` parameters to materialize likewise.
     pub(crate) param_slots: Vec<(u32, u32)>,
     pub(crate) phi_edges: Vec<PhiEdge>,
@@ -330,8 +397,8 @@ pub struct BytecodeKernel {
     /// path to reproduce the reference interpreter's exact φ-major error
     /// order.
     pub(crate) phi_missing: Vec<(u32, u32, u32)>,
-    /// Block labels, for diagnostics only.
-    pub(crate) block_names: Vec<String>,
+    /// Block labels back to back, for diagnostics only.
+    names: String,
     pub(crate) entry: u32,
     pub(crate) shared_size: u64,
     /// Whether terminators must record per-lane provenance. Only φs read
@@ -342,158 +409,259 @@ pub struct BytecodeKernel {
     pub(crate) track_prev: bool,
 }
 
-/// Bit-exact identity for constant dedup (`f32` by bit pattern, so `0.0`
-/// and `-0.0` stay distinct and NaNs compare by payload).
-fn imm_bits(v: RawVal) -> (u8, u64) {
-    match v {
-        RawVal::I1(b) => (0, b as u64),
-        RawVal::I32(x) => (1, x as u32 as u64),
-        RawVal::I64(x) => (2, x as u64),
-        RawVal::F32(f) => (3, f.to_bits() as u64),
-        RawVal::Ptr(p) => (4, p),
-        RawVal::Undef => (5, 0),
-    }
-}
-
-/// Allocates constant/parameter register slots above the decoder's dense
-/// result slots.
-struct SlotAlloc {
+/// Lowering state: value → slot resolution over the function's arena.
+struct Lower<'f> {
+    func: &'f Function,
+    /// Program slot of each value-producing instruction, by arena index.
+    slot_of: Vec<u32>,
+    /// Operand uses of each instruction's result, by arena index.
+    uses: Vec<u32>,
     n_slots: u32,
-    consts: Vec<(u32, RawVal)>,
+    consts: Vec<(u32, u64)>,
+    const_slot: HashMap<u64, u32>,
     param_slots: Vec<(u32, u32)>,
+    /// The always-undefined constant slot, once something needs it.
+    undef: Option<u32>,
+    /// Destination of ill-typed value-less "results", once needed.
+    sink: Option<u32>,
 }
 
-impl SlotAlloc {
-    fn slot(&mut self, op: DOperand) -> u32 {
-        match op {
-            DOperand::Reg(s) => s,
-            DOperand::Param(i) => {
+/// The slot cached in `slot`, allocated from `n_slots` on first use.
+fn lazy_slot(slot: &mut Option<u32>, n_slots: &mut u32) -> u32 {
+    *slot.get_or_insert_with(|| {
+        *n_slots += 1;
+        *n_slots - 1
+    })
+}
+
+impl Lower<'_> {
+    fn fresh(&mut self) -> u32 {
+        self.n_slots += 1;
+        self.n_slots - 1
+    }
+
+    fn undef_slot(&mut self) -> u32 {
+        lazy_slot(&mut self.undef, &mut self.n_slots)
+    }
+
+    /// The slot holding `v`: its instruction's, or a constant/parameter
+    /// slot allocated on first use (constants deduplicated by cell).
+    fn slot(&mut self, v: Value) -> u32 {
+        let cell = match v {
+            Value::Inst(id) => return self.slot_of[id.index()],
+            Value::Param(i) => {
                 if let Some(&(s, _)) = self.param_slots.iter().find(|&&(_, pi)| pi == i) {
                     return s;
                 }
-                let s = self.n_slots;
-                self.n_slots += 1;
+                let s = self.fresh();
                 self.param_slots.push((s, i));
-                s
+                return s;
             }
-            DOperand::Imm(v) => {
-                let key = imm_bits(v);
-                if let Some(&(s, _)) = self.consts.iter().find(|&&(_, c)| imm_bits(c) == key) {
-                    return s;
-                }
-                let s = self.n_slots;
-                self.n_slots += 1;
-                self.consts.push((s, v));
-                s
-            }
+            Value::Undef(_) => return self.undef_slot(),
+            Value::I1(b) => b as u64,
+            Value::I32(x) => x as i64 as u64,
+            Value::I64(x) => x as u64,
+            Value::F32Bits(bits) => bits as u64,
+        };
+        if let Some(&s) = self.const_slot.get(&cell) {
+            return s;
+        }
+        let s = self.fresh();
+        self.consts.push((s, cell));
+        self.const_slot.insert(cell, s);
+        s
+    }
+
+    /// Operand `k` of `data` and its static type. A missing operand is
+    /// `(NO_DST, void)`: no typed op accepts `void`, so the slot is never
+    /// read.
+    fn operand(&mut self, data: &InstData, k: usize) -> (u32, Type) {
+        match data.operands.get(k) {
+            Some(&v) => (self.slot(v), self.func.value_ty(v)),
+            None => (NO_DST, Type::Void),
+        }
+    }
+
+    /// Operand `k` where the reference interpreter raises an error unless
+    /// the run-time value has the tag `want` accepts: a mistyped operand
+    /// becomes the always-undefined slot, which raises the same error.
+    fn checked_operand(&mut self, data: &InstData, k: usize, want: fn(Type) -> bool) -> u32 {
+        let (s, ty) = self.operand(data, k);
+        if want(ty) {
+            s
+        } else {
+            self.undef_slot()
+        }
+    }
+
+    /// The destination slot of a value-producing opcode. Only an ill-typed
+    /// instruction (result type `void`) has none; it writes a sink.
+    fn dst(&mut self, id: darm_ir::InstId) -> u32 {
+        match self.slot_of[id.index()] {
+            NO_DST => lazy_slot(&mut self.sink, &mut self.n_slots),
+            s => s,
+        }
+    }
+
+    /// Where the first half of a fused op still writes its result `slot`:
+    /// nowhere ([`NO_DST`]) when the second half is the only reader of
+    /// `def`.
+    fn unless_dead(&self, def: darm_ir::InstId, slot: u32) -> u32 {
+        if self.uses[def.index()] > 1 {
+            slot
+        } else {
+            NO_DST
         }
     }
 }
 
 impl BytecodeKernel {
-    /// Compiles `func`: decode, then bytecode lowering.
+    /// Lowers `func` to bytecode.
     pub fn new(func: &Function) -> BytecodeKernel {
-        BytecodeKernel::from_prepared(&PreparedKernel::new(func))
-    }
+        let cfg = Cfg::new(func);
+        let pdt = PostDomTree::new(func, &cfg);
 
-    /// Lowers a decoded kernel to bytecode.
-    fn from_prepared(pk: &PreparedKernel) -> BytecodeKernel {
-        let mut alloc = SlotAlloc {
-            n_slots: pk.n_slots,
+        // Dense block numbering, in creation order (entry first).
+        let block_ids = func.block_ids();
+        let mut dense_of = vec![NO_BLOCK; func.block_capacity()];
+        for (k, &b) in block_ids.iter().enumerate() {
+            dense_of[b.index()] = k as u32;
+        }
+
+        // Dense slot numbering for every live value-producing instruction
+        // (φs included) and the use counts fusion consults, ahead of the
+        // lowering walk because operands may name later instructions.
+        let mut lw = Lower {
+            func,
+            slot_of: vec![NO_DST; func.inst_capacity()],
+            uses: vec![0; func.inst_capacity()],
+            n_slots: 0,
             consts: Vec::new(),
+            const_slot: HashMap::new(),
             param_slots: Vec::new(),
+            undef: None,
+            sink: None,
         };
-
-        // Register use counts, to keep a fused compare's destination write
-        // when anything besides its branch reads it.
-        let mut uses = vec![0u32; pk.n_slots as usize];
-        let mut bump = |op: DOperand| {
-            if let DOperand::Reg(s) = op {
-                uses[s as usize] += 1;
-            }
-        };
-        for inst in &pk.insts {
-            for op in inst.ops {
-                bump(op);
+        let mut n_insts = 0;
+        let mut has_phis = false;
+        for &b in &block_ids {
+            n_insts += func.insts_of(b).len();
+            for &id in func.insts_of(b) {
+                let data = func.inst(id);
+                if data.ty != Type::Void {
+                    lw.slot_of[id.index()] = lw.fresh();
+                }
+                for &v in &data.operands {
+                    if let Value::Inst(dep) = v {
+                        lw.uses[dep.index()] += 1;
+                    }
+                }
             }
         }
-        for &(_, op) in &pk.phi_incomings {
-            bump(op);
+        let program_slots = lw.n_slots;
+
+        // Shared arena layout (8-byte aligned arrays, declaration order).
+        let mut shared_offsets = Vec::with_capacity(func.shared_arrays().len());
+        let mut shared_size = 0u64;
+        for arr in func.shared_arrays() {
+            shared_offsets.push(shared_size);
+            shared_size = (shared_size + arr.size_bytes() + 7) & !7;
         }
 
-        let mut code: Vec<Op> = Vec::with_capacity(pk.insts.len());
-        let mut lats: Vec<u64> = Vec::with_capacity(pk.insts.len());
-        let mut blocks: Vec<BcBlock> = Vec::with_capacity(pk.blocks.len());
+        let mut code: Vec<Op> = Vec::with_capacity(n_insts);
+        let mut lats: Vec<u64> = Vec::with_capacity(n_insts);
+        let mut blocks: Vec<BcBlock> = Vec::with_capacity(block_ids.len());
         let mut phi_edges: Vec<PhiEdge> = Vec::new();
         let mut phi_moves: Vec<(u32, u32)> = Vec::new();
         let mut phi_missing: Vec<(u32, u32, u32)> = Vec::new();
+        let mut names = String::new();
+        let mut preds: Vec<u32> = Vec::new();
 
-        for db in &pk.blocks {
-            // φ tables → per-predecessor move lists.
-            let phis = &pk.phis[db.phi_start as usize..db.phi_end as usize];
+        for &b in &block_ids {
+            let insts = func.insts_of(b);
+            let n_phis = insts
+                .iter()
+                .take_while(|&&id| func.inst(id).opcode.is_phi())
+                .count();
+            let (phis, body) = insts.split_at(n_phis);
+            has_phis |= n_phis > 0;
+
+            // φ prefix → per-predecessor move lists, predecessors in
+            // first-mention order.
             let phi_start = phi_edges.len() as u32;
             let block_moves_start = phi_moves.len();
-            if !phis.is_empty() {
-                let mut preds: Vec<u32> = Vec::new();
-                for phi in phis {
-                    for &(p, _) in &pk.phi_incomings[phi.inc_start as usize..phi.inc_end as usize] {
-                        if !preds.contains(&p) {
-                            preds.push(p);
-                        }
+            preds.clear();
+            for &phi in phis {
+                for &p in &func.inst(phi).phi_blocks {
+                    let p = dense_of[p.index()];
+                    if !preds.contains(&p) {
+                        preds.push(p);
                     }
-                }
-                for &p in &preds {
-                    let m_start = phi_moves.len() as u32;
-                    let mut complete = true;
-                    for (k, phi) in phis.iter().enumerate() {
-                        let incs = &pk.phi_incomings[phi.inc_start as usize..phi.inc_end as usize];
-                        match incs.iter().find(|&&(q, _)| q == p) {
-                            Some(&(_, op)) => phi_moves.push((phi.dst, alloc.slot(op))),
-                            None => {
-                                complete = false;
-                                phi_missing.push((blocks.len() as u32, k as u32, p));
-                            }
-                        }
-                    }
-                    phi_edges.push(PhiEdge {
-                        pred: p,
-                        m_start,
-                        m_end: phi_moves.len() as u32,
-                        complete,
-                    });
                 }
             }
-            let phi_end = phi_edges.len() as u32;
+            for &p in &preds {
+                let m_start = phi_moves.len() as u32;
+                let mut complete = true;
+                for (k, &phi) in phis.iter().enumerate() {
+                    let incoming = func
+                        .inst(phi)
+                        .phi_incoming()
+                        .find(|&(q, _)| dense_of[q.index()] == p);
+                    match incoming {
+                        Some((_, v)) => phi_moves.push((lw.dst(phi), lw.slot(v))),
+                        None => {
+                            complete = false;
+                            phi_missing.push((blocks.len() as u32, k as u32, p));
+                        }
+                    }
+                }
+                phi_edges.push(PhiEdge {
+                    pred: p,
+                    m_start,
+                    m_end: phi_moves.len() as u32,
+                    complete,
+                });
+            }
             let phi_overlap = phi_moves[block_moves_start..]
                 .iter()
-                .any(|&(_, s)| phis.iter().any(|phi| phi.dst == s));
+                .any(|&(_, s)| phis.iter().any(|&phi| lw.slot_of[phi.index()] == s));
 
-            // Body → ops (with compare-and-branch fusion).
+            // Body → ops, fusing as it goes.
             let first = code.len() as u32;
-            let insts = &pk.insts[db.first as usize..db.end as usize];
-            for inst in insts {
-                let op = lower_inst(inst, &mut alloc, &uses, &mut code, first);
+            for &id in body {
+                let data = func.inst(id);
+                let lat = cost::latency(data.opcode, None);
+                let last = code[first as usize..].last().copied();
+                let op = lower_inst(&mut lw, id, data, last, &dense_of, &shared_offsets);
                 let lat = match op {
-                    // Fusion popped the compare; fold its latency in.
-                    Op::CmpBr { .. } => lats.pop().expect("fused compare emitted") + inst.latency,
+                    // Fusion replaces the compare just emitted; fold its
+                    // latency in.
+                    Op::CmpBr { .. } => {
+                        code.pop();
+                        lats.pop().expect("fused compare emitted") + lat
+                    }
                     // A fused gep+mem op keeps only the gep's ALU latency:
                     // the memory half's cycles come from the cost model,
                     // exactly as they would unfused.
                     Op::GepLoad { .. } | Op::GepStore { .. } => {
+                        code.pop();
                         lats.pop().expect("fused gep emitted")
                     }
-                    _ => inst.latency,
+                    _ => lat,
                 };
                 code.push(op);
                 lats.push(lat);
             }
+            let name_start = names.len() as u32;
+            names.push_str(func.block_name(b));
             blocks.push(BcBlock {
                 first,
-                entry_pc: if phis.is_empty() { first } else { BLOCK_ENTRY },
-                ipdom: db.ipdom,
+                entry_pc: if n_phis == 0 { first } else { BLOCK_ENTRY },
+                ipdom: pdt.ipdom(b).map_or(NO_BLOCK, |p| dense_of[p.index()]),
                 phi_start,
-                phi_end,
+                phi_end: phi_edges.len() as u32,
                 phi_overlap,
+                name: (name_start, names.len() as u32),
             });
         }
 
@@ -524,22 +692,22 @@ impl BytecodeKernel {
         }
 
         BytecodeKernel {
-            name: pk.name.clone(),
-            params: pk.params.clone(),
-            n_slots: alloc.n_slots,
-            program_slots: pk.n_slots,
+            name: func.name().to_string(),
+            params: func.params().to_vec(),
+            n_slots: lw.n_slots,
+            program_slots,
             code,
             lats,
             blocks,
-            consts: alloc.consts,
-            param_slots: alloc.param_slots,
+            consts: lw.consts,
+            param_slots: lw.param_slots,
             phi_edges,
             phi_moves,
             phi_missing,
-            block_names: pk.block_names.clone(),
-            entry: pk.entry,
-            shared_size: pk.shared_size,
-            track_prev: !pk.phis.is_empty(),
+            names,
+            entry: dense_of[func.entry().index()],
+            shared_size,
+            track_prev: has_phis,
         }
     }
 
@@ -553,8 +721,8 @@ impl BytecodeKernel {
         &self.params
     }
 
-    /// Number of bytecode ops (compare-and-branch fusions count once) —
-    /// a code-size metric for reporting.
+    /// Number of bytecode ops (a fused pair counts once) — a code-size
+    /// metric for reporting.
     pub fn op_count(&self) -> usize {
         self.code.len()
     }
@@ -566,238 +734,227 @@ impl BytecodeKernel {
     }
 
     pub(crate) fn block_name(&self, dense: u32) -> &str {
-        if dense == NO_BLOCK {
-            "<none>"
-        } else {
-            &self.block_names[dense as usize]
+        match self.blocks.get(dense as usize) {
+            Some(b) => &self.names[b.name.0 as usize..b.name.1 as usize],
+            None => "<none>",
         }
     }
 }
 
-/// Lowers one decoded instruction record, fusing a terminating `br` with
-/// the `icmp` just emitted when the compare feeds the branch.
+/// Lowers one non-φ instruction to its typed op. `last` is the op emitted
+/// just before it in the same block — the candidate for fusion; when the
+/// returned op is a fused one, the caller drops `last`.
 fn lower_inst(
-    inst: &crate::decoded::DInst,
-    alloc: &mut SlotAlloc,
-    uses: &[u32],
-    code: &mut Vec<Op>,
-    block_first: u32,
+    lw: &mut Lower<'_>,
+    id: darm_ir::InstId,
+    data: &InstData,
+    last: Option<Op>,
+    dense_of: &[u32],
+    shared_offsets: &[u64],
 ) -> Op {
     use Opcode as O;
-    let d = inst.dst;
-    let mut s = |k: usize| alloc.slot(inst.ops[k]);
-    match inst.opcode {
-        O::Add => Op::Add {
-            d,
-            a: s(0),
-            b: s(1),
-        },
-        O::Sub => Op::Sub {
-            d,
-            a: s(0),
-            b: s(1),
-        },
-        O::Mul => Op::Mul {
-            d,
-            a: s(0),
-            b: s(1),
-        },
-        O::And => Op::And {
-            d,
-            a: s(0),
-            b: s(1),
-        },
-        O::Or => Op::Or {
-            d,
-            a: s(0),
-            b: s(1),
-        },
-        O::Xor => Op::Xor {
-            d,
-            a: s(0),
-            b: s(1),
-        },
-        O::Shl => Op::Shl {
-            d,
-            a: s(0),
-            b: s(1),
-        },
-        O::LShr => Op::LShr {
-            d,
-            a: s(0),
-            b: s(1),
-        },
-        O::AShr => Op::AShr {
-            d,
-            a: s(0),
-            b: s(1),
-        },
-        O::SDiv | O::SRem | O::UDiv | O::URem => Op::Div {
-            op: inst.opcode,
-            ty: inst.ty,
-            d,
-            a: s(0),
-            b: s(1),
-        },
-        O::FAdd => Op::FAdd {
-            d,
-            a: s(0),
-            b: s(1),
-        },
-        O::FSub => Op::FSub {
-            d,
-            a: s(0),
-            b: s(1),
-        },
-        O::FMul => Op::FMul {
-            d,
-            a: s(0),
-            b: s(1),
-        },
-        O::FDiv => Op::FDiv {
-            d,
-            a: s(0),
-            b: s(1),
-        },
-        O::FSqrt => Op::FSqrt { d, a: s(0) },
-        O::FAbs => Op::FAbs { d, a: s(0) },
-        O::FNeg => Op::FNeg { d, a: s(0) },
-        O::FExp => Op::FExp { d, a: s(0) },
-        O::Icmp(p) => Op::Icmp {
-            p,
-            d,
-            a: s(0),
-            b: s(1),
-        },
-        O::Fcmp(p) => Op::Fcmp {
-            p,
-            d,
-            a: s(0),
-            b: s(1),
-        },
-        O::Select => Op::Select {
-            d,
-            c: s(0),
-            a: s(1),
-            b: s(2),
-        },
-        O::Zext | O::Sext => Op::ZextSext {
-            zext: inst.opcode == O::Zext,
-            ty: inst.ty,
-            d,
-            a: s(0),
-        },
-        O::Trunc => Op::Trunc {
-            ty: inst.ty,
-            d,
-            a: s(0),
-        },
-        O::SiToFp => Op::SiToFp { d, a: s(0) },
-        O::FpToSi => Op::FpToSi {
-            ty: inst.ty,
-            d,
-            a: s(0),
-        },
-        O::Gep { .. } => Op::Gep {
-            elem: inst.aux,
-            d,
-            a: s(0),
-            b: s(1),
-        },
-        O::Load => {
-            // Fuse with the gep emitted immediately before when it computes
-            // this load's address (same shape as compare-and-branch fusion).
-            if let DOperand::Reg(addr) = inst.ops[0] {
-                if code.len() as u32 > block_first {
-                    if let Some(&Op::Gep { elem, d: gd, a, b }) = code.last() {
-                        if gd == addr {
-                            code.pop();
-                            let keep = if uses[gd as usize] > 1 { gd } else { NO_DST };
-                            return Op::GepLoad {
-                                elem,
-                                gd: keep,
-                                ga: a,
-                                gb: b,
-                                ty: inst.ty,
-                                d,
-                            };
-                        }
-                    }
-                }
-            }
-            Op::Load {
-                ty: inst.ty,
-                d,
-                a: s(0),
+    use Type as T;
+    let is_i1 = |t: T| t == T::I1;
+    match data.opcode {
+        O::Syncthreads => return Op::Sync,
+        O::Ret => return Op::Ret,
+        O::Jump => {
+            return Op::Jump {
+                t_block: dense_of[data.succs[0].index()],
+                t_pc: 0,
             }
         }
-        O::Store => {
-            let v = s(0);
-            if let DOperand::Reg(addr) = inst.ops[1] {
-                if code.len() as u32 > block_first {
-                    if let Some(&Op::Gep { elem, d: gd, a, b }) = code.last() {
-                        if gd == addr {
-                            code.pop();
-                            let keep = if uses[gd as usize] > 1 { gd } else { NO_DST };
-                            return Op::GepStore {
-                                elem,
-                                gd: keep,
-                                ga: a,
-                                gb: b,
-                                v,
-                            };
-                        }
-                    }
-                }
-            }
-            Op::Store { v, a: s(1) }
-        }
-        O::ThreadIdx(dim) => Op::ThreadIdx { dim, d },
-        O::BlockIdx(dim) => Op::BlockIdx { dim, d },
-        O::BlockDim(dim) => Op::BlockDim { dim, d },
-        O::GridDim(dim) => Op::GridDim { dim, d },
-        O::SharedBase(_) => Op::SharedBase { off: inst.aux, d },
-        O::Ballot => Op::Ballot { d, a: s(0) },
-        O::Syncthreads => Op::Sync,
-        O::Ret => Op::Ret,
-        O::Jump => Op::Jump {
-            t_block: inst.succs[0],
-            t_pc: 0,
-        },
         O::Br => {
-            let (t_block, e_block) = (inst.succs[0], inst.succs[1]);
+            let (t_block, e_block) = (
+                dense_of[data.succs[0].index()],
+                dense_of[data.succs[1].index()],
+            );
+            let c = lw.checked_operand(data, 0, is_i1);
             // Fuse with the compare emitted immediately before, inside this
             // block, when it defines the branch condition.
-            if inst.cond_slot != NO_DST && code.len() as u32 > block_first {
-                if let Some(&Op::Icmp { p, d: cd, a, b }) = code.last() {
-                    if cd == inst.cond_slot {
-                        code.pop();
-                        // `uses` counts the branch's own read; > 1 means
-                        // someone else reads the compare result too.
-                        let keep = if uses[cd as usize] > 1 { cd } else { NO_DST };
-                        return Op::CmpBr {
-                            p,
-                            d: keep,
-                            a,
-                            b,
-                            t_block,
-                            t_pc: 0,
-                            e_block,
-                            e_pc: 0,
-                        };
-                    }
+            if let (Some(Op::Icmp { p, d, a, b }), Some(&Value::Inst(cond))) =
+                (last, data.operands.first())
+            {
+                if d == c {
+                    return Op::CmpBr {
+                        p,
+                        d: lw.unless_dead(cond, d),
+                        a,
+                        b,
+                        t_block,
+                        t_pc: 0,
+                        e_block,
+                        e_pc: 0,
+                    };
                 }
             }
-            Op::Br {
-                c: alloc.slot(inst.ops[0]),
+            return Op::Br {
+                c,
                 t_block,
                 t_pc: 0,
                 e_block,
                 e_pc: 0,
+            };
+        }
+        O::Store => {
+            let (v, ty) = lw.operand(data, 0);
+            let v = if ty == T::Void { lw.undef_slot() } else { v };
+            let a = lw.checked_operand(data, 1, T::is_ptr);
+            // Same fusion shape as compare-and-branch: the gep emitted
+            // immediately before computes this access's address.
+            if let (Some(Op::Gep { elem, d, a: ga, b }), Some(&Value::Inst(addr))) =
+                (last, data.operands.get(1))
+            {
+                if d == a {
+                    return Op::GepStore {
+                        elem,
+                        gd: lw.unless_dead(addr, d),
+                        ga,
+                        gb: b,
+                        ty,
+                        v,
+                    };
+                }
             }
+            return Op::Store { ty, v, a };
         }
         O::Phi => unreachable!("phis live in the phi tables, not the instruction stream"),
+        _ => {}
     }
+
+    // Everything below produces a value.
+    let d = lw.dst(id);
+    let ((a, ta), (b, tb)) = (lw.operand(data, 0), lw.operand(data, 1));
+    // `(T, T)` over the integer types; `(i32, i32)`/`(i64, i64)` only.
+    let int_pair = match (ta, tb) {
+        (T::I1, T::I1) => Some(W::I1),
+        (T::I32, T::I32) => Some(W::I32),
+        (T::I64, T::I64) => Some(W::I64),
+        _ => None,
+    };
+    let wide_pair = match int_pair {
+        Some(W::I32) => Some(false),
+        Some(W::I64) => Some(true),
+        _ => None,
+    };
+    let f32_pair = ta == T::F32 && tb == T::F32;
+    let uniform = |v| Some(Op::Uniform { v, d });
+    let typed: Option<Op> = match data.opcode {
+        O::Add => int_pair.map(|w| Op::Add { w, d, a, b }),
+        O::Sub => int_pair.map(|w| Op::Sub { w, d, a, b }),
+        O::Mul => int_pair.map(|w| Op::Mul { w, d, a, b }),
+        O::And => int_pair.map(|_| Op::And { d, a, b }),
+        O::Or => int_pair.map(|_| Op::Or { d, a, b }),
+        O::Xor => int_pair.map(|_| Op::Xor { d, a, b }),
+        O::Shl => wide_pair.map(|wide| Op::Shl { wide, d, a, b }),
+        O::LShr => wide_pair.map(|wide| Op::LShr { wide, d, a, b }),
+        O::AShr => wide_pair.map(|wide| Op::AShr { wide, d, a, b }),
+        O::SDiv | O::SRem | O::UDiv | O::URem => wide_pair.map(|_| Op::Div {
+            op: data.opcode,
+            wide: data.ty != T::I32,
+            d,
+            a,
+            b,
+        }),
+        O::FAdd => f32_pair.then_some(Op::FAdd { d, a, b }),
+        O::FSub => f32_pair.then_some(Op::FSub { d, a, b }),
+        O::FMul => f32_pair.then_some(Op::FMul { d, a, b }),
+        O::FDiv => f32_pair.then_some(Op::FDiv { d, a, b }),
+        O::FSqrt => (ta == T::F32).then_some(Op::FSqrt { d, a }),
+        O::FAbs => (ta == T::F32).then_some(Op::FAbs { d, a }),
+        O::FNeg => (ta == T::F32).then_some(Op::FNeg { d, a }),
+        O::FExp => (ta == T::F32).then_some(Op::FExp { d, a }),
+        O::Icmp(p) => {
+            (int_pair.is_some() || (ta.is_ptr() && tb.is_ptr())).then_some(Op::Icmp { p, d, a, b })
+        }
+        O::Fcmp(p) => f32_pair.then_some(Op::Fcmp { p, d, a, b }),
+        O::Select => {
+            let (e, te) = lw.operand(data, 2);
+            (ta == T::I1 && te != T::Void).then_some(Op::Select {
+                d,
+                c: a,
+                a: b,
+                b: e,
+            })
+        }
+        O::Zext | O::Sext => {
+            let zext = data.opcode == O::Zext;
+            let k = match (ta, data.ty) {
+                (T::I1, T::I32 | T::I64) if zext => Some(Cvt::Copy),
+                (T::I1, T::I32 | T::I64) => Some(Cvt::SextI1),
+                (T::I32, T::I64) if zext => Some(Cvt::ZextI32),
+                (T::I32, T::I32 | T::I64) => Some(Cvt::Copy),
+                _ => None,
+            };
+            k.map(|k| Op::Cvt { k, d, a })
+        }
+        O::Trunc => {
+            let k = match (ta, data.ty) {
+                (T::I64, T::I32) => Some(Cvt::TruncI32),
+                (T::I64 | T::I32, T::I1) => Some(Cvt::TruncI1),
+                _ => None,
+            };
+            k.map(|k| Op::Cvt { k, d, a })
+        }
+        O::SiToFp => matches!(ta, T::I32 | T::I64).then_some(Op::Cvt {
+            k: Cvt::SiToFp,
+            d,
+            a,
+        }),
+        O::FpToSi => {
+            let k = match (ta, data.ty) {
+                (T::F32, T::I32) => Some(Cvt::FpToI32),
+                (T::F32, T::I64) => Some(Cvt::FpToI64),
+                _ => None,
+            };
+            k.map(|k| Op::Cvt { k, d, a })
+        }
+        O::Gep { elem } => (ta.is_ptr() && matches!(tb, T::I32 | T::I64)).then(|| Op::Gep {
+            elem: elem.size_bytes(),
+            d,
+            a,
+            b,
+        }),
+        O::Load => {
+            let addr = lw.checked_operand(data, 0, T::is_ptr);
+            Some(match (last, data.operands.first()) {
+                (Some(Op::Gep { elem, d: gd, a, b }), Some(&Value::Inst(gep))) if gd == addr => {
+                    Op::GepLoad {
+                        elem,
+                        gd: lw.unless_dead(gep, gd),
+                        ga: a,
+                        gb: b,
+                        ty: data.ty,
+                        d,
+                    }
+                }
+                _ => Op::Load {
+                    ty: data.ty,
+                    d,
+                    a: addr,
+                },
+            })
+        }
+        O::ThreadIdx(dim) => Some(Op::ThreadIdx { dim, d }),
+        O::BlockIdx(dim) => uniform(Uniform::BlockIdx(dim)),
+        O::BlockDim(dim) => uniform(Uniform::BlockDim(dim)),
+        O::GridDim(dim) => uniform(Uniform::GridDim(dim)),
+        O::SharedBase(k) => uniform(Uniform::SharedBase(shared_offsets[k as usize])),
+        O::Ballot => Some(Op::Ballot {
+            d,
+            a: lw.checked_operand(data, 0, is_i1),
+        }),
+        O::Syncthreads | O::Ret | O::Jump | O::Br | O::Store | O::Phi => {
+            unreachable!("handled above")
+        }
+    };
+    typed.unwrap_or_else(|| {
+        let mut srcs = [NO_DST; 3];
+        for (s, &v) in srcs.iter_mut().zip(&data.operands) {
+            *s = lw.slot(v);
+        }
+        Op::Undef { d, srcs }
+    })
 }
 
 #[cfg(test)]
@@ -831,6 +988,23 @@ mod tests {
     }
 
     #[test]
+    fn shapes_match_function() {
+        let f = diamond();
+        let bk = BytecodeKernel::new(&f);
+        assert_eq!(bk.name(), "d");
+        assert_eq!(bk.blocks.len(), 4);
+        assert_eq!(bk.block_name(3), "x");
+        assert_eq!(bk.block_name(NO_BLOCK), "<none>");
+        // Diamond arms reconverge at the join, which has no IPDOM itself.
+        assert_eq!(bk.blocks[1].ipdom, 3);
+        assert_eq!(bk.blocks[2].ipdom, 3);
+        assert_eq!(bk.blocks[3].ipdom, NO_BLOCK);
+        // tid, icmp, mul, add, φ, gep → 6 dense program slots, however
+        // many tombstones the arena holds.
+        assert_eq!(bk.program_slots, 6);
+    }
+
+    #[test]
     fn compare_branch_fuses_and_elides_dead_dst() {
         let f = diamond();
         let bk = BytecodeKernel::new(&f);
@@ -849,22 +1023,22 @@ mod tests {
         let f = diamond();
         let bk = BytecodeKernel::new(&f);
         // Join block body: gep + store fuse into one op (φs live in the
-        // edge tables), and nothing else reads the address register.
+        // edge tables), and nothing else reads the address register. The
+        // op carries the element size and the stored value's static type.
         let join = &bk.blocks[3];
         let fused = bk.code[join.first as usize];
-        let Op::GepStore { gd, .. } = fused else {
+        let Op::GepStore { gd, elem, ty, .. } = fused else {
             panic!("expected fused gep+store, got {fused:?}");
         };
-        assert_eq!(gd, NO_DST);
+        assert_eq!((gd, elem, ty), (NO_DST, 4, Type::I32));
     }
 
     #[test]
     fn constants_and_params_get_dedicated_slots() {
         let f = diamond();
-        let pk = PreparedKernel::new(&f);
-        let bk = BytecodeKernel::from_prepared(&pk);
+        let bk = BytecodeKernel::new(&f);
         // 6 result slots + consts {4, 2, 5} + param 0.
-        assert_eq!(bk.register_slots(), pk.n_slots as usize + 4);
+        assert_eq!(bk.register_slots(), bk.program_slots as usize + 4);
         assert_eq!(bk.consts.len(), 3);
         assert_eq!(bk.param_slots.len(), 1);
     }
@@ -892,5 +1066,48 @@ mod tests {
                 assert_eq!(*t_pc, join_entry);
             }
         }
+    }
+
+    #[test]
+    fn ops_are_typed_from_static_operand_types() {
+        let mut f = Function::new("t", vec![], Type::Void);
+        let entry = f.entry();
+        let mut b = FunctionBuilder::new(&mut f, entry);
+        let x = b.thread_idx(Dim::X);
+        let wide = b.sext(x, Type::I64);
+        let _sum = b.add(wide, Value::I64(1));
+        let bit = b.trunc(x, Type::I1);
+        let _bad = b.shl(bit, bit);
+        let _same = b.trunc(x, Type::I32);
+        let _undef = b.add(x, Value::Undef(Type::I32));
+        b.ret(None);
+        let bk = BytecodeKernel::new(&f);
+        let ops = &bk.code;
+        assert!(matches!(ops[1], Op::Cvt { k: Cvt::Copy, .. }));
+        assert!(matches!(ops[2], Op::Add { w: W::I64, .. }));
+        assert!(matches!(
+            ops[3],
+            Op::Cvt {
+                k: Cvt::TruncI1,
+                ..
+            }
+        ));
+        // `shl` on i1 and `trunc i32 → i32` are undef whatever they read,
+        // and still name their operands for the scoreboard.
+        let Op::Undef { srcs, .. } = ops[4] else {
+            panic!("expected a static undef, got {:?}", ops[4]);
+        };
+        assert_eq!(srcs, [3, 3, NO_DST]);
+        assert!(matches!(ops[5], Op::Undef { .. }));
+        // An `undef` operand is a slot like any other, never listed among
+        // the materialized constants.
+        let Op::Add {
+            w: W::I32, b: u, ..
+        } = ops[6]
+        else {
+            panic!("expected a typed add, got {:?}", ops[6]);
+        };
+        assert!(u >= bk.program_slots);
+        assert!(bk.consts.iter().all(|&(s, _)| s != u));
     }
 }

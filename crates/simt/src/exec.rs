@@ -4,16 +4,52 @@
 //! [`Gpu`] owns the buffers and hands each launch to one of the two
 //! execution paths — the bytecode engine (`exec_bc`, behind
 //! [`Gpu::launch`] / [`Gpu::launch_bytecode`]) or the per-lane oracle
-//! ([`crate::reference`], behind [`Gpu::launch_reference`]). The per-opcode
-//! value semantics (`*_eval`), the typed memory accessors and the
-//! reconvergence-stack records the bytecode engine runs on live here too.
+//! ([`crate::reference`], behind [`Gpu::launch_reference`]);
+//! [`BackendKind`] names that choice as a value for [`Gpu::launch_with`]
+//! and the `darm` CLI's `--backend` flag.
 
-use crate::mem::{decode, encode_global, BufferId, ByteStore, RawVal};
+use crate::mem::{encode_global, BufferId, ByteStore, RawVal};
 use crate::stats::KernelStats;
-use crate::{reference, BackendKind, BytecodeKernel, GpuConfig, LaunchConfig};
-use darm_ir::{Function, Opcode, Type};
+use crate::{reference, BytecodeKernel, GpuConfig, LaunchConfig};
+use darm_ir::{Function, Type};
 use std::error::Error;
 use std::fmt;
+
+/// The execution paths a kernel can run on. Both are bit-identical in
+/// buffers, [`KernelStats`] and errors; the bytecode engine is the fast
+/// one, the reference interpreter the differential oracle.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum BackendKind {
+    /// The seed per-lane, arena-walking interpreter — slowest, simplest;
+    /// the semantic baseline.
+    Reference,
+    /// The typed register bytecode engine over a [`BytecodeKernel`].
+    Bytecode,
+}
+
+impl BackendKind {
+    /// Every backend, oracle first.
+    pub const ALL: [BackendKind; 2] = [BackendKind::Reference, BackendKind::Bytecode];
+
+    /// The CLI/display name (`reference`, `bytecode`).
+    pub fn name(self) -> &'static str {
+        match self {
+            BackendKind::Reference => "reference",
+            BackendKind::Bytecode => "bytecode",
+        }
+    }
+
+    /// Parses a CLI name; `None` for anything unknown.
+    pub fn parse(s: &str) -> Option<BackendKind> {
+        BackendKind::ALL.into_iter().find(|k| k.name() == s)
+    }
+}
+
+impl fmt::Display for BackendKind {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.name())
+    }
+}
 
 /// A kernel launch argument.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -46,6 +82,9 @@ pub enum SimError {
     BarrierDeadlock(String),
     /// A divergent branch has no IPDOM to reconverge at.
     MissingIpdom(String),
+    /// [`GpuConfig::warp_size`] is outside `1..=64` (lane masks are one
+    /// `u64` per warp).
+    BadWarpSize(u32),
 }
 
 impl fmt::Display for SimError {
@@ -62,11 +101,22 @@ impl fmt::Display for SimError {
             SimError::MissingIpdom(m) => {
                 write!(f, "divergent branch without reconvergence point: {m}")
             }
+            SimError::BadWarpSize(ws) => write!(f, "warp size {ws} is outside 1..=64"),
         }
     }
 }
 
 impl Error for SimError {}
+
+/// Rejects a [`GpuConfig::warp_size`] the lane masks cannot represent.
+/// Both engines check it first, before anything else about the launch.
+pub(crate) fn check_warp_size(warp_size: u32) -> Result<(), SimError> {
+    if (1..=64).contains(&warp_size) {
+        Ok(())
+    } else {
+        Err(SimError::BadWarpSize(warp_size))
+    }
+}
 
 /// Validates launch arguments against a kernel signature and converts them
 /// to runtime values. Shared by the bytecode and reference engines.
@@ -251,283 +301,16 @@ impl Gpu {
     }
 }
 
-/// One IPDOM reconvergence-stack entry of the bytecode engine.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct StackEntry {
-    /// Dense block index.
-    pub block: u32,
-    /// Absolute op index, or [`crate::decoded::BLOCK_ENTRY`] when the
-    /// block's φ batch has not run yet.
-    pub inst_idx: u32,
-    /// Reconvergence block (dense), or [`crate::decoded::NO_BLOCK`].
-    pub rpc: u32,
-    pub mask: u64,
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum WarpStatus {
-    Running,
-    AtBarrier,
-    Done,
-}
-
-pub(crate) struct WarpState {
-    pub stack: Vec<StackEntry>,
-    /// Last block executed, per lane (dense index) — resolves φ incomings.
-    pub prev: Vec<u32>,
-    pub status: WarpStatus,
-    pub base_thread: u32,
-}
-
-/// The seed interpreter's integer-binop semantics: well-typed pairs compute,
-/// everything else (type mismatches, undef) yields `Undef`.
-#[inline(always)]
-pub(crate) fn bin_i(a: RawVal, b: RawVal, f: impl Fn(i64, i64) -> i64) -> RawVal {
-    match (a, b) {
-        (RawVal::I32(a), RawVal::I32(b)) => RawVal::I32(f(a as i64, b as i64) as i32),
-        (RawVal::I64(a), RawVal::I64(b)) => RawVal::I64(f(a, b)),
-        (RawVal::I1(a), RawVal::I1(b)) => RawVal::I1(f(a as i64, b as i64) & 1 != 0),
-        _ => RawVal::Undef,
-    }
-}
-
-#[inline(always)]
-pub(crate) fn bin_f(a: RawVal, b: RawVal, f: impl Fn(f32, f32) -> f32) -> RawVal {
-    match (a, b) {
-        (RawVal::F32(a), RawVal::F32(b)) => RawVal::F32(f(a, b)),
-        _ => RawVal::Undef,
-    }
-}
-
-#[inline(always)]
-pub(crate) fn un_f(a: RawVal, f: impl Fn(f32) -> f32) -> RawVal {
-    match a {
-        RawVal::F32(a) => RawVal::F32(f(a)),
-        _ => RawVal::Undef,
-    }
-}
-
-// The per-opcode value semantics of the bytecode engine (`crate::exec_bc`).
-
-#[inline(always)]
-pub(crate) fn icmp_eval(pred: darm_ir::IcmpPred, a: RawVal, b: RawVal) -> RawVal {
-    use darm_ir::IcmpPred::*;
-    let cmp = |a: i64, b: i64, ua: u64, ub: u64| -> bool {
-        match pred {
-            Eq => a == b,
-            Ne => a != b,
-            Slt => a < b,
-            Sle => a <= b,
-            Sgt => a > b,
-            Sge => a >= b,
-            Ult => ua < ub,
-            Ule => ua <= ub,
-            Ugt => ua > ub,
-            Uge => ua >= ub,
+    #[test]
+    fn backend_names_round_trip() {
+        for k in BackendKind::ALL {
+            assert_eq!(BackendKind::parse(k.name()), Some(k));
+            assert_eq!(format!("{k}"), k.name());
         }
-    };
-    match (a, b) {
-        (RawVal::I32(a), RawVal::I32(b)) => {
-            RawVal::I1(cmp(a as i64, b as i64, a as u32 as u64, b as u32 as u64))
-        }
-        (RawVal::I64(a), RawVal::I64(b)) => RawVal::I1(cmp(a, b, a as u64, b as u64)),
-        (RawVal::I1(a), RawVal::I1(b)) => RawVal::I1(cmp(a as i64, b as i64, a as u64, b as u64)),
-        (RawVal::Ptr(a), RawVal::Ptr(b)) => RawVal::I1(cmp(a as i64, b as i64, a, b)),
-        _ => RawVal::Undef,
+        assert_eq!(BackendKind::parse("prepared"), None);
     }
-}
-
-#[inline(always)]
-pub(crate) fn fcmp_eval(pred: darm_ir::FcmpPred, a: RawVal, b: RawVal) -> RawVal {
-    use darm_ir::FcmpPred::*;
-    match (a, b) {
-        (RawVal::F32(a), RawVal::F32(b)) => RawVal::I1(match pred {
-            Oeq => a == b,
-            One => a != b,
-            Olt => a < b,
-            Ole => a <= b,
-            Ogt => a > b,
-            Oge => a >= b,
-        }),
-        _ => RawVal::Undef,
-    }
-}
-
-#[inline(always)]
-pub(crate) fn shl_eval(a: RawVal, b: RawVal) -> RawVal {
-    match (a, b) {
-        (RawVal::I32(a), RawVal::I32(b)) => RawVal::I32(a.wrapping_shl(b as u32)),
-        (RawVal::I64(a), RawVal::I64(b)) => RawVal::I64(a.wrapping_shl(b as u32)),
-        _ => RawVal::Undef,
-    }
-}
-
-#[inline(always)]
-pub(crate) fn lshr_eval(a: RawVal, b: RawVal) -> RawVal {
-    match (a, b) {
-        (RawVal::I32(a), RawVal::I32(b)) => RawVal::I32(((a as u32).wrapping_shr(b as u32)) as i32),
-        (RawVal::I64(a), RawVal::I64(b)) => RawVal::I64(((a as u64).wrapping_shr(b as u32)) as i64),
-        _ => RawVal::Undef,
-    }
-}
-
-#[inline(always)]
-pub(crate) fn ashr_eval(a: RawVal, b: RawVal) -> RawVal {
-    match (a, b) {
-        (RawVal::I32(a), RawVal::I32(b)) => RawVal::I32(a.wrapping_shr(b as u32)),
-        (RawVal::I64(a), RawVal::I64(b)) => RawVal::I64(a.wrapping_shr(b as u32)),
-        _ => RawVal::Undef,
-    }
-}
-
-/// Division family. Returns `Err(DivByZero)` on a well-typed zero divisor;
-/// undef or mistyped operands yield `Undef` (seed-interpreter semantics).
-#[inline(always)]
-pub(crate) fn div_eval(opcode: Opcode, ty: Type, x: RawVal, y: RawVal) -> Result<RawVal, SimError> {
-    use Opcode::*;
-    if matches!(x, RawVal::Undef) || matches!(y, RawVal::Undef) {
-        return Ok(RawVal::Undef);
-    }
-    let (a, b) = match (x, y) {
-        (RawVal::I32(a), RawVal::I32(b)) => (a as i64, b as i64),
-        (RawVal::I64(a), RawVal::I64(b)) => (a, b),
-        _ => return Ok(RawVal::Undef),
-    };
-    if b == 0 {
-        return Err(SimError::DivByZero);
-    }
-    let r = match opcode {
-        SDiv => a.wrapping_div(b),
-        SRem => a.wrapping_rem(b),
-        UDiv => ((a as u64) / (b as u64)) as i64,
-        URem => ((a as u64) % (b as u64)) as i64,
-        _ => unreachable!(),
-    };
-    Ok(match ty {
-        Type::I32 => RawVal::I32(r as i32),
-        _ => RawVal::I64(r),
-    })
-}
-
-#[inline(always)]
-pub(crate) fn select_eval(c: RawVal, t: RawVal, e: RawVal) -> RawVal {
-    match c {
-        RawVal::I1(true) => t,
-        RawVal::I1(false) => e,
-        _ => RawVal::Undef,
-    }
-}
-
-#[inline(always)]
-pub(crate) fn zext_sext_eval(zext: bool, ty: Type, a: RawVal) -> RawVal {
-    match a {
-        RawVal::I1(b) => {
-            let x = if zext { b as i64 } else { -(b as i64) };
-            match ty {
-                Type::I32 => RawVal::I32(x as i32),
-                Type::I64 => RawVal::I64(x),
-                _ => RawVal::Undef,
-            }
-        }
-        RawVal::I32(v) => {
-            let x = if zext { v as u32 as i64 } else { v as i64 };
-            match ty {
-                Type::I64 => RawVal::I64(x),
-                Type::I32 => RawVal::I32(v),
-                _ => RawVal::Undef,
-            }
-        }
-        _ => RawVal::Undef,
-    }
-}
-
-#[inline(always)]
-pub(crate) fn trunc_eval(ty: Type, a: RawVal) -> RawVal {
-    match a {
-        RawVal::I64(v) => match ty {
-            Type::I32 => RawVal::I32(v as i32),
-            Type::I1 => RawVal::I1(v & 1 != 0),
-            _ => RawVal::Undef,
-        },
-        RawVal::I32(v) => match ty {
-            Type::I1 => RawVal::I1(v & 1 != 0),
-            _ => RawVal::Undef,
-        },
-        _ => RawVal::Undef,
-    }
-}
-
-#[inline(always)]
-pub(crate) fn sitofp_eval(a: RawVal) -> RawVal {
-    match a {
-        RawVal::I32(v) => RawVal::F32(v as f32),
-        RawVal::I64(v) => RawVal::F32(v as f32),
-        _ => RawVal::Undef,
-    }
-}
-
-#[inline(always)]
-pub(crate) fn fptosi_eval(ty: Type, a: RawVal) -> RawVal {
-    match a {
-        RawVal::F32(v) => match ty {
-            Type::I32 => RawVal::I32(v as i32),
-            Type::I64 => RawVal::I64(v as i64),
-            _ => RawVal::Undef,
-        },
-        _ => RawVal::Undef,
-    }
-}
-
-#[inline(always)]
-pub(crate) fn gep_eval(elem_size: u64, base: RawVal, idx: RawVal) -> RawVal {
-    match (base, idx.as_i64_index()) {
-        (RawVal::Ptr(base), Some(idx)) => {
-            RawVal::Ptr(base.wrapping_add((idx as u64).wrapping_mul(elem_size)))
-        }
-        _ => RawVal::Undef,
-    }
-}
-
-/// Typed read from a global buffer or the block's shared arena (the
-/// reference interpreter keeps its own copy).
-#[inline(always)]
-pub(crate) fn mem_read_at(
-    buffers: &[ByteStore],
-    shared: &ByteStore,
-    ty: Type,
-    addr: u64,
-) -> Result<RawVal, SimError> {
-    let (buf, off) = decode(addr);
-    let store = match buf {
-        Some(b) => buffers
-            .get(b.0 as usize)
-            .ok_or_else(|| SimError::OutOfBounds(format!("unknown buffer in address {addr:#x}")))?,
-        None => shared,
-    };
-    store.read(ty, off).ok_or_else(|| {
-        SimError::OutOfBounds(format!(
-            "read of {ty} at offset {off} (len {})",
-            store.len()
-        ))
-    })
-}
-
-/// Typed write to a global buffer or the block's shared arena.
-#[inline(always)]
-pub(crate) fn mem_write_at(
-    buffers: &mut [ByteStore],
-    shared: &mut ByteStore,
-    addr: u64,
-    v: RawVal,
-) -> Result<(), SimError> {
-    let (buf, off) = decode(addr);
-    let store = match buf {
-        Some(b) => buffers
-            .get_mut(b.0 as usize)
-            .ok_or_else(|| SimError::OutOfBounds(format!("unknown buffer in address {addr:#x}")))?,
-        None => shared,
-    };
-    store.write(off, v).ok_or_else(|| {
-        SimError::OutOfBounds(format!("write at offset {off} (len {})", store.len()))
-    })
 }

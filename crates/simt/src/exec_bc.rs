@@ -1,48 +1,58 @@
-//! Execute loop for the flat register bytecode ([`crate::BytecodeKernel`]).
+//! Execute loop for the typed register bytecode ([`crate::BytecodeKernel`]).
 //!
 //! Same machine as the [`crate::reference`] interpreter — lockstep warps,
 //! per-warp IPDOM reconvergence stack, one shared instruction budget — but
 //! the inner loop is a single `match` on a dense
-//! [`Op`](crate::bytecode::Op) discriminant per *warp* instruction:
+//! [`Op`](crate::bytecode::Op) discriminant per *warp* instruction, over a
+//! register file that holds no tags.
 //!
-//! * operands are plain register-file indices (constants and parameters
-//!   were materialized into dedicated slots at launch, so there is no
-//!   operand-kind dispatch and no argument-array indirection);
-//! * the register file is **slot-major** (`regs[slot * threads + thread]`):
-//!   one warp op streams through contiguous lanes of each operand, so the
-//!   hot loop is sequential loads/stores instead of `n_slots`-strided ones;
-//! * control transfers use the pre-patched resume pc on each op, so a
-//!   taken `jump`/`br` continues straight in the dispatch loop; the stack
-//!   is written only on divergence, reconvergence pops, and barriers —
-//!   never per instruction;
-//! * φ batches resolve through per-predecessor move tables: active lanes
-//!   are bucketed by provenance once, then each bucket applies a flat
-//!   `dst ← src` list;
-//! * a fused [`Op::CmpBr`](crate::bytecode::Op::CmpBr) evaluates, charges,
-//!   and branches in one dispatch, replicating the unfused pair's exact
-//!   stats/budget/error ordering; the fused gep+memory ops
-//!   ([`Op::GepLoad`](crate::bytecode::Op::GepLoad) /
-//!   [`Op::GepStore`](crate::bytecode::Op::GepStore)) do the same in two
-//!   phases, so a budget exhaustion still lands between the address
-//!   computation and the access.
+//! # Cells and definedness
 //!
-//! Value semantics are the `*_eval` helpers in [`crate::exec`]; the
-//! differential tests hold buffers, stats, and errors bit-identical to the
+//! `regs[slot * threads + thread]` is one untagged `u64` **cell** per lane
+//! (encoding in the [`crate::bytecode`] module docs), so the lanes of one
+//! warp are a contiguous *column* of each operand. `defs[slot * n_warps +
+//! warp]` is one **definedness word** per column: bit `l` set when lane `l`
+//! holds a value rather than `undef`. An op writes cells for the active
+//! lanes only and merges definedness in one word operation,
+//! `def[d] = (def[d] & !mask) | (f(def[a], def[b]) & mask)` — for almost
+//! every op `f` is `&`. Between thread blocks only the program slots'
+//! definedness words are cleared; stale cells are unreachable behind a zero
+//! bit, and constant/parameter columns are written once per launch.
+//!
+//! # Whole-warp ops and per-lane ops
+//!
+//! ALU, compare, select, convert and address ops go through `map`: when
+//! the active lanes are one contiguous run (full warps, tail warps, `tid <
+//! k` arms — the common case) it is a counted loop over plain integers or
+//! floats on three disjoint slices, which the compiler unrolls and
+//! vectorises; otherwise it walks the set bits of the mask, still untagged.
+//! φ moves copy column runs the same way. `br`, the fused
+//! [`Op::CmpBr`](crate::bytecode::Op::CmpBr) and `ballot` build their lane
+//! masks from the cells of the active span and the condition's
+//! definedness word.
+//!
+//! Per-lane code remains only where the model is per-lane: memory accesses
+//! (address and value definedness, bounds, and the address list
+//! [`KernelStats::charge_mem_access`] reads), integer division (a zero
+//! divisor is an error only in a lane whose operands are defined) and
+//! `tid`. The fused gep+memory ops run in two phases, so a budget
+//! exhaustion still lands between the address computation and the access.
+//!
+//! Control is unchanged from the tagged engine it replaces: pre-patched
+//! resume pcs keep uniform `jump`/`br` inside the dispatch loop, the stack
+//! is written only on divergence, reconvergence pops and barriers, φ
+//! batches resolve through per-predecessor move tables, and fused ops
+//! charge exactly what the unfused pair would. The differential tests hold
+//! buffers, stats and errors — and their order — bit-identical to the
 //! reference interpreter.
 
-use crate::bytecode::{BytecodeKernel, Op};
-use crate::decoded::{BLOCK_ENTRY, NO_BLOCK, NO_DST};
-use crate::exec::{ashr_eval, zext_sext_eval};
-use crate::exec::{
-    bin_f, bin_i, div_eval, fcmp_eval, fptosi_eval, gep_eval, icmp_eval, lshr_eval, mem_read_at,
-    mem_write_at, select_eval, shl_eval, sitofp_eval, trunc_eval, un_f, validate_args, KernelArg,
-    SimError, StackEntry, WarpState, WarpStatus,
-};
-use crate::mem::{encode_shared, ByteStore, RawVal};
+use crate::bytecode::{BytecodeKernel, Cvt, Op, Uniform, BLOCK_ENTRY, NO_BLOCK, NO_DST, W};
+use crate::exec::{check_warp_size, validate_args, KernelArg, SimError};
+use crate::mem::{decode, encode_shared, ByteStore};
 use crate::stats::KernelStats;
 use crate::timing::{bc_deps, TimingState};
 use crate::{GpuConfig, LaunchConfig};
-use darm_ir::{cost, Dim};
+use darm_ir::{cost, Dim, FcmpPred, IcmpPred, Opcode, Type};
 
 /// Runs a bytecode kernel over the launch geometry. Entry point for
 /// [`crate::Gpu::launch_bytecode`].
@@ -53,6 +63,7 @@ pub(crate) fn launch(
     cfg: &LaunchConfig,
     args: &[KernelArg],
 ) -> Result<KernelStats, SimError> {
+    check_warp_size(config.warp_size)?;
     let arg_vals = validate_args(&bk.name, &bk.params, args, buffers.len())?;
     let mut stats = KernelStats {
         warp_size: config.warp_size,
@@ -60,36 +71,35 @@ pub(crate) fn launch(
     };
     let mut budget = config.max_warp_instructions;
     let threads = cfg.threads_per_block() as usize;
+    let n_warps = threads.div_ceil(config.warp_size as usize);
     // Timing observer, allocated only when enabled — the engine sees `None`
     // otherwise and pays one predictable branch per charge.
-    let mut timing = config.timing.enabled.then(|| {
-        let n_warps = cfg.threads_per_block().div_ceil(config.warp_size) as usize;
-        TimingState::new(config.timing, n_warps, bk.n_slots as usize)
-    });
+    let mut timing = config
+        .timing
+        .enabled
+        .then(|| TimingState::new(config.timing, n_warps, bk.n_slots as usize));
     let n = bk.n_slots as usize;
-    let prog = bk.program_slots as usize;
-    // One flat slot-major register file (`regs[slot * threads + thread]`),
-    // reused per block. The constant and parameter slots sit above the
-    // program-writable prefix and no op ever writes them, so they are
-    // materialized once here and only the prefix — which is exactly
-    // `regs[..prog * threads]` — is re-initialized between blocks; from
-    // then on every operand read is a plain register load.
-    let mut regs = vec![RawVal::Undef; threads * n];
-    for &(s, v) in &bk.consts {
-        let base = s as usize * threads;
-        regs[base..base + threads].fill(v);
+    // One slot-major register file, reused per block. The constant and
+    // parameter slots sit above the program-writable prefix and no op
+    // writes them, so they are materialized once here; the always-undefined
+    // slot simply keeps its zero definedness.
+    let mut regs = vec![0u64; threads * n];
+    let mut defs = vec![0u64; n_warps * n];
+    let mut materialize = |slot: u32, cell: u64| {
+        let s = slot as usize;
+        regs[s * threads..(s + 1) * threads].fill(cell);
+        defs[s * n_warps..(s + 1) * n_warps].fill(u64::MAX);
+    };
+    for &(s, cell) in &bk.consts {
+        materialize(s, cell);
     }
     for &(s, pi) in &bk.param_slots {
-        let base = s as usize * threads;
-        regs[base..base + threads].fill(arg_vals[pi as usize]);
+        let cell = arg_vals[pi as usize].cell();
+        materialize(s, cell.expect("validated arguments are defined"));
     }
-    let mut first_block = true;
     for by in 0..cfg.grid.1 {
         for bx in 0..cfg.grid.0 {
-            if !first_block {
-                regs[..threads * prog].fill(RawVal::Undef);
-            }
-            first_block = false;
+            defs[..bk.program_slots as usize * n_warps].fill(0);
             let mut engine = BcEngine {
                 buffers,
                 warp_size: config.warp_size,
@@ -103,14 +113,15 @@ pub(crate) fn launch(
                 },
                 budget: &mut budget,
                 threads,
+                n_warps,
                 lane_addrs: Vec::new(),
-                gep_vals: Vec::new(),
+                gep_cells: [0; 64],
                 scratch: Vec::new(),
                 buckets: Vec::new(),
                 stage: Vec::new(),
                 timing: timing.as_mut(),
             };
-            engine.run(&mut regs)?;
+            engine.run(&mut regs, &mut defs)?;
             let mut s = engine.stats;
             if let Some(t) = timing.as_mut() {
                 t.flush_block(&mut s);
@@ -119,6 +130,196 @@ pub(crate) fn launch(
         }
     }
     Ok(stats)
+}
+
+/// One IPDOM reconvergence-stack entry.
+#[derive(Debug, Clone, Copy)]
+struct StackEntry {
+    /// Dense block index.
+    block: u32,
+    /// Absolute op index, or [`BLOCK_ENTRY`] when the block's φ batch has
+    /// not run yet.
+    inst_idx: u32,
+    /// Reconvergence block (dense), or [`NO_BLOCK`].
+    rpc: u32,
+    mask: u64,
+}
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum WarpStatus {
+    Running,
+    AtBarrier,
+    Done,
+}
+
+struct WarpState {
+    stack: Vec<StackEntry>,
+    /// Last block executed, per lane (dense index) — resolves φ incomings.
+    prev: Vec<u32>,
+    status: WarpStatus,
+    base_thread: u32,
+}
+
+/// The active lanes of one op, relative to the first of them: the span is
+/// `n` lanes long, `bits` has bit `i` set when lane `first + i` is active
+/// (bit 0 always is), and `dense` says every lane of the span is.
+#[derive(Debug, Clone, Copy)]
+struct Run {
+    n: usize,
+    bits: u64,
+    dense: bool,
+}
+
+impl Run {
+    /// The first active lane of `mask` and the run from there. Masks on the
+    /// stack and φ buckets are never empty; the clamps only keep an empty
+    /// one from overflowing the arithmetic.
+    fn of(mask: u64) -> (usize, Run) {
+        let first = mask.trailing_zeros().min(63) as usize;
+        let bits = mask >> first;
+        let run = Run {
+            n: 64 - (bits | 1).leading_zeros() as usize,
+            bits,
+            dense: bits & bits.wrapping_add(1) == 0,
+        };
+        (first, run)
+    }
+}
+
+/// Borrows the `n`-cell column starting at `d` mutably and the columns at
+/// `srcs` shared — `None` when a source overlaps the destination, which no
+/// SSA-valid kernel does (distinct slots have disjoint columns).
+#[inline(always)]
+fn split_cols<const K: usize>(
+    regs: &mut [u64],
+    d: usize,
+    srcs: [usize; K],
+    n: usize,
+) -> Option<(&mut [u64], [&[u64]; K])> {
+    let (lo, rest) = regs.split_at_mut(d);
+    let (dc, hi) = rest.split_at_mut(n);
+    let (lo, hi): (&[u64], &[u64]) = (lo, hi);
+    let mut out = [&lo[..0]; K];
+    for (o, s) in out.iter_mut().zip(srcs) {
+        *o = if s + n <= d {
+            &lo[s..s + n]
+        } else if s >= d + n {
+            &hi[s - d - n..s - d]
+        } else {
+            return None;
+        };
+    }
+    Some((dc, out))
+}
+
+/// `regs[d + i] = f(regs[srcs[..] + i])` for every active lane `i` of
+/// `run`: a counted loop over disjoint slices when the run is dense, a walk
+/// over the set bits otherwise (reading a lane's sources before writing its
+/// destination, so it is also the fallback for overlapping columns).
+#[inline(always)]
+#[allow(clippy::needless_range_loop)]
+fn map<const K: usize>(
+    regs: &mut [u64],
+    run: Run,
+    d: usize,
+    srcs: [usize; K],
+    f: impl Fn([u64; K]) -> u64,
+) {
+    if run.dense {
+        if let Some((dc, sc)) = split_cols(regs, d, srcs, run.n) {
+            // Every slice re-cut to the one `n` and indexed by the one
+            // `i`: the form whose bounds checks the compiler drops (an
+            // `enumerate` over `dc` keeps one per source) and vectorises.
+            let n = run.n;
+            let (dc, sc) = (&mut dc[..n], sc.map(|s| &s[..n]));
+            for i in 0..n {
+                dc[i] = f(std::array::from_fn(|k| sc[k][i]));
+            }
+            return;
+        }
+    }
+    let mut m = run.bits;
+    while m != 0 {
+        let i = m.trailing_zeros() as usize;
+        m &= m - 1;
+        regs[d + i] = f(std::array::from_fn(|k| regs[srcs[k] + i]));
+    }
+}
+
+/// Bit `i` of the result is `f` of cell `i` of each column, over a whole
+/// `n`-lane span (callers mask out inactive and undefined lanes).
+#[inline(always)]
+fn bits<const K: usize>(
+    regs: &[u64],
+    cols: [usize; K],
+    n: usize,
+    f: impl Fn([u64; K]) -> bool,
+) -> u64 {
+    let cols = cols.map(|c| &regs[c..c + n]);
+    (0..n).fold(0, |t, i| {
+        t | (f(std::array::from_fn(|k| cols[k][i])) as u64) << i
+    })
+}
+
+#[inline(always)]
+fn fl(cell: u64) -> f32 {
+    f32::from_bits(cell as u32)
+}
+
+#[inline(always)]
+fn fc(v: f32) -> u64 {
+    v.to_bits() as u64
+}
+
+/// Sign-extends the low half of a cell — the `i32` normal form.
+#[inline(always)]
+fn sx(cell: u64) -> u64 {
+    cell as i32 as i64 as u64
+}
+
+/// Typed read from a global buffer or the block's shared arena (the
+/// reference interpreter keeps its own copy).
+#[inline(always)]
+fn mem_read(
+    buffers: &[ByteStore],
+    shared: &ByteStore,
+    ty: Type,
+    addr: u64,
+) -> Result<u64, SimError> {
+    let (buf, off) = decode(addr);
+    let store = match buf {
+        Some(b) => buffers
+            .get(b.0 as usize)
+            .ok_or_else(|| SimError::OutOfBounds(format!("unknown buffer in address {addr:#x}")))?,
+        None => shared,
+    };
+    store.read_cell(ty, off).ok_or_else(|| {
+        SimError::OutOfBounds(format!(
+            "read of {ty} at offset {off} (len {})",
+            store.len()
+        ))
+    })
+}
+
+/// Typed write to a global buffer or the block's shared arena.
+#[inline(always)]
+fn mem_write(
+    buffers: &mut [ByteStore],
+    shared: &mut ByteStore,
+    ty: Type,
+    addr: u64,
+    cell: u64,
+) -> Result<(), SimError> {
+    let (buf, off) = decode(addr);
+    let store = match buf {
+        Some(b) => buffers
+            .get_mut(b.0 as usize)
+            .ok_or_else(|| SimError::OutOfBounds(format!("unknown buffer in address {addr:#x}")))?,
+        None => shared,
+    };
+    store.write_cell(ty, off, cell).ok_or_else(|| {
+        SimError::OutOfBounds(format!("write at offset {off} (len {})", store.len()))
+    })
 }
 
 /// Per-thread-block execution state for the bytecode engine.
@@ -131,19 +332,21 @@ struct BcEngine<'a> {
     shared: ByteStore,
     stats: KernelStats,
     budget: &'a mut u64,
-    /// Threads per block — the slot-major register-file stride.
+    /// Threads per block — the stride between register-file columns.
     threads: usize,
+    /// Warps per block — the stride between definedness words.
+    n_warps: usize,
     /// Scratch for per-lane memory addresses of the current instruction.
     lane_addrs: Vec<u64>,
-    /// Scratch for per-lane gep results of a fused gep+mem op whose
-    /// address register write was elided.
-    gep_vals: Vec<RawVal>,
+    /// Addresses computed by the gep half of a fused gep+mem op, by lane of
+    /// the active span (the address register itself may be elided).
+    gep_cells: [u64; 64],
     /// Scratch for the coalescing / bank-conflict model.
     scratch: Vec<u64>,
     /// Scratch for φ resolution: `(pred block, lane mask)` buckets.
     buckets: Vec<(u32, u64)>,
     /// Scratch for the staged (overlapping) φ move path.
-    stage: Vec<RawVal>,
+    stage: Vec<u64>,
     /// Cycle-level timing observer ([`crate::timing`]); `None` unless
     /// [`crate::TimingConfig::enabled`] — pure observation either way.
     timing: Option<&'a mut TimingState>,
@@ -151,27 +354,22 @@ struct BcEngine<'a> {
 
 impl<'a> BcEngine<'a> {
     #[allow(clippy::needless_range_loop)] // indexing sidesteps a double &mut borrow
-    fn run(&mut self, regs: &mut [RawVal]) -> Result<(), SimError> {
+    fn run(&mut self, regs: &mut [u64], defs: &mut [u64]) -> Result<(), SimError> {
         let threads = self.launch.threads_per_block();
         let ws = self.warp_size;
-        let n_warps = threads.div_ceil(ws);
         let entry_pc = self.bk.blocks[self.bk.entry as usize].entry_pc;
 
-        let mut warps: Vec<WarpState> = (0..n_warps)
+        let mut warps: Vec<WarpState> = (0..self.n_warps as u32)
             .map(|w| {
                 let base = w * ws;
                 let lanes = ws.min(threads - base);
-                let mask = if lanes == 64 {
-                    u64::MAX
-                } else {
-                    (1u64 << lanes) - 1
-                };
                 WarpState {
                     stack: vec![StackEntry {
                         block: self.bk.entry,
                         inst_idx: entry_pc,
                         rpc: NO_BLOCK,
-                        mask,
+                        // `lanes` is 1..=64: `check_warp_size` held.
+                        mask: u64::MAX >> (64 - lanes),
                     }],
                     prev: vec![NO_BLOCK; ws as usize],
                     status: WarpStatus::Running,
@@ -185,7 +383,7 @@ impl<'a> BcEngine<'a> {
             for w in 0..warps.len() {
                 if warps[w].status == WarpStatus::Running {
                     any_running = true;
-                    self.run_warp(&mut warps[w], regs)?;
+                    self.run_warp(&mut warps[w], regs, defs)?;
                 }
             }
             let done = warps
@@ -221,13 +419,18 @@ impl<'a> BcEngine<'a> {
     /// a state handled on the next scheduler pass.
     #[allow(clippy::too_many_lines)]
     #[allow(unused_assignments)] // flush! resets are dead at return sites
-    fn run_warp(&mut self, warp: &mut WarpState, regs: &mut [RawVal]) -> Result<(), SimError> {
+    fn run_warp(
+        &mut self,
+        warp: &mut WarpState,
+        regs: &mut [u64],
+        defs: &mut [u64],
+    ) -> Result<(), SimError> {
         let bk = self.bk;
-        // Slot-major stride: operand `s` of thread `t` lives at
-        // `regs[s * nt + t]`, so a warp op walks `wb + lane` contiguously.
         let nt = self.threads;
+        let nw = self.n_warps;
         let wb = warp.base_thread as usize;
-        // Warp index within the block, for the timing observer.
+        // Warp index within the block: the definedness-word column, and the
+        // timing observer's warp.
         let w_idx = (warp.base_thread / self.warp_size) as usize;
         // Hot counters accumulate in locals and flush to `self` only at
         // suspension points (`flush!`). Error returns skip the flush on
@@ -278,79 +481,127 @@ impl<'a> BcEngine<'a> {
             let mut cur_block = top.block;
             let mut pc = top.inst_idx;
             if pc == BLOCK_ENTRY {
-                self.run_phis(warp, cur_block, mask, regs)?;
+                self.run_phis(warp, cur_block, mask, regs, defs)?;
                 pc = bk.blocks[cur_block as usize].first;
             }
 
-            // A dense mask (every active lane a contiguous prefix — full
-            // warps, partial tail warps, uniform control flow) iterates as
-            // a plain counted loop, which the optimizer strength-reduces
-            // and unrolls; sparse masks walk the set bits.
-            let dense_lanes = if mask & mask.wrapping_add(1) == 0 {
-                mask.count_ones()
-            } else {
-                0
-            };
-            // Iterates the active lanes, binding the lane index (the
-            // offset to add to a slot's `base + wb`).
+            // The active span: lanes `lo .. lo + run.n` of the warp.
+            let (lo, run) = Run::of(mask);
+            // First cell of slot `s`'s column for the active span.
+            macro_rules! col {
+                ($s:expr) => {
+                    $s as usize * nt + wb + lo
+                };
+            }
+            // Definedness word of slot `s` for this warp.
+            macro_rules! def {
+                ($s:expr) => {
+                    defs[$s as usize * nw + w_idx]
+                };
+            }
+            // The active lanes of slot `d` become defined where `v` says.
+            macro_rules! set_def {
+                ($d:expr, $v:expr) => {{
+                    let v: u64 = $v;
+                    let word = &mut def!($d);
+                    *word = (*word & !mask) | (v & mask);
+                }};
+            }
+            // Iterates the active lanes, binding the offset into the span
+            // (what to add to `col!`); the warp lane is `lo + i`.
             macro_rules! lanes {
                 (|$i:ident| $body:expr) => {{
-                    if dense_lanes != 0 {
-                        for lane in 0..dense_lanes as usize {
-                            let $i = lane;
+                    if run.dense {
+                        for $i in 0..run.n {
                             $body
                         }
                     } else {
-                        let mut m = mask;
+                        let mut m = run.bits;
                         while m != 0 {
-                            let lane = m.trailing_zeros();
+                            let $i = m.trailing_zeros() as usize;
                             m &= m - 1;
-                            let $i = lane as usize;
                             $body
                         }
                     }
                 }};
             }
-            macro_rules! map2 {
-                ($d:expr, $a:expr, $b:expr, $f:expr) => {{
-                    let db = $d as usize * nt + wb;
-                    let ab = $a as usize * nt + wb;
-                    let bb = $b as usize * nt + wb;
-                    lanes!(|i| regs[db + i] = ($f)(regs[ab + i], regs[bb + i]));
+            // A whole-warp value op: cells through `map`, defined where
+            // every source is.
+            macro_rules! alu {
+                ($d:expr, [$($s:expr),*], $f:expr) => {{
+                    map(regs, run, col!($d), [$(col!($s)),*], $f);
+                    set_def!($d, u64::MAX $(& def!($s))*);
                 }};
             }
-            macro_rules! map1 {
-                ($d:expr, $a:expr, $f:expr) => {{
-                    let db = $d as usize * nt + wb;
-                    let ab = $a as usize * nt + wb;
-                    lanes!(|i| regs[db + i] = ($f)(regs[ab + i]));
-                }};
+            // Integer op whose result is renormalized to its static width.
+            macro_rules! alu_w {
+                ($w:expr, $d:expr, $a:expr, $b:expr, $f:expr) => {
+                    match $w {
+                        W::I64 => alu!($d, [$a, $b], |[x, y]| $f(x, y)),
+                        W::I32 => alu!($d, [$a, $b], |[x, y]| sx($f(x, y))),
+                        W::I1 => alu!($d, [$a, $b], |[x, y]| $f(x, y) & 1),
+                    }
+                };
             }
-            // Charge + budget + advance for a plain ALU-class op.
-            // `$op` feeds the timing observer's scoreboard deps.
-            macro_rules! charge_alu {
-                ($op:expr) => {{
+            // `$go!(f)` with `f` the predicate's compare on two cells,
+            // hoisting the predicate match out of the lane loop.
+            macro_rules! with_icmp {
+                ($p:expr, $go:ident) => {
+                    match $p {
+                        IcmpPred::Eq => $go!(|x: u64, y: u64| x == y),
+                        IcmpPred::Ne => $go!(|x: u64, y: u64| x != y),
+                        IcmpPred::Slt => $go!(|x: u64, y: u64| (x as i64) < (y as i64)),
+                        IcmpPred::Sle => $go!(|x: u64, y: u64| (x as i64) <= (y as i64)),
+                        IcmpPred::Sgt => $go!(|x: u64, y: u64| (x as i64) > (y as i64)),
+                        IcmpPred::Sge => $go!(|x: u64, y: u64| (x as i64) >= (y as i64)),
+                        IcmpPred::Ult => $go!(|x: u64, y: u64| x < y),
+                        IcmpPred::Ule => $go!(|x: u64, y: u64| x <= y),
+                        IcmpPred::Ugt => $go!(|x: u64, y: u64| x > y),
+                        IcmpPred::Uge => $go!(|x: u64, y: u64| x >= y),
+                    }
+                };
+            }
+            // The gep half of a fused gep+mem op: every address of the
+            // span into `gep_cells` (and the register, when something else
+            // reads it), charged exactly as the unfused `Gep` — so a
+            // StepLimit fires before any memory traffic. The op's latency
+            // table entry covers only this half; the address register may
+            // be elided, so its readiness travels by hint to the memory
+            // half. Yields `(address definedness, ready hint)`.
+            macro_rules! gep_half {
+                ($elem:expr, $gd:expr, $ga:expr, $gb:expr) => {{
+                    let (ac, bc) = (col!($ga), col!($gb));
+                    let (ac, bc) = (&regs[ac..ac + run.n], &regs[bc..bc + run.n]);
+                    for ((out, &p), &i) in self.gep_cells.iter_mut().zip(ac).zip(bc) {
+                        *out = p.wrapping_add(i.wrapping_mul($elem));
+                    }
+                    let gdef = def!($ga) & def!($gb);
+                    if $gd != NO_DST {
+                        let gc = col!($gd);
+                        lanes!(|i| regs[gc + i] = self.gep_cells[i]);
+                        set_def!($gd, gdef);
+                    }
                     l_warp_insts += 1;
                     l_thread_insts += active;
                     l_cycles += bk.lats[pc as usize];
                     l_alu_issues += 1;
                     l_alu_active += active;
+                    let mut gep_ready = 0u64;
                     if let Some(t) = self.timing.as_deref_mut() {
-                        let (dst, srcs) = bc_deps(&$op);
-                        t.issue(w_idx, active as u32, bk.lats[pc as usize], dst, srcs);
+                        let lat = bk.lats[pc as usize];
+                        gep_ready = t.issue(w_idx, active as u32, lat, $gd, [$ga, $gb, NO_DST]);
                     }
                     if l_budget == 0 {
                         return Err(SimError::StepLimit);
                     }
                     l_budget -= 1;
-                    pc += 1;
+                    (gdef, gep_ready)
                 }};
             }
             // Same for a memory op: the cost model reads `lane_addrs` and
             // charges `self.stats` directly, so the locals flush first.
             // `$d`/`$srcs` are the scoreboard dst/src slots; `$hint` is an
-            // explicit readiness floor (the gep half of a fused op, whose
-            // address register may be elided).
+            // explicit readiness floor (the gep half of a fused op).
             macro_rules! charge_mem {
                 ($d:expr, $srcs:expr, $hint:expr) => {{
                     l_warp_insts += 1;
@@ -402,8 +653,76 @@ impl<'a> BcEngine<'a> {
                     }
                 }};
             }
+            // Leave the block along a two-way branch whose active lanes
+            // split into `$m_true`/`$m_false`.
+            macro_rules! branch {
+                ($m_true:expr, $m_false:expr, $t:expr, $e:expr) => {{
+                    let (m_true, m_false): (u64, u64) = ($m_true, $m_false);
+                    if m_false == 0 || m_true == 0 {
+                        let (tb, tp) = if m_false == 0 { $t } else { $e };
+                        if tb == top.rpc {
+                            warp.stack.pop();
+                            if let Some(t) = self.timing.as_deref_mut() {
+                                t.frame_pop(w_idx);
+                            }
+                            continue 'outer;
+                        }
+                        cur_block = tb;
+                        if tp == BLOCK_ENTRY {
+                            self.run_phis(warp, cur_block, mask, regs, defs)?;
+                            pc = bk.blocks[cur_block as usize].first;
+                        } else {
+                            pc = tp;
+                        }
+                    } else {
+                        self.diverge(warp, cur_block, $t.0, $e.0, m_true, m_false)?;
+                        continue 'outer;
+                    }
+                }};
+            }
 
-            loop {
+            // The access half of a load or store, per lane in lane order
+            // exactly as the reference walks it: address defined, (value
+            // defined,) in bounds. `$addr` is the lane's address cell.
+            macro_rules! load_lanes {
+                ($ty:expr, $d:expr, $adef:expr, |$i:ident| $addr:expr) => {{
+                    self.lane_addrs.clear();
+                    let dc = col!($d);
+                    let adef: u64 = $adef >> lo;
+                    lanes!(|$i| {
+                        if (adef >> $i) & 1 == 0 {
+                            return Err(SimError::UndefValue("load address".into()));
+                        }
+                        let addr = $addr;
+                        self.lane_addrs.push(addr);
+                        regs[dc + $i] = mem_read(self.buffers, &self.shared, $ty, addr)?;
+                    });
+                    set_def!($d, u64::MAX);
+                }};
+            }
+            macro_rules! store_lanes {
+                ($ty:expr, $v:expr, $adef:expr, |$i:ident| $addr:expr) => {{
+                    self.lane_addrs.clear();
+                    let vc = col!($v);
+                    let (vdef, adef): (u64, u64) = (def!($v) >> lo, $adef >> lo);
+                    lanes!(|$i| {
+                        if (adef >> $i) & 1 == 0 {
+                            return Err(SimError::UndefValue("store address".into()));
+                        }
+                        if (vdef >> $i) & 1 == 0 {
+                            return Err(SimError::UndefValue("stored value".into()));
+                        }
+                        let addr = $addr;
+                        self.lane_addrs.push(addr);
+                        mem_write(self.buffers, &mut self.shared, $ty, addr, regs[vc + $i])?;
+                    });
+                }};
+            }
+
+            // Control and memory arms charge themselves and `continue`;
+            // every other arm computes a value and falls through to the one
+            // ALU charge below the match.
+            'ops: loop {
                 let op = bk.code[pc as usize];
                 match op {
                     // ---- control ----
@@ -419,20 +738,8 @@ impl<'a> BcEngine<'a> {
                     Op::Jump { t_block, t_pc } => {
                         charge_ctl!(op);
                         record_prev!();
-                        if t_block == top.rpc {
-                            warp.stack.pop();
-                            if let Some(t) = self.timing.as_deref_mut() {
-                                t.frame_pop(w_idx);
-                            }
-                            continue 'outer;
-                        }
-                        cur_block = t_block;
-                        if t_pc == BLOCK_ENTRY {
-                            self.run_phis(warp, cur_block, mask, regs)?;
-                            pc = bk.blocks[cur_block as usize].first;
-                        } else {
-                            pc = t_pc;
-                        }
+                        branch!(mask, 0, (t_block, t_pc), (t_block, t_pc));
+                        continue 'ops;
                     }
                     Op::Br {
                         c,
@@ -443,45 +750,15 @@ impl<'a> BcEngine<'a> {
                     } => {
                         charge_ctl!(op);
                         record_prev!();
-                        let cb = c as usize * nt + wb;
-                        let mut m_true = 0u64;
-                        let mut m_false = 0u64;
-                        lanes!(|i| {
-                            match regs[cb + i] {
-                                RawVal::I1(true) => m_true |= 1u64 << i,
-                                RawVal::I1(false) => m_false |= 1u64 << i,
-                                _ => {
-                                    return Err(SimError::UndefValue(format!(
-                                        "branch condition in block {}",
-                                        bk.block_name(cur_block)
-                                    )))
-                                }
-                            }
-                        });
-                        if m_false == 0 || m_true == 0 {
-                            let (tb, tp) = if m_false == 0 {
-                                (t_block, t_pc)
-                            } else {
-                                (e_block, e_pc)
-                            };
-                            if tb == top.rpc {
-                                warp.stack.pop();
-                                if let Some(t) = self.timing.as_deref_mut() {
-                                    t.frame_pop(w_idx);
-                                }
-                                continue 'outer;
-                            }
-                            cur_block = tb;
-                            if tp == BLOCK_ENTRY {
-                                self.run_phis(warp, cur_block, mask, regs)?;
-                                pc = bk.blocks[cur_block as usize].first;
-                            } else {
-                                pc = tp;
-                            }
-                        } else {
-                            self.diverge(warp, cur_block, t_block, e_block, m_true, m_false)?;
-                            continue 'outer;
+                        if mask & !def!(c) != 0 {
+                            return Err(SimError::UndefValue(format!(
+                                "branch condition in block {}",
+                                bk.block_name(cur_block)
+                            )));
                         }
+                        let t = bits(regs, [col!(c)], run.n, |[x]| x & 1 != 0) << lo;
+                        branch!(t & mask, !t & mask, (t_block, t_pc), (e_block, e_pc));
+                        continue 'ops;
                     }
                     Op::CmpBr {
                         p,
@@ -493,23 +770,18 @@ impl<'a> BcEngine<'a> {
                         e_block,
                         e_pc,
                     } => {
-                        let ab = a as usize * nt + wb;
-                        let bb = b as usize * nt + wb;
-                        let db = d as usize * nt + wb;
-                        let mut m_true = 0u64;
-                        let mut m_false = 0u64;
-                        let mut m_undef = 0u64;
-                        lanes!(|i| {
-                            let v = icmp_eval(p, regs[ab + i], regs[bb + i]);
-                            if d != NO_DST {
-                                regs[db + i] = v;
-                            }
-                            match v {
-                                RawVal::I1(true) => m_true |= 1u64 << i,
-                                RawVal::I1(false) => m_false |= 1u64 << i,
-                                _ => m_undef |= 1u64 << i,
-                            }
-                        });
+                        macro_rules! cmp_bits {
+                            ($f:expr) => {
+                                bits(regs, [col!(a), col!(b)], run.n, |[x, y]| $f(x, y))
+                            };
+                        }
+                        let t = with_icmp!(p, cmp_bits);
+                        let cdef = def!(a) & def!(b);
+                        if d != NO_DST {
+                            let dc = col!(d);
+                            lanes!(|i| regs[dc + i] = (t >> i) & 1);
+                            set_def!(d, cdef);
+                        }
                         // Exactly the unfused pair's accounting: one ALU
                         // issue + one budget unit for the compare, one
                         // control issue for the branch, with the budget
@@ -535,36 +807,15 @@ impl<'a> BcEngine<'a> {
                         }
                         l_budget -= 1;
                         record_prev!();
-                        if m_undef != 0 {
+                        if mask & !cdef != 0 {
                             return Err(SimError::UndefValue(format!(
                                 "branch condition in block {}",
                                 bk.block_name(cur_block)
                             )));
                         }
-                        if m_false == 0 || m_true == 0 {
-                            let (tb, tp) = if m_false == 0 {
-                                (t_block, t_pc)
-                            } else {
-                                (e_block, e_pc)
-                            };
-                            if tb == top.rpc {
-                                warp.stack.pop();
-                                if let Some(t) = self.timing.as_deref_mut() {
-                                    t.frame_pop(w_idx);
-                                }
-                                continue 'outer;
-                            }
-                            cur_block = tb;
-                            if tp == BLOCK_ENTRY {
-                                self.run_phis(warp, cur_block, mask, regs)?;
-                                pc = bk.blocks[cur_block as usize].first;
-                            } else {
-                                pc = tp;
-                            }
-                        } else {
-                            self.diverge(warp, cur_block, t_block, e_block, m_true, m_false)?;
-                            continue 'outer;
-                        }
+                        let t = t << lo;
+                        branch!(t & mask, !t & mask, (t_block, t_pc), (e_block, e_pc));
+                        continue 'ops;
                     }
                     Op::Sync => {
                         self.stats.barriers += 1;
@@ -579,157 +830,18 @@ impl<'a> BcEngine<'a> {
                         warp.status = WarpStatus::AtBarrier;
                         return Ok(());
                     }
-                    // ---- plain ops ----
-                    Op::Add { d, a, b } => {
-                        map2!(d, a, b, |x, y| bin_i(x, y, |x, y| x.wrapping_add(y)));
-                        charge_alu!(op);
-                    }
-                    Op::Sub { d, a, b } => {
-                        map2!(d, a, b, |x, y| bin_i(x, y, |x, y| x.wrapping_sub(y)));
-                        charge_alu!(op);
-                    }
-                    Op::Mul { d, a, b } => {
-                        map2!(d, a, b, |x, y| bin_i(x, y, |x, y| x.wrapping_mul(y)));
-                        charge_alu!(op);
-                    }
-                    Op::And { d, a, b } => {
-                        map2!(d, a, b, |x, y| bin_i(x, y, |x, y| x & y));
-                        charge_alu!(op);
-                    }
-                    Op::Or { d, a, b } => {
-                        map2!(d, a, b, |x, y| bin_i(x, y, |x, y| x | y));
-                        charge_alu!(op);
-                    }
-                    Op::Xor { d, a, b } => {
-                        map2!(d, a, b, |x, y| bin_i(x, y, |x, y| x ^ y));
-                        charge_alu!(op);
-                    }
-                    Op::Shl { d, a, b } => {
-                        map2!(d, a, b, shl_eval);
-                        charge_alu!(op);
-                    }
-                    Op::LShr { d, a, b } => {
-                        map2!(d, a, b, lshr_eval);
-                        charge_alu!(op);
-                    }
-                    Op::AShr { d, a, b } => {
-                        map2!(d, a, b, ashr_eval);
-                        charge_alu!(op);
-                    }
-                    Op::Div {
-                        op: opc,
-                        ty,
-                        d,
-                        a,
-                        b,
-                    } => {
-                        let db = d as usize * nt + wb;
-                        let ab = a as usize * nt + wb;
-                        let bb = b as usize * nt + wb;
-                        lanes!(|i| {
-                            regs[db + i] = div_eval(opc, ty, regs[ab + i], regs[bb + i])?;
-                        });
-                        charge_alu!(op);
-                    }
-                    Op::FAdd { d, a, b } => {
-                        map2!(d, a, b, |x, y| bin_f(x, y, |x, y| x + y));
-                        charge_alu!(op);
-                    }
-                    Op::FSub { d, a, b } => {
-                        map2!(d, a, b, |x, y| bin_f(x, y, |x, y| x - y));
-                        charge_alu!(op);
-                    }
-                    Op::FMul { d, a, b } => {
-                        map2!(d, a, b, |x, y| bin_f(x, y, |x, y| x * y));
-                        charge_alu!(op);
-                    }
-                    Op::FDiv { d, a, b } => {
-                        map2!(d, a, b, |x, y| bin_f(x, y, |x, y| x / y));
-                        charge_alu!(op);
-                    }
-                    Op::FSqrt { d, a } => {
-                        map1!(d, a, |x| un_f(x, f32::sqrt));
-                        charge_alu!(op);
-                    }
-                    Op::FAbs { d, a } => {
-                        map1!(d, a, |x| un_f(x, f32::abs));
-                        charge_alu!(op);
-                    }
-                    Op::FNeg { d, a } => {
-                        map1!(d, a, |x| un_f(x, |v| -v));
-                        charge_alu!(op);
-                    }
-                    Op::FExp { d, a } => {
-                        map1!(d, a, |x| un_f(x, f32::exp));
-                        charge_alu!(op);
-                    }
-                    Op::Icmp { p, d, a, b } => {
-                        map2!(d, a, b, |x, y| icmp_eval(p, x, y));
-                        charge_alu!(op);
-                    }
-                    Op::Fcmp { p, d, a, b } => {
-                        map2!(d, a, b, |x, y| fcmp_eval(p, x, y));
-                        charge_alu!(op);
-                    }
-                    Op::Select { d, c, a, b } => {
-                        let db = d as usize * nt + wb;
-                        let cb = c as usize * nt + wb;
-                        let ab = a as usize * nt + wb;
-                        let bb = b as usize * nt + wb;
-                        lanes!(|i| {
-                            regs[db + i] = select_eval(regs[cb + i], regs[ab + i], regs[bb + i]);
-                        });
-                        charge_alu!(op);
-                    }
-                    Op::ZextSext { zext, ty, d, a } => {
-                        map1!(d, a, |x| zext_sext_eval(zext, ty, x));
-                        charge_alu!(op);
-                    }
-                    Op::Trunc { ty, d, a } => {
-                        map1!(d, a, |x| trunc_eval(ty, x));
-                        charge_alu!(op);
-                    }
-                    Op::SiToFp { d, a } => {
-                        map1!(d, a, sitofp_eval);
-                        charge_alu!(op);
-                    }
-                    Op::FpToSi { ty, d, a } => {
-                        map1!(d, a, |x| fptosi_eval(ty, x));
-                        charge_alu!(op);
-                    }
-                    Op::Gep { elem, d, a, b } => {
-                        map2!(d, a, b, |x, y| gep_eval(elem, x, y));
-                        charge_alu!(op);
-                    }
+                    // ---- memory: per lane ----
                     Op::Load { ty, d, a } => {
-                        self.lane_addrs.clear();
-                        let db = d as usize * nt + wb;
-                        let ab = a as usize * nt + wb;
-                        lanes!(|i| {
-                            let RawVal::Ptr(addr) = regs[ab + i] else {
-                                return Err(SimError::UndefValue("load address".into()));
-                            };
-                            self.lane_addrs.push(addr);
-                            regs[db + i] = mem_read_at(self.buffers, &self.shared, ty, addr)?;
-                        });
+                        let ac = col!(a);
+                        load_lanes!(ty, d, def!(a), |i| regs[ac + i]);
                         charge_mem!(d, [a, NO_DST, NO_DST], 0);
+                        continue 'ops;
                     }
-                    Op::Store { v, a } => {
-                        self.lane_addrs.clear();
-                        let vb = v as usize * nt + wb;
-                        let ab = a as usize * nt + wb;
-                        lanes!(|i| {
-                            let val = regs[vb + i];
-                            let RawVal::Ptr(addr) = regs[ab + i] else {
-                                return Err(SimError::UndefValue("store address".into()));
-                            };
-                            if matches!(val, RawVal::Undef) {
-                                return Err(SimError::UndefValue("stored value".into()));
-                            }
-                            self.lane_addrs.push(addr);
-                            mem_write_at(self.buffers, &mut self.shared, addr, val)?;
-                        });
+                    Op::Store { ty, v, a } => {
+                        let ac = col!(a);
+                        store_lanes!(ty, v, def!(a), |i| regs[ac + i]);
                         charge_mem!(NO_DST, [v, a, NO_DST], 0);
+                        continue 'ops;
                     }
                     Op::GepLoad {
                         elem,
@@ -739,175 +851,209 @@ impl<'a> BcEngine<'a> {
                         ty,
                         d,
                     } => {
-                        // Phase 1 — the gep half: compute every lane's
-                        // address (writing the register only when something
-                        // else reads it) and charge exactly as the unfused
-                        // `Gep`, so a StepLimit fires before any memory
-                        // traffic, as it would unfused.
-                        let gab = ga as usize * nt + wb;
-                        let gbb = gb as usize * nt + wb;
-                        let gdb = gd as usize * nt + wb;
-                        self.gep_vals.clear();
-                        lanes!(|i| {
-                            let p = gep_eval(elem, regs[gab + i], regs[gbb + i]);
-                            if gd != NO_DST {
-                                regs[gdb + i] = p;
-                            }
-                            self.gep_vals.push(p);
-                        });
-                        l_warp_insts += 1;
-                        l_thread_insts += active;
-                        l_cycles += bk.lats[pc as usize];
-                        l_alu_issues += 1;
-                        l_alu_active += active;
-                        // The fused op's latency table entry covers only the
-                        // gep half; the address register may be elided, so
-                        // its readiness travels by hint to the load half.
-                        let mut gep_ready = 0u64;
-                        if let Some(t) = self.timing.as_deref_mut() {
-                            gep_ready = t.issue(
-                                w_idx,
-                                active as u32,
-                                bk.lats[pc as usize],
-                                gd,
-                                [ga, gb, NO_DST],
-                            );
-                        }
-                        if l_budget == 0 {
-                            return Err(SimError::StepLimit);
-                        }
-                        l_budget -= 1;
-                        // Phase 2 — the load half, addresses from the
-                        // staged per-lane values.
-                        self.lane_addrs.clear();
-                        let db = d as usize * nt + wb;
-                        let mut k = 0;
-                        lanes!(|i| {
-                            let RawVal::Ptr(addr) = self.gep_vals[k] else {
-                                return Err(SimError::UndefValue("load address".into()));
-                            };
-                            k += 1;
-                            self.lane_addrs.push(addr);
-                            regs[db + i] = mem_read_at(self.buffers, &self.shared, ty, addr)?;
-                        });
+                        let (gdef, gep_ready) = gep_half!(elem, gd, ga, gb);
+                        load_lanes!(ty, d, gdef, |i| self.gep_cells[i]);
                         charge_mem!(d, [NO_DST, NO_DST, NO_DST], gep_ready);
+                        continue 'ops;
                     }
                     Op::GepStore {
                         elem,
                         gd,
                         ga,
                         gb,
+                        ty,
                         v,
                     } => {
-                        let gab = ga as usize * nt + wb;
-                        let gbb = gb as usize * nt + wb;
-                        let gdb = gd as usize * nt + wb;
-                        self.gep_vals.clear();
-                        lanes!(|i| {
-                            let p = gep_eval(elem, regs[gab + i], regs[gbb + i]);
-                            if gd != NO_DST {
-                                regs[gdb + i] = p;
-                            }
-                            self.gep_vals.push(p);
-                        });
-                        l_warp_insts += 1;
-                        l_thread_insts += active;
-                        l_cycles += bk.lats[pc as usize];
-                        l_alu_issues += 1;
-                        l_alu_active += active;
-                        let mut gep_ready = 0u64;
-                        if let Some(t) = self.timing.as_deref_mut() {
-                            gep_ready = t.issue(
-                                w_idx,
-                                active as u32,
-                                bk.lats[pc as usize],
-                                gd,
-                                [ga, gb, NO_DST],
-                            );
-                        }
-                        if l_budget == 0 {
-                            return Err(SimError::StepLimit);
-                        }
-                        l_budget -= 1;
-                        self.lane_addrs.clear();
-                        let vb = v as usize * nt + wb;
-                        let mut k = 0;
-                        lanes!(|i| {
-                            let val = regs[vb + i];
-                            let RawVal::Ptr(addr) = self.gep_vals[k] else {
-                                return Err(SimError::UndefValue("store address".into()));
-                            };
-                            k += 1;
-                            if matches!(val, RawVal::Undef) {
-                                return Err(SimError::UndefValue("stored value".into()));
-                            }
-                            self.lane_addrs.push(addr);
-                            mem_write_at(self.buffers, &mut self.shared, addr, val)?;
-                        });
+                        let (gdef, gep_ready) = gep_half!(elem, gd, ga, gb);
+                        store_lanes!(ty, v, gdef, |i| self.gep_cells[i]);
                         charge_mem!(NO_DST, [v, NO_DST, NO_DST], gep_ready);
+                        continue 'ops;
                     }
-                    Op::ThreadIdx { dim, d } => {
-                        let db = d as usize * nt + wb;
-                        let bx = self.launch.block.0;
-                        lanes!(|i| {
-                            let t = (wb + i) as u32;
-                            let (tx, ty) = (t % bx, t / bx);
-                            regs[db + i] = RawVal::I32(if dim == Dim::X { tx } else { ty } as i32);
-                        });
-                        charge_alu!(op);
+                    // ---- values: whole-warp loops ----
+                    Op::Add { w, d, a, b } => alu_w!(w, d, a, b, u64::wrapping_add),
+                    Op::Sub { w, d, a, b } => alu_w!(w, d, a, b, u64::wrapping_sub),
+                    Op::Mul { w, d, a, b } => alu_w!(w, d, a, b, u64::wrapping_mul),
+                    Op::And { d, a, b } => alu!(d, [a, b], |[x, y]| x & y),
+                    Op::Or { d, a, b } => alu!(d, [a, b], |[x, y]| x | y),
+                    Op::Xor { d, a, b } => alu!(d, [a, b], |[x, y]| x ^ y),
+                    // Shift counts wrap at the operand width, as the
+                    // reference's `wrapping_sh*` do.
+                    Op::Shl {
+                        wide: true,
+                        d,
+                        a,
+                        b,
+                    } => {
+                        alu!(d, [a, b], |[x, y]| x.wrapping_shl(y as u32))
                     }
-                    Op::BlockIdx { dim, d } => {
-                        let db = d as usize * nt + wb;
-                        let v = RawVal::I32(if dim == Dim::X {
-                            self.block_idx.0
+                    Op::Shl { d, a, b, .. } => {
+                        alu!(d, [a, b], |[x, y]| sx(
+                            (x as u32).wrapping_shl(y as u32) as u64
+                        ))
+                    }
+                    Op::LShr {
+                        wide: true,
+                        d,
+                        a,
+                        b,
+                    } => {
+                        alu!(d, [a, b], |[x, y]| x.wrapping_shr(y as u32))
+                    }
+                    Op::LShr { d, a, b, .. } => {
+                        alu!(d, [a, b], |[x, y]| sx(
+                            (x as u32).wrapping_shr(y as u32) as u64
+                        ))
+                    }
+                    Op::AShr {
+                        wide: true,
+                        d,
+                        a,
+                        b,
+                    } => {
+                        alu!(d, [a, b], |[x, y]| (x as i64).wrapping_shr(y as u32) as u64)
+                    }
+                    Op::AShr { d, a, b, .. } => {
+                        alu!(d, [a, b], |[x, y]| sx(
+                            (x as i32).wrapping_shr(y as u32) as u64
+                        ))
+                    }
+                    Op::FAdd { d, a, b } => alu!(d, [a, b], |[x, y]| fc(fl(x) + fl(y))),
+                    Op::FSub { d, a, b } => alu!(d, [a, b], |[x, y]| fc(fl(x) - fl(y))),
+                    Op::FMul { d, a, b } => alu!(d, [a, b], |[x, y]| fc(fl(x) * fl(y))),
+                    Op::FDiv { d, a, b } => alu!(d, [a, b], |[x, y]| fc(fl(x) / fl(y))),
+                    Op::FSqrt { d, a } => alu!(d, [a], |[x]| fc(fl(x).sqrt())),
+                    Op::FAbs { d, a } => alu!(d, [a], |[x]| fc(fl(x).abs())),
+                    Op::FNeg { d, a } => alu!(d, [a], |[x]| fc(-fl(x))),
+                    Op::FExp { d, a } => alu!(d, [a], |[x]| fc(fl(x).exp())),
+                    Op::Icmp { p, d, a, b } => {
+                        macro_rules! cmp_cells {
+                            ($f:expr) => {
+                                alu!(d, [a, b], |[x, y]| $f(x, y) as u64)
+                            };
+                        }
+                        with_icmp!(p, cmp_cells);
+                    }
+                    Op::Fcmp { p, d, a, b } => {
+                        macro_rules! fcmp_cells {
+                            ($f:expr) => {
+                                alu!(d, [a, b], |[x, y]| $f(&fl(x), &fl(y)) as u64)
+                            };
+                        }
+                        match p {
+                            FcmpPred::Oeq => fcmp_cells!(f32::eq),
+                            FcmpPred::One => fcmp_cells!(f32::ne),
+                            FcmpPred::Olt => fcmp_cells!(f32::lt),
+                            FcmpPred::Ole => fcmp_cells!(f32::le),
+                            FcmpPred::Ogt => fcmp_cells!(f32::gt),
+                            FcmpPred::Oge => fcmp_cells!(f32::ge),
+                        }
+                    }
+                    Op::Select { d, c, a, b } => {
+                        let cols = [col!(c), col!(a), col!(b)];
+                        let pick = |[c, x, y]: [u64; 3]| if c & 1 != 0 { x } else { y };
+                        map(regs, run, col!(d), cols, pick);
+                        // Defined where the condition is and the arm it
+                        // picks is; the condition bits are only needed when
+                        // the arms differ in definedness.
+                        let (da, db) = (def!(a), def!(b));
+                        let arm = if (da ^ db) & mask == 0 {
+                            da
                         } else {
-                            self.block_idx.1
-                        } as i32);
-                        lanes!(|i| regs[db + i] = v);
-                        charge_alu!(op);
+                            let t = bits(regs, [cols[0]], run.n, |[x]| x & 1 != 0) << lo;
+                            (t & da) | (!t & db)
+                        };
+                        set_def!(d, def!(c) & arm);
                     }
-                    Op::BlockDim { dim, d } => {
-                        let db = d as usize * nt + wb;
-                        let v = RawVal::I32(if dim == Dim::X {
-                            self.launch.block.0
-                        } else {
-                            self.launch.block.1
-                        } as i32);
-                        lanes!(|i| regs[db + i] = v);
-                        charge_alu!(op);
+                    Op::Cvt { k, d, a } => match k {
+                        Cvt::Copy => alu!(d, [a], |[x]| x),
+                        Cvt::SextI1 => alu!(d, [a], |[x]| (x & 1).wrapping_neg()),
+                        Cvt::ZextI32 => alu!(d, [a], |[x]| x as u32 as u64),
+                        Cvt::TruncI32 => alu!(d, [a], |[x]| sx(x)),
+                        Cvt::TruncI1 => alu!(d, [a], |[x]| x & 1),
+                        Cvt::SiToFp => alu!(d, [a], |[x]| fc(x as i64 as f32)),
+                        Cvt::FpToI32 => alu!(d, [a], |[x]| fl(x) as i32 as i64 as u64),
+                        Cvt::FpToI64 => alu!(d, [a], |[x]| fl(x) as i64 as u64),
+                    },
+                    Op::Gep { elem, d, a, b } => {
+                        alu!(d, [a, b], |[p, i]| p.wrapping_add(i.wrapping_mul(elem)))
                     }
-                    Op::GridDim { dim, d } => {
-                        let db = d as usize * nt + wb;
-                        let v = RawVal::I32(if dim == Dim::X {
-                            self.launch.grid.0
-                        } else {
-                            self.launch.grid.1
-                        } as i32);
-                        lanes!(|i| regs[db + i] = v);
-                        charge_alu!(op);
-                    }
-                    Op::SharedBase { off, d } => {
-                        let db = d as usize * nt + wb;
-                        let v = RawVal::Ptr(encode_shared(off));
-                        lanes!(|i| regs[db + i] = v);
-                        charge_alu!(op);
+                    Op::Undef { d, .. } => set_def!(d, 0),
+                    Op::Uniform { v, d } => {
+                        let pick = |dim, (x, y): (u32, u32)| {
+                            sx((if dim == Dim::X { x } else { y }) as u64)
+                        };
+                        let cell = match v {
+                            Uniform::BlockIdx(dim) => pick(dim, self.block_idx),
+                            Uniform::BlockDim(dim) => pick(dim, self.launch.block),
+                            Uniform::GridDim(dim) => pick(dim, self.launch.grid),
+                            Uniform::SharedBase(off) => encode_shared(off),
+                        };
+                        alu!(d, [], |[]| cell);
                     }
                     Op::Ballot { d, a } => {
                         // The one warp-wide operation: all active lanes
-                        // receive the mask of lanes whose predicate holds.
-                        let db = d as usize * nt + wb;
-                        let ab = a as usize * nt + wb;
-                        let mut ballot = 0u64;
+                        // receive the mask of lanes whose predicate holds
+                        // (an undefined predicate does not).
+                        let t = bits(regs, [col!(a)], run.n, |[x]| x & 1 != 0) << lo;
+                        let ballot = t & def!(a) & mask;
+                        alu!(d, [], |[]| ballot);
+                    }
+                    // ---- values: per lane ----
+                    Op::ThreadIdx { dim, d } => {
+                        let dc = col!(d);
+                        let bx = self.launch.block.0;
                         lanes!(|i| {
-                            if let RawVal::I1(true) = regs[ab + i] {
-                                ballot |= 1u64 << i;
+                            let t = (wb + lo + i) as u32;
+                            let v = if dim == Dim::X { t % bx } else { t / bx };
+                            regs[dc + i] = sx(v as u64);
+                        });
+                        set_def!(d, u64::MAX);
+                    }
+                    Op::Div {
+                        op: opc,
+                        wide,
+                        d,
+                        a,
+                        b,
+                    } => {
+                        // An undefined operand makes the lane's result
+                        // undefined *before* the divisor is looked at.
+                        let (dc, ac, bc) = (col!(d), col!(a), col!(b));
+                        let ddef = def!(a) & def!(b);
+                        lanes!(|i| {
+                            if (ddef >> (lo + i)) & 1 != 0 {
+                                let (x, y) = (regs[ac + i] as i64, regs[bc + i] as i64);
+                                if y == 0 {
+                                    return Err(SimError::DivByZero);
+                                }
+                                let r = match opc {
+                                    Opcode::SDiv => x.wrapping_div(y),
+                                    Opcode::SRem => x.wrapping_rem(y),
+                                    Opcode::UDiv => ((x as u64) / (y as u64)) as i64,
+                                    _ => ((x as u64) % (y as u64)) as i64,
+                                };
+                                regs[dc + i] = if wide { r as u64 } else { sx(r as u64) };
                             }
                         });
-                        let v = RawVal::I64(ballot as i64);
-                        lanes!(|i| regs[db + i] = v);
-                        charge_alu!(op);
+                        set_def!(d, ddef);
                     }
                 }
+                // Charge + budget + advance for an ALU-class op (`op` feeds
+                // the timing observer's scoreboard deps).
+                l_warp_insts += 1;
+                l_thread_insts += active;
+                l_cycles += bk.lats[pc as usize];
+                l_alu_issues += 1;
+                l_alu_active += active;
+                if let Some(t) = self.timing.as_deref_mut() {
+                    let (dst, srcs) = bc_deps(&op);
+                    t.issue(w_idx, active as u32, bk.lats[pc as usize], dst, srcs);
+                }
+                if l_budget == 0 {
+                    return Err(SimError::StepLimit);
+                }
+                l_budget -= 1;
+                pc += 1;
             }
         }
     }
@@ -960,10 +1106,12 @@ impl<'a> BcEngine<'a> {
         warp: &mut WarpState,
         block: u32,
         mask: u64,
-        regs: &mut [RawVal],
+        regs: &mut [u64],
+        defs: &mut [u64],
     ) -> Result<(), SimError> {
         let bk = self.bk;
-        let nt = self.threads;
+        let (nt, nw) = (self.threads, self.n_warps);
+        let w = (warp.base_thread / self.warp_size) as usize;
         let blk = bk.blocks[block as usize];
         if blk.phi_start == blk.phi_end {
             return Ok(());
@@ -1000,39 +1148,52 @@ impl<'a> BcEngine<'a> {
             return Err(self.phi_error(warp, block, mask));
         }
 
-        // All edges validated: apply the moves. φ writes of one lane are
-        // never read by another (each lane reads its own column), so
-        // bucket order does not matter; within a lane, the staged path
-        // preserves read-before-write when a φ feeds another φ.
+        // All edges validated: apply the moves, cells and definedness. φ
+        // writes of one lane are never read by another (each lane reads
+        // its own column cell and its own definedness bit), so bucket order
+        // does not matter; within a bucket, the staged path preserves
+        // read-before-write when a φ feeds another φ.
         for &(pred, bmask) in &buckets {
             let e = edges.iter().find(|e| e.pred == pred).expect("validated");
             let moves = &bk.phi_moves[e.m_start as usize..e.m_end as usize];
-            if blk.phi_overlap {
-                let mut m = bmask;
-                while m != 0 {
-                    let lane = m.trailing_zeros();
-                    m &= m - 1;
-                    let t = (warp.base_thread + lane) as usize;
-                    self.stage.clear();
-                    self.stage
-                        .extend(moves.iter().map(|&(_, s)| regs[s as usize * nt + t]));
-                    for (&(d, _), &v) in moves.iter().zip(self.stage.iter()) {
-                        regs[d as usize * nt + t] = v;
+            let (lo, run) = Run::of(bmask);
+            let first = warp.base_thread as usize + lo;
+            // Binds the span offset `i` of each bucket lane in turn.
+            macro_rules! bucket_lanes {
+                (|$i:ident| $body:expr) => {{
+                    let mut m = run.bits;
+                    while m != 0 {
+                        let $i = m.trailing_zeros() as usize;
+                        m &= m - 1;
+                        $body
                     }
+                }};
+            }
+            let merge = |word: &mut u64, src: u64| *word = (*word & !bmask) | (src & bmask);
+            if blk.phi_overlap {
+                // Read every source — definedness word, then the bucket's
+                // cells — before writing any destination.
+                self.stage.clear();
+                for &(_, s) in moves {
+                    self.stage.push(defs[s as usize * nw + w]);
+                    let sc = s as usize * nt + first;
+                    bucket_lanes!(|i| self.stage.push(regs[sc + i]));
+                }
+                let mut staged = self.stage.iter().copied();
+                let mut next = || staged.next().expect("staged above");
+                for &(d, _) in moves {
+                    merge(&mut defs[d as usize * nw + w], next());
+                    let dc = d as usize * nt + first;
+                    bucket_lanes!(|i| regs[dc + i] = next());
                 }
             } else {
-                // Move-major: each move streams contiguous lanes of its
-                // source column into its destination column.
+                // Move-major: each move streams a run of its source column
+                // into its destination column.
                 for &(d, s) in moves {
-                    let db = d as usize * nt;
-                    let sb = s as usize * nt;
-                    let mut m = bmask;
-                    while m != 0 {
-                        let lane = m.trailing_zeros();
-                        m &= m - 1;
-                        let t = (warp.base_thread + lane) as usize;
-                        regs[db + t] = regs[sb + t];
-                    }
+                    let src_def = defs[s as usize * nw + w];
+                    merge(&mut defs[d as usize * nw + w], src_def);
+                    let (dc, sc) = (d as usize * nt + first, s as usize * nt + first);
+                    map(regs, run, dc, [sc], |[x]| x);
                 }
             }
         }
@@ -1043,7 +1204,6 @@ impl<'a> BcEngine<'a> {
         // same batch reads the pre-batch scoreboard (matching the staged
         // value semantics above).
         if let Some(t) = self.timing.as_deref_mut() {
-            let w = (warp.base_thread / self.warp_size) as usize;
             t.phi_begin();
             let first = edges
                 .iter()
@@ -1113,6 +1273,7 @@ impl<'a> BcEngine<'a> {
 
 #[cfg(test)]
 mod tests {
+    use super::{map, split_cols, Run};
     use crate::{BytecodeKernel, Gpu, GpuConfig, KernelArg, LaunchConfig};
     use darm_ir::builder::FunctionBuilder;
     use darm_ir::{AddrSpace, Dim, Function, IcmpPred, Type};
@@ -1171,5 +1332,32 @@ mod tests {
             .launch_bytecode(&bk, &cfg, &[KernelArg::Buffer(out)])
             .unwrap();
         assert_eq!(stats.warp_instructions, 0);
+    }
+
+    #[test]
+    fn split_cols_refuses_overlap_and_map_falls_back() {
+        let mut regs: Vec<u64> = (0..12).collect();
+        // Columns of 4: slot 0 = [0..4), slot 1 = [4..8), slot 2 = [8..12).
+        let (d, [a, b]) = split_cols(&mut regs, 4, [8, 0], 4).expect("disjoint");
+        assert_eq!((d.len(), a, b), (4, &[8, 9, 10, 11][..], &[0, 1, 2, 3][..]));
+        assert!(split_cols(&mut regs, 4, [4], 4).is_none());
+        assert!(split_cols(&mut regs, 4, [2], 4).is_none());
+
+        // A destination that is its own source still reads before it writes.
+        let dense = Run {
+            n: 4,
+            bits: 0b1111,
+            dense: true,
+        };
+        map(&mut regs, dense, 4, [4, 8], |[x, y]| x + y);
+        assert_eq!(&regs[4..8], &[12, 14, 16, 18]);
+        // A sparse run touches only its set bits.
+        let sparse = Run {
+            n: 4,
+            bits: 0b1001,
+            dense: false,
+        };
+        map(&mut regs, sparse, 0, [8], |[x]| x * 10);
+        assert_eq!(&regs[0..4], &[80, 1, 2, 110]);
     }
 }

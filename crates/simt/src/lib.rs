@@ -26,19 +26,26 @@
 //! * **Oracle** — the seed per-lane, arena-walking interpreter
 //!   ([`reference`](mod@reference), behind [`Gpu::launch_reference`]).
 //!   Slow, simple, and what every differential suite compares against.
-//! * **Engine** — [`BytecodeKernel`] lowers a [`darm_ir::Function`] once
-//!   into a flat, fixed-width register bytecode: operands pre-resolved to
-//!   register slots (constants and parameters folded into dedicated slots,
-//!   so every operand read is a plain indexed load), an `icmp` feeding its
-//!   block's `br` fused into one compare-and-branch op, φ batches as
-//!   per-predecessor move tables, the IPDOM of every block cached, and
-//!   every branch target carrying its pre-computed resume pc. Its execute
-//!   loop ([`Gpu::launch_bytecode`]; [`Gpu::launch`] lowers and runs in
-//!   one call) is a single dense `match` per *warp* instruction. It is
-//!   **bit-identical** to the oracle in output buffers, [`KernelStats`]
-//!   and [`SimError`]s — the `bytecode_vs_reference` differential test
-//!   holds that on the full benchmark kernel suite, `prop_backends` over
-//!   random divergent CFGs — and ~8× faster (`interp_throughput`).
+//! * **Engine** — [`BytecodeKernel`] lowers a [`darm_ir::Function`] once,
+//!   in one pass, into a typed fixed-width register bytecode: every
+//!   value's type is static, so each instruction becomes the op for its
+//!   operand types and the register file needs no tags — one 64-bit cell
+//!   per lane plus one definedness mask per slot and warp. Operands are
+//!   pre-resolved to register slots (constants and parameters folded into
+//!   dedicated slots, so every operand read is a plain column load), an
+//!   `icmp` feeding its block's `br` and a `gep` feeding the next memory
+//!   access are fused, φ batches are per-predecessor move tables, the
+//!   IPDOM of every block is cached, and every branch target carries its
+//!   pre-computed resume pc. Its execute loop ([`Gpu::launch_bytecode`];
+//!   [`Gpu::launch`] lowers and runs in one call) is a single dense
+//!   `match` per *warp* instruction whose ALU-class arms are counted loops
+//!   over the warp's lanes. It is **bit-identical** to the oracle in
+//!   output buffers, [`KernelStats`] and [`SimError`]s on every function
+//!   that passes `verify_structure` — the `bytecode_vs_reference`
+//!   differential test holds that on the full benchmark kernel suite,
+//!   `prop_backends` over random divergent CFGs, `typed_semantics` over
+//!   every opcode × operand-type combination — and several times faster
+//!   (`interp_throughput` prints Mwi/s for both).
 //! * **Timing observer** — not an engine at all: [`timing`], enabled with
 //!   [`TimingConfig`] via [`GpuConfig::timing`], rides along inside the
 //!   bytecode engine and reconstructs a cycle-accurate per-warp timeline —
@@ -99,9 +106,7 @@
 //! assert!(stats.cycles > 0);
 //! ```
 
-pub mod backend;
 pub mod bytecode;
-pub(crate) mod decoded;
 pub mod exec;
 pub(crate) mod exec_bc;
 pub mod mem;
@@ -109,9 +114,8 @@ pub mod reference;
 pub mod stats;
 pub mod timing;
 
-pub use backend::BackendKind;
 pub use bytecode::BytecodeKernel;
-pub use exec::{Gpu, KernelArg, SimError};
+pub use exec::{BackendKind, Gpu, KernelArg, SimError};
 pub use mem::BufferId;
 pub use stats::KernelStats;
 pub use timing::TimingConfig;
@@ -120,7 +124,9 @@ pub use timing::TimingConfig;
 #[derive(Debug, Clone, Copy)]
 pub struct GpuConfig {
     /// Threads per warp (AMD wavefronts are 64 wide; 32 is the default here
-    /// and matches the synthetic experiments' smallest block size).
+    /// and matches the synthetic experiments' smallest block size). Must be
+    /// in `1..=64` — a warp's lane masks are one `u64` — or every launch
+    /// fails with [`SimError::BadWarpSize`].
     pub warp_size: u32,
     /// Safety limit on dynamically issued warp instructions per launch.
     pub max_warp_instructions: u64,

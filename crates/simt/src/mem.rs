@@ -70,6 +70,43 @@ impl ByteStore {
         })
     }
 
+    /// Typed read straight into a register cell of the bytecode engine
+    /// (encoding: [`RawVal::cell`]).
+    pub(crate) fn read_cell(&self, ty: Type, off: u64) -> Option<u64> {
+        let off = off as usize;
+        Some(match ty {
+            Type::I1 => (*self.bytes.get(off)? != 0) as u64,
+            Type::I32 => {
+                i32::from_le_bytes(self.bytes.get(off..off + 4)?.try_into().unwrap()) as i64 as u64
+            }
+            Type::F32 => {
+                u32::from_le_bytes(self.bytes.get(off..off + 4)?.try_into().unwrap()) as u64
+            }
+            Type::I64 | Type::Ptr(_) => {
+                u64::from_le_bytes(self.bytes.get(off..off + 8)?.try_into().unwrap())
+            }
+            Type::Void => return None,
+        })
+    }
+
+    /// Typed write of a register cell holding a defined value of type `ty`.
+    pub(crate) fn write_cell(&mut self, ty: Type, off: u64, cell: u64) -> Option<()> {
+        let off = off as usize;
+        match ty {
+            Type::I1 => *self.bytes.get_mut(off)? = cell as u8,
+            Type::I32 | Type::F32 => self
+                .bytes
+                .get_mut(off..off + 4)?
+                .copy_from_slice(&(cell as u32).to_le_bytes()),
+            Type::I64 | Type::Ptr(_) => self
+                .bytes
+                .get_mut(off..off + 8)?
+                .copy_from_slice(&cell.to_le_bytes()),
+            Type::Void => return None,
+        }
+        Some(())
+    }
+
     pub(crate) fn write(&mut self, off: u64, v: RawVal) -> Option<()> {
         let off = off as usize;
         match v {
@@ -114,6 +151,21 @@ pub enum RawVal {
 }
 
 impl RawVal {
+    /// The value as an untagged register cell of the bytecode engine:
+    /// `i1` as 0/1, `i32` sign-extended to 64 bits, `i64`/pointers as they
+    /// are, `f32` as its zero-extended IEEE-754 bits. `None` for `Undef`,
+    /// which the engine keeps in a separate definedness mask.
+    pub(crate) fn cell(self) -> Option<u64> {
+        Some(match self {
+            RawVal::I1(b) => b as u64,
+            RawVal::I32(x) => x as i64 as u64,
+            RawVal::I64(x) => x as u64,
+            RawVal::F32(f) => f.to_bits() as u64,
+            RawVal::Ptr(p) => p,
+            RawVal::Undef => return None,
+        })
+    }
+
     pub(crate) fn as_i64_index(self) -> Option<i64> {
         match self {
             RawVal::I32(x) => Some(x as i64),
@@ -144,6 +196,32 @@ mod tests {
         assert_eq!(s.read(Type::I32, 0), Some(RawVal::I32(-5)));
         assert_eq!(s.read(Type::F32, 8), Some(RawVal::F32(2.5)));
         assert_eq!(s.read(Type::I64, 16), Some(RawVal::I64(1 << 40)));
+    }
+
+    #[test]
+    fn cells_agree_with_tagged_values() {
+        // The oracle's tagged accessors and the engine's cell accessors are
+        // two views of the same bytes.
+        let vals = [
+            (Type::I1, RawVal::I1(true)),
+            (Type::I32, RawVal::I32(i32::MIN)),
+            (Type::I32, RawVal::I32(-1)),
+            (Type::F32, RawVal::F32(-0.0)),
+            (Type::I64, RawVal::I64(i64::MIN + 7)),
+            (Type::Ptr(darm_ir::AddrSpace::Global), RawVal::Ptr(3 << 48)),
+        ];
+        for (ty, v) in vals {
+            let cell = v.cell().unwrap();
+            let (mut tagged, mut cells) = (ByteStore::with_len(8), ByteStore::with_len(8));
+            tagged.write(0, v).unwrap();
+            cells.write_cell(ty, 0, cell).unwrap();
+            assert_eq!(tagged.bytes(), cells.bytes(), "{v:?}");
+            assert_eq!(tagged.read_cell(ty, 0), Some(cell), "{v:?}");
+            assert_eq!(tagged.read(ty, 0).and_then(RawVal::cell), Some(cell));
+        }
+        assert_eq!(RawVal::Undef.cell(), None);
+        assert_eq!(ByteStore::with_len(3).read_cell(Type::I32, 0), None);
+        assert_eq!(ByteStore::with_len(8).write_cell(Type::I64, 1, 0), None);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! kernel (`prop_backends` does the same over random divergent CFGs), and
 //! the `interp_throughput` bench measures the engine's speedup against it.
 
-use crate::exec::{validate_args, KernelArg, SimError};
+use crate::exec::{check_warp_size, validate_args, KernelArg, SimError};
 use crate::mem::{decode, encode_shared, ByteStore, RawVal};
 use crate::stats::KernelStats;
 use crate::{GpuConfig, LaunchConfig};
@@ -26,6 +26,7 @@ pub(crate) fn launch(
     cfg: &LaunchConfig,
     args: &[KernelArg],
 ) -> Result<KernelStats, SimError> {
+    check_warp_size(config.warp_size)?;
     let arg_vals = validate_args(func.name(), func.params(), args, buffers.len())?;
 
     let cfg_snapshot = Cfg::new(func);

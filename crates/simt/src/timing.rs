@@ -33,8 +33,8 @@
 //!   hidden — a store never waits for DRAM, only a dependent read does.
 //! * **IPDOM reconvergence stack** — when a branch diverges, the engine
 //!   pushes *(else, then)* continuation entries whose reconvergence point is
-//!   the branch block's immediate post-dominator (cached at decode time in
-//!   `DBlock::ipdom`). The timer mirrors those pushes (`TimingState::diverge`)
+//!   the branch block's immediate post-dominator (cached at lowering time
+//!   in `BcBlock::ipdom`). The timer mirrors those pushes (`TimingState::diverge`)
 //!   and charges one cycle per pop (`TimingState::frame_pop`) for the
 //!   SIMT-stack update and mask swap — the hardware mechanism described in
 //!   "Control Flow Management in Modern GPUs". The mirror also counts
@@ -96,8 +96,7 @@
 //! overhead is one predictable branch per charge. (The reference
 //! interpreter has no hook points and always reports `sim_* = 0`.)
 
-use crate::bytecode::Op;
-use crate::decoded::NO_DST;
+use crate::bytecode::{Op, NO_DST};
 use crate::stats::{self, KernelStats};
 use darm_ir::cost;
 
@@ -409,15 +408,15 @@ impl TimingState {
 /// explicitly via [`TimingState::issue_dep`] / the ready hint.
 pub(crate) fn bc_deps(op: &Op) -> (u32, [u32; 3]) {
     match *op {
-        Op::Add { d, a, b }
-        | Op::Sub { d, a, b }
-        | Op::Mul { d, a, b }
+        Op::Add { d, a, b, .. }
+        | Op::Sub { d, a, b, .. }
+        | Op::Mul { d, a, b, .. }
         | Op::And { d, a, b }
         | Op::Or { d, a, b }
         | Op::Xor { d, a, b }
-        | Op::Shl { d, a, b }
-        | Op::LShr { d, a, b }
-        | Op::AShr { d, a, b }
+        | Op::Shl { d, a, b, .. }
+        | Op::LShr { d, a, b, .. }
+        | Op::AShr { d, a, b, .. }
         | Op::Div { d, a, b, .. }
         | Op::FAdd { d, a, b }
         | Op::FSub { d, a, b }
@@ -430,19 +429,13 @@ pub(crate) fn bc_deps(op: &Op) -> (u32, [u32; 3]) {
         | Op::FAbs { d, a }
         | Op::FNeg { d, a }
         | Op::FExp { d, a }
-        | Op::ZextSext { d, a, .. }
-        | Op::Trunc { d, a, .. }
-        | Op::SiToFp { d, a }
-        | Op::FpToSi { d, a, .. }
+        | Op::Cvt { d, a, .. }
         | Op::Ballot { d, a }
         | Op::Load { d, a, .. } => (d, [a, NO_DST, NO_DST]),
         Op::Select { d, c, a, b } => (d, [c, a, b]),
-        Op::Store { v, a } => (NO_DST, [v, a, NO_DST]),
-        Op::ThreadIdx { d, .. }
-        | Op::BlockIdx { d, .. }
-        | Op::BlockDim { d, .. }
-        | Op::GridDim { d, .. }
-        | Op::SharedBase { d, .. } => (d, [NO_DST; 3]),
+        Op::Undef { d, srcs } => (d, srcs),
+        Op::Store { v, a, .. } => (NO_DST, [v, a, NO_DST]),
+        Op::ThreadIdx { d, .. } | Op::Uniform { d, .. } => (d, [NO_DST; 3]),
         Op::Br { c, .. } => (NO_DST, [c, NO_DST, NO_DST]),
         Op::Sync | Op::Ret | Op::Jump { .. } => (NO_DST, [NO_DST; 3]),
         // Fused first halves; second halves are hooked explicitly.
