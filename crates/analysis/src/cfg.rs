@@ -1,15 +1,11 @@
 //! Control-flow graph views: predecessors, successors, traversal orders.
 
-use darm_ir::{BlockId, CfgEdit, Function};
+use darm_ir::{BlockId, Function};
 
 /// A snapshot of a function's CFG structure.
 ///
-/// Invalidated by any transformation that adds/removes blocks or edges —
-/// but usually repairable in place: [`Cfg::try_update`] splices the RPO
-/// below the DFS-tree anchor of an edit window and patches `preds`/
-/// `succs` locally, producing a snapshot bit-identical to a fresh
-/// [`Cfg::new`]. Full recompute remains the fallback when the anchor
-/// covers too much of the graph or the window resists local reasoning.
+/// Invalidated by any transformation that adds/removes blocks or edges;
+/// the `AnalysisManager` then rebuilds it with [`Cfg::new`].
 #[derive(Debug, Clone)]
 pub struct Cfg {
     entry: BlockId,
@@ -17,13 +13,6 @@ pub struct Cfg {
     succs: Vec<Vec<BlockId>>,
     rpo: Vec<BlockId>,
     rpo_index: Vec<usize>,
-    /// DFS discovery number per block (`usize::MAX` if unreachable).
-    /// Subtrees of the DFS tree occupy contiguous discovery ranges,
-    /// which is what lets [`Cfg::try_update`] splice locally.
-    disc: Vec<usize>,
-    /// DFS-tree parent per block (`usize::MAX` for the entry and
-    /// unreachable blocks); with `disc` this answers NCA queries.
-    parent: Vec<usize>,
 }
 
 impl Cfg {
@@ -39,24 +28,16 @@ impl Cfg {
         // Depth-first post-order from the entry, then reverse.
         let entry = func.entry();
         let mut visited = vec![false; cap];
-        let mut disc = vec![usize::MAX; cap];
-        let mut parent = vec![usize::MAX; cap];
-        let mut clock = 0;
         let mut post = Vec::new();
         // Iterative DFS with explicit state (block, next-successor-index).
         let mut stack: Vec<(BlockId, usize)> = vec![(entry, 0)];
         visited[entry.index()] = true;
-        disc[entry.index()] = clock;
-        clock += 1;
         while let Some(&mut (b, ref mut i)) = stack.last_mut() {
             if *i < succs[b.index()].len() {
                 let s = succs[b.index()][*i];
                 *i += 1;
                 if !visited[s.index()] {
                     visited[s.index()] = true;
-                    disc[s.index()] = clock;
-                    clock += 1;
-                    parent[s.index()] = b.index();
                     stack.push((s, 0));
                 }
             } else {
@@ -81,282 +62,7 @@ impl Cfg {
             succs,
             rpo: post,
             rpo_index,
-            disc,
-            parent,
         }
-    }
-
-    /// Patches this snapshot in place for a window of raw journal edits,
-    /// returning a `Cfg` bit-identical to a fresh [`Cfg::new`] — or
-    /// `None` when the window calls for a full rebuild (anchor at the
-    /// entry, anchor subtree covering ≥ half the reachable blocks, or a
-    /// discovery pattern the splice cannot keep local).
-    ///
-    /// The *raw* event list is required here, not the normalized edit
-    /// multiset the dominator trees consume: a rewritten branch that
-    /// swaps its targets (`br c, a, b` → `br c2, b, a`) nets to zero
-    /// edge changes at the multiset level yet reorders the DFS, and
-    /// with it the RPO this snapshot serves.
-    ///
-    /// Why a local splice is exact: every perturbed source lies in the
-    /// old DFS subtree of the anchor `c` (their NCA), so a fresh DFS
-    /// unfolds identically until `c` is discovered. `subtree(c)` is a
-    /// contiguous run of the old RPO starting at `rpo_index(c)` — the
-    /// later-discovered nodes that are *not* in the subtree (later
-    /// siblings) sit at earlier RPO positions, and everything after the
-    /// run finished before `c` was discovered. Re-running the DFS from
-    /// `c` with that "past" pre-seeded as visited reproduces the fresh
-    /// subtree; the traversal *after* `c` finishes is also unchanged
-    /// provided (a) no spliced node escaped into a later sibling (each
-    /// discovery is checked: it must be an old-subtree node or
-    /// previously unreachable) and (b) nodes that fell out of the
-    /// subtree are unreachable from everything retained (each must have
-    /// all predecessors inside the dropped part, else bail).
-    pub fn try_update(&self, func: &Function, edits: &[CfgEdit]) -> Option<Cfg> {
-        let cap = func.block_capacity();
-        // Blocks whose successor lists may differ from this snapshot.
-        let mut sources: Vec<usize> = Vec::with_capacity(edits.len());
-        for e in edits {
-            match *e {
-                CfgEdit::BlockAdded(b) | CfgEdit::BlockRemoved(b) => sources.push(b.index()),
-                CfgEdit::EdgeInserted(u, _) | CfgEdit::EdgeDeleted(u, _) => sources.push(u.index()),
-            }
-        }
-        sources.sort_unstable();
-        sources.dedup();
-
-        let old_disc = |i: usize| self.disc.get(i).copied().unwrap_or(usize::MAX);
-
-        // Anchor: NCA of the old-reachable perturbed sources in the old
-        // DFS tree (deeper node = larger discovery number; climb the
-        // parent chain). Sources unreachable in the snapshot cannot
-        // perturb the old traversal on their own — if an edit links one
-        // in, the reachable source of that edit anchors the region.
-        let mut anchor: Option<usize> = None;
-        for &s in &sources {
-            if old_disc(s) == usize::MAX {
-                continue;
-            }
-            anchor = Some(match anchor {
-                None => s,
-                Some(mut a) => {
-                    let mut b = s;
-                    while a != b {
-                        if self.disc[a] > self.disc[b] {
-                            a = self.parent[a];
-                        } else {
-                            b = self.parent[b];
-                        }
-                        if a == usize::MAX || b == usize::MAX {
-                            return None;
-                        }
-                    }
-                    a
-                }
-            });
-        }
-
-        // All the cheap bail-outs run *before* the snapshot clone below —
-        // a declined splice (entry anchor, oversized subtree) must cost
-        // sources + an NCA climb, not a full copy of the CFG. The meld
-        // sweep hits the entry-anchor bail on every single-diamond
-        // kernel, so the decline path is as hot as the splice path.
-        let seg = match anchor {
-            // No old-reachable source: the reachable region's structure
-            // is untouched — only fresh (still unlinked) blocks grew
-            // the arrays or dead unreachable blocks dropped their lists.
-            None => None,
-            Some(c) => {
-                if c == self.entry.index() || !func.is_block_alive(BlockId::new(c)) {
-                    return None;
-                }
-                let p = self.rpo_index[c];
-                let disc_c = self.disc[c];
-                // `subtree(c)` is the contiguous RPO run starting at `p`:
-                // the run ends at the first entry discovered before `c`.
-                let mut k = 1;
-                while p + k < self.rpo.len() && self.disc[self.rpo[p + k].index()] >= disc_c {
-                    k += 1;
-                }
-                // Profitability gate (PR 5 shape): an update touching half
-                // the graph costs more than the rebuild it replaces.
-                if k * 2 >= self.rpo.len() {
-                    return None;
-                }
-                Some((c, p, disc_c, k))
-            }
-        };
-
-        let mut out = self.clone();
-        out.preds.resize(cap, Vec::new());
-        out.succs.resize(cap, Vec::new());
-        out.rpo_index.resize(cap, usize::MAX);
-        out.disc.resize(cap, usize::MAX);
-        out.parent.resize(cap, usize::MAX);
-        // Refill successor lists of every perturbed source from the
-        // function; tombstoned blocks lose theirs.
-        for &s in &sources {
-            let b = BlockId::new(s);
-            out.succs[s] = if func.is_block_alive(b) {
-                func.succs(b)
-            } else {
-                Vec::new()
-            };
-        }
-
-        let Some((c, p, disc_c, k)) = seg else {
-            return Some(out);
-        };
-        let in_old_seg = |i: usize| {
-            old_disc(i) != usize::MAX
-                && old_disc(i) >= disc_c
-                && self.rpo_index.get(i).copied().unwrap_or(usize::MAX) >= p
-        };
-
-        // Re-run the DFS from `c` over the patched successor lists with
-        // the past pre-seeded: everything discovered before `c` is
-        // discovered identically by a fresh run.
-        let mut visited = vec![false; cap];
-        for (i, v) in visited.iter_mut().enumerate() {
-            let d = old_disc(i);
-            if d != usize::MAX && d < disc_c {
-                *v = true;
-            }
-        }
-        let mut seg_post: Vec<BlockId> = Vec::with_capacity(k);
-        let mut in_new_seg = vec![false; cap];
-        let cb = BlockId::new(c);
-        let mut stack: Vec<(BlockId, usize)> = vec![(cb, 0)];
-        visited[c] = true;
-        in_new_seg[c] = true;
-        out.disc[c] = disc_c;
-        let mut clock = disc_c + 1;
-        while let Some(&mut (b, ref mut i)) = stack.last_mut() {
-            if *i < out.succs[b.index()].len() {
-                let s = out.succs[b.index()][*i];
-                *i += 1;
-                if !visited[s.index()] {
-                    // A discovery must be an old-subtree node or a block
-                    // that was unreachable; reaching any other node (an
-                    // old later sibling, discovered only after `c`
-                    // finished) would perturb the RPO prefix we keep.
-                    if old_disc(s.index()) != usize::MAX && !in_old_seg(s.index()) {
-                        return None;
-                    }
-                    visited[s.index()] = true;
-                    in_new_seg[s.index()] = true;
-                    out.disc[s.index()] = clock;
-                    clock += 1;
-                    out.parent[s.index()] = b.index();
-                    stack.push((s, 0));
-                }
-            } else {
-                seg_post.push(b);
-                stack.pop();
-            }
-        }
-        let k_new = seg_post.len();
-
-        // Nodes that fell out of the subtree must be unreachable from
-        // everything retained: every old predecessor has to sit in the
-        // dropped part itself. A surviving predecessor elsewhere (or a
-        // deleted edge from a node the new subtree kept) means the
-        // local argument no longer covers them — bail to a rebuild.
-        for idx in p..p + k {
-            let v = self.rpo[idx].index();
-            if in_new_seg[v] {
-                continue;
-            }
-            for &pd in &self.preds[v] {
-                if !in_old_seg(pd.index()) || in_new_seg[pd.index()] {
-                    return None;
-                }
-            }
-        }
-
-        // Splice the RPO: prefix ‖ new subtree ‖ suffix.
-        let mut rpo = Vec::with_capacity(self.rpo.len() - k + k_new);
-        rpo.extend_from_slice(&self.rpo[..p]);
-        rpo.extend(seg_post.iter().rev().copied());
-        rpo.extend_from_slice(&self.rpo[p + k..]);
-        // Renumber discovery: the prefix (disc < disc_c) is untouched,
-        // the new subtree took `disc_c..disc_c + k_new` during the walk,
-        // later discoveries (old disc ≥ disc_c + k) shift by the size
-        // change, and dropped nodes go unreachable.
-        for (i, &renumbered) in in_new_seg.iter().enumerate().take(cap) {
-            if renumbered {
-                continue;
-            }
-            let d = old_disc(i);
-            if d == usize::MAX || d < disc_c {
-                continue;
-            }
-            if d < disc_c + k {
-                out.disc[i] = usize::MAX;
-                out.parent[i] = usize::MAX;
-            } else {
-                out.disc[i] = d - k + k_new;
-            }
-        }
-        for x in out.rpo_index.iter_mut() {
-            *x = usize::MAX;
-        }
-        for (i, b) in rpo.iter().enumerate() {
-            out.rpo_index[b.index()] = i;
-        }
-        out.rpo = rpo;
-
-        // Rebuild the predecessor lists of every target a spliced edge
-        // touches, preserving fresh-build order: a fresh build pushes
-        // preds in source-RPO order, so the old list's prefix and
-        // suffix contributions survive verbatim around freshly pushed
-        // segment entries.
-        let mut affected = vec![false; cap];
-        let mut targets: Vec<usize> = Vec::new();
-        for idx in p..p + k {
-            let v = self.rpo[idx].index();
-            for &t in &self.succs[v] {
-                if !affected[t.index()] {
-                    affected[t.index()] = true;
-                    targets.push(t.index());
-                }
-            }
-        }
-        for b in &seg_post {
-            for &t in &out.succs[b.index()] {
-                if !affected[t.index()] {
-                    affected[t.index()] = true;
-                    targets.push(t.index());
-                }
-            }
-        }
-        let mut suffixes: Vec<Vec<BlockId>> = Vec::with_capacity(targets.len());
-        for &t in &targets {
-            let old = self.preds.get(t).map_or(&[][..], |v| &v[..]);
-            let mut pre = Vec::new();
-            let mut suf = Vec::new();
-            for &pd in old {
-                let idx = self.rpo_index[pd.index()];
-                if idx < p {
-                    pre.push(pd);
-                } else if idx >= p + k {
-                    suf.push(pd);
-                }
-            }
-            out.preds[t] = pre;
-            suffixes.push(suf);
-        }
-        for b in seg_post.iter().rev() {
-            for &t in &out.succs[b.index()] {
-                if affected[t.index()] {
-                    out.preds[t.index()].push(*b);
-                }
-            }
-        }
-        for (ti, &t) in targets.iter().enumerate() {
-            out.preds[t].append(&mut suffixes[ti]);
-        }
-        Some(out)
     }
 
     /// The function entry block.

@@ -1,123 +1,29 @@
 //! Dominator and post-dominator trees, dominance frontiers, and iterated
-//! dominance frontiers — plus *incremental maintenance* for the local CFG
-//! edits control-flow melding performs.
+//! dominance frontiers.
 //!
 //! Implements the Cooper–Harvey–Kennedy "engineered" dominance algorithm on
 //! reverse post-order. The post-dominator tree runs the same core on the
 //! reversed CFG with a virtual exit node collecting all `ret` blocks.
 //!
-//! ## Incremental updates
-//!
-//! [`DomTree::try_update`] / [`PostDomTree::try_update`] accept the
-//! normalized [`EditSummary`] of a mutation window (derived from the
-//! `darm-ir` journal) and update the existing tree without a from-scratch
-//! recompute when the edit batch matches a supported shape:
-//!
-//! * **No graph change** (blocks added/removed off the reachable region):
-//!   arrays extend/clear in place.
-//! * **Edge subdivision** (the landing pads of region simplification —
-//!   "split edge" generalized to many sources): an exact O(depth) local
-//!   rule on the dominator tree, in the spirit of Ramalingam–Reps.
-//! * **Insertion-only batches** ("redirect branch" toward a new target,
-//!   newly attached blocks): re-converge the CHK fixpoint *seeded from the
-//!   old tree*. For pure insertions the old tree is a pre-fixpoint above
-//!   the true solution, so the descending iteration provably lands on the
-//!   exact new tree — typically in one sweep over the affected region.
-//! * **Deletion-containing batches** (the bulk of meld surgery: region
-//!   blocks unlinked, branches collapsed, landing pads removed): an
-//!   LLVM-style *affected-subtree* recompute — see below.
-//!
-//! Only wholesale rewrites (an anchor at the root, a virtual-exit edge
-//! rewired, a saturated journal) return `None` and make the caller
-//! recompute. Either way the result is *bit-identical* to a fresh
-//! computation — `prop_incremental.rs` holds `try_update` to that under
-//! randomized edit sequences, deletions included. [`DomTree::changed_from`]
-//! then reports which blocks' dominator chains differ between two trees,
-//! which is what lets SSA repair rescan only the region whose dominance
-//! actually moved.
-//!
-//! ## The affected-subtree rule
-//!
-//! For a batch containing deletions the updater collects the *old tree
-//! positions* of every perturbed endpoint: both ends of each net-changed
-//! edge, plus — because reachability flips drag a block's unedited edges in
-//! or out of the graph invisibly to the journal — every block that joined
-//! or left the reachable region together with its still-reachable
-//! successors. The nearest common ancestor `c` of that set in the old tree
-//! anchors the rebuild (the NCA/reachability rule, in the spirit of the
-//! incremental maintenance LLVM's `DomTreeUpdater` performs): a deleted
-//! edge `(u, v)` only perturbs nodes below `NCA(u, v)` — `v`'s dominators
-//! can only *grow* toward that ancestor when `v` loses a dominating path —
-//! and dually an inserted edge only perturbs nodes below its NCA. Nodes
-//! outside `c`'s strict subtree provably keep their dominator sets: any
-//! path that could change them would have to cross a changed edge, and
-//! every changed edge lies entirely under `c`.
-//!
-//! The rebuild therefore resets exactly `c`'s strict old subtree (plus
-//! freshly reachable nodes, which always attach strictly below `c`) to ⊤
-//! and re-runs the CHK fixpoint over just that region, with the rest of
-//! the tree's numbering kept intact as a fixed boundary. The restricted
-//! iteration is exact: the dominator dataflow framework is distributive,
-//! so its MFP equals the meet over paths, and decomposing every real
-//! entry→x path at its last boundary node shows the restricted meet equals
-//! the full one.
-//!
-//! **When full recompute still triggers:** the anchor walks to the root
-//! (the batch spans the whole function — a rebuild "under the root" *is*
-//! a full recompute, so the caller's straight path is cheaper); the
-//! anchor's subtree covers half the reachable nodes or more (same
-//! economics — the constrained fixpoint would converge on the same work
-//! plus bookkeeping, which is why [`DomTree::absorb_viable`] /
-//! [`PostDomTree::absorb_viable`] let callers reject such batches from
-//! the raw edit log before even normalizing it); a post-dominator batch
-//! rewires virtual-exit edges (a block gains its first or loses its last
-//! successor, or a `ret` block joins/leaves the reachable region — the
-//! anchor would be the virtual exit itself); or the mutation journal
-//! saturated and no [`EditSummary`] exists at all. The
-//! `AnalysisManager`'s query path adds one more gate on top: it only
-//! *attempts* an update when the probe-level event count is small
-//! relative to the function, so the unprofitable case costs an O(1)
-//! comparison, not a replay.
+//! Both trees are always computed from scratch: the `AnalysisManager` keeps
+//! a cached tree while the block graph is untouched and recomputes it
+//! otherwise — a few linear sweeps, which measured cheaper than patching a
+//! tree from the journal at every function size tried (CHANGES.md, PR 18).
+//! [`DomTree::changed_from`] reports which blocks' dominator chains differ
+//! between two trees, which is what lets SSA repair rescan only the region
+//! whose dominance actually moved.
 
 use crate::cfg::Cfg;
-use darm_ir::{BlockId, CfgEdit, Function};
+use darm_ir::{BlockId, Function};
 
 /// Core dominator computation over an abstract graph of `n` nodes.
 /// Returns `idom[v]` (None for the root and unreachable nodes).
 fn compute_idoms(n: usize, root: usize, preds: &[Vec<usize>], rpo: &[usize]) -> Vec<Option<usize>> {
-    compute_idoms_seeded(n, root, preds, rpo, None)
-}
-
-/// [`compute_idoms`] with an optional seed tree. Seeding is only sound when
-/// the seed is a pre-fixpoint of the new graph's dominator equations —
-/// i.e. the previous tree after *edge insertions only* (constraints only
-/// tighten, so the descending iteration still converges to the unique
-/// greatest fixpoint, the true dominator tree).
-fn compute_idoms_seeded(
-    n: usize,
-    root: usize,
-    preds: &[Vec<usize>],
-    rpo: &[usize],
-    seed: Option<&[Option<usize>]>,
-) -> Vec<Option<usize>> {
     let mut rpo_index = vec![usize::MAX; n];
     for (i, &b) in rpo.iter().enumerate() {
         rpo_index[b] = i;
     }
     let mut idom: Vec<Option<usize>> = vec![None; n];
-    if let Some(seed) = seed {
-        for &b in rpo {
-            // Seed only nodes the old tree knew as reachable; freshly
-            // reachable nodes start unconstrained (⊤).
-            if b != root {
-                if let Some(Some(old)) = seed.get(b) {
-                    if rpo_index[*old] != usize::MAX {
-                        idom[b] = Some(*old);
-                    }
-                }
-            }
-        }
-    }
     idom[root] = Some(root);
     let intersect = |idom: &[Option<usize>], mut a: usize, mut b: usize| {
         while a != b {
@@ -297,180 +203,6 @@ impl DomTree {
         out
     }
 
-    /// Nearest common ancestor of a non-empty set of reachable blocks.
-    fn nca_many(&self, blocks: &[BlockId]) -> Option<BlockId> {
-        let mut acc = blocks[0].index();
-        if self.depth[acc] == u32::MAX {
-            return None;
-        }
-        for &b in &blocks[1..] {
-            let mut other = b.index();
-            if self.depth[other] == u32::MAX {
-                return None;
-            }
-            while acc != other {
-                if self.depth[acc] >= self.depth[other] {
-                    acc = self.idom[acc]?;
-                } else {
-                    other = self.idom[other].expect("depth > 0 implies idom");
-                }
-            }
-        }
-        Some(BlockId::new(acc))
-    }
-
-    /// Incrementally updates the tree for the mutation window summarized in
-    /// `summary`, where `cfg` is a snapshot of the *post-edit* CFG. Returns
-    /// `None` when the batch shape is unsupported (the caller recomputes);
-    /// a returned tree is exactly equal to `DomTree::new(func, cfg)`.
-    pub fn try_update(&self, func: &Function, cfg: &Cfg, summary: &EditSummary) -> Option<DomTree> {
-        let n = func.block_capacity();
-        // Structurally clean: reachable subgraph untouched, only extend or
-        // clear arena slots.
-        if summary.is_structurally_clean() {
-            if summary
-                .removed_blocks
-                .iter()
-                .any(|&b| self.depth.get(b.index()).copied() != Some(u32::MAX))
-            {
-                return None; // a reachable block vanished without edge edits?
-            }
-            let mut idom = self.idom.clone();
-            let mut depth = self.depth.clone();
-            idom.resize(n, None);
-            depth.resize(n, u32::MAX);
-            for &b in &summary.removed_blocks {
-                idom[b.index()] = None;
-                depth[b.index()] = u32::MAX;
-            }
-            return Some(DomTree {
-                idom,
-                depth,
-                entry: self.entry,
-            });
-        }
-        // Edge subdivision (landing pad): exact local rule.
-        if let Some((m, t, sources)) = summary.as_subdivision(func) {
-            if t.index() >= self.depth.len() || self.depth[t.index()] == u32::MAX {
-                return None;
-            }
-            if sources
-                .iter()
-                .any(|&s| s.index() >= self.depth.len() || self.depth[s.index()] == u32::MAX)
-            {
-                return None;
-            }
-            let mut idom = self.idom.clone();
-            idom.resize(n, None);
-            // `m` captures `t` ⇔ every entry path to `t` crosses a
-            // redirected edge ⇔ every current in-edge of `t` comes from
-            // `m` or from a block `t` itself dominated (a back edge,
-            // which contributes no entry path).
-            let covered = cfg
-                .preds(t)
-                .iter()
-                .all(|&p| p == m || (p.index() < self.depth.len() && self.dominates(t, p)));
-            if covered {
-                let old_idom_t = self.idom[t.index()]?;
-                idom[m.index()] = Some(old_idom_t);
-                idom[t.index()] = Some(m.index());
-            } else {
-                let nca = self.nca_many(&sources)?;
-                idom[m.index()] = Some(nca.index());
-            }
-            let depth = depths_in_order(&idom, self.entry, cfg.rpo().iter().map(|b| b.index()), n);
-            return Some(DomTree {
-                idom,
-                depth,
-                entry: self.entry,
-            });
-        }
-        let rpo: Vec<usize> = cfg.rpo().iter().map(|b| b.index()).collect();
-        // Insertion-only batch: re-converge the fixpoint seeded from the
-        // old tree (sound because constraints only tighten).
-        if summary.removed_edges.is_empty() && summary.removed_blocks.is_empty() {
-            let mut preds = vec![Vec::new(); n];
-            for &b in cfg.rpo() {
-                for &p in cfg.preds(b) {
-                    if cfg.is_reachable(p) {
-                        preds[b.index()].push(p.index());
-                    }
-                }
-            }
-            let idom = compute_idoms_seeded(n, self.entry, &preds, &rpo, Some(&self.idom));
-            let depth = depths_in_order(&idom, self.entry, rpo.iter().copied(), n);
-            return Some(DomTree {
-                idom,
-                depth,
-                entry: self.entry,
-            });
-        }
-        // Deletion-containing batch: affected-subtree recompute anchored at
-        // the NCA of every perturbed endpoint's old position (see the
-        // module docs for the rule).
-        let old_reach = |i: usize| i < self.depth.len() && self.depth[i] != u32::MAX;
-        let mut interesting: Vec<usize> = Vec::new();
-        for &(u, v) in summary.added_edges.iter().chain(&summary.removed_edges) {
-            for b in [u.index(), v.index()] {
-                if old_reach(b) {
-                    interesting.push(b);
-                }
-            }
-        }
-        for i in 0..n {
-            let b = BlockId::new(i);
-            if cfg.is_reachable(b) == old_reach(i) {
-                continue;
-            }
-            // A block that joined or left the reachable region drags its
-            // unedited out-edges with it — effective edge changes the
-            // journal never recorded.
-            if old_reach(i) {
-                interesting.push(i);
-            }
-            if func.is_block_alive(b) {
-                for &s in func.succ_slice(b) {
-                    if old_reach(s.index()) {
-                        interesting.push(s.index());
-                    }
-                }
-            }
-        }
-        // Predecessor lists come straight from the CFG snapshot (its
-        // entries are reachable by construction) — no per-node copies.
-        let (idom, depth) = rebuild_affected_subtree(
-            n,
-            self.entry,
-            &self.idom,
-            &self.depth,
-            |b, visit| {
-                for &p in cfg.preds(BlockId::new(b)) {
-                    visit(p.index());
-                }
-            },
-            &rpo,
-            &mut interesting,
-        )?;
-        Some(DomTree {
-            idom,
-            depth,
-            entry: self.entry,
-        })
-    }
-
-    /// Cheap viability pre-filter for [`DomTree::try_update`] on a *raw*
-    /// (unnormalized) edit log: folds the old-reachable edit endpoints
-    /// into their nearest common ancestor and estimates the rebuild
-    /// region, rejecting batches whose affected subtree would rival the
-    /// whole tree — all before any normalization is paid. `false` only
-    /// skips the attempt (the caller recomputes); it never affects
-    /// results. Raw endpoints are a superset of the normalized ones, so
-    /// the anchor here is an ancestor of the true anchor and the estimate
-    /// errs toward rejection.
-    pub fn absorb_viable(&self, edits: &[CfgEdit]) -> bool {
-        viable_anchor_region(&self.idom, &self.depth, self.entry, usize::MAX, edits)
-    }
-
     /// Which blocks' dominator *chains* differ between `old` and `new` —
     /// i.e. the blocks for which any `dominates(_, b)` answer may have
     /// changed. Indexed by block arena index of `new`'s function state;
@@ -488,411 +220,6 @@ impl DomTree {
                 || old.depth[i] != new.depth[i];
         }
         changed
-    }
-}
-
-/// Nearest common ancestor over raw idom/depth arrays (shared by the
-/// forward and reversed trees). `None` when a climb falls off the tree.
-fn nca_raw(idom: &[Option<usize>], depth: &[u32], nodes: &[usize]) -> Option<usize> {
-    let mut acc = *nodes.first()?;
-    if depth[acc] == u32::MAX {
-        return None;
-    }
-    for &b in &nodes[1..] {
-        let mut other = b;
-        if depth[other] == u32::MAX {
-            return None;
-        }
-        while acc != other {
-            if depth[acc] >= depth[other] {
-                acc = idom[acc]?;
-            } else {
-                other = idom[other]?;
-            }
-        }
-    }
-    Some(acc)
-}
-
-/// Shared implementation of the `absorb_viable` pre-filters: anchors the
-/// raw edit endpoints at their NCA in the old tree and estimates the
-/// rebuild region. `remap` translates the virtual-exit slot for the
-/// reversed tree (pass `usize::MAX` to disable).
-fn viable_anchor_region(
-    idom: &[Option<usize>],
-    depth: &[u32],
-    root: usize,
-    remap_from: usize,
-    edits: &[CfgEdit],
-) -> bool {
-    let reach = |i: usize| i < depth.len() && depth[i] != u32::MAX;
-    let mut acc: Option<usize> = None;
-    let mut fold = |b: BlockId| {
-        let mut i = b.index();
-        if i == remap_from || !reach(i) {
-            return true;
-        }
-        let Some(mut a) = acc else {
-            acc = Some(i);
-            return true;
-        };
-        while a != i {
-            let climb = |x: usize| idom[x];
-            if depth[a] >= depth[i] {
-                match climb(a) {
-                    Some(p) => a = p,
-                    None => return false,
-                }
-            } else {
-                match climb(i) {
-                    Some(p) => i = p,
-                    None => return false,
-                }
-            }
-        }
-        acc = Some(a);
-        true
-    };
-    for &e in edits {
-        let ok = match e {
-            CfgEdit::BlockAdded(_) => true,
-            CfgEdit::BlockRemoved(b) => fold(b),
-            CfgEdit::EdgeInserted(u, v) | CfgEdit::EdgeDeleted(u, v) => fold(u) && fold(v),
-        };
-        if !ok {
-            return false;
-        }
-    }
-    let Some(c) = acc else {
-        // No old-reachable endpoint at all: the real path decides (a
-        // structurally clean or all-fresh batch is always cheap).
-        return true;
-    };
-    if c == root {
-        return false;
-    }
-    // Estimate the rebuild region: reachable nodes strictly below the
-    // anchor, against all reachable nodes.
-    let (mut below, mut total) = (0usize, 0usize);
-    for i in 0..depth.len() {
-        if depth[i] == u32::MAX {
-            continue;
-        }
-        total += 1;
-        if strictly_below_raw(idom, depth, c, i) {
-            below += 1;
-        }
-    }
-    below * 2 <= total
-}
-
-/// Whether `c` strictly dominates `b` in the tree described by the raw
-/// arrays (both must be in-bounds; `b` may be unreachable).
-fn strictly_below_raw(idom: &[Option<usize>], depth: &[u32], c: usize, b: usize) -> bool {
-    if depth[b] == u32::MAX || depth[c] == u32::MAX || depth[b] <= depth[c] {
-        return false;
-    }
-    let mut x = b;
-    while depth[x] > depth[c] {
-        x = match idom[x] {
-            Some(p) => p,
-            None => return false,
-        };
-    }
-    x == c
-}
-
-/// The affected-subtree recompute shared by [`DomTree::try_update`] and
-/// [`PostDomTree::try_update`] (see the module docs for the rule and its
-/// correctness argument).
-///
-/// `old_idom`/`old_depth` describe the pre-edit tree *in the new slot
-/// space* (the post-dominator caller remaps its virtual exit first);
-/// `preds`/`rpo` the post-edit graph; `interesting` the old positions of
-/// every perturbed endpoint (all old-reachable). Returns the exact new
-/// `(idom, depth)` arrays, or `None` when the anchor reaches the root —
-/// a full recompute is as cheap there.
-fn rebuild_affected_subtree(
-    n: usize,
-    root: usize,
-    old_idom: &[Option<usize>],
-    old_depth: &[u32],
-    preds_of: impl Fn(usize, &mut dyn FnMut(usize)),
-    rpo: &[usize],
-    interesting: &mut Vec<usize>,
-) -> Option<(Vec<Option<usize>>, Vec<u32>)> {
-    interesting.sort_unstable();
-    interesting.dedup();
-    let anchor = match interesting.as_slice() {
-        [] => None,
-        nodes => Some(nca_raw(old_idom, old_depth, nodes)?),
-    };
-    if anchor == Some(root) {
-        return None;
-    }
-    // Affected = the anchor's strict subtree in the old tree, plus nodes
-    // with no old position (fresh blocks, newly reachable) — which always
-    // attach strictly below the anchor. Collected (in RPO order) before
-    // any work array is allocated, so an unprofitable rebuild bails to
-    // the caller's recompute having paid only tree climbs.
-    let mut affected_nodes: Vec<usize> = Vec::new();
-    for &b in rpo {
-        if b == root {
-            continue;
-        }
-        let fresh = b >= old_depth.len() || old_depth[b] == u32::MAX;
-        let reset = match anchor {
-            Some(c) => fresh || strictly_below_raw(old_idom, old_depth, c, b),
-            None => fresh,
-        };
-        if reset {
-            affected_nodes.push(b);
-        }
-    }
-    if !affected_nodes.is_empty() && interesting.is_empty() {
-        // Fresh reachable nodes with no old-reachable witness to anchor at
-        // cannot happen (reachability enters through an old node) — bail
-        // rather than guess if it ever does.
-        return None;
-    }
-    // The rebuild only beats a from-scratch recompute when the region it
-    // re-solves is genuinely smaller than the function: at half the
-    // reachable nodes or more, the constrained iteration converges on the
-    // same work plus bookkeeping.
-    if affected_nodes.len() * 2 > rpo.len() {
-        return None;
-    }
-    let mut rpo_index = vec![usize::MAX; n];
-    for (i, &b) in rpo.iter().enumerate() {
-        rpo_index[b] = i;
-    }
-    // Carry the old tree into the new slot space; nodes that left the
-    // reachable region lose their entries.
-    let mut idom: Vec<Option<usize>> = vec![None; n];
-    for i in 0..n.min(old_idom.len()) {
-        if old_depth[i] != u32::MAX && rpo_index[i] != usize::MAX {
-            idom[i] = old_idom[i];
-        }
-    }
-    for &b in &affected_nodes {
-        idom[b] = None; // reset the rebuild region to ⊤
-    }
-    if !affected_nodes.is_empty() {
-        // Constrained CHK fixpoint over the affected region only;
-        // everything outside is a fixed boundary whose dominators
-        // provably did not move.
-        idom[root] = Some(root);
-        let intersect = |idom: &[Option<usize>], mut a: usize, mut b: usize| {
-            while a != b {
-                while rpo_index[a] > rpo_index[b] {
-                    a = idom[a].expect("processed node must have idom");
-                }
-                while rpo_index[b] > rpo_index[a] {
-                    b = idom[b].expect("processed node must have idom");
-                }
-            }
-            a
-        };
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for &b in &affected_nodes {
-                let mut new_idom: Option<usize> = None;
-                preds_of(b, &mut |p| {
-                    if idom[p].is_none() {
-                        return;
-                    }
-                    new_idom = Some(match new_idom {
-                        None => p,
-                        Some(cur) => intersect(&idom, cur, p),
-                    });
-                });
-                if let Some(ni) = new_idom {
-                    if idom[b] != Some(ni) {
-                        idom[b] = Some(ni);
-                        changed = true;
-                    }
-                }
-            }
-        }
-        idom[root] = None;
-    }
-    let depth = depths_in_order(&idom, root, rpo.iter().copied(), n);
-    Some((idom, depth))
-}
-
-/// Rebuilds the depth array from an idom array, visiting nodes in an order
-/// where every node's idom precedes it (reverse post-order has this
-/// property for dominator trees).
-fn depths_in_order(
-    idom: &[Option<usize>],
-    root: usize,
-    order: impl Iterator<Item = usize>,
-    n: usize,
-) -> Vec<u32> {
-    let mut depth = vec![u32::MAX; n];
-    depth[root] = 0;
-    for b in order {
-        if b == root {
-            continue;
-        }
-        if let Some(p) = idom[b] {
-            if depth[p] != u32::MAX {
-                depth[b] = depth[p] + 1;
-            }
-        }
-    }
-    depth
-}
-
-/// Net block-graph change of a journal window, normalized against the
-/// *post-edit* function: an edge (or block) appears here only if its
-/// existence actually flipped across the window — transient add/remove
-/// pairs and conservative same-edge delete/insert records cancel out.
-#[derive(Debug, Clone, Default)]
-pub struct EditSummary {
-    /// Blocks that are alive now but were not before the window.
-    pub added_blocks: Vec<BlockId>,
-    /// Blocks that were alive before the window and are tombstoned now.
-    pub removed_blocks: Vec<BlockId>,
-    /// Edges that exist now but did not before.
-    pub added_edges: Vec<(BlockId, BlockId)>,
-    /// Edges that existed before but do not now.
-    pub removed_edges: Vec<(BlockId, BlockId)>,
-}
-
-impl EditSummary {
-    /// Normalizes an ordered [`CfgEdit`] log against the current state of
-    /// `func`. Edge existence *before* the window is reconstructed
-    /// arithmetically: `count_before = count_now - inserts + deletes` per
-    /// (from, to) pair, so duplicate edges (`br c, X, X`) and cancelling
-    /// event pairs are handled exactly.
-    pub fn normalize(func: &Function, edits: &[CfgEdit]) -> EditSummary {
-        let mut blocks_added: Vec<BlockId> = Vec::new();
-        let mut blocks_removed: Vec<BlockId> = Vec::new();
-        // Per-pair (insert, delete) counts, aggregated by sorting — the
-        // windows are small enough that a sort beats hashing.
-        let mut events: Vec<(BlockId, BlockId, i64, i64)> = Vec::with_capacity(edits.len());
-        for &e in edits {
-            match e {
-                CfgEdit::BlockAdded(b) => blocks_added.push(b),
-                CfgEdit::BlockRemoved(b) => blocks_removed.push(b),
-                CfgEdit::EdgeInserted(u, v) => events.push((u, v, 1, 0)),
-                CfgEdit::EdgeDeleted(u, v) => events.push((u, v, 0, 1)),
-            }
-        }
-        let mut summary = EditSummary::default();
-        blocks_added.sort_unstable();
-        blocks_added.dedup();
-        for &b in &blocks_added {
-            // Added and later removed in the same window → net nothing.
-            if func.is_block_alive(b) {
-                summary.added_blocks.push(b);
-            }
-        }
-        blocks_removed.sort_unstable();
-        blocks_removed.dedup();
-        for b in blocks_removed {
-            // A block can only be added once (fresh arena slot), so a
-            // removed block that was also added nets out entirely.
-            if !func.is_block_alive(b) && blocks_added.binary_search(&b).is_err() {
-                summary.removed_blocks.push(b);
-            }
-        }
-        events.sort_unstable_by_key(|&(u, v, _, _)| (u, v));
-        let mut i = 0;
-        while i < events.len() {
-            let (u, v, mut ins, mut del) = events[i];
-            i += 1;
-            while i < events.len() && (events[i].0, events[i].1) == (u, v) {
-                ins += events[i].2;
-                del += events[i].3;
-                i += 1;
-            }
-            let now = if func.is_block_alive(u) {
-                func.succ_slice(u).iter().filter(|&&s| s == v).count() as i64
-            } else {
-                0
-            };
-            let before = now - ins + del;
-            match (before > 0, now > 0) {
-                (false, true) => summary.added_edges.push((u, v)),
-                (true, false) => summary.removed_edges.push((u, v)),
-                _ => {}
-            }
-        }
-        summary
-    }
-
-    /// Whether the reachable block graph is untouched: no edge flipped and
-    /// every removed block is gone without ever having carried edges.
-    pub fn is_structurally_clean(&self) -> bool {
-        self.added_edges.is_empty() && self.removed_edges.is_empty()
-    }
-
-    /// Whether the window net-deleted an edge — the batch shape that takes
-    /// the affected-subtree path in `try_update` (what the
-    /// `in_place_deletion_updates` counter attributes).
-    pub fn has_deletions(&self) -> bool {
-        !self.removed_edges.is_empty()
-    }
-
-    /// Whether `u` had any out-edge before the window. Existence-level, not
-    /// multiset arithmetic (a duplicate-target branch has two successor
-    /// entries but one edge): an edge existed before iff it exists now and
-    /// was not added in the window, or was removed in the window.
-    fn had_out_edge_before(&self, func: &Function, u: BlockId) -> bool {
-        if func.is_block_alive(u)
-            && func
-                .succ_slice(u)
-                .iter()
-                .any(|&v| !self.added_edges.contains(&(u, v)))
-        {
-            return true;
-        }
-        self.removed_edges.iter().any(|&(a, _)| a == u)
-    }
-
-    /// Recognizes the *edge subdivision* shape: all edges `s → t` from a
-    /// source set `S` redirected through one fresh block `m` (`s → m → t`).
-    /// Returns `(m, t, S)`.
-    fn as_subdivision(&self, func: &Function) -> Option<(BlockId, BlockId, Vec<BlockId>)> {
-        if !self.removed_blocks.is_empty() || self.added_blocks.len() != 1 {
-            return None;
-        }
-        let m = self.added_blocks[0];
-        if !func.is_block_alive(m) || func.succs(m).len() != 1 {
-            return None;
-        }
-        let t = func.succs(m)[0];
-        // Expected additions: (m, t) plus (s, m) for each source.
-        let mut sources = Vec::new();
-        let mut saw_exit_edge = false;
-        for &(u, v) in &self.added_edges {
-            if (u, v) == (m, t) {
-                saw_exit_edge = true;
-            } else if v == m {
-                sources.push(u);
-            } else {
-                return None;
-            }
-        }
-        if !saw_exit_edge || sources.is_empty() {
-            return None;
-        }
-        sources.sort_unstable();
-        sources.dedup();
-        let mut removed: Vec<BlockId> = self
-            .removed_edges
-            .iter()
-            .map(|&(u, v)| if v == t { Some(u) } else { None })
-            .collect::<Option<Vec<_>>>()?;
-        removed.sort_unstable();
-        removed.dedup();
-        if removed != sources {
-            return None;
-        }
-        Some((m, t, sources))
     }
 }
 
@@ -963,187 +290,6 @@ impl PostDomTree {
             depth,
             virtual_exit,
         }
-    }
-
-    /// Incremental analogue of [`DomTree::try_update`] on the reversed
-    /// graph (virtual exit as the root): structurally-clean windows extend
-    /// in place, insertion-only batches re-converge seeded from the old
-    /// tree, and deletion-containing batches run the affected-subtree
-    /// recompute. The one shape the reversed graph cannot absorb locally is
-    /// a rewire of the virtual exit's own edges — a block gaining its first
-    /// or losing its last successor, a `ret` block joining or leaving the
-    /// reachable region — which anchors the update at the root and returns
-    /// `None` (the caller recomputes). A returned tree equals
-    /// `PostDomTree::new(func, cfg)` exactly.
-    pub fn try_update(
-        &self,
-        func: &Function,
-        cfg: &Cfg,
-        summary: &EditSummary,
-    ) -> Option<PostDomTree> {
-        let n = func.block_capacity();
-        let remap = |v: usize| if v == self.virtual_exit { n } else { v };
-        if summary.is_structurally_clean() {
-            if summary
-                .removed_blocks
-                .iter()
-                .any(|&b| self.depth.get(b.index()).copied() != Some(u32::MAX))
-            {
-                return None;
-            }
-            // Extend to the new capacity, moving the virtual exit from the
-            // old arena bound to the new one.
-            let mut idom = vec![None; n + 1];
-            let mut depth = vec![u32::MAX; n + 1];
-            for v in 0..self.idom.len() {
-                let tv = remap(v);
-                idom[tv] = self.idom[v].map(remap);
-                depth[tv] = self.depth[v];
-            }
-            for &b in &summary.removed_blocks {
-                idom[b.index()] = None;
-                depth[b.index()] = u32::MAX;
-            }
-            return Some(PostDomTree {
-                idom,
-                depth,
-                virtual_exit: n,
-            });
-        }
-        // A source whose successor count crossed zero gains or loses its
-        // virtual-exit edge: the root's own edges move — recompute.
-        let mut sources: Vec<BlockId> = summary
-            .added_edges
-            .iter()
-            .chain(&summary.removed_edges)
-            .map(|&(u, _)| u)
-            .collect();
-        sources.sort_unstable();
-        sources.dedup();
-        for &u in &sources {
-            let newly_added = summary.added_blocks.contains(&u);
-            let was_unreachable =
-                u.index() >= self.depth.len() || self.depth[u.index()] == u32::MAX;
-            // Tombstoned sources vanish from the graph wholesale (no exit
-            // edge appears); fresh or previously exit-less sources had no
-            // exit edge to lose. Either way the reachability-flip scan
-            // below owns any remaining root rewiring.
-            if newly_added || was_unreachable || !func.is_block_alive(u) {
-                continue;
-            }
-            let now_has = !func.succ_slice(u).is_empty();
-            if now_has != summary.had_out_edge_before(func, u) {
-                return None;
-            }
-        }
-        // A removed block with no prior out-edge was a `ret`: its
-        // virtual-exit edge vanishes with it.
-        for &b in &summary.removed_blocks {
-            let was_reachable = b.index() < self.depth.len() && self.depth[b.index()] != u32::MAX;
-            if was_reachable && !summary.had_out_edge_before(func, b) {
-                return None;
-            }
-        }
-        let (rev_preds, post) = build_reverse_graph(n, cfg);
-        if summary.removed_edges.is_empty() && summary.removed_blocks.is_empty() {
-            // A forward insertion is a reverse insertion too: re-converge
-            // seeded from the old tree.
-            let mut seed = vec![None; n + 1];
-            for v in 0..self.idom.len() {
-                seed[remap(v)] = self.idom[v].map(remap);
-            }
-            let idom = compute_idoms_seeded(n + 1, n, &rev_preds, &post, Some(&seed));
-            let depth = depths_in_order(&idom, n, post.iter().copied(), n + 1);
-            return Some(PostDomTree {
-                idom,
-                depth,
-                virtual_exit: n,
-            });
-        }
-        // Deletion-containing batch: affected-subtree recompute on the
-        // reversed graph. Old arrays move into the new slot space first
-        // (the virtual exit shifts to the new arena bound).
-        let mut old_idom = vec![None; n + 1];
-        let mut old_depth = vec![u32::MAX; n + 1];
-        for v in 0..self.idom.len() {
-            let tv = remap(v);
-            old_idom[tv] = self.idom[v].map(remap);
-            old_depth[tv] = self.depth[v];
-        }
-        let old_reach = |i: usize| old_depth[i] != u32::MAX;
-        let mut new_reach = vec![false; n + 1];
-        for &v in &post {
-            new_reach[v] = true;
-        }
-        let mut interesting: Vec<usize> = Vec::new();
-        for &(u, v) in summary.added_edges.iter().chain(&summary.removed_edges) {
-            for b in [u.index(), v.index()] {
-                if old_reach(b) {
-                    interesting.push(b);
-                }
-            }
-        }
-        for (i, &now) in new_reach.iter().take(n).enumerate() {
-            if now == old_reach(i) {
-                continue;
-            }
-            let b = BlockId::new(i);
-            // A ret block joining or leaving the reversed graph rewires
-            // the virtual exit itself.
-            if func.is_block_alive(b) && func.succ_slice(b).is_empty() {
-                return None;
-            }
-            if old_reach(i) {
-                interesting.push(i);
-            }
-            // Effective edge changes the journal never saw: a flipped
-            // node's reverse out-edges point at its forward predecessors,
-            // and — when the flip is the node joining or leaving the
-            // reversed graph wholesale (a *forward*-reachability flip) —
-            // its reverse in-edges arrive from its forward successors.
-            for &p in cfg.preds(b) {
-                if old_reach(p.index()) {
-                    interesting.push(p.index());
-                }
-            }
-            if func.is_block_alive(b) {
-                for &s in func.succ_slice(b) {
-                    if old_reach(s.index()) {
-                        interesting.push(s.index());
-                    }
-                }
-            }
-        }
-        let (idom, depth) = rebuild_affected_subtree(
-            n + 1,
-            n,
-            &old_idom,
-            &old_depth,
-            |b, visit| {
-                for &p in &rev_preds[b] {
-                    visit(p);
-                }
-            },
-            &post,
-            &mut interesting,
-        )?;
-        Some(PostDomTree {
-            idom,
-            depth,
-            virtual_exit: n,
-        })
-    }
-
-    /// Cheap viability pre-filter for [`PostDomTree::try_update`] — the
-    /// reversed-tree sibling of [`DomTree::absorb_viable`].
-    pub fn absorb_viable(&self, edits: &[CfgEdit]) -> bool {
-        viable_anchor_region(
-            &self.idom,
-            &self.depth,
-            self.virtual_exit,
-            self.virtual_exit,
-            edits,
-        )
     }
 
     /// The immediate post-dominator of `b`; `None` means the virtual exit

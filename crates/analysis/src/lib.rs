@@ -8,38 +8,33 @@
 //! * [`cfg`](mod@cfg) — predecessor/successor maps and reverse post-order,
 //! * [`dom`] — dominator & post-dominator trees (Cooper–Harvey–Kennedy),
 //!   dominance frontiers and iterated dominance frontiers,
-//! * [`loops`] — natural-loop detection and nesting depth,
 //! * [`divergence`] — SIMT divergence analysis in the style of
 //!   Karrenberg & Hack (data dependence from thread-id roots plus sync
 //!   dependence through divergent branches),
 //! * [`regions`] — SESE subgraph chains inside divergent regions
 //!   (Definitions 1–4 of the paper),
 //! * [`verify`] — full SSA verification (structure + dominance),
+//! * [`liveness`] — backward liveness and a register-pressure estimate,
 //! * [`manager`] — a memoizing [`AnalysisManager`] with reconcile-on-read
 //!   invalidation, the cache behind the `darm-pipeline` pass manager:
 //!   every cached entry revalidates against its own journal window at
-//!   query time, and every analysis — dominator/post-dominator trees,
-//!   [`Cfg`] (RPO splice below the edit window's anchor),
-//!   [`DivergenceAnalysis`] (changed-closure re-derivation) and
-//!   [`Liveness`] — has an in-place update path behind a profitability
-//!   gate, so no analysis is unconditionally dropped anymore.
+//!   query time and is either kept (clean window, or an instruction-only
+//!   window under a shape-only analysis) or dropped and recomputed.
 
 pub mod cfg;
 pub mod divergence;
 pub mod dom;
 pub mod dot;
 pub mod liveness;
-pub mod loops;
 pub mod manager;
 pub mod regions;
 pub mod verify;
 
 pub use cfg::Cfg;
 pub use divergence::DivergenceAnalysis;
-pub use dom::{DomTree, EditSummary, PostDomTree};
+pub use dom::{DomTree, PostDomTree};
 pub use dot::to_dot;
 pub use liveness::{max_pressure, InstSet, Liveness};
-pub use loops::LoopInfo;
 pub use manager::{Analysis, AnalysisCounters, AnalysisManager, PreservedAnalyses};
 pub use regions::{sese_chain, SeseSubgraph};
 pub use verify::verify_ssa;

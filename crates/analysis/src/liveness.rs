@@ -127,18 +127,10 @@ impl InstSet {
 }
 
 /// Live-in/live-out sets per block, over instruction results.
-///
-/// The per-block transfer sets (upward-exposed uses, φ-attributed uses,
-/// definitions) are retained alongside the solution, so an
-/// instruction-only mutation window can be folded in by rescanning just
-/// the dirty blocks ([`Liveness::updated`]) instead of the whole function.
 #[derive(Debug, Clone)]
 pub struct Liveness {
     live_in: Vec<InstSet>,
     live_out: Vec<InstSet>,
-    ue_uses: Vec<InstSet>,
-    phi_out_uses: Vec<InstSet>,
-    defs: Vec<InstSet>,
 }
 
 impl Liveness {
@@ -151,130 +143,42 @@ impl Liveness {
         Liveness::with_cfg(func, &Cfg::new(func))
     }
 
-    /// [`Liveness::new`] against a caller-provided CFG snapshot (e.g. from
-    /// an [`AnalysisManager`](crate::manager::AnalysisManager)).
+    /// [`Liveness::new`] against a caller-provided CFG snapshot.
     pub fn with_cfg(func: &Function, cfg: &Cfg) -> Liveness {
         let n = func.block_capacity();
-        let cap = func.inst_capacity();
-        let empty = InstSet::with_capacity(cap);
+        let empty = InstSet::with_capacity(func.inst_capacity());
 
         // Upward-exposed uses and defs per block; φ operand uses are
         // attributed to the end of the incoming predecessor.
         let mut ue_uses = vec![empty.clone(); n];
         let mut phi_out_uses = vec![empty.clone(); n];
-        let mut defs = vec![empty; n];
+        let mut defs = vec![empty.clone(); n];
         for &b in cfg.rpo() {
             scan_block(func, b, &mut ue_uses, &mut phi_out_uses, &mut defs);
         }
-        let mut live = Liveness {
-            live_in: Vec::new(),
-            live_out: Vec::new(),
-            ue_uses,
-            phi_out_uses,
-            defs,
-        };
-        live.solve(cfg, cap);
-        live
-    }
-
-    /// Re-solves the dataflow fixpoint from the current transfer sets.
-    fn solve(&mut self, cfg: &Cfg, inst_cap: usize) {
-        let n = self.ue_uses.len();
-        let empty = InstSet::with_capacity(inst_cap);
-        self.live_in = vec![empty.clone(); n];
-        self.live_out = vec![empty; n];
+        let mut live_in = vec![empty.clone(); n];
+        let mut live_out = vec![empty; n];
         let mut changed = true;
         while changed {
             changed = false;
             for &b in cfg.rpo().iter().rev() {
                 // live-out = φ-attributed uses ∪ union of successors' live-in.
-                let mut out = self.phi_out_uses[b.index()].clone();
+                let mut out = phi_out_uses[b.index()].clone();
                 for &s in cfg.succs(b) {
-                    out.union_with(&self.live_in[s.index()]);
+                    out.union_with(&live_in[s.index()]);
                 }
                 // live-in = (live-out − defs) ∪ upward-exposed uses.
                 let mut inn = out.clone();
-                inn.subtract(&self.defs[b.index()]);
-                inn.union_with(&self.ue_uses[b.index()]);
-                if inn != self.live_in[b.index()] || out != self.live_out[b.index()] {
-                    self.live_in[b.index()] = inn;
-                    self.live_out[b.index()] = out;
+                inn.subtract(&defs[b.index()]);
+                inn.union_with(&ue_uses[b.index()]);
+                if inn != live_in[b.index()] || out != live_out[b.index()] {
+                    live_in[b.index()] = inn;
+                    live_out[b.index()] = out;
                     changed = true;
                 }
             }
         }
-    }
-
-    /// Folds an *instruction-only* mutation window into the solution: the
-    /// transfer sets of the dirty blocks (and the φ-attribution rows of
-    /// their predecessors) are rescanned, everything else is reused, and
-    /// the fixpoint re-solves on the word-parallel bitsets. The result
-    /// equals a fresh [`Liveness::with_cfg`] on the mutated function —
-    /// callers guarantee the block graph is unchanged (`cfg` still valid).
-    pub fn updated(&self, func: &Function, cfg: &Cfg, dirty: &darm_ir::BlockSet) -> Liveness {
-        let cap = func.inst_capacity();
-        let empty = InstSet::with_capacity(cap);
-        let mut next = self.clone();
-        // Rows needing a rescan: dirty blocks for uses/defs, plus any block
-        // with a dirty successor for the φ-attributed uses (φs in the dirty
-        // successor attribute uses to the predecessor's exit).
-        let mut rescan: Vec<BlockId> = dirty.iter().filter(|&b| func.is_block_alive(b)).collect();
-        for b in dirty.iter() {
-            if !func.is_block_alive(b) {
-                continue;
-            }
-            for &p in cfg.preds(b) {
-                rescan.push(p);
-            }
-        }
-        rescan.sort_unstable();
-        rescan.dedup();
-        for &b in &rescan {
-            next.ue_uses[b.index()] = empty.clone();
-            next.phi_out_uses[b.index()] = empty.clone();
-            next.defs[b.index()] = empty.clone();
-        }
-        // A rescanned block rebuilds its own use/def rows; its successors'
-        // φs rebuild the φ-attribution row. Scanning a block writes only
-        // its own ue/defs rows and φ-rows of predecessors, so scanning the
-        // rescan set plus the φ-contributions of dirty-block successors
-        // reconstructs every cleared row exactly.
-        let mut scanned = vec![false; func.block_capacity()];
-        for &b in &rescan {
-            scanned[b.index()] = true;
-            scan_block(
-                func,
-                b,
-                &mut next.ue_uses,
-                &mut next.phi_out_uses,
-                &mut next.defs,
-            );
-        }
-        // φ-rows of rescanned blocks also receive contributions from clean
-        // successors; rebuild those contributions without touching the
-        // clean blocks' own rows.
-        for &b in &rescan {
-            for &s in cfg.succs(b) {
-                if scanned[s.index()] {
-                    continue;
-                }
-                for &id in func.insts_of(s) {
-                    let inst = func.inst(id);
-                    if inst.opcode != Opcode::Phi {
-                        break;
-                    }
-                    for (pred, v) in inst.phi_incoming() {
-                        if pred == b {
-                            if let Value::Inst(d) = v {
-                                next.phi_out_uses[b.index()].insert(d);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        next.solve(cfg, cap);
-        next
+        Liveness { live_in, live_out }
     }
 
     /// Values live on entry to `b`.

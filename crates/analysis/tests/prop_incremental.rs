@@ -1,18 +1,22 @@
-//! Property-based equivalence of incremental analysis maintenance against
-//! fresh recomputation: random CFGs undergo random sequences of the
-//! meld-shaped edits (split edge, redirect branch, widen a jump into a
-//! branch, collapse a branch into a jump, merge a block into its only
-//! predecessor), and after every batch the
-//! incrementally maintained dominator/post-dominator trees, the journal-
-//! driven `AnalysisManager::update_after` cache state, and the divergence
-//! and liveness results must equal from-scratch computations.
+//! The one property the analysis cache owes its callers: after any
+//! sequence of journaled mutations, every `AnalysisManager::get` answers
+//! exactly as a cold cache would.
+//!
+//! Random CFGs undergo random batches of the meld-shaped edits (split
+//! edge, redirect branch, widen a jump into a branch, collapse a branch
+//! into a jump, merge a block into its only predecessor, tombstone an
+//! unreachable block) interleaved with instruction-only batches, with and
+//! without a pass report vouching `cfg_shape()` across the latter, and
+//! with queries skipped at random so entries carry windows of different
+//! ages. How the manager gets there (keep or recompute) is its business.
 
 use darm_analysis::{
-    AnalysisManager, Cfg, DivergenceAnalysis, DomTree, EditSummary, Liveness, PostDomTree,
+    AnalysisManager, Cfg, DivergenceAnalysis, DomTree, PostDomTree, PreservedAnalyses,
 };
 use darm_ir::builder::FunctionBuilder;
 use darm_ir::{BlockId, Dim, Function, IcmpPred, InstData, Opcode, Type, Value};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 /// Builds a random structured CFG from a byte script: `n` blocks in arena
 /// order, each ending in a jump or a (possibly divergent) conditional
@@ -160,6 +164,44 @@ fn apply_edit(f: &mut Function, op: u8, x: u8, y: u8) {
     }
 }
 
+/// An instruction-only edit: a plain value before some block's terminator,
+/// occasionally removed again (use-count churn), occasionally swapped in
+/// for the block's branch condition (`rauw` journals no block-graph event)
+/// so divergence can move without the shape.
+fn apply_inst_edit(f: &mut Function, op: u8, x: u8) {
+    let blocks = f.block_ids();
+    let b = blocks[x as usize % blocks.len()];
+    let Some(term) = f.terminator(b) else { return };
+    let lhs = if op.is_multiple_of(2) {
+        Value::Inst(f.insert_inst_before(
+            term,
+            InstData::new(Opcode::ThreadIdx(Dim::X), Type::I32, vec![]),
+        ))
+    } else {
+        Value::Param(0)
+    };
+    let v = f.insert_inst_before(
+        term,
+        InstData::new(Opcode::Add, Type::I32, vec![lhs, Value::I32(x as i32)]),
+    );
+    match op % 3 {
+        0 => f.remove_inst(v),
+        1 if f.inst(term).opcode == Opcode::Br => {
+            let cond = f.insert_inst_before(
+                term,
+                InstData::new(
+                    Opcode::Icmp(IcmpPred::Slt),
+                    Type::I1,
+                    vec![Value::Inst(v), Value::I32(7)],
+                ),
+            );
+            let old = f.inst(term).operands[0];
+            f.rauw(old, Value::Inst(cond));
+        }
+        _ => {}
+    }
+}
+
 fn assert_dom_eq(fresh: &DomTree, got: &DomTree, f: &Function, what: &str) {
     for i in 0..f.block_capacity() {
         let b = BlockId::new(i);
@@ -190,125 +232,7 @@ fn assert_pdt_eq(fresh: &PostDomTree, got: &PostDomTree, f: &Function, what: &st
     }
 }
 
-/// Regression: rewriting a `ret` block into a duplicate-target branch
-/// (`br c, X, X`) deletes the block's virtual-exit edge in the reversed
-/// graph. The insertion-only fast path must detect that as a reverse
-/// deletion (existence-level, not successor-count arithmetic) and fall
-/// back, keeping the updated post-dominator tree equal to a fresh one.
-#[test]
-fn ret_to_duplicate_branch_is_a_reverse_deletion() {
-    let mut f = Function::new("r", vec![Type::I32], Type::Void);
-    let entry = f.entry();
-    let a = f.add_block("a");
-    let b = f.add_block("b");
-    let mut fb = FunctionBuilder::new(&mut f, entry);
-    fb.jump(a);
-    fb.switch_to(a);
-    let c = fb.icmp(IcmpPred::Slt, Value::Param(0), Value::I32(0));
-    fb.br(c, b, entry);
-    fb.switch_to(b);
-    fb.ret(None);
-
-    let mut am = AnalysisManager::new();
-    am.observe(&f);
-    am.get::<PostDomTree>(&f);
-    // Rewrite the ret into `br c2, entry, entry`: the window records only
-    // insertions at the pair level, but b loses its virtual-exit edge.
-    let term = f.terminator(b).unwrap();
-    f.remove_inst(term);
-    let c2 = f.add_inst(
-        b,
-        InstData::new(
-            Opcode::Icmp(IcmpPred::Slt),
-            Type::I1,
-            vec![Value::Param(0), Value::I32(1)],
-        ),
-    );
-    f.add_inst(
-        b,
-        InstData::terminator(Opcode::Br, vec![Value::Inst(c2)], vec![entry, entry]),
-    );
-    am.update_after(&f);
-    let got = am.get::<PostDomTree>(&f);
-    let fresh = PostDomTree::new(&f, &Cfg::new(&f));
-    assert_pdt_eq(&fresh, &got, &f, "ret-to-branch");
-}
-
-/// Pinned regression for the *back-edge-covered deletion* case: a deleted
-/// edge `(b, v)` whose target keeps a forward entry through `c` and a back
-/// edge from `w` — the remaining-predecessor analysis must not mistake the
-/// back edge for an entry path, and the affected-subtree rebuild must land
-/// (not fall back to recompute) with an exact result on both trees. The
-/// side chain `q1..q5` keeps the anchor's subtree under half the function
-/// so the profitability gate admits the update.
-#[test]
-fn back_edge_covered_deletion_updates_in_place() {
-    let mut f = Function::new("bee", vec![Type::I32], Type::Void);
-    let entry = f.entry();
-    let p = f.add_block("p");
-    let b = f.add_block("b");
-    let c = f.add_block("c");
-    let v = f.add_block("v");
-    let w = f.add_block("w");
-    let x = f.add_block("x");
-    let qs: Vec<BlockId> = (1..=5).map(|i| f.add_block(&format!("q{i}"))).collect();
-    let mut fb = FunctionBuilder::new(&mut f, entry);
-    let c0 = fb.icmp(IcmpPred::Slt, Value::Param(0), Value::I32(0));
-    fb.br(c0, p, qs[0]);
-    fb.switch_to(p);
-    let c1 = fb.icmp(IcmpPred::Slt, Value::Param(0), Value::I32(1));
-    fb.br(c1, b, c);
-    fb.switch_to(b);
-    fb.jump(v);
-    fb.switch_to(c);
-    fb.jump(v);
-    fb.switch_to(v);
-    fb.jump(w);
-    fb.switch_to(w);
-    let c2 = fb.icmp(IcmpPred::Slt, Value::Param(0), Value::I32(2));
-    fb.br(c2, v, x); // back edge w → v
-    fb.switch_to(x);
-    fb.ret(None);
-    for (i, &q) in qs.iter().enumerate() {
-        fb.switch_to(q);
-        match qs.get(i + 1) {
-            Some(&next) => fb.jump(next),
-            None => fb.ret(None),
-        }
-    }
-
-    let cfg0 = Cfg::new(&f);
-    let dom = DomTree::new(&f, &cfg0);
-    let pdt = PostDomTree::new(&f, &cfg0);
-    let cursor = f.journal_head();
-    // The deletion: collapse p's branch so only the c arm feeds v; b
-    // becomes unreachable and v keeps {c, w-back-edge} as predecessors.
-    let term = f.terminator(p).unwrap();
-    f.remove_inst(term);
-    f.add_inst(
-        p,
-        InstData::terminator(darm_ir::Opcode::Jump, vec![], vec![c]),
-    );
-    let delta = f.dirty_since(cursor);
-    let summary = EditSummary::normalize(&f, &delta.edits);
-    assert!(
-        summary.has_deletions(),
-        "the window must net-delete an edge"
-    );
-    let cfg = Cfg::new(&f);
-    let fresh_dom = DomTree::new(&f, &cfg);
-    let fresh_pdt = PostDomTree::new(&f, &cfg);
-    let up_dom = dom
-        .try_update(&f, &cfg, &summary)
-        .expect("deletion batch with a deep anchor must update in place");
-    assert_dom_eq(&fresh_dom, &up_dom, &f, "pinned domtree");
-    let up_pdt = pdt
-        .try_update(&f, &cfg, &summary)
-        .expect("reversed-graph deletion batch must update in place");
-    assert_pdt_eq(&fresh_pdt, &up_pdt, &f, "pinned postdomtree");
-}
-
-/// Bit-identity of a patched [`Cfg`] against a fresh build: preds, succs,
+/// Equality of a cached [`Cfg`] with a fresh build: preds, succs,
 /// RPO order, RPO indices and reachability.
 fn assert_cfg_eq(fresh: &Cfg, got: &Cfg, f: &Function, what: &str) {
     assert_eq!(fresh.rpo(), got.rpo(), "{what}: RPO order differs");
@@ -331,377 +255,94 @@ fn assert_cfg_eq(fresh: &Cfg, got: &Cfg, f: &Function, what: &str) {
     }
 }
 
-/// Pinned regression for the RPO-splice-at-anchor case: swapping a deep
-/// branch's successor order nets to *zero* edge changes at the normalized
-/// multiset level, yet reorders the DFS below the branch — exactly why
-/// [`Cfg::try_update`] consumes the raw journal events. The side chain
-/// keeps the anchor's subtree under half the reachable blocks so the
-/// splice is admitted, and the result must be bit-identical to a fresh
-/// build.
-#[test]
-fn rpo_splice_handles_successor_order_swap() {
-    let mut f = Function::new("swap", vec![Type::I32], Type::Void);
-    let entry = f.entry();
-    let a = f.add_block("a");
-    let b = f.add_block("b");
-    let c = f.add_block("c");
-    let d = f.add_block("d");
-    let qs: Vec<BlockId> = (1..=5).map(|i| f.add_block(&format!("q{i}"))).collect();
-    let mut fb = FunctionBuilder::new(&mut f, entry);
-    let c0 = fb.icmp(IcmpPred::Slt, Value::Param(0), Value::I32(0));
-    fb.br(c0, a, qs[0]);
-    fb.switch_to(a);
-    let c1 = fb.icmp(IcmpPred::Slt, Value::Param(0), Value::I32(1));
-    fb.br(c1, b, c);
-    fb.switch_to(b);
-    fb.jump(d);
-    fb.switch_to(c);
-    // Second path into b, so the branch collapse below keeps it reachable
-    // (a block falling unreachable with a retained predecessor is one of
-    // the shapes the splice rightly declines).
-    let c3 = fb.icmp(IcmpPred::Slt, Value::Param(0), Value::I32(3));
-    fb.br(c3, b, d);
-    fb.switch_to(d);
-    fb.ret(None);
-    for (i, &q) in qs.iter().enumerate() {
-        fb.switch_to(q);
-        match qs.get(i + 1) {
-            Some(&next) => fb.jump(next),
-            None => fb.ret(None),
+/// Every analysis the manager serves, queried through `am`, against a
+/// from-scratch compute on the same function state. `mask` selects which
+/// are queried (bit 0 `Cfg`, 1 `DomTree`, 2 `PostDomTree`, 3 divergence),
+/// so the others keep an older, longer window for a later batch.
+fn assert_manager_matches_cold(am: &mut AnalysisManager, f: &Function, mask: u8, what: &str) {
+    let cold_cfg = Cfg::new(f);
+    if mask & 1 != 0 {
+        assert_cfg_eq(&cold_cfg, &am.get::<Cfg>(f), f, what);
+    }
+    if mask & 2 != 0 {
+        assert_dom_eq(&DomTree::new(f, &cold_cfg), &am.get::<DomTree>(f), f, what);
+    }
+    if mask & 4 != 0 {
+        let cold = PostDomTree::new(f, &cold_cfg);
+        assert_pdt_eq(&cold, &am.get::<PostDomTree>(f), f, what);
+    }
+    if mask & 8 != 0 {
+        let (da, cold) = (am.get::<DivergenceAnalysis>(f), DivergenceAnalysis::new(f));
+        for i in 0..f.block_capacity() {
+            let b = BlockId::new(i);
+            assert_eq!(
+                da.is_divergent_branch(b),
+                cold.is_divergent_branch(b),
+                "{what}: branch {i}"
+            );
+        }
+        for i in 0..f.inst_capacity() {
+            let id = darm_ir::InstId::new(i);
+            assert_eq!(
+                da.is_inst_divergent(id),
+                cold.is_inst_divergent(id),
+                "{what}: inst {i}"
+            );
         }
     }
-
-    let cfg = Cfg::new(&f);
-    let cursor = f.journal_head();
-    // Swap a's targets: `br c1, b, c` → `br c2, c, b`.
-    let term = f.terminator(a).unwrap();
-    f.remove_inst(term);
-    let c2 = f.add_inst(
-        a,
-        InstData::new(
-            Opcode::Icmp(IcmpPred::Slt),
-            Type::I1,
-            vec![Value::Param(0), Value::I32(2)],
-        ),
-    );
-    f.add_inst(
-        a,
-        InstData::terminator(Opcode::Br, vec![Value::Inst(c2)], vec![c, b]),
-    );
-    let mut edits = Vec::new();
-    assert!(f.cfg_edits_since(cursor, &mut edits));
-    let patched = cfg
-        .try_update(&f, &edits)
-        .expect("deep successor-order swap must splice, not rebuild");
-    assert_cfg_eq(&Cfg::new(&f), &patched, &f, "succ-order swap");
-
-    // And the deletion-containing shape on the same graph: collapse a's
-    // branch to a jump, dropping the b arm below the anchor.
-    let cfg = patched;
-    let cursor = f.journal_head();
-    let term = f.terminator(a).unwrap();
-    f.remove_inst(term);
-    f.add_inst(a, InstData::terminator(Opcode::Jump, vec![], vec![c]));
-    edits.clear();
-    assert!(f.cfg_edits_since(cursor, &mut edits));
-    let patched = cfg
-        .try_update(&f, &edits)
-        .expect("deep branch collapse must splice, not rebuild");
-    assert_cfg_eq(&Cfg::new(&f), &patched, &f, "branch collapse");
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// A patched `Cfg` (`try_update` over the raw journal events), when the
-    /// splice is admitted, is bit-identical to a fresh build — preds,
-    /// succs, RPO order and reachability — under batched meld-shaped edit
-    /// windows including deletions.
+    /// The property of the module docs. A batch whose `kind` is even is
+    /// instruction-only; with `vouch` set, a pass report then vouches
+    /// `cfg_shape()` across it, as the pipeline does after such a pass.
     #[test]
-    fn patched_cfg_equals_fresh_under_batches(
+    fn manager_equals_cold_cache_under_edit_batches(
         script in proptest::collection::vec(any::<u8>(), 6..36),
         batches in proptest::collection::vec(
-            proptest::collection::vec((any::<u8>(), any::<u8>(), any::<u8>()), 1..6),
-            1..5,
+            (
+                any::<u8>(),
+                proptest::collection::vec((any::<u8>(), any::<u8>(), any::<u8>()), 1..6),
+                any::<u8>(),
+            ),
+            1..6,
         ),
-    ) {
-        let mut f = build_cfg(&script);
-        let mut cfg = Cfg::new(&f);
-        let mut edits = Vec::new();
-        for batch in &batches {
-            let cursor = f.journal_head();
-            for &(op, x, y) in batch {
-                apply_edit(&mut f, op, x, y);
-            }
-            edits.clear();
-            prop_assert!(f.cfg_edits_since(cursor, &mut edits));
-            let fresh = Cfg::new(&f);
-            if let Some(patched) = cfg.try_update(&f, &edits) {
-                assert_cfg_eq(&fresh, &patched, &f, "batched cfg");
-            }
-            cfg = fresh;
-        }
-    }
-
-    /// `DivergenceAnalysis::refresh_window`, when it accepts a window, is
-    /// bit-identical to a fresh recompute — under batched meld-shaped edit
-    /// windows including deletions, driven directly (below the manager's
-    /// profitability gates, which on functions this small would simply
-    /// always choose the recompute).
-    #[test]
-    fn incremental_divergence_equals_fresh_under_batches(
-        script in proptest::collection::vec(any::<u8>(), 6..36),
-        batches in proptest::collection::vec(
-            proptest::collection::vec((any::<u8>(), any::<u8>(), any::<u8>()), 1..4),
-            1..5,
-        ),
-    ) {
-        let mut f = build_cfg(&script);
-        let cfg0 = Cfg::new(&f);
-        let dt0 = DomTree::new(&f, &cfg0);
-        let pdt0 = PostDomTree::new(&f, &cfg0);
-        let mut da = DivergenceAnalysis::run_with_pdt(&f, &cfg0, &dt0, &pdt0);
-        for batch in &batches {
-            let cursor = f.journal_head();
-            for &(op, x, y) in batch {
-                apply_edit(&mut f, op, x, y);
-            }
-            let mut touched = Vec::new();
-            prop_assert!(f.insts_touched_since(cursor, |id| touched.push(id)));
-            touched.sort_unstable();
-            touched.dedup();
-            let mut shape_edits = Vec::new();
-            prop_assert!(f.cfg_edits_since(cursor, &mut shape_edits));
-            let cfg = Cfg::new(&f);
-            let dt = DomTree::new(&f, &cfg);
-            let pdt = PostDomTree::new(&f, &cfg);
-            let fresh = DivergenceAnalysis::run_with_pdt(&f, &cfg, &dt, &pdt);
-            if let Some(refreshed) =
-                da.refresh_window(&f, &cfg, &dt, &pdt, &touched, !shape_edits.is_empty())
-            {
-                for i in 0..f.inst_capacity() {
-                    let id = darm_ir::InstId::new(i);
-                    prop_assert_eq!(
-                        refreshed.is_inst_divergent(id),
-                        fresh.is_inst_divergent(id),
-                        "divergence bit differs at inst {}", i
-                    );
-                }
-                for i in 0..f.block_capacity() {
-                    let b = BlockId::new(i);
-                    prop_assert_eq!(
-                        refreshed.is_divergent_branch(b),
-                        fresh.is_divergent_branch(b),
-                        "divergent-branch flag differs at block {}", i
-                    );
-                }
-            }
-            da = fresh;
-        }
-    }
-
-    /// `DomTree::try_update` / `PostDomTree::try_update`, when they accept
-    /// an edit batch, produce exactly the trees a fresh computation
-    /// produces.
-    #[test]
-    fn incremental_trees_equal_fresh(
-        script in proptest::collection::vec(any::<u8>(), 6..36),
-        edits in proptest::collection::vec((any::<u8>(), any::<u8>(), any::<u8>()), 1..8),
-    ) {
-        let mut f = build_cfg(&script);
-        let cfg0 = Cfg::new(&f);
-        let mut dom = DomTree::new(&f, &cfg0);
-        let mut pdt = PostDomTree::new(&f, &cfg0);
-        for &(op, x, y) in &edits {
-            let cursor = f.journal_head();
-            let cap_before = f.block_capacity();
-            let pre = std::env::var_os("PROP_DEBUG").map(|_| f.to_string());
-            apply_edit(&mut f, op, x, y);
-            let delta = f.dirty_since(cursor);
-            let cfg = Cfg::new(&f);
-            let fresh_dom = DomTree::new(&f, &cfg);
-            let fresh_pdt = PostDomTree::new(&f, &cfg);
-            let summary = EditSummary::normalize(&f, &delta.edits);
-            if let Some(updated) = dom.try_update(&f, &cfg, &summary) {
-                if std::env::var_os("PROP_DEBUG").is_some() {
-                    let bad = (0..f.block_capacity())
-                        .any(|i| fresh_dom.idom(BlockId::new(i)) != updated.idom(BlockId::new(i)));
-                    if bad {
-                        eprintln!("script={script:?}\nedit=({op},{x},{y})\nsummary={summary:?}\nfn:\n{f}");
-                        eprintln!("pre-edit fn:\n{}", pre.as_deref().unwrap_or(""));
-                        for i in 0..f.block_capacity() {
-                            let b = BlockId::new(i);
-                            eprintln!(
-                                "  idom({i}): old={:?} fresh={:?} updated={:?}",
-                                dom.idom(b),
-                                fresh_dom.idom(b),
-                                updated.idom(b)
-                            );
-                        }
-                    }
-                }
-                assert_dom_eq(&fresh_dom, &updated, &f, "domtree");
-                // The changed-set must cover every block whose idom moved
-                // (new blocks count as moved).
-                let changed = DomTree::changed_from(&dom, &fresh_dom, &cfg);
-                for &b in cfg.rpo() {
-                    if b.index() >= cap_before || dom.idom(b) != fresh_dom.idom(b) {
-                        prop_assert!(changed[b.index()], "changed_from missed {b:?}");
-                    }
-                }
-            }
-            if let Some(updated) = pdt.try_update(&f, &cfg, &summary) {
-                if std::env::var_os("PROP_DEBUG").is_some() {
-                    let bad = (0..f.block_capacity())
-                        .any(|i| fresh_pdt.ipdom(BlockId::new(i)) != updated.ipdom(BlockId::new(i)));
-                    if bad {
-                        eprintln!("script={script:?}\nedit=({op},{x},{y})\nsummary={summary:?}\nfn:\n{f}");
-                    }
-                }
-                assert_pdt_eq(&fresh_pdt, &updated, &f, "postdomtree");
-            }
-            dom = fresh_dom;
-            pdt = fresh_pdt;
-        }
-    }
-
-    /// Meld surgery arrives as *batches*: several blocks unlinked, branches
-    /// collapsed, landing pads split and unreachable remnants tombstoned
-    /// between two analysis queries. When `try_update` accepts such a
-    /// deletion-containing window it must produce exactly the trees a
-    /// fresh computation produces.
-    #[test]
-    fn incremental_trees_equal_fresh_under_batched_deletions(
-        script in proptest::collection::vec(any::<u8>(), 6..36),
-        batches in proptest::collection::vec(
-            proptest::collection::vec((any::<u8>(), any::<u8>(), any::<u8>()), 2..7),
-            1..5,
-        ),
-    ) {
-        let mut f = build_cfg(&script);
-        let cfg0 = Cfg::new(&f);
-        let mut dom = DomTree::new(&f, &cfg0);
-        let mut pdt = PostDomTree::new(&f, &cfg0);
-        for batch in &batches {
-            let cursor = f.journal_head();
-            for &(op, x, y) in batch {
-                apply_edit(&mut f, op, x, y);
-            }
-            let delta = f.dirty_since(cursor);
-            let cfg = Cfg::new(&f);
-            let fresh_dom = DomTree::new(&f, &cfg);
-            let fresh_pdt = PostDomTree::new(&f, &cfg);
-            let summary = EditSummary::normalize(&f, &delta.edits);
-            if let Some(updated) = dom.try_update(&f, &cfg, &summary) {
-                assert_dom_eq(&fresh_dom, &updated, &f, "batched domtree");
-            }
-            if let Some(updated) = pdt.try_update(&f, &cfg, &summary) {
-                if std::env::var_os("PROP_DEBUG").is_some() {
-                    let bad = (0..f.block_capacity())
-                        .any(|i| fresh_pdt.ipdom(BlockId::new(i)) != updated.ipdom(BlockId::new(i)));
-                    if bad {
-                        eprintln!("script={script:?}\nbatch={batch:?}\nsummary={summary:?}\nfn:\n{f}");
-                    }
-                }
-                assert_pdt_eq(&fresh_pdt, &updated, &f, "batched postdomtree");
-            }
-            dom = fresh_dom;
-            pdt = fresh_pdt;
-        }
-    }
-
-    /// The journal-driven `AnalysisManager::update_after` leaves the cache
-    /// in a state where every query answers exactly as a cold manager
-    /// would — across dominator, post-dominator, divergence and liveness
-    /// queries, after every edit batch.
-    #[test]
-    fn manager_update_after_equals_cold_cache(
-        script in proptest::collection::vec(any::<u8>(), 6..36),
-        edits in proptest::collection::vec((any::<u8>(), any::<u8>(), any::<u8>()), 1..6),
+        vouch in any::<bool>(),
     ) {
         let mut f = build_cfg(&script);
         let mut am = AnalysisManager::new();
-        am.observe(&f);
-        // Warm everything.
-        am.get::<DivergenceAnalysis>(&f);
-        am.get::<Liveness>(&f);
-        for &(op, x, y) in &edits {
-            apply_edit(&mut f, op, x, y);
-            am.update_after(&f);
-            let dom = am.get::<DomTree>(&f);
-            let pdt = am.get::<PostDomTree>(&f);
-            let da = am.get::<DivergenceAnalysis>(&f);
-            let live = am.get::<Liveness>(&f);
-            let cfg = Cfg::new(&f);
-            let fresh_dom = DomTree::new(&f, &cfg);
-            let fresh_pdt = PostDomTree::new(&f, &cfg);
-            let fresh_da = DivergenceAnalysis::new(&f);
-            let fresh_live = Liveness::new(&f);
-            assert_dom_eq(&fresh_dom, &dom, &f, "manager domtree");
-            assert_pdt_eq(&fresh_pdt, &pdt, &f, "manager postdomtree");
-            for b in f.block_ids() {
-                prop_assert_eq!(
-                    da.is_divergent_branch(b),
-                    fresh_da.is_divergent_branch(b),
-                    "divergent branch flag differs at {:?}", b
+        assert_manager_matches_cold(&mut am, &f, 0xf, "warm-up");
+        for (kind, batch, mask) in &batches {
+            let insts_only = kind.is_multiple_of(2);
+            let pass_start = f.journal_head();
+            let shape_before = am.get::<DomTree>(&f);
+            for &(op, x, y) in batch {
+                if insts_only {
+                    apply_inst_edit(&mut f, op, x);
+                } else {
+                    apply_edit(&mut f, op, x, y);
+                }
+            }
+            if insts_only && vouch {
+                am.update_after_with_report(&f, &PreservedAnalyses::cfg_shape(), pass_start);
+            }
+            if insts_only {
+                prop_assert!(
+                    Arc::ptr_eq(&shape_before, &am.get::<DomTree>(&f)),
+                    "an instruction-only window keeps the dominator tree"
                 );
-                prop_assert_eq!(live.live_in(b), fresh_live.live_in(b));
-                prop_assert_eq!(live.live_out(b), fresh_live.live_out(b));
-                for &id in f.insts_of(b) {
-                    prop_assert_eq!(
-                        da.is_inst_divergent(id),
-                        fresh_da.is_inst_divergent(id),
-                        "divergence differs at {:?}", id
-                    );
-                }
             }
+            assert_manager_matches_cold(&mut am, &f, *mask, "after batch");
         }
+        assert_manager_matches_cold(&mut am, &f, 0xf, "at the end");
     }
 
-    /// Instruction-only windows preserve the shape analyses and re-seed
-    /// liveness exactly: inserting and removing plain instructions must
-    /// leave the updated liveness equal to a fresh computation.
-    #[test]
-    fn inst_only_liveness_update_equals_fresh(
-        script in proptest::collection::vec(any::<u8>(), 6..30),
-        picks in proptest::collection::vec(any::<u8>(), 1..6),
-    ) {
-        let mut f = build_cfg(&script);
-        let mut am = AnalysisManager::new();
-        am.observe(&f);
-        am.get::<Liveness>(&f);
-        let dom_before = am.get::<DomTree>(&f);
-        for &p in &picks {
-            let blocks = f.block_ids();
-            let b = blocks[p as usize % blocks.len()];
-            let Some(term) = f.terminator(b) else { continue };
-            // Insert a value before the terminator; occasionally remove it
-            // again (use-count churn without shape changes).
-            let v = f.insert_inst_before(
-                term,
-                InstData::new(Opcode::Add, Type::I32, vec![Value::Param(0), Value::I32(p as i32)]),
-            );
-            if p % 3 == 0 {
-                f.remove_inst(v);
-            }
-        }
-        am.update_after(&f);
-        assert!(
-            std::sync::Arc::ptr_eq(&dom_before, &am.get::<DomTree>(&f)),
-            "instruction-only window must keep the dominator tree"
-        );
-        let live = am.get::<Liveness>(&f);
-        let fresh = Liveness::new(&f);
-        for b in f.block_ids() {
-            prop_assert_eq!(live.live_in(b), fresh.live_in(b));
-            prop_assert_eq!(live.live_out(b), fresh.live_out(b));
-        }
-    }
     /// `split_block_at` and `merge_block_into` are inverses: splitting any
     /// block anywhere and merging the halves back restores the printed IR
     /// and every instruction id, allocating nothing — and at both steps the
-    /// journal-reconciled `Cfg`, dominator trees and divergence answer
-    /// exactly as fresh computations do.
+    /// manager answers exactly as a cold cache does.
     #[test]
     fn split_then_merge_round_trips_ir_and_analyses(
         script in proptest::collection::vec(any::<u8>(), 6..36),
@@ -709,21 +350,7 @@ proptest! {
     ) {
         let mut f = build_cfg(&script);
         let mut am = AnalysisManager::new();
-        am.observe(&f);
         am.get::<DivergenceAnalysis>(&f);
-        let assert_manager_matches_fresh = |am: &mut AnalysisManager, f: &Function, what: &str| {
-            let fresh_cfg = Cfg::new(f);
-            assert_cfg_eq(&fresh_cfg, &am.get::<Cfg>(f), f, what);
-            assert_dom_eq(&DomTree::new(f, &fresh_cfg), &am.get::<DomTree>(f), f, what);
-            assert_pdt_eq(&PostDomTree::new(f, &fresh_cfg), &am.get::<PostDomTree>(f), f, what);
-            let (da, fresh_da) = (am.get::<DivergenceAnalysis>(f), DivergenceAnalysis::new(f));
-            for b in f.block_ids() {
-                assert_eq!(da.is_divergent_branch(b), fresh_da.is_divergent_branch(b), "{what}");
-                for &id in f.insts_of(b) {
-                    assert_eq!(da.is_inst_divergent(id), fresh_da.is_inst_divergent(id), "{what}");
-                }
-            }
-        };
         for &(x, y) in &picks {
             let blocks = f.block_ids();
             let b = blocks[x as usize % blocks.len()];
@@ -734,13 +361,11 @@ proptest! {
 
             let tail = f.split_block_at(b, at, "tail");
             let jump = f.add_inst(b, InstData::terminator(Opcode::Jump, vec![], vec![tail]));
-            am.update_after(&f);
-            assert_manager_matches_fresh(&mut am, &f, "after split");
+            assert_manager_matches_cold(&mut am, &f, 0xf, "after split");
 
             f.remove_inst(jump);
             f.merge_block_into(tail, b);
-            am.update_after(&f);
-            assert_manager_matches_fresh(&mut am, &f, "after merge");
+            assert_manager_matches_cold(&mut am, &f, 0xf, "after merge");
 
             prop_assert_eq!(f.to_string(), text, "printed IR changed");
             prop_assert_eq!(f.inst_capacity(), capacity + 1, "only the jump was allocated");
@@ -748,6 +373,31 @@ proptest! {
             for (&b, list) in blocks.iter().zip(&lists) {
                 prop_assert_eq!(f.insts_of(b), list.as_slice(), "instruction ids moved");
             }
+        }
+    }
+
+    /// [`DomTree::changed_from`] (what scopes SSA repair) covers every
+    /// block whose immediate dominator moved across an edit; blocks new in
+    /// the window count as moved.
+    #[test]
+    fn changed_from_covers_every_moved_idom(
+        script in proptest::collection::vec(any::<u8>(), 6..36),
+        edits in proptest::collection::vec((any::<u8>(), any::<u8>(), any::<u8>()), 1..8),
+    ) {
+        let mut f = build_cfg(&script);
+        let mut dom = DomTree::new(&f, &Cfg::new(&f));
+        for &(op, x, y) in &edits {
+            let cap_before = f.block_capacity();
+            apply_edit(&mut f, op, x, y);
+            let cfg = Cfg::new(&f);
+            let fresh = DomTree::new(&f, &cfg);
+            let changed = DomTree::changed_from(&dom, &fresh, &cfg);
+            for &b in cfg.rpo() {
+                if b.index() >= cap_before || dom.idom(b) != fresh.idom(b) {
+                    prop_assert!(changed[b.index()], "changed_from missed {b:?}");
+                }
+            }
+            dom = fresh;
         }
     }
 }

@@ -2,20 +2,22 @@
 //! every IR edit, and the [`DirtyDelta`] consumers replay it into.
 //!
 //! Every mutation API on `Function` appends compact [`DirtyEvent`]s to an
-//! internal [`MutationJournal`]. A consumer (an analysis manager updating
-//! incrementally, a cleanup pass restricting its rescan to what changed)
-//! remembers a [`JournalCursor`] and later asks
-//! [`Function::dirty_since`](crate::Function::dirty_since) for everything
-//! that happened after it. The replayed [`DirtyDelta`] answers the three
-//! questions incremental consumers have:
+//! internal [`MutationJournal`]. A consumer remembers a [`JournalCursor`]
+//! and later asks about the window after it. The analysis manager only
+//! *classifies* the window, in O(1)
+//! ([`Function::probe_since`](crate::Function::probe_since): clean,
+//! instructions only, block graph changed, saturated), to decide whether a
+//! cached analysis is kept or recomputed. A cleanup pass restricting its
+//! rescan to what changed replays it with
+//! [`Function::dirty_since`](crate::Function::dirty_since); the replayed
+//! [`DirtyDelta`] answers the three questions such scoped consumers have:
 //!
 //! * **which blocks were touched** (instruction lists or contents changed),
 //! * **which instructions were touched** — including RAUW-reached users and
 //!   the operand definitions of removed/rewritten instructions (their use
 //!   counts changed, which is what dead-code elimination cares about),
-//! * **how the block graph changed** — an ordered [`CfgEdit`] log precise
-//!   enough for incremental dominator maintenance, or a saturation flag
-//!   when an edit escaped precise tracking.
+//! * **how the block graph changed** — an ordered [`CfgEdit`] log, or a
+//!   saturation flag when an edit escaped precise tracking.
 //!
 //! Cursors are tied to one function *instance*: cloning a function starts a
 //! fresh, empty journal under a new identity, so a stale cursor from the
@@ -178,30 +180,6 @@ impl MutationJournal {
         }
         let start = ((cursor.seq - self.base) as usize).min(self.events.len());
         Some(self.events.len() - start)
-    }
-
-    /// Replays just the [`CfgEdit`]s after `cursor` into `out` (cleared
-    /// first) — the block-graph slice of the window without the dirty
-    /// block/instruction bitsets a full [`DirtyDelta`] builds. Returns
-    /// `false` on saturation (foreign cursor, truncation, or a saturate
-    /// event inside the window).
-    pub fn cfg_edits_since(&self, cursor: JournalCursor, out: &mut Vec<CfgEdit>) -> bool {
-        out.clear();
-        if cursor.id != self.id || cursor.seq < self.base {
-            return false;
-        }
-        let start = (cursor.seq - self.base) as usize;
-        for &ev in &self.events[start.min(self.events.len())..] {
-            match ev {
-                DirtyEvent::BlockAdded(b) => out.push(CfgEdit::BlockAdded(b)),
-                DirtyEvent::BlockRemoved(b) => out.push(CfgEdit::BlockRemoved(b)),
-                DirtyEvent::EdgeInserted(u, v) => out.push(CfgEdit::EdgeInserted(u, v)),
-                DirtyEvent::EdgeDeleted(u, v) => out.push(CfgEdit::EdgeDeleted(u, v)),
-                DirtyEvent::Saturate => return false,
-                DirtyEvent::Block(_) | DirtyEvent::Inst(_) => {}
-            }
-        }
-        true
     }
 
     /// Visits just the instruction ids touched after `cursor` (no
@@ -378,8 +356,7 @@ impl DirtyInstSet {
     }
 }
 
-/// One block-graph edit, in journal order — the unit incremental dominator
-/// maintenance consumes.
+/// One block-graph edit, in journal order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CfgEdit {
     /// A new block appeared.

@@ -1,7 +1,7 @@
 //! Functions, basic blocks and instructions.
 
 use crate::dirty::{
-    CfgEdit, DirtyDelta, DirtyEvent, DirtyInstSet, JournalCursor, MutationJournal, WindowProbe,
+    DirtyDelta, DirtyEvent, DirtyInstSet, JournalCursor, MutationJournal, WindowProbe,
 };
 use crate::opcode::Opcode;
 use crate::types::Type;
@@ -204,9 +204,10 @@ pub struct BlockData {
 /// instruction lists skip dead entries.
 ///
 /// Every mutation API records what it touched in a [`MutationJournal`], so
-/// incremental consumers (analysis caches, dirty-scoped cleanup passes) can
-/// replay exactly what changed since a [`JournalCursor`] they remember —
-/// see [`Function::journal_head`] and [`Function::dirty_since`].
+/// consumers can classify ([`Function::probe_since`], the analysis cache)
+/// or replay ([`Function::dirty_since`], the dirty-scoped cleanup passes)
+/// exactly what changed since a [`JournalCursor`] they remember — see
+/// [`Function::journal_head`].
 #[derive(Debug)]
 pub struct Function {
     name: String,
@@ -220,7 +221,7 @@ pub struct Function {
     journal: MutationJournal,
     /// Count of non-tombstoned blocks, maintained by
     /// `add_block`/`remove_block` so [`Function::live_block_count`] is
-    /// O(1) — it sits on the analysis manager's reconcile hot path.
+    /// O(1).
     live_blocks: usize,
 }
 
@@ -350,14 +351,6 @@ impl Function {
     /// anything changed).
     pub fn insts_touched_since(&self, cursor: JournalCursor, f: impl FnMut(InstId)) -> bool {
         self.journal.visit_insts_since(cursor, f)
-    }
-
-    /// Replays just the block-graph edits after `cursor` into `out`
-    /// (cleared first), skipping the bitset construction of a full
-    /// [`DirtyDelta`] — the dominator-tree updater's replay. Returns
-    /// `false` on saturation.
-    pub fn cfg_edits_since(&self, cursor: JournalCursor, out: &mut Vec<CfgEdit>) -> bool {
-        self.journal.cfg_edits_since(cursor, out)
     }
 
     /// O(1) classification of the journal window after `cursor`: clean,
@@ -580,8 +573,7 @@ impl Function {
     }
 
     /// Successor blocks as a borrowed slice (empty if the block has no
-    /// terminator) — the allocation-free sibling of [`Function::succs`]
-    /// for read-heavy consumers like the incremental dominator updater.
+    /// terminator) — the allocation-free sibling of [`Function::succs`].
     pub fn succ_slice(&self, b: BlockId) -> &[BlockId] {
         match self.terminator(b) {
             Some(t) => &self.inst(t).succs,
@@ -835,9 +827,9 @@ impl Function {
                 self.record(DirtyEvent::Block(b));
                 // One event pair *per replaced occurrence*: a duplicate-
                 // target branch (`br c, X, X`) carries two successor
-                // entries, and the journal's edge multiset arithmetic
-                // (`EditSummary::normalize`) is only exact when every
-                // entry's flip is recorded.
+                // entries, and counting edges from the journal's
+                // [`CfgEdit`] log is only exact when every entry's flip
+                // is recorded.
                 for _ in 0..hits {
                     self.record(DirtyEvent::EdgeDeleted(b, from));
                     self.record(DirtyEvent::EdgeInserted(b, to));
@@ -1228,6 +1220,7 @@ impl Function {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dirty::CfgEdit;
     use crate::opcode::IcmpPred;
 
     fn diamond() -> (Function, BlockId, BlockId, BlockId, BlockId) {

@@ -14,6 +14,7 @@
 //! the parser.
 
 use crate::function::Function;
+use std::collections::HashSet;
 use std::fmt;
 
 /// An ordered collection of named functions.
@@ -79,11 +80,18 @@ impl Module {
         name: &str,
         functions: impl IntoIterator<Item = Function>,
     ) -> Result<Module, DuplicateFunction> {
-        let mut m = Module::new(name);
-        for f in functions {
-            m.add_function(f)?;
+        let functions: Vec<Function> = functions.into_iter().collect();
+        // One hash set, rebuilt here rather than kept in the module:
+        // `Function::set_name` through `functions_mut` would let a stored
+        // one go stale.
+        let mut seen = HashSet::with_capacity(functions.len());
+        if let Some(dup) = functions.iter().find(|f| !seen.insert(f.name())) {
+            return Err(DuplicateFunction(dup.name().to_string()));
         }
-        Ok(m)
+        Ok(Module {
+            name: name.to_string(),
+            functions,
+        })
     }
 
     /// The functions, in insertion order.

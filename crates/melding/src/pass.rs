@@ -8,9 +8,8 @@
 //! as an inner pipeline (`ssa-repair`, `instcombine`, `simplify`, `dce`).
 //! Nothing invalidates by hand: every mutation — region surgery and
 //! cleanup alike — is journaled, and the manager reconciles each cached
-//! entry against its own window at the next query, keeping what survived,
-//! updating the dominator and post-dominator trees in place where the
-//! batch is small enough to win, and recomputing the rest on demand.
+//! entry against its own window at the next query, keeping what the
+//! window cannot have touched and recomputing the rest on demand.
 //!
 //! The melded IR of every paper kernel is pinned by a committed golden
 //! table (`melded_ir_matches_golden` in `darm-bench`).
@@ -91,8 +90,8 @@ impl MeldPass {
         // cleanup pass restricts its rescan to the journal window since its
         // own previous run (per-meld cost), and the analysis cache
         // reconciles through the journal — so the dominator/post-dominator
-        // trees the meld surgery updated in place survive the cleanup
-        // rounds.
+        // trees computed after the meld surgery survive the cleanup rounds
+        // that leave the block graph alone.
         let mut cleanup = PassManager::new(PipelineOptions::default());
         cleanup
             .add(Box::new(SsaRepairPass::default()))

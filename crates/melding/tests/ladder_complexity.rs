@@ -4,12 +4,15 @@
 //! function — so the instruction arena grows by a constant per rung (block
 //! merging moves ids instead of copying the ever-longer ladder tail), and
 //! the journal window of a round holds nothing function-sized except the
-//! moved tail's change of parent.
+//! moved tail's change of parent. And since analyses are recomputed, not
+//! patched, after a meld, how *many* are computed per melded region must
+//! not depend on how big the function around the region is.
 
 use darm_analysis::verify_ssa;
 use darm_ir::builder::FunctionBuilder;
 use darm_ir::{AddrSpace, Dim, Function, IcmpPred, Type, Value};
-use darm_melding::{meld_function, MeldConfig, MeldStats};
+use darm_melding::{meld_function, run_meld_pipeline, MeldConfig, MeldStats};
+use darm_pipeline::PipelineOptions;
 
 /// `out[tid] = f_{N-1}(… f_0(in[tid]))`, each `f_r` a diamond on one bit of
 /// the thread id whose arms run the same three opcodes on different
@@ -116,4 +119,97 @@ fn journal_window_per_round_follows_the_moved_tail_only() {
         per_round(&long),
         long.final_live
     );
+}
+
+/// A ladder of `rungs` diamonds of which `meldable`, spread evenly, have
+/// arms running one opcode sequence on different constants; the others'
+/// arms come from disjoint opcode classes ({mul, add, sub} against
+/// {xor, lshr}), so their melding profit is 0 and they stay branches. The
+/// case in-place analysis updates were built for — a small meld inside a
+/// big function — and the shape they were measured on when they were
+/// deleted. `arm_len` instructions per arm.
+fn mixed_ladder(rungs: usize, meldable: usize, arm_len: usize) -> Function {
+    let ptr = Type::Ptr(AddrSpace::Global);
+    let mut f = Function::new("mixed", vec![ptr, ptr], Type::Void);
+    let entry = f.entry();
+    let mut b = FunctionBuilder::new(&mut f, entry);
+    let tid = b.thread_idx(Dim::X);
+    let src = b.gep(Type::I32, b.param(1), tid);
+    let x = b.load(Type::I32, src);
+    let mut acc = x;
+    for r in 0..rungs {
+        let melds = (r + 1) * meldable / rungs > r * meldable / rungs;
+        let bit = b.lshr(tid, Value::I32(r as i32 % 5));
+        let bit = b.and(bit, Value::I32(1));
+        let cond = b.icmp(IcmpPred::Ne, bit, Value::I32(0));
+        let t = b.add_block(&format!("r{r}.t"));
+        let e = b.add_block(&format!("r{r}.e"));
+        let j = b.add_block(&format!("r{r}.j"));
+        b.br(cond, t, e);
+        let mut arms = Vec::new();
+        for (arm, side) in [(t, 0), (e, 1)] {
+            b.switch_to(arm);
+            let mut v = acc;
+            for k in 0..arm_len {
+                let c = Value::I32((7 * r + 3 * k) as i32 + 1 + 2 * side);
+                v = match (melds || side == 0, k % 3) {
+                    (true, 0) => b.mul(v, c),
+                    (true, 1) => b.add(v, c),
+                    (true, _) => b.sub(v, c),
+                    (false, 0) => b.xor(v, c),
+                    (false, _) => {
+                        let s = b.lshr(v, Value::I32(1 + k as i32 % 7));
+                        b.xor(v, s)
+                    }
+                };
+            }
+            b.jump(j);
+            arms.push((arm, v));
+        }
+        b.switch_to(j);
+        let joined = b.phi(Type::I32, &arms);
+        acc = b.add(joined, x);
+    }
+    let dst = b.gep(Type::I32, b.param(0), tid);
+    b.store(acc, dst);
+    b.ret(None);
+    f
+}
+
+/// Analyses a meld round may compute: the scan's `Cfg`, both trees and
+/// divergence, and what the cleanup pipeline recomputes after the round's
+/// block-graph edits.
+const ANALYSES_PER_MELD: usize = 8;
+
+/// Keep-or-recompute pays a fixed number of from-scratch analyses per
+/// melded region, whatever the size of the function around it: every
+/// meldable rung melds, no other branch does, and computations per meld
+/// stay under one constant at 100 and 300 rungs, 8 and 24 melds.
+#[test]
+fn analyses_computed_per_meld_do_not_follow_function_size() {
+    for (rungs, meldable) in [(100, 8), (300, 8), (300, 24)] {
+        let mut f = mixed_ladder(rungs, meldable, 6);
+        verify_ssa(&f).expect("mixed ladder verifies");
+        let out = run_meld_pipeline(&mut f, &MeldConfig::default(), PipelineOptions::default())
+            .expect("pipeline");
+        verify_ssa(&f).expect("melded mixed ladder verifies");
+        assert_eq!(out.stats.melded_regions, meldable, "{rungs} rungs");
+        assert_eq!(
+            f.cond_branch_count(),
+            rungs - meldable,
+            "{rungs} rungs: only the meldable ones may go"
+        );
+        let computed: usize = out
+            .report
+            .analysis_computations
+            .iter()
+            .map(|&(_, n)| n)
+            .sum();
+        assert!(
+            computed <= ANALYSES_PER_MELD * (meldable + 1),
+            "{rungs} rungs, {meldable} melds: {computed} analyses computed ({:?}), \
+             more than {ANALYSES_PER_MELD} per round",
+            out.report.analysis_computations
+        );
+    }
 }

@@ -33,9 +33,9 @@
 //!            ▼                          └────────────────────────────────┘
 //!   PassManager ── run ──► Pass 1 ─► Pass 2 ─► … ─► PipelineReport
 //!        │                   │  ▲
-//!        │ report(preserved) │  │ get::<A>() (hit, in-place update or compute)
+//!        │ report(preserved) │  │ get::<A>() (hit or compute)
 //!        ▼                   ▼  │
-//!   AnalysisManager { Cfg, DomTree, PostDomTree, Divergence, Liveness, LoopInfo }
+//!   AnalysisManager { Cfg, DomTree, PostDomTree, Divergence }
 //! ```
 //!
 //! ## The spec grammar
@@ -72,14 +72,14 @@
 //! | mutation | report |
 //! |---|---|
 //! | none | `PreservedAnalyses::all()` |
-//! | instructions only (φs, rauw, peepholes, DCE) | `PreservedAnalyses::cfg_shape()` — vouches for CFG/dom/post-dom/loops; DCE additionally `.preserve::<DivergenceAnalysis>()` |
+//! | instructions only (φs, rauw, peepholes, DCE) | `PreservedAnalyses::cfg_shape()` — vouches for CFG/dom/post-dom; DCE additionally `.preserve::<DivergenceAnalysis>()` |
 //! | blocks or edges | `PreservedAnalyses::none()` |
 //!
 //! After every pass the manager applies the report under journal
 //! arbitration (`AnalysisManager::update_after_with_report`): a vouched
 //! entry that was valid when the pass started is stamped valid for the
-//! new state; everything else keeps its cursor and is kept, updated in
-//! place or recomputed at its next query, as the journal window dictates.
+//! new state; everything else keeps its cursor and is kept or recomputed
+//! at its next query, as the journal window dictates.
 //! The report can therefore only *extend* validity — an over-conservative
 //! one costs a reconciliation, never correctness — but a report that
 //! vouches for something the pass broke is a bug.
@@ -88,7 +88,7 @@
 //! restricts its rescan to the journal window since its own previous run,
 //! so a fixpoint driver pays per-region cleanup cost, not per-function.
 //! `PipelineReport` splits per-pass analysis *computations* from cache
-//! *hits* and incremental *updates*, which `--time-passes` prints.
+//! *hits*, which `--time-passes` prints.
 //!
 //! ## Failure semantics: containment, budgets, degradation
 //!
@@ -506,7 +506,7 @@ pub struct PassRecord {
     /// Pass-specific named counters.
     pub stats: Vec<(&'static str, u64)>,
     /// Analysis work attributed to this pass's runs: full computations vs
-    /// cache hits vs incremental in-place updates.
+    /// cache hits.
     pub analysis: AnalysisCounters,
     /// What the pass reports about its own inside
     /// ([`Pass::child_records`]); empty for most passes.
@@ -547,19 +547,14 @@ impl PassRecord {
 
     /// One `--time-passes` table row; `label` is the first cell.
     fn render_row(&self, label: &str) -> String {
-        let a = &self.analysis;
         format!(
-            "| {label} | {} | {} | {} | {:.3} | {}/{}/{}/{}/{}/{} |\n",
+            "| {label} | {} | {} | {} | {:.3} | {}/{} |\n",
             self.runs,
             self.changed_runs,
             self.units,
             self.seconds * 1e3,
-            a.computes,
-            a.hits,
-            a.updates,
-            a.in_place_deletion_updates,
-            a.in_place_cfg_updates,
-            a.in_place_divergence_updates,
+            self.analysis.computes,
+            self.analysis.hits,
         )
     }
 }
@@ -580,9 +575,7 @@ impl PipelineReport {
     /// Renders the `--time-passes` style table.
     pub fn render(&self) -> String {
         let mut out = String::new();
-        out.push_str(
-            "| pass | runs | changed | units | time (ms) | analyses (comp/hit/upd/del-upd/cfg-upd/div-upd) |\n",
-        );
+        out.push_str("| pass | runs | changed | units | time (ms) | analyses (comp/hit) |\n");
         out.push_str("|---|---|---|---|---|---|\n");
         let mut totals = AnalysisCounters::default();
         for r in &self.passes {
@@ -598,14 +591,10 @@ impl PipelineReport {
             }
         }
         out.push_str(&format!(
-            "| **total** | | | | **{:.3}** | **{}/{}/{}/{}/{}/{}** |\n",
+            "| **total** | | | | **{:.3}** | **{}/{}** |\n",
             self.total_seconds * 1e3,
             totals.computes,
             totals.hits,
-            totals.updates,
-            totals.in_place_deletion_updates,
-            totals.in_place_cfg_updates,
-            totals.in_place_divergence_updates,
         ));
         let computed: Vec<String> = self
             .analysis_computations

@@ -254,7 +254,7 @@ fn remove_unreachable(
     }
     // No explicit invalidation: every mutation above is journaled, and the
     // manager reconciles each cached entry with its own window at the next
-    // query (keeping or updating the dominator trees in place).
+    // query (keeping it or recomputing).
     changed
 }
 
@@ -301,7 +301,7 @@ fn fold_branches(
     }
     // No explicit invalidation: every mutation above is journaled, and the
     // manager reconciles each cached entry with its own window at the next
-    // query (keeping or updating the dominator trees in place).
+    // query (keeping it or recomputing).
     changed
 }
 
@@ -488,7 +488,7 @@ fn merge_straightline(
     }
     // No explicit invalidation: every mutation above is journaled, and the
     // manager reconciles each cached entry with its own window at the next
-    // query (keeping or updating the dominator trees in place).
+    // query (keeping it or recomputing).
     changed
 }
 
@@ -607,7 +607,7 @@ fn elide_empty_blocks(
     }
     // No explicit invalidation: every mutation above is journaled, and the
     // manager reconciles each cached entry with its own window at the next
-    // query (keeping or updating the dominator trees in place).
+    // query (keeping it or recomputing).
     changed
 }
 
