@@ -9,9 +9,12 @@
 //! a cached tree while the block graph is untouched and recomputes it
 //! otherwise — a few linear sweeps, which measured cheaper than patching a
 //! tree from the journal at every function size tried (CHANGES.md, PR 18).
-//! [`DomTree::changed_from`] reports which blocks' dominator chains differ
-//! between two trees, which is what lets SSA repair rescan only the region
-//! whose dominance actually moved.
+//!
+//! [`DomTree::dominates`] is two comparisons: the constructor numbers the
+//! tree in preorder and stores each block's subtree as the interval of
+//! numbers it covers. SSA repair asks the question once per operand of the
+//! whole function, so an answer that walked the idom chain made its scan
+//! O(instructions · tree depth) — on a ladder of diamonds, quadratic.
 
 use crate::cfg::Cfg;
 use darm_ir::{BlockId, Function};
@@ -62,33 +65,55 @@ fn compute_idoms(n: usize, root: usize, preds: &[Vec<usize>], rpo: &[usize]) -> 
     idom
 }
 
-fn tree_depths(n: usize, idom: &[Option<usize>], root: usize) -> Vec<u32> {
+/// Depth of every node of the tree `idom` describes (`u32::MAX` for nodes
+/// outside it), in one pass: `rpo` lists the tree's nodes root first, and
+/// an immediate dominator precedes its node in reverse post-order.
+fn tree_depths(n: usize, idom: &[Option<usize>], rpo: &[usize]) -> Vec<u32> {
     let mut depth = vec![u32::MAX; n];
-    depth[root] = 0;
-    // Nodes form a forest rooted at `root`; resolve depths iteratively.
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for v in 0..n {
-            if depth[v] != u32::MAX {
-                continue;
-            }
-            if let Some(d) = idom[v] {
-                if depth[d] != u32::MAX {
-                    depth[v] = depth[d] + 1;
-                    changed = true;
-                }
-            }
-        }
+    for &v in rpo {
+        depth[v] = idom[v].map_or(0, |d| depth[d] + 1);
     }
     depth
+}
+
+/// Preorder interval of every node's subtree in the tree `idom` describes:
+/// `(pre, end)` with `pre[v]` the node's preorder number and
+/// `pre[v]..end[v]` the numbers of its subtree, so `a` is an ancestor of
+/// (or equal to) `b` iff `pre[a] <= pre[b] < end[a]`. Nodes outside the
+/// tree get the empty interval `(u32::MAX, 0)`, which contains nothing and
+/// lies in nothing. Two passes over `rpo` (root first, parents before
+/// children): subtree sizes bottom-up, then numbers top-down, each child
+/// taking the next free slot of its parent's interval.
+fn tree_intervals(n: usize, idom: &[Option<usize>], rpo: &[usize]) -> (Vec<u32>, Vec<u32>) {
+    let mut size = vec![1u32; n];
+    for &v in rpo.iter().rev() {
+        if let Some(d) = idom[v] {
+            size[d] += size[v];
+        }
+    }
+    let (mut pre, mut end) = (vec![u32::MAX; n], vec![0u32; n]);
+    // While a node's children are being numbered, `end` holds the next
+    // free number of its interval; it reaches the interval's end with the
+    // last child.
+    for &v in rpo {
+        pre[v] = 0;
+        if let Some(d) = idom[v] {
+            pre[v] = end[d];
+            end[d] += size[v];
+        }
+        end[v] = pre[v] + 1;
+    }
+    (pre, end)
 }
 
 /// The dominator tree of a function.
 #[derive(Debug, Clone)]
 pub struct DomTree {
     idom: Vec<Option<usize>>,
-    depth: Vec<u32>,
+    /// Preorder number per block (`u32::MAX` when unreachable).
+    pre: Vec<u32>,
+    /// One past the last preorder number of the block's subtree.
+    end: Vec<u32>,
     entry: usize,
 }
 
@@ -107,8 +132,13 @@ impl DomTree {
         let rpo: Vec<usize> = cfg.rpo().iter().map(|b| b.index()).collect();
         let entry = cfg.entry().index();
         let idom = compute_idoms(n, entry, &preds, &rpo);
-        let depth = tree_depths(n, &idom, entry);
-        DomTree { idom, depth, entry }
+        let (pre, end) = tree_intervals(n, &idom, &rpo);
+        DomTree {
+            idom,
+            pre,
+            end,
+            entry,
+        }
     }
 
     /// The immediate dominator of `b` (`None` for the entry or unreachable
@@ -117,16 +147,12 @@ impl DomTree {
         self.idom[b.index()].map(BlockId::new)
     }
 
-    /// Whether `a` dominates `b` (reflexive).
+    /// Whether `a` dominates `b` (reflexive; false when either block is
+    /// unreachable). O(1): `b`'s preorder number lies in `a`'s subtree
+    /// interval.
     pub fn dominates(&self, a: BlockId, b: BlockId) -> bool {
-        let (a, mut b) = (a.index(), b.index());
-        if self.depth[a] == u32::MAX || self.depth[b] == u32::MAX {
-            return false;
-        }
-        while self.depth[b] > self.depth[a] {
-            b = self.idom[b].expect("depth > 0 implies idom");
-        }
-        a == b
+        let (a, b) = (a.index(), b.index());
+        self.pre[a] <= self.pre[b] && self.pre[b] < self.end[a]
     }
 
     /// Whether `a` strictly dominates `b`.
@@ -202,25 +228,6 @@ impl DomTree {
         out.sort();
         out
     }
-
-    /// Which blocks' dominator *chains* differ between `old` and `new` —
-    /// i.e. the blocks for which any `dominates(_, b)` answer may have
-    /// changed. Indexed by block arena index of `new`'s function state;
-    /// blocks unreachable in the new tree are reported unchanged (no
-    /// analysis walks them).
-    pub fn changed_from(old: &DomTree, new: &DomTree, cfg: &Cfg) -> Vec<bool> {
-        let n = new.idom.len();
-        let mut changed = vec![false; n];
-        for &b in cfg.rpo() {
-            let i = b.index();
-            let old_covers = i < old.idom.len() && old.depth[i] != u32::MAX;
-            let idom_differs = !old_covers || old.idom[i] != new.idom[i];
-            changed[i] = idom_differs
-                || new.idom[i].is_some_and(|p| changed[p])
-                || old.depth[i] != new.depth[i];
-        }
-        changed
-    }
 }
 
 /// The post-dominator tree of a function, computed over the reversed CFG
@@ -284,7 +291,7 @@ impl PostDomTree {
         let virtual_exit = n;
         let (rev_preds, post) = build_reverse_graph(n, cfg);
         let idom = compute_idoms(n + 1, virtual_exit, &rev_preds, &post);
-        let depth = tree_depths(n + 1, &idom, virtual_exit);
+        let depth = tree_depths(n + 1, &idom, &post);
         PostDomTree {
             idom,
             depth,
@@ -369,6 +376,82 @@ mod tests {
         b.ret(None);
         let ids = f.block_ids();
         (f, ids)
+    }
+
+    /// Length of `v`'s idom chain, the definition `tree_depths` must meet.
+    fn chain_len(idom: &[Option<usize>], mut v: usize) -> u32 {
+        let mut len = 0;
+        while let Some(up) = idom[v] {
+            v = up;
+            len += 1;
+        }
+        len
+    }
+
+    /// `rungs` diamonds in a row: `entry -> {t, e} -> j`, `j` the next
+    /// rung's header. The dominator tree is as deep as the ladder is long,
+    /// and so is the post-dominator tree.
+    fn ladder(rungs: usize) -> Function {
+        let mut f = Function::new("l", vec![Type::I32], Type::Void);
+        let entry = f.entry();
+        let mut b = FunctionBuilder::new(&mut f, entry);
+        for r in 0..rungs {
+            let (t, e, j) = (
+                b.add_block(&format!("t{r}")),
+                b.add_block(&format!("e{r}")),
+                b.add_block(&format!("j{r}")),
+            );
+            let c = b.icmp(IcmpPred::Slt, Value::Param(0), Value::I32(r as i32));
+            b.br(c, t, e);
+            b.switch_to(t);
+            b.jump(j);
+            b.switch_to(e);
+            b.jump(j);
+            b.switch_to(j);
+        }
+        b.ret(None);
+        f
+    }
+
+    #[test]
+    fn depths_are_idom_chain_lengths_on_both_trees() {
+        for f in [diamond().0, ladder(5)] {
+            let cfg = Cfg::new(&f);
+            let dt = DomTree::new(&f, &cfg);
+            let rpo: Vec<usize> = cfg.rpo().iter().map(|b| b.index()).collect();
+            let depth = tree_depths(f.block_capacity(), &dt.idom, &rpo);
+            let pdt = PostDomTree::new(&f, &cfg);
+            for b in f.block_ids() {
+                let v = b.index();
+                assert_eq!(depth[v], chain_len(&dt.idom, v), "dom depth of {v}");
+                assert_eq!(
+                    pdt.depth[v],
+                    chain_len(&pdt.idom, v),
+                    "postdom depth of {v}"
+                );
+            }
+            assert_eq!(pdt.depth[pdt.virtual_exit], 0);
+        }
+        // The ladder's trees are as deep as it is long.
+        let f = ladder(5);
+        let pdt = PostDomTree::new(&f, &Cfg::new(&f));
+        assert_eq!(pdt.depth[f.entry().index()], 6);
+    }
+
+    /// A 200 000-node chain whose arena indices run against the tree
+    /// (`idom[v] = v + 1`, root last) — what every post-dominator tree
+    /// looks like. A sweep in index order to a fixpoint resolves one level
+    /// per sweep there (4·10¹⁰ steps: never finishes); one pass in RPO is
+    /// instant.
+    #[test]
+    fn depths_of_a_chain_against_the_index_order_take_one_pass() {
+        let n = 200_000;
+        let idom: Vec<Option<usize>> = (0..n).map(|v| (v + 1 < n).then_some(v + 1)).collect();
+        let rpo: Vec<usize> = (0..n).rev().collect();
+        let depth = tree_depths(n, &idom, &rpo);
+        assert!((0..n).all(|v| depth[v] as usize == n - 1 - v));
+        let (pre, end) = tree_intervals(n, &idom, &rpo);
+        assert!((0..n).all(|v| pre[v] as usize == n - 1 - v && end[v] as usize == n));
     }
 
     #[test]

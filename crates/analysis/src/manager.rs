@@ -245,7 +245,6 @@ pub struct AnalysisManager {
     slots: [Option<Slot>; SLOT_COUNT],
     computed: Vec<(&'static str, usize)>,
     counters: AnalysisCounters,
-    dom_checkpoint: Option<(JournalCursor, Arc<DomTree>)>,
 }
 
 impl std::fmt::Debug for AnalysisManager {
@@ -297,7 +296,7 @@ impl AnalysisManager {
         let slot = self.slots[A::SLOT].as_mut()?;
         let keep = match func.probe_since(slot.cursor) {
             WindowProbe::Clean => true,
-            WindowProbe::InstsOnly { .. } => A::SHAPE_ONLY,
+            WindowProbe::InstsOnly => A::SHAPE_ONLY,
             _ => false,
         };
         if !keep {
@@ -319,37 +318,19 @@ impl AnalysisManager {
         })
     }
 
-    /// Forgets *everything tied to a function's journal identity* — cached
-    /// entries and the dominator checkpoint — keeping only the historical
-    /// computation counters.
+    /// Forgets *everything tied to a function's journal identity* — the
+    /// cached entries — keeping only the historical computation counters.
     ///
     /// This is the containment path for abandoned windows: after a
     /// contained pipeline panic or budget cancellation the function is
     /// rolled back to a pre-pipeline snapshot under a *fresh* journal
     /// identity, so every anchor this manager holds describes an edit
     /// history that no longer exists. Stale cursors would merely saturate
-    /// (safe but wasteful); the checkpoint would be dead weight. A hard
-    /// reset returns the manager to the cold state a fresh function
-    /// expects, while the counters keep reporting what was truly spent.
+    /// (safe but wasteful). A hard reset returns the manager to the cold
+    /// state a fresh function expects, while the counters keep reporting
+    /// what was truly spent.
     pub fn hard_reset(&mut self) {
         self.slots = Default::default();
-        self.dom_checkpoint = None;
-    }
-
-    /// Publishes a *repair checkpoint*: the dominator tree of the
-    /// function's current state together with the journal cursor marking
-    /// it. By storing one, the driver asserts the function is in valid,
-    /// fully repaired SSA form right now — which lets the next SSA-repair
-    /// run scope its very first broken-definition scan to the mutations
-    /// and dominance changes since this point instead of sweeping the
-    /// whole function.
-    pub fn set_dom_checkpoint(&mut self, func: &Function, tree: Arc<DomTree>) {
-        self.dom_checkpoint = Some((func.journal_head(), tree));
-    }
-
-    /// Consumes the pending repair checkpoint, if any.
-    pub fn take_dom_checkpoint(&mut self) -> Option<(JournalCursor, Arc<DomTree>)> {
-        self.dom_checkpoint.take()
     }
 
     /// Applies a pass's [`PreservedAnalyses`] report under journal
@@ -445,14 +426,12 @@ mod tests {
     fn hard_reset_forgets_anchors_but_keeps_counters() {
         let f = diamond();
         let mut am = AnalysisManager::new();
-        let dt = am.get::<DomTree>(&f);
-        am.set_dom_checkpoint(&f, dt);
+        am.get::<DomTree>(&f);
         let computed = am.total_computations();
         assert!(computed > 0);
         am.hard_reset();
         assert!(am.cached::<Cfg>().is_none());
         assert!(am.cached::<DomTree>().is_none());
-        assert!(am.take_dom_checkpoint().is_none());
         // Historical stats survive: the reset forgets state, not spend.
         assert_eq!(am.total_computations(), computed);
         // The manager is usable from cold afterwards.

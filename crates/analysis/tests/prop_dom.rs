@@ -60,6 +60,22 @@ fn naive_dominates(cfg: &Cfg, a: BlockId, b: BlockId) -> bool {
     true
 }
 
+/// Dominance read off the tree the slow way: `a` is `b` or one of `b`'s
+/// iterated immediate dominators.
+fn chain_dominates(cfg: &Cfg, dt: &DomTree, a: BlockId, b: BlockId) -> bool {
+    if !cfg.is_reachable(a) || !cfg.is_reachable(b) {
+        return false;
+    }
+    let mut up = Some(b);
+    while let Some(x) = up {
+        if x == a {
+            return true;
+        }
+        up = dt.idom(x);
+    }
+    false
+}
+
 fn edge_strategy(n: usize) -> impl Strategy<Value = Vec<(usize, Option<usize>)>> {
     proptest::collection::vec((0..n, proptest::option::of(0..n)), n - 1)
 }
@@ -67,20 +83,33 @@ fn edge_strategy(n: usize) -> impl Strategy<Value = Vec<(usize, Option<usize>)>>
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
+    /// `dominates` (two comparisons on the tree's preorder intervals)
+    /// agrees with the graph definition and with the walk up the idom
+    /// chain, over every pair of blocks — unreachable ones included, which
+    /// dominate nothing and are dominated by nothing.
     #[test]
     fn domtree_matches_naive_oracle(edges in edge_strategy(8)) {
         let f = build_cfg(8, &edges);
         let cfg = Cfg::new(&f);
         let dt = DomTree::new(&f, &cfg);
-        for &a in cfg.rpo() {
-            for &b in cfg.rpo() {
+        for a in f.block_ids() {
+            for b in f.block_ids() {
+                let expected = naive_dominates(&cfg, a, b);
                 prop_assert_eq!(
                     dt.dominates(a, b),
-                    naive_dominates(&cfg, a, b),
+                    expected,
                     "dominates({}, {})",
                     f.block_name(a),
                     f.block_name(b)
                 );
+                prop_assert_eq!(
+                    chain_dominates(&cfg, &dt, a, b),
+                    expected,
+                    "idom chain of {} reaches {}",
+                    f.block_name(b),
+                    f.block_name(a)
+                );
+                prop_assert_eq!(dt.strictly_dominates(a, b), expected && a != b);
             }
         }
     }

@@ -375,29 +375,4 @@ proptest! {
             }
         }
     }
-
-    /// [`DomTree::changed_from`] (what scopes SSA repair) covers every
-    /// block whose immediate dominator moved across an edit; blocks new in
-    /// the window count as moved.
-    #[test]
-    fn changed_from_covers_every_moved_idom(
-        script in proptest::collection::vec(any::<u8>(), 6..36),
-        edits in proptest::collection::vec((any::<u8>(), any::<u8>(), any::<u8>()), 1..8),
-    ) {
-        let mut f = build_cfg(&script);
-        let mut dom = DomTree::new(&f, &Cfg::new(&f));
-        for &(op, x, y) in &edits {
-            let cap_before = f.block_capacity();
-            apply_edit(&mut f, op, x, y);
-            let cfg = Cfg::new(&f);
-            let fresh = DomTree::new(&f, &cfg);
-            let changed = DomTree::changed_from(&dom, &fresh, &cfg);
-            for &b in cfg.rpo() {
-                if b.index() >= cap_before || dom.idom(b) != fresh.idom(b) {
-                    prop_assert!(changed[b.index()], "changed_from missed {b:?}");
-                }
-            }
-            dom = fresh;
-        }
-    }
 }

@@ -1,8 +1,6 @@
 //! Functions, basic blocks and instructions.
 
-use crate::dirty::{
-    DirtyDelta, DirtyEvent, DirtyInstSet, JournalCursor, MutationJournal, WindowProbe,
-};
+use crate::dirty::{JournalCursor, MutationJournal, WindowProbe};
 use crate::opcode::Opcode;
 use crate::types::Type;
 use crate::value::Value;
@@ -204,9 +202,10 @@ pub struct BlockData {
 /// instruction lists skip dead entries.
 ///
 /// Every mutation API records what it touched in a [`MutationJournal`], so
-/// consumers can classify ([`Function::probe_since`], the analysis cache)
-/// or replay ([`Function::dirty_since`], the dirty-scoped cleanup passes)
-/// exactly what changed since a [`JournalCursor`] they remember — see
+/// consumers can classify the window since a [`JournalCursor`] they
+/// remember ([`Function::probe_since`]: the analysis cache, the cleanup
+/// passes' "nothing happened" answer) or visit the instructions touched in
+/// it ([`Function::insts_touched_since`]: `instcombine`'s worklist) — see
 /// [`Function::journal_head`].
 #[derive(Debug)]
 pub struct Function {
@@ -226,7 +225,7 @@ pub struct Function {
 }
 
 /// Cloning starts a fresh, empty journal under a new identity: cursors
-/// taken on the original replay as saturated against the clone instead of
+/// taken on the original probe as saturated against the clone instead of
 /// silently aliasing into an unrelated edit history.
 impl Clone for Function {
     fn clone(&self) -> Function {
@@ -250,8 +249,8 @@ impl Clone for Function {
 ///
 /// Both directions go through [`Function::clone`], so the snapshot and
 /// every restored state carry a *fresh, empty journal identity*: cursors
-/// and checkpoints taken during an abandoned, half-applied pipeline replay
-/// as saturated against the restored function instead of silently aliasing
+/// taken during an abandoned, half-applied pipeline probe as saturated
+/// against the restored function instead of silently aliasing
 /// into an edit history that no longer describes it. That property is what
 /// lets a containment boundary (`darm-pipeline`) roll a function back to
 /// baseline IR after a panic or budget cancellation without auditing any
@@ -330,55 +329,49 @@ impl Function {
 
     // ---- mutation journal ----
 
-    /// The cursor marking "now" in the mutation journal; replaying from it
-    /// with [`Function::dirty_since`] yields everything mutated afterwards.
+    /// The cursor marking "now" in the mutation journal; the window after
+    /// it holds everything mutated afterwards.
     pub fn journal_head(&self) -> JournalCursor {
         self.journal.head()
     }
 
-    /// Replays every mutation recorded after `cursor` into a
-    /// [`DirtyDelta`]. A cursor from another function instance (including a
-    /// clone source) or from before a [truncation](Function::truncate_journal)
-    /// replays as saturated — "anything may have changed".
-    pub fn dirty_since(&self, cursor: JournalCursor) -> DirtyDelta {
-        self.journal.replay_since(cursor)
-    }
-
-    /// Zero-allocation replay of just the instruction-touch events after
-    /// `cursor` (worklist transforms use this to re-enqueue the users a
-    /// substitution reached without building a full [`DirtyDelta`]).
-    /// Returns `false` when the cursor saturated (caller must assume
-    /// anything changed).
+    /// Visits, without allocating, every instruction touched after
+    /// `cursor`, in journal order and with repeats: added, removed (the
+    /// ids of tombstones included), moved and rewritten instructions, the
+    /// users a substitution reached, and the operand definitions of
+    /// removed/rewritten instructions. Returns `false`, having visited
+    /// nothing, when the cursor saturated — another function instance
+    /// (including a clone source), a
+    /// [truncation](Function::truncate_journal) or an untracked mutation
+    /// since; the caller must assume anything changed.
     pub fn insts_touched_since(&self, cursor: JournalCursor, f: impl FnMut(InstId)) -> bool {
         self.journal.visit_insts_since(cursor, f)
     }
 
     /// O(1) classification of the journal window after `cursor`: clean,
-    /// instruction-only, shape-changing (with event counts), or saturated.
-    /// The cheap "is this window worth replaying" probe — a window with
-    /// more events than the function has live instructions is better
-    /// served by a whole-function pass than by replay-and-scope.
+    /// instruction-only, shape-changing, or saturated.
     pub fn probe_since(&self, cursor: JournalCursor) -> WindowProbe {
         self.journal.probe(cursor)
     }
 
-    /// Drops the buffered journal events (e.g. after a driver has fully
-    /// consumed them). Cursors taken earlier saturate afterwards, which is
-    /// always safe for consumers (they fall back to whole-function work).
+    /// Drops the buffered journal entries. Cursors taken earlier saturate
+    /// afterwards, which is always safe for consumers (they fall back to
+    /// whole-function work).
     pub fn truncate_journal(&mut self) {
         self.journal.truncate();
     }
 
-    /// Number of journal events currently buffered.
+    /// Number of touched-instruction entries currently buffered in the
+    /// journal (block-graph edits are counted, not buffered).
     pub fn journal_len(&self) -> usize {
         self.journal.len()
     }
 
     /// Records that an untracked mutation happened: every open cursor
-    /// window replays as saturated from here on. Escape hatch for callers
+    /// window probes as saturated from here on. Escape hatch for callers
     /// mutating IR outside the journaled APIs.
     pub fn saturate_journal(&mut self) {
-        self.journal.record(DirtyEvent::Saturate);
+        self.journal.saturate();
     }
 
     /// Captures a pre-pipeline copy of the function for later
@@ -398,25 +391,36 @@ impl Function {
         *self = snapshot.inner.clone();
     }
 
-    /// Journal size guard: past this many buffered events the journal
+    /// Journal size guard: past this many buffered entries the journal
     /// self-truncates (old cursors degrade to saturation instead of the
     /// buffer growing without bound).
     const JOURNAL_CAP: usize = 1 << 20;
 
+    /// Journals `id` as touched.
     #[inline]
-    fn record(&mut self, ev: DirtyEvent) {
+    fn touch(&mut self, id: InstId) {
         if self.journal.len() >= Self::JOURNAL_CAP {
             self.journal.truncate();
         }
-        self.journal.record(ev);
+        self.journal.touch(id);
+    }
+
+    /// Journals a block-graph edit when `id` carries successor edges (they
+    /// appear, vanish or may have changed with it); nothing for a
+    /// non-terminator.
+    #[inline]
+    fn edges_edited_with(&mut self, id: InstId) {
+        if !self.insts[id.index()].succs.is_empty() {
+            self.journal.shape_edit();
+        }
     }
 
     /// Records the use-count change of every definition the instruction's
     /// operands reference (they lose or gain a user).
-    fn record_operand_defs_of(&mut self, id: InstId) {
+    fn touch_operand_defs_of(&mut self, id: InstId) {
         for k in 0..self.insts[id.index()].operands.len() {
             if let Value::Inst(def) = self.insts[id.index()].operands[k] {
-                self.record(DirtyEvent::Inst(def));
+                self.touch(def);
             }
         }
     }
@@ -484,7 +488,7 @@ impl Function {
             alive: true,
         });
         self.live_blocks += 1;
-        self.record(DirtyEvent::BlockAdded(id));
+        self.journal.shape_edit();
         id
     }
 
@@ -493,22 +497,20 @@ impl Function {
     /// Callers are responsible for first removing every edge into the block
     /// (terminator successors and φ incoming entries elsewhere).
     pub fn remove_block(&mut self, b: BlockId) {
-        // The block's own terminator edges vanish with it, and every
-        // definition its instructions referenced loses a user.
-        for s in self.succs(b) {
-            self.record(DirtyEvent::EdgeDeleted(b, s));
-        }
+        // The block and its terminator's edges vanish (one block-graph
+        // edit), and every definition its instructions referenced loses a
+        // user.
         let insts = std::mem::take(&mut self.blocks[b.index()].insts);
         for id in insts {
-            self.record(DirtyEvent::Inst(id));
-            self.record_operand_defs_of(id);
+            self.touch(id);
+            self.touch_operand_defs_of(id);
             self.dead_insts[id.index()] = true;
         }
         if self.blocks[b.index()].alive {
             self.live_blocks -= 1;
         }
         self.blocks[b.index()].alive = false;
-        self.record(DirtyEvent::BlockRemoved(b));
+        self.journal.shape_edit();
     }
 
     /// Whether the block is still part of the function.
@@ -620,29 +622,20 @@ impl Function {
 
     /// Mutable access to an instruction.
     ///
-    /// Journal contract: the instruction, its block and its pre-mutation
-    /// operand definitions are recorded as touched. For a terminator its
-    /// current successor edges are conservatively recorded as possibly
-    /// changed; callers must not *retarget* successors through this escape
-    /// hatch (the new target would go unrecorded) — use
-    /// [`Function::replace_succ`] or remove/re-add the terminator instead.
+    /// Journal contract: the instruction and its pre-mutation operand
+    /// definitions are recorded as touched. For a terminator the block
+    /// graph is conservatively recorded as edited; callers should still
+    /// retarget successors with [`Function::replace_succ`] or by
+    /// removing/re-adding the terminator.
     pub fn inst_mut(&mut self, id: InstId) -> &mut InstData {
         assert!(
             !self.dead_insts[id.index()],
             "use of removed instruction %{}",
             id.index()
         );
-        self.record(DirtyEvent::Inst(id));
-        let block = self.insts[id.index()].block;
-        self.record(DirtyEvent::Block(block));
-        self.record_operand_defs_of(id);
-        if !self.insts[id.index()].succs.is_empty() {
-            for k in 0..self.insts[id.index()].succs.len() {
-                let s = self.insts[id.index()].succs[k];
-                self.record(DirtyEvent::EdgeDeleted(block, s));
-                self.record(DirtyEvent::EdgeInserted(block, s));
-            }
-        }
+        self.touch(id);
+        self.touch_operand_defs_of(id);
+        self.edges_edited_with(id);
         &mut self.insts[id.index()]
     }
 
@@ -658,7 +651,8 @@ impl Function {
         self.insts.push(data);
         self.dead_insts.push(false);
         self.blocks[block.index()].insts.push(id);
-        self.record_inst_added(block, id);
+        self.touch(id);
+        self.edges_edited_with(id);
         id
     }
 
@@ -669,17 +663,9 @@ impl Function {
         self.insts.push(data);
         self.dead_insts.push(false);
         self.blocks[block.index()].insts.insert(pos, id);
-        self.record_inst_added(block, id);
+        self.touch(id);
+        self.edges_edited_with(id);
         id
-    }
-
-    fn record_inst_added(&mut self, block: BlockId, id: InstId) {
-        self.record(DirtyEvent::Block(block));
-        self.record(DirtyEvent::Inst(id));
-        for k in 0..self.insts[id.index()].succs.len() {
-            let s = self.insts[id.index()].succs[k];
-            self.record(DirtyEvent::EdgeInserted(block, s));
-        }
     }
 
     /// Inserts an instruction immediately before an existing one.
@@ -696,14 +682,10 @@ impl Function {
     /// Detaches and tombstones an instruction. Uses are not rewritten.
     pub fn remove_inst(&mut self, id: InstId) {
         let block = self.insts[id.index()].block;
-        self.record(DirtyEvent::Inst(id));
-        self.record_operand_defs_of(id);
+        self.touch(id);
+        self.touch_operand_defs_of(id);
         if self.is_block_alive(block) {
-            self.record(DirtyEvent::Block(block));
-            for k in 0..self.insts[id.index()].succs.len() {
-                let s = self.insts[id.index()].succs[k];
-                self.record(DirtyEvent::EdgeDeleted(block, s));
-            }
+            self.edges_edited_with(id);
             self.blocks[block.index()].insts.retain(|&i| i != id);
         }
         self.dead_insts[id.index()] = true;
@@ -733,12 +715,10 @@ impl Function {
     /// per pair.
     ///
     /// Journal contract: every rewritten user is recorded as touched
-    /// ([`DirtyEvent::Inst`] + [`DirtyEvent::Block`] of its block, once
-    /// per user, in arena order), followed by the definition of every
-    /// `from` instruction that lost a use (its use count dropped — what
-    /// dead-code elimination reads). Nothing is recorded for a pair no
-    /// operand matched. No block-graph event is ever recorded: use
-    /// rewriting leaves the CFG alone.
+    /// (once per user, in arena order), followed by the definition of
+    /// every `from` instruction that lost a use (its use count dropped).
+    /// Nothing is recorded for a pair no operand matched. No block-graph
+    /// edit is ever recorded: use rewriting leaves the CFG alone.
     pub fn rauw_many(&mut self, pairs: &[(Value, Value)]) {
         // Fold the ordered batch into one substitution: walking it
         // backwards, `from` maps to wherever the *later* pairs send `to`.
@@ -752,13 +732,13 @@ impl Function {
             return;
         }
         // Exact pre-filter, so the scan hashes only operands that will
-        // match: a bitset over the instruction `from`s (parameters and
-        // constants are rare as `from` and take the lookup unfiltered).
-        let mut inst_froms = DirtyInstSet::default();
+        // match: a flag per instruction `from` (parameters and constants
+        // are rare as `from` and take the lookup unfiltered).
+        let mut inst_froms = vec![false; self.insts.len()];
         let mut other_froms = false;
         for from in subst.keys() {
             match *from {
-                Value::Inst(def) => inst_froms.insert(def),
+                Value::Inst(def) => inst_froms[def.index()] = true,
                 _ => other_froms = true,
             }
         }
@@ -769,7 +749,7 @@ impl Function {
             let mut hit = false;
             for op in &mut self.insts[idx].operands {
                 let candidate = match *op {
-                    Value::Inst(def) => inst_froms.contains(def),
+                    Value::Inst(def) => inst_froms[def.index()],
                     _ => other_froms,
                 };
                 if !candidate {
@@ -782,16 +762,14 @@ impl Function {
                 }
             }
             if hit {
-                let block = self.insts[idx].block;
-                self.record(DirtyEvent::Inst(InstId::new(idx)));
-                self.record(DirtyEvent::Block(block));
+                self.touch(InstId::new(idx));
             }
         }
         // Batch order, so the journal does not depend on hash order.
         for &(from, _) in pairs {
             if let (Value::Inst(def), Some((_, reached))) = (from, subst.get_mut(&from)) {
                 if std::mem::take(reached) {
-                    self.record(DirtyEvent::Inst(def));
+                    self.touch(def);
                 }
             }
         }
@@ -815,25 +793,16 @@ impl Function {
     /// terminator. φ-nodes in `from`/`to` are *not* updated.
     pub fn replace_succ(&mut self, b: BlockId, from: BlockId, to: BlockId) {
         if let Some(t) = self.terminator(b) {
-            let mut hits = 0;
+            let mut hits = false;
             for s in &mut self.insts[t.index()].succs {
                 if *s == from {
                     *s = to;
-                    hits += 1;
+                    hits = true;
                 }
             }
-            if hits > 0 {
-                self.record(DirtyEvent::Inst(t));
-                self.record(DirtyEvent::Block(b));
-                // One event pair *per replaced occurrence*: a duplicate-
-                // target branch (`br c, X, X`) carries two successor
-                // entries, and counting edges from the journal's
-                // [`CfgEdit`] log is only exact when every entry's flip
-                // is recorded.
-                for _ in 0..hits {
-                    self.record(DirtyEvent::EdgeDeleted(b, from));
-                    self.record(DirtyEvent::EdgeInserted(b, to));
-                }
+            if hits {
+                self.touch(t);
+                self.journal.shape_edit();
             }
         }
     }
@@ -875,15 +844,12 @@ impl Function {
         let moved: Vec<InstId> = self.blocks[block.index()].insts.split_off(at);
         for &id in &moved {
             self.insts[id.index()].block = new_block;
-            self.record(DirtyEvent::Inst(id));
+            self.touch(id);
         }
         self.blocks[new_block.index()].insts = moved;
-        self.record(DirtyEvent::Block(block));
-        self.record(DirtyEvent::Block(new_block));
+        // The moved terminator's out-edges change source block (the block
+        // graph was already journaled as edited by `add_block`).
         for succ in self.succs(new_block) {
-            // The moved terminator's out-edges change source block.
-            self.record(DirtyEvent::EdgeDeleted(block, succ));
-            self.record(DirtyEvent::EdgeInserted(new_block, succ));
             self.phi_retarget_pred(succ, block, new_block);
         }
         new_block
@@ -899,11 +865,10 @@ impl Function {
     /// edge into `from`, and `from`'s φ-nodes (with a single predecessor
     /// they fold to their one incoming value).
     ///
-    /// Journal contract, mirroring `split_block_at`: [`DirtyEvent::Inst`]
-    /// for each moved instruction (its parent changed), [`DirtyEvent::Block`]
-    /// for both blocks, `EdgeDeleted(from, s)` + `EdgeInserted(to, s)` for
-    /// each successor `s` of the moved terminator, then
-    /// `BlockRemoved(from)` — cost and window both proportional to the
+    /// Journal contract, mirroring `split_block_at`: each moved
+    /// instruction is touched (its parent changed), the φs retargeted in
+    /// the moved terminator's successors are touched, and the block graph
+    /// is recorded as edited — cost and window both proportional to the
     /// absorbed block, independent of function size.
     ///
     /// # Panics
@@ -925,18 +890,14 @@ impl Function {
         );
         for &id in &moved {
             self.insts[id.index()].block = to;
-            self.record(DirtyEvent::Inst(id));
+            self.touch(id);
         }
         self.blocks[to.index()].insts.extend(moved);
-        self.record(DirtyEvent::Block(from));
-        self.record(DirtyEvent::Block(to));
+        // The moved terminator's out-edges change source block.
         for succ in self.succs(to) {
-            // The moved terminator's out-edges change source block.
-            self.record(DirtyEvent::EdgeDeleted(from, succ));
-            self.record(DirtyEvent::EdgeInserted(to, succ));
             self.phi_retarget_pred(succ, from, to);
         }
-        // Emptied above: this journals nothing but `BlockRemoved(from)`.
+        // Emptied above: this journals nothing but the block-graph edit.
         self.remove_block(from);
     }
 
@@ -1220,7 +1181,6 @@ impl Function {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dirty::CfgEdit;
     use crate::opcode::IcmpPred;
 
     fn diamond() -> (Function, BlockId, BlockId, BlockId, BlockId) {
@@ -1350,7 +1310,7 @@ mod tests {
     }
 
     #[test]
-    fn merge_block_into_undoes_a_split_and_journals_the_moved_edges() {
+    fn merge_block_into_undoes_a_split_and_journals_the_moved_insts() {
         let (mut f, _entry, then, els, exit) = diamond();
         let phi = InstData::phi(Type::I32, &[(then, Value::I32(1)), (els, Value::I32(2))]);
         f.insert_inst_at(exit, 0, phi);
@@ -1373,17 +1333,13 @@ mod tests {
         assert_eq!(f.insts_of(then)[0], add);
         assert!(!f.is_block_alive(tail));
 
-        let delta = f.dirty_since(cursor);
-        assert_eq!(
-            delta.edits,
-            vec![
-                CfgEdit::EdgeDeleted(tail, exit),
-                CfgEdit::EdgeInserted(then, exit),
-                CfgEdit::BlockRemoved(tail),
-            ]
-        );
-        assert!(moved.iter().all(|&id| delta.insts.contains(id)));
-        assert!(delta.blocks.contains(tail) && delta.blocks.contains(then));
+        // The window is a block-graph one, and names every moved
+        // instruction and the φ retargeted from `tail` to `then`.
+        assert_eq!(f.probe_since(cursor), WindowProbe::Shape);
+        let mut touched = Vec::new();
+        assert!(f.insts_touched_since(cursor, |id| touched.push(id)));
+        assert!(moved.iter().all(|id| touched.contains(id)));
+        assert!(touched.contains(&f.phis_of(exit)[0]));
     }
 
     #[test]
@@ -1414,12 +1370,12 @@ mod tests {
             "a later pair does not feed an earlier one"
         );
 
-        // Rewritten users, then the definitions that lost uses; no shape.
-        let delta = batched.dirty_since(cursor);
-        assert!(!delta.shape_changed());
-        for v in [a, b, c] {
-            assert!(delta.insts.contains(v.as_inst().unwrap()));
-        }
+        // Rewritten users (arena order), then the definitions that lost
+        // uses (batch order); no block-graph edit.
+        assert_eq!(batched.probe_since(cursor), WindowProbe::InstsOnly);
+        let mut touched = Vec::new();
+        assert!(batched.insts_touched_since(cursor, |id| touched.push(Value::Inst(id))));
+        assert_eq!(touched, vec![b, c, a, b]);
         // A chain in batch order follows through: uses of b end at p0.
         let (mut chained, a, b, c) = build();
         chained.rauw_many(&[(b, a), (a, Value::Param(0))]);

@@ -66,7 +66,7 @@ pub mod types;
 pub mod value;
 
 pub use budget::Budget;
-pub use dirty::{BlockSet, CfgEdit, DirtyDelta, DirtyInstSet, JournalCursor, WindowProbe};
+pub use dirty::{JournalCursor, WindowProbe};
 pub use function::{
     BlockData, BlockId, Function, FunctionSnapshot, InstData, InstId, IrError, SharedArray,
 };

@@ -86,12 +86,12 @@ impl MeldPass {
     /// `run_meld_pipeline` uses to recover [`MeldStats`] after the pass
     /// manager has consumed the pass.
     pub fn with_sink(config: MeldConfig, stats: MeldStatsSink) -> MeldPass {
-        // Algorithm 1's RunPostOptimizations, as an inner pipeline. Each
-        // cleanup pass restricts its rescan to the journal window since its
-        // own previous run (per-meld cost), and the analysis cache
-        // reconciles through the journal — so the dominator/post-dominator
-        // trees computed after the meld surgery survive the cleanup rounds
-        // that leave the block graph alone.
+        // Algorithm 1's RunPostOptimizations, as an inner pipeline: each
+        // cleanup pass runs over the whole function after every melded
+        // region, as in the paper. The analysis cache reconciles through
+        // the journal — so the dominator/post-dominator trees computed
+        // after the meld surgery survive the cleanup passes that leave the
+        // block graph alone.
         let mut cleanup = PassManager::new(PipelineOptions::default());
         cleanup
             .add(Box::new(SsaRepairPass::default()))
@@ -178,16 +178,9 @@ impl Pass for MeldPass {
         'outer: for _ in 0..config.max_iterations {
             darm_ir::budget::poll("meld::fixpoint");
             stats.iterations += 1;
-            let a = self.clock.time(Phase::Analyses, || {
-                let a = Analyses::from_manager(func, am);
-                // The function is in valid, fully repaired SSA form at
-                // every scan top (pipeline contract on entry; the cleanup
-                // fixpoint afterwards): publishing the checkpoint lets the
-                // post-meld SSA repair scope even its first scan to the
-                // meld window.
-                am.set_dom_checkpoint(func, a.dt.clone());
-                a
-            });
+            let a = self
+                .clock
+                .time(Phase::Analyses, || Analyses::from_manager(func, am));
             let candidates = self.clock.time(Phase::Detect, || candidates(func, &a));
             for (_, b, r) in candidates {
                 // Region simplification (Definition 3/4) may change the
@@ -253,7 +246,7 @@ impl Pass for MeldPass {
         }
         // A scan that melded nothing, padded nothing and grew no arena is
         // provably mutation-free and vouches for the whole cache. A
-        // mutating run vouches for nothing: the journal keeps, patches or
+        // mutating run vouches for nothing: the journal keeps or
         // drops each entry at its next query, so the warm dominator and
         // post-dominator trees survive into the next pipeline stage
         // either way.
@@ -297,7 +290,7 @@ impl Pass for MeldPass {
     fn reset(&mut self) {
         // The sink is shared (callers may hold clones of the Rc), so reset
         // its contents in place; the inner cleanup pipeline carries the
-        // per-function journal cursors and dominator baselines.
+        // per-function journal cursors.
         *self.stats.borrow_mut() = MeldStats::default();
         self.cleanup.reset_for_reuse();
         self.clock.phases = Default::default();

@@ -3,7 +3,7 @@
 //! after each. That per-round work must follow the melded region, not the
 //! function — so the instruction arena grows by a constant per rung (block
 //! merging moves ids instead of copying the ever-longer ladder tail), and
-//! the journal window of a round holds nothing function-sized except the
+//! the journal window of a round names nothing function-sized except the
 //! moved tail's change of parent. And since analyses are recomputed, not
 //! patched, after a meld, how *many* are computed per melded region must
 //! not depend on how big the function around the region is.
@@ -58,7 +58,7 @@ struct Melded {
     initial_capacity: usize,
     final_capacity: usize,
     final_live: usize,
-    journal_events: usize,
+    journal_entries: usize,
     stats: MeldStats,
 }
 
@@ -66,7 +66,7 @@ fn meld_ladder(rungs: usize) -> Melded {
     let mut f = ladder(rungs);
     verify_ssa(&f).expect("ladder verifies");
     let initial_capacity = f.inst_capacity();
-    let events_before = f.journal_len();
+    let entries_before = f.journal_len();
     let stats = meld_function(&mut f, &MeldConfig::default());
     verify_ssa(&f).expect("melded ladder verifies");
     assert_eq!(stats.melded_regions, rungs, "every rung melds");
@@ -75,7 +75,7 @@ fn meld_ladder(rungs: usize) -> Melded {
         initial_capacity,
         final_capacity: f.inst_capacity(),
         final_live: f.live_inst_count(),
-        journal_events: f.journal_len() - events_before,
+        journal_entries: f.journal_len() - entries_before,
         stats,
     }
 }
@@ -98,21 +98,24 @@ fn arena_grows_by_a_constant_per_rung() {
     }
 }
 
-/// What a round journals beyond a constant is the ladder tail changing
-/// parent — once into the melded block, once with it into the rung's
-/// header, one event per moved instruction, and the tail averages half
-/// the function. So events per round may rise by about one per instruction
-/// the ladder gains; a whole-function rewrite or a copy per absorbed
-/// instruction (9.2 here when merging copied) shows up as a steeper slope.
+/// The journal buffers touched-instruction entries and nothing else
+/// (block-graph edits are a counter), so `journal_len` counts instruction
+/// touches. What a round touches beyond a constant is the ladder tail
+/// changing parent — once into the melded block, once with it into the
+/// rung's header, one entry per moved instruction, and the tail averages
+/// half the function. So entries per round may rise by about one per
+/// instruction the ladder gains (measured: 1.06); a whole-function rewrite
+/// or a copy per absorbed instruction (9.2 here when merging copied) shows
+/// up as a steeper slope.
 #[test]
 fn journal_window_per_round_follows_the_moved_tail_only() {
     let (short, long) = (meld_ladder(8), meld_ladder(32));
-    let per_round = |m: &Melded| m.journal_events as f64 / m.stats.iterations as f64;
+    let per_round = |m: &Melded| m.journal_entries as f64 / m.stats.iterations as f64;
     let slope =
         (per_round(&long) - per_round(&short)) / (long.final_live as f64 - short.final_live as f64);
     assert!(
         slope <= 1.5,
-        "journal events per fixpoint round rise by {slope:.2} per instruction of ladder: \
+        "journal entries per fixpoint round rise by {slope:.2} per instruction of ladder: \
          {:.0} at 8 rungs ({} insts), {:.0} at 32 ({} insts)",
         per_round(&short),
         short.final_live,
@@ -178,8 +181,12 @@ fn mixed_ladder(rungs: usize, meldable: usize, arm_len: usize) -> Function {
 
 /// Analyses a meld round may compute: the scan's `Cfg`, both trees and
 /// divergence, and what the cleanup pipeline recomputes after the round's
-/// block-graph edits.
-const ANALYSES_PER_MELD: usize = 8;
+/// block-graph edits (measured: 5.9 per round at 300 rungs, 24 melds).
+const ANALYSES_PER_MELD: usize = 7;
+
+/// `Cfg` builds a meld round may cost: one for the cleanup after the meld
+/// surgery, one for the next scan after the cleanup's block merges.
+const CFGS_PER_MELD: usize = 2;
 
 /// Keep-or-recompute pays a fixed number of from-scratch analyses per
 /// melded region, whatever the size of the function around it: every
@@ -211,5 +218,51 @@ fn analyses_computed_per_meld_do_not_follow_function_size() {
              more than {ANALYSES_PER_MELD} per round",
             out.report.analysis_computations
         );
+        let cfgs = out
+            .report
+            .analysis_computations
+            .iter()
+            .find(|&&(name, _)| name == "cfg")
+            .map_or(0, |&(_, n)| n);
+        assert!(
+            cfgs <= CFGS_PER_MELD * out.stats.iterations,
+            "{rungs} rungs, {meldable} melds: {cfgs} cfg builds in {} fixpoint rounds, \
+             more than {CFGS_PER_MELD} per round",
+            out.stats.iterations
+        );
+    }
+}
+
+/// Writes the inputs `scripts/ladder_pair.sh` times `darm meld` on: the
+/// mixed ladders the scoped cleanups were tried on, and one all-melding
+/// ladder. Run by hand (and by CI, so the generator cannot rot):
+/// `cargo test --release -p darm-melding --test ladder_complexity -- --ignored dump_mixed_ladders`.
+#[test]
+#[ignore = "writes .ir files for scripts/ladder_pair.sh"]
+fn dump_mixed_ladders() {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("ladders");
+    std::fs::create_dir_all(&dir).expect("create dump directory");
+    let mut files: Vec<(String, Function)> = [
+        (100, 8, 6),
+        (300, 8, 6),
+        (300, 24, 6),
+        (300, 150, 6),
+        (600, 24, 8),
+        (1200, 24, 8),
+    ]
+    .into_iter()
+    .map(|(rungs, meldable, arm)| {
+        (
+            format!("mixed_{rungs}_{meldable}_{arm}.ir"),
+            mixed_ladder(rungs, meldable, arm),
+        )
+    })
+    .collect();
+    files.push(("ladder_34.ir".to_string(), ladder(34)));
+    for (name, f) in files {
+        verify_ssa(&f).expect("ladder verifies");
+        let path = dir.join(name);
+        std::fs::write(&path, f.to_string()).expect("write ladder");
+        println!("{} ({} insts)", path.display(), f.live_inst_count());
     }
 }

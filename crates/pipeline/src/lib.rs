@@ -84,9 +84,9 @@
 //! one costs a reconciliation, never correctness — but a report that
 //! vouches for something the pass broke is a bug.
 //!
-//! The cleanup passes themselves are dirty-scoped (see [`passes`]): each
-//! restricts its rescan to the journal window since its own previous run,
-//! so a fixpoint driver pays per-region cleanup cost, not per-function.
+//! The cleanup passes themselves run whole-function (see [`passes`]); each
+//! keeps the journal cursor of its previous run, skips a run whose window
+//! since is clean, and `instcombine` seeds its worklist from that window.
 //! `PipelineReport` splits per-pass analysis *computations* from cache
 //! *hits*, which `--time-passes` prints.
 //!
@@ -221,8 +221,8 @@ pub trait Pass {
         Vec::new()
     }
 
-    /// Clears all per-function state — journal cursors, dominator
-    /// baselines, stat counters — so the instance behaves exactly like a
+    /// Clears all per-function state — journal cursors, stat counters —
+    /// so the instance behaves exactly like a
     /// freshly constructed one on its next function. Lets a module worker
     /// pool pipeline instances across the functions it claims instead of
     /// rebuilding them. The default is a no-op, correct for stateless
@@ -481,8 +481,8 @@ pub struct PipelineOptions {
     pub time_passes: bool,
     /// Shared wall-clock/fuel budget. The pass loop installs it for the
     /// current thread and polls it before every pass; the expensive inner
-    /// loops (fixpoint rounds, meld planning/scoring, scoped-simplify
-    /// rounds) poll it too. Exhaustion unwinds with a typed payload that a
+    /// loops (fixpoint rounds, meld planning/scoring, simplify rounds)
+    /// poll it too. Exhaustion unwinds with a typed payload that a
     /// containment boundary ([`PassManager::run_contained`],
     /// [`OnError::Degrade`]) converts into a degraded outcome for just the
     /// current function. The default is unlimited, which makes every poll

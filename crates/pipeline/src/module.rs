@@ -18,8 +18,8 @@
 //! Each worker builds *one* pipeline instance from the shared parsed spec
 //! and pools it across the functions it claims:
 //! [`PassManager::reset_for_reuse`](crate::PassManager::reset_for_reuse)
-//! clears the per-function pass state (journal cursors, dominator
-//! baselines, stat sinks) between functions, so a pooled run is
+//! clears the per-function pass state (journal cursors, stat sinks)
+//! between functions, so a pooled run is
 //! bit-identical to per-function construction without paying the factory
 //! cost per function. After a contained fault the pooled instance is
 //! discarded (a pass may have been abandoned mid-run) and rebuilt lazily.
@@ -769,8 +769,8 @@ mod tests {
     fn pooled_serial_run_matches_fresh_instances() {
         // The serial path pools one pipeline instance across functions;
         // jobs=4 builds per-worker instances. Identical output proves
-        // `reset_for_reuse` restores as-new behavior (cursors, baselines,
-        // stats) between functions.
+        // `reset_for_reuse` restores as-new behavior (cursors, stats)
+        // between functions.
         let registry = PassRegistry::with_transforms();
         let spec = "fixpoint(simplify,instcombine,dce),ssa-repair";
         let mut pooled = messy_module(6);

@@ -2,7 +2,7 @@
 //! a standalone SSA-verification pass and a generic closure adapter.
 //!
 //! Each adapter translates the transform's own change report into the
-//! [`PreservedAnalyses`](darm_analysis::PreservedAnalyses) it can vouch
+//! [`PreservedAnalyses`] it can vouch
 //! for across its own mutations: block/edge surgery vouches for nothing,
 //! instruction-only rewrites vouch for the CFG-shape analyses, a no-op
 //! vouches for everything (the mutation journal decides the rest — see
@@ -11,78 +11,42 @@
 //! instruction cannot change the divergence of any value that remains
 //! (divergence propagates from definitions to users).
 //!
-//! The cleanup adapters are *dirty-scoped*: each remembers the `darm-ir`
-//! journal cursor of its previous run and restricts the next run to the
-//! blocks and instructions mutated since (the pass's first run — or any
-//! run after journal saturation — is automatically whole-function, which
-//! establishes the "no redexes outside the window" invariant the scoped
-//! runs rely on). A fixpoint driver that re-runs its cleanup pipeline per
-//! melded region therefore pays per-region cost, not per-function cost.
+//! The cleanup adapters run their transforms whole-function, as the
+//! paper's `RunPostOptimizations` does. What each remembers between runs
+//! is one journal cursor (`LastRun`): a run that finds the window since
+//! the previous one clean reports "unchanged" without looking at the
+//! function, and `instcombine` — whose redexes can only be at instructions
+//! the journal names — seeds its worklist from that window instead of from
+//! every instruction.
 
 use crate::{Pass, PassOutcome};
-use darm_analysis::{AnalysisManager, Cfg, DivergenceAnalysis, DomTree};
-use darm_ir::{DirtyDelta, Function, JournalCursor};
+use darm_analysis::{AnalysisManager, DivergenceAnalysis, PreservedAnalyses};
+use darm_ir::{Function, JournalCursor, WindowProbe};
 use darm_transforms::simplify::SimplifyStats;
-use darm_transforms::{
-    repair_ssa_scoped, run_dce_scoped, run_instcombine_scoped, simplify_cfg_scoped,
-};
-use std::sync::Arc;
+use darm_transforms::{repair_ssa_with, run_dce, run_instcombine_since, simplify_cfg_with};
 
-/// Below this many live instructions a dirty window sends the scoped
-/// adapters down their whole-function path: the full scan is cheaper than
-/// the journal replay plus scoped bookkeeping it would avoid.
-const SCOPED_MIN_LIVE_INSTS: usize = 128;
+/// The journal head as of a cleanup pass's previous run on the function
+/// (`None` before the first, and after [`Pass::reset`]).
+#[derive(Debug, Default)]
+struct LastRun(Option<JournalCursor>);
 
-/// Journal bookkeeping shared by the scoped adapters.
-#[derive(Debug, Clone, Default)]
-struct ScopeTracker {
-    cursor: Option<JournalCursor>,
-}
-
-impl ScopeTracker {
-    /// The mutation window since the pass's previous run, or `None` for
-    /// whole-function (first run, saturation, or a
-    /// window so large that replaying it costs more than the
-    /// whole-function work it would save). `Some(clean)` means nothing
-    /// changed — the scoped transforms return immediately.
-    ///
-    /// `work_factor` calibrates the economics: roughly how much more
-    /// expensive the pass's whole-function visit of one instruction is
-    /// than replaying one journal event. Cheap linear scans (DCE,
-    /// instcombine, simplify sweeps) sit near 1; SSA repair — whose
-    /// whole-function scan walks dominator chains per operand — benefits
-    /// from scoping even when the window rivals the function in size.
-    fn window(&self, func: &Function, work_factor: usize) -> Option<DirtyDelta> {
-        let cursor = self.cursor?;
-        let events = match func.probe_since(cursor) {
-            darm_ir::WindowProbe::Clean => return Some(DirtyDelta::default()),
-            darm_ir::WindowProbe::Saturated => return None,
-            darm_ir::WindowProbe::InstsOnly { events } => events,
-            darm_ir::WindowProbe::Shape { events, .. } => events,
-        };
-        // A clean window costs nothing either way, but once there is
-        // anything to replay, a function this small is finished faster by
-        // the plain whole-function scan than by materializing the delta
-        // and running the scoped walk's bookkeeping (measured on the paper
-        // kernels).
-        if func.live_inst_count() < SCOPED_MIN_LIVE_INSTS {
-            return None;
+impl LastRun {
+    /// Runs `transform`, handing it the previous run's cursor, and returns
+    /// its report — or the empty report without running it when nothing
+    /// was mutated since the previous run (O(1) to tell), which left the
+    /// function at the transform's fixpoint.
+    fn rerun<R: Default>(
+        &mut self,
+        func: &mut Function,
+        transform: impl FnOnce(&mut Function, Option<JournalCursor>) -> R,
+    ) -> R {
+        let clean = |last| func.probe_since(last) == WindowProbe::Clean;
+        if self.0.is_some_and(clean) {
+            return R::default();
         }
-        if events > func.live_inst_count().saturating_mul(work_factor) / 2 {
-            return None;
-        }
-        let delta = func.dirty_since(cursor);
-        (!delta.is_saturated()).then_some(delta)
-    }
-
-    /// Marks everything up to the function's current state as processed.
-    fn advance(&mut self, func: &Function) {
-        self.cursor = Some(func.journal_head());
-    }
-
-    /// Forgets the previous function's cursor.
-    fn reset(&mut self) {
-        self.cursor = None;
+        let report = transform(func, self.0);
+        self.0 = Some(func.journal_head());
+        report
     }
 }
 
@@ -92,27 +56,7 @@ impl ScopeTracker {
 #[derive(Debug, Default)]
 pub struct SimplifyCfgPass {
     total: SimplifyStats,
-    tracker: ScopeTracker,
-}
-
-impl SimplifyCfgPass {
-    fn shape_changes(s: &SimplifyStats) -> usize {
-        s.folded_const_branches
-            + s.folded_same_target_branches
-            + s.merged_blocks
-            + s.elided_empty_blocks
-            + s.removed_unreachable
-    }
-
-    fn accumulate(&mut self, s: &SimplifyStats) {
-        self.total.folded_const_branches += s.folded_const_branches;
-        self.total.folded_same_target_branches += s.folded_same_target_branches;
-        self.total.merged_blocks += s.merged_blocks;
-        self.total.elided_empty_blocks += s.elided_empty_blocks;
-        self.total.removed_unreachable += s.removed_unreachable;
-        self.total.removed_trivial_phis += s.removed_trivial_phis;
-        self.total.removed_duplicate_phis += s.removed_duplicate_phis;
-    }
+    last: LastRun,
 }
 
 impl Pass for SimplifyCfgPass {
@@ -125,11 +69,16 @@ impl Pass for SimplifyCfgPass {
         func: &mut Function,
         am: &mut AnalysisManager,
     ) -> Result<PassOutcome, String> {
-        let window = self.tracker.window(func, 2);
-        let stats = simplify_cfg_scoped(func, am, window.as_ref());
-        self.tracker.advance(func);
-        self.accumulate(&stats);
-        Ok(if Self::shape_changes(&stats) > 0 {
+        let stats = self.last.rerun(func, |f, _| simplify_cfg_with(f, am));
+        self.total.folded_const_branches += stats.folded_const_branches;
+        self.total.folded_same_target_branches += stats.folded_same_target_branches;
+        self.total.merged_blocks += stats.merged_blocks;
+        self.total.elided_empty_blocks += stats.elided_empty_blocks;
+        self.total.removed_unreachable += stats.removed_unreachable;
+        self.total.removed_trivial_phis += stats.removed_trivial_phis;
+        self.total.removed_duplicate_phis += stats.removed_duplicate_phis;
+        let phi_only = stats.removed_trivial_phis + stats.removed_duplicate_phis;
+        Ok(if stats.total() > phi_only {
             PassOutcome::cfg_changed(stats.total() as u64)
         } else if stats.total() > 0 {
             PassOutcome::insts_changed(stats.total() as u64)
@@ -161,7 +110,7 @@ impl Pass for SimplifyCfgPass {
 
     fn reset(&mut self) {
         self.total = SimplifyStats::default();
-        self.tracker.reset();
+        self.last = LastRun::default();
     }
 }
 
@@ -171,7 +120,7 @@ impl Pass for SimplifyCfgPass {
 #[derive(Debug, Default)]
 pub struct DcePass {
     removed: u64,
-    tracker: ScopeTracker,
+    last: LastRun,
 }
 
 impl Pass for DcePass {
@@ -184,14 +133,11 @@ impl Pass for DcePass {
         func: &mut Function,
         _am: &mut AnalysisManager,
     ) -> Result<PassOutcome, String> {
-        let window = self.tracker.window(func, 4);
-        let n = run_dce_scoped(func, window.as_ref()) as u64;
-        self.tracker.advance(func);
+        let n = self.last.rerun(func, |f, _| run_dce(f)) as u64;
         self.removed += n;
         Ok(if n > 0 {
             PassOutcome {
-                preserved: darm_analysis::PreservedAnalyses::cfg_shape()
-                    .preserve::<DivergenceAnalysis>(),
+                preserved: PreservedAnalyses::cfg_shape().preserve::<DivergenceAnalysis>(),
                 changed: true,
                 units: n,
             }
@@ -206,7 +152,7 @@ impl Pass for DcePass {
 
     fn reset(&mut self) {
         self.removed = 0;
-        self.tracker.reset();
+        self.last = LastRun::default();
     }
 }
 
@@ -216,7 +162,7 @@ impl Pass for DcePass {
 #[derive(Debug, Default)]
 pub struct InstCombinePass {
     combined: u64,
-    tracker: ScopeTracker,
+    last: LastRun,
 }
 
 impl Pass for InstCombinePass {
@@ -229,9 +175,7 @@ impl Pass for InstCombinePass {
         func: &mut Function,
         _am: &mut AnalysisManager,
     ) -> Result<PassOutcome, String> {
-        let window = self.tracker.window(func, 4);
-        let n = run_instcombine_scoped(func, window.as_ref()) as u64;
-        self.tracker.advance(func);
+        let n = self.last.rerun(func, run_instcombine_since) as u64;
         self.combined += n;
         Ok(if n > 0 {
             PassOutcome::insts_changed(n)
@@ -246,22 +190,16 @@ impl Pass for InstCombinePass {
 
     fn reset(&mut self) {
         self.combined = 0;
-        self.tracker.reset();
+        self.last = LastRun::default();
     }
 }
 
 /// IDF-based SSA reconstruction as a pass. φ insertion leaves the block
 /// graph intact, so the shape analyses survive.
-///
-/// The scoped run keeps a *dominator baseline*: the tree as of its
-/// previous run. The diff between baseline and current tree
-/// ([`DomTree::changed_from`]) names every block whose dominance moved —
-/// together with the journal window, exactly where SSA can have broken.
 #[derive(Debug, Default)]
 pub struct SsaRepairPass {
     repaired: u64,
-    tracker: ScopeTracker,
-    baseline: Option<Arc<DomTree>>,
+    last: LastRun,
 }
 
 impl Pass for SsaRepairPass {
@@ -274,56 +212,7 @@ impl Pass for SsaRepairPass {
         func: &mut Function,
         am: &mut AnalysisManager,
     ) -> Result<PassOutcome, String> {
-        // Baseline resolution: the pass's own previous run, or — for the
-        // very first run under a checkpointing driver — the driver's
-        // repair checkpoint (the function was fully repaired there, so
-        // the window since it bounds every possible defect).
-        let mut scoped = match (self.tracker.window(func, 8), self.baseline.clone()) {
-            (Some(delta), Some(baseline)) => Some((delta, baseline)),
-            _ => None,
-        };
-        if scoped.is_none()
-            && self.baseline.is_none()
-            && func.live_inst_count() >= SCOPED_MIN_LIVE_INSTS
-        {
-            if let Some((cursor, tree)) = am.take_dom_checkpoint() {
-                let events = match func.probe_since(cursor) {
-                    darm_ir::WindowProbe::Clean => Some(0),
-                    darm_ir::WindowProbe::Saturated => None,
-                    darm_ir::WindowProbe::InstsOnly { events }
-                    | darm_ir::WindowProbe::Shape { events, .. } => Some(events),
-                };
-                if events.is_some_and(|e| e <= func.live_inst_count().saturating_mul(4)) {
-                    let delta = func.dirty_since(cursor);
-                    if !delta.is_saturated() {
-                        scoped = Some((delta, tree));
-                    }
-                }
-            }
-        }
-        let n = match scoped {
-            Some((delta, baseline)) => {
-                let cfg = am.get::<Cfg>(func);
-                let dt = am.get::<DomTree>(func);
-                let dom_changed = DomTree::changed_from(&baseline, &dt, &cfg);
-                // When dominance moved across most of the function (a
-                // meld rewriting the bulk of a small kernel), the scoped
-                // scan degenerates to the whole scan plus bookkeeping —
-                // take the straight path instead.
-                let moved = dom_changed.iter().filter(|&&c| c).count();
-                if moved * 3 > cfg.rpo().len() * 2 {
-                    repair_ssa_scoped(func, am, None) as u64
-                } else {
-                    repair_ssa_scoped(func, am, Some((&delta, &dom_changed))) as u64
-                }
-            }
-            None => repair_ssa_scoped(func, am, None) as u64,
-        };
-        // Repair preserves the block graph, so the tree queried during the
-        // run is the tree of the repaired function: it becomes the next
-        // baseline.
-        self.baseline = Some(am.get::<DomTree>(func));
-        self.tracker.advance(func);
+        let n = self.last.rerun(func, |f, _| repair_ssa_with(f, am)) as u64;
         self.repaired += n;
         Ok(if n > 0 {
             PassOutcome::insts_changed(n)
@@ -338,8 +227,7 @@ impl Pass for SsaRepairPass {
 
     fn reset(&mut self) {
         self.repaired = 0;
-        self.tracker.reset();
-        self.baseline = None;
+        self.last = LastRun::default();
     }
 }
 
@@ -368,7 +256,7 @@ impl Pass for VerifyPass {
 /// until a full round reports no change, or `max` rounds have run.
 ///
 /// The inner passes apply their own
-/// [`PreservedAnalyses`](darm_analysis::PreservedAnalyses) reports against
+/// [`PreservedAnalyses`] reports against
 /// the shared [`AnalysisManager`] after every run; the group itself
 /// vouches for the whole cache only when no round changed anything, and
 /// otherwise leaves every entry to the journal — the same contract as the

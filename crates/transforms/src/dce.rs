@@ -1,37 +1,26 @@
 //! Dead code elimination.
 //!
-//! One global use-count pass feeds a worklist: removing an instruction
-//! decrements its operands' counts and re-enqueues definitions that hit
-//! zero, so transitively dead chains fall without the round-based
-//! whole-function rescans the seed implementation performed. The removed
-//! *set* — the unique maximal set of side-effect-free unused instructions —
-//! is identical either way.
-//!
-//! [`run_dce_scoped`] additionally restricts the *candidate* seeds to a
-//! mutation window's dirty region (instructions in touched blocks, plus
-//! touched definitions — which the `darm-ir` journal extends to
-//! RAUW-reached users and the operand definitions of removed
-//! instructions). On a function whose untouched remainder holds no dead
-//! code — the invariant a fixpoint driver maintains by running the
-//! whole-function pass once up front — the scoped result is identical to
-//! the whole-function result.
+//! One global use-count pass feeds a worklist: the sweep that counts uses
+//! also finds the instructions nothing uses, only those seed the worklist,
+//! and removing an instruction decrements its operands' counts and enqueues
+//! the definitions that hit zero — so transitively dead chains fall without
+//! the round-based whole-function rescans the seed implementation
+//! performed. The removed *set* — the unique maximal set of
+//! side-effect-free instructions no side-effecting one depends on (φ cycles
+//! aside) — is identical either way.
 
-use darm_ir::{DirtyDelta, Function, InstId, Value};
+use darm_ir::{Function, InstId, Value};
+
+/// Added to the use count of an instruction that stays whatever uses it:
+/// one with side effects, and a tombstone. Its count never reads zero, so
+/// "zero" alone means "removable".
+const PINNED: u32 = 1 << 31;
 
 /// Removes instructions whose results are unused and that have no side
 /// effects (stores, barriers, warp intrinsics and terminators are kept).
 /// Returns the number of removed instructions.
 pub fn run_dce(func: &mut Function) -> usize {
-    run_dce_scoped(func, None)
-}
-
-/// [`run_dce`] with the candidate seeds restricted to `scope`'s dirty
-/// region (`None`, or a saturated delta, means whole-function).
-pub fn run_dce_scoped(func: &mut Function, scope: Option<&DirtyDelta>) -> usize {
     darm_ir::fault::point("transforms::dce");
-    if scope.is_some_and(|d| d.is_clean()) {
-        return 0; // nothing mutated since the last run: no new dead code
-    }
     // Global use counts (multiset: an instruction using a value twice
     // contributes two), in one sequential sweep of the instruction arena —
     // a live instruction is exactly one that sits in a live block's list.
@@ -41,9 +30,14 @@ pub fn run_dce_scoped(func: &mut Function, scope: Option<&DirtyDelta>) -> usize 
     for idx in 0..cap {
         let id = InstId::new(idx);
         if !func.is_inst_alive(id) {
+            uses[idx] += PINNED;
             continue;
         }
-        for &op in &func.inst(id).operands {
+        let inst = func.inst(id);
+        if inst.opcode.has_side_effects() {
+            uses[idx] += PINNED;
+        }
+        for &op in &inst.operands {
             if let Value::Inst(dep) = op {
                 if dep != id {
                     uses[dep.index()] += 1;
@@ -51,46 +45,15 @@ pub fn run_dce_scoped(func: &mut Function, scope: Option<&DirtyDelta>) -> usize 
             }
         }
     }
-    let mut work: Vec<InstId> = Vec::new();
-    match scope {
-        Some(delta) if !delta.is_saturated() => {
-            let mut seen = vec![false; cap];
-            for b in delta.blocks.iter() {
-                if !func.is_block_alive(b) {
-                    continue;
-                }
-                for &id in func.insts_of(b) {
-                    if !seen[id.index()] {
-                        seen[id.index()] = true;
-                        work.push(id);
-                    }
-                }
-            }
-            for id in delta.insts.iter() {
-                if func.is_inst_alive(id) && !seen[id.index()] {
-                    seen[id.index()] = true;
-                    work.push(id);
-                }
-            }
-        }
-        _ => {
-            work.extend(
-                (0..cap)
-                    .map(InstId::new)
-                    .filter(|&id| func.is_inst_alive(id)),
-            );
-        }
-    }
+    let mut work: Vec<InstId> = uses
+        .iter()
+        .enumerate()
+        .filter(|&(_, &n)| n == 0)
+        .map(|(idx, _)| InstId::new(idx))
+        .collect();
     let mut removed = 0;
     while let Some(id) = work.pop() {
-        if !func.is_inst_alive(id) {
-            continue;
-        }
-        let inst = func.inst(id);
-        if inst.opcode.has_side_effects() || uses[id.index()] > 0 {
-            continue;
-        }
-        let ops = inst.operands.clone();
+        let ops = func.inst(id).operands.clone();
         func.remove_inst(id);
         removed += 1;
         for op in ops {
@@ -153,45 +116,5 @@ mod tests {
         use darm_ir::Value;
         assert_eq!(run_dce(&mut f), 0);
         assert_eq!(f.insts_of(e).len(), 3);
-    }
-
-    #[test]
-    fn scoped_matches_whole_function_after_clean_baseline() {
-        // Build, clean whole-function, mutate one block, then compare the
-        // scoped run against a whole-function run on a twin.
-        let build = || {
-            let mut f = Function::new("s", vec![Type::Ptr(AddrSpace::Global)], Type::Void);
-            let e = f.entry();
-            let mut b = FunctionBuilder::new(&mut f, e);
-            let tid = b.thread_idx(Dim::X);
-            let p = b.gep(Type::I32, b.param(0), tid);
-            b.store(tid, p);
-            b.ret(None);
-            (f, tid)
-        };
-        let (mut f, tid) = build();
-        run_dce(&mut f); // establish the no-dead-code invariant
-        let cursor = f.journal_head();
-        // Mutation: a dead chain in the entry block.
-        let e = f.entry();
-        let term = f.terminator(e).unwrap();
-        let d1 = f.insert_inst_before(
-            term,
-            darm_ir::InstData::new(darm_ir::Opcode::Add, Type::I32, vec![tid, tid]),
-        );
-        f.insert_inst_before(
-            term,
-            darm_ir::InstData::new(
-                darm_ir::Opcode::Mul,
-                Type::I32,
-                vec![Value::Inst(d1), Value::Inst(d1)],
-            ),
-        );
-        let mut twin = f.clone();
-        let delta = f.dirty_since(cursor);
-        let n_scoped = run_dce_scoped(&mut f, Some(&delta));
-        let n_whole = run_dce(&mut twin);
-        assert_eq!(n_scoped, n_whole);
-        assert_eq!(f.to_string(), twin.to_string());
     }
 }

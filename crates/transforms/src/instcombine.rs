@@ -13,60 +13,45 @@
 //! exactly the users whose operands moved; only those enter the next
 //! round. The rewrite system is confluent (rewrites only remove
 //! instructions and substitute values), so the fixpoint reached equals the
-//! seed implementation's repeated whole-function sweeps. [`run_instcombine_scoped`] seeds the queue from a
-//! mutation window's dirty region instead of every instruction.
+//! seed implementation's repeated whole-function sweeps.
+//!
+//! The same journal seeds a *run*: [`run_instcombine_since`] starts from
+//! the instructions touched since a cursor — a caller that ran the pass
+//! before and kept the journal head knows everything else is still at the
+//! fixpoint — and falls back to every instruction when the cursor no
+//! longer names a window.
 
 use crate::resolve_pending;
-use darm_ir::{DirtyDelta, Function, InstId, Opcode, Value};
+use darm_ir::{Function, InstId, JournalCursor, Opcode, Value};
 
 /// Applies local rewrites to a fixpoint. Returns the number of
 /// simplifications performed.
 pub fn run_instcombine(func: &mut Function) -> usize {
-    run_instcombine_scoped(func, None)
+    run_instcombine_since(func, None)
 }
 
-/// [`run_instcombine`] with the initial worklist restricted to `scope`'s
-/// dirty region (`None`, or a saturated delta, means every instruction).
-/// On a function whose untouched remainder is already at the rewrite
-/// fixpoint, the result is identical to the whole-function run.
-pub fn run_instcombine_scoped(func: &mut Function, scope: Option<&DirtyDelta>) -> usize {
+/// [`run_instcombine`] with the initial worklist read off the journal: the
+/// instructions touched since `since`, which must be a cursor taken when
+/// the function was at the rewrite fixpoint (right after a previous run).
+/// Whether an instruction reduces depends on its opcode and operands
+/// alone, and every way either changes — insertion, operand rewrite,
+/// substitution — journals the instruction, so the result is identical to
+/// the whole-function run. `None`, or a cursor that saturated (another
+/// function instance, a truncated journal, an untracked mutation), seeds
+/// every instruction.
+pub fn run_instcombine_since(func: &mut Function, since: Option<JournalCursor>) -> usize {
     darm_ir::fault::point("transforms::instcombine");
-    if scope.is_some_and(|d| d.is_clean()) {
-        return 0; // nothing mutated since the last run: no new redexes
-    }
     let mut work: Vec<InstId> = Vec::new();
-    match scope {
-        Some(delta) if !delta.is_saturated() => {
-            let mut seen = vec![false; func.inst_capacity()];
-            for b in delta.blocks.iter() {
-                if !func.is_block_alive(b) {
-                    continue;
-                }
-                for &id in func.insts_of(b) {
-                    if !seen[id.index()] {
-                        seen[id.index()] = true;
-                        work.push(id);
-                    }
-                }
-            }
-            for id in delta.insts.iter() {
-                if func.is_inst_alive(id) && !seen[id.index()] {
-                    seen[id.index()] = true;
-                    work.push(id);
-                }
-            }
-        }
-        _ => {
-            // Sequential arena sweep: a live instruction is exactly one
-            // that sits in a live block's list, and the rewrite system is
-            // confluent, so seeding order only affects intermediate steps.
-            let cap = func.inst_capacity();
-            work.extend(
-                (0..cap)
-                    .map(InstId::new)
-                    .filter(|&id| func.is_inst_alive(id)),
-            );
-        }
+    if !since.is_some_and(|cursor| func.insts_touched_since(cursor, |t| work.push(t))) {
+        // Sequential arena sweep: a live instruction is exactly one that
+        // sits in a live block's list, and the rewrite system is
+        // confluent, so seeding order only affects intermediate steps.
+        let cap = func.inst_capacity();
+        work.extend(
+            (0..cap)
+                .map(InstId::new)
+                .filter(|&id| func.is_inst_alive(id)),
+        );
     }
     let mut total = 0;
     let mut batch: Vec<(Value, Value)> = Vec::new();

@@ -24,11 +24,11 @@ pub mod instcombine;
 pub mod simplify;
 pub mod ssa_repair;
 
-pub use dce::{run_dce, run_dce_scoped};
+pub use dce::run_dce;
 pub use edges::split_edge;
-pub use instcombine::{run_instcombine, run_instcombine_scoped};
-pub use simplify::{simplify_cfg, simplify_cfg_scoped, simplify_cfg_with};
-pub use ssa_repair::{repair_ssa, repair_ssa_scoped, repair_ssa_with};
+pub use instcombine::{run_instcombine, run_instcombine_since};
+pub use simplify::{simplify_cfg, simplify_cfg_with};
+pub use ssa_repair::{repair_ssa, repair_ssa_with};
 
 use darm_ir::Value;
 

@@ -1,20 +1,15 @@
 //! CFG simplification, the analogue of LLVM's `simplifycfg`.
 //!
-//! [`simplify_cfg_scoped`] restricts every sub-transform's scan to a
-//! mutation window's dirty blocks plus their one-hop CFG neighborhood
-//! (every rewrite's enabling condition reads at most a block and its
-//! direct neighbors, and any edge change dirties both endpoints), skipping
-//! the whole-function rescan the seed implementation performed per meld
-//! iteration. Iteration order over the filtered blocks is unchanged, so on
-//! a function whose untouched remainder holds no simplification redexes —
-//! the invariant a fixpoint driver maintains by running whole-function
-//! once up front — the rewrite *sequence*, and therefore every allocated
-//! block/instruction id and the printed IR, is identical to the
-//! whole-function run.
+//! Every sub-transform sweeps the whole function, round after round until
+//! a round changes nothing — what the paper's `RunPostOptimizations` does
+//! after each melded region. The sweeps are plain block-order scans, cheap
+//! next to the `Cfg` a round needs; narrowing them to the blocks a meld
+//! touched was tried and measured no gain on any workload of the ledger
+//! (ROADMAP.md records the numbers, and what the narrowing cost).
 
 use crate::resolve_pending;
 use darm_analysis::{AnalysisManager, Cfg};
-use darm_ir::{BlockId, DirtyDelta, Function, InstData, JournalCursor, Opcode, Value};
+use darm_ir::{BlockId, Function, InstData, Opcode, Value};
 
 /// Statistics of one [`simplify_cfg`] run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -60,163 +55,20 @@ pub fn simplify_cfg(func: &mut Function) -> SimplifyStats {
 /// [`simplify_cfg`] against a shared [`AnalysisManager`]: CFG snapshots are
 /// pulled from the cache instead of recomputed per sub-transform, and the
 /// manager reconciles them with the journaled mutations at each query
-/// (block/edge edits patch or rebuild; φ-only rewrites keep the shape
-/// analyses). The rewrite sequence — and therefore the resulting IR — is
-/// identical to the uncached version.
+/// (block/edge edits recompute; φ-only rewrites keep the shape analyses).
+/// The rewrite sequence — and therefore the resulting IR — is identical to
+/// the uncached version.
 pub fn simplify_cfg_with(func: &mut Function, am: &mut AnalysisManager) -> SimplifyStats {
-    simplify_cfg_scoped(func, am, None)
-}
-
-/// The live rewrite window of a scoped run: the accumulated dirty region
-/// (initial window plus everything this run has mutated so far) and the
-/// candidate blocks derived from it. Whole-function runs carry no window
-/// and allow everything.
-///
-/// Every sub-transform [`refresh`](ScopeState::refresh)es the state at the
-/// top of each of its sweeps, so a rewrite performed by an earlier
-/// sub-transform (or an earlier sweep) immediately extends the candidate
-/// set — this is what keeps the scoped rewrite *sequence*, not just the
-/// fixpoint, identical to the whole-function run.
-struct ScopeState {
-    /// False after saturation: every query answers "whole-function".
-    alive: bool,
-    /// While set, every block is allowed regardless of the window — the
-    /// *warmup round*. A run that starts without a caller window sweeps
-    /// its first round whole-function; every redex a later round could
-    /// see either lies in the warmup round's own mutation closure (the
-    /// window accumulates it) or would already have been consumed when
-    /// its sub-transform swept the whole function. Rounds after warmup
-    /// therefore scope exactly, with no assumptions about the input.
-    warmup: bool,
-    /// Journal position up to which the window has been drained.
-    cursor: JournalCursor,
-    /// Whether the accumulated window touched the block graph — gates
-    /// unreachable-code removal, whose enabling condition is global.
-    shape_seen: bool,
-    /// Dirty blocks drained from the journal but not yet folded into the
-    /// candidate set.
-    pending: Vec<BlockId>,
-    /// Dirty blocks plus one-hop neighborhood. Grows monotonically: a
-    /// neighborhood is expanded against the CFG at marking time, and any
-    /// later edge change re-marks both endpoints itself, so the union
-    /// over time covers the current neighborhood of every dirty block.
-    candidates: Vec<bool>,
-}
-
-impl ScopeState {
-    /// Whole-function first round, exact self-scoping afterwards.
-    fn warmup(func: &Function) -> ScopeState {
-        ScopeState {
-            alive: true,
-            warmup: true,
-            cursor: func.journal_head(),
-            shape_seen: false,
-            pending: Vec::new(),
-            candidates: Vec::new(),
-        }
-    }
-
-    fn scoped(func: &Function, delta: &DirtyDelta) -> ScopeState {
-        ScopeState {
-            alive: true,
-            warmup: false,
-            cursor: func.journal_head(),
-            shape_seen: delta.shape_changed(),
-            pending: delta.blocks.iter().collect(),
-            candidates: Vec::new(),
-        }
-    }
-
-    /// Ends the warmup round (no-op afterwards).
-    fn end_warmup(&mut self) {
-        self.warmup = false;
-    }
-
-    fn allows(&self, b: BlockId) -> bool {
-        if self.warmup || !self.alive {
-            return true;
-        }
-        self.candidates.get(b.index()).copied().unwrap_or(true)
-    }
-
-    fn shape_changed(&self) -> bool {
-        self.warmup || !self.alive || self.shape_seen
-    }
-
-    /// Drains the journal into the window and folds newly dirty blocks
-    /// (plus their one-hop neighborhood under the current CFG) into the
-    /// candidate set. Degrades to whole-function on saturation. O(new
-    /// events), not O(window).
-    fn refresh(&mut self, func: &Function, am: &mut AnalysisManager) {
-        if !self.alive {
-            return;
-        }
-        let fresh = func.dirty_since(self.cursor);
-        self.cursor = func.journal_head();
-        if fresh.is_saturated() {
-            self.alive = false;
-            return;
-        }
-        self.shape_seen |= fresh.shape_changed();
-        self.pending.extend(fresh.blocks.iter());
-        if self.warmup || self.pending.is_empty() {
-            return; // candidates unused until the warmup round ends
-        }
-        let cfg = am.get::<Cfg>(func);
-        if self.candidates.len() < func.block_capacity() {
-            self.candidates.resize(func.block_capacity(), false);
-        }
-        for b in std::mem::take(&mut self.pending) {
-            if b.index() >= self.candidates.len() {
-                continue;
-            }
-            self.candidates[b.index()] = true;
-            if !func.is_block_alive(b) {
-                continue;
-            }
-            for &s in func.succs(b).iter() {
-                self.candidates[s.index()] = true;
-            }
-            if cfg.is_reachable(b) {
-                for &p in cfg.preds(b) {
-                    self.candidates[p.index()] = true;
-                }
-            }
-        }
-    }
-}
-
-/// [`simplify_cfg_with`] restricted to a mutation window (see the module
-/// docs for the equivalence argument). `None` — and any saturated window —
-/// falls back to the whole-function scan. Mutations performed by the run
-/// itself extend the window as it goes.
-pub fn simplify_cfg_scoped(
-    func: &mut Function,
-    am: &mut AnalysisManager,
-    scope: Option<&DirtyDelta>,
-) -> SimplifyStats {
     let mut stats = SimplifyStats::default();
-    if scope.is_some_and(|d| d.is_clean()) {
-        return stats; // nothing mutated since the last run: no new redexes
-    }
-    let mut scope = match scope {
-        Some(delta) if !delta.is_saturated() => ScopeState::scoped(func, delta),
-        _ => ScopeState::warmup(func),
-    };
     loop {
         darm_ir::budget::poll("transforms::simplify");
         darm_ir::fault::point("transforms::simplify");
-        let mut changed = false;
-        scope.refresh(func, am);
-        if scope.shape_changed() {
-            changed |= remove_unreachable(func, am, &mut stats);
-        }
-        changed |= fold_branches(func, am, &mut stats, &mut scope);
-        changed |= remove_trivial_phis(func, am, &mut stats, &mut scope);
-        changed |= dedup_phis(func, am, &mut stats, &mut scope);
-        changed |= merge_straightline(func, am, &mut stats, &mut scope);
-        changed |= elide_empty_blocks(func, am, &mut stats, &mut scope);
-        scope.end_warmup();
+        let mut changed = remove_unreachable(func, am, &mut stats);
+        changed |= fold_branches(func, &mut stats);
+        changed |= remove_trivial_phis(func, &mut stats);
+        changed |= dedup_phis(func, &mut stats);
+        changed |= merge_straightline(func, am, &mut stats);
+        changed |= elide_empty_blocks(func, am, &mut stats);
         if !changed {
             break;
         }
@@ -258,25 +110,16 @@ fn remove_unreachable(
     changed
 }
 
-fn fold_branches(
-    func: &mut Function,
-    am: &mut AnalysisManager,
-    stats: &mut SimplifyStats,
-    scope: &mut ScopeState,
-) -> bool {
-    scope.refresh(func, am);
+fn fold_branches(func: &mut Function, stats: &mut SimplifyStats) -> bool {
     let mut changed = false;
     for b in func.block_ids() {
-        if !scope.allows(b) {
-            continue;
-        }
         let Some(t) = func.terminator(b) else {
             continue;
         };
         if func.inst(t).opcode != Opcode::Br {
             continue;
         }
-        let succs = func.inst(t).succs.clone();
+        let succs = [func.inst(t).succs[0], func.inst(t).succs[1]];
         let cond = func.inst(t).operands[0];
         if succs[0] == succs[1] {
             func.remove_inst(t);
@@ -305,23 +148,14 @@ fn fold_branches(
     changed
 }
 
-fn remove_trivial_phis(
-    func: &mut Function,
-    am: &mut AnalysisManager,
-    stats: &mut SimplifyStats,
-    scope: &mut ScopeState,
-) -> bool {
+fn remove_trivial_phis(func: &mut Function, stats: &mut SimplifyStats) -> bool {
     let mut changed = false;
     loop {
-        scope.refresh(func, am);
         // One sweep's replacements, applied in a single arena pass at its
         // end. Operands are read through the queue, so a φ made trivial by
         // an earlier replacement of the same sweep is still caught here.
         let mut batch: Vec<(Value, Value)> = Vec::new();
         for b in func.block_ids() {
-            if !scope.allows(b) {
-                continue;
-            }
             for phi in func.phis_of(b) {
                 let inst = func.inst(phi);
                 // A φ is trivial if all incomings are the same value or the φ
@@ -359,20 +193,11 @@ fn remove_trivial_phis(
     changed
 }
 
-fn dedup_phis(
-    func: &mut Function,
-    am: &mut AnalysisManager,
-    stats: &mut SimplifyStats,
-    scope: &mut ScopeState,
-) -> bool {
-    scope.refresh(func, am);
+fn dedup_phis(func: &mut Function, stats: &mut SimplifyStats) -> bool {
     // Applied in one arena pass at the end; φs are compared through the
     // queue, as if each replacement had landed when it was found.
     let mut batch: Vec<(Value, Value)> = Vec::new();
     for b in func.block_ids() {
-        if !scope.allows(b) {
-            continue;
-        }
         let phis = func.phis_of(b);
         for i in 0..phis.len() {
             if !func.is_inst_alive(phis[i]) {
@@ -409,7 +234,6 @@ fn merge_straightline(
     func: &mut Function,
     am: &mut AnalysisManager,
     stats: &mut SimplifyStats,
-    scope: &mut ScopeState,
 ) -> bool {
     let mut changed = false;
     // Reachable-predecessor lists (one entry per edge), maintained locally
@@ -419,11 +243,11 @@ fn merge_straightline(
     // without the per-merge invalidate + whole-CFG recompute. The table is
     // materialized lazily from the cached CFG snapshot at the *first*
     // merge; sweeps that merge nothing (the common confirming case) just
-    // borrow the snapshot.
+    // borrow the snapshot. Because the rows stay exact, a sweep carries on
+    // past a merge instead of starting over.
     let cfg = am.get::<Cfg>(func);
     let mut local: Option<Vec<Vec<BlockId>>> = None;
     loop {
-        scope.refresh(func, am);
         let mut merged = false;
         for b in func.block_ids() {
             if b == func.entry() {
@@ -437,12 +261,7 @@ fn merge_straightline(
                 continue;
             }
             let p = row[0];
-            // The enabling condition reads only `b` and its unique
-            // predecessor — a change at either makes both candidates.
-            if !scope.allows(b) && !scope.allows(p) {
-                continue;
-            }
-            if !func.is_block_alive(p) || func.succs(p).len() != 1 {
+            if !func.is_block_alive(p) || func.succ_slice(p).len() != 1 {
                 continue;
             }
             let Some(pt) = func.terminator(p) else {
@@ -480,7 +299,6 @@ fn merge_straightline(
             stats.merged_blocks += 1;
             merged = true;
             changed = true;
-            break; // rescan from the top with the updated rows
         }
         if !merged {
             break;
@@ -499,7 +317,6 @@ fn elide_empty_blocks(
     func: &mut Function,
     am: &mut AnalysisManager,
     stats: &mut SimplifyStats,
-    scope: &mut ScopeState,
 ) -> bool {
     let mut changed = false;
     // Reachable-predecessor lists maintained locally across elisions, the
@@ -507,11 +324,10 @@ fn elide_empty_blocks(
     // to direct edges preserves reachability, so updating the two affected
     // rows keeps this equal to a fresh `Cfg`'s view without per-elision
     // recomputes. Materialized lazily at the first elision; no-op sweeps
-    // borrow the cached snapshot.
+    // borrow the cached snapshot, and a sweep carries on past an elision.
     let cfg = am.get::<Cfg>(func);
     let mut local: Option<Vec<Vec<BlockId>>> = None;
     loop {
-        scope.refresh(func, am);
         let mut elided = false;
         'outer: for b in func.block_ids() {
             if b == func.entry() {
@@ -528,11 +344,6 @@ fn elide_empty_blocks(
             let target = func.inst(t).succs[0];
             if target == b {
                 continue; // self-loop
-            }
-            // Feasibility reads `b`, its predecessors' edges and the φs of
-            // `target`; any enabling change dirties `b` or `target`.
-            if !scope.allows(b) && !scope.allows(target) {
-                continue;
             }
             let preds: Vec<BlockId> = match &local {
                 Some(t) => t[b.index()].clone(),
@@ -599,7 +410,6 @@ fn elide_empty_blocks(
             stats.elided_empty_blocks += 1;
             elided = true;
             changed = true;
-            break;
         }
         if !elided {
             break;

@@ -23,6 +23,14 @@ for doc in ARCHITECTURE.md README.md; do
     done
 done
 
+# Both measurement harnesses must stay documented where a reader looks.
+for script in scripts/bench_pair.sh scripts/ladder_pair.sh; do
+    if ! grep -q "$script" ARCHITECTURE.md; then
+        echo "ARCHITECTURE.md: missing mention of $script"
+        status=1
+    fi
+done
+
 # The README must link the architecture overview.
 if ! grep -q 'ARCHITECTURE.md' README.md; then
     echo "README.md: missing link to ARCHITECTURE.md"
