@@ -11,8 +11,6 @@
 //! * [`divergence`] — SIMT divergence analysis in the style of
 //!   Karrenberg & Hack (data dependence from thread-id roots plus sync
 //!   dependence through divergent branches),
-//! * [`regions`] — SESE subgraph chains inside divergent regions
-//!   (Definitions 1–4 of the paper),
 //! * [`verify`] — full SSA verification (structure + dominance),
 //! * [`liveness`] — backward liveness and a register-pressure estimate,
 //! * [`manager`] — a memoizing [`AnalysisManager`] with reconcile-on-read
@@ -27,7 +25,6 @@ pub mod dom;
 pub mod dot;
 pub mod liveness;
 pub mod manager;
-pub mod regions;
 pub mod verify;
 
 pub use cfg::Cfg;
@@ -35,6 +32,5 @@ pub use divergence::DivergenceAnalysis;
 pub use dom::{DomTree, PostDomTree};
 pub use dot::to_dot;
 pub use liveness::{max_pressure, InstSet, Liveness};
-pub use manager::{Analysis, AnalysisCounters, AnalysisManager, PreservedAnalyses};
-pub use regions::{sese_chain, SeseSubgraph};
+pub use manager::{Analysis, AnalysisCounters, AnalysisManager};
 pub use verify::verify_ssa;

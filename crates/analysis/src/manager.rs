@@ -38,14 +38,8 @@
 //!
 //! # One invalidation discipline
 //!
-//! The journal, not a pass's summary, decides what survives: nothing is
-//! ever dropped by hand. A pipeline runs
-//! [`AnalysisManager::update_after_with_report`] after every pass — the
-//! pass's [`PreservedAnalyses`] report can only *extend* validity
-//! (vouching for entries across the pass's own window, e.g. DCE proving
-//! divergence intact), never resurrect an entry the journal would
-//! otherwise have condemned — and every entry the report does not vouch
-//! for is reconciled on read as above. [`AnalysisManager::hard_reset`] is
+//! The journal alone decides what survives: nothing is dropped by hand and
+//! no pass is asked what it preserved. [`AnalysisManager::hard_reset`] is
 //! the one wholesale drop, for functions rolled back under a fresh journal
 //! identity.
 //!
@@ -135,67 +129,13 @@ impl Analysis for DivergenceAnalysis {
     }
 }
 
-/// What a transform pass left intact, reported to the pass manager.
-///
-/// Construct with [`PreservedAnalyses::all`] (nothing changed),
-/// [`PreservedAnalyses::none`] (CFG shape changed) or
-/// [`PreservedAnalyses::cfg_shape`] (instructions changed, block graph
-/// intact), then refine with [`preserve`](PreservedAnalyses::preserve).
-#[derive(Debug, Clone, Default)]
-pub struct PreservedAnalyses {
-    all: bool,
-    shape: bool,
-    extra: [bool; SLOT_COUNT],
-}
-
-impl PreservedAnalyses {
-    /// The pass changed nothing analyses care about: keep everything.
-    pub fn all() -> PreservedAnalyses {
-        PreservedAnalyses {
-            all: true,
-            ..PreservedAnalyses::default()
-        }
-    }
-
-    /// The pass changed the block graph: keep nothing.
-    pub fn none() -> PreservedAnalyses {
-        PreservedAnalyses::default()
-    }
-
-    /// The pass changed instructions but not the block graph: keep the
-    /// shape-only analyses (CFG, dominators, post-dominators).
-    pub fn cfg_shape() -> PreservedAnalyses {
-        PreservedAnalyses {
-            all: false,
-            shape: true,
-            ..PreservedAnalyses::default()
-        }
-    }
-
-    /// Additionally preserve analysis `A`.
-    pub fn preserve<A: Analysis>(mut self) -> PreservedAnalyses {
-        self.extra[A::SLOT] = true;
-        self
-    }
-
-    /// Whether the entry in `slot` (with the given shape-only flag)
-    /// survives this report.
-    fn keeps(&self, slot: usize, shape_only: bool) -> bool {
-        self.all || (self.shape && shape_only) || self.extra[slot]
-    }
-}
-
-/// One cache slot: the result plus its shape-only flag and name (captured
-/// at insertion so [`AnalysisManager::update_after_with_report`] can
-/// filter without knowing the concrete types), and the journal cursor of
-/// the function state the entry is valid for — every entry is judged
-/// against *its own* window, so entries computed mid-pass are never
-/// condemned by edits they already reflect.
+/// One cache slot: the result plus the journal cursor of the function
+/// state the entry is valid for — every entry is judged against *its own*
+/// window, so entries computed mid-pass are never condemned by edits they
+/// already reflect.
 #[derive(Clone)]
 struct Slot {
     value: Arc<dyn Any + Send + Sync>,
-    shape_only: bool,
-    name: &'static str,
     cursor: JournalCursor,
 }
 
@@ -249,9 +189,8 @@ pub struct AnalysisManager {
 
 impl std::fmt::Debug for AnalysisManager {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let cached: Vec<&str> = self.slots.iter().flatten().map(|s| s.name).collect();
         f.debug_struct("AnalysisManager")
-            .field("cached", &cached)
+            .field("cached", &self.slots.iter().flatten().count())
             .field("computed", &self.computed)
             .field("counters", &self.counters)
             .finish()
@@ -282,8 +221,6 @@ impl AnalysisManager {
         }
         self.slots[A::SLOT] = Some(Slot {
             value: value.clone(),
-            shape_only: A::SHAPE_ONLY,
-            name: A::NAME,
             cursor: func.journal_head(),
         });
         value
@@ -331,37 +268,6 @@ impl AnalysisManager {
     /// what was truly spent.
     pub fn hard_reset(&mut self) {
         self.slots = Default::default();
-    }
-
-    /// Applies a pass's [`PreservedAnalyses`] report under journal
-    /// arbitration — run by every `darm-pipeline` pipeline after every
-    /// pass: entries the report vouches for are stamped valid for the
-    /// current state (the pass proved it preserved them across its
-    /// mutations); everything else keeps its old validity cursor and is
-    /// judged *lazily* at its next query — where the journal keeps or
-    /// drops it. The union is sound — an entry survives only if the report
-    /// vouches for it or the journal proves its window harmless — and
-    /// strictly finer than either side alone.
-    ///
-    /// `pass_start` is the journal cursor captured just before the pass
-    /// ran: the report vouches for the `[pass_start, now)` window *only*,
-    /// so an entry still carrying an older unreconciled window keeps its
-    /// cursor and revalidates lazily instead of having that pending
-    /// window silently erased.
-    pub fn update_after_with_report(
-        &mut self,
-        func: &Function,
-        preserved: &PreservedAnalyses,
-        pass_start: JournalCursor,
-    ) {
-        let head = func.journal_head();
-        for (i, slot) in self.slots.iter_mut().enumerate() {
-            if let Some(slot) = slot {
-                if slot.cursor == pass_start && preserved.keeps(i, slot.shape_only) {
-                    slot.cursor = head;
-                }
-            }
-        }
     }
 
     /// How many times each analysis was computed (cache misses), in first-
@@ -440,38 +346,6 @@ mod tests {
     }
 
     #[test]
-    fn report_only_vouches_for_entries_valid_at_pass_start() {
-        let mut f = diamond();
-        let mut am = AnalysisManager::new();
-        let dt = am.get::<DomTree>(&f);
-        am.get::<DivergenceAnalysis>(&f);
-        // An instruction-only "pass": the report vouches for the shape
-        // analyses across its window, the journal decides the rest.
-        let start = f.journal_head();
-        let t = f.block_ids()[1];
-        f.insert_inst_at(
-            t,
-            0,
-            InstData::new(Opcode::Add, Type::I32, vec![Value::I32(1), Value::I32(2)]),
-        );
-        am.update_after_with_report(&f, &PreservedAnalyses::cfg_shape(), start);
-        let hits = am.counters().hits;
-        assert!(Arc::ptr_eq(&dt, &am.get::<DomTree>(&f)));
-        assert_eq!(am.counters().hits, hits + 1, "vouched entry is a plain hit");
-        // A second pass whose report vouches for everything must not
-        // resurrect divergence: its cursor predates that pass's start.
-        let start = f.journal_head();
-        am.update_after_with_report(&f, &PreservedAnalyses::all(), start);
-        let before = am.total_computations();
-        am.get::<DivergenceAnalysis>(&f);
-        assert_eq!(
-            am.total_computations(),
-            before + 1,
-            "the pending instruction window drops and recomputes divergence"
-        );
-    }
-
-    #[test]
     fn windows_keep_or_recompute() {
         let mut f = diamond();
         let mut am = AnalysisManager::new();
@@ -484,8 +358,16 @@ mod tests {
             0,
             InstData::new(Opcode::Add, Type::I32, vec![Value::I32(1), Value::I32(2)]),
         );
+        let hits = am.counters().hits;
         assert!(Arc::ptr_eq(&dt, &am.get::<DomTree>(&f)));
+        assert_eq!(am.counters().hits, hits + 1, "kept entry is a plain hit");
+        let before = am.total_computations();
         assert!(!Arc::ptr_eq(&div, &am.get::<DivergenceAnalysis>(&f)));
+        assert_eq!(
+            am.total_computations(),
+            before + 1,
+            "the instruction window drops and recomputes divergence alone"
+        );
         // Block-graph window: everything is recomputed.
         f.add_block("late");
         let before = am.total_computations();

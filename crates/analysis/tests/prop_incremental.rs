@@ -5,14 +5,10 @@
 //! Random CFGs undergo random batches of the meld-shaped edits (split
 //! edge, redirect branch, widen a jump into a branch, collapse a branch
 //! into a jump, merge a block into its only predecessor, tombstone an
-//! unreachable block) interleaved with instruction-only batches, with and
-//! without a pass report vouching `cfg_shape()` across the latter, and
-//! with queries skipped at random so entries carry windows of different
-//! ages. How the manager gets there (keep or recompute) is its business.
+//! unreachable block) interleaved with instruction-only batches, with
+//! queries skipped at random so entries carry windows of different ages. How the manager gets there (keep or recompute) is its business.
 
-use darm_analysis::{
-    AnalysisManager, Cfg, DivergenceAnalysis, DomTree, PostDomTree, PreservedAnalyses,
-};
+use darm_analysis::{AnalysisManager, Cfg, DivergenceAnalysis, DomTree, PostDomTree};
 use darm_ir::builder::FunctionBuilder;
 use darm_ir::{BlockId, Dim, Function, IcmpPred, InstData, Opcode, Type, Value};
 use proptest::prelude::*;
@@ -296,8 +292,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// The property of the module docs. A batch whose `kind` is even is
-    /// instruction-only; with `vouch` set, a pass report then vouches
-    /// `cfg_shape()` across it, as the pipeline does after such a pass.
+    /// instruction-only.
     #[test]
     fn manager_equals_cold_cache_under_edit_batches(
         script in proptest::collection::vec(any::<u8>(), 6..36),
@@ -309,14 +304,12 @@ proptest! {
             ),
             1..6,
         ),
-        vouch in any::<bool>(),
     ) {
         let mut f = build_cfg(&script);
         let mut am = AnalysisManager::new();
         assert_manager_matches_cold(&mut am, &f, 0xf, "warm-up");
         for (kind, batch, mask) in &batches {
             let insts_only = kind.is_multiple_of(2);
-            let pass_start = f.journal_head();
             let shape_before = am.get::<DomTree>(&f);
             for &(op, x, y) in batch {
                 if insts_only {
@@ -324,9 +317,6 @@ proptest! {
                 } else {
                     apply_edit(&mut f, op, x, y);
                 }
-            }
-            if insts_only && vouch {
-                am.update_after_with_report(&f, &PreservedAnalyses::cfg_shape(), pass_start);
             }
             if insts_only {
                 prop_assert!(

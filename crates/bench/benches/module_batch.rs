@@ -11,13 +11,11 @@
 //! `cargo bench --bench module_batch -- --test` — smoke mode (the CI
 //! gate): one serial and one `--jobs 2` run over the whole suite, asserted
 //! bit-identical, plus a check that the worker pool's schedule really is
-//! largest-kernel-first. With `DARM_BENCH_JSON=path` both modes record
-//! the serial-vs-parallel wall ratio under the informational `measured/`
-//! prefix (it is machine-dependent, so the perf gate does not hold it to
-//! a floor).
+//! largest-kernel-first. Both modes print the serial-vs-parallel wall
+//! ratio; it is machine-dependent and held to no floor.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use darm_bench::{fig8_cases, fig9_cases, perfjson, suite_module};
+use darm_bench::{fig8_cases, fig9_cases, suite_module};
 use darm_ir::Module;
 use darm_kernels::BenchCase;
 use darm_melding::MeldConfig;
@@ -109,7 +107,6 @@ fn bench(c: &mut Criterion) {
             t2 = t2.min(meld_with_jobs(&registry, &module, 2).1);
         }
         println!("module_batch smoke: --jobs 2 at {:.2}x of serial", t1 / t2);
-        perfjson::record("measured/module_batch/jobs2_vs_serial", t1 / t2);
         return;
     }
 
@@ -140,10 +137,6 @@ fn bench(c: &mut Criterion) {
     println!(
         "parallel speedup: {:.2}x on {jobs} workers (output bit-identical to serial)",
         t_serial / t_parallel
-    );
-    perfjson::record(
-        "measured/module_batch/parallel_vs_serial",
-        t_serial / t_parallel,
     );
 }
 

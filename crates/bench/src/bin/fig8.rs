@@ -1,23 +1,11 @@
 //! Regenerates Fig. 8: synthetic benchmark speedups (SB1–SB4 and -R
 //! variants across block sizes), DARM and BF over the baseline. All
 //! kernels are melded in one module batch on all cores.
-//!
-//! With `DARM_BENCH_JSON` set, the sweep's DARM/BF geomean speedups are
-//! recorded for the perf gate — simulated-cycle ratios, so the values are
-//! deterministic and the committed baselines are exact.
 
-use darm_bench::{fig8_cases, geomean, perfjson, render_speedups, run_cases, VariantStats};
+use darm_bench::{fig8_cases, render_speedups, run_cases};
 
 fn main() {
     let rows = run_cases(&fig8_cases(), 0);
-    perfjson::record(
-        "fig8/darm_geomean",
-        geomean(rows.iter().map(VariantStats::darm_speedup)),
-    );
-    perfjson::record(
-        "fig8/bf_geomean",
-        geomean(rows.iter().map(VariantStats::bf_speedup)),
-    );
     print!(
         "{}",
         render_speedups("Figure 8 — synthetic benchmark speedups", &rows)

@@ -1,28 +1,10 @@
 //! Regenerates Fig. 9: real-world benchmark speedups across block sizes.
 //! All kernels are melded in one module batch on all cores.
-//!
-//! With `DARM_BENCH_JSON` set, the sweep's DARM/BF geomean speedups are
-//! recorded for the perf gate — simulated-cycle ratios, so the values are
-//! deterministic and the committed baselines are exact.
 
-use darm_bench::{fig9_cases, geomean, perfjson, render_speedups, run_cases, VariantStats};
+use darm_bench::{fig9_cases, render_speedups, run_cases};
 
 fn main() {
     let rows = run_cases(&fig9_cases(), 0);
-    perfjson::record(
-        "fig9/darm_geomean",
-        geomean(rows.iter().map(VariantStats::darm_speedup)),
-    );
-    perfjson::record(
-        "fig9/bf_geomean",
-        geomean(rows.iter().map(VariantStats::bf_speedup)),
-    );
-    // Geomean ratio of *simulated* cycles (timing model) — the headline
-    // number the heuristic warp-cycle ratio above approximates.
-    perfjson::record(
-        "fig9/cycles_darm_vs_baseline",
-        geomean(rows.iter().map(VariantStats::darm_cycle_speedup)),
-    );
     print!(
         "{}",
         render_speedups("Figure 9 — real-world benchmark speedups", &rows)

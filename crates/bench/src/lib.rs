@@ -10,8 +10,6 @@
 //! Correctness is enforced throughout: every transformed kernel variant is
 //! checked against the CPU reference before its numbers are reported.
 
-pub mod perfjson;
-
 use darm_ir::Module;
 use darm_kernels::synthetic::SyntheticKind;
 use darm_kernels::{bitonic, dct, lud, mergesort, nqueens, pcm, srad, BenchCase};

@@ -9,6 +9,7 @@ use darm_bench::{fig8_cases, fig9_cases, geomean, prepare_suite, timed_gpu_confi
 use darm_kernels::BenchCase;
 use darm_melding::MeldConfig;
 use darm_pipeline::PipelineOptions;
+use darm_serve::json::Json;
 use darm_simt::{BytecodeKernel, GpuConfig, KernelStats};
 use std::collections::HashMap;
 
@@ -176,6 +177,40 @@ fn fig9_darm_wins_in_simulated_cycles() {
             r.name
         );
     }
+}
+
+/// The committed `BENCH_meld.json` is exactly the five fig8/fig9 geomeans
+/// — ratios of the simulated counts the table above pins row by row, so
+/// any drift is a changed melding decision or timing model, never noise.
+#[test]
+fn bench_meld_json_is_the_figure_geomeans() {
+    let text = include_str!("../../../BENCH_meld.json");
+    let committed: Vec<(String, String)> = match Json::parse(text) {
+        Ok(Json::Obj(map)) => map
+            .into_iter()
+            .map(|(k, v)| match v {
+                Json::Num(n) => (k, format!("{n:.4}")),
+                other => panic!("BENCH_meld.json: {k} is not a number: {other:?}"),
+            })
+            .collect(),
+        other => panic!("BENCH_meld.json is not a JSON object: {other:?}"),
+    };
+    let fig8 = darm_bench::run_cases(&fig8_cases(), 0);
+    let fig9 = darm_bench::run_cases(&fig9_cases(), 0);
+    let gm = |rows: &[VariantStats], f: fn(&VariantStats) -> f64| geomean(rows.iter().map(f));
+    // Sorted by key, as the codec's `BTreeMap` yields them.
+    let measured = [
+        ("fig8/bf_geomean", gm(&fig8, VariantStats::bf_speedup)),
+        ("fig8/darm_geomean", gm(&fig8, VariantStats::darm_speedup)),
+        ("fig9/bf_geomean", gm(&fig9, VariantStats::bf_speedup)),
+        (
+            "fig9/cycles_darm_vs_baseline",
+            gm(&fig9, VariantStats::darm_cycle_speedup),
+        ),
+        ("fig9/darm_geomean", gm(&fig9, VariantStats::darm_speedup)),
+    ]
+    .map(|(k, v)| (k.to_string(), format!("{v:.4}")));
+    assert_eq!(committed, measured);
 }
 
 /// Lowering is deterministic: two separately lowered kernels must agree

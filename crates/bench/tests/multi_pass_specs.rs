@@ -21,9 +21,8 @@ fn shared_cache_specs_equal_staged_cold_runs() {
     // consumers (meld, ssa-repair, scoped simplify), flat and in groups.
     // The first two specs are the sharpest: a meld scan that melds nothing
     // warms every analysis, tail-merge then rewrites the block graph
-    // without ever touching the cache — bare, or inside a group whose
-    // report must not vouch for what its rounds changed — and the second
-    // meld reads it.
+    // without ever touching the cache — bare, or inside a group — and
+    // the second meld reads it.
     let specs: [&[&str]; 5] = [
         &["meld(threshold=2)", "tail-merge", "meld"],
         &["tail-merge", "meld", "meld-bf"],

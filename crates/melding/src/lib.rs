@@ -57,7 +57,7 @@ pub mod tail_merge;
 pub mod unpredicate;
 
 pub use codegen::{PlanElement, RegionMeldStats};
-pub use pass::{MeldPass, MeldStatsSink, TailMergePass};
+pub use pass::{MeldPass, MeldStatsSink, TailMergePass, CAP_HITS_STAT};
 pub use region::{Analyses, MeldableRegion, Subgraph};
 pub use tail_merge::tail_merge;
 
@@ -300,7 +300,7 @@ pub fn meld_function(func: &mut Function, config: &MeldConfig) -> MeldStats {
     let mut pm = PassManager::new(PipelineOptions::default());
     pm.add(Box::new(MeldPass::with_sink(*config, sink.clone())));
     let mut am = darm_analysis::AnalysisManager::new();
-    pm.run_quiet(func, &mut am)
+    pm.run_once(func, &mut am)
         .expect("melding without verify-each cannot fail");
     sink.take()
 }

@@ -19,8 +19,8 @@ use crate::{plan_region, Analyses, MeldConfig, MeldMode, MeldStats};
 use darm_analysis::AnalysisManager;
 use darm_ir::{BlockId, Function};
 use darm_pipeline::{
-    DcePass, InstCombinePass, Pass, PassManager, PassOutcome, PassRecord, PipelineOptions,
-    SimplifyCfgPass, SsaRepairPass,
+    DcePass, InstCombinePass, Pass, PassManager, PassRecord, PipelineOptions, SimplifyCfgPass,
+    SsaRepairPass,
 };
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -39,6 +39,10 @@ enum Phase {
     PlanAlign,
     Codegen,
 }
+
+/// Stat entry counting [`MeldPass`] runs that stopped at
+/// [`MeldConfig::max_iterations`] instead of at their fixpoint.
+pub const CAP_HITS_STAT: &str = "fixpoint cap hits";
 
 /// Row names, indexed by [`Phase`].
 const PHASES: [&str; 4] = ["analyses", "detect", "plan+align", "codegen"];
@@ -71,6 +75,9 @@ impl PhaseClock {
 pub struct MeldPass {
     config: MeldConfig,
     stats: MeldStatsSink,
+    /// Runs whose outer loop used up `max_iterations` without reaching
+    /// its fixpoint: the function may be under-melded.
+    cap_hits: u64,
     cleanup: PassManager,
     clock: PhaseClock,
 }
@@ -101,6 +108,7 @@ impl MeldPass {
         MeldPass {
             config,
             stats,
+            cap_hits: 0,
             cleanup,
             clock: PhaseClock::default(),
         }
@@ -167,14 +175,10 @@ impl Pass for MeldPass {
         }
     }
 
-    fn run(
-        &mut self,
-        func: &mut Function,
-        am: &mut AnalysisManager,
-    ) -> Result<PassOutcome, String> {
+    fn run(&mut self, func: &mut Function, am: &mut AnalysisManager) -> Result<u64, String> {
         let config = self.config;
         let mut stats = MeldStats::default();
-        let mut mutated = false;
+        let mut reached_fixpoint = false;
         'outer: for _ in 0..config.max_iterations {
             darm_ir::budget::poll("meld::fixpoint");
             stats.iterations += 1;
@@ -193,29 +197,19 @@ impl Pass for MeldPass {
                         .clock
                         .time(Phase::Detect, || region::simplify_region_entry(func, &a, b))
                 {
-                    mutated = true;
                     continue 'outer;
                 }
                 let Some(r) = r else { continue };
-                let arenas_before = (func.block_capacity(), func.inst_capacity());
                 let plan = self
                     .clock
                     .time(Phase::PlanAlign, || plan_region(func, &r, &config));
                 let Some((plan, n_repl)) = plan else {
-                    // plan_region can mutate and still conclude nothing is
-                    // meldable (a region replication that fails partway
-                    // leaves orphan blocks behind). The arenas only grow,
-                    // so a capacity delta is a sound mutation probe.
-                    if (func.block_capacity(), func.inst_capacity()) != arenas_before {
-                        mutated = true;
-                    }
                     continue;
                 };
                 darm_ir::fault::point("meld::codegen");
                 let rstats = self.clock.time(Phase::Codegen, || {
                     crate::codegen::meld_region(func, &r, &plan, config.unpredicate)
                 });
-                mutated = true;
                 stats.melded_regions += 1;
                 stats.melded_subgraphs += rstats.melded_subgraphs;
                 stats.selects_inserted += rstats.selects_inserted;
@@ -223,15 +217,17 @@ impl Pass for MeldPass {
                 stats.replications += n_repl;
                 let repairs_before = self.cleanup.units_of("ssa-repair");
                 self.cleanup
-                    .run_quiet(func, am)
+                    .run_once(func, am)
                     .map_err(|e| format!("post-meld cleanup failed: {e}"))?;
 
                 stats.ssa_repairs +=
                     (self.cleanup.units_of("ssa-repair") - repairs_before) as usize;
                 continue 'outer;
             }
+            reached_fixpoint = true;
             break;
         }
+        self.cap_hits += u64::from(!reached_fixpoint);
         {
             // Accumulate, never overwrite: pass records and stat entries
             // are documented to total across repeated pipeline runs.
@@ -244,17 +240,7 @@ impl Pass for MeldPass {
             sink.ssa_repairs += stats.ssa_repairs;
             sink.iterations += stats.iterations;
         }
-        // A scan that melded nothing, padded nothing and grew no arena is
-        // provably mutation-free and vouches for the whole cache. A
-        // mutating run vouches for nothing: the journal keeps or
-        // drops each entry at its next query, so the warm dominator and
-        // post-dominator trees survive into the next pipeline stage
-        // either way.
-        Ok(if mutated {
-            PassOutcome::cfg_changed(stats.melded_subgraphs as u64)
-        } else {
-            PassOutcome::unchanged()
-        })
+        Ok(stats.melded_subgraphs as u64)
     }
 
     fn stat_entries(&self) -> Vec<(&'static str, u64)> {
@@ -267,6 +253,7 @@ impl Pass for MeldPass {
             ("unpredicated groups", s.unpredicated_groups as u64),
             ("ssa repairs", s.ssa_repairs as u64),
             ("fixpoint iterations", s.iterations as u64),
+            (CAP_HITS_STAT, self.cap_hits),
         ]
     }
 
@@ -286,15 +273,6 @@ impl Pass for MeldPass {
         rows.extend(self.cleanup.records());
         rows
     }
-
-    fn reset(&mut self) {
-        // The sink is shared (callers may hold clones of the Rc), so reset
-        // its contents in place; the inner cleanup pipeline carries the
-        // per-function journal cursors.
-        *self.stats.borrow_mut() = MeldStats::default();
-        self.cleanup.reset_for_reuse();
-        self.clock.phases = Default::default();
-    }
 }
 
 /// Classic tail merging as a pass (Table I's weakest technique).
@@ -308,25 +286,13 @@ impl Pass for TailMergePass {
         "tail-merge"
     }
 
-    fn run(
-        &mut self,
-        func: &mut Function,
-        _am: &mut AnalysisManager,
-    ) -> Result<PassOutcome, String> {
+    fn run(&mut self, func: &mut Function, _am: &mut AnalysisManager) -> Result<u64, String> {
         let n = crate::tail_merge(func) as u64;
         self.merged += n;
-        Ok(if n > 0 {
-            PassOutcome::cfg_changed(n)
-        } else {
-            PassOutcome::unchanged()
-        })
+        Ok(n)
     }
 
     fn stat_entries(&self) -> Vec<(&'static str, u64)> {
         vec![("merged blocks", self.merged)]
-    }
-
-    fn reset(&mut self) {
-        self.merged = 0;
     }
 }

@@ -11,7 +11,7 @@
 use darm_analysis::verify_ssa;
 use darm_ir::builder::FunctionBuilder;
 use darm_ir::{AddrSpace, Dim, Function, IcmpPred, Type, Value};
-use darm_melding::{meld_function, run_meld_pipeline, MeldConfig, MeldStats};
+use darm_melding::{meld_function, run_meld_pipeline, MeldConfig, MeldStats, CAP_HITS_STAT};
 use darm_pipeline::PipelineOptions;
 
 /// `out[tid] = f_{N-1}(… f_0(in[tid]))`, each `f_r` a diamond on one bit of
@@ -122,6 +122,31 @@ fn journal_window_per_round_follows_the_moved_tail_only() {
         per_round(&long),
         long.final_live
     );
+}
+
+/// One rung melds per round, so a ladder taller than
+/// `max_iterations` (32) runs the outer loop dry with rungs still
+/// divergent: the pass says so in its stat entries instead of stopping
+/// silently; a ladder that reaches its fixpoint reports no hit.
+#[test]
+fn running_out_of_fixpoint_iterations_is_recorded() {
+    for (rungs, hits) in [(34, 1), (12, 0)] {
+        let mut f = ladder(rungs);
+        let out = run_meld_pipeline(&mut f, &MeldConfig::default(), PipelineOptions::default())
+            .expect("pipeline");
+        verify_ssa(&f).expect("melded ladder verifies");
+        assert_eq!(out.stats.melded_regions, rungs.min(32), "{rungs} rungs");
+        assert_eq!(
+            f.cond_branch_count(),
+            rungs - rungs.min(32),
+            "{rungs} rungs"
+        );
+        assert!(
+            out.report.passes[0].stats.contains(&(CAP_HITS_STAT, hits)),
+            "{rungs} rungs: {:?}",
+            out.report.passes[0].stats
+        );
+    }
 }
 
 /// A ladder of `rungs` diamonds of which `meldable`, spread evenly, have

@@ -32,9 +32,9 @@
 //!            │ PassRegistry::build_parsed │ N workers ──► ModuleReport   │
 //!            ▼                          └────────────────────────────────┘
 //!   PassManager ── run ──► Pass 1 ─► Pass 2 ─► … ─► PipelineReport
-//!        │                   │  ▲
-//!        │ report(preserved) │  │ get::<A>() (hit or compute)
-//!        ▼                   ▼  │
+//!        │                      │  ▲
+//!        │ journal window       │  │ get::<A>() (hit or compute)
+//!        ▼ (changed?)           ▼  │
 //!   AnalysisManager { Cfg, DomTree, PostDomTree, Divergence }
 //! ```
 //!
@@ -64,25 +64,11 @@
 //! through the `darm-ir` mutation journal, and the manager reconciles each
 //! cached entry against its own journal window at the next query (see
 //! `darm_analysis::manager` for the authoritative contract) — there is
-//! nothing to invalidate by hand. The pass's one obligation is an honest
-//! **preservation report**: the returned [`PassOutcome`] declares, via
-//! [`PreservedAnalyses`], which analyses the pass can *vouch for* across
-//! its own mutations:
-//!
-//! | mutation | report |
-//! |---|---|
-//! | none | `PreservedAnalyses::all()` |
-//! | instructions only (φs, rauw, peepholes, DCE) | `PreservedAnalyses::cfg_shape()` — vouches for CFG/dom/post-dom; DCE additionally `.preserve::<DivergenceAnalysis>()` |
-//! | blocks or edges | `PreservedAnalyses::none()` |
-//!
-//! After every pass the manager applies the report under journal
-//! arbitration (`AnalysisManager::update_after_with_report`): a vouched
-//! entry that was valid when the pass started is stamped valid for the
-//! new state; everything else keeps its cursor and is kept or recomputed
-//! at its next query, as the journal window dictates.
-//! The report can therefore only *extend* validity — an over-conservative
-//! one costs a reconciliation, never correctness — but a report that
-//! vouches for something the pass broke is a bug.
+//! nothing to invalidate by hand and nothing to report. A pass returns its
+//! unit count and no more; whether it *changed* the function is read off
+//! the journal window of its run ([`PassManager::run_once`]), which is what
+//! [`PassRecord::changed_runs`] counts and what a `fixpoint(...)` group
+//! stops on.
 //!
 //! The cleanup passes themselves run whole-function (see [`passes`]); each
 //! keeps the journal cursor of its previous run, skips a run whose window
@@ -145,68 +131,27 @@ pub use passes::{
 pub use registry::{PassParams, PassRegistry};
 pub use spec::{PassSpec, SpecElem, SpecError};
 
-use darm_analysis::{AnalysisCounters, AnalysisManager, PreservedAnalyses};
-use darm_ir::Function;
+use darm_analysis::{AnalysisCounters, AnalysisManager};
+use darm_ir::{Function, WindowProbe};
 use std::any::Any;
 use std::cell::RefCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
-
-/// What one [`Pass::run`] did, reported back to the [`PassManager`].
-#[derive(Debug, Clone)]
-pub struct PassOutcome {
-    /// Which analyses the pass vouches for across its own mutations (see
-    /// crate docs for the rules).
-    pub preserved: PreservedAnalyses,
-    /// Whether the pass changed the function at all.
-    pub changed: bool,
-    /// Pass-defined count of rewrites/changes, summed into the report.
-    pub units: u64,
-}
-
-impl PassOutcome {
-    /// The pass changed nothing.
-    pub fn unchanged() -> PassOutcome {
-        PassOutcome {
-            preserved: PreservedAnalyses::all(),
-            changed: false,
-            units: 0,
-        }
-    }
-
-    /// The pass performed `units` instruction-level rewrites without
-    /// touching the block graph.
-    pub fn insts_changed(units: u64) -> PassOutcome {
-        PassOutcome {
-            preserved: PreservedAnalyses::cfg_shape(),
-            changed: true,
-            units,
-        }
-    }
-
-    /// The pass performed `units` rewrites including block/edge surgery.
-    pub fn cfg_changed(units: u64) -> PassOutcome {
-        PassOutcome {
-            preserved: PreservedAnalyses::none(),
-            changed: true,
-            units,
-        }
-    }
-}
 
 /// A unit of transformation runnable under the [`PassManager`].
 pub trait Pass {
     /// Short stable name (also the spelling used in pipeline specs).
     fn name(&self) -> &str;
 
-    /// Runs the pass over `func`, reading analyses through `am`.
+    /// Runs the pass over `func`, reading analyses through `am`, and
+    /// returns its pass-defined count of rewrites (summed into the
+    /// report's `units` column).
     ///
     /// # Errors
     ///
     /// A pass fails only for internal errors (e.g. the verifier finding
     /// broken SSA); the pipeline stops at the first failure.
-    fn run(&mut self, func: &mut Function, am: &mut AnalysisManager)
-        -> Result<PassOutcome, String>;
+    fn run(&mut self, func: &mut Function, am: &mut AnalysisManager) -> Result<u64, String>;
 
     /// Named counters accumulated across runs, for the report table.
     fn stat_entries(&self) -> Vec<(&'static str, u64)> {
@@ -220,14 +165,6 @@ pub trait Pass {
     fn child_records(&self) -> Vec<PassRecord> {
         Vec::new()
     }
-
-    /// Clears all per-function state — journal cursors, stat counters —
-    /// so the instance behaves exactly like a
-    /// freshly constructed one on its next function. Lets a module worker
-    /// pool pipeline instances across the functions it claims instead of
-    /// rebuilding them. The default is a no-op, correct for stateless
-    /// passes.
-    fn reset(&mut self) {}
 }
 
 /// Why a pipeline run stopped early.
@@ -454,7 +391,7 @@ fn take_current_pass() -> Option<String> {
 /// into diagnostics at the containment boundary by construction — do not
 /// spray "thread panicked" noise on stderr. Every other panic still goes
 /// through the previous hook untouched.
-fn install_quiet_panic_hook() {
+pub fn install_quiet_panic_hook() {
     use std::sync::Once;
     static ONCE: Once = Once::new();
     ONCE.call_once(|| {
@@ -497,7 +434,7 @@ pub struct PassRecord {
     pub name: String,
     /// How often the pass ran (a fixpoint driver may re-run its pipeline).
     pub runs: usize,
-    /// Runs that reported a change.
+    /// Runs whose journal window was not clean.
     pub changed_runs: usize,
     /// Total rewrite units across runs.
     pub units: u64,
@@ -671,19 +608,6 @@ impl PassManager {
         self.run_with(func, &mut am)
     }
 
-    /// Resets the pipeline for reuse on another function: zeroes the
-    /// accumulated records and total time and calls [`Pass::reset`] on
-    /// every pass, so the next run is bit-identical to one through a
-    /// freshly built instance. Module workers call this between the
-    /// functions they claim (per-worker pass-instance pooling).
-    pub fn reset_for_reuse(&mut self) {
-        for (pass, record) in &mut self.passes {
-            pass.reset();
-            *record = PassRecord::default();
-        }
-        self.total_seconds = 0.0;
-    }
-
     /// Runs the pipeline inside a *containment boundary*: the function is
     /// snapshotted first, the run is wrapped in `catch_unwind`, and on any
     /// fault — a pass panic, an injected fault, a budget cancellation
@@ -693,8 +617,7 @@ impl PassManager {
     /// happened.
     ///
     /// After a fault the pipeline instance may hold a pass abandoned
-    /// mid-run: discard it or call [`PassManager::reset_for_reuse`] before
-    /// running it again.
+    /// mid-run: discard it.
     ///
     /// # Errors
     ///
@@ -735,30 +658,17 @@ impl PassManager {
         func: &mut Function,
         am: &mut AnalysisManager,
     ) -> Result<PipelineReport, PipelineError> {
-        self.run_quiet(func, am)?;
+        self.run_once(func, am)?;
         Ok(self.report(am))
     }
 
     /// [`PassManager::run_with`] without building the report — the
     /// allocation-free variant for inner fixpoint loops that re-run their
-    /// pipeline many times (records still accumulate; call
-    /// [`PassManager::run_with`] or read [`PassManager::units_of`] when the
-    /// numbers are needed).
-    ///
-    /// # Errors
-    ///
-    /// See [`PassManager::run`].
-    pub fn run_quiet(
-        &mut self,
-        func: &mut Function,
-        am: &mut AnalysisManager,
-    ) -> Result<(), PipelineError> {
-        self.run_once(func, am).map(|_| ())
-    }
-
-    /// [`PassManager::run_quiet`] reporting whether any pass changed the
-    /// function — the signal a fixpoint driver ([`FixpointPass`]) iterates
-    /// on.
+    /// pipeline many times (records still accumulate; read
+    /// [`PassManager::units_of`] or [`PassManager::records`] when the
+    /// numbers are needed). Returns whether any pass changed the function
+    /// — read off each pass's journal window, never asked of the pass —
+    /// the signal a fixpoint driver ([`FixpointPass`]) iterates on.
     ///
     /// # Errors
     ///
@@ -790,22 +700,20 @@ impl PassManager {
             let t = timing.then(Instant::now);
             let counters_before = timing.then(|| am.counters());
             let pass_start = func.journal_head();
-            let outcome = pass
+            let units = pass
                 .run(func, am)
                 .map_err(|message| PipelineError::PassFailed {
                     pass: pass.name().to_string(),
                     message,
                 })?;
-            // The journal decides what survives; the report only vouches
-            // for entries across this pass's own window.
-            am.update_after_with_report(func, &outcome.preserved, pass_start);
+            let changed = func.probe_since(pass_start) != WindowProbe::Clean;
             if let Some(before) = counters_before {
                 record.analysis += am.counters().since(&before);
             }
             record.runs += 1;
-            record.changed_runs += usize::from(outcome.changed);
-            record.units += outcome.units;
-            changed_any |= outcome.changed;
+            record.changed_runs += usize::from(changed);
+            record.units += units;
+            changed_any |= changed;
             if let Some(t) = t {
                 record.seconds += t.elapsed().as_secs_f64();
             }
@@ -925,6 +833,50 @@ mod tests {
     }
 
     #[test]
+    fn the_journal_not_the_pass_says_what_changed() {
+        // A pass that grows the block graph and reports nothing: the
+        // record counts the change and the cached shape analyses are
+        // recomputed, not served stale.
+        let mut f = const_diamond();
+        let mut am = AnalysisManager::new();
+        let stale_cfg = am.get::<darm_analysis::Cfg>(&f);
+        am.get::<darm_analysis::DomTree>(&f);
+        let mut pm = PassManager::new(PipelineOptions::default());
+        pm.add(Box::new(FnPass::new("grow", |func, _am| {
+            let entry = func.entry();
+            let late = func.split_block_at(entry, 0, "late");
+            FunctionBuilder::new(func, entry).jump(late);
+            Ok(0)
+        })));
+        let report = pm.run_with(&mut f, &mut am).unwrap();
+        assert_eq!(report.passes[0].changed_runs, 1);
+        let before = am.total_computations();
+        let cfg = am.get::<darm_analysis::Cfg>(&f);
+        assert_eq!(am.total_computations(), before + 1, "recomputed");
+        let cold = darm_analysis::Cfg::new(&f);
+        assert_ne!(stale_cfg.rpo(), cold.rpo());
+        assert_eq!(cfg.rpo(), cold.rpo());
+        for b in f.block_ids() {
+            assert_eq!(cfg.preds(b), cold.preds(b));
+            assert_eq!(cfg.succs(b), cold.succs(b));
+        }
+    }
+
+    #[test]
+    fn an_untouched_function_reads_unchanged_and_stops_a_fixpoint() {
+        let mut f = const_diamond();
+        let registry = PassRegistry::with_transforms();
+        let mut pm = registry
+            .build("verify,fixpoint(verify,max=2)", PipelineOptions::default())
+            .unwrap();
+        let report = pm.run(&mut f).unwrap();
+        assert_eq!(report.passes[0].changed_runs, 0);
+        assert_eq!(report.passes[1].changed_runs, 0);
+        // One confirming round, not the two the cap allows.
+        assert_eq!(report.passes[1].stats, vec![("rounds", 1)]);
+    }
+
+    #[test]
     fn verify_each_catches_broken_ssa() {
         // A pass that breaks SSA on purpose: moves a def after its use by
         // rewriting an operand to a not-yet-defined instruction.
@@ -937,7 +889,7 @@ mod tests {
                 &mut self,
                 func: &mut Function,
                 _am: &mut AnalysisManager,
-            ) -> Result<PassOutcome, String> {
+            ) -> Result<u64, String> {
                 // Point the ret at an instruction from an unrelated block
                 // that does not dominate it (the true arm's add).
                 let blocks = func.block_ids();
@@ -945,7 +897,7 @@ mod tests {
                 let x = *blocks.last().unwrap();
                 let term = func.terminator(x).unwrap();
                 func.inst_mut(term).operands[0] = Value::Inst(t_inst);
-                Ok(PassOutcome::insts_changed(1))
+                Ok(1)
             }
         }
         // Build a diamond where the branch is NOT constant so both arms stay.

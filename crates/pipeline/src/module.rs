@@ -15,14 +15,10 @@
 //! run is bit-identical to the serial one (`jobs = 1`, which takes a
 //! plain loop with no thread or lock overhead).
 //!
-//! Each worker builds *one* pipeline instance from the shared parsed spec
-//! and pools it across the functions it claims:
-//! [`PassManager::reset_for_reuse`](crate::PassManager::reset_for_reuse)
-//! clears the per-function pass state (journal cursors, stat sinks)
-//! between functions, so a pooled run is
-//! bit-identical to per-function construction without paying the factory
-//! cost per function. After a contained fault the pooled instance is
-//! discarded (a pass may have been abandoned mid-run) and rebuilt lazily.
+//! Each function gets its own pipeline instance, built from the shared
+//! parsed spec (a factory call per pass — some 0.2 µs against the tens of
+//! microseconds the smallest function takes to meld), so no per-function
+//! pass state outlives its function.
 //!
 //! Every per-function pipeline runs inside a containment boundary: panics
 //! and budget cancellations are caught, the function is rolled back to
@@ -35,7 +31,7 @@
 use crate::registry::PassRegistry;
 use crate::spec::PassSpec;
 use crate::{
-    clear_current_pass, install_quiet_panic_hook, Diagnostic, FaultCause, PassManager, PassRecord,
+    clear_current_pass, install_quiet_panic_hook, Diagnostic, FaultCause, PassRecord,
     PipelineError, PipelineOptions, PipelineReport,
 };
 use darm_analysis::AnalysisManager;
@@ -371,11 +367,9 @@ impl<'r> ModulePassManager<'r> {
         };
         let mut functions = Vec::with_capacity(funcs.len());
         if jobs <= 1 {
-            // Serial: one pooled pipeline instance serves every function,
-            // and any failure is by construction the earliest one.
-            let mut pool = None;
+            // Serial: any failure is by construction the earliest one.
             for (name, func) in names.iter().zip(funcs.iter_mut()) {
-                match self.compile_one(&mut pool, func) {
+                match self.compile_one(func) {
                     Ok((report, outcome)) => functions.push(FunctionReport {
                         function: name.clone(),
                         report,
@@ -392,22 +386,17 @@ impl<'r> ModulePassManager<'r> {
                 .collect();
             std::thread::scope(|s| {
                 for _ in 0..jobs {
-                    s.spawn(|| {
-                        // Per-worker pooled pipeline instance, reset (or
-                        // discarded, after a fault) between functions.
-                        let mut pool = None;
-                        loop {
-                            let k = next.fetch_add(1, Ordering::Relaxed);
-                            let Some(&i) = schedule.get(k) else { break };
-                            // Containment catches pass panics, but a slot
-                            // can still be poisoned by a panic outside the
-                            // boundary; the slot data is valid regardless
-                            // of where its holder died (the result is
-                            // either written whole or absent), so recover
-                            // it instead of cascading the crash.
-                            let mut slot = slots[i].lock().unwrap_or_else(PoisonError::into_inner);
-                            slot.result = Some(self.compile_one(&mut pool, slot.func));
-                        }
+                    s.spawn(|| loop {
+                        let k = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(&i) = schedule.get(k) else { break };
+                        // Containment catches pass panics, but a slot can
+                        // still be poisoned by a panic outside the
+                        // boundary; the slot data is valid regardless of
+                        // where its holder died (the result is either
+                        // written whole or absent), so recover it instead
+                        // of cascading the crash.
+                        let mut slot = slots[i].lock().unwrap_or_else(PoisonError::into_inner);
+                        slot.result = Some(self.compile_one(slot.func));
                     });
                 }
             });
@@ -461,12 +450,8 @@ impl<'r> ModulePassManager<'r> {
         })
     }
 
-    /// Compiles one function through a pooled pipeline instance.
-    ///
-    /// The pool is built lazily from the parsed spec and reset between
-    /// functions ([`PassManager::reset_for_reuse`]); after any fault it is
-    /// discarded — a pass may have been abandoned mid-run — and rebuilt
-    /// lazily for the next function.
+    /// Compiles one function through a pipeline instance built for it from
+    /// the parsed spec.
     ///
     /// # Errors
     ///
@@ -478,28 +463,17 @@ impl<'r> ModulePassManager<'r> {
     /// [`PipelineError::Fault`].
     fn compile_one(
         &self,
-        pool: &mut Option<PassManager>,
         func: &mut Function,
     ) -> Result<(PipelineReport, FunctionOutcome), PipelineError> {
-        match pool {
-            Some(pm) => pm.reset_for_reuse(),
-            None => {
-                *pool = Some(
-                    self.registry
-                        .build_parsed(&self.spec, self.options.pipeline.clone())?,
-                );
-            }
-        }
-        let pm = pool.as_mut().expect("pool was just filled");
+        let mut pm = self
+            .registry
+            .build_parsed(&self.spec, self.options.pipeline.clone())?;
         let mut am = AnalysisManager::new();
         match self.options.on_error {
-            OnError::Degrade => match pm.run_contained(func, &mut am) {
-                Ok(report) => Ok((report, FunctionOutcome::Optimized)),
-                Err(diag) => {
-                    *pool = None;
-                    Ok((PipelineReport::default(), FunctionOutcome::Degraded(diag)))
-                }
-            },
+            OnError::Degrade => Ok(match pm.run_contained(func, &mut am) {
+                Ok(report) => (report, FunctionOutcome::Optimized),
+                Err(diag) => (PipelineReport::default(), FunctionOutcome::Degraded(diag)),
+            }),
             OnError::Fail => {
                 // Same containment boundary, but faults fail the run
                 // instead of degrading, and regular pipeline errors pass
@@ -511,17 +485,11 @@ impl<'r> ModulePassManager<'r> {
                 darm_ir::fault::begin_function();
                 match catch_unwind(AssertUnwindSafe(|| pm.run_with(func, &mut am))) {
                     Ok(Ok(report)) => Ok((report, FunctionOutcome::Optimized)),
-                    Ok(Err(error)) => {
-                        *pool = None;
-                        Err(error)
-                    }
-                    Err(payload) => {
-                        *pool = None;
-                        Err(PipelineError::Fault(Diagnostic::from_unwind(
-                            func.name(),
-                            payload,
-                        )))
-                    }
+                    Ok(Err(error)) => Err(error),
+                    Err(payload) => Err(PipelineError::Fault(Diagnostic::from_unwind(
+                        func.name(),
+                        payload,
+                    ))),
                 }
             }
         }
@@ -696,7 +664,7 @@ mod tests {
                 if victims.contains(&func.name()) {
                     panic!("boom in @{}", func.name());
                 }
-                Ok(crate::PassOutcome::unchanged())
+                Ok(0)
             }))
         });
         registry
@@ -763,31 +731,6 @@ mod tests {
                 other => panic!("expected Fault, got {other:?}"),
             }
         }
-    }
-
-    #[test]
-    fn pooled_serial_run_matches_fresh_instances() {
-        // The serial path pools one pipeline instance across functions;
-        // jobs=4 builds per-worker instances. Identical output proves
-        // `reset_for_reuse` restores as-new behavior (cursors, stats)
-        // between functions.
-        let registry = PassRegistry::with_transforms();
-        let spec = "fixpoint(simplify,instcombine,dce),ssa-repair";
-        let mut pooled = messy_module(6);
-        let mut fresh = messy_module(6);
-        let serial = ModulePassManager::new(
-            &registry,
-            spec,
-            ModuleOptions::serial(PipelineOptions::default()),
-        )
-        .unwrap();
-        let report = serial.run(&mut pooled).unwrap();
-        for func in fresh.functions_mut() {
-            let mut pm = registry.build(spec, PipelineOptions::default()).unwrap();
-            pm.run(func).unwrap();
-        }
-        assert_eq!(pooled.to_string(), fresh.to_string());
-        assert!(report.functions.iter().all(|f| !f.outcome.is_degraded()));
     }
 
     #[test]

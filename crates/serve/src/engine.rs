@@ -194,26 +194,6 @@ pub struct Engine {
     workers: Mutex<Vec<std::thread::JoinHandle<()>>>,
 }
 
-/// Quiet hook for *typed, contained* unwinds (budget cancellations and
-/// injected faults) so they do not spray "thread panicked" noise;
-/// mirrors the pipeline's containment-boundary hook, which only
-/// installs itself once a pipeline actually runs.
-fn install_quiet_panic_hook() {
-    use std::sync::Once;
-    static ONCE: Once = Once::new();
-    ONCE.call_once(|| {
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            let p = info.payload();
-            let contained = p.downcast_ref::<Cancelled>().is_some()
-                || p.downcast_ref::<InjectedFault>().is_some();
-            if !contained {
-                prev(info);
-            }
-        }));
-    });
-}
-
 /// Renders a caught unwind payload for an `internal` error message.
 fn describe_panic(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(inj) = payload.downcast_ref::<InjectedFault>() {
@@ -232,7 +212,9 @@ fn describe_panic(payload: &(dyn std::any::Any + Send)) -> String {
 impl Engine {
     /// Builds the registry, spawns the workers and opens the doors.
     pub fn new(config: ServeConfig) -> Engine {
-        install_quiet_panic_hook();
+        // Typed, contained unwinds stay quiet from the first request on
+        // (the pipeline installs the same hook, once, when it first runs).
+        darm_pipeline::install_quiet_panic_hook();
         let shared = Arc::new(Shared {
             registry: darm_melding::registry(&MeldConfig::default()),
             queue: BoundedQueue::new(config.queue_depth.max(1)),

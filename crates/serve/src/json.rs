@@ -1,7 +1,7 @@
 //! A minimal JSON value, parser and serializer for the serve protocol.
 //!
-//! Hand-rolled for the same reason as `darm_bench::perfjson`: the build
-//! environment is offline, and the protocol needs only objects, arrays,
+//! The workspace's one JSON codec, hand-rolled because the build
+//! environment is offline; the protocol needs only objects, arrays,
 //! strings (with full escape support — IR payloads contain newlines),
 //! numbers, booleans and null. Anything outside that grammar is a hard
 //! parse error, never a silently coerced value: a daemon must answer a

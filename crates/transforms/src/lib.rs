@@ -16,16 +16,13 @@
 //!   region replication, algebraic identities, constant folding).
 //! * [`ssa_repair`] — IDF-based SSA reconstruction for definitions whose
 //!   dominance was broken by a CFG transformation.
-//! * [`edges`] — critical-edge splitting and related edge surgery.
 
 pub mod dce;
-pub mod edges;
 pub mod instcombine;
 pub mod simplify;
 pub mod ssa_repair;
 
 pub use dce::run_dce;
-pub use edges::split_edge;
 pub use instcombine::{run_instcombine, run_instcombine_since};
 pub use simplify::{simplify_cfg, simplify_cfg_with};
 pub use ssa_repair::{repair_ssa, repair_ssa_with};

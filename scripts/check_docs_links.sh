@@ -31,6 +31,17 @@ for script in scripts/bench_pair.sh scripts/ladder_pair.sh; do
     fi
 done
 
+# The perf gate is a test now (`bench_meld_json_is_the_figure_geomeans`);
+# its retired binary, codec and variable must not linger in the docs. (The
+# bracketed letters keep this file itself out of a repo-wide search for
+# those names.)
+for doc in ARCHITECTURE.md README.md; do
+    if grep -n 'perf[_]gate\|perf[j]son\|DARM_BENCH[_]JSON' "$doc"; then
+        echo "$doc: mentions the retired perf-gate machinery"
+        status=1
+    fi
+done
+
 # The README must link the architecture overview.
 if ! grep -q 'ARCHITECTURE.md' README.md; then
     echo "README.md: missing link to ARCHITECTURE.md"

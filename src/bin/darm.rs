@@ -215,13 +215,23 @@ fn cmd_meld(args: &[String]) -> ExitCode {
                 // from the meld pass's stat entries.
                 None => {
                     let stats = darm::melding::MeldStats::from_report(&fr.report);
+                    let capped = fr.report.passes.iter().any(|p| {
+                        p.stats
+                            .iter()
+                            .any(|&(k, v)| k == darm::melding::CAP_HITS_STAT && v > 0)
+                    });
                     eprintln!(
-                        "{prefix}melded {} region(s), {} subgraph(s), {} replication(s), {} select(s), {} unpredicated group(s)",
+                        "{prefix}melded {} region(s), {} subgraph(s), {} replication(s), {} select(s), {} unpredicated group(s){}",
                         stats.melded_regions,
                         stats.melded_subgraphs,
                         stats.replications,
                         stats.selects_inserted,
-                        stats.unpredicated_groups
+                        stats.unpredicated_groups,
+                        if capped {
+                            ", stopped at the fixpoint iteration cap"
+                        } else {
+                            ""
+                        }
                     );
                 }
                 Some(_) => {

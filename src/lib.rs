@@ -6,8 +6,8 @@
 //! CGO 2022). Re-exports every subsystem:
 //!
 //! * [`ir`] — SSA intermediate representation and builder,
-//! * [`analysis`] — dominators, regions, SESE chains, divergence analysis,
-//!   and the memoizing analysis manager,
+//! * [`analysis`] — dominators, divergence analysis, liveness and the
+//!   memoizing analysis manager,
 //! * [`transforms`] — simplifycfg, DCE, SSA repair,
 //! * [`pipeline`] — the pass manager: cached analyses with invalidation,
 //!   composable pass pipelines, textual pipeline specs,
