@@ -5,8 +5,8 @@
 //! Sequence alignment and melding profitability — the quantitative half of
 //! DARM's analysis phase (§IV-C of the paper):
 //!
-//! * [`seq`] — generic Needleman–Wunsch / Smith–Waterman alignment used for
-//!   both subgraph alignment and instruction alignment,
+//! * [`seq`] — generic Needleman–Wunsch alignment used for both subgraph
+//!   alignment and instruction alignment,
 //! * [`compat`] — instruction melding compatibility in the style of Rocha
 //!   et al. (same opcode, compatible operand types, matching address
 //!   spaces for memory operations),
@@ -23,4 +23,4 @@ pub mod seq;
 pub use compat::{inst_kind, meldable_insts, InstKind};
 pub use instr::{align_block_instructions, BlockAlignment};
 pub use profit::{block_melding_profit, subgraph_melding_profit};
-pub use seq::{global_align, local_align, AlignStep};
+pub use seq::{global_align, AlignStep};

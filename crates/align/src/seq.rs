@@ -4,8 +4,8 @@
 //! SESE subgraph chains of the two divergent paths (scored by `MP_S`), and
 //! aligning the instruction sequences of two corresponding basic blocks
 //! (scored by latency, as in Branch Fusion). The paper uses
-//! Smith–Waterman; both the local (SW) and global (Needleman–Wunsch)
-//! variants are provided.
+//! Smith–Waterman; melding needs every element of both sequences placed,
+//! so the global (Needleman–Wunsch) variant is the one provided.
 
 /// One element of an alignment result.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -112,73 +112,6 @@ pub fn global_align<T>(
     (dp.get(n, m), steps)
 }
 
-/// Local (Smith–Waterman) alignment: finds the highest-scoring pair of
-/// contiguous regions. Elements outside the matched window are reported as
-/// gaps so that, as with [`global_align`], every index appears exactly once.
-pub fn local_align<T>(
-    a: &[T],
-    b: &[T],
-    mut score: impl FnMut(&T, &T) -> Option<i64>,
-    gap: i64,
-) -> (i64, Vec<AlignStep>) {
-    let (n, m) = (a.len(), b.len());
-    let mut dp = FlatMatrix::new(n, m, 0);
-    let mut diag = FlatMatrix::new(n, m, NEG);
-    let (mut best, mut bi, mut bj) = (0i64, 0usize, 0usize);
-    for i in 1..=n {
-        for j in 1..=m {
-            let d = match score(&a[i - 1], &b[j - 1]) {
-                Some(s) => dp.get(i - 1, j - 1) + s,
-                None => NEG,
-            };
-            diag.set(i, j, d);
-            let cell = 0
-                .max(d)
-                .max(dp.get(i - 1, j) + gap)
-                .max(dp.get(i, j - 1) + gap);
-            dp.set(i, j, cell);
-            if cell > best {
-                best = cell;
-                bi = i;
-                bj = j;
-            }
-        }
-    }
-    // Traceback from the maximum until a zero cell.
-    let mut core = Vec::new();
-    let (mut i, mut j) = (bi, bj);
-    while i > 0 && j > 0 && dp.get(i, j) > 0 {
-        if dp.get(i, j) == diag.get(i, j) {
-            core.push(AlignStep::Match(i - 1, j - 1));
-            i -= 1;
-            j -= 1;
-        } else if dp.get(i, j) == dp.get(i - 1, j) + gap {
-            core.push(AlignStep::GapA(i - 1));
-            i -= 1;
-        } else {
-            core.push(AlignStep::GapB(j - 1));
-            j -= 1;
-        }
-    }
-    core.reverse();
-    // Pad the unmatched prefixes and suffixes with gaps.
-    let mut steps = Vec::new();
-    for k in 0..i {
-        steps.push(AlignStep::GapA(k));
-    }
-    for k in 0..j {
-        steps.push(AlignStep::GapB(k));
-    }
-    steps.extend(core);
-    for k in bi..n {
-        steps.push(AlignStep::GapA(k));
-    }
-    for k in bj..m {
-        steps.push(AlignStep::GapB(k));
-    }
-    (best, steps)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -266,25 +199,11 @@ mod tests {
     }
 
     #[test]
-    fn local_alignment_finds_core() {
-        let a = chars("xxabcyy");
-        let b = chars("zzabcww");
-        let (score, steps) = local_align(&a, &b, char_score, -1);
-        assert_eq!(score, 6);
-        let m = matches(&steps);
-        assert_eq!(m, vec![(2, 2), (3, 3), (4, 4)]);
-        check_cover(&steps, 7, 7);
-    }
-
-    #[test]
     fn empty_sequences() {
         let a: Vec<char> = vec![];
         let b = chars("ab");
         let (score, steps) = global_align(&a, &b, char_score, -1);
         assert_eq!(score, -2);
         check_cover(&steps, 0, 2);
-        let (ls, lsteps) = local_align(&a, &b, char_score, -1);
-        assert_eq!(ls, 0);
-        check_cover(&lsteps, 0, 2);
     }
 }

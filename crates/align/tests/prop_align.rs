@@ -2,7 +2,7 @@
 //! invariants that must hold for every input, plus agreement with a naive
 //! oracle on small instances.
 
-use darm_align::{global_align, local_align, AlignStep};
+use darm_align::{global_align, AlignStep};
 use proptest::prelude::*;
 
 fn score(a: &u8, b: &u8) -> Option<i64> {
@@ -54,16 +54,6 @@ proptest! {
         b in proptest::collection::vec(0u8..5, 0..20),
     ) {
         let (_, steps) = global_align(&a, &b, score, -1);
-        check_cover(&steps, a.len(), b.len());
-    }
-
-    #[test]
-    fn local_alignment_covers_all_indices(
-        a in proptest::collection::vec(0u8..5, 0..20),
-        b in proptest::collection::vec(0u8..5, 0..20),
-    ) {
-        let (s, steps) = local_align(&a, &b, score, -1);
-        prop_assert!(s >= 0);
         check_cover(&steps, a.len(), b.len());
     }
 

@@ -39,9 +39,9 @@
 //! # One invalidation discipline
 //!
 //! The journal alone decides what survives: nothing is dropped by hand and
-//! no pass is asked what it preserved. [`AnalysisManager::hard_reset`] is
-//! the one wholesale drop, for functions rolled back under a fresh journal
-//! identity.
+//! no pass is asked what it preserved. A function rolled back under a fresh
+//! journal identity (`Function::restore`) is compiled again, if at all,
+//! against a fresh manager.
 //!
 //! [`AnalysisManager::counters`] exposes how many computations and cache
 //! hits occurred — `darm meld --time-passes` prints the per-pass split.
@@ -255,21 +255,6 @@ impl AnalysisManager {
         })
     }
 
-    /// Forgets *everything tied to a function's journal identity* — the
-    /// cached entries — keeping only the historical computation counters.
-    ///
-    /// This is the containment path for abandoned windows: after a
-    /// contained pipeline panic or budget cancellation the function is
-    /// rolled back to a pre-pipeline snapshot under a *fresh* journal
-    /// identity, so every anchor this manager holds describes an edit
-    /// history that no longer exists. Stale cursors would merely saturate
-    /// (safe but wasteful). A hard reset returns the manager to the cold
-    /// state a fresh function expects, while the counters keep reporting
-    /// what was truly spent.
-    pub fn hard_reset(&mut self) {
-        self.slots = Default::default();
-    }
-
     /// How many times each analysis was computed (cache misses), in first-
     /// computed order. Cache hits do not count; the difference between
     /// queries and computations is the reuse the cache bought.
@@ -326,23 +311,6 @@ mod tests {
         // Divergence pulls the post-dominator tree through the cache too.
         assert_eq!(am.total_computations(), 4);
         assert!(am.counters().hits >= 3);
-    }
-
-    #[test]
-    fn hard_reset_forgets_anchors_but_keeps_counters() {
-        let f = diamond();
-        let mut am = AnalysisManager::new();
-        am.get::<DomTree>(&f);
-        let computed = am.total_computations();
-        assert!(computed > 0);
-        am.hard_reset();
-        assert!(am.cached::<Cfg>().is_none());
-        assert!(am.cached::<DomTree>().is_none());
-        // Historical stats survive: the reset forgets state, not spend.
-        assert_eq!(am.total_computations(), computed);
-        // The manager is usable from cold afterwards.
-        am.get::<DomTree>(&f);
-        assert!(am.cached::<DomTree>().is_some());
     }
 
     #[test]

@@ -57,7 +57,7 @@ pub mod tail_merge;
 pub mod unpredicate;
 
 pub use codegen::{PlanElement, RegionMeldStats};
-pub use pass::{MeldPass, MeldStatsSink, TailMergePass, CAP_HITS_STAT};
+pub use pass::{MeldPass, TailMergePass, CAP_HITS_STAT};
 pub use region::{Analyses, MeldableRegion, Subgraph};
 pub use tail_merge::tail_merge;
 
@@ -211,13 +211,12 @@ pub fn run_meld_pipeline(
     config: &MeldConfig,
     options: PipelineOptions,
 ) -> Result<MeldOutcome, PipelineError> {
-    let sink = MeldStatsSink::default();
-    let pass = MeldPass::with_sink(*config, sink.clone()).observing(&options);
+    let pass = MeldPass::new(*config).observing(&options);
     let mut pm = PassManager::new(options);
     pm.add(Box::new(pass));
     let report = pm.run(func)?;
     Ok(MeldOutcome {
-        stats: sink.take(),
+        stats: MeldStats::from_report(&report),
         report,
     })
 }
@@ -293,16 +292,15 @@ pub fn registry(config: &MeldConfig) -> PassRegistry {
 /// valid SSA form.
 ///
 /// Equivalent to [`run_meld_pipeline`] with default options, minus the
-/// [`PipelineReport`] construction nobody reads on this path; see
-/// [`MeldPass`] for how the fixpoint shares cached analyses.
+/// one-pass [`PassManager`] and the [`PipelineReport`] nobody reads on this
+/// path: it runs the [`MeldPass`] itself and hands out the pass's own
+/// totals. See [`MeldPass`] for how the fixpoint shares cached analyses.
 pub fn meld_function(func: &mut Function, config: &MeldConfig) -> MeldStats {
-    let sink = MeldStatsSink::default();
-    let mut pm = PassManager::new(PipelineOptions::default());
-    pm.add(Box::new(MeldPass::with_sink(*config, sink.clone())));
-    let mut am = darm_analysis::AnalysisManager::new();
-    pm.run_once(func, &mut am)
+    use darm_pipeline::Pass;
+    let mut pass = MeldPass::new(*config);
+    pass.run(func, &mut darm_analysis::AnalysisManager::new())
         .expect("melding without verify-each cannot fail");
-    sink.take()
+    pass.stats
 }
 
 /// Computes the melding plan for a region: aligns the two subgraph chains

@@ -22,13 +22,7 @@ use darm_pipeline::{
     DcePass, InstCombinePass, Pass, PassManager, PassRecord, PipelineOptions, SimplifyCfgPass,
     SsaRepairPass,
 };
-use std::cell::RefCell;
-use std::rc::Rc;
 use std::time::Instant;
-
-/// Shared handle through which a [`MeldPass`] publishes its statistics
-/// (the pass itself is consumed by the [`PassManager`] that runs it).
-pub type MeldStatsSink = Rc<RefCell<MeldStats>>;
 
 /// The fixpoint's own phases, in the order a round runs them; the inner
 /// cleanup pipeline's slots follow them as child rows.
@@ -74,7 +68,9 @@ impl PhaseClock {
 /// per [`MeldConfig::mode`]).
 pub struct MeldPass {
     config: MeldConfig,
-    stats: MeldStatsSink,
+    /// Totals across runs, published as [`Pass::stat_entries`] (which
+    /// [`MeldStats::from_report`] reads back).
+    pub(crate) stats: MeldStats,
     /// Runs whose outer loop used up `max_iterations` without reaching
     /// its fixpoint: the function may be under-melded.
     cap_hits: u64,
@@ -83,16 +79,9 @@ pub struct MeldPass {
 }
 
 impl MeldPass {
-    /// A meld pass with a private stats sink (read it back via
-    /// [`MeldPass::stats`] or the pass's [`Pass::stat_entries`]).
+    /// A meld pass for `config`; its statistics are its
+    /// [`Pass::stat_entries`].
     pub fn new(config: MeldConfig) -> MeldPass {
-        MeldPass::with_sink(config, MeldStatsSink::default())
-    }
-
-    /// A meld pass publishing into a caller-owned sink — the pattern
-    /// `run_meld_pipeline` uses to recover [`MeldStats`] after the pass
-    /// manager has consumed the pass.
-    pub fn with_sink(config: MeldConfig, stats: MeldStatsSink) -> MeldPass {
         // Algorithm 1's RunPostOptimizations, as an inner pipeline: each
         // cleanup pass runs over the whole function after every melded
         // region, as in the paper. The analysis cache reconciles through
@@ -107,16 +96,11 @@ impl MeldPass {
             .add(Box::new(DcePass::default()));
         MeldPass {
             config,
-            stats,
+            stats: MeldStats::default(),
             cap_hits: 0,
             cleanup,
             clock: PhaseClock::default(),
         }
-    }
-
-    /// The stats sink.
-    pub fn stats(&self) -> MeldStatsSink {
-        self.stats.clone()
     }
 
     /// Carries the surrounding pipeline's observation options inside the
@@ -228,23 +212,21 @@ impl Pass for MeldPass {
             break;
         }
         self.cap_hits += u64::from(!reached_fixpoint);
-        {
-            // Accumulate, never overwrite: pass records and stat entries
-            // are documented to total across repeated pipeline runs.
-            let mut sink = self.stats.borrow_mut();
-            sink.melded_regions += stats.melded_regions;
-            sink.melded_subgraphs += stats.melded_subgraphs;
-            sink.replications += stats.replications;
-            sink.selects_inserted += stats.selects_inserted;
-            sink.unpredicated_groups += stats.unpredicated_groups;
-            sink.ssa_repairs += stats.ssa_repairs;
-            sink.iterations += stats.iterations;
-        }
+        // Accumulate, never overwrite: pass records and stat entries are
+        // documented to total across repeated pipeline runs.
+        let total = &mut self.stats;
+        total.melded_regions += stats.melded_regions;
+        total.melded_subgraphs += stats.melded_subgraphs;
+        total.replications += stats.replications;
+        total.selects_inserted += stats.selects_inserted;
+        total.unpredicated_groups += stats.unpredicated_groups;
+        total.ssa_repairs += stats.ssa_repairs;
+        total.iterations += stats.iterations;
         Ok(stats.melded_subgraphs as u64)
     }
 
     fn stat_entries(&self) -> Vec<(&'static str, u64)> {
-        let s = self.stats.borrow();
+        let s = &self.stats;
         vec![
             ("melded regions", s.melded_regions as u64),
             ("melded subgraphs", s.melded_subgraphs as u64),

@@ -84,21 +84,22 @@
 //! function, never an aborted process. The crate implements that at the
 //! per-function boundary:
 //!
-//! * **Containment.** [`PassManager::run_contained`] snapshots the
-//!   function ([`Function::snapshot`] — the restored state carries a
-//!   fresh journal identity, so no stale cursor survives), wraps the run
-//!   in `catch_unwind`, and on any fault — a pass panic, an injected
-//!   fault, a budget cancellation, or a plain pipeline error — restores
-//!   the snapshot, hard-resets the analysis manager and returns a
-//!   structured [`Diagnostic`]`{ function, pass, site, cause }`.
-//! * **Outcomes.** A [`ModulePassManager`] with
-//!   [`OnError::Degrade`] records
-//!   [`FunctionOutcome::Degraded`] in its [`ModuleReport`] and keeps
-//!   compiling every other function; with [`OnError::Fail`] (the library
-//!   default, preserving pre-containment semantics) the earliest fault in
-//!   module order fails the run — but panics are still contained and
-//!   surfaced as [`PipelineError::Fault`], and workers recover poisoned
-//!   slot mutexes instead of cascading.
+//! * **Containment.** The boundary is one function,
+//!   `ModulePassManager::compile_one` in [`module`], entered once per
+//!   function by every driver: it runs the function's pipeline (with an
+//!   [`AnalysisManager`] of its own) under an unwind guard and classifies
+//!   whatever stops it — a pass panic, an injected fault, a budget
+//!   cancellation, or a plain pipeline error — into a structured
+//!   [`Diagnostic`]`{ function, pass, site, cause }`.
+//! * **Outcomes.** Under [`OnError::Degrade`] the boundary takes a
+//!   [`Function::snapshot`] first and restores it on a fault (the restored
+//!   state carries a fresh journal identity, so no stale cursor survives),
+//!   records [`FunctionOutcome::Degraded`] in the [`ModuleReport`] and
+//!   keeps compiling every other function; under [`OnError::Fail`] (the
+//!   library default, preserving pre-containment semantics) it takes no
+//!   snapshot and the earliest fault in module order fails the run — but
+//!   panics are still contained and surfaced as [`PipelineError::Fault`],
+//!   and workers recover poisoned slot mutexes instead of cascading.
 //! * **Budgets.** [`PipelineOptions::budget`] carries a shared
 //!   wall-clock + fuel [`Budget`]. The pass loop installs it for the
 //!   current thread and the expensive loops poll it
@@ -135,7 +136,6 @@ use darm_analysis::{AnalysisCounters, AnalysisManager};
 use darm_ir::{Function, WindowProbe};
 use std::any::Any;
 use std::cell::RefCell;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
 /// A unit of transformation runnable under the [`PassManager`].
@@ -301,39 +301,44 @@ impl Diagnostic {
         }
     }
 
-    /// Classifies a caught unwind payload as a fault of `function`: a
-    /// typed budget [`Cancelled`](darm_ir::budget::Cancelled) or injected
-    /// fault carries its site and kind; anything else is an unexpected
-    /// pass panic. The running pass is taken from the pipeline's
+    /// Describes a caught unwind payload as a fault of `function` (see
+    /// [`classify_unwind`]). The running pass is taken from the pipeline's
     /// thread-local pass marker.
     pub fn from_unwind(function: &str, payload: Box<dyn Any + Send>) -> Diagnostic {
-        let pass = take_current_pass();
-        let (site, cause) = if let Some(c) = payload.downcast_ref::<darm_ir::budget::Cancelled>() {
-            let cause = match c.kind {
-                darm_ir::budget::CancelKind::Deadline => FaultCause::Deadline,
-                darm_ir::budget::CancelKind::Fuel => FaultCause::Fuel,
-            };
-            (Some(c.site.to_string()), cause)
-        } else if let Some(inj) = payload.downcast_ref::<darm_ir::fault::InjectedFault>() {
-            let cause = match inj.kind {
-                darm_ir::fault::FaultKind::Error => FaultCause::Error("injected fault".to_string()),
-                _ => FaultCause::Panic("injected fault".to_string()),
-            };
-            (Some(inj.site.to_string()), cause)
-        } else {
-            let message = payload
-                .downcast_ref::<&'static str>()
-                .map(|s| s.to_string())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "non-string panic payload".to_string());
-            (None, FaultCause::Panic(message))
-        };
+        let (site, cause) = classify_unwind(payload.as_ref());
         Diagnostic {
             function: function.to_string(),
-            pass,
-            site,
+            pass: take_current_pass(),
+            site: site.map(str::to_string),
             cause,
         }
+    }
+}
+
+/// Classifies a caught unwind payload — the one place that knows what the
+/// compilation stack unwinds with: a typed budget
+/// [`Cancelled`](darm_ir::budget::Cancelled) or injected fault carries its
+/// site and kind; anything else is an unexpected panic with its message.
+pub fn classify_unwind(payload: &(dyn Any + Send)) -> (Option<&'static str>, FaultCause) {
+    if let Some(c) = payload.downcast_ref::<darm_ir::budget::Cancelled>() {
+        let cause = match c.kind {
+            CancelKind::Deadline => FaultCause::Deadline,
+            CancelKind::Fuel => FaultCause::Fuel,
+        };
+        (Some(c.site), cause)
+    } else if let Some(inj) = payload.downcast_ref::<darm_ir::fault::InjectedFault>() {
+        let cause = match inj.kind {
+            darm_ir::fault::FaultKind::Error => FaultCause::Error("injected fault".to_string()),
+            _ => FaultCause::Panic("injected fault".to_string()),
+        };
+        (Some(inj.site), cause)
+    } else {
+        let message = payload
+            .downcast_ref::<&'static str>()
+            .map(|s| s.to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "non-string panic payload".to_string());
+        (None, FaultCause::Panic(message))
     }
 }
 
@@ -419,11 +424,11 @@ pub struct PipelineOptions {
     /// Shared wall-clock/fuel budget. The pass loop installs it for the
     /// current thread and polls it before every pass; the expensive inner
     /// loops (fixpoint rounds, meld planning/scoring, simplify rounds)
-    /// poll it too. Exhaustion unwinds with a typed payload that a
-    /// containment boundary ([`PassManager::run_contained`],
-    /// [`OnError::Degrade`]) converts into a degraded outcome for just the
-    /// current function. The default is unlimited, which makes every poll
-    /// a near-free thread-local check.
+    /// poll it too. Exhaustion unwinds with a typed payload that the
+    /// per-function containment boundary converts into a fault of just the
+    /// current function (a degraded outcome under [`OnError::Degrade`]).
+    /// The default is unlimited, which makes every poll a near-free
+    /// thread-local check.
     pub budget: Budget,
 }
 
@@ -606,45 +611,6 @@ impl PassManager {
     pub fn run(&mut self, func: &mut Function) -> Result<PipelineReport, PipelineError> {
         let mut am = AnalysisManager::new();
         self.run_with(func, &mut am)
-    }
-
-    /// Runs the pipeline inside a *containment boundary*: the function is
-    /// snapshotted first, the run is wrapped in `catch_unwind`, and on any
-    /// fault — a pass panic, an injected fault, a budget cancellation
-    /// unwind, or a plain pipeline error — the function is restored to its
-    /// pre-pipeline snapshot (under a fresh journal identity), `am` is
-    /// hard-reset, and the returned [`Diagnostic`] describes what
-    /// happened.
-    ///
-    /// After a fault the pipeline instance may hold a pass abandoned
-    /// mid-run: discard it.
-    ///
-    /// # Errors
-    ///
-    /// The [`Diagnostic`] of the contained fault; the function is then
-    /// bit-identical to its pre-call state.
-    pub fn run_contained(
-        &mut self,
-        func: &mut Function,
-        am: &mut AnalysisManager,
-    ) -> Result<PipelineReport, Diagnostic> {
-        install_quiet_panic_hook();
-        clear_current_pass();
-        darm_ir::fault::begin_function();
-        let snapshot = func.snapshot();
-        match catch_unwind(AssertUnwindSafe(|| self.run_with(func, am))) {
-            Ok(Ok(report)) => Ok(report),
-            Ok(Err(error)) => {
-                func.restore(&snapshot);
-                am.hard_reset();
-                Err(Diagnostic::from_error(func.name(), &error))
-            }
-            Err(payload) => {
-                func.restore(&snapshot);
-                am.hard_reset();
-                Err(Diagnostic::from_unwind(func.name(), payload))
-            }
-        }
     }
 
     /// [`PassManager::run`] against a caller-provided cache, so warm

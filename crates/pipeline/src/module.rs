@@ -20,12 +20,13 @@
 //! microseconds the smallest function takes to meld), so no per-function
 //! pass state outlives its function.
 //!
-//! Every per-function pipeline runs inside a containment boundary: panics
-//! and budget cancellations are caught, the function is rolled back to
-//! its pre-pipeline snapshot, and — per [`ModuleOptions::on_error`] — the
-//! run either records a [`FunctionOutcome::Degraded`] and continues
-//! ([`OnError::Degrade`]) or fails with the earliest fault in module
-//! order ([`OnError::Fail`]). Workers recover poisoned slot mutexes with
+//! Every per-function pipeline runs inside the one containment boundary
+//! (`compile_one`): panics, budget cancellations and pipeline errors are
+//! caught and classified, and — per [`ModuleOptions::on_error`] — the run
+//! either rolls the function back to its pre-pipeline snapshot, records a
+//! [`FunctionOutcome::Degraded`] and continues ([`OnError::Degrade`]) or
+//! fails with the earliest fault in module order ([`OnError::Fail`], which
+//! takes no snapshot). Workers recover poisoned slot mutexes with
 //! `PoisonError::into_inner` instead of cascading a crash.
 
 use crate::registry::PassRegistry;
@@ -34,7 +35,6 @@ use crate::{
     clear_current_pass, install_quiet_panic_hook, Diagnostic, FaultCause, PassRecord,
     PipelineError, PipelineOptions, PipelineReport,
 };
-use darm_analysis::AnalysisManager;
 use darm_ir::{Function, Module};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -450,8 +450,10 @@ impl<'r> ModulePassManager<'r> {
         })
     }
 
-    /// Compiles one function through a pipeline instance built for it from
-    /// the parsed spec.
+    /// The containment boundary, entered once per function: builds the
+    /// function's pipeline instance from the parsed spec, runs it under an
+    /// unwind guard and classifies whatever stopped it. [`OnError`] decides
+    /// only what happens to a classified fault.
     ///
     /// # Errors
     ///
@@ -468,31 +470,28 @@ impl<'r> ModulePassManager<'r> {
         let mut pm = self
             .registry
             .build_parsed(&self.spec, self.options.pipeline.clone())?;
-        let mut am = AnalysisManager::new();
-        match self.options.on_error {
-            OnError::Degrade => Ok(match pm.run_contained(func, &mut am) {
-                Ok(report) => (report, FunctionOutcome::Optimized),
-                Err(diag) => (PipelineReport::default(), FunctionOutcome::Degraded(diag)),
-            }),
-            OnError::Fail => {
-                // Same containment boundary, but faults fail the run
-                // instead of degrading, and regular pipeline errors pass
-                // through typed (no snapshot/rollback: the module is
-                // treated as poisoned on error, and skipping the function
-                // clone keeps the fault-free default path overhead-free).
-                install_quiet_panic_hook();
-                clear_current_pass();
-                darm_ir::fault::begin_function();
-                match catch_unwind(AssertUnwindSafe(|| pm.run_with(func, &mut am))) {
-                    Ok(Ok(report)) => Ok((report, FunctionOutcome::Optimized)),
-                    Ok(Err(error)) => Err(error),
-                    Err(payload) => Err(PipelineError::Fault(Diagnostic::from_unwind(
-                        func.name(),
-                        payload,
-                    ))),
-                }
-            }
-        }
+        install_quiet_panic_hook();
+        clear_current_pass();
+        darm_ir::fault::begin_function();
+        // A rollback point only where a fault is survived: under `Fail` the
+        // module is poisoned on error anyway, and the deep clone is ≈5 % of
+        // a small function's meld (CHANGES.md, PR 20).
+        let snapshot = (self.options.on_error == OnError::Degrade).then(|| func.snapshot());
+        // `run` owns the analysis cache, so an abandoned one unwinds with it.
+        let error = match catch_unwind(AssertUnwindSafe(|| pm.run(func))) {
+            Ok(Ok(report)) => return Ok((report, FunctionOutcome::Optimized)),
+            Ok(Err(error)) => error,
+            Err(payload) => PipelineError::Fault(Diagnostic::from_unwind(func.name(), payload)),
+        };
+        let Some(snapshot) = snapshot else {
+            return Err(error);
+        };
+        func.restore(&snapshot);
+        let diag = match error {
+            PipelineError::Fault(diag) => diag,
+            error => Diagnostic::from_error(func.name(), &error),
+        };
+        Ok((PipelineReport::default(), FunctionOutcome::Degraded(diag)))
     }
 }
 
@@ -733,12 +732,15 @@ mod tests {
         }
     }
 
+    /// A *regular* pipeline error (no unwind) crosses the boundary typed:
+    /// `InFunction` naming the earliest function under `Fail`, an
+    /// error-caused diagnostic per broken function under `Degrade`.
     #[test]
     fn failures_name_the_earliest_failing_function() {
         let registry = PassRegistry::with_transforms();
         // `verify` fails on broken SSA: build a module whose f1 and f3 are
-        // broken; the error must name f1 regardless of worker order.
-        let mut m = Module::new("m");
+        // broken.
+        let mut broken = Module::new("m");
         for i in 0..4 {
             let mut f = messy(&format!("f{i}"));
             if i % 2 == 1 {
@@ -749,21 +751,47 @@ mod tests {
                 let term = f.terminator(x).unwrap();
                 f.inst_mut(term).operands[0] = Value::Inst(t_inst);
             }
-            m.add_function(f).unwrap();
+            broken.add_function(f).unwrap();
         }
-        let mpm = ModulePassManager::new(
-            &registry,
-            "verify",
-            ModuleOptions {
-                pipeline: PipelineOptions::default(),
-                jobs: 4,
-                ..ModuleOptions::default()
-            },
-        )
-        .unwrap();
-        match mpm.run(&mut m) {
-            Err(PipelineError::InFunction { function, .. }) => assert_eq!(function, "f1"),
-            other => panic!("expected InFunction, got {other:?}"),
+        for jobs in [1, 4] {
+            let run = |on_error: OnError, m: &mut Module| {
+                ModulePassManager::new(
+                    &registry,
+                    "verify",
+                    ModuleOptions {
+                        jobs,
+                        on_error,
+                        ..ModuleOptions::default()
+                    },
+                )
+                .unwrap()
+                .run(m)
+            };
+            // Fail: the error keeps its type (not a `Fault`) and names f1
+            // regardless of worker order.
+            match run(OnError::Fail, &mut broken.clone()) {
+                Err(PipelineError::InFunction { function, error }) => {
+                    assert_eq!(function, "f1", "jobs={jobs}");
+                    assert!(
+                        matches!(*error, PipelineError::PassFailed { .. }),
+                        "jobs={jobs}: {error:?}"
+                    );
+                }
+                other => panic!("expected InFunction, got {other:?}"),
+            }
+            // Degrade: the same error becomes an error-caused diagnostic of
+            // just the broken functions.
+            let mut m = broken.clone();
+            let report = run(OnError::Degrade, &mut m).expect("degrade mode never fails the run");
+            let degraded: Vec<_> = report.degraded().collect();
+            assert_eq!(degraded.len(), 2, "jobs={jobs}");
+            for ((name, diag), expected) in degraded.into_iter().zip(["f1", "f3"]) {
+                assert_eq!(name, expected, "jobs={jobs}");
+                assert_eq!(diag.pass.as_deref(), Some("verify"));
+                assert_eq!(diag.site, None);
+                assert!(matches!(diag.cause, FaultCause::Error(_)), "{diag:?}");
+            }
+            assert_eq!(m.to_string(), broken.to_string(), "jobs={jobs}");
         }
     }
 }

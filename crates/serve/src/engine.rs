@@ -17,13 +17,13 @@
 //!    [`PoisonError::into_inner`]; [`Engine::poisoned_locks`] exposes
 //!    the poison bits so the soak test can assert they stay clear.
 //!
-//! Compilation itself follows a fail-then-degrade retry policy: the
-//! first attempt runs under [`OnError::Fail`] with a fresh per-request
-//! [`Budget`]; if it faults, one retry runs under [`OnError::Degrade`]
-//! (again with a fresh budget), pinning only the faulting functions to
-//! their baseline IR. Deterministic faults (panics, pass errors) are
-//! negatively cached so repeat offenders fail fast; budget exhaustion
-//! is never cached.
+//! Compilation itself is one attempt: the functions the cache missed are
+//! moved out of the parsed module and compiled once under
+//! [`OnError::Degrade`] with the request's one [`Budget`] (`timeout_ms` /
+//! `fuel` bound the request once), so the pipeline's containment boundary
+//! pins only the faulting functions to their baseline IR. Deterministic
+//! faults (panics, pass errors) are negatively cached so repeat offenders
+//! fail fast; budget exhaustion is never cached.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -31,8 +31,8 @@ use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
 use darm_analysis::verify_ssa;
-use darm_ir::budget::{Budget, Cancelled};
-use darm_ir::fault::{self, InjectedFault};
+use darm_ir::budget::Budget;
+use darm_ir::fault;
 use darm_ir::parser::parse_module;
 use darm_ir::Module;
 use darm_melding::MeldConfig;
@@ -56,9 +56,11 @@ pub struct ServeConfig {
     pub workers: usize,
     /// Queue capacity; admission beyond it sheds with `overloaded`.
     pub queue_depth: usize,
-    /// Cache entry bound; `0` disables caching.
+    /// Entry bound of the function cache and of the whole-request memo,
+    /// *each*; `0` disables both.
     pub cache_entries: usize,
-    /// Cache payload-byte bound.
+    /// Payload-byte bound of the function cache and of the whole-request
+    /// memo, *each* (the two together hold at most twice this).
     pub cache_bytes: usize,
     /// Pass spec for requests that do not carry one.
     pub default_spec: String,
@@ -90,7 +92,6 @@ struct Counters {
     overloaded: AtomicU64,
     rejected_closed: AtomicU64,
     contained_panics: AtomicU64,
-    degraded_retries: AtomicU64,
     protocol_errors: AtomicU64,
     fast_hits: AtomicU64,
 }
@@ -194,18 +195,25 @@ pub struct Engine {
     workers: Mutex<Vec<std::thread::JoinHandle<()>>>,
 }
 
-/// Renders a caught unwind payload for an `internal` error message.
-fn describe_panic(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(inj) = payload.downcast_ref::<InjectedFault>() {
-        format!("injected fault at {}", inj.site)
-    } else if let Some(c) = payload.downcast_ref::<Cancelled>() {
-        format!("budget exhausted at {}", c.site)
-    } else if let Some(s) = payload.downcast_ref::<&'static str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
+/// Counts a panic caught at a service boundary and renders it as the
+/// `internal` error response of the one request it hit.
+fn contained(shared: &Shared, id: u64, payload: &(dyn std::any::Any + Send)) -> Response {
+    shared
+        .counters
+        .contained_panics
+        .fetch_add(1, Ordering::Relaxed);
+    let message = match darm_pipeline::classify_unwind(payload) {
+        (Some(site), FaultCause::Deadline | FaultCause::Fuel) => {
+            format!("budget exhausted at {site}")
+        }
+        (Some(site), _) => format!("injected fault at {site}"),
+        (None, FaultCause::Panic(message) | FaultCause::Error(message)) => message,
+        (None, FaultCause::Deadline | FaultCause::Fuel) => "budget exhausted".to_string(),
+    };
+    Response::Error {
+        id: Some(id),
+        kind: ErrorKind::Internal,
+        message,
     }
 }
 
@@ -254,15 +262,7 @@ impl Engine {
         // the queue, so on an injected panic the responder is still in
         // hand and the client gets a typed error instead of silence.
         if let Err(payload) = catch_unwind(|| fault::point("serve::admit")) {
-            shared
-                .counters
-                .contained_panics
-                .fetch_add(1, Ordering::Relaxed);
-            respond(Response::Error {
-                id: Some(id),
-                kind: ErrorKind::Internal,
-                message: describe_panic(payload.as_ref()),
-            });
+            respond(contained(shared, id, payload.as_ref()));
             return;
         }
         match shared.queue.try_push(Job { request, respond }) {
@@ -297,20 +297,7 @@ impl Engine {
             fault::point("serve::worker");
             Self::handle_compile(shared, &job.request)
         }));
-        let response = match outcome {
-            Ok(response) => response,
-            Err(payload) => {
-                shared
-                    .counters
-                    .contained_panics
-                    .fetch_add(1, Ordering::Relaxed);
-                Response::Error {
-                    id: Some(id),
-                    kind: ErrorKind::Internal,
-                    message: describe_panic(payload.as_ref()),
-                }
-            }
-        };
+        let response = outcome.unwrap_or_else(|payload| contained(shared, id, payload.as_ref()));
         shared.counters.completed.fetch_add(1, Ordering::Relaxed);
         // A responder that panics (e.g. the peer vanished mid-write and
         // the transport chose to panic) must not kill the worker.
@@ -440,40 +427,33 @@ impl Engine {
             }
         }
 
-        // Compile the misses: OnError::Fail first, one retry under
-        // OnError::Degrade, each attempt with a fresh budget.
+        // Compile the misses, once: moved out of the parsed module (the
+        // hits' slots are already filled), under degradation, with the
+        // request's one budget.
         if !misses.is_empty() {
-            let miss_funcs: Vec<darm_ir::Function> = misses
-                .iter()
-                .map(|&(index, _)| module.functions()[index].clone())
-                .collect();
-            let budget = || {
-                Budget::new(
-                    request
-                        .timeout_ms
-                        .or(shared.config.default_timeout_ms)
-                        .map(Duration::from_millis),
-                    request.fuel.or(shared.config.default_fuel),
-                )
-            };
-            let options = |on_error: OnError| ModuleOptions {
+            let mut is_miss = slots.iter().map(Option::is_none);
+            let mut missed = module.into_functions();
+            missed.retain(|_| is_miss.next().expect("one slot per function"));
+            let mut compiled =
+                Module::from_functions("serve", missed).expect("input module had unique names");
+            let options = ModuleOptions {
                 pipeline: PipelineOptions {
-                    budget: budget(),
+                    budget: Budget::new(
+                        request
+                            .timeout_ms
+                            .or(shared.config.default_timeout_ms)
+                            .map(Duration::from_millis),
+                        request.fuel.or(shared.config.default_fuel),
+                    ),
                     ..PipelineOptions::default()
                 },
                 jobs: 1,
-                on_error,
+                on_error: OnError::Degrade,
             };
-            let build = |funcs: &[darm_ir::Function]| {
-                Module::from_functions("serve", funcs.iter().cloned())
-                    .expect("input module had unique names")
-            };
-
-            let mut compiled = build(&miss_funcs);
             let report = match ModulePassManager::compile(
                 &shared.registry,
                 &canonical,
-                options(OnError::Fail),
+                options,
                 &mut compiled,
             ) {
                 Ok(report) => report,
@@ -483,25 +463,7 @@ impl Engine {
                     | PipelineError::BadParameter { .. }
                     | PipelineError::EmptySpec),
                 ) => return error(ErrorKind::Spec, e.to_string()),
-                Err(_faulted) => {
-                    // Retry the whole miss set under degradation with a
-                    // fresh budget; only the faulting functions end up
-                    // pinned to baseline IR.
-                    shared
-                        .counters
-                        .degraded_retries
-                        .fetch_add(1, Ordering::Relaxed);
-                    compiled = build(&miss_funcs);
-                    match ModulePassManager::compile(
-                        &shared.registry,
-                        &canonical,
-                        options(OnError::Degrade),
-                        &mut compiled,
-                    ) {
-                        Ok(report) => report,
-                        Err(e) => return error(ErrorKind::Internal, e.to_string()),
-                    }
-                }
+                Err(e) => return error(ErrorKind::Internal, e.to_string()),
             };
 
             // Same discipline as the lookup: fire the fault site
@@ -627,10 +589,6 @@ impl Engine {
             (
                 "contained_panics",
                 Json::int(c.contained_panics.load(Ordering::Relaxed)),
-            ),
-            (
-                "degraded_retries",
-                Json::int(c.degraded_retries.load(Ordering::Relaxed)),
             ),
             (
                 "protocol_errors",

@@ -66,10 +66,11 @@
 //! # Shedding and degradation
 //!
 //! Admission never blocks: a full queue answers a typed `overloaded`
-//! response ([`queue`]). Each compile attempt runs under a fresh
-//! per-request [`Budget`] with `OnError::Fail` first; if it faults,
-//! one retry runs under `OnError::Degrade`, pinning only the faulting
-//! functions to their baseline IR. A panic anywhere in a request's
+//! response ([`queue`]). A request's cache misses are compiled once,
+//! under `OnError::Degrade` and the request's one [`Budget`]
+//! (`timeout_ms` and `fuel` bound the request once, not per attempt):
+//! only the faulting functions are pinned to their baseline IR, each
+//! with its diagnostic. A panic anywhere in a request's
 //! path is contained to that request — the daemon never exits on a
 //! poisoned module — and every engine lock recovers from poisoning.
 //! Shutdown (`{"op":"shutdown"}`) drains in-flight requests, flushes

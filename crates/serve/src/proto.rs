@@ -18,6 +18,8 @@
 //!
 //! Only `op` and `id` are mandatory (`ir` too, for `compile`); the
 //! remaining fields fall back to the daemon's configured defaults.
+//! `timeout_ms` and `fuel` bound the whole request once: its cache misses
+//! are compiled in one attempt under one budget.
 //! Responses echo the request `id` and carry a `"status"`
 //! discriminator: `ok`, `error`, `overloaded`, `pong`, `stats` or
 //! `bye`.  See [`Response`] for the exact payloads.
@@ -189,8 +191,9 @@ pub enum ErrorKind {
     Parse,
     /// The pass spec was rejected (unknown pass, bad parameter, ...).
     Spec,
-    /// A contained internal failure (panic or pipeline error that
-    /// survived the degradation retry).
+    /// A contained internal failure: a panic outside the pipeline's
+    /// per-function containment boundary (inside it, a fault degrades the
+    /// function and the request still answers `ok`).
     Internal,
 }
 

@@ -231,3 +231,160 @@ fn multi_function_module_mixes_cached_and_fresh() {
         other => panic!("expected ok, got {other:?}"),
     }
 }
+
+/// `@clean` is straight-line (nothing to meld, one budget poll's worth of
+/// work); `@faulty` holds two meldable diamonds in sequence, so it is the
+/// only function in this file that reaches `meld::codegen` twice.
+const CLEAN_AND_FAULTY: &str = r#"fn @clean(ptr(global) %arg0) -> void {
+entry:
+  %0 = tid.x
+  %1 = gep i32 %arg0, %0
+  store %0, %1
+  ret
+}
+
+fn @faulty(ptr(global) %arg0) -> void {
+entry:
+  %0 = tid.x
+  %1 = and %0, 1
+  %2 = icmp eq %1, 0
+  br %2, t, e
+t:
+  %3 = mul %0, 3
+  %4 = add %3, 10
+  %5 = gep i32 %arg0, %0
+  store %4, %5
+  jump m
+e:
+  %6 = mul %0, 5
+  %7 = add %6, 77
+  %8 = gep i32 %arg0, %0
+  store %7, %8
+  jump m
+m:
+  %9 = and %0, 2
+  %10 = icmp eq %9, 0
+  br %10, t2, e2
+t2:
+  %11 = mul %0, 7
+  %12 = add %11, 1
+  %13 = gep i32 %arg0, %0
+  store %12, %13
+  jump x
+e2:
+  %14 = mul %0, 9
+  %15 = add %14, 2
+  %16 = gep i32 %arg0, %0
+  store %15, %16
+  jump x
+x:
+  ret
+}
+"#;
+
+/// `resp` answers `ok` for [`CLEAN_AND_FAULTY`] with `@clean` optimized and
+/// `@faulty` degraded to its input under a diagnostic naming pass and site.
+fn assert_clean_optimized_faulty_degraded(resp: &Response) -> &[darm_serve::proto::FunctionResult] {
+    let Response::Ok { functions, ir, .. } = resp else {
+        panic!("a contained fault still answers ok, got {resp:?}");
+    };
+    assert_eq!(functions.len(), 2);
+    assert!(functions[0].optimized && functions[0].diagnostic.is_none());
+    assert!(!functions[1].optimized, "{functions:?}");
+    let diag = functions[1].diagnostic.as_deref().expect("diagnostic");
+    assert!(
+        diag.starts_with("@faulty: pass '") && diag.ends_with(')') && diag.contains(" (at "),
+        "{diag}"
+    );
+    assert!(
+        ir.contains(", t, e\n") && ir.contains(", t2, e2\n"),
+        "baseline: {ir}"
+    );
+    functions
+}
+
+/// No fault in either arm below is a *service* panic, and nothing is
+/// compiled twice: the stats carry no retry counter.
+fn assert_contained_in_the_pipeline(engine: &Engine) {
+    let stats = engine.stats_json();
+    assert_eq!(
+        stats.get("contained_panics").and_then(|n| n.as_u64()),
+        Some(0)
+    );
+    assert!(!stats.to_string().contains("retr"), "{stats}");
+    assert_eq!(engine.poisoned_locks(), 0);
+}
+
+/// One attempt, each function filed by its outcome — the budget half: the
+/// request's one fuel budget runs dry inside `@faulty`, which degrades
+/// *uncached* while `@clean` goes to the positive cache.
+#[test]
+fn one_attempt_files_a_budget_fault_uncached_next_to_an_optimized_function() {
+    // Fuel counts budget polls survived, so the smallest allowance that
+    // gets `@clean` through leaves nothing for `@faulty`.
+    let (engine, fuel, first) = (1..64)
+        .find_map(|fuel| {
+            let engine = Engine::new(ServeConfig::default());
+            let mut req = request(1, CLEAN_AND_FAULTY);
+            req.fuel = Some(fuel);
+            match compile(&engine, req) {
+                Response::Ok { functions, .. } if !functions[0].optimized => None,
+                first => Some((engine, fuel, first)),
+            }
+        })
+        .expect("some fuel allowance compiles @clean");
+    let functions = assert_clean_optimized_faulty_degraded(&first);
+    assert!(functions[1]
+        .diagnostic
+        .as_deref()
+        .is_some_and(|d| d.contains("fuel budget exhausted")));
+    let mut repeat = request(2, CLEAN_AND_FAULTY);
+    repeat.fuel = Some(fuel);
+    match compile(&engine, repeat) {
+        Response::Ok { functions, .. } => {
+            assert!(functions[0].cached && functions[0].optimized);
+            assert!(!functions[1].cached, "budget faults are never cached");
+        }
+        other => panic!("{other:?}"),
+    }
+    assert_eq!(engine.cache_counters().negative_hits, 0);
+    assert_contained_in_the_pipeline(&engine);
+}
+
+/// The deterministic half: an injected panic at `@faulty`'s second meld
+/// degrades it alone, and the repeat is served from the positive *and* the
+/// negative cache. The plan is process-global and the other tests of this
+/// binary run beside this one — hit 2 is what keeps it off their
+/// single-diamond kernels (hit counters are per function; the budget
+/// test's `@faulty` runs dry before its first meld).
+#[cfg(feature = "fault-injection")]
+#[test]
+fn one_attempt_files_a_deterministic_fault_in_the_negative_cache() {
+    use darm_ir::fault::{self, FaultKind, FaultPlan};
+    let engine = Engine::new(ServeConfig::default());
+    fault::set_plan(Some(FaultPlan {
+        site: "meld::codegen".to_string(),
+        hit: 2,
+        kind: FaultKind::Panic,
+    }));
+    let first = compile(&engine, request(1, CLEAN_AND_FAULTY));
+    let second = compile(&engine, request(2, CLEAN_AND_FAULTY));
+    fault::set_plan(None);
+    let first = assert_clean_optimized_faulty_degraded(&first);
+    assert!(!first[0].cached && !first[1].cached);
+    assert!(first[1]
+        .diagnostic
+        .as_deref()
+        .is_some_and(|d| d.ends_with("panicked: injected fault (at meld::codegen)")));
+    let second = assert_clean_optimized_faulty_degraded(&second);
+    assert!(second[0].cached && second[1].cached, "{second:?}");
+    assert_eq!(second[1].diagnostic, first[1].diagnostic);
+    let counters = engine.cache_counters();
+    assert_eq!((counters.hits, counters.negative_hits), (1, 1));
+    assert_eq!(
+        engine.fast_hits(),
+        0,
+        "degraded responses are never memoized"
+    );
+    assert_contained_in_the_pipeline(&engine);
+}

@@ -463,7 +463,7 @@ impl<'a> BcEngine<'a> {
                 if top.block == top.rpc {
                     warp.stack.pop();
                     if let Some(t) = self.timing.as_deref_mut() {
-                        t.frame_pop(w_idx);
+                        t.frame_pop(w_idx, !warp.stack.is_empty());
                     }
                 } else {
                     break;
@@ -607,18 +607,11 @@ impl<'a> BcEngine<'a> {
                     l_warp_insts += 1;
                     l_thread_insts += active;
                     flush!();
-                    self.stats
+                    let (is_global, extra) = self
+                        .stats
                         .charge_mem_access(&self.lane_addrs, &mut self.scratch);
                     if let Some(t) = self.timing.as_deref_mut() {
-                        t.mem_issue(
-                            w_idx,
-                            active as u32,
-                            $d,
-                            $srcs,
-                            $hint,
-                            &self.lane_addrs,
-                            &mut self.scratch,
-                        );
+                        t.mem_issue(w_idx, active as u32, $d, $srcs, $hint, is_global, extra);
                     }
                     if l_budget == 0 {
                         return Err(SimError::StepLimit);
@@ -663,7 +656,7 @@ impl<'a> BcEngine<'a> {
                         if tb == top.rpc {
                             warp.stack.pop();
                             if let Some(t) = self.timing.as_deref_mut() {
-                                t.frame_pop(w_idx);
+                                t.frame_pop(w_idx, !warp.stack.is_empty());
                             }
                             continue 'outer;
                         }
@@ -731,7 +724,7 @@ impl<'a> BcEngine<'a> {
                         record_prev!();
                         warp.stack.pop();
                         if let Some(t) = self.timing.as_deref_mut() {
-                            t.frame_pop(w_idx);
+                            t.frame_pop(w_idx, !warp.stack.is_empty());
                         }
                         continue 'outer;
                     }
@@ -1092,7 +1085,7 @@ impl<'a> BcEngine<'a> {
         });
         if let Some(t) = self.timing.as_deref_mut() {
             let w = (warp.base_thread / self.warp_size) as usize;
-            t.diverge(w, rpc);
+            t.diverge(w);
         }
         Ok(())
     }

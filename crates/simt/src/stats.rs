@@ -104,22 +104,29 @@ impl KernelStats {
     ///
     /// Used by the bytecode engine (the reference interpreter keeps its
     /// own copy); callers account
-    /// `warp_instructions`/`thread_instructions` themselves. The timing
-    /// model reuses the same [`is_global_access`] / [`global_segments`] /
-    /// [`shared_conflict_degree`] analysis for its LSU-occupancy charges.
-    pub(crate) fn charge_mem_access(&mut self, lane_addrs: &[u64], scratch: &mut Vec<u64>) {
+    /// `warp_instructions`/`thread_instructions` themselves. Returns the
+    /// access's shape — `(is_global, extra)`, `extra` being the segments
+    /// beyond the first or the bank-conflict degree beyond 1 — which is
+    /// all the timing model's LSU-occupancy charge needs.
+    pub(crate) fn charge_mem_access(
+        &mut self,
+        lane_addrs: &[u64],
+        scratch: &mut Vec<u64>,
+    ) -> (bool, u64) {
         if is_global_access(lane_addrs) {
             self.global_mem_insts += 1;
             let n_seg = global_segments(lane_addrs, scratch);
             self.global_transactions += n_seg;
             self.cycles +=
                 cost::GLOBAL_MEM_LATENCY + (n_seg - 1) * cost::GLOBAL_TRANSACTION_LATENCY;
+            (true, n_seg - 1)
         } else {
             self.shared_mem_insts += 1;
             let degree = shared_conflict_degree(lane_addrs, scratch);
             self.shared_bank_conflicts += degree - 1;
             self.cycles +=
                 cost::SHARED_MEM_LATENCY + (degree - 1) * cost::SHARED_BANK_CONFLICT_PENALTY;
+            (false, degree - 1)
         }
     }
 
@@ -147,7 +154,7 @@ impl KernelStats {
 /// Whether a warp access targets global memory — global addresses carry a
 /// buffer id in the high bits (see [`crate::mem`]). An empty access
 /// defaults to shared (callers never charge empty accesses).
-pub(crate) fn is_global_access(lane_addrs: &[u64]) -> bool {
+fn is_global_access(lane_addrs: &[u64]) -> bool {
     lane_addrs
         .first()
         .map(|&a| decode(a).0.is_some())
@@ -160,7 +167,7 @@ pub(crate) fn is_global_access(lane_addrs: &[u64]) -> bool {
 /// for any coalesced or moderately strided warp access), the distinct
 /// count is a popcount over a bitmask; otherwise sort+dedup into
 /// `scratch`.
-pub(crate) fn global_segments(lane_addrs: &[u64], scratch: &mut Vec<u64>) -> u64 {
+fn global_segments(lane_addrs: &[u64], scratch: &mut Vec<u64>) -> u64 {
     let mut lo = u64::MAX;
     let mut hi = 0u64;
     for &a in lane_addrs {
@@ -191,7 +198,7 @@ pub(crate) fn global_segments(lane_addrs: &[u64], scratch: &mut Vec<u64>) -> u64
 /// Fast path: walk the lanes with a per-bank last-word table — as long as
 /// each bank sees at most one distinct word (conflict-free or broadcast,
 /// the overwhelmingly common case) the answer is degree 1 with no sorting.
-pub(crate) fn shared_conflict_degree(lane_addrs: &[u64], scratch: &mut Vec<u64>) -> u64 {
+fn shared_conflict_degree(lane_addrs: &[u64], scratch: &mut Vec<u64>) -> u64 {
     let mut bank_word = [0u64; cost::SHARED_BANKS as usize];
     let mut bank_seen = 0u32;
     let mut clean = true;

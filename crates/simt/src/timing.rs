@@ -12,9 +12,9 @@
 //!
 //! # The model
 //!
-//! Each warp gets an independent `WarpTimer` holding a current cycle, a
-//! register scoreboard, and a mirror of the engine's IPDOM reconvergence
-//! stack. Four sub-models compose:
+//! Each warp gets an independent `WarpTimer` holding a current cycle and a
+//! register scoreboard; the one IPDOM reconvergence stack is the engine's,
+//! which tells the timer what it pushed and popped. Four sub-models compose:
 //!
 //! * **Issue** — a masked warp instruction with `active` live lanes
 //!   occupies the warp's issue port for `ceil(active / issue_width)`
@@ -34,14 +34,16 @@
 //! * **IPDOM reconvergence stack** — when a branch diverges, the engine
 //!   pushes *(else, then)* continuation entries whose reconvergence point is
 //!   the branch block's immediate post-dominator (cached at lowering time
-//!   in `BcBlock::ipdom`). The timer mirrors those pushes (`TimingState::diverge`)
-//!   and charges one cycle per pop (`TimingState::frame_pop`) for the
-//!   SIMT-stack update and mask swap — the hardware mechanism described in
-//!   "Control Flow Management in Modern GPUs". The mirror also counts
-//!   `sim_divergent_branches` and `sim_reconvergences`.
-//! * **Memory (optional, [`TimingConfig::memory_model`])** — reuses the
-//!   same coalescing / bank-conflict analysis as the base counters
-//!   ([`crate::stats`]): an uncoalesced global access occupies the LSU for
+//!   in `BcBlock::ipdom`). The timer counts the divergence
+//!   (`TimingState::diverge`) and charges one cycle per pop of a pushed
+//!   entry (`TimingState::frame_pop`; the engine says whether the popped
+//!   entry was the warp's base one, which is free) for the SIMT-stack
+//!   update and mask swap — the hardware mechanism described in "Control
+//!   Flow Management in Modern GPUs" — counting `sim_divergent_branches`
+//!   and `sim_reconvergences`.
+//! * **Memory (optional, [`TimingConfig::memory_model`])** — takes the
+//!   coalescing / bank-conflict shape the base counters just derived for
+//!   the access ([`crate::stats`]): an uncoalesced global access occupies the LSU for
 //!   `(segments − 1) ·` [`cost::GLOBAL_TRANSACTION_LATENCY`] extra cycles,
 //!   a shared access for `(conflict degree − 1) ·`
 //!   [`cost::SHARED_BANK_CONFLICT_PENALTY`]. Occupancy delays the warp
@@ -97,7 +99,7 @@
 //! interpreter has no hook points and always reports `sim_* = 0`.)
 
 use crate::bytecode::{Op, NO_DST};
-use crate::stats::{self, KernelStats};
+use crate::stats::KernelStats;
 use darm_ir::cost;
 
 /// Configuration of the cycle-level timing model. Off by default.
@@ -147,13 +149,7 @@ impl TimingConfig {
     }
 }
 
-/// One entry of the mirrored IPDOM reconvergence stack: the dense block
-/// index execution reconverges at. Purely observational — the *engine*
-/// stack drives control flow; this mirror exists to count pushes/pops and
-/// charge the pop cycle.
-type Frame = u32;
-
-/// Per-warp timeline: current cycle, scoreboard, and reconvergence mirror.
+/// Per-warp timeline: current cycle, scoreboard, and divergence counts.
 #[derive(Debug, Default)]
 struct WarpTimer {
     /// The warp's current cycle within the block.
@@ -164,9 +160,6 @@ struct WarpTimer {
     issue_slots: u64,
     divergent_branches: u64,
     reconvergences: u64,
-    /// Mirror of the engine's divergence pushes (depth = engine stack
-    /// depth − 1: the base entry is not mirrored).
-    frames: Vec<Frame>,
     /// Scoreboard: cycle at which each register slot's value is ready.
     reg_ready: Vec<u64>,
 }
@@ -264,8 +257,8 @@ impl TimingState {
     /// Issue a memory access: operand stall, issue slots, optional LSU
     /// occupancy for uncoalesced segments / bank conflicts, and the base
     /// space latency on the loaded register (stores pass [`NO_DST`]).
-    /// Space and shape are inferred from `lane_addrs` exactly like the
-    /// base counters' `charge_mem_access`.
+    /// `is_global` and `extra` are the access's shape as
+    /// [`KernelStats::charge_mem_access`] returned it.
     #[allow(clippy::too_many_arguments)] // engine hook; call sites are macro-generated
     pub(crate) fn mem_issue(
         &mut self,
@@ -274,21 +267,20 @@ impl TimingState {
         dst: u32,
         srcs: [u32; 3],
         ready_hint: u64,
-        lane_addrs: &[u64],
-        scratch: &mut Vec<u64>,
+        is_global: bool,
+        extra: u64,
     ) {
-        if active == 0 || lane_addrs.is_empty() {
+        if active == 0 {
             return;
         }
         let ready = self.operands_ready(w, srcs).max(ready_hint);
-        let is_global = stats::is_global_access(lane_addrs);
+        let (base, per_extra) = if is_global {
+            (cost::GLOBAL_MEM_LATENCY, cost::GLOBAL_TRANSACTION_LATENCY)
+        } else {
+            (cost::SHARED_MEM_LATENCY, cost::SHARED_BANK_CONFLICT_PENALTY)
+        };
         let occupancy = if self.cfg.memory_model {
-            if is_global {
-                (stats::global_segments(lane_addrs, scratch) - 1) * cost::GLOBAL_TRANSACTION_LATENCY
-            } else {
-                (stats::shared_conflict_degree(lane_addrs, scratch) - 1)
-                    * cost::SHARED_BANK_CONFLICT_PENALTY
-            }
+            extra * per_extra
         } else {
             0
         };
@@ -299,11 +291,6 @@ impl TimingState {
         wt.issue_slots += slots;
         wt.cycle = start + slots + occupancy;
         if dst != NO_DST {
-            let base = if is_global {
-                cost::GLOBAL_MEM_LATENCY
-            } else {
-                cost::SHARED_MEM_LATENCY
-            };
             wt.reg_ready[dst as usize] = wt.cycle + base;
         }
     }
@@ -337,22 +324,18 @@ impl TimingState {
         }
     }
 
-    /// Mirror a divergent branch: the engine pushed *(else, then)* entries
-    /// reconverging at `rpc`; count the divergence and deepen the mirror.
-    pub(crate) fn diverge(&mut self, w: usize, rpc: u32) {
-        let wt = &mut self.warps[w];
-        wt.divergent_branches += 1;
-        wt.frames.push(rpc);
-        wt.frames.push(rpc);
+    /// The engine pushed the *(else, then)* entries of a divergent branch.
+    pub(crate) fn diverge(&mut self, w: usize) {
+        self.warps[w].divergent_branches += 1;
     }
 
-    /// Mirror an engine stack pop. Pops of divergence-pushed entries cost
-    /// one cycle (SIMT-stack update + mask swap) and count a
-    /// reconvergence; the final pop of the warp's *base* entry finds the
-    /// mirror empty and is free.
-    pub(crate) fn frame_pop(&mut self, w: usize) {
-        let wt = &mut self.warps[w];
-        if wt.frames.pop().is_some() {
+    /// The engine popped a stack entry. A divergence-pushed entry costs
+    /// one cycle (SIMT-stack update + mask swap) and counts a
+    /// reconvergence; the warp's base entry — the one pop that leaves the
+    /// engine's stack empty, hence `pushed = false` — is free.
+    pub(crate) fn frame_pop(&mut self, w: usize, pushed: bool) {
+        if pushed {
+            let wt = &mut self.warps[w];
             wt.reconvergences += 1;
             wt.cycle += 1;
         }
@@ -389,7 +372,6 @@ impl TimingState {
             wt.issue_slots = 0;
             wt.divergent_branches = 0;
             wt.reconvergences = 0;
-            wt.frames.clear();
             for r in &mut wt.reg_ready {
                 *r = 0;
             }
@@ -490,13 +472,12 @@ mod tests {
     #[test]
     fn divergence_pushes_two_frames_and_pops_charge_one_cycle() {
         let mut t = state(16, 1);
-        t.diverge(0, 7);
-        assert_eq!(t.warps[0].frames, vec![7, 7]);
+        t.diverge(0);
         assert_eq!(t.warps[0].divergent_branches, 1);
-        t.frame_pop(0);
-        t.frame_pop(0);
-        // Base-entry pop: the mirror is empty, no charge.
-        t.frame_pop(0);
+        t.frame_pop(0, true);
+        t.frame_pop(0, true);
+        // Base-entry pop: the engine's stack is empty afterwards, no charge.
+        t.frame_pop(0, false);
         assert_eq!(t.warps[0].reconvergences, 2);
         assert_eq!(t.warps[0].cycle, 2);
     }
@@ -519,7 +500,7 @@ mod tests {
         let mut t = TimingState::new(TimingConfig::on(), 2, 2);
         t.issue(0, 32, 10, 0, [NO_DST; 3]);
         t.issue(1, 16, 0, NO_DST, [NO_DST; 3]);
-        t.diverge(1, 3);
+        t.diverge(1);
         let mut s = KernelStats::default();
         t.flush_block(&mut s);
         assert_eq!(s.sim_cycles, 2); // warp 0 at 2, warp 1 at 1
@@ -527,7 +508,7 @@ mod tests {
         assert_eq!(s.sim_divergent_branches, 1);
         assert_eq!(t.warps[0].cycle, 0);
         assert_eq!(t.reg_ready(0, 0), 0);
-        assert!(t.warps[1].frames.is_empty());
+        assert_eq!(t.warps[1].divergent_branches, 0);
         // A second flush adds nothing.
         t.flush_block(&mut s);
         assert_eq!(s.sim_cycles, 2);
@@ -545,13 +526,20 @@ mod tests {
         let strided: Vec<u64> = (0..32)
             .map(|i| crate::mem::encode_global(buf, i * 512))
             .collect();
-        let mut scratch = Vec::new();
+        // The shape reaches the timer the way the engine feeds it: from the
+        // base counters' charge of the same access.
+        let shape =
+            |addrs: &[u64]| KernelStats::default().charge_mem_access(addrs, &mut Vec::new());
+        assert_eq!(shape(&coalesced), (true, 0));
+        assert_eq!(shape(&strided), (true, 31));
 
         let mut t = state(32, 2);
-        t.mem_issue(0, 32, 0, [NO_DST; 3], 0, &coalesced, &mut scratch);
+        let (is_global, extra) = shape(&coalesced);
+        t.mem_issue(0, 32, 0, [NO_DST; 3], 0, is_global, extra);
         let fast = t.warps[0].cycle;
         let mut t2 = state(32, 2);
-        t2.mem_issue(0, 32, 0, [NO_DST; 3], 0, &strided, &mut scratch);
+        let (is_global, extra) = shape(&strided);
+        t2.mem_issue(0, 32, 0, [NO_DST; 3], 0, is_global, extra);
         let slow = t2.warps[0].cycle;
         assert_eq!(fast, 1); // one slot, no occupancy
         assert_eq!(slow, 1 + 31 * cost::GLOBAL_TRANSACTION_LATENCY);
@@ -568,7 +556,7 @@ mod tests {
             1,
             2,
         );
-        t3.mem_issue(0, 32, 0, [NO_DST; 3], 0, &strided, &mut scratch);
+        t3.mem_issue(0, 32, 0, [NO_DST; 3], 0, is_global, extra);
         assert_eq!(t3.warps[0].cycle, 1);
         // …but the base latency still gates dependents.
         assert_eq!(t3.reg_ready(0, 0), 1 + cost::GLOBAL_MEM_LATENCY);

@@ -156,7 +156,7 @@ proptest! {
     /// instruction and gets there too. DCE then leaves exactly the
     /// instructions a side-effecting one depends on.
     #[test]
-    fn scoped_inst_cleanup_equals_whole(
+    fn seeded_instcombine_equals_whole_and_dce_keeps_the_needed(
         script in proptest::collection::vec(any::<u8>(), 6..30),
         muts in proptest::collection::vec((any::<u8>(), any::<u8>(), any::<u8>()), 1..6),
     ) {

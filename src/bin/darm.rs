@@ -47,8 +47,9 @@
 //! `serve` starts the persistent compile service: a length-prefixed JSON
 //! frame protocol on stdin/stdout (or a Unix socket with `--socket`),
 //! compile requests keyed into a cross-run per-function cache, a bounded
-//! work queue that sheds load with typed `overloaded` responses, and a
-//! fail-then-degrade fault policy under per-request budgets. See
+//! work queue that sheds load with typed `overloaded` responses, and one
+//! degrading compile attempt per request under the request's one
+//! `timeout_ms`/`fuel` budget. See
 //! `darm_serve` for the protocol grammar and policies.
 
 use darm::analysis::{to_dot, verify_ssa, DivergenceAnalysis};

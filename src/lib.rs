@@ -17,7 +17,7 @@
 //! * [`kernels`] — the paper's synthetic and real-world benchmark kernels,
 //! * [`serve`] — the `darm serve` persistent compile service: framed
 //!   JSON protocol, bounded work queue with load shedding, cross-run
-//!   content-hash compile cache, fail-then-degrade fault policy.
+//!   content-hash compile cache, per-function degradation of faults.
 //!
 //! ## Quickstart
 //!
