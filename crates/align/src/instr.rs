@@ -37,16 +37,16 @@ pub enum AlignmentPair {
 /// for the extra control flow unpredication will introduce.
 pub const GAP_PENALTY: i64 = -1;
 
-/// Body instructions of a block (everything except φs and the terminator).
-pub fn body_insts(func: &Function, b: BlockId) -> Vec<InstId> {
-    func.insts_of(b)
+/// Body instructions of a block: everything between the φs at its top and
+/// the terminator at its end.
+pub fn body_insts(func: &Function, b: BlockId) -> &[InstId] {
+    let insts = func.insts_of(b);
+    let end = insts.len() - usize::from(func.terminator(b).is_some());
+    let phis = insts[..end]
         .iter()
-        .copied()
-        .filter(|&id| {
-            let op = func.inst(id).opcode;
-            !op.is_phi() && !op.is_terminator()
-        })
-        .collect()
+        .take_while(|&&id| func.inst(id).opcode.is_phi())
+        .count();
+    &insts[phis..end]
 }
 
 /// Computes the optimal instruction alignment of two blocks' bodies.
@@ -58,8 +58,8 @@ pub fn align_block_instructions(func: &Function, bt: BlockId, bf: BlockId) -> Bl
     let a = body_insts(func, bt);
     let b = body_insts(func, bf);
     let (score, steps) = global_align(
-        &a,
-        &b,
+        a,
+        b,
         |&x, &y| meldable_insts(func, x, func, y).then(|| cost::latency_of(func, x) as i64),
         GAP_PENALTY,
     );

@@ -16,29 +16,22 @@
 //! of `MP_B` over corresponding block pairs.
 
 use crate::compat::{inst_kind, InstKind};
+use crate::instr::body_insts;
 use darm_ir::cost;
 use darm_ir::{BlockId, Function};
 use std::collections::HashMap;
 
 fn kind_profile(func: &Function, b: BlockId) -> HashMap<InstKind, u64> {
     let mut profile = HashMap::new();
-    for &id in func.insts_of(b) {
-        let data = func.inst(id);
-        if data.opcode.is_phi() || data.opcode.is_terminator() {
-            continue;
-        }
+    for &id in body_insts(func, b) {
         *profile.entry(inst_kind(func, id)).or_insert(0) += 1;
     }
     profile
 }
 
 fn body_latency(func: &Function, b: BlockId) -> u64 {
-    func.insts_of(b)
+    body_insts(func, b)
         .iter()
-        .filter(|&&id| {
-            let op = func.inst(id).opcode;
-            !op.is_phi() && !op.is_terminator()
-        })
         .map(|&id| cost::latency_of(func, id))
         .sum()
 }

@@ -6,7 +6,7 @@
 use darm_bench::{fig8_cases, fig9_cases, prepare_variants_checked};
 use darm_ir::parser::parse_function;
 use darm_kernels::BenchCase;
-use darm_melding::{meld_function, MeldConfig};
+use darm_melding::{meld_function, MeldConfig, MeldStats};
 use darm_pipeline::PipelineOptions;
 
 /// Canonical melded IR + `MeldStats` of every fig8+fig9 kernel × {DARM,
@@ -136,16 +136,16 @@ fn verify_each_holds_on_every_variant() {
 fn cache_shares_analyses_across_the_fixpoint() {
     for case in fig9_cases() {
         let mut func = case.func.clone();
-        let outcome = darm_melding::run_meld_pipeline(
-            &mut func,
-            &MeldConfig::default(),
-            PipelineOptions::default(),
-        )
-        .unwrap_or_else(|e| panic!("{}: {e}", case.name));
-        let stats = outcome.stats;
+        let meld = |func: &mut darm_ir::Function| {
+            darm_melding::registry(&MeldConfig::default())
+                .build("meld", PipelineOptions::default())
+                .expect("spec parses")
+                .run(func)
+        };
+        let report = meld(&mut func).unwrap_or_else(|e| panic!("{}: {e}", case.name));
+        let stats = MeldStats::from_report(&report);
         let count = |name: &str| {
-            outcome
-                .report
+            report
                 .analysis_computations
                 .iter()
                 .find(|&&(n, _)| n == name)
@@ -178,24 +178,16 @@ fn cache_shares_analyses_across_the_fixpoint() {
         // Melding an already-melded function is a clean single-scan no-op:
         // the pass must report unchanged (so a surrounding pipeline keeps
         // its warm cache) and accumulate no statistics.
-        let outcome2 = darm_melding::run_meld_pipeline(
-            &mut func,
-            &MeldConfig::default(),
-            PipelineOptions::default(),
-        )
-        .unwrap_or_else(|e| panic!("{}: re-meld: {e}", case.name));
+        let report2 = meld(&mut func).unwrap_or_else(|e| panic!("{}: re-meld: {e}", case.name));
+        let stats2 = MeldStats::from_report(&report2);
+        assert_eq!(stats2.melded_subgraphs, 0, "{}: re-meld melded", case.name);
         assert_eq!(
-            outcome2.stats.melded_subgraphs, 0,
-            "{}: re-meld melded",
-            case.name
-        );
-        assert_eq!(
-            outcome2.stats.iterations, 1,
+            stats2.iterations, 1,
             "{}: re-meld should scan once",
             case.name
         );
         assert_eq!(
-            outcome2.report.passes[0].changed_runs, 0,
+            report2.passes[0].changed_runs, 0,
             "{}: no-op meld scan must report unchanged",
             case.name
         );

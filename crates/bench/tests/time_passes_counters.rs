@@ -2,7 +2,7 @@
 //! phase-clock child rows.
 
 use darm_bench::{fig9_cases, suite_module};
-use darm_melding::{run_meld_pipeline, MeldConfig, MeldStats};
+use darm_melding::{registry, MeldConfig, MeldStats};
 use darm_pipeline::{ModuleOptions, ModulePassManager, PipelineOptions};
 
 /// Under `time_passes` the meld pass breaks its own row down: four phase
@@ -14,19 +14,20 @@ fn time_passes_breaks_the_meld_row_into_phases_and_cleanup() {
     let case = &fig9_cases()[0];
     let run = |time_passes: bool| {
         let mut f = case.func.clone();
-        run_meld_pipeline(
-            &mut f,
-            &MeldConfig::default(),
-            PipelineOptions {
-                time_passes,
-                ..PipelineOptions::default()
-            },
-        )
-        .expect("pipeline")
+        let options = PipelineOptions {
+            time_passes,
+            ..PipelineOptions::default()
+        };
+        registry(&MeldConfig::default())
+            .build("meld", options)
+            .expect("spec parses")
+            .run(&mut f)
+            .expect("pipeline")
     };
 
-    let out = run(true);
-    let meld = &out.report.passes[0];
+    let report = run(true);
+    let stats = MeldStats::from_report(&report);
+    let meld = &report.passes[0];
     let names: Vec<&str> = meld.children.iter().map(|c| c.name.as_str()).collect();
     assert_eq!(
         names,
@@ -42,17 +43,11 @@ fn time_passes_breaks_the_meld_row_into_phases_and_cleanup() {
         ]
     );
     let (phases, cleanup) = meld.children.split_at(4);
-    assert!(out.stats.melded_regions > 0, "{} must meld", case.name);
-    assert_eq!(
-        phases[0].runs, out.stats.iterations,
-        "one snapshot per round"
-    );
-    assert_eq!(
-        phases[3].runs, out.stats.melded_regions,
-        "one codegen per meld"
-    );
+    assert!(stats.melded_regions > 0, "{} must meld", case.name);
+    assert_eq!(phases[0].runs, stats.iterations, "one snapshot per round");
+    assert_eq!(phases[3].runs, stats.melded_regions, "one codegen per meld");
     for slot in cleanup {
-        assert_eq!(slot.runs, out.stats.melded_regions, "one cleanup per meld");
+        assert_eq!(slot.runs, stats.melded_regions, "one cleanup per meld");
     }
     // The children are a breakdown of the parent's time, not an addition.
     let inside: f64 = meld.children.iter().map(|c| c.seconds).sum();
@@ -61,11 +56,11 @@ fn time_passes_breaks_the_meld_row_into_phases_and_cleanup() {
         "{inside} vs {}",
         meld.seconds
     );
-    let total = out.report.total_seconds;
+    let total = report.total_seconds;
     assert!(total >= meld.seconds && total < meld.seconds + inside);
     let cleanup_analyses: usize = cleanup.iter().map(|c| c.analysis.computes).sum();
     assert!(cleanup_analyses <= meld.analysis.computes);
-    let rendered = out.report.render();
+    let rendered = report.render();
     assert!(
         rendered
             .starts_with("| pass | runs | changed | units | time (ms) | analyses (comp/hit) |\n"),
@@ -75,7 +70,7 @@ fn time_passes_breaks_the_meld_row_into_phases_and_cleanup() {
         assert!(rendered.contains(&format!("↳ {name} |")), "{rendered}");
     }
 
-    assert!(run(false).report.passes[0].children.is_empty());
+    assert!(run(false).passes[0].children.is_empty());
 
     // The module rollup `darm meld --time-passes` prints sums child rows
     // across functions, slot by slot.

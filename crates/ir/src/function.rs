@@ -131,6 +131,19 @@ impl InstData {
             .find(|&(b, _)| b == pred)
             .map(|(_, v)| v)
     }
+
+    /// Drops a φ-node's incoming entries from the blocks of `preds`.
+    fn phi_drop_incoming(&mut self, preds: &[BlockId]) {
+        let mut k = 0;
+        while k < self.phi_blocks.len() {
+            if preds.contains(&self.phi_blocks[k]) {
+                self.phi_blocks.remove(k);
+                self.operands.remove(k);
+            } else {
+                k += 1;
+            }
+        }
+    }
 }
 
 /// The type of `v` among the given parameters and instruction arena —
@@ -821,16 +834,35 @@ impl Function {
     /// Deletes the incoming entry for `pred` from every φ-node of `block`.
     pub fn phi_remove_incoming(&mut self, block: BlockId, pred: BlockId) {
         for phi in self.phis_of(block) {
-            let inst = self.inst_mut(phi);
-            let mut k = 0;
-            while k < inst.phi_blocks.len() {
-                if inst.phi_blocks[k] == pred {
-                    inst.phi_blocks.remove(k);
-                    inst.operands.remove(k);
-                } else {
-                    k += 1;
-                }
+            self.inst_mut(phi).phi_drop_incoming(&[pred]);
+        }
+    }
+
+    /// The φ side of rerouting edges: drops `phi`'s incoming entries from
+    /// the blocks of `old`, then appends one entry carrying `value` for
+    /// each block of `new` the φ does not list already (a listed block
+    /// keeps the value it has).
+    ///
+    /// Journal contract: the φ, its pre-mutation operand definitions and
+    /// `value`'s definition are recorded as touched (use counts moved);
+    /// never a block-graph edit — the caller redirects the edges.
+    pub fn phi_replace_incoming(
+        &mut self,
+        phi: InstId,
+        old: &[BlockId],
+        new: &[BlockId],
+        value: Value,
+    ) {
+        let inst = self.inst_mut(phi);
+        inst.phi_drop_incoming(old);
+        for &p in new {
+            if !inst.phi_blocks.contains(&p) {
+                inst.phi_blocks.push(p);
+                inst.operands.push(value);
             }
+        }
+        if let Value::Inst(def) = value {
+            self.touch(def);
         }
     }
 
@@ -1340,6 +1372,57 @@ mod tests {
         assert!(f.insts_touched_since(cursor, |id| touched.push(id)));
         assert!(moved.iter().all(|id| touched.contains(id)));
         assert!(touched.contains(&f.phis_of(exit)[0]));
+    }
+
+    #[test]
+    fn phi_replace_incoming_equals_the_loop_it_replaced_and_journals_insts_only() {
+        // A φ over three predecessors; reroute `then`/`els` through `pad`
+        // and keep `entry`, whose entry the φ already has.
+        let (mut f, entry, then, els, exit) = diamond();
+        let pad = f.add_block("pad");
+        let add = InstData::new(Opcode::Add, Type::I32, vec![Value::Param(0), Value::I32(1)]);
+        let def = f.insert_inst_at(entry, 0, add);
+        let incoming = [
+            (then, Value::I32(1)),
+            (entry, Value::Inst(def)),
+            (els, Value::I32(2)),
+            (then, Value::I32(1)),
+        ];
+        let phi = f.insert_inst_at(exit, 0, InstData::phi(Type::I32, &incoming));
+        let merged = Value::Inst(def);
+
+        // The hand-rolled surgery the method replaced.
+        let mut by_hand = f.inst(phi).clone();
+        for s in [then, els] {
+            let mut k = 0;
+            while k < by_hand.phi_blocks.len() {
+                if by_hand.phi_blocks[k] == s {
+                    by_hand.phi_blocks.remove(k);
+                    by_hand.operands.remove(k);
+                } else {
+                    k += 1;
+                }
+            }
+        }
+        for p in [pad, entry] {
+            if !by_hand.phi_blocks.contains(&p) {
+                by_hand.phi_blocks.push(p);
+                by_hand.operands.push(merged);
+            }
+        }
+
+        let cursor = f.journal_head();
+        f.phi_replace_incoming(phi, &[then, els], &[pad, entry], merged);
+        assert_eq!(f.inst(phi), &by_hand);
+        let entries: Vec<_> = f.inst(phi).phi_incoming().collect();
+        assert_eq!(entries, [(entry, merged), (pad, merged)]);
+
+        // Rerouting a φ edits no edge: the window names the φ and the
+        // definition whose use count moved, and the block graph is intact.
+        assert_eq!(f.probe_since(cursor), WindowProbe::InstsOnly);
+        let mut touched = Vec::new();
+        assert!(f.insts_touched_since(cursor, |id| touched.push(id)));
+        assert!(touched.contains(&phi) && touched.contains(&def));
     }
 
     #[test]

@@ -2,8 +2,10 @@
 //! rewiring).
 //!
 //! Given a meldable divergent region and a plan (which subgraph pairs to
-//! meld, which subgraphs stay unmatched), this module:
+//! meld and how, which subgraphs stay unmatched), this module:
 //!
+//! 0. applies the plan's region replications (§IV-C), in plan order — the
+//!    first write to the function since the region was detected,
 //! 1. creates one fresh block per matched block pair,
 //! 2. clones φs (copied, never melded), aligned instructions (one clone per
 //!    `I-I` pair) and unaligned instructions (tagged with their side),
@@ -16,8 +18,11 @@
 //! 6. applies unpredication (§IV-E) or store-predication, and
 //! 7. deletes the now-unreachable original blocks.
 
+use crate::isomorphism::isomorphic_pairs;
 use crate::region::{MeldableRegion, Subgraph};
+use crate::replicate::replicate;
 use crate::unpredicate::{predicate_stores, unpredicate_block, GapRun};
+use crate::MeldStats;
 use darm_align::instr::{align_block_instructions, AlignmentPair};
 use darm_ir::{BlockId, Function, InstData, InstId, Opcode, Value};
 use std::collections::HashMap;
@@ -33,18 +38,34 @@ pub enum Origin {
     FalseSide,
 }
 
+/// How the two subgraphs of a [`PlanElement::Meld`] are brought into
+/// block-for-block correspondence.
+#[derive(Debug, Clone)]
+pub enum MeldHow {
+    /// The subgraphs are isomorphic; the correspondence in pre-order.
+    Pairs(Vec<(BlockId, BlockId)>),
+    /// Region replication (Definition 6, case 2): one side is a single
+    /// block, placed at `position` of a replica of the other side's
+    /// control flow. Applying the plan creates the replica.
+    Replicate {
+        /// Whether the single block is the true-path side.
+        single_is_true: bool,
+        /// The block of the multi-block side the single block melds with.
+        position: BlockId,
+    },
+}
+
 /// One element of a region melding plan, in chain order.
 #[derive(Debug, Clone)]
 pub enum PlanElement {
-    /// Meld `st` (true path) with `sf` (false path) using the given
-    /// pre-order block correspondence.
+    /// Meld `st` (true path) with `sf` (false path).
     Meld {
         /// True-path subgraph.
         st: Subgraph,
         /// False-path subgraph.
         sf: Subgraph,
-        /// Block correspondence in pre-order.
-        pairs: Vec<(BlockId, BlockId)>,
+        /// How their blocks correspond.
+        how: MeldHow,
         /// The `MP_S` profitability that justified the meld.
         profit: f64,
     },
@@ -54,103 +75,104 @@ pub enum PlanElement {
     GapFalse(Subgraph),
 }
 
-/// Statistics of one region meld.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RegionMeldStats {
-    /// Subgraph pairs melded.
-    pub melded_subgraphs: usize,
-    /// `select` instructions inserted for diverging operands.
-    pub selects_inserted: usize,
-    /// Unaligned instruction groups split out by unpredication.
-    pub unpredicated_groups: usize,
-}
-
-struct CloneRecord {
-    new_id: InstId,
-    src_t: Option<InstId>,
-    src_f: Option<InstId>,
-    origin: Origin,
-}
-
-/// Melds one divergent region according to `plan`. The caller is expected
-/// to run SSA repair, `simplify_cfg` and DCE afterwards (the driver does).
+/// Melds one divergent region according to `plan` and returns what it did
+/// as a [`MeldStats`] delta. The caller is expected to run SSA repair,
+/// `simplify_cfg` and DCE afterwards (the driver does).
 pub fn meld_region(
     func: &mut Function,
     region: &MeldableRegion,
-    plan: &[PlanElement],
+    mut plan: Vec<PlanElement>,
     unpredicate: bool,
-) -> RegionMeldStats {
-    let mut stats = RegionMeldStats::default();
+) -> MeldStats {
+    let mut stats = MeldStats {
+        melded_regions: 1,
+        ..MeldStats::default()
+    };
     let cond = region.cond;
+
+    // ---- Replication (§IV-C), in plan order: the single-block side
+    // becomes a replica of the other side's control flow, which makes the
+    // meld an isomorphic one ----
+    for el in &mut plan {
+        let PlanElement::Meld { st, sf, how, .. } = el else {
+            continue;
+        };
+        if let MeldHow::Replicate {
+            single_is_true,
+            position,
+        } = *how
+        {
+            if single_is_true {
+                *st = replicate(func, st, sf, position);
+            } else {
+                *sf = replicate(func, sf, st, position);
+            }
+            let pairs =
+                isomorphic_pairs(func, st, sf).expect("replication is isomorphic by construction");
+            *how = MeldHow::Pairs(pairs);
+            stats.replications += 1;
+        }
+    }
+
+    // From here on every meld is an isomorphic one over existing blocks.
+    let melds: Vec<_> = plan
+        .iter()
+        .filter_map(|el| match el {
+            PlanElement::Meld { st, sf, how, .. } => match how {
+                MeldHow::Pairs(pairs) => Some((st, sf, pairs)),
+                MeldHow::Replicate { .. } => unreachable!("applied above"),
+            },
+            PlanElement::GapTrue(_) | PlanElement::GapFalse(_) => None,
+        })
+        .collect();
 
     // ---- Phase A: create melded blocks ----
     let mut block_map: HashMap<BlockId, BlockId> = HashMap::new();
-    for el in plan {
-        if let PlanElement::Meld { pairs, .. } = el {
-            for &(bt, bf) in pairs {
-                let name = format!("{}_{}", func.block_name(bt), func.block_name(bf));
-                let m = func.add_block(&name);
-                block_map.insert(bt, m);
-                block_map.insert(bf, m);
-            }
+    for &(_, _, pairs) in &melds {
+        for &(bt, bf) in pairs {
+            let name = format!("{}_{}", func.block_name(bt), func.block_name(bf));
+            let m = func.add_block(&name);
+            block_map.insert(bt, m);
+            block_map.insert(bf, m);
         }
     }
 
     // ---- Phase B: clone φs, bodies and terminators ----
     let mut operand_map: HashMap<InstId, Value> = HashMap::new();
-    let mut records: Vec<CloneRecord> = Vec::new();
+    // Every clone whose operands Phase D resolves, with its two sources
+    // when it was melded from both sides.
+    let mut records: Vec<(InstId, Option<(InstId, InstId)>)> = Vec::new();
     // Gap runs per melded block, for unpredication (recorded in order).
     let mut origins: HashMap<BlockId, Vec<(InstId, Origin)>> = HashMap::new();
-    // Melded entry blocks whose φs need their outside pred patched at link
-    // time.
-    let mut pending_entry_phis: HashMap<BlockId, Vec<InstId>> = HashMap::new();
 
-    for el in plan {
-        let PlanElement::Meld { st, sf, pairs, .. } = el else {
-            continue;
-        };
+    for &(st, _, pairs) in &melds {
         for &(bt, bf) in pairs {
             let m = block_map[&bt];
             // φs are copied, never melded (§IV-D "Melding φ Nodes").
-            for (side_block, origin) in [(bt, Origin::TrueSide), (bf, Origin::FalseSide)] {
+            for side_block in [bt, bf] {
                 for phi in func.phis_of(side_block) {
                     let data = func.inst(phi).clone();
                     let new_id = func.add_inst(m, data);
                     operand_map.insert(phi, Value::Inst(new_id));
-                    records.push(CloneRecord {
-                        new_id,
-                        src_t: (origin == Origin::TrueSide).then_some(phi),
-                        src_f: (origin == Origin::FalseSide).then_some(phi),
-                        origin,
-                    });
-                    if side_block == st.entry || side_block == sf.entry {
-                        pending_entry_phis.entry(m).or_default().push(new_id);
-                    }
+                    records.push((new_id, None));
                 }
             }
             // Body alignment (Algorithm 2's ComputeInstrAlignment).
             let alignment = align_block_instructions(func, bt, bf);
             for step in &alignment.steps {
-                let (src, src_t, src_f, origin) = match *step {
-                    AlignmentPair::Match(it, if_) => (it, Some(it), Some(if_), Origin::Both),
-                    AlignmentPair::GapA(it) => (it, Some(it), None, Origin::TrueSide),
-                    AlignmentPair::GapB(if_) => (if_, None, Some(if_), Origin::FalseSide),
+                let (src, both, origin) = match *step {
+                    AlignmentPair::Match(it, if_) => (it, Some((it, if_)), Origin::Both),
+                    AlignmentPair::GapA(it) => (it, None, Origin::TrueSide),
+                    AlignmentPair::GapB(if_) => (if_, None, Origin::FalseSide),
                 };
                 let data = func.inst(src).clone();
                 let new_id = func.add_inst(m, data);
-                if let Some(it) = src_t {
-                    operand_map.insert(it, Value::Inst(new_id));
-                }
-                if let Some(if_) = src_f {
+                operand_map.insert(src, Value::Inst(new_id));
+                if let Some((_, if_)) = both {
                     operand_map.insert(if_, Value::Inst(new_id));
                 }
                 origins.entry(m).or_default().push((new_id, origin));
-                records.push(CloneRecord {
-                    new_id,
-                    src_t,
-                    src_f,
-                    origin,
-                });
+                records.push((new_id, both));
             }
             // Terminator: by isomorphism both sides have the same kind.
             let tt = func.terminator(bt).expect("terminator");
@@ -178,12 +200,7 @@ pub fn meld_region(
                         m,
                         InstData::terminator(Opcode::Br, vec![dt.operands[0]], vec![s0, s1]),
                     );
-                    records.push(CloneRecord {
-                        new_id,
-                        src_t: Some(tt),
-                        src_f: Some(tf),
-                        origin: Origin::Both,
-                    });
+                    records.push((new_id, Some((tt, tf))));
                 }
                 _ => unreachable!("subgraph terminators are jump/br"),
             }
@@ -217,7 +234,7 @@ pub fn meld_region(
         }
     }
 
-    for el in plan {
+    for el in &plan {
         match el {
             PlanElement::Meld { st, .. } => {
                 let entry_new = block_map[&st.entry];
@@ -252,63 +269,42 @@ pub fn meld_region(
     }
 
     // ---- Phase D: SetOperands ----
-    for rec in &records {
-        let is_phi = func.inst(rec.new_id).opcode == Opcode::Phi;
-        if is_phi {
-            // Per-side resolution; incoming blocks remapped, the outside
-            // pred patched to the linked predecessor.
-            let m = func.inst(rec.new_id).block;
-            let n = func.inst(rec.new_id).operands.len();
-            for k in 0..n {
-                let v = func.inst(rec.new_id).operands[k];
-                let p = func.inst(rec.new_id).phi_blocks[k];
-                let new_v = resolve(&operand_map, v);
-                let new_p = match block_map.get(&p) {
-                    Some(&mp) => mp,
-                    None => *link_pred.get(&m).unwrap_or(&p),
-                };
-                let inst = func.inst_mut(rec.new_id);
-                inst.operands[k] = new_v;
-                inst.phi_blocks[k] = new_p;
-            }
-            continue;
-        }
-        match rec.origin {
-            Origin::Both => {
-                let it = rec.src_t.expect("both sides present");
-                let if_ = rec.src_f.expect("both sides present");
-                let n = func.inst(rec.new_id).operands.len();
-                for k in 0..n {
+    // Each clone's operands are resolved through the operand map and
+    // written back once.
+    for &(new_id, both) in &records {
+        let data = func.inst(new_id);
+        // A φ's incoming blocks are remapped, the outside pred patched to
+        // the linked predecessor.
+        let outside = |p| link_pred.get(&data.block).unwrap_or(p);
+        let phi_blocks = data
+            .phi_blocks
+            .iter()
+            .map(|p| *block_map.get(p).unwrap_or_else(|| outside(p)))
+            .collect();
+        let operands = match both {
+            None => data
+                .operands
+                .iter()
+                .map(|&v| resolve(&operand_map, v))
+                .collect(),
+            Some((it, if_)) => (0..data.operands.len())
+                .map(|k| {
                     let vt = resolve(&operand_map, func.inst(it).operands[k]);
                     let vf = resolve(&operand_map, func.inst(if_).operands[k]);
-                    let merged = if vt == vf {
-                        vt
-                    } else {
-                        let ty = func.value_ty(vt);
-                        let sel = func.insert_inst_before(
-                            rec.new_id,
-                            InstData::new(Opcode::Select, ty, vec![cond, vt, vf]),
-                        );
-                        stats.selects_inserted += 1;
-                        Value::Inst(sel)
-                    };
-                    func.inst_mut(rec.new_id).operands[k] = merged;
-                }
-            }
-            Origin::TrueSide | Origin::FalseSide => {
-                let n = func.inst(rec.new_id).operands.len();
-                for k in 0..n {
-                    let v = resolve(&operand_map, func.inst(rec.new_id).operands[k]);
-                    func.inst_mut(rec.new_id).operands[k] = v;
-                }
-            }
-        }
+                    if vt == vf {
+                        return vt;
+                    }
+                    let ty = func.value_ty(vt);
+                    let select = InstData::new(Opcode::Select, ty, vec![cond, vt, vf]);
+                    stats.selects_inserted += 1;
+                    Value::Inst(func.insert_inst_before(new_id, select))
+                })
+                .collect(),
+        };
+        let inst = func.inst_mut(new_id);
+        inst.phi_blocks = phi_blocks;
+        inst.operands = operands;
     }
-
-    // Entry φs of melded blocks may still name pre-link outside preds when
-    // the side block's φ listed a block that was itself melded away; the
-    // per-record pass above already remapped those. Nothing further needed.
-    let _ = pending_entry_phis;
 
     // ---- Phase E: region-exit φs ----
     // The original region preds of X are the exit blocks of the last
@@ -319,12 +315,6 @@ pub fn meld_region(
         .last()
         .expect("nonempty chain")
         .exit_block;
-    let new_t_exit = block_map.get(&t_exit).copied();
-    let new_f_exit = block_map.get(&f_exit).copied();
-    // Compute every φ's merged value first: phi_remove_incoming strips the
-    // old entries from *all* φs of the block at once, so the reads must not
-    // be interleaved with the removal.
-    let mut merged_entries: Vec<(InstId, Value)> = Vec::new();
     for phi in func.phis_of(region.exit) {
         let vt = func.inst(phi).phi_value_for(t_exit);
         let vf = func.inst(phi).phi_value_for(f_exit);
@@ -345,26 +335,9 @@ pub fn meld_region(
             stats.selects_inserted += 1;
             Value::Inst(sel)
         };
-        merged_entries.push((phi, merged));
+        func.phi_replace_incoming(phi, &[t_exit, f_exit], &[cursor], merged);
     }
-    if !merged_entries.is_empty() {
-        func.phi_remove_incoming(region.exit, t_exit);
-        func.phi_remove_incoming(region.exit, f_exit);
-        for (phi, merged) in merged_entries {
-            let inst = func.inst_mut(phi);
-            inst.phi_blocks.push(cursor);
-            inst.operands.push(merged);
-        }
-    }
-    // When gap guards re-pointed a side's exit to a join block, the φ entry
-    // for the original exit block is gone already (replace_succ changed the
-    // edge, and the φ entries above referenced the original exits). The
-    // remaining case — a gap subgraph at the end of a chain — leaves the φ
-    // entry keyed by the gap's exit block, which still reaches X only
-    // through the join; `phi_value_for` above handled it because the gap's
-    // exit block kept its identity.
     link(func, cursor, placeholder, region.exit);
-    let _ = (new_t_exit, new_f_exit);
 
     // ---- Phase F: global use rewrite and cleanup ----
     // One arena pass for the whole region; sorted so the journal does not
@@ -375,20 +348,15 @@ pub fn meld_region(
         .collect();
     rewrites.sort_unstable_by_key(|&(orig, _)| orig.as_inst());
     func.rauw_many(&rewrites);
-    for el in plan {
-        if let PlanElement::Meld { st, sf, .. } = el {
-            stats.melded_subgraphs += 1;
-            for &b in st.blocks.iter().chain(&sf.blocks) {
-                func.remove_block(b);
-            }
+    for &(st, sf, _) in &melds {
+        stats.melded_subgraphs += 1;
+        for &b in st.blocks.iter().chain(&sf.blocks) {
+            func.remove_block(b);
         }
     }
 
     // ---- Phase G: unpredication / store predication ----
-    for el in plan {
-        let PlanElement::Meld { st, .. } = el else {
-            continue;
-        };
+    for &(st, _, _) in &melds {
         for &bt in st.blocks.iter() {
             let Some(&m) = block_map.get(&bt) else {
                 continue;
@@ -403,7 +371,7 @@ pub fn meld_region(
             if unpredicate {
                 stats.unpredicated_groups += unpredicate_block(func, m, cond, &gap_runs);
             } else {
-                predicate_stores(func, m, cond, &gap_runs);
+                predicate_stores(func, cond, &gap_runs);
             }
         }
     }

@@ -15,6 +15,15 @@
 //!   Fusion (§VI-A).
 //! * [`tail_merge()`](tail_merge::tail_merge) — classic tail merging (Table I's weakest row).
 //!
+//! One round of the pass is three steps, and only the last writes:
+//! **detect** ([`region::detect_region`] decomposes a divergent branch's
+//! two paths into SESE subgraph chains), **plan** (align the chains and
+//! keep the profitable pairs — a pure function of `&Function` whose result,
+//! a list of [`PlanElement`]s, says which subgraphs meld and [how](MeldHow),
+//! region replication included) and **apply** ([`codegen::meld_region`]
+//! performs the plan: replications first, then Algorithm 2). The function
+//! is unchanged until the first apply.
+//!
 //! ```
 //! use darm_melding::{meld_function, MeldConfig};
 //! use darm_ir::{builder::FunctionBuilder, Function, Type, AddrSpace, Dim, IcmpPred};
@@ -56,14 +65,14 @@ pub mod replicate;
 pub mod tail_merge;
 pub mod unpredicate;
 
-pub use codegen::{PlanElement, RegionMeldStats};
+pub use codegen::{MeldHow, PlanElement};
 pub use pass::{MeldPass, TailMergePass, CAP_HITS_STAT};
 pub use region::{Analyses, MeldableRegion, Subgraph};
 pub use tail_merge::tail_merge;
 
 use darm_align::{global_align, subgraph_melding_profit, AlignStep};
 use darm_ir::Function;
-use darm_pipeline::{PassManager, PassRegistry, PipelineError, PipelineOptions, PipelineReport};
+use darm_pipeline::{PassRegistry, PipelineReport};
 
 /// Which melding technique to apply.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -120,7 +129,8 @@ impl MeldConfig {
     }
 }
 
-/// Cumulative statistics of a [`meld_function`] run.
+/// Cumulative statistics of a [`meld_function`] run; also the delta one
+/// [`codegen::meld_region`] call reports.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct MeldStats {
     /// Divergent regions rewritten.
@@ -137,6 +147,18 @@ pub struct MeldStats {
     pub ssa_repairs: usize,
     /// Outer fixpoint iterations executed.
     pub iterations: usize,
+}
+
+impl std::ops::AddAssign for MeldStats {
+    fn add_assign(&mut self, d: MeldStats) {
+        self.melded_regions += d.melded_regions;
+        self.melded_subgraphs += d.melded_subgraphs;
+        self.replications += d.replications;
+        self.selects_inserted += d.selects_inserted;
+        self.unpredicated_groups += d.unpredicated_groups;
+        self.ssa_repairs += d.ssa_repairs;
+        self.iterations += d.iterations;
+    }
 }
 
 impl MeldStats {
@@ -177,48 +199,6 @@ impl MeldStats {
             .map(|p| MeldStats::from_stat_entries(&p.stats))
             .unwrap_or_default()
     }
-}
-
-/// How a subgraph pair would be melded, decided during planning.
-#[derive(Clone)]
-enum MatchKind {
-    Iso(Vec<(darm_ir::BlockId, darm_ir::BlockId)>),
-    ReplicateTrue(darm_ir::BlockId),
-    ReplicateFalse(darm_ir::BlockId),
-}
-
-/// Result of a [`run_meld_pipeline`] call: the melding statistics plus the
-/// pipeline's per-pass timing/stat report.
-#[derive(Debug, Clone)]
-pub struct MeldOutcome {
-    /// Cumulative melding statistics.
-    pub stats: MeldStats,
-    /// Per-pass records (runs, changed, units, wall time) and analysis
-    /// computation counts.
-    pub report: PipelineReport,
-}
-
-/// The one melding driver shared by the CLI, the benchmark harness and
-/// [`meld_function`]: builds a [`PassManager`] holding the [`MeldPass`] for
-/// `config` and runs it over `func` with a shared analysis cache.
-///
-/// # Errors
-///
-/// Propagates pipeline failures — with [`PipelineOptions::verify_each`]
-/// that includes SSA violations between passes.
-pub fn run_meld_pipeline(
-    func: &mut Function,
-    config: &MeldConfig,
-    options: PipelineOptions,
-) -> Result<MeldOutcome, PipelineError> {
-    let pass = MeldPass::new(*config).observing(&options);
-    let mut pm = PassManager::new(options);
-    pm.add(Box::new(pass));
-    let report = pm.run(func)?;
-    Ok(MeldOutcome {
-        stats: MeldStats::from_report(&report),
-        report,
-    })
 }
 
 /// Applies the spec parameters the melding family understands on top of a
@@ -264,7 +244,7 @@ fn apply_meld_params(
 /// (threshold sweep, unpredication off) are expressible as specs with no
 /// code changes. Both carry the pipeline's `verify_each` and
 /// `time_passes` into their inner cleanup pipeline
-/// ([`MeldPass::observing`]), exactly as [`run_meld_pipeline`] does.
+/// ([`MeldPass::observing`]).
 pub fn registry(config: &MeldConfig) -> PassRegistry {
     let mut r = PassRegistry::with_transforms();
     let configured = *config;
@@ -291,10 +271,11 @@ pub fn registry(config: &MeldConfig) -> PassRegistry {
 /// (Algorithm 1). Returns cumulative statistics. The function is left in
 /// valid SSA form.
 ///
-/// Equivalent to [`run_meld_pipeline`] with default options, minus the
-/// one-pass [`PassManager`] and the [`PipelineReport`] nobody reads on this
-/// path: it runs the [`MeldPass`] itself and hands out the pass's own
-/// totals. See [`MeldPass`] for how the fixpoint shares cached analyses.
+/// Equivalent to building `"meld"` from [`registry`] with default options,
+/// minus the one-pass [`PassManager`](darm_pipeline::PassManager) and the
+/// [`PipelineReport`] nobody reads on this path: it runs the [`MeldPass`]
+/// itself and hands out the pass's own totals. See [`MeldPass`] for how
+/// the fixpoint shares cached analyses.
 pub fn meld_function(func: &mut Function, config: &MeldConfig) -> MeldStats {
     use darm_pipeline::Pass;
     let mut pass = MeldPass::new(*config);
@@ -306,19 +287,20 @@ pub fn meld_function(func: &mut Function, config: &MeldConfig) -> MeldStats {
 /// Computes the melding plan for a region: aligns the two subgraph chains
 /// with `MP_S` scoring (Definition 7) and keeps matches at or above the
 /// profitability threshold. Returns `None` when nothing profitable exists.
-/// The second component counts region replications the plan will perform.
+/// Planning reads the function; [`codegen::meld_region`] is the first to
+/// write it.
 pub(crate) fn plan_region(
-    func: &mut Function,
+    func: &Function,
     r: &MeldableRegion,
     config: &MeldConfig,
-) -> Option<(Vec<PlanElement>, usize)> {
+) -> Option<Vec<PlanElement>> {
     darm_ir::fault::point("meld::plan");
     fn score_pair(
         func: &Function,
         config: &MeldConfig,
         st: &Subgraph,
         sf: &Subgraph,
-    ) -> Option<(f64, MatchKind)> {
+    ) -> Option<(f64, MeldHow)> {
         // Scoring dominates planning cost (isomorphism + profit analysis
         // per pair), so it polls the budget and hosts a fault site.
         darm_ir::budget::poll("meld::score");
@@ -326,40 +308,24 @@ pub(crate) fn plan_region(
         if st.has_meld_barrier(func) || sf.has_meld_barrier(func) {
             return None;
         }
-        match (st.is_single_block(), sf.is_single_block()) {
-            (true, true) => {
-                let p = subgraph_melding_profit(func, &[(st.entry, sf.entry)]);
-                Some((p, MatchKind::Iso(vec![(st.entry, sf.entry)])))
+        let pairs = match (st.is_single_block(), sf.is_single_block()) {
+            (true, true) => vec![(st.entry, sf.entry)],
+            _ if config.mode == MeldMode::BranchFusion => return None,
+            (false, false) => isomorphism::isomorphic_pairs(func, st, sf)?,
+            (single_is_true, _) => {
+                let (single, multi) = if single_is_true { (st, sf) } else { (sf, st) };
+                if !func.phis_of(single.entry).is_empty() || replicate::has_cycle(func, multi) {
+                    return None;
+                }
+                let (position, p) = replicate::best_position(func, single, multi);
+                let how = MeldHow::Replicate {
+                    single_is_true,
+                    position,
+                };
+                return Some((p, how));
             }
-            (false, false) => {
-                if config.mode == MeldMode::BranchFusion {
-                    return None;
-                }
-                let pairs = isomorphism::isomorphic_pairs(func, st, sf)?;
-                let p = subgraph_melding_profit(func, &pairs);
-                Some((p, MatchKind::Iso(pairs)))
-            }
-            (true, false) => {
-                if config.mode == MeldMode::BranchFusion {
-                    return None;
-                }
-                if !func.phis_of(st.entry).is_empty() || replicate::has_cycle(func, sf) {
-                    return None;
-                }
-                let (pos, p) = replicate::best_position(func, st, sf);
-                Some((p, MatchKind::ReplicateTrue(pos)))
-            }
-            (false, true) => {
-                if config.mode == MeldMode::BranchFusion {
-                    return None;
-                }
-                if !func.phis_of(sf.entry).is_empty() || replicate::has_cycle(func, st) {
-                    return None;
-                }
-                let (pos, p) = replicate::best_position(func, sf, st);
-                Some((p, MatchKind::ReplicateFalse(pos)))
-            }
-        }
+        };
+        Some((subgraph_melding_profit(func, &pairs), MeldHow::Pairs(pairs)))
     }
 
     // Score memoization: the alignment DP fill asks for every (i, j) cell,
@@ -368,97 +334,41 @@ pub(crate) fn plan_region(
     // cache by the pair's entry blocks (unique per subgraph within a region).
     let mut score_cache: std::collections::HashMap<
         (darm_ir::BlockId, darm_ir::BlockId),
-        Option<(f64, MatchKind)>,
+        Option<(f64, MeldHow)>,
     > = std::collections::HashMap::new();
 
     // Chain alignment: only matches meeting the threshold are allowed.
-    let (_, steps) = {
-        let cache = &mut score_cache;
-        let func = &*func;
-        global_align(
-            &r.true_chain,
-            &r.false_chain,
-            move |st, sf| {
-                let (p, _) = cache
-                    .entry((st.entry, sf.entry))
-                    .or_insert_with(|| score_pair(func, config, st, sf))
-                    .as_ref()?;
-                (*p >= config.threshold).then_some((p * 1e6) as i64)
-            },
-            0,
-        )
-    };
+    let (_, steps) = global_align(
+        &r.true_chain,
+        &r.false_chain,
+        |st, sf| {
+            let (p, _) = score_cache
+                .entry((st.entry, sf.entry))
+                .or_insert_with(|| score_pair(func, config, st, sf))
+                .as_ref()?;
+            (*p >= config.threshold).then_some((p * 1e6) as i64)
+        },
+        0,
+    );
     if !steps.iter().any(|s| matches!(s, AlignStep::Match(..))) {
         return None;
     }
-
-    let mut plan = Vec::new();
-    let mut replications = 0;
-    for step in steps {
-        match step {
-            AlignStep::Match(i, j) => {
-                let st = r.true_chain[i].clone();
-                let sf = r.false_chain[j].clone();
-                let (profit, kind) = score_cache
-                    .get(&(st.entry, sf.entry))
-                    .cloned()
-                    .flatten()
-                    .expect("scored during alignment");
-                match kind {
-                    MatchKind::Iso(pairs) => {
-                        plan.push(PlanElement::Meld {
-                            st,
-                            sf,
-                            pairs,
-                            profit,
-                        });
-                    }
-                    MatchKind::ReplicateTrue(pos) => {
-                        match replicate::replicate(func, &st, &sf, pos) {
-                            Some(lprime) => {
-                                let pairs = isomorphism::isomorphic_pairs(func, &lprime, &sf)
-                                    .expect("replication is isomorphic by construction");
-                                replications += 1;
-                                plan.push(PlanElement::Meld {
-                                    st: lprime,
-                                    sf,
-                                    pairs,
-                                    profit,
-                                });
-                            }
-                            None => {
-                                plan.push(PlanElement::GapTrue(st));
-                                plan.push(PlanElement::GapFalse(sf));
-                            }
-                        }
-                    }
-                    MatchKind::ReplicateFalse(pos) => {
-                        match replicate::replicate(func, &sf, &st, pos) {
-                            Some(lprime) => {
-                                let pairs = isomorphism::isomorphic_pairs(func, &st, &lprime)
-                                    .expect("replication is isomorphic by construction");
-                                replications += 1;
-                                plan.push(PlanElement::Meld {
-                                    st,
-                                    sf: lprime,
-                                    pairs,
-                                    profit,
-                                });
-                            }
-                            None => {
-                                plan.push(PlanElement::GapTrue(st));
-                                plan.push(PlanElement::GapFalse(sf));
-                            }
-                        }
-                    }
-                }
+    let plan = steps.into_iter().map(|step| match step {
+        AlignStep::Match(i, j) => {
+            let (st, sf) = (r.true_chain[i].clone(), r.false_chain[j].clone());
+            let (profit, how) = score_cache
+                .remove(&(st.entry, sf.entry))
+                .flatten()
+                .expect("scored during alignment");
+            PlanElement::Meld {
+                st,
+                sf,
+                how,
+                profit,
             }
-            AlignStep::GapA(i) => plan.push(PlanElement::GapTrue(r.true_chain[i].clone())),
-            AlignStep::GapB(j) => plan.push(PlanElement::GapFalse(r.false_chain[j].clone())),
         }
-    }
-    if !plan.iter().any(|e| matches!(e, PlanElement::Meld { .. })) {
-        return None;
-    }
-    Some((plan, replications))
+        AlignStep::GapA(i) => PlanElement::GapTrue(r.true_chain[i].clone()),
+        AlignStep::GapB(j) => PlanElement::GapFalse(r.false_chain[j].clone()),
+    });
+    Some(plan.collect())
 }

@@ -121,7 +121,9 @@ impl MeldPass {
 
 /// The fixpoint scan's candidates: entry block, chain size and the
 /// memoized detection result, so the processing loop does not re-detect
-/// what the sizing pass already computed on the unchanged function.
+/// what the sizing pass already computed. The memo stays valid for the
+/// whole scan: planning takes `&Function`, and the first region applied (or
+/// padded) ends the scan.
 fn candidates(func: &Function, a: &Analyses) -> Vec<(usize, BlockId, Option<MeldableRegion>)> {
     let mut candidates: Vec<(usize, BlockId, Option<MeldableRegion>)> = a
         .cfg
@@ -171,39 +173,30 @@ impl Pass for MeldPass {
                 .time(Phase::Analyses, || Analyses::from_manager(func, am));
             let candidates = self.clock.time(Phase::Detect, || candidates(func, &a));
             for (_, b, r) in candidates {
-                // Region simplification (Definition 3/4) may change the
-                // CFG; restart with fresh analyses when it does. A
-                // successfully detected region is already simple — every
-                // chain position has its dedicated single exit edge — so
-                // the walk is provably a no-op then and is skipped.
-                if r.is_none()
-                    && self
-                        .clock
-                        .time(Phase::Detect, || region::simplify_region_entry(func, &a, b))
-                {
-                    continue 'outer;
-                }
-                let Some(r) = r else { continue };
+                let Some(r) = r else {
+                    // Region simplification (Definition 3/4) may change the
+                    // CFG; restart with fresh analyses when it does. Only
+                    // an undetected region can need it: detection and
+                    // simplification share one chain walk, and a detected
+                    // region has a single exit edge at every position.
+                    let padded = || region::simplify_region_entry(func, &a, b);
+                    if self.clock.time(Phase::Detect, padded) {
+                        continue 'outer;
+                    }
+                    continue;
+                };
                 let plan = self
                     .clock
                     .time(Phase::PlanAlign, || plan_region(func, &r, &config));
-                let Some((plan, n_repl)) = plan else {
-                    continue;
-                };
+                let Some(plan) = plan else { continue };
                 darm_ir::fault::point("meld::codegen");
-                let rstats = self.clock.time(Phase::Codegen, || {
-                    crate::codegen::meld_region(func, &r, &plan, config.unpredicate)
+                stats += self.clock.time(Phase::Codegen, || {
+                    crate::codegen::meld_region(func, &r, plan, config.unpredicate)
                 });
-                stats.melded_regions += 1;
-                stats.melded_subgraphs += rstats.melded_subgraphs;
-                stats.selects_inserted += rstats.selects_inserted;
-                stats.unpredicated_groups += rstats.unpredicated_groups;
-                stats.replications += n_repl;
                 let repairs_before = self.cleanup.units_of("ssa-repair");
                 self.cleanup
                     .run_once(func, am)
                     .map_err(|e| format!("post-meld cleanup failed: {e}"))?;
-
                 stats.ssa_repairs +=
                     (self.cleanup.units_of("ssa-repair") - repairs_before) as usize;
                 continue 'outer;
@@ -214,14 +207,7 @@ impl Pass for MeldPass {
         self.cap_hits += u64::from(!reached_fixpoint);
         // Accumulate, never overwrite: pass records and stat entries are
         // documented to total across repeated pipeline runs.
-        let total = &mut self.stats;
-        total.melded_regions += stats.melded_regions;
-        total.melded_subgraphs += stats.melded_subgraphs;
-        total.replications += stats.replications;
-        total.selects_inserted += stats.selects_inserted;
-        total.unpredicated_groups += stats.unpredicated_groups;
-        total.ssa_repairs += stats.ssa_repairs;
-        total.iterations += stats.iterations;
+        self.stats += stats;
         Ok(stats.melded_subgraphs as u64)
     }
 

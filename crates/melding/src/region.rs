@@ -119,8 +119,8 @@ pub fn detect_region(func: &Function, a: &Analyses, b: BlockId) -> Option<Meldab
     }
     let exit = a.pdt.ipdom(b)?;
     let cond = func.inst(term).operands[0];
-    let true_chain = compute_chain(func, a, bt, exit)?;
-    let false_chain = compute_chain(func, a, bf, exit)?;
+    let true_chain = compute_chain(a, bt, exit)?;
+    let false_chain = compute_chain(a, bf, exit)?;
     if true_chain.is_empty() || false_chain.is_empty() {
         return None;
     }
@@ -133,82 +133,113 @@ pub fn detect_region(func: &Function, a: &Analyses, b: BlockId) -> Option<Meldab
     })
 }
 
-/// Decomposes the path `start → stop` into SESE subgraphs, absorbing join
-/// anchors whose predecessors all lie inside the current subgraph (so an
-/// if-then-else includes its join block). Returns `None` when the path has
-/// side entries or is otherwise not decomposable.
-pub fn compute_chain(
-    _func: &Function,
-    a: &Analyses,
-    start: BlockId,
+/// One position of the walk along the post-dominator chain from a path's
+/// first block to the region exit: the would-be subgraph entered at
+/// `entry`, grown past every join it can absorb.
+struct ChainStep {
+    entry: BlockId,
+    /// Blocks reachable from `entry` short of `next`, in discovery order.
+    blocks: Vec<BlockId>,
+    /// The anchor the subgraph exits to — the next position's entry.
+    next: BlockId,
+    /// The blocks of `blocks` with an edge into `next`.
+    exit_sources: Vec<BlockId>,
+    /// Whether the path escaped to the region exit while `next` was still
+    /// short of it.
+    crosses_stop: bool,
+}
+
+/// The walk [`detect_region`] and [`simplify_region_entry`] share, so a
+/// path the first decomposes is by construction one the second leaves
+/// alone. Ends early — with `cur` short of `stop` — at a block without a
+/// post-dominator.
+struct ChainWalk<'a> {
+    a: &'a Analyses,
+    cur: BlockId,
     stop: BlockId,
-) -> Option<Vec<Subgraph>> {
-    let mut chain = Vec::new();
-    let mut cur = start;
-    let budget = a.cfg.rpo().len() + 2;
-    let mut steps = 0;
-    while cur != stop {
-        steps += 1;
-        if steps > budget {
+}
+
+impl Iterator for ChainWalk<'_> {
+    type Item = ChainStep;
+
+    fn next(&mut self) -> Option<ChainStep> {
+        if self.cur == self.stop {
             return None;
         }
-        let mut next = a.pdt.ipdom(cur)?;
-        let mut blocks;
-        loop {
-            blocks = a.cfg.reachable_avoiding(cur, next);
-            if blocks.contains(&stop) {
-                return None;
+        let a = self.a;
+        let mut next = a.pdt.ipdom(self.cur)?;
+        let mut crosses_stop = false;
+        let blocks = loop {
+            let blocks = a.cfg.reachable_avoiding(self.cur, next);
+            crosses_stop |= blocks.contains(&self.stop);
+            if next != self.stop {
+                // A join whose predecessors all lie inside is absorbed (an
+                // if-then-else includes its join block).
+                let exit_edges: usize = blocks
+                    .iter()
+                    .map(|&blk| a.cfg.succs(blk).iter().filter(|&&s| s == next).count())
+                    .sum();
+                let preds_inside = a.cfg.preds(next).iter().all(|p| blocks.contains(p));
+                if exit_edges > 1 && preds_inside {
+                    next = a.pdt.ipdom(next)?;
+                    continue;
+                }
             }
-            // Count exit edges and check whether `next` can be absorbed.
-            if next == stop {
-                break;
-            }
-            let exit_edges: usize = blocks
-                .iter()
-                .map(|&blk| a.cfg.succs(blk).iter().filter(|&&s| s == next).count())
-                .sum();
-            let preds_inside = a.cfg.preds(next).iter().all(|p| blocks.contains(p));
-            if exit_edges > 1 && preds_inside {
-                next = a.pdt.ipdom(next)?;
-                continue;
-            }
-            break;
-        }
-        // Single-entry check: no side entries into the subgraph body.
-        for &blk in &blocks {
-            if !a.dt.dominates(cur, blk) {
-                return None;
-            }
-        }
-        blocks.sort();
-        // The unique exit block: the block carrying the edge into `next`.
-        let exit_blocks: Vec<BlockId> = blocks
+            break blocks;
+        };
+        let exit_sources = blocks
             .iter()
             .copied()
             .filter(|&blk| a.cfg.succs(blk).contains(&next))
             .collect();
-        let exit_block = match exit_blocks.len() {
-            1 => exit_blocks[0],
-            // Multiple exit edges into the region exit: region
-            // simplification must insert a landing pad first.
-            _ => return None,
-        };
-        chain.push(Subgraph {
-            entry: cur,
+        Some(ChainStep {
+            entry: std::mem::replace(&mut self.cur, next),
             blocks,
-            exit_block,
-            exit_target: next,
-        });
-        cur = next;
+            next,
+            exit_sources,
+            crosses_stop,
+        })
     }
-    Some(chain)
+}
+
+/// Decomposes the path `start → stop` into SESE subgraphs. Returns `None`
+/// when the path has side entries or is otherwise not decomposable.
+fn compute_chain(a: &Analyses, start: BlockId, stop: BlockId) -> Option<Vec<Subgraph>> {
+    let mut walk = ChainWalk {
+        a,
+        cur: start,
+        stop,
+    };
+    let mut chain = Vec::new();
+    for mut step in &mut walk {
+        // Single entry: no side entries into the subgraph body. Single
+        // exit: several edges into the anchor need a landing pad first
+        // (region simplification).
+        if step.crosses_stop
+            || step.exit_sources.len() != 1
+            || !step
+                .blocks
+                .iter()
+                .all(|&blk| a.dt.dominates(step.entry, blk))
+        {
+            return None;
+        }
+        step.blocks.sort();
+        chain.push(Subgraph {
+            entry: step.entry,
+            blocks: step.blocks,
+            exit_block: step.exit_sources[0],
+            exit_target: step.next,
+        });
+    }
+    (walk.cur == stop).then_some(chain)
 }
 
 /// Region simplification (Definition 3/4): gives every chain position a
-/// dedicated single exit edge by inserting landing-pad blocks where a
-/// subgraph would otherwise have several edges to the region exit, and
-/// removes trivial φs at subgraph entries. Returns `true` if the CFG
-/// changed (callers must recompute analyses and re-detect).
+/// dedicated single exit edge by inserting a landing-pad block where a
+/// subgraph would otherwise have several edges into an anchor it cannot
+/// absorb. Returns `true` if the CFG changed (callers must recompute
+/// analyses and re-detect).
 pub fn simplify_region_entry(func: &mut Function, a: &Analyses, b: BlockId) -> bool {
     let Some(term) = func.terminator(b) else {
         return false;
@@ -216,69 +247,22 @@ pub fn simplify_region_entry(func: &mut Function, a: &Analyses, b: BlockId) -> b
     if func.inst(term).opcode != Opcode::Br {
         return false;
     }
-    let succs = func.inst(term).succs.clone();
-    let (bt, bf) = (succs[0], succs[1]);
-    let Some(exit) = a.pdt.ipdom(b) else {
+    let Some(stop) = a.pdt.ipdom(b) else {
         return false;
     };
+    let (bt, bf) = (func.inst(term).succs[0], func.inst(term).succs[1]);
+    // One pad per path and call: the caller recomputes and calls again.
     let mut changed = false;
     for start in [bt, bf] {
-        if start == exit {
-            continue;
-        }
-        changed |= pad_exits_on_path(func, a, start, exit);
-    }
-    changed
-}
-
-/// Walks the ipdom chain from `start` to `stop`; wherever a would-be
-/// subgraph has multiple edges into an anchor it cannot absorb, inserts a
-/// landing pad collecting those edges.
-fn pad_exits_on_path(func: &mut Function, a: &Analyses, start: BlockId, stop: BlockId) -> bool {
-    let changed = false;
-    let mut cur = start;
-    let budget = a.cfg.rpo().len() + 2;
-    let mut steps = 0;
-    while cur != stop {
-        steps += 1;
-        if steps > budget {
-            break;
-        }
-        let mut next = match a.pdt.ipdom(cur) {
-            Some(n) => n,
-            None => break,
+        let mut walk = ChainWalk {
+            a,
+            cur: start,
+            stop,
         };
-        let mut blocks;
-        loop {
-            blocks = a.cfg.reachable_avoiding(cur, next);
-            if next == stop {
-                break;
-            }
-            let exit_edges: usize = blocks
-                .iter()
-                .map(|&blk| a.cfg.succs(blk).iter().filter(|&&s| s == next).count())
-                .sum();
-            let preds_inside = a.cfg.preds(next).iter().all(|p| blocks.contains(p));
-            if exit_edges > 1 && preds_inside {
-                next = match a.pdt.ipdom(next) {
-                    Some(n) => n,
-                    None => return changed,
-                };
-                continue;
-            }
-            break;
+        if let Some(step) = walk.find(|step| step.exit_sources.len() > 1) {
+            insert_landing_pad(func, &step.exit_sources, step.next);
+            changed = true;
         }
-        let exit_sources: Vec<BlockId> = blocks
-            .iter()
-            .copied()
-            .filter(|&blk| a.cfg.succs(blk).contains(&next))
-            .collect();
-        if exit_sources.len() > 1 {
-            insert_landing_pad(func, &exit_sources, next);
-            // CFG changed: the caller recomputes and calls again.
-            return true;
-        }
-        cur = next;
     }
     changed
 }
@@ -302,22 +286,7 @@ pub fn insert_landing_pad(func: &mut Function, sources: &[BlockId], target: Bloc
             continue;
         }
         let pad_phi = func.insert_inst_at(pad, 0, InstData::phi(ty, &incoming));
-        // Replace the source entries with a single entry from the pad.
-        for &s in sources {
-            let inst = func.inst_mut(phi);
-            let mut k = 0;
-            while k < inst.phi_blocks.len() {
-                if inst.phi_blocks[k] == s {
-                    inst.phi_blocks.remove(k);
-                    inst.operands.remove(k);
-                } else {
-                    k += 1;
-                }
-            }
-        }
-        let inst = func.inst_mut(phi);
-        inst.phi_blocks.push(pad);
-        inst.operands.push(Value::Inst(pad_phi));
+        func.phi_replace_incoming(phi, sources, &[pad], Value::Inst(pad_phi));
     }
     func.add_inst(
         pad,

@@ -8,7 +8,7 @@
 //! Fig. 2).
 
 use crate::region::Subgraph;
-use darm_align::block_melding_profit;
+use darm_align::{block_melding_profit, body_insts};
 use darm_ir::cost;
 use darm_ir::{BlockId, Function, InstData, Opcode, Value};
 use std::collections::HashMap;
@@ -55,12 +55,8 @@ pub fn has_cycle(func: &Function, sg: &Subgraph) -> bool {
 pub fn best_position(func: &Function, single: &Subgraph, multi: &Subgraph) -> (BlockId, f64) {
     let a = single.entry;
     let lat = |b: BlockId| -> f64 {
-        func.insts_of(b)
+        body_insts(func, b)
             .iter()
-            .filter(|&&i| {
-                let op = func.inst(i).opcode;
-                !op.is_phi() && !op.is_terminator()
-            })
             .map(|&i| cost::latency_of(func, i) as f64)
             .sum()
     };
@@ -90,17 +86,15 @@ pub fn best_position(func: &Function, single: &Subgraph, multi: &Subgraph) -> (B
 /// shape with concretized (constant) conditions steering along a path
 /// `multi.entry → position → multi.exit_block`.
 ///
-/// Returns `None` if `single`'s block carries φs (cannot be repositioned).
+/// The plan only asks for this when `single`'s block carries no φs (it
+/// could not be repositioned) and `multi` is acyclic.
 pub fn replicate(
     func: &mut Function,
     single: &Subgraph,
     multi: &Subgraph,
     position: BlockId,
-) -> Option<Subgraph> {
+) -> Subgraph {
     let a = single.entry;
-    if !func.phis_of(a).is_empty() {
-        return None;
-    }
     // Map each block of `multi` to its replica; `position` maps to `a`.
     let mut lmap: HashMap<BlockId, BlockId> = HashMap::new();
     for &m in &multi.blocks {
@@ -113,8 +107,8 @@ pub fn replicate(
     }
     // The concretized path: entry → position → exit_block.
     let path = {
-        let mut p = bfs_path(func, multi, multi.entry, position)?;
-        let q = bfs_path(func, multi, position, multi.exit_block)?;
+        let mut p = bfs_path(func, multi, multi.entry, position);
+        let q = bfs_path(func, multi, position, multi.exit_block);
         p.extend(q.into_iter().skip(1));
         p
     };
@@ -156,22 +150,23 @@ pub fn replicate(
                     InstData::terminator(Opcode::Br, vec![cond], vec![map_succ(s0), map_succ(s1)]),
                 );
             }
-            _ => return None,
+            _ => unreachable!("subgraph terminators are jump/br"),
         }
     }
 
     let mut blocks: Vec<BlockId> = lmap.values().copied().collect();
     blocks.sort();
-    Some(Subgraph {
+    Subgraph {
         entry: lmap[&multi.entry],
         blocks,
         exit_block: lmap[&multi.exit_block],
         exit_target: single.exit_target,
-    })
+    }
 }
 
-/// A simple path `from → to` within the subgraph, by BFS.
-fn bfs_path(func: &Function, sg: &Subgraph, from: BlockId, to: BlockId) -> Option<Vec<BlockId>> {
+/// A simple path `from → to` within the subgraph, by BFS (every block of a
+/// SESE subgraph lies on a path from its entry to its exit block).
+fn bfs_path(func: &Function, sg: &Subgraph, from: BlockId, to: BlockId) -> Vec<BlockId> {
     let mut prev: HashMap<BlockId, BlockId> = HashMap::new();
     let mut queue = std::collections::VecDeque::from([from]);
     let mut seen = std::collections::HashSet::from([from]);
@@ -184,7 +179,7 @@ fn bfs_path(func: &Function, sg: &Subgraph, from: BlockId, to: BlockId) -> Optio
                 path.push(cur);
             }
             path.reverse();
-            return Some(path);
+            return path;
         }
         for s in func.succs(b) {
             if sg.contains(s) && seen.insert(s) {
@@ -193,7 +188,7 @@ fn bfs_path(func: &Function, sg: &Subgraph, from: BlockId, to: BlockId) -> Optio
             }
         }
     }
-    None
+    unreachable!("subgraph blocks are connected")
 }
 
 #[cfg(test)]
@@ -259,7 +254,7 @@ mod tests {
         let single = region.true_chain[0].clone();
         let multi = region.false_chain[0].clone();
         let (pos, _) = best_position(&f, &single, &multi);
-        let replicated = replicate(&mut f, &single, &multi, pos).expect("replicable");
+        let replicated = replicate(&mut f, &single, &multi, pos);
         assert_eq!(replicated.blocks.len(), multi.blocks.len());
         assert_eq!(replicated.exit_target, single.exit_target);
         let pairs = isomorphic_pairs(&f, &replicated, &multi).expect("isomorphic");

@@ -101,7 +101,7 @@ pub fn unpredicate_block(
 /// (`MeldConfig::unpredicate == false`): unaligned stores become
 /// load → select → store so the wrong-side threads write back the
 /// original memory value (§IV-E's description of full predication).
-pub fn predicate_stores(func: &mut Function, block: BlockId, cond: Value, runs: &[GapRun]) {
+pub fn predicate_stores(func: &mut Function, cond: Value, runs: &[GapRun]) {
     for run in runs {
         for &d in &run.insts {
             if func.inst(d).opcode != Opcode::Store {
@@ -120,7 +120,6 @@ pub fn predicate_stores(func: &mut Function, block: BlockId, cond: Value, runs: 
                 func.insert_inst_before(d, InstData::new(Opcode::Select, ty, vec![cond, a, b]));
             func.inst_mut(d).operands[0] = Value::Inst(sel);
         }
-        let _ = block;
     }
 }
 
@@ -210,7 +209,7 @@ mod tests {
             insts: vec![st],
             true_side: true,
         }];
-        predicate_stores(&mut f, e, c, &runs);
+        predicate_stores(&mut f, c, &runs);
         verify_ssa(&f).unwrap();
         // store operand is now a select over a load of the old value
         let ops = &f.inst(st).operands;

@@ -11,8 +11,17 @@
 use darm_analysis::verify_ssa;
 use darm_ir::builder::FunctionBuilder;
 use darm_ir::{AddrSpace, Dim, Function, IcmpPred, Type, Value};
-use darm_melding::{meld_function, run_meld_pipeline, MeldConfig, MeldStats, CAP_HITS_STAT};
-use darm_pipeline::PipelineOptions;
+use darm_melding::{meld_function, registry, MeldConfig, MeldStats, CAP_HITS_STAT};
+use darm_pipeline::{PipelineOptions, PipelineReport};
+
+/// Melds `f` through `"meld"` built from the registry, as every driver does.
+fn meld_report(f: &mut Function) -> PipelineReport {
+    registry(&MeldConfig::default())
+        .build("meld", PipelineOptions::default())
+        .expect("spec parses")
+        .run(f)
+        .expect("pipeline")
+}
 
 /// `out[tid] = f_{N-1}(… f_0(in[tid]))`, each `f_r` a diamond on one bit of
 /// the thread id whose arms run the same three opcodes on different
@@ -132,19 +141,19 @@ fn journal_window_per_round_follows_the_moved_tail_only() {
 fn running_out_of_fixpoint_iterations_is_recorded() {
     for (rungs, hits) in [(34, 1), (12, 0)] {
         let mut f = ladder(rungs);
-        let out = run_meld_pipeline(&mut f, &MeldConfig::default(), PipelineOptions::default())
-            .expect("pipeline");
+        let report = meld_report(&mut f);
+        let stats = MeldStats::from_report(&report);
         verify_ssa(&f).expect("melded ladder verifies");
-        assert_eq!(out.stats.melded_regions, rungs.min(32), "{rungs} rungs");
+        assert_eq!(stats.melded_regions, rungs.min(32), "{rungs} rungs");
         assert_eq!(
             f.cond_branch_count(),
             rungs - rungs.min(32),
             "{rungs} rungs"
         );
         assert!(
-            out.report.passes[0].stats.contains(&(CAP_HITS_STAT, hits)),
+            report.passes[0].stats.contains(&(CAP_HITS_STAT, hits)),
             "{rungs} rungs: {:?}",
-            out.report.passes[0].stats
+            report.passes[0].stats
         );
     }
 }
@@ -222,38 +231,32 @@ fn analyses_computed_per_meld_do_not_follow_function_size() {
     for (rungs, meldable) in [(100, 8), (300, 8), (300, 24)] {
         let mut f = mixed_ladder(rungs, meldable, 6);
         verify_ssa(&f).expect("mixed ladder verifies");
-        let out = run_meld_pipeline(&mut f, &MeldConfig::default(), PipelineOptions::default())
-            .expect("pipeline");
+        let report = meld_report(&mut f);
+        let stats = MeldStats::from_report(&report);
         verify_ssa(&f).expect("melded mixed ladder verifies");
-        assert_eq!(out.stats.melded_regions, meldable, "{rungs} rungs");
+        assert_eq!(stats.melded_regions, meldable, "{rungs} rungs");
         assert_eq!(
             f.cond_branch_count(),
             rungs - meldable,
             "{rungs} rungs: only the meldable ones may go"
         );
-        let computed: usize = out
-            .report
-            .analysis_computations
-            .iter()
-            .map(|&(_, n)| n)
-            .sum();
+        let computed: usize = report.analysis_computations.iter().map(|&(_, n)| n).sum();
         assert!(
             computed <= ANALYSES_PER_MELD * (meldable + 1),
             "{rungs} rungs, {meldable} melds: {computed} analyses computed ({:?}), \
              more than {ANALYSES_PER_MELD} per round",
-            out.report.analysis_computations
+            report.analysis_computations
         );
-        let cfgs = out
-            .report
+        let cfgs = report
             .analysis_computations
             .iter()
             .find(|&&(name, _)| name == "cfg")
             .map_or(0, |&(_, n)| n);
         assert!(
-            cfgs <= CFGS_PER_MELD * out.stats.iterations,
+            cfgs <= CFGS_PER_MELD * stats.iterations,
             "{rungs} rungs, {meldable} melds: {cfgs} cfg builds in {} fixpoint rounds, \
              more than {CFGS_PER_MELD} per round",
-            out.stats.iterations
+            stats.iterations
         );
     }
 }

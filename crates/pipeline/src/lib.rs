@@ -657,6 +657,10 @@ impl PassManager {
         // nothing, so nested unlimited pipelines (fixpoint groups, meld
         // cleanup) never mask an outer limited budget.
         let _budget = self.options.budget.install();
+        // A nested run (a meld's cleanup, a fixpoint group) overwrites the
+        // marker of the pass it runs inside; that name comes back on a
+        // normal return. An unwind or an error leaves the inner pass's.
+        let outer_pass = CURRENT_PASS.with_borrow(String::clone);
         for (pass, record) in &mut self.passes {
             // Mark the pass before polling: an exhaustion observed here is
             // attributed to the pass about to run (for the first pass the
@@ -690,6 +694,7 @@ impl PassManager {
                 })?;
             }
         }
+        note_current_pass(&outer_pass);
         if let Some(t_total) = t_total {
             self.total_seconds += t_total.elapsed().as_secs_f64();
         }

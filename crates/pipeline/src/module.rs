@@ -346,39 +346,35 @@ impl<'r> ModulePassManager<'r> {
     /// module as poisoned on error.
     pub fn run(&self, module: &mut Module) -> Result<ModuleReport, PipelineError> {
         let t0 = Instant::now();
-        let names: Vec<String> = module
-            .functions()
-            .iter()
-            .map(|f| f.name().to_string())
-            .collect();
-        // Cross-kernel scheduling: workers claim the largest functions
-        // first (see [`ModulePassManager::scheduled_order`]).
-        let schedule = self.scheduled_order(module);
-        let funcs = module.functions_mut();
-        let jobs = self.options.effective_jobs(funcs.len());
+        let jobs = self.options.effective_jobs(module.len());
         // `Fault` diagnostics already name their function; everything else
         // gets wrapped so module errors always say where they happened.
-        let wrap = |function: &String, error: PipelineError| match error {
+        let wrap = |function: &str, error: PipelineError| match error {
             fault @ PipelineError::Fault(_) => fault,
             error => PipelineError::InFunction {
-                function: function.clone(),
+                function: function.to_string(),
                 error: Box::new(error),
             },
         };
-        let mut functions = Vec::with_capacity(funcs.len());
+        let mut functions = Vec::with_capacity(module.len());
         if jobs <= 1 {
             // Serial: any failure is by construction the earliest one.
-            for (name, func) in names.iter().zip(funcs.iter_mut()) {
+            for func in module.functions_mut() {
                 match self.compile_one(func) {
                     Ok((report, outcome)) => functions.push(FunctionReport {
-                        function: name.clone(),
+                        function: func.name().to_string(),
                         report,
                         outcome,
                     }),
-                    Err(e) => return Err(wrap(name, e)),
+                    Err(e) => return Err(wrap(func.name(), e)),
                 }
             }
         } else {
+            // Cross-kernel scheduling: workers claim the largest functions
+            // first (see [`ModulePassManager::scheduled_order`]).
+            let schedule = self.scheduled_order(module);
+            let funcs = module.functions_mut();
+            let names: Vec<String> = funcs.iter().map(|f| f.name().to_string()).collect();
             let next = AtomicUsize::new(0);
             let slots: Vec<Mutex<Slot>> = funcs
                 .iter_mut()
@@ -432,12 +428,12 @@ impl<'r> ModulePassManager<'r> {
                     Some(Ok(_)) => unreachable!("position() found a non-Ok slot"),
                 });
             }
-            for (name, result) in names.iter().zip(results) {
+            for (function, result) in names.into_iter().zip(results) {
                 let (report, outcome) = result
                     .expect("non-Ok slots were returned above")
                     .expect("non-Ok slots were returned above");
                 functions.push(FunctionReport {
-                    function: name.clone(),
+                    function,
                     report,
                     outcome,
                 });

@@ -54,13 +54,7 @@ impl Pass for SimplifyCfgPass {
 
     fn run(&mut self, func: &mut Function, am: &mut AnalysisManager) -> Result<u64, String> {
         let stats = self.last.rerun(func, |f, _| simplify_cfg_with(f, am));
-        self.total.folded_const_branches += stats.folded_const_branches;
-        self.total.folded_same_target_branches += stats.folded_same_target_branches;
-        self.total.merged_blocks += stats.merged_blocks;
-        self.total.elided_empty_blocks += stats.elided_empty_blocks;
-        self.total.removed_unreachable += stats.removed_unreachable;
-        self.total.removed_trivial_phis += stats.removed_trivial_phis;
-        self.total.removed_duplicate_phis += stats.removed_duplicate_phis;
+        self.total += stats;
         Ok(stats.total() as u64)
     }
 

@@ -372,10 +372,12 @@ fn one_attempt_files_a_deterministic_fault_in_the_negative_cache() {
     fault::set_plan(None);
     let first = assert_clean_optimized_faulty_degraded(&first);
     assert!(!first[0].cached && !first[1].cached);
-    assert!(first[1]
-        .diagnostic
-        .as_deref()
-        .is_some_and(|d| d.ends_with("panicked: injected fault (at meld::codegen)")));
+    // The second meld faults after the inner cleanup pipeline has run once:
+    // the diagnostic still names the pass the fault was raised in.
+    assert_eq!(
+        first[1].diagnostic.as_deref(),
+        Some("@faulty: pass 'meld': panicked: injected fault (at meld::codegen)")
+    );
     let second = assert_clean_optimized_faulty_degraded(&second);
     assert!(second[0].cached && second[1].cached, "{second:?}");
     assert_eq!(second[1].diagnostic, first[1].diagnostic);

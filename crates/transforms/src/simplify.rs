@@ -43,6 +43,18 @@ impl SimplifyStats {
     }
 }
 
+impl std::ops::AddAssign for SimplifyStats {
+    fn add_assign(&mut self, d: SimplifyStats) {
+        self.folded_const_branches += d.folded_const_branches;
+        self.folded_same_target_branches += d.folded_same_target_branches;
+        self.merged_blocks += d.merged_blocks;
+        self.elided_empty_blocks += d.elided_empty_blocks;
+        self.removed_unreachable += d.removed_unreachable;
+        self.removed_trivial_phis += d.removed_trivial_phis;
+        self.removed_duplicate_phis += d.removed_duplicate_phis;
+    }
+}
+
 /// Simplifies the CFG to a fixpoint and returns what was done.
 ///
 /// Mirrors the subset of LLVM `simplifycfg` that Algorithm 1 relies on
@@ -375,24 +387,7 @@ fn elide_empty_blocks(
             // allowed only because values were checked equal above.
             for phi in func.phis_of(target) {
                 let v_b = func.inst(phi).phi_value_for(b).unwrap();
-                let inst = func.inst_mut(phi);
-                // drop entry for b
-                let mut k = 0;
-                while k < inst.phi_blocks.len() {
-                    if inst.phi_blocks[k] == b {
-                        inst.phi_blocks.remove(k);
-                        inst.operands.remove(k);
-                    } else {
-                        k += 1;
-                    }
-                }
-                for &p in &unique_preds {
-                    let inst = func.inst_mut(phi);
-                    if !inst.phi_blocks.contains(&p) {
-                        inst.phi_blocks.push(p);
-                        inst.operands.push(v_b);
-                    }
-                }
+                func.phi_replace_incoming(phi, &[b], &unique_preds, v_b);
             }
             let pred_rows = local.get_or_insert_with(|| {
                 (0..func.block_capacity())

@@ -53,6 +53,16 @@ for doc in ARCHITECTURE.md README.md; do
     fi
 done
 
+# And for PR 22: every driver builds `"meld"` from the registry and a plan
+# says how its melds correspond, so the caller-less driver, its result type
+# and the planner's private enum stay out of the docs.
+for doc in ARCHITECTURE.md README.md; do
+    if grep -n 'run_meld[_]pipeline\|Meld[O]utcome\|Match[K]ind' "$doc"; then
+        echo "$doc: mentions the retired melding driver / planner names"
+        status=1
+    fi
+done
+
 # The README must link the architecture overview.
 if ! grep -q 'ARCHITECTURE.md' README.md; then
     echo "README.md: missing link to ARCHITECTURE.md"

@@ -51,7 +51,7 @@ pub mod prelude {
         AddrSpace, BlockId, Dim, FcmpPred, Function, IcmpPred, InstData, InstId, Module, Opcode,
         Type, Value,
     };
-    pub use darm_melding::{meld_function, run_meld_pipeline, MeldConfig, MeldMode, MeldStats};
+    pub use darm_melding::{meld_function, MeldConfig, MeldMode, MeldStats};
     pub use darm_pipeline::{
         ModuleOptions, ModulePassManager, PassManager, PassRegistry, PassSpec, PipelineOptions,
     };

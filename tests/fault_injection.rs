@@ -313,6 +313,67 @@ fn fail_mode_reports_the_injected_fault_as_a_diagnostic() {
     }
 }
 
+/// A fault raised in the meld pass is blamed on the meld pass — also once
+/// its inner cleanup pipeline has run (the second region's codegen) and
+/// left its own pass names behind, and also inside a `fixpoint(...)`
+/// group. A fault raised *in* a cleanup pass keeps that pass's name.
+#[test]
+fn a_fault_after_the_inner_cleanup_ran_still_names_the_outer_pass() {
+    let _guard = PLAN_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    // Two meldable diamonds in sequence: `meld::codegen` is reached twice.
+    let mut f = Function::new("two", vec![Type::Ptr(AddrSpace::Global)], Type::Void);
+    let entry = f.entry();
+    let names = ["t", "e", "m", "t2", "e2", "x"];
+    let [t, e, m, t2, e2, x] = names.map(|n| f.add_block(n));
+    let mut b = FunctionBuilder::new(&mut f, entry);
+    let tid = b.thread_idx(Dim::X);
+    for (bit, arms, join) in [(1, [t, e], m), (2, [t2, e2], x)] {
+        let masked = b.and(tid, b.const_i32(bit));
+        let c = b.icmp(IcmpPred::Eq, masked, b.const_i32(0));
+        b.br(c, arms[0], arms[1]);
+        for (arm, k) in arms.into_iter().zip([3, 5]) {
+            b.switch_to(arm);
+            let v = b.mul(tid, b.const_i32(k * bit));
+            let v = b.add(v, b.const_i32(k + 7));
+            let p = b.gep(Type::I32, b.param(0), tid);
+            b.store(v, p);
+            b.jump(join);
+        }
+        b.switch_to(join);
+    }
+    b.ret(None);
+    let mut module = Module::new("two_melds");
+    module.add_function(f).unwrap();
+
+    let registry = darm::melding::registry(&MeldConfig::default());
+    for (spec, site, hit, pass) in [
+        ("meld", "meld::codegen", 1, "meld"),
+        ("meld", "meld::codegen", 2, "meld"),
+        ("fixpoint(meld)", "meld::codegen", 2, "meld"),
+        ("meld", "transforms::dce", 1, "dce"),
+    ] {
+        fault::set_plan(Some(FaultPlan {
+            site: site.to_string(),
+            hit,
+            kind: FaultKind::Panic,
+        }));
+        let options = ModuleOptions {
+            pipeline: PipelineOptions::default(),
+            jobs: 1,
+            on_error: OnError::Degrade,
+        };
+        let report = ModulePassManager::compile(&registry, spec, options, &mut module.clone());
+        fault::set_plan(None);
+        let report = report.expect("degrade contains the fault");
+        let (_, diag) = report.degraded().next().expect("the function degrades");
+        assert_eq!(
+            diag.to_string(),
+            format!("@two: pass '{pass}': panicked: injected fault (at {site})"),
+            "{spec}, {site}#{hit}"
+        );
+    }
+}
+
 /// Pinned regression for the serve-era containment contract: under an
 /// injected codegen panic with exactly two workers, every degraded
 /// function's output is bit-identical to its baseline (input) IR, the

@@ -6,11 +6,11 @@
 use darm::analysis::verify_ssa;
 use darm::kernels::synthetic::SyntheticKind;
 use darm::kernels::{bitonic, dct, lud, mergesort, nqueens, pcm, srad, BenchCase};
-use darm::melding::{run_meld_pipeline, MeldConfig, MeldStats};
+use darm::melding::{registry, MeldConfig, MeldStats};
 use darm::pipeline::PipelineOptions;
 
-/// Melds the case's kernel through the shared pipeline driver with SSA
-/// verification between passes, re-runs it on the same inputs and checks
+/// Melds the case's kernel through `"meld"` built from the registry, as
+/// every driver does, with SSA verification between passes, re-runs it on the same inputs and checks
 /// the CPU-reference outputs. Returns meld statistics.
 fn meld_and_check(case: &BenchCase, config: &MeldConfig) -> MeldStats {
     case.run_checked(&case.func); // baseline sanity
@@ -19,9 +19,12 @@ fn meld_and_check(case: &BenchCase, config: &MeldConfig) -> MeldStats {
         verify_each: true,
         ..PipelineOptions::default()
     };
-    let stats = run_meld_pipeline(&mut melded, config, options)
-        .unwrap_or_else(|e| panic!("{}: meld pipeline failed: {e}\n{melded}", case.name))
-        .stats;
+    let report = registry(config)
+        .build("meld", options)
+        .expect("spec parses")
+        .run(&mut melded)
+        .unwrap_or_else(|e| panic!("{}: meld pipeline failed: {e}\n{melded}", case.name));
+    let stats = MeldStats::from_report(&report);
     verify_ssa(&melded).unwrap_or_else(|e| {
         panic!(
             "{}: melded kernel fails verification: {e}\n{melded}",

@@ -251,3 +251,62 @@ proptest! {
         }
     }
 }
+
+/// The invariant `MeldPass` skips region simplification on: a divergent
+/// branch `detect_region` decomposes is one `simplify_region_entry` leaves
+/// untouched (the two share one chain walk) — on the 57 paper kernels and
+/// the three shapes above, at every function the melding fixpoint passes
+/// through.
+#[test]
+fn a_detected_region_needs_no_simplification() {
+    use darm::kernels::synthetic::{build_case, SyntheticKind};
+    use darm::kernels::{bitonic, dct, lud, mergesort, nqueens, pcm, srad};
+    use darm::melding::region::{detect_region, simplify_region_entry, Analyses};
+
+    let mut funcs = Vec::new();
+    for bs in [32, 64, 128, 256] {
+        funcs.extend(SyntheticKind::all().map(|kind| build_case(kind, bs).func));
+        funcs.extend(
+            [bitonic::build_case, pcm::build_case, mergesort::build_case].map(|f| f(bs).func),
+        );
+    }
+    funcs.extend([16, 32, 64, 128].map(|bs| lud::build_case(bs).func));
+    funcs.extend([64, 96, 128, 256].map(|bs| nqueens::build_case(bs).func));
+    funcs.extend([(16, 16), (32, 32)].map(|b| srad::build_case(b).func));
+    funcs.extend([(4, 4), (8, 8), (16, 16)].map(|b| dct::build_case(b).func));
+    assert_eq!(funcs.len(), 57);
+    let ops = [Op::Mul(3), Op::Add(7), Op::Tid];
+    let side = |nested: bool| Side {
+        body: ops.to_vec(),
+        nested: nested.then(|| ops[..2].to_vec()),
+    };
+    funcs.push(build_kernel(&side(false), &side(false)));
+    funcs.push(build_kernel(&side(true), &side(false)));
+    funcs.push(build_three_way_loop_kernel(&ops, &ops[1..], &ops[..2]));
+
+    let one_round = MeldConfig {
+        max_iterations: 1,
+        ..MeldConfig::default()
+    };
+    let mut detected = 0;
+    for mut f in funcs {
+        // One fixpoint round per step, until a round changes nothing.
+        for _ in 0..=MeldConfig::default().max_iterations {
+            let before = f.to_string();
+            let a = Analyses::new(&f);
+            for b in f.block_ids() {
+                if detect_region(&f, &a, b).is_some() {
+                    let mut g = f.clone();
+                    assert!(!simplify_region_entry(&mut g, &a, b), "{before}");
+                    assert_eq!(g.to_string(), before);
+                    detected += 1;
+                }
+            }
+            meld_function(&mut f, &one_round);
+            if f.to_string() == before {
+                break;
+            }
+        }
+    }
+    assert!(detected > 60, "only {detected} regions detected");
+}
