@@ -260,11 +260,11 @@ impl Clone for Function {
 /// A cheap pre-pipeline copy of a [`Function`], taken with
 /// [`Function::snapshot`] and applied back with [`Function::restore`].
 ///
-/// Both directions go through [`Function::clone`], so the snapshot and
-/// every restored state carry a *fresh, empty journal identity*: cursors
-/// taken during an abandoned, half-applied pipeline probe as saturated
-/// against the restored function instead of silently aliasing
-/// into an edit history that no longer describes it. That property is what
+/// Taking one goes through [`Function::clone`], so the snapshot — and the
+/// function it is moved back into — carries a *fresh, empty journal
+/// identity*: cursors taken during an abandoned, half-applied pipeline
+/// probe as saturated against the restored function instead of silently
+/// aliasing into an edit history that no longer describes it. That property is what
 /// lets a containment boundary (`darm-pipeline`) roll a function back to
 /// baseline IR after a panic or budget cancellation without auditing any
 /// surviving cursor.
@@ -396,12 +396,13 @@ impl Function {
         }
     }
 
-    /// Replaces this function's entire state with `snapshot`'s, under a
-    /// fresh journal identity (cursors taken on the abandoned state — or
-    /// on a previous restore — saturate instead of aliasing). A snapshot
-    /// can be restored any number of times.
-    pub fn restore(&mut self, snapshot: &FunctionSnapshot) {
-        *self = snapshot.inner.clone();
+    /// Replaces this function's entire state with `snapshot`'s, under the
+    /// journal identity the snapshot was born with — fresh, empty and shared
+    /// with nothing, so cursors taken on the abandoned state saturate
+    /// instead of aliasing. Consumes the snapshot (nothing is copied a
+    /// second time); clone it first to restore more than once.
+    pub fn restore(&mut self, snapshot: FunctionSnapshot) {
+        *self = snapshot.inner;
     }
 
     /// Journal size guard: past this many buffered entries the journal
@@ -1238,6 +1239,24 @@ mod tests {
         f.add_inst(els, InstData::terminator(Opcode::Jump, vec![], vec![exit]));
         f.add_inst(exit, InstData::terminator(Opcode::Ret, vec![], vec![]));
         (f, entry, then, els, exit)
+    }
+
+    #[test]
+    fn restore_moves_the_snapshot_in_under_a_fresh_journal_identity() {
+        let (mut f, _entry, then, _els, _exit) = diamond();
+        let snapshot = f.snapshot();
+        let text = snapshot.function().to_string();
+        let cursor = f.journal_head();
+        f.insert_inst_at(
+            then,
+            0,
+            InstData::new(Opcode::Add, Type::I32, vec![Value::Param(0), Value::I32(1)]),
+        );
+        assert_ne!(f.to_string(), text);
+        f.restore(snapshot);
+        assert_eq!(f.to_string(), text);
+        assert_eq!(f.probe_since(cursor), WindowProbe::Saturated);
+        assert_eq!(f.probe_since(f.journal_head()), WindowProbe::Clean);
     }
 
     #[test]

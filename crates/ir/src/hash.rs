@@ -38,6 +38,7 @@ impl Fnv64 {
     }
 
     /// Absorbs `bytes`.
+    #[inline]
     pub fn write(&mut self, bytes: &[u8]) {
         for &b in bytes {
             self.0 ^= u64::from(b);
@@ -46,7 +47,10 @@ impl Fnv64 {
     }
 
     /// Absorbs a single delimiter byte — used to keep concatenated fields
-    /// (`spec` × `function text`) from colliding across field boundaries.
+    /// (`spec` × `function text`) from colliding across field boundaries —
+    /// and by `darm-serve`'s two-stream key hasher, byte by byte, which is
+    /// why it must inline across the crate boundary.
+    #[inline]
     pub fn write_u8(&mut self, byte: u8) {
         self.write(&[byte]);
     }

@@ -1,7 +1,8 @@
 //! The text boundary under fire: everything that decodes bytes from outside
 //! — the IR reader, the pipeline-spec parser, the serve JSON decoder — must
 //! answer any input with `Ok` or a typed error, never a panic or a hang, and
-//! what it accepts must survive its own writer.
+//! what it accepts must survive its own writer (as must any string the serve
+//! reply writer escapes).
 //!
 //! One mutation driver ([`mutate`]) serves all three: it takes a valid text
 //! and a byte script and applies a few edits — byte replacements, insertions
@@ -17,7 +18,7 @@ use darm_ir::Function;
 use darm_melding::{meld_function, MeldConfig};
 use darm_pipeline::PassSpec;
 use darm_serve::json::Json;
-use darm_serve::proto::Request;
+use darm_serve::proto::{ErrorKind, Request, Response};
 use proptest::prelude::*;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::OnceLock;
@@ -228,6 +229,23 @@ proptest! {
             prop_assert_eq!(Json::parse(&json.to_string()), Ok(json.clone()), "{}", input);
             let _ = no_panic(&input, |_| Request::from_json(&json))?;
         }
+    }
+
+    /// …and the way out: whatever string the driver makes (quotes,
+    /// backslashes, controls, lossy U+FFFD), written into a reply by the one
+    /// escaper, decodes to itself.
+    #[test]
+    fn escaped_strings_decode_to_themselves(pick in 0..usize::MAX, script in script()) {
+        let input = mutate(FRAMES[pick % FRAMES.len()], &script);
+        let reply = Response::Error {
+            id: None,
+            kind: ErrorKind::Protocol,
+            message: input.clone(),
+        };
+        let text = String::from_utf8(reply.to_bytes()).expect("a reply is UTF-8");
+        let json = Json::parse(&text)
+            .map_err(|e| TestCaseError::fail(format!("{e} in the reply {text}")))?;
+        prop_assert_eq!(json.get("message").and_then(Json::as_str), Some(input.as_str()));
     }
 }
 

@@ -93,8 +93,8 @@ pub struct MeldConfig {
     /// Melding profitability threshold; the paper's default is 0.2 (§V,
     /// sensitivity study in Fig. 12).
     pub threshold: f64,
-    /// Whether to run unpredication (§IV-E). Disabling it is the ablation
-    /// studied by `bench ablation_unpredication`.
+    /// Whether to run unpredication (§IV-E). Disabling it — the spec
+    /// `meld(unpredicate=false)` — is the ablation.
     pub unpredicate: bool,
     /// Fixpoint iteration cap for Algorithm 1's outer loop.
     pub max_iterations: usize,

@@ -482,7 +482,7 @@ impl<'r> ModulePassManager<'r> {
         let Some(snapshot) = snapshot else {
             return Err(error);
         };
-        func.restore(&snapshot);
+        func.restore(snapshot);
         let diag = match error {
             PipelineError::Fault(diag) => diag,
             error => Diagnostic::from_error(func.name(), &error),

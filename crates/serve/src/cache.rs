@@ -55,9 +55,13 @@ impl WideHasher {
         WideHasher { lo, hi }
     }
 
+    /// One pass over `bytes`, both streams per byte: the two multiply
+    /// chains overlap instead of running back to back.
     fn write(&mut self, bytes: &[u8]) {
-        self.lo.write(bytes);
-        self.hi.write(bytes);
+        for &b in bytes {
+            self.lo.write_u8(b);
+            self.hi.write_u8(b);
+        }
     }
 
     fn finish(&self) -> ContentKey {
@@ -95,33 +99,102 @@ pub fn raw_key(canonical_spec: &str, text: &str) -> ContentKey {
     hasher.finish()
 }
 
-/// What the cache remembers about a function.
+/// What the cache remembers about a function: the IR text it answers
+/// with and, for a *negative* entry, why compilation failed — the function
+/// is pinned to its baseline IR and the diagnostic is replayed verbatim.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CachedOutcome {
-    /// The pipeline finished; this is the optimized IR text.
-    Optimized { ir: String },
-    /// Compilation failed deterministically; the function is pinned to
-    /// its baseline IR and the diagnostic is replayed verbatim.
-    Degraded { ir: String, diagnostic: String },
+pub struct CachedOutcome {
+    pub ir: String,
+    pub diagnostic: Option<String>,
 }
 
 impl CachedOutcome {
-    fn bytes(&self) -> usize {
-        match self {
-            CachedOutcome::Optimized { ir } => ir.len(),
-            CachedOutcome::Degraded { ir, diagnostic } => ir.len() + diagnostic.len(),
-        }
-    }
-
     pub fn is_degraded(&self) -> bool {
-        matches!(self, CachedOutcome::Degraded { .. })
+        self.diagnostic.is_some()
     }
 }
 
-struct Entry {
-    outcome: CachedOutcome,
+struct Entry<V> {
+    value: V,
     bytes: usize,
     last_used: u64,
+}
+
+/// [`ContentKey`] → payload under an entry bound and a payload-byte bound,
+/// least recently used out first. The one bounded map of the daemon: the
+/// function cache ([`CompileCache`]) and the engine's whole-request memo
+/// are both this, each with its own bounds; what a hit or a miss *means*
+/// (and so every counter) stays with the caller.
+pub(crate) struct BoundedMap<V> {
+    entries: HashMap<ContentKey, Entry<V>>,
+    max_entries: usize,
+    max_bytes: usize,
+    bytes: usize,
+    tick: u64,
+}
+
+impl<V> BoundedMap<V> {
+    /// `max_entries == 0` disables the map: nothing is ever kept.
+    pub(crate) fn new(max_entries: usize, max_bytes: usize) -> Self {
+        BoundedMap {
+            entries: HashMap::new(),
+            max_entries,
+            max_bytes,
+            bytes: 0,
+            tick: 0,
+        }
+    }
+
+    /// Looks up a key, refreshing its LRU position on a hit.
+    pub(crate) fn get(&mut self, key: ContentKey) -> Option<&V> {
+        self.tick += 1;
+        let entry = self.entries.get_mut(&key)?;
+        entry.last_used = self.tick;
+        Some(&entry.value)
+    }
+
+    /// Inserts (or replaces) an entry costing `bytes`, then evicts least
+    /// recently used entries until both bounds hold again. Returns how many
+    /// were evicted, or `None` when the entry was refused (map disabled, or
+    /// a payload that would evict everything and still not fit).
+    pub(crate) fn insert(&mut self, key: ContentKey, value: V, bytes: usize) -> Option<u64> {
+        if self.max_entries == 0 || bytes > self.max_bytes {
+            return None;
+        }
+        self.tick += 1;
+        let entry = Entry {
+            value,
+            bytes,
+            last_used: self.tick,
+        };
+        if let Some(old) = self.entries.insert(key, entry) {
+            self.bytes -= old.bytes;
+        }
+        self.bytes += bytes;
+        let mut evicted = 0;
+        while self.entries.len() > self.max_entries || self.bytes > self.max_bytes {
+            // O(n) LRU scan: entry counts are bounded by `max_entries`
+            // (thousands), and eviction is off the hot lookup path.
+            let Some((&victim, _)) = self.entries.iter().min_by_key(|(_, entry)| entry.last_used)
+            else {
+                break;
+            };
+            if let Some(entry) = self.entries.remove(&victim) {
+                self.bytes -= entry.bytes;
+                evicted += 1;
+            }
+        }
+        Some(evicted)
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// Total payload bytes currently held.
+    pub(crate) fn bytes(&self) -> usize {
+        self.bytes
+    }
 }
 
 /// Monotonic counters exposed through `stats` responses.
@@ -134,12 +207,10 @@ pub struct CacheCounters {
     pub evictions: u64,
 }
 
+/// The per-function cache: a `BoundedMap` of [`CachedOutcome`]s plus the
+/// counters that tell a positive hit from a negative one.
 pub struct CompileCache {
-    entries: HashMap<ContentKey, Entry>,
-    max_entries: usize,
-    max_bytes: usize,
-    bytes: usize,
-    tick: u64,
+    map: BoundedMap<CachedOutcome>,
     counters: CacheCounters,
 }
 
@@ -148,11 +219,7 @@ impl CompileCache {
     /// misses and every insert is dropped.
     pub fn new(max_entries: usize, max_bytes: usize) -> Self {
         CompileCache {
-            entries: HashMap::new(),
-            max_entries,
-            max_bytes,
-            bytes: 0,
-            tick: 0,
+            map: BoundedMap::new(max_entries, max_bytes),
             counters: CacheCounters::default(),
         }
     }
@@ -163,23 +230,13 @@ impl CompileCache {
     /// *before* the cache lock is taken, so an injected panic can
     /// never poison the cache mutex mid-mutation.
     pub fn lookup(&mut self, key: ContentKey) -> Option<CachedOutcome> {
-        self.tick += 1;
-        let tick = self.tick;
-        match self.entries.get_mut(&key) {
-            Some(entry) => {
-                entry.last_used = tick;
-                if entry.outcome.is_degraded() {
-                    self.counters.negative_hits += 1;
-                } else {
-                    self.counters.hits += 1;
-                }
-                Some(entry.outcome.clone())
-            }
-            None => {
-                self.counters.misses += 1;
-                None
-            }
+        let found = self.map.get(key).cloned();
+        match &found {
+            Some(outcome) if outcome.is_degraded() => self.counters.negative_hits += 1,
+            Some(_) => self.counters.hits += 1,
+            None => self.counters.misses += 1,
         }
+        found
     }
 
     /// Insert (or refresh) an entry, evicting least-recently-used
@@ -188,52 +245,25 @@ impl CompileCache {
     /// Like [`CompileCache::lookup`], the `serve::cache_insert` fault
     /// site fires before the lock, never under it.
     pub fn insert(&mut self, key: ContentKey, outcome: CachedOutcome) {
-        if self.max_entries == 0 {
-            return;
-        }
-        let bytes = outcome.bytes();
-        if bytes > self.max_bytes {
-            return; // would evict everything and still not fit
-        }
-        self.tick += 1;
-        if let Some(old) = self.entries.insert(
-            key,
-            Entry {
-                outcome,
-                bytes,
-                last_used: self.tick,
-            },
-        ) {
-            self.bytes -= old.bytes;
-        }
-        self.bytes += bytes;
-        self.counters.insertions += 1;
-        while self.entries.len() > self.max_entries || self.bytes > self.max_bytes {
-            // O(n) LRU scan: entry counts are bounded by `max_entries`
-            // (thousands), and eviction is off the hot lookup path.
-            let Some((&victim, _)) = self.entries.iter().min_by_key(|(_, entry)| entry.last_used)
-            else {
-                break;
-            };
-            if let Some(entry) = self.entries.remove(&victim) {
-                self.bytes -= entry.bytes;
-                self.counters.evictions += 1;
-            }
+        let bytes = outcome.ir.len() + outcome.diagnostic.as_deref().map_or(0, str::len);
+        if let Some(evicted) = self.map.insert(key, outcome, bytes) {
+            self.counters.insertions += 1;
+            self.counters.evictions += evicted;
         }
     }
 
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.map.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.map.len() == 0
     }
 
     /// Total payload bytes currently held — the RSS proxy the soak
     /// test asserts stays bounded.
     pub fn bytes(&self) -> usize {
-        self.bytes
+        self.map.bytes()
     }
 
     pub fn counters(&self) -> CacheCounters {
@@ -246,7 +276,10 @@ mod tests {
     use super::*;
 
     fn opt(ir: &str) -> CachedOutcome {
-        CachedOutcome::Optimized { ir: ir.into() }
+        CachedOutcome {
+            ir: ir.into(),
+            diagnostic: None,
+        }
     }
 
     /// A synthetic key for bookkeeping tests that never touch hashing.
@@ -261,9 +294,9 @@ mod tests {
         cache.insert(key(1), opt("fn a() {}"));
         cache.insert(
             key(2),
-            CachedOutcome::Degraded {
+            CachedOutcome {
                 ir: "fn b() {}".into(),
-                diagnostic: "pass panicked".into(),
+                diagnostic: Some("pass panicked".into()),
             },
         );
         assert!(cache.lookup(key(1)).is_some());
@@ -335,5 +368,28 @@ mod tests {
         assert_ne!(a.lo, a.hi);
         assert_eq!(raw_key("meld", "x"), raw_key("meld", "x"));
         assert_ne!(raw_key("meld", "x"), raw_key("meld", "y"));
+    }
+
+    /// The digests are part of the contract (stable across processes and
+    /// platforms): these are the values the two-pass `WideHasher` gave.
+    #[test]
+    fn key_digests_are_pinned() {
+        use darm_ir::parser::parse_module;
+        let text = "fn @f() -> void {\nentry:\n  ret\n}\n";
+        let module = parse_module(text).unwrap();
+        let func = &module.functions()[0];
+        let pinned = |lo, hi| ContentKey { lo, hi };
+        // The printer reproduces `text`, so both keys see the same bytes.
+        let same = pinned(9534193116283496246, 2044103799884893890);
+        assert_eq!(raw_key("meld", text), same);
+        assert_eq!(content_key("meld", func), same);
+        assert_eq!(
+            raw_key("meld,simplify", "x é\n"),
+            pinned(10802175332304687412, 13091915592324491976)
+        );
+        assert_eq!(
+            content_key("meld,simplify", func),
+            pinned(2559302086931821479, 15862942141316031035)
+        );
     }
 }

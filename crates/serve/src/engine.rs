@@ -37,11 +37,13 @@ use darm_ir::parser::parse_module;
 use darm_ir::Module;
 use darm_melding::MeldConfig;
 use darm_pipeline::{
-    FaultCause, FunctionOutcome, ModuleOptions, ModulePassManager, OnError, PassRegistry,
-    PipelineError, PipelineOptions,
+    FaultCause, FunctionOutcome, ModuleOptions, ModulePassManager, OnError, PassRegistry, PassSpec,
+    PipelineOptions,
 };
 
-use crate::cache::{content_key, raw_key, CacheCounters, CachedOutcome, CompileCache, ContentKey};
+use crate::cache::{
+    content_key, raw_key, BoundedMap, CacheCounters, CachedOutcome, CompileCache, ContentKey,
+};
 use crate::json::Json;
 use crate::proto::{CompileRequest, ErrorKind, FunctionResult, Response};
 use crate::queue::{BoundedQueue, PushError};
@@ -115,69 +117,20 @@ impl FastEntry {
     }
 }
 
-/// Whole-request memo: the 128-bit [`ContentKey`] of
-/// `canonical spec ∥ 0x00 ∥ raw input text` → the rendered payload of a
-/// fully optimized response. A pure front for the per-function
-/// [`CompileCache`]: a hit skips parsing and hashing entirely, and
-/// entries can be dropped wholesale at any time without changing any
-/// observable result — so eviction is a simple epoch clear rather than
-/// LRU bookkeeping. Only fully *optimized* responses are memoized;
-/// degraded and negatively-cached outcomes always route through the
-/// function cache so fail-fast semantics (and their counters) stay
-/// intact.
-struct FastCache {
-    map: std::collections::HashMap<ContentKey, FastEntry>,
-    bytes: usize,
-    max_entries: usize,
-    max_bytes: usize,
-}
-
-impl FastCache {
-    fn new(max_entries: usize, max_bytes: usize) -> FastCache {
-        FastCache {
-            map: std::collections::HashMap::new(),
-            bytes: 0,
-            max_entries,
-            max_bytes,
-        }
-    }
-
-    fn get(&self, key: ContentKey) -> Option<&FastEntry> {
-        self.map.get(&key)
-    }
-
-    fn insert(&mut self, key: ContentKey, entry: FastEntry) {
-        let cost = entry.cost();
-        if self.max_entries == 0 || cost > self.max_bytes {
-            return;
-        }
-        // Reclaim a replaced entry's budget *before* the capacity
-        // check, so refreshing an existing key never triggers the
-        // epoch clear when the swap itself frees enough room.
-        if let Some(old) = self.map.remove(&key) {
-            self.bytes -= old.cost();
-        }
-        if self.map.len() >= self.max_entries || self.bytes + cost > self.max_bytes {
-            self.map.clear();
-            self.bytes = 0;
-        }
-        self.bytes += cost;
-        self.map.insert(key, entry);
-    }
-}
-
 struct Shared {
     config: ServeConfig,
     registry: PassRegistry,
     queue: BoundedQueue<Job>,
     cache: Mutex<CompileCache>,
-    /// Memoized spec validation: raw request spelling → canonical form
-    /// or the rendered spec error. Validating a spec means driving the
-    /// registry's pass factories, which is far too expensive to redo on
-    /// every warm hit.
-    specs: Mutex<std::collections::HashMap<String, Result<String, String>>>,
-    /// Whole-request fast path; shares the function cache's bounds.
-    fast: Mutex<FastCache>,
+    /// Whole-request memo: the 128-bit [`ContentKey`] of
+    /// `canonical spec ∥ 0x00 ∥ raw input text` → the payload of a fully
+    /// optimized response, under bounds of its own equal to the function
+    /// cache's. A pure front for the per-function [`CompileCache`]: a hit
+    /// skips parsing and hashing entirely, and dropping an entry changes
+    /// latency, never a result. Degraded and negatively-cached outcomes
+    /// are never memoized — they always route through the function cache,
+    /// so fail-fast semantics (and their counters) stay intact.
+    fast: Mutex<BoundedMap<FastEntry>>,
     counters: Counters,
 }
 
@@ -227,8 +180,7 @@ impl Engine {
             registry: darm_melding::registry(&MeldConfig::default()),
             queue: BoundedQueue::new(config.queue_depth.max(1)),
             cache: Mutex::new(CompileCache::new(config.cache_entries, config.cache_bytes)),
-            specs: Mutex::new(std::collections::HashMap::new()),
-            fast: Mutex::new(FastCache::new(config.cache_entries, config.cache_bytes)),
+            fast: Mutex::new(BoundedMap::new(config.cache_entries, config.cache_bytes)),
             counters: Counters::default(),
             config,
         });
@@ -312,52 +264,30 @@ impl Engine {
             message,
         };
 
-        // Canonicalise and validate the spec up front (memoized): cache
-        // keys use the canonical spelling, and a bad spec must fail
-        // fast rather than consult the cache.
-        let spec_src = request
-            .spec
-            .as_deref()
-            .unwrap_or(&shared.config.default_spec);
-        let canonical = {
-            let mut specs = shared.specs.lock().unwrap_or_else(PoisonError::into_inner);
-            let entry = match specs.get(spec_src) {
-                Some(entry) => entry.clone(),
-                None => {
-                    let validated = darm_pipeline::PassSpec::parse(spec_src)
-                        .map_err(|e| format!("invalid pipeline spec: {e}"))
-                        .map(|spec| spec.to_string())
-                        .and_then(|canonical| {
-                            ModulePassManager::new(
-                                &shared.registry,
-                                &canonical,
-                                ModuleOptions::serial(PipelineOptions::default()),
-                            )
-                            .map(|_| canonical)
-                            .map_err(|e| e.to_string())
-                        });
-                    if specs.len() >= 64 {
-                        specs.clear(); // a flood of unique bad specs must not leak
-                    }
-                    specs.insert(spec_src.to_string(), validated.clone());
-                    validated
-                }
-            };
-            match entry {
-                Ok(canonical) => canonical,
-                Err(message) => return error(ErrorKind::Spec, message),
-            }
+        // One parse of the spec per request; its re-printed form is the
+        // canonical spelling both cache keys use.
+        let spec = match PassSpec::parse(
+            request
+                .spec
+                .as_deref()
+                .unwrap_or(&shared.config.default_spec),
+        ) {
+            Ok(spec) => spec,
+            Err(e) => return error(ErrorKind::Spec, format!("invalid pipeline spec: {e}")),
         };
+        let canonical = spec.to_string();
 
         // Whole-request fast path: a fully-warm request is answered
         // straight from the memo, before the input is even parsed. The
-        // lookup fault site fires here — before either cache lock and
-        // outside any lock hold — so an injected panic unwinds to the
-        // worker boundary without poisoning anything.
+        // lookup fault site fires here — once per request, before either
+        // cache lock and outside any lock hold — so an injected panic
+        // unwinds to the worker boundary without poisoning anything. (It
+        // also fires before the registry has seen the spec: an armed site
+        // pre-empts the `spec` answer of an unknown pass.)
         let fast_key = raw_key(&canonical, &request.ir);
         fault::point("serve::cache_lookup");
         {
-            let fast = shared.fast.lock().unwrap_or_else(PoisonError::into_inner);
+            let mut fast = shared.fast.lock().unwrap_or_else(PoisonError::into_inner);
             if let Some(entry) = fast.get(fast_key) {
                 shared.counters.fast_hits.fetch_add(1, Ordering::Relaxed);
                 return Response::Ok {
@@ -367,6 +297,23 @@ impl Engine {
                 };
             }
         }
+
+        // A memo miss is where the registry first sees the spec: the
+        // manager's probe build rejects an unknown pass or a bad parameter
+        // before the input is read. Such a spec never compiles anything, so
+        // it can never own a memo entry and is rejected here every time.
+        let mut manager = match ModulePassManager::with_spec(
+            &shared.registry,
+            spec,
+            ModuleOptions {
+                pipeline: PipelineOptions::default(),
+                jobs: 1,
+                on_error: OnError::Degrade,
+            },
+        ) {
+            Ok(manager) => manager,
+            Err(e) => return error(ErrorKind::Spec, e.to_string()),
+        };
 
         // Parse the input module. SSA verification is deferred to the
         // cache misses: a hit's content hash equals that of an input
@@ -378,42 +325,28 @@ impl Engine {
         };
 
         // Per-function cache probe, one lock hold for the whole module.
-        struct Slot {
-            name: String,
-            text: String,
-            optimized: bool,
-            cached: bool,
-            diagnostic: Option<String>,
-        }
-        let mut slots: Vec<Option<Slot>> = Vec::with_capacity(module.functions().len());
+        // One record per function: what the reply says about it and the
+        // text it contributes; `None` until a miss is compiled.
+        let mut records: Vec<Option<(FunctionResult, String)>> =
+            Vec::with_capacity(module.functions().len());
         let mut misses: Vec<(usize, ContentKey)> = Vec::new();
         {
-            // (The `serve::cache_lookup` fault site already fired above,
-            // before the fast-path probe — once per request, outside
-            // every lock hold.)
             let mut cache = shared.cache.lock().unwrap_or_else(PoisonError::into_inner);
             for (index, func) in module.functions().iter().enumerate() {
                 let key = content_key(&canonical, func);
-                match cache.lookup(key) {
-                    Some(CachedOutcome::Optimized { ir }) => slots.push(Some(Slot {
+                let hit = cache.lookup(key).map(|CachedOutcome { ir, diagnostic }| {
+                    let result = FunctionResult {
                         name: func.name().to_string(),
-                        text: ir,
-                        optimized: true,
+                        optimized: diagnostic.is_none(),
                         cached: true,
-                        diagnostic: None,
-                    })),
-                    Some(CachedOutcome::Degraded { ir, diagnostic }) => slots.push(Some(Slot {
-                        name: func.name().to_string(),
-                        text: ir,
-                        optimized: false,
-                        cached: true,
-                        diagnostic: Some(diagnostic),
-                    })),
-                    None => {
-                        slots.push(None);
-                        misses.push((index, key));
-                    }
+                        diagnostic,
+                    };
+                    (result, ir)
+                });
+                if hit.is_none() {
+                    misses.push((index, key));
                 }
+                records.push(hit);
             }
         }
 
@@ -428,41 +361,24 @@ impl Engine {
         }
 
         // Compile the misses, once: moved out of the parsed module (the
-        // hits' slots are already filled), under degradation, with the
-        // request's one budget.
+        // hits' records are already filled), under degradation, with the
+        // request's one budget — made here, so its clock starts with the
+        // compile and not with the manager's probe build.
         if !misses.is_empty() {
-            let mut is_miss = slots.iter().map(Option::is_none);
+            let mut is_miss = records.iter().map(Option::is_none);
             let mut missed = module.into_functions();
-            missed.retain(|_| is_miss.next().expect("one slot per function"));
+            missed.retain(|_| is_miss.next().expect("one record per function"));
             let mut compiled =
                 Module::from_functions("serve", missed).expect("input module had unique names");
-            let options = ModuleOptions {
-                pipeline: PipelineOptions {
-                    budget: Budget::new(
-                        request
-                            .timeout_ms
-                            .or(shared.config.default_timeout_ms)
-                            .map(Duration::from_millis),
-                        request.fuel.or(shared.config.default_fuel),
-                    ),
-                    ..PipelineOptions::default()
-                },
-                jobs: 1,
-                on_error: OnError::Degrade,
-            };
-            let report = match ModulePassManager::compile(
-                &shared.registry,
-                &canonical,
-                options,
-                &mut compiled,
-            ) {
+            manager.options.pipeline.budget = Budget::new(
+                request
+                    .timeout_ms
+                    .or(shared.config.default_timeout_ms)
+                    .map(Duration::from_millis),
+                request.fuel.or(shared.config.default_fuel),
+            );
+            let report = match manager.run(&mut compiled) {
                 Ok(report) => report,
-                Err(
-                    e @ (PipelineError::Spec(_)
-                    | PipelineError::UnknownPass { .. }
-                    | PipelineError::BadParameter { .. }
-                    | PipelineError::EmptySpec),
-                ) => return error(ErrorKind::Spec, e.to_string()),
                 Err(e) => return error(ErrorKind::Internal, e.to_string()),
             };
 
@@ -470,68 +386,47 @@ impl Engine {
             // outside the lock hold.
             fault::point("serve::cache_insert");
             let mut cache = shared.cache.lock().unwrap_or_else(PoisonError::into_inner);
-            for (slot_pos, &(index, key)) in misses.iter().enumerate() {
-                let func = &compiled.functions()[slot_pos];
-                let func_report = &report.functions[slot_pos];
+            for ((func, func_report), &(index, key)) in compiled
+                .functions()
+                .iter()
+                .zip(&report.functions)
+                .zip(&misses)
+            {
                 let text = func.to_string();
-                let slot = match &func_report.outcome {
-                    FunctionOutcome::Optimized => {
-                        cache.insert(key, CachedOutcome::Optimized { ir: text.clone() });
-                        Slot {
-                            name: func.name().to_string(),
-                            text,
-                            optimized: true,
-                            cached: false,
-                            diagnostic: None,
-                        }
-                    }
-                    FunctionOutcome::Degraded(diag) => {
-                        let rendered = diag.to_string();
-                        // Negative-cache only deterministic causes: a
-                        // panic or pass error will recur on the same
-                        // input, budget exhaustion may not.
-                        if matches!(diag.cause, FaultCause::Panic(_) | FaultCause::Error(_)) {
-                            cache.insert(
-                                key,
-                                CachedOutcome::Degraded {
-                                    ir: text.clone(),
-                                    diagnostic: rendered.clone(),
-                                },
-                            );
-                        }
-                        Slot {
-                            name: func.name().to_string(),
-                            text,
-                            optimized: false,
-                            cached: false,
-                            diagnostic: Some(rendered),
-                        }
-                    }
+                // Negative-cache only deterministic causes: a panic or
+                // pass error will recur on the same input, budget
+                // exhaustion may not.
+                let (diagnostic, keep) = match &func_report.outcome {
+                    FunctionOutcome::Optimized => (None, true),
+                    FunctionOutcome::Degraded(diag) => (
+                        Some(diag.to_string()),
+                        matches!(diag.cause, FaultCause::Panic(_) | FaultCause::Error(_)),
+                    ),
                 };
-                slots[index] = Some(slot);
+                if keep {
+                    let outcome = CachedOutcome {
+                        ir: text.clone(),
+                        diagnostic: diagnostic.clone(),
+                    };
+                    cache.insert(key, outcome);
+                }
+                let result = FunctionResult {
+                    name: func.name().to_string(),
+                    optimized: diagnostic.is_none(),
+                    cached: false,
+                    diagnostic,
+                };
+                records[index] = Some((result, text));
             }
         }
 
-        let slots: Vec<Slot> = slots
-            .into_iter()
-            .map(|slot| slot.expect("every function slot filled"))
-            .collect();
         // Reassemble the module text exactly as `Module`'s `Display`
         // would print it: function texts separated by one blank line.
-        let ir = slots
-            .iter()
-            .map(|slot| slot.text.as_str())
-            .collect::<Vec<_>>()
-            .join("\n");
-        let functions: Vec<FunctionResult> = slots
+        let (functions, texts): (Vec<FunctionResult>, Vec<String>) = records
             .into_iter()
-            .map(|slot| FunctionResult {
-                name: slot.name,
-                optimized: slot.optimized,
-                cached: slot.cached,
-                diagnostic: slot.diagnostic,
-            })
-            .collect();
+            .map(|record| record.expect("every function record filled"))
+            .unzip();
+        let ir = texts.join("\n");
         // Memoize fully optimized responses for the whole-request fast
         // path, with the `cached` flags pre-set the way a warm hit must
         // report them.
@@ -546,11 +441,12 @@ impl Engine {
                     })
                     .collect(),
             };
+            let cost = memo.cost();
             shared
                 .fast
                 .lock()
                 .unwrap_or_else(PoisonError::into_inner)
-                .insert(fast_key, memo);
+                .insert(fast_key, memo, cost);
         }
         Response::Ok { id, ir, functions }
     }
@@ -664,7 +560,6 @@ impl Engine {
             .fast
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
-            .map
             .len()
     }
 
@@ -673,7 +568,6 @@ impl Engine {
     pub fn poisoned_locks(&self) -> usize {
         usize::from(self.shared.cache.is_poisoned())
             + usize::from(self.shared.fast.is_poisoned())
-            + usize::from(self.shared.specs.is_poisoned())
             + usize::from(self.shared.queue.is_poisoned())
             + usize::from(self.workers.is_poisoned())
     }

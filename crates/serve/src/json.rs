@@ -154,20 +154,31 @@ impl fmt::Display for Json {
     }
 }
 
-fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
-    f.write_str("\"")?;
-    for c in s.chars() {
-        match c {
-            '"' => f.write_str("\\\"")?,
-            '\\' => f.write_str("\\\\")?,
-            '\n' => f.write_str("\\n")?,
-            '\r' => f.write_str("\\r")?,
-            '\t' => f.write_str("\\t")?,
-            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => write!(f, "{c}")?,
+/// Writes `s` as a JSON string literal: the workspace's one escaper, under
+/// [`Json`]'s `Display` and under every reply `Response::to_bytes` writes.
+/// Copies the run up to the next byte that needs an escape in one piece;
+/// all of those (`"`, `\`, controls below U+0020) are ASCII, so every cut
+/// falls on a char boundary.
+pub(crate) fn write_escaped(out: &mut impl fmt::Write, s: &str) -> fmt::Result {
+    out.write_char('"')?;
+    let mut rest = s;
+    while let Some(at) = rest
+        .bytes()
+        .position(|b| b == b'"' || b == b'\\' || b < 0x20)
+    {
+        out.write_str(&rest[..at])?;
+        match rest.as_bytes()[at] {
+            b'"' => out.write_str("\\\"")?,
+            b'\\' => out.write_str("\\\\")?,
+            b'\n' => out.write_str("\\n")?,
+            b'\r' => out.write_str("\\r")?,
+            b'\t' => out.write_str("\\t")?,
+            control => write!(out, "\\u{control:04x}")?,
         }
+        rest = &rest[at + 1..];
     }
-    f.write_str("\"")
+    out.write_str(rest)?;
+    out.write_char('"')
 }
 
 /// Maximum container nesting the parser accepts. Recursion depth is

@@ -33,18 +33,25 @@
 //! ```
 //!
 //! Responses are written as workers finish — possibly out of request
-//! order — and carry the request `id` for matching. JSON objects are
-//! rendered with sorted keys, so a response's byte representation is a
-//! pure function of its content: a warm cache hit is *byte-identical*
-//! to the cold response it replays.
+//! order — and carry the request `id` for matching. A reply is written
+//! once: [`Response::to_bytes`] puts the frame body straight into the
+//! buffer that is framed, every object's keys in sorted order and every
+//! string through the one escaper [`json::Json`]'s `Display` uses — no
+//! `Json` value is built for it (`Json` is the request decoder and the body
+//! of a `stats`/`bye` reply) — and outside the connection's writer lock. A
+//! response's byte representation is a pure function of its content: a
+//! warm cache hit is *byte-identical* to the cold response it replays.
 //!
 //! # Cache keying
 //!
 //! Caching is two-level. Each function is keyed by a 128-bit
 //! [`cache::ContentKey`] — two independently seeded FNV-1a-64 streams
 //! over `canonical_spec ∥ 0x00 ∥ printed_function_ir` (see
-//! [`cache::content_key`]): the spec is parsed and re-printed so
-//! equivalent spellings share entries, FNV-1a is stable across
+//! [`cache::content_key`]): the spec is parsed once per request and
+//! re-printed, so equivalent spellings share entries (the registry first
+//! sees it after a memo miss, when the request's pass manager is built —
+//! an unknown pass or bad parameter answers `spec` there, before the
+//! input is read, and is remembered nowhere), FNV-1a is stable across
 //! processes and platforms so a persisted request stream replays
 //! identically anywhere, and requiring both 64-bit digests to agree
 //! keeps a constructible single-hash collision from silently serving
@@ -59,9 +66,13 @@
 //! request is answered before its input is even parsed. The memo only
 //! holds fully *optimized* responses (degraded and negatively-cached
 //! outcomes always route through the function cache, keeping fail-fast
-//! semantics observable) and is a pure front — dropping it wholesale
-//! changes latency, never results — so it evicts by epoch clear under
-//! the same entry/byte bounds as the function cache.
+//! semantics observable) and is a pure front — dropping an entry changes
+//! latency, never results. Both levels are the same bounded map (least
+//! recently used out first), each under bounds of its own:
+//! `ServeConfig::cache_entries` entries and `ServeConfig::cache_bytes`
+//! payload bytes — IR text plus diagnostic for a function, IR text plus
+//! function names for a request — so the two together hold at most twice
+//! either figure.
 //!
 //! # Shedding and degradation
 //!

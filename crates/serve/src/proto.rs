@@ -24,9 +24,10 @@
 //! discriminator: `ok`, `error`, `overloaded`, `pong`, `stats` or
 //! `bye`.  See [`Response`] for the exact payloads.
 
+use std::fmt::Write as _;
 use std::io::{self, Read, Write};
 
-use crate::json::Json;
+use crate::json::{write_escaped, Json};
 
 /// Hard ceiling on the frame length a reader will accept by default:
 /// 16 MiB, far above any realistic module while still bounding memory.
@@ -221,9 +222,9 @@ pub struct FunctionResult {
     pub diagnostic: Option<String>,
 }
 
-/// A server reply.  `to_json` renders the stable wire shape; key order
-/// is deterministic (objects sort their keys), which is what makes the
-/// warm-vs-cold byte-identity checks possible.
+/// A server reply.  [`Response::to_bytes`] writes the stable wire shape;
+/// key order is deterministic (every object's keys in sorted order), which
+/// is what makes the warm-vs-cold byte-identity checks possible.
 #[derive(Debug)]
 pub enum Response {
     Ok {
@@ -256,68 +257,64 @@ pub enum Response {
 }
 
 impl Response {
-    pub fn to_json(&self) -> Json {
-        match self {
-            Response::Ok { id, ir, functions } => {
-                let funcs = functions
-                    .iter()
-                    .map(|f| {
-                        let mut pairs = vec![
-                            ("name", Json::str(&f.name)),
-                            (
-                                "outcome",
-                                Json::str(if f.optimized { "optimized" } else { "degraded" }),
-                            ),
-                            ("cached", Json::Bool(f.cached)),
-                        ];
-                        if let Some(diag) = &f.diagnostic {
-                            pairs.push(("diagnostic", Json::str(diag)));
-                        }
-                        Json::obj(pairs)
-                    })
-                    .collect();
-                Json::obj([
-                    ("status", Json::str("ok")),
-                    ("id", Json::int(*id)),
-                    ("ir", Json::str(ir)),
-                    ("functions", Json::Arr(funcs)),
-                ])
-            }
-            Response::Error { id, kind, message } => {
-                let mut pairs = vec![
-                    ("status", Json::str("error")),
-                    ("kind", Json::str(kind.as_str())),
-                    ("message", Json::str(message)),
-                ];
-                if let Some(id) = id {
-                    pairs.push(("id", Json::int(*id)));
-                }
-                Json::obj(pairs)
-            }
-            Response::Overloaded { id, queue_depth } => Json::obj([
-                ("status", Json::str("overloaded")),
-                ("id", Json::int(*id)),
-                ("queue_depth", Json::int(*queue_depth as u64)),
-            ]),
-            Response::Pong { id } => {
-                Json::obj([("status", Json::str("pong")), ("id", Json::int(*id))])
-            }
-            Response::Stats { id, body } => Json::obj([
-                ("status", Json::str("stats")),
-                ("id", Json::int(*id)),
-                ("stats", body.clone()),
-            ]),
-            Response::Bye { id, stats } => Json::obj([
-                ("status", Json::str("bye")),
-                ("id", Json::int(*id)),
-                ("stats", stats.clone()),
-            ]),
-        }
+    /// The frame body, written once: every variant goes straight into the
+    /// one buffer that is framed, keys in the sorted order [`Json`]'s
+    /// `Display` gives an object, strings through the escaper `Json` uses.
+    /// Only a `stats`/`bye` body is a [`Json`] value (the engine's snapshot).
+    ///
+    /// Integers print exactly. A request id is at most 2^53 (what
+    /// [`Json::as_u64`] admits), where this equals what a [`Json::Num`]
+    /// prints; a larger one built in-process is not rounded through `f64`.
+    pub fn to_bytes(&self) -> Vec<u8> {
+        let mut out = String::new();
+        self.write_to(&mut out)
+            .expect("writing to a String cannot fail");
+        out.into_bytes()
     }
 
-    /// Render straight to frame-ready bytes.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        self.to_json().to_string().into_bytes()
+    fn write_to(&self, out: &mut String) -> std::fmt::Result {
+        match self {
+            Response::Ok { id, ir, functions } => {
+                out.reserve(ir.len() + ir.len() / 8 + 64 * functions.len() + 64);
+                out.push_str("{\"functions\":[");
+                for (i, f) in functions.iter().enumerate() {
+                    let sep = if i > 0 { "," } else { "" };
+                    write!(out, "{sep}{{\"cached\":{}", f.cached)?;
+                    if let Some(diag) = &f.diagnostic {
+                        out.push_str(",\"diagnostic\":");
+                        write_escaped(out, diag)?;
+                    }
+                    out.push_str(",\"name\":");
+                    write_escaped(out, &f.name)?;
+                    let outcome = if f.optimized { "optimized" } else { "degraded" };
+                    write!(out, ",\"outcome\":\"{outcome}\"}}")?;
+                }
+                write!(out, "],\"id\":{id},\"ir\":")?;
+                write_escaped(out, ir)?;
+                out.push_str(",\"status\":\"ok\"}");
+            }
+            Response::Error { id, kind, message } => {
+                out.push('{');
+                if let Some(id) = id {
+                    write!(out, "\"id\":{id},")?;
+                }
+                write!(out, "\"kind\":\"{}\",\"message\":", kind.as_str())?;
+                write_escaped(out, message)?;
+                out.push_str(",\"status\":\"error\"}");
+            }
+            Response::Overloaded { id, queue_depth } => write!(
+                out,
+                "{{\"id\":{id},\"queue_depth\":{queue_depth},\"status\":\"overloaded\"}}"
+            )?,
+            Response::Pong { id } => write!(out, "{{\"id\":{id},\"status\":\"pong\"}}")?,
+            Response::Stats { id, body } => {
+                write!(out, "{{\"id\":{id},\"stats\":{body},\"status\":\"stats\"}}")?;
+            }
+            Response::Bye { id, stats } => {
+                write!(out, "{{\"id\":{id},\"stats\":{stats},\"status\":\"bye\"}}")?;
+            }
+        }
+        Ok(())
     }
 }
 
@@ -412,13 +409,171 @@ mod tests {
                 diagnostic: Some("pass panicked".into()),
             }],
         };
-        let text = resp.to_json().to_string();
+        let text = String::from_utf8(resp.to_bytes()).unwrap();
         assert_eq!(
             text,
             "{\"functions\":[{\"cached\":true,\"diagnostic\":\"pass panicked\",\
              \"name\":\"f\",\"outcome\":\"degraded\"}],\"id\":3,\
              \"ir\":\"fn f() {}\",\"status\":\"ok\"}"
         );
-        assert_eq!(text, resp.to_json().to_string());
+        assert_eq!(text.as_bytes(), resp.to_bytes());
+    }
+
+    /// Every character class the escaper tells apart: the two that get a
+    /// backslash, the named and the `\u00XX` controls on both sides of each
+    /// other, U+007F (not a control to JSON), two- and four-byte UTF-8.
+    const HOSTILE: &str = "q\"b\\s\u{0}\u{1}\u{8}\t\n\u{c}\r\u{1f} é😀\u{7f}";
+    /// [`HOSTILE`] as the parent's `Json` tree wrote it.
+    const ESCAPED: &str = "\"q\\\"b\\\\s\\u0000\\u0001\\u0008\\t\\n\\u000c\\r\\u001f é😀\u{7f}\"";
+
+    /// All six variants, hostile strings wherever a string goes: the bytes
+    /// are the ones the per-reply `Json` tree produced (literals recorded
+    /// from it before it was deleted), and `Json::parse` gives every field
+    /// back.
+    #[test]
+    fn every_variant_writes_the_bytes_the_json_tree_wrote() {
+        let snapshot = || {
+            Json::obj([
+                ("cache", Json::obj([("hits", Json::int(2))])),
+                ("note", Json::str(HOSTILE)),
+                ("ratio", Json::Num(0.5)),
+            ])
+        };
+        let snapshot_text =
+            format!("{{\"cache\":{{\"hits\":2}},\"note\":{ESCAPED},\"ratio\":0.5}}");
+        let function = |name: &str, diagnostic: Option<&str>| FunctionResult {
+            name: name.into(),
+            optimized: diagnostic.is_none(),
+            cached: diagnostic.is_some(),
+            diagnostic: diagnostic.map(str::to_string),
+        };
+        let cases = [
+            (
+                Response::Ok {
+                    id: 7,
+                    ir: HOSTILE.into(),
+                    functions: vec![function(HOSTILE, None), function("g", Some(HOSTILE))],
+                },
+                format!(
+                    "{{\"functions\":[{{\"cached\":false,\"name\":{ESCAPED},\"outcome\":\"optimized\"}},\
+                     {{\"cached\":true,\"diagnostic\":{ESCAPED},\"name\":\"g\",\"outcome\":\"degraded\"}}],\
+                     \"id\":7,\"ir\":{ESCAPED},\"status\":\"ok\"}}"
+                ),
+            ),
+            (
+                Response::Ok {
+                    id: 0,
+                    ir: String::new(),
+                    functions: vec![],
+                },
+                r#"{"functions":[],"id":0,"ir":"","status":"ok"}"#.to_string(),
+            ),
+            (
+                // The largest id a request can carry (`Json::as_u64`).
+                Response::Error {
+                    id: Some(1 << 53),
+                    kind: ErrorKind::Parse,
+                    message: HOSTILE.into(),
+                },
+                format!(
+                    "{{\"id\":9007199254740992,\"kind\":\"parse\",\"message\":{ESCAPED},\"status\":\"error\"}}"
+                ),
+            ),
+            (
+                Response::Error {
+                    id: None,
+                    kind: ErrorKind::Protocol,
+                    message: HOSTILE.into(),
+                },
+                format!("{{\"kind\":\"protocol\",\"message\":{ESCAPED},\"status\":\"error\"}}"),
+            ),
+            (
+                Response::Overloaded {
+                    id: 0,
+                    queue_depth: 64,
+                },
+                r#"{"id":0,"queue_depth":64,"status":"overloaded"}"#.to_string(),
+            ),
+            (
+                // Where `Json`'s `Display` switches number formatting.
+                Response::Pong {
+                    id: 1_000_000_000_000_000,
+                },
+                r#"{"id":1000000000000000,"status":"pong"}"#.to_string(),
+            ),
+            (
+                Response::Stats {
+                    id: 3,
+                    body: snapshot(),
+                },
+                format!("{{\"id\":3,\"stats\":{snapshot_text},\"status\":\"stats\"}}"),
+            ),
+            (
+                Response::Bye {
+                    id: 4,
+                    stats: snapshot(),
+                },
+                format!("{{\"id\":4,\"stats\":{snapshot_text},\"status\":\"bye\"}}"),
+            ),
+        ];
+        for (response, expected) in &cases {
+            let text = String::from_utf8(response.to_bytes()).unwrap();
+            assert_eq!(&text, expected, "{response:?}");
+            let json = Json::parse(&text).unwrap();
+            let field = |key: &str| json.get(key).and_then(Json::as_str);
+            let id = json.get("id").and_then(Json::as_u64);
+            match response {
+                Response::Ok {
+                    id: want,
+                    ir,
+                    functions,
+                } => {
+                    assert_eq!((field("status"), id), (Some("ok"), Some(*want)));
+                    assert_eq!(field("ir"), Some(ir.as_str()));
+                    let got = json.get("functions").and_then(Json::as_arr).unwrap();
+                    assert_eq!(got.len(), functions.len());
+                    for (got, want) in got.iter().zip(functions) {
+                        let field = |key: &str| got.get(key).and_then(Json::as_str);
+                        assert_eq!(field("name"), Some(want.name.as_str()));
+                        assert_eq!(field("diagnostic"), want.diagnostic.as_deref());
+                        let outcome = if want.optimized {
+                            "optimized"
+                        } else {
+                            "degraded"
+                        };
+                        assert_eq!(field("outcome"), Some(outcome));
+                        assert_eq!(got.get("cached").and_then(Json::as_bool), Some(want.cached));
+                    }
+                }
+                Response::Error {
+                    id: want,
+                    kind,
+                    message,
+                } => {
+                    assert_eq!((field("status"), id), (Some("error"), *want));
+                    assert_eq!(field("kind"), Some(kind.as_str()));
+                    assert_eq!(field("message"), Some(message.as_str()));
+                }
+                Response::Overloaded {
+                    id: want,
+                    queue_depth,
+                } => {
+                    assert_eq!((field("status"), id), (Some("overloaded"), Some(*want)));
+                    let depth = json.get("queue_depth").and_then(Json::as_u64);
+                    assert_eq!(depth, Some(*queue_depth as u64));
+                }
+                Response::Pong { id: want } => {
+                    assert_eq!((field("status"), id), (Some("pong"), Some(*want)));
+                }
+                Response::Stats { id: want, body } => {
+                    assert_eq!((field("status"), id), (Some("stats"), Some(*want)));
+                    assert_eq!(json.get("stats"), Some(body));
+                }
+                Response::Bye { id: want, stats } => {
+                    assert_eq!((field("status"), id), (Some("bye"), Some(*want)));
+                    assert_eq!(json.get("stats"), Some(stats));
+                }
+            }
+        }
     }
 }

@@ -31,10 +31,13 @@ pub enum StreamEnd {
 }
 
 fn send(writer: &Arc<Mutex<impl Write + Send>>, response: &Response) {
+    // Rendered before the lock is taken: workers answering on one
+    // connection queue up for the write, not for each other's rendering.
+    let body = response.to_bytes();
     let mut writer = writer.lock().unwrap_or_else(PoisonError::into_inner);
     // A vanished peer must not take the daemon down; responders swallow
     // write errors and the read side notices the closed stream.
-    let _ = write_frame(&mut *writer, &response.to_bytes());
+    let _ = write_frame(&mut *writer, &body);
 }
 
 /// Serve one framed connection until EOF or a `shutdown` request.

@@ -169,6 +169,32 @@ fn bad_input_and_bad_spec_yield_typed_errors_and_service_survives() {
     assert!(matches!(ok, Response::Ok { .. }), "{ok:?}");
 }
 
+/// A spec the registry rejects is rejected every time it is sent (nothing
+/// remembers it), owns no memo entry and leaves no lock poisoned.
+#[test]
+fn unknown_pass_answers_spec_every_time_and_is_never_memoized() {
+    let engine = Engine::new(ServeConfig::default());
+    for id in 1..=2 {
+        let mut bad_spec = request(id, KERNEL);
+        bad_spec.spec = Some("meld,no-such-pass".to_string());
+        match compile(&engine, bad_spec) {
+            Response::Error { kind, message, .. } => {
+                assert_eq!(kind.as_str(), "spec");
+                assert!(message.contains("no-such-pass"), "{message}");
+            }
+            other => panic!("expected a spec error, got {other:?}"),
+        }
+    }
+    assert_eq!(engine.fast_entries(), 0);
+    assert_eq!(engine.cache_entries(), 0);
+    assert_eq!(engine.poisoned_locks(), 0);
+    match compile(&engine, request(3, KERNEL)) {
+        Response::Ok { functions, .. } => assert!(functions[0].optimized && !functions[0].cached),
+        other => panic!("expected ok, got {other:?}"),
+    }
+    assert_eq!(engine.fast_entries(), 1);
+}
+
 #[test]
 fn equivalent_spec_spellings_share_cache_entries() {
     let engine = Engine::new(ServeConfig::default());

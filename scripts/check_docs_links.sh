@@ -63,6 +63,16 @@ for doc in ARCHITECTURE.md README.md; do
     fi
 done
 
+# And for PR 23: a reply is written once and a spec is validated where it
+# is first compiled, so the per-reply tree method, the spec memo and the
+# second bounded map stay out of the docs.
+for doc in ARCHITECTURE.md README.md; do
+    if grep -n 'to[_]json\|spec[ ]memo\|Shared::[s]pecs\|Fast[C]ache' "$doc"; then
+        echo "$doc: mentions the retired reply tree / spec memo / second bounded map"
+        status=1
+    fi
+done
+
 # The README must link the architecture overview.
 if ! grep -q 'ARCHITECTURE.md' README.md; then
     echo "README.md: missing link to ARCHITECTURE.md"
