@@ -4,9 +4,15 @@ use crate::dirty::{JournalCursor, MutationJournal, WindowProbe};
 use crate::opcode::Opcode;
 use crate::types::Type;
 use crate::value::Value;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::error::Error;
-use std::fmt;
+use std::fmt::{self, Write as _};
+
+#[cfg(test)]
+thread_local! {
+    /// Block-name probes [`Function::add_block`] made on this thread.
+    static NAME_PROBES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
 
 /// Handle to a basic block inside a [`Function`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -235,6 +241,14 @@ pub struct Function {
     /// `add_block`/`remove_block` so [`Function::live_block_count`] is
     /// O(1).
     live_blocks: usize,
+    /// Names of the live blocks, so [`Function::add_block`] asks "is this
+    /// name taken" in O(1) instead of scanning every block per attempted
+    /// suffix. Built from the block arena the first time a requested name
+    /// turns out taken — a function whose block names never collide is
+    /// asked one scan per added block and never pays for the set — and
+    /// kept exact by `add_block` / `remove_block` / `set_block_name` after
+    /// that.
+    live_names: Option<HashSet<String>>,
 }
 
 /// Cloning starts a fresh, empty journal under a new identity: cursors
@@ -253,6 +267,7 @@ impl Clone for Function {
             shared: self.shared.clone(),
             journal: MutationJournal::new(),
             live_blocks: self.live_blocks,
+            live_names: None,
         }
     }
 }
@@ -295,6 +310,7 @@ impl Function {
             shared: Vec::new(),
             journal: MutationJournal::new(),
             live_blocks: 0,
+            live_names: None,
         };
         let entry = f.add_block("entry");
         f.entry = entry;
@@ -337,6 +353,7 @@ impl Function {
             entry: BlockId::new(0),
             shared,
             journal: MutationJournal::new(),
+            live_names: None,
         }
     }
 
@@ -488,12 +505,32 @@ impl Function {
     /// Appends a new empty block. Names are uniquified (a `.N` suffix is
     /// added on collision) so the textual form stays parseable.
     pub fn add_block(&mut self, name: &str) -> BlockId {
-        let taken = |blocks: &[BlockData2], n: &str| blocks.iter().any(|b| b.alive && b.name == n);
+        #[cfg(test)]
+        NAME_PROBES.with(|n| n.set(n.get() + 1));
+        let blocks = &self.blocks;
+        let taken = match &self.live_names {
+            Some(names) => names.contains(name),
+            None => blocks.iter().any(|b| b.alive && b.name == name),
+        };
         let mut unique = name.to_string();
-        let mut k = 1;
-        while taken(&self.blocks, &unique) {
-            unique = format!("{name}.{k}");
-            k += 1;
+        if taken {
+            // The smallest free suffix, one set probe per attempt.
+            let names = self.live_names.get_or_insert_with(|| {
+                let live = blocks.iter().filter(|b| b.alive);
+                live.map(|b| b.name.clone()).collect()
+            });
+            for k in 1.. {
+                #[cfg(test)]
+                NAME_PROBES.with(|n| n.set(n.get() + 1));
+                unique.truncate(name.len());
+                write!(unique, ".{k}").expect("writing to a String cannot fail");
+                if !names.contains(&unique) {
+                    break;
+                }
+            }
+        }
+        if let Some(names) = &mut self.live_names {
+            names.insert(unique.clone());
         }
         let id = BlockId::new(self.blocks.len());
         self.blocks.push(BlockData2 {
@@ -522,6 +559,9 @@ impl Function {
         }
         if self.blocks[b.index()].alive {
             self.live_blocks -= 1;
+            if let Some(names) = &mut self.live_names {
+                names.remove(&self.blocks[b.index()].name);
+            }
         }
         self.blocks[b.index()].alive = false;
         self.journal.shape_edit();
@@ -563,9 +603,14 @@ impl Function {
         &self.blocks[b.index()].name
     }
 
-    /// Renames a block.
+    /// Renames a block. The caller picks a name no other live block has.
     pub fn set_block_name(&mut self, b: BlockId, name: &str) {
-        self.blocks[b.index()].name = name.to_string();
+        let block = &mut self.blocks[b.index()];
+        if let Some(names) = self.live_names.as_mut().filter(|_| block.alive) {
+            names.remove(&block.name);
+            names.insert(name.to_string());
+        }
+        block.name = name.to_string();
     }
 
     /// Instruction ids of a block, in order (terminator last).
@@ -1325,6 +1370,49 @@ mod tests {
         assert!(
             matches!(f.verify_structure(), Err(IrError::BadOperands(m)) if m.contains("parameter index 1"))
         );
+    }
+
+    /// `add_block` picks the smallest free suffix and, from the first
+    /// collision on, pays one set probe per attempted name — never a scan
+    /// of the blocks: N same-named blocks cost the N(N+1)/2 probes of
+    /// trying `b`, `b.1`, … in turn and nothing that grows with the
+    /// function around them.
+    #[test]
+    fn same_named_blocks_get_the_smallest_free_suffix_in_one_probe_per_attempt() {
+        const N: usize = 4096;
+        let mut f = Function::new("names", vec![], Type::Void);
+        for i in 0..N {
+            f.add_block(&format!("other{i}"));
+        }
+        let probes_before = NAME_PROBES.get();
+        let blocks: Vec<BlockId> = (0..N).map(|_| f.add_block("b")).collect();
+        assert_eq!(NAME_PROBES.get() - probes_before, N * (N + 1) / 2);
+        assert_eq!(f.block_name(blocks[0]), "b");
+        for (k, &b) in blocks.iter().enumerate().skip(1) {
+            assert_eq!(f.block_name(b), format!("b.{k}"));
+        }
+
+        // A removed or renamed block frees its name for the next add; a
+        // rename claims the new one.
+        let add = |f: &mut Function, name: &str| {
+            let b = f.add_block(name);
+            f.block_name(b).to_string()
+        };
+        f.remove_block(blocks[7]);
+        f.set_block_name(blocks[3], "renamed");
+        let probes_before = NAME_PROBES.get();
+        assert_eq!(add(&mut f, "b"), "b.3");
+        assert_eq!(NAME_PROBES.get() - probes_before, 4);
+        assert_eq!(add(&mut f, "b"), "b.7");
+        assert_eq!(add(&mut f, "renamed"), "renamed.1");
+        assert_eq!(add(&mut f, "b"), format!("b.{N}"));
+
+        // A clone starts without the set and rebuilds it from its blocks
+        // at its first collision.
+        let mut g = f.clone();
+        g.remove_block(blocks[1]);
+        assert_eq!(add(&mut g, "b"), "b.1");
+        assert_eq!(add(&mut f, "b"), format!("b.{}", N + 1));
     }
 
     #[test]

@@ -21,8 +21,11 @@
 //! keep the profitable pairs — a pure function of `&Function` whose result,
 //! a list of [`PlanElement`]s, says which subgraphs meld and [how](MeldHow),
 //! region replication included) and **apply** ([`codegen::meld_region`]
-//! performs the plan: replications first, then Algorithm 2). The function
-//! is unchanged until the first apply.
+//! performs the plan: replications first, then Algorithm 2). A round plans
+//! every candidate, keeps a pairwise-disjoint set, applies those plans one
+//! after another and cleans up once ([`pass`] states the disjointness rule
+//! and why no cleanup is needed in between). The function is unchanged
+//! until the round's first apply.
 //!
 //! ```
 //! use darm_melding::{meld_function, MeldConfig};
@@ -96,7 +99,8 @@ pub struct MeldConfig {
     /// Whether to run unpredication (§IV-E). Disabling it — the spec
     /// `meld(unpredicate=false)` — is the ablation.
     pub unpredicate: bool,
-    /// Fixpoint iteration cap for Algorithm 1's outer loop.
+    /// Cap on the rounds of Algorithm 1's outer loop (a round melds every
+    /// pairwise-disjoint region it finds).
     pub max_iterations: usize,
 }
 
@@ -145,7 +149,7 @@ pub struct MeldStats {
     pub unpredicated_groups: usize,
     /// Definitions repaired by SSA reconstruction.
     pub ssa_repairs: usize,
-    /// Outer fixpoint iterations executed.
+    /// Outer fixpoint rounds executed.
     pub iterations: usize,
 }
 

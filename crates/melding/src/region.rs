@@ -21,6 +21,15 @@ pub struct MeldableRegion {
     pub false_chain: Vec<Subgraph>,
 }
 
+impl MeldableRegion {
+    /// Every block of the two chains — with the branch block, the blocks a
+    /// meld of the region rewrites or deletes.
+    pub fn chain_blocks(&self) -> impl Iterator<Item = BlockId> + '_ {
+        let subgraphs = self.true_chain.iter().chain(&self.false_chain);
+        subgraphs.flat_map(|s| s.blocks.iter().copied())
+    }
+}
+
 /// One SESE subgraph in a chain. Unlike the raw anchors-based decomposition
 /// in `darm-analysis`, join blocks whose predecessors all lie inside the
 /// subgraph are absorbed, so a diamond includes its join and the subgraph
@@ -97,28 +106,36 @@ impl Analyses {
     }
 }
 
+/// What [`detect_region`] and [`simplify_region_entry`] both ask of the
+/// branch ending `b` before they walk its paths: a conditional branch to
+/// two different blocks neither of which post-dominates the other
+/// (condition 2 of Definition 5 — no pad turns an if-then into a region
+/// with two paths), with a post-dominator to exit to. Returns the
+/// condition, both successors and the exit.
+fn branch_frame(
+    func: &Function,
+    a: &Analyses,
+    b: BlockId,
+) -> Option<(Value, BlockId, BlockId, BlockId)> {
+    let term = func.inst(func.terminator(b)?);
+    if term.opcode != Opcode::Br {
+        return None;
+    }
+    let (bt, bf) = (term.succs[0], term.succs[1]);
+    if bt == bf || a.pdt.post_dominates(bt, bf) || a.pdt.post_dominates(bf, bt) {
+        return None;
+    }
+    Some((term.operands[0], bt, bf, a.pdt.ipdom(b)?))
+}
+
 /// Detects the meldable divergent region entered at `b`, if any
 /// (Definition 5): `b` ends in a divergent conditional branch and neither
 /// successor post-dominates the other.
 pub fn detect_region(func: &Function, a: &Analyses, b: BlockId) -> Option<MeldableRegion> {
-    let term = func.terminator(b)?;
-    if func.inst(term).opcode != Opcode::Br {
-        return None;
-    }
     if !a.da.is_divergent_branch(b) {
         return None;
     }
-    let succs = &func.inst(term).succs;
-    let (bt, bf) = (succs[0], succs[1]);
-    if bt == bf {
-        return None;
-    }
-    // Condition 2: neither path is empty.
-    if a.pdt.post_dominates(bt, bf) || a.pdt.post_dominates(bf, bt) {
-        return None;
-    }
-    let exit = a.pdt.ipdom(b)?;
-    let cond = func.inst(term).operands[0];
+    let (cond, bt, bf, exit) = branch_frame(func, a, b)?;
     let true_chain = compute_chain(a, bt, exit)?;
     let false_chain = compute_chain(a, bf, exit)?;
     if true_chain.is_empty() || false_chain.is_empty() {
@@ -241,16 +258,9 @@ fn compute_chain(a: &Analyses, start: BlockId, stop: BlockId) -> Option<Vec<Subg
 /// absorb. Returns `true` if the CFG changed (callers must recompute
 /// analyses and re-detect).
 pub fn simplify_region_entry(func: &mut Function, a: &Analyses, b: BlockId) -> bool {
-    let Some(term) = func.terminator(b) else {
+    let Some((_, bt, bf, stop)) = branch_frame(func, a, b) else {
         return false;
     };
-    if func.inst(term).opcode != Opcode::Br {
-        return false;
-    }
-    let Some(stop) = a.pdt.ipdom(b) else {
-        return false;
-    };
-    let (bt, bf) = (func.inst(term).succs[0], func.inst(term).succs[1]);
     // One pad per path and call: the caller recomputes and calls again.
     let mut changed = false;
     for start in [bt, bf] {

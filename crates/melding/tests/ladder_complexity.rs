@@ -1,12 +1,14 @@
-//! Complexity guards that count instead of timing: on an N-rung ladder of
-//! meldable diamonds, the fixpoint melds one rung per round and cleans up
-//! after each. That per-round work must follow the melded region, not the
-//! function — so the instruction arena grows by a constant per rung (block
-//! merging moves ids instead of copying the ever-longer ladder tail), and
-//! the journal window of a round names nothing function-sized except the
-//! moved tail's change of parent. And since analyses are recomputed, not
-//! patched, after a meld, how *many* are computed per melded region must
-//! not depend on how big the function around the region is.
+//! Complexity guards that count instead of timing. A fixpoint round melds
+//! every pairwise-disjoint region it finds and cleans up once, so on an
+//! N-rung ladder of meldable diamonds the number of rounds — and with it
+//! the number of analyses computed, each of them function-sized — follows
+//! the nesting depth of the ladder, not N: the rungs of one level meld
+//! together. What a meld allocates must follow the melded region, not the
+//! function — the instruction arena grows by a constant per rung (block
+//! merging moves ids instead of copying the ever-longer ladder tail). And
+//! since analyses are recomputed, not patched, after a round, how *many*
+//! are computed per round must not depend on how big the function around
+//! the regions is.
 
 use darm_analysis::verify_ssa;
 use darm_ir::builder::FunctionBuilder;
@@ -25,8 +27,20 @@ fn meld_report(f: &mut Function) -> PipelineReport {
 
 /// `out[tid] = f_{N-1}(… f_0(in[tid]))`, each `f_r` a diamond on one bit of
 /// the thread id whose arms run the same three opcodes on different
-/// constants — every rung melds, with selects for the constants.
+/// constants — every rung melds, with selects for the constants. Each
+/// rung's join is the next rung's branch block.
 fn ladder(rungs: usize) -> Function {
+    build_ladder(rungs, false)
+}
+
+/// A [`ladder`] whose arms each end in an inner diamond on a bit of the
+/// loaded word: nesting depth 1. The inner diamonds meld first, which makes
+/// every rung a plain diamond.
+fn nested_ladder(rungs: usize) -> Function {
+    build_ladder(rungs, true)
+}
+
+fn build_ladder(rungs: usize, nested: bool) -> Function {
     let ptr = Type::Ptr(AddrSpace::Global);
     let mut f = Function::new("ladder", vec![ptr, ptr], Type::Void);
     let entry = f.entry();
@@ -35,6 +49,12 @@ fn ladder(rungs: usize) -> Function {
     let src = b.gep(Type::I32, b.param(1), tid);
     let x = b.load(Type::I32, src);
     let mut acc = x;
+    // Three opcodes on `v`, the constants picked by `k` and `side`.
+    let ops = |b: &mut FunctionBuilder<'_>, v: Value, k: i32, side: i32| {
+        let v = b.mul(v, Value::I32(3 + 2 * side));
+        let v = b.add(v, Value::I32(7 * k + side + 1));
+        b.xor(v, Value::I32(11 + k + 13 * side))
+    };
     for r in 0..rungs {
         let k = r as i32;
         let bit = b.lshr(tid, Value::I32(k % 5));
@@ -47,11 +67,28 @@ fn ladder(rungs: usize) -> Function {
         let mut arms = Vec::new();
         for (arm, side) in [(t, 0), (e, 1)] {
             b.switch_to(arm);
-            let v = b.mul(acc, Value::I32(3 + 2 * side));
-            let v = b.add(v, Value::I32(7 * k + side + 1));
-            let v = b.xor(v, Value::I32(11 + k + 13 * side));
+            let v = ops(&mut b, acc, k, side);
+            if !nested {
+                b.jump(j);
+                arms.push((arm, v));
+                continue;
+            }
+            let bit = b.and(x, Value::I32(1 << (r % 8)));
+            let cond = b.icmp(IcmpPred::Ne, bit, Value::I32(0));
+            let it = b.add_block(&format!("r{r}.{side}.t"));
+            let ie = b.add_block(&format!("r{r}.{side}.e"));
+            let ij = b.add_block(&format!("r{r}.{side}.j"));
+            b.br(cond, it, ie);
+            let mut inner = Vec::new();
+            for (inner_arm, inner_side) in [(it, 0), (ie, 1)] {
+                b.switch_to(inner_arm);
+                inner.push((inner_arm, ops(&mut b, v, k + 40, 2 * side + inner_side)));
+                b.jump(ij);
+            }
+            b.switch_to(ij);
+            let v = b.phi(Type::I32, &inner);
             b.jump(j);
-            arms.push((arm, v));
+            arms.push((ij, v));
         }
         b.switch_to(j);
         let joined = b.phi(Type::I32, &arms);
@@ -66,16 +103,12 @@ fn ladder(rungs: usize) -> Function {
 struct Melded {
     initial_capacity: usize,
     final_capacity: usize,
-    final_live: usize,
-    journal_entries: usize,
-    stats: MeldStats,
 }
 
 fn meld_ladder(rungs: usize) -> Melded {
     let mut f = ladder(rungs);
     verify_ssa(&f).expect("ladder verifies");
     let initial_capacity = f.inst_capacity();
-    let entries_before = f.journal_len();
     let stats = meld_function(&mut f, &MeldConfig::default());
     verify_ssa(&f).expect("melded ladder verifies");
     assert_eq!(stats.melded_regions, rungs, "every rung melds");
@@ -83,9 +116,6 @@ fn meld_ladder(rungs: usize) -> Melded {
     Melded {
         initial_capacity,
         final_capacity: f.inst_capacity(),
-        final_live: f.live_inst_count(),
-        journal_entries: f.journal_len() - entries_before,
-        stats,
     }
 }
 
@@ -107,52 +137,72 @@ fn arena_grows_by_a_constant_per_rung() {
     }
 }
 
-/// The journal buffers touched-instruction entries and nothing else
-/// (block-graph edits are a counter), so `journal_len` counts instruction
-/// touches. What a round touches beyond a constant is the ladder tail
-/// changing parent — once into the melded block, once with it into the
-/// rung's header, one entry per moved instruction, and the tail averages
-/// half the function. So entries per round may rise by about one per
-/// instruction the ladder gains (measured: 1.06); a whole-function rewrite
-/// or a copy per absorbed instruction (9.2 here when merging copied) shows
-/// up as a steeper slope.
-#[test]
-fn journal_window_per_round_follows_the_moved_tail_only() {
-    let (short, long) = (meld_ladder(8), meld_ladder(32));
-    let per_round = |m: &Melded| m.journal_entries as f64 / m.stats.iterations as f64;
-    let slope =
-        (per_round(&long) - per_round(&short)) / (long.final_live as f64 - short.final_live as f64);
-    assert!(
-        slope <= 1.5,
-        "journal entries per fixpoint round rise by {slope:.2} per instruction of ladder: \
-         {:.0} at 8 rungs ({} insts), {:.0} at 32 ({} insts)",
-        per_round(&short),
-        short.final_live,
-        per_round(&long),
-        long.final_live
-    );
-}
+/// Analyses one fixpoint round may compute: the scan's `Cfg`, both trees
+/// and divergence, and what the cleanup pipeline recomputes after the
+/// round's block-graph edits (measured: 10 over the two rounds of a flat
+/// ladder).
+const ANALYSES_PER_ROUND: usize = 7;
 
-/// One rung melds per round, so a ladder taller than
-/// `max_iterations` (32) runs the outer loop dry with rungs still
-/// divergent: the pass says so in its stat entries instead of stopping
-/// silently; a ladder that reaches its fixpoint reports no hit.
+/// The rungs of one nesting level are pairwise disjoint — a rung's exit is
+/// the next rung's branch block, which is no clash — so they meld in one
+/// round: a ladder takes one round per level plus the one that finds
+/// nothing left, whatever its length, never reaches the iteration cap, and
+/// computes a fixed number of analyses per round.
 #[test]
-fn running_out_of_fixpoint_iterations_is_recorded() {
-    for (rungs, hits) in [(34, 1), (12, 0)] {
-        let mut f = ladder(rungs);
+fn rounds_follow_nesting_depth_not_ladder_length() {
+    let flat = [8, 16, 32, 64].map(|n| (ladder(n), n, 0));
+    let nested = [8, 24].map(|n| (nested_ladder(n), 3 * n, 1));
+    for (mut f, regions, depth) in flat.into_iter().chain(nested) {
+        verify_ssa(&f).expect("ladder verifies");
         let report = meld_report(&mut f);
         let stats = MeldStats::from_report(&report);
         verify_ssa(&f).expect("melded ladder verifies");
-        assert_eq!(stats.melded_regions, rungs.min(32), "{rungs} rungs");
-        assert_eq!(
-            f.cond_branch_count(),
-            rungs - rungs.min(32),
-            "{rungs} rungs"
+        assert_eq!(stats.melded_regions, regions, "every region melds");
+        assert_eq!(f.cond_branch_count(), 0, "no divergent branch survives");
+        assert!(
+            stats.iterations <= 2 + depth,
+            "{regions} regions, depth {depth}: {} rounds",
+            stats.iterations
         );
         assert!(
+            report.passes[0].stats.contains(&(CAP_HITS_STAT, 0)),
+            "{regions} regions: {:?}",
+            report.passes[0].stats
+        );
+        let computed: usize = report.analysis_computations.iter().map(|&(_, n)| n).sum();
+        assert!(
+            computed <= ANALYSES_PER_ROUND * stats.iterations,
+            "{regions} regions: {computed} analyses computed in {} rounds ({:?})",
+            stats.iterations,
+            report.analysis_computations
+        );
+    }
+}
+
+/// A nested ladder needs two melding rounds; given one, the pass stops
+/// with the outer rungs still divergent and says so in its stat entries
+/// instead of stopping silently. Left to its default cap it reports no
+/// hit.
+#[test]
+fn running_out_of_fixpoint_rounds_is_recorded() {
+    for (max_iterations, melded, hits) in [(1, 16, 1), (32, 24, 0)] {
+        let config = MeldConfig {
+            max_iterations,
+            ..MeldConfig::default()
+        };
+        let mut f = nested_ladder(8);
+        let report = registry(&config)
+            .build("meld", PipelineOptions::default())
+            .expect("spec parses")
+            .run(&mut f)
+            .expect("pipeline");
+        let stats = MeldStats::from_report(&report);
+        verify_ssa(&f).expect("melded ladder verifies");
+        assert_eq!(stats.melded_regions, melded, "cap {max_iterations}");
+        assert_eq!(f.cond_branch_count(), 24 - melded, "cap {max_iterations}");
+        assert!(
             report.passes[0].stats.contains(&(CAP_HITS_STAT, hits)),
-            "{rungs} rungs: {:?}",
+            "cap {max_iterations}: {:?}",
             report.passes[0].stats
         );
     }
@@ -213,21 +263,17 @@ fn mixed_ladder(rungs: usize, meldable: usize, arm_len: usize) -> Function {
     f
 }
 
-/// Analyses a meld round may compute: the scan's `Cfg`, both trees and
-/// divergence, and what the cleanup pipeline recomputes after the round's
-/// block-graph edits (measured: 5.9 per round at 300 rungs, 24 melds).
-const ANALYSES_PER_MELD: usize = 7;
-
-/// `Cfg` builds a meld round may cost: one for the cleanup after the meld
-/// surgery, one for the next scan after the cleanup's block merges.
-const CFGS_PER_MELD: usize = 2;
+/// `Cfg` builds a fixpoint round may cost: one for the cleanup after the
+/// meld surgery, one for the next scan after the cleanup's block merges.
+const CFGS_PER_ROUND: usize = 2;
 
 /// Keep-or-recompute pays a fixed number of from-scratch analyses per
-/// melded region, whatever the size of the function around it: every
-/// meldable rung melds, no other branch does, and computations per meld
-/// stay under one constant at 100 and 300 rungs, 8 and 24 melds.
+/// round, whatever the size of the function around the melded regions and
+/// however many of them the round melds: every meldable rung melds in the
+/// first round, no other branch does, and the computations stay under one
+/// constant at 100 and 300 rungs, 8 and 24 melds.
 #[test]
-fn analyses_computed_per_meld_do_not_follow_function_size() {
+fn analyses_computed_do_not_follow_function_size_or_meld_count() {
     for (rungs, meldable) in [(100, 8), (300, 8), (300, 24)] {
         let mut f = mixed_ladder(rungs, meldable, 6);
         verify_ssa(&f).expect("mixed ladder verifies");
@@ -240,11 +286,12 @@ fn analyses_computed_per_meld_do_not_follow_function_size() {
             rungs - meldable,
             "{rungs} rungs: only the meldable ones may go"
         );
+        assert_eq!(stats.iterations, 2, "{rungs} rungs, {meldable} melds");
         let computed: usize = report.analysis_computations.iter().map(|&(_, n)| n).sum();
         assert!(
-            computed <= ANALYSES_PER_MELD * (meldable + 1),
+            computed <= ANALYSES_PER_ROUND * stats.iterations,
             "{rungs} rungs, {meldable} melds: {computed} analyses computed ({:?}), \
-             more than {ANALYSES_PER_MELD} per round",
+             more than {ANALYSES_PER_ROUND} per round",
             report.analysis_computations
         );
         let cfgs = report
@@ -253,9 +300,9 @@ fn analyses_computed_per_meld_do_not_follow_function_size() {
             .find(|&&(name, _)| name == "cfg")
             .map_or(0, |&(_, n)| n);
         assert!(
-            cfgs <= CFGS_PER_MELD * stats.iterations,
+            cfgs <= CFGS_PER_ROUND * stats.iterations,
             "{rungs} rungs, {meldable} melds: {cfgs} cfg builds in {} fixpoint rounds, \
-             more than {CFGS_PER_MELD} per round",
+             more than {CFGS_PER_ROUND} per round",
             stats.iterations
         );
     }

@@ -7,7 +7,7 @@
 //! touched was tried and measured no gain on any workload of the ledger
 //! (ROADMAP.md records the numbers, and what the narrowing cost).
 
-use crate::resolve_pending;
+use crate::{resolve_pending, run_instcombine_since};
 use darm_analysis::{AnalysisManager, Cfg};
 use darm_ir::{BlockId, Function, InstData, Opcode, Value};
 
@@ -28,6 +28,9 @@ pub struct SimplifyStats {
     pub removed_trivial_phis: usize,
     /// Duplicate φ-nodes deduplicated.
     pub removed_duplicate_phis: usize,
+    /// Instructions folded once a φ replacement had rewritten their
+    /// operands.
+    pub folded_insts: usize,
 }
 
 impl SimplifyStats {
@@ -40,6 +43,7 @@ impl SimplifyStats {
             + self.removed_unreachable
             + self.removed_trivial_phis
             + self.removed_duplicate_phis
+            + self.folded_insts
     }
 }
 
@@ -52,6 +56,7 @@ impl std::ops::AddAssign for SimplifyStats {
         self.removed_unreachable += d.removed_unreachable;
         self.removed_trivial_phis += d.removed_trivial_phis;
         self.removed_duplicate_phis += d.removed_duplicate_phis;
+        self.folded_insts += d.folded_insts;
     }
 }
 
@@ -77,8 +82,18 @@ pub fn simplify_cfg_with(func: &mut Function, am: &mut AnalysisManager) -> Simpl
         darm_ir::fault::point("transforms::simplify");
         let mut changed = remove_unreachable(func, am, &mut stats);
         changed |= fold_branches(func, &mut stats);
-        changed |= remove_trivial_phis(func, &mut stats);
-        changed |= dedup_phis(func, &mut stats);
+        let phis_start = func.journal_head();
+        let phis_replaced = remove_trivial_phis(func, &mut stats) | dedup_phis(func, &mut stats);
+        if phis_replaced {
+            // Replacing a φ rewrites its users, and a rewritten user may
+            // now be a fold `instcombine` knows — `select c, x, x` over two
+            // φs that turned out to be one. `instcombine` ran before this
+            // pass and will not look again, so hand it the rewritten users;
+            // a condition it folds to a constant is the next round's
+            // branch to fold.
+            stats.folded_insts += run_instcombine_since(func, Some(phis_start));
+        }
+        changed |= phis_replaced;
         changed |= merge_straightline(func, am, &mut stats);
         changed |= elide_empty_blocks(func, am, &mut stats);
         if !changed {

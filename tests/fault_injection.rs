@@ -314,38 +314,56 @@ fn fail_mode_reports_the_injected_fault_as_a_diagnostic() {
 }
 
 /// A fault raised in the meld pass is blamed on the meld pass — also once
-/// its inner cleanup pipeline has run (the second region's codegen) and
+/// its inner cleanup pipeline has run (the second round's codegen) and
 /// left its own pass names behind, and also inside a `fixpoint(...)`
 /// group. A fault raised *in* a cleanup pass keeps that pass's name.
 #[test]
 fn a_fault_after_the_inner_cleanup_ran_still_names_the_outer_pass() {
     let _guard = PLAN_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    // Two meldable diamonds in sequence: `meld::codegen` is reached twice.
+    // A meldable diamond inside one arm of another: the inner one melds in
+    // the first round, the outer one — a diamond only once the inner one
+    // is gone — in the second, so `meld::codegen` is reached twice with a
+    // cleanup in between.
     let mut f = Function::new("two", vec![Type::Ptr(AddrSpace::Global)], Type::Void);
     let entry = f.entry();
-    let names = ["t", "e", "m", "t2", "e2", "x"];
-    let [t, e, m, t2, e2, x] = names.map(|n| f.add_block(n));
+    let names = ["t", "it", "ie", "ij", "e", "x"];
+    let [t, it, ie, ij, e, x] = names.map(|n| f.add_block(n));
     let mut b = FunctionBuilder::new(&mut f, entry);
     let tid = b.thread_idx(Dim::X);
-    for (bit, arms, join) in [(1, [t, e], m), (2, [t2, e2], x)] {
+    let bit_clear = |b: &mut FunctionBuilder<'_>, bit: i32| {
         let masked = b.and(tid, b.const_i32(bit));
-        let c = b.icmp(IcmpPred::Eq, masked, b.const_i32(0));
-        b.br(c, arms[0], arms[1]);
-        for (arm, k) in arms.into_iter().zip([3, 5]) {
-            b.switch_to(arm);
-            let v = b.mul(tid, b.const_i32(k * bit));
-            let v = b.add(v, b.const_i32(k + 7));
-            let p = b.gep(Type::I32, b.param(0), tid);
-            b.store(v, p);
-            b.jump(join);
-        }
-        b.switch_to(join);
+        b.icmp(IcmpPred::Eq, masked, b.const_i32(0))
+    };
+    let c = bit_clear(&mut b, 1);
+    b.br(c, t, e);
+    b.switch_to(t);
+    let c = bit_clear(&mut b, 2);
+    b.br(c, it, ie);
+    for (arm, k, join) in [(it, 3, ij), (ie, 5, ij), (e, 7, x)] {
+        b.switch_to(arm);
+        let v = b.mul(tid, b.const_i32(k));
+        let v = b.add(v, b.const_i32(k + 7));
+        let p = b.gep(Type::I32, b.param(0), tid);
+        b.store(v, p);
+        b.jump(join);
     }
+    b.switch_to(ij);
+    b.jump(x);
+    b.switch_to(x);
     b.ret(None);
     let mut module = Module::new("two_melds");
     module.add_function(f).unwrap();
 
     let registry = darm::melding::registry(&MeldConfig::default());
+    let clean = ModulePassManager::compile(
+        &registry,
+        "meld",
+        ModuleOptions::serial(PipelineOptions::default()),
+        &mut module.clone(),
+    )
+    .expect("clean run");
+    let stats = MeldStats::from_report(&clean.functions[0].report);
+    assert_eq!((stats.melded_regions, stats.iterations), (2, 3));
     for (spec, site, hit, pass) in [
         ("meld", "meld::codegen", 1, "meld"),
         ("meld", "meld::codegen", 2, "meld"),
@@ -371,6 +389,141 @@ fn a_fault_after_the_inner_cleanup_ran_still_names_the_outer_pass() {
             format!("@two: pass '{pass}': panicked: injected fault (at {site})"),
             "{spec}, {site}#{hit}"
         );
+    }
+}
+
+/// `N` meldable diamonds in sequence, each rung's join the next one's
+/// branch block: one fixpoint round melds them all.
+fn ladder(rungs: usize) -> Function {
+    let ptr = Type::Ptr(AddrSpace::Global);
+    let mut f = Function::new("ladder", vec![ptr], Type::Void);
+    let entry = f.entry();
+    let mut b = FunctionBuilder::new(&mut f, entry);
+    let tid = b.thread_idx(Dim::X);
+    let p = b.gep(Type::I32, b.param(0), tid);
+    let mut acc = b.load(Type::I32, p);
+    for r in 0..rungs as i32 {
+        let masked = b.and(tid, b.const_i32(1 << (r % 5)));
+        let c = b.icmp(IcmpPred::Ne, masked, b.const_i32(0));
+        let arms = [b.add_block("t"), b.add_block("e")];
+        let join = b.add_block("j");
+        b.br(c, arms[0], arms[1]);
+        let mut incoming = Vec::new();
+        for (arm, side) in arms.into_iter().zip([0, 1]) {
+            b.switch_to(arm);
+            let v = b.mul(acc, b.const_i32(3 + 2 * side));
+            let v = b.add(v, b.const_i32(7 * r + side + 1));
+            b.jump(join);
+            incoming.push((arm, v));
+        }
+        b.switch_to(join);
+        acc = b.phi(Type::I32, &incoming);
+    }
+    b.store(acc, p);
+    b.ret(None);
+    f
+}
+
+/// Faults keep region granularity inside a round: `meld::codegen` fires
+/// once per applied region, so a plan can hit the k-th apply of a batch —
+/// with k − 1 regions already rewritten and no cleanup run yet, the most
+/// broken state the function is ever in. `Degrade` hands back the
+/// untouched input, `Fail` a typed error blamed on the meld pass; one hit
+/// past the batch never fires.
+#[test]
+fn a_fault_mid_batch_degrades_to_the_input_or_fails_typed() {
+    use darm::pipeline::PipelineError;
+
+    const RUNGS: u64 = 9;
+    let _guard = PLAN_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let mut module = Module::new("batch");
+    module.add_function(ladder(RUNGS as usize)).unwrap();
+    let baseline = printed(&module);
+    let registry = darm::melding::registry(&MeldConfig::default());
+    let compile_with = |pipeline, on_error, module: &mut Module| {
+        let options = ModuleOptions {
+            pipeline,
+            jobs: 1,
+            on_error,
+        };
+        ModulePassManager::compile(&registry, "meld", options, module)
+    };
+    let compile =
+        |on_error, module: &mut Module| compile_with(PipelineOptions::default(), on_error, module);
+
+    fault::set_plan(None);
+    let mut reference = module.clone();
+    let report = compile(OnError::Degrade, &mut reference).expect("clean run");
+    let stats = MeldStats::from_report(&report.functions[0].report);
+    assert_eq!(
+        (stats.melded_regions as u64, stats.iterations),
+        (RUNGS, 2),
+        "the ladder melds in one round"
+    );
+    let clean = printed(&reference);
+
+    for kind in [FaultKind::Panic, FaultKind::Error] {
+        for hit in [1, 2, RUNGS / 2, RUNGS, RUNGS + 1] {
+            let arm = || {
+                fault::set_plan(Some(FaultPlan {
+                    site: "meld::codegen".to_string(),
+                    hit,
+                    kind,
+                }))
+            };
+            arm();
+            let mut degraded = module.clone();
+            let report = compile(OnError::Degrade, &mut degraded);
+            arm();
+            let failed = compile(OnError::Fail, &mut module.clone());
+            fault::set_plan(None);
+
+            let report = report.expect("degrade contains the fault");
+            if hit > RUNGS {
+                assert_eq!(report.degraded_count(), 0, "{kind:?}#{hit}");
+                assert_eq!(printed(&degraded), clean, "{kind:?}#{hit}");
+                assert!(failed.is_ok(), "{kind:?}#{hit}");
+                continue;
+            }
+            assert_eq!(report.degraded_count(), 1, "{kind:?}#{hit}");
+            assert_eq!(printed(&degraded), baseline, "{kind:?}#{hit}");
+            match failed {
+                Err(PipelineError::Fault(diag)) => {
+                    assert_eq!(diag.function, "ladder");
+                    assert_eq!(diag.site.as_deref(), Some("meld::codegen"));
+                    assert!(
+                        diag.to_string().starts_with("@ladder: pass 'meld': "),
+                        "{kind:?}#{hit}: {diag}"
+                    );
+                }
+                other => panic!("{kind:?}#{hit}: expected a fault diagnostic, got {other:?}"),
+            }
+        }
+    }
+
+    // The budget is polled per applied region too: fuel that runs out at
+    // the k-th apply is noticed at the (k + 1)-th, not after the round.
+    for hit in [1, RUNGS / 2, RUNGS - 1] {
+        fault::set_plan(Some(FaultPlan {
+            site: "meld::codegen".to_string(),
+            hit,
+            kind: FaultKind::FuelExhaust,
+        }));
+        let pipeline = PipelineOptions {
+            budget: Budget::new(None, Some(1 << 40)),
+            ..PipelineOptions::default()
+        };
+        let mut degraded = module.clone();
+        let report = compile_with(pipeline, OnError::Degrade, &mut degraded);
+        fault::set_plan(None);
+        let report = report.expect("degrade contains the cancellation");
+        let (_, diag) = report.degraded().next().expect("the function degrades");
+        assert_eq!(
+            diag.to_string(),
+            "@ladder: pass 'meld': fuel budget exhausted (at meld::codegen)",
+            "fuel#{hit}"
+        );
+        assert_eq!(printed(&degraded), baseline, "fuel#{hit}");
     }
 }
 

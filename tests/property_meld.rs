@@ -252,16 +252,338 @@ proptest! {
     }
 }
 
-/// The invariant `MeldPass` skips region simplification on: a divergent
-/// branch `detect_region` decomposes is one `simplify_region_entry` leaves
-/// untouched (the two share one chain walk) — on the 57 paper kernels and
-/// the three shapes above, at every function the melding fixpoint passes
-/// through.
+/// The shapes in which one fixpoint round melds several regions at once:
+/// many rungs in sequence, each rung's join being the next rung's branch
+/// block.
+#[derive(Debug, Clone, Copy)]
+enum Rungs {
+    /// Plain diamonds.
+    Ladder,
+    /// Diamonds whose arms each hold an inner data-dependent diamond.
+    NestedLadder,
+    /// A ladder inside a loop whose trip count depends on the thread id.
+    LoopLadder,
+    /// Compare-exchange stages: on either side of a thread-id branch an
+    /// if-then region whose join carries a φ — after the meld the two
+    /// copied φs are one, and the exit φ's select over them must fold.
+    CmpXchg,
+    /// An if-then region on the true side against a single block on the
+    /// false side: every rung melds by region replication.
+    IfThenVsBlock,
+}
+
+impl Rungs {
+    const ALL: [Rungs; 5] = [
+        Rungs::Ladder,
+        Rungs::NestedLadder,
+        Rungs::LoopLadder,
+        Rungs::CmpXchg,
+        Rungs::IfThenVsBlock,
+    ];
+}
+
+/// `len` operations on `acc`, the same opcodes on both sides; two positions
+/// in three differ in their constant.
+fn emit_arm(
+    b: &mut FunctionBuilder<'_>,
+    mut acc: Value,
+    len: usize,
+    salt: i32,
+    side: i32,
+) -> Value {
+    for k in 0..len as i32 {
+        let c =
+            Value::I32(101 + 2 * ((salt + 7 * k) % 400) + if k % 3 == 2 { 0 } else { 2 * side });
+        acc = match k % 4 {
+            0 => b.mul(acc, c),
+            1 => b.add(acc, c),
+            2 => b.xor(acc, c),
+            _ => b.sub(acc, c),
+        };
+    }
+    acc
+}
+
+/// `out[tid] = shape(in[tid], in[tid ^ 1])` with `rungs` rungs in sequence;
+/// `salt` picks the constants.
+fn build_rungs_kernel(shape: Rungs, rungs: usize, salt: i32) -> Function {
+    let ptr = Type::Ptr(AddrSpace::Global);
+    let mut f = Function::new("rungs", vec![ptr, ptr], Type::Void);
+    let entry = f.entry();
+    let mut b = FunctionBuilder::new(&mut f, entry);
+    let tid = b.thread_idx(Dim::X);
+    let src = b.gep(Type::I32, b.param(0), tid);
+    let x = b.load(Type::I32, src);
+    let other = b.xor(tid, Value::I32(1));
+    let src = b.gep(Type::I32, b.param(0), other);
+    let y = b.load(Type::I32, src);
+    let bit_test = |b: &mut FunctionBuilder<'_>, v: Value, bit: usize| {
+        let m = b.and(v, Value::I32(1 << bit));
+        b.icmp(IcmpPred::Ne, m, Value::I32(0))
+    };
+
+    // The loop around the ladder: `for (i = 0; i < 2 + (tid & 3); i++)`.
+    let mut header = None;
+    let mut acc = x;
+    if let Rungs::LoopLadder = shape {
+        let pre = b.current_block();
+        let (hdr, body, exit) = (b.add_block("hdr"), b.add_block("body"), b.add_block("exit"));
+        let low = b.and(tid, Value::I32(3));
+        let trip = b.add(low, Value::I32(2));
+        b.jump(hdr);
+        b.switch_to(hdr);
+        let i = b.phi(Type::I32, &[(pre, Value::I32(0))]);
+        acc = b.phi(Type::I32, &[(pre, x)]);
+        let c = b.icmp(IcmpPred::Slt, i, trip);
+        b.br(c, body, exit);
+        b.switch_to(body);
+        header = Some((hdr, exit, i, acc));
+    }
+
+    for r in 0..rungs {
+        let salt = salt + 31 * r as i32;
+        let cond = bit_test(&mut b, tid, r % 5);
+        let heads = [
+            b.add_block(&format!("r{r}.t")),
+            b.add_block(&format!("r{r}.e")),
+        ];
+        let join = b.add_block(&format!("r{r}.j"));
+        b.br(cond, heads[0], heads[1]);
+        let mut incoming = Vec::new();
+        for (side, &head) in heads.iter().enumerate() {
+            b.switch_to(head);
+            let s = side as i32;
+            let (from, v) = match shape {
+                Rungs::Ladder | Rungs::LoopLadder => (head, emit_arm(&mut b, acc, 4, salt, s)),
+                Rungs::NestedLadder => {
+                    let v = emit_arm(&mut b, acc, 2, salt, s);
+                    let ic = bit_test(&mut b, x, (r + 3) % 8);
+                    let inner = [
+                        b.add_block(&format!("r{r}.{side}.t")),
+                        b.add_block(&format!("r{r}.{side}.e")),
+                    ];
+                    let ij = b.add_block(&format!("r{r}.{side}.j"));
+                    b.br(ic, inner[0], inner[1]);
+                    let mut arms = Vec::new();
+                    for (k, &blk) in inner.iter().enumerate() {
+                        b.switch_to(blk);
+                        arms.push((blk, emit_arm(&mut b, v, 3, salt + 11, 2 * s + k as i32)));
+                        b.jump(ij);
+                    }
+                    b.switch_to(ij);
+                    let m = b.phi(Type::I32, &arms);
+                    (ij, emit_arm(&mut b, m, 2, salt + 17, s))
+                }
+                Rungs::IfThenVsBlock if side == 1 => (head, emit_arm(&mut b, acc, 4, salt, s)),
+                Rungs::IfThenVsBlock => {
+                    let v = emit_arm(&mut b, acc, 4, salt, s);
+                    let c = bit_test(&mut b, x, (r + 3) % 8);
+                    let then = b.add_block(&format!("r{r}.then"));
+                    let tj = b.add_block(&format!("r{r}.tj"));
+                    b.br(c, then, tj);
+                    b.switch_to(then);
+                    let w = emit_arm(&mut b, v, 2, salt + 11, s);
+                    b.jump(tj);
+                    b.switch_to(tj);
+                    (tj, b.phi(Type::I32, &[(head, v), (then, w)]))
+                }
+                Rungs::CmpXchg => {
+                    let ka = b.lshr(x, Value::I32(r as i32 % 5));
+                    let ka = b.and(ka, Value::I32(15));
+                    let kb = b.lshr(y, Value::I32(r as i32 % 5));
+                    let kb = b.and(kb, Value::I32(15));
+                    let c = b.icmp([IcmpPred::Sgt, IcmpPred::Slt][side], ka, kb);
+                    let swap = b.add_block(&format!("r{r}.{side}.swap"));
+                    let sj = b.add_block(&format!("r{r}.{side}.j"));
+                    b.br(c, swap, sj);
+                    b.switch_to(swap);
+                    let mixed = b.xor(acc, y);
+                    let v = emit_arm(&mut b, mixed, 5, salt, s);
+                    b.jump(sj);
+                    b.switch_to(sj);
+                    (sj, b.phi(Type::I32, &[(head, acc), (swap, v)]))
+                }
+            };
+            b.jump(join);
+            incoming.push((from, v));
+        }
+        b.switch_to(join);
+        let joined = b.phi(Type::I32, &incoming);
+        acc = b.add(joined, x);
+    }
+
+    if let Some((hdr, exit, i, loop_acc)) = header {
+        let next = b.add(i, Value::I32(1));
+        let latch = b.current_block();
+        b.jump(hdr);
+        for (phi, v) in [(i, next), (loop_acc, acc)] {
+            let inst = b.func().inst_mut(phi.as_inst().expect("a phi"));
+            inst.operands.push(v);
+            inst.phi_blocks.push(latch);
+        }
+        b.switch_to(exit);
+        acc = loop_acc;
+    }
+    let dst = b.gep(Type::I32, b.param(1), tid);
+    b.store(acc, dst);
+    b.ret(None);
+    f
+}
+
+/// Runs `func(in, out)` on the reference interpreter.
+fn run_reference(func: &Function, input: &[i32]) -> Vec<i32> {
+    let mut gpu = Gpu::new(GpuConfig::default());
+    let src = gpu.alloc_i32(input);
+    let dst = gpu.alloc_i32(&vec![0; input.len()]);
+    gpu.launch_reference(
+        func,
+        &LaunchConfig::linear(1, input.len() as u32),
+        &[KernelArg::Buffer(src), KernelArg::Buffer(dst)],
+    )
+    .unwrap_or_else(|e| panic!("simulation failed: {e}\n{func}"));
+    gpu.read_i32(dst)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// What a batched round newly exercises — several regions melded
+    /// against one unchanged function before any cleanup — keeps its
+    /// semantics on the reference interpreter in every shape and mode, with
+    /// SSA verified after the pass and after every inner cleanup pass; and
+    /// no run stops at the round cap.
+    #[test]
+    fn batched_rounds_preserve_semantics(rungs in 12usize..17, salt in 0i32..400) {
+        let input: Vec<i32> = (0..64).map(|i| (i * 37 + salt) % 251 - 120).collect();
+        for shape in Rungs::ALL {
+            let func = build_rungs_kernel(shape, rungs, salt);
+            verify_ssa(&func).expect("generated kernel must verify");
+            let expected = run_reference(&func, &input);
+            for mode in [MeldMode::Darm, MeldMode::BranchFusion] {
+                let mut melded = func.clone();
+                let options = PipelineOptions { verify_each: true, ..PipelineOptions::default() };
+                let config = MeldConfig { mode, ..MeldConfig::default() };
+                let report = darm::melding::registry(&config)
+                    .build("meld", options)
+                    .expect("spec parses")
+                    .run(&mut melded)
+                    .unwrap_or_else(|e| panic!("{shape:?} x {rungs}, {mode:?}: {e}"));
+                let stats = MeldStats::from_report(&report);
+                if mode == MeldMode::Darm {
+                    prop_assert!(stats.melded_regions >= rungs, "{:?}: {:?}", shape, stats);
+                    let replicated = matches!(shape, Rungs::IfThenVsBlock);
+                    prop_assert_eq!(stats.replications, if replicated { rungs } else { 0 });
+                }
+                prop_assert!(
+                    report.passes[0].stats.contains(&(darm::melding::CAP_HITS_STAT, 0)),
+                    "{:?}", report.passes[0].stats
+                );
+                let got = run_reference(&melded, &input);
+                prop_assert_eq!(got, &expected[..], "{:?}, {:?}\n{}", shape, mode, melded);
+            }
+        }
+    }
+}
+
+/// Melded output is a fixpoint of the cleanup pipeline, for the last region
+/// melded as for the first: a fresh `ssa-repair, instcombine, simplify, dce`
+/// over it — every pass looking at the whole function — mutates nothing.
 #[test]
-fn a_detected_region_needs_no_simplification() {
+fn melded_output_is_a_cleanup_fixpoint() {
+    use darm::ir::WindowProbe;
+
+    for mode in [MeldMode::Darm, MeldMode::BranchFusion] {
+        let config = MeldConfig {
+            mode,
+            ..MeldConfig::default()
+        };
+        for mut f in paper_kernels_and_shapes() {
+            if meld_function(&mut f, &config).melded_regions == 0 {
+                // Untouched: the input is whatever its author left.
+                continue;
+            }
+            let melded = f.to_string();
+            let before = f.journal_head();
+            PassRegistry::with_transforms()
+                .build(
+                    "ssa-repair,instcombine,simplify,dce",
+                    PipelineOptions::default(),
+                )
+                .expect("spec parses")
+                .run(&mut f)
+                .expect("cleanup runs");
+            assert_eq!(
+                f.probe_since(before),
+                WindowProbe::Clean,
+                "{mode:?}: a second cleanup found work\n--- melded\n{melded}\n--- cleaned again\n{f}"
+            );
+        }
+    }
+}
+
+/// A divergent branch between an if-then that falls straight into the
+/// exit — two edges into it, so detection needs a landing pad — and a
+/// single block; the exit has no φ for the pad to carry.
+fn if_then_into_the_exit_kernel() -> Function {
+    let mut f = Function::new("pad", vec![Type::Ptr(AddrSpace::Global)], Type::Void);
+    let entry = f.entry();
+    let [a, a1, c, x] = ["a", "a1", "c", "x"].map(|n| f.add_block(n));
+    let mut b = FunctionBuilder::new(&mut f, entry);
+    let tid = b.thread_idx(Dim::X);
+    let p = b.gep(Type::I32, b.param(0), tid);
+    let parity = b.and(tid, Value::I32(1));
+    let odd = b.icmp(IcmpPred::Ne, parity, Value::I32(0));
+    b.br(odd, a, c);
+    b.switch_to(a);
+    let v = b.load(Type::I32, p);
+    let positive = b.icmp(IcmpPred::Sgt, v, Value::I32(0));
+    b.br(positive, a1, x);
+    b.switch_to(a1);
+    let w = b.mul(v, Value::I32(3));
+    b.store(w, p);
+    b.jump(x);
+    b.switch_to(c);
+    let s = b.xor(tid, Value::I32(5));
+    b.store(s, p);
+    b.jump(x);
+    b.switch_to(x);
+    b.ret(None);
+    f
+}
+
+/// The pass is idempotent in the journal's terms: a second run over what
+/// the first left mutates nothing, so `fixpoint(meld)` stops after its
+/// confirming round — also where the first run inserted a landing pad,
+/// found the region it uncovers below the threshold and took the pad back.
+#[test]
+fn fixpoint_of_meld_settles_in_two_rounds() {
+    let rounds = |f: &mut Function, config: &MeldConfig| {
+        let report = darm::melding::registry(config)
+            .build("fixpoint(meld)", PipelineOptions::default())
+            .expect("spec parses")
+            .run(f)
+            .expect("pipeline");
+        let stats = &report.passes[0].stats;
+        let rounds = stats.iter().find(|(k, _)| *k == "rounds");
+        rounds.expect("a fixpoint group counts its rounds").1
+    };
+    for mut f in paper_kernels_and_shapes() {
+        let n = rounds(&mut f, &MeldConfig::default());
+        assert!(n <= 2, "@{}: {n} rounds", f.name());
+    }
+
+    let mut f = if_then_into_the_exit_kernel();
+    let unmelded = f.to_string();
+    assert_eq!(rounds(&mut f, &MeldConfig::with_threshold(0.99)), 2);
+    assert_eq!(f.to_string(), unmelded, "the pad is taken back");
+    assert!(meld_function(&mut f, &MeldConfig::default()).replications > 0);
+}
+
+/// The 57 paper cases (fig8 + fig9 at every block size) and one kernel of
+/// each generated family of this file.
+fn paper_kernels_and_shapes() -> Vec<Function> {
     use darm::kernels::synthetic::{build_case, SyntheticKind};
     use darm::kernels::{bitonic, dct, lud, mergesort, nqueens, pcm, srad};
-    use darm::melding::region::{detect_region, simplify_region_entry, Analyses};
 
     let mut funcs = Vec::new();
     for bs in [32, 64, 128, 256] {
@@ -283,6 +605,20 @@ fn a_detected_region_needs_no_simplification() {
     funcs.push(build_kernel(&side(false), &side(false)));
     funcs.push(build_kernel(&side(true), &side(false)));
     funcs.push(build_three_way_loop_kernel(&ops, &ops[1..], &ops[..2]));
+    funcs.extend(Rungs::ALL.map(|shape| build_rungs_kernel(shape, 12, 5)));
+    funcs
+}
+
+/// The invariant `MeldPass` skips region simplification on: a divergent
+/// branch `detect_region` decomposes is one `simplify_region_entry` leaves
+/// untouched (the two share one chain walk) — on the 57 paper kernels and
+/// the three shapes above, at every function the melding fixpoint passes
+/// through.
+#[test]
+fn a_detected_region_needs_no_simplification() {
+    use darm::melding::region::{detect_region, simplify_region_entry, Analyses};
+
+    let funcs = paper_kernels_and_shapes();
 
     let one_round = MeldConfig {
         max_iterations: 1,
