@@ -1,6 +1,66 @@
 //! Control-flow graph views: predecessors, successors, traversal orders.
+//!
+//! Both edge directions are stored as compressed sparse rows — one offsets
+//! array and one edge array each — so building a [`Cfg`] costs a fixed
+//! number of allocations whatever the block count.
 
 use darm_ir::{BlockId, Function};
+
+/// RPO position of a node the traversal's root does not reach.
+pub(crate) const UNREACHED: u32 = u32::MAX;
+
+/// Adjacency lists in compressed sparse rows: node `v`'s list is
+/// `edges[off[v]..off[v + 1]]`.
+#[derive(Debug, Clone)]
+struct Csr {
+    off: Vec<u32>,
+    edges: Vec<BlockId>,
+}
+
+impl Csr {
+    fn row(&self, v: BlockId) -> &[BlockId] {
+        let v = v.index();
+        &self.edges[self.off[v] as usize..self.off[v + 1] as usize]
+    }
+}
+
+/// Reverse post-order of the nodes `root` reaches in a graph of `n` nodes,
+/// and each node's position in it ([`UNREACHED`] for the rest): an
+/// iterative depth-first search taking each node's successors in list
+/// order. The position table doubles as the visited mark while the search
+/// runs; the stack and the order are presized to `n`, which bounds both.
+pub(crate) fn reverse_postorder<'g>(
+    n: usize,
+    root: BlockId,
+    succs: impl Fn(BlockId) -> &'g [BlockId],
+) -> (Vec<BlockId>, Vec<u32>) {
+    let mut index = vec![UNREACHED; n];
+    let mut post = Vec::with_capacity(n);
+    // (node, next successor to look at)
+    let mut stack: Vec<(BlockId, usize)> = Vec::with_capacity(n);
+    stack.push((root, 0));
+    index[root.index()] = 0;
+    while let Some(&mut (v, ref mut i)) = stack.last_mut() {
+        match succs(v).get(*i) {
+            Some(&s) => {
+                *i += 1;
+                if index[s.index()] == UNREACHED {
+                    index[s.index()] = 0;
+                    stack.push((s, 0));
+                }
+            }
+            None => {
+                post.push(v);
+                stack.pop();
+            }
+        }
+    }
+    post.reverse();
+    for (i, v) in post.iter().enumerate() {
+        index[v.index()] = i as u32;
+    }
+    (post, index)
+}
 
 /// A snapshot of a function's CFG structure.
 ///
@@ -9,58 +69,64 @@ use darm_ir::{BlockId, Function};
 #[derive(Debug, Clone)]
 pub struct Cfg {
     entry: BlockId,
-    preds: Vec<Vec<BlockId>>,
-    succs: Vec<Vec<BlockId>>,
+    preds: Csr,
+    succs: Csr,
     rpo: Vec<BlockId>,
-    rpo_index: Vec<usize>,
+    rpo_index: Vec<u32>,
 }
 
 impl Cfg {
     /// Computes the CFG of `func`. Predecessor lists only include edges
     /// from blocks reachable from the entry (mirroring LLVM, where
-    /// unreachable code does not constrain analyses).
+    /// unreachable code does not constrain analyses), in the reverse
+    /// post-order of those sources.
     pub fn new(func: &Function) -> Cfg {
         let cap = func.block_capacity();
-        let mut succs = vec![Vec::new(); cap];
-        for b in func.block_ids() {
-            succs[b.index()] = func.succs(b);
+        let blocks = || (0..cap).map(BlockId::new);
+        // Successor rows copied from the terminators in arena order; a
+        // tombstoned block has no terminator, so its row is empty.
+        let mut off = Vec::with_capacity(cap + 1);
+        off.push(0u32);
+        for b in blocks() {
+            off.push(off[b.index()] + func.succ_slice(b).len() as u32);
         }
-        // Depth-first post-order from the entry, then reverse.
+        let mut edges = Vec::with_capacity(off[cap] as usize);
+        for b in blocks() {
+            edges.extend_from_slice(func.succ_slice(b));
+        }
+        let succs = Csr { off, edges };
+
         let entry = func.entry();
-        let mut visited = vec![false; cap];
-        let mut post = Vec::new();
-        // Iterative DFS with explicit state (block, next-successor-index).
-        let mut stack: Vec<(BlockId, usize)> = vec![(entry, 0)];
-        visited[entry.index()] = true;
-        while let Some(&mut (b, ref mut i)) = stack.last_mut() {
-            if *i < succs[b.index()].len() {
-                let s = succs[b.index()][*i];
-                *i += 1;
-                if !visited[s.index()] {
-                    visited[s.index()] = true;
-                    stack.push((s, 0));
-                }
-            } else {
-                post.push(b);
-                stack.pop();
+        let (rpo, rpo_index) = reverse_postorder(cap, entry, |b| succs.row(b));
+
+        // Predecessor rows: count each row's reachable sources, turn the
+        // counts into row ends, then fill every row back to front walking
+        // the sources in reverse RPO — each end slides down to its row's
+        // start and every row lists its sources in RPO.
+        let mut off = vec![0u32; cap + 1];
+        for &b in &rpo {
+            for &s in succs.row(b) {
+                off[s.index()] += 1;
             }
         }
-        post.reverse();
-        let mut rpo_index = vec![usize::MAX; cap];
-        for (i, b) in post.iter().enumerate() {
-            rpo_index[b.index()] = i;
+        let mut end = 0;
+        for o in &mut off {
+            end += *o;
+            *o = end;
         }
-        let mut preds = vec![Vec::new(); cap];
-        for &b in &post {
-            for &s in &succs[b.index()] {
-                preds[s.index()].push(b);
+        let mut edges = vec![entry; end as usize];
+        for &b in rpo.iter().rev() {
+            for &s in succs.row(b).iter().rev() {
+                let o = &mut off[s.index()];
+                *o -= 1;
+                edges[*o as usize] = b;
             }
         }
         Cfg {
             entry,
-            preds,
+            preds: Csr { off, edges },
             succs,
-            rpo: post,
+            rpo,
             rpo_index,
         }
     }
@@ -72,12 +138,12 @@ impl Cfg {
 
     /// Predecessors of `b` (one entry per edge).
     pub fn preds(&self, b: BlockId) -> &[BlockId] {
-        &self.preds[b.index()]
+        self.preds.row(b)
     }
 
     /// Successors of `b`.
     pub fn succs(&self, b: BlockId) -> &[BlockId] {
-        &self.succs[b.index()]
+        self.succs.row(b)
     }
 
     /// Blocks reachable from the entry, in reverse post-order.
@@ -87,12 +153,20 @@ impl Cfg {
 
     /// Position of `b` in reverse post-order (`usize::MAX` if unreachable).
     pub fn rpo_index(&self, b: BlockId) -> usize {
-        self.rpo_index[b.index()]
+        match self.rpo_index[b.index()] {
+            UNREACHED => usize::MAX,
+            i => i as usize,
+        }
     }
 
     /// Whether `b` is reachable from the entry.
     pub fn is_reachable(&self, b: BlockId) -> bool {
-        self.rpo_index[b.index()] != usize::MAX
+        self.rpo_index[b.index()] != UNREACHED
+    }
+
+    /// Every block's RPO position, [`UNREACHED`] when unreachable.
+    pub(crate) fn rpo_positions(&self) -> &[u32] {
+        &self.rpo_index
     }
 
     /// Blocks reachable from `from` without passing through `barrier`.
@@ -103,7 +177,7 @@ impl Cfg {
         if from == barrier {
             return Vec::new();
         }
-        let mut seen = vec![false; self.preds.len()];
+        let mut seen = vec![false; self.rpo_index.len()];
         let mut out = Vec::new();
         let mut stack = vec![from];
         seen[from.index()] = true;

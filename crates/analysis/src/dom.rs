@@ -10,31 +10,45 @@
 //! otherwise — a few linear sweeps, which measured cheaper than patching a
 //! tree from the journal at every function size tried (CHANGES.md, PR 18).
 //!
-//! [`DomTree::dominates`] is two comparisons: the constructor numbers the
-//! tree in preorder and stores each block's subtree as the interval of
-//! numbers it covers. SSA repair asks the question once per operand of the
-//! whole function, so an answer that walked the idom chain made its scan
-//! O(instructions · tree depth) — on a ladder of diamonds, quadratic.
+//! Both trees answer "does `a` (post-)dominate `b`" in two comparisons:
+//! the constructor numbers the tree in preorder and stores each node's
+//! subtree as the interval of numbers it covers. SSA repair asks the
+//! question once per operand of the whole function, and divergence
+//! analysis and region detection ask the post-dominator tree once per join
+//! candidate and per branch, so an answer that walked the idom chain made
+//! those scans O(queries · tree depth) — on a ladder of diamonds,
+//! quadratic.
+//!
+//! The core runs over the CFG's own compressed rows — the reversed graph
+//! reads predecessors as successors and vice versa — so building either
+//! tree costs a fixed number of allocations whatever the block count.
 
-use crate::cfg::Cfg;
+use crate::cfg::{reverse_postorder, Cfg};
 use darm_ir::{BlockId, Function};
 
-/// Core dominator computation over an abstract graph of `n` nodes.
-/// Returns `idom[v]` (None for the root and unreachable nodes).
-fn compute_idoms(n: usize, root: usize, preds: &[Vec<usize>], rpo: &[usize]) -> Vec<Option<usize>> {
-    let mut rpo_index = vec![usize::MAX; n];
-    for (i, &b) in rpo.iter().enumerate() {
-        rpo_index[b] = i;
-    }
-    let mut idom: Vec<Option<usize>> = vec![None; n];
-    idom[root] = Some(root);
-    let intersect = |idom: &[Option<usize>], mut a: usize, mut b: usize| {
+/// "No node": the immediate dominator of a tree's root and of every node
+/// outside the tree.
+const NONE: u32 = u32::MAX;
+
+/// Immediate dominators over a graph whose reverse post-order from the
+/// root is `rpo` (root first), `rpo_index` every node's position in it
+/// (one entry per node); `preds(v)` lists `v`'s predecessors. `idom[v]` is
+/// [`NONE`] for the root and for nodes the root does not reach.
+fn compute_idoms<'g>(
+    rpo: &[BlockId],
+    rpo_index: &[u32],
+    preds: impl Fn(BlockId) -> &'g [BlockId],
+) -> Vec<u32> {
+    let root = rpo[0].index();
+    let mut idom = vec![NONE; rpo_index.len()];
+    idom[root] = root as u32;
+    let intersect = |idom: &[u32], mut a: u32, mut b: u32| {
         while a != b {
-            while rpo_index[a] > rpo_index[b] {
-                a = idom[a].expect("processed node must have idom");
+            while rpo_index[a as usize] > rpo_index[b as usize] {
+                a = idom[a as usize];
             }
-            while rpo_index[b] > rpo_index[a] {
-                b = idom[b].expect("processed node must have idom");
+            while rpo_index[b as usize] > rpo_index[a as usize] {
+                b = idom[b as usize];
             }
         }
         a
@@ -42,38 +56,28 @@ fn compute_idoms(n: usize, root: usize, preds: &[Vec<usize>], rpo: &[usize]) -> 
     let mut changed = true;
     while changed {
         changed = false;
-        for &b in rpo.iter().skip(1) {
-            let mut new_idom: Option<usize> = None;
-            for &p in &preds[b] {
-                if idom[p].is_none() {
+        for &b in &rpo[1..] {
+            let mut new_idom = NONE;
+            for p in preds(b) {
+                // Predecessors not processed yet (or outside the tree)
+                // have no idom and do not constrain `b` this sweep.
+                let p = p.index() as u32;
+                if idom[p as usize] == NONE {
                     continue;
                 }
-                new_idom = Some(match new_idom {
-                    None => p,
-                    Some(cur) => intersect(&idom, cur, p),
-                });
+                new_idom = match new_idom {
+                    NONE => p,
+                    cur => intersect(&idom, cur, p),
+                };
             }
-            if let Some(ni) = new_idom {
-                if idom[b] != Some(ni) {
-                    idom[b] = Some(ni);
-                    changed = true;
-                }
+            if new_idom != NONE && idom[b.index()] != new_idom {
+                idom[b.index()] = new_idom;
+                changed = true;
             }
         }
     }
-    idom[root] = None; // root has no immediate dominator
+    idom[root] = NONE; // root has no immediate dominator
     idom
-}
-
-/// Depth of every node of the tree `idom` describes (`u32::MAX` for nodes
-/// outside it), in one pass: `rpo` lists the tree's nodes root first, and
-/// an immediate dominator precedes its node in reverse post-order.
-fn tree_depths(n: usize, idom: &[Option<usize>], rpo: &[usize]) -> Vec<u32> {
-    let mut depth = vec![u32::MAX; n];
-    for &v in rpo {
-        depth[v] = idom[v].map_or(0, |d| depth[d] + 1);
-    }
-    depth
 }
 
 /// Preorder interval of every node's subtree in the tree `idom` describes:
@@ -84,75 +88,105 @@ fn tree_depths(n: usize, idom: &[Option<usize>], rpo: &[usize]) -> Vec<u32> {
 /// lies in nothing. Two passes over `rpo` (root first, parents before
 /// children): subtree sizes bottom-up, then numbers top-down, each child
 /// taking the next free slot of its parent's interval.
-fn tree_intervals(n: usize, idom: &[Option<usize>], rpo: &[usize]) -> (Vec<u32>, Vec<u32>) {
-    let mut size = vec![1u32; n];
+fn tree_intervals(idom: &[u32], rpo: &[BlockId]) -> (Vec<u32>, Vec<u32>) {
+    let n = idom.len();
+    let (mut pre, mut end) = (vec![u32::MAX; n], vec![0u32; n]);
+    // `end` holds each node's subtree size until the node is numbered;
+    // from then on, while its children are numbered, the next free number
+    // of its interval, which reaches the interval's end with the last
+    // child.
     for &v in rpo.iter().rev() {
-        if let Some(d) = idom[v] {
-            size[d] += size[v];
+        let v = v.index();
+        end[v] += 1;
+        if let Some(d) = parent(idom, v) {
+            end[d] += end[v];
         }
     }
-    let (mut pre, mut end) = (vec![u32::MAX; n], vec![0u32; n]);
-    // While a node's children are being numbered, `end` holds the next
-    // free number of its interval; it reaches the interval's end with the
-    // last child.
     for &v in rpo {
+        let v = v.index();
+        let size = end[v];
         pre[v] = 0;
-        if let Some(d) = idom[v] {
+        if let Some(d) = parent(idom, v) {
             pre[v] = end[d];
-            end[d] += size[v];
+            end[d] += size;
         }
         end[v] = pre[v] + 1;
     }
     (pre, end)
 }
 
+fn parent(idom: &[u32], v: usize) -> Option<usize> {
+    match idom[v] {
+        NONE => None,
+        d => Some(d as usize),
+    }
+}
+
+/// A dominator tree over a graph's nodes — immediate dominators plus every
+/// node's subtree as a preorder interval. [`DomTree`] and [`PostDomTree`]
+/// are this over the CFG and over its reverse.
+#[derive(Debug, Clone)]
+struct Tree {
+    idom: Vec<u32>,
+    /// Preorder number per node (`u32::MAX` outside the tree).
+    pre: Vec<u32>,
+    /// One past the last preorder number of the node's subtree.
+    end: Vec<u32>,
+}
+
+impl Tree {
+    /// The tree of the graph `rpo` (root first) and `rpo_index` order, as
+    /// [`compute_idoms`] takes them.
+    fn new<'g>(
+        rpo: &[BlockId],
+        rpo_index: &[u32],
+        preds: impl Fn(BlockId) -> &'g [BlockId],
+    ) -> Tree {
+        let idom = compute_idoms(rpo, rpo_index, preds);
+        let (pre, end) = tree_intervals(&idom, rpo);
+        Tree { idom, pre, end }
+    }
+
+    fn parent(&self, v: usize) -> Option<usize> {
+        parent(&self.idom, v)
+    }
+
+    /// Whether `a` is `b` or one of its ancestors: `b`'s preorder number
+    /// lies in `a`'s subtree interval. False when either is outside.
+    fn contains(&self, a: usize, b: usize) -> bool {
+        self.pre[a] <= self.pre[b] && self.pre[b] < self.end[a]
+    }
+}
+
 /// The dominator tree of a function.
 #[derive(Debug, Clone)]
 pub struct DomTree {
-    idom: Vec<Option<usize>>,
-    /// Preorder number per block (`u32::MAX` when unreachable).
-    pre: Vec<u32>,
-    /// One past the last preorder number of the block's subtree.
-    end: Vec<u32>,
+    tree: Tree,
     entry: usize,
 }
 
 impl DomTree {
     /// Computes the dominator tree from a CFG snapshot.
     pub fn new(func: &Function, cfg: &Cfg) -> DomTree {
-        let n = func.block_capacity();
-        let mut preds = vec![Vec::new(); n];
-        for &b in cfg.rpo() {
-            for &p in cfg.preds(b) {
-                if cfg.is_reachable(p) {
-                    preds[b.index()].push(p.index());
-                }
-            }
-        }
-        let rpo: Vec<usize> = cfg.rpo().iter().map(|b| b.index()).collect();
-        let entry = cfg.entry().index();
-        let idom = compute_idoms(n, entry, &preds, &rpo);
-        let (pre, end) = tree_intervals(n, &idom, &rpo);
+        debug_assert_eq!(cfg.rpo_positions().len(), func.block_capacity());
         DomTree {
-            idom,
-            pre,
-            end,
-            entry,
+            // The CFG's predecessor rows hold reachable sources only.
+            tree: Tree::new(cfg.rpo(), cfg.rpo_positions(), |b| cfg.preds(b)),
+            entry: cfg.entry().index(),
         }
     }
 
     /// The immediate dominator of `b` (`None` for the entry or unreachable
     /// blocks).
     pub fn idom(&self, b: BlockId) -> Option<BlockId> {
-        self.idom[b.index()].map(BlockId::new)
+        self.tree.parent(b.index()).map(BlockId::new)
     }
 
     /// Whether `a` dominates `b` (reflexive; false when either block is
     /// unreachable). O(1): `b`'s preorder number lies in `a`'s subtree
     /// interval.
     pub fn dominates(&self, a: BlockId, b: BlockId) -> bool {
-        let (a, b) = (a.index(), b.index());
-        self.pre[a] <= self.pre[b] && self.pre[b] < self.end[a]
+        self.tree.contains(a.index(), b.index())
     }
 
     /// Whether `a` strictly dominates `b`.
@@ -168,24 +202,21 @@ impl DomTree {
     /// Dominance frontiers (Cooper's algorithm). Indexed by block arena
     /// index; each frontier is sorted and deduplicated.
     pub fn dominance_frontiers(&self, cfg: &Cfg) -> Vec<Vec<BlockId>> {
-        let n = self.idom.len();
+        let n = self.tree.idom.len();
         let mut df: Vec<Vec<BlockId>> = vec![Vec::new(); n];
         for &b in cfg.rpo() {
             let preds = cfg.preds(b);
             if preds.len() < 2 {
                 continue;
             }
-            let Some(idom_b) = self.idom[b.index()] else {
+            let Some(idom_b) = self.tree.parent(b.index()) else {
                 continue;
             };
             for &p in preds {
-                if !cfg.is_reachable(p) {
-                    continue;
-                }
                 let mut runner = p.index();
                 while runner != idom_b {
                     df[runner].push(b);
-                    match self.idom[runner] {
+                    match self.tree.parent(runner) {
                         Some(next) => runner = next,
                         None => break,
                     }
@@ -234,90 +265,59 @@ impl DomTree {
 /// with a virtual exit.
 #[derive(Debug, Clone)]
 pub struct PostDomTree {
-    idom: Vec<Option<usize>>,
-    depth: Vec<u32>,
+    tree: Tree,
     /// Index of the virtual exit node (== number of block slots).
     virtual_exit: usize,
 }
 
-/// Builds the reversed graph (with a virtual exit collecting terminator-
-/// less blocks) and its reverse post-order from the virtual exit.
-fn build_reverse_graph(n: usize, cfg: &Cfg) -> (Vec<Vec<usize>>, Vec<usize>) {
-    let virtual_exit = n;
-    // Reversed graph: rev_preds[v] = successors of v in the original CFG,
-    // plus edges ret-block -> virtual exit.
-    let mut rev_preds: Vec<Vec<usize>> = vec![Vec::new(); n + 1];
-    for &b in cfg.rpo() {
-        for &s in cfg.succs(b) {
-            rev_preds[b.index()].push(s.index());
-        }
-        if cfg.succs(b).is_empty() {
-            rev_preds[b.index()].push(virtual_exit);
-        }
-    }
-    // RPO of the reversed graph = reverse of a post-order DFS from the
-    // virtual exit following reversed edges (original succ -> pred).
-    let mut rev_succs: Vec<Vec<usize>> = vec![Vec::new(); n + 1];
-    for (v, ps) in rev_preds.iter().enumerate() {
-        for &p in ps {
-            rev_succs[p].push(v);
-        }
-    }
-    let mut visited = vec![false; n + 1];
-    let mut post = Vec::new();
-    let mut stack: Vec<(usize, usize)> = vec![(virtual_exit, 0)];
-    visited[virtual_exit] = true;
-    while let Some(&mut (v, ref mut i)) = stack.last_mut() {
-        if *i < rev_succs[v].len() {
-            let s = rev_succs[v][*i];
-            *i += 1;
-            if !visited[s] {
-                visited[s] = true;
-                stack.push((s, 0));
-            }
-        } else {
-            post.push(v);
-            stack.pop();
-        }
-    }
-    post.reverse();
-    (rev_preds, post)
-}
-
 impl PostDomTree {
     /// Computes the post-dominator tree from a CFG snapshot.
+    ///
+    /// The reversed graph is read off the CFG's rows: a block's successors
+    /// there are its CFG predecessors (reachable sources only), its
+    /// predecessors its CFG successors. The virtual exit's successors are
+    /// the reachable blocks without successors, each of which has the exit
+    /// as its one predecessor.
     pub fn new(func: &Function, cfg: &Cfg) -> PostDomTree {
         let n = func.block_capacity();
-        let virtual_exit = n;
-        let (rev_preds, post) = build_reverse_graph(n, cfg);
-        let idom = compute_idoms(n + 1, virtual_exit, &rev_preds, &post);
-        let depth = tree_depths(n + 1, &idom, &post);
+        let exit = BlockId::new(n);
+        let mut returns = Vec::with_capacity(cfg.rpo().len());
+        returns.extend(cfg.rpo().iter().filter(|&&b| cfg.succs(b).is_empty()));
+        let rev_succs = |v| {
+            if v == exit {
+                &returns[..]
+            } else {
+                cfg.preds(v)
+            }
+        };
+        let (rpo, rpo_index) = reverse_postorder(n + 1, exit, rev_succs);
+        // `compute_idoms` never asks for the root's (the exit's) predecessors.
+        let to_exit = [exit];
+        let rev_preds = |v| match cfg.succs(v) {
+            [] => &to_exit[..],
+            succs => succs,
+        };
+        let tree = Tree::new(&rpo, &rpo_index, rev_preds);
         PostDomTree {
-            idom,
-            depth,
-            virtual_exit,
+            tree,
+            virtual_exit: n,
         }
     }
 
     /// The immediate post-dominator of `b`; `None` means the virtual exit
     /// (i.e. the function return).
     pub fn ipdom(&self, b: BlockId) -> Option<BlockId> {
-        match self.idom[b.index()] {
-            Some(v) if v != self.virtual_exit => Some(BlockId::new(v)),
-            _ => None,
-        }
+        self.tree
+            .parent(b.index())
+            .filter(|&v| v != self.virtual_exit)
+            .map(BlockId::new)
     }
 
-    /// Whether `a` post-dominates `b` (reflexive).
+    /// Whether `a` post-dominates `b` (reflexive; false when either block
+    /// is unreachable or reaches no return). O(1), like
+    /// [`DomTree::dominates`].
     pub fn post_dominates(&self, a: BlockId, b: BlockId) -> bool {
-        let (a, mut b) = (a.index(), b.index());
-        if self.depth[a] == u32::MAX || self.depth[b] == u32::MAX {
-            return false;
-        }
-        while self.depth[b] > self.depth[a] {
-            b = self.idom[b].expect("depth > 0 implies idom");
-        }
-        a == b
+        self.tree.contains(a.index(), b.index())
     }
 }
 
@@ -378,14 +378,22 @@ mod tests {
         (f, ids)
     }
 
-    /// Length of `v`'s idom chain, the definition `tree_depths` must meet.
-    fn chain_len(idom: &[Option<usize>], mut v: usize) -> u32 {
-        let mut len = 0;
-        while let Some(up) = idom[v] {
-            v = up;
-            len += 1;
+    /// Whether `a` is on `b`'s idom chain (`b` itself included) — the
+    /// definition the preorder intervals must meet. A node outside the
+    /// tree (no idom, not the root) has no chain.
+    fn on_chain(tree: &Tree, root: usize, a: usize, mut b: usize) -> bool {
+        if b != root && tree.parent(b).is_none() {
+            return false;
         }
-        len
+        loop {
+            if a == b {
+                return true;
+            }
+            match tree.parent(b) {
+                Some(up) => b = up,
+                None => return false,
+            }
+        }
     }
 
     /// `rungs` diamonds in a row: `entry -> {t, e} -> j`, `j` the next
@@ -413,29 +421,42 @@ mod tests {
         f
     }
 
+    /// The preorder intervals answer "is `a` on `b`'s idom chain" for every
+    /// pair of nodes of both trees — the post-dominator tree's virtual
+    /// exit and an unreachable block included.
     #[test]
-    fn depths_are_idom_chain_lengths_on_both_trees() {
-        for f in [diamond().0, ladder(5)] {
+    fn intervals_are_idom_chains_on_both_trees() {
+        let mut unreachable = ladder(3);
+        let dead = unreachable.add_block("dead");
+        FunctionBuilder::new(&mut unreachable, dead).ret(None);
+        for f in [diamond().0, nested().0, ladder(5), unreachable] {
             let cfg = Cfg::new(&f);
             let dt = DomTree::new(&f, &cfg);
-            let rpo: Vec<usize> = cfg.rpo().iter().map(|b| b.index()).collect();
-            let depth = tree_depths(f.block_capacity(), &dt.idom, &rpo);
             let pdt = PostDomTree::new(&f, &cfg);
-            for b in f.block_ids() {
-                let v = b.index();
-                assert_eq!(depth[v], chain_len(&dt.idom, v), "dom depth of {v}");
-                assert_eq!(
-                    pdt.depth[v],
-                    chain_len(&pdt.idom, v),
-                    "postdom depth of {v}"
-                );
+            let trees = [(&dt.tree, dt.entry), (&pdt.tree, pdt.virtual_exit)];
+            for (tree, root) in trees {
+                let n = tree.idom.len();
+                for a in 0..n {
+                    for b in 0..n {
+                        assert_eq!(
+                            tree.contains(a, b),
+                            on_chain(tree, root, a, b),
+                            "{a} over {b} (root {root})"
+                        );
+                    }
+                }
             }
-            assert_eq!(pdt.depth[pdt.virtual_exit], 0);
         }
-        // The ladder's trees are as deep as it is long.
+        // The ladder's post-dominator tree is as deep as the ladder is
+        // long: the entry sits under every join and the exit.
         let f = ladder(5);
         let pdt = PostDomTree::new(&f, &Cfg::new(&f));
-        assert_eq!(pdt.depth[f.entry().index()], 6);
+        let (mut depth, mut v) = (0, f.entry().index());
+        while let Some(up) = pdt.tree.parent(v) {
+            assert!(pdt.tree.contains(up, f.entry().index()));
+            (depth, v) = (depth + 1, up);
+        }
+        assert_eq!((depth, v), (6, pdt.virtual_exit));
     }
 
     /// A 200 000-node chain whose arena indices run against the tree
@@ -444,13 +465,13 @@ mod tests {
     /// per sweep there (4·10¹⁰ steps: never finishes); one pass in RPO is
     /// instant.
     #[test]
-    fn depths_of_a_chain_against_the_index_order_take_one_pass() {
+    fn intervals_of_a_chain_against_the_index_order_take_one_pass() {
         let n = 200_000;
-        let idom: Vec<Option<usize>> = (0..n).map(|v| (v + 1 < n).then_some(v + 1)).collect();
-        let rpo: Vec<usize> = (0..n).rev().collect();
-        let depth = tree_depths(n, &idom, &rpo);
-        assert!((0..n).all(|v| depth[v] as usize == n - 1 - v));
-        let (pre, end) = tree_intervals(n, &idom, &rpo);
+        let idom: Vec<u32> = (0..n as u32)
+            .map(|v| if v + 1 < n as u32 { v + 1 } else { NONE })
+            .collect();
+        let rpo: Vec<BlockId> = (0..n).rev().map(BlockId::new).collect();
+        let (pre, end) = tree_intervals(&idom, &rpo);
         assert!((0..n).all(|v| pre[v] as usize == n - 1 - v && end[v] as usize == n));
     }
 

@@ -9,9 +9,24 @@ use proptest::prelude::*;
 /// Builds a random CFG with `n` blocks. Block k branches to one or two
 /// random *higher or lower* blocks (loops allowed); the last block returns.
 fn build_cfg(n: usize, edges: &[(usize, Option<usize>)]) -> Function {
+    build_cfg_with_tombstones(n, edges, &[])
+}
+
+/// [`build_cfg`] with a tombstone in the arena before block `k` wherever
+/// `gaps[k]` holds: a block that jumped into the graph and was then
+/// removed, so arena indices and live blocks part ways.
+fn build_cfg_with_tombstones(
+    n: usize,
+    edges: &[(usize, Option<usize>)],
+    gaps: &[bool],
+) -> Function {
     let mut f = Function::new("rand", vec![Type::I32], Type::Void);
     let mut ids: Vec<BlockId> = vec![f.entry()];
+    let mut tombs = Vec::new();
     for k in 1..n {
+        if gaps.get(k) == Some(&true) {
+            tombs.push(f.add_block(&format!("gap{k}")));
+        }
         ids.push(f.add_block(&format!("b{k}")));
     }
     for (k, &(s1, s2)) in edges.iter().enumerate() {
@@ -27,6 +42,10 @@ fn build_cfg(n: usize, edges: &[(usize, Option<usize>)]) -> Function {
     // last block: ret
     let mut b = FunctionBuilder::new(&mut f, ids[n - 1]);
     b.ret(None);
+    for (k, &t) in tombs.iter().enumerate() {
+        FunctionBuilder::new(&mut f, t).jump(ids[(3 * k + 1) % n]);
+        f.remove_block(t);
+    }
     f
 }
 
@@ -76,8 +95,40 @@ fn chain_dominates(cfg: &Cfg, dt: &DomTree, a: BlockId, b: BlockId) -> bool {
     false
 }
 
+/// Naive post-dominance: `a` post-dominates `b` iff `b` reaches a return
+/// and every path from `b` to a return passes through `a`. Only blocks the
+/// entry reaches take part.
+fn naive_post_dominates(cfg: &Cfg, a: BlockId, b: BlockId) -> bool {
+    let reaches_return_avoiding = |avoid: Option<BlockId>| {
+        if avoid == Some(b) {
+            return false;
+        }
+        let mut seen = std::collections::HashSet::from([b]);
+        let mut stack = vec![b];
+        while let Some(x) = stack.pop() {
+            if cfg.succs(x).is_empty() {
+                return true;
+            }
+            for &s in cfg.succs(x) {
+                if Some(s) != avoid && seen.insert(s) {
+                    stack.push(s);
+                }
+            }
+        }
+        false
+    };
+    cfg.is_reachable(a)
+        && cfg.is_reachable(b)
+        && reaches_return_avoiding(None)
+        && (a == b || !reaches_return_avoiding(Some(a)))
+}
+
 fn edge_strategy(n: usize) -> impl Strategy<Value = Vec<(usize, Option<usize>)>> {
     proptest::collection::vec((0..n, proptest::option::of(0..n)), n - 1)
+}
+
+fn gap_strategy(n: usize) -> impl Strategy<Value = Vec<bool>> {
+    proptest::collection::vec(any::<bool>(), n)
 }
 
 proptest! {
@@ -88,8 +139,8 @@ proptest! {
     /// chain, over every pair of blocks — unreachable ones included, which
     /// dominate nothing and are dominated by nothing.
     #[test]
-    fn domtree_matches_naive_oracle(edges in edge_strategy(8)) {
-        let f = build_cfg(8, &edges);
+    fn domtree_matches_naive_oracle(edges in edge_strategy(8), gaps in gap_strategy(8)) {
+        let f = build_cfg_with_tombstones(8, &edges, &gaps);
         let cfg = Cfg::new(&f);
         let dt = DomTree::new(&f, &cfg);
         for a in f.block_ids() {
@@ -161,6 +212,51 @@ proptest! {
                     .iter()
                     .any(|&p| cfg.is_reachable(p) && dt.dominates(a, p)));
             }
+        }
+    }
+
+    /// `post_dominates` (preorder intervals over the reversed CFG) agrees
+    /// with the graph definition over every pair of blocks — unreachable
+    /// ones, ones that reach no return and tombstones in the arena
+    /// included.
+    #[test]
+    fn postdomtree_matches_naive_oracle(edges in edge_strategy(8), gaps in gap_strategy(8)) {
+        let f = build_cfg_with_tombstones(8, &edges, &gaps);
+        let cfg = Cfg::new(&f);
+        let pdt = PostDomTree::new(&f, &cfg);
+        for a in f.block_ids() {
+            for b in f.block_ids() {
+                prop_assert_eq!(
+                    pdt.post_dominates(a, b),
+                    naive_post_dominates(&cfg, a, b),
+                    "post_dominates({}, {})",
+                    f.block_name(a),
+                    f.block_name(b)
+                );
+            }
+        }
+    }
+
+    /// The CFG's compressed rows list what the function says, in the
+    /// order every consumer has always seen: successors as the terminator
+    /// names them, predecessors one per edge from a reachable source, in
+    /// the reverse post-order of the sources. Every arena slot is checked,
+    /// tombstones and unreachable blocks included.
+    #[test]
+    fn cfg_rows_match_the_function(edges in edge_strategy(8), gaps in gap_strategy(8)) {
+        let f = build_cfg_with_tombstones(8, &edges, &gaps);
+        let cfg = Cfg::new(&f);
+        for (i, preds) in f.compute_preds().iter().enumerate() {
+            let b = BlockId::new(i);
+            prop_assert_eq!(cfg.succs(b), f.succ_slice(b), "succs of slot {}", i);
+            let mut want: Vec<BlockId> = preds
+                .iter()
+                .copied()
+                .filter(|&p| cfg.is_reachable(p))
+                .collect();
+            // Stable: a branch with both edges into `b` stays adjacent.
+            want.sort_by_key(|&p| cfg.rpo_index(p));
+            prop_assert_eq!(cfg.preds(b), &want[..], "preds of slot {}", i);
         }
     }
 }

@@ -91,11 +91,13 @@ fn apply_edit(f: &mut Function, op: u8, x: u8, y: u8) {
         let Some(b) = blocks.iter().copied().find(|&b| {
             b != f.entry()
                 && !cfg.is_reachable(b)
-                && !blocks.iter().any(|&p| p != b && f.succs(p).contains(&b))
+                && !blocks
+                    .iter()
+                    .any(|&p| p != b && f.succ_slice(p).contains(&b))
         }) else {
             return;
         };
-        for s in f.succs(b) {
+        for s in f.succ_slice(b).to_vec() {
             if f.is_block_alive(s) {
                 f.phi_remove_incoming(s, b);
             }
@@ -106,8 +108,9 @@ fn apply_edit(f: &mut Function, op: u8, x: u8, y: u8) {
     match op % 4 {
         // Split every edge u → first-succ through a fresh block.
         0 => {
-            let succs = f.succs(u);
-            let Some(&t) = succs.first() else { return };
+            let Some(&t) = f.succ_slice(u).first() else {
+                return;
+            };
             let mid = f.add_block("split");
             f.add_inst(mid, InstData::terminator(Opcode::Jump, vec![], vec![t]));
             f.replace_succ(u, t, mid);
@@ -115,8 +118,9 @@ fn apply_edit(f: &mut Function, op: u8, x: u8, y: u8) {
         }
         // Redirect u's first successor to v.
         1 => {
-            let succs = f.succs(u);
-            let Some(&t) = succs.first() else { return };
+            let Some(&t) = f.succ_slice(u).first() else {
+                return;
+            };
             if t == v {
                 return;
             }

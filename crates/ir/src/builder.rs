@@ -365,7 +365,7 @@ mod tests {
         f.inst_mut(phi_acc).phi_blocks.push(body);
 
         f.verify_structure().unwrap();
-        assert_eq!(f.succs(header).len(), 2);
+        assert_eq!(f.succ_slice(header).len(), 2);
     }
 
     #[test]

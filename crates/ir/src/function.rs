@@ -633,20 +633,14 @@ impl Function {
         self.inst(last).opcode.is_terminator().then_some(last)
     }
 
-    /// Successor blocks as a borrowed slice (empty if the block has no
-    /// terminator) — the allocation-free sibling of [`Function::succs`].
+    /// Successor blocks, borrowed (empty if the block has no terminator
+    /// yet). A caller that edits the function while walking them copies
+    /// the slice first.
     pub fn succ_slice(&self, b: BlockId) -> &[BlockId] {
         match self.terminator(b) {
             Some(t) => &self.inst(t).succs,
             None => &[],
         }
-    }
-
-    /// Successor blocks (empty if the block has no terminator yet).
-    pub fn succs(&self, b: BlockId) -> Vec<BlockId> {
-        self.terminator(b)
-            .map(|t| self.inst(t).succs.clone())
-            .unwrap_or_default()
     }
 
     /// Predecessor lists for every block, indexed by block arena index.
@@ -656,7 +650,7 @@ impl Function {
     pub fn compute_preds(&self) -> Vec<Vec<BlockId>> {
         let mut preds = vec![Vec::new(); self.blocks.len()];
         for b in self.block_ids() {
-            for s in self.succs(b) {
+            for &s in self.succ_slice(b) {
                 preds[s.index()].push(b);
             }
         }
@@ -927,7 +921,7 @@ impl Function {
         self.blocks[new_block.index()].insts = moved;
         // The moved terminator's out-edges change source block (the block
         // graph was already journaled as edited by `add_block`).
-        for succ in self.succs(new_block) {
+        for succ in self.succ_slice(new_block).to_vec() {
             self.phi_retarget_pred(succ, block, new_block);
         }
         new_block
@@ -972,7 +966,7 @@ impl Function {
         }
         self.blocks[to.index()].insts.extend(moved);
         // The moved terminator's out-edges change source block.
-        for succ in self.succs(to) {
+        for succ in self.succ_slice(to).to_vec() {
             self.phi_retarget_pred(succ, from, to);
         }
         // Emptied above: this journals nothing but the block-graph edit.
@@ -1307,8 +1301,8 @@ mod tests {
     #[test]
     fn build_and_verify_diamond() {
         let (f, entry, then, els, exit) = diamond();
-        assert_eq!(f.succs(entry), vec![then, els]);
-        assert_eq!(f.succs(then), vec![exit]);
+        assert_eq!(f.succ_slice(entry), [then, els]);
+        assert_eq!(f.succ_slice(then), [exit]);
         let preds = f.compute_preds();
         assert_eq!(preds[exit.index()].len(), 2);
         f.verify_structure().unwrap();
@@ -1444,8 +1438,8 @@ mod tests {
         let cont = f.split_block_at(then, 0, "then.split");
         f.add_inst(then, InstData::terminator(Opcode::Jump, vec![], vec![cont]));
         f.verify_structure().unwrap();
-        assert_eq!(f.succs(then), vec![cont]);
-        assert_eq!(f.succs(cont), vec![exit]);
+        assert_eq!(f.succ_slice(then), [cont]);
+        assert_eq!(f.succ_slice(cont), [exit]);
     }
 
     #[test]

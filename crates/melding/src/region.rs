@@ -451,8 +451,8 @@ mod tests {
 
         let pad = insert_landing_pad(&mut f, &[t, e], x);
         verify_ssa(&f).unwrap();
-        assert_eq!(f.succs(t), vec![pad]);
-        assert_eq!(f.succs(e), vec![pad]);
+        assert_eq!(f.succ_slice(t), [pad]);
+        assert_eq!(f.succ_slice(e), [pad]);
         assert_eq!(f.phis_of(pad).len(), 1);
         // x's φ now has a single incoming, from the pad.
         let xphi = f.phis_of(x)[0];

@@ -22,7 +22,7 @@ pub fn has_cycle(func: &Function, sg: &Subgraph) -> bool {
     // the topological sort cannot consume every block.
     let mut indeg: HashMap<BlockId, usize> = sg.blocks.iter().map(|&b| (b, 0)).collect();
     for &b in &sg.blocks {
-        for s in func.succs(b) {
+        for &s in func.succ_slice(b) {
             if sg.contains(s) {
                 *indeg.get_mut(&s).expect("internal block") += 1;
             }
@@ -35,7 +35,7 @@ pub fn has_cycle(func: &Function, sg: &Subgraph) -> bool {
     let mut consumed = 0;
     while let Some(b) = ready.pop() {
         consumed += 1;
-        for s in func.succs(b) {
+        for &s in func.succ_slice(b) {
             if sg.contains(s) {
                 let d = indeg.get_mut(&s).expect("internal block");
                 *d -= 1;
@@ -181,7 +181,7 @@ fn bfs_path(func: &Function, sg: &Subgraph, from: BlockId, to: BlockId) -> Vec<B
             path.reverse();
             return path;
         }
-        for s in func.succs(b) {
+        for &s in func.succ_slice(b) {
             if sg.contains(s) && seen.insert(s) {
                 prev.insert(s, b);
                 queue.push_back(s);

@@ -19,7 +19,7 @@ pub fn tail_merge(func: &mut Function) -> usize {
                 if b1 == func.entry() || b2 == func.entry() {
                     continue;
                 }
-                if func.succs(b1).len() != 1 || func.succs(b1) != func.succs(b2) {
+                if func.succ_slice(b1).len() != 1 || func.succ_slice(b1) != func.succ_slice(b2) {
                     continue;
                 }
                 if blocks_identical(func, b1, b2) {
@@ -74,12 +74,11 @@ fn merge_into(func: &mut Function, b1: BlockId, b2: BlockId) {
     for (&a, &b) in i1.iter().zip(&i2) {
         func.rauw(Value::Inst(b), Value::Inst(a));
     }
-    let succ = func.succs(b2)[0];
+    let succ = func.succ_slice(b2)[0];
     func.phi_remove_incoming(succ, b2);
     // Retarget every predecessor edge b? -> b2 onto b1.
     for p in func.block_ids() {
-        let targets_b2 = func.succs(p).contains(&b2);
-        if targets_b2 {
+        if func.succ_slice(p).contains(&b2) {
             func.replace_succ(p, b2, b1);
         }
     }

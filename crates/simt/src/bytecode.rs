@@ -67,8 +67,9 @@
 //!   uniform control transfers never touch the reconvergence stack.
 
 use darm_analysis::{Cfg, PostDomTree};
-use darm_ir::{cost, FcmpPred, Function, IcmpPred, InstData, Opcode, Type, Value};
+use darm_ir::{cost, BlockId, FcmpPred, Function, IcmpPred, InstData, Opcode, Type, Value};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Sentinel for "no destination register" (void results, elided writes).
 pub(crate) const NO_DST: u32 = u32::MAX;
@@ -418,12 +419,39 @@ struct Lower<'f> {
     uses: Vec<u32>,
     n_slots: u32,
     consts: Vec<(u32, u64)>,
-    const_slot: HashMap<u64, u32>,
+    const_slot: HashMap<u64, u32, BuildHasherDefault<CellHasher>>,
     param_slots: Vec<(u32, u32)>,
     /// The always-undefined constant slot, once something needs it.
     undef: Option<u32>,
     /// Destination of ill-typed value-less "results", once needed.
     sink: Option<u32>,
+}
+
+/// The constant-slot map's hasher. Its keys are single `u64` cells, so one
+/// multiply replaces SipHash's rounds; folding the product's high half into
+/// the low one (which picks the bucket) keeps `f32` cells, whose low bits
+/// are mostly zero, from sharing a bucket. The keys are not defended
+/// against crafted collisions: they are the constants of a kernel its
+/// caller is about to run, and `darm serve`, which takes requests from
+/// outside, never lowers.
+#[derive(Default)]
+struct CellHasher(u64);
+
+impl Hasher for CellHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        let h = (self.0 ^ x).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        self.0 = h ^ (h >> 32);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
 /// The slot cached in `slot`, allocated from `n_slots` on first use.
@@ -517,48 +545,71 @@ impl Lower<'_> {
 
 impl BytecodeKernel {
     /// Lowers `func` to bytecode.
+    ///
+    /// Every table is presized from counts taken in one sweep ahead of the
+    /// lowering walk, so lowering allocates a fixed number of times
+    /// whatever the function's size (`tests/lower_allocs.rs` counts).
     pub fn new(func: &Function) -> BytecodeKernel {
         let cfg = Cfg::new(func);
         let pdt = PostDomTree::new(func, &cfg);
-
-        // Dense block numbering, in creation order (entry first).
-        let block_ids = func.block_ids();
-        let mut dense_of = vec![NO_BLOCK; func.block_capacity()];
-        for (k, &b) in block_ids.iter().enumerate() {
-            dense_of[b.index()] = k as u32;
-        }
-
-        // Dense slot numbering for every live value-producing instruction
-        // (φs included) and the use counts fusion consults, ahead of the
-        // lowering walk because operands may name later instructions.
-        let mut lw = Lower {
-            func,
-            slot_of: vec![NO_DST; func.inst_capacity()],
-            uses: vec![0; func.inst_capacity()],
-            n_slots: 0,
-            consts: Vec::new(),
-            const_slot: HashMap::new(),
-            param_slots: Vec::new(),
-            undef: None,
-            sink: None,
+        // Live blocks in creation order (entry first): the dense numbering.
+        let live = || {
+            (0..func.block_capacity())
+                .map(BlockId::new)
+                .filter(|&b| func.is_block_alive(b))
         };
-        let mut n_insts = 0;
-        let mut has_phis = false;
-        for &b in &block_ids {
+
+        // The sweep: dense block numbers; a dense slot for every live
+        // value-producing instruction (φs included) and the use counts
+        // fusion consults, ahead of the walk because operands may name
+        // later instructions; which block's φ writes each slot; and the
+        // sizes of the tables below.
+        let mut dense_of = vec![NO_BLOCK; func.block_capacity()];
+        let mut slot_of = vec![NO_DST; func.inst_capacity()];
+        let mut uses = vec![0; func.inst_capacity()];
+        let mut phi_block_of_slot = vec![NO_BLOCK; func.inst_capacity()];
+        let (mut n_blocks, mut n_slots, mut n_insts, mut n_incoming) = (0, 0, 0, 0);
+        let (mut n_const_uses, mut name_bytes) = (0, 0);
+        for b in live() {
+            dense_of[b.index()] = n_blocks;
+            name_bytes += func.block_name(b).len();
             n_insts += func.insts_of(b).len();
             for &id in func.insts_of(b) {
                 let data = func.inst(id);
+                let is_phi = data.opcode.is_phi();
                 if data.ty != Type::Void {
-                    lw.slot_of[id.index()] = lw.fresh();
+                    slot_of[id.index()] = n_slots;
+                    if is_phi {
+                        phi_block_of_slot[n_slots as usize] = n_blocks;
+                    }
+                    n_slots += 1;
+                }
+                if is_phi {
+                    n_incoming += data.phi_blocks.len();
                 }
                 for &v in &data.operands {
-                    if let Value::Inst(dep) = v {
-                        lw.uses[dep.index()] += 1;
+                    match v {
+                        Value::Inst(dep) => uses[dep.index()] += 1,
+                        Value::Param(_) | Value::Undef(_) => {}
+                        _ => n_const_uses += 1,
                     }
                 }
             }
+            n_blocks += 1;
         }
-        let program_slots = lw.n_slots;
+        let program_slots = n_slots;
+        let mut lw = Lower {
+            func,
+            slot_of,
+            uses,
+            n_slots,
+            // At most one slot per constant use.
+            consts: Vec::with_capacity(n_const_uses),
+            const_slot: HashMap::with_capacity_and_hasher(n_const_uses, Default::default()),
+            param_slots: Vec::with_capacity(func.params().len()),
+            undef: None,
+            sink: None,
+        };
 
         // Shared arena layout (8-byte aligned arrays, declaration order).
         let mut shared_offsets = Vec::with_capacity(func.shared_arrays().len());
@@ -570,14 +621,20 @@ impl BytecodeKernel {
 
         let mut code: Vec<Op> = Vec::with_capacity(n_insts);
         let mut lats: Vec<u64> = Vec::with_capacity(n_insts);
-        let mut blocks: Vec<BcBlock> = Vec::with_capacity(block_ids.len());
-        let mut phi_edges: Vec<PhiEdge> = Vec::new();
-        let mut phi_moves: Vec<(u32, u32)> = Vec::new();
+        let mut blocks: Vec<BcBlock> = Vec::with_capacity(n_blocks as usize);
+        // A block has one φ edge per distinct predecessor its φs name, and
+        // each of its φs one move per such predecessor it names: both are
+        // bounded by the φ incoming count.
+        let mut phi_edges: Vec<PhiEdge> = Vec::with_capacity(n_incoming);
+        let mut phi_moves: Vec<(u32, u32)> = Vec::with_capacity(n_incoming);
         let mut phi_missing: Vec<(u32, u32, u32)> = Vec::new();
-        let mut names = String::new();
-        let mut preds: Vec<u32> = Vec::new();
+        let mut names = String::with_capacity(name_bytes);
+        // Distinct dense predecessors of one block (`NO_BLOCK` included).
+        let mut preds: Vec<u32> = Vec::with_capacity(n_blocks as usize + 1);
+        let mut has_phis = false;
 
-        for &b in &block_ids {
+        for b in live() {
+            let dense = blocks.len() as u32;
             let insts = func.insts_of(b);
             let n_phis = insts
                 .iter()
@@ -611,7 +668,7 @@ impl BytecodeKernel {
                         Some((_, v)) => phi_moves.push((lw.dst(phi), lw.slot(v))),
                         None => {
                             complete = false;
-                            phi_missing.push((blocks.len() as u32, k as u32, p));
+                            phi_missing.push((dense, k as u32, p));
                         }
                     }
                 }
@@ -622,9 +679,16 @@ impl BytecodeKernel {
                     complete,
                 });
             }
+            // Overlap: a move reads the slot a φ of this very block writes.
+            // A `void` (ill-typed) φ has no slot, and matches a source
+            // that has none either.
+            let void_phi = phis.iter().any(|&phi| lw.slot_of[phi.index()] == NO_DST);
             let phi_overlap = phi_moves[block_moves_start..]
                 .iter()
-                .any(|&(_, s)| phis.iter().any(|&phi| lw.slot_of[phi.index()] == s));
+                .any(|&(_, s)| match s {
+                    NO_DST => void_phi,
+                    s => phi_block_of_slot.get(s as usize) == Some(&dense),
+                });
 
             // Body → ops, fusing as it goes.
             let first = code.len() as u32;

@@ -163,6 +163,59 @@ fn loop_with_phi_executes() {
     }
 }
 
+/// The swap problem: two loop-header φs that read each other (`a, b = b,
+/// a` on every back edge, `tid % 4` times). The edge's φ moves are one
+/// parallel copy; applied one after the other, the second would read the
+/// first one's result and both would end up equal.
+#[test]
+fn loop_phis_that_read_each_other_swap_in_parallel() {
+    let mut f = Function::new("swap", vec![Type::Ptr(AddrSpace::Global)], Type::Void);
+    let entry = f.entry();
+    let header = f.add_block("header");
+    let body = f.add_block("body");
+    let exit = f.add_block("exit");
+    let mut b = FunctionBuilder::new(&mut f, entry);
+    let tid = b.thread_idx(Dim::X);
+    let trips = b.and(tid, b.const_i32(3));
+    b.jump(header);
+    b.switch_to(header);
+    let x = b.phi(Type::I32, &[(entry, tid)]);
+    let y = b.phi(Type::I32, &[(entry, Value::I32(100))]);
+    let i = b.phi(Type::I32, &[(entry, Value::I32(0))]);
+    let c = b.icmp(IcmpPred::Slt, i, trips);
+    b.br(c, body, exit);
+    b.switch_to(body);
+    let i2 = b.add(i, b.const_i32(1));
+    b.jump(header);
+    b.switch_to(exit);
+    let d = b.sub(x, y);
+    let p = b.gep(Type::I32, b.param(0), tid);
+    b.store(d, p);
+    b.ret(None);
+    for (phi, v) in [(x, y), (y, x), (i, i2)] {
+        let phi = f.inst_mut(phi.as_inst().unwrap());
+        phi.operands.push(v);
+        phi.phi_blocks.push(body);
+    }
+
+    let mut g = gpu();
+    let buf = g.alloc_i32(&[0; 32]);
+    let args = [KernelArg::Buffer(buf)];
+    g.launch(&f, &LaunchConfig::linear(1, 32), &args).unwrap();
+    let out = g.read_i32(buf);
+    g.launch_reference(&f, &LaunchConfig::linear(1, 32), &args)
+        .unwrap();
+    assert_eq!(out, g.read_i32(buf), "bytecode vs reference");
+    for tid in 0..32i32 {
+        let want = if tid % 4 % 2 == 0 {
+            tid - 100
+        } else {
+            100 - tid
+        };
+        assert_eq!(out[tid as usize], want, "tid {tid}");
+    }
+}
+
 #[test]
 fn nested_divergence_reconverges() {
     // if (tid & 1) { if (tid & 2) a = 1 else a = 2 } else a = 3

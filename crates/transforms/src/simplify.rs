@@ -119,8 +119,9 @@ fn remove_unreachable(
         return false;
     }
     for &b in &dead {
-        // Remove φ entries in reachable successors that name this block.
-        for s in func.succs(b) {
+        // Remove φ entries in reachable successors that name this block
+        // (the snapshot's rows stay exact: only φs are edited here).
+        for &s in cfg.succs(b) {
             if cfg.is_reachable(s) {
                 func.phi_remove_incoming(s, b);
             }
@@ -315,7 +316,7 @@ fn merge_straightline(
             // Move b's instructions into p; they keep their ids.
             func.remove_inst(pt);
             func.merge_block_into(b, p);
-            for s in func.succs(p) {
+            for &s in func.succ_slice(p) {
                 for e in &mut preds[s.index()] {
                     if *e == b {
                         *e = p;

@@ -87,8 +87,9 @@ fn apply_mutation(f: &mut Function, op: u8, x: u8, y: u8) {
         }
         // Split the first out-edge (empty forwarding block: elision redex).
         3 => {
-            let succs = f.succs(u);
-            let Some(&t) = succs.first() else { return };
+            let Some(&t) = f.succ_slice(u).first() else {
+                return;
+            };
             let mid = f.add_block("split");
             f.add_inst(mid, InstData::terminator(Opcode::Jump, vec![], vec![t]));
             f.replace_succ(u, t, mid);
