@@ -38,10 +38,12 @@ fn three_rung_ladder() -> Function {
     f
 }
 
-/// Under `time_passes` the meld pass breaks its own row down: four phase
+/// Under `time_passes` the meld pass breaks its own row down: five phase
 /// rows from its clock, then the inner cleanup pipeline's four slots —
 /// in the table and in the report. Off, there are no child rows (and no
-/// clock is read).
+/// clock is read). `codegen` runs once per melded region, `substitute` —
+/// the use rewrite codegen leaves to the round — once per round that
+/// melded.
 #[test]
 fn time_passes_breaks_the_meld_row_into_phases_and_cleanup() {
     let case = &fig9_cases()[0];
@@ -70,23 +72,30 @@ fn time_passes_breaks_the_meld_row_into_phases_and_cleanup() {
             "detect",
             "plan+align",
             "codegen",
+            "substitute",
             "ssa-repair",
             "instcombine",
             "simplify",
             "dce"
         ]
     );
-    let (phases, cleanup) = meld.children.split_at(4);
+    let (phases, cleanup) = meld.children.split_at(5);
     assert!(stats.melded_regions > 0, "{} must meld", case.name);
     assert_eq!(phases[0].runs, stats.iterations, "one snapshot per round");
     assert_eq!(phases[3].runs, stats.melded_regions, "one codegen per meld");
-    // Every round but the last melds something and cleans up once, however
-    // many regions it melded.
+    // Every round but the last melds something, then substitutes and
+    // cleans up once, however many regions it melded.
+    assert_eq!(
+        phases[4].runs,
+        stats.iterations - 1,
+        "one substitution per round"
+    );
     for slot in cleanup {
         assert_eq!(slot.runs, stats.iterations - 1, "one cleanup per round");
     }
     // Three diamonds in sequence meld in one round: three codegens, one
-    // cleanup, and a second snapshot for the round that finds nothing.
+    // substitution, one cleanup, and a second snapshot for the round that
+    // finds nothing.
     let ladder_report = run_on(&three_rung_ladder(), true);
     let runs = |name: &str| {
         let children = &ladder_report.passes[0].children;
@@ -94,7 +103,7 @@ fn time_passes_breaks_the_meld_row_into_phases_and_cleanup() {
     };
     assert_eq!(runs("analyses"), Some(2));
     assert_eq!(runs("codegen"), Some(3));
-    for slot in ["ssa-repair", "instcombine", "simplify", "dce"] {
+    for slot in ["substitute", "ssa-repair", "instcombine", "simplify", "dce"] {
         assert_eq!(runs(slot), Some(1), "{slot}");
     }
 

@@ -166,6 +166,83 @@ pub(crate) fn value_ty_in(params: &[Type], insts: &[InstData], v: Value) -> Type
     }
 }
 
+/// An ordered batch of use replacements folded into one map, for
+/// [`Function::rauw_many`]. An instruction `from` is found through a table
+/// indexed by arena slot; parameter and constant `from`s, which are rare,
+/// through a short list.
+struct Substitution {
+    /// Per instruction arena index: 0, or 1 + the index of its entry.
+    slot: Vec<u32>,
+    /// `(from, 1 + entry index)` for the `from`s that are not instructions.
+    others: Vec<(Value, u32)>,
+    entries: Vec<SubstEntry>,
+}
+
+struct SubstEntry {
+    from: Value,
+    /// Where `from` ends up once the whole batch has landed.
+    end: Value,
+    /// Whether the scan rewrote a use of `from`.
+    reached: bool,
+}
+
+impl Substitution {
+    /// Folds `pairs` over an arena of `arena` instructions. Walking the
+    /// batch backwards, `from` maps to wherever the *later* pairs send
+    /// `to`; of two pairs for one `from` the earlier wins, as it does when
+    /// the pairs land one at a time.
+    fn fold(arena: usize, pairs: &[(Value, Value)]) -> Substitution {
+        let mut s = Substitution {
+            slot: vec![0; arena],
+            others: Vec::new(),
+            entries: Vec::with_capacity(pairs.len()),
+        };
+        for &(from, to) in pairs.iter().rev() {
+            let end = s.entry(to).map_or(to, |k| s.entries[k].end);
+            if let Some(k) = s.entry(from) {
+                s.entries[k].end = end;
+                continue;
+            }
+            s.entries.push(SubstEntry {
+                from,
+                end,
+                reached: false,
+            });
+            let k = s.entries.len() as u32;
+            match from {
+                Value::Inst(def) => s.slot[def.index()] = k,
+                _ => s.others.push((from, k)),
+            }
+        }
+        s
+    }
+
+    fn entry(&self, v: Value) -> Option<usize> {
+        let k = match v {
+            Value::Inst(id) => self.slot[id.index()],
+            _ => self.others.iter().find(|o| o.0 == v).map_or(0, |o| o.1),
+        };
+        (k as usize).checked_sub(1)
+    }
+
+    /// Where a use of `v` goes, if the batch moves it.
+    fn rewrite(&mut self, v: Value) -> Option<Value> {
+        let k = self.entry(v)?;
+        let e = &mut self.entries[k];
+        if e.end == v {
+            return None;
+        }
+        e.reached = true;
+        Some(e.end)
+    }
+
+    /// Whether a use of `from` was rewritten; answers `true` once.
+    fn take_reached(&mut self, from: Value) -> bool {
+        self.entry(from)
+            .is_some_and(|k| std::mem::take(&mut self.entries[k].reached))
+    }
+}
+
 /// Structural IR violations reported by [`Function::verify_structure`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum IrError {
@@ -241,14 +318,36 @@ pub struct Function {
     /// `add_block`/`remove_block` so [`Function::live_block_count`] is
     /// O(1).
     live_blocks: usize,
-    /// Names of the live blocks, so [`Function::add_block`] asks "is this
-    /// name taken" in O(1) instead of scanning every block per attempted
-    /// suffix. Built from the block arena the first time a requested name
-    /// turns out taken — a function whose block names never collide is
-    /// asked one scan per added block and never pays for the set — and
-    /// kept exact by `add_block` / `remove_block` / `set_block_name` after
-    /// that.
-    live_names: Option<HashSet<String>>,
+    /// What [`Function::add_block`] asks when a requested name is taken.
+    /// Built from the block arena the first time that happens — a function
+    /// whose block names never collide is asked one scan per added block
+    /// and never pays for it — and kept exact by `add_block` /
+    /// `remove_block` / `set_block_name` after that.
+    live_names: Option<BlockNames>,
+}
+
+/// The live block names, so "is this name taken" is one set probe, plus a
+/// next-suffix hint per requested name that collided, so N blocks asked
+/// for under one name cost O(N) probes rather than N(N+1)/2.
+#[derive(Debug)]
+struct BlockNames {
+    live: HashSet<String>,
+    /// Per requested name `base`, a suffix below which every `base.k`
+    /// (`k ≥ 1`) is taken: the first one [`Function::add_block`] tries.
+    next_suffix: HashMap<String, u32>,
+}
+
+impl BlockNames {
+    /// Forgets a live name. When it reads `base.k`, the smallest free
+    /// suffix of `base` may now be `k`, so the hint drops to it.
+    fn release(&mut self, name: &str) {
+        self.live.remove(name);
+        if let Some((base, k)) = name.rsplit_once('.') {
+            if let (Some(hint), Ok(k)) = (self.next_suffix.get_mut(base), k.parse::<u32>()) {
+                *hint = (*hint).min(k);
+            }
+        }
+    }
 }
 
 /// Cloning starts a fresh, empty journal under a new identity: cursors
@@ -509,28 +608,41 @@ impl Function {
         NAME_PROBES.with(|n| n.set(n.get() + 1));
         let blocks = &self.blocks;
         let taken = match &self.live_names {
-            Some(names) => names.contains(name),
+            Some(names) => names.live.contains(name),
             None => blocks.iter().any(|b| b.alive && b.name == name),
         };
         let mut unique = name.to_string();
         if taken {
-            // The smallest free suffix, one set probe per attempt.
-            let names = self.live_names.get_or_insert_with(|| {
-                let live = blocks.iter().filter(|b| b.alive);
-                live.map(|b| b.name.clone()).collect()
+            // The smallest free suffix, one set probe per attempt, starting
+            // from the hint instead of from 1.
+            let names = self.live_names.get_or_insert_with(|| BlockNames {
+                live: blocks
+                    .iter()
+                    .filter(|b| b.alive)
+                    .map(|b| b.name.clone())
+                    .collect(),
+                next_suffix: HashMap::new(),
             });
-            for k in 1.. {
+            let mut k = names.next_suffix.get(name).map_or(1, |&hint| hint.max(1));
+            loop {
                 #[cfg(test)]
                 NAME_PROBES.with(|n| n.set(n.get() + 1));
                 unique.truncate(name.len());
                 write!(unique, ".{k}").expect("writing to a String cannot fail");
-                if !names.contains(&unique) {
+                if !names.live.contains(&unique) {
                     break;
+                }
+                k += 1;
+            }
+            match names.next_suffix.get_mut(name) {
+                Some(hint) => *hint = k + 1,
+                None => {
+                    names.next_suffix.insert(name.to_string(), k + 1);
                 }
             }
         }
         if let Some(names) = &mut self.live_names {
-            names.insert(unique.clone());
+            names.live.insert(unique.clone());
         }
         let id = BlockId::new(self.blocks.len());
         self.blocks.push(BlockData2 {
@@ -560,7 +672,7 @@ impl Function {
         if self.blocks[b.index()].alive {
             self.live_blocks -= 1;
             if let Some(names) = &mut self.live_names {
-                names.remove(&self.blocks[b.index()].name);
+                names.release(&self.blocks[b.index()].name);
             }
         }
         self.blocks[b.index()].alive = false;
@@ -607,8 +719,8 @@ impl Function {
     pub fn set_block_name(&mut self, b: BlockId, name: &str) {
         let block = &mut self.blocks[b.index()];
         if let Some(names) = self.live_names.as_mut().filter(|_| block.alive) {
-            names.remove(&block.name);
-            names.insert(name.to_string());
+            names.release(&block.name);
+            names.live.insert(name.to_string());
         }
         block.name = name.to_string();
     }
@@ -773,27 +885,12 @@ impl Function {
     /// Nothing is recorded for a pair no operand matched. No block-graph
     /// edit is ever recorded: use rewriting leaves the CFG alone.
     pub fn rauw_many(&mut self, pairs: &[(Value, Value)]) {
-        // Fold the ordered batch into one substitution: walking it
-        // backwards, `from` maps to wherever the *later* pairs send `to`.
-        let mut subst: HashMap<Value, (Value, bool)> = HashMap::with_capacity(pairs.len());
-        for &(from, to) in pairs.iter().rev() {
-            let end = subst.get(&to).map_or(to, |&(end, _)| end);
-            subst.insert(from, (end, false));
-        }
-        subst.retain(|from, (end, _)| from != end);
-        if subst.is_empty() {
+        if pairs.is_empty() {
             return;
         }
-        // Exact pre-filter, so the scan hashes only operands that will
-        // match: a flag per instruction `from` (parameters and constants
-        // are rare as `from` and take the lookup unfiltered).
-        let mut inst_froms = vec![false; self.insts.len()];
-        let mut other_froms = false;
-        for from in subst.keys() {
-            match *from {
-                Value::Inst(def) => inst_froms[def.index()] = true,
-                _ => other_froms = true,
-            }
+        let mut subst = Substitution::fold(self.insts.len(), pairs);
+        if subst.entries.iter().all(|e| e.from == e.end) {
+            return;
         }
         for idx in 0..self.insts.len() {
             if self.dead_insts[idx] {
@@ -801,16 +898,8 @@ impl Function {
             }
             let mut hit = false;
             for op in &mut self.insts[idx].operands {
-                let candidate = match *op {
-                    Value::Inst(def) => inst_froms[def.index()],
-                    _ => other_froms,
-                };
-                if !candidate {
-                    continue;
-                }
-                if let Some((end, reached)) = subst.get_mut(op) {
-                    *op = *end;
-                    *reached = true;
+                if let Some(end) = subst.rewrite(*op) {
+                    *op = end;
                     hit = true;
                 }
             }
@@ -818,10 +907,10 @@ impl Function {
                 self.touch(InstId::new(idx));
             }
         }
-        // Batch order, so the journal does not depend on hash order.
+        // Batch order, so the journal follows the caller's order.
         for &(from, _) in pairs {
-            if let (Value::Inst(def), Some((_, reached))) = (from, subst.get_mut(&from)) {
-                if std::mem::take(reached) {
+            if let Value::Inst(def) = from {
+                if subst.take_reached(from) {
                     self.touch(def);
                 }
             }
@@ -1368,9 +1457,11 @@ mod tests {
 
     /// `add_block` picks the smallest free suffix and, from the first
     /// collision on, pays one set probe per attempted name — never a scan
-    /// of the blocks: N same-named blocks cost the N(N+1)/2 probes of
-    /// trying `b`, `b.1`, … in turn and nothing that grows with the
-    /// function around them.
+    /// of the blocks — starting from the name's next-suffix hint: N
+    /// same-named blocks cost 2N - 1 probes (the first add one, every
+    /// later one the taken check plus the hinted suffix), not the
+    /// N(N+1)/2 of trying `b`, `b.1`, … in turn, and nothing that grows
+    /// with the function around them.
     #[test]
     fn same_named_blocks_get_the_smallest_free_suffix_in_one_probe_per_attempt() {
         const N: usize = 4096;
@@ -1380,14 +1471,14 @@ mod tests {
         }
         let probes_before = NAME_PROBES.get();
         let blocks: Vec<BlockId> = (0..N).map(|_| f.add_block("b")).collect();
-        assert_eq!(NAME_PROBES.get() - probes_before, N * (N + 1) / 2);
+        assert_eq!(NAME_PROBES.get() - probes_before, 2 * N - 1);
         assert_eq!(f.block_name(blocks[0]), "b");
         for (k, &b) in blocks.iter().enumerate().skip(1) {
             assert_eq!(f.block_name(b), format!("b.{k}"));
         }
 
-        // A removed or renamed block frees its name for the next add; a
-        // rename claims the new one.
+        // A removed or renamed block frees its name for the next add, and
+        // lowers the hint to it; a rename claims the new name.
         let add = |f: &mut Function, name: &str| {
             let b = f.add_block(name);
             f.block_name(b).to_string()
@@ -1396,17 +1487,19 @@ mod tests {
         f.set_block_name(blocks[3], "renamed");
         let probes_before = NAME_PROBES.get();
         assert_eq!(add(&mut f, "b"), "b.3");
-        assert_eq!(NAME_PROBES.get() - probes_before, 4);
+        assert_eq!(NAME_PROBES.get() - probes_before, 2);
         assert_eq!(add(&mut f, "b"), "b.7");
         assert_eq!(add(&mut f, "renamed"), "renamed.1");
         assert_eq!(add(&mut f, "b"), format!("b.{N}"));
 
-        // A clone starts without the set and rebuilds it from its blocks
-        // at its first collision.
+        // A clone starts without the set or the hints and rebuilds them
+        // from its blocks at its first collision.
         let mut g = f.clone();
         g.remove_block(blocks[1]);
         assert_eq!(add(&mut g, "b"), "b.1");
+        let probes_before = NAME_PROBES.get();
         assert_eq!(add(&mut f, "b"), format!("b.{}", N + 1));
+        assert_eq!(NAME_PROBES.get() - probes_before, 2);
     }
 
     #[test]
@@ -1526,8 +1619,100 @@ mod tests {
         assert!(touched.contains(&phi) && touched.contains(&def));
     }
 
+    /// A random straight-line function for the `rauw_many` property:
+    /// instruction `k` is `add v(x), v(y)` for its pair `(x, y)`, where
+    /// `v(k)` is instruction `k` below the instruction count and otherwise
+    /// one of two parameters and two constants; the `dead` instructions are
+    /// tombstoned.
+    fn pool_function(
+        ops: &[(usize, usize)],
+        dead: &[usize],
+    ) -> (Function, impl Fn(usize) -> Value) {
+        let n = ops.len();
+        let v = move |k: usize| {
+            let others = [
+                Value::Param(0),
+                Value::Param(1),
+                Value::I32(0),
+                Value::I32(1),
+            ];
+            let k = k % (n + others.len());
+            if k < n {
+                Value::Inst(InstId::new(k))
+            } else {
+                others[k - n]
+            }
+        };
+        let mut f = Function::new("pool", vec![Type::I32, Type::I32], Type::I32);
+        let e = f.entry();
+        for &(x, y) in ops {
+            f.add_inst(e, InstData::new(Opcode::Add, Type::I32, vec![v(x), v(y)]));
+        }
+        f.add_inst(e, InstData::terminator(Opcode::Ret, vec![v(n - 1)], vec![]));
+        for &k in dead {
+            if k < n {
+                f.remove_inst(InstId::new(k));
+            }
+        }
+        (f, v)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(512))]
+
+        /// Over random batches on a small value pool — so chains,
+        /// identities, duplicate `from`s and parameter or constant `from`s
+        /// all come up — `rauw_many` leaves the function `rauw` once per
+        /// pair leaves. Its journal cannot match those calls (they touch a
+        /// user once per pair that reaches it), so it is held to its
+        /// contract written out: the live users whose operands move, in
+        /// arena order, then each instruction `from` that lost a use, at
+        /// its first pair.
+        #[test]
+        fn rauw_many_equals_the_rauws_in_order(
+            ops in proptest::collection::vec((0..16usize, 0..16usize), 1..12),
+            dead in proptest::collection::vec(0..16usize, 0..3),
+            picks in proptest::collection::vec((0..16usize, 0..16usize), 0..10),
+        ) {
+            let (f, v) = pool_function(&ops, &dead);
+            let pairs: Vec<(Value, Value)> = picks.iter().map(|&(x, y)| (v(x), v(y))).collect();
+            let mut one_by_one = f.clone();
+            for &(from, to) in &pairs {
+                one_by_one.rauw(from, to);
+            }
+            let mut batched = f.clone();
+            let cursor = batched.journal_head();
+            batched.rauw_many(&pairs);
+            proptest::prop_assert_eq!(batched.to_string(), one_by_one.to_string());
+
+            let end = |v: Value| pairs.iter().fold(v, |v, &(from, to)| if v == from { to } else { v });
+            let live: Vec<InstId> = (0..f.inst_capacity())
+                .map(InstId::new)
+                .filter(|&id| f.is_inst_alive(id))
+                .collect();
+            let uses = |id: InstId| &f.inst(id).operands;
+            let mut expected: Vec<InstId> = live
+                .iter()
+                .copied()
+                .filter(|&id| uses(id).iter().any(|&op| end(op) != op))
+                .collect();
+            for (k, &(from, _)) in pairs.iter().enumerate() {
+                let first = pairs[..k].iter().all(|&(earlier, _)| earlier != from);
+                let lost_a_use = end(from) != from && live.iter().any(|&id| uses(id).contains(&from));
+                if let (Value::Inst(def), true, true) = (from, first, lost_a_use) {
+                    expected.push(def);
+                }
+            }
+            let mut touched = Vec::new();
+            proptest::prop_assert!(batched.insts_touched_since(cursor, |id| touched.push(id)));
+            proptest::prop_assert_eq!(touched, expected);
+            let window = batched.probe_since(cursor);
+            proptest::prop_assert!(matches!(window, WindowProbe::Clean | WindowProbe::InstsOnly));
+        }
+    }
+
     #[test]
-    fn rauw_many_equals_the_rauws_in_order() {
+    fn rauw_many_journals_rewritten_users_then_lost_uses() {
         // b0: a = p0+1; b = a+a; c = b+a; ret — rewrite a→p0 then b→a.
         let build = || {
             let mut f = Function::new("r", vec![Type::I32], Type::I32);

@@ -15,8 +15,16 @@
 //!    unmatched subgraphs guarded by `br C, ...` (their original blocks are
 //!    reused),
 //! 5. rewrites the region-exit φs to a per-side select in the final block,
-//! 6. applies unpredication (§IV-E) or store-predication, and
-//! 7. deletes the now-unreachable original blocks.
+//! 6. deletes the now-unreachable original blocks, and
+//! 7. applies unpredication (§IV-E) or store-predication.
+//!
+//! What it does not do is Algorithm 2's global use rewrite: every
+//! `(original, clone)` pair of the operand map is queued on the
+//! [`MeldRound`], and the melding pass applies the whole round's pairs in
+//! one [`Function::rauw_many`] after its last region
+//! ([`crate::pass`] says why that is sound). Until then the only live uses
+//! of an original are in the unmatched subgraphs the region kept, which
+//! unpredication reads through [`GapRun::sources`].
 
 use crate::isomorphism::isomorphic_pairs;
 use crate::region::{MeldableRegion, Subgraph};
@@ -25,7 +33,7 @@ use crate::unpredicate::{predicate_stores, unpredicate_block, GapRun};
 use crate::MeldStats;
 use darm_align::instr::{align_block_instructions, AlignmentPair};
 use darm_ir::{BlockId, Function, InstData, InstId, Opcode, Value};
-use std::collections::HashMap;
+use std::ops::Index;
 
 /// Which side of the divergent branch an instruction originated from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -75,20 +83,129 @@ pub enum PlanElement {
     GapFalse(Subgraph),
 }
 
+/// A map from arena index to `T` whose entries count only under the stamp
+/// they were written with, so forgetting them all is a counter bump.
+#[derive(Debug)]
+struct ArenaMap<T> {
+    /// Never 0, the stamp of the filler slots.
+    stamp: u32,
+    slots: Vec<(u32, T)>,
+}
+
+impl<T> Default for ArenaMap<T> {
+    fn default() -> ArenaMap<T> {
+        ArenaMap {
+            stamp: 1,
+            slots: Vec::new(),
+        }
+    }
+}
+
+impl<T: Copy> ArenaMap<T> {
+    /// Forgets every entry.
+    fn clear(&mut self) {
+        self.stamp = match self.stamp.checked_add(1) {
+            Some(stamp) => stamp,
+            None => {
+                self.slots.clear();
+                1
+            }
+        };
+    }
+
+    fn get(&self, i: usize) -> Option<T> {
+        let &(stamp, v) = self.slots.get(i)?;
+        (stamp == self.stamp).then_some(v)
+    }
+
+    fn insert(&mut self, i: usize, v: T) {
+        if i >= self.slots.len() {
+            self.slots.resize(i + 1, (0, v));
+        }
+        self.slots[i] = (self.stamp, v);
+    }
+}
+
+impl<T> Index<usize> for ArenaMap<T> {
+    type Output = T;
+
+    fn index(&self, i: usize) -> &T {
+        let (stamp, v) = &self.slots[i];
+        assert_eq!(*stamp, self.stamp, "no entry at arena index {i}");
+        v
+    }
+}
+
+/// What the applies of one fixpoint round share: [`meld_region`]'s side
+/// tables, keyed by arena index, and the use substitution the round owes
+/// the function.
+///
+/// Each apply starts by forgetting the previous region's entries — a
+/// stamp bump per table, not a clear — so a region pays for the entries it
+/// writes, and the tables grow with the arena once, not once per region.
+#[derive(Debug, Default)]
+pub struct MeldRound {
+    /// Original instruction → the clone that replaces it.
+    operand_map: ArenaMap<Value>,
+    /// Original block → the melded block of its pair.
+    block_map: ArenaMap<BlockId>,
+    /// Melded block → its run of `origins`.
+    origin_span: ArenaMap<(u32, u32)>,
+    /// Melded subgraph entry → the block the chain now enters it from.
+    link_pred: ArenaMap<BlockId>,
+    /// Every aligned clone with its side and source, the clones of one
+    /// melded block consecutive.
+    origins: Vec<(InstId, Origin, InstId)>,
+    /// `(original, clone)` for every instruction the round's applies
+    /// cloned, for [`MeldRound::substitute`].
+    rewrites: Vec<(Value, Value)>,
+}
+
+impl MeldRound {
+    /// Points every use of an instruction the round's applies cloned at
+    /// its clone, in one arena pass: Algorithm 2's global use rewrite, once
+    /// per round rather than once per region.
+    pub fn substitute(&mut self, func: &mut Function) {
+        func.rauw_many(&self.rewrites);
+        self.rewrites.clear();
+    }
+
+    /// Forgets the previous region's side tables (its rewrites stay).
+    fn begin_region(&mut self) {
+        self.operand_map.clear();
+        self.block_map.clear();
+        self.origin_span.clear();
+        self.link_pred.clear();
+        self.origins.clear();
+    }
+}
+
 /// Melds one divergent region according to `plan` and returns what it did
-/// as a [`MeldStats`] delta. The caller is expected to run SSA repair,
-/// `simplify_cfg` and DCE afterwards (the driver does).
+/// as a [`MeldStats`] delta. The region's use substitution is queued on
+/// `round`: the caller applies it with [`MeldRound::substitute`] once the
+/// round's last region is melded, then runs SSA repair, `simplify_cfg`
+/// and DCE ([`MeldPass`](crate::MeldPass) does).
 pub fn meld_region(
     func: &mut Function,
     region: &MeldableRegion,
     mut plan: Vec<PlanElement>,
     unpredicate: bool,
+    round: &mut MeldRound,
 ) -> MeldStats {
     let mut stats = MeldStats {
         melded_regions: 1,
         ..MeldStats::default()
     };
     let cond = region.cond;
+    round.begin_region();
+    let MeldRound {
+        operand_map,
+        block_map,
+        origin_span,
+        link_pred,
+        origins,
+        rewrites,
+    } = round;
 
     // ---- Replication (§IV-C), in plan order: the single-block side
     // becomes a replica of the other side's control flow, which makes the
@@ -127,38 +244,43 @@ pub fn meld_region(
         .collect();
 
     // ---- Phase A: create melded blocks ----
-    let mut block_map: HashMap<BlockId, BlockId> = HashMap::new();
     for &(_, _, pairs) in &melds {
         for &(bt, bf) in pairs {
             let name = format!("{}_{}", func.block_name(bt), func.block_name(bf));
             let m = func.add_block(&name);
-            block_map.insert(bt, m);
-            block_map.insert(bf, m);
+            block_map.insert(bt.index(), m);
+            block_map.insert(bf.index(), m);
         }
     }
 
     // ---- Phase B: clone φs, bodies and terminators ----
-    let mut operand_map: HashMap<InstId, Value> = HashMap::new();
+    // Every original gets its clone in the operand map and, for the
+    // round's substitution, in the rewrite list.
+    let mut replace = |orig: InstId, clone: InstId| {
+        operand_map.insert(orig.index(), Value::Inst(clone));
+        rewrites.push((Value::Inst(orig), Value::Inst(clone)));
+    };
     // Every clone whose operands Phase D resolves, with its two sources
     // when it was melded from both sides.
     let mut records: Vec<(InstId, Option<(InstId, InstId)>)> = Vec::new();
-    // Gap runs per melded block, for unpredication (recorded in order).
-    let mut origins: HashMap<BlockId, Vec<(InstId, Origin)>> = HashMap::new();
 
     for &(st, _, pairs) in &melds {
         for &(bt, bf) in pairs {
-            let m = block_map[&bt];
+            let m = block_map[bt.index()];
             // φs are copied, never melded (§IV-D "Melding φ Nodes").
             for side_block in [bt, bf] {
                 for phi in func.phis_of(side_block) {
                     let data = func.inst(phi).clone();
                     let new_id = func.add_inst(m, data);
-                    operand_map.insert(phi, Value::Inst(new_id));
+                    replace(phi, new_id);
                     records.push((new_id, None));
                 }
             }
-            // Body alignment (Algorithm 2's ComputeInstrAlignment).
+            // Body alignment (Algorithm 2's ComputeInstrAlignment); the
+            // steps' sides, in order, are the block's gap runs for
+            // unpredication.
             let alignment = align_block_instructions(func, bt, bf);
+            let first = origins.len() as u32;
             for step in &alignment.steps {
                 let (src, both, origin) = match *step {
                     AlignmentPair::Match(it, if_) => (it, Some((it, if_)), Origin::Both),
@@ -167,13 +289,14 @@ pub fn meld_region(
                 };
                 let data = func.inst(src).clone();
                 let new_id = func.add_inst(m, data);
-                operand_map.insert(src, Value::Inst(new_id));
+                replace(src, new_id);
                 if let Some((_, if_)) = both {
-                    operand_map.insert(if_, Value::Inst(new_id));
+                    replace(if_, new_id);
                 }
-                origins.entry(m).or_default().push((new_id, origin));
+                origins.push((new_id, origin, src));
                 records.push((new_id, both));
             }
+            origin_span.insert(m.index(), (first, origins.len() as u32));
             // Terminator: by isomorphism both sides have the same kind.
             let tt = func.terminator(bt).expect("terminator");
             let tf = func.terminator(bf).expect("terminator");
@@ -185,7 +308,7 @@ pub fn meld_region(
                 if target == st.exit_target {
                     st.exit_target
                 } else {
-                    block_map[&target]
+                    block_map[target.index()]
                 }
             };
             match dt.opcode {
@@ -219,8 +342,6 @@ pub fn meld_region(
     let mut cursor = region.branch_block;
     let mut placeholder: Option<BlockId> = None;
     let mut guard_n = 0usize;
-    // Remember, per melded entry block, which new block feeds it.
-    let mut link_pred: HashMap<BlockId, BlockId> = HashMap::new();
 
     fn link(func: &mut Function, cursor: BlockId, placeholder: Option<BlockId>, target: BlockId) {
         match placeholder {
@@ -237,10 +358,10 @@ pub fn meld_region(
     for el in &plan {
         match el {
             PlanElement::Meld { st, .. } => {
-                let entry_new = block_map[&st.entry];
+                let entry_new = block_map[st.entry.index()];
                 link(func, cursor, placeholder, entry_new);
-                link_pred.insert(entry_new, cursor);
-                cursor = block_map[&st.exit_block];
+                link_pred.insert(entry_new.index(), cursor);
+                cursor = block_map[st.exit_block.index()];
                 placeholder = Some(st.exit_target);
             }
             PlanElement::GapTrue(sg) | PlanElement::GapFalse(sg) => {
@@ -275,22 +396,22 @@ pub fn meld_region(
         let data = func.inst(new_id);
         // A φ's incoming blocks are remapped, the outside pred patched to
         // the linked predecessor.
-        let outside = |p| link_pred.get(&data.block).unwrap_or(p);
+        let outside = |p: BlockId| link_pred.get(data.block.index()).unwrap_or(p);
         let phi_blocks = data
             .phi_blocks
             .iter()
-            .map(|p| *block_map.get(p).unwrap_or_else(|| outside(p)))
+            .map(|&p| block_map.get(p.index()).unwrap_or_else(|| outside(p)))
             .collect();
         let operands = match both {
             None => data
                 .operands
                 .iter()
-                .map(|&v| resolve(&operand_map, v))
+                .map(|&v| resolve(operand_map, v))
                 .collect(),
             Some((it, if_)) => (0..data.operands.len())
                 .map(|k| {
-                    let vt = resolve(&operand_map, func.inst(it).operands[k]);
-                    let vf = resolve(&operand_map, func.inst(if_).operands[k]);
+                    let vt = resolve(operand_map, func.inst(it).operands[k]);
+                    let vf = resolve(operand_map, func.inst(if_).operands[k]);
                     if vt == vf {
                         return vt;
                     }
@@ -321,8 +442,8 @@ pub fn meld_region(
         let (Some(vt), Some(vf)) = (vt, vf) else {
             continue;
         };
-        let vt = resolve(&operand_map, vt);
-        let vf = resolve(&operand_map, vf);
+        let vt = resolve(operand_map, vt);
+        let vf = resolve(operand_map, vf);
         let merged = if vt == vf {
             vt
         } else {
@@ -339,15 +460,9 @@ pub fn meld_region(
     }
     link(func, cursor, placeholder, region.exit);
 
-    // ---- Phase F: global use rewrite and cleanup ----
-    // One arena pass for the whole region; sorted so the journal does not
-    // depend on hash order.
-    let mut rewrites: Vec<(Value, Value)> = operand_map
-        .iter()
-        .map(|(&orig, &to)| (Value::Inst(orig), to))
-        .collect();
-    rewrites.sort_unstable_by_key(|&(orig, _)| orig.as_inst());
-    func.rauw_many(&rewrites);
+    // ---- Phase F: delete the melded originals ----
+    // Their uses in the blocks the region kept wait for the round's
+    // substitution.
     for &(st, sf, _) in &melds {
         stats.melded_subgraphs += 1;
         for &b in st.blocks.iter().chain(&sf.blocks) {
@@ -358,13 +473,11 @@ pub fn meld_region(
     // ---- Phase G: unpredication / store predication ----
     for &(st, _, _) in &melds {
         for &bt in st.blocks.iter() {
-            let Some(&m) = block_map.get(&bt) else {
+            let Some(m) = block_map.get(bt.index()) else {
                 continue;
             };
-            let Some(runs) = origins.get(&m) else {
-                continue;
-            };
-            let gap_runs: Vec<GapRun> = collect_gap_runs(runs);
+            let (first, end) = origin_span[m.index()];
+            let gap_runs = collect_gap_runs(&origins[first as usize..end as usize]);
             if gap_runs.is_empty() {
                 continue;
             }
@@ -379,9 +492,9 @@ pub fn meld_region(
     stats
 }
 
-fn resolve(map: &HashMap<InstId, Value>, v: Value) -> Value {
+fn resolve(map: &ArenaMap<Value>, v: Value) -> Value {
     match v {
-        Value::Inst(id) => map.get(&id).copied().unwrap_or(v),
+        Value::Inst(id) => map.get(id.index()).unwrap_or(v),
         _ => v,
     }
 }
@@ -399,11 +512,12 @@ fn retarget_outside_phi_preds(func: &mut Function, sg: &Subgraph, new_pred: Bloc
     }
 }
 
-/// Groups consecutive single-side instructions into gap runs.
-fn collect_gap_runs(origins: &[(InstId, Origin)]) -> Vec<GapRun> {
+/// Groups consecutive single-side clones — `(clone, side, source)` — into
+/// gap runs.
+fn collect_gap_runs(origins: &[(InstId, Origin, InstId)]) -> Vec<GapRun> {
     let mut runs = Vec::new();
     let mut cur: Option<GapRun> = None;
-    for &(id, origin) in origins {
+    for &(id, origin, src) in origins {
         match origin {
             Origin::Both => {
                 if let Some(r) = cur.take() {
@@ -413,13 +527,17 @@ fn collect_gap_runs(origins: &[(InstId, Origin)]) -> Vec<GapRun> {
             Origin::TrueSide | Origin::FalseSide => {
                 let true_side = origin == Origin::TrueSide;
                 match &mut cur {
-                    Some(r) if r.true_side == true_side => r.insts.push(id),
+                    Some(r) if r.true_side == true_side => {
+                        r.insts.push(id);
+                        r.sources.push(src);
+                    }
                     _ => {
                         if let Some(r) = cur.take() {
                             runs.push(r);
                         }
                         cur = Some(GapRun {
                             insts: vec![id],
+                            sources: vec![src],
                             true_side,
                         });
                     }

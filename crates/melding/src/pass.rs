@@ -7,12 +7,13 @@
 //! (innermost first, §VI-B), plans each against the still-unchanged
 //! function — planning is pure — and keeps a plan when its region is
 //! disjoint from every region kept before it. Only then does it write: the
-//! kept plans are applied one after another, the cleanup pipeline
-//! (`ssa-repair`, `instcombine`, `simplify`, `dce`) runs once over the
-//! result, and the next round re-detects. A region that clashed waits for
-//! that next round; a round that keeps nothing tries region simplification
-//! on the undetected candidates, and a round that cannot even pad is the
-//! fixpoint.
+//! kept plans are applied one after another, every use of a value they
+//! cloned is pointed at its clone in one substitution, the cleanup
+//! pipeline (`ssa-repair`, `instcombine`, `simplify`, `dce`) runs once
+//! over the result, and the next round re-detects. A region that clashed
+//! waits for that next round; a round that keeps nothing tries region
+//! simplification on the undetected candidates, and a round that cannot
+//! even pad is the fixpoint.
 //!
 //! **The disjointness rule** (`Claims`): a region's *footprint* is its
 //! branch block plus every block of its two chains. Two regions share a
@@ -26,17 +27,38 @@
 //! `RunPostOptimizations` after every region, but its correctness argument
 //! (§IV) is per region: the melded region, specialised to its condition,
 //! is the true path or the false path. A meld reads and rewrites its own
-//! footprint, the φs of its exit and — through one substitution — the uses
-//! of the values its blocks defined; it asks nothing of dominance or of
-//! any block outside. So a plan made against the round's first state still
-//! describes its region after a disjoint region was melded: the blocks it
-//! names are untouched, and what a use outside them reads was substituted
-//! along. What the cleanup restores — SSA dominance for values that now
-//! flow out of guarded blocks, folded selects, merged blocks — no later
-//! apply of the round depends on; one repair at the end of the round
-//! repairs them all. Nested regions are the case that does need the
-//! cleanup in between (the outer region's chain *contains* the inner
-//! footprint), and they never share a round.
+//! footprint and the φs of its exit, and owes the function one
+//! substitution — the uses of the values its blocks defined, pointed at
+//! their clones; it asks nothing of dominance or of any block outside. So
+//! a plan made against the round's first state still describes its region
+//! after a disjoint region was melded: the blocks it names are untouched.
+//! What the cleanup restores — SSA dominance for values that now flow out
+//! of guarded blocks, folded selects, merged blocks — no later apply of
+//! the round depends on; one repair at the end of the round repairs them
+//! all. Nested regions are the case that does need the cleanup in between
+//! (the outer region's chain *contains* the inner footprint), and they
+//! never share a round.
+//!
+//! **Where the substitution lands: once, after the round's last apply.**
+//! [`meld_region`] queues its `(original, clone)` pairs on the pass's
+//! [`MeldRound`], and the round applies them all in one
+//! [`Function::rauw_many`] before the cleanup — so a round pays one
+//! function-sized scan, not one per region (the `substitute` row of
+//! `--time-passes`). Deferring it is sound because disjoint regions have
+//! disjoint operand maps and no apply reads a value another would
+//! substitute. A value a chain block defines is used only where that block
+//! dominates — later blocks of its own chain — and in the φs of the
+//! region's exit; the apply resolves both through its own map (melded
+//! clones in SetOperands, exit φs in place), leaving the originals used
+//! only by the unmatched subgraphs it keeps and by its deleted blocks.
+//! Those lie in its own footprint, which no other region of the round
+//! reads; its exit is no other region's exit or chain, so the φs another
+//! apply rewrites never name its values. Within the apply, unpredication
+//! is the one reader of uses, and it looks for each clone's source too
+//! ([`GapRun::sources`](crate::unpredicate::GapRun::sources)). Were any of
+//! this to break, an apply would read an original that an earlier apply of
+//! the round deleted, and [`Function::inst`]'s removed-instruction assert
+//! trips.
 //!
 //! Nothing invalidates by hand: every mutation — region surgery and
 //! cleanup alike — is journaled, and the manager reconciles each cached
@@ -46,6 +68,7 @@
 //! The melded IR of every paper kernel is pinned by a committed golden
 //! table (`melded_ir_matches_golden` in `darm-bench`).
 
+use crate::codegen::{meld_region, MeldRound};
 use crate::region::{self, MeldableRegion};
 use crate::{plan_region, Analyses, MeldConfig, MeldMode, MeldStats, PlanElement};
 use darm_analysis::AnalysisManager;
@@ -57,13 +80,15 @@ use darm_pipeline::{
 use std::time::Instant;
 
 /// The fixpoint's own phases, in the order a round runs them; the inner
-/// cleanup pipeline's slots follow them as child rows.
+/// cleanup pipeline's slots follow them as child rows. `Codegen` runs once
+/// per melded region, `Substitute` once per round that melded.
 #[derive(Clone, Copy)]
 enum Phase {
     Analyses,
     Detect,
     PlanAlign,
     Codegen,
+    Substitute,
 }
 
 /// Stat entry counting [`MeldPass`] runs that stopped at
@@ -71,7 +96,7 @@ enum Phase {
 pub const CAP_HITS_STAT: &str = "fixpoint cap hits";
 
 /// Row names, indexed by [`Phase`].
-const PHASES: [&str; 4] = ["analyses", "detect", "plan+align", "codegen"];
+const PHASES: [&str; 5] = ["analyses", "detect", "plan+align", "codegen", "substitute"];
 
 /// Wall clock of the [`PHASES`], read only when the pass runs under
 /// `--time-passes` — otherwise [`PhaseClock::time`] is a plain call.
@@ -112,6 +137,8 @@ pub struct MeldPass {
     /// landing pads — so it returns at once and leaves the journal clean:
     /// the pass is idempotent under `fixpoint(meld)`.
     settled_at: Option<JournalCursor>,
+    /// The applies' side tables and the round's pending substitution.
+    round: MeldRound,
     cleanup: PassManager,
     clock: PhaseClock,
 }
@@ -136,6 +163,7 @@ impl MeldPass {
             stats: MeldStats::default(),
             cap_hits: 0,
             settled_at: None,
+            round: MeldRound::default(),
             cleanup,
             clock: PhaseClock::default(),
         }
@@ -305,13 +333,16 @@ impl Pass for MeldPass {
                 reached_fixpoint = true;
                 break;
             }
+            let round = &mut self.round;
             for (r, plan) in batch {
                 darm_ir::budget::poll("meld::codegen");
                 darm_ir::fault::point("meld::codegen");
                 stats += self.clock.time(Phase::Codegen, || {
-                    crate::codegen::meld_region(func, &r, plan, config.unpredicate)
+                    meld_region(func, &r, plan, config.unpredicate, round)
                 });
             }
+            self.clock
+                .time(Phase::Substitute, || round.substitute(func));
             stats.ssa_repairs += self.clean_up(func, am)?;
             pads_pending = false;
         }

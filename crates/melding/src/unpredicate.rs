@@ -12,6 +12,10 @@ use darm_ir::{BlockId, Function, InstData, InstId, Opcode, Type, Value};
 pub struct GapRun {
     /// The instructions of the run, in block order.
     pub insts: Vec<InstId>,
+    /// The instruction each of `insts` was cloned from, position for
+    /// position. Until the round's use substitution lands, a use in a
+    /// block the meld kept still names the source, not the clone.
+    pub sources: Vec<InstId>,
     /// Whether the run belongs to the true path.
     pub true_side: bool,
 }
@@ -60,15 +64,17 @@ pub fn unpredicate_block(
             InstData::terminator(Opcode::Br, vec![cond], vec![s_true, s_false]),
         );
         // Def-use repair: values defined in the run but used later flow
-        // through a φ with undef on the skipping arm.
-        for &d in &run.insts {
+        // through a φ with undef on the skipping arm. A later use names the
+        // clone or, until the round's substitution, its source.
+        for (&d, &src) in run.insts.iter().zip(&run.sources) {
             if func.inst(d).ty == Type::Void {
                 continue;
             }
-            let users: Vec<InstId> = func
-                .users_of(Value::Inst(d))
-                .into_iter()
-                .filter(|u| !run.insts.contains(u))
+            let uses_d = |v: &Value| *v == Value::Inst(d) || *v == Value::Inst(src);
+            let users: Vec<InstId> = (0..func.inst_capacity())
+                .map(InstId::new)
+                .filter(|&u| func.is_inst_alive(u) && !run.insts.contains(&u))
+                .filter(|&u| func.inst(u).operands.iter().any(uses_d))
                 .collect();
             if users.is_empty() {
                 continue;
@@ -83,9 +89,8 @@ pub fn unpredicate_block(
                 if u == phi {
                     continue;
                 }
-                let inst = func.inst_mut(u);
-                for op in &mut inst.operands {
-                    if *op == Value::Inst(d) {
+                for op in &mut func.inst_mut(u).operands {
+                    if uses_d(op) {
                         *op = Value::Inst(phi);
                     }
                 }
@@ -172,6 +177,7 @@ mod tests {
 
         let runs = vec![GapRun {
             insts: vec![ids[2], ids[3]],
+            sources: vec![ids[2], ids[3]],
             true_side: true,
         }];
         let n = unpredicate_block(&mut f, e, cond, &runs);
@@ -207,6 +213,7 @@ mod tests {
         b.ret(None);
         let runs = vec![GapRun {
             insts: vec![st],
+            sources: vec![st],
             true_side: true,
         }];
         predicate_stores(&mut f, c, &runs);

@@ -232,6 +232,41 @@ fn gap_kernel() -> Function {
     f
 }
 
+/// [`gap_kernel`] with a true-side-only instruction in the melded pair,
+/// whose value the guarded `T2` reads: the xor becomes an unpredicated gap
+/// run, and `T2`'s use of it has to go through the run's `undef` φ.
+fn gap_value_kernel() -> Function {
+    let mut f = Function::new("gap_value", vec![Type::Ptr(AddrSpace::Global)], Type::Void);
+    let entry = f.entry();
+    let t1 = f.add_block("T1");
+    let t2 = f.add_block("T2");
+    let f1 = f.add_block("F1");
+    let x = f.add_block("x");
+    let mut b = FunctionBuilder::new(&mut f, entry);
+    let tid = b.thread_idx(Dim::X);
+    let parity = b.and(tid, b.const_i32(1));
+    let c = b.icmp(IcmpPred::Eq, parity, b.const_i32(0));
+    b.br(c, t1, f1);
+    b.switch_to(t1);
+    let v1 = b.mul(tid, b.const_i32(3));
+    let g = b.xor(v1, b.const_i32(5)); // true side only
+    let p1 = b.gep(Type::I32, b.param(0), tid);
+    b.store(v1, p1);
+    b.jump(t2);
+    b.switch_to(t2);
+    let r = b.add(g, b.const_i32(100));
+    b.store(r, p1);
+    b.jump(x);
+    b.switch_to(f1);
+    let v2 = b.mul(tid, b.const_i32(9));
+    let p2 = b.gep(Type::I32, b.param(0), tid);
+    b.store(v2, p2);
+    b.jump(x);
+    b.switch_to(x);
+    b.ret(None);
+    f
+}
+
 #[test]
 fn diamond_melds_and_preserves_semantics() {
     let f = diamond_kernel();
@@ -301,6 +336,23 @@ fn unmatched_subgraphs_stay_guarded() {
     let f = gap_kernel();
     let (_base, _meld, stats) = check_meld(&f, &MeldConfig::default(), |f| run(f, 64, &[]));
     assert!(stats.melded_subgraphs >= 1, "{stats:?}");
+}
+
+/// A guarded subgraph reads a value of an unpredicated gap run. The round's
+/// use substitution has not landed when unpredication runs, so the use
+/// still names the original instruction; unpredication must route it
+/// through the run's `undef` φ all the same, which leaves SSA repair
+/// nothing to do.
+#[test]
+fn a_guarded_use_of_an_unpredicated_value_reads_the_runs_phi() {
+    let f = gap_value_kernel();
+    let (_, _, stats) = check_meld(&f, &MeldConfig::default(), |f| run(f, 64, &[]));
+    assert_eq!(
+        (stats.melded_subgraphs, stats.unpredicated_groups),
+        (1, 1),
+        "{stats:?}"
+    );
+    assert_eq!(stats.ssa_repairs, 0, "{stats:?}");
 }
 
 #[test]

@@ -21,7 +21,7 @@
 //! fixpoint — and falls back to every instruction when the cursor no
 //! longer names a window.
 
-use crate::resolve_pending;
+use crate::Pending;
 use darm_ir::{Function, InstId, JournalCursor, Opcode, Value};
 
 /// Applies local rewrites to a fixpoint. Returns the number of
@@ -54,7 +54,7 @@ pub fn run_instcombine_since(func: &mut Function, since: Option<JournalCursor>) 
         );
     }
     let mut total = 0;
-    let mut batch: Vec<(Value, Value)> = Vec::new();
+    let mut pending = Pending::new(func);
     while !work.is_empty() {
         // One round: every queued instruction is simplified against the IR
         // as it stands, then the round's substitutions land in a single
@@ -63,14 +63,12 @@ pub fn run_instcombine_since(func: &mut Function, since: Option<JournalCursor>) 
         // back next round as a rewritten user.
         work.sort_unstable();
         work.dedup();
-        batch.clear();
         for &id in &work {
             if !func.is_inst_alive(id) {
                 continue;
             }
             if let Some(v) = simplify_inst(func, id) {
-                let v = resolve_pending(&batch, v);
-                batch.push((Value::Inst(id), v));
+                pending.push(id, pending.resolve(v));
             }
         }
         work.clear();
@@ -78,11 +76,12 @@ pub fn run_instcombine_since(func: &mut Function, since: Option<JournalCursor>) 
         // user — exactly the instructions whose foldability may have
         // changed.
         let cursor = func.journal_head();
-        func.rauw_many(&batch);
-        for &(from, _) in &batch {
+        func.rauw_many(pending.batch());
+        for &(from, _) in pending.batch() {
             func.remove_inst(from.as_inst().expect("batch holds instructions"));
         }
-        total += batch.len();
+        total += pending.batch().len();
+        pending.clear();
         func.insts_touched_since(cursor, |t| work.push(t));
     }
     total

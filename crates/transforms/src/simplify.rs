@@ -7,7 +7,7 @@
 //! touched was tried and measured no gain on any workload of the ledger
 //! (ROADMAP.md records the numbers, and what the narrowing cost).
 
-use crate::{resolve_pending, run_instcombine_since};
+use crate::{run_instcombine_since, Pending};
 use darm_analysis::{AnalysisManager, Cfg};
 use darm_ir::{BlockId, Function, InstData, Opcode, Value};
 
@@ -178,11 +178,11 @@ fn fold_branches(func: &mut Function, stats: &mut SimplifyStats) -> bool {
 
 fn remove_trivial_phis(func: &mut Function, stats: &mut SimplifyStats) -> bool {
     let mut changed = false;
+    // One sweep's replacements, applied in a single arena pass at its end.
+    // Operands are read through the queue, so a φ made trivial by an
+    // earlier replacement of the same sweep is still caught here.
+    let mut pending = Pending::new(func);
     loop {
-        // One sweep's replacements, applied in a single arena pass at its
-        // end. Operands are read through the queue, so a φ made trivial by
-        // an earlier replacement of the same sweep is still caught here.
-        let mut batch: Vec<(Value, Value)> = Vec::new();
         for b in func.block_ids() {
             for phi in func.phis_of(b) {
                 let inst = func.inst(phi);
@@ -191,7 +191,7 @@ fn remove_trivial_phis(func: &mut Function, stats: &mut SimplifyStats) -> bool {
                 let mut unique: Option<Value> = None;
                 let mut trivial = true;
                 for &v in &inst.operands {
-                    let v = resolve_pending(&batch, v);
+                    let v = pending.resolve(v);
                     if v == Value::Inst(phi) {
                         continue;
                     }
@@ -206,16 +206,15 @@ fn remove_trivial_phis(func: &mut Function, stats: &mut SimplifyStats) -> bool {
                 }
                 if trivial {
                     let replacement = unique.unwrap_or(Value::Undef(inst.ty));
-                    batch.push((Value::Inst(phi), replacement));
+                    pending.push(phi, replacement);
                     func.remove_inst(phi);
                     stats.removed_trivial_phis += 1;
                 }
             }
         }
-        if batch.is_empty() {
+        if !pending.apply(func) {
             break;
         }
-        func.rauw_many(&batch);
         changed = true;
     }
     changed
@@ -224,7 +223,7 @@ fn remove_trivial_phis(func: &mut Function, stats: &mut SimplifyStats) -> bool {
 fn dedup_phis(func: &mut Function, stats: &mut SimplifyStats) -> bool {
     // Applied in one arena pass at the end; φs are compared through the
     // queue, as if each replacement had landed when it was found.
-    let mut batch: Vec<(Value, Value)> = Vec::new();
+    let mut pending = Pending::new(func);
     for b in func.block_ids() {
         let phis = func.phis_of(b);
         for i in 0..phis.len() {
@@ -237,23 +236,22 @@ fn dedup_phis(func: &mut Function, stats: &mut SimplifyStats) -> bool {
                 }
                 let a = func.inst(phis[i]);
                 let c = func.inst(phis[j]);
-                let pending = |v: &Value| resolve_pending(&batch, *v);
+                let resolve = |v: &Value| pending.resolve(*v);
                 if a.ty == c.ty
                     && a.phi_blocks == c.phi_blocks
                     && a.operands
                         .iter()
-                        .map(pending)
-                        .eq(c.operands.iter().map(pending))
+                        .map(resolve)
+                        .eq(c.operands.iter().map(resolve))
                 {
-                    batch.push((Value::Inst(phis[j]), Value::Inst(phis[i])));
+                    pending.push(phis[j], Value::Inst(phis[i]));
                     func.remove_inst(phis[j]);
                     stats.removed_duplicate_phis += 1;
                 }
             }
         }
     }
-    func.rauw_many(&batch);
-    !batch.is_empty()
+    pending.apply(func)
 }
 
 /// Merges `B` into its unique predecessor `P` when `P` unconditionally jumps
@@ -275,9 +273,20 @@ fn merge_straightline(
     // past a merge instead of starting over.
     let cfg = am.get::<Cfg>(func);
     let mut local: Option<Vec<Vec<BlockId>>> = None;
+    // The sweep's folded φs, substituted in one arena pass at its end —
+    // nothing the sweep reads in between is an operand but a folded φ's
+    // own, which reads through the queue.
+    let mut pending = Pending::new(func);
     loop {
         let mut merged = false;
-        for b in func.block_ids() {
+        // Reverse postorder: a chain collapses into its head front to
+        // back, each merge moving only the absorbed block. (A chain ends
+        // in its head in any order, but merged back to front every step
+        // moves the whole tail absorbed so far — a ladder's melded rungs,
+        // applied last rung first, sit in the arena in exactly that
+        // order.) Merging never changes reachability, so the snapshot's
+        // order stays valid, and a block is only removed at its own turn.
+        for &b in cfg.rpo() {
             if b == func.entry() {
                 continue;
             }
@@ -306,13 +315,10 @@ fn merge_straightline(
                     .collect()
             });
             // Single-incoming φs in `b` fold to their value.
-            let mut folded: Vec<(Value, Value)> = Vec::new();
             for phi in func.phis_of(b) {
-                let v = resolve_pending(&folded, func.inst(phi).operands[0]);
-                folded.push((Value::Inst(phi), v));
+                pending.push(phi, pending.resolve(func.inst(phi).operands[0]));
                 func.remove_inst(phi);
             }
-            func.rauw_many(&folded);
             // Move b's instructions into p; they keep their ids.
             func.remove_inst(pt);
             func.merge_block_into(b, p);
@@ -328,6 +334,7 @@ fn merge_straightline(
             merged = true;
             changed = true;
         }
+        pending.apply(func);
         if !merged {
             break;
         }

@@ -20,7 +20,8 @@ ladders (100, 8, 6) … (1200, 24, 8) and ladder(34) — and runs
 
 Prints, per input: min and median milliseconds of each side for the total
 and for every `↳` row of the meld pass (analyses, detect, plan+align,
-codegen, ssa-repair, instcombine, simplify, dce), the ratio of the minima,
+codegen, substitute, ssa-repair, instcombine, simplify, dce), the ratio of
+the minima (`-` for a row only one side has),
 and whether the two sides' melded IR is byte-identical (`cmp`). Uncommitted
 edits are not measured (`git stash create` gives a commit of them). Needs
 git, cargo and python3; set TMPDIR to choose where the worktrees go.
@@ -114,8 +115,9 @@ for name in order:
     print(f"{'row':<14}{'parent min / median ms':>26}{'change min / median ms':>26}{'change/parent (min)':>22}")
     rows = times[name]
     for row in [r for r in rows if r != "total"] + ["total"]:
-        p, c = rows[row]["parent"], rows[row]["change"]
-        fmt = lambda xs: f"{min(xs):.3f} / {statistics.median(xs):.3f}"
-        ratio = f"{min(c) / min(p):.2f}" if min(p) else "-"
+        # A row one side does not have (a phase added or removed) prints "-".
+        p, c = rows[row].get("parent"), rows[row].get("change")
+        fmt = lambda xs: f"{min(xs):.3f} / {statistics.median(xs):.3f}" if xs else "-"
+        ratio = f"{min(c) / min(p):.2f}" if p and c and min(p) else "-"
         print(f"{row:<14}{fmt(p):>26}{fmt(c):>26}{ratio:>22}")
 EOF
