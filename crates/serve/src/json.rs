@@ -154,6 +154,49 @@ impl fmt::Display for Json {
     }
 }
 
+/// Whether a JSON string cannot hold `b` raw: `"`, `\` and the controls
+/// below U+0020. The decoder stops at these, and the escaper escapes them.
+fn is_special(b: u8) -> bool {
+    b == b'"' || b == b'\\' || b < 0x20
+}
+
+/// The index of the first [special](is_special) byte of `bytes`, or
+/// `bytes.len()` if there is none: the scan under both the string decoder
+/// and the escaper, eight bytes per step.
+///
+/// A word `w` flags byte `i` when bit 7 of byte `i` of `x.wrapping_sub(ONES)
+/// & !x` is set, for `x = w ^ ("\"" × ONES)` (a zero byte where `w` has a
+/// quote) and `x = w ^ ("\\" × ONES)`; and of `w.wrapping_sub(0x20 × ONES) &
+/// !w` (a byte below 0x20). Without a borrow into it, a byte is flagged
+/// exactly when its predicate holds. A chain of borrows starts only at a
+/// byte that matched and only runs upwards, so a wrongly flagged byte always
+/// sits above a true match in the same word: the lowest flagged byte — the
+/// first in the text, as the word is read little-endian — is a real one.
+fn find_special(bytes: &[u8]) -> usize {
+    const ONES: u64 = u64::from_le_bytes([0x01; 8]);
+    const HIGHS: u64 = u64::from_le_bytes([0x80; 8]);
+    let mut words = bytes.chunks_exact(8);
+    let mut at = 0;
+    for word in &mut words {
+        let w = u64::from_le_bytes(word.try_into().expect("an 8-byte chunk"));
+        let quote = w ^ (ONES * u64::from(b'"'));
+        let backslash = w ^ (ONES * u64::from(b'\\'));
+        let flags = (quote.wrapping_sub(ONES) & !quote
+            | backslash.wrapping_sub(ONES) & !backslash
+            | w.wrapping_sub(ONES * 0x20) & !w)
+            & HIGHS;
+        if flags != 0 {
+            return at + (flags.trailing_zeros() / 8) as usize;
+        }
+        at += 8;
+    }
+    let tail = words.remainder();
+    at + tail
+        .iter()
+        .position(|&b| is_special(b))
+        .unwrap_or(tail.len())
+}
+
 /// Writes `s` as a JSON string literal: the workspace's one escaper, under
 /// [`Json`]'s `Display` and under every reply `Response::to_bytes` writes.
 /// Copies the run up to the next byte that needs an escape in one piece;
@@ -162,12 +205,13 @@ impl fmt::Display for Json {
 pub(crate) fn write_escaped(out: &mut impl fmt::Write, s: &str) -> fmt::Result {
     out.write_char('"')?;
     let mut rest = s;
-    while let Some(at) = rest
-        .bytes()
-        .position(|b| b == b'"' || b == b'\\' || b < 0x20)
-    {
+    loop {
+        let at = find_special(rest.as_bytes());
         out.write_str(&rest[..at])?;
-        match rest.as_bytes()[at] {
+        let Some(&special) = rest.as_bytes().get(at) else {
+            return out.write_char('"');
+        };
+        match special {
             b'"' => out.write_str("\\\"")?,
             b'\\' => out.write_str("\\\\")?,
             b'\n' => out.write_str("\\n")?,
@@ -177,8 +221,6 @@ pub(crate) fn write_escaped(out: &mut impl fmt::Write, s: &str) -> fmt::Result {
         }
         rest = &rest[at + 1..];
     }
-    out.write_str(rest)?;
-    out.write_char('"')
 }
 
 /// Maximum container nesting the parser accepts. Recursion depth is
@@ -188,6 +230,39 @@ pub(crate) fn write_escaped(out: &mut impl fmt::Write, s: &str) -> fmt::Result {
 /// The cap turns such input into an ordinary typed parse error; the
 /// protocol itself never nests more than a handful of levels.
 const MAX_DEPTH: usize = 128;
+
+/// Whether `s` is a number in RFC 8259's grammar,
+/// `-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?`: no leading
+/// zero, and a digit on both sides of a point. (`f64::from_str` alone
+/// would take `01`, `1.` and `-.5`.)
+fn is_json_number(s: &[u8]) -> bool {
+    let digits = |s: &[u8]| s.iter().take_while(|b| b.is_ascii_digit()).count();
+    let s = s.strip_prefix(b"-").unwrap_or(s);
+    let mut rest = match s.first() {
+        Some(b'0') => &s[1..],
+        Some(b'1'..=b'9') => &s[digits(s)..],
+        _ => return false,
+    };
+    if let Some(fraction) = rest.strip_prefix(b".") {
+        let n = digits(fraction);
+        if n == 0 {
+            return false;
+        }
+        rest = &fraction[n..];
+    }
+    if let Some(exponent) = rest.strip_prefix(b"e").or_else(|| rest.strip_prefix(b"E")) {
+        let exponent = exponent
+            .strip_prefix(b"+")
+            .or_else(|| exponent.strip_prefix(b"-"))
+            .unwrap_or(exponent);
+        let n = digits(exponent);
+        if n == 0 {
+            return false;
+        }
+        rest = &exponent[n..];
+    }
+    rest.is_empty()
+}
 
 struct Parser<'a> {
     text: &'a str,
@@ -261,7 +336,10 @@ impl Parser<'_> {
         while let Some(b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9') = self.peek() {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii span");
+        let text = &self.text[start..self.pos];
+        if !is_json_number(text.as_bytes()) {
+            return Err(format!("bad number `{text}` at byte {start}"));
+        }
         let n = text
             .parse::<f64>()
             .map_err(|e| format!("bad number `{text}` at byte {start}: {e}"))?;
@@ -282,12 +360,7 @@ impl Parser<'_> {
             // byte at once. All three are ASCII, so the run ends on a char
             // boundary of the (already valid) input text.
             let start = self.pos;
-            while self
-                .peek()
-                .is_some_and(|b| b != b'"' && b != b'\\' && b >= 0x20)
-            {
-                self.pos += 1;
-            }
+            self.pos += find_special(&self.bytes[start..]);
             out.push_str(&self.text[start..self.pos]);
             match self.peek() {
                 None => return Err("unterminated string".to_string()),
@@ -445,8 +518,133 @@ mod tests {
             "1 2",
             "{\"a\":1}x",
             "\"bad \\q escape\"",
+            // Numbers `f64::from_str` takes and RFC 8259 does not.
+            "01",
+            "-01",
+            "00",
+            "1.",
+            "0.",
+            "1.e5",
+            "-.5",
+            "-",
+            "1e",
+            "1e+",
+            "{\"op\":\"ping\",\"id\":01}",
         ] {
             assert!(Json::parse(bad).is_err(), "accepted: {bad}");
+        }
+        for (good, value) in [
+            ("0", 0.0),
+            ("-0", 0.0),
+            ("10", 10.0),
+            ("1E+2", 100.0),
+            ("1.5e-3", 1.5e-3),
+            ("-12.25", -12.25),
+            ("0e5", 0.0),
+        ] {
+            assert_eq!(Json::parse(good), Ok(Json::Num(value)), "{good}");
+        }
+    }
+
+    /// The old scan, one byte per step.
+    fn find_special_bytewise(bytes: &[u8]) -> usize {
+        bytes
+            .iter()
+            .position(|&b| is_special(b))
+            .unwrap_or(bytes.len())
+    }
+
+    /// Every byte value at every position of every length up to three
+    /// words, over backgrounds of an ASCII letter, the two bytes of `é` and
+    /// DEL (the byte just above the controls that is not one): the word scan
+    /// finds what the byte scan finds.
+    #[test]
+    fn word_scan_equals_byte_scan_for_every_byte_at_every_position() {
+        let backgrounds: [&[u8]; 3] = [b"a", "é".as_bytes(), b"\x7f"];
+        for background in backgrounds {
+            for len in 0..=24 {
+                let fill: Vec<u8> = background.iter().copied().cycle().take(len).collect();
+                assert_eq!(find_special(&fill), len);
+                for at in 0..len {
+                    for byte in 0..=u8::MAX {
+                        let mut bytes = fill.clone();
+                        bytes[at] = byte;
+                        assert_eq!(
+                            find_special(&bytes),
+                            find_special_bytewise(&bytes),
+                            "byte {byte:#04x} at {at} of {len} over {background:?}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// Two bytes per word from the edges of the three predicates: a borrow
+    /// out of the lower one must never hide it or flag a byte below it.
+    #[test]
+    fn word_scan_finds_the_first_of_two_specials() {
+        let edges = [
+            0x00, 0x01, 0x1f, 0x20, 0x21, 0x22, 0x23, 0x5b, 0x5c, 0x5d, 0x7f, 0x80, 0xa0, 0xa2,
+            0xdc, 0xff,
+        ];
+        for first in edges {
+            for second in edges {
+                for i in 0..16 {
+                    for j in i + 1..17 {
+                        let mut bytes = [b'x'; 17];
+                        bytes[i] = first;
+                        bytes[j] = second;
+                        assert_eq!(find_special(&bytes), find_special_bytewise(&bytes));
+                    }
+                }
+            }
+        }
+    }
+
+    /// The old escaper, one byte per step: the bytes every reply was
+    /// written with before the word scan.
+    fn escape_bytewise(s: &str) -> String {
+        let mut out = String::from("\"");
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+        out
+    }
+
+    /// Seeded random strings of every length across two words' worth of
+    /// boundaries, mixing controls, `"`, `\`, ASCII, and two- and four-byte
+    /// UTF-8: escaping writes what the byte scan wrote, and parsing gives
+    /// the string back.
+    #[test]
+    fn escape_then_parse_round_trips_random_strings() {
+        let alphabet = [
+            '\u{0}', '\u{8}', '\t', '\n', '\r', '\u{1f}', '"', '\\', '/', ' ', 'a', '~', '\u{7f}',
+            'é', '\u{7ff}', '€', '😀',
+        ];
+        let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut next = |bound: usize| {
+            // xorshift64*
+            state ^= state >> 12;
+            state ^= state << 25;
+            state ^= state >> 27;
+            (state.wrapping_mul(0x2545_f491_4f6c_dd1d) >> 33) as usize % bound
+        };
+        for round in 0..4_000 {
+            let len = round % 41;
+            let s: String = (0..len).map(|_| alphabet[next(alphabet.len())]).collect();
+            let escaped = Json::Str(s.clone()).to_string();
+            assert_eq!(escaped, escape_bytewise(&s));
+            assert_eq!(Json::parse(&escaped), Ok(Json::Str(s)));
         }
     }
 

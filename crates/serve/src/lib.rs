@@ -44,26 +44,33 @@
 //!
 //! # Cache keying
 //!
-//! Caching is two-level. Each function is keyed by a 128-bit
-//! [`cache::ContentKey`] — two independently seeded FNV-1a-64 streams
-//! over `canonical_spec ∥ 0x00 ∥ printed_function_ir` (see
-//! [`cache::content_key`]): the spec is parsed once per request and
-//! re-printed, so equivalent spellings share entries (the registry first
-//! sees it after a memo miss, when the request's pass manager is built —
-//! an unknown pass or bad parameter answers `spec` there, before the
-//! input is read, and is remembered nowhere), FNV-1a is stable across
-//! processes and platforms so a persisted request stream replays
-//! identically anywhere, and requiring both 64-bit digests to agree
-//! keeps a constructible single-hash collision from silently serving
-//! another function's compiled IR. Deterministic compile faults (contained
+//! Caching is two-level, and both levels are keyed by a 128-bit
+//! [`cache::ContentKey`]: two 64-bit digests from independent starting
+//! states, both of which must agree for a hit, so a constructible
+//! single-hash collision cannot silently serve another input's compiled
+//! IR. The spec is parsed once per request and re-printed, so equivalent
+//! spellings share entries (the registry first sees it after a memo miss,
+//! when the request's pass manager is built — an unknown pass or bad
+//! parameter answers `spec` there, before the input is read, and is
+//! remembered nowhere). Each function is keyed by
+//! [`cache::content_key`]: two FNV-1a-64 streams over `canonical_spec ∥
+//! 0x00 ∥ printed_function_ir`, fed straight from the printer, whose
+//! pieces are a few bytes each — streaming FNV over them is cheaper than a
+//! word hasher over the same pieces or than printing to a buffer first
+//! (the numbers are in [`cache`]). Deterministic compile faults (contained
 //! panics and pass errors) are *negatively* cached — the function is
 //! served degraded-to-baseline with its diagnostic, instantly — while
 //! budget exhaustion (deadline/fuel) is never cached because it
 //! depends on per-request limits, not on the input.
 //!
-//! In front of the function cache sits a whole-request memo keyed the
-//! same way over `canonical_spec ∥ 0x00 ∥ raw_request_ir`: a fully-warm
-//! request is answered before its input is even parsed. The memo only
+//! In front of the function cache sits a whole-request memo keyed by
+//! [`cache::raw_key`] over the canonical spec and the raw request IR, one
+//! contiguous text: two lanes that absorb a little-endian word per folded
+//! 64×64→128-bit multiply, the spec and the text as length-delimited
+//! parts. The two keys index different maps, so they need not (and do not)
+//! agree; both are the same on every platform and in every process, and
+//! neither is cryptographic. A fully-warm request is answered before its
+//! input is even parsed. The memo only
 //! holds fully *optimized* responses (degraded and negatively-cached
 //! outcomes always route through the function cache, keeping fail-fast
 //! semantics observable) and is a pure front — dropping an entry changes
