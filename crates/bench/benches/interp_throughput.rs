@@ -5,14 +5,17 @@
 //! Two parts:
 //!
 //! * criterion timings of every fig. 9 real-world case on both engines;
-//! * three **attribution kernels**, each built to isolate one cost the way
+//! * four **attribution kernels**, each built to isolate one cost the way
 //!   Białas & Strzelecki isolate one per microbenchmark, so a change in
 //!   engine throughput can be read off the kernel it shows up in:
 //!   [`alu_uniform`] (full warps, straight ALU chains: the whole-warp value
 //!   loops), [`divergent_ladder`] (every rung's arm runs with one lane
 //!   active: dispatch, mask and reconvergence-stack cost per warp
-//!   instruction), [`memory_bound`] (fused gep+load/gep+store with almost no
-//!   ALU work: the per-lane memory path and the coalescing model).
+//!   instruction), [`interleaved_join`] (arms under alternate-lane masks
+//!   joined by φs: sparse masks, φ provenance buckets and compare-mask
+//!   packing), [`memory_bound`] (fused gep+load/gep+store with almost no
+//!   ALU work: the warp-access pre-pass, the typed access loop and the
+//!   coalescing model).
 //!
 //! `cargo bench --bench interp_throughput` — measure.
 //! `cargo bench --bench interp_throughput -- --test` — smoke mode: every
@@ -71,7 +74,7 @@ const GRID: u32 = 4;
 const BLOCK: u32 = 128;
 
 /// `f(data)`: `acc = data[gtid]; repeat TRIPS { acc = body(acc, i) };
-/// data[gtid] = acc` — the scaffold the three kernels share. `body` is
+/// data[gtid] = acc` — the scaffold the four kernels share. `body` is
 /// called with the cursor in the loop body, `(tid, gtid, acc, i)`, and
 /// returns the next `acc`, leaving the cursor in the block that jumps back.
 fn looped(
@@ -156,6 +159,33 @@ fn divergent_ladder() -> Function {
     })
 }
 
+/// Interleaved divergence: a ladder of 8 rungs `if tid & 1`, so both arms
+/// run under a non-contiguous half-warp mask (the per-set-bit walk), every
+/// rung's fused compare-and-branch packs a full warp of compare bits, and
+/// every join resolves its φ from two provenance buckets.
+fn interleaved_join() -> Function {
+    looped("interleaved_join", |b, [tid, _, acc, i]| {
+        let mut v = acc;
+        for k in 0..8 {
+            let [t, e, join] = ["odd", "even", "join"].map(|n| b.add_block(&format!("{n}{k}")));
+            let bit = b.and(tid, b.const_i32(1));
+            let odd = b.icmp(IcmpPred::Ne, bit, b.const_i32(0));
+            b.br(odd, t, e);
+            b.switch_to(t);
+            let m = b.mul(v, b.const_i32(3));
+            let vt = b.add(m, i);
+            b.jump(join);
+            b.switch_to(e);
+            let x = b.xor(v, b.const_i32(7 * k + 1));
+            let ve = b.lshr(x, b.const_i32(1));
+            b.jump(join);
+            b.switch_to(join);
+            v = b.phi(Type::I32, &[(t, vt), (e, ve)]);
+        }
+        v
+    })
+}
+
 /// Memory-bound: per trip one coalesced load and one coalesced store
 /// through freshly computed addresses (both fuse with their gep), with two
 /// ALU ops between them.
@@ -219,7 +249,12 @@ fn bench(c: &mut Criterion) {
             case.name
         );
     }
-    let kernels = [alu_uniform(), divergent_ladder(), memory_bound()];
+    let kernels = [
+        alu_uniform(),
+        divergent_ladder(),
+        interleaved_join(),
+        memory_bound(),
+    ];
     for f in &kernels {
         let bk = BytecodeKernel::new(f);
         assert_eq!(

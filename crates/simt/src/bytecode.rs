@@ -402,7 +402,7 @@ pub struct BytecodeKernel {
     names: String,
     pub(crate) entry: u32,
     pub(crate) shared_size: u64,
-    /// Whether terminators must record per-lane provenance. Only φs read
+    /// Whether terminators must record lane provenance. Only φs read
     /// it, so a φ-free kernel skips the bookkeeping entirely. (Per-branch
     /// elision would be unsound: a lane that returns inside a divergent
     /// arm is resurrected at the reconvergence point, where a φ may read

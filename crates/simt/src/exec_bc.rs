@@ -28,15 +28,26 @@
 //! vectorises; otherwise it walks the set bits of the mask, still untagged.
 //! φ moves copy column runs the same way. `br`, the fused
 //! [`Op::CmpBr`](crate::bytecode::Op::CmpBr) and `ballot` build their lane
-//! masks from the cells of the active span and the condition's
-//! definedness word.
+//! masks from the cells of the active span — one byte per lane, packed
+//! eight lanes per multiply — and the condition's definedness word.
 //!
-//! Per-lane code remains only where the model is per-lane: memory accesses
-//! (address and value definedness, bounds, and the address list
-//! [`KernelStats::charge_mem_access`] reads), integer division (a zero
-//! divisor is an error only in a lane whose operands are defined) and
-//! `tid`. The fused gep+memory ops run in two phases, so a budget
-//! exhaustion still lands between the address computation and the access.
+//! The per-warp books are words too. Where each lane came from is a short
+//! list of `(block, lane mask)` groups that a terminator updates with a few
+//! mask operations, and a φ batch buckets its lanes by intersecting those
+//! groups with the entry mask. A memory access gathers its addresses into a
+//! fixed array and passes one pre-pass — every lane defined as a word, one
+//! store resolved, one bounds check folded over the offsets — before a
+//! typed loop with no per-lane check; the coalescing and bank-conflict model
+//! ([`KernelStats::charge_mem_access`]) reads the same array, and counts
+//! bank conflicts without sorting.
+//!
+//! Per-lane code remains only where the model is per-lane: an access that
+//! fails the pre-pass is walked lane by lane to find the reference's first
+//! failing lane (and to make the stores before it), integer division walks
+//! lanes (a zero divisor is an error only in a lane whose operands are
+//! defined), and so do `tid`, the sparse-mask walk of `map` and the φ error
+//! path. The fused gep+memory ops run in two phases, so a budget exhaustion
+//! still lands between the address computation and the access.
 //!
 //! Control is unchanged from the tagged engine it replaces: pre-patched
 //! resume pcs keep uniform `jump`/`br` inside the dispatch loop, the stack
@@ -48,7 +59,7 @@
 
 use crate::bytecode::{BytecodeKernel, Cvt, Op, Uniform, BLOCK_ENTRY, NO_BLOCK, NO_DST, W};
 use crate::exec::{check_warp_size, validate_args, KernelArg, SimError};
-use crate::mem::{decode, encode_shared, ByteStore};
+use crate::mem::{decode, encode_shared, ByteStore, OFFSET_MASK};
 use crate::stats::KernelStats;
 use crate::timing::{bc_deps, TimingState};
 use crate::{GpuConfig, LaunchConfig};
@@ -114,7 +125,7 @@ pub(crate) fn launch(
                 budget: &mut budget,
                 threads,
                 n_warps,
-                lane_addrs: Vec::new(),
+                addrs: [0; 64],
                 gep_cells: [0; 64],
                 scratch: Vec::new(),
                 buckets: Vec::new(),
@@ -154,8 +165,12 @@ enum WarpStatus {
 
 struct WarpState {
     stack: Vec<StackEntry>,
-    /// Last block executed, per lane (dense index) — resolves φ incomings.
-    prev: Vec<u32>,
+    /// The last block each lane executed, as `(dense block, lane mask)`
+    /// groups — resolves φ incomings. The masks are disjoint and non-empty
+    /// and the blocks distinct, so there are at most as many groups as
+    /// lanes (the capacity, reserved up front); a lane in no group has
+    /// executed no terminator yet.
+    prev: Vec<(u32, u64)>,
     status: WarpStatus,
     base_thread: u32,
 }
@@ -248,7 +263,14 @@ fn map<const K: usize>(
 
 /// Bit `i` of the result is `f` of cell `i` of each column, over a whole
 /// `n`-lane span (callers mask out inactive and undefined lanes).
+///
+/// The span is evaluated into one byte per lane — a counted loop the
+/// compiler vectorises — and each eight bytes are packed into eight bits by
+/// one multiply: with every byte 0 or 1, `x * 0x0102_0408_1020_4080` puts
+/// byte `j`'s bit at bit `56 + j` and every other partial product at a
+/// distinct bit below 56 or past 63, so nothing carries into the top byte.
 #[inline(always)]
+#[allow(clippy::needless_range_loop)]
 fn bits<const K: usize>(
     regs: &[u64],
     cols: [usize; K],
@@ -256,9 +278,17 @@ fn bits<const K: usize>(
     f: impl Fn([u64; K]) -> bool,
 ) -> u64 {
     let cols = cols.map(|c| &regs[c..c + n]);
-    (0..n).fold(0, |t, i| {
-        t | (f(std::array::from_fn(|k| cols[k][i])) as u64) << i
-    })
+    let mut lane = [0u8; 64];
+    let out = &mut lane[..n];
+    for i in 0..n {
+        out[i] = f(std::array::from_fn(|k| cols[k][i])) as u8;
+    }
+    let mut t = 0u64;
+    for (c, chunk) in lane.chunks_exact(8).take(n.div_ceil(8)).enumerate() {
+        let x = u64::from_le_bytes(chunk.try_into().expect("eight bytes"));
+        t |= (x.wrapping_mul(0x0102_0408_1020_4080) >> 56) << (8 * c);
+    }
+    t
 }
 
 #[inline(always)]
@@ -322,6 +352,110 @@ fn mem_write(
     })
 }
 
+/// The pre-pass of a warp access whose lanes are all defined: the one
+/// store every address of `addrs` names, when each lane's `[off, off +
+/// size)` lies inside it — that is, when no offset exceeds the store's
+/// length minus the access size. `None` (stores mixed in one access, an
+/// unknown buffer, a lane out of bounds, a `void` access) sends the access
+/// down the per-lane walk, which raises the reference's error.
+///
+/// Both tests fold into words with no compare per lane: the tags' XOR
+/// with the first lane's, and `last - off`, whose sign bit is set exactly
+/// when `off > last` (an offset is below 2^48, a length far below 2^63).
+#[inline(always)]
+fn resolve<'s>(
+    buffers: &'s mut [ByteStore],
+    shared: &'s mut ByteStore,
+    ty: Type,
+    addrs: &[u64],
+) -> Option<&'s mut ByteStore> {
+    let size = match ty {
+        Type::I1 => 1,
+        Type::I32 | Type::F32 => 4,
+        Type::I64 | Type::Ptr(_) => 8,
+        Type::Void => return None,
+    };
+    let first = *addrs.first()?;
+    let store = match first >> 48 {
+        0 => shared,
+        tag => buffers.get_mut(tag as usize - 1)?,
+    };
+    let last = (store.len() as u64).checked_sub(size)?;
+    let (mut diff, mut over) = (0u64, 0u64);
+    for &a in addrs {
+        diff |= a ^ first;
+        over |= last.wrapping_sub(a & OFFSET_MASK);
+    }
+    (diff >> 48 == 0 && over >> 63 == 0).then_some(store)
+}
+
+/// Calls `f(k, i)` for each active lane of `run`, in lane order: `k` is
+/// the lane's rank among the active lanes (its index into a gathered
+/// address list), `i` its offset into the span.
+#[inline(always)]
+fn ranked(run: Run, mut f: impl FnMut(usize, usize)) {
+    if run.dense {
+        for i in 0..run.n {
+            f(i, i);
+        }
+    } else {
+        let (mut m, mut k) = (run.bits, 0);
+        while m != 0 {
+            f(k, m.trailing_zeros() as usize);
+            m &= m - 1;
+            k += 1;
+        }
+    }
+}
+
+/// The `N` bytes at the offset of `addr`, which [`resolve`] checked.
+#[inline(always)]
+fn at<const N: usize>(bytes: &[u8], addr: u64) -> &[u8; N] {
+    let off = (addr & OFFSET_MASK) as usize;
+    bytes[off..off + N].try_into().expect("N bytes")
+}
+
+/// The typed loop of a load that passed [`resolve`]: `out[i]` (the
+/// destination column, by span offset) gets the cell at `addrs[k]` —
+/// [`ByteStore::read_cell`] with the type matched once per access.
+#[inline(always)]
+fn load_cells(bytes: &[u8], ty: Type, addrs: &[u64], run: Run, out: &mut [u64]) {
+    match ty {
+        Type::I1 => ranked(run, |k, i| {
+            out[i] = (at::<1>(bytes, addrs[k])[0] != 0) as u64
+        }),
+        Type::I32 => ranked(run, |k, i| {
+            out[i] = i32::from_le_bytes(*at(bytes, addrs[k])) as i64 as u64;
+        }),
+        Type::F32 => ranked(run, |k, i| {
+            out[i] = u32::from_le_bytes(*at(bytes, addrs[k])) as u64;
+        }),
+        Type::I64 | Type::Ptr(_) => ranked(run, |k, i| {
+            out[i] = u64::from_le_bytes(*at(bytes, addrs[k]));
+        }),
+        Type::Void => unreachable!("resolve refuses a void access"),
+    }
+}
+
+/// The typed loop of a store that passed [`resolve`]:
+/// [`ByteStore::write_cell`] of `vals[i]` at `addrs[k]`, in lane order
+/// (a later lane's store to the same bytes wins, as in the reference).
+#[inline(always)]
+fn store_cells(bytes: &mut [u8], ty: Type, addrs: &[u64], run: Run, vals: &[u64]) {
+    let mut put = |addr: u64, b: &[u8]| {
+        let off = (addr & OFFSET_MASK) as usize;
+        bytes[off..off + b.len()].copy_from_slice(b);
+    };
+    match ty {
+        Type::I1 => ranked(run, |k, i| put(addrs[k], &[vals[i] as u8])),
+        Type::I32 | Type::F32 => ranked(run, |k, i| {
+            put(addrs[k], &(vals[i] as u32).to_le_bytes());
+        }),
+        Type::I64 | Type::Ptr(_) => ranked(run, |k, i| put(addrs[k], &vals[i].to_le_bytes())),
+        Type::Void => unreachable!("resolve refuses a void access"),
+    }
+}
+
 /// Per-thread-block execution state for the bytecode engine.
 struct BcEngine<'a> {
     buffers: &'a mut Vec<ByteStore>,
@@ -336,14 +470,16 @@ struct BcEngine<'a> {
     threads: usize,
     /// Warps per block — the stride between definedness words.
     n_warps: usize,
-    /// Scratch for per-lane memory addresses of the current instruction.
-    lane_addrs: Vec<u64>,
+    /// The current memory access's addresses, one per active lane in lane
+    /// order (`addrs[..active]`).
+    addrs: [u64; 64],
     /// Addresses computed by the gep half of a fused gep+mem op, by lane of
     /// the active span (the address register itself may be elided).
     gep_cells: [u64; 64],
     /// Scratch for the coalescing / bank-conflict model.
     scratch: Vec<u64>,
-    /// Scratch for φ resolution: `(pred block, lane mask)` buckets.
+    /// Scratch for φ resolution: `(edge, lane mask)` buckets, the edge an
+    /// index into the block's φ edges.
     buckets: Vec<(u32, u64)>,
     /// Scratch for the staged (overlapping) φ move path.
     stage: Vec<u64>,
@@ -371,7 +507,7 @@ impl<'a> BcEngine<'a> {
                         // `lanes` is 1..=64: `check_warp_size` held.
                         mask: u64::MAX >> (64 - lanes),
                     }],
-                    prev: vec![NO_BLOCK; ws as usize],
+                    prev: Vec::with_capacity(if self.bk.track_prev { ws as usize } else { 0 }),
                     status: WarpStatus::Running,
                     base_thread: base,
                 }
@@ -598,7 +734,7 @@ impl<'a> BcEngine<'a> {
                     (gdef, gep_ready)
                 }};
             }
-            // Same for a memory op: the cost model reads `lane_addrs` and
+            // Same for a memory op: the cost model reads `addrs` and
             // charges `self.stats` directly, so the locals flush first.
             // `$d`/`$srcs` are the scoreboard dst/src slots; `$hint` is an
             // explicit readiness floor (the gep half of a fused op).
@@ -609,7 +745,7 @@ impl<'a> BcEngine<'a> {
                     flush!();
                     let (is_global, extra) = self
                         .stats
-                        .charge_mem_access(&self.lane_addrs, &mut self.scratch);
+                        .charge_mem_access(&self.addrs[..active as usize], &mut self.scratch);
                     if let Some(t) = self.timing.as_deref_mut() {
                         t.mem_issue(w_idx, active as u32, $d, $srcs, $hint, is_global, extra);
                     }
@@ -632,16 +768,30 @@ impl<'a> BcEngine<'a> {
                     }
                 }};
             }
-            // Record per-lane provenance before leaving a block (skipped
-            // entirely for φ-free kernels — nothing ever reads it).
+            // Record provenance before leaving a block (skipped entirely
+            // for φ-free kernels — nothing ever reads it): the active lanes
+            // leave every other group and join `cur_block`'s. A lone group
+            // inside the mask — a warp that moves as one — is relabelled.
             macro_rules! record_prev {
                 () => {{
                     if bk.track_prev {
-                        let mut m = mask;
-                        while m != 0 {
-                            let lane = m.trailing_zeros();
-                            m &= m - 1;
-                            warp.prev[lane as usize] = cur_block;
+                        match warp.prev.as_mut_slice() {
+                            [(b, m)] if *m & !mask == 0 => (*b, *m) = (cur_block, mask),
+                            _ => {
+                                let mut joined = false;
+                                warp.prev.retain_mut(|(b, m)| {
+                                    if *b == cur_block {
+                                        *m |= mask;
+                                        joined = true;
+                                    } else {
+                                        *m &= !mask;
+                                    }
+                                    *m != 0
+                                });
+                                if !joined {
+                                    warp.prev.push((cur_block, mask));
+                                }
+                            }
                         }
                     }
                 }};
@@ -674,41 +824,74 @@ impl<'a> BcEngine<'a> {
                 }};
             }
 
-            // The access half of a load or store, per lane in lane order
-            // exactly as the reference walks it: address defined, (value
-            // defined,) in bounds. `$addr` is the lane's address cell.
+            // The access half of a load or store. The active lanes'
+            // addresses (`$src`, by span offset) are gathered into `addrs`;
+            // a pre-pass — definedness as a word, then [`resolve`]'s one
+            // store and one bounds check — lets the typed loop run with no
+            // per-lane check. An access that fails it is walked lane by
+            // lane exactly as the reference walks it: address defined,
+            // (value defined,) in bounds — so the first failing lane, its
+            // error and the stores before it are the reference's.
             macro_rules! load_lanes {
-                ($ty:expr, $d:expr, $adef:expr, |$i:ident| $addr:expr) => {{
-                    self.lane_addrs.clear();
-                    let dc = col!($d);
-                    let adef: u64 = $adef >> lo;
-                    lanes!(|$i| {
-                        if (adef >> $i) & 1 == 0 {
-                            return Err(SimError::UndefValue("load address".into()));
+                ($ty:expr, $d:expr, $adef:expr, $src:expr) => {{
+                    let src: &[u64] = $src;
+                    ranked(run, |k, i| self.addrs[k] = src[i]);
+                    let (ty, dc, adef): (Type, usize, u64) = ($ty, col!($d), $adef);
+                    let addrs = &self.addrs[..active as usize];
+                    let fast = if mask & !adef == 0 {
+                        resolve(self.buffers, &mut self.shared, ty, addrs)
+                    } else {
+                        None
+                    };
+                    match fast {
+                        Some(store) => {
+                            load_cells(store.bytes(), ty, addrs, run, &mut regs[dc..dc + run.n])
                         }
-                        let addr = $addr;
-                        self.lane_addrs.push(addr);
-                        regs[dc + $i] = mem_read(self.buffers, &self.shared, $ty, addr)?;
-                    });
+                        None => {
+                            let (adef, mut k) = (adef >> lo, 0);
+                            lanes!(|i| {
+                                if (adef >> i) & 1 == 0 {
+                                    return Err(SimError::UndefValue("load address".into()));
+                                }
+                                regs[dc + i] = mem_read(self.buffers, &self.shared, ty, addrs[k])?;
+                                k += 1;
+                            });
+                        }
+                    }
                     set_def!($d, u64::MAX);
                 }};
             }
             macro_rules! store_lanes {
-                ($ty:expr, $v:expr, $adef:expr, |$i:ident| $addr:expr) => {{
-                    self.lane_addrs.clear();
-                    let vc = col!($v);
-                    let (vdef, adef): (u64, u64) = (def!($v) >> lo, $adef >> lo);
-                    lanes!(|$i| {
-                        if (adef >> $i) & 1 == 0 {
-                            return Err(SimError::UndefValue("store address".into()));
+                ($ty:expr, $v:expr, $adef:expr, $src:expr) => {{
+                    let src: &[u64] = $src;
+                    ranked(run, |k, i| self.addrs[k] = src[i]);
+                    let (ty, vc) = ($ty, col!($v));
+                    let (vdef, adef): (u64, u64) = (def!($v), $adef);
+                    let addrs = &self.addrs[..active as usize];
+                    let fast = if mask & !(adef & vdef) == 0 {
+                        resolve(self.buffers, &mut self.shared, ty, addrs)
+                    } else {
+                        None
+                    };
+                    match fast {
+                        Some(store) => {
+                            store_cells(store.bytes_mut(), ty, addrs, run, &regs[vc..vc + run.n])
                         }
-                        if (vdef >> $i) & 1 == 0 {
-                            return Err(SimError::UndefValue("stored value".into()));
+                        None => {
+                            let (vdef, adef, mut k) = (vdef >> lo, adef >> lo, 0);
+                            lanes!(|i| {
+                                if (adef >> i) & 1 == 0 {
+                                    return Err(SimError::UndefValue("store address".into()));
+                                }
+                                if (vdef >> i) & 1 == 0 {
+                                    return Err(SimError::UndefValue("stored value".into()));
+                                }
+                                let cell = regs[vc + i];
+                                mem_write(self.buffers, &mut self.shared, ty, addrs[k], cell)?;
+                                k += 1;
+                            });
                         }
-                        let addr = $addr;
-                        self.lane_addrs.push(addr);
-                        mem_write(self.buffers, &mut self.shared, $ty, addr, regs[vc + $i])?;
-                    });
+                    }
                 }};
             }
 
@@ -823,16 +1006,16 @@ impl<'a> BcEngine<'a> {
                         warp.status = WarpStatus::AtBarrier;
                         return Ok(());
                     }
-                    // ---- memory: per lane ----
+                    // ---- memory: pre-pass, then typed loop ----
                     Op::Load { ty, d, a } => {
                         let ac = col!(a);
-                        load_lanes!(ty, d, def!(a), |i| regs[ac + i]);
+                        load_lanes!(ty, d, def!(a), &regs[ac..ac + run.n]);
                         charge_mem!(d, [a, NO_DST, NO_DST], 0);
                         continue 'ops;
                     }
                     Op::Store { ty, v, a } => {
                         let ac = col!(a);
-                        store_lanes!(ty, v, def!(a), |i| regs[ac + i]);
+                        store_lanes!(ty, v, def!(a), &regs[ac..ac + run.n]);
                         charge_mem!(NO_DST, [v, a, NO_DST], 0);
                         continue 'ops;
                     }
@@ -845,7 +1028,7 @@ impl<'a> BcEngine<'a> {
                         d,
                     } => {
                         let (gdef, gep_ready) = gep_half!(elem, gd, ga, gb);
-                        load_lanes!(ty, d, gdef, |i| self.gep_cells[i]);
+                        load_lanes!(ty, d, gdef, &self.gep_cells[..run.n]);
                         charge_mem!(d, [NO_DST, NO_DST, NO_DST], gep_ready);
                         continue 'ops;
                     }
@@ -858,7 +1041,7 @@ impl<'a> BcEngine<'a> {
                         v,
                     } => {
                         let (gdef, gep_ready) = gep_half!(elem, gd, ga, gb);
-                        store_lanes!(ty, v, gdef, |i| self.gep_cells[i]);
+                        store_lanes!(ty, v, gdef, &self.gep_cells[..run.n]);
                         charge_mem!(NO_DST, [v, NO_DST, NO_DST], gep_ready);
                         continue 'ops;
                     }
@@ -1111,33 +1294,23 @@ impl<'a> BcEngine<'a> {
         }
         let edges = &bk.phi_edges[blk.phi_start as usize..blk.phi_end as usize];
 
-        // Bucket active lanes by provenance, lane-ascending.
+        // One bucket per provenance group the entry mask meets, holding the
+        // index of its edge; a lane in no group has no predecessor.
         let mut buckets = std::mem::take(&mut self.buckets);
         buckets.clear();
+        let mut covered = 0u64;
         let mut bad = false;
-        let mut m = mask;
-        while m != 0 {
-            let lane = m.trailing_zeros();
-            m &= m - 1;
-            let pred = warp.prev[lane as usize];
-            bad |= pred == NO_BLOCK;
-            match buckets.iter_mut().find(|(p, _)| *p == pred) {
-                Some((_, bm)) => *bm |= 1 << lane,
-                None => buckets.push((pred, 1 << lane)),
-            }
-        }
-        if !bad {
-            for &(pred, _) in &buckets {
-                match edges.iter().find(|e| e.pred == pred) {
-                    Some(e) if e.complete => {}
-                    _ => {
-                        bad = true;
-                        break;
-                    }
+        for &(pred, group) in &warp.prev {
+            let bmask = group & mask;
+            if bmask != 0 {
+                covered |= bmask;
+                match edges.iter().position(|e| e.pred == pred) {
+                    Some(k) if edges[k].complete => buckets.push((k as u32, bmask)),
+                    _ => bad = true,
                 }
             }
         }
-        if bad {
+        if bad || covered != mask {
             return Err(self.phi_error(warp, block, mask));
         }
 
@@ -1146,8 +1319,8 @@ impl<'a> BcEngine<'a> {
         // its own column cell and its own definedness bit), so bucket order
         // does not matter; within a bucket, the staged path preserves
         // read-before-write when a φ feeds another φ.
-        for &(pred, bmask) in &buckets {
-            let e = edges.iter().find(|e| e.pred == pred).expect("validated");
+        for &(k, bmask) in &buckets {
+            let e = edges[k as usize];
             let moves = &bk.phi_moves[e.m_start as usize..e.m_end as usize];
             let (lo, run) = Run::of(bmask);
             let first = warp.base_thread as usize + lo;
@@ -1198,17 +1371,13 @@ impl<'a> BcEngine<'a> {
         // value semantics above).
         if let Some(t) = self.timing.as_deref_mut() {
             t.phi_begin();
-            let first = edges
-                .iter()
-                .find(|e| e.pred == buckets[0].0)
-                .expect("validated");
+            let first = edges[buckets[0].0 as usize];
             let n_phis = (first.m_end - first.m_start) as usize;
             for k in 0..n_phis {
                 let mut ready = 0u64;
                 let mut dst = 0u32;
-                for &(pred, _) in &buckets {
-                    let e = edges.iter().find(|e| e.pred == pred).expect("validated");
-                    let (d, s) = bk.phi_moves[e.m_start as usize + k];
+                for &(e, _) in &buckets {
+                    let (d, s) = bk.phi_moves[edges[e as usize].m_start as usize + k];
                     dst = d;
                     ready = ready.max(t.reg_ready(w, s));
                 }
@@ -1221,8 +1390,9 @@ impl<'a> BcEngine<'a> {
     }
 
     /// Reconstructs the exact error the reference interpreter raises for a
-    /// defective φ batch, replicating its φ-major, lane-minor scan order
-    /// (error path only — never taken by valid kernels).
+    /// defective φ batch, replicating its φ-major, lane-minor scan order —
+    /// each lane's predecessor looked up in its provenance group (error
+    /// path only — never taken by valid kernels).
     fn phi_error(&self, warp: &WarpState, block: u32, mask: u64) -> SimError {
         let bk = self.bk;
         let blk = bk.blocks[block as usize];
@@ -1237,9 +1407,13 @@ impl<'a> BcEngine<'a> {
         for k in 0..=max_k {
             let mut m = mask;
             while m != 0 {
-                let lane = m.trailing_zeros();
+                let lane = m & m.wrapping_neg();
                 m &= m - 1;
-                let pred = warp.prev[lane as usize];
+                let pred = warp
+                    .prev
+                    .iter()
+                    .find(|&&(_, group)| group & lane != 0)
+                    .map_or(NO_BLOCK, |&(b, _)| b);
                 if pred == NO_BLOCK {
                     return SimError::UndefValue(format!(
                         "phi in block {} executed with no predecessor",
@@ -1266,7 +1440,8 @@ impl<'a> BcEngine<'a> {
 
 #[cfg(test)]
 mod tests {
-    use super::{map, split_cols, Run};
+    use super::{bits, map, split_cols, Run};
+    use crate::stats::tests::rng;
     use crate::{BytecodeKernel, Gpu, GpuConfig, KernelArg, LaunchConfig};
     use darm_ir::builder::FunctionBuilder;
     use darm_ir::{AddrSpace, Dim, Function, IcmpPred, Type};
@@ -1325,6 +1500,49 @@ mod tests {
             .launch_bytecode(&bk, &cfg, &[KernelArg::Buffer(out)])
             .unwrap();
         assert_eq!(stats.warp_instructions, 0);
+    }
+
+    /// The per-lane fold `bits` replaced, kept as its oracle.
+    fn folded<const K: usize>(
+        regs: &[u64],
+        cols: [usize; K],
+        n: usize,
+        f: impl Fn([u64; K]) -> bool,
+    ) -> u64 {
+        let cols = cols.map(|c| &regs[c..c + n]);
+        (0..n).fold(0, |t, i| {
+            t | (f(std::array::from_fn(|k| cols[k][i])) as u64) << i
+        })
+    }
+
+    #[test]
+    fn packed_bits_equal_the_per_lane_fold() {
+        // Seeded cells: raw words, and small values so that compares come
+        // out both ways.
+        let mut next = rng(0xB175);
+        for round in 0..64 {
+            let regs: Vec<u64> = (0..3 * 64)
+                .map(|_| match round % 3 {
+                    0 => next(),
+                    1 => next() % 4,
+                    _ => next() & 1,
+                })
+                .collect();
+            for n in 0..=64 {
+                for at in [0, 64 - n, 64, 128 - n / 2] {
+                    let odd = |[x]: [u64; 1]| x & 1 != 0;
+                    assert_eq!(bits(&regs, [at], n, odd), folded(&regs, [at], n, odd));
+                    let lt = |[x, y]: [u64; 2]| (x as i64) < (y as i64);
+                    let cols = [at, 128];
+                    assert_eq!(bits(&regs, cols, n, lt), folded(&regs, cols, n, lt));
+                    let eq = |[x, y]: [u64; 2]| x == y;
+                    let cols = [128, at];
+                    assert_eq!(bits(&regs, cols, n, eq), folded(&regs, cols, n, eq));
+                }
+                let all = if n == 0 { 0 } else { u64::MAX >> (64 - n) };
+                assert_eq!(bits(&regs, [0], n, |[_]| true), all);
+            }
+        }
     }
 
     #[test]

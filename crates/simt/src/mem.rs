@@ -6,20 +6,23 @@ use darm_ir::Type;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct BufferId(pub(crate) u32);
 
+/// The byte-offset bits of an encoded address.
+pub(crate) const OFFSET_MASK: u64 = 0xFFFF_FFFF_FFFF;
+
 /// Pointers are 64-bit: buffer id (1-based) in the high 16 bits, byte offset
 /// in the low 48. Shared-memory pointers use buffer id 0 with the offset
 /// addressing the block's shared arena.
 pub(crate) fn encode_global(buf: BufferId, offset: u64) -> u64 {
-    ((buf.0 as u64 + 1) << 48) | (offset & 0xFFFF_FFFF_FFFF)
+    ((buf.0 as u64 + 1) << 48) | (offset & OFFSET_MASK)
 }
 
 pub(crate) fn encode_shared(offset: u64) -> u64 {
-    offset & 0xFFFF_FFFF_FFFF
+    offset & OFFSET_MASK
 }
 
 pub(crate) fn decode(addr: u64) -> (Option<BufferId>, u64) {
     let hi = addr >> 48;
-    let off = addr & 0xFFFF_FFFF_FFFF;
+    let off = addr & OFFSET_MASK;
     if hi == 0 {
         (None, off)
     } else {

@@ -100,7 +100,7 @@ impl KernelStats {
     /// accesses, the bank-conflict model for shared (LDS) accesses. The
     /// address space is inferred from the encoded addresses — global
     /// addresses carry a buffer id in the high bits. `scratch` is reusable
-    /// sort space so the hot loops stay allocation-free.
+    /// space so the hot loops stay allocation-free.
     ///
     /// Used by the bytecode engine (the reference interpreter keeps its
     /// own copy); callers account
@@ -192,58 +192,45 @@ fn global_segments(lane_addrs: &[u64], scratch: &mut Vec<u64>) -> u64 {
     }
 }
 
+/// A shared word as `bank << 48 | word`: two lanes touch the same word of
+/// the same bank exactly when their encodings are equal.
+#[inline(always)]
+fn bank_word(a: u64) -> u64 {
+    let word = a / cost::SHARED_BANK_WORD_BYTES;
+    ((word % cost::SHARED_BANKS) << 48) | (word & 0xFFFF_FFFF_FFFF)
+}
+
 /// Maximum bank-conflict degree of a shared warp access (≥ 1): accesses
 /// to distinct words in the same bank serialize; broadcasts do not.
 ///
-/// Fast path: walk the lanes with a per-bank last-word table — as long as
-/// each bank sees at most one distinct word (conflict-free or broadcast,
-/// the overwhelmingly common case) the answer is degree 1 with no sorting.
+/// One walk over the lanes counts distinct words per bank without sorting:
+/// a bank's first word goes in a per-bank table, and each further distinct
+/// word once in `scratch` (searched only once its bank has one there). A
+/// conflict-free or broadcast access never touches `scratch`, and a 2-way
+/// one never searches it.
 fn shared_conflict_degree(lane_addrs: &[u64], scratch: &mut Vec<u64>) -> u64 {
-    let mut bank_word = [0u64; cost::SHARED_BANKS as usize];
-    let mut bank_seen = 0u32;
-    let mut clean = true;
+    let mut first = [0u64; cost::SHARED_BANKS as usize];
+    let mut further = [0u8; cost::SHARED_BANKS as usize];
+    let mut seen = 0u32;
+    let mut degree = 1u64;
+    scratch.clear();
     for &a in lane_addrs {
-        let word = a / cost::SHARED_BANK_WORD_BYTES;
-        let bank = (word % cost::SHARED_BANKS) as usize;
-        if bank_seen & (1 << bank) == 0 {
-            bank_seen |= 1 << bank;
-            bank_word[bank] = word;
-        } else if bank_word[bank] != word {
-            clean = false;
-            break;
+        let enc = bank_word(a);
+        let bank = (enc >> 48) as usize;
+        if seen & (1 << bank) == 0 {
+            seen |= 1 << bank;
+            first[bank] = enc;
+        } else if first[bank] != enc && (further[bank] == 0 || !scratch.contains(&enc)) {
+            scratch.push(enc);
+            further[bank] += 1;
+            degree = degree.max(1 + u64::from(further[bank]));
         }
     }
-    if clean {
-        1
-    } else {
-        // Encoded as bank << 48 | word so one sort+dedup yields, per bank,
-        // a run of its distinct words.
-        scratch.clear();
-        scratch.extend(lane_addrs.iter().map(|&a| {
-            let word = a / cost::SHARED_BANK_WORD_BYTES;
-            ((word % cost::SHARED_BANKS) << 48) | (word & 0xFFFF_FFFF_FFFF)
-        }));
-        scratch.sort_unstable();
-        scratch.dedup();
-        let mut degree = 1u64;
-        let mut run = 0u64;
-        let mut cur_bank = u64::MAX;
-        for &enc in scratch.iter() {
-            let bank = enc >> 48;
-            if bank == cur_bank {
-                run += 1;
-            } else {
-                cur_bank = bank;
-                run = 1;
-            }
-            degree = degree.max(run);
-        }
-        degree
-    }
+    degree
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     #[test]
@@ -283,6 +270,84 @@ mod tests {
         assert_eq!(a.barriers, 2);
         assert_eq!(a.sim_cycles, 7);
         assert_eq!(a.sim_reconvergences, 3);
+    }
+
+    /// The sort+dedup conflict degree `shared_conflict_degree` replaced,
+    /// kept as its oracle.
+    fn sorted_conflict_degree(lane_addrs: &[u64]) -> u64 {
+        let mut encs: Vec<u64> = lane_addrs.iter().map(|&a| bank_word(a)).collect();
+        encs.sort_unstable();
+        encs.dedup();
+        let (mut degree, mut run, mut cur_bank) = (1u64, 0u64, u64::MAX);
+        for enc in encs {
+            if enc >> 48 == cur_bank {
+                run += 1;
+            } else {
+                cur_bank = enc >> 48;
+                run = 1;
+            }
+            degree = degree.max(run);
+        }
+        degree
+    }
+
+    /// splitmix64: a seeded stream with no dependency.
+    pub(crate) fn rng(mut state: u64) -> impl FnMut() -> u64 {
+        move || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+    }
+
+    #[test]
+    fn sort_free_conflict_degree_equals_sort_and_dedup() {
+        let mut next = rng(0x5EED);
+        let mut scratch = Vec::new();
+        let mut check = |addrs: &[u64]| {
+            let got = shared_conflict_degree(addrs, &mut scratch);
+            assert_eq!(got, sorted_conflict_degree(addrs), "{addrs:x?}");
+            got
+        };
+        // 1..=64 lanes over shared arenas of several sizes, with and without
+        // word-aligned addresses; the widest also varies bits the 48-bit
+        // encoding drops, which must collide exactly as the sort saw them.
+        for lanes in 1..=64 {
+            for span in [4, 64, 256, 4096, u64::MAX] {
+                for _ in 0..8 {
+                    let addrs: Vec<u64> = (0..lanes).map(|_| next() % span).collect();
+                    check(&addrs);
+                    let aligned: Vec<u64> = addrs.iter().map(|a| a & !3).collect();
+                    check(&aligned);
+                }
+            }
+        }
+        // Broadcast: every lane reads one word.
+        for lanes in 1..=64 {
+            assert_eq!(check(&vec![next() % 1024; lanes]), 1);
+        }
+        // k-way: lane `l` of 64 hits bank `(l / k) % 32` with one of `k`
+        // words, in a shuffled lane order, some lanes doubled up.
+        for k in [2u64, 4, 32] {
+            for _ in 0..16 {
+                let mut addrs: Vec<u64> = (0..64u64)
+                    .map(|l| 4 * ((l % k) * 32 + (l / k) % 32))
+                    .collect();
+                for i in (1..addrs.len()).rev() {
+                    addrs.swap(i, (next() % (i as u64 + 1)) as usize);
+                }
+                let dup = addrs[(next() % 64) as usize];
+                addrs[(next() % 64) as usize] = dup;
+                let degree = check(&addrs);
+                assert!(degree == k || degree == k - 1, "{k}-way read {degree}");
+                let exact: Vec<u64> = (0..64u64)
+                    .map(|l| 4 * ((l % k) * 32 + (l / k) % 32))
+                    .collect();
+                assert_eq!(check(&exact), k);
+            }
+        }
     }
 
     #[test]

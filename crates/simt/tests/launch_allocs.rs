@@ -1,0 +1,119 @@
+//! Counting guard for the bytecode engine's launch, in the style of
+//! `lower_allocs.rs`: heap allocations are counted, not timed. The engine
+//! keeps its per-warp books in fixed storage — φ provenance as lane-mask
+//! groups reserved once per warp, a warp access's addresses in a fixed
+//! array — so a launch allocates per block and per warp, never per
+//! terminator, φ batch or memory access: a 4-rung and a 64-rung
+//! interleaved ladder allocate the same number of times.
+
+use darm_ir::builder::FunctionBuilder;
+use darm_ir::{AddrSpace, Dim, Function, IcmpPred, Type, Value};
+use darm_simt::{BytecodeKernel, Gpu, GpuConfig, KernelArg, LaunchConfig};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+thread_local! {
+    /// Allocator calls this thread made. Per thread, so tests running side
+    /// by side do not count each other.
+    static CALLS: Cell<usize> = const { Cell::new(0) };
+}
+
+fn note() {
+    // `try_with`: the allocator also runs while a thread is torn down.
+    let _ = CALLS.try_with(|c| c.set(c.get() + 1));
+}
+
+struct Counting;
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; `note` touches only a `Cell` in
+// thread-local storage that has no destructor and never allocates.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note();
+        // SAFETY: the caller's `layout` is passed through as is.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` with this `layout` (see `alloc`).
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note();
+        // SAFETY: as `dealloc`; `new_size` is the caller's.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// Allocator calls `f` made (its result is dropped outside the count).
+fn calls<T>(f: impl FnOnce() -> T) -> usize {
+    let before = CALLS.get();
+    let out = f();
+    let after = CALLS.get();
+    drop(out);
+    after - before
+}
+
+/// `out[tid] = f_{N-1}(… f_0(in[tid]))`, each `f_r` a diamond on `tid & 1`
+/// — odd and even lanes interleaved in both arms — whose odd arm loads
+/// `in[tid]`, whose join resolves a φ from two provenance groups and
+/// stores the running value to `out[tid]`.
+fn interleaved_ladder(rungs: usize) -> Function {
+    let ptr = Type::Ptr(AddrSpace::Global);
+    let mut f = Function::new("interleaved", vec![ptr, ptr], Type::Void);
+    let entry = f.entry();
+    let mut b = FunctionBuilder::new(&mut f, entry);
+    let tid = b.thread_idx(Dim::X);
+    let src = b.gep(Type::I32, b.param(1), tid);
+    let dst = b.gep(Type::I32, b.param(0), tid);
+    let mut acc = tid;
+    for r in 0..rungs {
+        let bit = b.and(tid, Value::I32(1));
+        let odd = b.icmp(IcmpPred::Ne, bit, Value::I32(0));
+        let [t, e, j] = ["t", "e", "j"].map(|n| b.add_block(&format!("r{r}.{n}")));
+        b.br(odd, t, e);
+        b.switch_to(t);
+        let x = b.load(Type::I32, src);
+        let vt = b.add(acc, x);
+        b.jump(j);
+        b.switch_to(e);
+        let ve = b.mul(acc, Value::I32(3));
+        b.jump(j);
+        b.switch_to(j);
+        acc = b.phi(Type::I32, &[(t, vt), (e, ve)]);
+        b.store(acc, dst);
+    }
+    b.ret(None);
+    f.verify_structure().expect("the ladder is well-formed");
+    f
+}
+
+#[test]
+fn a_launch_allocates_the_same_for_a_4_and_a_64_rung_interleaved_ladder() {
+    // Two blocks of two warps each, the second warp a partial one.
+    let launch = LaunchConfig::linear(2, 48);
+    let run = |rungs: usize| {
+        let f = interleaved_ladder(rungs);
+        let bk = BytecodeKernel::new(&f);
+        let mut gpu = Gpu::new(GpuConfig::default());
+        let out = gpu.alloc_i32(&[0; 48]);
+        let input = gpu.alloc_i32(&(0..48).collect::<Vec<i32>>());
+        let args = [KernelArg::Buffer(out), KernelArg::Buffer(input)];
+        let n = calls(|| {
+            gpu.launch_bytecode(&bk, &launch, &args)
+                .expect("the ladder runs")
+        });
+        (n, gpu.read_i32(out))
+    };
+    let ((small, _), (large, out)) = (run(4), run(64));
+    assert_ne!(out, vec![0; 48], "the ladder stored its results");
+    assert_eq!(
+        small, large,
+        "4 rungs: {small} allocations, 64 rungs: {large}"
+    );
+}

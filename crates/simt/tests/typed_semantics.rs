@@ -598,6 +598,242 @@ fn every_budget_cut_lands_where_the_reference_puts_it() {
     assert!(outcomes[12].is_ok());
 }
 
+// ---- φ provenance ----
+
+/// `out[tid] = tid`, then a diamond split on `tid & 1` (odd lanes take
+/// `t`, even ones `e`, interleaved so that both arms reach the join `x`
+/// as live buckets), `out[tid] = join(b, [t, e, x], tid, then, else)`.
+/// `leave_t` ends the then-arm (a `jump x` or something stranger).
+fn interleaved_join(
+    leave_t: impl FnOnce(&mut FunctionBuilder<'_>, BlockId),
+    join: impl FnOnce(&mut FunctionBuilder<'_>, [BlockId; 3], Value, Value) -> Value,
+) -> Function {
+    let mut f = Function::new("provenance", vec![PTR], Type::Void);
+    let entry = f.entry();
+    let [t, e, x] = ["t", "e", "x"].map(|n| f.add_block(n));
+    let mut b = FunctionBuilder::new(&mut f, entry);
+    let tid = b.thread_idx(Dim::X);
+    let p = b.gep(Type::I32, b.param(0), tid);
+    b.store(tid, p);
+    let bit = b.and(tid, b.const_i32(1));
+    let odd = b.icmp(IcmpPred::Ne, bit, b.const_i32(0));
+    b.br(odd, t, e);
+    b.switch_to(t);
+    let vt = b.mul(tid, b.const_i32(3));
+    leave_t(&mut b, x);
+    b.switch_to(e);
+    let ve = b.add(tid, b.const_i32(5));
+    b.jump(x);
+    b.switch_to(x);
+    let v = join(&mut b, [t, e, x], vt, ve);
+    b.store(v, p);
+    b.ret(None);
+    f
+}
+
+/// Both engines over 40 threads (a full warp and a tail warp); φ defects
+/// are invalid SSA, so the kernels here are not verified first.
+fn run_provenance(f: &Function, what: &str) -> Result<KernelStats, SimError> {
+    assert_engines_agree(
+        f,
+        GpuConfig::default(),
+        &LaunchConfig::linear(1, 40),
+        &[vec![-1; 40]],
+        &[],
+        what,
+    )
+}
+
+#[test]
+fn phi_errors_and_resurrected_lanes_match_the_reference() {
+    let jump = |b: &mut FunctionBuilder<'_>, x| b.jump(x);
+    let no_incoming = |p: &str| {
+        Err(SimError::UndefValue(format!(
+            "phi in x has no incoming for predecessor {p}"
+        )))
+    };
+
+    // A join whose second φ lacks one arm's incoming. The reference scans
+    // φ-major, lane-minor, so the first lane of the lacking arm names it:
+    // lane 1 (odd, from `t`) in one kernel, lane 0 (from `e`) in the other,
+    // after the first φ has resolved both buckets cleanly.
+    for (kept, lacking) in [(1, "t"), (0, "e")] {
+        let f = interleaved_join(jump, |b, [t, e, _], vt, ve| {
+            let whole = b.phi(Type::I32, &[(t, vt), (e, ve)]);
+            let arm = [(t, vt), (e, ve)][kept];
+            let gap = b.phi(Type::I32, &[arm]);
+            b.add(whole, gap)
+        });
+        assert_eq!(
+            run_provenance(&f, &format!("phi lacking {lacking}")),
+            no_incoming(lacking)
+        );
+    }
+
+    // A φ in the entry block, fed only by a back edge: every lane reaches
+    // it before executing any terminator.
+    let mut f = Function::new("orphan", vec![PTR], Type::Void);
+    let entry = f.entry();
+    let [body, exit] = ["body", "exit"].map(|n| f.add_block(n));
+    let mut b = FunctionBuilder::new(&mut f, entry);
+    let round = b.phi(Type::I32, &[(body, Value::I32(1))]);
+    let tid = b.thread_idx(Dim::X);
+    let more = b.icmp(IcmpPred::Slt, round, tid);
+    b.br(more, body, exit);
+    b.switch_to(body);
+    b.jump(entry);
+    b.switch_to(exit);
+    let p = b.gep(Type::I32, b.param(0), tid);
+    b.store(round, p);
+    b.ret(None);
+    assert_eq!(
+        run_provenance(&f, "phi with no predecessor"),
+        Err(SimError::UndefValue(
+            "phi in block entry executed with no predecessor".into()
+        ))
+    );
+
+    // A then-arm ending in a `ret` that names the join as its successor:
+    // the CFG (and so the post-dominator tree) sees a diamond, the machine
+    // sees odd lanes return. The join's reconvergence entry still holds
+    // them, so they are resurrected there and its φ reads the provenance
+    // recorded at the `ret` — `t`'s value when the φ has one, the lacking
+    // incoming's error when it does not.
+    let ret_into = |b: &mut FunctionBuilder<'_>, x| {
+        b.emit(InstData::terminator(Opcode::Ret, vec![], vec![x]));
+    };
+    let f = interleaved_join(ret_into, |b, [t, e, _], vt, ve| {
+        b.phi(Type::I32, &[(t, vt), (e, ve)])
+    });
+    run_provenance(&f, "resurrected lanes").expect("every lane has an incoming");
+    let f = interleaved_join(ret_into, |b, [_, e, _], _, ve| b.phi(Type::I32, &[(e, ve)]));
+    assert_eq!(
+        run_provenance(&f, "resurrected lanes, no incoming"),
+        no_incoming("t")
+    );
+}
+
+// ---- memory accesses off the pre-checked path ----
+
+/// Where one lane of [`access_kernel`]'s access points, the others all
+/// reading or writing their own element of the first buffer.
+#[derive(Debug, Clone, Copy)]
+enum Odd {
+    /// `shift` elements further along (the boundary, past it, far off).
+    Shifted,
+    /// Its element of the block's shared array: one access, two stores.
+    Shared,
+    /// Its element of the first buffer, but the stored value undefined.
+    UndefValue,
+}
+
+/// `f(out, in, bad, shift)`: one access of `ty` per lane at element `tid`
+/// (of type `elem`) of `out` (a store of `tid`) or of `in` (a load, copied
+/// to `out[tid]`), except that lane `tid == bad` is made `odd`. With
+/// `sparse`, only odd lanes run the access, inside a divergent arm.
+fn access_kernel(store: bool, ty: Type, elem: Type, odd: Odd, sparse: bool) -> Function {
+    let mut f = Function::new("access", vec![PTR, PTR, Type::I32, Type::I32], Type::Void);
+    let tile = f.add_shared_array("tile", Type::I64, 48);
+    let entry = f.entry();
+    let [arm, done] = ["arm", "done"].map(|n| f.add_block(n));
+    let mut b = FunctionBuilder::new(&mut f, entry);
+    let tid = b.thread_idx(Dim::X);
+    if sparse {
+        let bit = b.and(tid, b.const_i32(1));
+        let c = b.icmp(IcmpPred::Ne, bit, b.const_i32(0));
+        b.br(c, arm, done);
+    } else {
+        b.jump(arm);
+    }
+    b.switch_to(arm);
+    let is_bad = b.icmp(IcmpPred::Eq, tid, b.param(2));
+    let shift = match odd {
+        Odd::Shifted => b.param(3),
+        _ => b.const_i32(0),
+    };
+    let off = b.select(is_bad, shift, b.const_i32(0));
+    let idx = b.add(tid, off);
+    let base = b.param(if store { 0 } else { 1 });
+    let mut p = b.gep(elem, base, idx);
+    if let Odd::Shared = odd {
+        let tile = b.shared_base(tile);
+        let shared = b.gep(elem, tile, idx);
+        p = b.select(is_bad, shared, p);
+    }
+    let value = |b: &mut FunctionBuilder<'_>, v: Value| match ty {
+        Type::I64 => b.sext(v, Type::I64),
+        _ => v,
+    };
+    if store {
+        let mut v = value(&mut b, tid);
+        if let Odd::UndefValue = odd {
+            v = b.select(is_bad, Value::Undef(ty), v);
+        }
+        b.store(v, p);
+    } else {
+        let x = b.load(ty, p);
+        let q = b.gep(ty, b.param(0), tid);
+        b.store(x, q);
+    }
+    b.jump(done);
+    b.switch_to(done);
+    b.ret(None);
+    f
+}
+
+#[test]
+fn a_failing_access_fails_at_the_reference_lane() {
+    // 40 lanes — a full warp and a tail warp — over 80-word buffers: an
+    // `i32` element 80 and an `i64` element 40 are the first past the end,
+    // and so is an `i64` at `i32` element 79, which starts inside the
+    // buffer (those accesses overlap, so lane order decides each word).
+    let mut cases = 0;
+    for store in [true, false] {
+        let kinds = [
+            (Type::I32, Type::I32, 80),
+            (Type::I64, Type::I64, 40),
+            (Type::I64, Type::I32, 79),
+        ];
+        for (ty, elem, len) in kinds {
+            for sparse in [false, true] {
+                for bad in [0, 1, 5, 19, 31, 33, 39] {
+                    let shifts = [len - 1 - bad, len - bad, 1 << 20, -bad - 1];
+                    let runs = shifts
+                        .iter()
+                        .map(|&s| (Odd::Shifted, s))
+                        .chain([(Odd::Shared, 0), (Odd::UndefValue, 0)]);
+                    for (odd, shift) in runs {
+                        let f = access_kernel(store, ty, elem, odd, sparse);
+                        let what = format!(
+                            "store {store}, {ty} at {elem}, sparse {sparse}, lane {bad} {odd:?} {shift}"
+                        );
+                        let input: Vec<i32> = (0..80).map(|x| x * 7 + 1).collect();
+                        let got = assert_engines_agree(
+                            &f,
+                            GpuConfig::default(),
+                            &LaunchConfig::linear(1, 40),
+                            &[vec![-1; 80], input],
+                            &[bad, shift],
+                            &what,
+                        );
+                        // The odd lane runs unless the arm leaves it out;
+                        // the boundary element and the mixed access pass.
+                        let runs = !sparse || bad % 2 == 1;
+                        let fails = match odd {
+                            Odd::Shifted => runs && shift != len - 1 - bad,
+                            Odd::Shared => false,
+                            Odd::UndefValue => runs && store,
+                        };
+                        assert_eq!(got.is_err(), fails, "{what}: {got:?}");
+                        cases += 1;
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(cases, 2 * 3 * 2 * 7 * 6);
+}
+
 // ---- (d) ill-typed input ----
 
 fn raw(b: &mut FunctionBuilder<'_>, opcode: Opcode, ty: Type, ops: Vec<Value>) -> Value {
