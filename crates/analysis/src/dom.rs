@@ -326,6 +326,7 @@ mod tests {
     use super::*;
     use darm_ir::builder::FunctionBuilder;
     use darm_ir::{Function, IcmpPred, Type, Value};
+    use darm_kernels::gen::{build_kernel, Arms, Divergence, KernelSpec, Rng, Shape};
 
     /// entry -> {t, e}; t -> x; e -> x; x -> ret
     fn diamond() -> (Function, Vec<BlockId>) {
@@ -399,26 +400,16 @@ mod tests {
     /// `rungs` diamonds in a row: `entry -> {t, e} -> j`, `j` the next
     /// rung's header. The dominator tree is as deep as the ladder is long,
     /// and so is the post-dominator tree.
-    fn ladder(rungs: usize) -> Function {
-        let mut f = Function::new("l", vec![Type::I32], Type::Void);
-        let entry = f.entry();
-        let mut b = FunctionBuilder::new(&mut f, entry);
-        for r in 0..rungs {
-            let (t, e, j) = (
-                b.add_block(&format!("t{r}")),
-                b.add_block(&format!("e{r}")),
-                b.add_block(&format!("j{r}")),
-            );
-            let c = b.icmp(IcmpPred::Slt, Value::Param(0), Value::I32(r as i32));
-            b.br(c, t, e);
-            b.switch_to(t);
-            b.jump(j);
-            b.switch_to(e);
-            b.jump(j);
-            b.switch_to(j);
-        }
-        b.ret(None);
-        f
+    fn row_of_diamonds(rungs: usize) -> Function {
+        let spec = KernelSpec {
+            shape: Shape::Ladder,
+            rungs,
+            arm_len: 1,
+            arms: Arms::Similar,
+            divergence: Divergence::Tid,
+            uniform_third: false,
+        };
+        build_kernel("l", spec, &mut Rng::new(0))
     }
 
     /// The preorder intervals answer "is `a` on `b`'s idom chain" for every
@@ -426,10 +417,10 @@ mod tests {
     /// exit and an unreachable block included.
     #[test]
     fn intervals_are_idom_chains_on_both_trees() {
-        let mut unreachable = ladder(3);
+        let mut unreachable = row_of_diamonds(3);
         let dead = unreachable.add_block("dead");
         FunctionBuilder::new(&mut unreachable, dead).ret(None);
-        for f in [diamond().0, nested().0, ladder(5), unreachable] {
+        for f in [diamond().0, nested().0, row_of_diamonds(5), unreachable] {
             let cfg = Cfg::new(&f);
             let dt = DomTree::new(&f, &cfg);
             let pdt = PostDomTree::new(&f, &cfg);
@@ -449,7 +440,7 @@ mod tests {
         }
         // The ladder's post-dominator tree is as deep as the ladder is
         // long: the entry sits under every join and the exit.
-        let f = ladder(5);
+        let f = row_of_diamonds(5);
         let pdt = PostDomTree::new(&f, &Cfg::new(&f));
         let (mut depth, mut v) = (0, f.entry().index());
         while let Some(up) = pdt.tree.parent(v) {

@@ -3,9 +3,9 @@
 //! # darm-bench
 //!
 //! The experiment harness: regenerates every table and figure of the DARM
-//! paper's evaluation (§VI) on the SIMT simulator. Each `fig*`/`table*`
-//! binary prints one artifact; the `report` binary prints them all (and is
-//! the source of EXPERIMENTS.md).
+//! paper's evaluation (§VI) on the SIMT simulator. Each `render_*`
+//! function renders one artifact; the `report` binary prints them all (and
+//! is the source of EXPERIMENTS.md).
 //!
 //! Correctness is enforced throughout: every transformed kernel variant is
 //! checked against the CPU reference before its numbers are reported.

@@ -2,41 +2,10 @@
 //! phase-clock child rows.
 
 use darm_bench::{fig9_cases, suite_module};
-use darm_ir::builder::FunctionBuilder;
-use darm_ir::{AddrSpace, Dim, Function, IcmpPred, Type, Value};
+use darm_ir::Function;
+use darm_kernels::gen::{build_kernel, Arms, Divergence, KernelSpec, Rng, Shape};
 use darm_melding::{registry, MeldConfig, MeldStats};
 use darm_pipeline::{ModuleOptions, ModulePassManager, PipelineOptions};
-
-/// `out[tid]` run through three diamonds on thread-id bits, each join
-/// branching into the next diamond.
-fn three_rung_ladder() -> Function {
-    let mut f = Function::new("ladder", vec![Type::Ptr(AddrSpace::Global)], Type::Void);
-    let entry = f.entry();
-    let mut b = FunctionBuilder::new(&mut f, entry);
-    let tid = b.thread_idx(Dim::X);
-    let p = b.gep(Type::I32, b.param(0), tid);
-    let mut acc = b.load(Type::I32, p);
-    for r in 0..3 {
-        let masked = b.and(tid, Value::I32(1 << r));
-        let c = b.icmp(IcmpPred::Ne, masked, Value::I32(0));
-        let arms = [b.add_block("t"), b.add_block("e")];
-        let join = b.add_block("j");
-        b.br(c, arms[0], arms[1]);
-        let mut incoming = Vec::new();
-        for (arm, k) in arms.into_iter().zip([3, 5]) {
-            b.switch_to(arm);
-            let v = b.mul(acc, Value::I32(k));
-            let v = b.add(v, Value::I32(k + r));
-            b.jump(join);
-            incoming.push((arm, v));
-        }
-        b.switch_to(join);
-        acc = b.phi(Type::I32, &incoming);
-    }
-    b.store(acc, p);
-    b.ret(None);
-    f
-}
 
 /// Under `time_passes` the meld pass breaks its own row down: five phase
 /// rows from its clock, then the inner cleanup pipeline's four slots —
@@ -93,10 +62,20 @@ fn time_passes_breaks_the_meld_row_into_phases_and_cleanup() {
     for slot in cleanup {
         assert_eq!(slot.runs, stats.iterations - 1, "one cleanup per round");
     }
-    // Three diamonds in sequence meld in one round: three codegens, one
+    // Three diamonds on thread-id bits in sequence, each join branching
+    // into the next diamond, meld in one round: three codegens, one
     // substitution, one cleanup, and a second snapshot for the round that
     // finds nothing.
-    let ladder_report = run_on(&three_rung_ladder(), true);
+    let spec = KernelSpec {
+        shape: Shape::Ladder,
+        rungs: 3,
+        arm_len: 2,
+        arms: Arms::Similar,
+        divergence: Divergence::Tid,
+        uniform_third: false,
+    };
+    let ladder = build_kernel("ladder", spec, &mut Rng::new(0));
+    let ladder_report = run_on(&ladder, true);
     let runs = |name: &str| {
         let children = &ladder_report.passes[0].children;
         children.iter().find(|c| c.name == name).map(|c| c.runs)

@@ -6,10 +6,10 @@
 //! not a `String` per token, which is what it used to cost. The writer,
 //! streaming into a hasher, may allocate nothing.
 
-use darm_ir::builder::FunctionBuilder;
 use darm_ir::hash::fnv1a_64;
 use darm_ir::parser::parse_function;
-use darm_ir::{AddrSpace, Dim, Function, IcmpPred, Type, Value};
+use darm_ir::Function;
+use darm_kernels::gen::{build_kernel, Arms, Divergence, KernelSpec, Rng, Shape};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -62,49 +62,25 @@ fn counted<T>(f: impl FnOnce() -> T) -> (T, usize, usize) {
     (out, calls_after - calls, bytes_after - bytes)
 }
 
-/// `out[tid] = f_{N-1}(… f_0(in[tid]))`, each `f_r` a diamond on one bit
-/// of the thread id: 14 instructions and 3 blocks per rung, a φ at every
-/// join and a forward branch out of every block.
-fn ladder(rungs: usize) -> Function {
-    let ptr = Type::Ptr(AddrSpace::Global);
-    let mut f = Function::new("ladder", vec![ptr, ptr], Type::Void);
-    let entry = f.entry();
-    let mut b = FunctionBuilder::new(&mut f, entry);
-    let tid = b.thread_idx(Dim::X);
-    let src = b.gep(Type::I32, b.param(1), tid);
-    let x = b.load(Type::I32, src);
-    let mut acc = x;
-    for r in 0..rungs {
-        let k = r as i32;
-        let bit = b.lshr(tid, Value::I32(k % 5));
-        let bit = b.and(bit, Value::I32(1));
-        let cond = b.icmp(IcmpPred::Ne, bit, Value::I32(0));
-        let t = b.add_block(&format!("r{r}.t"));
-        let e = b.add_block(&format!("r{r}.e"));
-        let j = b.add_block(&format!("r{r}.j"));
-        b.br(cond, t, e);
-        let mut arms = Vec::new();
-        for (arm, side) in [(t, 0), (e, 1)] {
-            b.switch_to(arm);
-            let v = b.mul(acc, Value::I32(3 + 2 * side));
-            let v = b.add(v, Value::I32(7 * k + side + 1));
-            let v = b.xor(v, Value::I32(11 + k + 13 * side));
-            b.jump(j);
-            arms.push((arm, v));
-        }
-        b.switch_to(j);
-        let joined = b.phi(Type::I32, &arms);
-        acc = b.add(joined, x);
-    }
-    let dst = b.gep(Type::I32, b.param(0), tid);
-    b.store(acc, dst);
-    b.ret(None);
-    f
+/// `out[gid] = f_{N-1}(… f_0(in[gid]))`, each `f_r` a diamond on one bit
+/// of the thread id: 13 instructions and 3 blocks per rung, a φ at every
+/// join and a forward branch out of every block. 154 rungs are the fewest
+/// that make 2 000 instructions.
+fn generate(rungs: usize) -> Function {
+    let spec = KernelSpec {
+        shape: Shape::Ladder,
+        rungs,
+        arm_len: 3,
+        arms: Arms::Similar,
+        divergence: Divergence::Tid,
+        uniform_third: false,
+    };
+    build_kernel("ladder", spec, &mut Rng::new(0))
 }
 
 #[test]
 fn parsing_allocates_at_most_four_times_per_instruction() {
-    let text = ladder(145).to_string();
+    let text = generate(154).to_string();
     let (parsed, calls, _) = counted(|| parse_function(&text).expect("the ladder parses"));
     let insts = parsed.live_inst_count();
     assert!(insts >= 2000, "{insts} instructions");
@@ -118,7 +94,7 @@ fn parsing_allocates_at_most_four_times_per_instruction() {
 
 #[test]
 fn content_hash_allocates_nothing() {
-    let f = ladder(145);
+    let f = generate(154);
     let (hash, calls, _) = counted(|| f.content_hash());
     assert_eq!(calls, 0, "hashing a function allocated");
     assert_eq!(hash, fnv1a_64(f.to_string().as_bytes()));

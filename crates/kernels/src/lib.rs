@@ -22,9 +22,15 @@
 //! geometry, concrete input buffers, and the CPU reference output, so the
 //! harness can check that any transformed variant still computes the same
 //! result.
+//!
+//! Beside them, [`gen`] is the seeded generator of divergent kernels whose
+//! arms are alike — ladders of diamonds, nested ladders, ladders in a
+//! loop, compare-exchange stages, if-then regions against a block — that
+//! the tests and the benchmark ledger build their generated inputs with.
 
 pub mod bitonic;
 pub mod dct;
+pub mod gen;
 pub mod lud;
 pub mod mergesort;
 pub mod nqueens;

@@ -11,8 +11,8 @@
 //! the regions is.
 
 use darm_analysis::verify_ssa;
-use darm_ir::builder::FunctionBuilder;
-use darm_ir::{AddrSpace, Dim, Function, IcmpPred, Type, Value};
+use darm_ir::Function;
+use darm_kernels::gen::{build_kernel, Arms, Divergence, KernelSpec, Rng, Shape};
 use darm_melding::{meld_function, registry, MeldConfig, MeldStats, CAP_HITS_STAT};
 use darm_pipeline::{PipelineOptions, PipelineReport};
 
@@ -25,79 +25,33 @@ fn meld_report(f: &mut Function) -> PipelineReport {
         .expect("pipeline")
 }
 
-/// `out[tid] = f_{N-1}(… f_0(in[tid]))`, each `f_r` a diamond on one bit of
+/// A generated kernel of `rungs` rungs of `shape`, each branching on a bit
+/// of the thread id, with `arm_len` operations per arm.
+fn generate(shape: Shape, arms: Arms, rungs: usize, arm_len: usize) -> Function {
+    let spec = KernelSpec {
+        shape,
+        rungs,
+        arm_len,
+        arms,
+        divergence: Divergence::Tid,
+        uniform_third: false,
+    };
+    build_kernel("ladder", spec, &mut Rng::new(0))
+}
+
+/// `out[gid] = f_{N-1}(… f_0(in[gid]))`, each `f_r` a diamond on one bit of
 /// the thread id whose arms run the same three opcodes on different
 /// constants — every rung melds, with selects for the constants. Each
 /// rung's join is the next rung's branch block.
-fn ladder(rungs: usize) -> Function {
-    build_ladder(rungs, false)
+fn flat(rungs: usize) -> Function {
+    generate(Shape::Ladder, Arms::Similar, rungs, 3)
 }
 
-/// A [`ladder`] whose arms each end in an inner diamond on a bit of the
+/// A [`flat`] ladder whose arms each hold an inner diamond on a bit of the
 /// loaded word: nesting depth 1. The inner diamonds meld first, which makes
 /// every rung a plain diamond.
-fn nested_ladder(rungs: usize) -> Function {
-    build_ladder(rungs, true)
-}
-
-fn build_ladder(rungs: usize, nested: bool) -> Function {
-    let ptr = Type::Ptr(AddrSpace::Global);
-    let mut f = Function::new("ladder", vec![ptr, ptr], Type::Void);
-    let entry = f.entry();
-    let mut b = FunctionBuilder::new(&mut f, entry);
-    let tid = b.thread_idx(Dim::X);
-    let src = b.gep(Type::I32, b.param(1), tid);
-    let x = b.load(Type::I32, src);
-    let mut acc = x;
-    // Three opcodes on `v`, the constants picked by `k` and `side`.
-    let ops = |b: &mut FunctionBuilder<'_>, v: Value, k: i32, side: i32| {
-        let v = b.mul(v, Value::I32(3 + 2 * side));
-        let v = b.add(v, Value::I32(7 * k + side + 1));
-        b.xor(v, Value::I32(11 + k + 13 * side))
-    };
-    for r in 0..rungs {
-        let k = r as i32;
-        let bit = b.lshr(tid, Value::I32(k % 5));
-        let bit = b.and(bit, Value::I32(1));
-        let cond = b.icmp(IcmpPred::Ne, bit, Value::I32(0));
-        let t = b.add_block(&format!("r{r}.t"));
-        let e = b.add_block(&format!("r{r}.e"));
-        let j = b.add_block(&format!("r{r}.j"));
-        b.br(cond, t, e);
-        let mut arms = Vec::new();
-        for (arm, side) in [(t, 0), (e, 1)] {
-            b.switch_to(arm);
-            let v = ops(&mut b, acc, k, side);
-            if !nested {
-                b.jump(j);
-                arms.push((arm, v));
-                continue;
-            }
-            let bit = b.and(x, Value::I32(1 << (r % 8)));
-            let cond = b.icmp(IcmpPred::Ne, bit, Value::I32(0));
-            let it = b.add_block(&format!("r{r}.{side}.t"));
-            let ie = b.add_block(&format!("r{r}.{side}.e"));
-            let ij = b.add_block(&format!("r{r}.{side}.j"));
-            b.br(cond, it, ie);
-            let mut inner = Vec::new();
-            for (inner_arm, inner_side) in [(it, 0), (ie, 1)] {
-                b.switch_to(inner_arm);
-                inner.push((inner_arm, ops(&mut b, v, k + 40, 2 * side + inner_side)));
-                b.jump(ij);
-            }
-            b.switch_to(ij);
-            let v = b.phi(Type::I32, &inner);
-            b.jump(j);
-            arms.push((ij, v));
-        }
-        b.switch_to(j);
-        let joined = b.phi(Type::I32, &arms);
-        acc = b.add(joined, x);
-    }
-    let dst = b.gep(Type::I32, b.param(0), tid);
-    b.store(acc, dst);
-    b.ret(None);
-    f
+fn nested(rungs: usize) -> Function {
+    generate(Shape::NestedLadder, Arms::Similar, rungs, 6)
 }
 
 struct Melded {
@@ -106,7 +60,7 @@ struct Melded {
 }
 
 fn meld_ladder(rungs: usize) -> Melded {
-    let mut f = ladder(rungs);
+    let mut f = flat(rungs);
     verify_ssa(&f).expect("ladder verifies");
     let initial_capacity = f.inst_capacity();
     let stats = meld_function(&mut f, &MeldConfig::default());
@@ -150,8 +104,8 @@ const ANALYSES_PER_ROUND: usize = 7;
 /// computes a fixed number of analyses per round.
 #[test]
 fn rounds_follow_nesting_depth_not_ladder_length() {
-    let flat = [8, 16, 32, 64].map(|n| (ladder(n), n, 0));
-    let nested = [8, 24].map(|n| (nested_ladder(n), 3 * n, 1));
+    let flat = [8, 16, 32, 64].map(|n| (flat(n), n, 0));
+    let nested = [8, 24].map(|n| (nested(n), 3 * n, 1));
     for (mut f, regions, depth) in flat.into_iter().chain(nested) {
         verify_ssa(&f).expect("ladder verifies");
         let report = meld_report(&mut f);
@@ -190,7 +144,7 @@ fn running_out_of_fixpoint_rounds_is_recorded() {
             max_iterations,
             ..MeldConfig::default()
         };
-        let mut f = nested_ladder(8);
+        let mut f = nested(8);
         let report = registry(&config)
             .build("meld", PipelineOptions::default())
             .expect("spec parses")
@@ -211,56 +165,13 @@ fn running_out_of_fixpoint_rounds_is_recorded() {
 /// A ladder of `rungs` diamonds of which `meldable`, spread evenly, have
 /// arms running one opcode sequence on different constants; the others'
 /// arms come from disjoint opcode classes ({mul, add, sub} against
-/// {xor, lshr}), so their melding profit is 0 and they stay branches. The
+/// {xor, lshr}), so their melding profit is ≈0 and they stay branches. The
 /// case in-place analysis updates were built for — a small meld inside a
 /// big function — and the shape they were measured on when they were
-/// deleted. `arm_len` instructions per arm.
-fn mixed_ladder(rungs: usize, meldable: usize, arm_len: usize) -> Function {
-    let ptr = Type::Ptr(AddrSpace::Global);
-    let mut f = Function::new("mixed", vec![ptr, ptr], Type::Void);
-    let entry = f.entry();
-    let mut b = FunctionBuilder::new(&mut f, entry);
-    let tid = b.thread_idx(Dim::X);
-    let src = b.gep(Type::I32, b.param(1), tid);
-    let x = b.load(Type::I32, src);
-    let mut acc = x;
-    for r in 0..rungs {
-        let melds = (r + 1) * meldable / rungs > r * meldable / rungs;
-        let bit = b.lshr(tid, Value::I32(r as i32 % 5));
-        let bit = b.and(bit, Value::I32(1));
-        let cond = b.icmp(IcmpPred::Ne, bit, Value::I32(0));
-        let t = b.add_block(&format!("r{r}.t"));
-        let e = b.add_block(&format!("r{r}.e"));
-        let j = b.add_block(&format!("r{r}.j"));
-        b.br(cond, t, e);
-        let mut arms = Vec::new();
-        for (arm, side) in [(t, 0), (e, 1)] {
-            b.switch_to(arm);
-            let mut v = acc;
-            for k in 0..arm_len {
-                let c = Value::I32((7 * r + 3 * k) as i32 + 1 + 2 * side);
-                v = match (melds || side == 0, k % 3) {
-                    (true, 0) => b.mul(v, c),
-                    (true, 1) => b.add(v, c),
-                    (true, _) => b.sub(v, c),
-                    (false, 0) => b.xor(v, c),
-                    (false, _) => {
-                        let s = b.lshr(v, Value::I32(1 + k as i32 % 7));
-                        b.xor(v, s)
-                    }
-                };
-            }
-            b.jump(j);
-            arms.push((arm, v));
-        }
-        b.switch_to(j);
-        let joined = b.phi(Type::I32, &arms);
-        acc = b.add(joined, x);
-    }
-    let dst = b.gep(Type::I32, b.param(0), tid);
-    b.store(acc, dst);
-    b.ret(None);
-    f
+/// deleted. `arm_len` operations per arm.
+fn mixed(rungs: usize, meldable: usize, arm_len: usize) -> Function {
+    let arms = Arms::Mixed { similar: meldable };
+    generate(Shape::Ladder, arms, rungs, arm_len)
 }
 
 /// `Cfg` builds a fixpoint round may cost: one for the cleanup after the
@@ -275,7 +186,7 @@ const CFGS_PER_ROUND: usize = 2;
 #[test]
 fn analyses_computed_do_not_follow_function_size_or_meld_count() {
     for (rungs, meldable) in [(100, 8), (300, 8), (300, 24)] {
-        let mut f = mixed_ladder(rungs, meldable, 6);
+        let mut f = mixed(rungs, meldable, 6);
         verify_ssa(&f).expect("mixed ladder verifies");
         let report = meld_report(&mut f);
         let stats = MeldStats::from_report(&report);
@@ -310,7 +221,7 @@ fn analyses_computed_do_not_follow_function_size_or_meld_count() {
 
 /// Writes the inputs `scripts/ladder_pair.sh` times `darm meld` on: the
 /// mixed ladders the scoped cleanups were tried on, and one all-melding
-/// ladder. Run by hand (and by CI, so the generator cannot rot):
+/// ladder. Run by hand (and by CI, which melds every file it writes):
 /// `cargo test --release -p darm-melding --test ladder_complexity -- --ignored dump_mixed_ladders`.
 #[test]
 #[ignore = "writes .ir files for scripts/ladder_pair.sh"]
@@ -329,11 +240,11 @@ fn dump_mixed_ladders() {
     .map(|(rungs, meldable, arm)| {
         (
             format!("mixed_{rungs}_{meldable}_{arm}.ir"),
-            mixed_ladder(rungs, meldable, arm),
+            mixed(rungs, meldable, arm),
         )
     })
     .collect();
-    files.push(("ladder_34.ir".to_string(), ladder(34)));
+    files.push(("ladder_34.ir".to_string(), flat(34)));
     for (name, f) in files {
         verify_ssa(&f).expect("ladder verifies");
         let path = dir.join(name);

@@ -8,8 +8,8 @@
 //! rewrite per region) or of blocks merged (one per merge in `simplify`).
 
 use darm_analysis::verify_ssa;
-use darm_ir::builder::FunctionBuilder;
-use darm_ir::{AddrSpace, Dim, Function, IcmpPred, Type, Value};
+use darm_ir::Function;
+use darm_kernels::gen::{build_kernel, Arms, Divergence, KernelSpec, Rng, Shape};
 use darm_melding::{meld_function, MeldConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -66,51 +66,26 @@ fn counted<T>(threshold: usize, f: impl FnOnce() -> T) -> (T, usize) {
     (out, count)
 }
 
-/// `out[tid] = f_{N-1}(… f_0(in[tid]))`, each `f_r` a diamond on one bit
+/// `out[gid] = f_{N-1}(… f_0(in[gid]))`, each `f_r` a diamond on one bit
 /// of the thread id whose arms run the same three opcodes on different
 /// constants: every rung melds, in one round, and its blocks then merge
 /// into one straight line.
-fn ladder(rungs: usize) -> Function {
-    let ptr = Type::Ptr(AddrSpace::Global);
-    let mut f = Function::new("ladder", vec![ptr, ptr], Type::Void);
-    let entry = f.entry();
-    let mut b = FunctionBuilder::new(&mut f, entry);
-    let tid = b.thread_idx(Dim::X);
-    let src = b.gep(Type::I32, b.param(1), tid);
-    let x = b.load(Type::I32, src);
-    let mut acc = x;
-    for r in 0..rungs {
-        let k = r as i32;
-        let bit = b.lshr(tid, Value::I32(k % 5));
-        let bit = b.and(bit, Value::I32(1));
-        let cond = b.icmp(IcmpPred::Ne, bit, Value::I32(0));
-        let t = b.add_block(&format!("r{r}.t"));
-        let e = b.add_block(&format!("r{r}.e"));
-        let j = b.add_block(&format!("r{r}.j"));
-        b.br(cond, t, e);
-        let mut arms = Vec::new();
-        for (arm, side) in [(t, 0), (e, 1)] {
-            b.switch_to(arm);
-            let v = b.mul(acc, Value::I32(3 + 2 * side));
-            let v = b.add(v, Value::I32(7 * k + side + 1));
-            let v = b.xor(v, Value::I32(11 + k + 13 * side));
-            b.jump(j);
-            arms.push((arm, v));
-        }
-        b.switch_to(j);
-        let joined = b.phi(Type::I32, &arms);
-        acc = b.add(joined, x);
-    }
-    let dst = b.gep(Type::I32, b.param(0), tid);
-    b.store(acc, dst);
-    b.ret(None);
-    f
+fn generate(rungs: usize) -> Function {
+    let spec = KernelSpec {
+        shape: Shape::Ladder,
+        rungs,
+        arm_len: 3,
+        arms: Arms::Similar,
+        divergence: Divergence::Tid,
+        uniform_third: false,
+    };
+    build_kernel("ladder", spec, &mut Rng::new(0))
 }
 
 /// Allocations of at least the input arena's length in bytes one fixpoint
 /// round may make, whatever it melds: the round's substitution table, the
 /// analyses and the cleanup passes' tables, and the growth steps of the
-/// tables the applies share. Measured: 70–74 over the two rounds of a
+/// tables the applies share. Measured: 70–82 over the two rounds of a
 /// 100-, 300- or 600-rung ladder, where one rewrite per region and one per
 /// merged block made 224, 551 and 1 044.
 const ARENA_SIZED_PER_ROUND: usize = 48;
@@ -118,7 +93,7 @@ const ARENA_SIZED_PER_ROUND: usize = 48;
 #[test]
 fn arena_sized_allocations_follow_rounds_not_regions_or_merges() {
     for rungs in [100, 300] {
-        let mut f = ladder(rungs);
+        let mut f = generate(rungs);
         verify_ssa(&f).expect("ladder verifies");
         let threshold = f.inst_capacity();
         let (stats, large) = counted(threshold, || meld_function(&mut f, &MeldConfig::default()));

@@ -7,8 +7,8 @@
 //! allocate the same number of times.
 
 use darm_analysis::{Cfg, DomTree, PostDomTree};
-use darm_ir::builder::FunctionBuilder;
-use darm_ir::{AddrSpace, Dim, Function, IcmpPred, Type, Value};
+use darm_ir::Function;
+use darm_kernels::gen::{build_kernel, Arms, Divergence, KernelSpec, Rng, Shape};
 use darm_simt::BytecodeKernel;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -60,46 +60,22 @@ fn calls<T>(f: impl FnOnce() -> T) -> usize {
     after - before
 }
 
-/// `out[tid] = f_{N-1}(… f_0(in[tid]))`, each `f_r` a diamond on one bit
+/// `out[gid] = f_{N-1}(… f_0(in[gid]))`, each `f_r` a diamond on one bit
 /// of the thread id with a φ at its join; one rung is a 4-block diamond.
-fn ladder(rungs: usize) -> Function {
-    let ptr = Type::Ptr(AddrSpace::Global);
-    let mut f = Function::new("ladder", vec![ptr, ptr], Type::Void);
-    let entry = f.entry();
-    let mut b = FunctionBuilder::new(&mut f, entry);
-    let tid = b.thread_idx(Dim::X);
-    let src = b.gep(Type::I32, b.param(1), tid);
-    let x = b.load(Type::I32, src);
-    let mut acc = x;
-    for r in 0..rungs {
-        let k = r as i32;
-        let bit = b.lshr(tid, Value::I32(k % 5));
-        let bit = b.and(bit, Value::I32(1));
-        let cond = b.icmp(IcmpPred::Ne, bit, Value::I32(0));
-        let t = b.add_block(&format!("r{r}.t"));
-        let e = b.add_block(&format!("r{r}.e"));
-        let j = b.add_block(&format!("r{r}.j"));
-        b.br(cond, t, e);
-        let mut arms = Vec::new();
-        for (arm, side) in [(t, 0), (e, 1)] {
-            b.switch_to(arm);
-            let v = b.mul(acc, Value::I32(3 + 2 * side));
-            let v = b.add(v, Value::I32(7 * k + side + 1));
-            b.jump(j);
-            arms.push((arm, v));
-        }
-        b.switch_to(j);
-        let joined = b.phi(Type::I32, &arms);
-        acc = b.add(joined, x);
-    }
-    let dst = b.gep(Type::I32, b.param(0), tid);
-    b.store(acc, dst);
-    b.ret(None);
-    f
+fn generate(rungs: usize) -> Function {
+    let spec = KernelSpec {
+        shape: Shape::Ladder,
+        rungs,
+        arm_len: 2,
+        arms: Arms::Similar,
+        divergence: Divergence::Tid,
+        uniform_third: false,
+    };
+    build_kernel("ladder", spec, &mut Rng::new(0))
 }
 
 fn diamond_and_ladder() -> (Function, Function) {
-    let (diamond, ladder) = (ladder(1), ladder(64));
+    let (diamond, ladder) = (generate(1), generate(64));
     assert_eq!(diamond.live_block_count(), 4);
     assert_eq!(ladder.live_block_count(), 1 + 3 * 64);
     (diamond, ladder)

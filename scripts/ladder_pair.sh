@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Paired off-ledger timing of two revisions on the ladder inputs: the
 # per-phase cost of `darm meld` on functions far bigger than any ledger
-# workload (2.4k to 35k instructions), where a cleanup pass or an analysis
+# workload (2.2k to 31k instructions), where a cleanup pass or an analysis
 # that follows function size shows up as its own row. The companion of
 # bench_pair.sh for questions the ledger cannot resolve; its numbers size a
 # change, they are not a claim.
@@ -14,7 +14,8 @@ usage: scripts/ladder_pair.sh [--change REV] <parent-rev> [runs]
 Builds <parent-rev> and the change (HEAD unless --change REV) in two
 temporary git worktrees (release), has the change's
 `ladder_complexity::dump_mixed_ladders` write the inputs — the mixed
-ladders (100, 8, 6) … (1200, 24, 8) and ladder(34) — and runs
+ladders (100, 8, 6) … (1200, 24, 8) and a 34-rung all-melding ladder,
+built by `darm_kernels::gen` — and runs
 `darm meld --jobs 1 --time-passes` on each input `runs` times per side
 (default 7), alternating which side goes first.
 

@@ -392,38 +392,6 @@ fn a_fault_after_the_inner_cleanup_ran_still_names_the_outer_pass() {
     }
 }
 
-/// `N` meldable diamonds in sequence, each rung's join the next one's
-/// branch block: one fixpoint round melds them all.
-fn ladder(rungs: usize) -> Function {
-    let ptr = Type::Ptr(AddrSpace::Global);
-    let mut f = Function::new("ladder", vec![ptr], Type::Void);
-    let entry = f.entry();
-    let mut b = FunctionBuilder::new(&mut f, entry);
-    let tid = b.thread_idx(Dim::X);
-    let p = b.gep(Type::I32, b.param(0), tid);
-    let mut acc = b.load(Type::I32, p);
-    for r in 0..rungs as i32 {
-        let masked = b.and(tid, b.const_i32(1 << (r % 5)));
-        let c = b.icmp(IcmpPred::Ne, masked, b.const_i32(0));
-        let arms = [b.add_block("t"), b.add_block("e")];
-        let join = b.add_block("j");
-        b.br(c, arms[0], arms[1]);
-        let mut incoming = Vec::new();
-        for (arm, side) in arms.into_iter().zip([0, 1]) {
-            b.switch_to(arm);
-            let v = b.mul(acc, b.const_i32(3 + 2 * side));
-            let v = b.add(v, b.const_i32(7 * r + side + 1));
-            b.jump(join);
-            incoming.push((arm, v));
-        }
-        b.switch_to(join);
-        acc = b.phi(Type::I32, &incoming);
-    }
-    b.store(acc, p);
-    b.ret(None);
-    f
-}
-
 /// Faults keep region granularity inside a round: `meld::codegen` fires
 /// once per applied region, so a plan can hit the k-th apply of a batch —
 /// with k − 1 regions already rewritten and no cleanup run yet, the most
@@ -434,10 +402,24 @@ fn ladder(rungs: usize) -> Function {
 fn a_fault_mid_batch_degrades_to_the_input_or_fails_typed() {
     use darm::pipeline::PipelineError;
 
+    use darm::kernels::gen::{build_kernel, Arms, Divergence, KernelSpec, Rng, Shape};
+
     const RUNGS: u64 = 9;
     let _guard = PLAN_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    // Meldable diamonds in sequence, each rung's join the next one's
+    // branch block: one fixpoint round melds them all.
+    let spec = KernelSpec {
+        shape: Shape::Ladder,
+        rungs: RUNGS as usize,
+        arm_len: 2,
+        arms: Arms::Similar,
+        divergence: Divergence::Tid,
+        uniform_third: false,
+    };
     let mut module = Module::new("batch");
-    module.add_function(ladder(RUNGS as usize)).unwrap();
+    module
+        .add_function(build_kernel("ladder", spec, &mut Rng::new(0)))
+        .unwrap();
     let baseline = printed(&module);
     let registry = darm::melding::registry(&MeldConfig::default());
     let compile_with = |pipeline, on_error, module: &mut Module| {

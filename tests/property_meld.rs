@@ -3,6 +3,7 @@
 //! semantics bit-for-bit, stay verifier-clean, and never hang.
 
 use darm::analysis::verify_ssa;
+use darm::kernels::gen::{self, Arms, Divergence, KernelSpec, Rng, Shape};
 use darm::melding::{meld_function, MeldConfig};
 use darm::prelude::*;
 use darm::simt::KernelArg;
@@ -254,183 +255,35 @@ proptest! {
 
 /// The shapes in which one fixpoint round melds several regions at once:
 /// many rungs in sequence, each rung's join being the next rung's branch
-/// block.
-#[derive(Debug, Clone, Copy)]
-enum Rungs {
-    /// Plain diamonds.
-    Ladder,
-    /// Diamonds whose arms each hold an inner data-dependent diamond.
-    NestedLadder,
-    /// A ladder inside a loop whose trip count depends on the thread id.
-    LoopLadder,
-    /// Compare-exchange stages: on either side of a thread-id branch an
-    /// if-then region whose join carries a φ — after the meld the two
-    /// copied φs are one, and the exit φ's select over them must fold.
-    CmpXchg,
-    /// An if-then region on the true side against a single block on the
-    /// false side: every rung melds by region replication.
-    IfThenVsBlock,
-}
+/// block — plain diamonds, diamonds holding an inner data-dependent
+/// diamond, a ladder in a loop whose trip count depends on the thread id,
+/// compare-exchange stages (after the meld the two copied φs are one, and
+/// the exit φ's select over them must fold), and an if-then region against
+/// a single block (every rung melds by region replication). Each with the
+/// operations per arm it is generated with.
+const SHAPES: [(Shape, usize); 5] = [
+    (Shape::Ladder, 4),
+    (Shape::NestedLadder, 7),
+    (Shape::LoopLadder, 4),
+    (Shape::CmpXchg, 5),
+    (Shape::IfThenVsBlock, 4),
+];
 
-impl Rungs {
-    const ALL: [Rungs; 5] = [
-        Rungs::Ladder,
-        Rungs::NestedLadder,
-        Rungs::LoopLadder,
-        Rungs::CmpXchg,
-        Rungs::IfThenVsBlock,
-    ];
-}
-
-/// `len` operations on `acc`, the same opcodes on both sides; two positions
-/// in three differ in their constant.
-fn emit_arm(
-    b: &mut FunctionBuilder<'_>,
-    mut acc: Value,
-    len: usize,
-    salt: i32,
-    side: i32,
-) -> Value {
-    for k in 0..len as i32 {
-        let c =
-            Value::I32(101 + 2 * ((salt + 7 * k) % 400) + if k % 3 == 2 { 0 } else { 2 * side });
-        acc = match k % 4 {
-            0 => b.mul(acc, c),
-            1 => b.add(acc, c),
-            2 => b.xor(acc, c),
-            _ => b.sub(acc, c),
-        };
-    }
-    acc
-}
-
-/// `out[tid] = shape(in[tid], in[tid ^ 1])` with `rungs` rungs in sequence;
-/// `salt` picks the constants.
-fn build_rungs_kernel(shape: Rungs, rungs: usize, salt: i32) -> Function {
-    let ptr = Type::Ptr(AddrSpace::Global);
-    let mut f = Function::new("rungs", vec![ptr, ptr], Type::Void);
-    let entry = f.entry();
-    let mut b = FunctionBuilder::new(&mut f, entry);
-    let tid = b.thread_idx(Dim::X);
-    let src = b.gep(Type::I32, b.param(0), tid);
-    let x = b.load(Type::I32, src);
-    let other = b.xor(tid, Value::I32(1));
-    let src = b.gep(Type::I32, b.param(0), other);
-    let y = b.load(Type::I32, src);
-    let bit_test = |b: &mut FunctionBuilder<'_>, v: Value, bit: usize| {
-        let m = b.and(v, Value::I32(1 << bit));
-        b.icmp(IcmpPred::Ne, m, Value::I32(0))
+/// `out[gid] = shape(in[gid], in[gid ^ 1])` with `rungs` similar-armed
+/// rungs on thread-id bits in sequence; `seed` picks the constants.
+fn generate((shape, arm_len): (Shape, usize), rungs: usize, seed: u64) -> Function {
+    let spec = KernelSpec {
+        shape,
+        rungs,
+        arm_len,
+        arms: Arms::Similar,
+        divergence: Divergence::Tid,
+        uniform_third: false,
     };
-
-    // The loop around the ladder: `for (i = 0; i < 2 + (tid & 3); i++)`.
-    let mut header = None;
-    let mut acc = x;
-    if let Rungs::LoopLadder = shape {
-        let pre = b.current_block();
-        let (hdr, body, exit) = (b.add_block("hdr"), b.add_block("body"), b.add_block("exit"));
-        let low = b.and(tid, Value::I32(3));
-        let trip = b.add(low, Value::I32(2));
-        b.jump(hdr);
-        b.switch_to(hdr);
-        let i = b.phi(Type::I32, &[(pre, Value::I32(0))]);
-        acc = b.phi(Type::I32, &[(pre, x)]);
-        let c = b.icmp(IcmpPred::Slt, i, trip);
-        b.br(c, body, exit);
-        b.switch_to(body);
-        header = Some((hdr, exit, i, acc));
-    }
-
-    for r in 0..rungs {
-        let salt = salt + 31 * r as i32;
-        let cond = bit_test(&mut b, tid, r % 5);
-        let heads = [
-            b.add_block(&format!("r{r}.t")),
-            b.add_block(&format!("r{r}.e")),
-        ];
-        let join = b.add_block(&format!("r{r}.j"));
-        b.br(cond, heads[0], heads[1]);
-        let mut incoming = Vec::new();
-        for (side, &head) in heads.iter().enumerate() {
-            b.switch_to(head);
-            let s = side as i32;
-            let (from, v) = match shape {
-                Rungs::Ladder | Rungs::LoopLadder => (head, emit_arm(&mut b, acc, 4, salt, s)),
-                Rungs::NestedLadder => {
-                    let v = emit_arm(&mut b, acc, 2, salt, s);
-                    let ic = bit_test(&mut b, x, (r + 3) % 8);
-                    let inner = [
-                        b.add_block(&format!("r{r}.{side}.t")),
-                        b.add_block(&format!("r{r}.{side}.e")),
-                    ];
-                    let ij = b.add_block(&format!("r{r}.{side}.j"));
-                    b.br(ic, inner[0], inner[1]);
-                    let mut arms = Vec::new();
-                    for (k, &blk) in inner.iter().enumerate() {
-                        b.switch_to(blk);
-                        arms.push((blk, emit_arm(&mut b, v, 3, salt + 11, 2 * s + k as i32)));
-                        b.jump(ij);
-                    }
-                    b.switch_to(ij);
-                    let m = b.phi(Type::I32, &arms);
-                    (ij, emit_arm(&mut b, m, 2, salt + 17, s))
-                }
-                Rungs::IfThenVsBlock if side == 1 => (head, emit_arm(&mut b, acc, 4, salt, s)),
-                Rungs::IfThenVsBlock => {
-                    let v = emit_arm(&mut b, acc, 4, salt, s);
-                    let c = bit_test(&mut b, x, (r + 3) % 8);
-                    let then = b.add_block(&format!("r{r}.then"));
-                    let tj = b.add_block(&format!("r{r}.tj"));
-                    b.br(c, then, tj);
-                    b.switch_to(then);
-                    let w = emit_arm(&mut b, v, 2, salt + 11, s);
-                    b.jump(tj);
-                    b.switch_to(tj);
-                    (tj, b.phi(Type::I32, &[(head, v), (then, w)]))
-                }
-                Rungs::CmpXchg => {
-                    let ka = b.lshr(x, Value::I32(r as i32 % 5));
-                    let ka = b.and(ka, Value::I32(15));
-                    let kb = b.lshr(y, Value::I32(r as i32 % 5));
-                    let kb = b.and(kb, Value::I32(15));
-                    let c = b.icmp([IcmpPred::Sgt, IcmpPred::Slt][side], ka, kb);
-                    let swap = b.add_block(&format!("r{r}.{side}.swap"));
-                    let sj = b.add_block(&format!("r{r}.{side}.j"));
-                    b.br(c, swap, sj);
-                    b.switch_to(swap);
-                    let mixed = b.xor(acc, y);
-                    let v = emit_arm(&mut b, mixed, 5, salt, s);
-                    b.jump(sj);
-                    b.switch_to(sj);
-                    (sj, b.phi(Type::I32, &[(head, acc), (swap, v)]))
-                }
-            };
-            b.jump(join);
-            incoming.push((from, v));
-        }
-        b.switch_to(join);
-        let joined = b.phi(Type::I32, &incoming);
-        acc = b.add(joined, x);
-    }
-
-    if let Some((hdr, exit, i, loop_acc)) = header {
-        let next = b.add(i, Value::I32(1));
-        let latch = b.current_block();
-        b.jump(hdr);
-        for (phi, v) in [(i, next), (loop_acc, acc)] {
-            let inst = b.func().inst_mut(phi.as_inst().expect("a phi"));
-            inst.operands.push(v);
-            inst.phi_blocks.push(latch);
-        }
-        b.switch_to(exit);
-        acc = loop_acc;
-    }
-    let dst = b.gep(Type::I32, b.param(1), tid);
-    b.store(acc, dst);
-    b.ret(None);
-    f
+    gen::build_kernel("rungs", spec, &mut Rng::new(seed))
 }
 
-/// Runs `func(in, out)` on the reference interpreter.
+/// Runs `func(in, out, 0)` on the reference interpreter.
 fn run_reference(func: &Function, input: &[i32]) -> Vec<i32> {
     let mut gpu = Gpu::new(GpuConfig::default());
     let src = gpu.alloc_i32(input);
@@ -438,7 +291,11 @@ fn run_reference(func: &Function, input: &[i32]) -> Vec<i32> {
     gpu.launch_reference(
         func,
         &LaunchConfig::linear(1, input.len() as u32),
-        &[KernelArg::Buffer(src), KernelArg::Buffer(dst)],
+        &[
+            KernelArg::Buffer(src),
+            KernelArg::Buffer(dst),
+            KernelArg::I32(0),
+        ],
     )
     .unwrap_or_else(|e| panic!("simulation failed: {e}\n{func}"));
     gpu.read_i32(dst)
@@ -455,8 +312,8 @@ proptest! {
     #[test]
     fn batched_rounds_preserve_semantics(rungs in 12usize..17, salt in 0i32..400) {
         let input: Vec<i32> = (0..64).map(|i| (i * 37 + salt) % 251 - 120).collect();
-        for shape in Rungs::ALL {
-            let func = build_rungs_kernel(shape, rungs, salt);
+        for shape in SHAPES {
+            let func = generate(shape, rungs, salt as u64);
             verify_ssa(&func).expect("generated kernel must verify");
             let expected = run_reference(&func, &input);
             for mode in [MeldMode::Darm, MeldMode::BranchFusion] {
@@ -471,7 +328,7 @@ proptest! {
                 let stats = MeldStats::from_report(&report);
                 if mode == MeldMode::Darm {
                     prop_assert!(stats.melded_regions >= rungs, "{:?}: {:?}", shape, stats);
-                    let replicated = matches!(shape, Rungs::IfThenVsBlock);
+                    let replicated = shape.0 == Shape::IfThenVsBlock;
                     prop_assert_eq!(stats.replications, if replicated { rungs } else { 0 });
                 }
                 prop_assert!(
@@ -605,7 +462,7 @@ fn paper_kernels_and_shapes() -> Vec<Function> {
     funcs.push(build_kernel(&side(false), &side(false)));
     funcs.push(build_kernel(&side(true), &side(false)));
     funcs.push(build_three_way_loop_kernel(&ops, &ops[1..], &ops[..2]));
-    funcs.extend(Rungs::ALL.map(|shape| build_rungs_kernel(shape, 12, 5)));
+    funcs.extend(SHAPES.map(|shape| generate(shape, 12, 5)));
     funcs
 }
 
