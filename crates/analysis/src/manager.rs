@@ -20,7 +20,8 @@
 //! * an instruction-only window keeps the [`Analysis::SHAPE_ONLY`]
 //!   analyses ([`Cfg`], [`DomTree`], [`PostDomTree`]) — they read nothing
 //!   but the block graph;
-//! * anything else — a block-graph window, a saturated journal, an
+//! * anything else — a block-graph window, a cursor from another journal
+//!   identity (a clone's source, a state a restore abandoned), an
 //!   instruction-only window under [`DivergenceAnalysis`] — drops the
 //!   entry, which recomputes from scratch.
 //!

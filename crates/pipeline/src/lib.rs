@@ -71,8 +71,8 @@
 //! stops on.
 //!
 //! The cleanup passes themselves run whole-function (see [`passes`]); each
-//! keeps the journal cursor of its previous run, skips a run whose window
-//! since is clean, and `instcombine` seeds its worklist from that window.
+//! keeps the journal cursor of its previous run and skips a run whose
+//! window since is clean.
 //! `PipelineReport` splits per-pass analysis *computations* from cache
 //! *hits*, which `--time-passes` prints.
 //!

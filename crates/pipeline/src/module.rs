@@ -514,7 +514,7 @@ mod tests {
         b.jump(x);
         b.switch_to(x);
         let p = b.phi(Type::I32, &[(t, v), (e, Value::I32(0))]);
-        let dead = b.mul(p, b.const_i32(0));
+        let dead = b.mul(p, p);
         let _ = b.icmp(IcmpPred::Eq, dead, dead);
         b.ret(Some(p));
         f

@@ -5,15 +5,13 @@
 //! paper's `RunPostOptimizations` does, and return the transform's rewrite
 //! count. What each remembers between runs is one journal cursor
 //! (`LastRun`): a run that finds the window since the previous one clean
-//! returns without looking at the function, and `instcombine` — whose
-//! redexes can only be at instructions the journal names — seeds its
-//! worklist from that window instead of from every instruction.
+//! returns without looking at the function.
 
 use crate::Pass;
 use darm_analysis::AnalysisManager;
 use darm_ir::{Function, JournalCursor, WindowProbe};
 use darm_transforms::simplify::SimplifyStats;
-use darm_transforms::{repair_ssa_with, run_dce, run_instcombine_since, simplify_cfg_with};
+use darm_transforms::{repair_ssa_with, run_dce, run_instcombine, simplify_cfg_with};
 
 /// The journal head as of a cleanup pass's previous run on the function
 /// (`None` before the first).
@@ -21,20 +19,20 @@ use darm_transforms::{repair_ssa_with, run_dce, run_instcombine_since, simplify_
 struct LastRun(Option<JournalCursor>);
 
 impl LastRun {
-    /// Runs `transform`, handing it the previous run's cursor, and returns
-    /// its report — or the empty report without running it when nothing
-    /// was mutated since the previous run (O(1) to tell), which left the
-    /// function at the transform's fixpoint.
+    /// Runs `transform` and returns its report — or the empty report
+    /// without running it when nothing was mutated since the previous run
+    /// (O(1) to tell), which left the function at the transform's
+    /// fixpoint.
     fn rerun<R: Default>(
         &mut self,
         func: &mut Function,
-        transform: impl FnOnce(&mut Function, Option<JournalCursor>) -> R,
+        transform: impl FnOnce(&mut Function) -> R,
     ) -> R {
         let clean = |last| func.probe_since(last) == WindowProbe::Clean;
         if self.0.is_some_and(clean) {
             return R::default();
         }
-        let report = transform(func, self.0);
+        let report = transform(func);
         self.0 = Some(func.journal_head());
         report
     }
@@ -53,7 +51,7 @@ impl Pass for SimplifyCfgPass {
     }
 
     fn run(&mut self, func: &mut Function, am: &mut AnalysisManager) -> Result<u64, String> {
-        let stats = self.last.rerun(func, |f, _| simplify_cfg_with(f, am));
+        let stats = self.last.rerun(func, |f| simplify_cfg_with(f, am));
         self.total += stats;
         Ok(stats.total() as u64)
     }
@@ -93,7 +91,7 @@ impl Pass for DcePass {
     }
 
     fn run(&mut self, func: &mut Function, _am: &mut AnalysisManager) -> Result<u64, String> {
-        let n = self.last.rerun(func, |f, _| run_dce(f)) as u64;
+        let n = self.last.rerun(func, run_dce) as u64;
         self.removed += n;
         Ok(n)
     }
@@ -116,7 +114,7 @@ impl Pass for InstCombinePass {
     }
 
     fn run(&mut self, func: &mut Function, _am: &mut AnalysisManager) -> Result<u64, String> {
-        let n = self.last.rerun(func, run_instcombine_since) as u64;
+        let n = self.last.rerun(func, run_instcombine) as u64;
         self.combined += n;
         Ok(n)
     }
@@ -139,7 +137,7 @@ impl Pass for SsaRepairPass {
     }
 
     fn run(&mut self, func: &mut Function, am: &mut AnalysisManager) -> Result<u64, String> {
-        let n = self.last.rerun(func, |f, _| repair_ssa_with(f, am)) as u64;
+        let n = self.last.rerun(func, |f| repair_ssa_with(f, am)) as u64;
         self.repaired += n;
         Ok(n)
     }

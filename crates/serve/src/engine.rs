@@ -95,6 +95,9 @@ struct Counters {
     rejected_closed: AtomicU64,
     contained_panics: AtomicU64,
     protocol_errors: AtomicU64,
+    /// Shared with the transports, whose responders outlive any borrow of
+    /// the engine (see [`Engine::write_errors`]).
+    write_errors: Arc<AtomicU64>,
     fast_hits: AtomicU64,
 }
 
@@ -459,6 +462,12 @@ impl Engine {
             .fetch_add(1, Ordering::Relaxed);
     }
 
+    /// The counter a transport bumps for every response it failed to
+    /// write (the `write_errors` stat).
+    pub(crate) fn write_errors(&self) -> Arc<AtomicU64> {
+        Arc::clone(&self.shared.counters.write_errors)
+    }
+
     /// Snapshot of every counter, cache gauge and queue gauge.
     pub fn stats_json(&self) -> Json {
         let c = &self.shared.counters;
@@ -489,6 +498,10 @@ impl Engine {
             (
                 "protocol_errors",
                 Json::int(c.protocol_errors.load(Ordering::Relaxed)),
+            ),
+            (
+                "write_errors",
+                Json::int(c.write_errors.load(Ordering::Relaxed)),
             ),
             (
                 "cache",

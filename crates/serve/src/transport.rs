@@ -12,6 +12,7 @@
 //! arrive out of request order — clients match them by `id`.
 
 use std::io::{self, Read, Write};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
 use crate::engine::Engine;
@@ -30,14 +31,23 @@ pub enum StreamEnd {
     Shutdown,
 }
 
-fn send(writer: &Arc<Mutex<impl Write + Send>>, response: &Response) {
+/// One connection's write side: the stream, and the engine's
+/// `write_errors` counter.
+struct Sink<W> {
+    writer: Mutex<W>,
+    write_errors: Arc<AtomicU64>,
+}
+
+fn send(sink: &Sink<impl Write>, response: &Response) {
     // Rendered before the lock is taken: workers answering on one
     // connection queue up for the write, not for each other's rendering.
     let body = response.to_bytes();
-    let mut writer = writer.lock().unwrap_or_else(PoisonError::into_inner);
-    // A vanished peer must not take the daemon down; responders swallow
-    // write errors and the read side notices the closed stream.
-    let _ = write_frame(&mut *writer, &body);
+    let mut writer = sink.writer.lock().unwrap_or_else(PoisonError::into_inner);
+    // A vanished peer must not take the daemon down: a failed write is
+    // counted, and the read side notices the closed stream.
+    if write_frame(&mut *writer, &body).is_err() {
+        sink.write_errors.fetch_add(1, Ordering::Relaxed);
+    }
 }
 
 /// Serve one framed connection until EOF or a `shutdown` request.
@@ -51,7 +61,10 @@ pub fn serve_stream(
     writer: impl Write + Send + 'static,
     max_frame: usize,
 ) -> io::Result<StreamEnd> {
-    let writer = Arc::new(Mutex::new(writer));
+    let sink = Arc::new(Sink {
+        writer: Mutex::new(writer),
+        write_errors: engine.write_errors(),
+    });
     loop {
         let body = match read_frame(&mut reader, max_frame) {
             Ok(Some(body)) => body,
@@ -59,7 +72,7 @@ pub fn serve_stream(
             Err(FrameError::Oversized { len, max }) => {
                 engine.note_protocol_error();
                 send(
-                    &writer,
+                    &sink,
                     &Response::Error {
                         id: None,
                         kind: ErrorKind::Protocol,
@@ -71,7 +84,7 @@ pub fn serve_stream(
             Err(FrameError::Truncated) => {
                 engine.note_protocol_error();
                 send(
-                    &writer,
+                    &sink,
                     &Response::Error {
                         id: None,
                         kind: ErrorKind::Protocol,
@@ -91,7 +104,7 @@ pub fn serve_stream(
             Err(message) => {
                 engine.note_protocol_error();
                 send(
-                    &writer,
+                    &sink,
                     &Response::Error {
                         id: None,
                         kind: ErrorKind::Protocol,
@@ -102,9 +115,9 @@ pub fn serve_stream(
             }
         };
         match request {
-            Request::Ping { id } => send(&writer, &Response::Pong { id }),
+            Request::Ping { id } => send(&sink, &Response::Pong { id }),
             Request::Stats { id } => send(
-                &writer,
+                &sink,
                 &Response::Stats {
                     id,
                     body: engine.stats_json(),
@@ -112,12 +125,12 @@ pub fn serve_stream(
             ),
             Request::Shutdown { id } => {
                 let stats = engine.shutdown();
-                send(&writer, &Response::Bye { id, stats });
+                send(&sink, &Response::Bye { id, stats });
                 return Ok(StreamEnd::Shutdown);
             }
             Request::Compile(req) => {
-                let writer = Arc::clone(&writer);
-                engine.submit(req, Box::new(move |response| send(&writer, &response)));
+                let sink = Arc::clone(&sink);
+                engine.submit(req, Box::new(move |response| send(&sink, &response)));
             }
         }
     }
@@ -168,5 +181,45 @@ pub fn serve_unix(
                 }
             }
         });
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::ServeConfig;
+
+    /// A peer that has gone away: every write fails.
+    struct Vanished;
+
+    impl Write for Vanished {
+        fn write(&mut self, _: &[u8]) -> io::Result<usize> {
+            Err(io::ErrorKind::BrokenPipe.into())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// Every reply the transport could not write — a direct one, a
+    /// worker's, and the final `bye` — is counted in `write_errors`, and a
+    /// failed `bye` still ends the stream as a shutdown.
+    #[test]
+    fn failed_writes_are_counted_in_the_stats() {
+        let engine = Engine::new(ServeConfig::default());
+        let mut input = Vec::new();
+        for body in [
+            r#"{"op":"ping","id":1}"#,
+            r#"{"op":"stats","id":2}"#,
+            r#"{"op":"compile","id":3,"ir":"fn @f() -> void {\nentry:\n  ret\n}\n"}"#,
+            r#"{"op":"shutdown","id":4}"#,
+        ] {
+            write_frame(&mut input, body.as_bytes()).unwrap();
+        }
+        let end = serve_stream(&engine, input.as_slice(), Vanished, 1 << 20).unwrap();
+        assert_eq!(end, StreamEnd::Shutdown);
+        let stats = engine.stats_json();
+        assert_eq!(stats.get("write_errors").and_then(Json::as_u64), Some(4));
     }
 }

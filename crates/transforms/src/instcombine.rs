@@ -7,52 +7,42 @@
 //! `RunPostOptimizations`.
 //!
 //! The engine is a worklist run in rounds: whether an instruction reduces
-//! depends only on its own opcode and operands, and operands change only
-//! through RAUW — so a round simplifies everything queued, applies its
-//! substitutions in one batched pass, and the `darm-ir` journal then names
-//! exactly the users whose operands moved; only those enter the next
-//! round. The rewrite system is confluent (rewrites only remove
-//! instructions and substitute values), so the fixpoint reached equals the
-//! seed implementation's repeated whole-function sweeps.
+//! depends only on its own opcode, its operands and their types, and
+//! operands change only through RAUW — so a round simplifies everything
+//! queued, applies its substitutions in one batched pass, and
+//! [`Function::rauw_many`] reports exactly the users whose operands moved;
+//! only those enter the next round. The rewrite system is confluent
+//! (rewrites only remove instructions and substitute values), so the
+//! fixpoint reached equals the seed implementation's repeated
+//! whole-function sweeps.
 //!
-//! The same journal seeds a *run*: [`run_instcombine_since`] starts from
-//! the instructions touched since a cursor — a caller that ran the pass
-//! before and kept the journal head knows everything else is still at the
-//! fixpoint — and falls back to every instruction when the cursor no
-//! longer names a window.
+//! A run starts from every live instruction, as every other cleanup sweeps
+//! the whole function. The one caller that knows better —
+//! simplify-cfg, handing over the users its φ replacements rewrote —
+//! seeds the same engine from that list.
 
 use crate::Pending;
-use darm_ir::{Function, InstId, JournalCursor, Opcode, Value};
+use darm_ir::{Function, InstId, Opcode, Value};
 
 /// Applies local rewrites to a fixpoint. Returns the number of
 /// simplifications performed.
 pub fn run_instcombine(func: &mut Function) -> usize {
-    run_instcombine_since(func, None)
+    // Sequential arena sweep: a live instruction is exactly one that sits
+    // in a live block's list, and the rewrite system is confluent, so
+    // seeding order only affects intermediate steps.
+    let live = (0..func.inst_capacity())
+        .map(InstId::new)
+        .filter(|&id| func.is_inst_alive(id))
+        .collect();
+    run_seeded(func, live)
 }
 
-/// [`run_instcombine`] with the initial worklist read off the journal: the
-/// instructions touched since `since`, which must be a cursor taken when
-/// the function was at the rewrite fixpoint (right after a previous run).
-/// Whether an instruction reduces depends on its opcode and operands
-/// alone, and every way either changes — insertion, operand rewrite,
-/// substitution — journals the instruction, so the result is identical to
-/// the whole-function run. `None`, or a cursor that saturated (another
-/// function instance, a truncated journal, an untracked mutation), seeds
-/// every instruction.
-pub fn run_instcombine_since(func: &mut Function, since: Option<JournalCursor>) -> usize {
+/// [`run_instcombine`] from the worklist `work` instead of every
+/// instruction: exact when every instruction outside it was at the rewrite
+/// fixpoint, the case of the users a substitution rewrote in a function
+/// `instcombine` had already been run over.
+pub(crate) fn run_seeded(func: &mut Function, mut work: Vec<InstId>) -> usize {
     darm_ir::fault::point("transforms::instcombine");
-    let mut work: Vec<InstId> = Vec::new();
-    if !since.is_some_and(|cursor| func.insts_touched_since(cursor, |t| work.push(t))) {
-        // Sequential arena sweep: a live instruction is exactly one that
-        // sits in a live block's list, and the rewrite system is
-        // confluent, so seeding order only affects intermediate steps.
-        let cap = func.inst_capacity();
-        work.extend(
-            (0..cap)
-                .map(InstId::new)
-                .filter(|&id| func.is_inst_alive(id)),
-        );
-    }
     let mut total = 0;
     let mut pending = Pending::new(func);
     while !work.is_empty() {
@@ -71,18 +61,14 @@ pub fn run_instcombine_since(func: &mut Function, since: Option<JournalCursor>) 
                 pending.push(id, pending.resolve(v));
             }
         }
-        work.clear();
-        // The journal window of the substitution names every rewritten
-        // user — exactly the instructions whose foldability may have
-        // changed.
-        let cursor = func.journal_head();
-        func.rauw_many(pending.batch());
+        // The rewritten users are exactly the instructions whose
+        // foldability may have changed.
+        work = func.rauw_many(pending.batch());
         for &(from, _) in pending.batch() {
             func.remove_inst(from.as_inst().expect("batch holds instructions"));
         }
         total += pending.batch().len();
         pending.clear();
-        func.insts_touched_since(cursor, |t| work.push(t));
     }
     total
 }

@@ -23,7 +23,7 @@ pub mod simplify;
 pub mod ssa_repair;
 
 pub use dce::run_dce;
-pub use instcombine::{run_instcombine, run_instcombine_since};
+pub use instcombine::run_instcombine;
 pub use simplify::{simplify_cfg, simplify_cfg_with};
 pub use ssa_repair::{repair_ssa, repair_ssa_with};
 
@@ -94,12 +94,12 @@ impl Pending {
     }
 
     /// Applies the queued replacements in one arena pass, starts an empty
-    /// batch, and returns whether there were any.
-    pub(crate) fn apply(&mut self, func: &mut Function) -> bool {
-        func.rauw_many(&self.batch);
-        let any = !self.batch.is_empty();
+    /// batch, and returns the live users they rewrote, once each and in
+    /// arena order.
+    pub(crate) fn apply(&mut self, func: &mut Function) -> Vec<InstId> {
+        let rewritten = func.rauw_many(&self.batch);
         self.clear();
-        any
+        rewritten
     }
 }
 

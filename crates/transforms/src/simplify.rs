@@ -7,9 +7,9 @@
 //! touched was tried and measured no gain on any workload of the ledger
 //! (ROADMAP.md records the numbers, and what the narrowing cost).
 
-use crate::{run_instcombine_since, Pending};
+use crate::{instcombine, Pending};
 use darm_analysis::{AnalysisManager, Cfg};
-use darm_ir::{BlockId, Function, InstData, Opcode, Value};
+use darm_ir::{BlockId, Function, InstData, InstId, Opcode, Value};
 
 /// Statistics of one [`simplify_cfg`] run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -82,8 +82,9 @@ pub fn simplify_cfg_with(func: &mut Function, am: &mut AnalysisManager) -> Simpl
         darm_ir::fault::point("transforms::simplify");
         let mut changed = remove_unreachable(func, am, &mut stats);
         changed |= fold_branches(func, &mut stats);
-        let phis_start = func.journal_head();
-        let phis_replaced = remove_trivial_phis(func, &mut stats) | dedup_phis(func, &mut stats);
+        let mut rewritten = Vec::new();
+        let phis_replaced = remove_trivial_phis(func, &mut stats, &mut rewritten)
+            | dedup_phis(func, &mut stats, &mut rewritten);
         if phis_replaced {
             // Replacing a φ rewrites its users, and a rewritten user may
             // now be a fold `instcombine` knows — `select c, x, x` over two
@@ -91,10 +92,17 @@ pub fn simplify_cfg_with(func: &mut Function, am: &mut AnalysisManager) -> Simpl
             // pass and will not look again, so hand it the rewritten users;
             // a condition it folds to a constant is the next round's
             // branch to fold.
-            stats.folded_insts += run_instcombine_since(func, Some(phis_start));
+            stats.folded_insts += instcombine::run_seeded(func, rewritten);
         }
         changed |= phis_replaced;
-        changed |= merge_straightline(func, am, &mut stats);
+        // A merge folds the merged block's φs — ones that held an entry
+        // from a block the branch folding above cut off — with the same
+        // hand-off.
+        let mut rewritten = Vec::new();
+        changed |= merge_straightline(func, am, &mut stats, &mut rewritten);
+        if !rewritten.is_empty() {
+            stats.folded_insts += instcombine::run_seeded(func, rewritten);
+        }
         changed |= elide_empty_blocks(func, am, &mut stats);
         if !changed {
             break;
@@ -176,7 +184,13 @@ fn fold_branches(func: &mut Function, stats: &mut SimplifyStats) -> bool {
     changed
 }
 
-fn remove_trivial_phis(func: &mut Function, stats: &mut SimplifyStats) -> bool {
+/// Replaces every trivial φ, appending the users the replacements rewrote
+/// to `rewritten`.
+fn remove_trivial_phis(
+    func: &mut Function,
+    stats: &mut SimplifyStats,
+    rewritten: &mut Vec<InstId>,
+) -> bool {
     let mut changed = false;
     // One sweep's replacements, applied in a single arena pass at its end.
     // Operands are read through the queue, so a φ made trivial by an
@@ -212,15 +226,18 @@ fn remove_trivial_phis(func: &mut Function, stats: &mut SimplifyStats) -> bool {
                 }
             }
         }
-        if !pending.apply(func) {
+        if pending.batch().is_empty() {
             break;
         }
+        rewritten.extend(pending.apply(func));
         changed = true;
     }
     changed
 }
 
-fn dedup_phis(func: &mut Function, stats: &mut SimplifyStats) -> bool {
+/// Replaces every φ by an identical earlier one of its block, appending the
+/// users the replacements rewrote to `rewritten`.
+fn dedup_phis(func: &mut Function, stats: &mut SimplifyStats, rewritten: &mut Vec<InstId>) -> bool {
     // Applied in one arena pass at the end; φs are compared through the
     // queue, as if each replacement had landed when it was found.
     let mut pending = Pending::new(func);
@@ -251,15 +268,19 @@ fn dedup_phis(func: &mut Function, stats: &mut SimplifyStats) -> bool {
             }
         }
     }
-    pending.apply(func)
+    let any = !pending.batch().is_empty();
+    rewritten.extend(pending.apply(func));
+    any
 }
 
 /// Merges `B` into its unique predecessor `P` when `P` unconditionally jumps
-/// to `B` and `B` has no other predecessors.
+/// to `B` and `B` has no other predecessors, appending the users of the
+/// folded φs of `B` to `rewritten`.
 fn merge_straightline(
     func: &mut Function,
     am: &mut AnalysisManager,
     stats: &mut SimplifyStats,
+    rewritten: &mut Vec<InstId>,
 ) -> bool {
     let mut changed = false;
     // Reachable-predecessor lists (one entry per edge), maintained locally
@@ -314,9 +335,15 @@ fn merge_straightline(
                     .map(|i| cfg.preds(BlockId::new(i)).to_vec())
                     .collect()
             });
-            // Single-incoming φs in `b` fold to their value.
+            // `b`'s φs fold to their value from `p`. A φ still holding an
+            // entry from a block the round's branch folding cut off is no
+            // single-incoming φ: its first entry need not be `p`'s.
             for phi in func.phis_of(b) {
-                pending.push(phi, pending.resolve(func.inst(phi).operands[0]));
+                let v = func
+                    .inst(phi)
+                    .phi_value_for(p)
+                    .expect("a φ lists every predecessor");
+                pending.push(phi, pending.resolve(v));
                 func.remove_inst(phi);
             }
             // Move b's instructions into p; they keep their ids.
@@ -334,7 +361,7 @@ fn merge_straightline(
             merged = true;
             changed = true;
         }
-        pending.apply(func);
+        rewritten.extend(pending.apply(func));
         if !merged {
             break;
         }
@@ -468,6 +495,34 @@ mod tests {
         assert!(stats.removed_unreachable >= 1);
         verify_ssa(&f).unwrap();
         // Everything should have collapsed into one block returning 1.
+        assert_eq!(f.block_ids().len(), 1);
+        let term = f.terminator(f.entry()).unwrap();
+        assert_eq!(f.inst(term).operands[0], Value::I32(1));
+    }
+
+    /// The branch fold cuts `u` off, but `m`'s φ keeps `u`'s entry — the
+    /// first one — until the next round removes unreachable blocks. When
+    /// `m` merges in the same round, the φ must fold to the value from its
+    /// one reachable predecessor.
+    #[test]
+    fn a_merged_phi_folds_to_its_reachable_predecessors_value() {
+        let mut f = Function::new("cut", vec![], Type::I32);
+        let entry = f.entry();
+        let x = f.add_block("x");
+        let u = f.add_block("u");
+        let m = f.add_block("m");
+        let mut b = FunctionBuilder::new(&mut f, entry);
+        b.br(Value::I1(true), x, u);
+        b.switch_to(x);
+        b.jump(m);
+        b.switch_to(u);
+        b.jump(m);
+        b.switch_to(m);
+        let p = b.phi(Type::I32, &[(u, Value::I32(2)), (x, Value::I32(1))]);
+        b.ret(Some(p));
+
+        simplify_cfg(&mut f);
+        verify_ssa(&f).unwrap();
         assert_eq!(f.block_ids().len(), 1);
         let term = f.terminator(f.entry()).unwrap();
         assert_eq!(f.inst(term).operands[0], Value::I32(1));

@@ -1,13 +1,14 @@
 //! Properties of the cleanup transforms on random CFGs under random
 //! cleanup-relevant mutations — what the pipeline relies on, whichever way
-//! the transforms get there: a journal-seeded `instcombine` run equals the
-//! whole-function run, DCE removes exactly the instructions nothing with a
-//! side effect depends on, and one simplification run reaches its fixpoint
-//! and undoes a block split down to the instruction ids.
+//! the transforms get there: simplification leaves `instcombine` no fold
+//! its φ replacements exposed, DCE removes exactly the instructions
+//! nothing with a side effect depends on, and one simplification run
+//! reaches its fixpoint and undoes a block split down to the instruction
+//! ids.
 
 use darm_ir::builder::FunctionBuilder;
 use darm_ir::{Dim, Function, IcmpPred, InstData, InstId, Opcode, Type, Value};
-use darm_transforms::{run_dce, run_instcombine, run_instcombine_since, simplify_cfg};
+use darm_transforms::{run_dce, run_instcombine, simplify_cfg};
 use proptest::prelude::*;
 
 /// Random structured CFG (same scheme as the analysis proptests): blocks in
@@ -122,6 +123,59 @@ fn apply_mutation(f: &mut Function, op: u8, x: u8, y: u8) {
     }
 }
 
+/// Plants φs that simplification replaces and users that fold only once
+/// it has: a φ over one constant from every predecessor — or over the
+/// predecessor's own first φ, so φs chain through loops and collapse over
+/// several sweeps — under an `add` that may then fold to a constant, and
+/// an `icmp` of that sum which becomes the block's branch condition (a
+/// branch to fold, which may make more φs trivial); or two identical φs
+/// under a `sub` and a `select` that fold once the φs are deduplicated.
+/// Every φ value is a parameter, a constant or a φ at the top of the
+/// predecessor it comes from, so dominance holds wherever the φs go.
+fn plant_phi_redexes(f: &mut Function, kind: u8, x: u8) {
+    let blocks = f.block_ids();
+    let u = blocks[x as usize % blocks.len()];
+    let mut preds = f.compute_preds()[u.index()].clone();
+    preds.sort();
+    preds.dedup();
+    let Some(term) = f.terminator(u) else { return };
+    if preds.is_empty() {
+        return;
+    }
+    let k = i32::from(x % 7);
+    let slt = Opcode::Icmp(IcmpPred::Slt);
+    let add = |f: &mut Function, opcode, ty, operands| {
+        Value::Inst(f.insert_inst_before(term, InstData::new(opcode, ty, operands)))
+    };
+    if kind.is_multiple_of(2) {
+        let incoming: Vec<_> = preds
+            .iter()
+            .map(|&p| match f.phis_of(p).first() {
+                Some(&phi) if !x.is_multiple_of(3) => (p, Value::Inst(phi)),
+                _ => (p, Value::I32(k)),
+            })
+            .collect();
+        let phi = Value::Inst(f.insert_inst_at(u, 0, InstData::phi(Type::I32, &incoming)));
+        let sum = add(f, Opcode::Add, Type::I32, vec![phi, Value::I32(4)]);
+        let cond = add(f, slt, Type::I1, vec![sum, Value::I32(7)]);
+        if f.inst(term).opcode == Opcode::Br {
+            f.inst_mut(term).operands[0] = cond;
+        }
+    } else {
+        let incoming: Vec<_> = preds
+            .iter()
+            .enumerate()
+            .map(|(i, &p)| (p, [Value::Param(0), Value::I32(k)][i % 2]))
+            .collect();
+        let p1 = Value::Inst(f.insert_inst_at(u, 0, InstData::phi(Type::I32, &incoming)));
+        let p2 = Value::Inst(f.insert_inst_at(u, 1, InstData::phi(Type::I32, &incoming)));
+        let diff = add(f, Opcode::Sub, Type::I32, vec![p1, p2]);
+        let tid = add(f, Opcode::ThreadIdx(Dim::X), Type::I32, vec![]);
+        let c = add(f, slt, Type::I1, vec![tid, diff]);
+        add(f, Opcode::Select, Type::I32, vec![c, p1, p2]);
+    }
+}
+
 /// The instructions a side-effecting instruction (stores, barriers, warp
 /// intrinsics, terminators) transitively depends on, plus those
 /// instructions themselves: what dead-code elimination must keep.
@@ -150,44 +204,20 @@ fn needed(f: &Function) -> Vec<InstId> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
-    /// `instcombine` seeded from the journal window since its previous run
-    /// equals the whole-function run on a twin, in printed IR and in
-    /// count; a cursor that names no window — another function instance's,
-    /// or one an untracked mutation saturated — falls back to every
-    /// instruction and gets there too. DCE then leaves exactly the
-    /// instructions a side-effecting one depends on.
+    /// DCE leaves exactly the instructions a side-effecting one depends on.
     #[test]
-    fn seeded_instcombine_equals_whole_and_dce_keeps_the_needed(
+    fn dce_keeps_the_needed(
         script in proptest::collection::vec(any::<u8>(), 6..30),
         muts in proptest::collection::vec((any::<u8>(), any::<u8>(), any::<u8>()), 1..6),
     ) {
         let mut f = build_cfg(&script);
-        // A previous run: everything outside future windows is at the
-        // rewrite fixpoint.
         run_instcombine(&mut f);
         run_dce(&mut f);
-        let cursor = f.journal_head();
         for &(op, x, y) in &muts {
             // Instruction-level mutations only (ops 0, 1, 4).
             apply_mutation(&mut f, [0u8, 1, 4][op as usize % 3], x, y);
         }
-        let mut twin = f.clone();
-        let mut foreign = f.clone();
-        let mut saturated = f.clone();
-        let saturated_cursor = saturated.journal_head();
-        saturated.saturate_journal();
-
-        let ic_whole = run_instcombine(&mut twin);
-        let ic_seeded = run_instcombine_since(&mut f, Some(cursor));
-        prop_assert_eq!(ic_seeded, ic_whole, "instcombine counts differ");
-        prop_assert_eq!(f.to_string(), twin.to_string(), "instcombine IR differs");
-        let ic_foreign = run_instcombine_since(&mut foreign, Some(cursor));
-        prop_assert_eq!(ic_foreign, ic_whole, "foreign cursor did not fall back");
-        prop_assert_eq!(foreign.to_string(), twin.to_string());
-        let ic_saturated = run_instcombine_since(&mut saturated, Some(saturated_cursor));
-        prop_assert_eq!(ic_saturated, ic_whole, "saturated cursor did not fall back");
-        prop_assert_eq!(saturated.to_string(), twin.to_string());
-
+        run_instcombine(&mut f);
         let keep = needed(&f);
         let live_before = f.live_inst_count();
         let removed = run_dce(&mut f);
@@ -242,5 +272,37 @@ proptest! {
         prop_assert_eq!((stats.merged_blocks, stats.total()), (1, 1));
         prop_assert_eq!(f.to_string(), text, "merge did not restore the IR");
         prop_assert_eq!(f.inst_capacity(), capacity + 1, "merge allocated arena slots");
+    }
+}
+
+proptest! {
+    // The redexes a thin hand-off leaves behind need a branch fold to cut
+    // off a merged block's predecessor, or φs that collapse over several
+    // sweeps: rare per case, so many cheap cases.
+    #![proptest_config(ProptestConfig::with_cases(4096))]
+
+    /// Simplification hands `instcombine` the users its φ replacements
+    /// rewrote, and nothing else: on a function at the rewrite fixpoint,
+    /// with φs planted that fold away and expose folds, an `instcombine`
+    /// run after it finds nothing left — it would if the hand-off seeded
+    /// too few users.
+    #[test]
+    fn simplify_leaves_instcombine_nothing_to_fold(
+        script in proptest::collection::vec(any::<u8>(), 6..30),
+        muts in proptest::collection::vec((any::<u8>(), any::<u8>(), any::<u8>()), 0..6),
+        phis in proptest::collection::vec((any::<u8>(), any::<u8>()), 1..6),
+    ) {
+        let mut f = build_cfg(&script);
+        for &(op, x, y) in &muts {
+            apply_mutation(&mut f, op, x, y);
+        }
+        for &(kind, x) in &phis {
+            plant_phi_redexes(&mut f, kind, x);
+        }
+        f.verify_structure().map_err(|e| TestCaseError::fail(e.to_string()))?;
+        run_instcombine(&mut f);
+        let stats = simplify_cfg(&mut f);
+        f.verify_structure().map_err(|e| TestCaseError::fail(e.to_string()))?;
+        prop_assert_eq!(run_instcombine(&mut f), 0, "simplify left a fold behind: {:?}", stats);
     }
 }
