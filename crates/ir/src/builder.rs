@@ -94,11 +94,6 @@ impl<'f> FunctionBuilder<'f> {
         self.value(InstData::new(Opcode::BlockDim(d), Type::I32, vec![]))
     }
 
-    /// Blocks per grid.
-    pub fn grid_dim(&mut self, d: Dim) -> Value {
-        self.value(InstData::new(Opcode::GridDim(d), Type::I32, vec![]))
-    }
-
     /// Base pointer of shared array `idx` (declared via
     /// [`Function::add_shared_array`]).
     pub fn shared_base(&mut self, idx: u32) -> Value {

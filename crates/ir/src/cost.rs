@@ -7,11 +7,9 @@
 //! than global-memory accesses (§VI-D), so melding a pair of divergent LDS
 //! instructions saves more thread-cycles than melding a pair of adds.
 
-use crate::function::BlockId;
 use crate::function::Function;
 use crate::opcode::Opcode;
 use crate::types::{AddrSpace, Type};
-use crate::value::Value;
 
 /// Latency in cycles of a simple ALU operation.
 pub const ALU_LATENCY: u64 = 4;
@@ -83,21 +81,6 @@ pub fn mem_space_of(func: &Function, data: &crate::function::InstData) -> Option
     }
 }
 
-/// Sum of instruction latencies of a basic block — `lat(b)` in the paper's
-/// melding-profitability formula (§IV-C).
-pub fn block_latency(func: &Function, b: BlockId) -> u64 {
-    func.insts_of(b).iter().map(|&i| latency_of(func, i)).sum()
-}
-
-/// Convenience: the latency a `Value` costs if rematerialized (0 for
-/// constants and parameters).
-pub fn value_latency(func: &Function, v: Value) -> u64 {
-    match v {
-        Value::Inst(id) => latency_of(func, id),
-        _ => 0,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -132,18 +115,5 @@ mod tests {
         let global_store = ids[5];
         assert_eq!(latency_of(&f, shared_load), SHARED_MEM_LATENCY);
         assert_eq!(latency_of(&f, global_store), GLOBAL_MEM_LATENCY);
-    }
-
-    #[test]
-    fn block_latency_sums() {
-        let mut f = Function::new("bl", vec![], Type::Void);
-        let e = f.entry();
-        let mut b = FunctionBuilder::new(&mut f, e);
-        let one = b.const_i32(1);
-        let two = b.const_i32(2);
-        let x = b.add(one, two);
-        let _y = b.mul(x, x);
-        b.ret(None);
-        assert_eq!(block_latency(&f, e), ALU_LATENCY + MUL_LATENCY + 1);
     }
 }

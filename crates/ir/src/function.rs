@@ -304,7 +304,7 @@ pub struct Function {
     /// Built from the block arena the first time that happens — a function
     /// whose block names never collide is asked one scan per added block
     /// and never pays for it — and kept exact by `add_block` /
-    /// `remove_block` / `set_block_name` after that.
+    /// `remove_block` after that.
     live_names: Option<BlockNames>,
 }
 
@@ -637,16 +637,6 @@ impl Function {
     /// The block's label.
     pub fn block_name(&self, b: BlockId) -> &str {
         &self.blocks[b.index()].name
-    }
-
-    /// Renames a block. The caller picks a name no other live block has.
-    pub fn set_block_name(&mut self, b: BlockId, name: &str) {
-        let block = &mut self.blocks[b.index()];
-        if let Some(names) = self.live_names.as_mut().filter(|_| block.alive) {
-            names.release(&block.name);
-            names.live.insert(name.to_string());
-        }
-        block.name = name.to_string();
     }
 
     /// Instruction ids of a block, in order (terminator last).
@@ -1388,19 +1378,18 @@ mod tests {
             assert_eq!(f.block_name(b), format!("b.{k}"));
         }
 
-        // A removed or renamed block frees its name for the next add, and
-        // lowers the hint to it; a rename claims the new name.
+        // A removed block frees its name for the next add, and lowers the
+        // hint to it.
         let add = |f: &mut Function, name: &str| {
             let b = f.add_block(name);
             f.block_name(b).to_string()
         };
+        f.remove_block(blocks[3]);
         f.remove_block(blocks[7]);
-        f.set_block_name(blocks[3], "renamed");
         let probes_before = NAME_PROBES.get();
         assert_eq!(add(&mut f, "b"), "b.3");
         assert_eq!(NAME_PROBES.get() - probes_before, 2);
         assert_eq!(add(&mut f, "b"), "b.7");
-        assert_eq!(add(&mut f, "renamed"), "renamed.1");
         assert_eq!(add(&mut f, "b"), format!("b.{N}"));
 
         // A clone starts without the set or the hints and rebuilds them

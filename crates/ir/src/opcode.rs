@@ -258,20 +258,6 @@ impl Opcode {
         matches!(self, Opcode::Ballot)
     }
 
-    /// Whether `op(a, b) == op(b, a)`.
-    pub fn is_commutative(self) -> bool {
-        matches!(
-            self,
-            Opcode::Add
-                | Opcode::Mul
-                | Opcode::And
-                | Opcode::Or
-                | Opcode::Xor
-                | Opcode::FAdd
-                | Opcode::FMul
-        )
-    }
-
     /// Textual mnemonic used by the printer, including the parameter of
     /// the opcodes that carry one (`icmp slt`, `gep i32`, `tid.x`,
     /// `shared.base 0`).

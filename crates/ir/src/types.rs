@@ -78,11 +78,6 @@ impl Type {
         matches!(self, Type::I1 | Type::I32 | Type::I64)
     }
 
-    /// Whether this is a floating-point type.
-    pub fn is_float(self) -> bool {
-        matches!(self, Type::F32)
-    }
-
     /// Whether this is a pointer type.
     pub fn is_ptr(self) -> bool {
         matches!(self, Type::Ptr(_))
@@ -119,7 +114,6 @@ mod tests {
         assert!(Type::I1.is_int());
         assert!(Type::I32.is_int());
         assert!(!Type::F32.is_int());
-        assert!(Type::F32.is_float());
         assert!(Type::Ptr(AddrSpace::Shared).is_ptr());
         assert!(!Type::Void.is_ptr());
     }

@@ -35,14 +35,6 @@ impl Value {
         Value::F32Bits(x.to_bits())
     }
 
-    /// The float value of an [`Value::F32Bits`] constant, if this is one.
-    pub fn as_f32(self) -> Option<f32> {
-        match self {
-            Value::F32Bits(bits) => Some(f32::from_bits(bits)),
-            _ => None,
-        }
-    }
-
     /// The instruction id, if this value is an instruction result.
     pub fn as_inst(self) -> Option<InstId> {
         match self {
@@ -115,7 +107,7 @@ mod tests {
     #[test]
     fn float_constants_round_trip() {
         let v = Value::const_f32(1.5);
-        assert_eq!(v.as_f32(), Some(1.5));
+        assert_eq!(v, Value::F32Bits(1.5f32.to_bits()));
         assert_eq!(v, Value::const_f32(1.5));
         assert_ne!(v, Value::const_f32(2.5));
     }

@@ -193,8 +193,8 @@ impl MeldStats {
     /// Recovers the statistics of the first melding pass in a pipeline
     /// report — the pass self-names `meld` or `meld-bf` depending on its
     /// mode, so both spellings are matched. Zeroes when no melding pass
-    /// ran. The one recovery path shared by the CLI and the benchmark
-    /// batch harness.
+    /// ran. The one recovery path shared by the benchmark harnesses and
+    /// the tests.
     pub fn from_report(report: &PipelineReport) -> MeldStats {
         report
             .passes
@@ -206,25 +206,17 @@ impl MeldStats {
 }
 
 /// Applies the spec parameters the melding family understands on top of a
-/// base configuration: `threshold=F`, `mode=darm|bf`, `unpredicate=BOOL`,
+/// base configuration: `threshold=F` (finite), `unpredicate=BOOL`,
 /// `max-iters=N`.
 fn apply_meld_params(
     mut config: MeldConfig,
     params: &mut darm_pipeline::PassParams,
 ) -> Result<MeldConfig, String> {
     if let Some(t) = params.take_parsed::<f64>("threshold")? {
+        if !t.is_finite() {
+            return Err(format!("parameter `threshold`: `{t}` is not finite"));
+        }
         config.threshold = t;
-    }
-    if let Some(m) = params.take("mode") {
-        config.mode = match m.as_str() {
-            "darm" => MeldMode::Darm,
-            "bf" => MeldMode::BranchFusion,
-            other => {
-                return Err(format!(
-                    "parameter `mode`: unknown mode `{other}` (darm|bf)"
-                ))
-            }
-        };
     }
     if let Some(u) = params.take_parsed::<bool>("unpredicate")? {
         config.unpredicate = u;
@@ -236,37 +228,28 @@ fn apply_meld_params(
 }
 
 /// A pass registry holding the generic cleanup passes plus the melding
-/// family: `meld` (melding exactly as configured — mode, threshold,
-/// unpredication — so a CLI `--mode bf` carries into specs), `meld-bf`
-/// (the branch-fusion restriction regardless of `config.mode`) and
-/// `tail-merge`. The base names come from
-/// [`PassRegistry::with_transforms`].
+/// family: `meld` (melding exactly as `config` says), `meld-bf` (the same
+/// with the branch-fusion restriction, §VI-A's baseline) and `tail-merge`.
+/// The base names come from [`PassRegistry::with_transforms`].
 ///
 /// `meld` and `meld-bf` accept spec parameters overriding the base
 /// configuration — `meld(threshold=0.3)`, `meld(unpredicate=false)`,
-/// `meld(mode=bf)`, `meld(max-iters=4)` — so the paper's ablations
-/// (threshold sweep, unpredication off) are expressible as specs with no
-/// code changes. Both carry the pipeline's `verify_each` and
-/// `time_passes` into their inner cleanup pipeline
-/// ([`MeldPass::observing`]).
+/// `meld(max-iters=4)` — so the paper's ablations (threshold sweep,
+/// unpredication off, branch fusion) are specs with no code changes.
+/// Both carry the pipeline's `verify_each` and `time_passes` into their
+/// inner cleanup pipeline ([`MeldPass::observing`]).
 pub fn registry(config: &MeldConfig) -> PassRegistry {
     let mut r = PassRegistry::with_transforms();
-    let configured = *config;
     let bf = MeldConfig {
         mode: MeldMode::BranchFusion,
         ..*config
     };
-    r.register_configurable("meld", move |params, options| {
-        let c = apply_meld_params(configured, params)?;
-        Ok(Box::new(MeldPass::new(c).observing(&options)))
-    });
-    r.register_configurable("meld-bf", move |params, options| {
-        let c = apply_meld_params(bf, params)?;
-        if c.mode != MeldMode::BranchFusion {
-            return Err("parameter `mode`: meld-bf is fixed to branch fusion".into());
-        }
-        Ok(Box::new(MeldPass::new(c).observing(&options)))
-    });
+    for (name, base) in [("meld", *config), ("meld-bf", bf)] {
+        r.register_configurable(name, move |params, options| {
+            let c = apply_meld_params(base, params)?;
+            Ok(Box::new(MeldPass::new(c).observing(&options)))
+        });
+    }
     r.register("tail-merge", || Box::new(TailMergePass::default()));
     r
 }

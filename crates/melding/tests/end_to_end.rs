@@ -410,6 +410,39 @@ fn high_threshold_blocks_melding() {
     assert_eq!(stats2.melded_subgraphs, 1);
 }
 
+/// `threshold` is the one spelling of the profitability knob, so the spec
+/// key is where a non-finite value is turned away; `mode` is not a key.
+#[test]
+fn spec_parameters_reject_non_finite_thresholds_and_mode() {
+    use darm_pipeline::{PipelineError, PipelineOptions};
+    let registry = darm_melding::registry(&MeldConfig::default());
+    for spec in [
+        "meld(threshold=nan)",
+        "meld(threshold=inf)",
+        "meld-bf(threshold=-inf)",
+    ] {
+        match registry.build(spec, PipelineOptions::default()) {
+            Err(PipelineError::BadParameter { message, .. }) => {
+                assert!(message.contains("`threshold`"), "{spec}: {message}")
+            }
+            other => panic!("{spec}: expected a bad threshold, got {:?}", other.err()),
+        }
+    }
+    match registry.build("meld(mode=bf)", PipelineOptions::default()) {
+        Err(PipelineError::BadParameter { message, .. }) => {
+            assert!(message.contains("unknown parameter `mode`"), "{message}")
+        }
+        other => panic!("expected an unknown `mode`, got {:?}", other.err()),
+    }
+    let mut f = diamond_kernel();
+    registry
+        .build("meld(threshold=0.2)", PipelineOptions::default())
+        .unwrap()
+        .run(&mut f)
+        .unwrap();
+    assert!(f.to_string().contains("select"), "{f}");
+}
+
 #[test]
 fn three_way_divergence_melds_iteratively() {
     // if (tid%3==0) A else if (tid%3==1) B else C — SB4's shape.

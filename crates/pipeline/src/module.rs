@@ -55,7 +55,7 @@ pub enum OnError {
     /// identical, fresh journal identity), record
     /// [`FunctionOutcome::Degraded`] with its [`Diagnostic`], and keep
     /// compiling every other function. The CLI default (`darm meld
-    /// --on-error=degrade`): melding is strictly optional, so baseline IR
+    /// --on-error degrade`): melding is strictly optional, so baseline IR
     /// is always a correct answer.
     Degrade,
 }

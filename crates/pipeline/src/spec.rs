@@ -425,8 +425,8 @@ mod tests {
 
     #[test]
     fn parses_parameters_and_fixpoints() {
-        let s =
-            PassSpec::parse("meld(threshold=0.3,mode=bf),fixpoint(simplify,dce,max=4)").unwrap();
+        let s = PassSpec::parse("meld(threshold=0.3,max-iters=4),fixpoint(simplify,dce,max=4)")
+            .unwrap();
         assert_eq!(
             s.elems,
             vec![
@@ -434,7 +434,7 @@ mod tests {
                     name: "meld".into(),
                     params: vec![
                         ("threshold".into(), "0.3".into()),
-                        ("mode".into(), "bf".into())
+                        ("max-iters".into(), "4".into())
                     ],
                 },
                 SpecElem::Fixpoint {

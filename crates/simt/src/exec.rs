@@ -4,9 +4,8 @@
 //! [`Gpu`] owns the buffers and hands each launch to one of the two
 //! execution paths — the bytecode engine (`exec_bc`, behind
 //! [`Gpu::launch`] / [`Gpu::launch_bytecode`]) or the per-lane oracle
-//! ([`crate::reference`], behind [`Gpu::launch_reference`]);
-//! [`BackendKind`] names that choice as a value for [`Gpu::launch_with`]
-//! and the `darm` CLI's `--backend` flag.
+//! ([`crate::reference`], behind [`Gpu::launch_reference`]) that the
+//! differential suites hold the engine to.
 
 use crate::mem::{encode_global, BufferId, ByteStore, RawVal};
 use crate::stats::KernelStats;
@@ -14,42 +13,6 @@ use crate::{reference, BytecodeKernel, GpuConfig, LaunchConfig};
 use darm_ir::{Function, Type};
 use std::error::Error;
 use std::fmt;
-
-/// The execution paths a kernel can run on. Both are bit-identical in
-/// buffers, [`KernelStats`] and errors; the bytecode engine is the fast
-/// one, the reference interpreter the differential oracle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum BackendKind {
-    /// The seed per-lane, arena-walking interpreter — slowest, simplest;
-    /// the semantic baseline.
-    Reference,
-    /// The typed register bytecode engine over a [`BytecodeKernel`].
-    Bytecode,
-}
-
-impl BackendKind {
-    /// Every backend, oracle first.
-    pub const ALL: [BackendKind; 2] = [BackendKind::Reference, BackendKind::Bytecode];
-
-    /// The CLI/display name (`reference`, `bytecode`).
-    pub fn name(self) -> &'static str {
-        match self {
-            BackendKind::Reference => "reference",
-            BackendKind::Bytecode => "bytecode",
-        }
-    }
-
-    /// Parses a CLI name; `None` for anything unknown.
-    pub fn parse(s: &str) -> Option<BackendKind> {
-        BackendKind::ALL.into_iter().find(|k| k.name() == s)
-    }
-}
-
-impl fmt::Display for BackendKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
 
 /// A kernel launch argument.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -67,7 +30,8 @@ pub enum KernelArg {
 /// Errors raised during simulation.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SimError {
-    /// Argument list does not match the kernel signature.
+    /// Argument list does not match the kernel signature, or the block has
+    /// more than 1024 threads.
     BadArgs(String),
     /// A memory access fell outside its buffer or the shared arena.
     OutOfBounds(String),
@@ -108,14 +72,23 @@ impl fmt::Display for SimError {
 
 impl Error for SimError {}
 
-/// Rejects a [`GpuConfig::warp_size`] the lane masks cannot represent.
-/// Both engines check it first, before anything else about the launch.
-pub(crate) fn check_warp_size(warp_size: u32) -> Result<(), SimError> {
-    if (1..=64).contains(&warp_size) {
-        Ok(())
-    } else {
-        Err(SimError::BadWarpSize(warp_size))
+/// The most threads one block may have: the CUDA/HIP per-block limit.
+const MAX_THREADS_PER_BLOCK: u64 = 1024;
+
+/// Rejects a [`GpuConfig::warp_size`] the lane masks cannot represent, then
+/// a block of more than [`MAX_THREADS_PER_BLOCK`] threads. Both engines
+/// check this first, before anything about the launch is allocated.
+pub(crate) fn check_geometry(warp_size: u32, cfg: &LaunchConfig) -> Result<(), SimError> {
+    if !(1..=64).contains(&warp_size) {
+        return Err(SimError::BadWarpSize(warp_size));
     }
+    let threads = cfg.threads_per_block();
+    if threads > MAX_THREADS_PER_BLOCK {
+        return Err(SimError::BadArgs(format!(
+            "a block of {threads} threads exceeds the limit of {MAX_THREADS_PER_BLOCK}"
+        )));
+    }
+    Ok(())
 }
 
 /// Validates launch arguments against a kernel signature and converts them
@@ -178,12 +151,6 @@ impl Gpu {
         &self.config
     }
 
-    /// Allocates a zero-initialized buffer of `len` bytes.
-    pub fn alloc_bytes(&mut self, len: usize) -> BufferId {
-        self.buffers.push(ByteStore::with_len(len));
-        BufferId((self.buffers.len() - 1) as u32)
-    }
-
     /// Allocates and initializes a buffer of `i32`s.
     pub fn alloc_i32(&mut self, data: &[i32]) -> BufferId {
         let bytes: Vec<u8> = data.iter().flat_map(|x| x.to_le_bytes()).collect();
@@ -221,15 +188,6 @@ impl Gpu {
         self.buffers[buf.0 as usize].bytes()
     }
 
-    /// Overwrites a buffer with new `i32` contents (same length required).
-    pub fn write_i32(&mut self, buf: BufferId, data: &[i32]) {
-        let store = &mut self.buffers[buf.0 as usize];
-        assert_eq!(store.len(), data.len() * 4, "buffer size mismatch");
-        for (chunk, x) in store.bytes_mut().chunks_exact_mut(4).zip(data) {
-            chunk.copy_from_slice(&x.to_le_bytes());
-        }
-    }
-
     /// Launches `func` over the given geometry on the bytecode engine.
     ///
     /// Convenience wrapper that lowers on every call; build a
@@ -238,8 +196,9 @@ impl Gpu {
     ///
     /// # Errors
     ///
-    /// Returns a [`SimError`] on signature mismatch, memory faults, barrier
-    /// misuse, undefined-value misuse, or exceeding the instruction budget.
+    /// Returns a [`SimError`] on signature mismatch, a block of more than
+    /// 1024 threads, memory faults, barrier misuse, undefined-value misuse,
+    /// or exceeding the instruction budget.
     pub fn launch(
         &mut self,
         func: &Function,
@@ -278,39 +237,5 @@ impl Gpu {
         args: &[KernelArg],
     ) -> Result<KernelStats, SimError> {
         crate::exec_bc::launch(&mut self.buffers, &self.config, bk, cfg, args)
-    }
-
-    /// Launches `func` on the chosen execution path. Both are bit-identical
-    /// in buffers, stats, and errors; they differ only in throughput (and
-    /// the reference interpreter reports no `sim_*` timing fields).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Gpu::launch`].
-    pub fn launch_with(
-        &mut self,
-        kind: BackendKind,
-        func: &Function,
-        cfg: &LaunchConfig,
-        args: &[KernelArg],
-    ) -> Result<KernelStats, SimError> {
-        match kind {
-            BackendKind::Reference => self.launch_reference(func, cfg, args),
-            BackendKind::Bytecode => self.launch(func, cfg, args),
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn backend_names_round_trip() {
-        for k in BackendKind::ALL {
-            assert_eq!(BackendKind::parse(k.name()), Some(k));
-            assert_eq!(format!("{k}"), k.name());
-        }
-        assert_eq!(BackendKind::parse("prepared"), None);
     }
 }

@@ -58,7 +58,7 @@
 //! reference interpreter.
 
 use crate::bytecode::{BytecodeKernel, Cvt, Op, Uniform, BLOCK_ENTRY, NO_BLOCK, NO_DST, W};
-use crate::exec::{check_warp_size, validate_args, KernelArg, SimError};
+use crate::exec::{check_geometry, validate_args, KernelArg, SimError};
 use crate::mem::{decode, encode_shared, ByteStore, OFFSET_MASK};
 use crate::stats::KernelStats;
 use crate::timing::{bc_deps, TimingState};
@@ -74,7 +74,7 @@ pub(crate) fn launch(
     cfg: &LaunchConfig,
     args: &[KernelArg],
 ) -> Result<KernelStats, SimError> {
-    check_warp_size(config.warp_size)?;
+    check_geometry(config.warp_size, cfg)?;
     let arg_vals = validate_args(&bk.name, &bk.params, args, buffers.len())?;
     let mut stats = KernelStats {
         warp_size: config.warp_size,
@@ -491,7 +491,7 @@ struct BcEngine<'a> {
 impl<'a> BcEngine<'a> {
     #[allow(clippy::needless_range_loop)] // indexing sidesteps a double &mut borrow
     fn run(&mut self, regs: &mut [u64], defs: &mut [u64]) -> Result<(), SimError> {
-        let threads = self.launch.threads_per_block();
+        let threads = self.launch.threads_per_block() as u32;
         let ws = self.warp_size;
         let entry_pc = self.bk.blocks[self.bk.entry as usize].entry_pc;
 
@@ -504,7 +504,7 @@ impl<'a> BcEngine<'a> {
                         block: self.bk.entry,
                         inst_idx: entry_pc,
                         rpc: NO_BLOCK,
-                        // `lanes` is 1..=64: `check_warp_size` held.
+                        // `lanes` is 1..=64: `check_geometry` held.
                         mask: u64::MAX >> (64 - lanes),
                     }],
                     prev: Vec::with_capacity(if self.bk.track_prev { ws as usize } else { 0 }),

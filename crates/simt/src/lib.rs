@@ -51,15 +51,14 @@
 //!   bytecode engine and reconstructs a cycle-accurate per-warp timeline —
 //!   IPDOM reconvergence-stack pushes and pops,
 //!   `ceil(active/issue_width)` issue slots, function-unit latencies with
-//!   a register scoreboard, and an optional coalescing/bank-conflict
-//!   memory occupancy model — into the `sim_*` fields of [`KernelStats`].
+//!   a register scoreboard, and a coalescing/bank-conflict memory
+//!   occupancy model — into the `sim_*` fields of [`KernelStats`].
 //!   It is a pure observer: switching it on changes no buffers, no base
 //!   counters, and no errors. (The oracle has no hook points and always
 //!   reports `sim_* = 0`.)
 //!
-//! [`BackendKind`] names the oracle/engine choice as a value;
-//! [`Gpu::launch_with`] selects per launch and the `darm` CLI exposes the
-//! same choice as `--backend`.
+//! The engine is [`Gpu::launch`] / [`Gpu::launch_bytecode`], the oracle
+//! [`Gpu::launch_reference`]; a differential suite calls both.
 //!
 //! A [`BytecodeKernel`] borrows nothing, so the compile work — including
 //! the dominator analysis — is paid once per kernel and reused across
@@ -115,7 +114,7 @@ pub mod stats;
 pub mod timing;
 
 pub use bytecode::BytecodeKernel;
-pub use exec::{BackendKind, Gpu, KernelArg, SimError};
+pub use exec::{Gpu, KernelArg, SimError};
 pub use mem::BufferId;
 pub use stats::KernelStats;
 pub use timing::TimingConfig;
@@ -168,13 +167,14 @@ impl LaunchConfig {
         LaunchConfig { grid, block }
     }
 
-    /// Threads per block.
-    pub fn threads_per_block(&self) -> u32 {
-        self.block.0 * self.block.1
+    /// Threads per block (a launch rejects more than 1024, the CUDA/HIP
+    /// per-block limit).
+    pub fn threads_per_block(&self) -> u64 {
+        u64::from(self.block.0) * u64::from(self.block.1)
     }
 
     /// Total thread count of the launch.
     pub fn total_threads(&self) -> u64 {
-        self.threads_per_block() as u64 * self.grid.0 as u64 * self.grid.1 as u64
+        self.threads_per_block() * u64::from(self.grid.0) * u64::from(self.grid.1)
     }
 }

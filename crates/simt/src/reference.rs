@@ -10,7 +10,7 @@
 //! kernel (`prop_backends` does the same over random divergent CFGs), and
 //! the `interp_throughput` bench measures the engine's speedup against it.
 
-use crate::exec::{check_warp_size, validate_args, KernelArg, SimError};
+use crate::exec::{check_geometry, validate_args, KernelArg, SimError};
 use crate::mem::{decode, encode_shared, ByteStore, RawVal};
 use crate::stats::KernelStats;
 use crate::{GpuConfig, LaunchConfig};
@@ -26,7 +26,7 @@ pub(crate) fn launch(
     cfg: &LaunchConfig,
     args: &[KernelArg],
 ) -> Result<KernelStats, SimError> {
-    check_warp_size(config.warp_size)?;
+    check_geometry(config.warp_size, cfg)?;
     let arg_vals = validate_args(func.name(), func.params(), args, buffers.len())?;
 
     let cfg_snapshot = Cfg::new(func);
@@ -112,7 +112,7 @@ struct BlockExec<'a> {
 impl<'a> BlockExec<'a> {
     #[allow(clippy::needless_range_loop)] // indexing sidesteps a double &mut borrow
     fn run(&mut self) -> Result<(), SimError> {
-        let threads = self.launch.threads_per_block();
+        let threads = self.launch.threads_per_block() as u32;
         let ws = self.warp_size;
         let n_warps = threads.div_ceil(ws);
         let n_insts = self.func.inst_capacity();

@@ -41,15 +41,15 @@
 //!   update and mask swap — the hardware mechanism described in "Control
 //!   Flow Management in Modern GPUs" — counting `sim_divergent_branches`
 //!   and `sim_reconvergences`.
-//! * **Memory (optional, [`TimingConfig::memory_model`])** — takes the
-//!   coalescing / bank-conflict shape the base counters just derived for
-//!   the access ([`crate::stats`]): an uncoalesced global access occupies the LSU for
+//! * **Memory** — takes the coalescing / bank-conflict shape the base
+//!   counters just derived for the access ([`crate::stats`]): an
+//!   uncoalesced global access occupies the LSU for
 //!   `(segments − 1) ·` [`cost::GLOBAL_TRANSACTION_LATENCY`] extra cycles,
 //!   a shared access for `(conflict degree − 1) ·`
 //!   [`cost::SHARED_BANK_CONFLICT_PENALTY`]. Occupancy delays the warp
 //!   itself (it cannot issue past a busy LSU); the *base* DRAM/shared
 //!   latency lands on the loaded register's scoreboard entry and is paid
-//!   only by dependents, with or without the memory model.
+//!   only by dependents.
 //!
 //! Barriers synchronize the timelines: `__syncthreads` stalls every warp
 //! to the maximum cycle across the block (`TimingState::barrier_release`).
@@ -122,10 +122,6 @@ pub struct TimingConfig {
     /// occupies `ceil(a / issue_width)` issue slots. Default 16 (half a
     /// 32-lane warp per cycle). Must be ≥ 1.
     pub issue_width: u32,
-    /// Charge LSU occupancy for uncoalesced global segments and shared
-    /// bank conflicts (on by default). The *base* memory latencies are
-    /// part of the scoreboard and unaffected by this switch.
-    pub memory_model: bool,
 }
 
 impl Default for TimingConfig {
@@ -133,7 +129,6 @@ impl Default for TimingConfig {
         TimingConfig {
             enabled: false,
             issue_width: 16,
-            memory_model: true,
         }
     }
 }
@@ -169,7 +164,6 @@ struct WarpTimer {
 /// stats and resets for the next).
 #[derive(Debug)]
 pub(crate) struct TimingState {
-    cfg: TimingConfig,
     issue_width: u64,
     warps: Vec<WarpTimer>,
     /// Scratch for staged φ-batch readiness: `(dst slot, ready cycle)`.
@@ -185,7 +179,6 @@ impl TimingState {
             })
             .collect();
         TimingState {
-            cfg,
             issue_width: u64::from(cfg.issue_width.max(1)),
             warps,
             phi_scratch: Vec::new(),
@@ -254,7 +247,7 @@ impl TimingState {
         self.issue_at(w, active, latency, dst, ready_hint)
     }
 
-    /// Issue a memory access: operand stall, issue slots, optional LSU
+    /// Issue a memory access: operand stall, issue slots, LSU
     /// occupancy for uncoalesced segments / bank conflicts, and the base
     /// space latency on the loaded register (stores pass [`NO_DST`]).
     /// `is_global` and `extra` are the access's shape as
@@ -279,11 +272,7 @@ impl TimingState {
         } else {
             (cost::SHARED_MEM_LATENCY, cost::SHARED_BANK_CONFLICT_PENALTY)
         };
-        let occupancy = if self.cfg.memory_model {
-            extra * per_extra
-        } else {
-            0
-        };
+        let occupancy = extra * per_extra;
         let wt = &mut self.warps[w];
         let start = ready.max(wt.cycle);
         wt.stall += start - wt.cycle;
@@ -435,7 +424,6 @@ mod tests {
             TimingConfig {
                 enabled: true,
                 issue_width,
-                memory_model: true,
             },
             1,
             n_slots,
@@ -545,21 +533,6 @@ mod tests {
         assert_eq!(slow, 1 + 31 * cost::GLOBAL_TRANSACTION_LATENCY);
         // Base DRAM latency lands on the scoreboard in both cases.
         assert_eq!(t.reg_ready(0, 0), fast + cost::GLOBAL_MEM_LATENCY);
-
-        // With the memory model off, both shapes cost the same…
-        let mut t3 = TimingState::new(
-            TimingConfig {
-                enabled: true,
-                issue_width: 32,
-                memory_model: false,
-            },
-            1,
-            2,
-        );
-        t3.mem_issue(0, 32, 0, [NO_DST; 3], 0, is_global, extra);
-        assert_eq!(t3.warps[0].cycle, 1);
-        // …but the base latency still gates dependents.
-        assert_eq!(t3.reg_ready(0, 0), 1 + cost::GLOBAL_MEM_LATENCY);
     }
 
     #[test]

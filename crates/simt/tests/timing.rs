@@ -177,24 +177,3 @@ fn reference_tier_reports_no_cycles() {
     assert_eq!(stats.sim_cycles, 0);
     assert_eq!(stats.sim_issue_slots, 0);
 }
-
-/// Turning the memory model off removes coalescing/bank-conflict
-/// occupancy but keeps issue slots and divergence counts identical.
-#[test]
-fn memory_model_only_affects_cycles() {
-    let f = diamond();
-    let no_mem = TimingConfig {
-        memory_model: false,
-        ..timing8()
-    };
-    let (with_mem, _) = run_bytecode(&f, timing8());
-    let (without, _) = run_bytecode(&f, no_mem);
-    assert_eq!(with_mem.sim_issue_slots, without.sim_issue_slots);
-    assert_eq!(
-        with_mem.sim_divergent_branches,
-        without.sim_divergent_branches
-    );
-    // The diamond's store is fully coalesced (one 32-byte run inside one
-    // segment), so the occupancy term is zero either way.
-    assert_eq!(with_mem.sim_cycles, without.sim_cycles);
-}

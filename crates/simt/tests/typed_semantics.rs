@@ -935,3 +935,37 @@ fn warp_size_is_validated_before_anything_else() {
         }
     }
 }
+
+// ---- block size ----
+
+/// A block of more than 1024 threads (the CUDA/HIP per-block limit) is a
+/// bad argument on both engines, one whose `x · y` overflows a `u32` too.
+/// It is turned away before anything is allocated for the block, ahead of
+/// a bad argument list; a bad warp size still comes first.
+#[test]
+fn blocks_over_1024_threads_are_bad_args_on_both_engines() {
+    let f = diamond_in_loop();
+    let out = [vec![0; 1024]];
+    let full = LaunchConfig::grid2d((1, 1), (32, 32));
+    assert_engines_agree(&f, GpuConfig::default(), &full, &out, &[], "1024 threads")
+        .expect("a block of 1024 threads runs");
+    for (block, threads) in [((1025, 1), 1025u64), ((65536, 65536), 1 << 32)] {
+        let launch = LaunchConfig::grid2d((1, 1), block);
+        let what = format!("{threads} threads");
+        let got = assert_engines_agree(&f, GpuConfig::default(), &launch, &out, &[], &what);
+        let want = Err(SimError::BadArgs(format!(
+            "a block of {threads} threads exceeds the limit of 1024"
+        )));
+        assert_eq!(got, want, "{what}");
+        let mut gpu = Gpu::new(GpuConfig::default());
+        let bk = BytecodeKernel::new(&f);
+        assert_eq!(gpu.launch_bytecode(&bk, &launch, &[]), want, "{what}");
+        assert_eq!(gpu.launch_reference(&f, &launch, &[]), want, "{what}");
+        let bad_warp = GpuConfig {
+            warp_size: 0,
+            ..GpuConfig::default()
+        };
+        let got = assert_engines_agree(&f, bad_warp, &launch, &out, &[], &what);
+        assert_eq!(got, Err(SimError::BadWarpSize(0)), "{what}");
+    }
+}

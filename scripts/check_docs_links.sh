@@ -84,6 +84,18 @@ for doc in ARCHITECTURE.md README.md; do
     fi
 done
 
+# And for the settings that were a second spelling or set only by the
+# CLI: the oracle selector, the timing model's memory switch, the meld
+# flags and spec key the `meld(threshold=…)` / `meld(unpredicate=false)` /
+# `meld-bf` specs spell already, and the second `--stats` format
+# (bracketed for the same reason).
+for doc in ARCHITECTURE.md README.md; do
+    if grep -n 'Backend[K]ind\|launch[_]with\|memory[_]model\|--no-mem[-]model\|--backen[d]\|--no-unpredicat[e]\|meld(mod[e]=\|region[(]s)' "$doc"; then
+        echo "$doc: mentions a retired setting spelling"
+        status=1
+    fi
+done
+
 # The README must link the architecture overview.
 if ! grep -q 'ARCHITECTURE.md' README.md; then
     echo "README.md: missing link to ARCHITECTURE.md"

@@ -1,13 +1,11 @@
 //! `darm` — command-line driver for the control-flow melding toolchain.
 //!
 //! ```text
-//! darm meld <input.ir> [-o out.ir] [--mode darm|bf] [--threshold T]
-//!           [--no-unpredicate] [--dot out.dot] [--stats] [--jobs N]
+//! darm meld <input.ir> [-o out.ir] [--dot out.dot] [--stats] [--jobs N]
 //!           [--passes SPEC] [--time-passes] [--verify-each]
 //!           [--on-error degrade|fail] [--timeout-ms N] [--fuel N]
 //! darm run  <input.ir> --block N [--grid N] [--buf LEN]... [--i32 X]...
-//!           [--backend reference|bytecode]
-//!           [--timing] [--issue-width N] [--no-mem-model]
+//!           [--timing] [--issue-width N]
 //! darm analyze <input.ir>
 //! darm serve [--socket PATH] [--jobs N] [--queue-depth N]
 //!            [--cache-entries N] [--cache-bytes N] [--spec SPEC]
@@ -15,15 +13,18 @@
 //! ```
 //!
 //! `meld` parses a textual IR module — one or more `fn @name` kernels per
-//! file — runs DARM (or the branch-fusion baseline) over every function,
-//! and prints or writes the transformed module. With `--passes` the
-//! transform chain is built from a pipeline spec (parameters and fixpoint
-//! groups supported, e.g. `meld(threshold=0.3),fixpoint(simplify,dce)`;
-//! see `darm_pipeline::spec` for the grammar and `darm_melding::registry`
-//! for the names) instead of the default single melding pass. Functions
-//! are compiled on `--jobs N` worker threads (default: all cores; the
-//! output is bit-identical to `--jobs 1`). `--time-passes` prints the
-//! per-pass/per-function timing tables and `--verify-each` checks SSA
+//! file — runs DARM over every function, and prints or writes the
+//! transformed module. With `--passes` the transform chain is built from a
+//! pipeline spec (parameters and fixpoint groups supported, e.g.
+//! `meld(threshold=0.3),fixpoint(simplify,dce)`; see `darm_pipeline::spec`
+//! for the grammar and `darm_melding::registry` for the names) instead of
+//! the default single melding pass. The paper's ablations are specs too:
+//! `meld(threshold=T)`, `meld(unpredicate=false)` and the branch-fusion
+//! baseline `meld-bf`. Functions are compiled on `--jobs N` worker threads
+//! (default: all cores; the output is bit-identical to `--jobs 1`).
+//! `--stats` prints each pass's counters on stderr as `pass: key = value`
+//! lines (`@fn: ` in front in a multi-function module), `--time-passes`
+//! the per-pass/per-function timing tables, and `--verify-each` checks SSA
 //! between passes.
 //!
 //! Failure semantics: melding is strictly optional, so by default
@@ -31,18 +32,15 @@
 //! errors, or exhausts the `--timeout-ms`/`--fuel` budget — is emitted as
 //! its verified *input* IR with a `warning:` diagnostic on stderr, and the
 //! exit code stays 0. `--on-error fail` turns the earliest fault into an
-//! `error:` and exit code 1. `run` executes a kernel (the first function of the
-//! module) on the SIMT simulator with zero-initialized `i32` buffers and
-//! prints the counters; `--backend` picks the execution path (the flat
-//! register `bytecode` engine — the default — or the per-lane `reference`
-//! interpreter it is tested against; both are bit-identical in buffers,
-//! stats, and errors). `--timing` additionally threads the cycle-level
-//! timing observer through the run (bytecode engine only) and prints
-//! simulated cycles, stalls and issue slots
-//! next to the architectural counters; `--issue-width N` sets the lanes
-//! issued per cycle and `--no-mem-model` drops the coalescing/bank-
-//! conflict occupancy terms. `analyze` reports divergence analysis and
-//! meldable regions for every function without transforming.
+//! `error:` and exit code 1. `run` executes a kernel (the first function of
+//! the module) on the SIMT simulator's bytecode engine, in blocks of at
+//! most 1024 threads, with zero-initialized `i32` buffers (`--buf LEN`, a `u32` element count) and
+//! `i32` scalars (`--i32 X`), and prints the counters. `--timing`
+//! additionally threads the cycle-level timing observer through the run
+//! and prints simulated cycles, stalls and issue slots next to the
+//! architectural counters; `--issue-width N` sets the lanes issued per
+//! cycle. `analyze` reports divergence analysis and meldable regions for
+//! every function without transforming.
 //!
 //! `serve` starts the persistent compile service: a length-prefixed JSON
 //! frame protocol on stdin/stdout (or a Unix socket with `--socket`),
@@ -55,18 +53,23 @@
 use darm::analysis::{to_dot, verify_ssa, DivergenceAnalysis};
 use darm::ir::parser::parse_module;
 use darm::ir::Module;
-use darm::melding::{region, Analyses, MeldConfig, MeldMode};
+use darm::melding::{region, Analyses, MeldConfig};
 use darm::pipeline::{Budget, ModuleOptions, ModulePassManager, OnError, PipelineOptions};
 use darm::prelude::*;
 use darm::serve::{serve_stream, Engine, ServeConfig};
-use darm::simt::{BackendKind, KernelArg, TimingConfig};
+use darm::simt::{KernelArg, TimingConfig};
 use std::process::ExitCode;
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  darm meld <input.ir> [-o out.ir] [--mode darm|bf] [--threshold T] [--no-unpredicate] [--dot out.dot] [--stats] [--jobs N] [--passes SPEC] [--time-passes] [--verify-each] [--on-error degrade|fail] [--timeout-ms N] [--fuel N]\n  darm run <input.ir> --block N [--grid N] [--buf LEN]... [--i32 X]... [--backend reference|bytecode] [--timing] [--issue-width N] [--no-mem-model]\n  darm analyze <input.ir>\n  darm serve [--socket PATH] [--jobs N] [--queue-depth N] [--cache-entries N] [--cache-bytes N] [--spec SPEC] [--timeout-ms N] [--fuel N] [--max-frame N]"
+        "usage:\n  darm meld <input.ir> [-o out.ir] [--dot out.dot] [--stats] [--jobs N] [--passes SPEC] [--time-passes] [--verify-each] [--on-error degrade|fail] [--timeout-ms N] [--fuel N]\n  darm run <input.ir> --block N [--grid N] [--buf LEN]... [--i32 X]... [--timing] [--issue-width N]\n  darm analyze <input.ir>\n  darm serve [--socket PATH] [--jobs N] [--queue-depth N] [--cache-entries N] [--cache-bytes N] [--spec SPEC] [--timeout-ms N] [--fuel N] [--max-frame N]"
     );
     std::process::exit(2);
+}
+
+/// Parses a flag's value; a missing or malformed one is a usage error.
+fn value<T: std::str::FromStr>(v: Option<&String>) -> T {
+    v.and_then(|v| v.parse().ok()).unwrap_or_else(|| usage())
 }
 
 fn load(path: &str) -> Module {
@@ -103,77 +106,37 @@ fn cmd_meld(args: &[String]) -> ExitCode {
     let mut input = None;
     let mut output = None;
     let mut dot = None;
-    let mut config = MeldConfig::default();
     let mut show_stats = false;
-    let mut passes_spec: Option<String> = None;
+    let mut spec = String::from("meld");
     let mut options = PipelineOptions::default();
-    let mut jobs = 0usize; // 0 = available_parallelism
-                           // The CLI defaults to graceful degradation: melding is optional, the
-                           // verified input IR is always a correct output for a faulting function.
+    let mut jobs = 0usize; // 0: all cores
+
+    // The CLI defaults to graceful degradation: melding is optional, the
+    // verified input IR is always a correct output for a faulting function.
     let mut on_error = OnError::Degrade;
     let mut timeout_ms: Option<u64> = None;
     let mut fuel: Option<u64> = None;
-    fn parse_on_error(v: &str) -> OnError {
-        match v {
-            "fail" => OnError::Fail,
-            "degrade" => OnError::Degrade,
-            _ => usage(),
-        }
-    }
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
             "-o" => output = it.next().cloned(),
             "--dot" => dot = it.next().cloned(),
             "--stats" => show_stats = true,
-            "--no-unpredicate" => config.unpredicate = false,
-            "--passes" => passes_spec = Some(it.next().cloned().unwrap_or_else(|| usage())),
+            "--passes" => spec = it.next().cloned().unwrap_or_else(|| usage()),
             "--time-passes" => options.time_passes = true,
             "--verify-each" => options.verify_each = true,
-            "--jobs" => {
-                jobs = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
+            "--jobs" => jobs = value(it.next()),
             "--on-error" => {
-                on_error = parse_on_error(it.next().map(String::as_str).unwrap_or_else(|| usage()))
-            }
-            "--timeout-ms" => {
-                timeout_ms = Some(
-                    it.next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| usage()),
-                )
-            }
-            "--fuel" => {
-                fuel = Some(
-                    it.next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| usage()),
-                )
-            }
-            "--mode" => match it.next().map(String::as_str) {
-                Some("darm") => config.mode = MeldMode::Darm,
-                Some("bf") => config.mode = MeldMode::BranchFusion,
-                _ => usage(),
-            },
-            "--threshold" => {
-                config.threshold = it
-                    .next()
-                    .and_then(|t| t.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            other if !other.starts_with('-') && input.is_none() => input = Some(other.to_string()),
-            // `--flag=value` spellings of the failure-semantics flags.
-            other => match other.split_once('=') {
-                Some(("--on-error", v)) => on_error = parse_on_error(v),
-                Some(("--timeout-ms", v)) => {
-                    timeout_ms = Some(v.parse().unwrap_or_else(|_| usage()))
+                on_error = match it.next().map(String::as_str) {
+                    Some("fail") => OnError::Fail,
+                    Some("degrade") => OnError::Degrade,
+                    _ => usage(),
                 }
-                Some(("--fuel", v)) => fuel = Some(v.parse().unwrap_or_else(|_| usage())),
-                _ => usage(),
-            },
+            }
+            "--timeout-ms" => timeout_ms = Some(value(it.next())),
+            "--fuel" => fuel = Some(value(it.next())),
+            other if !other.starts_with('-') && input.is_none() => input = Some(other.to_string()),
+            _ => usage(),
         }
     }
     let Some(input) = input else { usage() };
@@ -181,8 +144,7 @@ fn cmd_meld(args: &[String]) -> ExitCode {
     // One driver for both paths: the default chain is the single melding
     // pass; --passes builds an arbitrary pipeline from the registry. The
     // module manager runs it over every function, in parallel with --jobs.
-    let spec = passes_spec.as_deref().unwrap_or("meld");
-    let registry = darm::melding::registry(&config);
+    let registry = darm::melding::registry(&MeldConfig::default());
     let time_passes = options.time_passes;
     options.budget = Budget::new(timeout_ms.map(std::time::Duration::from_millis), fuel);
     let module_options = ModuleOptions {
@@ -190,7 +152,7 @@ fn cmd_meld(args: &[String]) -> ExitCode {
         jobs,
         on_error,
     };
-    let report = ModulePassManager::compile(&registry, spec, module_options, &mut module);
+    let report = ModulePassManager::compile(&registry, &spec, module_options, &mut module);
     let report = match report {
         Ok(report) => report,
         Err(e) => {
@@ -211,36 +173,9 @@ fn cmd_meld(args: &[String]) -> ExitCode {
             } else {
                 String::new()
             };
-            match &passes_spec {
-                // Default chain: the friendly melding summary, recovered
-                // from the meld pass's stat entries.
-                None => {
-                    let stats = darm::melding::MeldStats::from_report(&fr.report);
-                    let capped = fr.report.passes.iter().any(|p| {
-                        p.stats
-                            .iter()
-                            .any(|&(k, v)| k == darm::melding::CAP_HITS_STAT && v > 0)
-                    });
-                    eprintln!(
-                        "{prefix}melded {} region(s), {} subgraph(s), {} replication(s), {} select(s), {} unpredicated group(s){}",
-                        stats.melded_regions,
-                        stats.melded_subgraphs,
-                        stats.replications,
-                        stats.selects_inserted,
-                        stats.unpredicated_groups,
-                        if capped {
-                            ", stopped at the fixpoint iteration cap"
-                        } else {
-                            ""
-                        }
-                    );
-                }
-                Some(_) => {
-                    for pass in &fr.report.passes {
-                        for (k, v) in &pass.stats {
-                            eprintln!("{prefix}{}: {k} = {v}", pass.name);
-                        }
-                    }
+            for pass in &fr.report.passes {
+                for (k, v) in &pass.stats {
+                    eprintln!("{prefix}{}: {k} = {v}", pass.name);
                 }
             }
         }
@@ -281,53 +216,24 @@ fn cmd_meld(args: &[String]) -> ExitCode {
 }
 
 fn cmd_run(args: &[String]) -> ExitCode {
+    enum Arg {
+        Buf(u32),
+        I32(i32),
+    }
     let mut input = None;
     let mut block = 32u32;
     let mut grid = 1u32;
-    let mut arg_specs: Vec<(bool, i64)> = Vec::new(); // (is_buffer, len-or-value)
-    let mut backend = BackendKind::Bytecode;
+    let mut arg_specs = Vec::new();
     let mut timing = TimingConfig::default();
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
             "--timing" => timing.enabled = true,
-            "--no-mem-model" => timing.memory_model = false,
-            "--issue-width" => {
-                timing.issue_width = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--block" => {
-                block = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--grid" => {
-                grid = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--buf" => arg_specs.push((
-                true,
-                it.next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage()),
-            )),
-            "--i32" => arg_specs.push((
-                false,
-                it.next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage()),
-            )),
-            "--backend" => {
-                backend = it
-                    .next()
-                    .and_then(|v| BackendKind::parse(v))
-                    .unwrap_or_else(|| usage())
-            }
+            "--issue-width" => timing.issue_width = value(it.next()),
+            "--block" => block = value(it.next()),
+            "--grid" => grid = value(it.next()),
+            "--buf" => arg_specs.push(Arg::Buf(value(it.next()))),
+            "--i32" => arg_specs.push(Arg::I32(value(it.next()))),
             other if !other.starts_with('-') && input.is_none() => input = Some(other.to_string()),
             _ => usage(),
         }
@@ -341,16 +247,17 @@ fn cmd_run(args: &[String]) -> ExitCode {
     });
     let mut kargs = Vec::new();
     let mut buffers = Vec::new();
-    for &(is_buf, v) in &arg_specs {
-        if is_buf {
-            let b = gpu.alloc_i32(&vec![0; v as usize]);
-            buffers.push(b);
-            kargs.push(KernelArg::Buffer(b));
-        } else {
-            kargs.push(KernelArg::I32(v as i32));
+    for spec in &arg_specs {
+        match *spec {
+            Arg::Buf(len) => {
+                let b = gpu.alloc_i32(&vec![0; len as usize]);
+                buffers.push(b);
+                kargs.push(KernelArg::Buffer(b));
+            }
+            Arg::I32(x) => kargs.push(KernelArg::I32(x)),
         }
     }
-    match gpu.launch_with(backend, func, &LaunchConfig::linear(grid, block), &kargs) {
+    match gpu.launch(func, &LaunchConfig::linear(grid, block), &kargs) {
         Ok(stats) => {
             println!("cycles:              {}", stats.cycles);
             println!("warp instructions:   {}", stats.warp_instructions);
@@ -428,19 +335,16 @@ fn cmd_serve(args: &[String]) -> ExitCode {
     let mut max_frame = darm::serve::proto::DEFAULT_MAX_FRAME;
     let mut it = args.iter();
     while let Some(a) = it.next() {
-        fn num(v: Option<&String>) -> u64 {
-            v.and_then(|v| v.parse().ok()).unwrap_or_else(|| usage())
-        }
         match a.as_str() {
             "--socket" => socket = Some(it.next().cloned().unwrap_or_else(|| usage())),
-            "--jobs" => config.workers = num(it.next()) as usize,
-            "--queue-depth" => config.queue_depth = num(it.next()).max(1) as usize,
-            "--cache-entries" => config.cache_entries = num(it.next()) as usize,
-            "--cache-bytes" => config.cache_bytes = num(it.next()) as usize,
+            "--jobs" => config.workers = value(it.next()),
+            "--queue-depth" => config.queue_depth = value::<usize>(it.next()).max(1),
+            "--cache-entries" => config.cache_entries = value(it.next()),
+            "--cache-bytes" => config.cache_bytes = value(it.next()),
             "--spec" => config.default_spec = it.next().cloned().unwrap_or_else(|| usage()),
-            "--timeout-ms" => config.default_timeout_ms = Some(num(it.next())),
-            "--fuel" => config.default_fuel = Some(num(it.next())),
-            "--max-frame" => max_frame = num(it.next()).max(16) as usize,
+            "--timeout-ms" => config.default_timeout_ms = Some(value(it.next())),
+            "--fuel" => config.default_fuel = Some(value(it.next())),
+            "--max-frame" => max_frame = value::<usize>(it.next()).max(16),
             _ => usage(),
         }
     }

