@@ -55,8 +55,13 @@ pub fn body_insts(func: &Function, b: BlockId) -> &[InstId] {
 /// latency — i.e. the thread-cycles saved by issuing them once instead of
 /// twice.
 pub fn align_block_instructions(func: &Function, bt: BlockId, bf: BlockId) -> BlockAlignment {
-    let a = body_insts(func, bt);
-    let b = body_insts(func, bf);
+    align_bodies(func, body_insts(func, bt), body_insts(func, bf))
+}
+
+/// [`align_block_instructions`] over two instruction sequences of `func`
+/// rather than two blocks — a body may also be the empty one of a block not
+/// built yet, whose alignment is the other body as gaps.
+pub fn align_bodies(func: &Function, a: &[InstId], b: &[InstId]) -> BlockAlignment {
     let (score, steps) = global_align(
         a,
         b,

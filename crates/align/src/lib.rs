@@ -21,6 +21,6 @@ pub mod profit;
 pub mod seq;
 
 pub use compat::{inst_kind, meldable_insts, InstKind};
-pub use instr::{align_block_instructions, body_insts, BlockAlignment};
+pub use instr::{align_block_instructions, align_bodies, body_insts, BlockAlignment};
 pub use profit::{block_melding_profit, subgraph_melding_profit};
 pub use seq::{global_align, AlignStep};

@@ -2,13 +2,14 @@
 //! rewiring).
 //!
 //! Given a meldable divergent region and a plan (which subgraph pairs to
-//! meld and how, which subgraphs stay unmatched), this module:
+//! meld, how, and the body alignment of each block pair; which subgraphs
+//! stay unmatched), this module executes the plan and analyses nothing:
 //!
 //! 0. applies the plan's region replications (§IV-C), in plan order — the
 //!    first write to the function since the region was detected,
 //! 1. creates one fresh block per matched block pair,
 //! 2. clones φs (copied, never melded), aligned instructions (one clone per
-//!    `I-I` pair) and unaligned instructions (tagged with their side),
+//!    `I-I` pair) and unaligned instructions, in the plan's alignment order,
 //! 3. resolves operands through the shared operand map, inserting
 //!    `select C, vT, vF` only where the two sides disagree,
 //! 4. re-links the region into a straight chain: melded subgraphs inline,
@@ -16,7 +17,7 @@
 //!    reused),
 //! 5. rewrites the region-exit φs to a per-side select in the final block,
 //! 6. deletes the now-unreachable original blocks, and
-//! 7. applies unpredication (§IV-E) or store-predication.
+//! 7. applies unpredication (§IV-E) to the alignments' gap runs.
 //!
 //! What it does not do is Algorithm 2's global use rewrite: every
 //! `(original, clone)` pair of the operand map is queued on the
@@ -26,25 +27,14 @@
 //! of an original are in the unmatched subgraphs the region kept, which
 //! unpredication reads through [`GapRun::sources`].
 
-use crate::isomorphism::isomorphic_pairs;
 use crate::region::{MeldableRegion, Subgraph};
 use crate::replicate::replicate;
-use crate::unpredicate::{predicate_stores, unpredicate_block, GapRun};
+use crate::unpredicate::{unpredicate_block, GapRun};
 use crate::MeldStats;
-use darm_align::instr::{align_block_instructions, AlignmentPair};
+use darm_align::instr::AlignmentPair;
+use darm_align::BlockAlignment;
 use darm_ir::{BlockId, Function, InstData, InstId, Opcode, Value};
 use std::ops::Index;
-
-/// Which side of the divergent branch an instruction originated from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Origin {
-    /// Melded from both paths (an `I-I` pair).
-    Both,
-    /// Only on the true path (`I-G`).
-    TrueSide,
-    /// Only on the false path (`G-I`).
-    FalseSide,
-}
 
 /// How the two subgraphs of a [`PlanElement::Meld`] are brought into
 /// block-for-block correspondence.
@@ -60,6 +50,8 @@ pub enum MeldHow {
         single_is_true: bool,
         /// The block of the multi-block side the single block melds with.
         position: BlockId,
+        /// The multi-block side's blocks in pre-order, the order they meld.
+        preorder: Vec<BlockId>,
     },
 }
 
@@ -76,6 +68,8 @@ pub enum PlanElement {
         how: MeldHow,
         /// The `MP_S` profitability that justified the meld.
         profit: f64,
+        /// The body alignment of each block pair, in `how`'s order.
+        alignments: Vec<BlockAlignment>,
     },
     /// Keep a true-path subgraph, guarded by the branch condition.
     GapTrue(Subgraph),
@@ -149,13 +143,8 @@ pub struct MeldRound {
     operand_map: ArenaMap<Value>,
     /// Original block → the melded block of its pair.
     block_map: ArenaMap<BlockId>,
-    /// Melded block → its run of `origins`.
-    origin_span: ArenaMap<(u32, u32)>,
     /// Melded subgraph entry → the block the chain now enters it from.
     link_pred: ArenaMap<BlockId>,
-    /// Every aligned clone with its side and source, the clones of one
-    /// melded block consecutive.
-    origins: Vec<(InstId, Origin, InstId)>,
     /// `(original, clone)` for every instruction the round's applies
     /// cloned, for [`MeldRound::substitute`].
     rewrites: Vec<(Value, Value)>,
@@ -174,9 +163,7 @@ impl MeldRound {
     fn begin_region(&mut self) {
         self.operand_map.clear();
         self.block_map.clear();
-        self.origin_span.clear();
         self.link_pred.clear();
-        self.origins.clear();
     }
 }
 
@@ -188,7 +175,7 @@ impl MeldRound {
 pub fn meld_region(
     func: &mut Function,
     region: &MeldableRegion,
-    mut plan: Vec<PlanElement>,
+    plan: Vec<PlanElement>,
     unpredicate: bool,
     round: &mut MeldRound,
 ) -> MeldStats {
@@ -201,50 +188,49 @@ pub fn meld_region(
     let MeldRound {
         operand_map,
         block_map,
-        origin_span,
         link_pred,
-        origins,
         rewrites,
     } = round;
 
     // ---- Replication (§IV-C), in plan order: the single-block side
-    // becomes a replica of the other side's control flow, which makes the
-    // meld an isomorphic one ----
-    for el in &mut plan {
-        let PlanElement::Meld { st, sf, how, .. } = el else {
+    // becomes a replica of the other side's control flow, whose blocks
+    // pair with the other side's in the plan's pre-order ----
+    let mut melds = Vec::new();
+    for el in &plan {
+        let PlanElement::Meld {
+            st,
+            sf,
+            how,
+            alignments,
+            ..
+        } = el
+        else {
             continue;
         };
-        if let MeldHow::Replicate {
-            single_is_true,
-            position,
-        } = *how
-        {
-            if single_is_true {
-                *st = replicate(func, st, sf, position);
-            } else {
-                *sf = replicate(func, sf, st, position);
+        let (mut st, mut sf) = (st.clone(), sf.clone());
+        let pairs = match *how {
+            MeldHow::Pairs(ref pairs) => pairs.clone(),
+            MeldHow::Replicate {
+                single_is_true,
+                position,
+                ref preorder,
+            } => {
+                stats.replications += 1;
+                let (single, multi) = if single_is_true {
+                    (&mut st, &sf)
+                } else {
+                    (&mut sf, &st)
+                };
+                let pairs = replicate(func, single, multi, position, preorder);
+                let orient = |(r, m)| if single_is_true { (r, m) } else { (m, r) };
+                pairs.into_iter().map(orient).collect()
             }
-            let pairs =
-                isomorphic_pairs(func, st, sf).expect("replication is isomorphic by construction");
-            *how = MeldHow::Pairs(pairs);
-            stats.replications += 1;
-        }
+        };
+        melds.push((st, sf, pairs, alignments));
     }
 
-    // From here on every meld is an isomorphic one over existing blocks.
-    let melds: Vec<_> = plan
-        .iter()
-        .filter_map(|el| match el {
-            PlanElement::Meld { st, sf, how, .. } => match how {
-                MeldHow::Pairs(pairs) => Some((st, sf, pairs)),
-                MeldHow::Replicate { .. } => unreachable!("applied above"),
-            },
-            PlanElement::GapTrue(_) | PlanElement::GapFalse(_) => None,
-        })
-        .collect();
-
     // ---- Phase A: create melded blocks ----
-    for &(_, _, pairs) in &melds {
+    for (_, _, pairs, _) in &melds {
         for &(bt, bf) in pairs {
             let name = format!("{}_{}", func.block_name(bt), func.block_name(bf));
             let m = func.add_block(&name);
@@ -264,8 +250,8 @@ pub fn meld_region(
     // when it was melded from both sides.
     let mut records: Vec<(InstId, Option<(InstId, InstId)>)> = Vec::new();
 
-    for &(st, _, pairs) in &melds {
-        for &(bt, bf) in pairs {
+    for (st, _, pairs, alignments) in &melds {
+        for (&(bt, bf), alignment) in pairs.iter().zip(alignments.iter()) {
             let m = block_map[bt.index()];
             // φs are copied, never melded (§IV-D "Melding φ Nodes").
             for side_block in [bt, bf] {
@@ -276,16 +262,11 @@ pub fn meld_region(
                     records.push((new_id, None));
                 }
             }
-            // Body alignment (Algorithm 2's ComputeInstrAlignment); the
-            // steps' sides, in order, are the block's gap runs for
-            // unpredication.
-            let alignment = align_block_instructions(func, bt, bf);
-            let first = origins.len() as u32;
+            // The body, in the plan's alignment order.
             for step in &alignment.steps {
-                let (src, both, origin) = match *step {
-                    AlignmentPair::Match(it, if_) => (it, Some((it, if_)), Origin::Both),
-                    AlignmentPair::GapA(it) => (it, None, Origin::TrueSide),
-                    AlignmentPair::GapB(if_) => (if_, None, Origin::FalseSide),
+                let (src, both) = match *step {
+                    AlignmentPair::Match(it, if_) => (it, Some((it, if_))),
+                    AlignmentPair::GapA(i) | AlignmentPair::GapB(i) => (i, None),
                 };
                 let data = func.inst(src).clone();
                 let new_id = func.add_inst(m, data);
@@ -293,10 +274,8 @@ pub fn meld_region(
                 if let Some((_, if_)) = both {
                     replace(if_, new_id);
                 }
-                origins.push((new_id, origin, src));
                 records.push((new_id, both));
             }
-            origin_span.insert(m.index(), (first, origins.len() as u32));
             // Terminator: by isomorphism both sides have the same kind.
             let tt = func.terminator(bt).expect("terminator");
             let tf = func.terminator(bf).expect("terminator");
@@ -355,9 +334,11 @@ pub fn meld_region(
         }
     }
 
+    let mut melded = melds.iter();
     for el in &plan {
         match el {
-            PlanElement::Meld { st, .. } => {
+            PlanElement::Meld { .. } => {
+                let (st, ..) = melded.next().expect("one meld per plan element");
                 let entry_new = block_map[st.entry.index()];
                 link(func, cursor, placeholder, entry_new);
                 link_pred.insert(entry_new.index(), cursor);
@@ -463,29 +444,26 @@ pub fn meld_region(
     // ---- Phase F: delete the melded originals ----
     // Their uses in the blocks the region kept wait for the round's
     // substitution.
-    for &(st, sf, _) in &melds {
+    for (st, sf, ..) in &melds {
         stats.melded_subgraphs += 1;
         for &b in st.blocks.iter().chain(&sf.blocks) {
             func.remove_block(b);
         }
     }
 
-    // ---- Phase G: unpredication / store predication ----
-    for &(st, _, _) in &melds {
-        for &bt in st.blocks.iter() {
-            let Some(m) = block_map.get(bt.index()) else {
-                continue;
-            };
-            let (first, end) = origin_span[m.index()];
-            let gap_runs = collect_gap_runs(&origins[first as usize..end as usize]);
-            if gap_runs.is_empty() {
-                continue;
+    // ---- Phase G: unpredication ----
+    // Over the true-side blocks in arena order. With unpredication off, a
+    // run that is safe to run for the other side's lanes stays predicated.
+    for (_, _, pairs, alignments) in &melds {
+        let mut order: Vec<usize> = (0..pairs.len()).collect();
+        order.sort_unstable_by_key(|&k| pairs[k].0);
+        for k in order {
+            let mut runs = gap_runs(&alignments[k].steps, operand_map);
+            if !unpredicate {
+                runs.retain(|run| !run.is_speculable(func));
             }
-            if unpredicate {
-                stats.unpredicated_groups += unpredicate_block(func, m, cond, &gap_runs);
-            } else {
-                predicate_stores(func, cond, &gap_runs);
-            }
+            let m = block_map[pairs[k].0.index()];
+            stats.unpredicated_groups += unpredicate_block(func, m, cond, &runs);
         }
     }
 
@@ -512,41 +490,25 @@ fn retarget_outside_phi_preds(func: &mut Function, sg: &Subgraph, new_pred: Bloc
     }
 }
 
-/// Groups consecutive single-side clones — `(clone, side, source)` — into
-/// gap runs.
-fn collect_gap_runs(origins: &[(InstId, Origin, InstId)]) -> Vec<GapRun> {
-    let mut runs = Vec::new();
-    let mut cur: Option<GapRun> = None;
-    for &(id, origin, src) in origins {
-        match origin {
-            Origin::Both => {
-                if let Some(r) = cur.take() {
-                    runs.push(r);
-                }
-            }
-            Origin::TrueSide | Origin::FalseSide => {
-                let true_side = origin == Origin::TrueSide;
-                match &mut cur {
-                    Some(r) if r.true_side == true_side => {
-                        r.insts.push(id);
-                        r.sources.push(src);
-                    }
-                    _ => {
-                        if let Some(r) = cur.take() {
-                            runs.push(r);
-                        }
-                        cur = Some(GapRun {
-                            insts: vec![id],
-                            sources: vec![src],
-                            true_side,
-                        });
-                    }
-                }
-            }
-        }
-    }
-    if let Some(r) = cur {
-        runs.push(r);
-    }
-    runs
+/// Groups an alignment's consecutive same-side gaps into runs of the
+/// clones `clones` maps them to.
+fn gap_runs(steps: &[AlignmentPair], clones: &ArenaMap<Value>) -> Vec<GapRun> {
+    let gap = |step: &AlignmentPair| match *step {
+        AlignmentPair::Match(..) => None,
+        AlignmentPair::GapA(i) => Some((i, true)),
+        AlignmentPair::GapB(i) => Some((i, false)),
+    };
+    let side = |step: &AlignmentPair| gap(step).map(|(_, true_side)| true_side);
+    let clone = |src: &InstId| clones[src.index()].as_inst().expect("cloned in Phase B");
+    let runs = steps.chunk_by(|a, b| side(a) == side(b)).filter_map(|run| {
+        let true_side = side(&run[0])?;
+        let sources: Vec<InstId> = run.iter().filter_map(|step| Some(gap(step)?.0)).collect();
+        let insts = sources.iter().map(clone).collect();
+        Some(GapRun {
+            insts,
+            sources,
+            true_side,
+        })
+    });
+    runs.collect()
 }

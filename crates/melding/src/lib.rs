@@ -73,6 +73,7 @@ pub use pass::{MeldPass, TailMergePass, CAP_HITS_STAT};
 pub use region::{Analyses, MeldableRegion, Subgraph};
 pub use tail_merge::tail_merge;
 
+use darm_align::{align_bodies, body_insts, BlockAlignment};
 use darm_align::{global_align, subgraph_melding_profit, AlignStep};
 use darm_ir::Function;
 use darm_pipeline::{PassRegistry, PipelineReport};
@@ -96,8 +97,11 @@ pub struct MeldConfig {
     /// Melding profitability threshold; the paper's default is 0.2 (§V,
     /// sensitivity study in Fig. 12).
     pub threshold: f64,
-    /// Whether to run unpredication (§IV-E). Disabling it — the spec
-    /// `meld(unpredicate=false)` — is the ablation.
+    /// Whether to unpredicate every gap run (§IV-E). Off — the spec
+    /// `meld(unpredicate=false)`, the ablation — a run stays predicated in
+    /// the melded block when it holds no load, store or integer division
+    /// ([`GapRun::is_speculable`](unpredicate::GapRun::is_speculable)); any
+    /// other run is split out all the same.
     pub unpredicate: bool,
     /// Cap on the rounds of Algorithm 1's outer loop (a round melds every
     /// pairwise-disjoint region it finds).
@@ -272,10 +276,12 @@ pub fn meld_function(func: &mut Function, config: &MeldConfig) -> MeldStats {
 }
 
 /// Computes the melding plan for a region: aligns the two subgraph chains
-/// with `MP_S` scoring (Definition 7) and keeps matches at or above the
-/// profitability threshold. Returns `None` when nothing profitable exists.
-/// Planning reads the function; [`codegen::meld_region`] is the first to
-/// write it.
+/// with `MP_S` scoring (Definition 7), keeps matches at or above the
+/// profitability threshold and aligns the bodies of every block pair they
+/// meld (Algorithm 2's `ComputeInstrAlignment`). Returns `None` when
+/// nothing profitable exists. Planning reads the function;
+/// [`codegen::meld_region`] is the first to write it, and runs no analysis
+/// of its own.
 pub(crate) fn plan_region(
     func: &Function,
     r: &MeldableRegion,
@@ -305,9 +311,12 @@ pub(crate) fn plan_region(
                     return None;
                 }
                 let (position, p) = replicate::best_position(func, single, multi);
+                let preorder = isomorphism::isomorphic_pairs(func, multi, multi)
+                    .expect("a subgraph is isomorphic to itself");
                 let how = MeldHow::Replicate {
                     single_is_true,
                     position,
+                    preorder: preorder.into_iter().map(|(b, _)| b).collect(),
                 };
                 return Some((p, how));
             }
@@ -319,10 +328,7 @@ pub(crate) fn plan_region(
     // and the plan construction below asks again for each matched pair —
     // `score_pair` runs subgraph isomorphism / profit analysis each time, so
     // cache by the pair's entry blocks (unique per subgraph within a region).
-    let mut score_cache: std::collections::HashMap<
-        (darm_ir::BlockId, darm_ir::BlockId),
-        Option<(f64, MeldHow)>,
-    > = std::collections::HashMap::new();
+    let mut score_cache = std::collections::HashMap::new();
 
     // Chain alignment: only matches meeting the threshold are allowed.
     let (_, steps) = global_align(
@@ -347,15 +353,44 @@ pub(crate) fn plan_region(
                 .remove(&(st.entry, sf.entry))
                 .flatten()
                 .expect("scored during alignment");
+            let alignments = align_meld(func, &st, &sf, &how);
             PlanElement::Meld {
                 st,
                 sf,
                 how,
                 profit,
+                alignments,
             }
         }
         AlignStep::GapA(i) => PlanElement::GapTrue(r.true_chain[i].clone()),
         AlignStep::GapB(j) => PlanElement::GapFalse(r.false_chain[j].clone()),
     });
     Some(plan.collect())
+}
+
+/// The body alignment of every block pair `how` melds, in the order
+/// [`codegen::meld_region`] melds them. A replica block other than the
+/// single block is empty, so its pair aligns the multi block's body with
+/// nothing.
+fn align_meld(func: &Function, st: &Subgraph, sf: &Subgraph, how: &MeldHow) -> Vec<BlockAlignment> {
+    let body = |b| body_insts(func, b);
+    match *how {
+        MeldHow::Pairs(ref pairs) => pairs
+            .iter()
+            .map(|&(bt, bf)| align_bodies(func, body(bt), body(bf)))
+            .collect(),
+        MeldHow::Replicate {
+            single_is_true,
+            position,
+            ref preorder,
+        } => {
+            let single = body(if single_is_true { st.entry } else { sf.entry });
+            let replica = |m| if m == position { single } else { &[] };
+            let align = |m| match single_is_true {
+                true => align_bodies(func, replica(m), body(m)),
+                false => align_bodies(func, body(m), replica(m)),
+            };
+            preorder.iter().map(|&m| align(m)).collect()
+        }
+    }
 }

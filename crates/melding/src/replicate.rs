@@ -77,9 +77,12 @@ pub fn best_position(func: &Function, single: &Subgraph, multi: &Subgraph) -> (B
     best
 }
 
-/// Physically replicates `multi`'s structure around `single`'s block,
-/// producing a subgraph isomorphic to `multi` whose execution always passes
-/// through `single`'s block (placed at `position`).
+/// Physically replicates `multi`'s structure around `single`'s block, and
+/// makes `single` the replica: a subgraph isomorphic to `multi` whose
+/// execution always passes through `single`'s block (placed at
+/// `position`). Returns the `(replica, original)` block pairs in the order
+/// of `preorder` — `multi`'s blocks in pre-order, the order the plan
+/// aligned them in.
 ///
 /// `single.entry` is reused as the replicated block at `position`: its body
 /// stays, and its terminator is replaced to mirror `position`'s terminator
@@ -90,10 +93,11 @@ pub fn best_position(func: &Function, single: &Subgraph, multi: &Subgraph) -> (B
 /// could not be repositioned) and `multi` is acyclic.
 pub fn replicate(
     func: &mut Function,
-    single: &Subgraph,
+    single: &mut Subgraph,
     multi: &Subgraph,
     position: BlockId,
-) -> Subgraph {
+    preorder: &[BlockId],
+) -> Vec<(BlockId, BlockId)> {
     let a = single.entry;
     // Map each block of `multi` to its replica; `position` maps to `a`.
     let mut lmap: HashMap<BlockId, BlockId> = HashMap::new();
@@ -156,12 +160,13 @@ pub fn replicate(
 
     let mut blocks: Vec<BlockId> = lmap.values().copied().collect();
     blocks.sort();
-    Subgraph {
+    *single = Subgraph {
         entry: lmap[&multi.entry],
         blocks,
         exit_block: lmap[&multi.exit_block],
         exit_target: single.exit_target,
-    }
+    };
+    preorder.iter().map(|&m| (lmap[&m], m)).collect()
 }
 
 /// A simple path `from → to` within the subgraph, by BFS (every block of a
@@ -196,6 +201,8 @@ mod tests {
     use super::*;
     use crate::isomorphism::isomorphic_pairs;
     use crate::region::{detect_region, Analyses};
+    use crate::{plan_region, MeldConfig, MeldHow, PlanElement};
+    use darm_align::align_block_instructions;
     use darm_ir::builder::FunctionBuilder;
     use darm_ir::{Dim, IcmpPred, Type};
 
@@ -254,11 +261,19 @@ mod tests {
         let single = region.true_chain[0].clone();
         let multi = region.false_chain[0].clone();
         let (pos, _) = best_position(&f, &single, &multi);
-        let replicated = replicate(&mut f, &single, &multi, pos);
+        let preorder: Vec<BlockId> = isomorphic_pairs(&f, &multi, &multi)
+            .expect("isomorphic to itself")
+            .into_iter()
+            .map(|(m, _)| m)
+            .collect();
+        let mut replicated = single.clone();
+        let built = replicate(&mut f, &mut replicated, &multi, pos, &preorder);
         assert_eq!(replicated.blocks.len(), multi.blocks.len());
         assert_eq!(replicated.exit_target, single.exit_target);
         let pairs = isomorphic_pairs(&f, &replicated, &multi).expect("isomorphic");
         assert_eq!(pairs.len(), multi.blocks.len());
+        // The pairs replication hands back are the lockstep walk's.
+        assert_eq!(built, pairs);
         // A sits at the position of RT.
         assert!(pairs.contains(&(single.entry, pos)));
         // The replicated branch is concretized to always reach A.
@@ -266,5 +281,105 @@ mod tests {
         let t = f.terminator(rb).unwrap();
         assert_eq!(f.inst(t).operands[0], Value::I1(true));
         assert_eq!(f.inst(t).succs[0], single.entry);
+    }
+
+    /// Both sides an if-then region whose blocks hold differing bodies:
+    /// an isomorphic, region-region meld.
+    fn isomorphic_diamonds() -> Function {
+        let mut f = Function::new("iso", vec![Type::I32], Type::Void);
+        let entry = f.entry();
+        let g = f.add_block("G");
+        let mut b = FunctionBuilder::new(&mut f, entry);
+        let tid = b.thread_idx(Dim::X);
+        let c0 = b.icmp(IcmpPred::Slt, tid, b.param(0));
+        let sides: Vec<[BlockId; 3]> = ["T", "F"]
+            .iter()
+            .map(|s| ["", ".then", ".join"].map(|t| b.add_block(&format!("{s}{t}"))))
+            .collect();
+        b.br(c0, sides[0][0], sides[1][0]);
+        for (k, &[head, then, join]) in sides.iter().enumerate() {
+            let k = k as i32;
+            b.switch_to(head);
+            let x = b.mul(tid, b.const_i32(3 + k));
+            let y = b.xor(x, b.const_i32(k));
+            let c = b.icmp(IcmpPred::Sgt, y, b.const_i32(7));
+            b.br(c, then, join);
+            b.switch_to(then);
+            let z = b.add(y, b.const_i32(2));
+            if k == 0 {
+                b.shl(z, b.const_i32(1));
+            }
+            b.sub(z, tid);
+            b.jump(join);
+            b.switch_to(join);
+            b.jump(g);
+        }
+        b.switch_to(g);
+        b.ret(None);
+        f
+    }
+
+    /// What pins the plan to the code it becomes: for every meld of the
+    /// plan, on the block pairs codegen melds after replication (the
+    /// lockstep walk of the replicated subgraphs, which is also what
+    /// `replicate` hands back), the plan's alignment is the DP codegen
+    /// would otherwise have run — replication with the single block on
+    /// either side, and an isomorphic meld.
+    #[test]
+    fn planned_alignments_are_the_dp_of_the_pairs_codegen_melds() {
+        let mirrored = {
+            let (mut f, ids) = bb_vs_region();
+            let br = f.terminator(ids[0]).expect("the divergent branch");
+            f.inst_mut(br).succs.swap(0, 1);
+            f
+        };
+        let cases = [
+            (bb_vs_region().0, Some(true)),
+            (mirrored, Some(false)),
+            (isomorphic_diamonds(), None),
+        ];
+        for (mut f, replicated) in cases {
+            let a = Analyses::new(&f);
+            let region = detect_region(&f, &a, f.entry()).expect("region");
+            let config = MeldConfig::with_threshold(0.05);
+            let plan = plan_region(&f, &region, &config).expect("a plan");
+            let [PlanElement::Meld {
+                st,
+                sf,
+                how,
+                alignments,
+                ..
+            }] = &plan[..]
+            else {
+                panic!("one meld: {plan:?}");
+            };
+            let pairs = match how {
+                MeldHow::Pairs(pairs) => pairs.clone(),
+                &MeldHow::Replicate {
+                    single_is_true,
+                    position,
+                    ref preorder,
+                } => {
+                    assert_eq!(replicated, Some(single_is_true));
+                    let (mut st, mut sf) = (st.clone(), sf.clone());
+                    let built: Vec<_> = if single_is_true {
+                        replicate(&mut f, &mut st, &sf, position, preorder)
+                    } else {
+                        let built = replicate(&mut f, &mut sf, &st, position, preorder);
+                        built.into_iter().map(|(r, m)| (m, r)).collect()
+                    };
+                    let pairs = isomorphic_pairs(&f, &st, &sf).expect("isomorphic");
+                    assert_eq!(built, pairs);
+                    pairs
+                }
+            };
+            assert_eq!(replicated.is_none(), matches!(how, MeldHow::Pairs(_)));
+            assert_eq!(alignments.len(), pairs.len());
+            for (&(bt, bf), planned) in pairs.iter().zip(alignments) {
+                let dp = align_block_instructions(&f, bt, bf);
+                assert_eq!((&planned.steps, planned.score), (&dp.steps, dp.score));
+            }
+            assert!(alignments.iter().any(|al| !al.steps.is_empty()));
+        }
     }
 }

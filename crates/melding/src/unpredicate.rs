@@ -1,8 +1,12 @@
 //! Unpredication (§IV-E): moving unaligned instruction groups out of melded
 //! blocks into side blocks guarded by the divergent condition, patching
-//! def-use chains with `undef`-carrying φs (Fig. 3c). Also the fallback
-//! when unpredication is disabled: full predication of unaligned stores via
-//! load + select.
+//! def-use chains with `undef`-carrying φs (Fig. 3c).
+//!
+//! With unpredication disabled (`meld(unpredicate=false)`, the §IV-E
+//! ablation) a run stays predicated in the melded block — run for both
+//! sides' lanes — when [`GapRun::is_speculable`]; a run holding a memory
+//! access or an integer division is split out all the same, since on the
+//! other side's lanes it could fault or write what the source never wrote.
 
 use darm_ir::{BlockId, Function, InstData, InstId, Opcode, Type, Value};
 
@@ -18,6 +22,20 @@ pub struct GapRun {
     pub sources: Vec<InstId>,
     /// Whether the run belongs to the true path.
     pub true_side: bool,
+}
+
+impl GapRun {
+    /// Whether running the run for the other side's lanes is harmless: it
+    /// holds no load, store or integer division. (Barriers and ballots
+    /// never reach a melded block.)
+    pub fn is_speculable(&self, func: &Function) -> bool {
+        use Opcode::{Load, SDiv, SRem, Store, UDiv, URem};
+        let op = |i: &InstId| func.inst(*i).opcode;
+        !self
+            .insts
+            .iter()
+            .any(|i| matches!(op(i), Load | Store | SDiv | UDiv | SRem | URem))
+    }
 }
 
 /// Splits `block` at every gap run: the run moves into a new side block
@@ -102,32 +120,6 @@ pub fn unpredicate_block(
     count
 }
 
-/// The predicated alternative used when unpredication is disabled
-/// (`MeldConfig::unpredicate == false`): unaligned stores become
-/// load → select → store so the wrong-side threads write back the
-/// original memory value (§IV-E's description of full predication).
-pub fn predicate_stores(func: &mut Function, cond: Value, runs: &[GapRun]) {
-    for run in runs {
-        for &d in &run.insts {
-            if func.inst(d).opcode != Opcode::Store {
-                continue;
-            }
-            let val = func.inst(d).operands[0];
-            let ptr = func.inst(d).operands[1];
-            let ty = func.value_ty(val);
-            let old = func.insert_inst_before(d, InstData::new(Opcode::Load, ty, vec![ptr]));
-            let (a, b) = if run.true_side {
-                (val, Value::Inst(old))
-            } else {
-                (Value::Inst(old), val)
-            };
-            let sel =
-                func.insert_inst_before(d, InstData::new(Opcode::Select, ty, vec![cond, a, b]));
-            func.inst_mut(d).operands[0] = Value::Inst(sel);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -191,38 +183,5 @@ mod tests {
         let phis = f.phis_of(tail);
         assert_eq!(phis.len(), 1);
         assert!(f.inst(phis[0]).operands.iter().any(|v| v.is_undef()));
-    }
-
-    #[test]
-    fn predicated_store_reads_old_value() {
-        let mut f = Function::new(
-            "ps",
-            vec![Type::Ptr(AddrSpace::Global), Type::I32],
-            Type::Void,
-        );
-        let e = f.entry();
-        let mut b = FunctionBuilder::new(&mut f, e);
-        let c = b.icmp(darm_ir::IcmpPred::Slt, b.param(1), b.const_i32(0));
-        let tid = b.thread_idx(Dim::X);
-        let p = b.gep(Type::I32, b.param(0), tid);
-        let st = {
-            b.store(tid, p);
-            f.insts_of(e)[f.insts_of(e).len() - 1]
-        };
-        let mut b = FunctionBuilder::new(&mut f, e);
-        b.ret(None);
-        let runs = vec![GapRun {
-            insts: vec![st],
-            sources: vec![st],
-            true_side: true,
-        }];
-        predicate_stores(&mut f, c, &runs);
-        verify_ssa(&f).unwrap();
-        // store operand is now a select over a load of the old value
-        let ops = &f.inst(st).operands;
-        let sel = ops[0].as_inst().unwrap();
-        assert_eq!(f.inst(sel).opcode, Opcode::Select);
-        let old = f.inst(sel).operands[2].as_inst().unwrap();
-        assert_eq!(f.inst(old).opcode, Opcode::Load);
     }
 }

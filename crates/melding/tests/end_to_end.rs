@@ -4,7 +4,7 @@
 
 use darm_analysis::verify_ssa;
 use darm_ir::builder::FunctionBuilder;
-use darm_ir::{AddrSpace, Dim, Function, IcmpPred, Type};
+use darm_ir::{AddrSpace, Dim, Function, IcmpPred, Type, Value};
 use darm_melding::{meld_function, tail_merge, MeldConfig, MeldStats};
 use darm_simt::{Gpu, GpuConfig, KernelArg, KernelStats, LaunchConfig};
 
@@ -355,16 +355,83 @@ fn a_guarded_use_of_an_unpredicated_value_reads_the_runs_phi() {
     assert_eq!(stats.ssa_repairs, 0, "{stats:?}");
 }
 
+/// Emits instructions given `tid` and a running value; returns the new one.
+type Extra = fn(&mut FunctionBuilder<'_>, Value, Value) -> Value;
+
+/// [`diamond_kernel`] with `extra` emitted in its true arm (even lanes)
+/// between the `mul` and the `add`, given `tid` and the product; its
+/// result is what the `add` adds to. `extra`'s instructions are the arm's
+/// only unaligned ones.
+fn diamond_with_extra(extra: Extra) -> Function {
+    let mut f = Function::new("extra", vec![Type::Ptr(AddrSpace::Global)], Type::Void);
+    let entry = f.entry();
+    let [t, e, x] = ["t", "e", "x"].map(|n| f.add_block(n));
+    let mut b = FunctionBuilder::new(&mut f, entry);
+    let tid = b.thread_idx(Dim::X);
+    let parity = b.and(tid, b.const_i32(1));
+    let c = b.icmp(IcmpPred::Eq, parity, b.const_i32(0));
+    b.br(c, t, e);
+    for (arm, k, extra) in [(t, 3, Some(extra)), (e, 5, None)] {
+        b.switch_to(arm);
+        let mut v = b.mul(tid, b.const_i32(k));
+        if let Some(extra) = extra {
+            v = extra(&mut b, tid, v);
+        }
+        let w = b.add(v, b.const_i32(10 * k));
+        let p = b.gep(Type::I32, b.param(0), tid);
+        b.store(w, p);
+        b.jump(x);
+    }
+    b.switch_to(x);
+    b.ret(None);
+    f
+}
+
+/// The ablation's rule, both halves: with unpredication off a gap run that
+/// is safe to run for the other side's lanes stays predicated in the
+/// melded block, and one holding a store or a divide is split out as the
+/// default splits it. Either way the melded kernel computes what the
+/// unmelded one does.
 #[test]
-fn unpredication_off_predicates_stores() {
-    let f = diamond_kernel();
-    let cfg = MeldConfig {
+fn unpredication_off_predicates_only_speculable_runs() {
+    let off = MeldConfig {
         unpredicate: false,
         ..MeldConfig::default()
     };
-    let (_, _, stats) = check_meld(&f, &cfg, |f| run(f, 64, &[]));
+    let alu: Extra = |b, _, v| b.xor(v, Value::I32(6));
+    let (_, _, stats) = check_meld(&diamond_with_extra(alu), &off, |f| run(f, 64, &[]));
     assert_eq!(stats.melded_subgraphs, 1);
-    assert_eq!(stats.unpredicated_groups, 0);
+    assert_eq!(
+        stats.unpredicated_groups, 0,
+        "a pure-ALU run stays predicated"
+    );
+    let on = MeldConfig::default();
+    let (_, _, stats) = check_meld(&diamond_with_extra(alu), &on, |f| run(f, 64, &[]));
+    assert_eq!(
+        stats.unpredicated_groups, 1,
+        "the default splits the same run"
+    );
+
+    // `100 / (1 - (tid & 1))` divides by zero on every false-side lane.
+    let divide: Extra = |b, tid, v| {
+        let parity = b.and(tid, Value::I32(1));
+        let divisor = b.sub(Value::I32(1), parity);
+        let q = b.sdiv(Value::I32(100), divisor);
+        b.xor(v, q)
+    };
+    let store: Extra = |b, tid, v| {
+        let p = b.gep(Type::I32, b.param(0), tid);
+        b.store(v, p);
+        v
+    };
+    for (what, extra) in [("divide", divide), ("store", store)] {
+        let (_, _, stats) = check_meld(&diamond_with_extra(extra), &off, |f| run(f, 64, &[]));
+        assert_eq!(stats.melded_subgraphs, 1, "{what}");
+        assert!(
+            stats.unpredicated_groups >= 1,
+            "a run with a {what} is split"
+        );
+    }
 }
 
 #[test]

@@ -96,6 +96,17 @@ for doc in ARCHITECTURE.md README.md; do
     fi
 done
 
+# And for the plan as the only voice on what melds: it carries every block
+# pair's alignment and a run holding a store is never left predicated, so
+# the store-predication fallback and the apply's side table of clone
+# origins stay out of the docs (bracketed for the same reason).
+for doc in ARCHITECTURE.md README.md; do
+    if grep -n 'predicate[_]stores\|store-predicatio[n]\|origin[_]span' "$doc"; then
+        echo "$doc: mentions the retired store predication / origin side table"
+        status=1
+    fi
+done
+
 # The README must link the architecture overview.
 if ! grep -q 'ARCHITECTURE.md' README.md; then
     echo "README.md: missing link to ARCHITECTURE.md"
