@@ -179,6 +179,35 @@ fn fig9_darm_wins_in_simulated_cycles() {
     }
 }
 
+/// The DARM default's `sim_cycles` speedup (baseline ÷ DARM) over all 57
+/// fig8+fig9 rows at the default issue width — the ledger's `paper57`
+/// `darm_cycle_speedup` — and the rows DARM still makes slower. Gap runs
+/// that cannot trap stay predicated: the paper's §IV-E unpredication of
+/// every run re-branches on the condition the meld removed and reads
+/// 1.2205 with 14 rows slower.
+#[test]
+fn darm_default_speeds_up_the_57_rows_in_simulated_cycles() {
+    let mut cases = fig8_cases();
+    cases.extend(fig9_cases());
+    let rows = darm_bench::run_cases(&cases, 0);
+    assert_eq!(rows.len(), 57);
+    let gm = geomean(rows.iter().map(VariantStats::darm_cycle_speedup));
+    assert_eq!(format!("{gm:.4}"), "1.2537");
+    let slower: Vec<&str> = rows
+        .iter()
+        .filter(|r| r.darm_cycle_speedup() < 1.0)
+        .map(|r| r.name.as_str())
+        .collect();
+    assert_eq!(slower, SLOWER_ROWS);
+}
+
+/// The rows DARM's default still loses in simulated cycles (ROADMAP N10
+/// says why: PCM32 in stall cycles, LUD in a warp-uniform branch, NQU in
+/// selects paid for a region whose branches never diverge).
+const SLOWER_ROWS: [&str; 7] = [
+    "PCM32", "LUD64", "LUD128", "NQU64", "NQU96", "NQU128", "NQU256",
+];
+
 /// The committed `BENCH_meld.json` is exactly the five fig8/fig9 geomeans
 /// — ratios of the simulated counts the table above pins row by row, so
 /// any drift is a changed melding decision or timing model, never noise.

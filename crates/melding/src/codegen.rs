@@ -452,8 +452,9 @@ pub fn meld_region(
     }
 
     // ---- Phase G: unpredication ----
-    // Over the true-side blocks in arena order. With unpredication off, a
-    // run that is safe to run for the other side's lanes stays predicated.
+    // Over the true-side blocks in arena order. With unpredication off (the
+    // default), a run that is safe to run for the other side's lanes stays
+    // predicated.
     for (_, _, pairs, alignments) in &melds {
         let mut order: Vec<usize> = (0..pairs.len()).collect();
         order.sort_unstable_by_key(|&k| pairs[k].0);

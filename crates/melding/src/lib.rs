@@ -97,10 +97,12 @@ pub struct MeldConfig {
     /// Melding profitability threshold; the paper's default is 0.2 (§V,
     /// sensitivity study in Fig. 12).
     pub threshold: f64,
-    /// Whether to unpredicate every gap run (§IV-E). Off — the spec
-    /// `meld(unpredicate=false)`, the ablation — a run stays predicated in
-    /// the melded block when it holds no load, store or integer division
-    /// ([`GapRun::is_speculable`](unpredicate::GapRun::is_speculable)); any
+    /// Whether to unpredicate every gap run, as the paper's §IV-E does
+    /// (the spec `meld(unpredicate=true)`). Off — the default — a run
+    /// stays predicated in the melded block when it holds no load, store
+    /// or integer division
+    /// ([`GapRun::is_speculable`](unpredicate::GapRun::is_speculable)), so
+    /// the block does not re-branch on the condition the meld removed; any
     /// other run is split out all the same.
     pub unpredicate: bool,
     /// Cap on the rounds of Algorithm 1's outer loop (a round melds every
@@ -113,7 +115,7 @@ impl Default for MeldConfig {
         MeldConfig {
             mode: MeldMode::Darm,
             threshold: 0.2,
-            unpredicate: true,
+            unpredicate: false,
             max_iterations: 32,
         }
     }
@@ -237,9 +239,10 @@ fn apply_meld_params(
 /// The base names come from [`PassRegistry::with_transforms`].
 ///
 /// `meld` and `meld-bf` accept spec parameters overriding the base
-/// configuration — `meld(threshold=0.3)`, `meld(unpredicate=false)`,
-/// `meld(max-iters=4)` — so the paper's ablations (threshold sweep,
-/// unpredication off, branch fusion) are specs with no code changes.
+/// configuration — `meld(threshold=0.3)`, `meld(unpredicate=true)`,
+/// `meld(max-iters=4)` — so the paper's ablations (threshold sweep, §IV-E
+/// unpredication of every gap run, branch fusion) are specs with no code
+/// changes.
 /// Both carry the pipeline's `verify_each` and `time_passes` into their
 /// inner cleanup pipeline ([`MeldPass::observing`]).
 pub fn registry(config: &MeldConfig) -> PassRegistry {

@@ -2,11 +2,13 @@
 //! blocks into side blocks guarded by the divergent condition, patching
 //! def-use chains with `undef`-carrying φs (Fig. 3c).
 //!
-//! With unpredication disabled (`meld(unpredicate=false)`, the §IV-E
-//! ablation) a run stays predicated in the melded block — run for both
-//! sides' lanes — when [`GapRun::is_speculable`]; a run holding a memory
-//! access or an integer division is split out all the same, since on the
-//! other side's lanes it could fault or write what the source never wrote.
+//! The paper splits out every run (`meld(unpredicate=true)`). By default
+//! (`unpredicate=false`) a run stays predicated in the melded block — run
+//! for both sides' lanes — when [`GapRun::is_speculable`], since a split
+//! re-branches on the divergent condition the meld removed; a run holding
+//! a memory access or an integer division is split out all the same, since
+//! on the other side's lanes it could fault or write what the source never
+//! wrote.
 
 use darm_ir::{BlockId, Function, InstData, InstId, Opcode, Type, Value};
 

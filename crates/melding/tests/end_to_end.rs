@@ -342,11 +342,16 @@ fn unmatched_subgraphs_stay_guarded() {
 /// use substitution has not landed when unpredication runs, so the use
 /// still names the original instruction; unpredication must route it
 /// through the run's `undef` φ all the same, which leaves SSA repair
-/// nothing to do.
+/// nothing to do. The run is pure ALU, so only the paper's §IV-E
+/// unpredication (`meld(unpredicate=true)`) splits it.
 #[test]
 fn a_guarded_use_of_an_unpredicated_value_reads_the_runs_phi() {
     let f = gap_value_kernel();
-    let (_, _, stats) = check_meld(&f, &MeldConfig::default(), |f| run(f, 64, &[]));
+    let paper = MeldConfig {
+        unpredicate: true,
+        ..MeldConfig::default()
+    };
+    let (_, _, stats) = check_meld(&f, &paper, |f| run(f, 64, &[]));
     assert_eq!(
         (stats.melded_subgraphs, stats.unpredicated_groups),
         (1, 1),
@@ -387,11 +392,11 @@ fn diamond_with_extra(extra: Extra) -> Function {
     f
 }
 
-/// The ablation's rule, both halves: with unpredication off a gap run that
-/// is safe to run for the other side's lanes stays predicated in the
-/// melded block, and one holding a store or a divide is split out as the
-/// default splits it. Either way the melded kernel computes what the
-/// unmelded one does.
+/// The speculation rule, both halves: with unpredication off (the
+/// default) a gap run that is safe to run for the other side's lanes stays
+/// predicated in the melded block, and one holding a store or a divide is
+/// split out as the paper's §IV-E unpredication splits it. Either way the
+/// melded kernel computes what the unmelded one does.
 #[test]
 fn unpredication_off_predicates_only_speculable_runs() {
     let off = MeldConfig {
@@ -405,11 +410,14 @@ fn unpredication_off_predicates_only_speculable_runs() {
         stats.unpredicated_groups, 0,
         "a pure-ALU run stays predicated"
     );
-    let on = MeldConfig::default();
+    let on = MeldConfig {
+        unpredicate: true,
+        ..MeldConfig::default()
+    };
     let (_, _, stats) = check_meld(&diamond_with_extra(alu), &on, |f| run(f, 64, &[]));
     assert_eq!(
         stats.unpredicated_groups, 1,
-        "the default splits the same run"
+        "the paper's unpredication splits the same run"
     );
 
     // `100 / (1 - (tid & 1))` divides by zero on every false-side lane.

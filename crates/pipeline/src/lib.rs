@@ -48,7 +48,7 @@
 //!
 //! ```text
 //! meld(threshold=0.5)                        Fig. 12 threshold sweep point
-//! meld(unpredicate=false)                    §VI-E unpredication ablation
+//! meld(unpredicate=true)                     the paper's §IV-E unpredication
 //! meld-bf,fixpoint(simplify,dce)             branch-fusion baseline + cleanup fixpoint
 //! fixpoint(simplify,instcombine,dce,max=4)   capped cleanup fixpoint
 //! ```

@@ -4,7 +4,10 @@
 //! groups reserved once per warp, a warp access's addresses in a fixed
 //! array — so a launch allocates per block and per warp, never per
 //! terminator, φ batch or memory access: a 4-rung and a 64-rung
-//! interleaved ladder allocate the same number of times.
+//! interleaved ladder allocate the same number of times. The reference
+//! interpreter keeps its books per block too — one flat register file and
+//! reused φ-staging and address buffers — so an ALU loop of 2 and of 200
+//! trips costs it the same allocations.
 
 use darm_ir::builder::FunctionBuilder;
 use darm_ir::{AddrSpace, Dim, Function, IcmpPred, Type, Value};
@@ -91,6 +94,61 @@ fn interleaved_ladder(rungs: usize) -> Function {
     b.ret(None);
     f.verify_structure().expect("the ladder is well-formed");
     f
+}
+
+/// `out[tid] = f^n(tid)` for the trip count `n` in the second argument:
+/// a loop whose header φs and ALU body run once per trip, with one store
+/// after the exit.
+fn alu_loop() -> Function {
+    let ptr = Type::Ptr(AddrSpace::Global);
+    let mut f = Function::new("alu_loop", vec![ptr, Type::I32], Type::Void);
+    let entry = f.entry();
+    let [header, exit] = ["header", "exit"].map(|n| f.add_block(n));
+    let mut b = FunctionBuilder::new(&mut f, entry);
+    let tid = b.thread_idx(Dim::X);
+    b.jump(header);
+    b.switch_to(header);
+    let i = b.phi(Type::I32, &[(entry, Value::I32(0))]);
+    let acc = b.phi(Type::I32, &[(entry, tid)]);
+    let scaled = b.mul(acc, Value::I32(3));
+    let acc_next = b.xor(scaled, i);
+    let i_next = b.add(i, Value::I32(1));
+    let more = b.icmp(IcmpPred::Slt, i_next, b.param(1));
+    b.br(more, header, exit);
+    b.switch_to(exit);
+    let dst = b.gep(Type::I32, b.param(0), tid);
+    b.store(acc_next, dst);
+    b.ret(None);
+    for (phi, next) in [(i, i_next), (acc, acc_next)] {
+        let phi = f.inst_mut(phi.as_inst().expect("a φ is an instruction"));
+        phi.operands.push(next);
+        phi.phi_blocks.push(header);
+    }
+    f.verify_structure().expect("the loop is well-formed");
+    f
+}
+
+#[test]
+fn a_reference_launch_allocates_the_same_for_2_and_200_loop_trips() {
+    // Two blocks of two warps each, the second warp a partial one.
+    let launch = LaunchConfig::linear(2, 48);
+    let f = alu_loop();
+    let run = |trips: i32| {
+        let mut gpu = Gpu::new(GpuConfig::default());
+        let out = gpu.alloc_i32(&[0; 48]);
+        let args = [KernelArg::Buffer(out), KernelArg::I32(trips)];
+        let n = calls(|| {
+            gpu.launch_reference(&f, &launch, &args)
+                .expect("the loop runs")
+        });
+        (n, gpu.read_i32(out))
+    };
+    let ((short, short_out), (long, long_out)) = (run(2), run(200));
+    assert_ne!(short_out, long_out, "the trip count reached the result");
+    assert_eq!(
+        short, long,
+        "2 trips: {short} allocations, 200 trips: {long}"
+    );
 }
 
 #[test]

@@ -8,11 +8,12 @@ set -euo pipefail
 usage() {
     cat <<'EOF'
 usage: scripts/bench_pair.sh [--pairs N] [--seed N] [--seconds S] [--change REV] <parent-rev> [workload]
+       scripts/bench_pair.sh [--pairs N] [--seed N] [--seconds S] --bins PARENT CHANGE [workload]
 
 Builds <parent-rev> and the change (HEAD unless --change REV) in two
-temporary git worktrees, then runs the command of BENCHMARK.json
-("--workload W --seed N --seconds S --trace 0" appended) once per side per
-pair, alternating which side goes first. With no workload, every workload
+temporary git worktrees with the command of BENCHMARK.json (`run` →
+`build`), then runs each side's ledger binary with "--workload W --seed N
+--seconds S --trace 0" once per pair, alternating which side goes first. With no workload, every workload
 of BENCHMARK.json is measured in turn.
 
   --pairs N     pairs per workload (default 10; a claim needs at least 10)
@@ -22,11 +23,18 @@ of BENCHMARK.json is measured in turn.
                 what a claim must use; shorter only to try the script out)
   --change REV  the change's revision (default HEAD; uncommitted edits are
                 not measured)
+  --bins PARENT CHANGE
+                run two prebuilt ledger binaries instead of building
+                revisions (each built as above, found at
+                examples/benchmark/target/release/benchmark of its
+                checkout); the same order and summary, no worktrees
 
 Prints, per workload and end-to-end metric: median [q1, q3] of each side,
 the ratio of medians, pairs won by the change (ties count for neither), and
-a verdict — "gain" when the change wins at least nine pairs in ten and the
-medians differ by more than the parent's own interquartile distance,
+a verdict — "gain" when there are at least ten pairs, the change wins at
+least nine pairs in ten and the medians differ by more than the parent's
+own interquartile distance ("few pairs" when all but the pair count
+hold: two identical binaries win 2 of 2 pairs by chance),
 "WORSE" when the change's median is worse by more than the metric's bound,
 "unresolved" when the parent's spread is wider than that bound. Needs git,
 cargo and python3.
@@ -34,7 +42,7 @@ EOF
 }
 
 pairs=10 seed=1 seconds="" change=HEAD
-args=()
+args=() bins=()
 while [ $# -gt 0 ]; do
     case "$1" in
         -h | --help) usage; exit 0 ;;
@@ -42,10 +50,22 @@ while [ $# -gt 0 ]; do
         --seed) seed=$2; shift 2 ;;
         --seconds) seconds=$2; shift 2 ;;
         --change) change=$2; shift 2 ;;
+        --bins)
+            [ $# -ge 3 ] || { usage >&2; exit 2; }
+            for bin in "$2" "$3"; do
+                [ -x "$bin" ] || { echo "not an executable: $bin" >&2; exit 2; }
+            done
+            bins=("$(realpath "$2")" "$(realpath "$3")")
+            shift 3
+            ;;
         -*) echo "unknown option: $1" >&2; usage >&2; exit 2 ;;
         *) args+=("$1"); shift ;;
     esac
 done
+# With --bins there is no revision argument, only the optional workload.
+if [ ${#bins[@]} -gt 0 ]; then
+    args=(prebuilt "${args[@]}")
+fi
 if [ ${#args[@]} -lt 1 ] || [ ${#args[@]} -gt 2 ]; then
     usage >&2
     exit 2
@@ -72,21 +92,25 @@ cleanup() {
 }
 trap cleanup EXIT
 
-for side in parent change; do
-    rev=$parent
-    [ "$side" = change ] && rev=$change
-    git worktree add --quiet --detach "$work/$side" "$rev"
-    echo "building $side ($(git -C "$work/$side" rev-parse --short HEAD))" >&2
-    # `cargo run …` → `cargo build …`: same flags, minus the trailing `--`.
-    build=("${command[@]/#run/build}")
-    [ "${build[-1]}" = "--" ] && unset 'build[-1]'
-    (cd "$work/$side" && "${build[@]}")
-done
+if [ ${#bins[@]} -eq 0 ]; then
+    for side in parent change; do
+        rev=$parent
+        [ "$side" = change ] && rev=$change
+        git worktree add --quiet --detach "$work/$side" "$rev"
+        echo "building $side ($(git -C "$work/$side" rev-parse --short HEAD))" >&2
+        # `cargo run …` → `cargo build …`: same flags, minus the trailing `--`.
+        build=("${command[@]/#run/build}")
+        [ "${build[-1]}" = "--" ] && unset 'build[-1]'
+        (cd "$work/$side" && "${build[@]}")
+        bins+=("$work/$side/examples/benchmark/target/release/benchmark")
+    done
+fi
 
 # One run: the last stdout line is the benchmark's JSON result object.
 run() { # side workload
-    (cd "$work/$1" && "${command[@]}" --workload "$2" --seed "$seed" --seconds "$seconds" --trace 0) \
-        | tail -n 1
+    local bin=${bins[0]}
+    [ "$1" = change ] && bin=${bins[1]}
+    "$bin" --workload "$2" --seed "$seed" --seconds "$seconds" --trace 0 | tail -n 1
 }
 
 results=$work/results.jsonl
@@ -138,7 +162,7 @@ for workload, by_pair in runs.items():
         spread = pq3 - pq1
         worse_by = ((pm - cm) if higher else (cm - pm)) / pm if pm else 0.0
         if wins >= 0.9 * n and abs(cm - pm) > spread and better(cm, pm):
-            verdict = "gain"
+            verdict = "gain" if n >= 10 else "few pairs"
         elif worse_by > m["bound"]:
             verdict = "WORSE"
         elif pm and spread / abs(pm) > m["bound"] and wins + ties < n:

@@ -19,7 +19,7 @@
 //! `meld(threshold=0.3),fixpoint(simplify,dce)`; see `darm_pipeline::spec`
 //! for the grammar and `darm_melding::registry` for the names) instead of
 //! the default single melding pass. The paper's ablations are specs too:
-//! `meld(threshold=T)`, `meld(unpredicate=false)` and the branch-fusion
+//! `meld(threshold=T)`, `meld(unpredicate=true)` and the branch-fusion
 //! baseline `meld-bf`. Functions are compiled on `--jobs N` worker threads
 //! (default: all cores; the output is bit-identical to `--jobs 1`).
 //! `--stats` prints each pass's counters on stderr as `pass: key = value`

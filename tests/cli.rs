@@ -200,9 +200,9 @@ fn ablation_specs_print_the_library_meld() {
         ("meld-bf", MeldConfig::branch_fusion()),
         ("meld(threshold=0.95)", MeldConfig::with_threshold(0.95)),
         (
-            "meld(unpredicate=false)",
+            "meld(unpredicate=true)",
             MeldConfig {
-                unpredicate: false,
+                unpredicate: true,
                 ..default
             },
         ),

@@ -149,10 +149,12 @@ fn dct_melds_the_quantization_diamond() {
     }
 }
 
+/// The paper's §IV-E unpredication, which splits every gap run out under
+/// the region's condition, is one setting away from the default.
 #[test]
-fn ablation_no_unpredication_still_correct() {
+fn paper_unpredication_still_correct() {
     let cfg = MeldConfig {
-        unpredicate: false,
+        unpredicate: true,
         ..MeldConfig::default()
     };
     for kind in [SyntheticKind::Sb1R, SyntheticKind::Sb2R] {

@@ -15,7 +15,10 @@ use darm::pipeline::PipelineOptions;
 use darm::simt::{Gpu, GpuConfig, KernelArg, LaunchConfig};
 use std::path::Path;
 
-const SPECS: [&str; 3] = ["meld", "meld-bf", "meld(unpredicate=false)"];
+/// `meld` and `meld-bf` speculate every gap run that cannot trap (the
+/// default `unpredicate=false` the fixtures name); `meld(unpredicate=true)`
+/// is the paper's §IV-E unpredication, which splits every run out.
+const SPECS: [&str; 3] = ["meld", "meld-bf", "meld(unpredicate=true)"];
 
 /// A kernel argument as `darm run` spells it.
 enum Arg {
