@@ -1,6 +1,6 @@
 //! Interpreter throughput, in absolute units: simulated warp instructions
-//! per second (Mwi/s) for the bytecode engine and the per-lane reference
-//! interpreter.
+//! per second (Mwi/s) for the bytecode engine, untimed and under the
+//! cycle-level timing observer, and for the per-lane reference interpreter.
 //!
 //! Two parts:
 //!
@@ -15,7 +15,9 @@
 //!   joined by φs: sparse masks, φ provenance buckets and compare-mask
 //!   packing), [`memory_bound`] (fused gep+load/gep+store with almost no
 //!   ALU work: the warp-access pre-pass, the typed access loop and the
-//!   coalescing model).
+//!   coalescing model). The `timed Mwi/s` column runs the same launch
+//!   with [`TimingConfig::on`], so the observer's cost on each kernel
+//!   shape reads off the gap to the `bytecode Mwi/s` column.
 //!
 //! `cargo bench --bench interp_throughput` — measure.
 //! `cargo bench --bench interp_throughput -- --test` — smoke mode: every
@@ -30,7 +32,9 @@ use darm_bench::fig9_cases;
 use darm_ir::builder::FunctionBuilder;
 use darm_ir::{AddrSpace, Dim, Function, IcmpPred, InstData, Type, Value};
 use darm_kernels::BenchCase;
-use darm_simt::{BytecodeKernel, Gpu, GpuConfig, KernelArg, KernelStats, LaunchConfig};
+use darm_simt::{
+    BytecodeKernel, Gpu, GpuConfig, KernelArg, KernelStats, LaunchConfig, TimingConfig,
+};
 use std::time::Instant;
 
 /// Runs `case` on the reference (per-lane, arena-walking) interpreter.
@@ -203,10 +207,18 @@ fn memory_bound() -> Function {
     })
 }
 
-/// One attribution kernel on one engine: fresh buffer, launch, the stats
-/// and the buffer's final bytes.
-fn run_attribution(f: &Function, bk: Option<&BytecodeKernel>) -> (KernelStats, Vec<u8>) {
-    let mut gpu = Gpu::new(GpuConfig::default());
+/// One attribution kernel on one engine (the reference when `bk` is
+/// `None`) under `timing`: fresh buffer, launch, the stats and the buffer's
+/// final bytes.
+fn run_attribution(
+    f: &Function,
+    bk: Option<&BytecodeKernel>,
+    timing: TimingConfig,
+) -> (KernelStats, Vec<u8>) {
+    let mut gpu = Gpu::new(GpuConfig {
+        timing,
+        ..GpuConfig::default()
+    });
     let n = (GRID * BLOCK) as usize * (TRIPS as usize + 1);
     let data: Vec<i32> = (0..n as i32).map(|x| x.wrapping_mul(2_654_435)).collect();
     let buf = gpu.alloc_i32(&data);
@@ -257,9 +269,10 @@ fn bench(c: &mut Criterion) {
     ];
     for f in &kernels {
         let bk = BytecodeKernel::new(f);
+        let off = TimingConfig::default();
         assert_eq!(
-            run_attribution(f, Some(&bk)),
-            run_attribution(f, None),
+            run_attribution(f, Some(&bk), off),
+            run_attribution(f, None, off),
             "{}: bytecode vs reference disagree",
             f.name()
         );
@@ -269,27 +282,30 @@ fn bench(c: &mut Criterion) {
     // The attribution table, in absolute units.
     let budget = if test_mode { 0.03 } else { 0.5 };
     println!();
-    println!("| kernel | ops | warp insts | SIMD eff. | bytecode Mwi/s | reference Mwi/s |");
-    println!("|---|---|---|---|---|---|");
+    println!(
+        "| kernel | ops | warp insts | SIMD eff. | bytecode Mwi/s | timed Mwi/s | reference Mwi/s |"
+    );
+    println!("|---|---|---|---|---|---|---|");
+    let (off, on) = (TimingConfig::default(), TimingConfig::on());
     for f in &kernels {
         let bk = BytecodeKernel::new(f);
-        let (stats, _) = run_attribution(f, Some(&bk));
+        let (stats, _) = run_attribution(f, Some(&bk), off);
         let mwi = stats.warp_instructions as f64 / 1e6;
-        let bytecode = mwi
-            / time_per_call(budget, || {
-                run_attribution(f, Some(&bk));
-            });
-        let reference = mwi
-            / time_per_call(budget, || {
-                run_attribution(f, None);
-            });
+        let rate = |bk: Option<&BytecodeKernel>, timing| {
+            mwi / time_per_call(budget, || {
+                run_attribution(f, bk, timing);
+            })
+        };
+        let (bytecode, timed, reference) =
+            (rate(Some(&bk), off), rate(Some(&bk), on), rate(None, off));
         println!(
-            "| {} | {} | {} | {:.3} | {:.1} | {:.2} |",
+            "| {} | {} | {} | {:.3} | {:.1} | {:.1} | {:.2} |",
             f.name(),
             bk.op_count(),
             stats.warp_instructions,
             stats.simd_efficiency(),
             bytecode,
+            timed,
             reference
         );
     }

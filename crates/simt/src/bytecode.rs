@@ -64,12 +64,18 @@
 //!   slot-to-slot moves, applied per predecessor *bucket* of lanes;
 //! * **resume pcs**: every `jump`/`br` target carries the op index to
 //!   continue at (`BcBlock::entry_pc`), and every block its IPDOM, so
-//!   uniform control transfers never touch the reconvergence stack.
+//!   uniform control transfers never touch the reconvergence stack;
+//! * **timing records** (`TimingRec`, parallel to the code, built from it
+//!   on the first timed launch): each op's scoreboard destination, sources
+//!   and latency for the timing observer, both halves of a fused op
+//!   included, so the observer never looks at an op.
 
+use crate::timing::{Issue, TimingRec, LINK_CELL, SINK_CELL};
 use darm_analysis::{Cfg, PostDomTree};
 use darm_ir::{cost, BlockId, FcmpPred, Function, IcmpPred, InstData, Opcode, Type, Value};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
+use std::sync::OnceLock;
 
 /// Sentinel for "no destination register" (void results, elided writes).
 pub(crate) const NO_DST: u32 = u32::MAX;
@@ -384,6 +390,9 @@ pub struct BytecodeKernel {
     /// unobservable: stats are discarded on error, and the budget — which
     /// *is* observable — is charged separately).
     pub(crate) lats: Vec<u64>,
+    /// The timing observer's record of each op, parallel to `code`
+    /// ([`BytecodeKernel::timing`]).
+    timing: OnceLock<Vec<TimingRec>>,
     pub(crate) blocks: Vec<BcBlock>,
     /// `(slot, cell)` constants to materialize per launch. The
     /// always-undefined slot is not listed: it is never defined.
@@ -762,6 +771,7 @@ impl BytecodeKernel {
             program_slots,
             code,
             lats,
+            timing: OnceLock::new(),
             blocks,
             consts: lw.consts,
             param_slots: lw.param_slots,
@@ -797,12 +807,97 @@ impl BytecodeKernel {
         self.n_slots as usize
     }
 
+    /// The timing observer's record of each op, parallel to `code`: the
+    /// scoreboard cells and latency of the op's issue and, for a fused op,
+    /// of its second half ([`TimingRec`]). Built from `code` and `lats` on
+    /// the first timed launch, so lowering and untimed launches pay nothing
+    /// for it.
+    pub(crate) fn timing(&self) -> &[TimingRec] {
+        self.timing.get_or_init(|| {
+            self.code
+                .iter()
+                .zip(&self.lats)
+                .map(|(op, &lat)| timing_rec(op, lat))
+                .collect()
+        })
+    }
+
     pub(crate) fn block_name(&self, dense: u32) -> &str {
         match self.blocks.get(dense as usize) {
             Some(b) => &self.names[b.name.0 as usize..b.name.1 as usize],
             None => "<none>",
         }
     }
+}
+
+/// The timing observer's record of `op`, whose charge model latency is
+/// `lat`: the register it writes and the registers it waits on, [`NO_DST`]
+/// where absent (constant and parameter slots are never written, so their
+/// ready cycle is a constant 0 — equivalent to "no operand").
+fn timing_rec(op: &Op, lat: u64) -> TimingRec {
+    let one = |dst, srcs| TimingRec {
+        first: Issue::new(dst, srcs, lat),
+        second: Issue::new(NO_DST, [NO_DST; 3], 0),
+    };
+    match *op {
+        Op::Add { d, a, b, .. }
+        | Op::Sub { d, a, b, .. }
+        | Op::Mul { d, a, b, .. }
+        | Op::And { d, a, b }
+        | Op::Or { d, a, b }
+        | Op::Xor { d, a, b }
+        | Op::Shl { d, a, b, .. }
+        | Op::LShr { d, a, b, .. }
+        | Op::AShr { d, a, b, .. }
+        | Op::Div { d, a, b, .. }
+        | Op::FAdd { d, a, b }
+        | Op::FSub { d, a, b }
+        | Op::FMul { d, a, b }
+        | Op::FDiv { d, a, b }
+        | Op::Icmp { d, a, b, .. }
+        | Op::Fcmp { d, a, b, .. }
+        | Op::Gep { d, a, b, .. } => one(d, [a, b, NO_DST]),
+        Op::FSqrt { d, a }
+        | Op::FAbs { d, a }
+        | Op::FNeg { d, a }
+        | Op::FExp { d, a }
+        | Op::Cvt { d, a, .. }
+        | Op::Ballot { d, a }
+        | Op::Load { d, a, .. } => one(d, [a, NO_DST, NO_DST]),
+        Op::Select { d, c, a, b } => one(d, [c, a, b]),
+        Op::Undef { d, srcs } => one(d, srcs),
+        Op::Store { v, a, .. } => one(NO_DST, [v, a, NO_DST]),
+        Op::ThreadIdx { d, .. } | Op::Uniform { d, .. } => one(d, [NO_DST; 3]),
+        Op::Br { c, .. } => one(NO_DST, [c, NO_DST, NO_DST]),
+        Op::Sync | Op::Ret | Op::Jump { .. } => one(NO_DST, [NO_DST; 3]),
+        // `lat` is the compare's latency and the branch's, folded.
+        Op::CmpBr { d, a, b, .. } => {
+            let br = cost::latency(Opcode::Br, None);
+            let cmp = Issue::new(d, [a, b, NO_DST], lat - br);
+            fused(cmp, Issue::new(NO_DST, [NO_DST; 3], br))
+        }
+        // `lat` is the gep's; the memory half takes its cycles from the
+        // access (`WarpClock::mem_issue`).
+        Op::GepLoad { gd, ga, gb, d, .. } => fused(
+            Issue::new(gd, [ga, gb, NO_DST], lat),
+            Issue::new(d, [NO_DST; 3], 0),
+        ),
+        Op::GepStore { gd, ga, gb, v, .. } => fused(
+            Issue::new(gd, [ga, gb, NO_DST], lat),
+            Issue::new(NO_DST, [v, NO_DST, NO_DST], 0),
+        ),
+    }
+}
+
+/// The record of a fused op: `first` writes its register, or the link
+/// cell when the engine elides it, and `second` waits on that cell as the
+/// third operand no second half has of its own.
+fn fused(mut first: Issue, mut second: Issue) -> TimingRec {
+    if first.dst == SINK_CELL {
+        first.dst = LINK_CELL;
+    }
+    second.srcs[2] = first.dst;
+    TimingRec { first, second }
 }
 
 /// Lowers one non-φ instruction to its typed op. `last` is the op emitted
@@ -1080,6 +1175,40 @@ mod tests {
         };
         // Nothing but the branch reads the compare → dst elided.
         assert_eq!(d, NO_DST);
+    }
+
+    #[test]
+    fn fused_records_carry_both_halves() {
+        use crate::timing::{cell, ZERO_CELL};
+        let f = diamond();
+        let bk = BytecodeKernel::new(&f);
+        // The fused compare-and-branch: the compare issues at its own
+        // latency, the branch at its own waiting on the compare's result —
+        // carried by the link cell, since the register is elided.
+        let pc = bk.blocks[bk.entry as usize].first as usize + 1;
+        let Op::CmpBr { a, b, .. } = bk.code[pc] else {
+            panic!("expected fused compare-and-branch, got {:?}", bk.code[pc]);
+        };
+        let TimingRec { first, second } = bk.timing()[pc];
+        assert_eq!(u64::from(first.lat), cost::ALU_LATENCY);
+        assert_eq!(u64::from(second.lat), cost::BRANCH_LATENCY);
+        assert_eq!(bk.lats[pc], cost::ALU_LATENCY + cost::BRANCH_LATENCY);
+        let [a, b] = [a, b].map(cell);
+        assert_eq!(first.srcs, [a, b, ZERO_CELL]);
+        assert_eq!(first.dst, LINK_CELL);
+        assert_eq!(second.srcs, [ZERO_CELL, ZERO_CELL, LINK_CELL]);
+        assert_eq!(second.dst, SINK_CELL);
+
+        // The fused gep+store: the store waits on the value and on the
+        // address the gep half computed.
+        let pc = bk.blocks[3].first as usize;
+        let Op::GepStore { v, .. } = bk.code[pc] else {
+            panic!("expected fused gep+store, got {:?}", bk.code[pc]);
+        };
+        let TimingRec { first, second } = bk.timing()[pc];
+        assert_eq!(first.dst, LINK_CELL);
+        assert_eq!(second.srcs, [cell(v), ZERO_CELL, LINK_CELL]);
+        assert_eq!(second.dst, SINK_CELL);
     }
 
     #[test]

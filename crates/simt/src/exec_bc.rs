@@ -61,9 +61,9 @@ use crate::bytecode::{BytecodeKernel, Cvt, Op, Uniform, BLOCK_ENTRY, NO_BLOCK, N
 use crate::exec::{check_geometry, validate_args, KernelArg, SimError};
 use crate::mem::{decode, encode_shared, ByteStore, OFFSET_MASK};
 use crate::stats::KernelStats;
-use crate::timing::{bc_deps, TimingState};
+use crate::timing::{TimingState, WarpClock};
 use crate::{GpuConfig, LaunchConfig};
-use darm_ir::{cost, Dim, FcmpPred, IcmpPred, Opcode, Type};
+use darm_ir::{Dim, FcmpPred, IcmpPred, Opcode, Type};
 
 /// Runs a bytecode kernel over the launch geometry. Entry point for
 /// [`crate::Gpu::launch_bytecode`].
@@ -88,7 +88,7 @@ pub(crate) fn launch(
     let mut timing = config
         .timing
         .enabled
-        .then(|| TimingState::new(config.timing, n_warps, bk.n_slots as usize));
+        .then(|| TimingState::new(config.timing, n_warps, bk.n_slots));
     let n = bk.n_slots as usize;
     // One slot-major register file, reused per block. The constant and
     // parameter slots sit above the program-writable prefix and no op
@@ -130,9 +130,8 @@ pub(crate) fn launch(
                 scratch: Vec::new(),
                 buckets: Vec::new(),
                 stage: Vec::new(),
-                timing: timing.as_mut(),
             };
-            engine.run(&mut regs, &mut defs)?;
+            engine.run(&mut regs, &mut defs, timing.as_mut())?;
             let mut s = engine.stats;
             if let Some(t) = timing.as_mut() {
                 t.flush_block(&mut s);
@@ -483,14 +482,19 @@ struct BcEngine<'a> {
     buckets: Vec<(u32, u64)>,
     /// Scratch for the staged (overlapping) φ move path.
     stage: Vec<u64>,
-    /// Cycle-level timing observer ([`crate::timing`]); `None` unless
-    /// [`crate::TimingConfig::enabled`] — pure observation either way.
-    timing: Option<&'a mut TimingState>,
 }
 
 impl<'a> BcEngine<'a> {
+    /// Runs the block. `timing` is the cycle-level observer
+    /// ([`crate::timing`]), `None` unless [`crate::TimingConfig::enabled`]
+    /// — pure observation either way.
     #[allow(clippy::needless_range_loop)] // indexing sidesteps a double &mut borrow
-    fn run(&mut self, regs: &mut [u64], defs: &mut [u64]) -> Result<(), SimError> {
+    fn run(
+        &mut self,
+        regs: &mut [u64],
+        defs: &mut [u64],
+        mut timing: Option<&mut TimingState>,
+    ) -> Result<(), SimError> {
         let threads = self.launch.threads_per_block() as u32;
         let ws = self.warp_size;
         let entry_pc = self.bk.blocks[self.bk.entry as usize].entry_pc;
@@ -519,7 +523,7 @@ impl<'a> BcEngine<'a> {
             for w in 0..warps.len() {
                 if warps[w].status == WarpStatus::Running {
                     any_running = true;
-                    self.run_warp(&mut warps[w], regs, defs)?;
+                    self.run_warp(&mut warps[w], regs, defs, timing.as_deref_mut())?;
                 }
             }
             let done = warps
@@ -542,7 +546,7 @@ impl<'a> BcEngine<'a> {
                 for w in &mut warps {
                     w.status = WarpStatus::Running;
                 }
-                if let Some(t) = self.timing.as_deref_mut() {
+                if let Some(t) = timing.as_deref_mut() {
                     t.barrier_release();
                 }
             } else if !any_running {
@@ -560,6 +564,7 @@ impl<'a> BcEngine<'a> {
         warp: &mut WarpState,
         regs: &mut [u64],
         defs: &mut [u64],
+        timing: Option<&mut TimingState>,
     ) -> Result<(), SimError> {
         let bk = self.bk;
         let nt = self.threads;
@@ -568,6 +573,16 @@ impl<'a> BcEngine<'a> {
         // Warp index within the block: the definedness-word column, and the
         // timing observer's warp.
         let w_idx = (warp.base_thread / self.warp_size) as usize;
+        let mut clock = timing.map(|t| t.clock(w_idx));
+        // The per-op tables, cut to the code's length: one bounds check at
+        // dispatch covers every read of them by `pc`. An untimed run reads
+        // no timing record, so it never builds them.
+        let code = &bk.code[..];
+        let lats = &bk.lats[..code.len()];
+        let recs = match clock {
+            Some(_) => &bk.timing()[..code.len()],
+            None => &[],
+        };
         // Hot counters accumulate in locals and flush to `self` only at
         // suspension points (`flush!`). Error returns skip the flush on
         // purpose: stats are discarded on `Err` and the launch aborts, so
@@ -598,8 +613,8 @@ impl<'a> BcEngine<'a> {
             while let Some(top) = warp.stack.last() {
                 if top.block == top.rpc {
                     warp.stack.pop();
-                    if let Some(t) = self.timing.as_deref_mut() {
-                        t.frame_pop(w_idx, !warp.stack.is_empty());
+                    if let Some(t) = clock.as_mut() {
+                        t.frame_pop(!warp.stack.is_empty());
                     }
                 } else {
                     break;
@@ -617,7 +632,7 @@ impl<'a> BcEngine<'a> {
             let mut cur_block = top.block;
             let mut pc = top.inst_idx;
             if pc == BLOCK_ENTRY {
-                self.run_phis(warp, cur_block, mask, regs, defs)?;
+                self.run_phis(warp, cur_block, mask, regs, defs, clock.as_mut())?;
                 pc = bk.blocks[cur_block as usize].first;
             }
 
@@ -701,9 +716,8 @@ impl<'a> BcEngine<'a> {
             // span into `gep_cells` (and the register, when something else
             // reads it), charged exactly as the unfused `Gep` — so a
             // StepLimit fires before any memory traffic. The op's latency
-            // table entry covers only this half; the address register may
-            // be elided, so its readiness travels by hint to the memory
-            // half. Yields `(address definedness, ready hint)`.
+            // table entry covers only this half, its timing record's
+            // `first` issue too. Yields the address definedness.
             macro_rules! gep_half {
                 ($elem:expr, $gd:expr, $ga:expr, $gb:expr) => {{
                     let (ac, bc) = (col!($ga), col!($gb));
@@ -719,35 +733,34 @@ impl<'a> BcEngine<'a> {
                     }
                     l_warp_insts += 1;
                     l_thread_insts += active;
-                    l_cycles += bk.lats[pc as usize];
+                    l_cycles += lats[pc as usize];
                     l_alu_issues += 1;
                     l_alu_active += active;
-                    let mut gep_ready = 0u64;
-                    if let Some(t) = self.timing.as_deref_mut() {
-                        let lat = bk.lats[pc as usize];
-                        gep_ready = t.issue(w_idx, active as u32, lat, $gd, [$ga, $gb, NO_DST]);
+                    if let Some(t) = clock.as_mut() {
+                        t.issue(active as u32, &recs[pc as usize].first);
                     }
                     if l_budget == 0 {
                         return Err(SimError::StepLimit);
                     }
                     l_budget -= 1;
-                    (gdef, gep_ready)
+                    gdef
                 }};
             }
             // Same for a memory op: the cost model reads `addrs` and
             // charges `self.stats` directly, so the locals flush first.
-            // `$d`/`$srcs` are the scoreboard dst/src slots; `$hint` is an
-            // explicit readiness floor (the gep half of a fused op).
+            // `$half` names the access's issue in the op's timing record:
+            // `first` unfused, `second` behind a fused gep.
             macro_rules! charge_mem {
-                ($d:expr, $srcs:expr, $hint:expr) => {{
+                ($half:ident) => {{
                     l_warp_insts += 1;
                     l_thread_insts += active;
                     flush!();
                     let (is_global, extra) = self
                         .stats
                         .charge_mem_access(&self.addrs[..active as usize], &mut self.scratch);
-                    if let Some(t) = self.timing.as_deref_mut() {
-                        t.mem_issue(w_idx, active as u32, $d, $srcs, $hint, is_global, extra);
+                    if let Some(t) = clock.as_mut() {
+                        let rec = &recs[pc as usize].$half;
+                        t.mem_issue(active as u32, rec, is_global, extra);
                     }
                     if l_budget == 0 {
                         return Err(SimError::StepLimit);
@@ -758,13 +771,12 @@ impl<'a> BcEngine<'a> {
             }
             // One control-flow warp instruction (`br`/`jump`/`ret`).
             macro_rules! charge_ctl {
-                ($op:expr) => {{
+                () => {{
                     l_warp_insts += 1;
                     l_thread_insts += active;
-                    l_cycles += bk.lats[pc as usize];
-                    if let Some(t) = self.timing.as_deref_mut() {
-                        let (dst, srcs) = bc_deps(&$op);
-                        t.issue(w_idx, active as u32, bk.lats[pc as usize], dst, srcs);
+                    l_cycles += lats[pc as usize];
+                    if let Some(t) = clock.as_mut() {
+                        t.issue(active as u32, &recs[pc as usize].first);
                     }
                 }};
             }
@@ -805,20 +817,23 @@ impl<'a> BcEngine<'a> {
                         let (tb, tp) = if m_false == 0 { $t } else { $e };
                         if tb == top.rpc {
                             warp.stack.pop();
-                            if let Some(t) = self.timing.as_deref_mut() {
-                                t.frame_pop(w_idx, !warp.stack.is_empty());
+                            if let Some(t) = clock.as_mut() {
+                                t.frame_pop(!warp.stack.is_empty());
                             }
                             continue 'outer;
                         }
                         cur_block = tb;
                         if tp == BLOCK_ENTRY {
-                            self.run_phis(warp, cur_block, mask, regs, defs)?;
+                            self.run_phis(warp, cur_block, mask, regs, defs, clock.as_mut())?;
                             pc = bk.blocks[cur_block as usize].first;
                         } else {
                             pc = tp;
                         }
                     } else {
                         self.diverge(warp, cur_block, $t.0, $e.0, m_true, m_false)?;
+                        if let Some(t) = clock.as_mut() {
+                            t.diverge();
+                        }
                         continue 'outer;
                     }
                 }};
@@ -899,20 +914,20 @@ impl<'a> BcEngine<'a> {
             // every other arm computes a value and falls through to the one
             // ALU charge below the match.
             'ops: loop {
-                let op = bk.code[pc as usize];
+                let op = code[pc as usize];
                 match op {
                     // ---- control ----
                     Op::Ret => {
-                        charge_ctl!(op);
+                        charge_ctl!();
                         record_prev!();
                         warp.stack.pop();
-                        if let Some(t) = self.timing.as_deref_mut() {
-                            t.frame_pop(w_idx, !warp.stack.is_empty());
+                        if let Some(t) = clock.as_mut() {
+                            t.frame_pop(!warp.stack.is_empty());
                         }
                         continue 'outer;
                     }
                     Op::Jump { t_block, t_pc } => {
-                        charge_ctl!(op);
+                        charge_ctl!();
                         record_prev!();
                         branch!(mask, 0, (t_block, t_pc), (t_block, t_pc));
                         continue 'ops;
@@ -924,7 +939,7 @@ impl<'a> BcEngine<'a> {
                         e_block,
                         e_pc,
                     } => {
-                        charge_ctl!(op);
+                        charge_ctl!();
                         record_prev!();
                         if mask & !def!(c) != 0 {
                             return Err(SimError::UndefValue(format!(
@@ -966,17 +981,16 @@ impl<'a> BcEngine<'a> {
                         // interpreter).
                         l_warp_insts += 2;
                         l_thread_insts += 2 * active;
-                        l_cycles += bk.lats[pc as usize];
+                        l_cycles += lats[pc as usize];
                         l_alu_issues += 1;
                         l_alu_active += active;
-                        if let Some(t) = self.timing.as_deref_mut() {
-                            // bk.lats folds both halves' latency into one
-                            // entry; the observer needs the unfused pair —
-                            // the compare produces `d`, the branch waits on
-                            // it — so each half is issued at its own cost.
-                            let rdy =
-                                t.issue(w_idx, active as u32, cost::ALU_LATENCY, d, [a, b, NO_DST]);
-                            t.issue_dep(w_idx, active as u32, cost::BRANCH_LATENCY, NO_DST, rdy);
+                        if let Some(t) = clock.as_mut() {
+                            // `bk.lats` folds both halves into one charge;
+                            // the observer issues the unfused pair — the
+                            // compare, then the branch waiting on it.
+                            let rec = &recs[pc as usize];
+                            t.issue(active as u32, &rec.first);
+                            t.issue(active as u32, &rec.second);
                         }
                         if l_budget == 0 {
                             return Err(SimError::StepLimit);
@@ -996,8 +1010,8 @@ impl<'a> BcEngine<'a> {
                     Op::Sync => {
                         self.stats.barriers += 1;
                         l_cycles += 1;
-                        if let Some(t) = self.timing.as_deref_mut() {
-                            t.barrier_issue(w_idx);
+                        if let Some(t) = clock.as_mut() {
+                            t.barrier_issue();
                         }
                         flush!();
                         let cur = warp.stack.last_mut().expect("entry exists");
@@ -1010,13 +1024,13 @@ impl<'a> BcEngine<'a> {
                     Op::Load { ty, d, a } => {
                         let ac = col!(a);
                         load_lanes!(ty, d, def!(a), &regs[ac..ac + run.n]);
-                        charge_mem!(d, [a, NO_DST, NO_DST], 0);
+                        charge_mem!(first);
                         continue 'ops;
                     }
                     Op::Store { ty, v, a } => {
                         let ac = col!(a);
                         store_lanes!(ty, v, def!(a), &regs[ac..ac + run.n]);
-                        charge_mem!(NO_DST, [v, a, NO_DST], 0);
+                        charge_mem!(first);
                         continue 'ops;
                     }
                     Op::GepLoad {
@@ -1027,9 +1041,9 @@ impl<'a> BcEngine<'a> {
                         ty,
                         d,
                     } => {
-                        let (gdef, gep_ready) = gep_half!(elem, gd, ga, gb);
+                        let gdef = gep_half!(elem, gd, ga, gb);
                         load_lanes!(ty, d, gdef, &self.gep_cells[..run.n]);
-                        charge_mem!(d, [NO_DST, NO_DST, NO_DST], gep_ready);
+                        charge_mem!(second);
                         continue 'ops;
                     }
                     Op::GepStore {
@@ -1040,9 +1054,9 @@ impl<'a> BcEngine<'a> {
                         ty,
                         v,
                     } => {
-                        let (gdef, gep_ready) = gep_half!(elem, gd, ga, gb);
+                        let gdef = gep_half!(elem, gd, ga, gb);
                         store_lanes!(ty, v, gdef, &self.gep_cells[..run.n]);
-                        charge_mem!(NO_DST, [v, NO_DST, NO_DST], gep_ready);
+                        charge_mem!(second);
                         continue 'ops;
                     }
                     // ---- values: whole-warp loops ----
@@ -1214,16 +1228,14 @@ impl<'a> BcEngine<'a> {
                         set_def!(d, ddef);
                     }
                 }
-                // Charge + budget + advance for an ALU-class op (`op` feeds
-                // the timing observer's scoreboard deps).
+                // Charge + budget + advance for an ALU-class op.
                 l_warp_insts += 1;
                 l_thread_insts += active;
-                l_cycles += bk.lats[pc as usize];
+                l_cycles += lats[pc as usize];
                 l_alu_issues += 1;
                 l_alu_active += active;
-                if let Some(t) = self.timing.as_deref_mut() {
-                    let (dst, srcs) = bc_deps(&op);
-                    t.issue(w_idx, active as u32, bk.lats[pc as usize], dst, srcs);
+                if let Some(t) = clock.as_mut() {
+                    t.issue(active as u32, &recs[pc as usize].first);
                 }
                 if l_budget == 0 {
                     return Err(SimError::StepLimit);
@@ -1266,10 +1278,6 @@ impl<'a> BcEngine<'a> {
             rpc,
             mask: m_true,
         });
-        if let Some(t) = self.timing.as_deref_mut() {
-            let w = (warp.base_thread / self.warp_size) as usize;
-            t.diverge(w);
-        }
         Ok(())
     }
 
@@ -1284,6 +1292,7 @@ impl<'a> BcEngine<'a> {
         mask: u64,
         regs: &mut [u64],
         defs: &mut [u64],
+        clock: Option<&mut WarpClock<'_>>,
     ) -> Result<(), SimError> {
         let bk = self.bk;
         let (nt, nw) = (self.threads, self.n_warps);
@@ -1369,7 +1378,7 @@ impl<'a> BcEngine<'a> {
         // taken incomings, staged so that a φ sourcing another φ of the
         // same batch reads the pre-batch scoreboard (matching the staged
         // value semantics above).
-        if let Some(t) = self.timing.as_deref_mut() {
+        if let Some(t) = clock {
             t.phi_begin();
             let first = edges[buckets[0].0 as usize];
             let n_phis = (first.m_end - first.m_start) as usize;
@@ -1379,11 +1388,11 @@ impl<'a> BcEngine<'a> {
                 for &(e, _) in &buckets {
                     let (d, s) = bk.phi_moves[edges[e as usize].m_start as usize + k];
                     dst = d;
-                    ready = ready.max(t.reg_ready(w, s));
+                    ready = ready.max(t.reg_ready(s));
                 }
                 t.phi_stage(dst, ready);
             }
-            t.phi_commit(w);
+            t.phi_commit();
         }
         self.buckets = buckets;
         Ok(())

@@ -770,24 +770,23 @@ impl<'a> BlockExec<'a> {
                     darm_ir::AddrSpace::Shared => {
                         self.stats.shared_mem_insts += 1;
                         // Bank-conflict model: accesses to distinct words in
-                        // the same bank serialize; broadcasts do not.
-                        let mut per_bank: std::collections::HashMap<
-                            u64,
-                            std::collections::HashSet<u64>,
-                        > = std::collections::HashMap::new();
-                        for &a in lane_addrs.iter() {
-                            let word = a / cost::SHARED_BANK_WORD_BYTES;
-                            per_bank
-                                .entry(word % cost::SHARED_BANKS)
-                                .or_default()
-                                .insert(word);
+                        // the same bank serialize; broadcasts do not. The
+                        // words, sorted by bank and then by word, put each
+                        // bank's distinct words in one run.
+                        for a in lane_addrs.iter_mut() {
+                            *a /= cost::SHARED_BANK_WORD_BYTES;
                         }
-                        let degree = per_bank
-                            .values()
-                            .map(|w| w.len() as u64)
-                            .max()
-                            .unwrap_or(1)
-                            .max(1);
+                        lane_addrs.sort_unstable_by_key(|&w| (w % cost::SHARED_BANKS, w));
+                        let (mut degree, mut run) = (1, 1);
+                        for pair in lane_addrs.windows(2) {
+                            let bank = |w: u64| w % cost::SHARED_BANKS;
+                            if bank(pair[0]) != bank(pair[1]) {
+                                run = 1;
+                            } else if pair[0] != pair[1] {
+                                run += 1;
+                            }
+                            degree = degree.max(run);
+                        }
                         self.stats.shared_bank_conflicts += degree - 1;
                         self.stats.cycles += cost::SHARED_MEM_LATENCY
                             + (degree - 1) * cost::SHARED_BANK_CONFLICT_PENALTY;

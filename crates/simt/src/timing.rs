@@ -12,9 +12,9 @@
 //!
 //! # The model
 //!
-//! Each warp gets an independent `WarpTimer` holding a current cycle and a
-//! register scoreboard; the one IPDOM reconvergence stack is the engine's,
-//! which tells the timer what it pushed and popped. Four sub-models compose:
+//! Each warp gets an independent timeline (a current cycle) and a register
+//! scoreboard row; the one IPDOM reconvergence stack is the engine's, which
+//! tells the timer what it pushed and popped. Four sub-models compose:
 //!
 //! * **Issue** — a masked warp instruction with `active` live lanes
 //!   occupies the warp's issue port for `ceil(active / issue_width)`
@@ -29,14 +29,16 @@
 //!   loads…). An instruction *stalls* until its source registers are
 //!   ready; independent instructions behind it do not exist (in-order,
 //!   single-issue per warp), so the stall is charged to the warp timeline
-//!   as [`crate::KernelStats::sim_stall_cycles`]. Latency is otherwise
+//!   and counted as [`crate::KernelStats::sim_stall_cycles`] — whatever
+//!   part of the timeline issue slots, LSU occupancy and reconvergence
+//!   pops do not account for. Latency is otherwise
 //!   hidden — a store never waits for DRAM, only a dependent read does.
 //! * **IPDOM reconvergence stack** — when a branch diverges, the engine
 //!   pushes *(else, then)* continuation entries whose reconvergence point is
 //!   the branch block's immediate post-dominator (cached at lowering time
 //!   in `BcBlock::ipdom`). The timer counts the divergence
-//!   (`TimingState::diverge`) and charges one cycle per pop of a pushed
-//!   entry (`TimingState::frame_pop`; the engine says whether the popped
+//!   (`WarpClock::diverge`) and charges one cycle per pop of a pushed
+//!   entry (`WarpClock::frame_pop`; the engine says whether the popped
 //!   entry was the warp's base one, which is free) for the SIMT-stack
 //!   update and mask swap — the hardware mechanism described in "Control
 //!   Flow Management in Modern GPUs" — counting `sim_divergent_branches`
@@ -89,16 +91,29 @@
 //!
 //! # Wiring
 //!
-//! The bytecode engine (`exec_bc.rs`) threads an
-//! `Option<&mut TimingState>` through its hot loop; the fused ops fire the
-//! hook sequence of the instructions they replace, which the
-//! `cycles_vs_insts` suite holds to a table of full
+//! What the observer needs to know about an op is resolved once, from the
+//! lowered code, into a `TimingRec` parallel to it (`BytecodeKernel::timing`, in
+//! the shape of gpucachesim's flat scoreboard): the scoreboard cell the op
+//! writes, the three cells it waits on and its latency. An absent operand
+//! reads `ZERO_CELL`, an absent destination writes `SINK_CELL`, and a
+//! fused op carries both halves of the pair it replaces, the second waiting
+//! on the first's cell (`LINK_CELL` when the engine elides the register in
+//! between). The table is built once per kernel, on its first timed
+//! launch, so lowering and untimed launches never pay for it. `TimingState` holds one flat scoreboard,
+//! `warp * stride + cell`, and the issue-slot table `ceil(a / issue_width)`
+//! for every active-lane count, both built once per launch.
+//!
+//! The bytecode engine (`exec_bc.rs`) runs each warp with its
+//! `WarpClock` — the warp's timeline and scoreboard row, `None` when timing
+//! is off — and hands every hook the op's record: an issue is three
+//! scoreboard loads, a max and one store, with no branch on the op or its
+//! operands. The `cycles_vs_insts` suite holds the result to a table of full
 //! [`crate::KernelStats`] recorded from the unfused decoded engine this
-//! crate used to carry. With timing off the option is `None` and the only
-//! overhead is one predictable branch per charge. (The reference
-//! interpreter has no hook points and always reports `sim_* = 0`.)
+//! crate used to carry. With timing off the only overhead is one
+//! predictable branch per charge. (The reference interpreter has no hook
+//! points and always reports `sim_* = 0`.)
 
-use crate::bytecode::{Op, NO_DST};
+use crate::bytecode::NO_DST;
 use crate::stats::KernelStats;
 use darm_ir::cost;
 
@@ -144,19 +159,87 @@ impl TimingConfig {
     }
 }
 
-/// Per-warp timeline: current cycle, scoreboard, and divergence counts.
-#[derive(Debug, Default)]
+/// Scoreboard cell that no issue writes: an absent operand reads it, and
+/// it reads 0 — "ready before the block began", as a constant or parameter
+/// operand always is.
+pub(crate) const ZERO_CELL: u32 = 0;
+/// Scoreboard cell that no issue reads: an op with no destination writes
+/// it.
+pub(crate) const SINK_CELL: u32 = 1;
+/// Scoreboard cell that carries a fused op's first-half result to its
+/// second half when the engine elides the register in between. The halves
+/// issue back to back, so one cell serves every fused op.
+pub(crate) const LINK_CELL: u32 = 2;
+
+/// The scoreboard cell of register slot `slot`: the slots sit above the
+/// three fixed cells.
+pub(crate) fn cell(slot: u32) -> u32 {
+    slot + 3
+}
+
+/// One issue of a warp instruction, resolved from the lowered op for the
+/// observer: the scoreboard cell it writes, the (up to three) cells it waits
+/// on, and its FU latency. Absent operands and destinations are mapped to
+/// [`ZERO_CELL`] and [`SINK_CELL`] here, so the observer never tests for
+/// one.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Issue {
+    pub dst: u32,
+    pub srcs: [u32; 3],
+    /// Cycles from the end of the issue until `dst` is ready. Unused by
+    /// [`WarpClock::mem_issue`], which takes the access's space latency.
+    pub lat: u32,
+}
+
+impl Issue {
+    /// The issue of register slot `dst` from slots `srcs` after `lat`
+    /// cycles, [`NO_DST`] marking an absent destination or operand.
+    pub(crate) fn new(dst: u32, srcs: [u32; 3], lat: u64) -> Issue {
+        let or = |slot: u32, sentinel: u32| match slot {
+            NO_DST => sentinel,
+            s => cell(s),
+        };
+        Issue {
+            dst: or(dst, SINK_CELL),
+            srcs: srcs.map(|s| or(s, ZERO_CELL)),
+            lat: u32::try_from(lat).expect("FU latencies are small"),
+        }
+    }
+}
+
+/// The timing record of one bytecode op, parallel to its code: the issue
+/// of the op, and for a fused op ([`crate::bytecode::Op::CmpBr`],
+/// `GepLoad`, `GepStore`) the issue of its second half, which waits on the
+/// first half's result cell ([`LINK_CELL`] when the engine elides that
+/// register). Every other op's `second` waits on nothing and writes the
+/// sink; the engine never issues it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct TimingRec {
+    pub first: Issue,
+    pub second: Issue,
+}
+
+/// Per-warp timeline and divergence counts (the warp's scoreboard row lives
+/// in `TimingState::ready`).
+#[derive(Debug, Default, Clone, Copy)]
 struct WarpTimer {
     /// The warp's current cycle within the block.
     cycle: u64,
-    /// Cycles lost waiting on the scoreboard (or a barrier).
-    stall: u64,
+    /// Cycles the LSU was busy past an access's issue slots.
+    occupancy: u64,
     /// Issue slots occupied (`Σ ceil(active / issue_width)`).
     issue_slots: u64,
     divergent_branches: u64,
     reconvergences: u64,
-    /// Scoreboard: cycle at which each register slot's value is ready.
-    reg_ready: Vec<u64>,
+}
+
+impl WarpTimer {
+    /// Cycles lost waiting on the scoreboard or a barrier: the timeline
+    /// less everything that advanced it on purpose — issue slots, LSU
+    /// occupancy and reconvergence pops.
+    fn stall(&self) -> u64 {
+        self.cycle - self.issue_slots - self.occupancy - self.reconvergences
+    }
 }
 
 /// Shared timing state for one kernel launch (all warps of one block at a
@@ -164,129 +247,129 @@ struct WarpTimer {
 /// stats and resets for the next).
 #[derive(Debug)]
 pub(crate) struct TimingState {
-    issue_width: u64,
+    /// Issue slots of a warp instruction by active-lane count:
+    /// `slots[a] = ceil(a / issue_width)` for `a` in `0..=64`.
+    slots: [u64; 65],
+    /// Cells per warp: the three fixed cells and the kernel's register
+    /// slots (see [`cell`]), rounded up to a power of two.
+    stride: usize,
+    /// The scoreboard, `warp * stride + cell`: the cycle at which each
+    /// cell's value is ready.
+    ready: Vec<u64>,
     warps: Vec<WarpTimer>,
-    /// Scratch for staged φ-batch readiness: `(dst slot, ready cycle)`.
+    /// Scratch for one warp's staged φ batch: `(dst slot, ready cycle)`.
     phi_scratch: Vec<(u32, u64)>,
 }
 
 impl TimingState {
-    pub(crate) fn new(cfg: TimingConfig, n_warps: usize, n_slots: usize) -> Self {
-        let warps = (0..n_warps)
-            .map(|_| WarpTimer {
-                reg_ready: vec![0; n_slots],
-                ..WarpTimer::default()
-            })
-            .collect();
+    /// The state for `n_warps` warps running a kernel of `n_slots`
+    /// register slots.
+    pub(crate) fn new(cfg: TimingConfig, n_warps: usize, n_slots: u32) -> Self {
+        let width = u64::from(cfg.issue_width.max(1));
+        let stride = (cell(n_slots) as usize).next_power_of_two();
         TimingState {
-            issue_width: u64::from(cfg.issue_width.max(1)),
-            warps,
+            slots: std::array::from_fn(|a| (a as u64).div_ceil(width)),
+            stride,
+            ready: vec![0; n_warps * stride],
+            warps: vec![WarpTimer::default(); n_warps],
             phi_scratch: Vec::new(),
         }
     }
 
-    /// Core of the issue model: stall to `ready` (operand availability),
-    /// occupy `ceil(active / issue_width)` slots, mark `dst` ready after
-    /// `latency` more cycles. Returns the destination-ready cycle.
-    fn issue_at(&mut self, w: usize, active: u32, latency: u64, dst: u32, ready: u64) -> u64 {
-        let wt = &mut self.warps[w];
-        if active == 0 {
-            return wt.cycle;
+    /// Warp `w`'s view, which the engine times the warp through while it
+    /// runs it: its timeline and its scoreboard row.
+    pub(crate) fn clock(&mut self, w: usize) -> WarpClock<'_> {
+        WarpClock {
+            slots: &self.slots,
+            timer: &mut self.warps[w],
+            row: &mut self.ready[w * self.stride..(w + 1) * self.stride],
+            phi_scratch: &mut self.phi_scratch,
         }
-        let start = ready.max(wt.cycle);
-        wt.stall += start - wt.cycle;
-        let slots = u64::from(active).div_ceil(self.issue_width);
-        wt.issue_slots += slots;
-        wt.cycle = start + slots;
-        let done = wt.cycle + latency;
-        if dst != NO_DST {
-            wt.reg_ready[dst as usize] = done;
+    }
+
+    /// All warps reached the barrier: stall each to the block maximum.
+    pub(crate) fn barrier_release(&mut self) {
+        let m = self.warps.iter().map(|wt| wt.cycle).max().unwrap_or(0);
+        for wt in &mut self.warps {
+            wt.cycle = m;
         }
-        done
     }
 
-    /// Max scoreboard-ready cycle over the (non-[`NO_DST`]) source slots.
-    fn operands_ready(&self, w: usize, srcs: [u32; 3]) -> u64 {
-        let wt = &self.warps[w];
-        let mut ready = 0;
-        for s in srcs {
-            if s != NO_DST {
-                ready = ready.max(wt.reg_ready[s as usize]);
-            }
+    /// Fold one finished block into `stats` (block cost = max warp
+    /// timeline; counters sum) and reset every timer for the next block.
+    pub(crate) fn flush_block(&mut self, stats: &mut KernelStats) {
+        let mut block_cycles = 0;
+        for wt in &mut self.warps {
+            block_cycles = block_cycles.max(wt.cycle);
+            stats.sim_stall_cycles += wt.stall();
+            stats.sim_issue_slots += wt.issue_slots;
+            stats.sim_divergent_branches += wt.divergent_branches;
+            stats.sim_reconvergences += wt.reconvergences;
+            *wt = WarpTimer::default();
         }
-        ready
+        self.ready.fill(0);
+        stats.sim_cycles += block_cycles;
+    }
+}
+
+/// One warp's part of the [`TimingState`]: what every hook of the engine
+/// reads and writes while the warp runs.
+pub(crate) struct WarpClock<'t> {
+    slots: &'t [u64; 65],
+    timer: &'t mut WarpTimer,
+    /// The warp's scoreboard row, indexed by [`Issue`] cells.
+    row: &'t mut [u64],
+    phi_scratch: &'t mut Vec<(u32, u64)>,
+}
+
+impl WarpClock<'_> {
+    /// Issue one warp instruction with `active` (≥ 1) live lanes: stall
+    /// until its operands are ready, occupy `ceil(active / issue_width)`
+    /// issue slots, mark its destination ready `lat` cycles later.
+    #[inline(always)]
+    pub(crate) fn issue(&mut self, active: u32, rec: &Issue) {
+        self.occupy(active, rec, 0, u64::from(rec.lat));
     }
 
-    /// Issue one warp instruction whose operands live in register slots
-    /// `srcs` ([`NO_DST`] entries are "no operand": immediates, params).
-    /// Returns the cycle at which `dst` becomes ready.
-    pub(crate) fn issue(
-        &mut self,
-        w: usize,
-        active: u32,
-        latency: u64,
-        dst: u32,
-        srcs: [u32; 3],
-    ) -> u64 {
-        let ready = self.operands_ready(w, srcs);
-        self.issue_at(w, active, latency, dst, ready)
-    }
-
-    /// [`TimingState::issue`] with an explicit readiness floor instead of
-    /// source slots — used for the second half of a fused bytecode op,
-    /// whose producer's ready cycle was just returned by the first half
-    /// (the producer slot may be elided, so it can't be looked up).
-    pub(crate) fn issue_dep(
-        &mut self,
-        w: usize,
-        active: u32,
-        latency: u64,
-        dst: u32,
-        ready_hint: u64,
-    ) -> u64 {
-        self.issue_at(w, active, latency, dst, ready_hint)
-    }
-
-    /// Issue a memory access: operand stall, issue slots, LSU
-    /// occupancy for uncoalesced segments / bank conflicts, and the base
-    /// space latency on the loaded register (stores pass [`NO_DST`]).
+    /// Issue a memory access: operand stall, issue slots, LSU occupancy
+    /// for uncoalesced segments / bank conflicts, and the base space
+    /// latency on the loaded register (a store's record writes the sink).
     /// `is_global` and `extra` are the access's shape as
     /// [`KernelStats::charge_mem_access`] returned it.
-    #[allow(clippy::too_many_arguments)] // engine hook; call sites are macro-generated
-    pub(crate) fn mem_issue(
-        &mut self,
-        w: usize,
-        active: u32,
-        dst: u32,
-        srcs: [u32; 3],
-        ready_hint: u64,
-        is_global: bool,
-        extra: u64,
-    ) {
-        if active == 0 {
-            return;
-        }
-        let ready = self.operands_ready(w, srcs).max(ready_hint);
+    #[inline(always)]
+    pub(crate) fn mem_issue(&mut self, active: u32, rec: &Issue, is_global: bool, extra: u64) {
         let (base, per_extra) = if is_global {
             (cost::GLOBAL_MEM_LATENCY, cost::GLOBAL_TRANSACTION_LATENCY)
         } else {
             (cost::SHARED_MEM_LATENCY, cost::SHARED_BANK_CONFLICT_PENALTY)
         };
         let occupancy = extra * per_extra;
-        let wt = &mut self.warps[w];
-        let start = ready.max(wt.cycle);
-        wt.stall += start - wt.cycle;
-        let slots = u64::from(active).div_ceil(self.issue_width);
+        self.timer.occupancy += occupancy;
+        self.occupy(active, rec, occupancy, base);
+    }
+
+    /// The issue model, with no branch: three scoreboard loads and the
+    /// warp's cycle make the start, the slot table the issue slots, and one
+    /// store marks the destination ready `lat` cycles after the warp moves
+    /// past the issue and `occupancy` more cycles of a busy unit.
+    #[inline(always)]
+    fn occupy(&mut self, active: u32, rec: &Issue, occupancy: u64, lat: u64) {
+        let slots = self.slots[active as usize];
+        let (wt, row) = (&mut *self.timer, &mut *self.row);
+        // The row is a power of two longer than any cell, so the mask
+        // changes no cell; it lets the compiler see every access in bounds.
+        let mask = row.len() - 1;
+        debug_assert!(rec.srcs.iter().all(|&s| s as usize <= mask) && rec.dst as usize <= mask);
+        let [a, b, c] = rec.srcs.map(|s| s as usize & mask);
+        let start = row[a].max(row[b]).max(row[c]).max(wt.cycle);
         wt.issue_slots += slots;
         wt.cycle = start + slots + occupancy;
-        if dst != NO_DST {
-            wt.reg_ready[dst as usize] = wt.cycle + base;
-        }
+        row[rec.dst as usize & mask] = wt.cycle + lat;
     }
 
     /// Scoreboard-ready cycle of one register slot (φ source collection).
-    pub(crate) fn reg_ready(&self, w: usize, slot: u32) -> u64 {
-        self.warps[w].reg_ready[slot as usize]
+    pub(crate) fn reg_ready(&self, slot: u32) -> u64 {
+        self.row[cell(slot) as usize]
     }
 
     /// Begin a staged φ batch (block entry). A φ result becomes ready at
@@ -300,118 +383,38 @@ impl TimingState {
         self.phi_scratch.clear();
     }
 
-    /// Stage one φ's readiness; committed by [`TimingState::phi_commit`].
+    /// Stage one φ's readiness; committed by [`WarpClock::phi_commit`].
     pub(crate) fn phi_stage(&mut self, dst: u32, ready: u64) {
         self.phi_scratch.push((dst, ready));
     }
 
-    /// Commit the staged φ batch to warp `w`'s scoreboard.
-    pub(crate) fn phi_commit(&mut self, w: usize) {
-        for i in 0..self.phi_scratch.len() {
-            let (dst, ready) = self.phi_scratch[i];
-            self.warps[w].reg_ready[dst as usize] = ready;
+    /// Commit the staged φ batch to the warp's scoreboard.
+    pub(crate) fn phi_commit(&mut self) {
+        for &(dst, ready) in self.phi_scratch.iter() {
+            self.row[cell(dst) as usize] = ready;
         }
     }
 
     /// The engine pushed the *(else, then)* entries of a divergent branch.
-    pub(crate) fn diverge(&mut self, w: usize) {
-        self.warps[w].divergent_branches += 1;
+    pub(crate) fn diverge(&mut self) {
+        self.timer.divergent_branches += 1;
     }
 
     /// The engine popped a stack entry. A divergence-pushed entry costs
     /// one cycle (SIMT-stack update + mask swap) and counts a
     /// reconvergence; the warp's base entry — the one pop that leaves the
     /// engine's stack empty, hence `pushed = false` — is free.
-    pub(crate) fn frame_pop(&mut self, w: usize, pushed: bool) {
+    pub(crate) fn frame_pop(&mut self, pushed: bool) {
         if pushed {
-            let wt = &mut self.warps[w];
-            wt.reconvergences += 1;
-            wt.cycle += 1;
+            self.timer.reconvergences += 1;
+            self.timer.cycle += 1;
         }
     }
 
-    /// A warp reached `__syncthreads`: one uniform issue slot.
-    pub(crate) fn barrier_issue(&mut self, w: usize) {
-        let wt = &mut self.warps[w];
-        wt.issue_slots += 1;
-        wt.cycle += 1;
-    }
-
-    /// All warps reached the barrier: stall each to the block maximum.
-    pub(crate) fn barrier_release(&mut self) {
-        let m = self.warps.iter().map(|wt| wt.cycle).max().unwrap_or(0);
-        for wt in &mut self.warps {
-            wt.stall += m - wt.cycle;
-            wt.cycle = m;
-        }
-    }
-
-    /// Fold one finished block into `stats` (block cost = max warp
-    /// timeline; counters sum) and reset every timer for the next block.
-    pub(crate) fn flush_block(&mut self, stats: &mut KernelStats) {
-        let mut block_cycles = 0;
-        for wt in &mut self.warps {
-            block_cycles = block_cycles.max(wt.cycle);
-            stats.sim_stall_cycles += wt.stall;
-            stats.sim_issue_slots += wt.issue_slots;
-            stats.sim_divergent_branches += wt.divergent_branches;
-            stats.sim_reconvergences += wt.reconvergences;
-            wt.cycle = 0;
-            wt.stall = 0;
-            wt.issue_slots = 0;
-            wt.divergent_branches = 0;
-            wt.reconvergences = 0;
-            for r in &mut wt.reg_ready {
-                *r = 0;
-            }
-        }
-        stats.sim_cycles += block_cycles;
-    }
-}
-
-/// Scoreboard dependencies of a bytecode op: `(dst, srcs)` as register
-/// slots, [`NO_DST`] where absent (constant/parameter slots are never
-/// written, so their ready cycle is a constant 0 — equivalent to "no
-/// operand").
-///
-/// The fused ops ([`Op::CmpBr`], [`Op::GepLoad`], [`Op::GepStore`]) report
-/// the deps of their *first* half; the engine times their second half
-/// explicitly via [`TimingState::issue_dep`] / the ready hint.
-pub(crate) fn bc_deps(op: &Op) -> (u32, [u32; 3]) {
-    match *op {
-        Op::Add { d, a, b, .. }
-        | Op::Sub { d, a, b, .. }
-        | Op::Mul { d, a, b, .. }
-        | Op::And { d, a, b }
-        | Op::Or { d, a, b }
-        | Op::Xor { d, a, b }
-        | Op::Shl { d, a, b, .. }
-        | Op::LShr { d, a, b, .. }
-        | Op::AShr { d, a, b, .. }
-        | Op::Div { d, a, b, .. }
-        | Op::FAdd { d, a, b }
-        | Op::FSub { d, a, b }
-        | Op::FMul { d, a, b }
-        | Op::FDiv { d, a, b }
-        | Op::Icmp { d, a, b, .. }
-        | Op::Fcmp { d, a, b, .. }
-        | Op::Gep { d, a, b, .. } => (d, [a, b, NO_DST]),
-        Op::FSqrt { d, a }
-        | Op::FAbs { d, a }
-        | Op::FNeg { d, a }
-        | Op::FExp { d, a }
-        | Op::Cvt { d, a, .. }
-        | Op::Ballot { d, a }
-        | Op::Load { d, a, .. } => (d, [a, NO_DST, NO_DST]),
-        Op::Select { d, c, a, b } => (d, [c, a, b]),
-        Op::Undef { d, srcs } => (d, srcs),
-        Op::Store { v, a, .. } => (NO_DST, [v, a, NO_DST]),
-        Op::ThreadIdx { d, .. } | Op::Uniform { d, .. } => (d, [NO_DST; 3]),
-        Op::Br { c, .. } => (NO_DST, [c, NO_DST, NO_DST]),
-        Op::Sync | Op::Ret | Op::Jump { .. } => (NO_DST, [NO_DST; 3]),
-        // Fused first halves; second halves are hooked explicitly.
-        Op::CmpBr { d, a, b, .. } => (d, [a, b, NO_DST]),
-        Op::GepLoad { gd, ga, gb, .. } | Op::GepStore { gd, ga, gb, .. } => (gd, [ga, gb, NO_DST]),
+    /// The warp reached `__syncthreads`: one uniform issue slot.
+    pub(crate) fn barrier_issue(&mut self) {
+        self.timer.issue_slots += 1;
+        self.timer.cycle += 1;
     }
 }
 
@@ -419,83 +422,130 @@ pub(crate) fn bc_deps(op: &Op) -> (u32, [u32; 3]) {
 mod tests {
     use super::*;
 
-    fn state(issue_width: u32, n_slots: usize) -> TimingState {
+    /// The slots of the test states: enough for every test below.
+    const SLOTS: u32 = 4;
+
+    fn state(issue_width: u32, n_warps: usize) -> TimingState {
         TimingState::new(
             TimingConfig {
                 enabled: true,
                 issue_width,
             },
-            1,
-            n_slots,
+            n_warps,
+            SLOTS,
         )
+    }
+
+    /// An issue that waits on nothing and writes nothing.
+    fn bare(lat: u64) -> Issue {
+        Issue::new(NO_DST, [NO_DST; 3], lat)
+    }
+
+    #[test]
+    fn slot_table_is_the_ceiling_division() {
+        for w in 1..=65u32 {
+            let t = state(w, 1);
+            for a in 0..=64u64 {
+                assert_eq!(t.slots[a as usize], a.div_ceil(u64::from(w)), "{a} / {w}");
+            }
+        }
+        // A zero width is clamped to one lane per cycle.
+        assert_eq!(state(0, 1).slots[64], 64);
+    }
+
+    #[test]
+    fn sentinels_read_zero_and_absorb_writes() {
+        let r = bare(7);
+        assert_eq!((r.dst, r.srcs), (SINK_CELL, [ZERO_CELL; 3]));
+        let mut t = state(32, 1);
+        t.clock(0).issue(32, &r);
+        // The sink took the write; the zero cell still reads 0.
+        assert_eq!(t.ready[SINK_CELL as usize], 8);
+        assert_eq!(t.ready[ZERO_CELL as usize], 0);
+        t.clock(0).issue(32, &r);
+        assert_eq!(t.warps[0].stall(), 0);
     }
 
     #[test]
     fn issue_slots_scale_with_active_lanes() {
-        let mut t = state(16, 4);
-        t.issue(0, 32, 0, NO_DST, [NO_DST; 3]); // 2 slots
-        t.issue(0, 16, 0, NO_DST, [NO_DST; 3]); // 1 slot
-        t.issue(0, 1, 0, NO_DST, [NO_DST; 3]); // 1 slot
+        let mut t = state(16, 1);
+        t.clock(0).issue(32, &bare(0)); // 2 slots
+        t.clock(0).issue(16, &bare(0)); // 1 slot
+        t.clock(0).issue(1, &bare(0)); // 1 slot
         assert_eq!(t.warps[0].issue_slots, 4);
         assert_eq!(t.warps[0].cycle, 4);
-        assert_eq!(t.warps[0].stall, 0);
+        assert_eq!(t.warps[0].stall(), 0);
     }
 
     #[test]
     fn scoreboard_stalls_dependents_only() {
-        let mut t = state(32, 4);
+        let mut t = state(32, 1);
         // Producer: 1 slot, result ready at 1 + 40.
-        t.issue(0, 32, cost::DIV_LATENCY, 0, [NO_DST; 3]);
+        t.clock(0)
+            .issue(32, &Issue::new(0, [NO_DST; 3], cost::DIV_LATENCY));
         // Independent op: no stall.
-        t.issue(0, 32, cost::ALU_LATENCY, 1, [NO_DST; 3]);
-        assert_eq!(t.warps[0].stall, 0);
+        t.clock(0)
+            .issue(32, &Issue::new(1, [NO_DST; 3], cost::ALU_LATENCY));
+        assert_eq!(t.warps[0].stall(), 0);
         // Dependent op: stalls until cycle 41.
-        t.issue(0, 32, cost::ALU_LATENCY, 2, [0, NO_DST, NO_DST]);
-        assert_eq!(t.warps[0].stall, 41 - 2);
+        t.clock(0)
+            .issue(32, &Issue::new(2, [0, NO_DST, NO_DST], cost::ALU_LATENCY));
+        assert_eq!(t.warps[0].stall(), 41 - 2);
         assert_eq!(t.warps[0].cycle, 42);
         // Its own result is ready 4 cycles later.
-        assert_eq!(t.reg_ready(0, 2), 46);
+        assert_eq!(t.clock(0).reg_ready(2), 46);
+    }
+
+    #[test]
+    fn warps_keep_separate_scoreboard_rows() {
+        let mut t = state(32, 2);
+        t.clock(0)
+            .issue(32, &Issue::new(0, [NO_DST; 3], cost::DIV_LATENCY));
+        // Warp 1 reads its own slot 0, which nothing wrote.
+        t.clock(1).issue(32, &Issue::new(1, [0, NO_DST, NO_DST], 0));
+        assert_eq!(t.warps[1].stall(), 0);
+        assert_eq!((t.clock(0).reg_ready(0), t.clock(1).reg_ready(0)), (41, 0));
     }
 
     #[test]
     fn divergence_pushes_two_frames_and_pops_charge_one_cycle() {
         let mut t = state(16, 1);
-        t.diverge(0);
+        t.clock(0).diverge();
         assert_eq!(t.warps[0].divergent_branches, 1);
-        t.frame_pop(0, true);
-        t.frame_pop(0, true);
+        t.clock(0).frame_pop(true);
+        t.clock(0).frame_pop(true);
         // Base-entry pop: the engine's stack is empty afterwards, no charge.
-        t.frame_pop(0, false);
+        t.clock(0).frame_pop(false);
         assert_eq!(t.warps[0].reconvergences, 2);
         assert_eq!(t.warps[0].cycle, 2);
     }
 
     #[test]
     fn barrier_release_aligns_warps_to_max() {
-        let mut t = TimingState::new(TimingConfig::on(), 2, 1);
-        t.issue(0, 16, 0, NO_DST, [NO_DST; 3]);
-        t.issue(0, 16, 0, NO_DST, [NO_DST; 3]);
-        t.issue(1, 16, 0, NO_DST, [NO_DST; 3]);
-        t.barrier_issue(0);
-        t.barrier_issue(1);
+        let mut t = state(16, 2);
+        t.clock(0).issue(16, &bare(0));
+        t.clock(0).issue(16, &bare(0));
+        t.clock(1).issue(16, &bare(0));
+        t.clock(0).barrier_issue();
+        t.clock(1).barrier_issue();
         t.barrier_release();
         assert_eq!(t.warps[0].cycle, t.warps[1].cycle);
-        assert_eq!(t.warps[1].stall, 1); // was at 2, aligned to 3
+        assert_eq!(t.warps[1].stall(), 1); // was at 2, aligned to 3
     }
 
     #[test]
     fn flush_block_takes_max_and_resets() {
-        let mut t = TimingState::new(TimingConfig::on(), 2, 2);
-        t.issue(0, 32, 10, 0, [NO_DST; 3]);
-        t.issue(1, 16, 0, NO_DST, [NO_DST; 3]);
-        t.diverge(1);
+        let mut t = state(16, 2);
+        t.clock(0).issue(32, &Issue::new(0, [NO_DST; 3], 10));
+        t.clock(1).issue(16, &bare(0));
+        t.clock(1).diverge();
         let mut s = KernelStats::default();
         t.flush_block(&mut s);
         assert_eq!(s.sim_cycles, 2); // warp 0 at 2, warp 1 at 1
         assert_eq!(s.sim_issue_slots, 3);
         assert_eq!(s.sim_divergent_branches, 1);
         assert_eq!(t.warps[0].cycle, 0);
-        assert_eq!(t.reg_ready(0, 0), 0);
+        assert_eq!(t.clock(0).reg_ready(0), 0);
         assert_eq!(t.warps[1].divergent_branches, 0);
         // A second flush adds nothing.
         t.flush_block(&mut s);
@@ -521,42 +571,46 @@ mod tests {
         assert_eq!(shape(&coalesced), (true, 0));
         assert_eq!(shape(&strided), (true, 31));
 
-        let mut t = state(32, 2);
+        let load = Issue::new(0, [NO_DST; 3], 0);
+        let mut t = state(32, 1);
         let (is_global, extra) = shape(&coalesced);
-        t.mem_issue(0, 32, 0, [NO_DST; 3], 0, is_global, extra);
+        t.clock(0).mem_issue(32, &load, is_global, extra);
         let fast = t.warps[0].cycle;
-        let mut t2 = state(32, 2);
+        let mut t2 = state(32, 1);
         let (is_global, extra) = shape(&strided);
-        t2.mem_issue(0, 32, 0, [NO_DST; 3], 0, is_global, extra);
+        t2.clock(0).mem_issue(32, &load, is_global, extra);
         let slow = t2.warps[0].cycle;
         assert_eq!(fast, 1); // one slot, no occupancy
         assert_eq!(slow, 1 + 31 * cost::GLOBAL_TRANSACTION_LATENCY);
         // Base DRAM latency lands on the scoreboard in both cases.
-        assert_eq!(t.reg_ready(0, 0), fast + cost::GLOBAL_MEM_LATENCY);
+        assert_eq!(t.clock(0).reg_ready(0), fast + cost::GLOBAL_MEM_LATENCY);
     }
 
     #[test]
     fn phis_are_free_but_propagate_readiness() {
-        let mut t = state(32, 3);
-        t.issue(0, 32, cost::MUL_LATENCY, 0, [NO_DST; 3]); // ready at 9
-        let ready = t.reg_ready(0, 0);
-        t.phi_begin();
-        t.phi_stage(1, ready);
-        t.phi_commit(0);
+        let mut t = state(32, 1);
+        t.clock(0)
+            .issue(32, &Issue::new(0, [NO_DST; 3], cost::MUL_LATENCY)); // ready at 9
+        let ready = t.clock(0).reg_ready(0);
+        let mut c = t.clock(0);
+        c.phi_begin();
+        c.phi_stage(1, ready);
+        c.phi_commit();
         assert_eq!(t.warps[0].issue_slots, 1); // φ issued nothing
-        t.issue(0, 32, 0, 2, [1, NO_DST, NO_DST]);
-        assert_eq!(t.warps[0].stall, ready - 1);
+        t.clock(0).issue(32, &Issue::new(2, [1, NO_DST, NO_DST], 0));
+        assert_eq!(t.warps[0].stall(), ready - 1);
     }
 
     #[test]
     fn phi_batch_reads_pre_batch_scoreboard() {
-        let mut t = state(32, 3);
-        t.issue(0, 32, 10, 0, [NO_DST; 3]); // slot 0 ready at 11
-        t.phi_begin();
-        t.phi_stage(1, t.reg_ready(0, 0)); // φ1 := slot 0
-        t.phi_stage(0, 0); // φ0 := something already ready
-        t.phi_commit(0);
-        assert_eq!(t.reg_ready(0, 1), 11);
-        assert_eq!(t.reg_ready(0, 0), 0);
+        let mut t = state(32, 1);
+        t.clock(0).issue(32, &Issue::new(0, [NO_DST; 3], 10)); // slot 0 ready at 11
+        let mut c = t.clock(0);
+        c.phi_begin();
+        c.phi_stage(1, c.reg_ready(0)); // φ1 := slot 0
+        c.phi_stage(0, 0); // φ0 := something already ready
+        c.phi_commit();
+        assert_eq!(t.clock(0).reg_ready(1), 11);
+        assert_eq!(t.clock(0).reg_ready(0), 0);
     }
 }

@@ -4,14 +4,16 @@
 //! groups reserved once per warp, a warp access's addresses in a fixed
 //! array — so a launch allocates per block and per warp, never per
 //! terminator, φ batch or memory access: a 4-rung and a 64-rung
-//! interleaved ladder allocate the same number of times. The reference
-//! interpreter keeps its books per block too — one flat register file and
-//! reused φ-staging and address buffers — so an ALU loop of 2 and of 200
-//! trips costs it the same allocations.
+//! interleaved ladder allocate the same number of times, with the timing
+//! observer on or off (its scoreboard is one flat table per launch). The
+//! reference interpreter keeps its books per block too — one flat register
+//! file and reused φ-staging and address buffers, which its bank-conflict
+//! model sorts in place — so a loop of 2 and of 200 trips costs it the same
+//! allocations, with or without shared-memory traffic.
 
 use darm_ir::builder::FunctionBuilder;
 use darm_ir::{AddrSpace, Dim, Function, IcmpPred, Type, Value};
-use darm_simt::{BytecodeKernel, Gpu, GpuConfig, KernelArg, LaunchConfig};
+use darm_simt::{BytecodeKernel, Gpu, GpuConfig, KernelArg, LaunchConfig, TimingConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -98,10 +100,15 @@ fn interleaved_ladder(rungs: usize) -> Function {
 
 /// `out[tid] = f^n(tid)` for the trip count `n` in the second argument:
 /// a loop whose header φs and ALU body run once per trip, with one store
-/// after the exit.
-fn alu_loop() -> Function {
+/// after the exit. With `shared`, each trip also stores its value to a
+/// shared array and loads it back, at word `2 * tid mod 64`, so that two
+/// lanes of a warp meet in every bank.
+fn trip_loop(shared: bool) -> Function {
     let ptr = Type::Ptr(AddrSpace::Global);
-    let mut f = Function::new("alu_loop", vec![ptr, Type::I32], Type::Void);
+    let mut f = Function::new("trip_loop", vec![ptr, Type::I32], Type::Void);
+    if shared {
+        f.add_shared_array("tile", Type::I32, 64);
+    }
     let entry = f.entry();
     let [header, exit] = ["header", "exit"].map(|n| f.add_block(n));
     let mut b = FunctionBuilder::new(&mut f, entry);
@@ -110,7 +117,15 @@ fn alu_loop() -> Function {
     b.switch_to(header);
     let i = b.phi(Type::I32, &[(entry, Value::I32(0))]);
     let acc = b.phi(Type::I32, &[(entry, tid)]);
-    let scaled = b.mul(acc, Value::I32(3));
+    let mut scaled = b.mul(acc, Value::I32(3));
+    if shared {
+        let twice = b.mul(tid, Value::I32(2));
+        let word = b.and(twice, Value::I32(63));
+        let tile = b.shared_base(0);
+        let at = b.gep(Type::I32, tile, word);
+        b.store(scaled, at);
+        scaled = b.load(Type::I32, at);
+    }
     let acc_next = b.xor(scaled, i);
     let i_next = b.add(i, Value::I32(1));
     let more = b.icmp(IcmpPred::Slt, i_next, b.param(1));
@@ -128,23 +143,35 @@ fn alu_loop() -> Function {
     f
 }
 
-#[test]
-fn a_reference_launch_allocates_the_same_for_2_and_200_loop_trips() {
+/// Allocations of one reference launch of [`trip_loop`] at 2 and at 200
+/// trips.
+fn reference_trip_allocations(shared: bool) -> (usize, usize) {
     // Two blocks of two warps each, the second warp a partial one.
     let launch = LaunchConfig::linear(2, 48);
-    let f = alu_loop();
+    let f = trip_loop(shared);
     let run = |trips: i32| {
         let mut gpu = Gpu::new(GpuConfig::default());
         let out = gpu.alloc_i32(&[0; 48]);
         let args = [KernelArg::Buffer(out), KernelArg::I32(trips)];
+        let mut stats = None;
         let n = calls(|| {
-            gpu.launch_reference(&f, &launch, &args)
-                .expect("the loop runs")
+            stats = Some(
+                gpu.launch_reference(&f, &launch, &args)
+                    .expect("the loop runs"),
+            );
         });
+        let conflicts = stats.expect("launched").shared_bank_conflicts;
+        assert_eq!(conflicts > 0, shared, "{conflicts} bank conflicts");
         (n, gpu.read_i32(out))
     };
     let ((short, short_out), (long, long_out)) = (run(2), run(200));
     assert_ne!(short_out, long_out, "the trip count reached the result");
+    (short, long)
+}
+
+#[test]
+fn a_reference_launch_allocates_the_same_for_2_and_200_loop_trips() {
+    let (short, long) = reference_trip_allocations(false);
     assert_eq!(
         short, long,
         "2 trips: {short} allocations, 200 trips: {long}"
@@ -152,13 +179,23 @@ fn a_reference_launch_allocates_the_same_for_2_and_200_loop_trips() {
 }
 
 #[test]
-fn a_launch_allocates_the_same_for_a_4_and_a_64_rung_interleaved_ladder() {
+fn a_reference_launch_allocates_the_same_for_2_and_200_shared_loop_trips() {
+    let (short, long) = reference_trip_allocations(true);
+    assert_eq!(
+        short, long,
+        "2 trips: {short} allocations, 200 trips: {long}"
+    );
+}
+
+/// Allocations of one bytecode launch of a 4-rung and of a 64-rung
+/// [`interleaved_ladder`] under `config`.
+fn ladder_allocations(config: GpuConfig) -> (usize, usize) {
     // Two blocks of two warps each, the second warp a partial one.
     let launch = LaunchConfig::linear(2, 48);
     let run = |rungs: usize| {
         let f = interleaved_ladder(rungs);
         let bk = BytecodeKernel::new(&f);
-        let mut gpu = Gpu::new(GpuConfig::default());
+        let mut gpu = Gpu::new(config);
         let out = gpu.alloc_i32(&[0; 48]);
         let input = gpu.alloc_i32(&(0..48).collect::<Vec<i32>>());
         let args = [KernelArg::Buffer(out), KernelArg::Buffer(input)];
@@ -170,6 +207,24 @@ fn a_launch_allocates_the_same_for_a_4_and_a_64_rung_interleaved_ladder() {
     };
     let ((small, _), (large, out)) = (run(4), run(64));
     assert_ne!(out, vec![0; 48], "the ladder stored its results");
+    (small, large)
+}
+
+#[test]
+fn a_launch_allocates_the_same_for_a_4_and_a_64_rung_interleaved_ladder() {
+    let (small, large) = ladder_allocations(GpuConfig::default());
+    assert_eq!(
+        small, large,
+        "4 rungs: {small} allocations, 64 rungs: {large}"
+    );
+}
+
+#[test]
+fn a_timed_launch_allocates_the_same_for_a_4_and_a_64_rung_interleaved_ladder() {
+    let (small, large) = ladder_allocations(GpuConfig {
+        timing: TimingConfig::on(),
+        ..GpuConfig::default()
+    });
     assert_eq!(
         small, large,
         "4 rungs: {small} allocations, 64 rungs: {large}"

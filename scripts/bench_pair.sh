@@ -33,10 +33,11 @@ Prints, per workload and end-to-end metric: median [q1, q3] of each side,
 the ratio of medians, pairs won by the change (ties count for neither), and
 a verdict — "gain" when there are at least ten pairs, the change wins at
 least nine pairs in ten and the medians differ by more than the parent's
-own interquartile distance ("few pairs" when all but the pair count
-hold: two identical binaries win 2 of 2 pairs by chance),
-"WORSE" when the change's median is worse by more than the metric's bound,
-"unresolved" when the parent's spread is wider than that bound. Needs git,
+own interquartile distance, "WORSE" when there are at least ten pairs and
+the change's median is worse by more than the metric's bound ("few pairs"
+when all but the pair count hold, either way: two identical binaries win
+2 of 2 pairs by chance, and lose them as easily), "unresolved" when the
+parent's spread is wider than that bound. Needs git,
 cargo and python3.
 EOF
 }
@@ -164,7 +165,7 @@ for workload, by_pair in runs.items():
         if wins >= 0.9 * n and abs(cm - pm) > spread and better(cm, pm):
             verdict = "gain" if n >= 10 else "few pairs"
         elif worse_by > m["bound"]:
-            verdict = "WORSE"
+            verdict = "WORSE" if n >= 10 else "few pairs"
         elif pm and spread / abs(pm) > m["bound"] and wins + ties < n:
             verdict = "unresolved"
         else:
