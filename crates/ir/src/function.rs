@@ -258,6 +258,91 @@ impl fmt::Display for IrError {
 
 impl Error for IrError {}
 
+/// Every live block's predecessors, one entry per edge as in
+/// [`Function::compute_preds`], in one flat array: two allocations whatever
+/// the function's size.
+struct PredTable {
+    /// Row `b` is `flat[start[b]..start[b + 1]]`.
+    start: Vec<u32>,
+    flat: Vec<u32>,
+}
+
+impl PredTable {
+    fn new(f: &Function) -> PredTable {
+        let n = f.blocks.len();
+        let edges = || {
+            f.blocks
+                .iter()
+                .enumerate()
+                .filter(|(_, data)| data.alive)
+                .flat_map(|(b, _)| {
+                    f.succ_slice(BlockId::new(b))
+                        .iter()
+                        .map(move |s| (b, s.index()))
+                })
+                // A successor past the arena has no row; the verifier
+                // reports the branch to it.
+                .filter(|&(_, s)| s < n)
+        };
+        // Counted, summed to where each row ends, then filled backwards,
+        // which leaves each count where its row starts.
+        let mut start = vec![0u32; n + 1];
+        for (_, s) in edges() {
+            start[s] += 1;
+        }
+        let mut total = 0;
+        for end in &mut start[..n] {
+            total += *end;
+            *end = total;
+        }
+        start[n] = total;
+        let mut flat = vec![0u32; total as usize];
+        for (b, s) in edges() {
+            start[s] -= 1;
+            flat[start[s] as usize] = b as u32;
+        }
+        PredTable { start, flat }
+    }
+
+    fn of(&self, b: BlockId) -> &[u32] {
+        &self.flat[self.start[b.index()] as usize..self.start[b.index() + 1] as usize]
+    }
+}
+
+/// The error of φ `id`, whose incoming blocks are not its block's
+/// predecessors one each, with both lists sorted as the message prints
+/// them.
+fn phi_pred_error(id: InstId, block_name: &str, phi: &InstData, preds: &[u32]) -> IrError {
+    let mut incoming: Vec<usize> = phi.phi_blocks.iter().map(|p| p.index()).collect();
+    incoming.sort_unstable();
+    if incoming.windows(2).any(|w| w[0] == w[1]) {
+        return IrError::PhiPredMismatch(format!(
+            "%{} in {block_name} has duplicate incoming blocks",
+            id.index()
+        ));
+    }
+    let mut actual: Vec<usize> = preds.iter().map(|&p| p as usize).collect();
+    actual.sort_unstable();
+    actual.dedup();
+    IrError::PhiPredMismatch(format!(
+        "%{} in {block_name}: incoming {incoming:?} vs preds {actual:?}",
+        id.index()
+    ))
+}
+
+/// An instruction's operand types, listed as `Vec<Type>`'s `Debug` lists
+/// them but never collected: only a failing check prints them.
+struct OperandTypes<'a>(&'a Function, &'a [Value]);
+
+impl fmt::Debug for OperandTypes<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let OperandTypes(func, operands) = *self;
+        f.debug_list()
+            .entries(operands.iter().map(|&v| func.value_ty(v)))
+            .finish()
+    }
+}
+
 #[derive(Debug, Clone)]
 struct BlockData2 {
     name: String,
@@ -974,10 +1059,17 @@ impl Function {
     ///
     /// Returns the first [`IrError`] found.
     pub fn verify_structure(&self) -> Result<(), IrError> {
-        let preds = self.compute_preds();
-        for b in self.block_ids() {
-            let name = self.block_name(b).to_string();
-            let insts = self.insts_of(b);
+        let preds = PredTable::new(self);
+        // Per block index: the stamp of the block whose predecessors were
+        // marked last, and of the φ whose incoming blocks were.
+        let mut marks = vec![(0u32, 0u32); self.blocks.len()];
+        for (bi, data) in self.blocks.iter().enumerate() {
+            if !data.alive {
+                continue;
+            }
+            let b = BlockId::new(bi);
+            let name = data.name.as_str();
+            let insts = &data.insts[..];
             let Some(&last) = insts.last() else {
                 return Err(IrError::BadTerminator(format!("block {name} is empty")));
             };
@@ -986,6 +1078,8 @@ impl Function {
                     "block {name} does not end in a terminator"
                 )));
             }
+            // Distinct predecessors, counted when the first φ needs them.
+            let mut distinct = None;
             let mut seen_non_phi = false;
             for (k, &id) in insts.iter().enumerate() {
                 if !self.is_inst_alive(id) {
@@ -1016,30 +1110,31 @@ impl Function {
                 } else {
                     seen_non_phi = true;
                 }
-                self.verify_inst(id, &name)?;
+                self.verify_inst(id, name)?;
                 if inst.opcode.is_phi() {
-                    let mut incoming: Vec<usize> =
-                        inst.phi_blocks.iter().map(|p| p.index()).collect();
-                    incoming.sort_unstable();
-                    let mut actual: Vec<usize> =
-                        preds[b.index()].iter().map(|p| p.index()).collect();
-                    actual.sort_unstable();
-                    actual.dedup();
-                    let mut inc_dedup = incoming.clone();
-                    inc_dedup.dedup();
-                    if inc_dedup != incoming {
-                        return Err(IrError::PhiPredMismatch(format!(
-                            "%{} in {name} has duplicate incoming blocks",
-                            id.index()
-                        )));
-                    }
-                    if incoming != actual {
-                        return Err(IrError::PhiPredMismatch(format!(
-                            "%{} in {name}: incoming {:?} vs preds {:?}",
-                            id.index(),
-                            incoming,
-                            actual
-                        )));
+                    let block_stamp = bi as u32 + 1;
+                    let distinct = *distinct.get_or_insert_with(|| {
+                        let mut count = 0;
+                        for &p in preds.of(b) {
+                            let mark = &mut marks[p as usize].0;
+                            count += usize::from(*mark != block_stamp);
+                            *mark = block_stamp;
+                        }
+                        count
+                    });
+                    // Each incoming block a predecessor, none twice, and as
+                    // many as there are predecessors: the two sets agree.
+                    let phi_stamp = id.index() as u32 + 1;
+                    let matches = inst.phi_blocks.iter().all(|q| {
+                        let Some(mark) = marks.get_mut(q.index()) else {
+                            return false;
+                        };
+                        let fresh = mark.0 == block_stamp && mark.1 != phi_stamp;
+                        mark.1 = phi_stamp;
+                        fresh
+                    }) && inst.phi_blocks.len() == distinct;
+                    if !matches {
+                        return Err(phi_pred_error(id, name, inst, preds.of(b)));
                     }
                 }
             }
@@ -1080,26 +1175,34 @@ impl Function {
                 )));
             }
         }
-        let tys: Vec<Type> = inst.operands.iter().map(|&v| self.value_ty(v)).collect();
+        // The types of the first three operands (no opcode but φ takes
+        // more, and the φ arm reads its own); `Void` past the end, where
+        // every arm has failed its count check first. Messages print
+        // `all`, every operand's type.
+        let mut tys = [Type::Void; 3];
+        for (ty, &v) in tys.iter_mut().zip(&inst.operands) {
+            *ty = self.value_ty(v);
+        }
+        let all = OperandTypes(self, &inst.operands);
         let n = inst.operands.len();
         use Opcode::*;
         match inst.opcode {
             Add | Sub | Mul | SDiv | SRem | UDiv | URem | And | Or | Xor | Shl | LShr | AShr => {
                 if n != 2 || tys[0] != tys[1] || !tys[0].is_int() || inst.ty != tys[0] {
                     return err(format!(
-                        "expected (T, T) -> T int, got {tys:?} -> {}",
+                        "expected (T, T) -> T int, got {all:?} -> {}",
                         inst.ty
                     ));
                 }
             }
             FAdd | FSub | FMul | FDiv => {
                 if n != 2 || tys[0] != Type::F32 || tys[1] != Type::F32 || inst.ty != Type::F32 {
-                    return err(format!("expected (f32, f32) -> f32, got {tys:?}"));
+                    return err(format!("expected (f32, f32) -> f32, got {all:?}"));
                 }
             }
             FSqrt | FAbs | FNeg | FExp => {
                 if n != 1 || tys[0] != Type::F32 || inst.ty != Type::F32 {
-                    return err(format!("expected (f32) -> f32, got {tys:?}"));
+                    return err(format!("expected (f32) -> f32, got {all:?}"));
                 }
             }
             Icmp(_) => {
@@ -1108,17 +1211,17 @@ impl Function {
                     || !(tys[0].is_int() || tys[0].is_ptr())
                     || inst.ty != Type::I1
                 {
-                    return err(format!("expected (int, int) -> i1, got {tys:?}"));
+                    return err(format!("expected (int, int) -> i1, got {all:?}"));
                 }
             }
             Fcmp(_) => {
                 if n != 2 || tys[0] != Type::F32 || tys[1] != Type::F32 || inst.ty != Type::I1 {
-                    return err(format!("expected (f32, f32) -> i1, got {tys:?}"));
+                    return err(format!("expected (f32, f32) -> i1, got {all:?}"));
                 }
             }
             Select => {
                 if n != 3 || tys[0] != Type::I1 || tys[1] != tys[2] || inst.ty != tys[1] {
-                    return err(format!("expected (i1, T, T) -> T, got {tys:?}"));
+                    return err(format!("expected (i1, T, T) -> T, got {all:?}"));
                 }
             }
             Zext | Sext => {
@@ -1127,7 +1230,7 @@ impl Function {
                     || !inst.ty.is_int()
                     || tys[0].size_bytes() > inst.ty.size_bytes()
                 {
-                    return err(format!("bad extension {tys:?} -> {}", inst.ty));
+                    return err(format!("bad extension {all:?} -> {}", inst.ty));
                 }
             }
             Trunc => {
@@ -1136,32 +1239,32 @@ impl Function {
                     || !inst.ty.is_int()
                     || tys[0].size_bytes() < inst.ty.size_bytes()
                 {
-                    return err(format!("bad truncation {tys:?} -> {}", inst.ty));
+                    return err(format!("bad truncation {all:?} -> {}", inst.ty));
                 }
             }
             SiToFp => {
                 if n != 1 || !tys[0].is_int() || inst.ty != Type::F32 {
-                    return err(format!("bad sitofp {tys:?}"));
+                    return err(format!("bad sitofp {all:?}"));
                 }
             }
             FpToSi => {
                 if n != 1 || tys[0] != Type::F32 || !inst.ty.is_int() {
-                    return err(format!("bad fptosi {tys:?}"));
+                    return err(format!("bad fptosi {all:?}"));
                 }
             }
             Load => {
                 if n != 1 || !tys[0].is_ptr() || inst.ty == Type::Void {
-                    return err(format!("expected (ptr) -> T, got {tys:?} -> {}", inst.ty));
+                    return err(format!("expected (ptr) -> T, got {all:?} -> {}", inst.ty));
                 }
             }
             Store => {
                 if n != 2 || !tys[1].is_ptr() || inst.ty != Type::Void {
-                    return err(format!("expected (T, ptr) -> void, got {tys:?}"));
+                    return err(format!("expected (T, ptr) -> void, got {all:?}"));
                 }
             }
             Gep { .. } => {
                 if n != 2 || !tys[0].is_ptr() || !tys[1].is_int() || inst.ty != tys[0] {
-                    return err(format!("expected (ptr, int) -> ptr, got {tys:?}"));
+                    return err(format!("expected (ptr, int) -> ptr, got {all:?}"));
                 }
             }
             ThreadIdx(_) | BlockIdx(_) | BlockDim(_) | GridDim(_) => {
@@ -1184,14 +1287,15 @@ impl Function {
             }
             Ballot => {
                 if n != 1 || tys[0] != Type::I1 || inst.ty != Type::I64 {
-                    return err(format!("expected (i1) -> i64, got {tys:?}"));
+                    return err(format!("expected (i1) -> i64, got {all:?}"));
                 }
             }
             Phi => {
                 if inst.phi_blocks.len() != n {
                     return err("phi incoming blocks and values differ in length".into());
                 }
-                for &ty in &tys {
+                for &v in &inst.operands {
+                    let ty = self.value_ty(v);
                     if ty != inst.ty {
                         return err(format!("phi incoming type {ty} != {}", inst.ty));
                     }
@@ -1199,7 +1303,7 @@ impl Function {
             }
             Br => {
                 if n != 1 || tys[0] != Type::I1 || inst.succs.len() != 2 {
-                    return err(format!("expected br (i1) with 2 successors, got {tys:?}"));
+                    return err(format!("expected br (i1) with 2 successors, got {all:?}"));
                 }
             }
             Jump => {
@@ -1665,5 +1769,126 @@ mod tests {
         f.phi_retarget_pred(exit, then, tramp);
         f.verify_structure().unwrap();
         let _ = entry;
+    }
+
+    /// The message `verify_structure` gives for a function read from
+    /// `text` without verification.
+    fn structure_error(text: &str) -> String {
+        let f = crate::parser::parse_function(text).unwrap_or_else(|e| panic!("{e}\n{text}"));
+        f.verify_structure().unwrap_err().to_string()
+    }
+
+    /// Every error path of `verify_structure`, message for message.
+    #[test]
+    fn every_structure_error_keeps_its_message() {
+        let diamond_to = |x: &str| {
+            format!(
+                "fn @k(i32 %arg0) -> void {{\nentry:\n  %0 = icmp slt %arg0, 5\n  br %0, t, e\nt:\n  jump x\ne:\n  jump x\nx:\n{x}  ret\n}}"
+            )
+        };
+        let cases = [
+            (
+                "fn @k() -> void {\ne:\n  jump f\nf:\ng:\n  ret\n}".to_string(),
+                "bad terminator: block f is empty",
+            ),
+            (
+                "fn @k() -> void {\ne:\n  %0 = tid.x\n}".into(),
+                "bad terminator: block e does not end in a terminator",
+            ),
+            (
+                "fn @k() -> void {\ne:\n  jump f\n  ret\nf:\n  ret\n}".into(),
+                "bad terminator: terminator mid-block in e",
+            ),
+            (
+                diamond_to("  %4 = add 1, 2\n  %5 = phi i32 [1, t], [2, e]\n"),
+                "phi not at block top: %5 in block x",
+            ),
+            (
+                diamond_to("  %4 = phi i32 [1, t], [2, t]\n"),
+                "phi predecessor mismatch: %4 in x has duplicate incoming blocks",
+            ),
+            (
+                diamond_to("  %4 = phi i32 [1, t]\n"),
+                "phi predecessor mismatch: %4 in x: incoming [1] vs preds [1, 2]",
+            ),
+            (
+                diamond_to("  %4 = phi i32 [1, t], [2, e], [3, entry]\n"),
+                "phi predecessor mismatch: %4 in x: incoming [0, 1, 2] vs preds [1, 2]",
+            ),
+            (
+                diamond_to("  %4 = phi i32 [1, t], [2i64, e]\n"),
+                "bad operands: %4 (phi) in x: phi incoming type i64 != i32",
+            ),
+            (
+                "fn @k() -> void {\ne:\n  %0 = add 1, 2i64\n  ret\n}".into(),
+                "bad operands: %0 (add) in e: expected (T, T) -> T int, got [I32, I64] -> i32",
+            ),
+            (
+                "fn @k() -> void {\ne:\n  %0 = select 1, 2, 3\n  ret\n}".into(),
+                "bad operands: %0 (select) in e: expected (i1, T, T) -> T, got [I32, I32, I32]",
+            ),
+            (
+                "fn @k() -> i32 {\ne:\n  ret 1i64\n}".into(),
+                "bad operands: %0 (ret) in e: return does not match function type i32",
+            ),
+        ];
+        for (text, message) in cases {
+            assert_eq!(structure_error(&text), message, "{text}");
+        }
+
+        // An operand that names a removed instruction.
+        let mut f = Function::new("k", vec![], Type::Void);
+        let e = f.entry();
+        let dead = f.add_inst(
+            e,
+            InstData::new(Opcode::Add, Type::I32, vec![Value::I32(1), Value::I32(2)]),
+        );
+        f.add_inst(
+            e,
+            InstData::new(Opcode::Add, Type::I32, vec![Value::Inst(dead); 2]),
+        );
+        f.add_inst(e, InstData::terminator(Opcode::Ret, vec![], vec![]));
+        f.remove_inst(dead);
+        assert_eq!(
+            f.verify_structure().unwrap_err().to_string(),
+            "dangling reference: %1 in entry uses removed %0"
+        );
+
+        // More operands than any opcode takes: the list names every one.
+        let mut f = Function::new("k", vec![Type::I64], Type::Void);
+        let e = f.entry();
+        let ops = vec![
+            Value::I32(1),
+            Value::Param(0),
+            Value::const_f32(1.0),
+            Value::I1(true),
+            Value::Undef(Type::Ptr(crate::AddrSpace::Shared)),
+        ];
+        for opcode in [Opcode::Add, Opcode::Select, Opcode::Store] {
+            let mut g = f.clone();
+            g.add_inst(e, InstData::new(opcode, Type::I32, ops.clone()));
+            g.add_inst(e, InstData::terminator(Opcode::Ret, vec![], vec![]));
+            let list = "[I32, I64, F32, I1, Ptr(Shared)]";
+            let expected = match opcode {
+                Opcode::Add => format!("expected (T, T) -> T int, got {list} -> i32"),
+                Opcode::Select => format!("expected (i1, T, T) -> T, got {list}"),
+                _ => format!("expected (T, ptr) -> void, got {list}"),
+            };
+            assert_eq!(
+                g.verify_structure().unwrap_err().to_string(),
+                format!(
+                    "bad operands: %0 ({}) in entry: {expected}",
+                    opcode.mnemonic()
+                )
+            );
+        }
+        f.add_inst(
+            e,
+            InstData::terminator(Opcode::Ret, vec![Value::I32(1); 4], vec![]),
+        );
+        assert_eq!(
+            f.verify_structure().unwrap_err().to_string(),
+            "bad operands: %0 (ret) in entry: return does not match function type void"
+        );
     }
 }

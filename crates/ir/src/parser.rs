@@ -23,7 +23,14 @@
 //!
 //! # Grammar
 //!
-//! The unit is the line. Every line is trimmed; blank lines and lines
+//! The unit is the line, up to a `\n`. Every line is trimmed, and so is
+//! every operand, φ entry and branch target, of what `str::trim` trims:
+//! Unicode `White_Space`, so a `\r` before the `\n` goes, as do U+000B,
+//! U+0085 and U+00A0. (The reader trims ASCII white space and calls
+//! `str::trim` only where that stops at U+000B or a non-ASCII byte, so the
+//! printer's text never pays for the Unicode tables.) White space inside a
+//! word stays part of it: the mnemonic ends at the first ASCII space, a
+//! label at its `:`. Blank lines and lines
 //! starting with `//` are skipped wherever they stand. Over the remaining
 //! lines, one production per line (`{x}` repeats, `[x]` is optional, `SP`
 //! is a space; spaces around `,` and `=` are free):
@@ -84,6 +91,7 @@ use crate::module::Module;
 use crate::opcode::{Dim, FcmpPred, IcmpPred, Opcode};
 use crate::types::{AddrSpace, Type};
 use crate::value::Value;
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::error::Error;
 use std::fmt;
@@ -188,18 +196,17 @@ fn parse_shared(decl: &str, line: usize) -> Result<SharedArray, ParseError> {
         message: "bad shared declaration".into(),
     };
     let (name, rest) = decl.split_once(':').ok_or_else(bad)?;
-    let inner = rest
-        .trim()
+    let inner = trim(rest)
         .strip_prefix('[')
         .and_then(|r| r.strip_suffix(']'));
     let (len_src, ty_src) = inner.and_then(|i| i.split_once(" x ")).ok_or_else(bad)?;
-    let len = len_src.trim().parse().map_err(|_| ParseError {
+    let len = trim(len_src).parse().map_err(|_| ParseError {
         line,
         message: "bad shared length".into(),
     })?;
     Ok(SharedArray {
-        name: name.trim().to_string(),
-        elem: parse_type(ty_src.trim(), line)?,
+        name: trim(name).to_string(),
+        elem: parse_type(trim(ty_src), line)?,
         len,
     })
 }
@@ -223,25 +230,24 @@ fn parse_header(header: &str, line: usize) -> Result<(&str, Vec<Type>, Type), Pa
     let Some(close) = close.map(|at| open + at) else {
         return err(line, "expected `)`");
     };
-    let ret_src = header[close + 1..]
-        .trim()
+    let ret_src = trim(&header[close + 1..])
         .strip_prefix("->")
-        .and_then(|r| r.trim().strip_suffix('{'));
+        .and_then(|r| trim(r).strip_suffix('{'));
     let Some(ret_src) = ret_src else {
         return err(line, "expected `-> TYPE {`");
     };
-    let ret = parse_type(ret_src.trim(), line)?;
+    let ret = parse_type(trim(ret_src), line)?;
     let mut params = Vec::new();
     let params_src = &header[open + 1..close];
     for (k, p) in params_src
         .split(',')
-        .filter(|p| !p.trim().is_empty())
+        .filter(|p| !trim(p).is_empty())
         .enumerate()
     {
-        let Some((ty_src, _)) = p.trim().rsplit_once(' ') else {
+        let Some((ty_src, _)) = trim(p).rsplit_once(' ') else {
             return err(line, format!("bad parameter {k}"));
         };
-        params.push(parse_type(ty_src.trim(), line)?);
+        params.push(parse_type(trim(ty_src), line)?);
     }
     Ok((&header[..open], params, ret))
 }
@@ -249,8 +255,67 @@ fn parse_header(header: &str, line: usize) -> Result<(&str, Vec<Type>, Type), Pa
 /// `s` around its first `sep`, an ASCII byte: `str::split_once` without the
 /// searcher set-up, which costs more than the scan on fields this short.
 fn cut(s: &str, sep: u8) -> Option<(&str, &str)> {
-    let at = s.bytes().position(|b| b == sep)?;
+    let at = find(s.as_bytes(), sep)?;
     Some((&s[..at], &s[at + 1..]))
+}
+
+/// The first `sep` in `bytes`, eight bytes a step: a byte of `w ^ seps` is
+/// zero where `sep` is, and `x - 1` borrows out of exactly the zero bytes
+/// of `x` and those above one. So the lowest flagged byte — the first in
+/// the text, as the word is read little-endian — is a real match.
+fn find(bytes: &[u8], sep: u8) -> Option<usize> {
+    const ONES: u64 = u64::from_le_bytes([0x01; 8]);
+    const HIGHS: u64 = u64::from_le_bytes([0x80; 8]);
+    let seps = ONES * u64::from(sep);
+    let mut words = bytes.chunks_exact(8);
+    let mut at = 0;
+    for word in &mut words {
+        let x = u64::from_le_bytes(word.try_into().expect("an 8-byte chunk")) ^ seps;
+        let flags = x.wrapping_sub(ONES) & !x & HIGHS;
+        if flags != 0 {
+            return Some(at + (flags.trailing_zeros() / 8) as usize);
+        }
+        at += 8;
+    }
+    let tail = words.remainder();
+    tail.iter().position(|&b| b == sep).map(|k| at + k)
+}
+
+/// Whether `str::trim` may take more than the ASCII trim where that
+/// stopped at byte `b`: U+000B, which `u8::is_ascii_whitespace` leaves out,
+/// or a byte of a multi-byte character (U+0085, U+00A0, U+2003, …).
+fn maybe_unicode_space(b: u8) -> bool {
+    b == 0x0B || b >= 0x80
+}
+
+/// `str::trim`, at the cost of the ASCII trim wherever the edges that
+/// leaves are plain ASCII — on the printer's text, always.
+fn trim(s: &str) -> &str {
+    let t = s.trim_ascii();
+    match (t.bytes().next(), t.bytes().next_back()) {
+        (Some(first), Some(last)) if maybe_unicode_space(first) || maybe_unicode_space(last) => {
+            t.trim()
+        }
+        _ => t,
+    }
+}
+
+/// `str::trim_start`, as [`trim`].
+fn trim_start(s: &str) -> &str {
+    let t = s.trim_ascii_start();
+    match t.bytes().next() {
+        Some(b) if maybe_unicode_space(b) => t.trim_start(),
+        _ => t,
+    }
+}
+
+/// `str::trim_end`, as [`trim`].
+fn trim_end(s: &str) -> &str {
+    let t = s.trim_ascii_end();
+    match t.bytes().next_back() {
+        Some(b) if maybe_unicode_space(b) => t.trim_end(),
+        _ => t,
+    }
 }
 
 /// The input's lines, trimmed, without the blank and `//` ones, each with
@@ -265,10 +330,10 @@ impl<'a> Iterator for Lines<'a> {
 
     fn next(&mut self) -> Option<(usize, &'a str)> {
         while !self.rest.is_empty() {
-            let (raw, rest) = self.rest.split_once('\n').unwrap_or((self.rest, ""));
+            let (raw, rest) = cut(self.rest, b'\n').unwrap_or((self.rest, ""));
             self.rest = rest;
             self.line += 1;
-            let l = raw.trim();
+            let l = trim(raw);
             if !l.is_empty() && !l.starts_with("//") {
                 return Some((self.line, l));
             }
@@ -279,7 +344,7 @@ impl<'a> Iterator for Lines<'a> {
 
 /// `N` of a value name in the printer's form `%N`: decimal, no leading
 /// zero, at most nine digits. Such names index [`Reader::dense`]; all
-/// others are keys of [`Body::values`].
+/// others are keys of [`Reader::values`].
 fn dense_index(name: &str) -> Option<usize> {
     let digits = &name.as_bytes()[1..];
     let canonical = matches!(digits, [b'0'] | [b'1'..=b'9', ..])
@@ -302,15 +367,19 @@ enum Slot {
 
 /// A reference to a name not defined yet when its line was read, patched
 /// when the function closes.
+#[derive(Clone, Copy)]
 struct Fixup<'a> {
     inst: usize,
     slot: Slot,
     name: &'a str,
+    /// For a label, its index in [`Reader::label_blocks`].
+    label: u32,
     line: usize,
 }
 
 /// Placeholders a [`Fixup`] overwrites. The instruction one is also how an
 /// operand is recognised as not known yet: no read instruction has that id.
+/// The block one marks a label referenced but not yet defined.
 const FORWARD_INST: InstId = InstId::new(u32::MAX as usize);
 const FORWARD_BLOCK: BlockId = BlockId::new(u32::MAX as usize);
 
@@ -320,7 +389,9 @@ fn type_source(opcode: Opcode) -> usize {
     usize::from(opcode == Opcode::Select)
 }
 
-/// State that outlives one function: the line cursor and the `%N` table.
+/// State that outlives one function: the line cursor, the `%N` table, and
+/// the tables of the function being read, which the next one reuses
+/// cleared rather than allocating its own.
 struct Reader<'a> {
     lines: Lines<'a>,
     /// `dense[N]` is `(stamp, instruction)` of `%N`, valid for the function
@@ -332,22 +403,44 @@ struct Reader<'a> {
     /// of sizing a table by a number the input merely states.
     dense_limit: usize,
     stamp: u32,
-}
-
-/// One function being read.
-struct Body<'a> {
-    params: Vec<Type>,
-    shared: Vec<SharedArray>,
-    blocks: Vec<BlockData>,
-    insts: Vec<InstData>,
     /// Value names that are not `%N` (see [`dense_index`]).
     values: HashMap<&'a str, InstId>,
-    labels: HashMap<&'a str, BlockId>,
+    /// Every label the function has named so far, defined or only
+    /// referenced, to its index in `label_blocks`: each occurrence of a
+    /// label is hashed once, a forward reference included.
+    labels: HashMap<&'a str, u32>,
+    /// Per label, its block, or [`FORWARD_BLOCK`] until its line is read.
+    label_blocks: Vec<BlockId>,
     fixups: Vec<Fixup<'a>>,
     /// Instructions whose type waits on a forward reference, ascending.
     untyped: Vec<InstId>,
     /// `shared.base K` read before `K` arrays were declared: `(K, line)`.
     shared_uses: Vec<(u32, usize)>,
+    /// [`Reader::resolve_types`]' state per `untyped` entry, and its walk.
+    states: Vec<u8>,
+    chain: Vec<usize>,
+}
+
+/// What of the function being read its [`Function`] takes over.
+struct Body {
+    params: Vec<Type>,
+    shared: Vec<SharedArray>,
+    blocks: Vec<BlockData>,
+    insts: Vec<InstData>,
+    /// The first instruction of the last block opened. Instructions are
+    /// numbered in text order, so a block's are the run read between its
+    /// label and the next label or the `}`.
+    opened: usize,
+}
+
+impl Body {
+    /// Gives the last block opened its run of instructions, in one
+    /// allocation of the exact size.
+    fn close_block(&mut self) {
+        if let Some(last) = self.blocks.last_mut() {
+            last.insts = (self.opened..self.insts.len()).map(InstId::new).collect();
+        }
+    }
 }
 
 impl<'a> Reader<'a> {
@@ -363,6 +456,14 @@ impl<'a> Reader<'a> {
             dense: Vec::new(),
             dense_limit: text.len() / 4,
             stamp: 0,
+            values: HashMap::new(),
+            labels: HashMap::new(),
+            label_blocks: Vec::new(),
+            fixups: Vec::new(),
+            untyped: Vec::new(),
+            shared_uses: Vec::new(),
+            states: Vec::new(),
+            chain: Vec::new(),
         })
     }
 
@@ -370,46 +471,64 @@ impl<'a> Reader<'a> {
     fn function(&mut self, hline: usize, header: &'a str) -> Result<Function, ParseError> {
         let (name, params, ret) = parse_header(header, hline)?;
         self.stamp += 1;
+        self.values.clear();
+        self.labels.clear();
+        self.label_blocks.clear();
+        self.fixups.clear();
+        self.untyped.clear();
+        self.shared_uses.clear();
         let mut body = Body {
             params,
             shared: Vec::new(),
             blocks: Vec::new(),
             insts: Vec::new(),
-            values: HashMap::new(),
-            labels: HashMap::new(),
-            fixups: Vec::new(),
-            untyped: Vec::new(),
-            shared_uses: Vec::new(),
+            opened: 0,
         };
         loop {
             let Some((line, l)) = self.lines.next() else {
                 return err(hline, "unterminated function (missing `}`)");
             };
             if l == "}" {
-                return body.finish(self, name, ret, line);
+                return self.finish(body, name, ret, line);
             } else if let Some(decl) = l.strip_prefix("shared ") {
                 body.shared.push(parse_shared(decl, line)?);
             } else if let Some(label) = l.strip_suffix(':') {
-                let id = BlockId::new(body.blocks.len());
-                if body.labels.insert(label, id).is_some() {
-                    return err(line, format!("duplicate block label `{label}`"));
-                }
-                body.blocks.push(BlockData {
-                    name: label.to_string(),
-                    insts: Vec::new(),
-                });
+                self.label(&mut body, label, line)?;
             } else {
-                body.inst(self, l, line)?;
+                self.inst(&mut body, l, line)?;
             }
         }
     }
-}
 
-impl<'a> Body<'a> {
-    fn lookup(&self, rd: &Reader<'a>, name: &str) -> Option<InstId> {
+    /// Opens the block `label`; blocks are numbered in label order.
+    fn label(&mut self, body: &mut Body, label: &'a str, line: usize) -> Result<(), ParseError> {
+        let id = BlockId::new(body.blocks.len());
+        match self.labels.entry(label) {
+            Entry::Occupied(known) => {
+                let block = &mut self.label_blocks[*known.get() as usize];
+                if *block != FORWARD_BLOCK {
+                    return err(line, format!("duplicate block label `{label}`"));
+                }
+                *block = id;
+            }
+            Entry::Vacant(new) => {
+                new.insert(self.label_blocks.len() as u32);
+                self.label_blocks.push(id);
+            }
+        }
+        body.close_block();
+        body.opened = body.insts.len();
+        body.blocks.push(BlockData {
+            name: label.to_string(),
+            insts: Vec::new(),
+        });
+        Ok(())
+    }
+
+    fn lookup(&self, name: &str) -> Option<InstId> {
         match dense_index(name) {
-            Some(n) if n < rd.dense_limit => match rd.dense.get(n) {
-                Some(&(stamp, id)) if stamp == rd.stamp => Some(InstId::new(id as usize)),
+            Some(n) if n < self.dense_limit => match self.dense.get(n) {
+                Some(&(stamp, id)) if stamp == self.stamp => Some(InstId::new(id as usize)),
                 _ => None,
             },
             _ => self.values.get(name).copied(),
@@ -417,14 +536,14 @@ impl<'a> Body<'a> {
     }
 
     /// Binds `name` to `id`; false if the function already defines it.
-    fn define(&mut self, rd: &mut Reader<'a>, name: &'a str, id: InstId) -> bool {
+    fn define(&mut self, name: &'a str, id: InstId) -> bool {
         match dense_index(name) {
-            Some(n) if n < rd.dense_limit => {
-                if n >= rd.dense.len() {
-                    rd.dense.resize(n + 1, (0, 0));
+            Some(n) if n < self.dense_limit => {
+                if n >= self.dense.len() {
+                    self.dense.resize(n + 1, (0, 0));
                 }
-                let fresh = rd.dense[n].0 != rd.stamp;
-                rd.dense[n] = (rd.stamp, id.index() as u32);
+                let fresh = self.dense[n].0 != self.stamp;
+                self.dense[n] = (self.stamp, id.index() as u32);
                 fresh
             }
             _ => self.values.insert(name, id).is_none(),
@@ -432,17 +551,18 @@ impl<'a> Body<'a> {
     }
 
     /// Parses an operand of the instruction being read (it will be
-    /// `insts[insts.len()]`); `slot` is where a forward reference lands.
+    /// `body.insts[body.insts.len()]`); `slot` is where a forward
+    /// reference lands.
     fn value(
         &mut self,
-        rd: &Reader<'a>,
+        body: &Body,
         tok: &'a str,
         slot: Slot,
         line: usize,
     ) -> Result<Value, ParseError> {
         if let Some(index) = tok.strip_prefix("%arg") {
             return match index.parse::<u32>() {
-                Ok(i) if (i as usize) < self.params.len() => Ok(Value::Param(i)),
+                Ok(i) if (i as usize) < body.params.len() => Ok(Value::Param(i)),
                 Ok(_) => err(line, format!("undefined parameter `{tok}`")),
                 Err(_) => err(line, format!("bad parameter `{tok}`")),
             };
@@ -450,35 +570,46 @@ impl<'a> Body<'a> {
         if !tok.starts_with('%') {
             return parse_const(tok, line);
         }
-        Ok(match self.lookup(rd, tok) {
+        Ok(match self.lookup(tok) {
             Some(id) => Value::Inst(id),
             None => {
-                self.forward(slot, tok, line);
+                self.fixups.push(Fixup {
+                    inst: body.insts.len(),
+                    slot,
+                    name: tok,
+                    label: 0,
+                    line,
+                });
                 Value::Inst(FORWARD_INST)
             }
         })
     }
 
-    fn block(&mut self, label: &'a str, slot: Slot, line: usize) -> BlockId {
-        self.labels.get(label).copied().unwrap_or_else(|| {
-            self.forward(slot, label, line);
-            FORWARD_BLOCK
-        })
-    }
-
-    fn forward(&mut self, slot: Slot, name: &'a str, line: usize) {
-        self.fixups.push(Fixup {
-            inst: self.insts.len(),
-            slot,
-            name,
-            line,
-        });
+    /// The block of `label`, named by the instruction being read; `slot`
+    /// is where a forward reference lands.
+    fn block(&mut self, body: &Body, label: &'a str, slot: Slot, line: usize) -> BlockId {
+        let next = self.label_blocks.len() as u32;
+        let index = *self.labels.entry(label).or_insert(next);
+        if index == next {
+            self.label_blocks.push(FORWARD_BLOCK);
+        }
+        let block = self.label_blocks[index as usize];
+        if block == FORWARD_BLOCK {
+            self.fixups.push(Fixup {
+                inst: body.insts.len(),
+                slot,
+                name: label,
+                label: index,
+                line,
+            });
+        }
+        block
     }
 
     /// Parses exactly `count` comma-separated operands.
     fn operands(
         &mut self,
-        rd: &Reader<'a>,
+        body: &Body,
         list: &'a str,
         count: usize,
         mnemonic: &str,
@@ -490,7 +621,7 @@ impl<'a> Body<'a> {
         while !list.is_empty() {
             let (tok, more) = cut(list, b',').unwrap_or((list, ""));
             if got < count {
-                ops.push(self.value(rd, tok.trim(), Slot::Operand(got), line)?);
+                ops.push(self.value(body, trim(tok), Slot::Operand(got), line)?);
             }
             got += 1;
             list = more;
@@ -505,35 +636,32 @@ impl<'a> Body<'a> {
     }
 
     /// Reads one instruction line into the current block.
-    fn inst(&mut self, rd: &mut Reader<'a>, l: &'a str, line: usize) -> Result<(), ParseError> {
-        let Some(block) = self.blocks.len().checked_sub(1) else {
+    fn inst(&mut self, body: &mut Body, l: &'a str, line: usize) -> Result<(), ParseError> {
+        let Some(block) = body.blocks.len().checked_sub(1) else {
             return err(line, "instruction before any block label");
         };
         // `%NAME = OP ...` or `OP ...`
         let assign = l.starts_with('%').then(|| cut(l, b'=')).flatten();
-        let (result, body) = match assign {
-            Some((lhs, rhs)) if !lhs.trim_end().contains(' ') => {
-                (Some(lhs.trim_end()), rhs.trim_start())
-            }
+        let (result, rhs) = match assign.map(|(lhs, rhs)| (trim_end(lhs), rhs)) {
+            Some((lhs, rhs)) if !lhs.contains(' ') => (Some(lhs), trim_start(rhs)),
             _ => (None, l),
         };
-        let (mnemonic, rest) = cut(body, b' ').unwrap_or((body, ""));
-        let mut data = self.inst_data(rd, mnemonic, rest.trim_start(), line)?;
+        let (mnemonic, rest) = cut(rhs, b' ').unwrap_or((rhs, ""));
+        let mut data = self.inst_data(body, mnemonic, trim_start(rest), line)?;
         data.block = BlockId::new(block);
-        let id = InstId::new(self.insts.len());
+        let id = InstId::new(body.insts.len());
         if let Some(name) = result {
-            if !self.define(rd, name, id) {
+            if !self.define(name, id) {
                 return err(line, format!("duplicate value `{name}`"));
             }
         }
-        self.blocks[block].insts.push(id);
-        self.insts.push(data);
+        body.insts.push(data);
         Ok(())
     }
 
     fn inst_data(
         &mut self,
-        rd: &Reader<'a>,
+        body: &Body,
         mnemonic: &'a str,
         rest: &'a str,
         line: usize,
@@ -551,27 +679,27 @@ impl<'a> Body<'a> {
         // many operands; and where their list starts.
         let (opcode, ty, count, list) = match mnemonic {
             "jump" => {
-                let target = self.block(rest, Slot::Succ(0), line);
+                let target = self.block(body, rest, Slot::Succ(0), line);
                 return Ok(InstData::terminator(Jump, vec![], vec![target]));
             }
             "br" => {
-                let mut parts = rest.split(',').map(str::trim);
+                let mut parts = rest.split(',').map(trim);
                 let (Some(c), Some(t), Some(e), None) =
                     (parts.next(), parts.next(), parts.next(), parts.next())
                 else {
                     return err(line, "br expects `cond, then, else`");
                 };
-                let cond = self.value(rd, c, Slot::Operand(0), line)?;
+                let cond = self.value(body, c, Slot::Operand(0), line)?;
                 let succs = vec![
-                    self.block(t, Slot::Succ(0), line),
-                    self.block(e, Slot::Succ(1), line),
+                    self.block(body, t, Slot::Succ(0), line),
+                    self.block(body, e, Slot::Succ(1), line),
                 ];
                 return Ok(InstData::terminator(Br, vec![cond], succs));
             }
             "ret" => {
                 let ops = match rest {
                     "" => vec![],
-                    v => vec![self.value(rd, v, Slot::Operand(0), line)?],
+                    v => vec![self.value(body, v, Slot::Operand(0), line)?],
                 };
                 return Ok(InstData::terminator(Ret, ops, vec![]));
             }
@@ -582,22 +710,22 @@ impl<'a> Body<'a> {
                 data.operands.reserve_exact(entries);
                 data.phi_blocks.reserve_exact(entries);
                 loop {
-                    let entry = list.trim_start().strip_prefix('[');
+                    let entry = trim_start(list).strip_prefix('[');
                     let Some(((v, blk), after)) = entry
                         .and_then(|e| cut(e, b']'))
                         .and_then(|(e, after)| Some((cut(e, b',')?, after)))
                     else {
-                        return err(line, format!("bad phi entry `{}`", list.trim()));
+                        return err(line, format!("bad phi entry `{}`", trim(list)));
                     };
                     let k = data.operands.len();
-                    let v = self.value(rd, v.trim(), Slot::Operand(k), line)?;
+                    let v = self.value(body, trim(v), Slot::Operand(k), line)?;
                     data.operands.push(v);
-                    let pred = self.block(blk.trim(), Slot::PhiBlock(k), line);
+                    let pred = self.block(body, trim(blk), Slot::PhiBlock(k), line);
                     data.phi_blocks.push(pred);
-                    match after.trim_start().strip_prefix(',') {
-                        Some(more) if !more.trim().is_empty() => list = more,
-                        None if !after.trim().is_empty() => {
-                            return err(line, format!("bad phi entry `{}`", after.trim()));
+                    match trim_start(after).strip_prefix(',') {
+                        Some(more) if !trim(more).is_empty() => list = more,
+                        None if !trim(after).is_empty() => {
+                            return err(line, format!("bad phi entry `{}`", trim(after)));
                         }
                         _ => return Ok(data),
                     }
@@ -657,7 +785,7 @@ impl<'a> Body<'a> {
                 let Ok(index) = rest.parse::<u32>() else {
                     return err(line, "bad shared.base index");
                 };
-                if index as usize >= self.shared.len() {
+                if index as usize >= body.shared.len() {
                     self.shared_uses.push((index, line));
                 }
                 let ty = Some(Type::Ptr(AddrSpace::Shared));
@@ -674,7 +802,7 @@ impl<'a> Body<'a> {
                 (opcode, Some(Type::I32), 0, rest)
             }
         };
-        let operands = self.operands(rd, list, count, mnemonic, line)?;
+        let operands = self.operands(body, list, count, mnemonic, line)?;
         let ty = match ty {
             Some(ty) => ty,
             None => match operands[type_source(opcode)] {
@@ -684,13 +812,13 @@ impl<'a> Body<'a> {
                 Value::Inst(def)
                     if def == FORWARD_INST || self.untyped.binary_search(&def).is_ok() =>
                 {
-                    self.untyped.push(InstId::new(self.insts.len()));
+                    self.untyped.push(InstId::new(body.insts.len()));
                     match opcode {
                         Gep { .. } => Type::Ptr(AddrSpace::Global),
                         _ => Type::I32,
                     }
                 }
-                v => value_ty_in(&self.params, &self.insts, v),
+                v => value_ty_in(&body.params, &body.insts, v),
             },
         };
         Ok(InstData::new(opcode, ty, operands))
@@ -701,35 +829,41 @@ impl<'a> Body<'a> {
     /// them is walked once from wherever it is entered; one that closes
     /// on itself (not valid SSA: the verifier rejects it) keeps the
     /// placeholders.
-    fn resolve_types(&mut self) {
+    fn resolve_types(&mut self, body: &mut Body) {
         const WAITING: u8 = 0;
         const ON_CHAIN: u8 = 1;
         const DONE: u8 = 2;
-        let mut state = vec![WAITING; self.untyped.len()];
-        let mut chain = Vec::new();
-        for start in 0..self.untyped.len() {
-            if state[start] != WAITING {
+        let Reader {
+            untyped,
+            states,
+            chain,
+            ..
+        } = self;
+        states.clear();
+        states.resize(untyped.len(), WAITING);
+        for start in 0..untyped.len() {
+            if states[start] != WAITING {
                 continue;
             }
             let mut at = start;
             let ty = loop {
-                state[at] = ON_CHAIN;
+                states[at] = ON_CHAIN;
                 chain.push(at);
-                let inst = &self.insts[self.untyped[at].index()];
+                let inst = &body.insts[untyped[at].index()];
                 let source = inst.operands[type_source(inst.opcode)];
                 let next = source
                     .as_inst()
-                    .and_then(|def| self.untyped.binary_search(&def).ok());
+                    .and_then(|def| untyped.binary_search(&def).ok());
                 match next {
-                    Some(next) if state[next] == WAITING => at = next,
-                    Some(next) if state[next] == ON_CHAIN => break None,
-                    _ => break Some(value_ty_in(&self.params, &self.insts, source)),
+                    Some(next) if states[next] == WAITING => at = next,
+                    Some(next) if states[next] == ON_CHAIN => break None,
+                    _ => break Some(value_ty_in(&body.params, &body.insts, source)),
                 }
             };
             for at in chain.drain(..) {
-                state[at] = DONE;
+                states[at] = DONE;
                 if let Some(ty) = ty {
-                    self.insts[self.untyped[at].index()].ty = ty;
+                    body.insts[untyped[at].index()].ty = ty;
                 }
             }
         }
@@ -738,54 +872,54 @@ impl<'a> Body<'a> {
     /// Closes the function at its `}` on `line`: patches the forward
     /// references, types what waited on them, and assembles the arenas.
     fn finish(
-        mut self,
-        rd: &Reader<'a>,
+        &mut self,
+        mut body: Body,
         name: &str,
         ret: Type,
         line: usize,
     ) -> Result<Function, ParseError> {
-        for fixup in std::mem::take(&mut self.fixups) {
+        for k in 0..self.fixups.len() {
             let Fixup {
                 inst,
                 slot,
                 name: target,
+                label,
                 line,
-            } = fixup;
-            let block = || {
-                self.labels.get(target).copied().ok_or_else(|| ParseError {
-                    line,
-                    message: format!("unknown block `{target}`"),
-                })
+            } = self.fixups[k];
+            let block = || match self.label_blocks[label as usize] {
+                FORWARD_BLOCK => err(line, format!("unknown block `{target}`")),
+                block => Ok(block),
             };
             match slot {
                 Slot::Operand(k) => {
-                    let Some(def) = self.lookup(rd, target) else {
+                    let Some(def) = self.lookup(target) else {
                         return err(line, format!("undefined value `{target}`"));
                     };
-                    self.insts[inst].operands[k] = Value::Inst(def);
+                    body.insts[inst].operands[k] = Value::Inst(def);
                 }
-                Slot::Succ(k) => self.insts[inst].succs[k] = block()?,
-                Slot::PhiBlock(k) => self.insts[inst].phi_blocks[k] = block()?,
+                Slot::Succ(k) => body.insts[inst].succs[k] = block()?,
+                Slot::PhiBlock(k) => body.insts[inst].phi_blocks[k] = block()?,
             }
         }
-        self.resolve_types();
+        body.close_block();
+        self.resolve_types(&mut body);
         if let Some(&(index, line)) = self
             .shared_uses
             .iter()
-            .find(|&&(index, _)| index as usize >= self.shared.len())
+            .find(|&&(index, _)| index as usize >= body.shared.len())
         {
             return err(line, format!("shared array {index} not declared"));
         }
-        if self.blocks.is_empty() {
+        if body.blocks.is_empty() {
             return err(line, format!("function `@{name}` has no blocks"));
         }
         Ok(Function::from_parts(
             name,
-            self.params,
+            body.params,
             ret,
-            self.shared,
-            self.blocks,
-            self.insts,
+            body.shared,
+            body.blocks,
+            body.insts,
         ))
     }
 }
@@ -1236,5 +1370,110 @@ entry:
         let repeated = format!("{text}\n{}", trivial_module(&["f25000"]));
         let e = parse_module(&repeated).unwrap_err();
         assert_eq!(e.message, "duplicate function `@f25000`");
+    }
+
+    /// The word scan under [`cut`] finds what a byte scan finds, for every
+    /// separator the reader cuts at: every byte value at every position of
+    /// every length up to three words, alone or right above a separator
+    /// (where a borrow could flag a byte that is not one).
+    #[test]
+    fn word_scan_equals_byte_scan() {
+        for sep in [b'\n', b'=', b' ', b',', b']'] {
+            for background in [b'a', 0xc3, sep + 1] {
+                for len in 0..=24 {
+                    for at in 0..len {
+                        for v in 0..=255u8 {
+                            let mut bytes = vec![background; len];
+                            bytes[at] = v;
+                            let expect = |b: &[u8]| b.iter().position(|&b| b == sep);
+                            assert_eq!(find(&bytes, sep), expect(&bytes));
+                            if at > 0 {
+                                bytes[at - 1] = sep;
+                                assert_eq!(find(&bytes, sep), Some(at - 1));
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// A kernel with `~` wherever the grammar lets a line or a token be
+    /// padded: both ends of every line, around `=`, and around every
+    /// operand, φ entry and branch target.
+    const PADDED: &str = "~fn @k(ptr(global) %arg0, i32 %arg1) -> i32 {~
+~entry:~
+~~
+~// a comment~
+~  %0~=~tid.x~
+~  %1 = icmp slt ~%0~,~%arg1~
+~  br ~%1~,~t~,~x~
+~t:~
+~  %2 = mul ~%0~,~2~
+~  %3 = gep i32 ~%arg0~,~%0~
+~  %4 = select ~%1~,~%2~,~%0~
+~  store ~%4~,~%3~
+~  jump ~x~
+~x:~
+~  %5 = phi i32 [~%0~,~entry~],~[~%4~,~t~]~
+~  ret ~%5~
+~}~
+";
+
+    /// Every Unicode `White_Space` pad the line and token trims accept
+    /// reads as an ASCII space does; `\r\n` line ends as `\n` ones.
+    #[test]
+    fn unicode_and_crlf_padding_reads_as_ascii_padding() {
+        let ascii = parse_and_verify(&PADDED.replace('~', " ")).unwrap();
+        let printed = ascii.to_string();
+        assert!(
+            printed.contains("%8 = phi i32 [%0, entry], [%5, t]"),
+            "{printed}"
+        );
+        for pad in [
+            "\t",
+            "\u{a0}",
+            "\u{2003}",
+            "\u{85}",
+            "\u{b}",
+            "\u{b}\u{a0} \u{85}",
+        ] {
+            let text = PADDED.replace('~', pad);
+            let f = parse_and_verify(&text).unwrap_or_else(|e| panic!("{pad:?}: {e}"));
+            assert_eq!(f.to_string(), printed, "{pad:?}");
+            let crlf = text.replace('\n', "\r\n");
+            let f = parse_and_verify(&crlf).unwrap_or_else(|e| panic!("{pad:?} CRLF: {e}"));
+            assert_eq!(f.to_string(), printed, "{pad:?} CRLF");
+        }
+        let crlf = printed.replace('\n', "\r\n");
+        assert_eq!(parse_and_verify(&crlf).unwrap().to_string(), printed);
+    }
+
+    /// Where a pad is not trimmed it is part of a word: the mnemonic is cut
+    /// at the first ASCII space, and a label is the line before its `:`.
+    #[test]
+    fn padding_inside_a_word_is_part_of_it() {
+        for pad in ["\u{a0}", "\u{2003}", "\u{85}", "\u{b}", "\r"] {
+            let text = format!("fn @x() -> void {{\ne:\n  %0 = add{pad}1, 2\n  ret\n}}");
+            let e = parse_function(&text).unwrap_err();
+            assert_eq!(
+                (e.line, e.message),
+                (3, format!("unknown instruction `add{pad}1,`")),
+                "{pad:?}"
+            );
+            let text = format!("fn @x() -> void {{\ne{pad}:\n  jump e\n}}");
+            let e = parse_function(&text).unwrap_err();
+            assert_eq!((e.line, e.message.as_str()), (3, "unknown block `e`"));
+            let text = format!("fn @x() -> void {{\ne:\n  ret 1{pad}i64\n}}");
+            let e = parse_function(&text).unwrap_err();
+            assert_eq!(
+                (e.line, e.message),
+                (3, format!("cannot parse value `1{pad}i64`")),
+                "{pad:?}"
+            );
+        }
+        // A form feed is ASCII white space to both trims.
+        let f = parse_function("\u{c}fn @x() -> void {\u{c}\ne:\n\u{c}ret\u{c}\n}").unwrap();
+        assert_eq!(f.to_string(), "fn @x() -> void {\ne:\n  ret\n}\n");
     }
 }

@@ -4,7 +4,8 @@
 //! returns owns (an operand vector per instruction, successor and φ lists,
 //! a name and an instruction list per block) plus amortised table growth —
 //! not a `String` per token, which is what it used to cost. The writer,
-//! streaming into a hasher, may allocate nothing.
+//! streaming into a hasher, may allocate nothing, and the structural
+//! verifier a fixed number of times, whatever the function's size.
 
 use darm_ir::hash::fnv1a_64;
 use darm_ir::parser::parse_function;
@@ -79,17 +80,30 @@ fn generate(rungs: usize) -> Function {
 }
 
 #[test]
-fn parsing_allocates_at_most_four_times_per_instruction() {
+fn parsing_allocates_at_most_twice_per_instruction() {
     let text = generate(154).to_string();
     let (parsed, calls, _) = counted(|| parse_function(&text).expect("the ladder parses"));
     let insts = parsed.live_inst_count();
     assert!(insts >= 2000, "{insts} instructions");
     assert!(
-        calls <= 4 * insts,
+        calls <= 2 * insts,
         "{calls} allocations for {insts} instructions ({:.2} each)",
         calls as f64 / insts as f64
     );
     assert_eq!(parsed.to_string(), text);
+}
+
+/// No table per block, φ or operand list: the predecessor table and the
+/// marks the φ checks use are sized once per call.
+#[test]
+fn verifying_allocates_the_same_for_a_1_and_a_154_rung_ladder() {
+    let verify = |rungs| {
+        let f = generate(rungs);
+        let (ok, calls, _) = counted(|| f.verify_structure());
+        ok.expect("the ladder verifies");
+        calls
+    };
+    assert_eq!(verify(1), verify(154));
 }
 
 #[test]
