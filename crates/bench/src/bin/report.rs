@@ -1,5 +1,5 @@
-//! Prints every table and figure of the paper in one run — the source of
-//! EXPERIMENTS.md.
+//! Prints every table and figure of the paper in one run, each speedup in
+//! the timing model's simulated cycles.
 fn main() {
     println!("# DARM reproduction — measured results\n");
     println!("Produced by `cargo run --release -p darm-bench --bin report`.\n");
@@ -19,7 +19,7 @@ fn main() {
     println!("{}", darm_bench::render_memory_counters(&counters));
     println!(
         "{}",
-        darm_bench::render_threshold_sweep(&[0.1, 0.2, 0.3, 0.4, 0.5])
+        darm_bench::render_threshold_sweep(&darm_bench::FIG12_THRESHOLDS)
     );
     print!("{}", darm_bench::render_compile_times());
 }

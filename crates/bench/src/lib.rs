@@ -4,8 +4,9 @@
 //!
 //! The experiment harness: regenerates every table and figure of the DARM
 //! paper's evaluation (§VI) on the SIMT simulator. Each `render_*`
-//! function renders one artifact; the `report` binary prints them all (and
-//! is the source of EXPERIMENTS.md).
+//! function renders one artifact; the `report` binary prints them all.
+//! Every speedup is a ratio of the timing model's simulated cycles
+//! (`KernelStats::sim_cycles`).
 //!
 //! Correctness is enforced throughout: every transformed kernel variant is
 //! checked against the CPU reference before its numbers are reported.
@@ -33,40 +34,22 @@ pub struct VariantStats {
 }
 
 impl VariantStats {
-    /// DARM speedup over the baseline (ratio of heuristic warp cycles).
+    /// DARM speedup over the baseline: the ratio of simulated cycles from
+    /// the cycle-level timing model (issue slots + scoreboard stalls +
+    /// memory occupancy), which every harness run enables.
     pub fn darm_speedup(&self) -> f64 {
-        self.baseline.cycles as f64 / self.darm.cycles as f64
+        self.baseline.sim_cycles as f64 / self.darm.sim_cycles as f64
     }
 
-    /// Branch-fusion speedup over the baseline.
+    /// Branch-fusion speedup over the baseline, in simulated cycles.
     pub fn bf_speedup(&self) -> f64 {
-        self.baseline.cycles as f64 / self.bf.cycles as f64
-    }
-
-    /// DARM speedup in *simulated* cycles from the cycle-level timing
-    /// model (issue slots + scoreboard stalls + memory occupancy).
-    /// `1.0` when the rows were collected without timing enabled.
-    pub fn darm_cycle_speedup(&self) -> f64 {
-        if self.darm.sim_cycles == 0 {
-            1.0
-        } else {
-            self.baseline.sim_cycles as f64 / self.darm.sim_cycles as f64
-        }
-    }
-
-    /// Branch-fusion speedup in simulated cycles.
-    pub fn bf_cycle_speedup(&self) -> f64 {
-        if self.bf.sim_cycles == 0 {
-            1.0
-        } else {
-            self.baseline.sim_cycles as f64 / self.bf.sim_cycles as f64
-        }
+        self.baseline.sim_cycles as f64 / self.bf.sim_cycles as f64
     }
 }
 
 /// The [`GpuConfig`] the harness runs figure cases under: defaults plus
-/// the cycle-level timing observer, so every table can report simulated
-/// cycles next to the architectural counters.
+/// the cycle-level timing observer, whose simulated cycles are the only
+/// cycle count any table reports.
 pub fn timed_gpu_config() -> GpuConfig {
     GpuConfig {
         timing: TimingConfig::on(),
@@ -282,34 +265,27 @@ pub fn counter_cases() -> Vec<BenchCase> {
     ]
 }
 
-/// Renders a speedup table (Fig. 8 / Fig. 9 style) as markdown-ish text.
-/// The first two columns are the paper's heuristic warp-cycle ratio; the
-/// "sim-cycle" columns are the cycle-level timing model's verdict on the
-/// same runs (IPDOM stack + issue slots + scoreboard + memory occupancy).
+/// Renders a speedup table (Fig. 8 / Fig. 9 style) as markdown-ish text:
+/// baseline over variant in simulated cycles (IPDOM stack + issue slots +
+/// scoreboard + memory occupancy).
 pub fn render_speedups(title: &str, rows: &[VariantStats]) -> String {
     let mut out = String::new();
     out.push_str(&format!("## {title}\n\n"));
-    out.push_str(
-        "| benchmark | DARM speedup | BF speedup | DARM sim-cycle | BF sim-cycle | melded subgraphs |\n",
-    );
-    out.push_str("|---|---|---|---|---|---|\n");
+    out.push_str("| benchmark | DARM speedup | BF speedup | melded subgraphs |\n");
+    out.push_str("|---|---|---|---|\n");
     for r in rows {
         out.push_str(&format!(
-            "| {} | {:.3} | {:.3} | {:.3} | {:.3} | {} |\n",
+            "| {} | {:.3} | {:.3} | {} |\n",
             r.name,
             r.darm_speedup(),
             r.bf_speedup(),
-            r.darm_cycle_speedup(),
-            r.bf_cycle_speedup(),
             r.meld.melded_subgraphs
         ));
     }
     out.push_str(&format!(
-        "| **GM** | **{:.3}** | **{:.3}** | **{:.3}** | **{:.3}** | |\n",
+        "| **GM** | **{:.3}** | **{:.3}** | |\n",
         geomean(rows.iter().map(VariantStats::darm_speedup)),
         geomean(rows.iter().map(VariantStats::bf_speedup)),
-        geomean(rows.iter().map(VariantStats::darm_cycle_speedup)),
-        geomean(rows.iter().map(VariantStats::bf_cycle_speedup)),
     ));
     out
 }
@@ -358,7 +334,19 @@ pub fn render_memory_counters(rows: &[VariantStats]) -> String {
     out
 }
 
-/// Fig. 12: DARM speedup across melding-profitability thresholds.
+/// `func`'s simulated cycles on `case`'s inputs under
+/// [`timed_gpu_config`], checked against the CPU reference.
+fn sim_cycles(case: &BenchCase, func: &darm_ir::Function) -> u64 {
+    case.run_checked_bytecode(&BytecodeKernel::new(func), timed_gpu_config())
+        .stats
+        .sim_cycles
+}
+
+/// The melding-profitability thresholds Fig. 12 sweeps.
+pub const FIG12_THRESHOLDS: [f64; 5] = [0.1, 0.2, 0.3, 0.4, 0.5];
+
+/// Fig. 12: DARM speedup in simulated cycles across
+/// melding-profitability thresholds.
 ///
 /// Each sweep point is a plain pipeline spec — `meld(threshold=T)` — run
 /// over all counter kernels in one module batch, so the ablation needs no
@@ -366,9 +354,9 @@ pub fn render_memory_counters(rows: &[VariantStats]) -> String {
 pub fn render_threshold_sweep(thresholds: &[f64]) -> String {
     let cases = counter_cases();
     let registry = darm_melding::registry(&MeldConfig::default());
-    let baselines: Vec<KernelStats> = cases
+    let baselines: Vec<u64> = cases
         .iter()
-        .map(|case| case.run_checked(&case.func).stats)
+        .map(|case| sim_cycles(case, &case.func))
         .collect();
     // speedups[case][threshold]
     let mut speedups = vec![Vec::with_capacity(thresholds.len()); cases.len()];
@@ -383,8 +371,8 @@ pub fn render_threshold_sweep(thresholds: &[f64]) -> String {
         )
         .unwrap_or_else(|e| panic!("sweep spec `{spec}`: {e}"));
         for (i, case) in cases.iter().enumerate() {
-            let stats = case.run_checked(&module.functions()[i]).stats;
-            speedups[i].push(baselines[i].cycles as f64 / stats.cycles as f64);
+            let cycles = sim_cycles(case, &module.functions()[i]);
+            speedups[i].push(baselines[i] as f64 / cycles as f64);
         }
     }
     let mut out = String::new();
@@ -414,9 +402,7 @@ pub fn render_capability_matrix() -> String {
     // A technique "handles" a pattern when it actually reduces simulated
     // cycles (merging empty join blocks does not count).
     let improves = |case: &BenchCase, f: darm_ir::Function| {
-        let base = case.run_checked(&case.func).stats.cycles as f64;
-        let got = case.run_checked(&f).stats.cycles as f64;
-        base / got > 1.02
+        sim_cycles(case, &case.func) as f64 / sim_cycles(case, &f) as f64 > 1.02
     };
     let melds = |case: &BenchCase, cfg: &MeldConfig| {
         let mut f = case.func.clone();

@@ -160,12 +160,11 @@ fn regenerate_golden_table() {
     std::fs::write(path, out.join("\n") + "\n").expect("golden table is writable");
 }
 
-/// DARM melding must pay off in simulated cycles on the real-world grid,
-/// not just in the heuristic warp-cycle counter.
+/// DARM melding must pay off in simulated cycles on the real-world grid.
 #[test]
 fn fig9_darm_wins_in_simulated_cycles() {
     let rows = darm_bench::run_cases(&fig9_cases(), 0);
-    let gm = geomean(rows.iter().map(VariantStats::darm_cycle_speedup));
+    let gm = geomean(rows.iter().map(VariantStats::darm_speedup));
     assert!(
         gm > 1.0,
         "DARM geomean simulated-cycle speedup must beat baseline: {gm:.4}"
@@ -191,11 +190,11 @@ fn darm_default_speeds_up_the_57_rows_in_simulated_cycles() {
     cases.extend(fig9_cases());
     let rows = darm_bench::run_cases(&cases, 0);
     assert_eq!(rows.len(), 57);
-    let gm = geomean(rows.iter().map(VariantStats::darm_cycle_speedup));
+    let gm = geomean(rows.iter().map(VariantStats::darm_speedup));
     assert_eq!(format!("{gm:.4}"), "1.2537");
     let slower: Vec<&str> = rows
         .iter()
-        .filter(|r| r.darm_cycle_speedup() < 1.0)
+        .filter(|r| r.darm_speedup() < 1.0)
         .map(|r| r.name.as_str())
         .collect();
     assert_eq!(slower, SLOWER_ROWS);
@@ -208,9 +207,10 @@ const SLOWER_ROWS: [&str; 7] = [
     "PCM32", "LUD64", "LUD128", "NQU64", "NQU96", "NQU128", "NQU256",
 ];
 
-/// The committed `BENCH_meld.json` is exactly the five fig8/fig9 geomeans
-/// — ratios of the simulated counts the table above pins row by row, so
-/// any drift is a changed melding decision or timing model, never noise.
+/// The committed `BENCH_meld.json` is exactly the four fig8/fig9 geomeans
+/// of simulated cycles — ratios of the counts the table above pins row by
+/// row, so any drift is a changed melding decision or timing model, never
+/// noise.
 #[test]
 fn bench_meld_json_is_the_figure_geomeans() {
     let text = include_str!("../../../BENCH_meld.json");
@@ -229,14 +229,16 @@ fn bench_meld_json_is_the_figure_geomeans() {
     let gm = |rows: &[VariantStats], f: fn(&VariantStats) -> f64| geomean(rows.iter().map(f));
     // Sorted by key, as the codec's `BTreeMap` yields them.
     let measured = [
-        ("fig8/bf_geomean", gm(&fig8, VariantStats::bf_speedup)),
-        ("fig8/darm_geomean", gm(&fig8, VariantStats::darm_speedup)),
-        ("fig9/bf_geomean", gm(&fig9, VariantStats::bf_speedup)),
+        ("fig8/bf_sim_geomean", gm(&fig8, VariantStats::bf_speedup)),
+        (
+            "fig8/darm_sim_geomean",
+            gm(&fig8, VariantStats::darm_speedup),
+        ),
+        ("fig9/bf_sim_geomean", gm(&fig9, VariantStats::bf_speedup)),
         (
             "fig9/cycles_darm_vs_baseline",
-            gm(&fig9, VariantStats::darm_cycle_speedup),
+            gm(&fig9, VariantStats::darm_speedup),
         ),
-        ("fig9/darm_geomean", gm(&fig9, VariantStats::darm_speedup)),
     ]
     .map(|(k, v)| (k.to_string(), format!("{v:.4}")));
     assert_eq!(committed, measured);

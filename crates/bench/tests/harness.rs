@@ -3,8 +3,8 @@
 //! well-formed tables.
 
 use darm_bench::{
-    counter_cases, fig8_cases, geomean, render_capability_matrix, run_case, run_case_with,
-    run_cases,
+    counter_cases, fig8_cases, geomean, render_capability_matrix, render_threshold_sweep, run_case,
+    run_case_with, run_cases, FIG12_THRESHOLDS,
 };
 use darm_melding::MeldConfig;
 
@@ -32,8 +32,8 @@ fn bf_mode_configs_still_report_meld_stats() {
     );
 }
 
-/// The batch path agrees with the per-case path: same checked counters,
-/// same melding statistics, row order = input order.
+/// The batch path agrees with the per-case path: same checked counters
+/// and simulated cycles, same melding statistics, row order = input order.
 #[test]
 fn batched_suite_matches_per_case_runs() {
     let cases = fig8_cases();
@@ -42,9 +42,9 @@ fn batched_suite_matches_per_case_runs() {
     for (case, row) in subset.iter().zip(&batched) {
         let single = run_case(case);
         assert_eq!(row.name, single.name);
-        assert_eq!(row.baseline.cycles, single.baseline.cycles, "{}", row.name);
-        assert_eq!(row.darm.cycles, single.darm.cycles, "{}", row.name);
-        assert_eq!(row.bf.cycles, single.bf.cycles, "{}", row.name);
+        assert_eq!(row.baseline, single.baseline, "{}", row.name);
+        assert_eq!(row.darm, single.darm, "{}", row.name);
+        assert_eq!(row.bf, single.bf, "{}", row.name);
         assert_eq!(
             format!("{:?}", row.meld),
             format!("{:?}", single.meld),
@@ -58,8 +58,8 @@ fn batched_suite_matches_per_case_runs() {
 fn counter_cases_all_run_and_check() {
     for case in counter_cases() {
         let r = run_case(&case);
-        assert!(r.baseline.cycles > 0, "{}", r.name);
-        assert!(r.darm.cycles > 0);
+        assert!(r.baseline.sim_cycles > 0, "{}", r.name);
+        assert!(r.darm.sim_cycles > 0, "{}", r.name);
         assert!(r.darm_speedup() > 0.5, "{}: {}", r.name, r.darm_speedup());
     }
 }
@@ -92,4 +92,28 @@ fn capability_matrix_matches_the_paper() {
         m.contains("| complex control flow | no | no | yes |"),
         "{m}"
     );
+}
+
+/// Fig. 12 as the `report` binary prints it: each counter kernel's
+/// simulated-cycle speedup at every swept threshold. Deterministic, so any
+/// change is a changed melding decision or timing model.
+const THRESHOLD_SWEEP: &str = include_str!("golden/threshold_sweep.txt");
+
+#[test]
+fn threshold_sweep_matches_golden() {
+    assert_eq!(render_threshold_sweep(&FIG12_THRESHOLDS), THRESHOLD_SWEEP);
+}
+
+/// Rewrites the committed Fig. 12 table, for an *intended* melding or
+/// timing-model change only: `cargo test -p darm-bench --test harness --
+/// --ignored regenerate`.
+#[test]
+#[ignore = "rewrites tests/golden/threshold_sweep.txt"]
+fn regenerate_threshold_sweep() {
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/golden/threshold_sweep.txt"
+    );
+    std::fs::write(path, render_threshold_sweep(&FIG12_THRESHOLDS))
+        .expect("golden table is writable");
 }

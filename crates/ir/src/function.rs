@@ -343,20 +343,13 @@ impl fmt::Debug for OperandTypes<'_> {
     }
 }
 
+/// A basic block in the arena: its label, its instructions in order (the
+/// terminator last), and whether it is live or a tombstone.
 #[derive(Debug, Clone)]
-struct BlockData2 {
-    name: String,
-    insts: Vec<InstId>,
-    alive: bool,
-}
-
-/// Public view of a basic block: its name and instruction list.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BlockData {
-    /// Human-readable block label.
-    pub name: String,
-    /// Instructions in order; the terminator is last.
-    pub insts: Vec<InstId>,
+pub(crate) struct BlockData {
+    pub(crate) name: String,
+    pub(crate) insts: Vec<InstId>,
+    pub(crate) alive: bool,
 }
 
 /// An SSA function (a GPU kernel, in this crate's intended use).
@@ -375,7 +368,7 @@ pub struct Function {
     name: String,
     params: Vec<Type>,
     ret: Type,
-    blocks: Vec<BlockData2>,
+    blocks: Vec<BlockData>,
     insts: Vec<InstData>,
     dead_insts: Vec<bool>,
     entry: BlockId,
@@ -489,9 +482,9 @@ impl Function {
     /// re-uniquified and the journal starts fresh, as on a clone.
     /// `blocks[0]` is the entry.
     ///
-    /// The caller guarantees at least one block, unique block names, and
-    /// that every instruction sits in the list of the block its `block`
-    /// field names.
+    /// The caller guarantees at least one block, every block live, unique
+    /// block names, and that every instruction sits in the list of the
+    /// block its `block` field names.
     pub(crate) fn from_parts(
         name: &str,
         params: Vec<Type>,
@@ -506,14 +499,7 @@ impl Function {
             params,
             ret,
             live_blocks: blocks.len(),
-            blocks: blocks
-                .into_iter()
-                .map(|BlockData { name, insts }| BlockData2 {
-                    name,
-                    insts,
-                    alive: true,
-                })
-                .collect(),
+            blocks,
             dead_insts: vec![false; insts.len()],
             insts,
             entry: BlockId::new(0),
@@ -656,7 +642,7 @@ impl Function {
             names.live.insert(unique.clone());
         }
         let id = BlockId::new(self.blocks.len());
-        self.blocks.push(BlockData2 {
+        self.blocks.push(BlockData {
             name: unique,
             insts: Vec::new(),
             alive: true,

@@ -67,9 +67,7 @@ pub mod value;
 
 pub use budget::Budget;
 pub use dirty::{JournalCursor, WindowProbe};
-pub use function::{
-    BlockData, BlockId, Function, FunctionSnapshot, InstData, InstId, IrError, SharedArray,
-};
+pub use function::{BlockId, Function, FunctionSnapshot, InstData, InstId, IrError, SharedArray};
 pub use module::{DuplicateFunction, Module};
 pub use opcode::{Dim, FcmpPred, IcmpPred, Opcode};
 pub use types::{AddrSpace, Type};

@@ -521,6 +521,7 @@ impl<'a> Reader<'a> {
         body.blocks.push(BlockData {
             name: label.to_string(),
             insts: Vec::new(),
+            alive: true,
         });
         Ok(())
     }

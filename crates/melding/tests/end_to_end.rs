@@ -1,16 +1,26 @@
 //! End-to-end melding tests: every melded kernel must (a) pass the SSA
 //! verifier, (b) produce bit-identical outputs on the SIMT simulator, and
-//! (c) actually reduce divergence cost where the paper says it should.
+//! (c) actually reduce divergence cost where the paper says it should, in
+//! the timing model's simulated cycles.
 
 use darm_analysis::verify_ssa;
 use darm_ir::builder::FunctionBuilder;
 use darm_ir::{AddrSpace, Dim, Function, IcmpPred, Type, Value};
 use darm_melding::{meld_function, tail_merge, MeldConfig, MeldStats};
-use darm_simt::{Gpu, GpuConfig, KernelArg, KernelStats, LaunchConfig};
+use darm_simt::{Gpu, GpuConfig, KernelArg, KernelStats, LaunchConfig, TimingConfig};
+
+/// Default hardware with the timing observer on, so every run reports
+/// `sim_cycles`.
+fn timed() -> GpuConfig {
+    GpuConfig {
+        timing: TimingConfig::on(),
+        ..GpuConfig::default()
+    }
+}
 
 /// Runs `func` on fresh buffers and returns (outputs, stats).
 fn run(func: &Function, n: usize, extra: &[KernelArg]) -> (Vec<i32>, KernelStats) {
-    let mut gpu = Gpu::new(GpuConfig::default());
+    let mut gpu = Gpu::new(timed());
     let buf = gpu.alloc_i32(&vec![0; n]);
     let mut args = vec![KernelArg::Buffer(buf)];
     args.extend_from_slice(extra);
@@ -22,7 +32,7 @@ fn run(func: &Function, n: usize, extra: &[KernelArg]) -> (Vec<i32>, KernelStats
 
 /// Runs `func` with a data input buffer as second argument.
 fn run_io(func: &Function, input: &[i32], n_out: usize) -> (Vec<i32>, KernelStats) {
-    let mut gpu = Gpu::new(GpuConfig::default());
+    let mut gpu = Gpu::new(timed());
     let out = gpu.alloc_i32(&vec![0; n_out]);
     let inp = gpu.alloc_i32(input);
     let stats = gpu
@@ -273,7 +283,7 @@ fn diamond_melds_and_preserves_semantics() {
     let (base, meld, stats) = check_meld(&f, &MeldConfig::default(), |f| run(f, 64, &[]));
     assert_eq!(stats.melded_subgraphs, 1);
     assert!(
-        meld.cycles < base.cycles,
+        meld.sim_cycles < base.sim_cycles,
         "melding must reduce cycles: {meld:?} vs {base:?}"
     );
     assert!(meld.alu_utilization() > base.alu_utilization());
@@ -285,7 +295,7 @@ fn diamond_branch_fusion_equals_darm() {
     let (_, meld_bf, stats_bf) = check_meld(&f, &MeldConfig::branch_fusion(), |f| run(f, 64, &[]));
     assert_eq!(stats_bf.melded_subgraphs, 1);
     let (_, meld_darm, _) = check_meld(&f, &MeldConfig::default(), |f| run(f, 64, &[]));
-    assert_eq!(meld_bf.cycles, meld_darm.cycles);
+    assert_eq!(meld_bf.sim_cycles, meld_darm.sim_cycles);
 }
 
 #[test]
@@ -303,7 +313,7 @@ fn bitonic_region_melds_under_darm_not_bf() {
         meld.shared_mem_insts,
         base.shared_mem_insts
     );
-    assert!(meld.cycles < base.cycles);
+    assert!(meld.sim_cycles < base.sim_cycles);
 
     // Branch fusion cannot handle the multi-block sides (Table I row 3).
     let mut bf = f.clone();
@@ -324,10 +334,10 @@ fn bb_region_replication_melds() {
     );
     assert!(stats.melded_subgraphs >= 1);
     assert!(
-        meld.cycles < base.cycles,
+        meld.sim_cycles < base.sim_cycles,
         "{} !< {}",
-        meld.cycles,
-        base.cycles
+        meld.sim_cycles,
+        base.sim_cycles
     );
 }
 
@@ -560,7 +570,7 @@ fn three_way_divergence_melds_iteratively() {
 
     let (base, meld, stats) = check_meld(&f, &MeldConfig::default(), |f| run(f, 66, &[]));
     assert!(stats.melded_subgraphs >= 1, "{stats:?}");
-    assert!(meld.cycles < base.cycles);
+    assert!(meld.sim_cycles < base.sim_cycles);
 }
 
 #[test]
@@ -607,7 +617,7 @@ fn meld_inside_loop_preserves_semantics() {
 
     let (base, meld, stats) = check_meld(&f, &MeldConfig::default(), |f| run(f, 64, &[]));
     assert!(stats.melded_subgraphs >= 1, "{stats:?}");
-    assert!(meld.cycles < base.cycles);
+    assert!(meld.sim_cycles < base.sim_cycles);
 }
 
 #[test]
@@ -742,7 +752,7 @@ fn two_independent_regions_both_meld() {
 
     let (base, meld, stats) = check_meld(&f, &MeldConfig::default(), |f| run(f, 64, &[]));
     assert_eq!(stats.melded_regions, 2, "{stats:?}");
-    assert!(meld.cycles < base.cycles);
+    assert!(meld.sim_cycles < base.sim_cycles);
 }
 
 #[test]
@@ -776,7 +786,7 @@ fn y_dimension_divergence_melds() {
     b.ret(None);
 
     verify_ssa(&f).unwrap();
-    let mut gpu = Gpu::new(GpuConfig::default());
+    let mut gpu = Gpu::new(timed());
     let buf = gpu.alloc_i32(&[0; 64]);
     let base = gpu
         .launch(
@@ -802,7 +812,7 @@ fn y_dimension_divergence_melds() {
     assert_eq!(gpu.read_i32(buf2), base_out);
     // With an 8-wide x dimension, consecutive warps mix y parities: the
     // branch diverges inside each 32-lane warp and melding pays off.
-    assert!(after.cycles < base.cycles);
+    assert!(after.sim_cycles < base.sim_cycles);
 }
 
 #[test]

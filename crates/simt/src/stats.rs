@@ -17,8 +17,11 @@ use darm_ir::cost;
 /// Counters collected over one kernel launch.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct KernelStats {
-    /// Total issue cycles summed over all warps. Speedups in the
-    /// reproduction are ratios of this number.
+    /// Opcode latencies summed over every issued warp instruction, an
+    /// instruction-charge count that over-counts pipelined ALU work and
+    /// under-counts divergence. No figure or speedup reads it: those are
+    /// ratios of [`KernelStats::sim_cycles`]. It stays until the frozen
+    /// benchmark's `*warp_cycle_speedup` probes go.
     pub cycles: u64,
     /// Dynamically issued warp instructions (each issue covers all active
     /// lanes of one warp).

@@ -5,7 +5,7 @@
 //!           [--passes SPEC] [--time-passes] [--verify-each]
 //!           [--on-error degrade|fail] [--timeout-ms N] [--fuel N]
 //! darm run  <input.ir> --block N [--grid N] [--buf LEN]... [--i32 X]...
-//!           [--timing] [--issue-width N]
+//!           [--issue-width N]
 //! darm analyze <input.ir>
 //! darm serve [--socket PATH] [--jobs N] [--queue-depth N]
 //!            [--cache-entries N] [--cache-bytes N] [--spec SPEC]
@@ -35,10 +35,10 @@
 //! `error:` and exit code 1. `run` executes a kernel (the first function of
 //! the module) on the SIMT simulator's bytecode engine, in blocks of at
 //! most 1024 threads, with zero-initialized `i32` buffers (`--buf LEN`, a `u32` element count) and
-//! `i32` scalars (`--i32 X`), and prints the counters. `--timing`
-//! additionally threads the cycle-level timing observer through the run
-//! and prints simulated cycles, stalls and issue slots next to the
-//! architectural counters; `--issue-width N` sets the lanes issued per
+//! `i32` scalars (`--i32 X`), and prints the counters. Every run threads
+//! the cycle-level timing observer through the engine and prints its
+//! simulated cycles, stalls and issue slots next to the architectural
+//! counters; `--issue-width N` (at least 1) sets the lanes issued per
 //! cycle. `analyze` reports divergence analysis and meldable regions for
 //! every function without transforming.
 //!
@@ -58,11 +58,12 @@ use darm::pipeline::{Budget, ModuleOptions, ModulePassManager, OnError, Pipeline
 use darm::prelude::*;
 use darm::serve::{serve_stream, Engine, ServeConfig};
 use darm::simt::{KernelArg, TimingConfig};
+use std::num::NonZeroU32;
 use std::process::ExitCode;
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  darm meld <input.ir> [-o out.ir] [--dot out.dot] [--stats] [--jobs N] [--passes SPEC] [--time-passes] [--verify-each] [--on-error degrade|fail] [--timeout-ms N] [--fuel N]\n  darm run <input.ir> --block N [--grid N] [--buf LEN]... [--i32 X]... [--timing] [--issue-width N]\n  darm analyze <input.ir>\n  darm serve [--socket PATH] [--jobs N] [--queue-depth N] [--cache-entries N] [--cache-bytes N] [--spec SPEC] [--timeout-ms N] [--fuel N] [--max-frame N]"
+        "usage:\n  darm meld <input.ir> [-o out.ir] [--dot out.dot] [--stats] [--jobs N] [--passes SPEC] [--time-passes] [--verify-each] [--on-error degrade|fail] [--timeout-ms N] [--fuel N]\n  darm run <input.ir> --block N [--grid N] [--buf LEN]... [--i32 X]... [--issue-width N]\n  darm analyze <input.ir>\n  darm serve [--socket PATH] [--jobs N] [--queue-depth N] [--cache-entries N] [--cache-bytes N] [--spec SPEC] [--timeout-ms N] [--fuel N] [--max-frame N]"
     );
     std::process::exit(2);
 }
@@ -224,12 +225,11 @@ fn cmd_run(args: &[String]) -> ExitCode {
     let mut block = 32u32;
     let mut grid = 1u32;
     let mut arg_specs = Vec::new();
-    let mut timing = TimingConfig::default();
+    let mut timing = TimingConfig::on();
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--timing" => timing.enabled = true,
-            "--issue-width" => timing.issue_width = value(it.next()),
+            "--issue-width" => timing.issue_width = value::<NonZeroU32>(it.next()).get(),
             "--block" => block = value(it.next()),
             "--grid" => grid = value(it.next()),
             "--buf" => arg_specs.push(Arg::Buf(value(it.next()))),
@@ -259,20 +259,17 @@ fn cmd_run(args: &[String]) -> ExitCode {
     }
     match gpu.launch(func, &LaunchConfig::linear(grid, block), &kargs) {
         Ok(stats) => {
-            println!("cycles:              {}", stats.cycles);
+            println!("sim cycles:          {}", stats.sim_cycles);
             println!("warp instructions:   {}", stats.warp_instructions);
             println!("SIMD efficiency:     {:.3}", stats.simd_efficiency());
             println!("ALU utilization:     {:.1}%", stats.alu_utilization());
             println!("global mem insts:    {}", stats.global_mem_insts);
             println!("shared mem insts:    {}", stats.shared_mem_insts);
             println!("bank conflicts:      {}", stats.shared_bank_conflicts);
-            if timing.enabled {
-                println!("sim cycles:          {}", stats.sim_cycles);
-                println!("sim stall cycles:    {}", stats.sim_stall_cycles);
-                println!("sim issue slots:     {}", stats.sim_issue_slots);
-                println!("sim divergent brs:   {}", stats.sim_divergent_branches);
-                println!("sim reconvergences:  {}", stats.sim_reconvergences);
-            }
+            println!("sim stall cycles:    {}", stats.sim_stall_cycles);
+            println!("sim issue slots:     {}", stats.sim_issue_slots);
+            println!("sim divergent brs:   {}", stats.sim_divergent_branches);
+            println!("sim reconvergences:  {}", stats.sim_reconvergences);
             for (k, b) in buffers.iter().enumerate() {
                 let data = gpu.read_i32(*b);
                 let head: Vec<i32> = data.iter().copied().take(8).collect();

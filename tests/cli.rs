@@ -88,7 +88,7 @@ fn meld_output_is_reparseable_and_runnable() {
         String::from_utf8_lossy(&out.stderr)
     );
     let stdout = String::from_utf8(out.stdout).unwrap();
-    assert!(stdout.contains("cycles:"), "{stdout}");
+    assert!(stdout.contains("sim cycles:"), "{stdout}");
     // tid 0: even → 0*3+10 = 10; tid 1: odd → 1*5+77 = 82
     assert!(stdout.contains("[10, 82,"), "{stdout}");
 }
@@ -135,6 +135,33 @@ fn run_rejects_out_of_range_buffer_lengths_and_scalars() {
         let stderr = String::from_utf8(out.stderr).unwrap();
         assert!(stderr.starts_with("usage:"), "{buf} {i32}: {stderr}");
     }
+}
+
+/// An issue width of 0 lanes per cycle would issue nothing, and every run
+/// is timed, so `--timing` is no flag: both are usage errors, not a silent
+/// clamp or an ignored flag.
+#[test]
+fn run_rejects_a_zero_issue_width_and_the_timing_flag() {
+    let input = write_kernel("darm_cli_run_width.ir");
+    for flags in [&["--issue-width", "0"][..], &["--timing"]] {
+        let out = bin()
+            .args(["run", input.to_str().unwrap(), "--block", "32"])
+            .args(["--buf", "32"])
+            .args(flags)
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(2), "{flags:?}");
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert!(stderr.starts_with("usage:"), "{flags:?}: {stderr}");
+    }
+    let out = bin()
+        .args(["run", input.to_str().unwrap(), "--block", "32"])
+        .args(["--buf", "32", "--issue-width", "1"])
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    assert!(stdout.contains("sim issue slots:"), "{stdout}");
 }
 
 /// A block past the 1024-thread limit is a simulation error (exit 1), not
