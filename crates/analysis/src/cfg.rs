@@ -24,42 +24,82 @@ impl Csr {
     }
 }
 
+/// A node of a graph the traversal and dominator cores run on: a block of
+/// a [`Function`], or a number of the caller's own (the simulator's
+/// lowering numbers live blocks densely).
+pub trait Node: Copy {
+    /// The node's row in per-node tables.
+    fn index(self) -> usize;
+}
+
+impl Node for BlockId {
+    fn index(self) -> usize {
+        BlockId::index(self)
+    }
+}
+
+impl Node for u32 {
+    fn index(self) -> usize {
+        self as usize
+    }
+}
+
 /// Reverse post-order of the nodes `root` reaches in a graph of `n` nodes,
-/// and each node's position in it ([`UNREACHED`] for the rest): an
-/// iterative depth-first search taking each node's successors in list
-/// order. The position table doubles as the visited mark while the search
-/// runs; the stack and the order are presized to `n`, which bounds both.
+/// and each node's position in it ([`UNREACHED`] for the rest).
 pub(crate) fn reverse_postorder<'g>(
     n: usize,
     root: BlockId,
     succs: impl Fn(BlockId) -> &'g [BlockId],
 ) -> (Vec<BlockId>, Vec<u32>) {
-    let mut index = vec![UNREACHED; n];
-    let mut post = Vec::with_capacity(n);
-    // (node, next successor to look at)
-    let mut stack: Vec<(BlockId, usize)> = Vec::with_capacity(n);
-    stack.push((root, 0));
+    let (mut order, mut index) = (vec![root; n], vec![UNREACHED; n]);
+    let len = reverse_postorder_into(root, succs, &mut order, &mut index);
+    order.truncate(len);
+    (order, index)
+}
+
+/// [`reverse_postorder`] into caller storage of one entry per node:
+/// `order[..len]` receives the order (`len` is returned) and `index` every
+/// node's position. An iterative depth-first search taking each node's
+/// successors in list order. While it runs, `index` holds [`UNREACHED`]
+/// for unvisited nodes and each visited node's next successor to look at;
+/// the finished nodes fill `order` from the front and the stack of open
+/// ones its back — a node is in one or the other, never both, so the two
+/// never meet.
+pub(crate) fn reverse_postorder_into<'g, N: Node + 'g>(
+    root: N,
+    succs: impl Fn(N) -> &'g [N],
+    order: &mut [N],
+    index: &mut [u32],
+) -> usize {
+    let n = order.len();
+    index.fill(UNREACHED);
+    let (mut done, mut top) = (0, n - 1);
+    order[top] = root;
     index[root.index()] = 0;
-    while let Some(&mut (v, ref mut i)) = stack.last_mut() {
-        match succs(v).get(*i) {
+    while top < n {
+        let v = order[top];
+        let next = index[v.index()];
+        match succs(v).get(next as usize) {
             Some(&s) => {
-                *i += 1;
+                index[v.index()] = next + 1;
                 if index[s.index()] == UNREACHED {
                     index[s.index()] = 0;
-                    stack.push((s, 0));
+                    top -= 1;
+                    order[top] = s;
                 }
             }
             None => {
-                post.push(v);
-                stack.pop();
+                top += 1;
+                order[done] = v;
+                done += 1;
             }
         }
     }
-    post.reverse();
-    for (i, v) in post.iter().enumerate() {
+    order[..done].reverse();
+    for (i, v) in order[..done].iter().enumerate() {
         index[v.index()] = i as u32;
     }
-    (post, index)
+    done
 }
 
 /// A snapshot of a function's CFG structure.

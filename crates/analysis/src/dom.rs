@@ -22,8 +22,10 @@
 //! The core runs over the CFG's own compressed rows — the reversed graph
 //! reads predecessors as successors and vice versa — so building either
 //! tree costs a fixed number of allocations whatever the block count.
+//! [`post_idoms`] exposes the post-dominator half of it over any node
+//! numbering and caller-owned storage.
 
-use crate::cfg::{reverse_postorder, Cfg};
+use crate::cfg::{reverse_postorder_into, Cfg, Node, UNREACHED};
 use darm_ir::{BlockId, Function};
 
 /// "No node": the immediate dominator of a tree's root and of every node
@@ -32,15 +34,17 @@ const NONE: u32 = u32::MAX;
 
 /// Immediate dominators over a graph whose reverse post-order from the
 /// root is `rpo` (root first), `rpo_index` every node's position in it
-/// (one entry per node); `preds(v)` lists `v`'s predecessors. `idom[v]` is
-/// [`NONE`] for the root and for nodes the root does not reach.
-fn compute_idoms<'g>(
-    rpo: &[BlockId],
+/// (one entry per node); `preds(v)` lists `v`'s predecessors. Writes
+/// `idom[v]` for every node: [`NONE`] for the root and for nodes the root
+/// does not reach.
+fn compute_idoms<'g, N: Node + 'g>(
+    rpo: &[N],
     rpo_index: &[u32],
-    preds: impl Fn(BlockId) -> &'g [BlockId],
-) -> Vec<u32> {
+    preds: impl Fn(N) -> &'g [N],
+    idom: &mut [u32],
+) {
     let root = rpo[0].index();
-    let mut idom = vec![NONE; rpo_index.len()];
+    idom.fill(NONE);
     idom[root] = root as u32;
     let intersect = |idom: &[u32], mut a: u32, mut b: u32| {
         while a != b {
@@ -67,7 +71,7 @@ fn compute_idoms<'g>(
                 }
                 new_idom = match new_idom {
                     NONE => p,
-                    cur => intersect(&idom, cur, p),
+                    cur => intersect(idom, cur, p),
                 };
             }
             if new_idom != NONE && idom[b.index()] != new_idom {
@@ -77,7 +81,40 @@ fn compute_idoms<'g>(
         }
     }
     idom[root] = NONE; // root has no immediate dominator
-    idom
+}
+
+/// Immediate post-dominators of a graph of `idom.len()` nodes, `exit` the
+/// virtual exit among them — the core of [`PostDomTree::new`], for callers
+/// that number the graph and own the storage themselves (the simulator's
+/// lowering, which needs the reconvergence points and nothing else).
+///
+/// The graph is given reversed: `rev_succs(exit)` lists the exits — the
+/// blocks the entry reaches that have no successors — and `rev_succs(v)`
+/// the predecessors of block `v` that the entry reaches; `succs(v)` lists
+/// `v`'s successors. Blocks the entry does not reach, and blocks that
+/// reach no exit, are outside the reversed graph's tree. `rpo` and
+/// `rpo_index` are storage of one entry per node; on return `rpo[..len]`
+/// (`len` returned) is the reversed graph's reverse post-order from
+/// `exit`, and `idom[v]` is `v`'s immediate post-dominator — `exit` when
+/// that is the virtual exit, `u32::MAX` for `exit` itself and for every
+/// node outside the tree.
+pub fn post_idoms<'g, N: Node + 'g>(
+    exit: N,
+    rev_succs: impl Fn(N) -> &'g [N],
+    succs: impl Fn(N) -> &'g [N],
+    rpo: &mut [N],
+    rpo_index: &mut [u32],
+    idom: &mut [u32],
+) -> usize {
+    let len = reverse_postorder_into(exit, rev_succs, rpo, rpo_index);
+    // `compute_idoms` never asks for the root's (the exit's) predecessors.
+    let to_exit = [exit];
+    let rev_preds = |v| match succs(v) {
+        [] => &to_exit[..],
+        succs => succs,
+    };
+    compute_idoms(&rpo[..len], rpo_index, rev_preds, idom);
+    len
 }
 
 /// Preorder interval of every node's subtree in the tree `idom` describes:
@@ -135,14 +172,9 @@ struct Tree {
 }
 
 impl Tree {
-    /// The tree of the graph `rpo` (root first) and `rpo_index` order, as
-    /// [`compute_idoms`] takes them.
-    fn new<'g>(
-        rpo: &[BlockId],
-        rpo_index: &[u32],
-        preds: impl Fn(BlockId) -> &'g [BlockId],
-    ) -> Tree {
-        let idom = compute_idoms(rpo, rpo_index, preds);
+    /// The tree whose immediate dominators are `idom`, over a graph in the
+    /// reverse post-order `rpo` (root first).
+    fn new(idom: Vec<u32>, rpo: &[BlockId]) -> Tree {
         let (pre, end) = tree_intervals(&idom, rpo);
         Tree { idom, pre, end }
     }
@@ -169,9 +201,11 @@ impl DomTree {
     /// Computes the dominator tree from a CFG snapshot.
     pub fn new(func: &Function, cfg: &Cfg) -> DomTree {
         debug_assert_eq!(cfg.rpo_positions().len(), func.block_capacity());
+        let mut idom = vec![NONE; func.block_capacity()];
+        // The CFG's predecessor rows hold reachable sources only.
+        compute_idoms(cfg.rpo(), cfg.rpo_positions(), |b| cfg.preds(b), &mut idom);
         DomTree {
-            // The CFG's predecessor rows hold reachable sources only.
-            tree: Tree::new(cfg.rpo(), cfg.rpo_positions(), |b| cfg.preds(b)),
+            tree: Tree::new(idom, cfg.rpo()),
             entry: cfg.entry().index(),
         }
     }
@@ -273,11 +307,11 @@ pub struct PostDomTree {
 impl PostDomTree {
     /// Computes the post-dominator tree from a CFG snapshot.
     ///
-    /// The reversed graph is read off the CFG's rows: a block's successors
-    /// there are its CFG predecessors (reachable sources only), its
-    /// predecessors its CFG successors. The virtual exit's successors are
-    /// the reachable blocks without successors, each of which has the exit
-    /// as its one predecessor.
+    /// The reversed graph is read off the CFG's rows ([`post_idoms`]): a
+    /// block's successors there are its CFG predecessors (reachable sources
+    /// only), its predecessors its CFG successors. The virtual exit's
+    /// successors are the reachable blocks without successors, each of
+    /// which has the exit as its one predecessor.
     pub fn new(func: &Function, cfg: &Cfg) -> PostDomTree {
         let n = func.block_capacity();
         let exit = BlockId::new(n);
@@ -290,16 +324,18 @@ impl PostDomTree {
                 cfg.preds(v)
             }
         };
-        let (rpo, rpo_index) = reverse_postorder(n + 1, exit, rev_succs);
-        // `compute_idoms` never asks for the root's (the exit's) predecessors.
-        let to_exit = [exit];
-        let rev_preds = |v| match cfg.succs(v) {
-            [] => &to_exit[..],
-            succs => succs,
-        };
-        let tree = Tree::new(&rpo, &rpo_index, rev_preds);
+        let (mut rpo, mut rpo_index, mut idom) =
+            (vec![exit; n + 1], vec![UNREACHED; n + 1], vec![NONE; n + 1]);
+        let len = post_idoms(
+            exit,
+            rev_succs,
+            |v| cfg.succs(v),
+            &mut rpo,
+            &mut rpo_index,
+            &mut idom,
+        );
         PostDomTree {
-            tree,
+            tree: Tree::new(idom, &rpo[..len]),
             virtual_exit: n,
         }
     }

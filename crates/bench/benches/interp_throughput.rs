@@ -17,7 +17,16 @@
 //!   ALU work: the warp-access pre-pass, the typed access loop and the
 //!   coalescing model). The `timed Mwi/s` column runs the same launch
 //!   with [`TimingConfig::on`], so the observer's cost on each kernel
-//!   shape reads off the gap to the `bytecode Mwi/s` column.
+//!   shape reads off the gap to the `bytecode Mwi/s` column;
+//! * a **small launch** row over [`small_kernels`], `gen` functions of the
+//!   ledger's `many-small` size (20–60 instructions, one block of 64
+//!   threads), where lowering and launch set-up rather than execution
+//!   decide a launch's cost: per kernel the minimum over interleaved
+//!   rounds of lowering alone and of lowering plus launch, printed as
+//!   lowering ns/inst (summed minima over summed instructions) and lower +
+//!   launch µs (mean of the minima). A lowering or set-up change reads off
+//!   it in one run, where the ledger's one-shot `simt.lower_ns_per_inst`
+//!   follows the host.
 //!
 //! `cargo bench --bench interp_throughput` — measure.
 //! `cargo bench --bench interp_throughput -- --test` — smoke mode: every
@@ -31,6 +40,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use darm_bench::fig9_cases;
 use darm_ir::builder::FunctionBuilder;
 use darm_ir::{AddrSpace, Dim, Function, IcmpPred, InstData, Type, Value};
+use darm_kernels::gen::{build_kernel, Arms, Divergence, KernelSpec, Rng, Shape};
 use darm_kernels::BenchCase;
 use darm_simt::{
     BytecodeKernel, Gpu, GpuConfig, KernelArg, KernelStats, LaunchConfig, TimingConfig,
@@ -231,6 +241,99 @@ fn run_attribution(
     (stats, gpu.read_bytes(buf).to_vec())
 }
 
+/// Kernels of the ledger's `many-small` shapes and sizes: one diamond rung
+/// (half of them), one nested rung or a straight line, arm lengths cycling
+/// with the index as that corpus's do.
+fn small_kernels() -> Vec<Function> {
+    let mut rng = Rng::new(1);
+    (0..32)
+        .map(|i| {
+            let (shape, arm_len) = match i % 4 {
+                0 | 2 => (Shape::Ladder, 4 + (i / 4) % 14),
+                1 => (Shape::NestedLadder, 6 + (i / 4) % 5),
+                _ => (Shape::Straight, 10 + (i / 4) % 32),
+            };
+            let spec = KernelSpec {
+                shape,
+                rungs: 1,
+                arm_len,
+                arms: Arms::Similar,
+                divergence: Divergence::Mixed,
+                uniform_third: false,
+            };
+            build_kernel(&format!("small_{i}"), spec, &mut rng)
+        })
+        .collect()
+}
+
+/// Seconds per call of `f`, as the mean over one batch of `reps` calls.
+fn batch_secs(reps: usize, mut f: impl FnMut()) -> f64 {
+    let t = Instant::now();
+    for _ in 0..reps {
+        f();
+    }
+    t.elapsed().as_secs_f64() / reps as f64
+}
+
+/// The small-launch row: lowering ns/inst and lower + launch µs over
+/// [`small_kernels`], each the per-kernel minimum over `rounds` rounds
+/// that visit every kernel in turn.
+fn small_launch_row(rounds: usize) {
+    const REPS: usize = 20;
+    let kernels = small_kernels();
+    let launch = LaunchConfig::linear(1, 64);
+    // An input and an output buffer and the ledger's scalar, as a fresh
+    // GPU's launch arguments; the output's id last.
+    let args_on = |gpu: &mut Gpu| {
+        let input = gpu.alloc_i32(&(0..64).map(|x| x * 7 - 100).collect::<Vec<i32>>());
+        let output = gpu.alloc_i32(&[0; 64]);
+        let scalar = KernelArg::I32(0b1010_0110);
+        (
+            [KernelArg::Buffer(input), KernelArg::Buffer(output), scalar],
+            output,
+        )
+    };
+    let mut gpu = Gpu::new(GpuConfig::default());
+    let (args, output) = args_on(&mut gpu);
+    for f in &kernels {
+        let mut reference = Gpu::new(GpuConfig::default());
+        let (ref_args, ref_output) = args_on(&mut reference);
+        assert_eq!(
+            gpu.launch_bytecode(&BytecodeKernel::new(f), &launch, &args),
+            reference.launch_reference(f, &launch, &ref_args),
+            "{}: bytecode vs reference disagree",
+            f.name()
+        );
+        assert_eq!(gpu.read_bytes(output), reference.read_bytes(ref_output));
+    }
+    let (mut lower, mut both) = (vec![f64::MAX; kernels.len()], vec![f64::MAX; kernels.len()]);
+    for _ in 0..rounds {
+        for (k, f) in kernels.iter().enumerate() {
+            let secs = batch_secs(REPS, || {
+                std::hint::black_box(BytecodeKernel::new(f));
+            });
+            lower[k] = lower[k].min(secs);
+            let secs = batch_secs(REPS, || {
+                let bk = BytecodeKernel::new(f);
+                let stats = gpu.launch_bytecode(&bk, &launch, &args);
+                std::hint::black_box(stats.expect("the kernel runs"));
+            });
+            both[k] = both[k].min(secs);
+        }
+    }
+    let insts: usize = kernels.iter().map(Function::live_inst_count).sum();
+    println!();
+    println!("| small launch | kernels | insts/kernel | lowering ns/inst | lower + launch µs |");
+    println!("|---|---|---|---|---|");
+    println!(
+        "| 1 x 64 threads | {} | {:.1} | {:.1} | {:.2} |",
+        kernels.len(),
+        insts as f64 / kernels.len() as f64,
+        1e9 * lower.iter().sum::<f64>() / insts as f64,
+        1e6 * both.iter().sum::<f64>() / kernels.len() as f64,
+    );
+}
+
 fn bench(c: &mut Criterion) {
     let test_mode = c.is_test_mode();
     let cases = fig9_cases();
@@ -309,6 +412,8 @@ fn bench(c: &mut Criterion) {
             reference
         );
     }
+
+    small_launch_row(if test_mode { 2 } else { 40 });
 }
 
 criterion_group!(benches, bench);

@@ -71,10 +71,10 @@
 //!   included, so the observer never looks at an op.
 
 use crate::timing::{Issue, TimingRec, LINK_CELL, SINK_CELL};
-use darm_analysis::{Cfg, PostDomTree};
-use darm_ir::{cost, BlockId, FcmpPred, Function, IcmpPred, InstData, Opcode, Type, Value};
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
+use darm_analysis::dom::post_idoms;
+use darm_ir::{
+    cost, BlockId, FcmpPred, Function, IcmpPred, InstData, Opcode, SharedArray, Type, Value,
+};
 use std::sync::OnceLock;
 
 /// Sentinel for "no destination register" (void results, elided writes).
@@ -374,7 +374,6 @@ pub(crate) struct PhiEdge {
 /// geometry. See the [module docs](self) for what the lowering does.
 #[derive(Debug, Clone)]
 pub struct BytecodeKernel {
-    pub(crate) name: String,
     pub(crate) params: Vec<Type>,
     /// Register-file slots per thread: the program's dense result slots
     /// first, then the constant/parameter slots.
@@ -407,8 +406,10 @@ pub struct BytecodeKernel {
     /// path to reproduce the reference interpreter's exact φ-major error
     /// order.
     pub(crate) phi_missing: Vec<(u32, u32, u32)>,
-    /// Block labels back to back, for diagnostics only.
+    /// The kernel's name, then every block label, back to back.
     names: String,
+    /// Length of the kernel's name, the prefix of `names`.
+    name_len: u32,
     pub(crate) entry: u32,
     pub(crate) shared_size: u64,
     /// Whether terminators must record lane provenance. Only φs read
@@ -417,50 +418,28 @@ pub struct BytecodeKernel {
     /// arm is resurrected at the reconvergence point, where a φ may read
     /// a `prev` recorded arbitrarily far away.)
     pub(crate) track_prev: bool,
+    /// The most φs of one block: a φ batch's staging bound.
+    pub(crate) max_phis: u32,
 }
 
 /// Lowering state: value → slot resolution over the function's arena.
-struct Lower<'f> {
+struct Lower<'f, 's> {
     func: &'f Function,
     /// Program slot of each value-producing instruction, by arena index.
-    slot_of: Vec<u32>,
+    slot_of: &'s [u32],
     /// Operand uses of each instruction's result, by arena index.
-    uses: Vec<u32>,
+    uses: &'s [u32],
     n_slots: u32,
     consts: Vec<(u32, u64)>,
-    const_slot: HashMap<u64, u32, BuildHasherDefault<CellHasher>>,
+    /// The constant dedup table: open addressing over a power of two of
+    /// entries, each [`NO_DST`] or an index into `consts` (see
+    /// [`Lower::slot`]).
+    const_index: &'s mut [u32],
     param_slots: Vec<(u32, u32)>,
     /// The always-undefined constant slot, once something needs it.
     undef: Option<u32>,
     /// Destination of ill-typed value-less "results", once needed.
     sink: Option<u32>,
-}
-
-/// The constant-slot map's hasher. Its keys are single `u64` cells, so one
-/// multiply replaces SipHash's rounds; folding the product's high half into
-/// the low one (which picks the bucket) keeps `f32` cells, whose low bits
-/// are mostly zero, from sharing a bucket. The keys are not defended
-/// against crafted collisions: they are the constants of a kernel its
-/// caller is about to run, and `darm serve`, which takes requests from
-/// outside, never lowers.
-#[derive(Default)]
-struct CellHasher(u64);
-
-impl Hasher for CellHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(u64::from(b));
-        }
-    }
-
-    fn write_u64(&mut self, x: u64) {
-        let h = (self.0 ^ x).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        self.0 = h ^ (h >> 32);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
 }
 
 /// The slot cached in `slot`, allocated from `n_slots` on first use.
@@ -471,7 +450,7 @@ fn lazy_slot(slot: &mut Option<u32>, n_slots: &mut u32) -> u32 {
     })
 }
 
-impl Lower<'_> {
+impl Lower<'_, '_> {
     fn fresh(&mut self) -> u32 {
         self.n_slots += 1;
         self.n_slots - 1
@@ -500,12 +479,26 @@ impl Lower<'_> {
             Value::I64(x) => x as u64,
             Value::F32Bits(bits) => bits as u64,
         };
-        if let Some(&s) = self.const_slot.get(&cell) {
-            return s;
+        // One multiply spreads the cell over the high half, and folding
+        // that into the low half (which picks the entry) keeps `f32`
+        // cells, whose low bits are mostly zero, from sharing a probe
+        // sequence. The table holds at least twice as many entries as
+        // there are constant operands, so a probe ends within a few steps.
+        let mask = self.const_index.len() - 1;
+        let h = cell.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let mut at = (h ^ (h >> 32)) as usize & mask;
+        loop {
+            match self.const_index[at] {
+                NO_DST => break,
+                k => match self.consts[k as usize] {
+                    (s, c) if c == cell => return s,
+                    _ => at = (at + 1) & mask,
+                },
+            }
         }
         let s = self.fresh();
+        self.const_index[at] = self.consts.len() as u32;
         self.consts.push((s, cell));
-        self.const_slot.insert(cell, s);
         s
     }
 
@@ -552,48 +545,155 @@ impl Lower<'_> {
     }
 }
 
+/// Cuts the first `len` entries off `rest`.
+fn take<'a>(rest: &mut &'a mut [u32], len: usize) -> &'a mut [u32] {
+    let (head, tail) = std::mem::take(rest).split_at_mut(len);
+    *rest = tail;
+    head
+}
+
+/// The byte offset of shared array `k` in the block's arena (8-byte
+/// aligned arrays in declaration order); `k` = the array count gives the
+/// arena's size.
+fn shared_offset(arrays: &[SharedArray], k: usize) -> u64 {
+    arrays[..k]
+        .iter()
+        .fold(0, |at, arr| (at + arr.size_bytes() + 7) & !7)
+}
+
+/// Every block's immediate post-dominator, dense, into `ipdom[..n]` for
+/// `n` blocks ([`NO_BLOCK`] where there is none): the reconvergence points
+/// of the IPDOM stack. `succ_off`/`succs` are the blocks' successor rows
+/// (`succs[succ_off[v]..succ_off[v + 1]]`) and `entry` the entry block.
+/// The reversed graph is the one
+/// [`PostDomTree`](darm_analysis::PostDomTree) runs on, over the dense
+/// numbers: the virtual exit (number `n`) leads to every block the entry
+/// reaches that has no successor, and a block to its predecessors that
+/// the entry reaches; [`post_idoms`] runs the same core. `ipdom` holds
+/// `n + 1` entries and `scratch` `4 n + 4 + succs.len()`.
+fn ipdoms(entry: u32, succ_off: &[u32], succs: &[u32], scratch: &mut [u32], ipdom: &mut [u32]) {
+    let n = ipdom.len() - 1;
+    let exit = n as u32;
+    let row = |v: u32| &succs[succ_off[v as usize] as usize..succ_off[v as usize + 1] as usize];
+    let mut rest = scratch;
+    let rev_off = take(&mut rest, n + 2);
+    let rev = take(&mut rest, succs.len() + n);
+    let rpo = take(&mut rest, n + 1);
+    let rpo_index = take(&mut rest, n + 1);
+
+    // Which blocks the entry reaches (marks in `rpo_index`, the search's
+    // stack in `rpo`: both are free until the core runs).
+    let reached = &mut rpo_index[..n];
+    reached.fill(0);
+    reached[entry as usize] = 1;
+    let (stack, mut depth) = (&mut rpo[..n], 1);
+    stack[0] = entry;
+    while depth > 0 {
+        depth -= 1;
+        for &s in row(stack[depth]) {
+            if reached[s as usize] == 0 {
+                reached[s as usize] = 1;
+                stack[depth] = s;
+                depth += 1;
+            }
+        }
+    }
+    // The reversed rows, from reached sources only: count each row, turn
+    // the counts into row ends, then fill every row back to front. A
+    // block without successors is a row of the exit's.
+    let to_exit = [exit];
+    let targets = |v: u32| match row(v) {
+        [] => &to_exit[..],
+        ss => ss,
+    };
+    rev_off.fill(0);
+    let sources = || (0..exit).filter(|&v| reached[v as usize] != 0);
+    for v in sources() {
+        for &s in targets(v) {
+            rev_off[s as usize] += 1;
+        }
+    }
+    let mut end = 0;
+    for o in rev_off.iter_mut() {
+        end += *o;
+        *o = end;
+    }
+    for v in sources() {
+        for &s in targets(v) {
+            rev_off[s as usize] -= 1;
+            rev[rev_off[s as usize] as usize] = v;
+        }
+    }
+
+    let rev_row = |v: u32| &rev[rev_off[v as usize] as usize..rev_off[v as usize + 1] as usize];
+    post_idoms(exit, rev_row, row, rpo, rpo_index, ipdom);
+    // The virtual exit, and `u32::MAX` for no post-dominator at all, are
+    // both "no reconvergence block".
+    for p in &mut ipdom[..n] {
+        if *p >= exit {
+            *p = NO_BLOCK;
+        }
+    }
+}
+
 impl BytecodeKernel {
     /// Lowers `func` to bytecode.
     ///
     /// Every table is presized from counts taken in one sweep ahead of the
-    /// lowering walk, so lowering allocates a fixed number of times
+    /// lowering walk. What lowering reads but does not return — block and
+    /// slot numbering, use counts, the constant dedup table, the successor
+    /// rows and the post-dominator core's storage — is one scratch
+    /// allocation, so lowering allocates what it returns and one table
     /// whatever the function's size (`tests/lower_allocs.rs` counts).
     pub fn new(func: &Function) -> BytecodeKernel {
-        let cfg = Cfg::new(func);
-        let pdt = PostDomTree::new(func, &cfg);
         // Live blocks in creation order (entry first): the dense numbering.
         let live = || {
             (0..func.block_capacity())
                 .map(BlockId::new)
                 .filter(|&b| func.is_block_alive(b))
         };
+        let (nb, ni) = (func.live_block_count(), func.inst_capacity());
+        // The successor rows and the post-dominator core's storage
+        // (`ipdoms`) need `2 e + 4 nb + 4` entries for `e` edges. A
+        // terminator `verify_structure` accepts names at most two
+        // successors, so room for `e = 2 nb` is taken up front; a function
+        // whose terminators name more gets a table of its own.
+        let graph_len = |e: usize| 2 * e + 4 * nb + 4;
+        // The constant dedup table holds a power of two of at least twice
+        // as many entries as there are constant operands; room for one
+        // constant operand per instruction is taken up front likewise.
+        let table_len = |uses: usize| (2 * uses).next_power_of_two();
+        let len = func.block_capacity() + 2 * ni + 3 * (nb + 1) + table_len(ni) + graph_len(2 * nb);
+        let mut scratch = vec![0u32; len];
+        let mut rest = &mut scratch[..];
+        let dense_of = take(&mut rest, func.block_capacity());
+        let slot_of = take(&mut rest, ni);
+        let uses = take(&mut rest, ni);
+        // Distinct dense predecessors of one block (`NO_BLOCK` included).
+        let preds = take(&mut rest, nb + 1);
+        let succ_off = take(&mut rest, nb + 1);
+        let ipdom = take(&mut rest, nb + 1);
+        let mut const_index = take(&mut rest, table_len(ni));
 
         // The sweep: dense block numbers; a dense slot for every live
         // value-producing instruction (φs included) and the use counts
         // fusion consults, ahead of the walk because operands may name
-        // later instructions; which block's φ writes each slot; and the
-        // sizes of the tables below.
-        let mut dense_of = vec![NO_BLOCK; func.block_capacity()];
-        let mut slot_of = vec![NO_DST; func.inst_capacity()];
-        let mut uses = vec![0; func.inst_capacity()];
-        let mut phi_block_of_slot = vec![NO_BLOCK; func.inst_capacity()];
-        let (mut n_blocks, mut n_slots, mut n_insts, mut n_incoming) = (0, 0, 0, 0);
-        let (mut n_const_uses, mut name_bytes) = (0, 0);
-        for b in live() {
-            dense_of[b.index()] = n_blocks;
+        // later instructions; and the sizes of the tables below.
+        dense_of.fill(NO_BLOCK);
+        slot_of.fill(NO_DST);
+        let (mut n_slots, mut n_insts, mut n_incoming, mut n_succs) = (0, 0, 0, 0);
+        let (mut n_const_uses, mut name_bytes) = (0usize, func.name().len());
+        for (d, b) in live().enumerate() {
+            dense_of[b.index()] = d as u32;
             name_bytes += func.block_name(b).len();
             n_insts += func.insts_of(b).len();
             for &id in func.insts_of(b) {
                 let data = func.inst(id);
-                let is_phi = data.opcode.is_phi();
                 if data.ty != Type::Void {
                     slot_of[id.index()] = n_slots;
-                    if is_phi {
-                        phi_block_of_slot[n_slots as usize] = n_blocks;
-                    }
                     n_slots += 1;
                 }
-                if is_phi {
+                if data.opcode.is_phi() {
                     n_incoming += data.phi_blocks.len();
                 }
                 for &v in &data.operands {
@@ -604,9 +704,35 @@ impl BytecodeKernel {
                     }
                 }
             }
-            n_blocks += 1;
+            n_succs += func.succ_slice(b).len();
         }
+        // The successor rows in dense numbers, then the IPDOMs.
+        let mut own;
+        if n_succs > 2 * nb {
+            own = vec![0u32; graph_len(n_succs)];
+            rest = &mut own;
+        }
+        let succs = take(&mut rest, n_succs);
+        let mut at = 0;
+        for (d, b) in live().enumerate() {
+            succ_off[d] = at as u32;
+            for &s in func.succ_slice(b) {
+                succs[at] = dense_of[s.index()];
+                at += 1;
+            }
+        }
+        succ_off[nb] = at as u32;
+        let entry = dense_of[func.entry().index()];
+        ipdoms(entry, succ_off, succs, rest, ipdom);
+
         let program_slots = n_slots;
+        let mut own_table;
+        if table_len(n_const_uses) > const_index.len() {
+            own_table = vec![0u32; table_len(n_const_uses)];
+            const_index = &mut own_table;
+        }
+        let const_index = &mut const_index[..table_len(n_const_uses)];
+        const_index.fill(NO_DST);
         let mut lw = Lower {
             func,
             slot_of,
@@ -614,23 +740,15 @@ impl BytecodeKernel {
             n_slots,
             // At most one slot per constant use.
             consts: Vec::with_capacity(n_const_uses),
-            const_slot: HashMap::with_capacity_and_hasher(n_const_uses, Default::default()),
+            const_index,
             param_slots: Vec::with_capacity(func.params().len()),
             undef: None,
             sink: None,
         };
 
-        // Shared arena layout (8-byte aligned arrays, declaration order).
-        let mut shared_offsets = Vec::with_capacity(func.shared_arrays().len());
-        let mut shared_size = 0u64;
-        for arr in func.shared_arrays() {
-            shared_offsets.push(shared_size);
-            shared_size = (shared_size + arr.size_bytes() + 7) & !7;
-        }
-
         let mut code: Vec<Op> = Vec::with_capacity(n_insts);
         let mut lats: Vec<u64> = Vec::with_capacity(n_insts);
-        let mut blocks: Vec<BcBlock> = Vec::with_capacity(n_blocks as usize);
+        let mut blocks: Vec<BcBlock> = Vec::with_capacity(nb);
         // A block has one φ edge per distinct predecessor its φs name, and
         // each of its φs one move per such predecessor it names: both are
         // bounded by the φ incoming count.
@@ -638,9 +756,8 @@ impl BytecodeKernel {
         let mut phi_moves: Vec<(u32, u32)> = Vec::with_capacity(n_incoming);
         let mut phi_missing: Vec<(u32, u32, u32)> = Vec::new();
         let mut names = String::with_capacity(name_bytes);
-        // Distinct dense predecessors of one block (`NO_BLOCK` included).
-        let mut preds: Vec<u32> = Vec::with_capacity(n_blocks as usize + 1);
-        let mut has_phis = false;
+        names.push_str(func.name());
+        let mut max_phis = 0;
 
         for b in live() {
             let dense = blocks.len() as u32;
@@ -650,22 +767,23 @@ impl BytecodeKernel {
                 .take_while(|&&id| func.inst(id).opcode.is_phi())
                 .count();
             let (phis, body) = insts.split_at(n_phis);
-            has_phis |= n_phis > 0;
+            max_phis = max_phis.max(n_phis);
 
             // φ prefix → per-predecessor move lists, predecessors in
             // first-mention order.
             let phi_start = phi_edges.len() as u32;
             let block_moves_start = phi_moves.len();
-            preds.clear();
+            let mut n_preds = 0;
             for &phi in phis {
                 for &p in &func.inst(phi).phi_blocks {
                     let p = dense_of[p.index()];
-                    if !preds.contains(&p) {
-                        preds.push(p);
+                    if !preds[..n_preds].contains(&p) {
+                        preds[n_preds] = p;
+                        n_preds += 1;
                     }
                 }
             }
-            for &p in &preds {
+            for &p in &preds[..n_preds] {
                 let m_start = phi_moves.len() as u32;
                 let mut complete = true;
                 for (k, &phi) in phis.iter().enumerate() {
@@ -689,14 +807,21 @@ impl BytecodeKernel {
                 });
             }
             // Overlap: a move reads the slot a φ of this very block writes.
-            // A `void` (ill-typed) φ has no slot, and matches a source
-            // that has none either.
-            let void_phi = phis.iter().any(|&phi| lw.slot_of[phi.index()] == NO_DST);
+            // The block's φs hold consecutive slots (the sweep numbers them
+            // in order), so those are one range. A `void` (ill-typed) φ has
+            // no slot, and matches a source that has none either.
+            let (mut phi_lo, mut phi_hi, mut void_phi) = (u32::MAX, 0, false);
+            for &phi in phis {
+                match lw.slot_of[phi.index()] {
+                    NO_DST => void_phi = true,
+                    s => (phi_lo, phi_hi) = (phi_lo.min(s), s + 1),
+                }
+            }
             let phi_overlap = phi_moves[block_moves_start..]
                 .iter()
                 .any(|&(_, s)| match s {
                     NO_DST => void_phi,
-                    s => phi_block_of_slot.get(s as usize) == Some(&dense),
+                    s => (phi_lo..phi_hi).contains(&s),
                 });
 
             // Body → ops, fusing as it goes.
@@ -704,8 +829,8 @@ impl BytecodeKernel {
             for &id in body {
                 let data = func.inst(id);
                 let lat = cost::latency(data.opcode, None);
-                let last = code[first as usize..].last().copied();
-                let op = lower_inst(&mut lw, id, data, last, &dense_of, &shared_offsets);
+                let last = code[first as usize..].last();
+                let op = lower_inst(&mut lw, id, data, last, dense_of, func.shared_arrays());
                 let lat = match op {
                     // Fusion replaces the compare just emitted; fold its
                     // latency in.
@@ -730,7 +855,7 @@ impl BytecodeKernel {
             blocks.push(BcBlock {
                 first,
                 entry_pc: if n_phis == 0 { first } else { BLOCK_ENTRY },
-                ipdom: pdt.ipdom(b).map_or(NO_BLOCK, |p| dense_of[p.index()]),
+                ipdom: ipdom[dense as usize],
                 phi_start,
                 phi_end: phi_edges.len() as u32,
                 phi_overlap,
@@ -765,7 +890,6 @@ impl BytecodeKernel {
         }
 
         BytecodeKernel {
-            name: func.name().to_string(),
             params: func.params().to_vec(),
             n_slots: lw.n_slots,
             program_slots,
@@ -778,16 +902,18 @@ impl BytecodeKernel {
             phi_edges,
             phi_moves,
             phi_missing,
+            name_len: func.name().len() as u32,
             names,
-            entry: dense_of[func.entry().index()],
-            shared_size,
-            track_prev: has_phis,
+            entry,
+            shared_size: shared_offset(func.shared_arrays(), func.shared_arrays().len()),
+            track_prev: max_phis > 0,
+            max_phis: max_phis as u32,
         }
     }
 
     /// The kernel's name.
     pub fn name(&self) -> &str {
-        &self.name
+        &self.names[..self.name_len as usize]
     }
 
     /// Parameter types of the kernel signature.
@@ -819,6 +945,18 @@ impl BytecodeKernel {
                 .zip(&self.lats)
                 .map(|(op, &lat)| timing_rec(op, lat))
                 .collect()
+        })
+    }
+
+    /// Every block's label and the label of its immediate post-dominator
+    /// — where the lanes of a divergent branch at the block's end
+    /// reconverge — in layout order; `None` where there is none (the block
+    /// is unreachable or reaches no `ret`: a divergent branch there fails
+    /// with [`SimError::MissingIpdom`](crate::SimError::MissingIpdom)).
+    pub fn reconvergence_points(&self) -> impl Iterator<Item = (&str, Option<&str>)> + '_ {
+        self.blocks.iter().enumerate().map(|(d, b)| {
+            let ipdom = (b.ipdom != NO_BLOCK).then(|| self.block_name(b.ipdom));
+            (self.block_name(d as u32), ipdom)
         })
     }
 
@@ -904,12 +1042,12 @@ fn fused(mut first: Issue, mut second: Issue) -> TimingRec {
 /// just before it in the same block — the candidate for fusion; when the
 /// returned op is a fused one, the caller drops `last`.
 fn lower_inst(
-    lw: &mut Lower<'_>,
+    lw: &mut Lower<'_, '_>,
     id: darm_ir::InstId,
     data: &InstData,
-    last: Option<Op>,
+    last: Option<&Op>,
     dense_of: &[u32],
-    shared_offsets: &[u64],
+    shared: &[SharedArray],
 ) -> Op {
     use Opcode as O;
     use Type as T;
@@ -931,7 +1069,7 @@ fn lower_inst(
             let c = lw.checked_operand(data, 0, is_i1);
             // Fuse with the compare emitted immediately before, inside this
             // block, when it defines the branch condition.
-            if let (Some(Op::Icmp { p, d, a, b }), Some(&Value::Inst(cond))) =
+            if let (Some(&Op::Icmp { p, d, a, b }), Some(&Value::Inst(cond))) =
                 (last, data.operands.first())
             {
                 if d == c {
@@ -961,7 +1099,7 @@ fn lower_inst(
             let a = lw.checked_operand(data, 1, T::is_ptr);
             // Same fusion shape as compare-and-branch: the gep emitted
             // immediately before computes this access's address.
-            if let (Some(Op::Gep { elem, d, a: ga, b }), Some(&Value::Inst(addr))) =
+            if let (Some(&Op::Gep { elem, d, a: ga, b }), Some(&Value::Inst(addr))) =
                 (last, data.operands.get(1))
             {
                 if d == a {
@@ -1077,7 +1215,7 @@ fn lower_inst(
         O::Load => {
             let addr = lw.checked_operand(data, 0, T::is_ptr);
             Some(match (last, data.operands.first()) {
-                (Some(Op::Gep { elem, d: gd, a, b }), Some(&Value::Inst(gep))) if gd == addr => {
+                (Some(&Op::Gep { elem, d: gd, a, b }), Some(&Value::Inst(gep))) if gd == addr => {
                     Op::GepLoad {
                         elem,
                         gd: lw.unless_dead(gep, gd),
@@ -1098,7 +1236,11 @@ fn lower_inst(
         O::BlockIdx(dim) => uniform(Uniform::BlockIdx(dim)),
         O::BlockDim(dim) => uniform(Uniform::BlockDim(dim)),
         O::GridDim(dim) => uniform(Uniform::GridDim(dim)),
-        O::SharedBase(k) => uniform(Uniform::SharedBase(shared_offsets[k as usize])),
+        // `..=k` holds `k` to a declared array.
+        O::SharedBase(k) => uniform(Uniform::SharedBase(shared_offset(
+            &shared[..=k as usize],
+            k as usize,
+        ))),
         O::Ballot => Some(Op::Ballot {
             d,
             a: lw.checked_operand(data, 0, is_i1),

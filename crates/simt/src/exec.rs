@@ -49,6 +49,10 @@ pub enum SimError {
     /// [`GpuConfig::warp_size`] is outside `1..=64` (lane masks are one
     /// `u64` per warp).
     BadWarpSize(u32),
+    /// The timing model is on with an
+    /// [`issue_width`](crate::TimingConfig::issue_width) of 0: a warp
+    /// instruction would occupy no issue slot.
+    BadIssueWidth,
 }
 
 impl fmt::Display for SimError {
@@ -66,6 +70,7 @@ impl fmt::Display for SimError {
                 write!(f, "divergent branch without reconvergence point: {m}")
             }
             SimError::BadWarpSize(ws) => write!(f, "warp size {ws} is outside 1..=64"),
+            SimError::BadIssueWidth => write!(f, "timing issue width 0 is below 1"),
         }
     }
 }
@@ -75,12 +80,16 @@ impl Error for SimError {}
 /// The most threads one block may have: the CUDA/HIP per-block limit.
 const MAX_THREADS_PER_BLOCK: u64 = 1024;
 
-/// Rejects a [`GpuConfig::warp_size`] the lane masks cannot represent, then
-/// a block of more than [`MAX_THREADS_PER_BLOCK`] threads. Both engines
-/// check this first, before anything about the launch is allocated.
-pub(crate) fn check_geometry(warp_size: u32, cfg: &LaunchConfig) -> Result<(), SimError> {
-    if !(1..=64).contains(&warp_size) {
-        return Err(SimError::BadWarpSize(warp_size));
+/// Rejects a [`GpuConfig::warp_size`] the lane masks cannot represent, a
+/// timing model that issues nothing (an issue width of 0), then a block of
+/// more than [`MAX_THREADS_PER_BLOCK`] threads. Both engines check this
+/// first, before anything about the launch is allocated.
+pub(crate) fn check_geometry(config: &GpuConfig, cfg: &LaunchConfig) -> Result<(), SimError> {
+    if !(1..=64).contains(&config.warp_size) {
+        return Err(SimError::BadWarpSize(config.warp_size));
+    }
+    if config.timing.enabled && config.timing.issue_width == 0 {
+        return Err(SimError::BadIssueWidth);
     }
     let threads = cfg.threads_per_block();
     if threads > MAX_THREADS_PER_BLOCK {
@@ -91,14 +100,15 @@ pub(crate) fn check_geometry(warp_size: u32, cfg: &LaunchConfig) -> Result<(), S
     Ok(())
 }
 
-/// Validates launch arguments against a kernel signature and converts them
-/// to runtime values. Shared by the bytecode and reference engines.
+/// Validates launch arguments against a kernel signature. Shared by the
+/// bytecode and reference engines, which then take each argument's value
+/// from [`arg_value`].
 pub(crate) fn validate_args(
     kernel_name: &str,
     params: &[Type],
     args: &[KernelArg],
     n_buffers: usize,
-) -> Result<Vec<RawVal>, SimError> {
+) -> Result<(), SimError> {
     if args.len() != params.len() {
         return Err(SimError::BadArgs(format!(
             "kernel {} expects {} arguments, got {}",
@@ -107,27 +117,35 @@ pub(crate) fn validate_args(
             args.len()
         )));
     }
-    let mut arg_vals = Vec::with_capacity(args.len());
     for (k, (&arg, &ty)) in args.iter().zip(params).enumerate() {
-        let v = match (arg, ty) {
+        match (arg, ty) {
             (KernelArg::Buffer(b), Type::Ptr(_)) => {
                 if b.0 as usize >= n_buffers {
                     return Err(SimError::BadArgs(format!("argument {k}: unknown buffer")));
                 }
-                RawVal::Ptr(encode_global(b, 0))
             }
-            (KernelArg::I32(x), Type::I32) => RawVal::I32(x),
-            (KernelArg::I64(x), Type::I64) => RawVal::I64(x),
-            (KernelArg::F32(x), Type::F32) => RawVal::F32(x),
+            (KernelArg::I32(_), Type::I32)
+            | (KernelArg::I64(_), Type::I64)
+            | (KernelArg::F32(_), Type::F32) => {}
             _ => {
                 return Err(SimError::BadArgs(format!(
                     "argument {k}: {arg:?} does not match parameter type {ty}"
                 )))
             }
-        };
-        arg_vals.push(v);
+        }
     }
-    Ok(arg_vals)
+    Ok(())
+}
+
+/// The runtime value of a launch argument [`validate_args`] accepted: a
+/// buffer is a pointer to its start.
+pub(crate) fn arg_value(arg: KernelArg) -> RawVal {
+    match arg {
+        KernelArg::Buffer(b) => RawVal::Ptr(encode_global(b, 0)),
+        KernelArg::I32(x) => RawVal::I32(x),
+        KernelArg::I64(x) => RawVal::I64(x),
+        KernelArg::F32(x) => RawVal::F32(x),
+    }
 }
 
 /// The simulated GPU: owns global memory and runs kernel launches.

@@ -58,7 +58,7 @@
 //! reference interpreter.
 
 use crate::bytecode::{BytecodeKernel, Cvt, Op, Uniform, BLOCK_ENTRY, NO_BLOCK, NO_DST, W};
-use crate::exec::{check_geometry, validate_args, KernelArg, SimError};
+use crate::exec::{arg_value, check_geometry, validate_args, KernelArg, SimError};
 use crate::mem::{decode, encode_shared, ByteStore, OFFSET_MASK};
 use crate::stats::KernelStats;
 use crate::timing::{TimingState, WarpClock};
@@ -67,6 +67,13 @@ use darm_ir::{Dim, FcmpPred, IcmpPred, Opcode, Type};
 
 /// Runs a bytecode kernel over the launch geometry. Entry point for
 /// [`crate::Gpu::launch_bytecode`].
+///
+/// Everything the launch keeps is allocated here, once, and reused by
+/// every thread block: the register file and its definedness words, the
+/// warps with their reconvergence stacks and provenance lists, the shared
+/// arena and the engine's scratch — a fixed handful of allocations
+/// whatever the block count, warp count or instruction count
+/// (`tests/launch_allocs.rs` counts).
 pub(crate) fn launch(
     buffers: &mut Vec<ByteStore>,
     config: &GpuConfig,
@@ -74,28 +81,30 @@ pub(crate) fn launch(
     cfg: &LaunchConfig,
     args: &[KernelArg],
 ) -> Result<KernelStats, SimError> {
-    check_geometry(config.warp_size, cfg)?;
-    let arg_vals = validate_args(&bk.name, &bk.params, args, buffers.len())?;
+    check_geometry(config, cfg)?;
+    validate_args(bk.name(), &bk.params, args, buffers.len())?;
+    let ws = config.warp_size;
     let mut stats = KernelStats {
-        warp_size: config.warp_size,
+        warp_size: ws,
         ..Default::default()
     };
     let mut budget = config.max_warp_instructions;
     let threads = cfg.threads_per_block() as usize;
-    let n_warps = threads.div_ceil(config.warp_size as usize);
+    let n_warps = threads.div_ceil(ws as usize);
     // Timing observer, allocated only when enabled — the engine sees `None`
     // otherwise and pays one predictable branch per charge.
     let mut timing = config
         .timing
         .enabled
-        .then(|| TimingState::new(config.timing, n_warps, bk.n_slots));
+        .then(|| TimingState::new(config.timing, n_warps, bk.n_slots, bk.max_phis as usize));
     let n = bk.n_slots as usize;
-    // One slot-major register file, reused per block. The constant and
-    // parameter slots sit above the program-writable prefix and no op
-    // writes them, so they are materialized once here; the always-undefined
-    // slot simply keeps its zero definedness.
-    let mut regs = vec![0u64; threads * n];
-    let mut defs = vec![0u64; n_warps * n];
+    // One slot-major register file and its definedness words, reused per
+    // block. The constant and parameter slots sit above the
+    // program-writable prefix and no op writes them, so they are
+    // materialized once here; the always-undefined slot simply keeps its
+    // zero definedness.
+    let mut file = vec![0u64; (threads + n_warps) * n];
+    let (regs, defs) = file.split_at_mut(threads * n);
     let mut materialize = |slot: u32, cell: u64| {
         let s = slot as usize;
         regs[s * threads..(s + 1) * threads].fill(cell);
@@ -105,45 +114,151 @@ pub(crate) fn launch(
         materialize(s, cell);
     }
     for &(s, pi) in &bk.param_slots {
-        let cell = arg_vals[pi as usize].cell();
+        let cell = arg_value(args[pi as usize]).cell();
         materialize(s, cell.expect("validated arguments are defined"));
     }
+    // The warps' books. A divergent branch splits its entry's lanes into
+    // two non-empty halves, and an entry leaves the stack before the one
+    // it split from: a stack holds one continuation and at most one
+    // pending arm per split along the path to its top, and a path of
+    // `lanes` lanes splits at most `lanes - 1` times, so `2 · lanes - 1`
+    // entries bound it. Provenance groups are disjoint and non-empty: at
+    // most one per lane, and none for a φ-free kernel, which reads none.
+    // A φ batch's buckets are provenance groups met by the entry mask, so
+    // their list is one more of the same length, after the warps'.
+    let stack_len = 2 * ws as usize;
+    let group_len = if bk.track_prev { ws as usize } else { 0 };
+    let mut stacks = vec![StackEntry::default(); n_warps * stack_len];
+    let mut groups = vec![(0, 0u64); (n_warps + 1) * group_len];
+    let (buckets, groups) = groups.split_at_mut(group_len);
+    let (mut stacks_rest, mut groups_rest) = (&mut stacks[..], groups);
+    let mut warps = Vec::with_capacity(n_warps);
+    for w in 0..n_warps as u32 {
+        let (stack, rest) = std::mem::take(&mut stacks_rest).split_at_mut(stack_len);
+        stacks_rest = rest;
+        let (prev, rest) = std::mem::take(&mut groups_rest).split_at_mut(group_len);
+        groups_rest = rest;
+        warps.push(WarpState {
+            stack: Books::new(stack),
+            prev: Books::new(prev),
+            status: WarpStatus::Done,
+            base_thread: w * ws,
+        });
+    }
+    // Only a block whose φ moves overlap stages them: a definedness word
+    // and at most one cell per lane for each move of one edge.
+    let staged = bk.blocks.iter().any(|b| b.phi_overlap);
+    let mut engine = BcEngine {
+        buffers,
+        warp_size: ws,
+        bk,
+        launch: cfg,
+        block_idx: (0, 0),
+        shared: ByteStore::with_len(bk.shared_size as usize),
+        stats: KernelStats::default(),
+        budget: &mut budget,
+        threads,
+        n_warps,
+        addrs: [0; 64],
+        gep_cells: [0; 64],
+        scratch: Vec::with_capacity(ws as usize),
+        buckets: Books::new(buckets),
+        stage: Vec::with_capacity(if staged {
+            bk.max_phis as usize * (1 + ws as usize)
+        } else {
+            0
+        }),
+    };
     for by in 0..cfg.grid.1 {
         for bx in 0..cfg.grid.0 {
             defs[..bk.program_slots as usize * n_warps].fill(0);
-            let mut engine = BcEngine {
-                buffers,
-                warp_size: config.warp_size,
-                bk,
-                launch: cfg,
-                block_idx: (bx, by),
-                shared: ByteStore::with_len(bk.shared_size as usize),
-                stats: KernelStats {
-                    warp_size: config.warp_size,
-                    ..Default::default()
-                },
-                budget: &mut budget,
-                threads,
-                n_warps,
-                addrs: [0; 64],
-                gep_cells: [0; 64],
-                scratch: Vec::new(),
-                buckets: Vec::new(),
-                stage: Vec::new(),
-            };
-            engine.run(&mut regs, &mut defs, timing.as_mut())?;
-            let mut s = engine.stats;
-            if let Some(t) = timing.as_mut() {
-                t.flush_block(&mut s);
+            if (bx, by) != (0, 0) {
+                engine.shared.bytes_mut().fill(0);
             }
-            stats.merge(&s);
+            engine.block_idx = (bx, by);
+            engine.stats = KernelStats {
+                warp_size: ws,
+                ..Default::default()
+            };
+            engine.run(&mut warps, regs, defs, timing.as_mut())?;
+            if let Some(t) = timing.as_mut() {
+                t.flush_block(&mut engine.stats);
+            }
+            stats.merge(&engine.stats);
         }
     }
     Ok(stats)
 }
 
+/// A list in fixed storage: one share of a table the launch allocates
+/// once for all its warps and blocks (a warp's reconvergence stack or
+/// provenance groups, or the φ buckets). Dereferences to the entries in
+/// use; a push past the storage panics, as the bounds at [`launch`] rule
+/// out.
+struct Books<'b, T> {
+    slots: &'b mut [T],
+    len: usize,
+}
+
+impl<'b, T: Copy> Books<'b, T> {
+    fn new(slots: &'b mut [T]) -> Self {
+        Books { slots, len: 0 }
+    }
+
+    fn push(&mut self, x: T) {
+        self.slots[self.len] = x;
+        self.len += 1;
+    }
+
+    fn pop(&mut self) -> Option<T> {
+        self.len = self.len.checked_sub(1)?;
+        Some(self.slots[self.len])
+    }
+
+    fn clear(&mut self) {
+        self.len = 0;
+    }
+
+    /// Keeps the entries `keep` returns true for (after it may have
+    /// changed them), in order.
+    fn retain_mut(&mut self, mut keep: impl FnMut(&mut T) -> bool) {
+        let mut kept = 0;
+        for i in 0..self.len {
+            let mut x = self.slots[i];
+            if keep(&mut x) {
+                self.slots[kept] = x;
+                kept += 1;
+            }
+        }
+        self.len = kept;
+    }
+}
+
+impl<T> Default for Books<'_, T> {
+    fn default() -> Self {
+        Books {
+            slots: &mut [],
+            len: 0,
+        }
+    }
+}
+
+impl<T> std::ops::Deref for Books<'_, T> {
+    type Target = [T];
+
+    fn deref(&self) -> &[T] {
+        &self.slots[..self.len]
+    }
+}
+
+impl<T> std::ops::DerefMut for Books<'_, T> {
+    fn deref_mut(&mut self) -> &mut [T] {
+        &mut self.slots[..self.len]
+    }
+}
+
 /// One IPDOM reconvergence-stack entry.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct StackEntry {
     /// Dense block index.
     block: u32,
@@ -162,14 +277,14 @@ enum WarpStatus {
     Done,
 }
 
-struct WarpState {
-    stack: Vec<StackEntry>,
+struct WarpState<'b> {
+    stack: Books<'b, StackEntry>,
     /// The last block each lane executed, as `(dense block, lane mask)`
     /// groups — resolves φ incomings. The masks are disjoint and non-empty
     /// and the blocks distinct, so there are at most as many groups as
-    /// lanes (the capacity, reserved up front); a lane in no group has
-    /// executed no terminator yet.
-    prev: Vec<(u32, u64)>,
+    /// lanes (the storage); a lane in no group has executed no terminator
+    /// yet.
+    prev: Books<'b, (u32, u64)>,
     status: WarpStatus,
     base_thread: u32,
 }
@@ -479,7 +594,7 @@ struct BcEngine<'a> {
     scratch: Vec<u64>,
     /// Scratch for φ resolution: `(edge, lane mask)` buckets, the edge an
     /// index into the block's φ edges.
-    buckets: Vec<(u32, u64)>,
+    buckets: Books<'a, (u32, u64)>,
     /// Scratch for the staged (overlapping) φ move path.
     stage: Vec<u64>,
 }
@@ -491,6 +606,7 @@ impl<'a> BcEngine<'a> {
     #[allow(clippy::needless_range_loop)] // indexing sidesteps a double &mut borrow
     fn run(
         &mut self,
+        warps: &mut [WarpState<'_>],
         regs: &mut [u64],
         defs: &mut [u64],
         mut timing: Option<&mut TimingState>,
@@ -498,25 +614,19 @@ impl<'a> BcEngine<'a> {
         let threads = self.launch.threads_per_block() as u32;
         let ws = self.warp_size;
         let entry_pc = self.bk.blocks[self.bk.entry as usize].entry_pc;
-
-        let mut warps: Vec<WarpState> = (0..self.n_warps as u32)
-            .map(|w| {
-                let base = w * ws;
-                let lanes = ws.min(threads - base);
-                WarpState {
-                    stack: vec![StackEntry {
-                        block: self.bk.entry,
-                        inst_idx: entry_pc,
-                        rpc: NO_BLOCK,
-                        // `lanes` is 1..=64: `check_geometry` held.
-                        mask: u64::MAX >> (64 - lanes),
-                    }],
-                    prev: Vec::with_capacity(if self.bk.track_prev { ws as usize } else { 0 }),
-                    status: WarpStatus::Running,
-                    base_thread: base,
-                }
-            })
-            .collect();
+        for warp in warps.iter_mut() {
+            let lanes = ws.min(threads - warp.base_thread);
+            warp.stack.clear();
+            warp.stack.push(StackEntry {
+                block: self.bk.entry,
+                inst_idx: entry_pc,
+                rpc: NO_BLOCK,
+                // `lanes` is 1..=64: `check_geometry` held.
+                mask: u64::MAX >> (64 - lanes),
+            });
+            warp.prev.clear();
+            warp.status = WarpStatus::Running;
+        }
 
         loop {
             let mut any_running = false;
@@ -543,7 +653,7 @@ impl<'a> BcEngine<'a> {
                         "{done} warps finished while {waiting} wait at a barrier"
                     )));
                 }
-                for w in &mut warps {
+                for w in warps.iter_mut() {
                     w.status = WarpStatus::Running;
                 }
                 if let Some(t) = timing.as_deref_mut() {
@@ -561,7 +671,7 @@ impl<'a> BcEngine<'a> {
     #[allow(unused_assignments)] // flush! resets are dead at return sites
     fn run_warp(
         &mut self,
-        warp: &mut WarpState,
+        warp: &mut WarpState<'_>,
         regs: &mut [u64],
         defs: &mut [u64],
         timing: Option<&mut TimingState>,
@@ -787,7 +897,7 @@ impl<'a> BcEngine<'a> {
             macro_rules! record_prev {
                 () => {{
                     if bk.track_prev {
-                        match warp.prev.as_mut_slice() {
+                        match &mut warp.prev[..] {
                             [(b, m)] if *m & !mask == 0 => (*b, *m) = (cur_block, mask),
                             _ => {
                                 let mut joined = false;
@@ -1190,12 +1300,23 @@ impl<'a> BcEngine<'a> {
                     }
                     // ---- values: per lane ----
                     Op::ThreadIdx { dim, d } => {
+                        // Thread `t` of the block is at `x = t % bx`,
+                        // `y = t / bx`. The lanes come in ascending order,
+                        // so one division places the first and the rest
+                        // step along the row, dividing again only when they
+                        // pass its end.
                         let dc = col!(d);
                         let bx = self.launch.block.0;
+                        let t0 = (wb + lo) as u32;
+                        let (mut x, mut y, mut at) = (t0 % bx, t0 / bx, 0);
                         lanes!(|i| {
-                            let t = (wb + lo + i) as u32;
-                            let v = if dim == Dim::X { t % bx } else { t / bx };
-                            regs[dc + i] = sx(v as u64);
+                            x += (i - at) as u32;
+                            at = i;
+                            if x >= bx {
+                                (x, y) = (x % bx, y + x / bx);
+                            }
+                            let v = if dim == Dim::X { x } else { y };
+                            regs[dc + i] = sx(u64::from(v));
                         });
                         set_def!(d, u64::MAX);
                     }
@@ -1251,7 +1372,7 @@ impl<'a> BcEngine<'a> {
     /// on top, so it executes first).
     fn diverge(
         &mut self,
-        warp: &mut WarpState,
+        warp: &mut WarpState<'_>,
         cur_block: u32,
         t_block: u32,
         e_block: u32,
@@ -1287,7 +1408,7 @@ impl<'a> BcEngine<'a> {
     /// the reference interpreter exactly.
     fn run_phis(
         &mut self,
-        warp: &mut WarpState,
+        warp: &mut WarpState<'_>,
         block: u32,
         mask: u64,
         regs: &mut [u64],
@@ -1309,7 +1430,7 @@ impl<'a> BcEngine<'a> {
         buckets.clear();
         let mut covered = 0u64;
         let mut bad = false;
-        for &(pred, group) in &warp.prev {
+        for &(pred, group) in warp.prev.iter() {
             let bmask = group & mask;
             if bmask != 0 {
                 covered |= bmask;
@@ -1328,7 +1449,7 @@ impl<'a> BcEngine<'a> {
         // its own column cell and its own definedness bit), so bucket order
         // does not matter; within a bucket, the staged path preserves
         // read-before-write when a φ feeds another φ.
-        for &(k, bmask) in &buckets {
+        for &(k, bmask) in buckets.iter() {
             let e = edges[k as usize];
             let moves = &bk.phi_moves[e.m_start as usize..e.m_end as usize];
             let (lo, run) = Run::of(bmask);
@@ -1385,7 +1506,7 @@ impl<'a> BcEngine<'a> {
             for k in 0..n_phis {
                 let mut ready = 0u64;
                 let mut dst = 0u32;
-                for &(e, _) in &buckets {
+                for &(e, _) in buckets.iter() {
                     let (d, s) = bk.phi_moves[edges[e as usize].m_start as usize + k];
                     dst = d;
                     ready = ready.max(t.reg_ready(s));
@@ -1402,7 +1523,7 @@ impl<'a> BcEngine<'a> {
     /// defective φ batch, replicating its φ-major, lane-minor scan order —
     /// each lane's predecessor looked up in its provenance group (error
     /// path only — never taken by valid kernels).
-    fn phi_error(&self, warp: &WarpState, block: u32, mask: u64) -> SimError {
+    fn phi_error(&self, warp: &WarpState<'_>, block: u32, mask: u64) -> SimError {
         let bk = self.bk;
         let blk = bk.blocks[block as usize];
         let edges = &bk.phi_edges[blk.phi_start as usize..blk.phi_end as usize];

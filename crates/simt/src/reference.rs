@@ -15,7 +15,7 @@
 //! kernel (`prop_backends` does the same over random divergent CFGs), and
 //! the `interp_throughput` bench measures the engine's speedup against it.
 
-use crate::exec::{check_geometry, validate_args, KernelArg, SimError};
+use crate::exec::{arg_value, check_geometry, validate_args, KernelArg, SimError};
 use crate::mem::{decode, encode_shared, ByteStore, RawVal};
 use crate::stats::KernelStats;
 use crate::{GpuConfig, LaunchConfig};
@@ -31,8 +31,9 @@ pub(crate) fn launch(
     cfg: &LaunchConfig,
     args: &[KernelArg],
 ) -> Result<KernelStats, SimError> {
-    check_geometry(config.warp_size, cfg)?;
-    let arg_vals = validate_args(func.name(), func.params(), args, buffers.len())?;
+    check_geometry(config, cfg)?;
+    validate_args(func.name(), func.params(), args, buffers.len())?;
+    let arg_vals: Vec<RawVal> = args.iter().map(|&arg| arg_value(arg)).collect();
 
     let cfg_snapshot = Cfg::new(func);
     let pdt = PostDomTree::new(func, &cfg_snapshot);

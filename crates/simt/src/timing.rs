@@ -135,7 +135,8 @@ pub struct TimingConfig {
     pub enabled: bool,
     /// Lanes issued per cycle: a warp instruction with `a` active lanes
     /// occupies `ceil(a / issue_width)` issue slots. Default 16 (half a
-    /// 32-lane warp per cycle). Must be ≥ 1.
+    /// 32-lane warp per cycle). Must be ≥ 1: a timed launch with 0 fails
+    /// with [`SimError::BadIssueWidth`](crate::SimError::BadIssueWidth).
     pub issue_width: u32,
 }
 
@@ -263,16 +264,17 @@ pub(crate) struct TimingState {
 
 impl TimingState {
     /// The state for `n_warps` warps running a kernel of `n_slots`
-    /// register slots.
-    pub(crate) fn new(cfg: TimingConfig, n_warps: usize, n_slots: u32) -> Self {
-        let width = u64::from(cfg.issue_width.max(1));
+    /// register slots and at most `max_phis` φs per block.
+    pub(crate) fn new(cfg: TimingConfig, n_warps: usize, n_slots: u32, max_phis: usize) -> Self {
+        // `check_geometry` turned an issue width of 0 away.
+        let width = u64::from(cfg.issue_width);
         let stride = (cell(n_slots) as usize).next_power_of_two();
         TimingState {
             slots: std::array::from_fn(|a| (a as u64).div_ceil(width)),
             stride,
             ready: vec![0; n_warps * stride],
             warps: vec![WarpTimer::default(); n_warps],
-            phi_scratch: Vec::new(),
+            phi_scratch: Vec::with_capacity(max_phis),
         }
     }
 
@@ -433,6 +435,7 @@ mod tests {
             },
             n_warps,
             SLOTS,
+            0,
         )
     }
 
@@ -449,8 +452,8 @@ mod tests {
                 assert_eq!(t.slots[a as usize], a.div_ceil(u64::from(w)), "{a} / {w}");
             }
         }
-        // A zero width is clamped to one lane per cycle.
-        assert_eq!(state(0, 1).slots[64], 64);
+        // A zero width never gets here: a launch turns it away with
+        // `SimError::BadIssueWidth` (`tests/typed_semantics.rs`).
     }
 
     #[test]

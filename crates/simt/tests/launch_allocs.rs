@@ -210,6 +210,34 @@ fn ladder_allocations(config: GpuConfig) -> (usize, usize) {
     (small, large)
 }
 
+/// What a launch of a φ kernel allocates, once for all its blocks and
+/// warps: the register file with its definedness words, the warp list,
+/// the warps' reconvergence stacks, their provenance lists with the φ
+/// buckets, and the coalescing model's scratch.
+const LAUNCH_ALLOCATIONS: usize = 5;
+
+#[test]
+fn a_launch_allocates_a_fixed_handful_whatever_its_blocks_and_warps() {
+    let f = interleaved_ladder(4);
+    let bk = BytecodeKernel::new(&f);
+    for (blocks, threads) in [(1, 64), (1, 1024), (3, 48)] {
+        let mut gpu = Gpu::new(GpuConfig::default());
+        let n = (blocks * threads) as usize;
+        let out = gpu.alloc_i32(&vec![0; n]);
+        let input = gpu.alloc_i32(&(0..n as i32).collect::<Vec<i32>>());
+        let args = [KernelArg::Buffer(out), KernelArg::Buffer(input)];
+        let launch = LaunchConfig::linear(blocks, threads);
+        let n = calls(|| {
+            gpu.launch_bytecode(&bk, &launch, &args)
+                .expect("the ladder runs")
+        });
+        assert!(
+            n <= LAUNCH_ALLOCATIONS,
+            "{blocks} x {threads}: {n} allocations, at most {LAUNCH_ALLOCATIONS} expected"
+        );
+    }
+}
+
 #[test]
 fn a_launch_allocates_the_same_for_a_4_and_a_64_rung_interleaved_ladder() {
     let (small, large) = ladder_allocations(GpuConfig::default());

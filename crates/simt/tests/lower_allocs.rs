@@ -1,10 +1,11 @@
 //! Counting guards for lowering, in the style of
 //! `crates/ir/tests/parse_allocs.rs`: heap allocations are counted, not
 //! timed. Every launch lowers its kernel first, so lowering a small
-//! function must not cost a vector per block. `BytecodeKernel::new` — and
-//! under it the CFG and both dominator trees, in compressed rows — presize
-//! every table from counts, so a 4-block diamond and a 64-rung ladder
-//! allocate the same number of times.
+//! function must not cost a vector per block. `BytecodeKernel::new` — which
+//! takes its IPDOMs from the post-dominator core over its own scratch, not
+//! from a `Cfg` and a tree — and the CFG and both dominator trees, in
+//! compressed rows, presize every table from counts, so a 4-block diamond
+//! and a 64-rung ladder allocate the same number of times.
 
 use darm_analysis::{Cfg, DomTree, PostDomTree};
 use darm_ir::Function;
@@ -90,6 +91,26 @@ fn lowering_allocates_the_same_for_a_diamond_and_a_64_rung_ladder() {
         small, large,
         "diamond: {small} allocations, ladder: {large}"
     );
+}
+
+/// What lowering allocates: what it returns (the code and its latency
+/// table, the block table, the φ edge and move tables, the constant and
+/// parameter slot lists, the parameter types and the names) and one
+/// scratch table for everything it reads and does not return — the block
+/// and slot numbering, use counts, the constant dedup table, successor
+/// rows and the post-dominator core's storage.
+const LOWERING_ALLOCATIONS: usize = 10;
+
+#[test]
+fn lowering_allocates_what_it_returns_and_one_scratch_table() {
+    let (diamond, ladder) = diamond_and_ladder();
+    for (f, what) in [(&diamond, "diamond"), (&ladder, "ladder")] {
+        let n = calls(|| BytecodeKernel::new(f));
+        assert!(
+            n <= LOWERING_ALLOCATIONS,
+            "{what}: {n} allocations, at most {LOWERING_ALLOCATIONS} expected"
+        );
+    }
 }
 
 #[test]

@@ -14,6 +14,7 @@ use darm_ir::{
 };
 use darm_simt::{
     BufferId, BytecodeKernel, Gpu, GpuConfig, KernelArg, KernelStats, LaunchConfig, SimError,
+    TimingConfig,
 };
 
 const PTR: Type = Type::Ptr(AddrSpace::Global);
@@ -933,6 +934,95 @@ fn warp_size_is_validated_before_anything_else() {
             assert_eq!(gpu.launch_bytecode(&bk, &launch, &[]), got);
             assert_eq!(gpu.launch_reference(&f, &launch, &[]), got);
         }
+    }
+}
+
+/// A timed launch at an issue width of 0 — a warp instruction that would
+/// occupy no issue slot — is turned away on both engines, after a bad warp
+/// size and before a bad argument list; untimed, the width is never read.
+#[test]
+fn a_zero_issue_width_is_rejected_when_timing_is_on() {
+    let f = diamond_in_loop();
+    let launch = LaunchConfig::linear(2, 33);
+    for (enabled, warp_size) in [(true, 32), (false, 32), (true, 0)] {
+        let config = GpuConfig {
+            warp_size,
+            timing: TimingConfig {
+                enabled,
+                issue_width: 0,
+            },
+            ..GpuConfig::default()
+        };
+        let what = format!("timing {enabled}, warp size {warp_size}");
+        let got = assert_engines_agree(&f, config, &launch, &[vec![0; 66]], &[], &what);
+        let want = match (enabled, warp_size) {
+            (_, 0) => Err(SimError::BadWarpSize(0)),
+            (true, _) => Err(SimError::BadIssueWidth),
+            (false, _) => got.clone(),
+        };
+        assert_eq!(got, want, "{what}");
+        if enabled {
+            let mut gpu = Gpu::new(config);
+            let bk = BytecodeKernel::new(&f);
+            assert_eq!(gpu.launch_bytecode(&bk, &launch, &[]), want, "{what}");
+            assert_eq!(gpu.launch_reference(&f, &launch, &[]), want, "{what}");
+        } else {
+            got.expect("an untimed launch never reads the width");
+        }
+    }
+}
+
+// ---- thread index ----
+
+/// `tid.x` and `tid.y` on both engines under a full mask and under a
+/// sparse one, in blocks whose rows are one thread wide, narrower than a
+/// warp, a warp wide and wider than one: the engine places a warp's first
+/// lane by division and steps along the row from there.
+#[test]
+fn thread_indices_agree_on_every_row_width_and_mask() {
+    let mut f = Function::new("tids", vec![PTR], Type::Void);
+    let entry = f.entry();
+    let [arm, join] = ["arm", "join"].map(|n| f.add_block(n));
+    let mut b = FunctionBuilder::new(&mut f, entry);
+    let (x, y) = (b.thread_idx(Dim::X), b.thread_idx(Dim::Y));
+    let width = b.block_dim(Dim::X);
+    let row = b.mul(y, width);
+    let t = b.add(row, x);
+    let out = b.gep(Type::I32, b.param(0), t);
+    let full = b.add(t, b.const_i32(1 << 20));
+    b.store(full, out);
+    // Lanes 0, 3, 5, 6, 9, … of every eight: a mask with gaps of 1 to 3.
+    let spread = b.mul(t, b.const_i32(5));
+    let low = b.and(spread, b.const_i32(3));
+    let taken = b.icmp(IcmpPred::Ne, low, b.const_i32(2));
+    let odd = b.and(t, b.const_i32(1));
+    let sparse = b.icmp(IcmpPred::Eq, odd, b.const_i32(0));
+    let both = b.and(taken, sparse);
+    b.br(both, arm, join);
+    b.switch_to(arm);
+    let (x, y) = (b.thread_idx(Dim::X), b.thread_idx(Dim::Y));
+    let high = b.mul(y, b.const_i32(1000));
+    let v = b.add(high, x);
+    b.store(v, out);
+    b.jump(join);
+    b.switch_to(join);
+    b.ret(None);
+    f.verify_structure().expect("the kernel is well-formed");
+    let rows = [
+        (1, 40),
+        (3, 21),
+        (7, 9),
+        (32, 2),
+        (40, 3),
+        (64, 1),
+        (100, 3),
+    ];
+    for block in rows {
+        let launch = LaunchConfig::grid2d((2, 1), block);
+        let out = [vec![-1; (block.0 * block.1) as usize]];
+        let what = format!("block {block:?}");
+        assert_engines_agree(&f, GpuConfig::default(), &launch, &out, &[], &what)
+            .expect("the kernel runs");
     }
 }
 

@@ -27,7 +27,9 @@ of BENCHMARK.json is measured in turn.
                 run two prebuilt ledger binaries instead of building
                 revisions (each built as above, found at
                 examples/benchmark/target/release/benchmark of its
-                checkout); the same order and summary, no worktrees
+                checkout); the same order and summary, no worktrees.
+                Two copies of one binary (an A/A run) show how far two
+                identical sides drift on this host before a claim is read
 
 Prints, per workload and end-to-end metric: median [q1, q3] of each side,
 the ratio of medians, pairs won by the change (ties count for neither), and
