@@ -17,7 +17,10 @@
 //!   ALU work: the warp-access pre-pass, the typed access loop and the
 //!   coalescing model). The `timed Mwi/s` column runs the same launch
 //!   with [`TimingConfig::on`], so the observer's cost on each kernel
-//!   shape reads off the gap to the `bytecode Mwi/s` column;
+//!   shape reads off the gap to the `bytecode Mwi/s` column. Each cell is
+//!   the kernel's fastest launch over interleaved rounds that visit every
+//!   kernel and column in turn, so a burst of host noise lands on one
+//!   sample, not on one cell;
 //! * a **small launch** row over [`small_kernels`], `gen` functions of the
 //!   ledger's `many-small` size (20–60 instructions, one block of 64
 //!   threads), where lowering and launch set-up rather than execution
@@ -63,21 +66,6 @@ fn run_bytecode(case: &BenchCase, bk: &BytecodeKernel) -> KernelStats {
     let (kargs, _bufs) = case.alloc_args(&mut gpu);
     gpu.launch_bytecode(bk, &case.launch, &kargs)
         .unwrap_or_else(|e| panic!("{}: bytecode run failed: {e}", case.name))
-}
-
-/// Times `f` over enough repetitions to fill roughly `budget` seconds,
-/// returning seconds per call.
-fn time_per_call(budget: f64, mut f: impl FnMut()) -> f64 {
-    // Warm up and size the batch.
-    let t0 = Instant::now();
-    f();
-    let once = t0.elapsed().as_secs_f64().max(1e-6);
-    let reps = ((budget / once).ceil() as usize).clamp(3, 200);
-    let t1 = Instant::now();
-    for _ in 0..reps {
-        f();
-    }
-    t1.elapsed().as_secs_f64() / reps as f64
 }
 
 const PTR: Type = Type::Ptr(AddrSpace::Global);
@@ -275,6 +263,45 @@ fn batch_secs(reps: usize, mut f: impl FnMut()) -> f64 {
     t.elapsed().as_secs_f64() / reps as f64
 }
 
+/// The attribution table: Mwi/s of each kernel on the bytecode engine,
+/// untimed and timed, and on the reference, each from the kernel's fastest
+/// launch over `rounds` rounds that visit every kernel and column in turn.
+fn attribution_table(kernels: &[Function], rounds: usize) {
+    let (off, on) = (TimingConfig::default(), TimingConfig::on());
+    let lowered: Vec<BytecodeKernel> = kernels.iter().map(BytecodeKernel::new).collect();
+    let mut best = vec![[f64::MAX; 3]; kernels.len()];
+    for _ in 0..rounds {
+        for ((f, bk), best) in kernels.iter().zip(&lowered).zip(&mut best) {
+            let columns = [(Some(bk), off), (Some(bk), on), (None, off)];
+            for ((bk, timing), best) in columns.into_iter().zip(best) {
+                let secs = batch_secs(1, || {
+                    std::hint::black_box(run_attribution(f, bk, timing));
+                });
+                *best = best.min(secs);
+            }
+        }
+    }
+    println!();
+    println!(
+        "| kernel | ops | warp insts | SIMD eff. | bytecode Mwi/s | timed Mwi/s | reference Mwi/s |"
+    );
+    println!("|---|---|---|---|---|---|---|");
+    for ((f, bk), [bytecode, timed, reference]) in kernels.iter().zip(&lowered).zip(best) {
+        let (stats, _) = run_attribution(f, Some(bk), off);
+        let mwi = stats.warp_instructions as f64 / 1e6;
+        println!(
+            "| {} | {} | {} | {:.3} | {:.1} | {:.1} | {:.2} |",
+            f.name(),
+            bk.op_count(),
+            stats.warp_instructions,
+            stats.simd_efficiency(),
+            mwi / bytecode,
+            mwi / timed,
+            mwi / reference
+        );
+    }
+}
+
 /// The small-launch row: lowering ns/inst and lower + launch µs over
 /// [`small_kernels`], each the per-kernel minimum over `rounds` rounds
 /// that visit every kernel in turn.
@@ -383,35 +410,7 @@ fn bench(c: &mut Criterion) {
     println!("interp_throughput: both engines agree on all fig9 cases and attribution kernels");
 
     // The attribution table, in absolute units.
-    let budget = if test_mode { 0.03 } else { 0.5 };
-    println!();
-    println!(
-        "| kernel | ops | warp insts | SIMD eff. | bytecode Mwi/s | timed Mwi/s | reference Mwi/s |"
-    );
-    println!("|---|---|---|---|---|---|---|");
-    let (off, on) = (TimingConfig::default(), TimingConfig::on());
-    for f in &kernels {
-        let bk = BytecodeKernel::new(f);
-        let (stats, _) = run_attribution(f, Some(&bk), off);
-        let mwi = stats.warp_instructions as f64 / 1e6;
-        let rate = |bk: Option<&BytecodeKernel>, timing| {
-            mwi / time_per_call(budget, || {
-                run_attribution(f, bk, timing);
-            })
-        };
-        let (bytecode, timed, reference) =
-            (rate(Some(&bk), off), rate(Some(&bk), on), rate(None, off));
-        println!(
-            "| {} | {} | {} | {:.3} | {:.1} | {:.1} | {:.2} |",
-            f.name(),
-            bk.op_count(),
-            stats.warp_instructions,
-            stats.simd_efficiency(),
-            bytecode,
-            timed,
-            reference
-        );
-    }
+    attribution_table(&kernels, if test_mode { 2 } else { 40 });
 
     small_launch_row(if test_mode { 2 } else { 40 });
 }

@@ -16,14 +16,25 @@
 //! byte-identical to its cold counterpart (modulo the `cached` marker),
 //! which exercises the sorted-key JSON rendering end to end.
 //!
+//! The socket row sends each distinct module of the first round twice,
+//! cold then warm, through `serve_stream` on a `UnixStream` pair, one
+//! exchange (frame written, reply read) at a time, and prints the median
+//! and the sum over modules of each module's fastest exchange across
+//! interleaved rounds: a transport or reply-path change reads off it
+//! without the ledger's one-shot `serve.transport_us`.
+//!
 //! `cargo bench --bench serve_replay` — interleaved min-estimator
 //! measurement. `cargo bench --bench serve_replay -- --test` — smoke
-//! mode (the CI gate): one cold and one warm replay plus the guards.
+//! mode (the CI gate): one cold and one warm replay, one socket round,
+//! plus the guards.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use darm_bench::{fig8_cases, fig9_cases};
-use darm_serve::proto::CompileRequest;
-use darm_serve::{Engine, Response, ServeConfig};
+use darm_serve::json::Json;
+use darm_serve::proto::{write_frame, CompileRequest, DEFAULT_MAX_FRAME};
+use darm_serve::{serve_stream, Engine, Response, ServeConfig};
+use std::io::{Read, Write};
+use std::os::unix::net::UnixStream;
 use std::sync::mpsc;
 use std::time::Instant;
 
@@ -73,7 +84,7 @@ fn replay(engine: &Engine, stream: &[(u64, String)]) -> (f64, Vec<String>) {
         );
         let resp = rx.recv().expect("serve answered");
         assert!(
-            matches!(resp, Response::Ok { .. }),
+            matches!(resp, Response::Ok { .. } | Response::Rendered { .. }),
             "suite kernel failed to compile: {resp:?}"
         );
         rendered.push(
@@ -101,6 +112,113 @@ fn cold_and_warm(stream: &[(u64, String)]) -> (f64, f64) {
     (cold_wall, warm_wall)
 }
 
+/// One framed compile request for `ir`.
+fn frame(id: u64, ir: &str) -> Vec<u8> {
+    let body = Json::obj([
+        ("id", Json::int(id)),
+        ("ir", Json::str(ir)),
+        ("op", Json::str("compile")),
+    ]);
+    let mut frame = Vec::new();
+    write_frame(&mut frame, body.to_string().as_bytes()).expect("write to memory");
+    frame
+}
+
+/// Writes one frame, reads one reply into `reply`; returns the seconds.
+fn exchange(client: &mut UnixStream, frame: &[u8], reply: &mut Vec<u8>) -> f64 {
+    let t = Instant::now();
+    client.write_all(frame).expect("send request");
+    let mut len = [0u8; 4];
+    client.read_exact(&mut len).expect("read prefix");
+    reply.resize(u32::from_be_bytes(len) as usize, 0);
+    client.read_exact(reply).expect("read reply");
+    t.elapsed().as_secs_f64()
+}
+
+/// One socket round on a fresh engine: every frame cold, then every frame
+/// warm. Returns the seconds of each exchange, cold and warm, after
+/// checking that each warm reply is its cold one with `cached` set.
+fn socket_round(frames: &[Vec<u8>]) -> (Vec<f64>, Vec<f64>) {
+    let engine = Engine::new(ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    });
+    let (mut client, server) = UnixStream::pair().expect("socket pair");
+    let server_out = server.try_clone().expect("clone socket");
+    let mut reply = Vec::new();
+    let times = std::thread::scope(|scope| {
+        let engine = &engine;
+        let daemon =
+            scope.spawn(move || serve_stream(engine, server, server_out, DEFAULT_MAX_FRAME));
+        let mut cold_replies = Vec::new();
+        let cold: Vec<f64> = frames
+            .iter()
+            .map(|frame| {
+                let secs = exchange(&mut client, frame, &mut reply);
+                cold_replies.push(String::from_utf8(reply.clone()).expect("UTF-8 reply"));
+                secs
+            })
+            .collect();
+        let warm: Vec<f64> = frames
+            .iter()
+            .zip(&cold_replies)
+            .map(|(frame, cold_reply)| {
+                let secs = exchange(&mut client, frame, &mut reply);
+                assert_eq!(
+                    std::str::from_utf8(&reply).expect("UTF-8 reply"),
+                    cold_reply.replace("\"cached\":false", "\"cached\":true"),
+                    "a warm reply over the socket differs from its cold one"
+                );
+                secs
+            })
+            .collect();
+        client
+            .shutdown(std::net::Shutdown::Both)
+            .expect("close socket");
+        daemon
+            .join()
+            .expect("serve_stream thread")
+            .expect("serve_stream");
+        (cold, warm)
+    });
+    assert_eq!(engine.fast_hits(), frames.len() as u64);
+    times
+}
+
+/// Median and sum, in µs, of each module's fastest exchange.
+fn per_request_minima(rounds: &[Vec<f64>]) -> (f64, f64) {
+    let mut minima: Vec<f64> = (0..rounds[0].len())
+        .map(|i| rounds.iter().map(|r| r[i]).fold(f64::MAX, f64::min) * 1e6)
+        .collect();
+    minima.sort_by(f64::total_cmp);
+    let sum = minima.iter().sum();
+    (minima[minima.len() / 2], sum)
+}
+
+fn socket_row(stream: &[(u64, String)], rounds: usize) {
+    // The first round of the stream: every suite kernel once.
+    let distinct = stream.len() / 3;
+    let frames: Vec<Vec<u8>> = stream[..distinct]
+        .iter()
+        .map(|(id, ir)| frame(*id, ir))
+        .collect();
+    let (mut cold, mut warm) = (Vec::new(), Vec::new());
+    for _ in 0..rounds {
+        let (c, w) = socket_round(&frames);
+        cold.push(c);
+        warm.push(w);
+    }
+    let ((cold_p50, cold_sum), (warm_p50, warm_sum)) =
+        (per_request_minima(&cold), per_request_minima(&warm));
+    println!(
+        "serve_replay socket: {distinct} modules × {rounds} rounds, per-module minima over `serve_stream` on a UnixStream pair"
+    );
+    println!("| exchange | median (µs) | sum (µs) |");
+    println!("|---|---|---|");
+    println!("| cold | {cold_p50:.1} | {cold_sum:.1} |");
+    println!("| warm | {warm_p50:.2} | {warm_sum:.1} |");
+}
+
 fn bench(c: &mut Criterion) {
     let stream = build_stream();
 
@@ -114,6 +232,7 @@ fn bench(c: &mut Criterion) {
             warm * 1e3,
             ratio
         );
+        socket_row(&stream, 1);
         return;
     }
 
@@ -137,6 +256,8 @@ fn bench(c: &mut Criterion) {
     println!("| cold | {:.3} |", cold_min * 1e3);
     println!("| warm | {:.3} |", warm_min * 1e3);
     println!("warm-vs-cold throughput: {ratio:.1}x");
+    println!();
+    socket_row(&stream, 40);
 }
 
 criterion_group!(benches, bench);

@@ -30,12 +30,16 @@
 //! `panic`, `error`, `fuel` — e.g. `DARM_FAULT='meld::score#3=panic'`.
 //!
 //! Beyond the pipeline sites, the `darm serve` compile service arms four
-//! service-layer sites: `serve::admit` (before queue admission),
-//! `serve::worker` (top of each worker iteration), `serve::cache_lookup`
-//! and `serve::cache_insert` (before the respective cache lock holds).
-//! Their hit counters live in the same per-thread table, so a pipeline
-//! containment boundary running on the same thread resets them too —
-//! serve-site plans therefore conventionally use `#1`.
+//! service-layer sites. On the thread that submits a request (a
+//! connection's reader, under the transports): `serve::admit` (first in
+//! `Engine::submit`) and `serve::cache_lookup` (before the whole-request
+//! memo's lock). On a worker thread: `serve::worker` (top of each worker
+//! iteration) and `serve::cache_insert` (before the function cache's
+//! lock). Their hit counters live in the same per-thread table, so a
+//! pipeline containment boundary running on the same thread resets them
+//! too — serve-site plans therefore conventionally use `#1`; a submitting
+//! thread runs no pipeline, so `serve::cache_lookup#2` there faults its
+//! second request since the last [`begin_function`].
 
 /// What an armed [`FaultPlan`] does when it fires.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -1,18 +1,25 @@
-//! The compile engine behind `darm serve`: a bounded work queue, a
-//! pool of worker threads, and the cross-run [`CompileCache`].
+//! The compile engine behind `darm serve`: the whole-request memo, a
+//! bounded work queue, a pool of worker threads, and the cross-run
+//! [`CompileCache`].
 //!
 //! Robustness invariants, in order of importance:
 //!
-//! 1. **The daemon never dies on a request.** Admission and every
+//! 1. **The daemon never dies on a request.** [`Engine::submit`] and every
 //!    worker iteration run under `catch_unwind`; a panic anywhere in a
 //!    request's path (including the injected `serve::*` fault sites)
 //!    becomes a typed `internal` error response for that request alone.
-//! 2. **Admission never blocks.** A full queue sheds the request with a
-//!    typed `overloaded` response; the client decides whether to retry.
-//! 3. **Every accepted request is answered.** Workers drain the
-//!    backlog after [`Engine::shutdown`] closes the queue, and shutdown
-//!    itself drains any leftovers inline — even an engine with zero
-//!    workers answers everything it admitted.
+//! 2. **A request waits for a worker only when it needs one.** `submit`
+//!    answers on the caller's thread whatever needs no compile: an invalid
+//!    spec, a closed engine and a whole-request memo hit, whose reply is
+//!    bytes rendered when the request was first compiled. A memo hit is
+//!    answered before admission and so is never shed. Admission of the
+//!    rest never blocks: a full queue sheds the request with a typed
+//!    `overloaded` response; the client decides whether to retry.
+//! 3. **Every request is answered.** An inline answer has been given by
+//!    the time `submit` returns; workers drain the backlog after
+//!    [`Engine::shutdown`] closes the queue, and shutdown itself drains
+//!    any leftovers inline — even an engine with zero workers answers
+//!    everything it admitted.
 //! 4. **Locks are poison-proof.** Every acquisition recovers via
 //!    [`PoisonError::into_inner`]; [`Engine::poisoned_locks`] exposes
 //!    the poison bits so the soak test can assert they stay clear.
@@ -45,7 +52,7 @@ use crate::cache::{
     content_key, raw_key, BoundedMap, CacheCounters, CachedOutcome, CompileCache, ContentKey,
 };
 use crate::json::Json;
-use crate::proto::{CompileRequest, ErrorKind, FunctionResult, Response};
+use crate::proto::{CompileRequest, ErrorKind, FunctionResult, RenderedOk, Response};
 use crate::queue::{BoundedQueue, PushError};
 
 /// Engine knobs. [`Default`] gives a single worker, a 64-deep queue and
@@ -101,47 +108,41 @@ struct Counters {
     fast_hits: AtomicU64,
 }
 
-/// Whole-request memo entry: the response payload of a fully optimized
-/// compile, with every `cached` flag pre-set.
-struct FastEntry {
-    ir: String,
-    functions: Vec<FunctionResult>,
-}
-
-impl FastEntry {
-    /// Approximate heap cost, for the byte bound.
-    fn cost(&self) -> usize {
-        self.ir.len()
-            + self
-                .functions
-                .iter()
-                .map(|f| f.name.len() + f.diagnostic.as_deref().map_or(0, str::len))
-                .sum::<usize>()
-    }
-}
-
 struct Shared {
     config: ServeConfig,
     registry: PassRegistry,
     queue: BoundedQueue<Job>,
     cache: Mutex<CompileCache>,
-    /// Whole-request memo: the 128-bit [`ContentKey`] of
-    /// `canonical spec ∥ 0x00 ∥ raw input text` → the payload of a fully
-    /// optimized response, under bounds of its own equal to the function
-    /// cache's. A pure front for the per-function [`CompileCache`]: a hit
-    /// skips parsing and hashing entirely, and dropping an entry changes
-    /// latency, never a result. Degraded and negatively-cached outcomes
-    /// are never memoized — they always route through the function cache,
-    /// so fail-fast semantics (and their counters) stay intact.
-    fast: Mutex<BoundedMap<FastEntry>>,
+    /// Whole-request memo: the 128-bit [`raw_key`] of the canonical spec
+    /// and the raw input text → the rendered warm reply of a fully
+    /// optimized compile, costed at its bytes, under bounds of its own
+    /// equal to the function cache's. Read only by [`Engine::submit`],
+    /// written only by a worker. A pure front for the per-function
+    /// [`CompileCache`]: a hit skips parsing and the queue entirely, and
+    /// dropping an entry changes latency, never a result. Degraded and
+    /// negatively-cached outcomes are never memoized — they always route
+    /// through the function cache, so fail-fast semantics (and their
+    /// counters) stay intact.
+    fast: Mutex<BoundedMap<Arc<RenderedOk>>>,
     counters: Counters,
 }
 
 /// How a finished [`Response`] gets back to the client.
 pub type Responder = Box<dyn FnOnce(Response) + Send + 'static>;
 
-struct Job {
+/// A request the whole-request memo missed, with what [`Engine::submit`]
+/// worked out about it on the way.
+struct Miss {
     request: CompileRequest,
+    spec: PassSpec,
+    /// `spec` re-printed: the spelling both cache keys use.
+    canonical: String,
+    /// The request's whole-request memo key.
+    key: ContentKey,
+}
+
+struct Job {
+    miss: Miss,
     respond: Responder,
 }
 
@@ -206,40 +207,100 @@ impl Engine {
         }
     }
 
-    /// Admit one compile request. Never blocks and never panics out:
-    /// a full queue answers `overloaded`, a closed queue answers a
-    /// typed error, and an injected admission fault answers `internal`.
+    /// Take one compile request. Never panics out, and waits for no
+    /// worker: what needs no compile — an invalid spec, a closed engine, a
+    /// whole-request memo hit — is answered by calling `respond` before
+    /// this returns; the rest is queued, or shed with `overloaded` when
+    /// the queue is full. An injected or real panic on the way answers a
+    /// typed `internal` error.
     pub fn submit(&self, request: CompileRequest, respond: Responder) {
-        let shared = &self.shared;
+        let shared = &*self.shared;
         shared.counters.requests.fetch_add(1, Ordering::Relaxed);
         let id = request.id;
-        // The admission fault site fires *before* the job moves into
-        // the queue, so on an injected panic the responder is still in
-        // hand and the client gets a typed error instead of silence.
-        if let Err(payload) = catch_unwind(|| fault::point("serve::admit")) {
-            respond(contained(shared, id, payload.as_ref()));
-            return;
+        let admitted = catch_unwind(AssertUnwindSafe(|| Self::admit(shared, request)))
+            .unwrap_or_else(|payload| Err(contained(shared, id, payload.as_ref())));
+        let (respond, response) = match admitted {
+            Err(response) => (respond, response),
+            Ok(miss) => match shared.queue.try_push(Job { miss, respond }) {
+                Ok(_depth) => return,
+                Err((job, PushError::Full)) => {
+                    shared.counters.overloaded.fetch_add(1, Ordering::Relaxed);
+                    let queue_depth = shared.queue.len();
+                    (job.respond, Response::Overloaded { id, queue_depth })
+                }
+                Err((job, PushError::Closed)) => (job.respond, Self::shutting_down(shared, id)),
+            },
+        };
+        // A responder that panics must not unwind into the caller.
+        let _ = catch_unwind(AssertUnwindSafe(move || respond(response)));
+    }
+
+    /// [`Engine::submit`]'s steps before the queue, in order: the admission
+    /// fault site, the closed check, the spec, the memo key, the lookup
+    /// fault site, the memo. Returns the answer, or the miss to queue.
+    fn admit(shared: &Shared, request: CompileRequest) -> Result<Miss, Response> {
+        let id = request.id;
+        fault::point("serve::admit");
+        if shared.queue.is_closed() {
+            return Err(Self::shutting_down(shared, id));
         }
-        match shared.queue.try_push(Job { request, respond }) {
-            Ok(_depth) => {}
-            Err((job, PushError::Full)) => {
-                shared.counters.overloaded.fetch_add(1, Ordering::Relaxed);
-                (job.respond)(Response::Overloaded {
-                    id,
-                    queue_depth: shared.queue.len(),
-                });
+
+        // One parse of the spec per request; its re-printed form is the
+        // canonical spelling both cache keys use.
+        let spec = PassSpec::parse(
+            request
+                .spec
+                .as_deref()
+                .unwrap_or(&shared.config.default_spec),
+        );
+        let spec = spec.map_err(|e| {
+            shared.counters.completed.fetch_add(1, Ordering::Relaxed);
+            Response::Error {
+                id: Some(id),
+                kind: ErrorKind::Spec,
+                message: format!("invalid pipeline spec: {e}"),
             }
-            Err((job, PushError::Closed)) => {
-                shared
-                    .counters
-                    .rejected_closed
-                    .fetch_add(1, Ordering::Relaxed);
-                (job.respond)(Response::Error {
-                    id: Some(id),
-                    kind: ErrorKind::Internal,
-                    message: "service is shutting down".to_string(),
-                });
-            }
+        })?;
+        let canonical = spec.to_string();
+
+        // Whole-request fast path: a fully-warm request is answered here,
+        // on the caller's thread, from the bytes its first compile
+        // rendered — before the input is parsed and without the queue.
+        // The lookup fault site fires once per request, outside any lock
+        // hold, so an injected panic unwinds to `submit` without poisoning
+        // anything. (It also fires before the registry has seen the spec:
+        // an armed site pre-empts the `spec` answer of an unknown pass.)
+        let key = raw_key(&canonical, &request.ir);
+        fault::point("serve::cache_lookup");
+        let hit = shared
+            .fast
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(key)
+            .map(Arc::clone);
+        if let Some(reply) = hit {
+            shared.counters.fast_hits.fetch_add(1, Ordering::Relaxed);
+            shared.counters.completed.fetch_add(1, Ordering::Relaxed);
+            return Err(Response::Rendered { id, reply });
+        }
+        Ok(Miss {
+            request,
+            spec,
+            canonical,
+            key,
+        })
+    }
+
+    /// The typed answer of a request that arrives after [`Engine::shutdown`].
+    fn shutting_down(shared: &Shared, id: u64) -> Response {
+        shared
+            .counters
+            .rejected_closed
+            .fetch_add(1, Ordering::Relaxed);
+        Response::Error {
+            id: Some(id),
+            kind: ErrorKind::Internal,
+            message: "service is shutting down".to_string(),
         }
     }
 
@@ -247,59 +308,32 @@ impl Engine {
     /// answer. A panic in the compile path (or an injected
     /// `serve::worker` fault) becomes an `internal` error response.
     fn process_job(shared: &Shared, job: Job) {
-        let id = job.request.id;
+        let Job { miss, respond } = job;
+        let id = miss.request.id;
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             fault::point("serve::worker");
-            Self::handle_compile(shared, &job.request)
+            Self::handle_compile(shared, miss)
         }));
         let response = outcome.unwrap_or_else(|payload| contained(shared, id, payload.as_ref()));
         shared.counters.completed.fetch_add(1, Ordering::Relaxed);
         // A responder that panics (e.g. the peer vanished mid-write and
         // the transport chose to panic) must not kill the worker.
-        let _ = catch_unwind(AssertUnwindSafe(move || (job.respond)(response)));
+        let _ = catch_unwind(AssertUnwindSafe(move || respond(response)));
     }
 
-    fn handle_compile(shared: &Shared, request: &CompileRequest) -> Response {
+    fn handle_compile(shared: &Shared, miss: Miss) -> Response {
+        let Miss {
+            request,
+            spec,
+            canonical,
+            key,
+        } = miss;
         let id = request.id;
         let error = |kind: ErrorKind, message: String| Response::Error {
             id: Some(id),
             kind,
             message,
         };
-
-        // One parse of the spec per request; its re-printed form is the
-        // canonical spelling both cache keys use.
-        let spec = match PassSpec::parse(
-            request
-                .spec
-                .as_deref()
-                .unwrap_or(&shared.config.default_spec),
-        ) {
-            Ok(spec) => spec,
-            Err(e) => return error(ErrorKind::Spec, format!("invalid pipeline spec: {e}")),
-        };
-        let canonical = spec.to_string();
-
-        // Whole-request fast path: a fully-warm request is answered
-        // straight from the memo, before the input is even parsed. The
-        // lookup fault site fires here — once per request, before either
-        // cache lock and outside any lock hold — so an injected panic
-        // unwinds to the worker boundary without poisoning anything. (It
-        // also fires before the registry has seen the spec: an armed site
-        // pre-empts the `spec` answer of an unknown pass.)
-        let fast_key = raw_key(&canonical, &request.ir);
-        fault::point("serve::cache_lookup");
-        {
-            let mut fast = shared.fast.lock().unwrap_or_else(PoisonError::into_inner);
-            if let Some(entry) = fast.get(fast_key) {
-                shared.counters.fast_hits.fetch_add(1, Ordering::Relaxed);
-                return Response::Ok {
-                    id,
-                    ir: entry.ir.clone(),
-                    functions: entry.functions.clone(),
-                };
-            }
-        }
 
         // A memo miss is where the registry first sees the spec: the
         // manager's probe build rejects an unknown pass or a bad parameter
@@ -430,26 +464,23 @@ impl Engine {
             .map(|record| record.expect("every function record filled"))
             .unzip();
         let ir = texts.join("\n");
-        // Memoize fully optimized responses for the whole-request fast
-        // path, with the `cached` flags pre-set the way a warm hit must
-        // report them.
+        // A fully optimized reply is rendered here, its IR escaped once:
+        // the reply and its memo entry — the same bytes with every
+        // `cached` flag set, for the whole-request fast path — share that
+        // tail.
         if functions.iter().all(|f| f.optimized) {
-            let memo = FastEntry {
-                ir: ir.clone(),
-                functions: functions
-                    .iter()
-                    .map(|f| FunctionResult {
-                        cached: true,
-                        ..f.clone()
-                    })
-                    .collect(),
-            };
+            let reply = RenderedOk::new(&ir, &functions);
+            let memo = reply.all_cached(&functions);
             let cost = memo.cost();
             shared
                 .fast
                 .lock()
                 .unwrap_or_else(PoisonError::into_inner)
-                .insert(fast_key, memo, cost);
+                .insert(key, Arc::new(memo), cost);
+            return Response::Rendered {
+                id,
+                reply: Arc::new(reply),
+            };
         }
         Response::Ok { id, ir, functions }
     }

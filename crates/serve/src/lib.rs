@@ -32,15 +32,21 @@
 //! K        := "protocol" | "parse" | "spec" | "internal"
 //! ```
 //!
-//! Responses are written as workers finish — possibly out of request
-//! order — and carry the request `id` for matching. A reply is written
-//! once: [`Response::to_bytes`] puts the frame body straight into the
-//! buffer that is framed, every object's keys in sorted order and every
-//! string through the one escaper [`json::Json`]'s `Display` uses — no
-//! `Json` value is built for it (`Json` is the request decoder and the body
-//! of a `stats`/`bye` reply) — and outside the connection's writer lock. A
-//! response's byte representation is a pure function of its content: a
-//! warm cache hit is *byte-identical* to the cold response it replays.
+//! Responses are written as they are ready — a whole-request memo hit on
+//! the connection's own thread as soon as it is read, the rest as workers
+//! finish, so possibly out of request order — and carry the request `id`
+//! for matching. A reply is rendered once, outside the connection's writer
+//! lock, after four reserved bytes that then take its length, and goes
+//! out as one write of the whole frame. The body goes straight into that
+//! buffer, every object's keys in sorted order and every string through
+//! the one escaper [`json::Json`]'s `Display` uses — no `Json` value is
+//! built for it (`Json` is the request decoder and the body of a
+//! `stats`/`bye` reply). The exception is a fully optimized compile's
+//! reply, which the worker renders ahead of its id
+//! ([`Response::Rendered`]) so that its memo entry can share its escaped
+//! IR; the frame then copies the pieces. A response's byte representation
+//! is a pure function of its content: a warm cache hit is
+//! *byte-identical* to the cold response it replays, `cached` flags aside.
 //!
 //! # Cache keying
 //!
@@ -69,21 +75,29 @@
 //! 64×64→128-bit multiply, the spec and the text as length-delimited
 //! parts. The two keys index different maps, so they need not (and do not)
 //! agree; both are the same on every platform and in every process, and
-//! neither is cryptographic. A fully-warm request is answered before its
-//! input is even parsed. The memo only
+//! neither is cryptographic. The memo holds a reply, not the parts to
+//! render it from: the warm reply's bytes ([`proto::RenderedOk`]), every
+//! `cached` flag set, in two pieces around the id, rendered when the
+//! request was first compiled from the same escape of its IR as the cold
+//! reply (the two share that piece). [`Engine::submit`] is the one place that reads
+//! it: a fully-warm request is answered on the submitting thread before
+//! its input is even parsed, by a reference-count bump under the lock and
+//! two copies and an integer to render. The memo only
 //! holds fully *optimized* responses (degraded and negatively-cached
 //! outcomes always route through the function cache, keeping fail-fast
 //! semantics observable) and is a pure front — dropping an entry changes
 //! latency, never results. Both levels are the same bounded map (least
 //! recently used out first), each under bounds of its own:
 //! `ServeConfig::cache_entries` entries and `ServeConfig::cache_bytes`
-//! payload bytes — IR text plus diagnostic for a function, IR text plus
-//! function names for a request — so the two together hold at most twice
-//! either figure.
+//! payload bytes — IR text plus diagnostic for a function, the rendered
+//! reply for a request — so the two together hold at most twice either
+//! figure.
 //!
 //! # Shedding and degradation
 //!
-//! Admission never blocks: a full queue answers a typed `overloaded`
+//! A whole-request memo hit is answered before admission, on the thread
+//! that submitted it, and is never shed: it needs no worker. Admission of
+//! the rest never blocks: a full queue answers a typed `overloaded`
 //! response ([`queue`]). A request's cache misses are compiled once,
 //! under `OnError::Degrade` and the request's one [`Budget`]
 //! (`timeout_ms` and `fuel` bound the request once, not per attempt):
@@ -99,12 +113,16 @@
 //! # Fault-injection sites
 //!
 //! With the `fault-injection` feature, `DARM_FAULT` reaches four
-//! service sites on top of the pipeline's own: `serve::admit` (before
-//! queue admission), `serve::worker` (top of each worker iteration),
-//! `serve::cache_lookup` and `serve::cache_insert` (before the
-//! respective cache lock holds — never under a lock, so injected
-//! panics cannot poison the cache). See `darm_ir::fault` for the
-//! `DARM_FAULT='<site>[#hit]=<kind>'` grammar.
+//! service sites on top of the pipeline's own. Two fire in
+//! [`Engine::submit`], on the thread that submits (a connection's reader,
+//! for the transports): `serve::admit` (first thing) and
+//! `serve::cache_lookup` (before the memo lock is taken). Two fire on a
+//! worker thread: `serve::worker` (top of each worker iteration) and
+//! `serve::cache_insert` (before the function cache's lock is taken).
+//! None fires under a lock, so injected panics cannot poison a cache, and
+//! each is contained to a typed `internal` reply by the `catch_unwind` of
+//! `submit` or of the worker. Hit counters are per thread. See
+//! `darm_ir::fault` for the `DARM_FAULT='<site>[#hit]=<kind>'` grammar.
 
 pub mod cache;
 pub mod engine;

@@ -24,8 +24,9 @@
 //! discriminator: `ok`, `error`, `overloaded`, `pong`, `stats` or
 //! `bye`.  See [`Response`] for the exact payloads.
 
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 use std::io::{self, Read, Write};
+use std::sync::Arc;
 
 use crate::json::{write_escaped, Json};
 
@@ -222,6 +223,47 @@ pub struct FunctionResult {
     pub diagnostic: Option<String>,
 }
 
+/// An `ok` body rendered ahead of its id: every byte but the id, in two
+/// pieces around it — `{"functions":[…],"id":` and
+/// `,"ir":"…","status":"ok"}`. A fully optimized compile escapes its IR
+/// once, into the tail, and answers from one of these
+/// ([`Response::Rendered`]); its whole-request memo entry is a second one
+/// with every `cached` flag set in its head and the same shared tail, so a
+/// memo hit renders with two copies and an integer.
+#[derive(Debug)]
+pub struct RenderedOk {
+    head: String,
+    tail: Arc<String>,
+}
+
+impl RenderedOk {
+    /// The body [`Response::Ok`] renders for `ir` and `functions`, less
+    /// the id.
+    pub(crate) fn new(ir: &str, functions: &[FunctionResult]) -> RenderedOk {
+        let mut tail = String::with_capacity(ir.len() + ir.len() / 8 + 32);
+        write_ok_tail(&mut tail, ir).expect("writing to a String cannot fail");
+        RenderedOk {
+            head: ok_head(functions, false),
+            tail: Arc::new(tail),
+        }
+    }
+
+    /// The same body with every `cached` flag set — what a whole-request
+    /// memo hit replays — sharing this one's tail. `functions` are the
+    /// ones this body was rendered from.
+    pub(crate) fn all_cached(&self, functions: &[FunctionResult]) -> RenderedOk {
+        RenderedOk {
+            head: ok_head(functions, true),
+            tail: Arc::clone(&self.tail),
+        }
+    }
+
+    /// Bytes held, for the memo's byte bound.
+    pub(crate) fn cost(&self) -> usize {
+        self.head.len() + self.tail.len()
+    }
+}
+
 /// A server reply.  [`Response::to_bytes`] writes the stable wire shape;
 /// key order is deterministic (every object's keys in sorted order), which
 /// is what makes the warm-vs-cold byte-identity checks possible.
@@ -231,6 +273,15 @@ pub enum Response {
         id: u64,
         ir: String,
         functions: Vec<FunctionResult>,
+    },
+    /// An `ok` reply rendered before it was sent: a fully optimized
+    /// compile's, and a whole-request memo hit's (the first compile's
+    /// reply with every `cached` flag set). Its bytes are those of
+    /// [`Response::Ok`] with the same id, IR and functions;
+    /// [`Response::ok_parts`] reads those back.
+    Rendered {
+        id: u64,
+        reply: Arc<RenderedOk>,
     },
     Error {
         /// `None` when the request was too malformed to carry an id.
@@ -266,32 +317,67 @@ impl Response {
     /// [`Json::as_u64`] admits), where this equals what a [`Json::Num`]
     /// prints; a larger one built in-process is not rounded through `f64`.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = String::new();
-        self.write_to(&mut out)
-            .expect("writing to a String cannot fail");
-        out.into_bytes()
+        self.render(String::new()).into_bytes()
     }
 
-    fn write_to(&self, out: &mut String) -> std::fmt::Result {
+    /// The IR and per-function results of an `ok` reply, whichever variant
+    /// carries it — a [`Response::Rendered`] is read back from its bytes;
+    /// `None` for any other reply.
+    pub fn ok_parts(&self) -> Option<(String, Vec<FunctionResult>)> {
+        match self {
+            Response::Ok { ir, functions, .. } => Some((ir.clone(), functions.clone())),
+            Response::Rendered { .. } => {
+                let json = Json::parse(std::str::from_utf8(&self.to_bytes()).ok()?).ok()?;
+                let functions = json.get("functions")?.as_arr()?.iter();
+                let functions = functions.map(|f| {
+                    Some(FunctionResult {
+                        name: f.get("name")?.as_str()?.to_string(),
+                        optimized: f.get("outcome")?.as_str()? == "optimized",
+                        cached: f.get("cached")?.as_bool()?,
+                        diagnostic: f
+                            .get("diagnostic")
+                            .and_then(Json::as_str)
+                            .map(str::to_string),
+                    })
+                });
+                let functions = functions.collect::<Option<_>>()?;
+                Some((json.get("ir")?.as_str()?.to_string(), functions))
+            }
+            _ => None,
+        }
+    }
+
+    /// The whole frame — length prefix and body — in one buffer, for one
+    /// write: the body is rendered after four reserved bytes, which then
+    /// take its length.
+    pub(crate) fn to_frame(&self) -> io::Result<Vec<u8>> {
+        let mut frame = self.render("\0\0\0\0".to_string()).into_bytes();
+        let len = u32::try_from(frame.len() - 4)
+            .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "frame body exceeds u32"))?;
+        frame[..4].copy_from_slice(&len.to_be_bytes());
+        Ok(frame)
+    }
+
+    /// Appends the body to `out`.
+    fn render(&self, mut out: String) -> String {
+        self.write_to(&mut out)
+            .expect("writing to a String cannot fail");
+        out
+    }
+
+    fn write_to(&self, out: &mut String) -> fmt::Result {
         match self {
             Response::Ok { id, ir, functions } => {
                 out.reserve(ir.len() + ir.len() / 8 + 64 * functions.len() + 64);
-                out.push_str("{\"functions\":[");
-                for (i, f) in functions.iter().enumerate() {
-                    let sep = if i > 0 { "," } else { "" };
-                    write!(out, "{sep}{{\"cached\":{}", f.cached)?;
-                    if let Some(diag) = &f.diagnostic {
-                        out.push_str(",\"diagnostic\":");
-                        write_escaped(out, diag)?;
-                    }
-                    out.push_str(",\"name\":");
-                    write_escaped(out, &f.name)?;
-                    let outcome = if f.optimized { "optimized" } else { "degraded" };
-                    write!(out, ",\"outcome\":\"{outcome}\"}}")?;
-                }
-                write!(out, "],\"id\":{id},\"ir\":")?;
-                write_escaped(out, ir)?;
-                out.push_str(",\"status\":\"ok\"}");
+                write_ok_head(out, functions, false)?;
+                write!(out, "{id}")?;
+                write_ok_tail(out, ir)?;
+            }
+            Response::Rendered { id, reply } => {
+                out.reserve(reply.cost() + 20);
+                out.push_str(&reply.head);
+                write!(out, "{id}")?;
+                out.push_str(&reply.tail);
             }
             Response::Error { id, kind, message } => {
                 out.push('{');
@@ -316,6 +402,41 @@ impl Response {
         }
         Ok(())
     }
+}
+
+/// An `ok` body up to its id, alone.
+fn ok_head(functions: &[FunctionResult], all_cached: bool) -> String {
+    let mut head = String::with_capacity(64 * functions.len() + 32);
+    write_ok_head(&mut head, functions, all_cached).expect("writing to a String cannot fail");
+    head
+}
+
+/// An `ok` body up to its id: `{"functions":[…],"id":`, each function's
+/// `cached` flag set when `all_cached` is.
+fn write_ok_head(out: &mut String, functions: &[FunctionResult], all_cached: bool) -> fmt::Result {
+    out.push_str("{\"functions\":[");
+    for (i, f) in functions.iter().enumerate() {
+        let sep = if i > 0 { "," } else { "" };
+        write!(out, "{sep}{{\"cached\":{}", f.cached || all_cached)?;
+        if let Some(diag) = &f.diagnostic {
+            out.push_str(",\"diagnostic\":");
+            write_escaped(out, diag)?;
+        }
+        out.push_str(",\"name\":");
+        write_escaped(out, &f.name)?;
+        let outcome = if f.optimized { "optimized" } else { "degraded" };
+        write!(out, ",\"outcome\":\"{outcome}\"}}")?;
+    }
+    out.push_str("],\"id\":");
+    Ok(())
+}
+
+/// An `ok` body after its id: `,"ir":"…","status":"ok"}`.
+fn write_ok_tail(out: &mut String, ir: &str) -> fmt::Result {
+    out.push_str(",\"ir\":");
+    write_escaped(out, ir)?;
+    out.push_str(",\"status\":\"ok\"}");
+    Ok(())
 }
 
 #[cfg(test)]
@@ -447,6 +568,7 @@ mod tests {
             cached: diagnostic.is_some(),
             diagnostic: diagnostic.map(str::to_string),
         };
+        let rendered = [function(HOSTILE, None), function("g", Some(HOSTILE))];
         let cases = [
             (
                 Response::Ok {
@@ -458,6 +580,31 @@ mod tests {
                     "{{\"functions\":[{{\"cached\":false,\"name\":{ESCAPED},\"outcome\":\"optimized\"}},\
                      {{\"cached\":true,\"diagnostic\":{ESCAPED},\"name\":\"g\",\"outcome\":\"degraded\"}}],\
                      \"id\":7,\"ir\":{ESCAPED},\"status\":\"ok\"}}"
+                ),
+            ),
+            (
+                // The first case rendered ahead of its id, as a fully
+                // optimized compile answers...
+                Response::Rendered {
+                    id: 7,
+                    reply: Arc::new(RenderedOk::new(HOSTILE, &rendered)),
+                },
+                format!(
+                    "{{\"functions\":[{{\"cached\":false,\"name\":{ESCAPED},\"outcome\":\"optimized\"}},\
+                     {{\"cached\":true,\"diagnostic\":{ESCAPED},\"name\":\"g\",\"outcome\":\"degraded\"}}],\
+                     \"id\":7,\"ir\":{ESCAPED},\"status\":\"ok\"}}"
+                ),
+            ),
+            (
+                // ...and as its memo hit replays it: every `cached` flag set.
+                Response::Rendered {
+                    id: 8,
+                    reply: Arc::new(RenderedOk::new(HOSTILE, &rendered).all_cached(&rendered)),
+                },
+                format!(
+                    "{{\"functions\":[{{\"cached\":true,\"name\":{ESCAPED},\"outcome\":\"optimized\"}},\
+                     {{\"cached\":true,\"diagnostic\":{ESCAPED},\"name\":\"g\",\"outcome\":\"degraded\"}}],\
+                     \"id\":8,\"ir\":{ESCAPED},\"status\":\"ok\"}}"
                 ),
             ),
             (
@@ -523,16 +670,13 @@ mod tests {
             let field = |key: &str| json.get(key).and_then(Json::as_str);
             let id = json.get("id").and_then(Json::as_u64);
             match response {
-                Response::Ok {
-                    id: want,
-                    ir,
-                    functions,
-                } => {
+                Response::Ok { id: want, .. } | Response::Rendered { id: want, .. } => {
                     assert_eq!((field("status"), id), (Some("ok"), Some(*want)));
+                    let (ir, functions) = response.ok_parts().unwrap();
                     assert_eq!(field("ir"), Some(ir.as_str()));
                     let got = json.get("functions").and_then(Json::as_arr).unwrap();
                     assert_eq!(got.len(), functions.len());
-                    for (got, want) in got.iter().zip(functions) {
+                    for (got, want) in got.iter().zip(&functions) {
                         let field = |key: &str| got.get(key).and_then(Json::as_str);
                         assert_eq!(field("name"), Some(want.name.as_str()));
                         assert_eq!(field("diagnostic"), want.diagnostic.as_deref());
@@ -574,6 +718,76 @@ mod tests {
                     assert_eq!(json.get("stats"), Some(stats));
                 }
             }
+        }
+    }
+
+    /// A rendered reply is the `ok` reply it was rendered from byte for
+    /// byte, and its memo form that reply with every `cached` flag set, at
+    /// every id width a request can carry (and beyond, for an id built
+    /// in-process); `ok_parts` reads back what it was rendered from.
+    #[test]
+    fn a_rendered_reply_writes_the_bytes_of_its_ok_for_every_id() {
+        let functions = vec![
+            FunctionResult {
+                name: "f".into(),
+                optimized: true,
+                cached: false,
+                diagnostic: None,
+            },
+            FunctionResult {
+                name: HOSTILE.into(),
+                optimized: true,
+                cached: true,
+                diagnostic: None,
+            },
+        ];
+        let cold = Arc::new(RenderedOk::new(HOSTILE, &functions));
+        let warm = Arc::new(cold.all_cached(&functions));
+        assert!(Arc::ptr_eq(&cold.tail, &warm.tail));
+        let cached: Vec<_> = functions
+            .iter()
+            .map(|f| FunctionResult {
+                cached: true,
+                ..f.clone()
+            })
+            .collect();
+        for id in [0, 9, 10, 99, 100, u64::from(u32::MAX), 1 << 53, u64::MAX] {
+            for (reply, functions) in [(&cold, &functions), (&warm, &cached)] {
+                let ok = Response::Ok {
+                    id,
+                    ir: HOSTILE.into(),
+                    functions: functions.clone(),
+                };
+                let rendered = Response::Rendered {
+                    id,
+                    reply: Arc::clone(reply),
+                };
+                assert_eq!(rendered.to_bytes(), ok.to_bytes(), "id {id}");
+                let (ir, parts) = rendered.ok_parts().unwrap();
+                assert_eq!(ir, HOSTILE);
+                assert_eq!(format!("{parts:?}"), format!("{functions:?}"));
+            }
+        }
+    }
+
+    /// A frame rendered in place is the prefix and body `write_frame` writes.
+    #[test]
+    fn a_frame_is_the_length_prefix_then_the_body() {
+        for response in [
+            Response::Pong { id: 1 },
+            Response::Ok {
+                id: 2,
+                ir: HOSTILE.into(),
+                functions: vec![],
+            },
+            Response::Rendered {
+                id: 3,
+                reply: Arc::new(RenderedOk::new(HOSTILE, &[])),
+            },
+        ] {
+            let mut want = Vec::new();
+            write_frame(&mut want, &response.to_bytes()).unwrap();
+            assert_eq!(response.to_frame().unwrap(), want);
         }
     }
 }

@@ -99,6 +99,11 @@ impl<T> BoundedQueue<T> {
         self.ready.notify_all();
     }
 
+    /// Whether [`BoundedQueue::close`] has been called.
+    pub fn is_closed(&self) -> bool {
+        self.lock().closed
+    }
+
     pub fn len(&self) -> usize {
         self.lock().items.len()
     }
@@ -131,7 +136,9 @@ mod tests {
         assert_eq!(q.try_push(2).unwrap(), 2);
         assert_eq!(q.try_push(3).unwrap_err(), (3, PushError::Full));
         assert_eq!(q.high_water(), 2);
+        assert!(!q.is_closed());
         q.close();
+        assert!(q.is_closed());
         assert_eq!(q.try_push(4).unwrap_err(), (4, PushError::Closed));
         // Backlog still drains after close.
         assert_eq!(q.pop(), Some(1));

@@ -8,7 +8,9 @@
 //! engine: a malformed frame (bad JSON, bad request shape, oversized
 //! length) gets a typed `protocol` error response and the loop keeps
 //! reading; only a truncated stream or a real I/O error ends the
-//! connection.  Responses are written as workers finish, so they may
+//! connection.  Each reply goes out as one write of its whole frame.
+//! A whole-request memo hit is answered on the connection's own thread
+//! while it reads, and other replies as workers finish, so they may
 //! arrive out of request order — clients match them by `id`.
 
 use std::io::{self, Read, Write};
@@ -17,7 +19,7 @@ use std::sync::{Arc, Mutex, PoisonError};
 
 use crate::engine::Engine;
 use crate::json::Json;
-use crate::proto::{read_frame, write_frame, ErrorKind, FrameError, Request, Response};
+use crate::proto::{read_frame, ErrorKind, FrameError, Request, Response};
 
 /// Why [`serve_stream`] returned.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -39,13 +41,19 @@ struct Sink<W> {
 }
 
 fn send(sink: &Sink<impl Write>, response: &Response) {
-    // Rendered before the lock is taken: workers answering on one
+    // Rendered before the lock is taken: threads answering on one
     // connection queue up for the write, not for each other's rendering.
-    let body = response.to_bytes();
+    // Prefix and body go out in one write, so the peer is not woken by a
+    // length whose body is not there yet.
+    let frame = response.to_frame();
     let mut writer = sink.writer.lock().unwrap_or_else(PoisonError::into_inner);
     // A vanished peer must not take the daemon down: a failed write is
     // counted, and the read side notices the closed stream.
-    if write_frame(&mut *writer, &body).is_err() {
+    let written = frame.and_then(|frame| {
+        writer.write_all(&frame)?;
+        writer.flush()
+    });
+    if written.is_err() {
         sink.write_errors.fetch_add(1, Ordering::Relaxed);
     }
 }
@@ -187,6 +195,7 @@ pub fn serve_unix(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::proto::write_frame;
     use crate::ServeConfig;
 
     /// A peer that has gone away: every write fails.
@@ -221,5 +230,75 @@ mod tests {
         assert_eq!(end, StreamEnd::Shutdown);
         let stats = engine.stats_json();
         assert_eq!(stats.get("write_errors").and_then(Json::as_u64), Some(4));
+    }
+
+    /// A peer that counts the writes it is handed, keeps their bytes and
+    /// signals each one.
+    #[derive(Clone)]
+    struct Counted {
+        writes: Arc<AtomicU64>,
+        bytes: Arc<Mutex<Vec<u8>>>,
+        wrote: std::sync::mpsc::Sender<()>,
+    }
+
+    impl Write for Counted {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes.fetch_add(1, Ordering::SeqCst);
+            self.bytes.lock().unwrap().extend_from_slice(buf);
+            let _ = self.wrote.send(());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// Every reply — a pong, a cold compile's, a memo hit's and a
+    /// malformed frame's protocol error — is one write of a whole frame.
+    #[test]
+    fn every_reply_is_one_write() {
+        let engine = Engine::new(ServeConfig::default());
+        let compile = r#"{"op":"compile","id":2,"ir":"fn @f() -> void {\nentry:\n  ret\n}\n"}"#;
+        let frames = |bodies: &[&str]| {
+            let mut input = Vec::new();
+            for body in bodies {
+                write_frame(&mut input, body.as_bytes()).unwrap();
+            }
+            input
+        };
+        let (wrote, written) = std::sync::mpsc::channel();
+        let peer = Counted {
+            writes: Arc::default(),
+            bytes: Arc::default(),
+            wrote,
+        };
+        let cold = frames(&[r#"{"op":"ping","id":1}"#, compile]);
+        serve_stream(&engine, cold.as_slice(), peer.clone(), 1 << 20).unwrap();
+        // The cold reply comes from the worker; the warm one must find
+        // its memo entry.
+        for _ in 0..2 {
+            written
+                .recv_timeout(std::time::Duration::from_secs(60))
+                .expect("the pong and the cold reply");
+        }
+        let warm = frames(&[compile, "{not json", r#"{"op":"fly","id":3}"#]);
+        serve_stream(&engine, warm.as_slice(), peer.clone(), 1 << 20).unwrap();
+        engine.shutdown();
+        assert_eq!(engine.fast_hits(), 1);
+        let bytes = peer.bytes.lock().unwrap().clone();
+        let mut replies = bytes.as_slice();
+        let mut statuses = Vec::new();
+        while let Some(body) = read_frame(&mut replies, 1 << 20).unwrap() {
+            let json = Json::parse(std::str::from_utf8(&body).unwrap()).unwrap();
+            statuses.push(
+                json.get("status")
+                    .and_then(Json::as_str)
+                    .unwrap()
+                    .to_string(),
+            );
+        }
+        assert_eq!(statuses, ["pong", "ok", "ok", "error", "error"]);
+        assert_eq!(peer.writes.load(Ordering::SeqCst), 5);
     }
 }

@@ -2,10 +2,14 @@
 //! shutdown, cache behavior across requests, and warm-vs-cold
 //! byte-identity of rendered responses.
 
-use std::sync::mpsc;
+use std::io::Write;
+use std::sync::{mpsc, Arc, Mutex};
 
-use darm_serve::proto::CompileRequest;
-use darm_serve::{Engine, Response, ServeConfig};
+use darm_serve::json::Json;
+use darm_serve::proto::{
+    read_frame, write_frame, CompileRequest, FunctionResult, DEFAULT_MAX_FRAME,
+};
+use darm_serve::{serve_stream, Engine, Response, ServeConfig, StreamEnd};
 
 const KERNEL: &str = r#"
 fn @cli_demo(ptr(global) %arg0) -> void {
@@ -48,32 +52,39 @@ fn compile(engine: &Engine, req: CompileRequest) -> Response {
     rx.recv().expect("engine answered")
 }
 
+/// The IR and per-function results of an `ok` reply, whichever variant
+/// carries it.
+fn ok(resp: &Response) -> (String, Vec<FunctionResult>) {
+    resp.ok_parts()
+        .unwrap_or_else(|| panic!("expected ok, got {resp:?}"))
+}
+
+/// `cold` as the memo must replay it under `id`: the same reply with
+/// every `cached` flag set.
+fn cached_ok(cold: &Response, id: u64) -> Vec<u8> {
+    let (ir, functions) = ok(cold);
+    let functions = functions
+        .into_iter()
+        .map(|f| FunctionResult { cached: true, ..f })
+        .collect();
+    Response::Ok { id, ir, functions }.to_bytes()
+}
+
+/// The ids the replay tests send: every decimal width boundary below 100,
+/// the largest 32-bit id and the largest id a request can carry.
+const IDS: [u64; 7] = [0, 9, 10, 99, 100, (1 << 32) - 1, 1 << 53];
+
 #[test]
 fn warm_hit_is_byte_identical_to_cold_response() {
     let engine = Engine::new(ServeConfig::default());
     let cold = compile(&engine, request(1, KERNEL));
     let warm = compile(&engine, request(1, KERNEL));
     let (cold_bytes, warm_bytes) = (cold.to_bytes(), warm.to_bytes());
-    match (&cold, &warm) {
-        (
-            Response::Ok {
-                ir: cold_ir,
-                functions: cold_fns,
-                ..
-            },
-            Response::Ok {
-                ir: warm_ir,
-                functions: warm_fns,
-                ..
-            },
-        ) => {
-            assert_eq!(cold_ir, warm_ir);
-            assert!(cold_ir.contains("select"), "expected melded output");
-            assert!(!cold_fns[0].cached);
-            assert!(warm_fns[0].cached);
-        }
-        other => panic!("expected ok responses, got {other:?}"),
-    }
+    let ((cold_ir, cold_fns), (warm_ir, warm_fns)) = (ok(&cold), ok(&warm));
+    assert_eq!(cold_ir, warm_ir);
+    assert!(cold_ir.contains("select"), "expected melded output");
+    assert!(!cold_fns[0].cached);
+    assert!(warm_fns[0].cached);
     // The `cached` flag is metadata, not payload: strip it and the
     // responses must be byte-identical. (Same id on purpose.)
     let strip = |bytes: &[u8]| {
@@ -89,6 +100,132 @@ fn warm_hit_is_byte_identical_to_cold_response() {
     assert_eq!(counters.hits, 0);
     assert_eq!(counters.misses, 1);
     assert_eq!(counters.insertions, 1);
+}
+
+/// Through `submit`, a memo hit is the cold reply with its `cached` flags
+/// set, byte for byte, whatever the id; its responder has run before
+/// `submit` returns, on the submitting thread.
+#[test]
+fn a_memo_hit_replays_the_cold_reply_inline_at_every_id() {
+    let engine = Engine::new(ServeConfig::default());
+    let cold = compile(&engine, request(1, KERNEL));
+    for id in IDS {
+        let answered = Arc::new(Mutex::new(None));
+        let slot = Arc::clone(&answered);
+        let caller = std::thread::current().id();
+        engine.submit(
+            request(id, KERNEL),
+            Box::new(move |resp| {
+                assert_eq!(std::thread::current().id(), caller);
+                *slot.lock().unwrap() = Some(resp);
+            }),
+        );
+        let warm = answered.lock().unwrap().take().expect("answered inline");
+        assert_eq!(warm.to_bytes(), cached_ok(&cold, id), "id {id}");
+    }
+    assert_eq!(engine.fast_hits(), IDS.len() as u64);
+}
+
+/// One connection's output, shared with the test that reads it back.
+#[derive(Clone, Default)]
+struct Wire(Arc<Mutex<Vec<u8>>>);
+
+impl Write for Wire {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.0.lock().unwrap().extend_from_slice(buf);
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// Over a framed stream, too, a memo hit at every id is the cold reply
+/// with its `cached` flags set, byte for byte.
+#[test]
+fn a_memo_hit_replays_the_cold_reply_over_a_stream_at_every_id() {
+    let engine = Engine::new(ServeConfig::default());
+    let cold = compile(&engine, request(1, KERNEL));
+    let mut input = Vec::new();
+    for id in IDS {
+        let body = Json::obj([
+            ("id", Json::int(id)),
+            ("ir", Json::str(KERNEL)),
+            ("op", Json::str("compile")),
+        ]);
+        write_frame(&mut input, body.to_string().as_bytes()).unwrap();
+    }
+    let wire = Wire::default();
+    let end = serve_stream(&engine, input.as_slice(), wire.clone(), DEFAULT_MAX_FRAME).unwrap();
+    assert_eq!(end, StreamEnd::Eof);
+    let output = wire.0.lock().unwrap().clone();
+    let mut output = output.as_slice();
+    for id in IDS {
+        let reply = read_frame(&mut output, DEFAULT_MAX_FRAME).unwrap().unwrap();
+        assert_eq!(reply, cached_ok(&cold, id), "id {id}");
+    }
+    assert!(output.is_empty());
+    assert_eq!(engine.fast_hits(), IDS.len() as u64);
+}
+
+/// A closed engine answers a request it could replay from the memo with
+/// the typed `shutting down` error, not the replay.
+#[test]
+fn a_memo_hit_after_shutdown_gets_the_shutting_down_error() {
+    let engine = Engine::new(ServeConfig::default());
+    ok(&compile(&engine, request(1, KERNEL)));
+    engine.shutdown();
+    match compile(&engine, request(2, KERNEL)) {
+        Response::Error { id, kind, message } => {
+            assert_eq!((id, kind.as_str()), (Some(2), "internal"));
+            assert!(message.contains("shutting down"), "{message}");
+        }
+        other => panic!("expected the shutting-down error, got {other:?}"),
+    }
+    assert_eq!(engine.fast_hits(), 0);
+}
+
+/// A memo hit needs no worker, so a full queue does not shed it.
+#[test]
+fn a_memo_hit_is_answered_when_the_queue_is_full() {
+    let engine = Engine::new(ServeConfig {
+        workers: 1,
+        queue_depth: 1,
+        ..ServeConfig::default()
+    });
+    let cold = compile(&engine, request(1, KERNEL));
+    let edited = |n: u64| KERNEL.replace(", 77", &format!(", {}", 100 + n));
+    // The worker is held inside its responder for request 2, so request 3
+    // fills the queue and request 4 is shed.
+    let (entered, held) = (mpsc::channel(), mpsc::channel::<()>());
+    let (entered_tx, release) = (entered.0, held.1);
+    engine.submit(
+        request(2, &edited(2)),
+        Box::new(move |_| {
+            entered_tx.send(()).unwrap();
+            release.recv().unwrap();
+        }),
+    );
+    entered.1.recv().unwrap();
+    let (tx, rx) = mpsc::channel();
+    for id in [3, 4] {
+        let tx = tx.clone();
+        engine.submit(
+            request(id, &edited(id)),
+            Box::new(move |resp| tx.send((id, resp)).unwrap()),
+        );
+    }
+    let (id, shed) = rx.recv().unwrap();
+    assert!(
+        id == 4 && matches!(shed, Response::Overloaded { .. }),
+        "{id}: {shed:?}"
+    );
+    let warm = compile(&engine, request(5, KERNEL));
+    assert_eq!(warm.to_bytes(), cached_ok(&cold, 5));
+    held.0.send(()).unwrap();
+    let (id, queued) = rx.recv().unwrap();
+    assert!(id == 3 && queued.ok_parts().is_some(), "{queued:?}");
 }
 
 #[test]
@@ -123,7 +260,7 @@ fn zero_worker_engine_sheds_overload_and_drains_at_shutdown() {
     engine.shutdown();
     let mut answered = Vec::new();
     while let Ok((id, resp)) = rx.try_recv() {
-        assert!(matches!(resp, Response::Ok { .. }), "got {resp:?}");
+        assert!(resp.ok_parts().is_some(), "got {resp:?}");
         answered.push(id);
     }
     answered.sort_unstable();
@@ -166,7 +303,7 @@ fn bad_input_and_bad_spec_yield_typed_errors_and_service_survives() {
     );
     // The daemon still compiles fine afterwards.
     let ok = compile(&engine, request(3, KERNEL));
-    assert!(matches!(ok, Response::Ok { .. }), "{ok:?}");
+    assert!(ok.ok_parts().is_some(), "{ok:?}");
 }
 
 /// A spec the registry rejects is rejected every time it is sent (nothing
@@ -188,10 +325,8 @@ fn unknown_pass_answers_spec_every_time_and_is_never_memoized() {
     assert_eq!(engine.fast_entries(), 0);
     assert_eq!(engine.cache_entries(), 0);
     assert_eq!(engine.poisoned_locks(), 0);
-    match compile(&engine, request(3, KERNEL)) {
-        Response::Ok { functions, .. } => assert!(functions[0].optimized && !functions[0].cached),
-        other => panic!("expected ok, got {other:?}"),
-    }
+    let (_, functions) = ok(&compile(&engine, request(3, KERNEL)));
+    assert!(functions[0].optimized && !functions[0].cached);
     assert_eq!(engine.fast_entries(), 1);
 }
 
@@ -203,11 +338,9 @@ fn equivalent_spec_spellings_share_cache_entries() {
     let mut second = request(2, KERNEL);
     // Same canonical pipeline, different spelling (whitespace).
     second.spec = Some(" meld ".to_string());
-    assert!(matches!(compile(&engine, first), Response::Ok { .. }));
-    match compile(&engine, second) {
-        Response::Ok { functions, .. } => assert!(functions[0].cached),
-        other => panic!("expected ok, got {other:?}"),
-    }
+    ok(&compile(&engine, first));
+    let (_, functions) = ok(&compile(&engine, second));
+    assert!(functions[0].cached);
     // Both the whole-request memo and the function cache key on the
     // *canonical* spec, so the respelled request is a fast-path hit.
     assert_eq!(engine.fast_hits(), 1);
@@ -224,7 +357,7 @@ fn cache_stays_within_bounds_under_churn() {
     for i in 0..32u64 {
         let ir = KERNEL.replace(", 77", &format!(", {}", 100 + i));
         let resp = compile(&engine, request(i, &ir));
-        assert!(matches!(resp, Response::Ok { .. }), "{resp:?}");
+        assert!(resp.ok_parts().is_some(), "{resp:?}");
     }
     assert!(engine.cache_entries() <= 8);
     assert!(engine.cache_bytes() <= 16 * 1024);
@@ -237,25 +370,18 @@ fn cache_stays_within_bounds_under_churn() {
 fn multi_function_module_mixes_cached_and_fresh() {
     let engine = Engine::new(ServeConfig::default());
     // Prime the cache with the single-function module.
-    assert!(matches!(
-        compile(&engine, request(1, KERNEL)),
-        Response::Ok { .. }
-    ));
+    ok(&compile(&engine, request(1, KERNEL)));
     // A module with the cached function plus a new one: the cached one
     // is served warm, the new one compiles.
     let second = KERNEL
         .replace("@cli_demo", "@other")
         .replace(", 77", ", 99");
     let both = format!("{}\n{}", KERNEL.trim_start(), second.trim_start());
-    match compile(&engine, request(2, &both)) {
-        Response::Ok { functions, ir, .. } => {
-            assert_eq!(functions.len(), 2);
-            assert!(functions[0].cached, "{functions:?}");
-            assert!(!functions[1].cached, "{functions:?}");
-            assert!(ir.contains("@cli_demo") && ir.contains("@other"));
-        }
-        other => panic!("expected ok, got {other:?}"),
-    }
+    let (ir, functions) = ok(&compile(&engine, request(2, &both)));
+    assert_eq!(functions.len(), 2);
+    assert!(functions[0].cached, "{functions:?}");
+    assert!(!functions[1].cached, "{functions:?}");
+    assert!(ir.contains("@cli_demo") && ir.contains("@other"));
 }
 
 /// `@clean` is straight-line (nothing to meld, one budget poll's worth of
@@ -310,7 +436,7 @@ x:
 
 /// `resp` answers `ok` for [`CLEAN_AND_FAULTY`] with `@clean` optimized and
 /// `@faulty` degraded to its input under a diagnostic naming pass and site.
-fn assert_clean_optimized_faulty_degraded(resp: &Response) -> &[darm_serve::proto::FunctionResult] {
+fn assert_clean_optimized_faulty_degraded(resp: &Response) -> &[FunctionResult] {
     let Response::Ok { functions, ir, .. } = resp else {
         panic!("a contained fault still answers ok, got {resp:?}");
     };

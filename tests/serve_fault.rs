@@ -107,9 +107,11 @@ fn every_service_site_contains_its_fault_and_the_daemon_recovers() {
 
     for site in SERVE_SITES {
         for kind in KINDS {
-            // A fresh engine per combination gives the worker thread
-            // fresh per-thread hit counters; the submitting (test)
-            // thread's counters are reset explicitly.
+            // Hit counters are per thread. `serve::admit` and
+            // `serve::cache_lookup` fire on the submitting (test) thread,
+            // whose counters are reset explicitly; `serve::worker` and
+            // `serve::cache_insert` fire on the worker, and a fresh engine
+            // per combination gives it fresh counters.
             let engine = Engine::new(ServeConfig::default());
             fault::set_plan(Some(FaultPlan {
                 site: site.to_string(),
@@ -122,7 +124,7 @@ fn every_service_site_contains_its_fault_and_the_daemon_recovers() {
                 // Fuel exhaustion at a service site is a no-op (no
                 // budget is installed outside the pipeline), so the
                 // request sails through.
-                (Response::Ok { .. }, FaultKind::FuelExhaust) => {}
+                (ok, FaultKind::FuelExhaust) if ok.ok_parts().is_some() => {}
                 (
                     Response::Error {
                         kind: ek, message, ..
@@ -141,7 +143,7 @@ fn every_service_site_contains_its_fault_and_the_daemon_recovers() {
             fault::set_plan(None);
             let clean = compile(&engine, request(1, KERNEL));
             assert!(
-                matches!(clean, Response::Ok { .. }),
+                clean.ok_parts().is_some(),
                 "{site}/{kind:?}: daemon must recover, got {clean:?}"
             );
             assert_eq!(
@@ -154,6 +156,45 @@ fn every_service_site_contains_its_fault_and_the_daemon_recovers() {
             assert_eq!(engine.poisoned_locks(), 0, "{site}/{kind:?} after drain");
         }
     }
+}
+
+/// `serve::cache_lookup` fires in `Engine::submit`, on the thread that
+/// submits: armed at its second hit there, it faults the *warm* request
+/// after a clean cold compile. That request gets a typed `internal` reply
+/// naming the site, the next one replays the cold reply byte for byte,
+/// and no lock is poisoned.
+#[test]
+fn a_lookup_fault_on_a_warm_request_is_contained_on_the_submitting_thread() {
+    let _guard = PLAN_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let engine = Engine::new(ServeConfig::default());
+    fault::set_plan(Some(FaultPlan {
+        site: "serve::cache_lookup".to_string(),
+        hit: 2,
+        kind: FaultKind::Panic,
+    }));
+    fault::begin_function();
+    let cold = compile(&engine, request(1, KERNEL));
+    let faulted = compile(&engine, request(2, KERNEL));
+    fault::set_plan(None);
+    assert!(cold.ok_parts().is_some(), "{cold:?}");
+    match &faulted {
+        Response::Error { id, kind, message } => {
+            assert_eq!((*id, kind.as_str()), (Some(2), "internal"));
+            assert!(message.contains("serve::cache_lookup"), "{message}");
+        }
+        other => panic!("expected a contained lookup fault, got {other:?}"),
+    }
+    let warm = compile(&engine, request(1, KERNEL));
+    assert_eq!(
+        String::from_utf8(warm.to_bytes()).unwrap(),
+        String::from_utf8(cold.to_bytes())
+            .unwrap()
+            .replace("\"cached\":false", "\"cached\":true")
+    );
+    assert_eq!(engine.fast_hits(), 1);
+    assert_eq!(engine.poisoned_locks(), 0);
+    engine.shutdown();
+    assert_eq!(engine.poisoned_locks(), 0);
 }
 
 /// Deterministic compile faults inside the pipeline become *negative*
@@ -213,12 +254,12 @@ fn poisoned_modules_fail_fast_via_the_negative_cache() {
     // ...and a changed function compiles cleanly.
     let changed = KERNEL.replace(", 77", ", 78");
     let fourth = compile(&engine, request(2, &changed));
-    match &fourth {
-        Response::Ok { functions, .. } => {
+    match fourth.ok_parts() {
+        Some((_, functions)) => {
             assert!(functions[0].optimized, "{functions:?}");
             assert!(!functions[0].cached);
         }
-        other => panic!("{other:?}"),
+        None => panic!("{fourth:?}"),
     }
     assert_eq!(engine.poisoned_locks(), 0);
 }
@@ -243,15 +284,15 @@ fn budget_exhaustion_is_not_negatively_cached() {
         other => panic!("expected degraded response, got {other:?}"),
     }
     let second = compile(&engine, request(2, KERNEL));
-    match &second {
-        Response::Ok { functions, .. } => {
+    match second.ok_parts() {
+        Some((_, functions)) => {
             assert!(
                 functions[0].optimized,
                 "starved run must not poison: {functions:?}"
             );
             assert!(!functions[0].cached, "no negative entry may exist");
         }
-        other => panic!("{other:?}"),
+        None => panic!("{second:?}"),
     }
 }
 
@@ -296,7 +337,9 @@ fn soak_with_ten_percent_faults_stays_live_bounded_and_unpoisoned() {
             fault::set_plan(None);
         }
         match resp {
-            Response::Ok { .. } | Response::Error { .. } => answered += 1,
+            Response::Ok { .. } | Response::Rendered { .. } | Response::Error { .. } => {
+                answered += 1
+            }
             other => panic!("request {i}: unexpected {other:?}"),
         }
         // The RSS proxy: cache gauges never exceed their bounds.
@@ -311,7 +354,7 @@ fn soak_with_ten_percent_faults_stays_live_bounded_and_unpoisoned() {
     let probe = KERNEL.replace(", 77", ", 1000");
     let cold = compile(&engine, request(9001, &probe));
     let warm = compile(&engine, request(9001, &probe));
-    assert!(matches!(cold, Response::Ok { .. }));
+    assert!(cold.ok_parts().is_some());
     assert_eq!(normalized(&cold), normalized(&warm));
 
     let stats = engine.shutdown();
@@ -357,7 +400,7 @@ proptest! {
             let resp = compile(&engine, request(variant as u64, &ir));
             fault::set_plan(None);
             match &resp {
-                Response::Ok { .. } => {
+                Response::Ok { .. } | Response::Rendered { .. } => {
                     let bytes = normalized(&resp);
                     let prev = canon.entry(variant).or_insert_with(|| bytes.clone());
                     prop_assert_eq!(

@@ -9,7 +9,7 @@ use darm::ir::parser::parse_and_verify_module;
 use darm::melding::MeldConfig;
 use darm::pipeline::{ModuleOptions, ModulePassManager, PipelineOptions};
 use darm::serve::proto::CompileRequest;
-use darm::serve::{Engine, Response, ServeConfig};
+use darm::serve::{Engine, ServeConfig};
 use darm::simt::{Gpu, GpuConfig, KernelArg, LaunchConfig};
 
 /// `out[tid] = tid even ? tid*3+10 : tid*5+77` — one meldable diamond.
@@ -88,12 +88,13 @@ fn text_to_meld_to_both_backends_to_serve() {
         },
         Box::new(move |resp| tx.send(resp).unwrap()),
     );
-    match rx.recv().expect("engine answered") {
-        Response::Ok { ir, functions, .. } => {
+    let resp = rx.recv().expect("engine answered");
+    match resp.ok_parts() {
+        Some((ir, functions)) => {
             assert_eq!(ir, module.to_string());
             assert!(functions[0].optimized);
         }
-        other => panic!("expected an ok response, got {other:?}"),
+        None => panic!("expected an ok response, got {resp:?}"),
     }
     engine.shutdown();
 }
